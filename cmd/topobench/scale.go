@@ -18,8 +18,7 @@ import (
 
 // The -scale mode records the data-plane performance trajectory in
 // BENCH_scale.json: steady-state exchange rounds and cc contraction at
-// 10⁴/10⁵ scale (ns/op, allocs/op, and the speedup of the int-indexed
-// contraction over the retired map baseline), plus a 10⁵-topology-node
+// 10⁴/10⁵ scale (ns/op, allocs/op, B/op), plus a 10⁵-topology-node
 // caterpillar G(n,p) cc smoke under an optional wall-clock budget.
 // -scale-big extends the sweep to the million-node data plane: a 10⁶-node
 // graded caterpillar build + placement (capacities + weak-cut hierarchy)
@@ -45,10 +44,9 @@ type scaleRecord struct {
 	// probes (absent for smoke probes).
 	AllocsPerOp int64 `json:"allocs_per_op,omitempty"`
 	BytesPerOp  int64 `json:"bytes_per_op,omitempty"`
-	// MapsNsPerOp and Speedup compare cc probes against the map-based
-	// baseline (graph.CCBaseline) on the identical input.
-	MapsNsPerOp int64   `json:"maps_ns_per_op,omitempty"`
-	Speedup     float64 `json:"speedup,omitempty"`
+	// Speedup is the wall-clock ratio of the paired workers=1 row over
+	// this row (workers>1 smoke rows only).
+	Speedup float64 `json:"speedup,omitempty"`
 	// Edges / Rounds / Cost / HeapBytes describe the smoke runs: input
 	// edges, exchange rounds executed, total model cost, and the live
 	// heap right after the run.
@@ -148,9 +146,9 @@ func exchangeScale(nodes int, stdout io.Writer) (scaleRecord, error) {
 	return rec, nil
 }
 
-// ccScale benchmarks the int-indexed contraction against the map baseline
-// on an n-vertex average-degree-4 G(n,p) over the 5-spine graded
-// caterpillar fixture (the graph package's benchmark fixture).
+// ccScale benchmarks the int-indexed contraction on an n-vertex
+// average-degree-4 G(n,p) over the 5-spine graded caterpillar fixture (the
+// graph package's benchmark fixture).
 func ccScale(n int, seed uint64, stdout io.Writer) (scaleRecord, error) {
 	tr, err := topology.Caterpillar([]float64{4, 8, 16, 8, 4}, 2)
 	if err != nil {
@@ -171,25 +169,14 @@ func ccScale(n int, seed uint64, stdout io.Writer) (scaleRecord, error) {
 			}
 		}
 	})
-	maps := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := graph.CCBaseline(tr, edges, seed, true, false); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	rec := scaleRecord{
 		Name: "cc", Size: n,
 		NsPerOp:     idx.NsPerOp(),
 		AllocsPerOp: idx.AllocsPerOp(),
 		BytesPerOp:  idx.AllocedBytesPerOp(),
-		MapsNsPerOp: maps.NsPerOp(),
 	}
-	if rec.NsPerOp > 0 {
-		rec.Speedup = float64(rec.MapsNsPerOp) / float64(rec.NsPerOp)
-	}
-	fmt.Fprintf(stdout, "cc       %7d verts: %12d ns/op  %5d allocs/op  (maps %d ns/op, %.1f× speedup)\n",
-		n, rec.NsPerOp, rec.AllocsPerOp, rec.MapsNsPerOp, rec.Speedup)
+	fmt.Fprintf(stdout, "cc       %7d verts: %12d ns/op  %5d allocs/op  %8d B/op\n",
+		n, rec.NsPerOp, rec.AllocsPerOp, rec.BytesPerOp)
 	return rec, nil
 }
 

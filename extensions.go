@@ -84,7 +84,7 @@ func (c *Cluster) AggregateAwareBaseline(data [][]GroupValue, seed uint64) (*Agg
 
 func (c *Cluster) aggregateWith(data [][]GroupValue,
 	run func(aggregate.Placement) (*aggregate.Result, error)) (*AggregateResult, error) {
-	if err := c.checkFragments("data", make([][]uint64, len(data))); err != nil {
+	if err := c.checkFragmentCount("data", len(data)); err != nil {
 		return nil, err
 	}
 	placement := make(aggregate.Placement, len(data))
@@ -145,10 +145,10 @@ func (c *Cluster) JoinBaseline(r, s [][]Row, seed uint64) (*JoinResult, error) {
 
 func (c *Cluster) joinWith(r, s [][]Row,
 	run func(join.Placement, join.Placement) (*join.Result, error)) (*JoinResult, error) {
-	if err := c.checkFragments("r", make([][]uint64, len(r))); err != nil {
+	if err := c.checkFragmentCount("r", len(r)); err != nil {
 		return nil, err
 	}
-	if err := c.checkFragments("s", make([][]uint64, len(s))); err != nil {
+	if err := c.checkFragmentCount("s", len(s)); err != nil {
 		return nil, err
 	}
 	conv := func(in [][]Row) join.Placement {

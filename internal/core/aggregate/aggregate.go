@@ -149,6 +149,7 @@ func LowerBound(t *topology.Tree, data Placement) float64 {
 type instance struct {
 	t     *topology.Tree
 	nodes []topology.NodeID
+	idx   []int // NodeID -> position in nodes (compute nodes only)
 	data  Placement
 	local []map[uint64]int64 // pre-combined local partials
 }
@@ -159,7 +160,10 @@ func newInstance(t *topology.Tree, data Placement) (*instance, error) {
 		return nil, fmt.Errorf("aggregate: placement covers %d nodes, tree has %d compute nodes",
 			len(data), len(nodes))
 	}
-	in := &instance{t: t, nodes: nodes, data: data, local: make([]map[uint64]int64, len(nodes))}
+	in := &instance{t: t, nodes: nodes, idx: make([]int, t.NumNodes()), data: data, local: make([]map[uint64]int64, len(nodes))}
+	for i, v := range nodes {
+		in.idx[v] = i
+	}
 	for i, frag := range data {
 		m := make(map[uint64]int64, len(frag))
 		for _, p := range frag {
@@ -211,7 +215,7 @@ func chooserFor(seed uint64, weights []float64) (*hashing.WeightedChooser, error
 func scatterPartials(e *netsim.Engine, in *instance, chooser *hashing.WeightedChooser, partials []map[uint64]int64) {
 	x := e.Exchange()
 	x.Plan(func(v topology.NodeID, out *netsim.Outbox) {
-		i := indexOf(in.nodes, v)
+		i := in.idx[v]
 		m := partials[i]
 		if len(m) == 0 {
 			return

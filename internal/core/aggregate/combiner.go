@@ -37,19 +37,20 @@ const tagUp netsim.Tag = 30
 // tier, not just the weakest. When no block pays anywhere the protocol
 // degrades to a single round of capacity-weighted hashing.
 func CombinerTree(t *topology.Tree, data Placement, seed uint64, opts ...netsim.Option) (*Result, error) {
-	return combinerTree(t, data, seed, place.CombineOptions{}, opts)
+	weights := place.Capacities(t)
+	hier := place.HierarchyFor(t)
+	var steps []place.UpStep
+	if hier != nil {
+		steps = hier.UpSweep(weights)
+	}
+	return combinerTree(t, data, seed, hier, steps, fmt.Sprintf("combiner-tree×%d", len(steps)), opts)
 }
 
-// CombinerTreeOpt is CombinerTree with an explicit combining-pays policy
-// (place.CombineOptions): the up-sweep schedule comes from UpSweepOpt
-// instead of UpSweep, so e.g. ParentRelative skips merge rounds for blocks
-// that dominate their parent on skewed bandwidth gradients. The zero
-// options reproduce CombinerTree exactly.
-func CombinerTreeOpt(t *topology.Tree, data Placement, seed uint64, copt place.CombineOptions, opts ...netsim.Option) (*Result, error) {
-	return combinerTree(t, data, seed, copt, opts)
-}
-
-func combinerTree(t *topology.Tree, data Placement, seed uint64, copt place.CombineOptions, opts []netsim.Option) (*Result, error) {
+// combinerTree runs the up-sweep schedule (one merge round per step, in
+// order) and then hashes what every node still carries to the global group
+// homes. strategy names a run with at least one step; an empty schedule is
+// a single round of capacity-weighted hashing. hier is only traced.
+func combinerTree(t *topology.Tree, data Placement, seed uint64, hier *place.Hierarchy, steps []place.UpStep, strategy string, opts []netsim.Option) (*Result, error) {
 	in, err := newInstance(t, data)
 	if err != nil {
 		return nil, err
@@ -58,12 +59,6 @@ func combinerTree(t *topology.Tree, data Placement, seed uint64, copt place.Comb
 	global, err := chooserFor(hashing.Mix64(seed+0xa66), weights)
 	if err != nil {
 		return nil, err
-	}
-
-	hier := place.HierarchyFor(t)
-	var steps []place.UpStep
-	if hier != nil {
-		steps = hier.UpSweepOpt(weights, copt)
 	}
 
 	e := netsim.NewEngine(t, opts...)
@@ -75,16 +70,16 @@ func combinerTree(t *topology.Tree, data Placement, seed uint64, copt place.Comb
 	var aggTid int64
 	if tc != nil {
 		aggTid = tc.NewTid("aggregate up-sweep")
-		hier.TraceCombine(tc, weights, copt)
+		hier.TraceCombine(tc, weights)
 	}
 	mLevels := mx.Counter("aggregate.upsweep_rounds")
 	mShipped := mx.Counter("aggregate.shipped_elements")
 	mMerged := mx.Counter("aggregate.merged_groups")
 
 	partials := in.local
-	strategy := "capacity-hash"
-	if len(steps) > 0 {
-		strategy = fmt.Sprintf("combiner-tree×%d", len(steps))
+	if len(steps) == 0 {
+		strategy = "capacity-hash"
+	} else {
 		// Up-sweep: one round per engaged level, deepest first. state[i]
 		// is the partials node i still carries; senders forward it whole,
 		// combiners merge what arrives into their own.
@@ -97,7 +92,7 @@ func combinerTree(t *topology.Tree, data Placement, seed uint64, copt place.Comb
 			}
 			x := e.Exchange()
 			x.Plan(func(v topology.NodeID, out *netsim.Outbox) {
-				i := indexOf(in.nodes, v)
+				i := in.idx[v]
 				if st.Target[i] != i && len(state[i]) > 0 {
 					out.Send(in.nodes[st.Target[i]], tagUp, partialMsg(state[i], sortedGroups(state[i])))
 				}
@@ -170,79 +165,26 @@ func combinerTree(t *topology.Tree, data Placement, seed uint64, copt place.Comb
 // capacity-weighted hashing. It is kept as the ablation baseline the
 // multi-level CombinerTree is measured against (X7, golden harness).
 func CombinerTreeSingle(t *topology.Tree, data Placement, seed uint64, opts ...netsim.Option) (*Result, error) {
-	in, err := newInstance(t, data)
-	if err != nil {
-		return nil, err
-	}
-	weights := place.Capacities(t) // strictly positive by contract
-	global, err := chooserFor(hashing.Mix64(seed+0xa66), weights)
-	if err != nil {
-		return nil, err
-	}
-
-	// Restrict the plan to the blocks where the merge round pays.
-	plan := place.CombinerBlocks(t, weights)
-	var combines []bool
-	if plan != nil {
-		combines = plan.MinorityBlocks(weights)
-		any := false
-		for _, c := range combines {
-			any = any || c
+	weights := place.Capacities(t)
+	// One up-step over the flat plan, restricted to the blocks where the
+	// merge round pays; everyone else keeps its partials for the scatter.
+	var steps []place.UpStep
+	if plan := place.CombinerBlocks(t, weights); plan != nil {
+		combines := plan.MinorityBlocks(weights)
+		target := make([]int, len(plan.BlockOf))
+		engaged := false
+		for i, b := range plan.BlockOf {
+			target[i] = i
+			if combines[b] && plan.Combiner[b] != i {
+				target[i] = plan.Combiner[b]
+				engaged = true
+			}
 		}
-		if !any {
-			plan = nil
+		if engaged {
+			steps = []place.UpStep{{Target: target}}
 		}
 	}
-
-	e := netsim.NewEngine(t, opts...)
-	partials := in.local
-	strategy := "combiner-tree"
-	if plan == nil {
-		strategy = "capacity-hash"
-	} else {
-		// Round 1: members of combining blocks push local partials to
-		// their block combiner; the combiner keeps its own partials local.
-		// Everyone else idles and sends directly in round 2.
-		x := e.Exchange()
-		x.Plan(func(v topology.NodeID, out *netsim.Outbox) {
-			i := indexOf(in.nodes, v)
-			b := plan.BlockOf[i]
-			if !combines[b] || plan.Combiner[b] == i || len(in.local[i]) == 0 {
-				return
-			}
-			out.Send(in.nodes[plan.Combiner[b]], tagUp, partialMsg(in.local[i], sortedGroups(in.local[i])))
-		})
-		x.Execute()
-		merged := make([]map[uint64]int64, len(in.nodes))
-		for i, v := range in.nodes {
-			b := plan.BlockOf[i]
-			if !combines[b] {
-				merged[i] = in.local[i]
-				continue
-			}
-			if plan.Combiner[b] != i {
-				merged[i] = nil // pushed up; nothing left to send globally
-				continue
-			}
-			m := make(map[uint64]int64, len(in.local[i]))
-			for g, val := range in.local[i] {
-				m[g] += val
-			}
-			ib := e.Inbox(v)
-			for mi := 0; mi < ib.Len(); mi++ {
-				msg := ib.At(mi)
-				if msg.Tag == tagUp {
-					decodePartials(m, msg.Keys)
-				}
-			}
-			merged[i] = m
-		}
-		partials = merged
-	}
-
-	// Final round: hash the (block-merged) partials to their global homes.
-	scatterPartials(e, in, global, partials)
-	return collect(e, in, strategy), nil
+	return combinerTree(t, data, seed, nil, steps, "combiner-tree", opts)
 }
 
 // HashFlat is the topology-oblivious counterpart of the combiner trees: a

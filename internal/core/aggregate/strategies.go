@@ -50,7 +50,7 @@ func TwoLevel(t *topology.Tree, data Placement, seed uint64, opts ...netsim.Opti
 	for b, members := range blocks {
 		w := make([]float64, len(members))
 		for j, v := range members {
-			w[j] = float64(len(in.local[indexOf(in.nodes, v)]))
+			w[j] = float64(len(in.local[in.idx[v]]))
 		}
 		blockChoosers[b], err = chooserFor(hashing.Mix64(seed+uint64(b)+0x77), w)
 		if err != nil {
@@ -62,7 +62,7 @@ func TwoLevel(t *topology.Tree, data Placement, seed uint64, opts ...netsim.Opti
 	// Round 1: combine within blocks.
 	x := e.Exchange()
 	x.Plan(func(v topology.NodeID, out *netsim.Outbox) {
-		i := indexOf(in.nodes, v)
+		i := in.idx[v]
 		b := blockOf[v]
 		members := blocks[b]
 		byDst := make(map[topology.NodeID][]uint64)
@@ -121,7 +121,7 @@ func Gather(t *topology.Tree, data Placement, target topology.NodeID, opts ...ne
 	e := netsim.NewEngine(t, opts...)
 	x := e.Exchange()
 	x.Plan(func(v topology.NodeID, out *netsim.Outbox) {
-		i := indexOf(in.nodes, v)
+		i := in.idx[v]
 		if len(in.local[i]) > 0 {
 			out.Send(target, netsim.TagData, partialMsg(in.local[i], sortedGroups(in.local[i])))
 		}
@@ -174,13 +174,4 @@ func collect(e *netsim.Engine, in *instance, strategy string) *Result {
 	}
 	res.Report = e.Report()
 	return res
-}
-
-func indexOf(nodes []topology.NodeID, v topology.NodeID) int {
-	for i, n := range nodes {
-		if n == v {
-			return i
-		}
-	}
-	panic("aggregate: node not found")
 }

@@ -43,7 +43,7 @@ func BenchmarkCCContractionMaps(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := CCBaseline(tr, edges, 42, true, false); err != nil {
+		if _, err := runMaps(tr, edges, 42, true, false, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -69,7 +69,7 @@ func BenchmarkCCContraction100kMaps(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := CCBaseline(tr, edges, 42, true, false); err != nil {
+		if _, err := runMaps(tr, edges, 42, true, false, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -95,7 +95,7 @@ func TestCCAllocRegression(t *testing.T) {
 		}
 	})
 	maps := measure(func() {
-		if _, err := CCBaseline(tr, edges, 42, true, false); err != nil {
+		if _, err := runMaps(tr, edges, 42, true, false, nil); err != nil {
 			t.Fatal(err)
 		}
 	})

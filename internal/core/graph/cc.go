@@ -59,8 +59,8 @@ func SpanningForest(t *topology.Tree, edges Placement, seed uint64, opts ...nets
 // The wire protocol is unchanged except that messages carry indices
 // instead of ids. The renumbering is order-preserving and homes are still
 // hashed from the original ids, so every message has the same destination,
-// tag, and length as the retired map-based path (CCBaseline) — cost
-// reports are byte-identical, which the property tests pin.
+// tag, and length as the retired map-based path (runMaps, the test oracle)
+// — cost reports are byte-identical, which the property tests pin.
 
 // workEdge is one active contracted edge: current endpoint label indices
 // plus the original witness endpoint indices.
@@ -122,54 +122,8 @@ func compactMinK1(ks []uint64) []uint64 {
 	return out
 }
 
-// radixSortUint64 sorts ascending with an LSD byte radix, skipping byte
-// lanes that are constant across the slice (index-packed keys rarely use
-// more than a few). Returns the sorted slice and the scratch buffer, which
-// may have swapped roles.
-func radixSortUint64(a, tmp []uint64) ([]uint64, []uint64) {
-	if len(a) < 64 {
-		slices.Sort(a)
-		return a, tmp
-	}
-	if cap(tmp) < len(a) {
-		tmp = make([]uint64, len(a))
-	}
-	tmp = tmp[:len(a)]
-	var hist [8][256]int32
-	for _, v := range a {
-		hist[0][v&0xff]++
-		hist[1][(v>>8)&0xff]++
-		hist[2][(v>>16)&0xff]++
-		hist[3][(v>>24)&0xff]++
-		hist[4][(v>>32)&0xff]++
-		hist[5][(v>>40)&0xff]++
-		hist[6][(v>>48)&0xff]++
-		hist[7][(v>>56)&0xff]++
-	}
-	src, dst := a, tmp
-	for pass := 0; pass < 8; pass++ {
-		sh := uint(pass) * 8
-		h := &hist[pass]
-		if int(h[(src[0]>>sh)&0xff]) == len(src) {
-			continue // constant byte lane
-		}
-		var off [256]int32
-		var sum int32
-		for b := 0; b < 256; b++ {
-			off[b] = sum
-			sum += h[b]
-		}
-		for _, v := range src {
-			b := (v >> sh) & 0xff
-			dst[off[b]] = v
-			off[b]++
-		}
-		src, dst = dst, src
-	}
-	return src, dst
-}
-
-// radixSortInt32 is the radix sort for non-negative int32 index lists.
+// radixSortInt32 is par.SerialSortUint64's LSD byte radix (constant lanes
+// skipped) for non-negative int32 index lists.
 func radixSortInt32(a, tmp []int32) ([]int32, []int32) {
 	if len(a) < 64 {
 		slices.Sort(a)
@@ -711,7 +665,7 @@ func (pr *proto) prepProps(i int) {
 // finalizeProps orders node i's precollected non-witness minima by label.
 func (pr *proto) finalizeProps(i int) {
 	sc := &pr.scr[i]
-	sc.k1s, sc.k1tmp = radixSortUint64(sc.k1s, sc.k1tmp)
+	sc.k1s, sc.k1tmp = par.SerialSortUint64(sc.k1s, sc.k1tmp)
 }
 
 // startProps prepares node i's proposal minima at the start of propose.
@@ -820,7 +774,7 @@ func (pr *proto) propose() {
 					}
 				}
 				if grew {
-					ks, pr.scr[i].k1tmp = radixSortUint64(ks, pr.scr[i].k1tmp)
+					ks, pr.scr[i].k1tmp = par.SerialSortUint64(ks, pr.scr[i].k1tmp)
 					ks = compactMinK1(ks)
 				}
 				pr.scr[i].k1s = ks
@@ -1319,11 +1273,10 @@ func newProto(tr *topology.Tree, edges Placement, seed uint64, aware, witness bo
 		}
 	}
 
-	// The compute plane shares the engine's worker budget: WithWorkers
-	// governs exchange accounting and per-home protocol compute alike.
+	// The compute plane forks on the engine's pool: WithWorkers governs
+	// exchange planning, accounting, and per-home protocol compute alike.
 	e := netsim.NewEngine(tr, opts...)
-	pool := par.New(e.WorkerBudget())
-	pool.Instrument(e.Tracer(), e.Metrics())
+	pool := e.Pool()
 
 	// Renumbering pass: sorted distinct vertex ids become the dense index
 	// space. Sorting keeps index order equal to id order, so every
@@ -1487,7 +1440,7 @@ func run(tr *topology.Tree, edges Placement, seed uint64, aware, witness bool, o
 	var phaseTid int64
 	if tc != nil {
 		phaseTid = tc.NewTid("graph cc phases")
-		pr.hier.TraceCombine(tc, pr.weights, place.CombineOptions{})
+		pr.hier.TraceCombine(tc, pr.weights)
 	}
 	mPhases := mx.Counter("graph.cc.phases")
 	mActive := mx.Histogram("graph.cc.active_edges")

@@ -9,16 +9,6 @@ import (
 	"topompc/internal/topology"
 )
 
-// CCBaseline runs the retired map-based contraction: home state held in
-// per-node hash maps and per-round proposal maps, exactly as the protocol
-// shipped before the int-indexed data plane. It produces byte-identical
-// cost reports and checksums to CC/CCFlat/SpanningForest and is retained
-// as the equivalence oracle for the property tests and as the baseline leg
-// of the contraction benchmarks.
-func CCBaseline(t *topology.Tree, edges Placement, seed uint64, aware, witness bool, opts ...netsim.Option) (*Result, error) {
-	return runMaps(t, edges, seed, aware, witness, opts)
-}
-
 // mapWorkEdge is one active contracted edge: the current endpoint labels plus
 // the original witness endpoints (needed so a hooking can name a real
 // graph edge after arbitrary relabelings).
@@ -566,6 +556,12 @@ func (pr *mapProto) totalActive() int {
 	return n
 }
 
+// runMaps runs the retired map-based contraction: home state held in
+// per-node hash maps and per-round proposal maps, exactly as the protocol
+// shipped before the int-indexed data plane. It produces byte-identical
+// cost reports and checksums to CC/CCFlat/SpanningForest and lives in a
+// test file as the equivalence oracle of the property tests and the
+// baseline leg of the contraction benchmarks.
 func runMaps(tr *topology.Tree, edges Placement, seed uint64, aware, witness bool, opts []netsim.Option) (*Result, error) {
 	if err := checkPlacement(tr, edges); err != nil {
 		return nil, err

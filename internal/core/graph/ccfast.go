@@ -4,10 +4,9 @@ import (
 	"fmt"
 	"slices"
 
-	"topompc/internal/core/place"
-	"topompc/internal/hashing"
 	"topompc/internal/netsim"
 	"topompc/internal/obs"
+	"topompc/internal/par"
 	"topompc/internal/topology"
 )
 
@@ -37,99 +36,56 @@ import (
 //     works from the untruncated edges at the holders; a lossy known-set
 //     only means less contraction this phase.
 //   - Budgets bound the traffic: each vertex sends at most b known labels
-//     to at most b targets, non-minimum targets are sampled by a leader
-//     hash so dense clusters funnel their sets through a few leaders, and
-//     the driver stops doubling the moment a step's planned volume would
-//     exceed the phase budget or a step stops changing any set — the
-//     Andoni-style truncated-exponentiation guard. With zero doubling
-//     rounds the phase degrades to exactly a Borůvka phase: the known-set
-//     of the adjacency round alone is the min-neighbor proposal.
-//   - Hook, pointer-jump, root lookups (with the place.Hierarchy per-block
-//     combining when the pays-off test holds), and relabel are reused from
-//     cc.go unchanged — the known-set minimum feeds the same best-proposal
-//     arrays the Borůvka path fills from propose messages.
+//     to at most b targets, and the driver stops doubling the moment a
+//     step's planned volume would exceed the phase budget or a step stops
+//     changing any set — the Andoni-style truncated-exponentiation guard.
+//     With zero doubling rounds the phase degrades to exactly a Borůvka
+//     phase: the known-set of the adjacency round alone is the
+//     min-neighbor proposal.
+//   - Hook, pointer-jump, and relabel are reused from cc.go unchanged —
+//     the known-set minimum feeds the same best-proposal arrays the
+//     Borůvka path fills from propose messages — and one subscription
+//     push of the phase roots (pushRoots) replaces cc's lookup rounds.
+//
+// Every step is a pure function of the input: no sampling, no seed beyond
+// the one that hashes vertices to homes.
 //
 // The result is byte-comparable to CC's: canonical minimum labels, same
 // Result shape, verified against the union-find reference.
 
-// FastTuning are the exponentiation budgets of CCFast. The zero value of
-// any field falls back to its default.
-type FastTuning struct {
-	// Budget is b, the per-label known-set capacity and per-round fanout
-	// bound: a label keeps the b smallest labels it has seen and sends at
-	// most b·b keys per doubling round.
-	Budget int
-	// MaxDoubling caps the doubling rounds of one phase.
-	MaxDoubling int
-	// VolumeFactor scales the per-phase doubling budget: a doubling round
-	// may plan at most VolumeFactor × (2·active edges + alive labels)
-	// keys, else the phase falls back to hooking with what it knows.
-	VolumeFactor int
-	// LeaderFrac samples non-minimum push targets: a member is a leader
-	// with probability 1/LeaderFrac (rounded to a power of two); the set
-	// minimum is always pushed to. 1 pushes to every member.
-	LeaderFrac int
-	// Combine swaps the single-round subscription push of the phase roots
-	// for cc's query/reply lookups with the place.Hierarchy per-block
-	// combining sweeps. It trades rounds for cheaper weak-cut crossings:
-	// each engaged level adds an up- and a down-sweep round per phase.
-	Combine bool
-}
-
-// DefaultFastTuning is the tuning CCFast runs with, the measured optimum
-// of the scale sweep: b=8 balances known-set reach against push volume,
-// three doubling rounds suffice for one-phase convergence on G(n,p) up
-// to 10⁶ vertices (more rounds only add cost once the sets stabilize),
-// and pushing to every member (LeaderFrac 1) beats leader sampling —
-// the downhill filter already bounds the fanout.
-func DefaultFastTuning() FastTuning {
-	return FastTuning{Budget: 8, MaxDoubling: 3, VolumeFactor: 8, LeaderFrac: 1}
-}
-
-func (ft FastTuning) withDefaults() FastTuning {
-	def := DefaultFastTuning()
-	if ft.Budget <= 0 {
-		ft.Budget = def.Budget
-	}
-	if ft.MaxDoubling <= 0 {
-		ft.MaxDoubling = def.MaxDoubling
-	}
-	if ft.VolumeFactor <= 0 {
-		ft.VolumeFactor = def.VolumeFactor
-	}
-	if ft.LeaderFrac <= 0 {
-		ft.LeaderFrac = def.LeaderFrac
-	}
-	return ft
-}
+// The exponentiation budgets, the measured optimum of the scale sweep: b=8
+// balances known-set reach against push volume, and three doubling rounds
+// suffice for one-phase convergence on G(n,p) up to 10⁶ vertices (more
+// rounds only add cost once the sets stabilize).
+const (
+	// fastBudget is b, the per-label known-set capacity and per-round
+	// fanout bound: a label keeps the b smallest labels it has seen and
+	// sends at most b·b keys per doubling round.
+	fastBudget = 8
+	// fastMaxDoubling caps the doubling rounds of one phase.
+	fastMaxDoubling = 3
+	// fastVolumeFactor scales the per-phase doubling budget: a doubling
+	// round may plan at most fastVolumeFactor × (2·active edges + alive
+	// labels) keys, else the phase falls back to hooking with what it
+	// knows.
+	fastVolumeFactor = 8
+)
 
 // CCFast computes connected components with budgeted graph exponentiation
 // on capacity-weighted homes. Same inputs and Result contract as CC.
 func CCFast(t *topology.Tree, edges Placement, seed uint64, opts ...netsim.Option) (*Result, error) {
-	return runFast(t, edges, seed, DefaultFastTuning(), opts)
-}
-
-// CCFastTuned is CCFast with explicit exponentiation budgets, for
-// experiments and adversarial tests.
-func CCFastTuned(t *topology.Tree, edges Placement, seed uint64, tune FastTuning, opts ...netsim.Option) (*Result, error) {
-	return runFast(t, edges, seed, tune, opts)
+	return runFast(t, edges, seed, opts)
 }
 
 // fastState is the exponentiation state bolted onto proto. Known-sets
-// live in one flat phase-stamped arena: label a's set is the ascending
-// slice knowBuf[a·b : a·b+knowLen[a]], valid when knowAt[a] equals the
-// phase — no clearing between phases, matching the stamped best/parent
-// arrays of the Borůvka path.
+// live in one flat phase-stamped arena: with b = fastBudget, label a's set
+// is the ascending slice knowBuf[a·b : a·b+knowLen[a]], valid when
+// knowAt[a] equals the phase — no clearing between phases, matching the
+// stamped best/parent arrays of the Borůvka path.
 type fastState struct {
-	tune     FastTuning
-	b        int32
-	leadMask uint64 // hash mask for leader sampling (leadFrac-1)
-	seed     uint64
-
 	knowBuf []int32
 	knowLen []int32
 	knowAt  []int32
-	leader  []bool // per label: sampled as a push target beyond the min
 
 	// dblStamp counts knowledge rounds (adjacency + doubling) across the
 	// run; changedAt[a] is the stamp of the last round that changed a's
@@ -178,7 +134,7 @@ func (fs *fastState) knowSpan(a int32, phase int32) []int32 {
 	if fs.knowAt[a] != phase {
 		return nil
 	}
-	base := int(a) * int(fs.b)
+	base := int(a) * fastBudget
 	return fs.knowBuf[base : base+int(fs.knowLen[a])]
 }
 
@@ -193,7 +149,7 @@ func (fs *fastState) knowInsert(a, x int32, phase int32) bool {
 		fs.knowLen[a] = 0
 	}
 	n := fs.knowLen[a]
-	base := int(a) * int(fs.b)
+	base := int(a) * fastBudget
 	s := fs.knowBuf[base : base+int(n)]
 	st := fs.newAt[base : base+int(n)]
 	// Sets are tiny (≤ b); scan from the top, which is also the common
@@ -205,7 +161,7 @@ func (fs *fastState) knowInsert(a, x int32, phase int32) bool {
 	if j > 0 && s[j-1] == x {
 		return false
 	}
-	if n == fs.b {
+	if n == fastBudget {
 		if j == int(n) {
 			return false // larger than everything kept
 		}
@@ -213,7 +169,7 @@ func (fs *fastState) knowInsert(a, x int32, phase int32) bool {
 			fs.evictAt[a] = fs.dblStamp
 			fs.evictLen[a] = 0
 		}
-		if l := fs.evictLen[a]; l < fs.b {
+		if l := fs.evictLen[a]; l < fastBudget {
 			fs.evictBuf[base+int(l)] = s[n-1]
 			fs.evictLen[a] = l + 1
 		}
@@ -233,12 +189,6 @@ func (fs *fastState) knowInsert(a, x int32, phase int32) bool {
 	fs.knowLen[a] = n + 1
 	fs.changedAt[a] = fs.dblStamp
 	return true
-}
-
-// isLeader samples push targets: the hash is over the stable label index,
-// so a label's leader role is fixed for the whole run.
-func (fs *fastState) isLeader(a int32) bool {
-	return fs.leadMask == 0 || hashing.Mix64(fs.seed^uint64(uint32(a)))&fs.leadMask == 0
 }
 
 // adjacency is the fused registration + seeding round of one phase: every
@@ -271,7 +221,7 @@ func (pr *proto) adjacency() {
 				uint64(uint32(ed.a))<<32|uint64(uint32(ed.b)),
 				uint64(uint32(ed.b))<<32|uint64(uint32(ed.a)))
 		}
-		ks, sc.k1tmp = radixSortUint64(ks, sc.k1tmp)
+		ks, sc.k1tmp = par.SerialSortUint64(ks, sc.k1tmp)
 		ks = compactUint64(ks)
 		if first {
 			// Self-pairs register only the local vertices no active pair
@@ -313,9 +263,6 @@ func (pr *proto) adjacency() {
 					pr.label[a] = a
 					pr.homedVerts[i] = append(pr.homedVerts[i], a)
 					pr.aliveList[i] = append(pr.aliveList[i], a)
-					if fs.isLeader(a) {
-						fs.leader[a] = true
-					}
 				}
 				if b != a {
 					fs.knowInsert(a, b, pr.phase)
@@ -354,12 +301,9 @@ func (pr *proto) planVolumeAt(i int, cur int32) int64 {
 			continue
 		}
 		s := fs.knowSpan(a, pr.phase)
-		base := int(a) * int(fs.b)
+		base := int(a) * fastBudget
 		st := fs.newAt[base : base+len(s)]
 		for rank, u := range s {
-			if rank > 0 && !fs.leader[u] {
-				continue
-			}
 			if st[rank] == cur {
 				items := rank
 				if a < u {
@@ -393,17 +337,17 @@ func (pr *proto) planVolumeAt(i int, cur int32) int64 {
 }
 
 // double runs one exponentiation round: each alive label whose set changed
-// last round pushes the set's smaller half to the homes of the set minimum
-// and of every sampled leader in the set — to target u go the members
-// below u, plus the sender itself when it is below u. Two lossless filters
-// keep the volume near the information delta: labels a receiver would
-// discard anyway (everything above it beyond its own set) stay off the
-// wire — hooking only ever chases smaller labels, so pushing downhill
-// loses nothing, and the set minimum still floods the whole basin through
-// the members above it — and a target that already held its copy of the
-// set receives only the entries that arrived since the last push (a target
-// that just entered the set gets the full downhill slice once). Returns
-// the number of set insertions.
+// last round pushes the set's smaller half to the home of every member of
+// the set — to target u go the members below u, plus the sender itself
+// when it is below u. Two lossless filters keep the volume near the
+// information delta: labels a receiver would discard anyway (everything
+// above it beyond its own set) stay off the wire — hooking only ever
+// chases smaller labels, so pushing downhill loses nothing, and the set
+// minimum still floods the whole basin through the members above it — and
+// a target that already held its copy of the set receives only the entries
+// that arrived since the last push (a target that just entered the set
+// gets the full downhill slice once). Returns the number of set
+// insertions.
 func (pr *proto) double() int {
 	fs := pr.fs
 	cur := fs.dblStamp
@@ -415,12 +359,9 @@ func (pr *proto) double() int {
 				continue
 			}
 			s := fs.knowSpan(a, pr.phase)
-			base := int(a) * int(fs.b)
+			base := int(a) * fastBudget
 			st := fs.newAt[base : base+len(s)]
 			for rank, u := range s {
-				if rank > 0 && !fs.leader[u] {
-					continue
-				}
 				uNew := st[rank] == cur
 				hi := uint64(uint32(u)) << 32
 				if uNew && a < u {
@@ -536,10 +477,6 @@ func (pr *proto) proposeFromKnow() {
 // the query/reply pair of lookups() with one reply-sized round. As with
 // cc's lookups, the receipt needs no processing — relabel reads the
 // rootAt/rootVal arrays the wire answers mirror.
-//
-// Under Combine the phase instead runs cc's query/reply lookups with the
-// place.Hierarchy per-block sweeps (collectNeedsFast feeds them), trading
-// two extra rounds per engaged level for deduplicated weak-cut crossings.
 func (pr *proto) pushRoots() {
 	fs := pr.fs
 	pr.round(func(i int, out *netsim.Outbox) {
@@ -567,35 +504,6 @@ func (pr *proto) pushRoots() {
 	})
 }
 
-// collectNeedsFast gathers node i's distinct lookup needs — active edge
-// endpoint labels plus homed vertex labels — for the Combine lookup path,
-// without the proposal pre-combining of collectNext (fast phases rebuild
-// known-sets from a fresh adjacency round instead).
-func (pr *proto) collectNeedsFast(i int, ws *collectScratch) {
-	sc := &pr.scr[i]
-	ws.ensure(len(pr.label))
-	ws.dstamp++
-	nst := ws.dstamp
-	nd := sc.nextNeed[:0]
-	for _, ed := range pr.active[i] {
-		if ws.seenAt[ed.a] != nst {
-			ws.seenAt[ed.a] = nst
-			nd = append(nd, ed.a)
-		}
-		if ws.seenAt[ed.b] != nst {
-			ws.seenAt[ed.b] = nst
-			nd = append(nd, ed.b)
-		}
-	}
-	for _, v := range pr.homedVerts[i] {
-		if r := pr.label[v]; ws.seenAt[r] != nst {
-			ws.seenAt[r] = nst
-			nd = append(nd, r)
-		}
-	}
-	sc.nextNeed = nd
-}
-
 func (pr *proto) totalAlive() int {
 	n := 0
 	for i := range pr.aliveList {
@@ -604,38 +512,22 @@ func (pr *proto) totalAlive() int {
 	return n
 }
 
-func runFast(tr *topology.Tree, edges Placement, seed uint64, tune FastTuning, opts []netsim.Option) (*Result, error) {
-	tune = tune.withDefaults()
+func runFast(tr *topology.Tree, edges Placement, seed uint64, opts []netsim.Option) (*Result, error) {
 	pr, err := newProto(tr, edges, seed, true, false, opts)
 	if err != nil {
 		return nil, err
 	}
 	ccSteps := len(pr.steps) // the schedule CC would run, for rounds-saved
-	if !tune.Combine {
-		pr.steps = nil // subscription push: fewest rounds per phase
-	}
-	strategy := "fast"
-	if len(pr.steps) > 0 {
-		strategy = fmt.Sprintf("fast+combine×%d", len(pr.steps))
-	}
+	pr.steps = nil           // pushRoots closes a phase without lookup sweeps
 
 	nV := len(pr.ids)
-	leadFrac := 1
-	for leadFrac < tune.LeaderFrac {
-		leadFrac <<= 1
-	}
 	fs := &fastState{
-		tune:      tune,
-		b:         int32(tune.Budget),
-		leadMask:  uint64(leadFrac - 1),
-		seed:      hashing.Mix64(seed + 0xFA57),
-		knowBuf:   make([]int32, nV*tune.Budget),
+		knowBuf:   make([]int32, nV*fastBudget),
 		knowLen:   make([]int32, nV),
 		knowAt:    make([]int32, nV),
-		leader:    make([]bool, nV),
 		changedAt: make([]int32, nV),
-		newAt:     make([]int32, nV*tune.Budget),
-		evictBuf:  make([]int32, nV*tune.Budget),
+		newAt:     make([]int32, nV*fastBudget),
+		evictBuf:  make([]int32, nV*fastBudget),
 		evictLen:  make([]int32, nV),
 		evictAt:   make([]int32, nV),
 		subs:      make([][]uint64, len(pr.nodes)),
@@ -658,7 +550,7 @@ func runFast(tr *topology.Tree, edges Placement, seed uint64, tune FastTuning, o
 	var phaseTid int64
 	if tc != nil {
 		phaseTid = tc.NewTid("graph cc-fast phases")
-		pr.hier.TraceCombine(tc, pr.weights, place.CombineOptions{})
+		pr.hier.TraceCombine(tc, pr.weights)
 	}
 	mPhases := mx.Counter("graph.ccfast.phases")
 	mDbl := mx.Counter("graph.ccfast.doubling_rounds")
@@ -691,9 +583,9 @@ func runFast(tr *topology.Tree, edges Placement, seed uint64, tune FastTuning, o
 		// Exponentiate under the guard: stop when a step would blow the
 		// phase budget (fall back to hooking with the Borůvka-equivalent
 		// 1-hop sets), when a step changes nothing, or at the cap.
-		fs.volBudget = int64(tune.VolumeFactor) * (2*int64(act) + int64(pr.totalAlive()))
+		fs.volBudget = fastVolumeFactor * (2*int64(act) + int64(pr.totalAlive()))
 		fs.dblRounds, fs.changed, fs.fellBack = 0, -1, false
-		for fs.dblRounds < tune.MaxDoubling && fs.changed != 0 {
+		for fs.dblRounds < fastMaxDoubling && fs.changed != 0 {
 			if pr.planVolume() > fs.volBudget {
 				fs.fellBack = true
 				mFallback.Inc()
@@ -708,17 +600,7 @@ func runFast(tr *topology.Tree, edges Placement, seed uint64, tune FastTuning, o
 		if err := pr.jump(pr.hook()); err != nil {
 			return nil, err
 		}
-		if len(pr.steps) > 0 {
-			pr.pool.Blocks("ccfast collect needs", len(pr.nodes), func(shard, lo, hi int) {
-				ws := &pr.wscr[shard]
-				for i := lo; i < hi; i++ {
-					pr.collectNeedsFast(i, ws)
-				}
-			})
-			pr.lookups()
-		} else {
-			pr.pushRoots()
-		}
+		pr.pushRoots()
 		if err := pr.relabel(); err != nil {
 			return nil, err
 		}
@@ -730,7 +612,7 @@ func runFast(tr *topology.Tree, edges Placement, seed uint64, tune FastTuning, o
 		}
 	}
 
-	res := pr.assemble(phases, strategy)
+	res := pr.assemble(phases, "fast")
 	if estimate {
 		if saved := boruvkaRounds(pr, edges, ccSteps) - res.Report.NumRounds(); saved > 0 {
 			mSaved.Add(int64(saved))

@@ -2,7 +2,6 @@ package place
 
 import (
 	"math"
-	"sort"
 
 	"topompc/internal/topology"
 )
@@ -43,23 +42,7 @@ type Hierarchy struct {
 	Parents [][]int
 }
 
-// HierarchyOptions selects how NewHierarchyOpt places level thresholds.
-// The zero value reproduces NewHierarchy exactly (factor-2 bands).
-type HierarchyOptions struct {
-	// CutGapLevels places one level per distinct edge bandwidth instead
-	// of per factor-2 band: the thresholds are exactly the distinct
-	// finite bandwidths in ascending order, so each level peels off one
-	// weight class of edges — the levels sit at the actual gaps in the
-	// bandwidth distribution rather than at imposed powers of two. On a
-	// Gomory–Hu cut tree (topology.FromGraph), whose edge weights are
-	// true min-cut capacities of the underlying network, this aligns the
-	// combining levels with the network's real cut structure. The
-	// deepest level keeps only the strongest links (threshold maxW, not
-	// maxW/2), so it can refine the CombinerBlocks partition.
-	CutGapLevels bool
-}
-
-// bandThresholds is the default factor-2 threshold ladder: each
+// bandThresholds is the factor-2 threshold ladder: each
 // threshold doubles the weakest bandwidth at or above the previous one,
 // capped at half the strongest link (the CombinerBlocks cut).
 func bandThresholds(t *topology.Tree) []float64 {
@@ -96,40 +79,13 @@ func bandThresholds(t *topology.Tree) []float64 {
 	return thresholds
 }
 
-// cutGapThresholds is the ladder of distinct finite bandwidths,
-// ascending. Cutting at each distinct value in turn removes exactly one
-// weight class per level; the first value cuts nothing and is dropped by
-// the single-block skip in the level loop.
-func cutGapThresholds(t *topology.Tree) []float64 {
-	seen := make(map[float64]bool)
-	var vals []float64
-	for e := 0; e < t.NumEdges(); e++ {
-		if w := t.Bandwidth(topology.EdgeID(e)); !math.IsInf(w, 1) && !seen[w] {
-			seen[w] = true
-			vals = append(vals, w)
-		}
-	}
-	sort.Float64s(vals)
-	return vals
-}
-
 // NewHierarchy builds the weak-cut hierarchy of a tree. weights (indexed
 // in ComputeNodes order, typically Capacities) choose each block's
 // combiner, exactly as in CombinerBlocks. Returns nil when no level has a
 // weak cut worth protecting: a bandwidth-uniform tree (within a factor 2),
 // or one where every split isolates single nodes at every level.
 func NewHierarchy(t *topology.Tree, weights []float64) *Hierarchy {
-	return NewHierarchyOpt(t, weights, HierarchyOptions{})
-}
-
-// NewHierarchyOpt is NewHierarchy under explicit HierarchyOptions.
-func NewHierarchyOpt(t *topology.Tree, weights []float64, opt HierarchyOptions) *Hierarchy {
-	var thresholds []float64
-	if opt.CutGapLevels {
-		thresholds = cutGapThresholds(t)
-	} else {
-		thresholds = bandThresholds(t)
-	}
+	thresholds := bandThresholds(t)
 	if len(thresholds) == 0 {
 		return nil
 	}
@@ -240,20 +196,6 @@ func (h *Hierarchy) BlockWeights(level int, weights []float64) []float64 {
 	return out
 }
 
-// CombineOptions tunes the combining-pays decision of CombinePaysOpt and
-// UpSweepOpt. The zero value reproduces CombinePays and UpSweep exactly.
-type CombineOptions struct {
-	// ParentRelative compares each block's weight against its parent
-	// block's weight instead of the global total (the coarsest level,
-	// whose parent is the whole machine, is unaffected). The default
-	// total-relative test over-engages on bandwidth gradients: a block
-	// holding a minority of the machine but a majority of its parent has
-	// most of the surviving duplicates merged at the parent's combiner
-	// one level up anyway, so its own merge round buys little cut traffic
-	// and costs a full extra round on the block's internal links.
-	ParentRelative bool
-}
-
 // CombinePays is the per-level generalization of BlockPlan.MinorityBlocks:
 // for every level it flags the blocks where a merge round pays off under
 // weight-proportional homing. A block pays when it has at least two
@@ -263,17 +205,11 @@ type CombineOptions struct {
 // — and it is not identical to its parent block, which already merged one
 // level up. Weights are indexed in ComputeNodes order.
 func (h *Hierarchy) CombinePays(weights []float64) [][]bool {
-	return h.CombinePaysOpt(weights, CombineOptions{})
-}
-
-// CombinePaysOpt is CombinePays under explicit CombineOptions.
-func (h *Hierarchy) CombinePaysOpt(weights []float64, opt CombineOptions) [][]bool {
 	var total float64
 	for _, w := range weights {
 		total += w
 	}
 	out := make([][]bool, len(h.Levels))
-	var parentW []float64 // level k-1 block weights (parent-relative mode)
 	for k, plan := range h.Levels {
 		pays := make([]bool, len(plan.Blocks))
 		for b, members := range plan.Blocks {
@@ -290,16 +226,9 @@ func (h *Hierarchy) CombinePaysOpt(weights []float64, opt CombineOptions) [][]bo
 			for _, i := range members {
 				w += weights[i]
 			}
-			denom := total
-			if opt.ParentRelative && k > 0 {
-				denom = parentW[h.Parents[k][b]]
-			}
-			pays[b] = minorityPays(w, denom)
+			pays[b] = minorityPays(w, total)
 		}
 		out[k] = pays
-		if opt.ParentRelative {
-			parentW = h.BlockWeights(k, weights)
-		}
 	}
 	return out
 }
@@ -325,14 +254,7 @@ type UpStep struct {
 // schedule means combining pays nowhere and a single direct round is
 // optimal.
 func (h *Hierarchy) UpSweep(weights []float64) []UpStep {
-	return h.UpSweepOpt(weights, CombineOptions{})
-}
-
-// UpSweepOpt is UpSweep under explicit CombineOptions: with ParentRelative
-// set, levels whose every block holds a majority of its parent drop out of
-// the schedule entirely, shortening the sweep on skewed gradients.
-func (h *Hierarchy) UpSweepOpt(weights []float64, opt CombineOptions) []UpStep {
-	pays := h.CombinePaysOpt(weights, opt)
+	pays := h.CombinePays(weights)
 	var steps []UpStep
 	for k := len(h.Levels) - 1; k >= 0; k-- {
 		plan := h.Levels[k]
@@ -355,9 +277,8 @@ func (h *Hierarchy) UpSweepOpt(weights []float64, opt CombineOptions) []UpStep {
 
 // Memo keys for the per-tree caches (see topology.Tree.Memo).
 type (
-	capacitiesMemoKey      struct{}
-	hierarchyMemoKey       struct{}
-	hierarchyCutGapMemoKey struct{}
+	capacitiesMemoKey struct{}
+	hierarchyMemoKey  struct{}
 )
 
 // HierarchyFor returns the tree's weak-cut hierarchy under capacity
@@ -366,17 +287,5 @@ type (
 func HierarchyFor(t *topology.Tree) *Hierarchy {
 	return t.Memo(hierarchyMemoKey{}, func() any {
 		return NewHierarchy(t, Capacities(t))
-	}).(*Hierarchy)
-}
-
-// HierarchyForOpt is HierarchyFor under explicit HierarchyOptions,
-// memoized per option set (the default options share HierarchyFor's
-// cache entry, so mixing callers never recomputes).
-func HierarchyForOpt(t *topology.Tree, opt HierarchyOptions) *Hierarchy {
-	if !opt.CutGapLevels {
-		return HierarchyFor(t)
-	}
-	return t.Memo(hierarchyCutGapMemoKey{}, func() any {
-		return NewHierarchyOpt(t, Capacities(t), opt)
 	}).(*Hierarchy)
 }

@@ -9,15 +9,14 @@ import (
 // TraceCombine records the hierarchy's combining decisions in the flight
 // recorder: one instant event per (level, block) carrying the block's
 // threshold, size, weight share, combiner, and whether a merge round pays
-// under the given CombineOptions — the same CombinePaysOpt verdicts the
-// up-sweep executes. Protocols call it once per run so a trace shows *why*
+// — the same CombinePays verdicts the up-sweep executes. Protocols call it once per run so a trace shows *why*
 // each level merged or stayed direct. No-op on a nil tracer or hierarchy.
-func (h *Hierarchy) TraceCombine(tc obs.Tracer, weights []float64, opt CombineOptions) {
+func (h *Hierarchy) TraceCombine(tc obs.Tracer, weights []float64) {
 	if tc == nil || h == nil {
 		return
 	}
 	tid := tc.NewTid("place combine decisions")
-	pays := h.CombinePaysOpt(weights, opt)
+	pays := h.CombinePays(weights)
 	var total float64
 	for _, w := range weights {
 		total += w

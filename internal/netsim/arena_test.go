@@ -45,6 +45,25 @@ func TestExchangeSteadyStateAllocFree(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("steady-state exchange round allocates: got %.1f allocs/op, want 0", allocs)
 	}
+
+	// The same holds when the round is planned through Plan: the shard body
+	// handed to the pool is built once per exchange buffer, not per call.
+	vs := tr.ComputeNodes()
+	keys := []uint64{1, 2, 3}
+	plan := func(v topology.NodeID, out *Outbox) {
+		out.Send(vs[(int(e.cindex[v])+1)%len(vs)], TagData, keys)
+	}
+	planned := func() {
+		x := e.Exchange()
+		x.Plan(plan)
+		x.Execute()
+	}
+	for i := 0; i < 4; i++ {
+		planned()
+	}
+	if allocs := testing.AllocsPerRun(10, planned); allocs != 0 {
+		t.Fatalf("steady-state planned round allocates: got %.1f allocs/op, want 0", allocs)
+	}
 }
 
 // TestExchangeSteadyStateAllocFreeWithMetrics pins the same guarantee with
@@ -76,49 +95,6 @@ func TestExchangeSteadyStateAllocFreeWithMetrics(t *testing.T) {
 	}
 	if got := e.Metrics().Counter("netsim.arena_recycled_rounds").Value(); got != 13 {
 		t.Fatalf("netsim.arena_recycled_rounds = %d, want 13 (all but the two buffer births)", got)
-	}
-}
-
-// TestParallelSteadyStateAllocFree pins that Round.Parallel recycles its
-// outbox arena: once warm, a Parallel round allocates exactly what the
-// same traffic costs through the plain Round API (BeginRound's stats
-// arrays), i.e. the fan-out machinery itself contributes zero allocations.
-func TestParallelSteadyStateAllocFree(t *testing.T) {
-	tr := benchCaterpillar(t)
-	vs := tr.ComputeNodes()
-	e := NewEngine(tr, WithWorkers(1), WithLeanStats())
-
-	body := func(v topology.NodeID, out *Outbox) {
-		d := vs[(int(v)+3)%len(vs)]
-		out.Send(d, TagData, []uint64{uint64(v), uint64(v) + 1})
-	}
-	parRound := func() {
-		rd := e.BeginRound()
-		rd.Parallel(body)
-		rd.Finish()
-	}
-	serialRound := func() {
-		rd := e.BeginRound()
-		var ob Outbox
-		for _, v := range vs {
-			body(v, &ob)
-			for j, to := range ob.to {
-				rd.Send(v, to, ob.tag[j], ob.keys[j])
-			}
-			ob.reset()
-		}
-		rd.Finish()
-	}
-
-	// Warm the arenas and pre-grow the round-stats slice past the measured
-	// window so append growth cannot skew either measurement.
-	for i := 0; i < 40; i++ {
-		parRound()
-	}
-	base := testing.AllocsPerRun(5, serialRound)
-	par := testing.AllocsPerRun(5, parRound)
-	if par > base {
-		t.Fatalf("steady-state Parallel round allocates %.1f/op, plain Round API %.1f/op; want no extra", par, base)
 	}
 }
 

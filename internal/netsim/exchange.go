@@ -11,15 +11,15 @@ import (
 // sender — and Execute then routes, accounts, and delivers the whole plan
 // in one pass.
 //
-// Unlike the per-message Round API, which walks the tree path of every
-// Send (O(depth) each), Execute aggregates per-edge traffic with
+// Unlike the per-message Round reference, which walks the tree path of
+// every Send (O(depth) each), Execute aggregates per-edge traffic with
 // tree-difference counting over the LCA index: each unicast contributes
 // O(1) node deltas, each multicast charges its Steiner tree through the
 // terminal virtual tree, and a single subtree-sum sweep produces the edge
-// counts — O(V + M) for M transfers. Accounting is sharded across workers
-// by sender; determinism is preserved because per-edge sums are
-// order-independent and deliveries are merged in compute-node order
-// exactly as Round.Parallel does.
+// counts — O(V + M) for M transfers. Planning and accounting are sharded
+// across the engine's par pools by sender; determinism is preserved because
+// per-edge sums are order-independent and deliveries are merged in
+// compute-node order, then op order.
 //
 // Exchange values are owned by the engine: Engine.Exchange hands out one
 // of two alternating buffers whose outboxes persist across rounds, so a
@@ -34,6 +34,12 @@ type Exchange struct {
 	outs []Outbox // one per compute node, in ComputeNodes order
 	t0   float64  // trace timestamp of Exchange() (tracing only)
 	done bool
+
+	// Shard bodies handed to par.Blocks, built once per buffer: a closure
+	// made per call would escape and break the zero-alloc steady state.
+	planFn     func(v topology.NodeID, out *Outbox) // the Plan in flight
+	planShard  func(shard, lo, hi int)
+	tallyShard func(shard, lo, hi int)
 }
 
 // Exchange opens a planned round. Transfers read the inboxes of the
@@ -52,6 +58,15 @@ func (e *Engine) Exchange() *Exchange {
 	if x.e == nil {
 		x.e = e
 		x.outs = make([]Outbox, e.t.NumCompute())
+		nodes := e.t.ComputeNodes()
+		x.planShard = func(_, lo, hi int) {
+			for i := lo; i < hi; i++ {
+				x.planFn(nodes[i], &x.outs[i])
+			}
+		}
+		x.tallyShard = func(shard, lo, hi int) {
+			x.tallyOps(e.tallies[shard], lo, hi)
+		}
 	} else if e.mRecycle != nil {
 		e.mRecycle.Inc()
 	}
@@ -85,49 +100,12 @@ func (x *Exchange) Plan(fn func(v topology.NodeID, out *Outbox)) {
 	if x.done {
 		panic("netsim: Plan on executed exchange")
 	}
-	nodes := x.e.t.ComputeNodes()
-	workers := x.e.workerCount(len(nodes))
-	if workers <= 1 {
-		for i, v := range nodes {
-			fn(v, &x.outs[i])
-		}
-		return
-	}
-	// Work-stealing over chunks of nodes via an atomic cursor; static
-	// worker functions with passed arguments keep the spawn allocation-free
-	// in steady state.
-	e := x.e
-	chunk := len(nodes)/(workers*8) + 1
-	e.planIdx.Store(0)
-	e.planWG.Add(workers)
-	for w := 0; w < workers; w++ {
-		go planWorker(x, fn, chunk)
-	}
-	e.planWG.Wait()
+	x.planFn = fn
+	x.e.pool.Blocks("netsim plan", len(x.outs), x.planShard)
+	x.planFn = nil
 }
 
-// planWorker drains chunks of compute nodes from the shared plan cursor.
-func planWorker(x *Exchange, fn func(v topology.NodeID, out *Outbox), chunk int) {
-	defer x.e.planWG.Done()
-	nodes := x.e.t.ComputeNodes()
-	n := int64(len(nodes))
-	c64 := int64(chunk)
-	for {
-		hi := x.e.planIdx.Add(c64)
-		lo := hi - c64
-		if lo >= n {
-			return
-		}
-		if hi > n {
-			hi = n
-		}
-		for i := lo; i < hi; i++ {
-			fn(nodes[i], &x.outs[i])
-		}
-	}
-}
-
-// shardTally is one worker's accounting state: a path accumulator for edge
+// shardTally is one shard's accounting state: a path accumulator for edge
 // traffic plus per-node sent/received counters and a private stamp set for
 // multicast destination dedup.
 type shardTally struct {
@@ -188,19 +166,21 @@ func (x *Exchange) tallyOps(s *shardTally, lo, hi int) {
 	}
 }
 
-// shardSet returns the engine's cached tally states for the given worker
-// count, creating them on first use. Accumulators and stamp sets
-// self-reset between rounds; sent/received are zeroed after each merge.
-func (e *Engine) shardSet(workers int) []*shardTally {
-	for len(e.tallyCache) < workers {
-		e.tallyCache = append(e.tallyCache, &shardTally{
+// shardSet returns the engine's cached tally states, one per shard the
+// accounting pool forks a round into, creating them on first use.
+// Accumulators and stamp sets self-reset between rounds; sent/received are
+// zeroed after each merge.
+func (e *Engine) shardSet() []*shardTally {
+	n := min(e.acct.Workers(), e.t.NumCompute())
+	for len(e.tallies) < max(n, 1) {
+		e.tallies = append(e.tallies, &shardTally{
 			acc:      topology.NewPathAccumulator(e.t),
 			sent:     make([]int64, e.t.NumNodes()),
 			received: make([]int64, e.t.NumNodes()),
 			stamp:    make([]int32, e.t.NumNodes()),
 		})
 	}
-	return e.tallyCache[:workers]
+	return e.tallies
 }
 
 // Execute routes all declared transfers: per-edge traffic is aggregated in
@@ -287,7 +267,7 @@ func (x *Exchange) execute() int {
 	e.rounds = append(e.rounds, RoundStats{Index: slot, Messages: messages, Elements: elements})
 	e.swapInboxes()
 
-	if e.workerCount(len(x.outs)) > 1 {
+	if e.acct.Workers() > 1 {
 		e.pending.Add(1)
 		go accountRound(x, slot, true)
 	} else {
@@ -307,25 +287,8 @@ func accountRound(x *Exchange, slot int, async bool) {
 		defer e.pending.Done()
 	}
 
-	workers := e.workerCount(len(x.outs))
-	shards := e.shardSet(workers)
-	if workers <= 1 {
-		x.tallyOps(shards[0], 0, len(x.outs))
-	} else {
-		per := (len(x.outs) + workers - 1) / workers
-		for w := 0; w < workers; w++ {
-			lo, hi := w*per, (w+1)*per
-			if hi > len(x.outs) {
-				hi = len(x.outs)
-			}
-			if lo >= hi {
-				break
-			}
-			e.tallyWG.Add(1)
-			go tallyWorker(x, shards[w], lo, hi)
-		}
-		e.tallyWG.Wait()
-	}
+	shards := e.shardSet()
+	e.acct.Blocks("netsim tally", len(x.outs), x.tallyShard)
 
 	// Merge shards, resolving edge traffic with one subtree-sum sweep. In
 	// lean mode the merge targets the engine's reusable arena (zeroed again
@@ -363,10 +326,4 @@ func accountRound(x *Exchange, slot int, async bool) {
 	for i := range x.outs {
 		x.outs[i].reset()
 	}
-}
-
-// tallyWorker accounts one sender range into its shard.
-func tallyWorker(x *Exchange, s *shardTally, lo, hi int) {
-	defer x.e.tallyWG.Done()
-	x.tallyOps(s, lo, hi)
 }

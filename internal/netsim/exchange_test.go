@@ -149,8 +149,29 @@ func TestExchangeMatchesRound(t *testing.T) {
 	}
 }
 
-// TestExchangePlanMatchesRoundParallel migrates the canonical protocol
-// shape — Parallel planning per node — and checks full equivalence.
+// replaySerially is the oracle side of the Plan tests: it runs plan for
+// every compute node in order, each into a fresh outbox, and replays the
+// queued ops one by one through the per-message Round API.
+func replaySerially(e *Engine, plan func(v topology.NodeID, out *Outbox)) RoundStats {
+	rd := e.BeginRound()
+	for _, v := range e.Tree().ComputeNodes() {
+		var ob Outbox
+		plan(v, &ob)
+		for j, to := range ob.to {
+			if to == topology.NoNode {
+				rd.Multicast(v, ob.pool[ob.dlo[j]:ob.dhi[j]], ob.tag[j], ob.keys[j])
+			} else {
+				rd.Send(v, to, ob.tag[j], ob.keys[j])
+			}
+		}
+	}
+	return rd.Finish()
+}
+
+// TestExchangePlanMatchesRoundParallel runs the canonical protocol shape —
+// per-node planning forked across the pool — and checks full equivalence
+// with the serial per-message replay of the same plan, at every worker
+// count.
 func TestExchangePlanMatchesRoundParallel(t *testing.T) {
 	tr, err := topology.TwoTier([]int{3, 3, 3}, []float64{4, 2, 1}, 8)
 	if err != nil {
@@ -165,19 +186,19 @@ func TestExchangePlanMatchesRoundParallel(t *testing.T) {
 	}
 
 	legacy := NewEngine(tr)
-	rd := legacy.BeginRound()
-	rd.Parallel(plan)
-	want := rd.Finish()
+	want := replaySerially(legacy, plan)
 
-	ex := NewEngine(tr)
-	x := ex.Exchange()
-	x.Plan(plan)
-	got := x.Execute()
+	for _, workers := range []int{1, 2, 4, 64} {
+		ex := NewEngine(tr, WithWorkers(workers))
+		x := ex.Exchange()
+		x.Plan(plan)
+		got := x.Execute()
 
-	statsEqual(t, got, want)
-	for _, v := range vs {
-		if !reflect.DeepEqual(ex.Inbox(v).Messages(), legacy.Inbox(v).Messages()) {
-			t.Fatalf("inbox of %d differs", v)
+		statsEqual(t, got, want)
+		for _, v := range vs {
+			if !reflect.DeepEqual(ex.Inbox(v).Messages(), legacy.Inbox(v).Messages()) {
+				t.Fatalf("workers=%d: inbox of %d differs", workers, v)
+			}
 		}
 	}
 }

@@ -20,12 +20,15 @@
 // determinism is preserved by merging per-node outboxes in compute-node
 // order.
 //
-// Two execution surfaces are provided. The per-message Round API
+// Protocols run on the planned Exchange API (Engine.Exchange / Plan /
+// Execute), which accounts a whole round of declared transfers in O(V + M)
+// via LCA tree-difference counting. The serial per-message Round API
 // (BeginRound / Send / Multicast / Finish) walks the tree path of every
-// transfer and is kept as the reference implementation. The planned
-// Exchange API (Engine.Exchange / Plan / Execute) accounts a whole round
-// of declared transfers in O(V + M) via LCA tree-difference counting and
-// is what the protocol packages run on.
+// transfer and exists only as the reference the exchange is tested against.
+//
+// Every fork — Plan's per-node callbacks, the sharded accounting tally, and
+// the protocol kernels' per-home compute (Engine.Pool) — goes through
+// internal/par under the one WithWorkers budget.
 //
 // The engine owns a reusable round arena: outbox buffers, shard tallies,
 // stamp sets, and (under WithLeanStats) the per-round accounting arrays
@@ -37,11 +40,10 @@ package netsim
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"topompc/internal/obs"
+	"topompc/internal/par"
 	"topompc/internal/topology"
 )
 
@@ -164,13 +166,20 @@ type Engine struct {
 	pathBuf []topology.EdgeID
 	inRound bool
 
-	workers int     // 0 = GOMAXPROCS
+	workers int     // WithWorkers value; 0 = GOMAXPROCS
 	cindex  []int32 // NodeID -> compute index, -1 for routers
+
+	// Both pools carry the WithWorkers budget. A par.Pool has one driver at
+	// a time, and under ExecuteAsync the accounting goroutine forks tally
+	// shards while the protocol driver forks Plan and kernel shards, so
+	// each side owns a Pool value.
+	pool *par.Pool // driver side: Plan and, through Pool(), the kernels
+	acct *par.Pool // accounting side: tally shards
 
 	dupStamp []int32 // multicast destination dedup (stamp set)
 	dupCur   int32
 
-	tallyCache []*shardTally // per-worker exchange accounting scratch
+	tallies []*shardTally // per-shard exchange accounting scratch
 
 	// Round arena: the two exchange buffers alternate across rounds so the
 	// asynchronous accounting of round r can still read round r's outboxes
@@ -189,13 +198,6 @@ type Engine struct {
 	totRecv    []int64 // lean mode: cumulative per-node received totals
 
 	pending sync.WaitGroup // outstanding asynchronous round accounting
-	tallyWG sync.WaitGroup // in-flight shard tally workers of one round
-	planWG  sync.WaitGroup // in-flight Plan workers of one call
-	planIdx atomic.Int64   // work-stealing cursor shared by Plan workers
-
-	parOuts []Outbox // Round.Parallel outbox arena, recycled across rounds
-	parWG   sync.WaitGroup
-	parIdx  atomic.Int64 // work-stealing cursor shared by Parallel workers
 
 	// Flight recorder. Both sinks are optional; with neither attached every
 	// hook below reduces to a nil comparison, preserving the zero-alloc
@@ -215,8 +217,9 @@ type Engine struct {
 // Option configures an Engine.
 type Option func(*Engine)
 
-// WithWorkers bounds the number of goroutines used by parallel planning and
-// sharded exchange accounting. n <= 0 means GOMAXPROCS.
+// WithWorkers bounds the number of goroutines used by parallel planning,
+// sharded exchange accounting, and the kernels forking on Pool. n <= 0
+// means GOMAXPROCS.
 func WithWorkers(n int) Option {
 	return func(e *Engine) { e.workers = n }
 }
@@ -268,6 +271,10 @@ func NewEngine(t *topology.Tree, opts ...Option) *Engine {
 	for _, o := range opts {
 		o(e)
 	}
+	e.pool = par.New(e.workers)
+	e.pool.Instrument(e.tracer, e.metrics)
+	e.acct = par.New(e.workers)
+	e.acct.Instrument(e.tracer, e.metrics)
 	if e.tracer != nil {
 		e.traceTid = e.tracer.NewTid("netsim rounds")
 	}
@@ -322,32 +329,13 @@ func (e *Engine) recordRound(slot int, t0 float64) {
 	})
 }
 
-// WorkerBudget reports the engine's resolved worker budget: the
-// WithWorkers value, or GOMAXPROCS when unset. Protocol layers that shard
-// their local compute (the par pool of the graph kernels) size themselves
-// from this, so one -workers flag governs planning, accounting, and
-// per-home computation alike.
-func (e *Engine) WorkerBudget() int {
-	if e.workers > 0 {
-		return e.workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// workerCount resolves the goroutine budget for n independent work items.
-func (e *Engine) workerCount(n int) int {
-	w := e.workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
+// Pool reports the run's worker pool, sized by WithWorkers and instrumented
+// from the engine's tracer and registry. Protocol kernels shard their
+// per-home compute on it between exchange rounds, so one -workers flag
+// governs planning, accounting, and local computation alike. The pool has a
+// single driver: fork on it only from the goroutine that drives the engine,
+// never from inside a Plan callback.
+func (e *Engine) Pool() *par.Pool { return e.pool }
 
 // nextStamp advances the destination-dedup stamp, resetting on wraparound.
 func (e *Engine) nextStamp() int32 {
@@ -388,8 +376,8 @@ func (e *Engine) NumRounds() int {
 	return len(e.rounds)
 }
 
-// BeginRound starts a communication round. Sends read the inboxes of the
-// previous round; deliveries become visible when Finish is called.
+// BeginRound starts a per-message reference round. Sends read the inboxes
+// of the previous round; deliveries become visible when Finish is called.
 func (e *Engine) BeginRound() *Round {
 	if e.inRound {
 		panic("netsim: BeginRound while a round is open")
@@ -408,7 +396,7 @@ func (e *Engine) BeginRound() *Round {
 	return r
 }
 
-// Round is one open communication round.
+// Round is one open round of the serial per-message reference API.
 type Round struct {
 	e        *Engine
 	traffic  []int64

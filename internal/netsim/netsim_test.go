@@ -222,15 +222,17 @@ func TestPanicsOnMisuse(t *testing.T) {
 	})
 }
 
+// TestParallelDeterminism: a plan forked across the pool yields the same
+// report on every run and at every worker count.
 func TestParallelDeterminism(t *testing.T) {
 	tr, err := topology.Random(rand.New(rand.NewSource(11)), 12, 4, 1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func() *Report {
-		e := NewEngine(tr)
-		rd := e.BeginRound()
-		rd.Parallel(func(v topology.NodeID, out *Outbox) {
+	run := func(workers int) *Report {
+		e := NewEngine(tr, WithWorkers(workers))
+		x := e.Exchange()
+		x.Plan(func(v topology.NodeID, out *Outbox) {
 			// Every node sends fixed amounts to a few peers based on its id.
 			peers := tr.ComputeNodes()
 			for i := 0; i < 3; i++ {
@@ -238,24 +240,26 @@ func TestParallelDeterminism(t *testing.T) {
 				out.Send(d, TagData, make([]uint64, int(v)+i))
 			}
 		})
-		rd.Finish()
+		x.Execute()
 		return e.Report()
 	}
-	a, b := run(), run()
-	if !reflect.DeepEqual(a.Rounds[0].EdgeElems, b.Rounds[0].EdgeElems) {
-		t.Error("parallel execution is not deterministic")
+	want := run(1)
+	for _, workers := range []int{4, 4, 8} {
+		if got := run(workers); !reflect.DeepEqual(got.Rounds, want.Rounds) {
+			t.Errorf("workers=%d: parallel planning is not deterministic", workers)
+		}
 	}
 }
 
 func TestParallelMergesInNodeOrder(t *testing.T) {
 	tr := star(t, 1, 1, 1, 1)
 	vs := tr.ComputeNodes()
-	e := NewEngine(tr)
-	rd := e.BeginRound()
-	rd.Parallel(func(v topology.NodeID, out *Outbox) {
+	e := NewEngine(tr, WithWorkers(4))
+	x := e.Exchange()
+	x.Plan(func(v topology.NodeID, out *Outbox) {
 		out.Send(vs[0], TagData, []uint64{uint64(v)})
 	})
-	rd.Finish()
+	x.Execute()
 	in := e.Inbox(vs[0]).Messages()
 	if len(in) != len(vs) {
 		t.Fatalf("inbox size %d, want %d", len(in), len(vs))
@@ -270,14 +274,14 @@ func TestParallelMergesInNodeOrder(t *testing.T) {
 func TestParallelMulticast(t *testing.T) {
 	tr := star(t, 1, 1, 1)
 	vs := tr.ComputeNodes()
-	e := NewEngine(tr)
-	rd := e.BeginRound()
-	rd.Parallel(func(v topology.NodeID, out *Outbox) {
+	e := NewEngine(tr, WithWorkers(4))
+	x := e.Exchange()
+	x.Plan(func(v topology.NodeID, out *Outbox) {
 		if v == vs[0] {
 			out.Multicast([]topology.NodeID{vs[1], vs[2]}, TagData, []uint64{9})
 		}
 	})
-	st := rd.Finish()
+	st := x.Execute()
 	if st.Messages != 2 {
 		t.Errorf("messages = %d, want 2", st.Messages)
 	}

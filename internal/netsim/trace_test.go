@@ -1,7 +1,9 @@
 package netsim
 
 import (
+	"bytes"
 	"math"
+	"reflect"
 	"testing"
 
 	"topompc/internal/obs"
@@ -131,5 +133,69 @@ func TestTracedRunLeavesStatsIdentical(t *testing.T) {
 	}
 	for i := range plain.Rounds {
 		statsEqual(t, traced.Rounds[i], plain.Rounds[i])
+	}
+}
+
+// TestPoolForksBetweenAsyncRounds is the race-detector pin of the engine's
+// pool ownership: a traced and metered 4-worker engine pipelines rounds
+// with ExecuteAsync — so the accounting goroutine forks tally shards in the
+// background — while the driver forks Plan and kernel-style reductions on
+// Engine.Pool() between them. The report and the kernel results must equal
+// the 1-worker run, and the trace must pass the schema check.
+func TestPoolForksBetweenAsyncRounds(t *testing.T) {
+	tr := benchCaterpillar(t)
+	vs := tr.ComputeNodes()
+	const rounds = 60
+
+	run := func(opts ...Option) (*Report, int64) {
+		e := NewEngine(tr, append(opts, WithLeanStats())...)
+		var kernel int64
+		for r := 0; r < rounds; r++ {
+			x := e.Exchange()
+			x.Plan(func(v topology.NodeID, out *Outbox) {
+				i := int(e.cindex[v])
+				out.Send(vs[(i+r+1)%len(vs)], TagData, []uint64{uint64(i), uint64(r)})
+				if i%16 == r%16 {
+					out.Multicast([]topology.NodeID{vs[0], vs[len(vs)/2], vs[i]}, TagR, []uint64{uint64(r)})
+				}
+			})
+			x.ExecuteAsync()
+			// Round r's accounting is still in flight here at 4 workers.
+			kernel += e.Pool().Sum("test receipt", len(vs), func(_, lo, hi int) int64 {
+				var got int64
+				for i := lo; i < hi; i++ {
+					ib := e.Inbox(vs[i])
+					for mi := 0; mi < ib.Len(); mi++ {
+						got += int64(len(ib.At(mi).Keys)) * int64(i+1)
+					}
+				}
+				return got
+			})
+		}
+		return e.Report(), kernel
+	}
+
+	want, wantKernel := run(WithWorkers(1))
+	tc := obs.NewTrace()
+	reg := obs.NewRegistry()
+	got, gotKernel := run(WithWorkers(4), WithTracer(tc), WithMetrics(reg))
+
+	if gotKernel != wantKernel {
+		t.Fatalf("kernel reduction: got %d at 4 workers, %d at 1", gotKernel, wantKernel)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("report at 4 workers differs from the 1-worker run:\n got %v\nwant %v", got, want)
+	}
+	// Per round: one Plan fork and one kernel fork on the driver pool, one
+	// tally fork on the accounting pool.
+	if forks := reg.Counter("par.forks").Value(); forks != 3*rounds {
+		t.Fatalf("par.forks = %d, want %d", forks, 3*rounds)
+	}
+	var buf bytes.Buffer
+	if err := tc.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := obs.ValidateTraceJSON(buf.Bytes()); err != nil {
+		t.Fatalf("trace fails schema check: %v", err)
 	}
 }

@@ -33,6 +33,7 @@ import (
 // protocol driver); the shards it forks are internal.
 type Pool struct {
 	workers int
+	wg      sync.WaitGroup // the fork in flight; one driver, so one suffices
 
 	tr    obs.Tracer
 	lanes []int64 // one trace lane per worker slot
@@ -124,17 +125,21 @@ func (p *Pool) blocksN(label string, n, shards int, fn func(shard, lo, hi int)) 
 		p.record(1)
 		return
 	}
-	var wg sync.WaitGroup
-	wg.Add(shards - 1)
+	// The pool-owned barrier and a plain method spawn keep a fork down to
+	// the one wrapper each go statement allocates.
+	p.wg.Add(shards - 1)
 	for s := 1; s < shards; s++ {
-		go func(s int) {
-			defer wg.Done()
-			p.runShard(label, s, s*n/shards, (s+1)*n/shards, fn)
-		}(s)
+		go p.forkShard(label, s, s*n/shards, (s+1)*n/shards, fn)
 	}
 	p.runShard(label, 0, 0, n/shards, fn)
-	wg.Wait()
+	p.wg.Wait()
 	p.record(shards)
+}
+
+// forkShard is runShard on its own goroutine, released to the barrier.
+func (p *Pool) forkShard(label string, shard, lo, hi int, fn func(shard, lo, hi int)) {
+	defer p.wg.Done()
+	p.runShard(label, shard, lo, hi, fn)
 }
 
 // runShard executes one shard, timing it and emitting its span when the
@@ -220,14 +225,13 @@ const sortSerialThreshold = 1 << 15
 // concurrently. The scatter is stable (shard order equals input order per
 // byte value) and the output is a sorted permutation either way, so the
 // result is identical for every worker count. Byte lanes that are constant
-// across the input are skipped, as in the serial radix the kernels use
-// per home. Returns the sorted slice and the scratch buffer, which may
-// have swapped roles.
+// across the input are skipped, as in SerialSortUint64. Returns the sorted
+// slice and the scratch buffer, which may have swapped roles.
 func (p *Pool) SortUint64(a, tmp []uint64) ([]uint64, []uint64) {
 	n := len(a)
 	shards := p.shardsFor(n / sortSerialThreshold)
 	if shards <= 1 {
-		return serialSortUint64(a, tmp)
+		return SerialSortUint64(a, tmp)
 	}
 	if cap(tmp) < n {
 		tmp = make([]uint64, n)
@@ -300,9 +304,14 @@ func (p *Pool) SortUint64(a, tmp []uint64) ([]uint64, []uint64) {
 	return src, dst
 }
 
-// serialSortUint64 is the single-threaded LSD radix fallback, identical in
-// shape to the per-home sort of the graph kernels.
-func serialSortUint64(a, tmp []uint64) ([]uint64, []uint64) {
+// SerialSortUint64 sorts a ascending on the calling goroutine with an LSD
+// byte radix, skipping byte lanes that are constant across the slice
+// (index-packed keys rarely use more than a few). It is SortUint64's
+// fallback below the fork threshold and the sort kernels call from inside a
+// shard, where forking again would break the pool's single-driver rule.
+// Returns the sorted slice and the scratch buffer, which may have swapped
+// roles.
+func SerialSortUint64(a, tmp []uint64) ([]uint64, []uint64) {
 	if len(a) < 64 {
 		slices.Sort(a)
 		return a, tmp
@@ -327,7 +336,7 @@ func serialSortUint64(a, tmp []uint64) ([]uint64, []uint64) {
 		sh := uint(pass) * 8
 		h := &hist[pass]
 		if int(h[(src[0]>>sh)&0xff]) == len(src) {
-			continue
+			continue // constant byte lane
 		}
 		var off [256]int32
 		var sum int32
