@@ -89,8 +89,9 @@ func (c *Cluster) aggregateWith(data [][]GroupValue,
 	}
 	placement := make(aggregate.Placement, len(data))
 	for i, frag := range data {
-		for _, gv := range frag {
-			placement[i] = append(placement[i], aggregate.Pair{Group: gv.Group, Value: gv.Value})
+		placement[i] = make([]aggregate.Pair, len(frag))
+		for j, gv := range frag {
+			placement[i][j] = aggregate.Pair{Group: gv.Group, Value: gv.Value}
 		}
 	}
 	res, err := run(placement)

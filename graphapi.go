@@ -34,7 +34,7 @@ type ComponentsResult struct {
 	// hierarchy levels whose blocks merge label exchanges.
 	Strategy string
 	// Cost is the execution cost against the per-cut connectivity
-	// information bound (lowerbound.Connectivity).
+	// information bound (lowerbound.Spanning).
 	Cost Cost
 	// Report is the per-round cost accounting of the execution.
 	Report *netsim.Report
@@ -109,7 +109,7 @@ func (c *Cluster) graphWith(edges [][]GraphEdge,
 			return nil, err
 		}
 	}
-	lb := lowerbound.Connectivity(c.t, graph.ComponentSpread(c.t, pl))
+	lb := lowerbound.Spanning(c.t, graph.ComponentSpread(c.t, pl))
 	out := &ComponentsResult{
 		Components: res.Components,
 		PerNode:    res.PerNode,

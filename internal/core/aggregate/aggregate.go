@@ -15,7 +15,8 @@
 //
 //	CLB = max_e spanning(e) / w_e
 //
-// where spanning(e) counts the groups present on both sides of the cut.
+// where spanning(e) counts the groups present on both sides of the cut —
+// the groups whose holders' Steiner tree contains e (lowerbound.Spanning).
 //
 // The strategies provided:
 //
@@ -42,6 +43,7 @@ import (
 
 	"topompc/internal/core/place"
 	"topompc/internal/hashing"
+	"topompc/internal/lowerbound"
 	"topompc/internal/netsim"
 	"topompc/internal/topology"
 )
@@ -109,40 +111,37 @@ func Verify(data Placement, res *Result) error {
 	return nil
 }
 
-// LowerBound computes CLB = max_e spanning(e)/w_e exactly.
+// LowerBound computes CLB = max_e spanning(e)/w_e exactly. spanning(e) is
+// the number of groups whose holders' Steiner tree contains e, so all edges
+// are counted in one sweep (lowerbound.Spanning, which also reports the
+// per-edge terms and the binding edge).
 func LowerBound(t *topology.Tree, data Placement) float64 {
+	return lowerbound.Spanning(t, GroupHolders(t, data)).Value
+}
+
+// GroupHolders reports, for every group, the compute nodes holding at
+// least one of its pairs, each node once, in ComputeNodes order. Groups
+// are listed in order of first appearance.
+func GroupHolders(t *topology.Tree, data Placement) [][]topology.NodeID {
 	nodes := t.ComputeNodes()
-	groupsAt := make([]map[uint64]bool, len(nodes))
+	id := make(map[uint64]int) // group -> position in out
+	var out [][]topology.NodeID
 	for i, frag := range data {
-		groupsAt[i] = make(map[uint64]bool)
 		for _, p := range frag {
-			groupsAt[i][p.Group] = true
+			g, ok := id[p.Group]
+			if !ok {
+				g = len(out)
+				id[p.Group] = g
+				out = append(out, nil)
+			}
+			// Fragments are visited in order, so a group this fragment
+			// already listed has this node as its last holder.
+			if hs := out[g]; len(hs) == 0 || hs[len(hs)-1] != nodes[i] {
+				out[g] = append(hs, nodes[i])
+			}
 		}
 	}
-	best := 0.0
-	for e := topology.EdgeID(0); int(e) < t.NumEdges(); e++ {
-		below := make(map[uint64]bool)
-		above := make(map[uint64]bool)
-		for i, v := range nodes {
-			side := above
-			if t.OnChildSide(e, v) {
-				side = below
-			}
-			for g := range groupsAt[i] {
-				side[g] = true
-			}
-		}
-		spanning := 0
-		for g := range below {
-			if above[g] {
-				spanning++
-			}
-		}
-		if c := float64(spanning) / t.Bandwidth(e); c > best {
-			best = c
-		}
-	}
-	return best
+	return out
 }
 
 // instance validates an aggregation input.

@@ -117,7 +117,7 @@ func TestCCMatchesReference(t *testing.T) {
 					}
 					// Measured cost must dominate the per-cut information
 					// bound.
-					lb := lowerbound.Connectivity(tree, ComponentSpread(tree, pl))
+					lb := lowerbound.Spanning(tree, ComponentSpread(tree, pl))
 					if cost := res.Report.TotalCost(); cost < lb.Value*(1-1e-9) {
 						t.Errorf("cost %.3f below connectivity bound %.3f", cost, lb.Value)
 					}

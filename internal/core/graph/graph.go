@@ -41,7 +41,7 @@
 // directly, as on a flat network. Both variants execute the identical
 // contraction logic, are verified against the union-find reference
 // (component count + canonical-label checksum), and are measured against
-// the per-cut information bound lowerbound.Connectivity. No optimality
+// the per-cut information bound lowerbound.Spanning. No optimality
 // theorem is claimed — topology-aware graph connectivity is open.
 package graph
 

@@ -164,7 +164,7 @@ func VerifyForest(ref *Ref, forest []Edge) error {
 
 // ComponentSpread reports, for every connected component, the compute
 // nodes holding at least one of its input edges (each endpoint counts as
-// presence). The node lists feed lowerbound.Connectivity, which charges a
+// presence). The node lists feed lowerbound.Spanning, which charges a
 // component's Steiner tree over its nodes.
 func ComponentSpread(t *topology.Tree, edges Placement) [][]topology.NodeID {
 	ref := Reference(edges)

@@ -16,7 +16,7 @@ import (
 // updates) against the flat baseline across the topology zoo × graph
 // families. Beyond the paper, toward the MPC connectivity line (Andoni et
 // al. 2018; Behnezhad et al. 2019); costs are measured against the per-cut
-// information bound lowerbound.Connectivity.
+// information bound lowerbound.Spanning.
 
 func init() {
 	register(Experiment{
@@ -79,7 +79,7 @@ func runX5(cfg Config) ([]Table, error) {
 		Title: "X5: connected components, aware vs flat label contraction",
 		Note: "Aware: vertices homed by bandwidth capacity, label updates combined per weak cut; " +
 			"flat: uniform homes, direct delivery. CLB = per-cut information bound " +
-			"(lowerbound.Connectivity); labelings verified against union-find on every run.",
+			"(lowerbound.Spanning); labelings verified against union-find on every run.",
 		Headers: []string{"topology", "family", "V", "comps", "phases", "aware cost", "flat cost", "win", "CLB", "aware/CLB"},
 	}
 	for _, tr := range trees {
@@ -108,7 +108,7 @@ func runX5(cfg Config) ([]Table, error) {
 						variant, tr.name, fam.name, res.Components, ref.Count)
 				}
 			}
-			lb := lowerbound.Connectivity(tr.tree, graph.ComponentSpread(tr.tree, pl))
+			lb := lowerbound.Spanning(tr.tree, graph.ComponentSpread(tr.tree, pl))
 			table.AddRow(tr.name, fam.name, len(ref.Labels), ref.Count, aware.Phases,
 				aware.Report.TotalCost(), flat.Report.TotalCost(),
 				netsim.Ratio(flat.Report.TotalCost(), aware.Report.TotalCost()),

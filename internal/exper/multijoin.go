@@ -82,7 +82,8 @@ func runX3(cfg Config) ([]Table, error) {
 			return pl
 		}
 		r, s, tt := gen(), gen(), gen()
-		ref := multijoin.TriangleReference(r, s, tt)
+		ix := multijoin.IndexTriangle(r, s, tt)
+		ref := ix.Reference()
 		aware, err := multijoin.Triangle(tree, r, s, tt, cfg.Seed)
 		if err != nil {
 			return nil, err
@@ -97,7 +98,7 @@ func runX3(cfg Config) ([]Table, error) {
 					variant, name, res.TotalOutputs(), ref.Count)
 			}
 		}
-		lb := lowerbound.Multijoin(tree, ref.Count, ref.MaxDeg, multijoin.TriangleCutCounts(tree, r, s, tt))
+		lb := lowerbound.Multijoin(tree, ref.Count, ref.MaxDeg, ix.CutCounts(tree))
 		table.AddRow(name, ref.Count,
 			aware.Report.TotalCost(), flat.Report.TotalCost(),
 			netsim.Ratio(flat.Report.TotalCost(), aware.Report.TotalCost()),
@@ -142,7 +143,8 @@ func runX4(cfg Config) ([]Table, error) {
 				rels[j][n] = append(rels[j][n], multijoin.Tuple{A: uint64(rng.Intn(dom)), B: rng.Uint64()})
 			}
 		}
-		ref := multijoin.StarReference(rels)
+		ix := multijoin.IndexStar(rels)
+		ref := ix.Reference()
 		aware, err := multijoin.Star(tree, rels, cfg.Seed)
 		if err != nil {
 			return nil, err
@@ -157,7 +159,7 @@ func runX4(cfg Config) ([]Table, error) {
 					variant, name, res.TotalOutputs(), ref.Count)
 			}
 		}
-		lb := lowerbound.Multijoin(tree, ref.Count, ref.MaxDeg, multijoin.StarCutCounts(tree, rels))
+		lb := lowerbound.Multijoin(tree, ref.Count, ref.MaxDeg, ix.CutCounts(tree))
 		table.AddRow(name, ref.Count,
 			aware.Report.TotalCost(), flat.Report.TotalCost(),
 			netsim.Ratio(flat.Report.TotalCost(), aware.Report.TotalCost()),

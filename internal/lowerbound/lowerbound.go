@@ -9,6 +9,22 @@
 //
 // Each bound carries its per-edge breakdown so experiments can report which
 // link is the binding bottleneck.
+//
+// Every bound has the shape max_e stat(e)/w_e, and every stat(e) for all
+// edges comes from one bottom-up sweep over the rooted tree, never from a
+// pass over the input per edge: the paper's bounds sum loads per subtree
+// (Tree.Cuts); Spanning counts the items whose holders' Steiner tree
+// contains e (PathAccumulator.AddSteiner); Multijoin's "within" counts sum
+// products of per-relation subtree counts (CutSweep). The last two rest on
+// the same argument: the part of one item's holders under ChildEnd(e)
+// changes only at the nodes of the holders' virtual tree (the holders
+// closed under LCA, built in O(h log h) by a stack walk over the holders
+// in tour order), so the item's statistic is constant along each
+// compressed chain of real edges between two virtual nodes; adding it at
+// the chain's lower end and subtracting it at the upper end in a
+// node-difference array lets one reverse-preorder subtree-sum produce
+// stat(e) for every edge. Total: O(N log N + V) for N holders on a V-node
+// tree.
 package lowerbound
 
 import (

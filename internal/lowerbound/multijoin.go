@@ -31,10 +31,12 @@ import (
 //	CLB = max_e ⌈mixed(e)/dmax⌉ / w_e.
 //
 // The per-side "within" counts are instance quantities; the multijoin
-// package computes them with side-filtered reference joins
-// (TriangleCutCounts, StarCutCounts) and dmax with its reference
-// evaluation. A zero total output (or unknown dmax ≤ 0) yields a zero
-// bound.
+// package computes them for all edges in one topology.CutSweep
+// (TriangleIndex.CutCounts, StarIndex.CutCounts) and dmax with its
+// reference evaluation, so within is a table lookup and the bound costs
+// O(N log N + V) for N indexed input holders on a V-node tree. A zero
+// total output (or unknown dmax ≤ 0) yields a zero bound: PerEdge is all
+// zero and Edge is NoEdge, as for every Bound no edge term binds.
 func Multijoin(t *topology.Tree, totalOut, dmax int64, within func(e topology.EdgeID) (below, above int64)) Bound {
 	if totalOut <= 0 || dmax <= 0 {
 		return Bound{PerEdge: make([]float64, t.NumEdges()), Edge: topology.NoEdge}

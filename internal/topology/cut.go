@@ -33,7 +33,8 @@ func (l Loads) Total() int64 {
 
 // Cut describes the load split induced by removing one edge: Below is the
 // total load in the subtree under ChildEnd(e) (the paper's V−e or V+e,
-// whichever side that is) and Above is the rest.
+// whichever side that is) and Above is the rest. CutSweep reports the join
+// rows derivable on each side in the same shape.
 type Cut struct {
 	Below int64
 	Above int64

@@ -544,12 +544,13 @@ func (c *Cluster) triangleWith(r, s, t [][]Tuple2,
 	if err != nil {
 		return nil, err
 	}
-	ref := multijoin.TriangleReference(pr, ps, pt)
+	ix := multijoin.IndexTriangle(pr, ps, pt)
+	ref := ix.Reference()
 	if got := res.TotalOutputs(); got != ref.Count || res.Checksum != ref.Checksum {
 		return nil, fmt.Errorf("topompc: triangle join emitted %d rows (checksum %x), reference has %d (%x)",
 			got, res.Checksum, ref.Count, ref.Checksum)
 	}
-	lb := lowerbound.Multijoin(c.t, ref.Count, ref.MaxDeg, multijoin.TriangleCutCounts(c.t, pr, ps, pt))
+	lb := lowerbound.Multijoin(c.t, ref.Count, ref.MaxDeg, ix.CutCounts(c.t))
 	return c.multijoinResult(res, ref.Count, lb.Value), nil
 }
 
@@ -584,12 +585,13 @@ func (c *Cluster) starWith(rels [][][]Tuple2,
 	if err != nil {
 		return nil, err
 	}
-	ref := multijoin.StarReference(ps)
+	ix := multijoin.IndexStar(ps)
+	ref := ix.Reference()
 	if got := res.TotalOutputs(); got != ref.Count || res.Checksum != ref.Checksum {
 		return nil, fmt.Errorf("topompc: star join emitted %d rows (checksum %x), reference has %d (%x)",
 			got, res.Checksum, ref.Count, ref.Checksum)
 	}
-	lb := lowerbound.Multijoin(c.t, ref.Count, ref.MaxDeg, multijoin.StarCutCounts(c.t, ps))
+	lb := lowerbound.Multijoin(c.t, ref.Count, ref.MaxDeg, ix.CutCounts(c.t))
 	return c.multijoinResult(res, ref.Count, lb.Value), nil
 }
 
