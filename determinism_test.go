@@ -17,6 +17,11 @@ import (
 // Exchange runtime against the per-message reference; this harness instead
 // catches future races or order-dependent accounting that only differ
 // across worker counts.
+//
+// The paper's three primitives run their local compute (per-home sorts and
+// sort-merge set operations) on the engine's pool, so for them the harness
+// also compares what each node ends up holding, through the typed Cluster
+// methods (primitiveOutputs).
 func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 	for _, topo := range []string{"twotier-skew", "caterpillar", "caterpillar-grade", "ring-of-racks"} {
 		topo := topo
@@ -42,9 +47,111 @@ func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 					if rep1 != rep8 {
 						t.Fatalf("report diverged between workers=1 and workers=8:\n%s", firstDiff(rep1, rep8))
 					}
+					if _, ok := primitiveOutputs[spec.Name]; ok {
+						comparePrimitiveOutputs(t, spec, topo, 2000)
+					}
 				})
 			}
 		})
+	}
+}
+
+// TestPrimitiveOutputsDeterministicWhenForked repeats the per-node output
+// comparison at a size where the heavy homes hold more than the 2·32768
+// keys par.SortUint64 needs before it forks; the 2000-key grid above stays
+// on its serial path at every worker count.
+func TestPrimitiveOutputsDeterministicWhenForked(t *testing.T) {
+	if testing.Short() {
+		t.Skip("400k-key inputs")
+	}
+	for _, spec := range topompc.Tasks() {
+		if _, ok := primitiveOutputs[spec.Name]; ok {
+			spec := spec
+			t.Run(spec.Name, func(t *testing.T) { comparePrimitiveOutputs(t, spec, "twotier-skew", 400_000) })
+		}
+	}
+}
+
+// primitiveOutputs maps each registry task of the three primitives to the
+// typed Cluster call behind it, reduced to a checksum of everything the
+// call leaves at the nodes.
+var primitiveOutputs = map[string]func(c *topompc.Cluster, in topompc.TaskInput) (uint64, error){
+	"sort": func(c *topompc.Cluster, in topompc.TaskInput) (uint64, error) {
+		return sortChecksum(c.Sort(in.Data, in.Seed))
+	},
+	"sort-baseline": func(c *topompc.Cluster, in topompc.TaskInput) (uint64, error) {
+		return sortChecksum(c.SortBaseline(in.Data, in.Seed))
+	},
+	"sort-aware": func(c *topompc.Cluster, in topompc.TaskInput) (uint64, error) {
+		return sortChecksum(c.SortAware(in.Data, in.Seed))
+	},
+	"sort-aware-flat": func(c *topompc.Cluster, in topompc.TaskInput) (uint64, error) {
+		return sortChecksum(c.SortAwareBaseline(in.Data, in.Seed))
+	},
+	"intersect": func(c *topompc.Cluster, in topompc.TaskInput) (uint64, error) {
+		return intersectChecksum(c.Intersect(in.R, in.S, in.Seed))
+	},
+	"intersect-baseline": func(c *topompc.Cluster, in topompc.TaskInput) (uint64, error) {
+		return intersectChecksum(c.IntersectBaseline(in.R, in.S, in.Seed))
+	},
+	"cartesian": func(c *topompc.Cluster, in topompc.TaskInput) (uint64, error) {
+		res, err := c.CartesianProduct(in.R, in.S)
+		if err != nil {
+			return 0, err
+		}
+		h := fragmentsChecksum(fragmentsChecksum(fnvOffset, res.RPerNode), res.SPerNode)
+		for _, r := range res.Rects {
+			h = fragmentsChecksum(h, [][]uint64{{uint64(r.X0), uint64(r.X1), uint64(r.Y0), uint64(r.Y1)}})
+		}
+		return h, nil
+	},
+}
+
+func sortChecksum(res *topompc.SortResult, err error) (uint64, error) {
+	if err != nil {
+		return 0, err
+	}
+	order := make([]uint64, len(res.NodeOrder))
+	for j, i := range res.NodeOrder {
+		order[j] = uint64(i)
+	}
+	return fragmentsChecksum(fragmentsChecksum(fnvOffset, res.PerNode), [][]uint64{order}), nil
+}
+
+func intersectChecksum(res *topompc.IntersectResult, err error) (uint64, error) {
+	if err != nil {
+		return 0, err
+	}
+	return fragmentsChecksum(fragmentsChecksum(fnvOffset, res.PerNode), [][]uint64{res.Keys}), nil
+}
+
+const fnvOffset = 0xcbf29ce484222325
+
+// fragmentsChecksum folds per-node fragments into an FNV-1a style hash that
+// depends on which node holds which key at which position.
+func fragmentsChecksum(h uint64, frags [][]uint64) uint64 {
+	for _, frag := range frags {
+		h = (h ^ uint64(len(frag))) * 0x100000001b3
+		for _, k := range frag {
+			h = (h ^ k) * 0x100000001b3
+		}
+	}
+	return h
+}
+
+func comparePrimitiveOutputs(t *testing.T, spec topompc.Task, topo string, n int) {
+	t.Helper()
+	run := func(workers int) uint64 {
+		c := fixtureCluster(t, topo)
+		c.SetExecOptions(topompc.ExecOptions{Workers: workers})
+		sum, err := primitiveOutputs[spec.Name](c, fixtureInput(t, spec, c, topo, "zipf", n))
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		return sum
+	}
+	if out1, out8 := run(1), run(8); out1 != out8 {
+		t.Fatalf("per-node outputs diverged between workers=1 (%#x) and workers=8 (%#x)", out1, out8)
 	}
 }
 

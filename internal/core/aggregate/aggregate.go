@@ -39,7 +39,7 @@ package aggregate
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"topompc/internal/core/place"
 	"topompc/internal/hashing"
@@ -180,7 +180,7 @@ func sortedGroups(m map[uint64]int64) []uint64 {
 	for g := range m {
 		out = append(out, g)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

@@ -2,6 +2,7 @@ package cartesian
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"topompc/internal/topology"
@@ -54,7 +55,7 @@ func mergeComposites(cs []*composite) []*composite {
 	for _, c := range cs {
 		push(c)
 	}
-	sort.Slice(sides, func(i, j int) bool { return sides[i] < sides[j] })
+	slices.Sort(sides)
 	for i := 0; i < len(sides); i++ {
 		side := sides[i]
 		for len(buckets[side]) >= 4 {
@@ -73,7 +74,7 @@ func mergeComposites(cs []*composite) []*composite {
 				}
 				if !found {
 					sides = append(sides, side*2)
-					sort.Slice(sides, func(i, j int) bool { return sides[i] < sides[j] })
+					slices.Sort(sides)
 				}
 			}
 			buckets[side*2] = append(buckets[side*2], quad)

@@ -2,10 +2,11 @@ package cartesian
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"topompc/internal/dataset"
 	"topompc/internal/netsim"
+	"topompc/internal/par"
 	"topompc/internal/topology"
 )
 
@@ -70,16 +71,8 @@ func distribute(in *instance, rects []Rect, strategy string) (*Result, error) {
 		Strategy: strategy,
 	}
 	for i, v := range in.nodes {
-		ib := e.Inbox(v)
-		for mi := 0; mi < ib.Len(); mi++ {
-			m := ib.At(mi)
-			switch m.Tag {
-			case netsim.TagR:
-				res.RKeys[i] = append(res.RKeys[i], m.Keys...)
-			case netsim.TagS:
-				res.SKeys[i] = append(res.SKeys[i], m.Keys...)
-			}
-		}
+		res.RKeys[i] = e.Inbox(v).Keys(netsim.TagR)
+		res.SKeys[i] = e.Inbox(v).Keys(netsim.TagS)
 	}
 	res.Report = e.Report()
 	return res, nil
@@ -170,6 +163,7 @@ func Verify(t *topology.Tree, r, s dataset.Placement, res *Result) error {
 	}
 	globalR := in.r.Flatten()
 	globalS := in.s.Flatten()
+	var ck keyChecker
 	for i := range in.nodes {
 		rect := res.Rects[i]
 		if rect.Empty() {
@@ -178,26 +172,34 @@ func Verify(t *topology.Tree, r, s dataset.Placement, res *Result) error {
 			}
 			continue
 		}
-		if err := checkKeys(res.RKeys[i], globalR[rect.X0:rect.X1]); err != nil {
+		if err := ck.check(res.RKeys[i], globalR[rect.X0:rect.X1]); err != nil {
 			return fmt.Errorf("cartesian: node %d R-rows: %w", i, err)
 		}
-		if err := checkKeys(res.SKeys[i], globalS[rect.Y0:rect.Y1]); err != nil {
+		if err := ck.check(res.SKeys[i], globalS[rect.Y0:rect.Y1]); err != nil {
 			return fmt.Errorf("cartesian: node %d S-cols: %w", i, err)
 		}
 	}
 	return nil
 }
 
-func checkKeys(got, want []uint64) error {
+// keyChecker compares key multisets; one Verify reuses its sort buffers for
+// every node.
+type keyChecker struct{ a, b, tmp []uint64 }
+
+// check reports whether got and want hold the same keys with the same
+// multiplicities. Deliveries arrive in global rank order, so the two are
+// normally the same sequence, which settles it without sorting.
+func (c *keyChecker) check(got, want []uint64) error {
 	if len(got) != len(want) {
 		return fmt.Errorf("received %d keys, want %d", len(got), len(want))
 	}
-	a := append([]uint64(nil), got...)
-	b := append([]uint64(nil), want...)
-	sort.Slice(a, func(i, j int) bool { return a[i] < a[j] })
-	sort.Slice(b, func(i, j int) bool { return b[i] < b[j] })
-	for i := range a {
-		if a[i] != b[i] {
+	if slices.Equal(got, want) {
+		return nil
+	}
+	c.a, c.tmp = par.SerialSortUint64(append(c.a[:0], got...), c.tmp)
+	c.b, c.tmp = par.SerialSortUint64(append(c.b[:0], want...), c.tmp)
+	for i := range c.a {
+		if c.a[i] != c.b[i] {
 			return fmt.Errorf("key multiset mismatch at %d", i)
 		}
 	}

@@ -2,6 +2,7 @@ package cartesian
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -181,5 +182,54 @@ func TestUnequalRectsCoverage(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestVerifyComparesKeyMultisets pins what Verify accepts per node: the
+// rows and columns of the node's rectangle as multisets — delivery order is
+// free, content is not.
+func TestVerifyComparesKeyMultisets(t *testing.T) {
+	tr, err := topology.FatTree(2, 3, 2, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := tr.NumCompute()
+	rng := rand.New(rand.NewSource(14))
+	pr, _ := dataset.SplitUniform(dataset.Distinct(rng, 4096), p)
+	ps, _ := dataset.SplitUniform(dataset.Distinct(rng, 4096), p)
+	res, err := Tree(tr, pr, ps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	node := -1
+	for i, rect := range res.Rects {
+		if rect.X1-rect.X0 >= 64 { // enough rows for the radix path
+			node = i
+		}
+	}
+	if node < 0 {
+		t.Fatal("no node with a wide rectangle")
+	}
+	rows := res.RKeys[node]
+	sent := slices.Clone(rows)
+	restore := func() { res.RKeys[node] = rows; copy(rows, sent) }
+
+	rng.Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
+	if err := Verify(tr, pr, ps, res); err != nil {
+		t.Errorf("reordered deliveries rejected: %v", err)
+	}
+	restore()
+	rows[0] = rows[1] // one row twice, another missing
+	if err := Verify(tr, pr, ps, res); err == nil {
+		t.Error("expected error for a duplicated row standing in for a lost one")
+	}
+	restore()
+	res.RKeys[node] = rows[:len(rows)-1]
+	if err := Verify(tr, pr, ps, res); err == nil {
+		t.Error("expected error for a lost row")
+	}
+	restore()
+	if err := Verify(tr, pr, ps, res); err != nil {
+		t.Fatalf("restored result rejected: %v", err)
 	}
 }

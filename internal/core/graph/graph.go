@@ -47,7 +47,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"topompc/internal/netsim"
 	"topompc/internal/topology"
@@ -141,6 +141,6 @@ func sortedKeys[V any](m map[uint64]V) []uint64 {
 	for k := range m {
 		out = append(out, k)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }

@@ -3,7 +3,6 @@ package graph
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"topompc/internal/hashing"
 	"topompc/internal/topology"
@@ -190,7 +189,7 @@ func ComponentSpread(t *topology.Tree, edges Placement) [][]topology.NodeID {
 		for v := range set {
 			list = append(list, v)
 		}
-		sort.Slice(list, func(i, j int) bool { return list[i] < list[j] })
+		slices.Sort(list)
 		out = append(out, list)
 	}
 	return out

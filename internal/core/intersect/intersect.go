@@ -11,11 +11,12 @@ package intersect
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"topompc/internal/dataset"
 	"topompc/internal/hashing"
 	"topompc/internal/netsim"
+	"topompc/internal/par"
 	"topompc/internal/topology"
 )
 
@@ -88,97 +89,60 @@ func (in *instance) emptyResult() *Result {
 }
 
 // finish collects per-node outputs by intersecting the R- and S-keys
-// present at each node after the communication round.
+// present at each node after the communication round: each home sorts and
+// dedups its two key lists on the engine's pool and merges them. The three
+// working buffers are shared by all homes.
 func finish(e *netsim.Engine, in *instance, extraS func(i int) []uint64) *Result {
-	res := &Result{
-		PerNode: make([][]uint64, len(in.nodes)),
-		Report:  nil,
-	}
+	res := &Result{PerNode: make([][]uint64, len(in.nodes))}
+	pool := e.Pool()
+	var rKeys, sKeys, tmp []uint64
+	total := 0
 	for i, v := range in.nodes {
-		rSet := make(map[uint64]struct{})
 		ib := e.Inbox(v)
-		for mi := 0; mi < ib.Len(); mi++ {
-			m := ib.At(mi)
-			if m.Tag == netsim.TagR {
-				for _, k := range m.Keys {
-					rSet[k] = struct{}{}
-				}
-			}
-		}
-		var out []uint64
-		seen := make(map[uint64]struct{})
-		consider := func(k uint64) {
-			if _, dup := seen[k]; dup {
-				return
-			}
-			seen[k] = struct{}{}
-			if _, ok := rSet[k]; ok {
-				out = append(out, k)
-			}
-		}
-		for mi := 0; mi < ib.Len(); mi++ {
-			m := ib.At(mi)
-			if m.Tag == netsim.TagS {
-				for _, k := range m.Keys {
-					consider(k)
-				}
-			}
-		}
+		rKeys = ib.AppendKeys(rKeys[:0], netsim.TagR)
+		sKeys = ib.AppendKeys(sKeys[:0], netsim.TagS)
 		if extraS != nil {
-			for _, k := range extraS(i) {
-				consider(k)
-			}
+			sKeys = append(sKeys, extraS(i)...)
 		}
-		sortKeys(out)
-		res.PerNode[i] = out
+		rKeys, tmp = pool.SortUnique(rKeys, tmp)
+		sKeys, tmp = pool.SortUnique(sKeys, tmp)
+		if both := par.IntersectSorted(rKeys[:0], rKeys, sKeys); len(both) > 0 {
+			res.PerNode[i] = slices.Clone(both)
+			total += len(both)
+		}
 	}
-	res.Output = unionSorted(res.PerNode)
+	// A key may be emitted at several nodes: the output is the set union.
+	if total > 0 {
+		all := make([]uint64, 0, total)
+		for _, frag := range res.PerNode {
+			all = append(all, frag...)
+		}
+		res.Output, _ = pool.SortUnique(all, tmp)
+	}
 	res.Report = e.Report()
 	return res
 }
 
-func sortKeys(keys []uint64) {
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-}
-
-func unionSorted(perNode [][]uint64) []uint64 {
-	seen := make(map[uint64]struct{})
-	var out []uint64
-	for _, frag := range perNode {
+// Reference computes R ∩ S directly (for verification). It hashes where the
+// protocols sort and merge, so the two share no set logic.
+func Reference(r, s dataset.Placement) []uint64 {
+	// Value: whether the key has been emitted already.
+	inR := make(map[uint64]bool, r.Total())
+	for _, frag := range r {
 		for _, k := range frag {
-			if _, dup := seen[k]; !dup {
-				seen[k] = struct{}{}
+			inR[k] = false
+		}
+	}
+	var out []uint64
+	for _, frag := range s {
+		for _, k := range frag {
+			if emitted, ok := inR[k]; ok && !emitted {
+				inR[k] = true
 				out = append(out, k)
 			}
 		}
 	}
-	sortKeys(out)
-	return out
-}
-
-// Reference computes R ∩ S directly (for verification).
-func Reference(r, s dataset.Placement) []uint64 {
-	inR := make(map[uint64]struct{})
-	for _, frag := range r {
-		for _, k := range frag {
-			inR[k] = struct{}{}
-		}
-	}
-	var out []uint64
-	seen := make(map[uint64]struct{})
-	for _, frag := range s {
-		for _, k := range frag {
-			if _, ok := inR[k]; !ok {
-				continue
-			}
-			if _, dup := seen[k]; dup {
-				continue
-			}
-			seen[k] = struct{}{}
-			out = append(out, k)
-		}
-	}
-	sortKeys(out)
+	slices.Sort(out)
 	return out
 }
 

@@ -383,3 +383,68 @@ func TestReferenceAndVerify(t *testing.T) {
 		t.Error("expected verification failure for wrong key")
 	}
 }
+
+// TestRepeatedKeysAcrossProtocols feeds bags, not sets: keys repeat within
+// a fragment, across nodes, and on both sides. Every protocol must still
+// emit R ∩ S once in Output, and each node's fragment must be an ascending,
+// repeat-free subset of it — the contract the sort-and-merge local step
+// keeps from the hash sets it replaced. Homes large enough to reach the
+// radix path (≥ 64 keys) are part of the draw.
+func TestRepeatedKeysAcrossProtocols(t *testing.T) {
+	star, _ := topology.Star([]float64{1, 2, 4, 8})
+	tree, _ := topology.TwoTier([]int{2, 3}, []float64{2, 1}, 4)
+	protocols := []struct {
+		name     string
+		starOnly bool
+		run      func(*topology.Tree, dataset.Placement, dataset.Placement) (*Result, error)
+	}{
+		{"tree", false, func(tr *topology.Tree, r, s dataset.Placement) (*Result, error) { return Tree(tr, r, s, 5) }},
+		{"star", true, func(tr *topology.Tree, r, s dataset.Placement) (*Result, error) { return Star(tr, r, s, 5) }},
+		{"uniformHash", false, func(tr *topology.Tree, r, s dataset.Placement) (*Result, error) { return UniformHash(tr, r, s, 5) }},
+		{"broadcastSmaller", false, func(tr *topology.Tree, r, s dataset.Placement) (*Result, error) { return BroadcastSmaller(tr, r, s) }},
+		{"gather", false, func(tr *topology.Tree, r, s dataset.Placement) (*Result, error) {
+			return Gather(tr, r, s, topology.NoNode)
+		}},
+	}
+	for iter := 0; iter < 100; iter++ {
+		rng := rand.New(rand.NewSource(int64(iter)))
+		tr := tree
+		if iter%2 == 1 {
+			tr = star
+		}
+		dom := 1 + rng.Intn(600)
+		bag := func(n int) dataset.Placement {
+			pl := make(dataset.Placement, tr.NumCompute())
+			for ; n > 0; n-- {
+				i := rng.Intn(len(pl))
+				pl[i] = append(pl[i], uint64(rng.Intn(dom))<<uint(8*rng.Intn(7)))
+			}
+			return pl
+		}
+		r, s := bag(rng.Intn(1500)), bag(rng.Intn(1500))
+		want := Reference(r, s)
+		inWant := make(map[uint64]bool, len(want))
+		for _, k := range want {
+			inWant[k] = true
+		}
+		for _, p := range protocols {
+			if p.starOnly && tr != star {
+				continue
+			}
+			res, err := p.run(tr, r, s)
+			if err != nil {
+				t.Fatalf("iter %d %s: %v", iter, p.name, err)
+			}
+			if err := Verify(r, s, res); err != nil {
+				t.Fatalf("iter %d %s: %v", iter, p.name, err)
+			}
+			for i, frag := range res.PerNode {
+				for j, k := range frag {
+					if !inWant[k] || (j > 0 && frag[j-1] >= k) {
+						t.Fatalf("iter %d %s: node %d fragment is not an ascending subset of R∩S at %d", iter, p.name, i, j)
+					}
+				}
+			}
+		}
+	}
+}

@@ -96,13 +96,7 @@ func splitterSort(tr *topology.Tree, data dataset.Placement, seed uint64, aware 
 	x.Execute()
 
 	// Round 2: coordinator broadcasts the capacity-apportioned splitters.
-	var samples []uint64
-	ib := e.Inbox(coordinator)
-	for mi := 0; mi < ib.Len(); mi++ {
-		m := ib.At(mi)
-		samples = append(samples, m.Keys...)
-	}
-	sortU64(samples)
+	samples := sortedSamples(e, coordinator)
 	splitters := place.Splitters(samples, weights)
 	x = e.Exchange()
 	if len(splitters) > 0 && len(order) > 1 {
@@ -128,24 +122,10 @@ func splitterSort(tr *topology.Tree, data dataset.Placement, seed uint64, aware 
 	})
 	x.Execute()
 
-	res := &Result{
-		PerNode:  make([][]uint64, len(in.nodes)),
+	return &Result{
+		PerNode:  sortReceived(e, in.nodes),
 		Order:    order,
+		Report:   e.Report(),
 		Strategy: strategy,
-	}
-	for _, v := range order {
-		i := idx[v]
-		var final []uint64
-		ib := e.Inbox(v)
-		for mi := 0; mi < ib.Len(); mi++ {
-			m := ib.At(mi)
-			if m.Tag == netsim.TagData {
-				final = append(final, m.Keys...)
-			}
-		}
-		sortU64(final)
-		res.PerNode[i] = final
-	}
-	res.Report = e.Report()
-	return res, nil
+	}, nil
 }

@@ -11,10 +11,10 @@ package sorting
 
 import (
 	"fmt"
-	"sort"
 
 	"topompc/internal/dataset"
 	"topompc/internal/netsim"
+	"topompc/internal/par"
 	"topompc/internal/topology"
 )
 
@@ -65,9 +65,9 @@ func (in *instance) indexOf() map[topology.NodeID]int {
 	return idx
 }
 
-// Verify checks that res is a correct sort of the input: the output is a
-// permutation of the input, every fragment is locally sorted, and fragments
-// respect the left-to-right ordering.
+// Verify checks that res is a correct sort of the input: res.Order lists
+// every compute node once, every fragment is locally sorted, fragments
+// respect that ordering, and the output is a permutation of the input.
 func Verify(t *topology.Tree, input dataset.Placement, res *Result) error {
 	in, err := newInstance(t, input)
 	if err != nil {
@@ -76,38 +76,14 @@ func Verify(t *topology.Tree, input dataset.Placement, res *Result) error {
 	if len(res.PerNode) != len(in.nodes) {
 		return fmt.Errorf("sorting: output covers %d nodes, want %d", len(res.PerNode), len(in.nodes))
 	}
-	// Multiset equality.
-	var all, out []uint64
-	for _, frag := range input {
-		all = append(all, frag...)
-	}
-	for _, frag := range res.PerNode {
-		out = append(out, frag...)
-	}
-	if len(all) != len(out) {
-		return fmt.Errorf("sorting: output has %d elements, want %d", len(out), len(all))
-	}
-	sortU64(all)
-	cp := append([]uint64(nil), out...)
-	sortU64(cp)
-	for i := range all {
-		if all[i] != cp[i] {
-			return fmt.Errorf("sorting: output is not a permutation of the input (mismatch at %d)", i)
-		}
-	}
-	// Local sortedness.
-	for i, frag := range res.PerNode {
-		for j := 1; j < len(frag); j++ {
-			if frag[j-1] > frag[j] {
-				return fmt.Errorf("sorting: node %d fragment not sorted at %d", i, j)
-			}
-		}
-	}
-	// Global ordering along res.Order.
 	if len(res.Order) != len(in.nodes) {
 		return fmt.Errorf("sorting: ordering covers %d nodes, want %d", len(res.Order), len(in.nodes))
 	}
+	// Sortedness: read along res.Order, the fragments form one ascending
+	// sequence.
 	idx := in.indexOf()
+	placed := make([]bool, len(in.nodes))
+	var outLen int64
 	last := uint64(0)
 	started := false
 	for _, v := range res.Order {
@@ -115,7 +91,16 @@ func Verify(t *topology.Tree, input dataset.Placement, res *Result) error {
 		if !ok {
 			return fmt.Errorf("sorting: ordering contains unknown node %v", v)
 		}
+		if placed[i] {
+			return fmt.Errorf("sorting: ordering lists node %v twice", v)
+		}
+		placed[i] = true
 		frag := res.PerNode[i]
+		for j := 1; j < len(frag); j++ {
+			if frag[j-1] > frag[j] {
+				return fmt.Errorf("sorting: node %d fragment not sorted at %d", i, j)
+			}
+		}
 		if len(frag) == 0 {
 			continue
 		}
@@ -124,12 +109,49 @@ func Verify(t *topology.Tree, input dataset.Placement, res *Result) error {
 		}
 		last = frag[len(frag)-1]
 		started = true
+		outLen += int64(len(frag))
+	}
+	if outLen != in.total {
+		return fmt.Errorf("sorting: output has %d elements, want %d", outLen, in.total)
+	}
+	// Multiset equality: that sequence is ascending and res.Order is a
+	// permutation of the nodes, so the output is a permutation of the input
+	// exactly when the sequence equals the sorted input, element by element.
+	all := make([]uint64, 0, in.total)
+	for _, frag := range input {
+		all = append(all, frag...)
+	}
+	all, _ = par.SerialSortUint64(all, nil)
+	pos := 0
+	for _, v := range res.Order {
+		for _, k := range res.PerNode[idx[v]] {
+			if all[pos] != k {
+				return fmt.Errorf("sorting: output is not a permutation of the input (mismatch at %d)", pos)
+			}
+			pos++
+		}
 	}
 	return nil
 }
 
-func sortU64(keys []uint64) {
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+// sortedSamples is the coordinator's local step of every sampling sort:
+// the samples v received in the last round, sorted on the engine's pool.
+func sortedSamples(e *netsim.Engine, v topology.NodeID) []uint64 {
+	samples, _ := e.Pool().SortUint64(e.Inbox(v).Keys(netsim.TagSample), nil)
+	return samples
+}
+
+// sortReceived is the closing local step of every protocol here: each
+// compute node sorts the data it received in the last round. The sorts run
+// on the engine's pool, one home after the other, and hand one radix
+// scratch buffer from home to home.
+func sortReceived(e *netsim.Engine, nodes []topology.NodeID) [][]uint64 {
+	perNode := make([][]uint64, len(nodes))
+	var tmp []uint64
+	for i, v := range nodes {
+		perNode[i], tmp = e.Pool().SortUint64(e.Inbox(v).Keys(netsim.TagData), tmp)
+	}
+	return perNode
 }
 
 // gather ships everything to one node (the holder of the most data unless
@@ -146,21 +168,12 @@ func gather(in *instance, target int, strategy string, opts []netsim.Option) (*R
 		}
 	})
 	x.Execute()
-	res := &Result{
-		PerNode:  make([][]uint64, len(in.nodes)),
+	return &Result{
+		PerNode:  sortReceived(e, in.nodes),
 		Order:    in.t.LeftToRight(),
+		Report:   e.Report(),
 		Strategy: strategy,
-	}
-	var final []uint64
-	ib := e.Inbox(in.nodes[target])
-	for mi := 0; mi < ib.Len(); mi++ {
-		m := ib.At(mi)
-		final = append(final, m.Keys...)
-	}
-	sortU64(final)
-	res.PerNode[target] = final
-	res.Report = e.Report()
-	return res, nil
+	}, nil
 }
 
 // Gather is the gather-to-one baseline. With target = NoNode the node

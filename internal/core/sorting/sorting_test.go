@@ -327,9 +327,24 @@ func TestVerifyCatchesBadOutput(t *testing.T) {
 	if err := Verify(tr, data, bad); err == nil {
 		t.Error("expected error for violated global ordering")
 	}
+	bad = &Result{PerNode: [][]uint64{{1, 3}, {5, 7}}, Order: order} // 9 became 7
+	if err := Verify(tr, data, bad); err == nil {
+		t.Error("expected error for a sorted output that is not a permutation of the input")
+	}
+	// Misordered, with an ordering that names the first node twice so the
+	// second one's fragment is never placed.
+	bad = &Result{PerNode: [][]uint64{{9}, {1, 3, 5}}, Order: []topology.NodeID{order[0], order[0]}}
+	if err := Verify(tr, data, bad); err == nil {
+		t.Error("expected error for an ordering that repeats a node")
+	}
 	good := &Result{PerNode: [][]uint64{{1, 3}, {5, 9}}, Order: order}
 	if err := Verify(tr, data, good); err != nil {
 		t.Errorf("good output rejected: %v", err)
+	}
+	// Any ordering is admissible as long as the fragments follow it.
+	good = &Result{PerNode: [][]uint64{{5, 9}, {1, 3}}, Order: []topology.NodeID{order[1], order[0]}}
+	if err := Verify(tr, data, good); err != nil {
+		t.Errorf("good output along the reversed ordering rejected: %v", err)
 	}
 }
 

@@ -60,13 +60,7 @@ func TeraSort(t *topology.Tree, data dataset.Placement, seed uint64, opts ...net
 	x.Execute()
 
 	// Round 2: coordinator broadcasts |VC|−1 uniform splitters.
-	var samples []uint64
-	ib := e.Inbox(coordinator)
-	for mi := 0; mi < ib.Len(); mi++ {
-		m := ib.At(mi)
-		samples = append(samples, m.Keys...)
-	}
-	sortU64(samples)
+	samples := sortedSamples(e, coordinator)
 	splitters := uniformSplitters(samples, p)
 	x = e.Exchange()
 	if len(splitters) > 0 && len(order) > 1 {
@@ -86,26 +80,12 @@ func TeraSort(t *topology.Tree, data dataset.Placement, seed uint64, opts ...net
 	})
 	x.Execute()
 
-	res := &Result{
-		PerNode:  make([][]uint64, len(in.nodes)),
+	return &Result{
+		PerNode:  sortReceived(e, in.nodes),
 		Order:    order,
+		Report:   e.Report(),
 		Strategy: "terasort",
-	}
-	for _, v := range order {
-		i := idx[v]
-		var final []uint64
-		ib := e.Inbox(v)
-		for mi := 0; mi < ib.Len(); mi++ {
-			m := ib.At(mi)
-			if m.Tag == netsim.TagData {
-				final = append(final, m.Keys...)
-			}
-		}
-		sortU64(final)
-		res.PerNode[i] = final
-	}
-	res.Report = e.Report()
-	return res, nil
+	}, nil
 }
 
 // uniformSplitters picks the p−1 uniform quantiles of the sorted samples

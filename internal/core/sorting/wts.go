@@ -123,12 +123,9 @@ func WTSWithOpts(t *topology.Tree, data dataset.Placement, seed uint64, opts Opt
 	// Heavy node j's working set M_j: its own data plus round-1 deliveries.
 	working := make([][]uint64, k)
 	for j, i := range heavy {
-		working[j] = append(working[j], in.data[i]...)
 		ib := e.Inbox(in.nodes[i])
-		for mi := 0; mi < ib.Len(); mi++ {
-			m := ib.At(mi)
-			working[j] = append(working[j], m.Keys...)
-		}
+		working[j] = make([]uint64, 0, len(in.data[i])+ib.KeyCount(netsim.TagData))
+		working[j] = ib.AppendKeys(append(working[j], in.data[i]...), netsim.TagData)
 	}
 
 	// Round 2: heavy nodes sample at rate ρ and send samples to v₁.
@@ -161,16 +158,7 @@ func WTSWithOpts(t *topology.Tree, data dataset.Placement, seed uint64, opts Opt
 	x.Execute()
 
 	// Round 3: v₁ computes and broadcasts the splitters.
-	var allSamples []uint64
-	ib := e.Inbox(coordinator)
-	for mi := 0; mi < ib.Len(); mi++ {
-		m := ib.At(mi)
-		if m.Tag == netsim.TagSample {
-			allSamples = append(allSamples, m.Keys...)
-		}
-	}
-	sortU64(allSamples)
-	splitters := chooseSplitters(allSamples, p, in.total, working)
+	splitters := chooseSplitters(sortedSamples(e, coordinator), p, in.total, working)
 
 	x = e.Exchange()
 	if len(splitters) > 0 {
@@ -206,25 +194,13 @@ func WTSWithOpts(t *topology.Tree, data dataset.Placement, seed uint64, opts Opt
 	})
 	x.Execute()
 
-	res := &Result{
-		PerNode:  make([][]uint64, len(in.nodes)),
+	// Only heavy nodes were sent anything; the rest end up empty.
+	return &Result{
+		PerNode:  sortReceived(e, in.nodes),
 		Order:    order,
+		Report:   e.Report(),
 		Strategy: "wts",
-	}
-	for _, i := range heavy {
-		var final []uint64
-		ib := e.Inbox(in.nodes[i])
-		for mi := 0; mi < ib.Len(); mi++ {
-			m := ib.At(mi)
-			if m.Tag == netsim.TagData {
-				final = append(final, m.Keys...)
-			}
-		}
-		sortU64(final)
-		res.PerNode[i] = final
-	}
-	res.Report = e.Report()
-	return res, nil
+	}, nil
 }
 
 // chooseSplitters picks the k−1 splitters of round 3: with

@@ -400,3 +400,39 @@ func TestRoundMisusePanics(t *testing.T) {
 		rd.Send(vs[0], vs[1], TagData, nil)
 	})
 }
+
+// TestInboxKeysByTag: KeyCount, AppendKeys and Keys select the messages of
+// one tag, keep delivery order, and Keys hands out a copy the caller owns.
+func TestInboxKeysByTag(t *testing.T) {
+	tr, err := topology.Star([]float64{1, 1, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vs := tr.ComputeNodes()
+	e := NewEngine(tr)
+	x := e.Exchange()
+	x.Out(vs[0]).Send(vs[2], TagR, []uint64{5, 1})
+	x.Out(vs[0]).Send(vs[2], TagS, []uint64{7})
+	x.Out(vs[1]).Send(vs[2], TagR, []uint64{3})
+	x.Out(vs[1]).Send(vs[2], TagR, nil)
+	x.Execute()
+	ib := e.Inbox(vs[2])
+	if got := ib.KeyCount(TagR); got != 3 {
+		t.Fatalf("KeyCount(TagR) = %d, want 3", got)
+	}
+	want := []uint64{9, 5, 1, 3}
+	if got := ib.AppendKeys([]uint64{9}, TagR); !reflect.DeepEqual(got, want) {
+		t.Fatalf("AppendKeys(TagR) = %v, want %v", got, want)
+	}
+	keys := ib.Keys(TagS)
+	if !reflect.DeepEqual(keys, []uint64{7}) || cap(keys) != 1 {
+		t.Fatalf("Keys(TagS) = %v (cap %d), want [7] at its final size", keys, cap(keys))
+	}
+	keys[0] = 0
+	if ib.At(1).Keys[0] != 7 {
+		t.Fatal("Keys aliases the inbox pool")
+	}
+	if ib.Keys(TagData) != nil || e.Inbox(vs[0]).Keys(TagR) != nil {
+		t.Fatal("Keys of an absent tag must be nil")
+	}
+}

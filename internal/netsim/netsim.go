@@ -154,6 +154,42 @@ func (in Inbox) At(i int) Message {
 	}
 }
 
+// KeyCount reports how many keys the delivered tag messages carry in total.
+func (in Inbox) KeyCount(tag Tag) int {
+	n, lo := 0, int32(0)
+	for i, hi := range in.ib.end {
+		if in.ib.tag[i] == tag {
+			n += int(hi - lo)
+		}
+		lo = hi
+	}
+	return n
+}
+
+// AppendKeys appends the payloads of the delivered tag messages to dst, in
+// delivery order, and returns the extended slice.
+func (in Inbox) AppendKeys(dst []uint64, tag Tag) []uint64 {
+	lo := int32(0)
+	for i, hi := range in.ib.end {
+		if in.ib.tag[i] == tag {
+			dst = append(dst, in.ib.pool[lo:hi]...)
+		}
+		lo = hi
+	}
+	return dst
+}
+
+// Keys is the concatenated payload of the delivered tag messages as a fresh
+// slice the caller owns, allocated once at its final size; nil when there
+// are none. It is the receive step of a node's local compute.
+func (in Inbox) Keys(tag Tag) []uint64 {
+	n := in.KeyCount(tag)
+	if n == 0 {
+		return nil
+	}
+	return in.AppendKeys(make([]uint64, 0, n), tag)
+}
+
 // Engine executes rounds on a fixed tree and accumulates cost statistics.
 type Engine struct {
 	t  *topology.Tree

@@ -353,3 +353,34 @@ func SerialSortUint64(a, tmp []uint64) ([]uint64, []uint64) {
 	}
 	return src, dst
 }
+
+// SortUnique sorts a as SortUint64 does and drops repeated keys: a key
+// multiset in, the ascending key set out. Returns the set and the scratch
+// buffer, which may have swapped roles.
+func (p *Pool) SortUnique(a, tmp []uint64) (set, scratch []uint64) {
+	a, tmp = p.SortUint64(a, tmp)
+	return slices.Compact(a), tmp
+}
+
+// IntersectSorted appends to dst the keys present in both a and b, each of
+// which must be ascending and free of repeats (SortUnique's output); what it
+// appends is ascending and free of repeats too. One merge pass, no
+// allocation beyond dst's growth. dst may be a[:0] or b[:0]: the write
+// position never passes either read position.
+func IntersectSorted(dst, a, b []uint64) []uint64 {
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		x, y := a[i], b[j]
+		switch {
+		case x < y:
+			i++
+		case x > y:
+			j++
+		default:
+			dst = append(dst, x)
+			i++
+			j++
+		}
+	}
+	return dst
+}

@@ -156,3 +156,103 @@ func TestUninstrumentedNoAllocs(t *testing.T) {
 		t.Fatalf("single-worker Blocks allocated %.1f/op, want 0", allocs)
 	}
 }
+
+// TestSortsMatchStandardSort is the differential table of both radix sorts
+// against slices.Sort: lengths on either side of the insertion-sort cutoff
+// (64) and of the fork threshold (two shards need 2·32768 keys), on key
+// shapes that exercise the lane skipping — no lane varies, every lane
+// varies, and only the last pass (the top byte) runs.
+func TestSortsMatchStandardSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	shapes := []struct {
+		name string
+		key  func(i, n int) uint64
+	}{
+		{"random", func(int, int) uint64 { return rng.Uint64() }},
+		{"all-equal", func(int, int) uint64 { return 0xdeadbeefcafe }},
+		{"descending", func(i, n int) uint64 { return uint64(n-i) * 0x0101010101 }},
+		{"top-byte", func(int, int) uint64 { return uint64(rng.Intn(256))<<56 | 0x00aabbccddeeff11 }},
+	}
+	for _, n := range []int{0, 1, 63, 64, 65, 32767, 65536} {
+		for _, sh := range shapes {
+			in := make([]uint64, n)
+			for i := range in {
+				in[i] = sh.key(i, n)
+			}
+			want := slices.Clone(in)
+			slices.Sort(want)
+			if got, _ := SerialSortUint64(slices.Clone(in), nil); !slices.Equal(got, want) {
+				t.Errorf("SerialSortUint64 %s n=%d: mismatch", sh.name, n)
+			}
+			for _, workers := range []int{1, 2, 8} {
+				if got, _ := New(workers).SortUint64(slices.Clone(in), nil); !slices.Equal(got, want) {
+					t.Errorf("SortUint64 %s n=%d workers=%d: mismatch", sh.name, n, workers)
+				}
+			}
+		}
+	}
+}
+
+// TestSetKernelsMatchMapReference is a seeded property loop over the set
+// kernels: SortUnique must return the ascending distinct keys of its input
+// and IntersectSorted the ascending common keys of two such sets, as a map
+// computes them, at every worker count. The scratch buffer and the two key
+// buffers are carried from iteration to iteration the way intersect.finish
+// carries them from home to home, and the in-place form (dst = a[:0]) is
+// checked against the appending one.
+func TestSetKernelsMatchMapReference(t *testing.T) {
+	setOf := func(keys []uint64) map[uint64]bool {
+		m := make(map[uint64]bool, len(keys))
+		for _, k := range keys {
+			m[k] = true
+		}
+		return m
+	}
+	ascending := func(m map[uint64]bool) []uint64 {
+		out := make([]uint64, 0, len(m))
+		for k := range m {
+			out = append(out, k)
+		}
+		slices.Sort(out)
+		return out
+	}
+	for _, workers := range []int{1, 2, 8} {
+		p := New(workers)
+		rng := rand.New(rand.NewSource(int64(100 + workers)))
+		var a, b, tmp []uint64
+		for iter := 0; iter < 100; iter++ {
+			// A small domain forces repeats and overlap; every tenth
+			// iteration is large enough to fork, and some sides are empty.
+			dom := 1 + rng.Intn(5000)
+			na, nb := rng.Intn(400), rng.Intn(400)
+			if iter%10 == 9 {
+				dom, na, nb = 1<<17, 70_000+rng.Intn(10_000), 70_000+rng.Intn(10_000)
+			}
+			a, b = a[:0], b[:0]
+			for i := 0; i < na; i++ {
+				a = append(a, uint64(rng.Intn(dom))<<uint(8*rng.Intn(7)))
+			}
+			for i := 0; i < nb; i++ {
+				b = append(b, uint64(rng.Intn(dom))<<uint(8*rng.Intn(7)))
+			}
+			inA, inB := setOf(a), setOf(b)
+			a, tmp = p.SortUnique(a, tmp)
+			b, tmp = p.SortUnique(b, tmp)
+			if !slices.Equal(a, ascending(inA)) || !slices.Equal(b, ascending(inB)) {
+				t.Fatalf("workers=%d iter %d: SortUnique differs from the map's key set", workers, iter)
+			}
+			for k := range inA {
+				if !inB[k] {
+					delete(inA, k)
+				}
+			}
+			want := ascending(inA)
+			if got := IntersectSorted(nil, a, b); !slices.Equal(got, want) {
+				t.Fatalf("workers=%d iter %d: IntersectSorted has %d keys, map reference %d", workers, iter, len(got), len(want))
+			}
+			if got := IntersectSorted(a[:0], a, b); !slices.Equal(got, want) {
+				t.Fatalf("workers=%d iter %d: in-place IntersectSorted differs", workers, iter)
+			}
+		}
+	}
+}

@@ -8,8 +8,10 @@ import (
 	"topompc/internal/core/cartesian"
 	"topompc/internal/core/intersect"
 	"topompc/internal/core/join"
+	"topompc/internal/core/sorting"
 	"topompc/internal/dataset"
 	"topompc/internal/netsim"
+	"topompc/internal/topology"
 )
 
 // TaskInput is the generic input to a registered task. Pair tasks
@@ -218,7 +220,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			return sortResult(in, res)
+			return sortResult(c, in, res)
 		},
 	})
 	mustRegister(Task{
@@ -230,7 +232,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			return sortResult(in, res)
+			return sortResult(c, in, res)
 		},
 	})
 	mustRegister(Task{
@@ -242,7 +244,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			return sortResult(in, res)
+			return sortResult(c, in, res)
 		},
 	})
 	mustRegister(Task{
@@ -254,7 +256,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			return sortResult(in, res)
+			return sortResult(c, in, res)
 		},
 	})
 	mustRegister(Task{
@@ -459,14 +461,9 @@ func init() {
 }
 
 func intersectResult(in TaskInput, res *IntersectResult) (*TaskResult, error) {
-	want := intersect.Reference(dataset.Placement(in.R), dataset.Placement(in.S))
-	if len(want) != len(res.Keys) {
-		return nil, fmt.Errorf("intersect: output has %d keys, want %d", len(res.Keys), len(want))
-	}
-	for i := range want {
-		if want[i] != res.Keys[i] {
-			return nil, fmt.Errorf("intersect: output mismatch at %d", i)
-		}
+	err := intersect.Verify(dataset.Placement(in.R), dataset.Placement(in.S), &intersect.Result{Output: res.Keys})
+	if err != nil {
+		return nil, err
 	}
 	return &TaskResult{
 		Summary: fmt.Sprintf("|R|=%d |S|=%d |R∩S|=%d", sizes(in.R), sizes(in.S), len(res.Keys)),
@@ -475,42 +472,18 @@ func intersectResult(in TaskInput, res *IntersectResult) (*TaskResult, error) {
 	}, nil
 }
 
-func sortResult(in TaskInput, res *SortResult) (*TaskResult, error) {
-	var n int64
-	var all, out []uint64
-	for _, f := range in.Data {
-		n += int64(len(f))
-		all = append(all, f...)
+func sortResult(c *Cluster, in TaskInput, res *SortResult) (*TaskResult, error) {
+	nodes := c.t.ComputeNodes()
+	order := make([]topology.NodeID, len(res.NodeOrder))
+	for j, i := range res.NodeOrder {
+		order[j] = nodes[i]
 	}
-	last := uint64(0)
-	started := false
-	for _, i := range res.NodeOrder {
-		frag := res.PerNode[i]
-		out = append(out, frag...)
-		for j, k := range frag {
-			if j > 0 && frag[j-1] > k {
-				return nil, fmt.Errorf("sort: node %d fragment not sorted", i)
-			}
-			if started && k < last {
-				return nil, fmt.Errorf("sort: global order violated at node %d", i)
-			}
-			last = k
-			started = true
-		}
-	}
-	// Multiset equality: the output is a permutation of the input.
-	if len(out) != len(all) {
-		return nil, fmt.Errorf("sort: output has %d elements, want %d", len(out), len(all))
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	for i := range all {
-		if all[i] != out[i] {
-			return nil, fmt.Errorf("sort: output is not a permutation of the input (mismatch at %d)", i)
-		}
+	err := sorting.Verify(c.t, dataset.Placement(in.Data), &sorting.Result{PerNode: res.PerNode, Order: order})
+	if err != nil {
+		return nil, err
 	}
 	return &TaskResult{
-		Summary: fmt.Sprintf("N=%d nodes=%d", n, len(res.PerNode)),
+		Summary: fmt.Sprintf("N=%d nodes=%d", sizes(in.Data), len(res.PerNode)),
 		Cost:    res.Cost,
 		Report:  res.Report,
 	}, nil

@@ -455,6 +455,16 @@ func (c *Cluster) SortAwareBaseline(data [][]uint64, seed uint64) (*SortResult, 
 	})
 }
 
+type fragmentIndexMemoKey struct{}
+
+// fragmentIndex maps each compute node's NodeID to its fragment index (its
+// position in ComputeNodes); built once per tree.
+func (c *Cluster) fragmentIndex() []int {
+	return c.t.Memo(fragmentIndexMemoKey{}, func() any {
+		return c.t.OrderIndex(c.t.ComputeNodes())
+	}).([]int)
+}
+
 func (c *Cluster) sortWith(data [][]uint64, run func(dataset.Placement) (*sorting.Result, error)) (*SortResult, error) {
 	if err := c.checkFragments("data", data); err != nil {
 		return nil, err
@@ -464,10 +474,7 @@ func (c *Cluster) sortWith(data [][]uint64, run func(dataset.Placement) (*sortin
 		return nil, err
 	}
 	lb := lowerbound.Sorting(c.t, c.loads(data))
-	idx := make(map[topology.NodeID]int, c.t.NumCompute())
-	for i, v := range c.t.ComputeNodes() {
-		idx[v] = i
-	}
+	idx := c.fragmentIndex()
 	order := make([]int, 0, len(res.Order))
 	for _, v := range res.Order {
 		order = append(order, idx[v])
