@@ -62,6 +62,19 @@ func BenchmarkCCContraction100k(b *testing.B) {
 	}
 }
 
+// BenchmarkSpanningForest100k is the witness path on the same input: the
+// same contraction with (b, wu, wv)-keyed minima and four-word proposals.
+func BenchmarkSpanningForest100k(b *testing.B) {
+	tr, edges := benchInput(b, 100_000, 4.0/100_000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := SpanningForest(tr, edges, 42); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkCCContraction100kMaps is the map-based baseline at the same
 // scale point.
 func BenchmarkCCContraction100kMaps(b *testing.B) {

@@ -51,10 +51,16 @@ func SpanningForest(t *topology.Tree, edges Placement, seed uint64, opts ...nets
 // being cleared, batching groups by destination home with counting buckets
 // instead of hash maps or packed sorts, scratch lists sort with an LSD
 // radix that skips constant byte lanes, and outgoing payloads are carved
-// from per-node arenas so steady-state phases allocate almost nothing. The serial relabel walk additionally pre-combines the
-// next phase's proposal minima and pre-dedups its lookup needs with
-// stamped arrays, so the per-round planning callbacks only sort lists that
-// are already distinct.
+// from per-node arenas so steady-state phases allocate almost nothing.
+//
+// Proposals are min-combined in linear work in both modes: the relabel
+// walk folds every active edge into stamped per-label minima (witness mode
+// keys them (b, wu, wv), the betterProp order, and carries the winning edge
+// along), radix-sorts the distinct labels it touched, four bytes apiece,
+// and builds the next phase's proposal list from the minima in that order;
+// a combining carrier folds its members' lists into its own the same way.
+// The lookup needs dedup against the same stamps. No comparator sort, and
+// no sort of candidates rather than labels, runs on the data path.
 //
 // The wire protocol is unchanged except that messages carry indices
 // instead of ids. The renumbering is order-preserving and homes are still
@@ -66,61 +72,14 @@ func SpanningForest(t *topology.Tree, edges Placement, seed uint64, opts ...nets
 // plus the original witness endpoint indices.
 type workEdge struct{ a, b, wu, wv int32 }
 
-// propPair is a witness-mode min-neighbor proposal packed for sorting:
-// k1 = a<<32|b and k2 = wu<<32|wv, so ascending (k1, k2) order is exactly
-// the betterProp total order (b, wu, wv) within each label a, and the
-// first entry of a run of equal a is the combined minimum.
+// propPair is a witness-mode min-neighbor proposal: k1 = a<<32|b and
+// k2 = wu<<32|wv, so within one label a the betterProp total order
+// (b, wu, wv) is ascending (k1, k2).
 //
 // Non-witness proposals skip the struct entirely: the wire drops the
 // witness halves, so equal (a, b) entries are indistinguishable and the
-// minima are computed over bare k1 keys.
+// minima are bare k1 keys.
 type propPair struct{ k1, k2 uint64 }
-
-func cmpPropPair(x, y propPair) int {
-	if x.k1 != y.k1 {
-		if x.k1 < y.k1 {
-			return -1
-		}
-		return 1
-	}
-	if x.k2 != y.k2 {
-		if x.k2 < y.k2 {
-			return -1
-		}
-		return 1
-	}
-	return 0
-}
-
-// compactMinPairs keeps the first (minimal) entry per label of a sorted
-// pair slice.
-func compactMinPairs(prs []propPair) []propPair {
-	out := prs[:0]
-	var last uint64
-	for i, p := range prs {
-		a := p.k1 >> 32
-		if i == 0 || a != last {
-			out = append(out, p)
-			last = a
-		}
-	}
-	return out
-}
-
-// compactMinK1 keeps the first (minimal) key per label of a sorted packed
-// a<<32|b key slice.
-func compactMinK1(ks []uint64) []uint64 {
-	out := ks[:0]
-	var last uint64
-	for i, k := range ks {
-		a := k >> 32
-		if i == 0 || a != last {
-			out = append(out, k)
-			last = a
-		}
-	}
-	return out
-}
 
 // radixSortInt32 is par.SerialSortUint64's LSD byte radix (constant lanes
 // skipped) for non-negative int32 index lists.
@@ -238,8 +197,8 @@ type memberNeed struct {
 // owns the node's home index, so neither concurrent Plan nor the parallel
 // receipt loops ever race.
 type nodeScratch struct {
-	pairs    []propPair     // witness-mode proposal minima, sorted per label
-	k1s      []uint64       // non-witness proposal minima (one per label)
+	pairs    []propPair     // witness-mode proposal minima, one per label, ascending
+	k1s      []uint64       // non-witness proposal minima, one per label, ascending
 	k1tmp    []uint64       // radix scratch
 	need     []int32        // register vertex set / jump query scratch
 	nextNeed []int32        // precollected distinct lookup needs
@@ -250,25 +209,58 @@ type nodeScratch struct {
 	ptmp     []propPair     // emit grouping: home-radix scratch (witness)
 }
 
-// collectScratch is one pool shard's stamped dedup/min-combine arrays for
-// the relabel-time collection walks. Each shard owns a private copy, so
-// homes processed concurrently never share stamps; the per-home results
-// depend only on that home's input order, never on which shard ran it, so
-// they are identical for every worker count.
+// collectScratch is one pool shard's stamped min-combine arrays for the
+// relabel-time collection walks and the propose up-receipt. Each shard owns
+// a private copy, so homes processed concurrently never share stamps; a
+// minimum does not depend on the order its candidates are offered in and
+// the offered labels are sorted before anything is built from them, so the
+// per-home results are identical for every worker count.
 type collectScratch struct {
 	dstamp int32
-	seenAt []int32
 	minAt  []int32
 	minB   []int32
+	minW   []uint64 // witness mode: packed witness edge of the minimum
+	labels []int32  // the labels offered in the current epoch, each once
+	ltmp   []int32  // radix scratch of labels
 }
 
-// ensure sizes the stamp arrays for nV labels, lazily: shards that never
-// run a collection walk cost nothing.
-func (ws *collectScratch) ensure(nV int) {
-	if len(ws.seenAt) < nV {
-		ws.seenAt = make([]int32, nV)
+// begin opens a fresh validity epoch over nV labels and returns its stamp.
+// The arrays are sized lazily: shards that never combine cost nothing.
+func (ws *collectScratch) begin(nV int, witness bool) int32 {
+	if len(ws.minAt) < nV {
 		ws.minAt = make([]int32, nV)
 		ws.minB = make([]int32, nV)
+	}
+	if witness && len(ws.minW) < nV {
+		ws.minW = make([]uint64, nV)
+	}
+	ws.labels = ws.labels[:0]
+	ws.dstamp++
+	return ws.dstamp
+}
+
+// offer folds the non-witness proposal a→b into epoch st's minima.
+func (ws *collectScratch) offer(st, a, b int32) {
+	if ws.minAt[a] != st {
+		ws.minAt[a] = st
+		ws.minB[a] = b
+		ws.labels = append(ws.labels, a)
+	} else if b < ws.minB[a] {
+		ws.minB[a] = b
+	}
+}
+
+// offerW is offer under the witness order: ties on b break on the packed
+// witness edge w = wu<<32|wv, exactly betterProp's (b, wu, wv).
+func (ws *collectScratch) offerW(st, a, b int32, w uint64) {
+	if ws.minAt[a] != st {
+		ws.minAt[a] = st
+		ws.minB[a] = b
+		ws.minW[a] = w
+		ws.labels = append(ws.labels, a)
+	} else if mb := ws.minB[a]; b < mb || (b == mb && w < ws.minW[a]) {
+		ws.minB[a] = b
+		ws.minW[a] = w
 	}
 }
 
@@ -316,7 +308,6 @@ func (pr *proto) trimScratch(i int) int64 {
 	pr.active[i] = trimSlice(pr.active[i], &n)
 	pr.aliveList[i] = trimSlice(pr.aliveList[i], &n)
 	bound := 2*len(pr.active[i]) + len(pr.aliveList[i])
-	sc.pairs = dropSlice(sc.pairs, bound, &n)
 	sc.k1tmp = dropSlice(sc.k1tmp, bound, &n)
 	sc.need = dropSlice(sc.need, bound, &n)
 	sc.ndtmp = dropSlice(sc.ndtmp, bound, &n)
@@ -325,11 +316,13 @@ func (pr *proto) trimScratch(i int) int64 {
 	sc.ptmp = dropSlice(sc.ptmp, bound, &n)
 	pr.hooked[i] = dropSlice(pr.hooked[i], len(pr.aliveList[i]), &n)
 	if pr.fast {
-		// Fast phases rebuild both lists from a fresh adjacency round.
+		// Fast phases rebuild both lists from a fresh adjacency round (and
+		// never hold witness pairs).
 		sc.k1s = dropSlice(sc.k1s, bound, &n)
 		sc.nextNeed = dropSlice(sc.nextNeed, bound, &n)
 	} else {
 		// The Borůvka path precollected next-phase contents into them.
+		sc.pairs = trimSlice(sc.pairs, &n)
 		sc.k1s = trimSlice(sc.k1s, &n)
 		sc.nextNeed = trimSlice(sc.nextNeed, &n)
 	}
@@ -526,23 +519,22 @@ func (pr *proto) register() {
 				pr.scr[i].need = pr.scr[i].need[:0] // forwarded up
 				return
 			}
-			nd := pr.scr[i].need
-			grew := false
 			ib := pr.e.Inbox(pr.nodes[i])
+			n := ib.KeyCount(tagVertexUp)
+			if n == 0 {
+				return
+			}
+			nd := slices.Grow(pr.scr[i].need, n)
 			for mi := 0; mi < ib.Len(); mi++ {
 				msg := ib.At(mi)
 				if msg.Tag != tagVertexUp {
 					continue
 				}
-				grew = true
 				for _, x := range msg.Keys {
 					nd = append(nd, int32(x))
 				}
 			}
-			if grew {
-				nd = pr.sortDedup(i, nd)
-			}
-			pr.scr[i].need = nd
+			pr.scr[i].need = pr.sortDedup(i, nd)
 		})
 	}
 	final := len(pr.steps) == 0
@@ -577,103 +569,91 @@ func (pr *proto) register() {
 }
 
 // collectNext pre-combines, from node i's freshly relabeled state, what
-// the next phase's planning rounds will send: the distinct per-label
-// proposal minima of its active edges (non-witness; witness carries edge
-// identities and rebuilds in prepProps) and the distinct lookup needs —
-// active endpoint labels plus homed vertex labels. The stamped arrays
-// (owned by the calling pool shard) dedup in O(1) per candidate; only the
-// shrunken distinct lists get sorted later, inside the planning callbacks.
+// the next phase's planning rounds will send: the per-label proposal minima
+// of its active edges, label-ascending as the wire carries them, and the
+// distinct lookup needs — active endpoint labels plus homed vertex labels,
+// which the lookup planning sorts. The stamped arrays (owned by the calling
+// pool shard) combine in O(1) per candidate, so only the distinct labels
+// are ever sorted, four bytes apiece, and the lists are built at their
+// final size.
 func (pr *proto) collectNext(i int, ws *collectScratch) {
 	sc := &pr.scr[i]
-	ws.ensure(len(pr.label))
-	if !pr.witness {
-		ws.dstamp++
-		mst := ws.dstamp
-		ks := sc.k1s[:0]
+	st := ws.begin(len(pr.label), pr.witness)
+	if pr.witness {
 		for _, ed := range pr.active[i] {
-			if ws.minAt[ed.a] != mst {
-				ws.minAt[ed.a] = mst
-				ws.minB[ed.a] = ed.b
-				ks = append(ks, 0) // reserved; rewritten below
-			} else if ed.b < ws.minB[ed.a] {
-				ws.minB[ed.a] = ed.b
-			}
-			if ws.minAt[ed.b] != mst {
-				ws.minAt[ed.b] = mst
-				ws.minB[ed.b] = ed.a
-				ks = append(ks, 0)
-			} else if ed.a < ws.minB[ed.b] {
-				ws.minB[ed.b] = ed.a
-			}
+			w := uint64(uint32(ed.wu))<<32 | uint64(uint32(ed.wv))
+			ws.offerW(st, ed.a, ed.b, w)
+			ws.offerW(st, ed.b, ed.a, w)
 		}
-		// Rewrite the reserved slots with the final minima, in first-touch
-		// order; the radix sort at propose time orders them by label.
-		k := 0
-		ws.dstamp++
-		done := ws.dstamp
+	} else {
 		for _, ed := range pr.active[i] {
-			if ws.minAt[ed.a] != done {
-				ws.minAt[ed.a] = done
-				ks[k] = uint64(uint32(ed.a))<<32 | uint64(uint32(ws.minB[ed.a]))
-				k++
-			}
-			if ws.minAt[ed.b] != done {
-				ws.minAt[ed.b] = done
-				ks[k] = uint64(uint32(ed.b))<<32 | uint64(uint32(ws.minB[ed.b]))
-				k++
-			}
-		}
-		sc.k1s = ks
-	}
-	ws.dstamp++
-	nst := ws.dstamp
-	nd := sc.nextNeed[:0]
-	for _, ed := range pr.active[i] {
-		if ws.seenAt[ed.a] != nst {
-			ws.seenAt[ed.a] = nst
-			nd = append(nd, ed.a)
-		}
-		if ws.seenAt[ed.b] != nst {
-			ws.seenAt[ed.b] = nst
-			nd = append(nd, ed.b)
+			ws.offer(st, ed.a, ed.b)
+			ws.offer(st, ed.b, ed.a)
 		}
 	}
+	pr.buildProps(i, ws)
+	// The epoch's labels are exactly the active endpoint labels; the minima
+	// are built, so the homed labels dedup against the same stamps.
+	nd := append(slices.Grow(sc.nextNeed[:0], len(ws.labels)+len(pr.homedVerts[i])), ws.labels...)
 	for _, v := range pr.homedVerts[i] {
-		if r := pr.label[v]; ws.seenAt[r] != nst {
-			ws.seenAt[r] = nst
+		if r := pr.label[v]; ws.minAt[r] != st {
+			ws.minAt[r] = st
 			nd = append(nd, r)
 		}
 	}
 	sc.nextNeed = nd
 }
 
-// prepProps builds witness-mode proposal minima from scratch: the packed
-// witness edge rides through a comparator sort so ties break on (wu, wv)
-// exactly as the map path did.
-func (pr *proto) prepProps(i int) {
-	prs := pr.scr[i].pairs[:0]
-	for _, ed := range pr.active[i] {
-		w := uint64(uint32(ed.wu))<<32 | uint64(uint32(ed.wv))
-		prs = append(prs,
-			propPair{k1: uint64(uint32(ed.a))<<32 | uint64(uint32(ed.b)), k2: w},
-			propPair{k1: uint64(uint32(ed.b))<<32 | uint64(uint32(ed.a)), k2: w})
-	}
-	slices.SortFunc(prs, cmpPropPair)
-	pr.scr[i].pairs = compactMinPairs(prs)
-}
-
-// finalizeProps orders node i's precollected non-witness minima by label.
-func (pr *proto) finalizeProps(i int) {
+// mergeProps folds the proposals node i's members sent up into the
+// carrier's own minima, leaving the union label-ascending with one entry
+// per label: the carrier's list seeds a fresh epoch, the members' entries
+// are offered into it, and the list is rebuilt from the combined minima.
+func (pr *proto) mergeProps(i int, ws *collectScratch, ib netsim.Inbox) {
 	sc := &pr.scr[i]
-	sc.k1s, sc.k1tmp = par.SerialSortUint64(sc.k1s, sc.k1tmp)
+	st := ws.begin(len(pr.label), pr.witness)
+	for _, p := range sc.pairs { // empty unless witness
+		ws.offerW(st, int32(p.k1>>32), int32(uint32(p.k1)), p.k2)
+	}
+	for _, k := range sc.k1s { // empty when witness
+		ws.offer(st, int32(k>>32), int32(uint32(k)))
+	}
+	for mi := 0; mi < ib.Len(); mi++ {
+		m := ib.At(mi)
+		if m.Tag != tagProposeUp {
+			continue
+		}
+		if pr.witness {
+			for k := 0; k+4 <= len(m.Keys); k += 4 {
+				ws.offerW(st, int32(m.Keys[k]), int32(m.Keys[k+1]), m.Keys[k+2]<<32|m.Keys[k+3])
+			}
+		} else {
+			for k := 0; k+2 <= len(m.Keys); k += 2 {
+				ws.offer(st, int32(m.Keys[k]), int32(m.Keys[k+1]))
+			}
+		}
+	}
+	pr.buildProps(i, ws)
 }
 
-// startProps prepares node i's proposal minima at the start of propose.
-func (pr *proto) startProps(i int) {
+// buildProps rebuilds node i's proposal list from the epoch's combined
+// minima: the offered labels are radix-sorted, four bytes apiece, and the
+// list is written once, at its final size, in the label-ascending order
+// every proposal message carries.
+func (pr *proto) buildProps(i int, ws *collectScratch) {
+	sc := &pr.scr[i]
+	ws.labels, ws.ltmp = radixSortInt32(ws.labels, ws.ltmp)
 	if pr.witness {
-		pr.prepProps(i)
+		prs := slices.Grow(sc.pairs[:0], len(ws.labels))
+		for _, a := range ws.labels {
+			prs = append(prs, propPair{k1: uint64(uint32(a))<<32 | uint64(uint32(ws.minB[a])), k2: ws.minW[a]})
+		}
+		sc.pairs = prs
 	} else {
-		pr.finalizeProps(i)
+		ks := slices.Grow(sc.k1s[:0], len(ws.labels))
+		for _, a := range ws.labels {
+			ks = append(ks, uint64(uint32(a))<<32|uint64(uint32(ws.minB[a])))
+		}
+		sc.k1s = ks
 	}
 }
 
@@ -725,69 +705,26 @@ func (pr *proto) encodeProps(i int) []uint64 {
 func (pr *proto) propose() {
 	for si := range pr.steps {
 		st := pr.steps[si]
-		first := si == 0
 		pr.round(func(i int, out *netsim.Outbox) {
-			if first {
-				pr.startProps(i)
-			}
 			if st.Target[i] != i && pr.numProps(i) > 0 {
 				out.Send(pr.nodes[st.Target[i]], tagProposeUp, pr.encodeProps(i))
 			}
 		})
-		pr.pool.ForEach("cc propose up receipt", len(pr.nodes), func(i int) {
-			if st.Target[i] != i {
-				pr.scr[i].pairs = pr.scr[i].pairs[:0] // forwarded up
-				pr.scr[i].k1s = pr.scr[i].k1s[:0]
-				return
-			}
-			grew := false
-			if pr.witness {
-				prs := pr.scr[i].pairs
-				ib := pr.e.Inbox(pr.nodes[i])
-				for mi := 0; mi < ib.Len(); mi++ {
-					m := ib.At(mi)
-					if m.Tag == tagProposeUp {
-						grew = true
-						for k := 0; k+4 <= len(m.Keys); k += 4 {
-							prs = append(prs, propPair{
-								k1: m.Keys[k]<<32 | m.Keys[k+1],
-								k2: m.Keys[k+2]<<32 | m.Keys[k+3],
-							})
-						}
-					}
+		pr.pool.Blocks("cc propose up receipt", len(pr.nodes), func(shard, lo, hi int) {
+			ws := &pr.wscr[shard]
+			for i := lo; i < hi; i++ {
+				if st.Target[i] != i {
+					pr.scr[i].pairs = pr.scr[i].pairs[:0] // forwarded up
+					pr.scr[i].k1s = pr.scr[i].k1s[:0]
+					continue
 				}
-				if grew {
-					slices.SortFunc(prs, cmpPropPair)
-					prs = compactMinPairs(prs)
+				if ib := pr.e.Inbox(pr.nodes[i]); ib.KeyCount(tagProposeUp) > 0 {
+					pr.mergeProps(i, ws, ib)
 				}
-				pr.scr[i].pairs = prs
-			} else {
-				ks := pr.scr[i].k1s
-				ib := pr.e.Inbox(pr.nodes[i])
-				for mi := 0; mi < ib.Len(); mi++ {
-					m := ib.At(mi)
-					if m.Tag == tagProposeUp {
-						grew = true
-						for k := 0; k+2 <= len(m.Keys); k += 2 {
-							ks = append(ks, m.Keys[k]<<32|m.Keys[k+1])
-						}
-					}
-				}
-				if grew {
-					ks, pr.scr[i].k1tmp = par.SerialSortUint64(ks, pr.scr[i].k1tmp)
-					ks = compactMinK1(ks)
-				}
-				pr.scr[i].k1s = ks
 			}
 		})
 	}
-	direct := len(pr.steps) == 0
-	pr.round(func(i int, out *netsim.Outbox) {
-		if direct {
-			pr.startProps(i)
-		}
-		pr.emitProposals(i, out)
-	})
+	pr.round(pr.emitProposals)
 	// Proposals target the label's home, so shard i min-merges only
 	// best-array entries homed at node i.
 	pr.pool.ForEach("cc propose receipt", len(pr.nodes), func(i int) {
@@ -1075,27 +1012,29 @@ func (pr *proto) lookups() {
 				pr.scr[i].nextNeed = pr.scr[i].nextNeed[:0] // forwarded up
 				return
 			}
-			nd := pr.scr[i].nextNeed
-			grew := false
 			ib := pr.e.Inbox(pr.nodes[i])
+			n := ib.KeyCount(tagLookupUp)
+			if n == 0 {
+				return
+			}
+			sc := &pr.scr[i]
+			nd := slices.Grow(sc.nextNeed, n)
+			buf := slices.Grow(sc.needBuf, n)
 			for mi := 0; mi < ib.Len(); mi++ {
 				msg := ib.At(mi)
 				if msg.Tag != tagLookupUp {
 					continue
 				}
-				grew = true
-				lo := int32(len(pr.scr[i].needBuf))
+				lo := int32(len(buf))
 				for _, xk := range msg.Keys {
-					pr.scr[i].needBuf = append(pr.scr[i].needBuf, int32(xk))
+					buf = append(buf, int32(xk))
 					nd = append(nd, int32(xk))
 				}
-				pr.scr[i].members[si] = append(pr.scr[i].members[si],
-					memberNeed{from: msg.From, lo: lo, hi: int32(len(pr.scr[i].needBuf))})
+				sc.members[si] = append(sc.members[si],
+					memberNeed{from: msg.From, lo: lo, hi: int32(len(buf))})
 			}
-			if grew {
-				nd = pr.sortDedup(i, nd)
-			}
-			pr.scr[i].nextNeed = nd
+			sc.needBuf = buf
+			sc.nextNeed = pr.sortDedup(i, nd)
 		})
 	}
 
@@ -1361,15 +1300,16 @@ func newProto(tr *topology.Tree, edges Placement, seed uint64, aware, witness bo
 
 	pr.pool.ForEach("cc initial scan", len(edges), func(i int) {
 		frag := edges[i]
-		nd := pr.scr[i].need
+		nd := make([]int32, 0, 2*len(frag))
+		act := make([]workEdge, 0, len(frag))
 		for _, ed := range frag {
 			u, v := pr.idxOf(ed.U), pr.idxOf(ed.V)
 			nd = append(nd, u, v)
 			if u != v {
-				pr.active[i] = append(pr.active[i], workEdge{a: u, b: v, wu: u, wv: v})
+				act = append(act, workEdge{a: u, b: v, wu: u, wv: v})
 			}
 		}
-		pr.scr[i].need = nd
+		pr.scr[i].need, pr.active[i] = nd, act
 	})
 	return pr, nil
 }

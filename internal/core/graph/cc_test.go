@@ -240,28 +240,64 @@ func TestCCDeterministicAcrossWorkers(t *testing.T) {
 
 // TestCCScratchTrims pins the contraction-time memory release: on an input
 // big enough to cross the trim floor, the relabel walk must release or
-// shrink scratch as the graph contracts, and the run must stay correct.
+// shrink scratch as the graph contracts, and the run must stay correct —
+// in witness mode too, whose precollected proposal pairs ride through the
+// trim into the next phase. The witness input is a path under shuffled ids,
+// which contracts by a small factor per phase, so buffers cross the trim
+// threshold while edges are still active; a trim that lost the pairs there
+// would still converge, only later and dearer, so phases, cost and forest
+// are held to the map oracle, which never trims.
 func TestCCScratchTrims(t *testing.T) {
 	tree := testTrees(t)["star"]
 	rng := rand.New(rand.NewSource(13))
-	packed, err := dataset.GNP(rng, 40_000, 1.5e-4)
+	const n = 40_000
+	gnp, err := dataset.GNP(rng, n, 1.5e-4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl := placeEdges(packed, tree.NumCompute())
-	ref := Reference(pl)
-	reg := obs.NewRegistry()
-	res, err := CC(tree, pl, 42, netsim.WithMetrics(reg))
-	if err != nil {
-		t.Fatal(err)
+	ids := rng.Perm(n)
+	path := make([]uint64, n-1)
+	for k := range path {
+		path[k] = dataset.PackEdge(uint32(ids[k]), uint32(ids[k+1]))
 	}
-	if res.Checksum != ref.Checksum || res.Components != ref.Count {
-		t.Fatalf("trimmed run diverged from reference: %d/%x vs %d/%x",
-			res.Components, res.Checksum, ref.Count, ref.Checksum)
-	}
-	snap := reg.Snapshot()
-	if trims := snap["graph.cc.scratch_trims"]; trims < 1 {
-		t.Fatalf("graph.cc.scratch_trims = %v, want >= 1 (no scratch released during contraction)", trims)
+	for _, tc := range []struct {
+		name   string
+		run    func(*topology.Tree, Placement, uint64, ...netsim.Option) (*Result, error)
+		packed []uint64
+	}{
+		{"cc", CC, gnp}, {"spanforest", SpanningForest, path},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			witness := tc.name == "spanforest"
+			pl := placeEdges(tc.packed, tree.NumCompute())
+			ref := Reference(pl)
+			reg := obs.NewRegistry()
+			res, err := tc.run(tree, pl, 42, netsim.WithMetrics(reg))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Checksum != ref.Checksum || res.Components != ref.Count {
+				t.Fatalf("trimmed run diverged from reference: %d/%x vs %d/%x",
+					res.Components, res.Checksum, ref.Count, ref.Checksum)
+			}
+			if witness {
+				if err := VerifyForest(ref, res.Forest); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := runMaps(tree, pl, 42, true, witness, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Phases != want.Phases || res.Report.TotalCost() != want.Report.TotalCost() || !slices.Equal(res.Forest, want.Forest) {
+				t.Fatalf("trimmed run left the oracle's schedule: %d phases at cost %v, want %d at %v (forests equal: %v)",
+					res.Phases, res.Report.TotalCost(), want.Phases, want.Report.TotalCost(), slices.Equal(res.Forest, want.Forest))
+			}
+			snap := reg.Snapshot()
+			if trims := snap["graph.cc.scratch_trims"]; trims < 1 {
+				t.Fatalf("graph.cc.scratch_trims = %v, want >= 1 (no scratch released during contraction)", trims)
+			}
+		})
 	}
 }
 
@@ -280,7 +316,7 @@ func TestCCEdgeCases(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			ref := Reference(pl)
 			for vname, run := range map[string]func(*topology.Tree, Placement, uint64, ...netsim.Option) (*Result, error){
-				"aware": CC, "flat": CCFlat, "forest": SpanningForest,
+				"aware": CC, "flat": CCFlat, "forest": SpanningForest, "fast": CCFast,
 			} {
 				res, err := run(tree, pl, 1)
 				if err != nil {

@@ -226,13 +226,20 @@ func (pr *proto) adjacency() {
 		if first {
 			// Self-pairs register only the local vertices no active pair
 			// already mentions (self-loop-only vertices); for everyone
-			// else the edge pair both registers and subscribes.
+			// else the edge pair both registers and subscribes. sc.need
+			// still holds the initial scan's endpoint pairs, one (u, v)
+			// per local edge, and a non-loop edge put both its directed
+			// pairs into ks above, so only loop endpoints are searched —
+			// once per occurrence, as every endpoint used to be.
 			n := len(ks)
-			for _, x := range sc.need {
+			for k := 0; k+1 < len(sc.need); k += 2 {
+				x := sc.need[k]
+				if x != sc.need[k+1] {
+					continue
+				}
 				hi := uint64(uint32(x)) << 32
-				j, ok := slices.BinarySearch(ks[:n], hi)
-				if !ok && (j == n || ks[j]>>32 != uint64(uint32(x))) {
-					ks = append(ks, hi|uint64(uint32(x)))
+				if j, _ := slices.BinarySearch(ks[:n], hi); j == n || ks[j]>>32 != uint64(uint32(x)) {
+					ks = append(ks, hi|uint64(uint32(x)), hi|uint64(uint32(x)))
 				}
 			}
 		}

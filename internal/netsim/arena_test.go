@@ -3,6 +3,7 @@ package netsim
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"topompc/internal/obs"
@@ -204,5 +205,95 @@ func TestExecuteAsyncInboxVisible(t *testing.T) {
 	rep := e.Report()
 	if rep.Rounds[0].Messages != 1 || rep.Rounds[0].Elements != 2 {
 		t.Fatalf("round stats after ExecuteAsync: %+v", rep.Rounds[0])
+	}
+}
+
+// TestExchangeReservesInboxesOnce pins count-then-reserve delivery: execute
+// knows what every receiver is about to get before it delivers, so a
+// receiver's first round costs one allocation per inbox array (sender, tag,
+// end offset, key pool) however many messages arrive, a round twice as
+// large regrows each array exactly once, and repeating it regrows nothing.
+func TestExchangeReservesInboxesOnce(t *testing.T) {
+	tr := benchCaterpillar(t)
+	vs := tr.ComputeNodes()
+	e := NewEngine(tr, WithWorkers(1), WithLeanStats())
+	const k, senders = 16, 24
+	keys := make([]uint64, 64)
+	// round sends per messages from each sender to each of the k receivers
+	// starting at vs[first].
+	round := func(first, per int) {
+		x := e.Exchange()
+		for s := 0; s < senders; s++ {
+			out := x.Out(vs[len(vs)-1-s])
+			for r := 0; r < k; r++ {
+				for m := 0; m < per; m++ {
+					out.Send(vs[first+r], TagData, keys)
+				}
+			}
+		}
+		x.Execute()
+	}
+	// Grow everything but the measured inboxes to the largest round: both
+	// exchange buffers' outboxes, the tallies, the stats arena.
+	for i := 0; i < 4; i++ {
+		round(k, 2)
+	}
+
+	// Every call delivers to k receivers that never received before.
+	fresh := 2 * k
+	if got := testing.AllocsPerRun(8, func() { round(fresh, 1); fresh += k }); got > 4*k {
+		t.Fatalf("first delivery to %d receivers: %.0f allocs, want at most 4 per receiver", k, got)
+	}
+
+	// Both inbox buffers of receivers 0..k-1 sized for a one-message round,
+	// then doubled: the warm-up call of AllocsPerRun regrows one buffer, the
+	// measured call the other.
+	round(0, 1)
+	round(0, 1)
+	if got := testing.AllocsPerRun(1, func() { round(0, 2) }); got != 4*k {
+		t.Fatalf("doubled round to %d receivers: %.0f allocs, want exactly one per inbox array (%d)", k, got, 4*k)
+	}
+	if got := testing.AllocsPerRun(4, func() { round(0, 2) }); got != 0 {
+		t.Fatalf("repeated round: %.0f allocs, want 0", got)
+	}
+	ib := e.Inbox(vs[0])
+	if ib.Len() != 2*senders || ib.KeyCount(TagData) != 2*senders*len(keys) {
+		t.Fatalf("receiver 0 got %d messages, %d keys; want %d, %d",
+			ib.Len(), ib.KeyCount(TagData), 2*senders, 2*senders*len(keys))
+	}
+}
+
+// TestInboxReserve: reserve sizes the four arrays exactly, leaves arrays
+// with room alone, and refuses a round whose keys would wrap the int32 pool
+// offsets — by name, before allocating anything.
+func TestInboxReserve(t *testing.T) {
+	var ib nodeInbox
+	func() {
+		defer func() {
+			msg, _ := recover().(string)
+			if !strings.Contains(msg, "netsim: inbox overflow") {
+				t.Fatalf("reserve past int32 offsets: recovered %q, want the inbox overflow panic", msg)
+			}
+		}()
+		ib.reserve(1, math.MaxInt32+1)
+	}()
+	if cap(ib.from)+cap(ib.tag)+cap(ib.end)+cap(ib.pool) != 0 {
+		t.Fatalf("overflowing reserve allocated: caps %d %d %d %d", cap(ib.from), cap(ib.tag), cap(ib.end), cap(ib.pool))
+	}
+
+	ib.reserve(3, 10)
+	if cap(ib.from) != 3 || cap(ib.tag) != 3 || cap(ib.end) != 3 || cap(ib.pool) != 10 {
+		t.Fatalf("reserve(3, 10): caps %d %d %d %d", cap(ib.from), cap(ib.tag), cap(ib.end), cap(ib.pool))
+	}
+	ib.push(1, TagData, []uint64{1, 2, 3, 4})
+	pool := &ib.pool[0]
+	ib.reserve(2, 6)
+	ib.push(2, TagR, []uint64{5, 6, 7, 8, 9, 10})
+	if &ib.pool[0] != pool || cap(ib.end) != 3 {
+		t.Fatalf("reserve within capacity reallocated")
+	}
+	ib.reserve(2, 1)
+	if cap(ib.from) != 4 || cap(ib.pool) != 11 || len(ib.pool) != 10 || ib.pool[9] != 10 || ib.end[1] != 10 {
+		t.Fatalf("reserve past capacity: caps %d %d, pool %v, end %v", cap(ib.from), cap(ib.pool), ib.pool, ib.end)
 	}
 }

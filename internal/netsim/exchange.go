@@ -217,21 +217,27 @@ func (x *Exchange) execute() int {
 	nodes := e.t.ComputeNodes()
 
 	// Validate receivers before mutating any engine state so misuse panics
-	// on the caller's goroutine with the engine untouched.
+	// on the caller's goroutine with the engine untouched. The same walk
+	// counts what each receiver is about to get, so every receiving inbox
+	// is sized once and delivery never regrows it; a multicast naming a
+	// destination twice counts it twice, which only over-reserves.
 	for i := range x.outs {
 		ob := &x.outs[i]
 		for j, to := range ob.to {
-			if to == topology.NoNode {
-				for _, d := range ob.pool[ob.dlo[j]:ob.dhi[j]] {
-					if e.cindex[d] < 0 {
-						panic(fmt.Sprintf("netsim: receiver %d is not a compute node", d))
-					}
-				}
-			} else if e.cindex[to] < 0 {
-				panic(fmt.Sprintf("netsim: receiver %d is not a compute node", to))
+			n := int64(len(ob.keys[j]))
+			if to != topology.NoNode {
+				e.expect(to, n)
+				continue
+			}
+			for _, d := range ob.pool[ob.dlo[j]:ob.dhi[j]] {
+				e.expect(d, n)
 			}
 		}
 	}
+	for _, ci := range e.rsvList {
+		e.inboxNext[nodes[ci]].reserve(int(e.rsvMsgs[ci]), e.rsvKeys[ci])
+	}
+	e.clearExpected()
 
 	// Deliveries, merged in compute-node order (then op order) so inbox
 	// ordering is deterministic and identical to the per-message Round API.

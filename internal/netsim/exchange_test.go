@@ -282,6 +282,32 @@ func TestExchangeMulticastDuplicates(t *testing.T) {
 	}
 }
 
+// TestExchangeMulticastDuplicatesOverReserve: execute counts a repeated
+// multicast destination once per mention when it sizes the inbox, which
+// must only leave spare room — the receiver still gets one copy, in sender
+// order with the round's other messages, payloads intact.
+func TestExchangeMulticastDuplicatesOverReserve(t *testing.T) {
+	tr, err := topology.Star([]float64{1, 1, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vs := tr.ComputeNodes()
+	e := NewEngine(tr)
+	x := e.Exchange()
+	x.Out(vs[0]).Multicast([]topology.NodeID{vs[1], vs[1], vs[2], vs[1]}, TagR, []uint64{7, 8})
+	x.Out(vs[2]).Send(vs[1], TagS, []uint64{9})
+	if stats := x.Execute(); stats.Messages != 3 || stats.Elements != 5 {
+		t.Fatalf("messages, elements = %d, %d; want 3, 5", stats.Messages, stats.Elements)
+	}
+	want := []Message{
+		{From: vs[0], To: vs[1], Tag: TagR, Keys: []uint64{7, 8}},
+		{From: vs[2], To: vs[1], Tag: TagS, Keys: []uint64{9}},
+	}
+	if got := e.Inbox(vs[1]).Messages(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("inbox of the repeated destination = %v, want %v", got, want)
+	}
+}
+
 // TestExchangeInboxRecycling: inboxes swap across rounds and are not
 // retained.
 func TestExchangeInboxRecycling(t *testing.T) {
@@ -371,6 +397,19 @@ func TestExchangeMisusePanics(t *testing.T) {
 		x.Out(vs[0]).Multicast([]topology.NodeID{tr.Root()}, TagData, nil)
 		x.Execute()
 	})
+
+	// A plan rejected halfway through the walk leaves no delivery counts
+	// behind.
+	e := NewEngine(tr)
+	mustPanic(t, "router receiver after a valid send", func() {
+		x := e.Exchange()
+		x.Out(vs[0]).Send(vs[1], TagData, []uint64{1})
+		x.Out(vs[1]).Send(tr.Root(), TagData, nil)
+		x.Execute()
+	})
+	if ci := e.cindex[vs[1]]; len(e.rsvList) != 0 || e.rsvMsgs[ci] != 0 || e.rsvKeys[ci] != 0 {
+		t.Fatalf("rejected plan left counts: list %v, msgs %d, keys %d", e.rsvList, e.rsvMsgs[ci], e.rsvKeys[ci])
+	}
 }
 
 // TestRoundMisusePanics covers the legacy lifecycle panics alongside the

@@ -40,6 +40,7 @@ package netsim
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"topompc/internal/obs"
@@ -91,6 +92,32 @@ func (ib *nodeInbox) push(from topology.NodeID, tag Tag, keys []uint64) {
 	ib.tag = append(ib.tag, tag)
 	ib.pool = append(ib.pool, keys...)
 	ib.end = append(ib.end, int32(len(ib.pool)))
+}
+
+// reserve makes room for msgs more messages carrying keys keys in total, so
+// the pushes that follow never regrow an array: each array short of room is
+// reallocated once, at exactly the size the round needs. It panics before
+// allocating when the pool would pass the int32 offsets of end, which push
+// would otherwise wrap silently.
+func (ib *nodeInbox) reserve(msgs int, keys int64) {
+	if int64(len(ib.pool))+keys > math.MaxInt32 {
+		panic(fmt.Sprintf("netsim: inbox overflow: %d keys for one receiver in one round exceed the int32 pool offsets", int64(len(ib.pool))+keys))
+	}
+	ib.from = reserveSlice(ib.from, msgs)
+	ib.tag = reserveSlice(ib.tag, msgs)
+	ib.end = reserveSlice(ib.end, msgs)
+	ib.pool = reserveSlice(ib.pool, int(keys))
+}
+
+// reserveSlice returns s with room for n more elements, reallocating to
+// exactly len(s)+n when the capacity is short.
+func reserveSlice[T any](s []T, n int) []T {
+	if cap(s)-len(s) >= n {
+		return s
+	}
+	ns := make([]T, len(s), len(s)+n)
+	copy(ns, s)
+	return ns
 }
 
 // inboxShrinkMin is the pool capacity (keys) below which an inbox is never
@@ -215,6 +242,13 @@ type Engine struct {
 	dupStamp []int32 // multicast destination dedup (stamp set)
 	dupCur   int32
 
+	// What the exchange being executed will deliver, by receiver compute
+	// index: message and key counts, and the receivers with any (the only
+	// entries to reserve for and to zero again).
+	rsvMsgs []int32
+	rsvKeys []int64
+	rsvList []int32
+
 	tallies []*shardTally // per-shard exchange accounting scratch
 
 	// Round arena: the two exchange buffers alternate across rounds so the
@@ -297,6 +331,8 @@ func NewEngine(t *topology.Tree, opts ...Option) *Engine {
 		inboxNext: make([]nodeInbox, t.NumNodes()),
 		cindex:    make([]int32, t.NumNodes()),
 		dupStamp:  make([]int32, t.NumNodes()),
+		rsvMsgs:   make([]int32, t.NumCompute()),
+		rsvKeys:   make([]int64, t.NumCompute()),
 	}
 	for v := range e.cindex {
 		e.cindex[v] = -1
@@ -372,6 +408,30 @@ func (e *Engine) recordRound(slot int, t0 float64) {
 // single driver: fork on it only from the goroutine that drives the engine,
 // never from inside a Plan callback.
 func (e *Engine) Pool() *par.Pool { return e.pool }
+
+// expect counts one message of n keys for receiver d in the exchange being
+// executed. A receiver that is not a compute node panics with the counts
+// cleared, leaving the engine as it was.
+func (e *Engine) expect(d topology.NodeID, n int64) {
+	ci := e.cindex[d]
+	if ci < 0 {
+		e.clearExpected()
+		panic(fmt.Sprintf("netsim: receiver %d is not a compute node", d))
+	}
+	if e.rsvMsgs[ci] == 0 {
+		e.rsvList = append(e.rsvList, ci)
+	}
+	e.rsvMsgs[ci]++
+	e.rsvKeys[ci] += n
+}
+
+// clearExpected zeroes the per-receiver counts of expect.
+func (e *Engine) clearExpected() {
+	for _, ci := range e.rsvList {
+		e.rsvMsgs[ci], e.rsvKeys[ci] = 0, 0
+	}
+	e.rsvList = e.rsvList[:0]
+}
 
 // nextStamp advances the destination-dedup stamp, resetting on wraparound.
 func (e *Engine) nextStamp() int32 {
