@@ -171,3 +171,34 @@ func TestCompareScaleMatchesByNameAndSize(t *testing.T) {
 		t.Errorf("output should mark the regression FAIL:\n%s", out.String())
 	}
 }
+
+// TestPairedSpeedupNeedsTheCPUs: a workers=w row carries a speedup only when
+// the machine has w CPUs to run the workers on; otherwise the field stays
+// out of the record and the sweep says why.
+func TestPairedSpeedupNeedsTheCPUs(t *testing.T) {
+	var out strings.Builder
+	if got := pairedSpeedup("cc-workers", 1, 2, 2000, 1900, &out); got != 0 {
+		t.Errorf("1 CPU, 2 workers: speedup %v, want none", got)
+	}
+	if !strings.Contains(out.String(), "no speedup recorded, this machine has 1 CPU(s) for 2 workers") {
+		t.Errorf("refusal does not say why: %q", out.String())
+	}
+	data, err := json.Marshal(scaleRecord{Name: "cc-workers", Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(data), "speedup") {
+		t.Errorf("record without a speedup still emits the field: %s", data)
+	}
+
+	out.Reset()
+	if got := pairedSpeedup("cc-workers", 2, 2, 2000, 1000, &out); got != 2 {
+		t.Errorf("2 CPUs, 2 workers: speedup %v, want 2", got)
+	}
+	if !strings.Contains(out.String(), "2.00x vs workers=1") {
+		t.Errorf("speedup line missing: %q", out.String())
+	}
+	if got := pairedSpeedup("cc-workers", 8, 2, 2000, 0, &out); got != 0 {
+		t.Errorf("an untimed row: speedup %v, want none", got)
+	}
+}

@@ -266,6 +266,23 @@ func topoBuild(nodes int, stdout io.Writer) (scaleRecord, error) {
 	return rec, nil
 }
 
+// pairedSpeedup is the wall-clock ratio of a workers=1 run over its paired
+// workers=w run, or 0 (no speedup field in the record) when the pair cannot
+// measure one: w workers time-sliced onto fewer than w CPUs read ≈1× whatever
+// the code does, and a baseline must not carry that as a result.
+func pairedSpeedup(name string, cpus, w int, ns1, nsW int64, stdout io.Writer) float64 {
+	if cpus < w {
+		fmt.Fprintf(stdout, "%s [w=%d]: no speedup recorded, this machine has %d CPU(s) for %d workers\n", name, w, cpus, w)
+		return 0
+	}
+	if nsW <= 0 {
+		return 0
+	}
+	sp := float64(ns1) / float64(nsW)
+	fmt.Fprintf(stdout, "%s [w=%d]: %.2fx vs workers=1\n", name, w, sp)
+	return sp
+}
+
 // runScale executes the -scale sweep (and the -scale-big extension) and
 // writes BENCH_scale.json, returning the payload so -compare can diff it
 // against a committed baseline. A nonzero budget (seconds) fails the run
@@ -333,9 +350,8 @@ func runScale(seed uint64, big bool, budgetSec, workers int, stdout io.Writer) (
 			}
 			if w == 1 {
 				w1 = rec.NsPerOp
-			} else if rec.NsPerOp > 0 {
-				rec.Speedup = float64(w1) / float64(rec.NsPerOp)
-				fmt.Fprintf(stdout, "%s [w=%d]: %.2fx vs workers=1\n", probe.name, w, rec.Speedup)
+			} else {
+				rec.Speedup = pairedSpeedup(probe.name, runtime.NumCPU(), w, w1, rec.NsPerOp, stdout)
 			}
 			out.Records = append(out.Records, rec)
 		}
@@ -365,10 +381,7 @@ func runScale(seed uint64, big bool, budgetSec, workers int, stdout io.Writer) (
 				if err != nil {
 					return benchScale{}, err
 				}
-				if rN.NsPerOp > 0 {
-					rN.Speedup = float64(r1.NsPerOp) / float64(rN.NsPerOp)
-					fmt.Fprintf(stdout, "%s [w=%d]: %.2fx vs workers=1\n", probe.name, bigW, rN.Speedup)
-				}
+				rN.Speedup = pairedSpeedup(probe.name, runtime.NumCPU(), bigW, r1.NsPerOp, rN.NsPerOp, stdout)
 				out.Records = append(out.Records, rN)
 			}
 		}

@@ -1,9 +1,6 @@
 package netsim
 
 import (
-	"math"
-	"reflect"
-	"strings"
 	"testing"
 
 	"topompc/internal/obs"
@@ -118,32 +115,10 @@ func TestLeanStatsReportMatches(t *testing.T) {
 	full := run()
 	lean := run(WithLeanStats())
 
-	if got, want := lean.NumRounds(), full.NumRounds(); got != want {
-		t.Fatalf("rounds: lean %d, full %d", got, want)
+	if err := reportsAgree(lean, full); err != nil {
+		t.Fatalf("lean report differs from full: %v", err)
 	}
-	if got, want := lean.TotalCost(), full.TotalCost(); math.Abs(got-want) > 1e-9 {
-		t.Errorf("TotalCost: lean %v, full %v", got, want)
-	}
-	if got, want := lean.MPCCost(), full.MPCCost(); got != want {
-		t.Errorf("MPCCost: lean %v, full %v", got, want)
-	}
-	if got, want := lean.TotalElements(), full.TotalElements(); got != want {
-		t.Errorf("TotalElements: lean %v, full %v", got, want)
-	}
-	ls, lr := lean.NodeTotals()
-	fs, fr := full.NodeTotals()
-	if !reflect.DeepEqual(ls, fs) || !reflect.DeepEqual(lr, fr) {
-		t.Errorf("NodeTotals mismatch between lean and full reports")
-	}
-	if !reflect.DeepEqual(lean.MaxEdgeElems(), full.MaxEdgeElems()) {
-		t.Errorf("MaxEdgeElems mismatch between lean and full reports")
-	}
-	for i := range full.Rounds {
-		lr, fr := lean.Rounds[i], full.Rounds[i]
-		if lr.Cost != fr.Cost || lr.BottleneckEdge != fr.BottleneckEdge ||
-			lr.MaxReceived != fr.MaxReceived || lr.Messages != fr.Messages || lr.Elements != fr.Elements {
-			t.Errorf("round %d scalar stats mismatch: lean %+v, full %+v", i, lr, fr)
-		}
+	for i, lr := range lean.Rounds {
 		if lr.EdgeElems != nil || lr.NodeSent != nil || lr.NodeReceived != nil {
 			t.Errorf("round %d: lean stats retained per-round arrays", i)
 		}
@@ -208,92 +183,117 @@ func TestExecuteAsyncInboxVisible(t *testing.T) {
 	}
 }
 
-// TestExchangeReservesInboxesOnce pins count-then-reserve delivery: execute
-// knows what every receiver is about to get before it delivers, so a
-// receiver's first round costs one allocation per inbox array (sender, tag,
-// end offset, key pool) however many messages arrive, a round twice as
-// large regrows each array exactly once, and repeating it regrows nothing.
+// TestExchangeReservesInboxesOnce pins count-then-scatter delivery: execute
+// knows what the round delivers before it writes a row, so a round that
+// outgrows the arena costs one allocation per arena array (sender, tag, end
+// offset, key pool) however many receivers and messages it has, and
+// repeating it allocates nothing.
 func TestExchangeReservesInboxesOnce(t *testing.T) {
 	tr := benchCaterpillar(t)
 	vs := tr.ComputeNodes()
 	e := NewEngine(tr, WithWorkers(1), WithLeanStats())
 	const k, senders = 16, 24
-	keys := make([]uint64, 64)
-	// round sends per messages from each sender to each of the k receivers
-	// starting at vs[first].
-	round := func(first, per int) {
+	round := func(dsts []topology.NodeID, keys []uint64) {
 		x := e.Exchange()
 		for s := 0; s < senders; s++ {
-			out := x.Out(vs[len(vs)-1-s])
-			for r := 0; r < k; r++ {
-				for m := 0; m < per; m++ {
-					out.Send(vs[first+r], TagData, keys)
-				}
-			}
+			x.Out(vs[len(vs)-1-s]).Multicast(dsts, TagData, keys)
 		}
 		x.Execute()
 	}
-	// Grow everything but the measured inboxes to the largest round: both
-	// exchange buffers' outboxes, the tallies, the stats arena.
+	// A destination named k times is one delivery: these rounds grow both
+	// buffers' outboxes to k destinations per op, and both arenas to
+	// `senders` rows of two keys.
+	repeated := make([]topology.NodeID, k)
+	for i := range repeated {
+		repeated[i] = vs[0]
+	}
 	for i := 0; i < 4; i++ {
-		round(k, 2)
+		round(repeated, make([]uint64, 2))
 	}
 
-	// Every call delivers to k receivers that never received before.
-	fresh := 2 * k
-	if got := testing.AllocsPerRun(8, func() { round(fresh, 1); fresh += k }); got > 4*k {
-		t.Fatalf("first delivery to %d receivers: %.0f allocs, want at most 4 per receiver", k, got)
+	// k distinct destinations and longer payloads: the same outbox space,
+	// k times the rows and 128k times the keys. The warm-up call of
+	// AllocsPerRun regrows one arena, the measured call the other.
+	keys := make([]uint64, 256)
+	if got := testing.AllocsPerRun(1, func() { round(vs[:k], keys) }); got != 4 {
+		t.Fatalf("outgrown round to %d receivers: %.0f allocs, want exactly one per arena array (4)", k, got)
 	}
-
-	// Both inbox buffers of receivers 0..k-1 sized for a one-message round,
-	// then doubled: the warm-up call of AllocsPerRun regrows one buffer, the
-	// measured call the other.
-	round(0, 1)
-	round(0, 1)
-	if got := testing.AllocsPerRun(1, func() { round(0, 2) }); got != 4*k {
-		t.Fatalf("doubled round to %d receivers: %.0f allocs, want exactly one per inbox array (%d)", k, got, 4*k)
-	}
-	if got := testing.AllocsPerRun(4, func() { round(0, 2) }); got != 0 {
+	if got := testing.AllocsPerRun(4, func() { round(vs[:k], keys) }); got != 0 {
 		t.Fatalf("repeated round: %.0f allocs, want 0", got)
 	}
-	ib := e.Inbox(vs[0])
-	if ib.Len() != 2*senders || ib.KeyCount(TagData) != 2*senders*len(keys) {
-		t.Fatalf("receiver 0 got %d messages, %d keys; want %d, %d",
-			ib.Len(), ib.KeyCount(TagData), 2*senders, 2*senders*len(keys))
+	for _, a := range []*inboxArena{e.inboxCur, e.inboxNext} {
+		if cap(a.from) != k*senders || cap(a.tag) != k*senders || cap(a.end) != k*senders || cap(a.pool) != k*senders*len(keys) {
+			t.Fatalf("arena caps %d %d %d %d, want the round's exact size (%d rows, %d keys)",
+				cap(a.from), cap(a.tag), cap(a.end), cap(a.pool), k*senders, k*senders*len(keys))
+		}
+	}
+	ib := e.Inbox(vs[3])
+	if ib.Len() != senders || ib.KeyCount(TagData) != senders*len(keys) {
+		t.Fatalf("receiver 3 got %d messages, %d keys; want %d, %d", ib.Len(), ib.KeyCount(TagData), senders, senders*len(keys))
+	}
+
+	// The volume falls for good: six light rounds apiece and both pools
+	// (98304 keys, over arenaShrinkMin) have been halved.
+	for i := 0; i < 12; i++ {
+		round(repeated, keys[:2])
+	}
+	if c, n := cap(e.inboxCur.pool), cap(e.inboxNext.pool); c != k*senders*len(keys)/2 || n != c {
+		t.Fatalf("pool caps %d and %d after the decay, want %d", c, n, k*senders*len(keys)/2)
 	}
 }
 
-// TestInboxReserve: reserve sizes the four arrays exactly, leaves arrays
-// with room alone, and refuses a round whose keys would wrap the int32 pool
-// offsets — by name, before allocating anything.
+// TestInboxReserve: fit sizes the four arena arrays exactly and reuses
+// arrays with room; an array of at least arenaShrinkMin elements is halved
+// once the recent peak — the largest round, forgotten at a quarter per
+// round — is down to a quarter of its capacity, so one heavy round in a
+// few keeps the arena and a volume that stays low gives it back by halves.
 func TestInboxReserve(t *testing.T) {
-	var ib nodeInbox
-	func() {
-		defer func() {
-			msg, _ := recover().(string)
-			if !strings.Contains(msg, "netsim: inbox overflow") {
-				t.Fatalf("reserve past int32 offsets: recovered %q, want the inbox overflow panic", msg)
-			}
-		}()
-		ib.reserve(1, math.MaxInt32+1)
-	}()
-	if cap(ib.from)+cap(ib.tag)+cap(ib.end)+cap(ib.pool) != 0 {
-		t.Fatalf("overflowing reserve allocated: caps %d %d %d %d", cap(ib.from), cap(ib.tag), cap(ib.end), cap(ib.pool))
+	var a inboxArena
+	a.fit(3, 10)
+	if cap(a.from) != 3 || cap(a.tag) != 3 || cap(a.end) != 3 || cap(a.pool) != 10 {
+		t.Fatalf("fit(3, 10): caps %d %d %d %d", cap(a.from), cap(a.tag), cap(a.end), cap(a.pool))
+	}
+	pool, end := &a.pool[0], &a.end[0]
+	a.fit(2, 6)
+	if &a.pool[0] != pool || &a.end[0] != end || len(a.end) != 2 || len(a.pool) != 6 || cap(a.pool) != 10 {
+		t.Fatalf("fit within capacity reallocated: lens %d %d, cap %d", len(a.end), len(a.pool), cap(a.pool))
+	}
+	a.fit(4, 11)
+	if cap(a.from) != 4 || cap(a.tag) != 4 || cap(a.end) != 4 || cap(a.pool) != 11 {
+		t.Fatalf("fit(4, 11): caps %d %d %d %d, want exact sizes", cap(a.from), cap(a.tag), cap(a.end), cap(a.pool))
 	}
 
-	ib.reserve(3, 10)
-	if cap(ib.from) != 3 || cap(ib.tag) != 3 || cap(ib.end) != 3 || cap(ib.pool) != 10 {
-		t.Fatalf("reserve(3, 10): caps %d %d %d %d", cap(ib.from), cap(ib.tag), cap(ib.end), cap(ib.pool))
+	// A contraction phase: one heavy round, three light ones, three times.
+	const heavy = 4 * arenaShrinkMin
+	for phase := 0; phase < 3; phase++ {
+		a.fit(4, heavy)
+		for light := 0; light < 3; light++ {
+			a.fit(4, 10)
+			if cap(a.pool) != heavy || len(a.pool) != 10 {
+				t.Fatalf("phase %d, light round %d: pool cap %d len %d, want the heavy round's %d kept", phase, light, cap(a.pool), len(a.pool), heavy)
+			}
+		}
 	}
-	ib.push(1, TagData, []uint64{1, 2, 3, 4})
-	pool := &ib.pool[0]
-	ib.reserve(2, 6)
-	ib.push(2, TagR, []uint64{5, 6, 7, 8, 9, 10})
-	if &ib.pool[0] != pool || cap(ib.end) != 3 {
-		t.Fatalf("reserve within capacity reallocated")
+	// The volume stays low: the pool comes down by halves, a step every few
+	// rounds, to under arenaShrinkMin and no further. The row arrays are far
+	// smaller than that and are left alone.
+	rounds, caps := 0, []int{}
+	for c := cap(a.pool); rounds < 100 && c >= arenaShrinkMin; rounds++ {
+		a.fit(4, 10)
+		if cap(a.pool) != c {
+			if c = cap(a.pool); c != heavy>>(len(caps)+1) {
+				t.Fatalf("round %d: pool cap %d, want a halving to %d", rounds, c, heavy>>(len(caps)+1))
+			}
+			caps = append(caps, c)
+		}
 	}
-	ib.reserve(2, 1)
-	if cap(ib.from) != 4 || cap(ib.pool) != 11 || len(ib.pool) != 10 || ib.pool[9] != 10 || ib.end[1] != 10 {
-		t.Fatalf("reserve past capacity: caps %d %d, pool %v, end %v", cap(ib.from), cap(ib.pool), ib.pool, ib.end)
+	if len(caps) != 3 || rounds < 6 || rounds > 20 {
+		t.Fatalf("decay took %d rounds through caps %v; want three halvings (to %d), a few rounds apiece", rounds, caps, arenaShrinkMin/2)
+	}
+	for i := 0; i < 20; i++ {
+		a.fit(4, 10)
+	}
+	if cap(a.pool) != arenaShrinkMin/2 || cap(a.end) != 4 {
+		t.Fatalf("arrays under arenaShrinkMin shrank: pool cap %d, end cap %d", cap(a.pool), cap(a.end))
 	}
 }

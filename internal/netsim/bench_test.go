@@ -48,8 +48,8 @@ func benchTransferBatch(t *topology.Tree, count int) []benchTransfer {
 }
 
 // BenchmarkRoutingPerSend accounts one round of 4096 transfers on the
-// 256-spine caterpillar with the legacy per-message Round API: every
-// unicast walks its O(depth) tree path.
+// 256-spine caterpillar with the serial per-message Round oracle
+// (round_oracle_test.go): every unicast walks its O(depth) tree path.
 func BenchmarkRoutingPerSend(b *testing.B) {
 	tr := benchCaterpillar(b)
 	batch := benchTransferBatch(tr, 4096)

@@ -2,24 +2,31 @@ package netsim
 
 import (
 	"fmt"
+	"math"
 
 	"topompc/internal/topology"
 )
 
 // Exchange is a planned communication round: protocols declare every
 // transfer of the round up front — batched unicasts and multicasts per
-// sender — and Execute then routes, accounts, and delivers the whole plan
-// in one pass.
+// sender — and Execute then routes, accounts, and delivers the whole plan.
 //
-// Unlike the per-message Round reference, which walks the tree path of
-// every Send (O(depth) each), Execute aggregates per-edge traffic with
-// tree-difference counting over the LCA index: each unicast contributes
-// O(1) node deltas, each multicast charges its Steiner tree through the
-// terminal virtual tree, and a single subtree-sum sweep produces the edge
-// counts — O(V + M) for M transfers. Planning and accounting are sharded
-// across the engine's par pools by sender; determinism is preserved because
-// per-edge sums are order-independent and deliveries are merged in
-// compute-node order, then op order.
+// Execute walks the outboxes twice, each walk forked over the same
+// contiguous sender ranges on the engine's pool. The first walk aggregates
+// per-edge traffic with tree-difference counting over the LCA index — each
+// unicast contributes O(1) node deltas, each multicast charges its Steiner
+// tree through the terminal virtual tree — and counts, per shard, the
+// messages and keys every receiver is about to get. A serial prefix over
+// (receiver, shard) turns the counts into row and key offsets in the
+// round's inbox arena, shard w's rows for a receiver after every lower
+// shard's. The second walk copies headers and keys to those rows. Nothing
+// per message is serial, per-edge sums are order-independent, and every
+// inbox reads compute-node order, then op order, at every worker count.
+//
+// What is left of the round is serial and independent of the deliveries:
+// merging the shards' edge deltas, the one subtree-sum sweep that turns
+// them into edge counts (O(V) for the round), the cost statistics and the
+// outbox reset. ExecuteAsync leaves that to a background goroutine.
 //
 // Exchange values are owned by the engine: Engine.Exchange hands out one
 // of two alternating buffers whose outboxes persist across rounds, so a
@@ -27,19 +34,25 @@ import (
 // what permits pipelining — ExecuteAsync finishes accounting of round r in
 // the background while the protocol plans round r+1 into the other buffer.
 //
-// An Exchange and a Round cannot be open on the same engine at once; the
-// exchange occupies the engine from Exchange() until Execute().
+// One exchange is open on an engine at a time; it occupies the engine from
+// Exchange() until Execute().
 type Exchange struct {
 	e    *Engine
 	outs []Outbox // one per compute node, in ComputeNodes order
 	t0   float64  // trace timestamp of Exchange() (tracing only)
 	done bool
 
+	// The executing round's per-node element counts, written by the tally
+	// walk: the engine's reused arrays under lean stats, otherwise fresh
+	// ones the round's stats retain.
+	sent, received []int64
+
 	// Shard bodies handed to par.Blocks, built once per buffer: a closure
 	// made per call would escape and break the zero-alloc steady state.
-	planFn     func(v topology.NodeID, out *Outbox) // the Plan in flight
-	planShard  func(shard, lo, hi int)
-	tallyShard func(shard, lo, hi int)
+	planFn       func(v topology.NodeID, out *Outbox) // the Plan in flight
+	planShard    func(shard, lo, hi int)
+	tallyShard   func(shard, lo, hi int)
+	deliverShard func(shard, lo, hi int)
 }
 
 // Exchange opens a planned round. Transfers read the inboxes of the
@@ -67,6 +80,9 @@ func (e *Engine) Exchange() *Exchange {
 		x.tallyShard = func(shard, lo, hi int) {
 			x.tallyOps(e.tallies[shard], lo, hi)
 		}
+		x.deliverShard = func(shard, lo, hi int) {
+			x.deliverOps(e.tallies[shard], lo, hi)
+		}
 	} else if e.mRecycle != nil {
 		e.mRecycle.Inc()
 	}
@@ -84,7 +100,7 @@ func (x *Exchange) Out(v topology.NodeID) *Outbox {
 	if x.done {
 		panic("netsim: Out on executed exchange")
 	}
-	i := x.e.cindex[v]
+	i := x.e.computeIndex(v)
 	if i < 0 {
 		panic(fmt.Sprintf("netsim: sender %d is not a compute node", v))
 	}
@@ -105,175 +121,237 @@ func (x *Exchange) Plan(fn func(v topology.NodeID, out *Outbox)) {
 	x.planFn = nil
 }
 
-// shardTally is one shard's accounting state: a path accumulator for edge
-// traffic plus per-node sent/received counters and a private stamp set for
-// multicast destination dedup.
+// cursor is one (sender shard, receiver) cell of a round. The tally walk
+// counts in it the messages and keys the shard's senders address to the
+// receiver; the prefix replaces the counts by the arena row and pool index
+// of the shard's first delivery to that receiver, and the delivery walk
+// advances them.
+type cursor struct{ row, key int }
+
+// shardTally is one shard's state for the two walks: a path accumulator
+// for edge traffic, the cursors by receiver compute index, and a private
+// stamp set (by compute index too) for multicast destination dedup.
 type shardTally struct {
-	acc      *topology.PathAccumulator
-	sent     []int64
-	received []int64
-	stamp    []int32
-	cur      int32
-	terms    []topology.NodeID
+	acc   *topology.PathAccumulator
+	cur   []cursor
+	stamp []int32
+	epoch int32
+	terms []topology.NodeID
+	bad   topology.NodeID // first receiver that is not a compute node, or NoNode
 }
 
-// tallyOps accounts every op of the outboxes in [lo, hi) into the shard.
-// Receivers were validated before accounting started.
+// tallyOps is the first walk over the outboxes in [lo, hi): it charges
+// every op to the shard's accumulator and to the round's sent/received
+// arrays, and counts its deliveries in the shard's cursors. It stops at a
+// receiver that is not a compute node, leaving it in s.bad.
+//
+// Only the shard that owns a sender writes that sender's sent entry. The
+// received entry of a receiver is what the prefix finds delivered to it
+// less what it sent itself, so the walk writes only the second part, again
+// at the sender: no per-node array is per shard.
 func (x *Exchange) tallyOps(s *shardTally, lo, hi int) {
-	nodes := x.e.t.ComputeNodes()
+	e := x.e
+	nodes := e.t.ComputeNodes()
+	s.bad = topology.NoNode
 	for i := lo; i < hi; i++ {
 		ob := &x.outs[i]
 		from := nodes[i]
-		for j, to := range ob.to {
-			n := int64(len(ob.keys[j]))
-			if to != topology.NoNode {
-				if to != from {
-					s.acc.AddPath(from, to, n)
-					s.sent[from] += n
-					s.received[to] += n
+		var sent, self int64
+		for j := range ob.ops {
+			o := &ob.ops[j]
+			n := len(o.keys)
+			if o.to != topology.NoNode {
+				ci := e.computeIndex(o.to)
+				if ci < 0 {
+					s.bad = o.to
+					return
+				}
+				c := &s.cur[ci]
+				c.row++
+				c.key += n
+				if o.to == from {
+					self += int64(n)
+				} else {
+					s.acc.AddPath(from, o.to, int64(n))
+					sent += int64(n)
 				}
 				continue
 			}
 			// Multicast: charge the Steiner tree of {from} ∪ dsts once and
-			// count one delivery per distinct destination.
-			s.cur++
-			if s.cur == 0 {
+			// count one delivery per distinct destination. The distinct
+			// destinations are packed back over the op's list, so the
+			// delivery walk needs no stamps.
+			s.epoch++
+			if s.epoch == 0 {
 				for k := range s.stamp {
 					s.stamp[k] = -1
 				}
-				s.cur = 1
+				s.epoch = 1
 			}
 			s.terms = append(s.terms[:0], from)
 			external := false
-			for _, d := range ob.pool[ob.dlo[j]:ob.dhi[j]] {
-				if s.stamp[d] == s.cur {
+			k := o.dlo
+			for _, d := range ob.dsts[o.dlo:o.dhi] {
+				ci := e.computeIndex(d)
+				if ci < 0 {
+					s.bad = d
+					return
+				}
+				if s.stamp[ci] == s.epoch {
 					continue
 				}
-				s.stamp[d] = s.cur
-				if d != from {
+				s.stamp[ci] = s.epoch
+				ob.dsts[k] = d
+				k++
+				c := &s.cur[ci]
+				c.row++
+				c.key += n
+				if d == from {
+					self += int64(n)
+				} else {
 					external = true
-					s.received[d] += n
 				}
 				s.terms = append(s.terms, d)
 			}
+			o.dhi = k
 			if external {
 				// The sender emits one copy into the network; routers
 				// replicate along the Steiner tree.
-				s.sent[from] += n
-				s.acc.AddSteiner(s.terms, n)
+				sent += int64(n)
+				s.acc.AddSteiner(s.terms, int64(n))
+			}
+		}
+		if sent != 0 {
+			x.sent[from] += sent
+		}
+		if self != 0 {
+			x.received[from] -= self
+		}
+	}
+}
+
+// deliverOps is the second walk over the outboxes in [lo, hi): it copies
+// every delivery to the arena row and pool range the shard's cursor for its
+// receiver points at. Cursors of different shards cover disjoint rows.
+func (x *Exchange) deliverOps(s *shardTally, lo, hi int) {
+	e := x.e
+	a := e.inboxNext
+	nodes := e.t.ComputeNodes()
+	for i := lo; i < hi; i++ {
+		ob := &x.outs[i]
+		from := nodes[i]
+		for j := range ob.ops {
+			o := &ob.ops[j]
+			if o.to != topology.NoNode {
+				ci := e.cindex[o.to]
+				a.put(&s.cur[ci], a.koff[ci], from, o.tag, o.keys)
+				continue
+			}
+			for _, d := range ob.dsts[o.dlo:o.dhi] {
+				ci := e.cindex[d]
+				a.put(&s.cur[ci], a.koff[ci], from, o.tag, o.keys)
 			}
 		}
 	}
 }
 
 // shardSet returns the engine's cached tally states, one per shard the
-// accounting pool forks a round into, creating them on first use.
-// Accumulators and stamp sets self-reset between rounds; sent/received are
-// zeroed after each merge.
+// pool forks a round into, creating them on first use. Accumulators and
+// stamp sets self-reset between rounds; the cursors are zeroed by the
+// round's remainder.
 func (e *Engine) shardSet() []*shardTally {
-	n := min(e.acct.Workers(), e.t.NumCompute())
+	n := min(e.pool.Workers(), e.t.NumCompute())
 	for len(e.tallies) < max(n, 1) {
 		e.tallies = append(e.tallies, &shardTally{
-			acc:      topology.NewPathAccumulator(e.t),
-			sent:     make([]int64, e.t.NumNodes()),
-			received: make([]int64, e.t.NumNodes()),
-			stamp:    make([]int32, e.t.NumNodes()),
+			acc:   topology.NewPathAccumulator(e.t),
+			cur:   make([]cursor, e.t.NumCompute()),
+			stamp: make([]int32, e.t.NumCompute()),
+			bad:   topology.NoNode,
 		})
 	}
 	return e.tallies
 }
 
 // Execute routes all declared transfers: per-edge traffic is aggregated in
-// O(V + M) with sharded accumulators, deliveries are merged into the
-// inboxes in compute-node order, and the round is committed. The exchange
+// O(V + M) with sharded accumulators, deliveries are laid out in the inbox
+// arena in compute-node order, and the round is committed. The exchange
 // cannot be reused afterwards.
 func (x *Exchange) Execute() RoundStats {
-	slot := x.execute()
-	x.e.pending.Wait()
-	return x.e.rounds[slot]
+	return x.e.rounds[x.execute(false)]
 }
 
-// ExecuteAsync is Execute with the cost accounting deferred to a
-// background worker: deliveries are visible (and the next round may be
-// opened and planned) as soon as it returns, while edge traffic, node
-// counters, and the round's cost statistics are finalized concurrently.
-// Report, NumRounds, and the next Execute synchronize on the pending
-// accounting, so observable statistics are identical to Execute. With a
-// single worker the accounting runs inline and ExecuteAsync is equivalent
-// to Execute.
+// ExecuteAsync is Execute with the serial remainder of the round deferred
+// to a background goroutine: deliveries are visible (and the next round
+// may be opened and planned) as soon as it returns, while edge traffic and
+// the round's cost statistics are finalized concurrently. Report,
+// NumRounds, and the next Execute synchronize on the pending remainder, so
+// observable statistics are identical to Execute. With a single worker the
+// remainder runs inline and ExecuteAsync is equivalent to Execute.
 func (x *Exchange) ExecuteAsync() {
-	x.execute()
+	x.execute(x.e.pool.Workers() > 1)
 }
 
-// execute validates and delivers the plan synchronously, reserves the
-// round's stats slot, and hands the outboxes to accounting. It returns the
-// reserved slot index.
-func (x *Exchange) execute() int {
+// execute accounts and delivers the plan on the caller's goroutine,
+// reserves the round's stats slot and runs the remainder of the round,
+// behind the caller when async. It returns the reserved slot index.
+//
+// A plan that names a receiver which is not a compute node, or sends one
+// receiver more keys than int32 offsets address, panics before anything
+// the engine publishes has changed: inboxes, rounds and totals are those
+// of the round before, and the engine is free to open the next exchange.
+func (x *Exchange) execute(async bool) int {
 	if x.done {
 		panic("netsim: Execute called twice")
 	}
 	x.done = true
 	e := x.e
-	nodes := e.t.ComputeNodes()
 
-	// Validate receivers before mutating any engine state so misuse panics
-	// on the caller's goroutine with the engine untouched. The same walk
-	// counts what each receiver is about to get, so every receiving inbox
-	// is sized once and delivery never regrows it; a multicast naming a
-	// destination twice counts it twice, which only over-reserves.
-	for i := range x.outs {
-		ob := &x.outs[i]
-		for j, to := range ob.to {
-			n := int64(len(ob.keys[j]))
-			if to != topology.NoNode {
-				e.expect(to, n)
-				continue
-			}
-			for _, d := range ob.pool[ob.dlo[j]:ob.dhi[j]] {
-				e.expect(d, n)
-			}
-		}
-	}
-	for _, ci := range e.rsvList {
-		e.inboxNext[nodes[ci]].reserve(int(e.rsvMsgs[ci]), e.rsvKeys[ci])
-	}
-	e.clearExpected()
-
-	// Deliveries, merged in compute-node order (then op order) so inbox
-	// ordering is deterministic and identical to the per-message Round API.
-	messages := 0
-	var elements int64
-	for i, v := range nodes {
-		ob := &x.outs[i]
-		for j, to := range ob.to {
-			if to != topology.NoNode {
-				messages++
-				elements += int64(len(ob.keys[j]))
-				e.inboxNext[to].push(v, ob.tag[j], ob.keys[j])
-				continue
-			}
-			stamp := e.nextStamp()
-			for _, d := range ob.pool[ob.dlo[j]:ob.dhi[j]] {
-				if e.dupStamp[d] == stamp {
-					continue
-				}
-				e.dupStamp[d] = stamp
-				messages++
-				elements += int64(len(ob.keys[j]))
-				e.inboxNext[d].push(v, ob.tag[j], ob.keys[j])
-			}
-		}
-	}
-
-	// Wait for the previous round's accounting before touching the rounds
-	// slice, then reserve this round's slot and publish the deliveries.
+	// The previous round's remainder reads the shard tallies and, under lean
+	// stats, owns the accounting arrays this round is about to write.
 	e.pending.Wait()
+	if e.leanStats {
+		e.ensureArena()
+		x.sent, x.received = e.arSent, e.arReceived
+	} else {
+		x.sent = make([]int64, e.t.NumNodes())
+		x.received = make([]int64, e.t.NumNodes())
+	}
+	shards := e.shardSet()
+	e.pool.Blocks("netsim tally", len(x.outs), x.tallyShard)
+	for _, s := range shards {
+		if s.bad != topology.NoNode {
+			// The lowest shard's is the first in compute-node, then op order.
+			x.reject(fmt.Sprintf("netsim: receiver %d is not a compute node", s.bad))
+		}
+	}
+
+	// Lay out the arena: receiver by receiver, shard by shard.
+	a := e.inboxNext
+	nodes := e.t.ComputeNodes()
+	rows, keys := 0, 0
+	for ci, v := range nodes {
+		a.off[ci], a.koff[ci] = rows, keys
+		for _, s := range shards {
+			c := s.cur[ci]
+			s.cur[ci] = cursor{row: rows, key: keys}
+			rows += c.row
+			keys += c.key
+		}
+		if got := keys - a.koff[ci]; got > math.MaxInt32 {
+			x.reject(fmt.Sprintf("netsim: inbox overflow: %d keys for one receiver in one round exceed the int32 pool offsets", got))
+		} else if got != 0 {
+			x.received[v] += int64(got)
+		}
+	}
+	a.off[len(nodes)], a.koff[len(nodes)] = rows, keys
+	a.fit(rows, keys)
+	e.pool.Blocks("netsim deliver", len(x.outs), x.deliverShard)
+
+	e.inboxCur, e.inboxNext = e.inboxNext, e.inboxCur
 	e.inRound = false
 	slot := len(e.rounds)
-	e.rounds = append(e.rounds, RoundStats{Index: slot, Messages: messages, Elements: elements})
-	e.swapInboxes()
-
-	if e.acct.Workers() > 1 {
+	e.rounds = append(e.rounds, RoundStats{Index: slot, Messages: rows, Elements: int64(keys)})
+	if async {
 		e.pending.Add(1)
 		go accountRound(x, slot, true)
 	} else {
@@ -282,51 +360,55 @@ func (x *Exchange) execute() int {
 	return slot
 }
 
-// accountRound tallies the executed outboxes into per-edge and per-node
-// counters, fills the round's reserved stats slot, and resets the outboxes
-// for reuse. At most one accounting runs at a time (execute waits on
-// pending before spawning the next), so the engine-cached shard tallies
-// and lean-stats arena are used without synchronization.
+// reject undoes what the tally walk of a refused plan wrote — the plan is
+// discarded with it — closes the exchange and panics with msg.
+func (x *Exchange) reject(msg string) {
+	e := x.e
+	for _, s := range e.tallies {
+		s.acc.Reset()
+		clear(s.cur)
+	}
+	if e.leanStats {
+		clear(x.sent)
+		clear(x.received)
+	}
+	for i := range x.outs {
+		x.outs[i].reset()
+	}
+	e.inRound = false
+	panic(msg)
+}
+
+// accountRound is the serial remainder of an executed round: it merges the
+// shards' edge deltas and resolves them with one subtree-sum sweep, fills
+// the round's reserved stats slot, and resets the cursors and the outboxes
+// for reuse. At most one runs at a time, and execute waits for it before
+// its first walk, so the shard tallies and the lean-stats arrays are used
+// without synchronization.
 func accountRound(x *Exchange, slot int, async bool) {
 	e := x.e
 	if async {
 		defer e.pending.Done()
 	}
 
-	shards := e.shardSet()
-	e.acct.Blocks("netsim tally", len(x.outs), x.tallyShard)
-
-	// Merge shards, resolving edge traffic with one subtree-sum sweep. In
-	// lean mode the merge targets the engine's reusable arena (zeroed again
-	// by finishStats after folding into the totals); otherwise fresh arrays
-	// are retained by the round's stats.
-	var traffic, sent, received []int64
+	// In lean mode the sweep targets the engine's reusable array (zeroed
+	// again by finishStats after folding into the totals); otherwise a fresh
+	// one is retained by the round's stats.
+	var traffic []int64
 	if e.leanStats {
-		e.ensureArena()
-		traffic, sent, received = e.arTraffic, e.arSent, e.arReceived
+		traffic = e.arTraffic
 	} else {
 		traffic = make([]int64, e.t.NumEdges())
-		sent = make([]int64, e.t.NumNodes())
-		received = make([]int64, e.t.NumNodes())
 	}
-	for w, s := range shards {
+	for w, s := range e.tallies {
 		if w > 0 {
-			shards[0].acc.MergeFrom(s.acc)
+			e.tallies[0].acc.MergeFrom(s.acc)
 		}
-		for v := range s.sent {
-			if s.sent[v] != 0 {
-				sent[v] += s.sent[v]
-				s.sent[v] = 0
-			}
-			if s.received[v] != 0 {
-				received[v] += s.received[v]
-				s.received[v] = 0
-			}
-		}
+		clear(s.cur)
 	}
-	shards[0].acc.FlushInto(traffic)
+	e.tallies[0].acc.FlushInto(traffic)
 
-	e.finishStats(slot, traffic, sent, received)
+	e.finishStats(slot, traffic, x.sent, x.received)
 	e.recordRound(slot, x.t0)
 
 	for i := range x.outs {

@@ -1,8 +1,11 @@
 package netsim
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"topompc/internal/topology"
@@ -84,8 +87,8 @@ func statsEqual(tb testing.TB, got, want RoundStats) {
 	}
 }
 
-// TestExchangeMatchesRound replays random op batches through the legacy
-// per-message Round API and the planned Exchange and requires identical
+// TestExchangeMatchesRound replays random op batches through the serial
+// per-message Round oracle and the planned Exchange and requires identical
 // statistics and identical inboxes (contents and order).
 func TestExchangeMatchesRound(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
@@ -157,11 +160,11 @@ func replaySerially(e *Engine, plan func(v topology.NodeID, out *Outbox)) RoundS
 	for _, v := range e.Tree().ComputeNodes() {
 		var ob Outbox
 		plan(v, &ob)
-		for j, to := range ob.to {
-			if to == topology.NoNode {
-				rd.Multicast(v, ob.pool[ob.dlo[j]:ob.dhi[j]], ob.tag[j], ob.keys[j])
+		for _, o := range ob.ops {
+			if o.to == topology.NoNode {
+				rd.Multicast(v, ob.dsts[o.dlo:o.dhi], o.tag, o.keys)
 			} else {
-				rd.Send(v, to, ob.tag[j], ob.keys[j])
+				rd.Send(v, o.to, o.tag, o.keys)
 			}
 		}
 	}
@@ -282,10 +285,10 @@ func TestExchangeMulticastDuplicates(t *testing.T) {
 	}
 }
 
-// TestExchangeMulticastDuplicatesOverReserve: execute counts a repeated
-// multicast destination once per mention when it sizes the inbox, which
-// must only leave spare room — the receiver still gets one copy, in sender
-// order with the round's other messages, payloads intact.
+// TestExchangeMulticastDuplicatesOverReserve: a multicast naming a
+// destination several times counts and delivers it once — the arena has a
+// row per delivery and none to spare — in sender order with the round's
+// other messages, payloads intact.
 func TestExchangeMulticastDuplicatesOverReserve(t *testing.T) {
 	tr, err := topology.Star([]float64{1, 1, 1})
 	if err != nil {
@@ -305,6 +308,9 @@ func TestExchangeMulticastDuplicatesOverReserve(t *testing.T) {
 	}
 	if got := e.Inbox(vs[1]).Messages(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("inbox of the repeated destination = %v, want %v", got, want)
+	}
+	if a := e.inboxCur; len(a.from) != 3 || len(a.pool) != 5 {
+		t.Fatalf("arena holds %d rows and %d keys for 3 deliveries of 5 keys", len(a.from), len(a.pool))
 	}
 }
 
@@ -397,18 +403,88 @@ func TestExchangeMisusePanics(t *testing.T) {
 		x.Out(vs[0]).Multicast([]topology.NodeID{tr.Root()}, TagData, nil)
 		x.Execute()
 	})
+}
 
-	// A plan rejected halfway through the walk leaves no delivery counts
-	// behind.
-	e := NewEngine(tr)
-	mustPanic(t, "router receiver after a valid send", func() {
+// TestRejectedPlanLeavesEngineUntouched: a plan refused by Execute — a
+// router receiver behind valid sends, or one receiver sent more keys than
+// int32 offsets address — panics by name on the caller's goroutine before
+// any arena array is allocated, and leaves the inboxes, the round count and
+// the costs of the rounds that follow exactly as an engine that never saw
+// it.
+func TestRejectedPlanLeavesEngineUntouched(t *testing.T) {
+	tr, err := topology.TwoTier([]int{3, 2, 3}, []float64{4, 2, 1}, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vs := tr.ComputeNodes()
+	huge := make([]uint64, 1<<20)
+	good := func(e *Engine, r int) RoundStats {
 		x := e.Exchange()
-		x.Out(vs[0]).Send(vs[1], TagData, []uint64{1})
-		x.Out(vs[1]).Send(tr.Root(), TagData, nil)
-		x.Execute()
-	})
-	if ci := e.cindex[vs[1]]; len(e.rsvList) != 0 || e.rsvMsgs[ci] != 0 || e.rsvKeys[ci] != 0 {
-		t.Fatalf("rejected plan left counts: list %v, msgs %d, keys %d", e.rsvList, e.rsvMsgs[ci], e.rsvKeys[ci])
+		x.Plan(func(v topology.NodeID, out *Outbox) {
+			i := int(e.cindex[v])
+			out.Send(vs[(i+r+1)%len(vs)], TagData, []uint64{uint64(i), uint64(r)})
+			out.Multicast([]topology.NodeID{vs[0], v, vs[r%len(vs)]}, TagR, []uint64{uint64(r)})
+		})
+		return x.Execute()
+	}
+	rejected := map[string]struct {
+		want string
+		plan func(x *Exchange)
+	}{
+		"router receiver": {fmt.Sprintf("netsim: receiver %d is not a compute node", tr.Root()), func(x *Exchange) {
+			x.Out(vs[0]).Send(vs[1], TagData, []uint64{1})
+			x.Out(vs[2]).Multicast([]topology.NodeID{vs[3], vs[0]}, TagS, []uint64{2, 3})
+			x.Out(vs[len(vs)-1]).Multicast([]topology.NodeID{vs[1], tr.Root()}, TagData, nil)
+		}},
+		"inbox overflow": {"netsim: inbox overflow: 2147483648 keys for one receiver", func(x *Exchange) {
+			x.Out(vs[0]).Send(vs[2], TagData, []uint64{1})
+			for i := 0; i <= math.MaxInt32/len(huge); i++ {
+				x.Out(vs[i%3]).Send(vs[4], TagData, huge)
+			}
+		}},
+	}
+	for name, rj := range rejected {
+		for _, workers := range []int{1, 4} {
+			for _, lean := range []bool{false, true} {
+				opts := []Option{WithWorkers(workers)}
+				if lean {
+					opts = append(opts, WithLeanStats())
+				}
+				e, control := NewEngine(tr, opts...), NewEngine(tr, opts...)
+				good(e, 0)
+				good(control, 0)
+
+				x := e.Exchange()
+				rj.plan(x)
+				next := *e.inboxNext
+				func() {
+					defer func() {
+						if msg, _ := recover().(string); !strings.HasPrefix(msg, rj.want) {
+							t.Fatalf("%s: recovered %q, want %q", name, msg, rj.want)
+						}
+					}()
+					x.Execute()
+				}()
+				if after := *e.inboxNext; cap(after.from) != cap(next.from) || cap(after.tag) != cap(next.tag) ||
+					cap(after.end) != cap(next.end) || cap(after.pool) != cap(next.pool) {
+					t.Fatalf("%s: the refused plan resized the arena", name)
+				}
+				if e.NumRounds() != 1 {
+					t.Fatalf("%s: NumRounds = %d after the refused plan, want 1", name, e.NumRounds())
+				}
+				for _, v := range vs {
+					if !reflect.DeepEqual(e.Inbox(v).Messages(), control.Inbox(v).Messages()) {
+						t.Fatalf("%s: the refused plan changed the inbox of %d", name, v)
+					}
+				}
+				for r := 1; r < 4; r++ {
+					statsEqual(t, good(e, r), good(control, r))
+				}
+				if !reflect.DeepEqual(e.Report(), control.Report()) {
+					t.Fatalf("%s (workers %d, lean %v): reports differ after the refused plan", name, workers, lean)
+				}
+			}
+		}
 	}
 }
 

@@ -16,31 +16,33 @@
 //
 // Unlike a pure cost calculator, the engine actually delivers every
 // message, so protocol outputs are real and can be verified against
-// reference implementations. Per-node computation can run concurrently;
-// determinism is preserved by merging per-node outboxes in compute-node
-// order.
+// reference implementations.
 //
-// Protocols run on the planned Exchange API (Engine.Exchange / Plan /
-// Execute), which accounts a whole round of declared transfers in O(V + M)
-// via LCA tree-difference counting. The serial per-message Round API
-// (BeginRound / Send / Multicast / Finish) walks the tree path of every
-// transfer and exists only as the reference the exchange is tested against.
+// A round is an Exchange: Plan collects every compute node's transfers
+// into its outbox, and Execute makes two walks over the outboxes, each
+// sharded by contiguous sender range. The first accounts every transfer in
+// O(1) (LCA tree-difference counting) and counts what each receiver gets
+// from each shard; a prefix over those counts lays the round's inboxes out
+// in one arena; the second walk copies headers and keys to their rows.
+// Shards write disjoint rows, and a receiver's rows read compute-node order
+// then op order, so inbox bytes and every statistic are the same at every
+// worker count.
 //
-// Every fork — Plan's per-node callbacks, the sharded accounting tally, and
-// the protocol kernels' per-home compute (Engine.Pool) — goes through
-// internal/par under the one WithWorkers budget.
+// Every fork — Plan's per-node callbacks, the two walks, and the protocol
+// kernels' per-home compute (Engine.Pool) — goes through internal/par on
+// the engine's one pool under the WithWorkers budget.
 //
-// The engine owns a reusable round arena: outbox buffers, shard tallies,
-// stamp sets, and (under WithLeanStats) the per-round accounting arrays
-// are allocated once and recycled across rounds, so a steady-state
-// exchange round performs no heap allocation. With more than one worker,
-// round accounting runs behind the protocol's planning of the next round
-// (Exchange.ExecuteAsync); Report and the next Execute synchronize on it.
+// Outboxes, inbox arenas, shard tallies and (under WithLeanStats) the
+// per-round accounting arrays are allocated once and recycled across
+// rounds, so a steady-state round performs no heap allocation. With more
+// than one worker, ExecuteAsync leaves the serial remainder of a round
+// (merging the shards' edge deltas, the subtree-sum sweep, the cost
+// statistics, the outbox reset) to one background goroutine while the
+// protocol plans the next round; Report and the next Execute synchronize on
+// it.
 package netsim
 
 import (
-	"fmt"
-	"math"
 	"sync"
 
 	"topompc/internal/obs"
@@ -71,77 +73,80 @@ type Message struct {
 	Keys []uint64
 }
 
-// nodeInbox stores one node's delivered messages in columnar form: the
-// per-message headers are parallel arrays (sender, tag, and the exclusive
-// end of the payload in the shared key pool), so a delivered message costs
-// 9 bytes of header instead of a 40-byte Message struct, and the payloads
-// of a round live in one contiguous pool per receiver instead of pointing
-// into sender-owned buffers. Deliveries copy their keys into the pool;
-// the arrays are reset (not freed) between rounds, so steady-state
-// delivery stays allocation-free once each receiver reaches its
-// high-water mark.
-type nodeInbox struct {
+// inboxArena holds one round's deliveries to every compute node in CSR
+// form. Receiver ci (a compute index) owns rows off[ci]:off[ci+1] of the
+// header arrays (sender, tag, and the exclusive end of the payload) and keys
+// koff[ci]:koff[ci+1] of the pool; end counts from the receiver's first
+// key, so a delivered message costs 9 bytes of header and one receiver's
+// keys must fit int32 offsets however large the round is. The engine keeps
+// two arenas, the one protocols read and the one the round in flight
+// writes, and every round rewrites its arena from row 0.
+type inboxArena struct {
+	off  []int
+	koff []int
 	from []topology.NodeID
 	tag  []Tag
-	end  []int32 // pool offset one past message i's keys
+	end  []int32
 	pool []uint64
+
+	peakRows, peakKeys int // recent peak of rows and keys, see fit
 }
 
-func (ib *nodeInbox) push(from topology.NodeID, tag Tag, keys []uint64) {
-	ib.from = append(ib.from, from)
-	ib.tag = append(ib.tag, tag)
-	ib.pool = append(ib.pool, keys...)
-	ib.end = append(ib.end, int32(len(ib.pool)))
+// newInboxArena returns an arena of empty inboxes for nc compute nodes.
+func newInboxArena(nc int) *inboxArena {
+	return &inboxArena{off: make([]int, nc+1), koff: make([]int, nc+1)}
 }
 
-// reserve makes room for msgs more messages carrying keys keys in total, so
-// the pushes that follow never regrow an array: each array short of room is
-// reallocated once, at exactly the size the round needs. It panics before
-// allocating when the pool would pass the int32 offsets of end, which push
-// would otherwise wrap silently.
-func (ib *nodeInbox) reserve(msgs int, keys int64) {
-	if int64(len(ib.pool))+keys > math.MaxInt32 {
-		panic(fmt.Sprintf("netsim: inbox overflow: %d keys for one receiver in one round exceed the int32 pool offsets", int64(len(ib.pool))+keys))
+// put writes one delivery at c, the cursor of a receiver whose keys start at
+// pool index base, and advances c past it.
+func (a *inboxArena) put(c *cursor, base int, from topology.NodeID, tag Tag, keys []uint64) {
+	a.from[c.row] = from
+	a.tag[c.row] = tag
+	c.key += copy(a.pool[c.key:], keys)
+	a.end[c.row] = int32(c.key - base)
+	c.row++
+}
+
+// arenaShrinkMin is the capacity (elements) below which an arena array is
+// never shrunk; small arrays are noise and reallocating them would only
+// churn.
+const arenaShrinkMin = 1 << 16
+
+// fit sizes the arena for a round of rows messages carrying keys keys.
+// Nothing survives from the round before, so an array that is too small is
+// replaced by one of exactly the size needed and nothing is copied.
+//
+// Contraction-style protocols decay from a large first-phase volume to near
+// nothing: an array whose recent peak is at most a quarter of its capacity
+// is replaced by one of half the capacity, so the arena steps down with the
+// traffic instead of pinning the first phase to the end of the run. The
+// recent peak is the largest round the arena has held, forgotten at a
+// quarter per round: a volume that falls for good gives back half the arena
+// every few rounds, while the heavy and light rounds of one contraction
+// phase keep it — a trigger on the last round alone would halve the whole
+// arena round by round through the light tail of every phase and allocate
+// it again for the next. Halving, not trimming to fit, keeps the
+// reallocation geometric, and the trigger depends only on delivered volume,
+// so it is identical for every worker count.
+func (a *inboxArena) fit(rows, keys int) {
+	a.peakRows = max(rows, a.peakRows-a.peakRows/4)
+	a.peakKeys = max(keys, a.peakKeys-a.peakKeys/4)
+	a.from = fitSlice(a.from, rows, a.peakRows)
+	a.tag = fitSlice(a.tag, rows, a.peakRows)
+	a.end = fitSlice(a.end, rows, a.peakRows)
+	a.pool = fitSlice(a.pool, keys, a.peakKeys)
+}
+
+// fitSlice returns a slice of length n, reusing s's array unless it is too
+// small or the recent peak says it is four times too large.
+func fitSlice[T any](s []T, n, peak int) []T {
+	switch c := cap(s); {
+	case c < n:
+		return make([]T, n)
+	case c >= arenaShrinkMin && peak <= c/4:
+		return make([]T, n, c/2)
 	}
-	ib.from = reserveSlice(ib.from, msgs)
-	ib.tag = reserveSlice(ib.tag, msgs)
-	ib.end = reserveSlice(ib.end, msgs)
-	ib.pool = reserveSlice(ib.pool, int(keys))
-}
-
-// reserveSlice returns s with room for n more elements, reallocating to
-// exactly len(s)+n when the capacity is short.
-func reserveSlice[T any](s []T, n int) []T {
-	if cap(s)-len(s) >= n {
-		return s
-	}
-	ns := make([]T, len(s), len(s)+n)
-	copy(ns, s)
-	return ns
-}
-
-// inboxShrinkMin is the pool capacity (keys) below which an inbox is never
-// shrunk; small pools are noise and reallocating them would only churn.
-const inboxShrinkMin = 1 << 16
-
-func (ib *nodeInbox) reset() {
-	// Contraction-style protocols decay from a large first-phase volume to
-	// near nothing; halve a pool whose last round used at most a quarter of
-	// its capacity so the key pools step down with the traffic instead of
-	// pinning the peak to the end of the run. Halving (not trimming to fit)
-	// keeps the reallocation geometric, and the trigger depends only on
-	// delivered volume, so it is identical for every worker count.
-	if c := cap(ib.pool); c >= inboxShrinkMin && len(ib.pool) <= c/4 {
-		ib.pool = make([]uint64, 0, c/2)
-		ib.from = make([]topology.NodeID, 0, cap(ib.from)/2)
-		ib.tag = make([]Tag, 0, cap(ib.tag)/2)
-		ib.end = make([]int32, 0, cap(ib.end)/2)
-		return
-	}
-	ib.from = ib.from[:0]
-	ib.tag = ib.tag[:0]
-	ib.end = ib.end[:0]
-	ib.pool = ib.pool[:0]
+	return s[:n]
 }
 
 // Inbox is a read-only view of the messages delivered to one node in the
@@ -149,12 +154,15 @@ func (ib *nodeInbox) reset() {
 // alias engine-owned buffers: callers must not modify them and must not
 // retain them across rounds.
 type Inbox struct {
-	ib *nodeInbox
-	to topology.NodeID
+	to   topology.NodeID
+	from []topology.NodeID
+	tag  []Tag
+	end  []int32 // pool offset one past message i's keys
+	pool []uint64
 }
 
 // Len reports the number of delivered messages.
-func (in Inbox) Len() int { return len(in.ib.end) }
+func (in Inbox) Len() int { return len(in.end) }
 
 // Messages materializes the whole inbox as a fresh slice. It allocates;
 // protocol hot paths should iterate with Len/At instead.
@@ -170,22 +178,22 @@ func (in Inbox) Messages() []Message {
 func (in Inbox) At(i int) Message {
 	var lo int32
 	if i > 0 {
-		lo = in.ib.end[i-1]
+		lo = in.end[i-1]
 	}
-	hi := in.ib.end[i]
+	hi := in.end[i]
 	return Message{
-		From: in.ib.from[i],
+		From: in.from[i],
 		To:   in.to,
-		Tag:  in.ib.tag[i],
-		Keys: in.ib.pool[lo:hi:hi],
+		Tag:  in.tag[i],
+		Keys: in.pool[lo:hi:hi],
 	}
 }
 
 // KeyCount reports how many keys the delivered tag messages carry in total.
 func (in Inbox) KeyCount(tag Tag) int {
 	n, lo := 0, int32(0)
-	for i, hi := range in.ib.end {
-		if in.ib.tag[i] == tag {
+	for i, hi := range in.end {
+		if in.tag[i] == tag {
 			n += int(hi - lo)
 		}
 		lo = hi
@@ -197,9 +205,9 @@ func (in Inbox) KeyCount(tag Tag) int {
 // delivery order, and returns the extended slice.
 func (in Inbox) AppendKeys(dst []uint64, tag Tag) []uint64 {
 	lo := int32(0)
-	for i, hi := range in.ib.end {
-		if in.ib.tag[i] == tag {
-			dst = append(dst, in.ib.pool[lo:hi]...)
+	for i, hi := range in.end {
+		if in.tag[i] == tag {
+			dst = append(dst, in.pool[lo:hi]...)
 		}
 		lo = hi
 	}
@@ -219,40 +227,21 @@ func (in Inbox) Keys(tag Tag) []uint64 {
 
 // Engine executes rounds on a fixed tree and accumulates cost statistics.
 type Engine struct {
-	t  *topology.Tree
-	sc *topology.SteinerScratch
+	t *topology.Tree
 
 	rounds    []RoundStats
-	inboxCur  []nodeInbox
-	inboxNext []nodeInbox
-
-	pathBuf []topology.EdgeID
-	inRound bool
+	inboxCur  *inboxArena // the previous round's deliveries, read by Inbox
+	inboxNext *inboxArena // written by the round being executed
+	inRound   bool
 
 	workers int     // WithWorkers value; 0 = GOMAXPROCS
 	cindex  []int32 // NodeID -> compute index, -1 for routers
 
-	// Both pools carry the WithWorkers budget. A par.Pool has one driver at
-	// a time, and under ExecuteAsync the accounting goroutine forks tally
-	// shards while the protocol driver forks Plan and kernel shards, so
-	// each side owns a Pool value.
-	pool *par.Pool // driver side: Plan and, through Pool(), the kernels
-	acct *par.Pool // accounting side: tally shards
-
-	dupStamp []int32 // multicast destination dedup (stamp set)
-	dupCur   int32
-
-	// What the exchange being executed will deliver, by receiver compute
-	// index: message and key counts, and the receivers with any (the only
-	// entries to reserve for and to zero again).
-	rsvMsgs []int32
-	rsvKeys []int64
-	rsvList []int32
-
-	tallies []*shardTally // per-shard exchange accounting scratch
+	pool    *par.Pool     // Plan, the two walks of Execute and, through Pool(), the kernels
+	tallies []*shardTally // per-shard scratch of the walks
 
 	// Round arena: the two exchange buffers alternate across rounds so the
-	// asynchronous accounting of round r can still read round r's outboxes
+	// asynchronous remainder of round r can still read round r's outboxes
 	// while the protocol plans round r+1 into the other buffer. With lean
 	// stats the per-round accounting arrays are also reused round over
 	// round instead of being retained by RoundStats.
@@ -288,7 +277,7 @@ type Engine struct {
 type Option func(*Engine)
 
 // WithWorkers bounds the number of goroutines used by parallel planning,
-// sharded exchange accounting, and the kernels forking on Pool. n <= 0
+// the sharded walks of Execute, and the kernels forking on Pool. n <= 0
 // means GOMAXPROCS.
 func WithWorkers(n int) Option {
 	return func(e *Engine) { e.workers = n }
@@ -326,13 +315,9 @@ func WithMetrics(r *obs.Registry) Option {
 func NewEngine(t *topology.Tree, opts ...Option) *Engine {
 	e := &Engine{
 		t:         t,
-		sc:        topology.NewSteinerScratch(t),
-		inboxCur:  make([]nodeInbox, t.NumNodes()),
-		inboxNext: make([]nodeInbox, t.NumNodes()),
 		cindex:    make([]int32, t.NumNodes()),
-		dupStamp:  make([]int32, t.NumNodes()),
-		rsvMsgs:   make([]int32, t.NumCompute()),
-		rsvKeys:   make([]int64, t.NumCompute()),
+		inboxCur:  newInboxArena(t.NumCompute()),
+		inboxNext: newInboxArena(t.NumCompute()),
 	}
 	for v := range e.cindex {
 		e.cindex[v] = -1
@@ -345,8 +330,6 @@ func NewEngine(t *topology.Tree, opts ...Option) *Engine {
 	}
 	e.pool = par.New(e.workers)
 	e.pool.Instrument(e.tracer, e.metrics)
-	e.acct = par.New(e.workers)
-	e.acct.Instrument(e.tracer, e.metrics)
 	if e.tracer != nil {
 		e.traceTid = e.tracer.NewTid("netsim rounds")
 	}
@@ -404,45 +387,18 @@ func (e *Engine) recordRound(slot int, t0 float64) {
 // Pool reports the run's worker pool, sized by WithWorkers and instrumented
 // from the engine's tracer and registry. Protocol kernels shard their
 // per-home compute on it between exchange rounds, so one -workers flag
-// governs planning, accounting, and local computation alike. The pool has a
-// single driver: fork on it only from the goroutine that drives the engine,
-// never from inside a Plan callback.
+// governs planning, delivery, accounting, and local computation alike. The
+// pool has a single driver: fork on it only from the goroutine that drives
+// the engine, never from inside a Plan callback.
 func (e *Engine) Pool() *par.Pool { return e.pool }
 
-// expect counts one message of n keys for receiver d in the exchange being
-// executed. A receiver that is not a compute node panics with the counts
-// cleared, leaving the engine as it was.
-func (e *Engine) expect(d topology.NodeID, n int64) {
-	ci := e.cindex[d]
-	if ci < 0 {
-		e.clearExpected()
-		panic(fmt.Sprintf("netsim: receiver %d is not a compute node", d))
+// computeIndex reports v's position in ComputeNodes order, -1 when v is a
+// router or no node of the tree.
+func (e *Engine) computeIndex(v topology.NodeID) int32 {
+	if uint(v) >= uint(len(e.cindex)) {
+		return -1
 	}
-	if e.rsvMsgs[ci] == 0 {
-		e.rsvList = append(e.rsvList, ci)
-	}
-	e.rsvMsgs[ci]++
-	e.rsvKeys[ci] += n
-}
-
-// clearExpected zeroes the per-receiver counts of expect.
-func (e *Engine) clearExpected() {
-	for _, ci := range e.rsvList {
-		e.rsvMsgs[ci], e.rsvKeys[ci] = 0, 0
-	}
-	e.rsvList = e.rsvList[:0]
-}
-
-// nextStamp advances the destination-dedup stamp, resetting on wraparound.
-func (e *Engine) nextStamp() int32 {
-	e.dupCur++
-	if e.dupCur == 0 {
-		for i := range e.dupStamp {
-			e.dupStamp[i] = -1
-		}
-		e.dupCur = 1
-	}
-	return e.dupCur
+	return e.cindex[v]
 }
 
 // ensureArena allocates the lean-mode accounting arrays on first use.
@@ -461,138 +417,29 @@ func (e *Engine) ensureArena() {
 func (e *Engine) Tree() *topology.Tree { return e.t }
 
 // Inbox reports the messages delivered to v at the end of the previous
-// round as an indexed view. The view and the key slices it hands out are
-// owned by the engine; callers must not modify them and must not retain
-// them across rounds.
-func (e *Engine) Inbox(v topology.NodeID) Inbox { return Inbox{ib: &e.inboxCur[v], to: v} }
+// round as an indexed view; a router's is empty. The view and the key slices
+// it hands out are owned by the engine; callers must not modify them and
+// must not retain them across rounds.
+func (e *Engine) Inbox(v topology.NodeID) Inbox {
+	ci := e.computeIndex(v)
+	if ci < 0 {
+		return Inbox{to: v}
+	}
+	a := e.inboxCur
+	lo, hi := a.off[ci], a.off[ci+1]
+	return Inbox{
+		to:   v,
+		from: a.from[lo:hi],
+		tag:  a.tag[lo:hi],
+		end:  a.end[lo:hi],
+		pool: a.pool[a.koff[ci]:a.koff[ci+1]],
+	}
+}
 
 // NumRounds reports the number of completed rounds.
 func (e *Engine) NumRounds() int {
 	e.pending.Wait()
 	return len(e.rounds)
-}
-
-// BeginRound starts a per-message reference round. Sends read the inboxes
-// of the previous round; deliveries become visible when Finish is called.
-func (e *Engine) BeginRound() *Round {
-	if e.inRound {
-		panic("netsim: BeginRound while a round is open")
-	}
-	e.pending.Wait()
-	e.inRound = true
-	r := &Round{
-		e:        e,
-		traffic:  make([]int64, e.t.NumEdges()),
-		sent:     make([]int64, e.t.NumNodes()),
-		received: make([]int64, e.t.NumNodes()),
-	}
-	if e.tracer != nil {
-		r.t0 = e.tracer.Now()
-	}
-	return r
-}
-
-// Round is one open round of the serial per-message reference API.
-type Round struct {
-	e        *Engine
-	traffic  []int64
-	sent     []int64
-	received []int64
-	messages int
-	elements int64
-	t0       float64 // trace timestamp of BeginRound (tracing only)
-	done     bool
-}
-
-func (r *Round) checkEndpoints(from topology.NodeID, to ...topology.NodeID) {
-	if r.done {
-		panic("netsim: send on finished round")
-	}
-	if !r.e.t.IsCompute(from) {
-		panic(fmt.Sprintf("netsim: sender %d is not a compute node", from))
-	}
-	for _, d := range to {
-		if !r.e.t.IsCompute(d) {
-			panic(fmt.Sprintf("netsim: receiver %d is not a compute node", d))
-		}
-	}
-}
-
-// Send transmits keys from one compute node to another along the unique
-// tree path, charging every link once. Self-sends are free and are still
-// delivered (the node keeps its own data without touching the network).
-func (r *Round) Send(from, to topology.NodeID, tag Tag, keys []uint64) {
-	r.checkEndpoints(from, to)
-	if from != to {
-		r.e.pathBuf = r.e.t.Path(r.e.pathBuf[:0], from, to)
-		for _, edge := range r.e.pathBuf {
-			r.traffic[edge] += int64(len(keys))
-		}
-		r.sent[from] += int64(len(keys))
-	}
-	r.deliver(from, to, tag, keys)
-}
-
-// Multicast transmits keys from one compute node to every node in dsts,
-// routing along the Steiner tree of {from} ∪ dsts so that every link is
-// charged once regardless of the number of destinations. This matches the
-// paper's accounting for instructions like "send a to all nodes in
-// V_β ∪ {h(a)}": a router replicates the element toward multiple links.
-// Duplicate destinations receive a single delivery.
-func (r *Round) Multicast(from topology.NodeID, dsts []topology.NodeID, tag Tag, keys []uint64) {
-	r.checkEndpoints(from, dsts...)
-	r.e.pathBuf = r.e.t.Steiner(r.e.pathBuf[:0], r.e.sc, from, dsts)
-	if len(r.e.pathBuf) > 0 {
-		// The sender emits one copy into the network; routers replicate.
-		r.sent[from] += int64(len(keys))
-	}
-	for _, edge := range r.e.pathBuf {
-		r.traffic[edge] += int64(len(keys))
-	}
-	// Duplicate destinations receive one delivery; dedup with a stamp set so
-	// wide multicasts stay O(len(dsts)) instead of O(len(dsts)²).
-	stamp := r.e.nextStamp()
-	for _, d := range dsts {
-		if r.e.dupStamp[d] == stamp {
-			continue
-		}
-		r.e.dupStamp[d] = stamp
-		r.deliver(from, d, tag, keys)
-	}
-}
-
-func (r *Round) deliver(from, to topology.NodeID, tag Tag, keys []uint64) {
-	r.messages++
-	r.elements += int64(len(keys))
-	if from != to {
-		r.received[to] += int64(len(keys))
-	}
-	r.e.inboxNext[to].push(from, tag, keys)
-}
-
-// Finish closes the round: it computes the round cost, records statistics,
-// and makes all deliveries visible in the inboxes.
-func (r *Round) Finish() RoundStats {
-	if r.done {
-		panic("netsim: Finish called twice")
-	}
-	r.done = true
-	return r.e.commitRound(r.traffic, r.sent, r.received, r.messages, r.elements, r.t0)
-}
-
-// commitRound computes the round cost from the accounted traffic, records
-// the statistics, and makes all deliveries visible in the inboxes. It is
-// the synchronous path of the per-message Round API; exchanges commit
-// through execute/accountRound instead.
-func (e *Engine) commitRound(traffic, sent, received []int64, messages int, elements int64, t0 float64) RoundStats {
-	e.inRound = false
-
-	slot := len(e.rounds)
-	e.rounds = append(e.rounds, RoundStats{Index: slot, Messages: messages, Elements: elements})
-	e.finishStats(slot, traffic, sent, received)
-	e.recordRound(slot, t0)
-	e.swapInboxes()
-	return e.rounds[slot]
 }
 
 // finishStats fills the cost fields of a reserved stats slot from the
@@ -644,15 +491,6 @@ func (e *Engine) finishStats(slot int, traffic, sent, received []int64) {
 			received[v] = 0
 		}
 	}
-}
-
-// swapInboxes makes the round's deliveries current and recycles the old
-// inboxes for the next round.
-func (e *Engine) swapInboxes() {
-	for v := range e.inboxCur {
-		e.inboxCur[v].reset()
-	}
-	e.inboxCur, e.inboxNext = e.inboxNext, e.inboxCur
 }
 
 // Report snapshots the cost statistics of all completed rounds.

@@ -138,9 +138,10 @@ func TestTracedRunLeavesStatsIdentical(t *testing.T) {
 
 // TestPoolForksBetweenAsyncRounds is the race-detector pin of the engine's
 // pool ownership: a traced and metered 4-worker engine pipelines rounds
-// with ExecuteAsync — so the accounting goroutine forks tally shards in the
-// background — while the driver forks Plan and kernel-style reductions on
-// Engine.Pool() between them. The report and the kernel results must equal
+// with ExecuteAsync — so the remainder of round r (shard merge, sweep,
+// statistics, outbox and cursor reset) runs in the background — while the
+// driver forks Plan, both walks of the next Execute and kernel-style
+// reductions on Engine.Pool(). The report and the kernel results must equal
 // the 1-worker run, and the trace must pass the schema check.
 func TestPoolForksBetweenAsyncRounds(t *testing.T) {
 	tr := benchCaterpillar(t)
@@ -186,10 +187,10 @@ func TestPoolForksBetweenAsyncRounds(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("report at 4 workers differs from the 1-worker run:\n got %v\nwant %v", got, want)
 	}
-	// Per round: one Plan fork and one kernel fork on the driver pool, one
-	// tally fork on the accounting pool.
-	if forks := reg.Counter("par.forks").Value(); forks != 3*rounds {
-		t.Fatalf("par.forks = %d, want %d", forks, 3*rounds)
+	// Per round, all on the one pool and all from the driver: Plan, the
+	// tally walk, the delivery walk, the kernel.
+	if forks := reg.Counter("par.forks").Value(); forks != 4*rounds {
+		t.Fatalf("par.forks = %d, want %d", forks, 4*rounds)
 	}
 	var buf bytes.Buffer
 	if err := tc.WriteJSON(&buf); err != nil {

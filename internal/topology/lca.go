@@ -204,6 +204,9 @@ func (a *PathAccumulator) MergeFrom(b *PathAccumulator) {
 	}
 }
 
+// Reset drops the pending deltas.
+func (a *PathAccumulator) Reset() { clear(a.diff) }
+
 // FlushInto converts the pending deltas into per-edge counts with one
 // reverse-preorder subtree-sum sweep, adds them to traffic (indexed by
 // EdgeID, length NumEdges), and resets the accumulator.
