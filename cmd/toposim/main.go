@@ -1,6 +1,6 @@
 // Command toposim runs one task on one topology and prints the per-round
-// cost accounting next to the instance lower bound. Any task registered in
-// the topompc protocol registry can be run by name.
+// cost accounting next to the instance lower bound. Any task in the topompc
+// task table can be run by name.
 //
 // Usage:
 //
@@ -51,7 +51,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		workers    = fs.Int("workers", 0, "goroutine budget for planning and accounting (0 = all CPUs)")
 		bits       = fs.Int("bits", 0, "report costs in bits at this element width (0 = elements only)")
 		edges      = fs.Bool("edges", false, "print the per-link utilization table")
-		listTasks  = fs.Bool("list-tasks", false, "list registered tasks and exit")
+		listTasks  = fs.Bool("list-tasks", false, "list the task table (name, baseline, description) and exit")
 		tracePath  = fs.String("trace", "", "record a flight-recorder trace and write it as Chrome trace-event JSON to this file")
 		checkTrace = fs.String("check-trace", "", "validate a Chrome trace-event JSON file against the recorder schema and exit")
 		metrics    = fs.Bool("metrics", false, "collect the flight-recorder metrics registry and print its snapshot")
@@ -67,7 +67,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	if *listTasks {
 		for _, t := range topompc.Tasks() {
-			fmt.Fprintf(stdout, "%-20s %s\n", t.Name, t.Description)
+			baseline := "-"
+			if t.Baseline != "" {
+				baseline = "vs " + t.Baseline
+			}
+			fmt.Fprintf(stdout, "%-20s %-22s %s\n", t.Name, baseline, t.Description)
 		}
 		return 0
 	}

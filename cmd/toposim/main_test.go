@@ -15,6 +15,9 @@ func TestListTasks(t *testing.T) {
 			t.Errorf("-list-tasks output missing %q:\n%s", name, out.String())
 		}
 	}
+	if !strings.Contains(out.String(), "vs cc-flat") {
+		t.Errorf("-list-tasks does not show cc's baseline:\n%s", out.String())
+	}
 }
 
 func TestUnknownTask(t *testing.T) {

@@ -1,9 +1,12 @@
 package topompc
 
 import (
+	"fmt"
+
 	"topompc/internal/core/aggregate"
 	"topompc/internal/core/join"
 	"topompc/internal/netsim"
+	"topompc/internal/topology"
 )
 
 // This file exposes the extension tasks built on top of the paper's
@@ -12,10 +15,7 @@ import (
 // caveats — no optimality theorems are claimed for these.
 
 // GroupValue is one (group, value) record for aggregation.
-type GroupValue struct {
-	Group uint64
-	Value int64
-}
+type GroupValue = aggregate.Pair
 
 // AggregateResult is the outcome of a distributed group-by aggregation.
 type AggregateResult struct {
@@ -33,17 +33,13 @@ type AggregateResult struct {
 // strategy: groups are first merged inside the blocks of a balanced
 // partition, then block partials are hashed globally. Two rounds.
 func (c *Cluster) Aggregate(data [][]GroupValue, seed uint64) (*AggregateResult, error) {
-	return c.aggregateWith(data, func(p aggregate.Placement) (*aggregate.Result, error) {
-		return aggregate.TwoLevel(c.t, p, seed, c.exec.netsimOpts()...)
-	})
+	return c.aggregateWith(data, seed, aggregate.TwoLevel)
 }
 
 // AggregateBaseline computes per-group totals with single-round uniform
 // hashing (no rack combining), for comparison.
 func (c *Cluster) AggregateBaseline(data [][]GroupValue, seed uint64) (*AggregateResult, error) {
-	return c.aggregateWith(data, func(p aggregate.Placement) (*aggregate.Result, error) {
-		return aggregate.Hash(c.t, p, seed, c.exec.netsimOpts()...)
-	})
+	return c.aggregateWith(data, seed, aggregate.Hash)
 }
 
 // AggregateAware computes per-group totals with single-level combiner-tree
@@ -54,9 +50,7 @@ func (c *Cluster) AggregateBaseline(data [][]GroupValue, seed uint64) (*Aggregat
 // the topology has no weak cut. AggregateMultiLevel generalizes it to the
 // full weak-cut hierarchy.
 func (c *Cluster) AggregateAware(data [][]GroupValue, seed uint64) (*AggregateResult, error) {
-	return c.aggregateWith(data, func(p aggregate.Placement) (*aggregate.Result, error) {
-		return aggregate.CombinerTreeSingle(c.t, p, seed, c.exec.netsimOpts()...)
-	})
+	return c.aggregateWith(data, seed, aggregate.CombinerTreeSingle)
 }
 
 // AggregateMultiLevel computes per-group totals with the recursive
@@ -68,37 +62,34 @@ func (c *Cluster) AggregateAware(data [][]GroupValue, seed uint64) (*AggregateRe
 // AggregateAware, and with no weak cut at all it degrades to one round of
 // capacity-weighted hashing.
 func (c *Cluster) AggregateMultiLevel(data [][]GroupValue, seed uint64) (*AggregateResult, error) {
-	return c.aggregateWith(data, func(p aggregate.Placement) (*aggregate.Result, error) {
-		return aggregate.CombinerTree(c.t, p, seed, c.exec.netsimOpts()...)
-	})
+	return c.aggregateWith(data, seed, aggregate.CombinerTree)
 }
 
 // AggregateAwareBaseline runs the flat counterpart of AggregateAware: one
 // round of uniform hashing with no block combining, sharing the chooser
 // seed so the combiner-tree levers are measured in isolation.
 func (c *Cluster) AggregateAwareBaseline(data [][]GroupValue, seed uint64) (*AggregateResult, error) {
-	return c.aggregateWith(data, func(p aggregate.Placement) (*aggregate.Result, error) {
-		return aggregate.HashFlat(c.t, p, seed, c.exec.netsimOpts()...)
-	})
+	return c.aggregateWith(data, seed, aggregate.HashFlat)
 }
 
-func (c *Cluster) aggregateWith(data [][]GroupValue,
-	run func(aggregate.Placement) (*aggregate.Result, error)) (*AggregateResult, error) {
-	if err := c.checkFragmentCount("data", len(data)); err != nil {
+// aggregateProtocol is the entry point every aggregation variant shares.
+type aggregateProtocol func(t *topology.Tree, data aggregate.Placement, seed uint64, opts ...netsim.Option) (*aggregate.Result, error)
+
+// aggregateWith is the aggregation pipeline: every reference group total
+// must be produced, correctly, at exactly one node (aggregate.Verify); the
+// cost is set against the spanning-groups bound.
+func (c *Cluster) aggregateWith(data [][]GroupValue, seed uint64, run aggregateProtocol) (*AggregateResult, error) {
+	if err := c.checkFragments("data", len(data)); err != nil {
 		return nil, err
 	}
-	placement := make(aggregate.Placement, len(data))
-	for i, frag := range data {
-		placement[i] = make([]aggregate.Pair, len(frag))
-		for j, gv := range frag {
-			placement[i][j] = aggregate.Pair{Group: gv.Group, Value: gv.Value}
-		}
-	}
-	res, err := run(placement)
+	res, err := run(c.t, data, seed, c.exec.netsimOpts()...)
 	if err != nil {
 		return nil, err
 	}
-	lb := aggregate.LowerBound(c.t, placement)
+	if err := aggregate.Verify(data, res); err != nil {
+		return nil, err
+	}
+	lb := aggregate.LowerBound(c.t, data)
 	return &AggregateResult{
 		Totals: res.Totals(),
 		Cost:   c.costOf(res.Report, lb),
@@ -106,11 +97,25 @@ func (c *Cluster) aggregateWith(data [][]GroupValue,
 	}, nil
 }
 
-// Row is one relation row for a join: a join key plus an opaque payload.
-type Row struct {
-	Key     uint64
-	Payload uint64
+// aggregateTask counts group multiplicities: every key is a (Group=key,
+// Value=1) record.
+func aggregateTask(run aggregateProtocol) func(*Cluster, TaskInput) (*TaskResult, error) {
+	return func(c *Cluster, in TaskInput) (*TaskResult, error) {
+		data := decodeFrags(in.Data, func(key uint64) GroupValue { return GroupValue{Group: key, Value: 1} })
+		res, err := c.aggregateWith(data, in.Seed, run)
+		if err != nil {
+			return nil, err
+		}
+		return &TaskResult{
+			Summary: fmt.Sprintf("records=%d groups=%d", sizes(in.Data), len(res.Totals)),
+			Cost:    res.Cost,
+			Report:  res.Report,
+		}, nil
+	}
 }
+
+// Row is one relation row for a join: a join key plus an opaque payload.
+type Row = join.Tuple
 
 // JoinResult is the outcome of a distributed equi-join. Pairs are
 // enumerated at the nodes, not materialized centrally.
@@ -131,44 +136,54 @@ type JoinResult struct {
 // (balanced partition + weighted in-block hashing; the smaller relation's
 // key-groups are replicated across blocks). One round.
 func (c *Cluster) Join(r, s [][]Row, seed uint64) (*JoinResult, error) {
-	return c.joinWith(r, s, func(pr, ps join.Placement) (*join.Result, error) {
-		return join.Tree(c.t, pr, ps, seed, c.exec.netsimOpts()...)
-	})
+	return c.joinWith(r, s, seed, join.Tree)
 }
 
 // JoinBaseline computes R ⋈ S with the topology-oblivious uniform hash
 // join, for comparison.
 func (c *Cluster) JoinBaseline(r, s [][]Row, seed uint64) (*JoinResult, error) {
-	return c.joinWith(r, s, func(pr, ps join.Placement) (*join.Result, error) {
-		return join.UniformHash(c.t, pr, ps, seed, c.exec.netsimOpts()...)
-	})
+	return c.joinWith(r, s, seed, join.UniformHash)
 }
 
-func (c *Cluster) joinWith(r, s [][]Row,
-	run func(join.Placement, join.Placement) (*join.Result, error)) (*JoinResult, error) {
-	if err := c.checkFragmentCount("r", len(r)); err != nil {
+// joinProtocol is the entry point both join variants share.
+type joinProtocol func(t *topology.Tree, r, s join.Placement, seed uint64, opts ...netsim.Option) (*join.Result, error)
+
+// joinWith is the equi-join pipeline: the number of emitted pairs must
+// equal the reference |R ⋈ S|. join.Verify's sample check is left out on
+// purpose: it builds two map-of-maps over the whole input.
+func (c *Cluster) joinWith(r, s [][]Row, seed uint64, run joinProtocol) (*JoinResult, error) {
+	if err := c.checkPair(len(r), len(s)); err != nil {
 		return nil, err
 	}
-	if err := c.checkFragmentCount("s", len(s)); err != nil {
-		return nil, err
-	}
-	conv := func(in [][]Row) join.Placement {
-		out := make(join.Placement, len(in))
-		for i, frag := range in {
-			for _, row := range frag {
-				out[i] = append(out[i], join.Tuple{Key: row.Key, Payload: row.Payload})
-			}
-		}
-		return out
-	}
-	res, err := run(conv(r), conv(s))
+	res, err := run(c.t, r, s, seed, c.exec.netsimOpts()...)
 	if err != nil {
 		return nil, err
 	}
+	pairs := res.TotalPairs()
+	if want := join.ReferenceSize(r, s); pairs != want {
+		return nil, fmt.Errorf("join: %d pairs emitted, want %d", pairs, want)
+	}
 	return &JoinResult{
-		Pairs:        res.TotalPairs(),
+		Pairs:        pairs,
 		PairsPerNode: res.PerNode,
 		Cost:         c.costOf(res.Report, 0),
 		Report:       res.Report,
 	}, nil
+}
+
+// joinTask joins on the keys themselves: every key is a (Key=key,
+// Payload=key) row.
+func joinTask(run joinProtocol) func(*Cluster, TaskInput) (*TaskResult, error) {
+	return func(c *Cluster, in TaskInput) (*TaskResult, error) {
+		row := func(key uint64) Row { return Row{Key: key, Payload: key} }
+		res, err := c.joinWith(decodeFrags(in.R, row), decodeFrags(in.S, row), in.Seed, run)
+		if err != nil {
+			return nil, err
+		}
+		return &TaskResult{
+			Summary: fmt.Sprintf("|R|=%d |S|=%d pairs=%d", sizes(in.R), sizes(in.S), res.Pairs),
+			Cost:    res.Cost,
+			Report:  res.Report,
+		}, nil
+	}
 }

@@ -6,14 +6,13 @@ import (
 	"topompc/internal/core/graph"
 	"topompc/internal/lowerbound"
 	"topompc/internal/netsim"
+	"topompc/internal/topology"
 )
 
 // GraphEdge is one undirected graph edge for the connectivity tasks.
 // Self-loops declare their vertex without connecting anything; parallel
 // edges are permitted.
-type GraphEdge struct {
-	U, V uint64
-}
+type GraphEdge = graph.Edge
 
 // ComponentsResult is the outcome of a distributed connected-components or
 // spanning-forest run.
@@ -48,9 +47,7 @@ type ComponentsResult struct {
 // centralized union-find reference (component count + checksum) before
 // returning.
 func (c *Cluster) ConnectedComponents(edges [][]GraphEdge, seed uint64) (*ComponentsResult, error) {
-	return c.graphWith(edges, func(pl graph.Placement) (*graph.Result, error) {
-		return graph.CC(c.t, pl, seed, c.exec.netsimOpts()...)
-	})
+	return c.graphWith(edges, seed, graph.CC)
 }
 
 // ConnectedComponentsFast labels every vertex with its component's
@@ -60,17 +57,13 @@ func (c *Cluster) ConnectedComponents(edges [][]GraphEdge, seed uint64) (*Compon
 // count drops well below the Borůvka schedule of ConnectedComponents.
 // Same inputs, verification, and result contract as ConnectedComponents.
 func (c *Cluster) ConnectedComponentsFast(edges [][]GraphEdge, seed uint64) (*ComponentsResult, error) {
-	return c.graphWith(edges, func(pl graph.Placement) (*graph.Result, error) {
-		return graph.CCFast(c.t, pl, seed, c.exec.netsimOpts()...)
-	})
+	return c.graphWith(edges, seed, graph.CCFast)
 }
 
 // ConnectedComponentsBaseline runs the topology-oblivious baseline:
 // uniform vertex homes and direct update delivery, as on a flat network.
 func (c *Cluster) ConnectedComponentsBaseline(edges [][]GraphEdge, seed uint64) (*ComponentsResult, error) {
-	return c.graphWith(edges, func(pl graph.Placement) (*graph.Result, error) {
-		return graph.CCFlat(c.t, pl, seed, c.exec.netsimOpts()...)
-	})
+	return c.graphWith(edges, seed, graph.CCFlat)
 }
 
 // SpanningForest computes connected components together with a spanning
@@ -78,51 +71,59 @@ func (c *Cluster) ConnectedComponentsBaseline(edges [][]GraphEdge, seed uint64) 
 // joined the two components. The forest is verified to be spanning and
 // acyclic against the union-find reference.
 func (c *Cluster) SpanningForest(edges [][]GraphEdge, seed uint64) (*ComponentsResult, error) {
-	return c.graphWith(edges, func(pl graph.Placement) (*graph.Result, error) {
-		return graph.SpanningForest(c.t, pl, seed, c.exec.netsimOpts()...)
-	})
+	return c.graphWith(edges, seed, graph.SpanningForest)
 }
 
-func (c *Cluster) graphWith(edges [][]GraphEdge,
-	run func(graph.Placement) (*graph.Result, error)) (*ComponentsResult, error) {
-	if err := c.checkFragmentCount("edges", len(edges)); err != nil {
+// graphProtocol is the entry point every connectivity variant shares.
+type graphProtocol func(t *topology.Tree, edges graph.Placement, seed uint64, opts ...netsim.Option) (*graph.Result, error)
+
+// graphWith is the connectivity pipeline: component count and labeling
+// checksum must match the union-find reference, and a forest, when the
+// protocol returns one, must span it without cycles (graph.Verify); the
+// cost is set against the per-cut connectivity bound.
+func (c *Cluster) graphWith(edges [][]GraphEdge, seed uint64, run graphProtocol) (*ComponentsResult, error) {
+	if err := c.checkFragments("edges", len(edges)); err != nil {
 		return nil, err
 	}
-	pl := make(graph.Placement, len(edges))
-	for i, frag := range edges {
-		pl[i] = make([]graph.Edge, len(frag))
-		for j, e := range frag {
-			pl[i][j] = graph.Edge{U: e.U, V: e.V}
-		}
-	}
-	res, err := run(pl)
+	res, err := run(c.t, edges, seed, c.exec.netsimOpts()...)
 	if err != nil {
 		return nil, err
 	}
-	ref := graph.Reference(pl)
-	if res.Components != ref.Count || res.Checksum != ref.Checksum {
-		return nil, fmt.Errorf("topompc: connectivity found %d components (checksum %x), reference has %d (%x)",
-			res.Components, res.Checksum, ref.Count, ref.Checksum)
+	if err := graph.Verify(graph.Reference(edges), res); err != nil {
+		return nil, err
 	}
-	if res.Forest != nil {
-		if err := graph.VerifyForest(ref, res.Forest); err != nil {
-			return nil, err
-		}
-	}
-	lb := lowerbound.Spanning(c.t, graph.ComponentSpread(c.t, pl))
-	out := &ComponentsResult{
+	lb := lowerbound.Spanning(c.t, graph.ComponentSpread(c.t, edges))
+	return &ComponentsResult{
 		Components: res.Components,
 		PerNode:    res.PerNode,
+		Forest:     res.Forest,
 		Phases:     res.Phases,
 		Strategy:   res.Strategy,
 		Cost:       c.costOf(res.Report, lb.Value),
 		Report:     res.Report,
-	}
-	if res.Forest != nil {
-		out.Forest = make([]GraphEdge, len(res.Forest))
-		for i, e := range res.Forest {
-			out.Forest[i] = GraphEdge{U: e.U, V: e.V}
+	}, nil
+}
+
+// graphTask reads every key as one packed edge, EncodeTuple2({u, v}).
+func graphTask(run graphProtocol) func(*Cluster, TaskInput) (*TaskResult, error) {
+	return func(c *Cluster, in TaskInput) (*TaskResult, error) {
+		edges := decodeFrags(in.Data, func(key uint64) GraphEdge {
+			t := DecodeTuple2(key)
+			return GraphEdge{U: t.A, V: t.B}
+		})
+		res, err := c.graphWith(edges, in.Seed, run)
+		if err != nil {
+			return nil, err
 		}
+		var verts int
+		for _, m := range res.PerNode {
+			verts += len(m)
+		}
+		summary := fmt.Sprintf("V=%d E=%d components=%d phases=%d strategy=%s",
+			verts, sizes(in.Data), res.Components, res.Phases, res.Strategy)
+		if res.Forest != nil {
+			summary += fmt.Sprintf(" forest=%d", len(res.Forest))
+		}
+		return &TaskResult{Summary: summary, Cost: res.Cost, Report: res.Report}, nil
 	}
-	return out, nil
 }

@@ -36,19 +36,6 @@ func BenchmarkCCContraction(b *testing.B) {
 	}
 }
 
-// BenchmarkCCContractionMaps measures the retired map-based baseline on the
-// same workload, so the speedup ratio is visible in one bench run.
-func BenchmarkCCContractionMaps(b *testing.B) {
-	tr, edges := benchInput(b, 10_000, 4.0/10_000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := runMaps(tr, edges, 42, true, false, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkCCContraction100k is the scale point the performance target is
 // pinned at: 10⁵ vertices, average degree 4.
 func BenchmarkCCContraction100k(b *testing.B) {
@@ -70,19 +57,6 @@ func BenchmarkSpanningForest100k(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := SpanningForest(tr, edges, 42); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCCContraction100kMaps is the map-based baseline at the same
-// scale point.
-func BenchmarkCCContraction100kMaps(b *testing.B) {
-	tr, edges := benchInput(b, 100_000, 4.0/100_000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := runMaps(tr, edges, 42, true, false, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

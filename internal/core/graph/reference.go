@@ -130,6 +130,20 @@ func Reference(edges Placement) *Ref {
 	return ref
 }
 
+// Verify checks a protocol run against the reference answer: component
+// count and labeling checksum must match, and a witness forest, when the
+// run produced one, must be a spanning forest of the input (VerifyForest).
+func Verify(ref *Ref, res *Result) error {
+	if res.Components != ref.Count || res.Checksum != ref.Checksum {
+		return fmt.Errorf("graph: found %d components (checksum %x), reference has %d (%x)",
+			res.Components, res.Checksum, ref.Count, ref.Checksum)
+	}
+	if res.Forest != nil {
+		return VerifyForest(ref, res.Forest)
+	}
+	return nil
+}
+
 // VerifyForest checks that forest is a spanning forest of the input graph:
 // every forest edge is within a reference component, no forest edge closes
 // a cycle, and the forest merges the vertices into exactly the reference

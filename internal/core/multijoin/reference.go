@@ -2,6 +2,7 @@ package multijoin
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
 	"sort"
 
@@ -38,6 +39,16 @@ type RefStats struct {
 	Count    int64
 	Checksum uint64
 	MaxDeg   int64
+}
+
+// Verify checks a protocol run against a reference evaluation: the emitted
+// row count and the output checksum must both match.
+func Verify(ref RefStats, res *Result) error {
+	if got := res.TotalOutputs(); got != ref.Count || res.Checksum != ref.Checksum {
+		return fmt.Errorf("multijoin: emitted %d rows (checksum %x), reference has %d (%x)",
+			got, res.Checksum, ref.Count, ref.Checksum)
+	}
+	return nil
 }
 
 // holder is one fragment's copies of a distinct tuple.

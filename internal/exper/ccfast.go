@@ -117,9 +117,8 @@ func runX9(cfg Config) ([]Table, error) {
 				return nil, err
 			}
 			for variant, res := range map[string]*graph.Result{"cc": slow, "cc-fast": fast} {
-				if res.Components != ref.Count || res.Checksum != ref.Checksum {
-					return nil, fmt.Errorf("X9 %s on %s/%s: labeling mismatch (%d comps vs %d)",
-						variant, tr.name, fam.name, res.Components, ref.Count)
+				if err := graph.Verify(ref, res); err != nil {
+					return nil, fmt.Errorf("X9 %s on %s/%s: %w", variant, tr.name, fam.name, err)
 				}
 			}
 			slowRounds := slow.Report.NumRounds()

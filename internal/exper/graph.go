@@ -103,9 +103,8 @@ func runX5(cfg Config) ([]Table, error) {
 				return nil, err
 			}
 			for variant, res := range map[string]*graph.Result{"aware": aware, "flat": flat} {
-				if res.Components != ref.Count || res.Checksum != ref.Checksum {
-					return nil, fmt.Errorf("X5 %s on %s/%s: labeling mismatch (%d comps vs %d)",
-						variant, tr.name, fam.name, res.Components, ref.Count)
+				if err := graph.Verify(ref, res); err != nil {
+					return nil, fmt.Errorf("X5 %s on %s/%s: %w", variant, tr.name, fam.name, err)
 				}
 			}
 			lb := lowerbound.Spanning(tr.tree, graph.ComponentSpread(tr.tree, pl))

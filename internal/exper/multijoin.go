@@ -93,9 +93,8 @@ func runX3(cfg Config) ([]Table, error) {
 			return nil, err
 		}
 		for variant, res := range map[string]*multijoin.Result{"aware": aware, "flat": flat} {
-			if res.TotalOutputs() != ref.Count || res.Checksum != ref.Checksum {
-				return nil, fmt.Errorf("X3 %s on %s: output mismatch (%d vs %d)",
-					variant, name, res.TotalOutputs(), ref.Count)
+			if err := multijoin.Verify(ref, res); err != nil {
+				return nil, fmt.Errorf("X3 %s on %s: %w", variant, name, err)
 			}
 		}
 		lb := lowerbound.Multijoin(tree, ref.Count, ref.MaxDeg, ix.CutCounts(tree))
@@ -154,9 +153,8 @@ func runX4(cfg Config) ([]Table, error) {
 			return nil, err
 		}
 		for variant, res := range map[string]*multijoin.Result{"aware": aware, "flat": flat} {
-			if res.TotalOutputs() != ref.Count || res.Checksum != ref.Checksum {
-				return nil, fmt.Errorf("X4 %s on %s: output mismatch (%d vs %d)",
-					variant, name, res.TotalOutputs(), ref.Count)
+			if err := multijoin.Verify(ref, res); err != nil {
+				return nil, fmt.Errorf("X4 %s on %s: %w", variant, name, err)
 			}
 		}
 		lb := lowerbound.Multijoin(tree, ref.Count, ref.MaxDeg, ix.CutCounts(tree))

@@ -19,20 +19,6 @@ import (
 // catch future routing or accounting changes that break the cost model's
 // invariants on inputs nobody hand-picked.
 
-// awareBaselinePairs maps each aware task to its oblivious baseline.
-var awareBaselinePairs = [][2]string{
-	{"intersect", "intersect-baseline"},
-	{"sort", "sort-baseline"},
-	{"sort-aware", "sort-aware-flat"},
-	{"join", "join-baseline"},
-	{"aggregate", "aggregate-baseline"},
-	{"agg-aware", "agg-aware-flat"},
-	{"agg-tree2", "agg-aware-flat"},
-	{"triangle", "triangle-flat"},
-	{"starjoin", "starjoin-flat"},
-	{"cc", "cc-flat"},
-}
-
 // awareTolerance bounds how much worse than its baseline an aware variant
 // may ever be on a random instance. Aware protocols optimize for skewed
 // topologies and can lose modestly on benign ones (e.g. two-round
@@ -103,28 +89,34 @@ func TestPropertyCostDominatesLowerBound(t *testing.T) {
 }
 
 // TestPropertyAwareWithinToleranceOfBaseline: aware variants never lose
-// to their baselines by more than awareTolerance on any random trial.
+// to their baselines (Task.Baseline) by more than awareTolerance on any
+// random trial.
 func TestPropertyAwareWithinToleranceOfBaseline(t *testing.T) {
+	var paired []topompc.Task
+	for _, spec := range topompc.Tasks() {
+		if spec.Baseline != "" {
+			paired = append(paired, spec)
+		}
+	}
+	if len(paired) != 10 {
+		t.Errorf("the table pairs %d tasks with a baseline, want 10", len(paired))
+	}
 	for _, trial := range randomTrials(t) {
 		trial := trial
 		t.Run(trial.name, func(t *testing.T) {
-			for _, pair := range awareBaselinePairs {
-				spec, ok := topompc.LookupTask(pair[0])
-				if !ok {
-					t.Fatalf("unknown task %s", pair[0])
-				}
+			for _, spec := range paired {
 				in := propertyInput(t, spec, trial.cluster, trial.place, trial.seed)
-				aware, err := trial.cluster.RunTask(pair[0], in)
+				aware, err := trial.cluster.RunTask(spec.Name, in)
 				if err != nil {
-					t.Fatalf("%s: %v", pair[0], err)
+					t.Fatalf("%s: %v", spec.Name, err)
 				}
-				base, err := trial.cluster.RunTask(pair[1], in)
+				base, err := trial.cluster.RunTask(spec.Baseline, in)
 				if err != nil {
-					t.Fatalf("%s: %v", pair[1], err)
+					t.Fatalf("%s: %v", spec.Baseline, err)
 				}
 				if aware.Cost.Cost > base.Cost.Cost*awareTolerance {
 					t.Errorf("%s cost %.3f exceeds %.1f× baseline %s (%.3f)",
-						pair[0], aware.Cost.Cost, awareTolerance, pair[1], base.Cost.Cost)
+						spec.Name, aware.Cost.Cost, awareTolerance, spec.Baseline, base.Cost.Cost)
 				}
 			}
 		})

@@ -1,20 +1,20 @@
 package topompc
 
 import (
-	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
-	"topompc/internal/core/cartesian"
+	"topompc/internal/core/aggregate"
+	"topompc/internal/core/graph"
 	"topompc/internal/core/intersect"
 	"topompc/internal/core/join"
+	"topompc/internal/core/multijoin"
 	"topompc/internal/core/sorting"
-	"topompc/internal/dataset"
 	"topompc/internal/netsim"
-	"topompc/internal/topology"
 )
 
-// TaskInput is the generic input to a registered task. Pair tasks
+// TaskInput is the generic input to a task of the table. Pair tasks
 // (intersect, cartesian, join) consume R and S; single-relation tasks
 // (sort, aggregate) consume Data; multi-relation tasks (triangle, star
 // join) consume Rels. All fragments are indexed in compute-node order,
@@ -56,8 +56,22 @@ func EncodeTuple2(t Tuple2) uint64 { return t.A<<32 | t.B&0xffffffff }
 // DecodeTuple2 unpacks a registry key into a Tuple2.
 func DecodeTuple2(key uint64) Tuple2 { return Tuple2{A: key >> 32, B: key & 0xffffffff} }
 
-// TaskResult is the uniform outcome of a registry task: a one-line summary
-// of the verified output plus the cost accounting.
+// decodeFrags turns key fragments into typed record fragments, one record
+// per key. A task decodes its input once; the pipelines take it from there
+// without further copies.
+func decodeFrags[T any](frags [][]uint64, f func(uint64) T) [][]T {
+	out := make([][]T, len(frags))
+	for i, frag := range frags {
+		out[i] = make([]T, len(frag))
+		for j, key := range frag {
+			out[i][j] = f(key)
+		}
+	}
+	return out
+}
+
+// TaskResult is the uniform outcome of a task run by name: a one-line
+// summary of the verified output plus the cost accounting.
 type TaskResult struct {
 	Summary string
 	Cost    Cost
@@ -65,14 +79,20 @@ type TaskResult struct {
 	Report *netsim.Report
 }
 
-// Task is a runnable protocol registered by name. Every Run executes the
-// protocol on the cluster's exchange-plan runtime, verifies the output
-// against a reference computation, and reports the cost next to the task's
-// instance lower bound (0 when none is known).
+// Task is one row of the task table: a protocol runnable by name. Run hands
+// the decoded input and the row's protocol entry point to the family's
+// pipeline — the same one the typed Cluster method uses — which executes it
+// on the cluster's exchange-plan runtime, verifies the output against the
+// family's reference, and reports the cost next to the task's instance
+// lower bound (0 when none is known).
 type Task struct {
 	Name        string
 	Description string
 	Kind        TaskKind
+	// Baseline names the topology-oblivious task this one is measured
+	// against on the same input; empty on the baselines themselves and on
+	// tasks that have none.
+	Baseline string
 	// WantsEqualPair marks pair tasks whose default protocol requires
 	// |R| = |S| on general trees (cartesian); drivers use it to size
 	// generated inputs.
@@ -91,537 +111,75 @@ type Task struct {
 	Run    func(c *Cluster, in TaskInput) (*TaskResult, error)
 }
 
-var taskRegistry = map[string]Task{}
-
-// ErrDuplicateTask is returned by RegisterTask when a task name is already
-// taken. The existing registration is left untouched — a later register
-// never shadows an earlier one.
-var ErrDuplicateTask = errors.New("topompc: duplicate task name")
-
-// ErrEmptyTaskName is returned by RegisterTask for a task with no name.
-var ErrEmptyTaskName = errors.New("topompc: task name must not be empty")
-
-// RegisterTask adds a task to the registry. Duplicate names are rejected
-// with ErrDuplicateTask (the first registration wins); empty names with
-// ErrEmptyTaskName. The built-in tasks are registered at init time;
-// callers may add their own.
-func RegisterTask(t Task) error {
-	if t.Name == "" {
-		return ErrEmptyTaskName
-	}
-	if _, dup := taskRegistry[t.Name]; dup {
-		return fmt.Errorf("%w: %q", ErrDuplicateTask, t.Name)
-	}
-	taskRegistry[t.Name] = t
-	return nil
+// tasks is the task table, ascending by name (LookupTask searches it).
+var tasks = []Task{
+	{Name: "agg-aware", Kind: TaskSingle, WantsDuplicates: true, Baseline: "agg-aware-flat", Run: aggregateTask(aggregate.CombinerTreeSingle),
+		Description: "group-by count with combiner-tree aggregation (merge once per weak-cut block)"},
+	{Name: "agg-aware-flat", Kind: TaskSingle, WantsDuplicates: true, Run: aggregateTask(aggregate.HashFlat),
+		Description: "group-by count with single-round uniform hashing, no combining (flat baseline for agg-aware)"},
+	{Name: "agg-tree2", Kind: TaskSingle, WantsDuplicates: true, Baseline: "agg-aware-flat", Run: aggregateTask(aggregate.CombinerTree),
+		Description: "group-by count with the recursive combiner tree (merge per weak-cut block per hierarchy level)"},
+	{Name: "aggregate", Kind: TaskSingle, WantsDuplicates: true, Baseline: "aggregate-baseline", Run: aggregateTask(aggregate.TwoLevel),
+		Description: "group-by count with two-level (rack-combining) aggregation"},
+	{Name: "aggregate-baseline", Kind: TaskSingle, WantsDuplicates: true, Run: aggregateTask(aggregate.Hash),
+		Description: "group-by count with single-round uniform hashing"},
+	{Name: "cartesian", Kind: TaskPair, WantsEqualPair: true, Run: cartesianTask,
+		Description: "cartesian product R × S (§4 protocols, chosen by topology and sizes)"},
+	{Name: "cc", Kind: TaskGraph, Baseline: "cc-flat", Run: graphTask(graph.CC),
+		Description: "connected components with capacity-homed labels and per-cut combining"},
+	{Name: "cc-fast", Kind: TaskGraph, Run: graphTask(graph.CCFast),
+		Description: "connected components by budgeted graph exponentiation (log-diameter phases)"},
+	{Name: "cc-flat", Kind: TaskGraph, Run: graphTask(graph.CCFlat),
+		Description: "connected components with uniform homes and direct delivery (flat baseline)"},
+	{Name: "intersect", Kind: TaskPair, Baseline: "intersect-baseline", Run: intersectTask(intersect.Tree),
+		Description: "set intersection R ∩ S with TreeIntersect (Algorithm 2)"},
+	{Name: "intersect-baseline", Kind: TaskPair, Run: intersectTask(intersect.UniformHash),
+		Description: "set intersection with the topology-oblivious uniform hash join"},
+	{Name: "join", Kind: TaskPair, Baseline: "join-baseline", Run: joinTask(join.Tree),
+		Description: "binary equi-join R ⋈ S with balanced-partition routing"},
+	{Name: "join-baseline", Kind: TaskPair, Run: joinTask(join.UniformHash),
+		Description: "binary equi-join with the topology-oblivious uniform hash join"},
+	{Name: "sort", Kind: TaskSingle, Baseline: "sort-baseline", Run: sortTask(sorting.WTS),
+		Description: "distributed sort with weighted TeraSort (§5.2)"},
+	{Name: "sort-aware", Kind: TaskSingle, Baseline: "sort-aware-flat", Run: sortTask(sorting.CapacitySort),
+		Description: "distributed sort with capacity-weighted splitters (key ranges shrink behind weak cuts)"},
+	{Name: "sort-aware-flat", Kind: TaskSingle, Run: sortTask(sorting.CapacitySortFlat),
+		Description: "the identical splitter sort with uniform key ranges (flat baseline for sort-aware)"},
+	{Name: "sort-baseline", Kind: TaskSingle, Run: sortTask(sorting.TeraSort),
+		Description: "distributed sort with classic topology-oblivious TeraSort"},
+	{Name: "spanforest", Kind: TaskGraph, Run: graphTask(graph.SpanningForest),
+		Description: "spanning forest via witness-tracked label contraction"},
+	{Name: "starjoin", Kind: TaskMulti, NumRelations: 4, Baseline: "starjoin-flat", Run: multijoinTask("rows", starShape(multijoin.Star)),
+		Description: "k-way star join with capacity-weighted hashing"},
+	{Name: "starjoin-flat", Kind: TaskMulti, NumRelations: 4, Run: multijoinTask("rows", starShape(multijoin.StarFlat)),
+		Description: "k-way star join with topology-oblivious uniform hashing"},
+	{Name: "triangle", Kind: TaskMulti, NumRelations: 3, Cyclic: true, Baseline: "triangle-flat", Run: multijoinTask("triangles", triangleShape(multijoin.Triangle)),
+		Description: "triangle join R⋈S⋈T with the topology-aware HyperCube shuffle"},
+	{Name: "triangle-flat", Kind: TaskMulti, NumRelations: 3, Cyclic: true, Run: multijoinTask("triangles", triangleShape(multijoin.TriangleFlat)),
+		Description: "triangle join with flat (topology-oblivious) HyperCube"},
 }
 
-// mustRegister registers a built-in task, panicking on the programming
-// error of a clashing built-in name.
-func mustRegister(t Task) {
-	if err := RegisterTask(t); err != nil {
-		panic(err)
-	}
-}
-
-// Tasks lists the registered tasks sorted by name.
-func Tasks() []Task {
-	out := make([]Task, 0, len(taskRegistry))
-	for _, t := range taskRegistry {
-		out = append(out, t)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
+// Tasks lists the task table, sorted by name.
+func Tasks() []Task { return slices.Clone(tasks) }
 
 // LookupTask finds a task by name.
 func LookupTask(name string) (Task, bool) {
-	t, ok := taskRegistry[name]
-	return t, ok
+	i, ok := slices.BinarySearchFunc(tasks, name, func(t Task, name string) int { return strings.Compare(t.Name, name) })
+	if !ok {
+		return Task{}, false
+	}
+	return tasks[i], true
 }
 
 // RunTask executes the named task on the cluster.
 func (c *Cluster) RunTask(name string, in TaskInput) (*TaskResult, error) {
 	t, ok := LookupTask(name)
 	if !ok {
-		return nil, fmt.Errorf("topompc: unknown task %q (have %v)", name, taskNames())
+		names := make([]string, len(tasks))
+		for i, t := range tasks {
+			names[i] = t.Name
+		}
+		return nil, fmt.Errorf("topompc: unknown task %q (have %v)", name, names)
 	}
 	return t.Run(c, in)
-}
-
-func taskNames() []string {
-	names := make([]string, 0, len(taskRegistry))
-	for _, t := range Tasks() {
-		names = append(names, t.Name)
-	}
-	return names
-}
-
-func init() {
-	mustRegister(Task{
-		Name:        "intersect",
-		Description: "set intersection R ∩ S with TreeIntersect (Algorithm 2)",
-		Kind:        TaskPair,
-		Run: func(c *Cluster, in TaskInput) (*TaskResult, error) {
-			res, err := c.Intersect(in.R, in.S, in.Seed)
-			if err != nil {
-				return nil, err
-			}
-			return intersectResult(in, res)
-		},
-	})
-	mustRegister(Task{
-		Name:        "intersect-baseline",
-		Description: "set intersection with the topology-oblivious uniform hash join",
-		Kind:        TaskPair,
-		Run: func(c *Cluster, in TaskInput) (*TaskResult, error) {
-			res, err := c.IntersectBaseline(in.R, in.S, in.Seed)
-			if err != nil {
-				return nil, err
-			}
-			return intersectResult(in, res)
-		},
-	})
-	mustRegister(Task{
-		Name:           "cartesian",
-		Description:    "cartesian product R × S (§4 protocols, chosen by topology and sizes)",
-		Kind:           TaskPair,
-		WantsEqualPair: true,
-		Run: func(c *Cluster, in TaskInput) (*TaskResult, error) {
-			res, err := c.CartesianProduct(in.R, in.S)
-			if err != nil {
-				return nil, err
-			}
-			// Full geometric verification: the rectangles cover the grid and
-			// every node received exactly the rows/columns its rectangle
-			// spans.
-			err = cartesian.Verify(c.t, dataset.Placement(in.R), dataset.Placement(in.S),
-				&cartesian.Result{Rects: res.Rects, RKeys: res.RPerNode, SKeys: res.SPerNode})
-			if err != nil {
-				return nil, err
-			}
-			var pairs int64
-			for _, p := range res.PairsPerNode {
-				pairs += p
-			}
-			return &TaskResult{
-				Summary: fmt.Sprintf("|R|=%d |S|=%d pairs=%d strategy=%s", sizes(in.R), sizes(in.S), pairs, res.Strategy),
-				Cost:    res.Cost,
-				Report:  res.Report,
-			}, nil
-		},
-	})
-	mustRegister(Task{
-		Name:        "sort",
-		Description: "distributed sort with weighted TeraSort (§5.2)",
-		Kind:        TaskSingle,
-		Run: func(c *Cluster, in TaskInput) (*TaskResult, error) {
-			res, err := c.Sort(in.Data, in.Seed)
-			if err != nil {
-				return nil, err
-			}
-			return sortResult(c, in, res)
-		},
-	})
-	mustRegister(Task{
-		Name:        "sort-aware",
-		Description: "distributed sort with capacity-weighted splitters (key ranges shrink behind weak cuts)",
-		Kind:        TaskSingle,
-		Run: func(c *Cluster, in TaskInput) (*TaskResult, error) {
-			res, err := c.SortAware(in.Data, in.Seed)
-			if err != nil {
-				return nil, err
-			}
-			return sortResult(c, in, res)
-		},
-	})
-	mustRegister(Task{
-		Name:        "sort-aware-flat",
-		Description: "the identical splitter sort with uniform key ranges (flat baseline for sort-aware)",
-		Kind:        TaskSingle,
-		Run: func(c *Cluster, in TaskInput) (*TaskResult, error) {
-			res, err := c.SortAwareBaseline(in.Data, in.Seed)
-			if err != nil {
-				return nil, err
-			}
-			return sortResult(c, in, res)
-		},
-	})
-	mustRegister(Task{
-		Name:        "sort-baseline",
-		Description: "distributed sort with classic topology-oblivious TeraSort",
-		Kind:        TaskSingle,
-		Run: func(c *Cluster, in TaskInput) (*TaskResult, error) {
-			res, err := c.SortBaseline(in.Data, in.Seed)
-			if err != nil {
-				return nil, err
-			}
-			return sortResult(c, in, res)
-		},
-	})
-	mustRegister(Task{
-		Name:        "join",
-		Description: "binary equi-join R ⋈ S with balanced-partition routing",
-		Kind:        TaskPair,
-		Run: func(c *Cluster, in TaskInput) (*TaskResult, error) {
-			res, err := c.Join(keysToRows(in.R), keysToRows(in.S), in.Seed)
-			if err != nil {
-				return nil, err
-			}
-			return joinResult(in, res)
-		},
-	})
-	mustRegister(Task{
-		Name:        "join-baseline",
-		Description: "binary equi-join with the topology-oblivious uniform hash join",
-		Kind:        TaskPair,
-		Run: func(c *Cluster, in TaskInput) (*TaskResult, error) {
-			res, err := c.JoinBaseline(keysToRows(in.R), keysToRows(in.S), in.Seed)
-			if err != nil {
-				return nil, err
-			}
-			return joinResult(in, res)
-		},
-	})
-	mustRegister(Task{
-		Name:            "aggregate",
-		Description:     "group-by count with two-level (rack-combining) aggregation",
-		Kind:            TaskSingle,
-		WantsDuplicates: true,
-		Run: func(c *Cluster, in TaskInput) (*TaskResult, error) {
-			res, err := c.Aggregate(keysToGroups(in.Data), in.Seed)
-			if err != nil {
-				return nil, err
-			}
-			return aggregateResult(in, res)
-		},
-	})
-	mustRegister(Task{
-		Name:            "aggregate-baseline",
-		Description:     "group-by count with single-round uniform hashing",
-		Kind:            TaskSingle,
-		WantsDuplicates: true,
-		Run: func(c *Cluster, in TaskInput) (*TaskResult, error) {
-			res, err := c.AggregateBaseline(keysToGroups(in.Data), in.Seed)
-			if err != nil {
-				return nil, err
-			}
-			return aggregateResult(in, res)
-		},
-	})
-	mustRegister(Task{
-		Name:            "agg-aware",
-		Description:     "group-by count with combiner-tree aggregation (merge once per weak-cut block)",
-		Kind:            TaskSingle,
-		WantsDuplicates: true,
-		Run: func(c *Cluster, in TaskInput) (*TaskResult, error) {
-			res, err := c.AggregateAware(keysToGroups(in.Data), in.Seed)
-			if err != nil {
-				return nil, err
-			}
-			return aggregateResult(in, res)
-		},
-	})
-	mustRegister(Task{
-		Name:            "agg-aware-flat",
-		Description:     "group-by count with single-round uniform hashing, no combining (flat baseline for agg-aware)",
-		Kind:            TaskSingle,
-		WantsDuplicates: true,
-		Run: func(c *Cluster, in TaskInput) (*TaskResult, error) {
-			res, err := c.AggregateAwareBaseline(keysToGroups(in.Data), in.Seed)
-			if err != nil {
-				return nil, err
-			}
-			return aggregateResult(in, res)
-		},
-	})
-	mustRegister(Task{
-		Name:            "agg-tree2",
-		Description:     "group-by count with the recursive combiner tree (merge per weak-cut block per hierarchy level)",
-		Kind:            TaskSingle,
-		WantsDuplicates: true,
-		Run: func(c *Cluster, in TaskInput) (*TaskResult, error) {
-			res, err := c.AggregateMultiLevel(keysToGroups(in.Data), in.Seed)
-			if err != nil {
-				return nil, err
-			}
-			return aggregateResult(in, res)
-		},
-	})
-	mustRegister(Task{
-		Name:         "triangle",
-		Description:  "triangle join R⋈S⋈T with the topology-aware HyperCube shuffle",
-		Kind:         TaskMulti,
-		NumRelations: 3,
-		Cyclic:       true,
-		Run: func(c *Cluster, in TaskInput) (*TaskResult, error) {
-			r, s, t, err := triangleRels(in)
-			if err != nil {
-				return nil, err
-			}
-			res, err := c.TriangleJoin(r, s, t, in.Seed)
-			if err != nil {
-				return nil, err
-			}
-			return multijoinTaskResult("triangles", in, res)
-		},
-	})
-	mustRegister(Task{
-		Name:         "triangle-flat",
-		Description:  "triangle join with flat (topology-oblivious) HyperCube",
-		Kind:         TaskMulti,
-		NumRelations: 3,
-		Cyclic:       true,
-		Run: func(c *Cluster, in TaskInput) (*TaskResult, error) {
-			r, s, t, err := triangleRels(in)
-			if err != nil {
-				return nil, err
-			}
-			res, err := c.TriangleJoinBaseline(r, s, t, in.Seed)
-			if err != nil {
-				return nil, err
-			}
-			return multijoinTaskResult("triangles", in, res)
-		},
-	})
-	mustRegister(Task{
-		Name:         "starjoin",
-		Description:  "k-way star join with capacity-weighted hashing",
-		Kind:         TaskMulti,
-		NumRelations: 4,
-		Run: func(c *Cluster, in TaskInput) (*TaskResult, error) {
-			res, err := c.StarJoin(decodeRels(in.Rels), in.Seed)
-			if err != nil {
-				return nil, err
-			}
-			return multijoinTaskResult("rows", in, res)
-		},
-	})
-	mustRegister(Task{
-		Name:         "starjoin-flat",
-		Description:  "k-way star join with topology-oblivious uniform hashing",
-		Kind:         TaskMulti,
-		NumRelations: 4,
-		Run: func(c *Cluster, in TaskInput) (*TaskResult, error) {
-			res, err := c.StarJoinBaseline(decodeRels(in.Rels), in.Seed)
-			if err != nil {
-				return nil, err
-			}
-			return multijoinTaskResult("rows", in, res)
-		},
-	})
-	mustRegister(Task{
-		Name:        "cc",
-		Description: "connected components with capacity-homed labels and per-cut combining",
-		Kind:        TaskGraph,
-		Run: func(c *Cluster, in TaskInput) (*TaskResult, error) {
-			res, err := c.ConnectedComponents(decodeGraph(in.Data), in.Seed)
-			if err != nil {
-				return nil, err
-			}
-			return graphTaskResult(in, res)
-		},
-	})
-	mustRegister(Task{
-		Name:        "cc-fast",
-		Description: "connected components by budgeted graph exponentiation (log-diameter phases)",
-		Kind:        TaskGraph,
-		Run: func(c *Cluster, in TaskInput) (*TaskResult, error) {
-			res, err := c.ConnectedComponentsFast(decodeGraph(in.Data), in.Seed)
-			if err != nil {
-				return nil, err
-			}
-			return graphTaskResult(in, res)
-		},
-	})
-	mustRegister(Task{
-		Name:        "cc-flat",
-		Description: "connected components with uniform homes and direct delivery (flat baseline)",
-		Kind:        TaskGraph,
-		Run: func(c *Cluster, in TaskInput) (*TaskResult, error) {
-			res, err := c.ConnectedComponentsBaseline(decodeGraph(in.Data), in.Seed)
-			if err != nil {
-				return nil, err
-			}
-			return graphTaskResult(in, res)
-		},
-	})
-	mustRegister(Task{
-		Name:        "spanforest",
-		Description: "spanning forest via witness-tracked label contraction",
-		Kind:        TaskGraph,
-		Run: func(c *Cluster, in TaskInput) (*TaskResult, error) {
-			res, err := c.SpanningForest(decodeGraph(in.Data), in.Seed)
-			if err != nil {
-				return nil, err
-			}
-			return graphTaskResult(in, res)
-		},
-	})
-}
-
-func intersectResult(in TaskInput, res *IntersectResult) (*TaskResult, error) {
-	err := intersect.Verify(dataset.Placement(in.R), dataset.Placement(in.S), &intersect.Result{Output: res.Keys})
-	if err != nil {
-		return nil, err
-	}
-	return &TaskResult{
-		Summary: fmt.Sprintf("|R|=%d |S|=%d |R∩S|=%d", sizes(in.R), sizes(in.S), len(res.Keys)),
-		Cost:    res.Cost,
-		Report:  res.Report,
-	}, nil
-}
-
-func sortResult(c *Cluster, in TaskInput, res *SortResult) (*TaskResult, error) {
-	nodes := c.t.ComputeNodes()
-	order := make([]topology.NodeID, len(res.NodeOrder))
-	for j, i := range res.NodeOrder {
-		order[j] = nodes[i]
-	}
-	err := sorting.Verify(c.t, dataset.Placement(in.Data), &sorting.Result{PerNode: res.PerNode, Order: order})
-	if err != nil {
-		return nil, err
-	}
-	return &TaskResult{
-		Summary: fmt.Sprintf("N=%d nodes=%d", sizes(in.Data), len(res.PerNode)),
-		Cost:    res.Cost,
-		Report:  res.Report,
-	}, nil
-}
-
-func joinResult(in TaskInput, res *JoinResult) (*TaskResult, error) {
-	want := join.ReferenceSize(keyPlacement(in.R), keyPlacement(in.S))
-	if res.Pairs != want {
-		return nil, fmt.Errorf("join: %d pairs emitted, want %d", res.Pairs, want)
-	}
-	return &TaskResult{
-		Summary: fmt.Sprintf("|R|=%d |S|=%d pairs=%d", sizes(in.R), sizes(in.S), res.Pairs),
-		Cost:    res.Cost,
-		Report:  res.Report,
-	}, nil
-}
-
-func aggregateResult(in TaskInput, res *AggregateResult) (*TaskResult, error) {
-	want := make(map[uint64]int64)
-	for _, frag := range in.Data {
-		for _, k := range frag {
-			want[k]++
-		}
-	}
-	if len(res.Totals) != len(want) {
-		return nil, fmt.Errorf("aggregate: %d groups, want %d", len(res.Totals), len(want))
-	}
-	for g, v := range want {
-		if res.Totals[g] != v {
-			return nil, fmt.Errorf("aggregate: group %d total %d, want %d", g, res.Totals[g], v)
-		}
-	}
-	return &TaskResult{
-		Summary: fmt.Sprintf("records=%d groups=%d", sizes(in.Data), len(want)),
-		Cost:    res.Cost,
-		Report:  res.Report,
-	}, nil
-}
-
-// decodeGraph unpacks Tuple2-encoded edge keys into graph edges.
-func decodeGraph(frags [][]uint64) [][]GraphEdge {
-	out := make([][]GraphEdge, len(frags))
-	for i, frag := range frags {
-		out[i] = make([]GraphEdge, len(frag))
-		for j, key := range frag {
-			t := DecodeTuple2(key)
-			out[i][j] = GraphEdge{U: t.A, V: t.B}
-		}
-	}
-	return out
-}
-
-// graphTaskResult summarizes a connectivity task. The Cluster methods have
-// already verified the labeling (and forest) against the union-find
-// reference.
-func graphTaskResult(in TaskInput, res *ComponentsResult) (*TaskResult, error) {
-	var verts int
-	for _, m := range res.PerNode {
-		verts += len(m)
-	}
-	summary := fmt.Sprintf("V=%d E=%d components=%d phases=%d strategy=%s",
-		verts, sizes(in.Data), res.Components, res.Phases, res.Strategy)
-	if res.Forest != nil {
-		summary += fmt.Sprintf(" forest=%d", len(res.Forest))
-	}
-	return &TaskResult{
-		Summary: summary,
-		Cost:    res.Cost,
-		Report:  res.Report,
-	}, nil
-}
-
-func decodeRels(rels [][][]uint64) [][][]Tuple2 {
-	out := make([][][]Tuple2, len(rels))
-	for j, rel := range rels {
-		out[j] = make([][]Tuple2, len(rel))
-		for i, frag := range rel {
-			out[j][i] = make([]Tuple2, len(frag))
-			for k, key := range frag {
-				out[j][i][k] = DecodeTuple2(key)
-			}
-		}
-	}
-	return out
-}
-
-func triangleRels(in TaskInput) (r, s, t [][]Tuple2, err error) {
-	if len(in.Rels) != 3 {
-		return nil, nil, nil, fmt.Errorf("triangle: needs exactly 3 relations, got %d", len(in.Rels))
-	}
-	rels := decodeRels(in.Rels)
-	return rels[0], rels[1], rels[2], nil
-}
-
-// multijoinTaskResult summarizes a multiway join. The Cluster methods have
-// already verified the output count and checksum against the reference
-// evaluation.
-func multijoinTaskResult(unit string, in TaskInput, res *MultijoinResult) (*TaskResult, error) {
-	var total int64
-	for _, rel := range in.Rels {
-		total += sizes(rel)
-	}
-	return &TaskResult{
-		Summary: fmt.Sprintf("k=%d N=%d %s=%d shares=%v", len(in.Rels), total, unit, res.Outputs, res.Shares),
-		Cost:    res.Cost,
-		Report:  res.Report,
-	}, nil
-}
-
-func keysToRows(frags [][]uint64) [][]Row {
-	out := make([][]Row, len(frags))
-	for i, f := range frags {
-		out[i] = make([]Row, len(f))
-		for j, k := range f {
-			out[i][j] = Row{Key: k, Payload: k}
-		}
-	}
-	return out
-}
-
-func keysToGroups(frags [][]uint64) [][]GroupValue {
-	out := make([][]GroupValue, len(frags))
-	for i, f := range frags {
-		out[i] = make([]GroupValue, len(f))
-		for j, k := range f {
-			out[i][j] = GroupValue{Group: k, Value: 1}
-		}
-	}
-	return out
-}
-
-func keyPlacement(frags [][]uint64) join.Placement {
-	out := make(join.Placement, len(frags))
-	for i, f := range frags {
-		out[i] = make([]join.Tuple, len(f))
-		for j, k := range f {
-			out[i][j] = join.Tuple{Key: k, Payload: k}
-		}
-	}
-	return out
 }

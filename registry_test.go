@@ -1,7 +1,6 @@
 package topompc
 
 import (
-	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -115,43 +114,41 @@ func TestRegistryRunsEveryTask(t *testing.T) {
 	}
 }
 
-// TestRegisterTaskDuplicateRejected: a second registration under a taken
-// name returns ErrDuplicateTask and leaves the first registration intact.
-func TestRegisterTaskDuplicateRejected(t *testing.T) {
-	name := "test-dup-task"
-	ran := ""
-	first := Task{Name: name, Kind: TaskSingle, Run: func(c *Cluster, in TaskInput) (*TaskResult, error) {
-		ran = "first"
-		return &TaskResult{Summary: "first"}, nil
-	}}
-	if err := RegisterTask(first); err != nil {
-		t.Fatalf("first registration failed: %v", err)
+// TestTaskTableSortedAndPaired pins the two structural facts readers of the
+// table rely on: names are unique and ascending (LookupTask binary-searches
+// them), and every Baseline names a row of the same Kind that is itself a
+// baseline, i.e. has none.
+func TestTaskTableSortedAndPaired(t *testing.T) {
+	for i, row := range tasks {
+		if i > 0 && tasks[i-1].Name >= row.Name {
+			t.Errorf("row %d: %q does not sort after %q", i, row.Name, tasks[i-1].Name)
+		}
+		if got, ok := LookupTask(row.Name); !ok || got.Name != row.Name {
+			t.Errorf("LookupTask(%q) = %q, %v", row.Name, got.Name, ok)
+		}
+		if row.Description == "" || row.Run == nil {
+			t.Errorf("%s: missing description or Run", row.Name)
+		}
+		if row.Baseline == "" {
+			continue
+		}
+		base, ok := LookupTask(row.Baseline)
+		switch {
+		case !ok:
+			t.Errorf("%s: baseline %q is not in the table", row.Name, row.Baseline)
+		case base.Kind != row.Kind:
+			t.Errorf("%s: baseline %s has kind %v, want %v", row.Name, base.Name, base.Kind, row.Kind)
+		case base.Baseline != "":
+			t.Errorf("%s: baseline %s has a baseline of its own (%s)", row.Name, base.Name, base.Baseline)
+		}
 	}
-	defer delete(taskRegistry, name)
-	dup := Task{Name: name, Kind: TaskSingle, Run: func(c *Cluster, in TaskInput) (*TaskResult, error) {
-		ran = "second"
-		return &TaskResult{Summary: "second"}, nil
-	}}
-	err := RegisterTask(dup)
-	if !errors.Is(err, ErrDuplicateTask) {
-		t.Fatalf("duplicate registration: got %v, want ErrDuplicateTask", err)
+	if _, ok := LookupTask(""); ok {
+		t.Error("LookupTask found the empty name")
 	}
-	if !strings.Contains(err.Error(), name) {
-		t.Errorf("error should name the task: %v", err)
-	}
-	// The original task still wins lookups — no silent shadowing.
-	spec, ok := LookupTask(name)
-	if !ok {
-		t.Fatal("task vanished after rejected duplicate")
-	}
-	if _, err := spec.Run(nil, TaskInput{}); err != nil {
-		t.Fatal(err)
-	}
-	if ran != "first" {
-		t.Errorf("lookup resolved to %q registration, want first", ran)
-	}
-	if err := RegisterTask(Task{}); !errors.Is(err, ErrEmptyTaskName) {
-		t.Errorf("empty name: got %v, want ErrEmptyTaskName", err)
+	// Tasks hands out a copy: a caller reordering it must not break lookups.
+	Tasks()[0].Name = "zzz"
+	if tasks[0].Name == "zzz" {
+		t.Error("Tasks returned the table itself, not a copy")
 	}
 }
 

@@ -12,9 +12,28 @@
 // The package exposes the paper's three instance-optimal primitives —
 // set intersection, cartesian product, and sorting — together with their
 // closed-form lower bounds and the topology-oblivious baselines they are
-// measured against. Every call executes the full protocol on a built-in
-// network cost simulator and returns both the verified output and the cost
-// accounting.
+// measured against, plus extension tasks built on them (joins,
+// aggregation, multiway joins, graph connectivity). Every call — a typed
+// Cluster method or the same task run by name through RunTask — goes
+// through its protocol family's one pipeline: it executes the full protocol
+// on a built-in network cost simulator, verifies the output, and returns
+// the verified output together with the cost accounting against the
+// instance lower bound. What each family checks against:
+//
+//   - intersection: the hashed reference R ∩ S, key for key;
+//   - cartesian product: the rectangles cover the |R| × |S| grid and every
+//     node holds exactly the rows and columns its rectangle spans;
+//   - sorting: fragments ascending along a node order that lists every node
+//     once, and a permutation of the input;
+//   - join: the reference output size |R ⋈ S|;
+//   - aggregation: every reference group total, produced at exactly one
+//     node;
+//   - multiway joins: row count and output checksum of a centralized
+//     reference evaluation;
+//   - connectivity: component count and labeling checksum of a union-find
+//     reference, and for a spanning forest that it spans it without cycles.
+//
+// A failed check is an error, never a result.
 //
 //	cluster, _ := topompc.TwoTierCluster([]int{4, 4}, []float64{10, 1}, 25)
 //	res, _ := cluster.Intersect(rFragments, sFragments, seed)
@@ -235,16 +254,22 @@ type Cost struct {
 // Ratio reports Cost / LowerBound (1 when both are zero).
 func (c Cost) Ratio() float64 { return netsim.Ratio(c.Cost, c.LowerBound) }
 
-func (c *Cluster) checkFragments(name string, frags [][]uint64) error {
-	return c.checkFragmentCount(name, len(frags))
-}
-
-func (c *Cluster) checkFragmentCount(name string, n int) error {
+// checkFragments rejects an input that does not have one fragment per
+// compute node.
+func (c *Cluster) checkFragments(name string, n int) error {
 	if n != c.t.NumCompute() {
 		return fmt.Errorf("topompc: %s has %d fragments, cluster has %d compute nodes",
 			name, n, c.t.NumCompute())
 	}
 	return nil
+}
+
+// checkPair is checkFragments for the two relations of a pair task.
+func (c *Cluster) checkPair(r, s int) error {
+	if err := c.checkFragments("r", r); err != nil {
+		return err
+	}
+	return c.checkFragments("s", s)
 }
 
 func (c *Cluster) loads(parts ...[][]uint64) topology.Loads {
@@ -295,14 +320,30 @@ type IntersectResult struct {
 // of the instance optimum with high probability. r[i] and s[i] are the
 // fragments initially held by compute node i.
 func (c *Cluster) Intersect(r, s [][]uint64, seed uint64) (*IntersectResult, error) {
-	if err := c.checkFragments("r", r); err != nil {
+	return c.intersectWith(r, s, seed, intersect.Tree)
+}
+
+// IntersectBaseline computes R ∩ S with the topology-oblivious uniform
+// hash join of the plain MPC model, for comparison.
+func (c *Cluster) IntersectBaseline(r, s [][]uint64, seed uint64) (*IntersectResult, error) {
+	return c.intersectWith(r, s, seed, intersect.UniformHash)
+}
+
+// intersectProtocol is the entry point every set-intersection variant
+// shares.
+type intersectProtocol func(t *topology.Tree, r, s dataset.Placement, seed uint64, opts ...netsim.Option) (*intersect.Result, error)
+
+// intersectWith is the set-intersection pipeline: the output is verified
+// against the hashed reference intersection and costed against Theorem 1.
+func (c *Cluster) intersectWith(r, s [][]uint64, seed uint64, run intersectProtocol) (*IntersectResult, error) {
+	if err := c.checkPair(len(r), len(s)); err != nil {
 		return nil, err
 	}
-	if err := c.checkFragments("s", s); err != nil {
-		return nil, err
-	}
-	res, err := intersect.Tree(c.t, dataset.Placement(r), dataset.Placement(s), seed, c.exec.netsimOpts()...)
+	res, err := run(c.t, r, s, seed, c.exec.netsimOpts()...)
 	if err != nil {
+		return nil, err
+	}
+	if err := intersect.Verify(r, s, res); err != nil {
 		return nil, err
 	}
 	lb := lowerbound.Intersection(c.t, c.loads(r, s), sizes(r), sizes(s))
@@ -314,26 +355,18 @@ func (c *Cluster) Intersect(r, s [][]uint64, seed uint64) (*IntersectResult, err
 	}, nil
 }
 
-// IntersectBaseline computes R ∩ S with the topology-oblivious uniform
-// hash join of the plain MPC model, for comparison.
-func (c *Cluster) IntersectBaseline(r, s [][]uint64, seed uint64) (*IntersectResult, error) {
-	if err := c.checkFragments("r", r); err != nil {
-		return nil, err
+func intersectTask(run intersectProtocol) func(*Cluster, TaskInput) (*TaskResult, error) {
+	return func(c *Cluster, in TaskInput) (*TaskResult, error) {
+		res, err := c.intersectWith(in.R, in.S, in.Seed, run)
+		if err != nil {
+			return nil, err
+		}
+		return &TaskResult{
+			Summary: fmt.Sprintf("|R|=%d |S|=%d |R∩S|=%d", sizes(in.R), sizes(in.S), len(res.Keys)),
+			Cost:    res.Cost,
+			Report:  res.Report,
+		}, nil
 	}
-	if err := c.checkFragments("s", s); err != nil {
-		return nil, err
-	}
-	res, err := intersect.UniformHash(c.t, dataset.Placement(r), dataset.Placement(s), seed, c.exec.netsimOpts()...)
-	if err != nil {
-		return nil, err
-	}
-	lb := lowerbound.Intersection(c.t, c.loads(r, s), sizes(r), sizes(s))
-	return &IntersectResult{
-		Keys:    res.Output,
-		PerNode: res.PerNode,
-		Cost:    c.costOf(res.Report, lb.Value),
-		Report:  res.Report,
-	}, nil
 }
 
 // CartesianResult is the outcome of a distributed cartesian product. The
@@ -351,7 +384,8 @@ type CartesianResult struct {
 	// Rects is each node's assigned rectangle [X0,X1)×[Y0,Y1) of the
 	// output grid, in fragment-index order.
 	Rects []cartesian.Rect
-	// Cost is the execution cost against max(Theorem 3, Theorem 4).
+	// Cost is the execution cost against max(Theorem 3, Theorem 4) for
+	// equal sizes, against the unequal-size cut bound otherwise.
 	Cost Cost
 	// Report is the per-round cost accounting of the execution.
 	Report *netsim.Report
@@ -363,31 +397,38 @@ type CartesianResult struct {
 // therefore require a star cluster — the general unequal case is open
 // (§4.5).
 func (c *Cluster) CartesianProduct(r, s [][]uint64) (*CartesianResult, error) {
-	if err := c.checkFragments("r", r); err != nil {
+	if err := c.checkPair(len(r), len(s)); err != nil {
 		return nil, err
 	}
-	if err := c.checkFragments("s", s); err != nil {
-		return nil, err
+	run, lb := c.cartesianCase(c.loads(r, s), sizes(r), sizes(s))
+	return c.cartesianWith(r, s, run, lb)
+}
+
+// cartesianProtocol is the entry point of the cartesian-product protocols.
+type cartesianProtocol func(t *topology.Tree, r, s dataset.Placement, opts ...netsim.Option) (*cartesian.Result, error)
+
+// cartesianCase is the one place the equal/unequal decision lives: the
+// protocol for the given relation sizes together with the lower bound that
+// holds for them. Theorems 3+4 assume |R| = |S|; unequal sizes get the
+// cut bound on the smaller relation.
+func (c *Cluster) cartesianCase(loads topology.Loads, sizeR, sizeS int64) (cartesianProtocol, float64) {
+	if sizeR == sizeS {
+		return cartesian.Tree, lowerbound.Cartesian(c.t, loads).Value
 	}
-	var res *cartesian.Result
-	var err error
-	if sizes(r) == sizes(s) {
-		res, err = cartesian.Tree(c.t, dataset.Placement(r), dataset.Placement(s), c.exec.netsimOpts()...)
-	} else {
-		res, err = cartesian.Unequal(c.t, dataset.Placement(r), dataset.Placement(s), c.exec.netsimOpts()...)
-	}
+	return cartesian.Unequal, lowerbound.UnequalCartesianCut(c.t, loads, min(sizeR, sizeS)).Value
+}
+
+// cartesianWith is the second half of the cartesian-product pipeline, after
+// CartesianProduct has checked the fragments and picked the case: the
+// result is verified geometrically — the rectangles cover the grid and
+// every node received exactly the rows and columns its rectangle spans.
+func (c *Cluster) cartesianWith(r, s [][]uint64, run cartesianProtocol, lb float64) (*CartesianResult, error) {
+	res, err := run(c.t, r, s, c.exec.netsimOpts()...)
 	if err != nil {
 		return nil, err
 	}
-	var lb float64
-	if sizes(r) == sizes(s) {
-		lb = lowerbound.Cartesian(c.t, c.loads(r, s)).Value
-	} else {
-		small := sizes(r)
-		if sizes(s) < small {
-			small = sizes(s)
-		}
-		lb = lowerbound.UnequalCartesianCut(c.t, c.loads(r, s), small).Value
+	if err := cartesian.Verify(c.t, r, s, res); err != nil {
+		return nil, err
 	}
 	pairs := make([]int64, len(res.Rects))
 	for i, rect := range res.Rects {
@@ -401,6 +442,22 @@ func (c *Cluster) CartesianProduct(r, s [][]uint64) (*CartesianResult, error) {
 		Rects:        res.Rects,
 		Cost:         c.costOf(res.Report, lb),
 		Report:       res.Report,
+	}, nil
+}
+
+func cartesianTask(c *Cluster, in TaskInput) (*TaskResult, error) {
+	res, err := c.CartesianProduct(in.R, in.S)
+	if err != nil {
+		return nil, err
+	}
+	var pairs int64
+	for _, p := range res.PairsPerNode {
+		pairs += p
+	}
+	return &TaskResult{
+		Summary: fmt.Sprintf("|R|=%d |S|=%d pairs=%d strategy=%s", sizes(in.R), sizes(in.S), pairs, res.Strategy),
+		Cost:    res.Cost,
+		Report:  res.Report,
 	}, nil
 }
 
@@ -422,17 +479,13 @@ type SortResult struct {
 // (§5.2): at most four rounds, within O(1) of the instance optimum with
 // high probability in the regime N ≥ 4|VC|²ln(|VC|·N).
 func (c *Cluster) Sort(data [][]uint64, seed uint64) (*SortResult, error) {
-	return c.sortWith(data, func(p dataset.Placement) (*sorting.Result, error) {
-		return sorting.WTS(c.t, p, seed, c.exec.netsimOpts()...)
-	})
+	return c.sortWith(data, seed, sorting.WTS)
 }
 
 // SortBaseline sorts with classic topology-oblivious TeraSort, for
 // comparison.
 func (c *Cluster) SortBaseline(data [][]uint64, seed uint64) (*SortResult, error) {
-	return c.sortWith(data, func(p dataset.Placement) (*sorting.Result, error) {
-		return sorting.TeraSort(c.t, p, seed, c.exec.netsimOpts()...)
-	})
+	return c.sortWith(data, seed, sorting.TeraSort)
 }
 
 // SortAware sorts with the capacity-weighted splitter sort: key ranges are
@@ -442,17 +495,13 @@ func (c *Cluster) SortBaseline(data [][]uint64, seed uint64) (*SortResult, error
 // Three rounds. Complements Sort (weighted TeraSort), whose lever is the
 // initial data sizes rather than the link bandwidths.
 func (c *Cluster) SortAware(data [][]uint64, seed uint64) (*SortResult, error) {
-	return c.sortWith(data, func(p dataset.Placement) (*sorting.Result, error) {
-		return sorting.CapacitySort(c.t, p, seed, c.exec.netsimOpts()...)
-	})
+	return c.sortWith(data, seed, sorting.CapacitySort)
 }
 
 // SortAwareBaseline runs the identical splitter sort with uniform key
 // ranges, as on a flat network — the controlled baseline for SortAware.
 func (c *Cluster) SortAwareBaseline(data [][]uint64, seed uint64) (*SortResult, error) {
-	return c.sortWith(data, func(p dataset.Placement) (*sorting.Result, error) {
-		return sorting.CapacitySortFlat(c.t, p, seed, c.exec.netsimOpts()...)
-	})
+	return c.sortWith(data, seed, sorting.CapacitySortFlat)
 }
 
 type fragmentIndexMemoKey struct{}
@@ -465,12 +514,21 @@ func (c *Cluster) fragmentIndex() []int {
 	}).([]int)
 }
 
-func (c *Cluster) sortWith(data [][]uint64, run func(dataset.Placement) (*sorting.Result, error)) (*SortResult, error) {
-	if err := c.checkFragments("data", data); err != nil {
+// sortProtocol is the entry point every sorting variant shares.
+type sortProtocol func(t *topology.Tree, data dataset.Placement, seed uint64, opts ...netsim.Option) (*sorting.Result, error)
+
+// sortWith is the sorting pipeline: the output must be ascending along a
+// node order that lists every node once and be a permutation of the input
+// (sorting.Verify); it is costed against Theorem 6.
+func (c *Cluster) sortWith(data [][]uint64, seed uint64, run sortProtocol) (*SortResult, error) {
+	if err := c.checkFragments("data", len(data)); err != nil {
 		return nil, err
 	}
-	res, err := run(dataset.Placement(data))
+	res, err := run(c.t, data, seed, c.exec.netsimOpts()...)
 	if err != nil {
+		return nil, err
+	}
+	if err := sorting.Verify(c.t, data, res); err != nil {
 		return nil, err
 	}
 	lb := lowerbound.Sorting(c.t, c.loads(data))
@@ -487,13 +545,25 @@ func (c *Cluster) sortWith(data [][]uint64, run func(dataset.Placement) (*sortin
 	}, nil
 }
 
+func sortTask(run sortProtocol) func(*Cluster, TaskInput) (*TaskResult, error) {
+	return func(c *Cluster, in TaskInput) (*TaskResult, error) {
+		res, err := c.sortWith(in.Data, in.Seed, run)
+		if err != nil {
+			return nil, err
+		}
+		return &TaskResult{
+			Summary: fmt.Sprintf("N=%d nodes=%d", sizes(in.Data), len(res.PerNode)),
+			Cost:    res.Cost,
+			Report:  res.Report,
+		}, nil
+	}
+}
+
 // Tuple2 is one two-attribute relation row for the multiway joins. In the
 // triangle query the attributes are the relation's two join attributes
 // (R: (a,b), S: (b,c), T: (c,a)); in the star query A is the shared join
 // attribute and B an opaque payload.
-type Tuple2 struct {
-	A, B uint64
-}
+type Tuple2 = multijoin.Tuple
 
 // MultijoinResult is the outcome of a distributed multiway join. Output
 // rows are enumerated and counted at the nodes, not materialized.
@@ -522,43 +592,14 @@ type MultijoinResult struct {
 // count and checksum are verified against a centralized reference
 // evaluation before returning.
 func (c *Cluster) TriangleJoin(r, s, t [][]Tuple2, seed uint64) (*MultijoinResult, error) {
-	return c.triangleWith(r, s, t, func(pr, ps, pt multijoin.Placement) (*multijoin.Result, error) {
-		return multijoin.Triangle(c.t, pr, ps, pt, seed, c.exec.netsimOpts()...)
-	})
+	return c.multijoinWith([][][]Tuple2{r, s, t}, seed, triangleShape(multijoin.Triangle))
 }
 
 // TriangleJoinBaseline computes the triangle join with flat HyperCube —
 // uniformly weighted cells in compute-node order, as on a flat network —
 // for comparison.
 func (c *Cluster) TriangleJoinBaseline(r, s, t [][]Tuple2, seed uint64) (*MultijoinResult, error) {
-	return c.triangleWith(r, s, t, func(pr, ps, pt multijoin.Placement) (*multijoin.Result, error) {
-		return multijoin.TriangleFlat(c.t, pr, ps, pt, seed, c.exec.netsimOpts()...)
-	})
-}
-
-func (c *Cluster) triangleWith(r, s, t [][]Tuple2,
-	run func(pr, ps, pt multijoin.Placement) (*multijoin.Result, error)) (*MultijoinResult, error) {
-	for _, in := range []struct {
-		name  string
-		frags [][]Tuple2
-	}{{"r", r}, {"s", s}, {"t", t}} {
-		if err := c.checkFragmentCount(in.name, len(in.frags)); err != nil {
-			return nil, err
-		}
-	}
-	pr, ps, pt := tuple2Placement(r), tuple2Placement(s), tuple2Placement(t)
-	res, err := run(pr, ps, pt)
-	if err != nil {
-		return nil, err
-	}
-	ix := multijoin.IndexTriangle(pr, ps, pt)
-	ref := ix.Reference()
-	if got := res.TotalOutputs(); got != ref.Count || res.Checksum != ref.Checksum {
-		return nil, fmt.Errorf("topompc: triangle join emitted %d rows (checksum %x), reference has %d (%x)",
-			got, res.Checksum, ref.Count, ref.Checksum)
-	}
-	lb := lowerbound.Multijoin(c.t, ref.Count, ref.MaxDeg, ix.CutCounts(c.t))
-	return c.multijoinResult(res, ref.Count, lb.Value), nil
+	return c.multijoinWith([][][]Tuple2{r, s, t}, seed, triangleShape(multijoin.TriangleFlat))
 }
 
 // StarJoin computes the k-way star join R_1(a,b_1) ⋈ … ⋈ R_k(a,b_k) on
@@ -566,67 +607,117 @@ func (c *Cluster) triangleWith(r, s, t [][]Tuple2,
 // share vector of a star query degenerates to a hash partition of a). One
 // round; output verified against a centralized reference evaluation.
 func (c *Cluster) StarJoin(rels [][][]Tuple2, seed uint64) (*MultijoinResult, error) {
-	return c.starWith(rels, func(ps []multijoin.Placement) (*multijoin.Result, error) {
-		return multijoin.Star(c.t, ps, seed, c.exec.netsimOpts()...)
-	})
+	return c.multijoinWith(rels, seed, starShape(multijoin.Star))
 }
 
 // StarJoinBaseline computes the star join with topology-oblivious uniform
 // hashing, for comparison.
 func (c *Cluster) StarJoinBaseline(rels [][][]Tuple2, seed uint64) (*MultijoinResult, error) {
-	return c.starWith(rels, func(ps []multijoin.Placement) (*multijoin.Result, error) {
-		return multijoin.StarFlat(c.t, ps, seed, c.exec.netsimOpts()...)
-	})
+	return c.multijoinWith(rels, seed, starShape(multijoin.StarFlat))
 }
 
-func (c *Cluster) starWith(rels [][][]Tuple2,
-	run func([]multijoin.Placement) (*multijoin.Result, error)) (*MultijoinResult, error) {
+// starProtocol and triangleProtocol are the entry points of the two query
+// shapes' variants.
+type (
+	starProtocol     func(t *topology.Tree, rels []multijoin.Placement, seed uint64, opts ...netsim.Option) (*multijoin.Result, error)
+	triangleProtocol func(t *topology.Tree, r, s, tt multijoin.Placement, seed uint64, opts ...netsim.Option) (*multijoin.Result, error)
+)
+
+// multijoinIndex is an input indexed once for both the reference evaluation
+// and the per-edge cut counts of the bound (multijoin.TriangleIndex,
+// multijoin.StarIndex).
+type multijoinIndex interface {
+	Reference() multijoin.RefStats
+	CutCounts(*topology.Tree) func(topology.EdgeID) (below, above int64)
+}
+
+// multijoinShape is what tells the two query shapes apart to the pipeline:
+// how to run a protocol over the relations and how to index them.
+type multijoinShape struct {
+	run   starProtocol
+	index func(rels []multijoin.Placement) multijoinIndex
+}
+
+func starShape(run starProtocol) multijoinShape {
+	return multijoinShape{
+		run:   run,
+		index: func(rels []multijoin.Placement) multijoinIndex { return multijoin.IndexStar(rels) },
+	}
+}
+
+func triangleShape(run triangleProtocol) multijoinShape {
+	return multijoinShape{
+		run: func(t *topology.Tree, rels []multijoin.Placement, seed uint64, opts ...netsim.Option) (*multijoin.Result, error) {
+			if len(rels) != 3 {
+				return nil, fmt.Errorf("triangle: needs exactly 3 relations, got %d", len(rels))
+			}
+			return run(t, rels[0], rels[1], rels[2], seed, opts...)
+		},
+		index: func(rels []multijoin.Placement) multijoinIndex {
+			return multijoin.IndexTriangle(rels[0], rels[1], rels[2])
+		},
+	}
+}
+
+// multijoinWith is the multiway-join pipeline: the input is indexed once,
+// the output count and checksum are verified against the index's reference
+// evaluation (multijoin.Verify), and the same index supplies the cut
+// counts of the tuple-transfer bound.
+func (c *Cluster) multijoinWith(rels [][][]Tuple2, seed uint64, shape multijoinShape) (*MultijoinResult, error) {
 	ps := make([]multijoin.Placement, len(rels))
 	for j, rel := range rels {
-		if err := c.checkFragmentCount(fmt.Sprintf("relation %d", j+1), len(rel)); err != nil {
+		if err := c.checkFragments(fmt.Sprintf("relation %d", j+1), len(rel)); err != nil {
 			return nil, err
 		}
-		ps[j] = tuple2Placement(rel)
+		ps[j] = rel
 	}
-	res, err := run(ps)
+	res, err := shape.run(c.t, ps, seed, c.exec.netsimOpts()...)
 	if err != nil {
 		return nil, err
 	}
-	ix := multijoin.IndexStar(ps)
+	ix := shape.index(ps)
 	ref := ix.Reference()
-	if got := res.TotalOutputs(); got != ref.Count || res.Checksum != ref.Checksum {
-		return nil, fmt.Errorf("topompc: star join emitted %d rows (checksum %x), reference has %d (%x)",
-			got, res.Checksum, ref.Count, ref.Checksum)
+	if err := multijoin.Verify(ref, res); err != nil {
+		return nil, err
 	}
 	lb := lowerbound.Multijoin(c.t, ref.Count, ref.MaxDeg, ix.CutCounts(c.t))
-	return c.multijoinResult(res, ref.Count, lb.Value), nil
-}
-
-func (c *Cluster) multijoinResult(res *multijoin.Result, outputs int64, lb float64) *MultijoinResult {
 	return &MultijoinResult{
-		Outputs:      outputs,
+		Outputs:      ref.Count,
 		PerNode:      res.PerNode,
 		Shares:       res.Shares,
 		CellsPerNode: res.CellsPerNode,
-		Cost:         c.costOf(res.Report, lb),
+		Cost:         c.costOf(res.Report, lb.Value),
 		Report:       res.Report,
-	}
+	}, nil
 }
 
-func tuple2Placement(frags [][]Tuple2) multijoin.Placement {
-	out := make(multijoin.Placement, len(frags))
-	for i, frag := range frags {
-		out[i] = make([]multijoin.Tuple, len(frag))
-		for j, tp := range frag {
-			out[i][j] = multijoin.Tuple{A: tp.A, B: tp.B}
+// multijoinTask names the output rows of the shape ("triangles", "rows")
+// in the summary.
+func multijoinTask(unit string, shape multijoinShape) func(*Cluster, TaskInput) (*TaskResult, error) {
+	return func(c *Cluster, in TaskInput) (*TaskResult, error) {
+		rels := make([][][]Tuple2, len(in.Rels))
+		var total int64
+		for j, rel := range in.Rels {
+			rels[j] = decodeFrags(rel, DecodeTuple2)
+			total += sizes(rel)
 		}
+		res, err := c.multijoinWith(rels, in.Seed, shape)
+		if err != nil {
+			return nil, err
+		}
+		return &TaskResult{
+			Summary: fmt.Sprintf("k=%d N=%d %s=%d shares=%v", len(in.Rels), total, unit, res.Outputs, res.Shares),
+			Cost:    res.Cost,
+			Report:  res.Report,
+		}, nil
 	}
-	return out
 }
 
 // LowerBounds reports the three task lower bounds for a hypothetical input
 // with the given per-node fragment sizes (nR[i], nS[i] for the two
-// relations; sorting uses their sum).
+// relations; sorting uses their sum). The cartesian bound is the one
+// CartesianProduct reports for those sizes: Theorems 3+4 when |R| = |S|,
+// the unequal-size cut bound otherwise.
 func (c *Cluster) LowerBounds(nR, nS []int64) (intersection, cartesianLB, sortLB float64, err error) {
 	if len(nR) != c.t.NumCompute() || len(nS) != c.t.NumCompute() {
 		return 0, 0, 0, fmt.Errorf("topompc: sizes cover %d/%d nodes, cluster has %d",
@@ -640,7 +731,7 @@ func (c *Cluster) LowerBounds(nR, nS []int64) (intersection, cartesianLB, sortLB
 		totS += nS[i]
 	}
 	intersection = lowerbound.Intersection(c.t, loads, totR, totS).Value
-	cartesianLB = lowerbound.Cartesian(c.t, loads).Value
+	_, cartesianLB = c.cartesianCase(loads, totR, totS)
 	sortLB = lowerbound.Sorting(c.t, loads).Value
 	return intersection, cartesianLB, sortLB, nil
 }

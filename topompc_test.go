@@ -213,6 +213,38 @@ func TestClusterLowerBounds(t *testing.T) {
 	}
 }
 
+// TestLowerBoundsCartesianUnequalSizes: Theorems 3+4 assume |R| = |S|, so
+// for unequal sizes LowerBounds must report the bound CartesianProduct
+// reports for them — a bound the protocol's cost can actually meet.
+func TestLowerBoundsCartesianUnequalSizes(t *testing.T) {
+	c, err := StarCluster([]float64{1, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := [][]uint64{{1}, {2}}
+	s := make([][]uint64, 2)
+	for k := uint64(0); k < 1000; k++ {
+		s[k%2] = append(s[k%2], 10+k)
+	}
+	res, err := c.CartesianProduct(r, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, clb, _, err := c.LowerBounds([]int64{1, 1}, []int64{500, 500})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if clb > res.Cost.Cost {
+		t.Errorf("LowerBounds claims a cartesian bound of %v, CartesianProduct runs at cost %v", clb, res.Cost.Cost)
+	}
+	if clb != res.Cost.LowerBound {
+		t.Errorf("LowerBounds reports %v, CartesianProduct %v for the same sizes", clb, res.Cost.LowerBound)
+	}
+	if clb > 2 {
+		t.Errorf("cartesian bound = %v, want at most 2", clb)
+	}
+}
+
 func TestCostRatio(t *testing.T) {
 	c := Cost{Cost: 10, LowerBound: 4}
 	if c.Ratio() != 2.5 {
