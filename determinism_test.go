@@ -3,11 +3,16 @@ package topompc_test
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
 	"topompc"
+	"topompc/internal/core/aggregate"
+	"topompc/internal/core/join"
+	"topompc/internal/core/multijoin"
 	"topompc/internal/netsim"
+	"topompc/internal/topology"
 )
 
 // Determinism harness: the full Report of every registry task — per-edge
@@ -21,7 +26,10 @@ import (
 // The paper's three primitives run their local compute (per-home sorts and
 // sort-merge set operations) on the engine's pool, so for them the harness
 // also compares what each node ends up holding, through the typed Cluster
-// methods (primitiveOutputs).
+// methods (primitiveOutputs). The analytics families (join, aggregate,
+// multijoin) fork their per-home compute on the pool too; their rows call the
+// protocol entry points, because the typed results leave out the samples,
+// the blocks and the checksum.
 func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 	for _, topo := range []string{"twotier-skew", "caterpillar", "caterpillar-grade", "ring-of-racks"} {
 		topo := topo
@@ -72,9 +80,9 @@ func TestPrimitiveOutputsDeterministicWhenForked(t *testing.T) {
 	}
 }
 
-// primitiveOutputs maps each registry task of the three primitives to the
-// typed Cluster call behind it, reduced to a checksum of everything the
-// call leaves at the nodes.
+// primitiveOutputs maps each registry task whose local compute runs on the
+// pool to the call behind it, reduced to a checksum of everything the call
+// leaves at the nodes.
 var primitiveOutputs = map[string]func(c *topompc.Cluster, in topompc.TaskInput) (uint64, error){
 	"sort": func(c *topompc.Cluster, in topompc.TaskInput) (uint64, error) {
 		return sortChecksum(c.Sort(in.Data, in.Seed))
@@ -105,6 +113,120 @@ var primitiveOutputs = map[string]func(c *topompc.Cluster, in topompc.TaskInput)
 		}
 		return h, nil
 	},
+	"join":               joinChecksum(join.Tree),
+	"join-baseline":      joinChecksum(join.UniformHash),
+	"aggregate":          aggregateChecksum(aggregate.TwoLevel),
+	"aggregate-baseline": aggregateChecksum(aggregate.Hash),
+	"agg-aware":          aggregateChecksum(aggregate.CombinerTreeSingle),
+	"agg-aware-flat":     aggregateChecksum(aggregate.HashFlat),
+	"agg-tree2":          aggregateChecksum(aggregate.CombinerTree),
+	"starjoin":           multijoinChecksum(multijoin.Star),
+	"starjoin-flat":      multijoinChecksum(multijoin.StarFlat),
+	"triangle":           multijoinChecksum(triangleRun(multijoin.Triangle)),
+	"triangle-flat":      multijoinChecksum(triangleRun(multijoin.TriangleFlat)),
+}
+
+type outputChecksum = func(c *topompc.Cluster, in topompc.TaskInput) (uint64, error)
+
+// joinChecksum covers every join.Result field: per-node pair counts, the
+// sampled pairs in emission order, and the blocks.
+func joinChecksum(run func(*topology.Tree, join.Placement, join.Placement, uint64, ...netsim.Option) (*join.Result, error)) outputChecksum {
+	return func(c *topompc.Cluster, in topompc.TaskInput) (uint64, error) {
+		tr, opts := topompc.ProtocolEnv(c)
+		ti := decodeTyped(in)
+		res, err := run(tr, ti.r, ti.s, in.Seed, opts...)
+		if err != nil {
+			return 0, err
+		}
+		h := fragmentsChecksum(fnvOffset, [][]uint64{words(res.PerNode)})
+		for _, sample := range res.Sample {
+			flat := make([]uint64, 0, 3*len(sample))
+			for _, p := range sample {
+				flat = append(flat, p.Key, p.X, p.Y)
+			}
+			h = fragmentsChecksum(h, [][]uint64{flat})
+		}
+		for _, block := range res.Blocks {
+			h = fragmentsChecksum(h, [][]uint64{words(block)})
+		}
+		return h, nil
+	}
+}
+
+// aggregateChecksum covers every aggregate.Result field: each node's
+// (group, total) pairs by ascending group, the merged totals likewise, and
+// the strategy name.
+func aggregateChecksum(run func(*topology.Tree, aggregate.Placement, uint64, ...netsim.Option) (*aggregate.Result, error)) outputChecksum {
+	return func(c *topompc.Cluster, in topompc.TaskInput) (uint64, error) {
+		tr, opts := topompc.ProtocolEnv(c)
+		res, err := run(tr, decodeTyped(in).groups, in.Seed, opts...)
+		if err != nil {
+			return 0, err
+		}
+		h := uint64(fnvOffset)
+		for _, m := range res.PerNode {
+			h = fragmentsChecksum(h, [][]uint64{sortedTotals(m)})
+		}
+		return fragmentsChecksum(h, [][]uint64{sortedTotals(res.Totals()), words([]byte(res.Strategy))}), nil
+	}
+}
+
+// sortedTotals flattens a group -> total map by ascending group.
+func sortedTotals(m map[uint64]int64) []uint64 {
+	groups := make([]uint64, 0, len(m))
+	for g := range m {
+		groups = append(groups, g)
+	}
+	slices.Sort(groups)
+	flat := make([]uint64, 0, 2*len(groups))
+	for _, g := range groups {
+		flat = append(flat, g, uint64(m[g]))
+	}
+	return flat
+}
+
+type starRun = func(*topology.Tree, []multijoin.Placement, uint64, ...netsim.Option) (*multijoin.Result, error)
+
+func triangleRun(run func(*topology.Tree, multijoin.Placement, multijoin.Placement, multijoin.Placement, uint64, ...netsim.Option) (*multijoin.Result, error)) starRun {
+	return func(tr *topology.Tree, rels []multijoin.Placement, seed uint64, opts ...netsim.Option) (*multijoin.Result, error) {
+		return run(tr, rels[0], rels[1], rels[2], seed, opts...)
+	}
+}
+
+// multijoinChecksum covers every multijoin.Result field: per-node output
+// counts, the output checksum, the sampled triples in emission order, the
+// share grid and the cells per node.
+func multijoinChecksum(run starRun) outputChecksum {
+	return func(c *topompc.Cluster, in topompc.TaskInput) (uint64, error) {
+		tr, opts := topompc.ProtocolEnv(c)
+		ti := decodeTyped(in)
+		rels := make([]multijoin.Placement, len(ti.rels))
+		for j, rel := range ti.rels {
+			rels[j] = rel
+		}
+		res, err := run(tr, rels, in.Seed, opts...)
+		if err != nil {
+			return 0, err
+		}
+		h := fragmentsChecksum(fnvOffset, [][]uint64{words(res.PerNode), {res.Checksum}, words(res.Shares), words(res.CellsPerNode)})
+		for _, sample := range res.Sample {
+			flat := make([]uint64, 0, 3*len(sample))
+			for _, tp := range sample {
+				flat = append(flat, tp.A, tp.B, tp.C)
+			}
+			h = fragmentsChecksum(h, [][]uint64{flat})
+		}
+		return h, nil
+	}
+}
+
+// words widens a slice of integers for fragmentsChecksum.
+func words[T ~int | ~int32 | ~int64 | ~uint8](xs []T) []uint64 {
+	out := make([]uint64, len(xs))
+	for i, x := range xs {
+		out[i] = uint64(x)
+	}
+	return out
 }
 
 func sortChecksum(res *topompc.SortResult, err error) (uint64, error) {
