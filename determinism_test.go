@@ -164,8 +164,12 @@ func aggregateChecksum(run func(*topology.Tree, aggregate.Placement, uint64, ...
 			return 0, err
 		}
 		h := uint64(fnvOffset)
-		for _, m := range res.PerNode {
-			h = fragmentsChecksum(h, [][]uint64{sortedTotals(m)})
+		for _, pairs := range res.PerNode {
+			flat := make([]uint64, 0, 2*len(pairs))
+			for _, p := range pairs {
+				flat = append(flat, p.Group, uint64(p.Value))
+			}
+			h = fragmentsChecksum(h, [][]uint64{flat})
 		}
 		return fragmentsChecksum(h, [][]uint64{sortedTotals(res.Totals()), words([]byte(res.Strategy))}), nil
 	}

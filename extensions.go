@@ -149,8 +149,8 @@ func (c *Cluster) JoinBaseline(r, s [][]Row, seed uint64) (*JoinResult, error) {
 type joinProtocol func(t *topology.Tree, r, s join.Placement, seed uint64, opts ...netsim.Option) (*join.Result, error)
 
 // joinWith is the equi-join pipeline: the number of emitted pairs must
-// equal the reference |R ⋈ S|. join.Verify's sample check is left out on
-// purpose: it builds two map-of-maps over the whole input.
+// equal the reference |R ⋈ S| and every sampled pair must be made of input
+// tuples (join.Verify).
 func (c *Cluster) joinWith(r, s [][]Row, seed uint64, run joinProtocol) (*JoinResult, error) {
 	if err := c.checkPair(len(r), len(s)); err != nil {
 		return nil, err
@@ -159,12 +159,11 @@ func (c *Cluster) joinWith(r, s [][]Row, seed uint64, run joinProtocol) (*JoinRe
 	if err != nil {
 		return nil, err
 	}
-	pairs := res.TotalPairs()
-	if want := join.ReferenceSize(r, s); pairs != want {
-		return nil, fmt.Errorf("join: %d pairs emitted, want %d", pairs, want)
+	if err := join.Verify(r, s, res); err != nil {
+		return nil, err
 	}
 	return &JoinResult{
-		Pairs:        pairs,
+		Pairs:        res.TotalPairs(),
 		PairsPerNode: res.PerNode,
 		Cost:         c.costOf(res.Report, 0),
 		Report:       res.Report,

@@ -33,6 +33,13 @@
 //     per level, or once per flat block) before hashing to
 //     capacity-weighted homes.
 //
+// Local compute is sort-merge on the par kernels, forked by home: a partial
+// is a group-ascending run of (group, value) words from the local
+// pre-combine through every combiner level to the final collect; a node
+// that combines concatenates what arrived with what it holds, radix-sorts
+// by group and sums the runs, and a sender lays a partial out by
+// destination with a counting pass.
+//
 // No asymptotic optimality is claimed for the extension; the E-series
 // experiment X1 reports measured ratios.
 package aggregate
@@ -45,6 +52,7 @@ import (
 	"topompc/internal/hashing"
 	"topompc/internal/lowerbound"
 	"topompc/internal/netsim"
+	"topompc/internal/par"
 	"topompc/internal/topology"
 )
 
@@ -59,9 +67,9 @@ type Placement [][]Pair
 
 // Result of an aggregation protocol.
 type Result struct {
-	// PerNode maps, at each compute node, group -> total for the groups
-	// that node is responsible for.
-	PerNode []map[uint64]int64
+	// PerNode lists, at each compute node, the (group, total) pairs of the
+	// groups that node is responsible for, by ascending group.
+	PerNode [][]Pair
 	// Report is the cost accounting.
 	Report *netsim.Report
 	// Strategy identifies the protocol path.
@@ -71,15 +79,16 @@ type Result struct {
 // Totals merges the per-node outputs into one map (for verification).
 func (r *Result) Totals() map[uint64]int64 {
 	out := make(map[uint64]int64)
-	for _, m := range r.PerNode {
-		for g, v := range m {
-			out[g] += v
+	for _, pairs := range r.PerNode {
+		for _, p := range pairs {
+			out[p.Group] += p.Value
 		}
 	}
 	return out
 }
 
-// Reference computes the expected totals directly.
+// Reference computes the expected totals directly. It hashes where the
+// protocols sort and sum runs, so the two share no aggregation logic.
 func Reference(data Placement) map[uint64]int64 {
 	out := make(map[uint64]int64)
 	for _, frag := range data {
@@ -94,14 +103,14 @@ func Reference(data Placement) map[uint64]int64 {
 func Verify(data Placement, res *Result) error {
 	want := Reference(data)
 	seen := make(map[uint64]bool)
-	for i, m := range res.PerNode {
-		for g, v := range m {
-			if seen[g] {
-				return fmt.Errorf("aggregate: group %d emitted at two nodes", g)
+	for i, pairs := range res.PerNode {
+		for _, p := range pairs {
+			if seen[p.Group] {
+				return fmt.Errorf("aggregate: group %d emitted twice", p.Group)
 			}
-			seen[g] = true
-			if v != want[g] {
-				return fmt.Errorf("aggregate: node %d group %d total %d, want %d", i, g, v, want[g])
+			seen[p.Group] = true
+			if p.Value != want[p.Group] {
+				return fmt.Errorf("aggregate: node %d group %d total %d, want %d", i, p.Group, p.Value, want[p.Group])
 			}
 		}
 	}
@@ -121,84 +130,123 @@ func LowerBound(t *topology.Tree, data Placement) float64 {
 
 // GroupHolders reports, for every group, the compute nodes holding at
 // least one of its pairs, each node once, in ComputeNodes order. Groups
-// are listed in order of first appearance.
+// are listed in ascending order.
 func GroupHolders(t *topology.Tree, data Placement) [][]topology.NodeID {
 	nodes := t.ComputeNodes()
-	id := make(map[uint64]int) // group -> position in out
-	var out [][]topology.NodeID
+	total := 0
+	for _, frag := range data {
+		total += len(frag)
+	}
+	groups, holder := make([]uint64, 0, total), make([]uint64, 0, total)
 	for i, frag := range data {
 		for _, p := range frag {
-			g, ok := id[p.Group]
-			if !ok {
-				g = len(out)
-				id[p.Group] = g
-				out = append(out, nil)
-			}
-			// Fragments are visited in order, so a group this fragment
-			// already listed has this node as its last holder.
-			if hs := out[g]; len(hs) == 0 || hs[len(hs)-1] != nodes[i] {
-				out[g] = append(hs, nodes[i])
-			}
+			groups, holder = append(groups, p.Group), append(holder, uint64(i))
+		}
+	}
+	// Stable by group: a group's holders come out in fragment order, with
+	// the repeats of one fragment adjacent.
+	groups, holder, _, _ = par.SortPairs(groups, holder, nil, nil)
+	m := 0
+	for j, g := range groups {
+		if j == 0 || g != groups[j-1] || holder[j] != holder[j-1] {
+			groups[m], holder[m] = g, holder[j]
+			m++
+		}
+	}
+	arena := make([]topology.NodeID, m)
+	var out [][]topology.NodeID
+	first := 0 // of the current group
+	for j := 0; j < m; j++ {
+		arena[j] = nodes[holder[j]]
+		if j+1 == m || groups[j+1] != groups[j] {
+			out = append(out, arena[first:j+1:j+1])
+			first = j + 1
 		}
 	}
 	return out
 }
 
-// instance validates an aggregation input.
-type instance struct {
-	t     *topology.Tree
-	nodes []topology.NodeID
-	idx   []int // NodeID -> position in nodes (compute nodes only)
-	data  Placement
-	local []map[uint64]int64 // pre-combined local partials
+// partial is one node's partial aggregates as they travel: (group, value)
+// words interleaved, groups ascending and distinct — 2 wire elements per
+// partial, consistently for every strategy. Partials are never modified, so
+// a node forwarding all it holds sends the slice itself.
+type partial []uint64
+
+func (p partial) groups() int { return len(p) / 2 }
+
+// combineScratch is one pool shard's working lanes for combining.
+type combineScratch struct {
+	words        []uint64 // what a home drained from its inbox, then what it combines to
+	k, v, tk, tv []uint64 // group and value lanes, and their sort scratch
 }
 
-func newInstance(t *topology.Tree, data Placement) (*instance, error) {
+// lanes returns the group and value lanes at length n, for combine.
+func (sc *combineScratch) lanes(n int) (k, v []uint64) {
+	sc.k, sc.v = slices.Grow(sc.k[:0], n)[:n], slices.Grow(sc.v[:0], n)[:n]
+	return sc.k, sc.v
+}
+
+// combine sums the values of equal groups in the lanes: sorted by group,
+// one output partial per run.
+func (sc *combineScratch) combine() partial {
+	sc.k, sc.v, sc.tk, sc.tv = par.SortPairs(sc.k, sc.v, sc.tk, sc.tv)
+	k, v, out := sc.k, sc.v, sc.words[:0] // whatever words held is in the lanes by now
+	for j := 0; j < len(k); {
+		g, sum := k[j], uint64(0)
+		for ; j < len(k) && k[j] == g; j++ {
+			sum += v[j]
+		}
+		out = append(out, g, sum)
+	}
+	sc.words = out
+	return slices.Clone(out)
+}
+
+// merge combines what the home received under tag with what it holds.
+func (sc *combineScratch) merge(ib netsim.Inbox, tag netsim.Tag, held partial) partial {
+	sc.words = append(ib.AppendKeys(sc.words[:0], tag), held...)
+	k, v := sc.lanes(len(sc.words) / 2)
+	for j := range k {
+		k[j], v[j] = sc.words[2*j], sc.words[2*j+1]
+	}
+	return sc.combine()
+}
+
+// instance is a validated aggregation input on its engine.
+type instance struct {
+	t       *topology.Tree
+	nodes   []topology.NodeID
+	e       *netsim.Engine
+	scratch []combineScratch // one per pool shard
+	local   []partial        // pre-combined local partials
+}
+
+func newInstance(t *topology.Tree, data Placement, opts []netsim.Option) (*instance, error) {
 	nodes := t.ComputeNodes()
 	if len(data) != len(nodes) {
 		return nil, fmt.Errorf("aggregate: placement covers %d nodes, tree has %d compute nodes",
 			len(data), len(nodes))
 	}
-	in := &instance{t: t, nodes: nodes, idx: make([]int, t.NumNodes()), data: data, local: make([]map[uint64]int64, len(nodes))}
-	for i, v := range nodes {
-		in.idx[v] = i
-	}
-	for i, frag := range data {
-		m := make(map[uint64]int64, len(frag))
-		for _, p := range frag {
-			m[p.Group] += p.Value
+	e := netsim.NewEngine(t, opts...)
+	in := &instance{t: t, nodes: nodes, e: e, scratch: make([]combineScratch, e.Pool().Workers()), local: make([]partial, len(nodes))}
+	in.forHomes(func(sc *combineScratch, i int) {
+		k, v := sc.lanes(len(data[i]))
+		for j, p := range data[i] {
+			k[j], v[j] = p.Group, uint64(p.Value)
 		}
-		in.local[i] = m
-	}
+		in.local[i] = sc.combine()
+	})
 	return in, nil
 }
 
-// sortedGroups returns the map's keys in ascending order (deterministic
-// message construction).
-func sortedGroups(m map[uint64]int64) []uint64 {
-	out := make([]uint64, 0, len(m))
-	for g := range m {
-		out = append(out, g)
-	}
-	slices.Sort(out)
-	return out
-}
-
-// partialMsg encodes partial aggregates as (group, value) element pairs:
-// each partial costs 2 elements on the wire, consistently for every
-// strategy.
-func partialMsg(m map[uint64]int64, groups []uint64) []uint64 {
-	keys := make([]uint64, 0, 2*len(groups))
-	for _, g := range groups {
-		keys = append(keys, g, uint64(m[g]))
-	}
-	return keys
-}
-
-func decodePartials(dst map[uint64]int64, keys []uint64) {
-	for i := 0; i+1 < len(keys); i += 2 {
-		dst[keys[i]] += int64(keys[i+1])
-	}
+// forHomes runs fn for every compute index, forked by home on the engine's
+// pool with the shard's scratch.
+func (in *instance) forHomes(fn func(sc *combineScratch, i int)) {
+	in.e.Pool().Blocks("aggregate local", len(in.nodes), func(shard, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			fn(&in.scratch[shard], i)
+		}
+	})
 }
 
 // chooserFor builds a shared weighted chooser over the given nodes with the
@@ -207,28 +255,42 @@ func chooserFor(seed uint64, weights []float64) (*hashing.WeightedChooser, error
 	return hashing.NewWeightedChooser(seed, place.FallbackUniform(weights))
 }
 
+// sendHashed queues one unicast per member that chooser maps some group of
+// p to, in member order, each carrying its groups in ascending order: a
+// counting pass lays p out by destination in one payload buffer.
+func sendHashed(out *netsim.Outbox, p partial, members []topology.NodeID, chooser *hashing.WeightedChooser) {
+	// Counted two slots up and summed, off[b+1] is where member b's words
+	// start; the write pass advances it to where they end.
+	bucket := make([]int32, p.groups())
+	off := make([]int32, len(members)+2)
+	for j := range bucket {
+		bucket[j] = int32(chooser.Choose(p[2*j]))
+		off[bucket[j]+2] += 2
+	}
+	for b := range members {
+		off[b+2] += off[b+1]
+	}
+	buf := make([]uint64, len(p))
+	for j, b := range bucket {
+		at := off[b+1]
+		off[b+1] += 2
+		buf[at], buf[at+1] = p[2*j], p[2*j+1]
+	}
+	for b, to := range members {
+		if off[b] < off[b+1] {
+			out.Send(to, netsim.TagData, buf[off[b]:off[b+1]])
+		}
+	}
+}
+
 // scatterPartials plans and executes one exchange round that delivers each
 // node's partial aggregates to their group homes under the shared chooser
 // (self-sends included — they are free and keep the final-round inbox the
 // complete truth for collect). Every hashing strategy ends in this round.
-func scatterPartials(e *netsim.Engine, in *instance, chooser *hashing.WeightedChooser, partials []map[uint64]int64) {
-	x := e.Exchange()
+func scatterPartials(in *instance, chooser *hashing.WeightedChooser, partials []partial) {
+	x := in.e.Exchange()
 	x.Plan(func(v topology.NodeID, out *netsim.Outbox) {
-		i := in.idx[v]
-		m := partials[i]
-		if len(m) == 0 {
-			return
-		}
-		byDst := make(map[topology.NodeID][]uint64)
-		for _, g := range sortedGroups(m) {
-			d := in.nodes[chooser.Choose(g)]
-			byDst[d] = append(byDst[d], g)
-		}
-		for _, target := range in.nodes {
-			if groups := byDst[target]; len(groups) > 0 {
-				out.Send(target, netsim.TagData, partialMsg(m, groups))
-			}
-		}
+		sendHashed(out, partials[in.t.ComputeIndex(v)], in.nodes, chooser)
 	})
 	x.Execute()
 }

@@ -2,11 +2,13 @@ package aggregate
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"topompc/internal/netsim"
 	"topompc/internal/topology"
+	"topompc/internal/topology/topotest"
 )
 
 // genData builds pairs with the given number of groups; groupSkew places a
@@ -33,19 +35,19 @@ func TestReferenceAndVerify(t *testing.T) {
 	if want[1] != 12 || want[2] != 3 {
 		t.Fatalf("reference = %v", want)
 	}
-	good := &Result{PerNode: []map[uint64]int64{{1: 12}, {2: 3}}}
+	good := &Result{PerNode: [][]Pair{{{1, 12}}, {{2, 3}}}}
 	if err := Verify(data, good); err != nil {
 		t.Errorf("good result rejected: %v", err)
 	}
-	dupe := &Result{PerNode: []map[uint64]int64{{1: 12, 2: 3}, {2: 3}}}
+	dupe := &Result{PerNode: [][]Pair{{{1, 12}, {2, 3}}, {{2, 3}}}}
 	if err := Verify(data, dupe); err == nil {
 		t.Error("duplicate emission accepted")
 	}
-	wrong := &Result{PerNode: []map[uint64]int64{{1: 11}, {2: 3}}}
+	wrong := &Result{PerNode: [][]Pair{{{1, 11}}, {{2, 3}}}}
 	if err := Verify(data, wrong); err == nil {
 		t.Error("wrong total accepted")
 	}
-	missing := &Result{PerNode: []map[uint64]int64{{1: 12}, {}}}
+	missing := &Result{PerNode: [][]Pair{{{1, 12}}, {}}}
 	if err := Verify(data, missing); err == nil {
 		t.Error("missing group accepted")
 	}
@@ -260,5 +262,73 @@ func TestRatioFinite(t *testing.T) {
 	r := netsim.Ratio(res.Report.TotalCost(), lb)
 	if r <= 0 || r > 100 {
 		t.Errorf("ratio = %v out of sane range", r)
+	}
+}
+
+// degenerateData draws a small aggregation input on p nodes, bent by
+// variant: 0 no records, 1 all data on one node, 2 one group carrying half
+// the records, 3 every record twice, 4 as drawn.
+func degenerateData(rng *rand.Rand, variant, p int) Placement {
+	data := genData(rng, p, rng.Intn(60), 1+rng.Intn(40))
+	switch variant {
+	case 0:
+		data = make(Placement, p)
+	case 1:
+		for i := 1; i < p; i++ {
+			data[0] = append(data[0], data[i]...)
+			data[i] = nil
+		}
+	case 2:
+		for _, frag := range data {
+			for j := range frag {
+				if j%2 == 0 {
+					frag[j].Group = 3
+				}
+			}
+		}
+	case 3:
+		for i, frag := range data {
+			data[i] = append(frag, frag...)
+		}
+	}
+	return data
+}
+
+// TestDegenerateInputsAcrossWorkers runs every strategy on every topotest
+// shape (the single compute node among them) with degenerate inputs: the
+// result must verify and be the same at workers 1, 2, 4 and 7. The
+// per-home combines fork on the pool; run with -race -count=10.
+func TestDegenerateInputsAcrossWorkers(t *testing.T) {
+	strategies := map[string]func(*topology.Tree, Placement, uint64, ...netsim.Option) (*Result, error){
+		"hash": Hash, "twolevel": TwoLevel, "flat": HashFlat, "tree": CombinerTree, "single": CombinerTreeSingle,
+		"gather": func(tr *topology.Tree, data Placement, _ uint64, opts ...netsim.Option) (*Result, error) {
+			return Gather(tr, data, topology.NoNode, opts...)
+		},
+	}
+	for iter := 0; iter < 5*topotest.NumShapes; iter++ {
+		rng := rand.New(rand.NewSource(int64(500 + iter)))
+		shape, tr, err := topotest.Draw(rng, iter)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := degenerateData(rng, iter/topotest.NumShapes, tr.NumCompute())
+		for name, run := range strategies {
+			var want *Result
+			for _, workers := range []int{1, 2, 4, 7} {
+				res, err := run(tr, data, uint64(iter), netsim.WithWorkers(workers))
+				if err != nil {
+					t.Fatalf("iter %d %s %s workers=%d: %v", iter, shape, name, workers, err)
+				}
+				if err := Verify(data, res); err != nil {
+					t.Fatalf("iter %d %s %s workers=%d: %v", iter, shape, name, workers, err)
+				}
+				if want == nil {
+					want = res
+				} else if !reflect.DeepEqual(res.PerNode, want.PerNode) || res.Strategy != want.Strategy ||
+					res.Report.TotalCost() != want.Report.TotalCost() {
+					t.Fatalf("iter %d %s %s: workers=%d result differs from workers=1", iter, shape, name, workers)
+				}
+			}
+		}
 	}
 }

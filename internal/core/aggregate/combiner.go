@@ -11,12 +11,10 @@ import (
 )
 
 // tagUp carries partial aggregates from a block member to its block
-// combiner (the up-sweep rounds of the combiner trees). Note that collect
-// reads the final round's inbox untagged — the engine swaps inboxes every
-// round, so the up-phase deliveries are gone by collection time; the
-// distinct tag is for guarding the combiners' own up-round reads. The
-// scatter to the group homes must therefore stay the last round of every
-// strategy.
+// combiner (the up-sweep rounds of the combiner trees). collect reads the
+// final round's inbox — the engine swaps inboxes every round, so the
+// up-phase deliveries are gone by collection time. The scatter to the group
+// homes must therefore stay the last round of every strategy.
 const tagUp netsim.Tag = 30
 
 // CombinerTree is the topology-aware aggregation on the recursive
@@ -51,7 +49,7 @@ func CombinerTree(t *topology.Tree, data Placement, seed uint64, opts ...netsim.
 // homes. strategy names a run with at least one step; an empty schedule is
 // a single round of capacity-weighted hashing. hier is only traced.
 func combinerTree(t *topology.Tree, data Placement, seed uint64, hier *place.Hierarchy, steps []place.UpStep, strategy string, opts []netsim.Option) (*Result, error) {
-	in, err := newInstance(t, data)
+	in, err := newInstance(t, data, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -61,7 +59,7 @@ func combinerTree(t *topology.Tree, data Placement, seed uint64, hier *place.Hie
 		return nil, err
 	}
 
-	e := netsim.NewEngine(t, opts...)
+	e := in.e
 	// Flight recorder: the hierarchy's combining decisions plus one span
 	// per up-sweep level recording shipped vs merged volume; all behind nil
 	// checks when the engine has no recorder.
@@ -76,73 +74,58 @@ func combinerTree(t *topology.Tree, data Placement, seed uint64, hier *place.Hie
 	mShipped := mx.Counter("aggregate.shipped_elements")
 	mMerged := mx.Counter("aggregate.merged_groups")
 
-	partials := in.local
+	// Up-sweep: one round per engaged level, deepest first. state[i] is the
+	// partial node i still carries; senders forward it whole, combiners
+	// merge what arrives with their own.
+	state := in.local
 	if len(steps) == 0 {
 		strategy = "capacity-hash"
-	} else {
-		// Up-sweep: one round per engaged level, deepest first. state[i]
-		// is the partials node i still carries; senders forward it whole,
-		// combiners merge what arrives into their own.
-		state := make([]map[uint64]int64, len(in.nodes))
-		copy(state, in.local)
-		for _, st := range steps {
-			var sp obs.Span
-			if tc != nil {
-				sp = obs.Begin(tc, aggTid, fmt.Sprintf("combine level %d", st.Level), "aggregate.level")
-			}
-			x := e.Exchange()
-			x.Plan(func(v topology.NodeID, out *netsim.Outbox) {
-				i := in.idx[v]
-				if st.Target[i] != i && len(state[i]) > 0 {
-					out.Send(in.nodes[st.Target[i]], tagUp, partialMsg(state[i], sortedGroups(state[i])))
-				}
-			})
-			rst := x.Execute()
-			var arrived int64 // group partials merged at combiners this level
-			next := make([]map[uint64]int64, len(in.nodes))
-			for i, v := range in.nodes {
-				if st.Target[i] != i {
-					continue // forwarded; nothing left to carry
-				}
-				m := state[i]
-				merged := false
-				ib := e.Inbox(v)
-				for mi := 0; mi < ib.Len(); mi++ {
-					msg := ib.At(mi)
-					if msg.Tag != tagUp {
-						continue
-					}
-					if !merged {
-						// Clone before merging: state may alias in.local.
-						c := make(map[uint64]int64, len(m))
-						for g, val := range m {
-							c[g] = val
-						}
-						m = c
-						merged = true
-					}
-					arrived += int64(len(msg.Keys) / 2)
-					decodePartials(m, msg.Keys)
-				}
-				next[i] = m
-			}
-			state = next
-			mLevels.Inc()
-			mShipped.Add(rst.Elements)
-			mMerged.Add(arrived)
-			if tc != nil {
-				sp.End(map[string]any{
-					"level": st.Level, "shipped_elements": rst.Elements,
-					"merged_groups": arrived, "round_cost": rst.Cost,
-				})
-			}
+	}
+	for _, st := range steps {
+		var sp obs.Span
+		if tc != nil {
+			sp = obs.Begin(tc, aggTid, fmt.Sprintf("combine level %d", st.Level), "aggregate.level")
 		}
-		partials = state
+		x := e.Exchange()
+		x.Plan(func(v topology.NodeID, out *netsim.Outbox) {
+			i := t.ComputeIndex(v)
+			if st.Target[i] != i && len(state[i]) > 0 {
+				out.Send(in.nodes[st.Target[i]], tagUp, state[i])
+			}
+		})
+		rst := x.Execute()
+		next := make([]partial, len(in.nodes)) // forwarders carry nothing on
+		// arrived counts the group partials merged at combiners this level.
+		arrived := e.Pool().Sum("aggregate local", len(in.nodes), func(shard, lo, hi int) int64 {
+			var n int64
+			for i := lo; i < hi; i++ {
+				if st.Target[i] != i {
+					continue
+				}
+				next[i] = state[i]
+				ib := e.Inbox(in.nodes[i])
+				if up := ib.KeyCount(tagUp); up > 0 {
+					n += int64(up / 2)
+					next[i] = in.scratch[shard].merge(ib, tagUp, state[i])
+				}
+			}
+			return n
+		})
+		state = next
+		mLevels.Inc()
+		mShipped.Add(rst.Elements)
+		mMerged.Add(arrived)
+		if tc != nil {
+			sp.End(map[string]any{
+				"level": st.Level, "shipped_elements": rst.Elements,
+				"merged_groups": arrived, "round_cost": rst.Cost,
+			})
+		}
 	}
 
 	// Final round: hash the (block-merged) partials to their global homes.
-	scatterPartials(e, in, global, partials)
-	return collect(e, in, strategy), nil
+	scatterPartials(in, global, state)
+	return collect(in, strategy), nil
 }
 
 // CombinerTreeSingle is the single-level combiner tree of the flat
@@ -193,7 +176,7 @@ func CombinerTreeSingle(t *topology.Tree, data Placement, seed uint64, opts ...n
 // capacities are uniform and no combining plan exists) the protocols
 // coincide and the combiner-tree levers can be measured in isolation.
 func HashFlat(t *topology.Tree, data Placement, seed uint64, opts ...netsim.Option) (*Result, error) {
-	in, err := newInstance(t, data)
+	in, err := newInstance(t, data, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -201,7 +184,6 @@ func HashFlat(t *topology.Tree, data Placement, seed uint64, opts ...netsim.Opti
 	if err != nil {
 		return nil, err
 	}
-	e := netsim.NewEngine(t, opts...)
-	scatterPartials(e, in, chooser, in.local)
-	return collect(e, in, "flat-hash"), nil
+	scatterPartials(in, chooser, in.local)
+	return collect(in, "flat-hash"), nil
 }

@@ -7,25 +7,29 @@ import (
 	"topompc/internal/topology"
 )
 
+// groupCounts reports every node's distinct-group count as chooser weights.
+func groupCounts(partials []partial) []float64 {
+	w := make([]float64, len(partials))
+	for i, p := range partials {
+		w[i] = float64(p.groups())
+	}
+	return w
+}
+
 // Hash aggregates in one round: every node sends each of its local partial
 // aggregates to the group's hash target, weighted by the nodes' distinct
 // group counts so that busy nodes also host proportionally many groups.
 func Hash(t *topology.Tree, data Placement, seed uint64, opts ...netsim.Option) (*Result, error) {
-	in, err := newInstance(t, data)
+	in, err := newInstance(t, data, opts)
 	if err != nil {
 		return nil, err
 	}
-	weights := make([]float64, len(in.nodes))
-	for i := range in.nodes {
-		weights[i] = float64(len(in.local[i]))
-	}
-	chooser, err := chooserFor(hashing.Mix64(seed+0xa99), weights)
+	chooser, err := chooserFor(hashing.Mix64(seed+0xa99), groupCounts(in.local))
 	if err != nil {
 		return nil, err
 	}
-	e := netsim.NewEngine(t, opts...)
-	scatterPartials(e, in, chooser, in.local)
-	return collect(e, in, "hash"), nil
+	scatterPartials(in, chooser, in.local)
+	return collect(in, "hash"), nil
 }
 
 // TwoLevel aggregates in two rounds using the balanced-partition machinery
@@ -34,23 +38,19 @@ func Hash(t *topology.Tree, data Placement, seed uint64, opts ...netsim.Option) 
 // partials are hashed globally. Bottlenecked inter-block links carry each
 // group once per block instead of once per node.
 func TwoLevel(t *topology.Tree, data Placement, seed uint64, opts ...netsim.Option) (*Result, error) {
-	in, err := newInstance(t, data)
+	in, err := newInstance(t, data, opts)
 	if err != nil {
 		return nil, err
 	}
 	blocks := blocksByGroups(t, in)
-	blockOf := make(map[topology.NodeID]int, len(in.nodes))
-	for b, members := range blocks {
-		for _, v := range members {
-			blockOf[v] = b
-		}
-	}
+	blockOf := make([]int, len(in.nodes)) // by compute index
 	// Per-block choosers weighted by group counts.
 	blockChoosers := make([]*hashing.WeightedChooser, len(blocks))
 	for b, members := range blocks {
 		w := make([]float64, len(members))
 		for j, v := range members {
-			w[j] = float64(len(in.local[in.idx[v]]))
+			blockOf[t.ComputeIndex(v)] = b
+			w[j] = float64(in.local[t.ComputeIndex(v)].groups())
 		}
 		blockChoosers[b], err = chooserFor(hashing.Mix64(seed+uint64(b)+0x77), w)
 		if err != nil {
@@ -58,54 +58,30 @@ func TwoLevel(t *topology.Tree, data Placement, seed uint64, opts ...netsim.Opti
 		}
 	}
 
-	e := netsim.NewEngine(t, opts...)
 	// Round 1: combine within blocks.
-	x := e.Exchange()
+	x := in.e.Exchange()
 	x.Plan(func(v topology.NodeID, out *netsim.Outbox) {
-		i := in.idx[v]
-		b := blockOf[v]
-		members := blocks[b]
-		byDst := make(map[topology.NodeID][]uint64)
-		for _, g := range sortedGroups(in.local[i]) {
-			d := members[blockChoosers[b].Choose(g)]
-			byDst[d] = append(byDst[d], g)
-		}
-		for _, target := range members {
-			if groups := byDst[target]; len(groups) > 0 {
-				out.Send(target, netsim.TagData, partialMsg(in.local[i], groups))
-			}
-		}
+		i := t.ComputeIndex(v)
+		sendHashed(out, in.local[i], blocks[blockOf[i]], blockChoosers[blockOf[i]])
 	})
 	x.Execute()
-
-	// Block-combined partials per node.
-	combined := make([]map[uint64]int64, len(in.nodes))
-	for i, v := range in.nodes {
-		m := make(map[uint64]int64)
-		ib := e.Inbox(v)
-		for mi := 0; mi < ib.Len(); mi++ {
-			msg := ib.At(mi)
-			decodePartials(m, msg.Keys)
-		}
-		combined[i] = m
-	}
+	combined := make([]partial, len(in.nodes)) // block-combined partials
+	in.forHomes(func(sc *combineScratch, i int) {
+		combined[i] = sc.merge(in.e.Inbox(in.nodes[i]), netsim.TagData, nil)
+	})
 
 	// Round 2: hash block partials globally, weighted by combined counts.
-	weights := make([]float64, len(in.nodes))
-	for i := range in.nodes {
-		weights[i] = float64(len(combined[i]))
-	}
-	global, err := chooserFor(hashing.Mix64(seed+0xfeed), weights)
+	global, err := chooserFor(hashing.Mix64(seed+0xfeed), groupCounts(combined))
 	if err != nil {
 		return nil, err
 	}
-	scatterPartials(e, in, global, combined)
-	return collect(e, in, "twolevel"), nil
+	scatterPartials(in, global, combined)
+	return collect(in, "twolevel"), nil
 }
 
 // Gather ships every local partial to one node.
 func Gather(t *topology.Tree, data Placement, target topology.NodeID, opts ...netsim.Option) (*Result, error) {
-	in, err := newInstance(t, data)
+	in, err := newInstance(t, data, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -118,16 +94,14 @@ func Gather(t *topology.Tree, data Placement, target topology.NodeID, opts ...ne
 		}
 		target = in.nodes[best]
 	}
-	e := netsim.NewEngine(t, opts...)
-	x := e.Exchange()
+	x := in.e.Exchange()
 	x.Plan(func(v topology.NodeID, out *netsim.Outbox) {
-		i := in.idx[v]
-		if len(in.local[i]) > 0 {
-			out.Send(target, netsim.TagData, partialMsg(in.local[i], sortedGroups(in.local[i])))
+		if p := in.local[t.ComputeIndex(v)]; len(p) > 0 {
+			out.Send(target, netsim.TagData, p)
 		}
 	})
 	x.Execute()
-	return collect(e, in, "gather"), nil
+	return collect(in, "gather"), nil
 }
 
 // blocksByGroups partitions the compute nodes with Algorithm 3, using
@@ -136,13 +110,14 @@ func Gather(t *topology.Tree, data Placement, target topology.NodeID, opts ...ne
 // of groups.
 func blocksByGroups(t *topology.Tree, in *instance) [][]topology.NodeID {
 	loads := make(topology.Loads, t.NumNodes())
-	all := make(map[uint64]bool)
+	var all []uint64 // every node's groups
 	for i, v := range in.nodes {
-		loads[v] = int64(len(in.local[i]))
-		for g := range in.local[i] {
-			all[g] = true
+		loads[v] = int64(in.local[i].groups())
+		for j := 0; j < len(in.local[i]); j += 2 {
+			all = append(all, in.local[i][j])
 		}
 	}
+	all, _ = in.e.Pool().SortUnique(all, nil)
 	threshold := int64(len(all))
 	if threshold == 0 {
 		threshold = 1
@@ -154,24 +129,23 @@ func blocksByGroups(t *topology.Tree, in *instance) [][]topology.NodeID {
 	return blocks
 }
 
-// collect reduces each node's inbox into its output map. A node that
+// collect reduces each node's inbox into its output pairs. A node that
 // received nothing but kept local-only groups would double-emit; the
 // strategies always send every group somewhere (possibly to self, which is
 // free), so the inbox is the complete truth.
-func collect(e *netsim.Engine, in *instance, strategy string) *Result {
+func collect(in *instance, strategy string) *Result {
 	res := &Result{
-		PerNode:  make([]map[uint64]int64, len(in.nodes)),
+		PerNode:  make([][]Pair, len(in.nodes)),
 		Strategy: strategy,
 	}
-	for i, v := range in.nodes {
-		m := make(map[uint64]int64)
-		ib := e.Inbox(v)
-		for mi := 0; mi < ib.Len(); mi++ {
-			msg := ib.At(mi)
-			decodePartials(m, msg.Keys)
+	in.forHomes(func(sc *combineScratch, i int) {
+		p := sc.merge(in.e.Inbox(in.nodes[i]), netsim.TagData, nil)
+		pairs := make([]Pair, p.groups())
+		for j := range pairs {
+			pairs[j] = Pair{Group: p[2*j], Value: int64(p[2*j+1])}
 		}
-		res.PerNode[i] = m
-	}
-	res.Report = e.Report()
+		res.PerNode[i] = pairs
+	})
+	res.Report = in.e.Report()
 	return res
 }

@@ -14,6 +14,11 @@
 // key-groups travel instead of single elements. A tuple costs 2 elements on
 // the wire (key + payload).
 //
+// Local compute is sort-merge on the par kernels, forked by home: a sender
+// lays its rows out by destination with a counting pass into one payload
+// buffer, a home drains its inbox once, radix-sorts the two sides by key
+// and merges them.
+//
 // No optimality theorem is claimed (output-optimal topology-aware joins are
 // open), and a single extremely heavy key can still overload its target
 // node — handling that requires per-key output-space splitting, which is
@@ -23,11 +28,12 @@ package join
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"topompc/internal/core/place"
 	"topompc/internal/hashing"
 	"topompc/internal/netsim"
+	"topompc/internal/par"
 	"topompc/internal/topology"
 )
 
@@ -72,7 +78,8 @@ func (r *Result) TotalPairs() int64 {
 	return n
 }
 
-// ReferenceSize computes |R ⋈ S| directly.
+// ReferenceSize computes |R ⋈ S| directly. It hashes where the protocols
+// sort and merge, so the two share no join logic.
 func ReferenceSize(r, s Placement) int64 {
 	rCount := make(map[uint64]int64)
 	for _, frag := range r {
@@ -90,55 +97,144 @@ func ReferenceSize(r, s Placement) int64 {
 }
 
 // Verify checks output-size correctness and validates the sampled pairs
-// against the input relations.
+// against the input relations: every sampled (key, payload) of either side
+// must be a tuple of that side. Only the sampled tuples are indexed, and
+// each relation is scanned once.
 func Verify(r, s Placement, res *Result) error {
 	want := ReferenceSize(r, s)
 	if got := res.TotalPairs(); got != want {
 		return fmt.Errorf("join: %d pairs emitted, want %d", got, want)
 	}
-	type side map[uint64]map[uint64]bool // key -> payload set
-	build := func(p Placement) side {
-		m := make(side)
-		for _, frag := range p {
-			for _, t := range frag {
-				if m[t.Key] == nil {
-					m[t.Key] = make(map[uint64]bool)
-				}
-				m[t.Key][t.Payload] = true
+	for _, side := range []struct {
+		name  string
+		rel   Placement
+		tuple func(p Pair) Tuple
+	}{
+		{"R", r, func(p Pair) Tuple { return Tuple{Key: p.Key, Payload: p.X} }},
+		{"S", s, func(p Pair) Tuple { return Tuple{Key: p.Key, Payload: p.Y} }},
+	} {
+		seen := make(map[Tuple]bool) // sampled tuple -> found in the relation
+		var maybe [1 << 10]uint64    // one hashed bit per sampled tuple: most of the scan stops here
+		bit := func(t Tuple) (word *uint64, mask uint64) {
+			h := hashing.Mix64(t.Key + hashing.Mix64(t.Payload))
+			return &maybe[h>>54], 1 << (h & 63)
+		}
+		for _, sample := range res.Sample {
+			for _, p := range sample {
+				t := side.tuple(p)
+				seen[t] = false
+				word, mask := bit(t)
+				*word |= mask
 			}
 		}
-		return m
-	}
-	rSide, sSide := build(r), build(s)
-	for i, sample := range res.Sample {
-		for _, p := range sample {
-			if !rSide[p.Key][p.X] {
-				return fmt.Errorf("join: node %d emitted pair with non-existent R tuple (%d,%d)", i, p.Key, p.X)
+		for _, frag := range side.rel {
+			for _, t := range frag {
+				if word, mask := bit(t); *word&mask != 0 {
+					if _, sampled := seen[t]; sampled {
+						seen[t] = true
+					}
+				}
 			}
-			if !sSide[p.Key][p.Y] {
-				return fmt.Errorf("join: node %d emitted pair with non-existent S tuple (%d,%d)", i, p.Key, p.Y)
+		}
+		for i, sample := range res.Sample {
+			for _, p := range sample {
+				if t := side.tuple(p); !seen[t] {
+					return fmt.Errorf("join: node %d emitted pair with non-existent %s tuple (%d,%d)", i, side.name, t.Key, t.Payload)
+				}
 			}
 		}
 	}
 	return nil
 }
 
-// encode packs tuples as (key, payload) element pairs: 2 wire elements per
-// tuple.
-func encode(ts []Tuple) []uint64 {
-	out := make([]uint64, 0, 2*len(ts))
-	for _, t := range ts {
-		out = append(out, t.Key, t.Payload)
+// scatter lays a fragment's rows out by bucket in one payload buffer: the
+// rows of bucket b are the (key, payload) words buf[2*off[b]:2*off[b+1]],
+// in fragment order — 2 wire elements per tuple. bucket[j] < n is row j's
+// bucket.
+func scatter(frag []Tuple, bucket []int32, n int) (buf []uint64, off []int32) {
+	// Counted two slots up and summed, off[b+1] is where bucket b starts; the
+	// write pass advances it to where b ends, which is where b+1 starts.
+	off = make([]int32, n+2)
+	for _, b := range bucket {
+		off[b+2]++
 	}
-	return out
+	for b := 0; b < n; b++ {
+		off[b+2] += off[b+1]
+	}
+	buf = make([]uint64, 2*len(frag))
+	for j, tp := range frag {
+		at := 2 * off[bucket[j]+1]
+		off[bucket[j]+1]++
+		buf[at], buf[at+1] = tp.Key, tp.Payload
+	}
+	return buf, off[:n+1]
 }
 
-func decode(keys []uint64) []Tuple {
-	out := make([]Tuple, 0, len(keys)/2)
-	for i := 0; i+1 < len(keys); i += 2 {
-		out = append(out, Tuple{Key: keys[i], Payload: keys[i+1]})
+// sendHashed queues one unicast per member that chooser maps some row of
+// frag to, in member order.
+func sendHashed(out *netsim.Outbox, frag []Tuple, members []topology.NodeID, chooser *hashing.WeightedChooser, tag netsim.Tag) {
+	bucket := make([]int32, len(frag))
+	for j, tp := range frag {
+		bucket[j] = int32(chooser.Choose(tp.Key))
 	}
-	return out
+	buf, off := scatter(frag, bucket, len(members))
+	for m, to := range members {
+		if off[m] < off[m+1] {
+			out.Send(to, tag, buf[2*off[m]:2*off[m+1]])
+		}
+	}
+}
+
+// destinationGroups numbers the rows of frag by destination vector — the
+// member each block's chooser picks for the row's key — in order of first
+// appearance, and reports how many distinct vectors there are. A vector is
+// a mixed-radix number over the block sizes; whenever that number space
+// outgrows a table linear in the fragment it is renumbered densely by
+// sorting, so the work stays O(blocks · rows) however the sizes multiply.
+func destinationGroups(frag []Tuple, blocks [][]topology.NodeID, choosers []*hashing.WeightedChooser) (group []int32, n int) {
+	limit := uint64(4*len(frag) + 1024)
+	ids := make([]uint64, len(frag))
+	space := uint64(1) // ids are below it
+	for b, members := range blocks {
+		if space*uint64(len(members)) > limit {
+			space = compact(ids)
+		}
+		for j, tp := range frag {
+			ids[j] = ids[j]*uint64(len(members)) + uint64(choosers[b].Choose(tp.Key))
+		}
+		space *= uint64(len(members))
+	}
+	if space > limit {
+		space = compact(ids)
+	}
+	group = make([]int32, len(frag))
+	ordinal := make([]int32, space) // id -> ordinal + 1, 0 while unseen
+	for j, id := range ids {
+		if ordinal[id] == 0 {
+			n++
+			ordinal[id] = int32(n)
+		}
+		group[j] = ordinal[id] - 1
+	}
+	return group, n
+}
+
+// compact renumbers ids densely (equal ids stay equal, distinct ones stay
+// distinct) and reports a bound above the new ids.
+func compact(ids []uint64) uint64 {
+	pos := make([]uint64, len(ids))
+	for j := range pos {
+		pos[j] = uint64(j)
+	}
+	sorted, pos, _, _ := par.SortPairs(slices.Clone(ids), pos, nil, nil)
+	var next uint64
+	for j, id := range sorted {
+		if j > 0 && id != sorted[j-1] {
+			next++
+		}
+		ids[pos[j]] = next
+	}
+	return next + 1
 }
 
 // Tree joins R and S on an arbitrary symmetric tree with the
@@ -157,9 +253,7 @@ func Tree(t *topology.Tree, r, s Placement, seed uint64, opts ...netsim.Option) 
 		sizeS += int64(len(s[i]))
 		loads[v] = int64(len(r[i]) + len(s[i]))
 	}
-	small := r
-	large := s
-	swapped := false
+	small, large, swapped := r, s, false
 	if sizeS < sizeR {
 		small, large = s, r
 		sizeR, sizeS = sizeS, sizeR
@@ -177,14 +271,12 @@ func Tree(t *topology.Tree, r, s Placement, seed uint64, opts ...netsim.Option) 
 	if err != nil {
 		return nil, err
 	}
-	blockOf := make(map[topology.NodeID]int, len(nodes))
+	blockOf := make([]int, len(nodes)) // by compute index
 	choosers := make([]*hashing.WeightedChooser, len(blocks))
 	for b, members := range blocks {
-		for _, v := range members {
-			blockOf[v] = b
-		}
 		w := make([]float64, len(members))
 		for j, v := range members {
+			blockOf[t.ComputeIndex(v)] = b
 			w[j] = float64(loads[v])
 		}
 		choosers[b], err = hashing.NewWeightedChooser(hashing.Mix64(seed+uint64(b)+1), place.FallbackUniform(w))
@@ -192,101 +284,34 @@ func Tree(t *topology.Tree, r, s Placement, seed uint64, opts ...netsim.Option) 
 			return nil, err
 		}
 	}
-	idx := make(map[topology.NodeID]int, len(nodes))
-	for i, v := range nodes {
-		idx[v] = i
-	}
 
 	e := netsim.NewEngine(t, opts...)
 	x := e.Exchange()
 	x.Plan(func(v topology.NodeID, out *netsim.Outbox) {
-		i := idx[v]
-		// Smaller side: group tuples by destination vector across blocks.
-		type group struct {
-			dsts   []topology.NodeID
-			tuples []Tuple
-		}
-		groups := make(map[string]*group)
-		var order []string
-		var sig []byte
-		for _, tp := range small[i] {
-			sig = sig[:0]
-			var dsts []topology.NodeID
-			for b := range blocks {
-				d := blocks[b][choosers[b].Choose(tp.Key)]
-				dsts = append(dsts, d)
-				sig = append(sig, byte(d), byte(d>>8), byte(d>>16), byte(d>>24))
+		i := t.ComputeIndex(v)
+		// Smaller side: one multicast per destination vector across the
+		// blocks, in order of first appearance.
+		group, n := destinationGroups(small[i], blocks, choosers)
+		buf, off := scatter(small[i], group, n)
+		dsts := make([]topology.NodeID, len(blocks))
+		for g := 0; g < n; g++ {
+			rows := buf[2*off[g] : 2*off[g+1]]
+			for b, members := range blocks {
+				dsts[b] = members[choosers[b].Choose(rows[0])]
 			}
-			g, ok := groups[string(sig)]
-			if !ok {
-				g = &group{dsts: dsts}
-				groups[string(sig)] = g
-				order = append(order, string(sig))
-			}
-			g.tuples = append(g.tuples, tp)
-		}
-		for _, key := range order {
-			g := groups[key]
-			out.Multicast(g.dsts, netsim.TagR, encode(g.tuples))
+			out.Multicast(dsts, netsim.TagR, rows)
 		}
 		// Larger side: hash within the own block.
-		b := blockOf[v]
-		byDst := make(map[topology.NodeID][]Tuple)
-		for _, tp := range large[i] {
-			d := blocks[b][choosers[b].Choose(tp.Key)]
-			byDst[d] = append(byDst[d], tp)
-		}
-		for _, member := range blocks[b] {
-			if ts := byDst[member]; len(ts) > 0 {
-				out.Send(member, netsim.TagS, encode(ts))
-			}
-		}
+		b := blockOf[i]
+		sendHashed(out, large[i], blocks[b], choosers[b], netsim.TagS)
 	})
 	x.Execute()
 
-	res := &Result{
-		PerNode: make([]int64, len(nodes)),
-		Sample:  make([][]Pair, len(nodes)),
-		Blocks:  blocks,
-	}
-	for i, v := range nodes {
-		rGroups := make(map[uint64][]uint64)
-		var sTuples []Tuple
-		ib := e.Inbox(v)
-		for mi := 0; mi < ib.Len(); mi++ {
-			m := ib.At(mi)
-			switch m.Tag {
-			case netsim.TagR:
-				for _, tp := range decode(m.Keys) {
-					rGroups[tp.Key] = append(rGroups[tp.Key], tp.Payload)
-				}
-			case netsim.TagS:
-				sTuples = append(sTuples, decode(m.Keys)...)
-			}
-		}
-		// Deterministic enumeration order for the sample.
-		sort.Slice(sTuples, func(a, b int) bool {
-			if sTuples[a].Key != sTuples[b].Key {
-				return sTuples[a].Key < sTuples[b].Key
-			}
-			return sTuples[a].Payload < sTuples[b].Payload
-		})
-		for _, st := range sTuples {
-			for _, x := range rGroups[st.Key] {
-				if len(res.Sample[i]) < SampleLimit {
-					p := Pair{Key: st.Key, X: x, Y: st.Payload}
-					if swapped {
-						// TagR carried the smaller side = original S; restore
-						// the (R-payload, S-payload) orientation.
-						p.X, p.Y = p.Y, p.X
-					}
-					res.Sample[i] = append(res.Sample[i], p)
-				}
-				res.PerNode[i]++
-			}
-		}
-	}
-	res.Report = e.Report()
+	// TagR carried the smaller side; swapped restores the (R-payload,
+	// S-payload) orientation of the sampled pairs. Sorting the S rows fixes
+	// the enumeration order the sample is taken in.
+	res := finish(e, nodes, true, swapped)
+	res.Blocks = blocks
 	return res, nil
 }
 
@@ -302,60 +327,105 @@ func UniformHash(t *topology.Tree, r, s Placement, seed uint64, opts ...netsim.O
 	if err != nil {
 		return nil, err
 	}
-	idx := make(map[topology.NodeID]int, len(nodes))
-	for i, v := range nodes {
-		idx[v] = i
-	}
 	e := netsim.NewEngine(t, opts...)
 	x := e.Exchange()
 	x.Plan(func(v topology.NodeID, out *netsim.Outbox) {
-		i := idx[v]
-		for _, part := range []struct {
-			frag []Tuple
-			tag  netsim.Tag
-		}{{r[i], netsim.TagR}, {s[i], netsim.TagS}} {
-			byDst := make(map[topology.NodeID][]Tuple)
-			for _, tp := range part.frag {
-				d := nodes[chooser.Choose(tp.Key)]
-				byDst[d] = append(byDst[d], tp)
-			}
-			for _, target := range nodes {
-				if ts := byDst[target]; len(ts) > 0 {
-					out.Send(target, part.tag, encode(ts))
-				}
-			}
-		}
+		i := t.ComputeIndex(v)
+		sendHashed(out, r[i], nodes, chooser, netsim.TagR)
+		sendHashed(out, s[i], nodes, chooser, netsim.TagS)
 	})
 	x.Execute()
+	return finish(e, nodes, false, false), nil
+}
 
+// homeScratch is one pool shard's working lanes for the per-home join.
+type homeScratch struct {
+	raw            []uint64 // drained payloads, (key, payload) interleaved
+	rk, rv, sk, sv []uint64 // the two sides as key and payload lanes
+	tk, tv         []uint64 // sort scratch
+}
+
+// rows drains the home's tag messages into a key lane and a payload lane,
+// in arrival order.
+func (sc *homeScratch) rows(ib netsim.Inbox, tag netsim.Tag, k, v []uint64) ([]uint64, []uint64) {
+	sc.raw = ib.AppendKeys(sc.raw[:0], tag)
+	n := len(sc.raw) / 2
+	k, v = slices.Grow(k[:0], n)[:n], slices.Grow(v[:0], n)[:n]
+	for j := range k {
+		k[j], v[j] = sc.raw[2*j], sc.raw[2*j+1]
+	}
+	return k, v
+}
+
+// join counts the pairs of the TagR and TagS rows delivered to one home and
+// samples the first SampleLimit of them: S rows in arrival order — by (key,
+// payload) with sortS — each against the R rows of its key in arrival
+// order. The R rows are sorted stably by key, so a key's rows are one run;
+// sorted S rows walk the runs in one merge, unsorted ones search for them.
+func (sc *homeScratch) join(ib netsim.Inbox, sortS, swapped bool) (pairs int64, sample []Pair) {
+	rk, rv := sc.rows(ib, netsim.TagR, sc.rk, sc.rv)
+	sk, sv := sc.rows(ib, netsim.TagS, sc.sk, sc.sv)
+	tk, tv := sc.tk, sc.tv
+	rk, rv, tk, tv = par.SortPairs(rk, rv, tk, tv)
+	if sortS {
+		// By key, then by payload inside each run of equal keys: the same
+		// order as sorting by payload first, at half the passes when few
+		// keys repeat.
+		sk, sv, tk, tv = par.SortPairs(sk, sv, tk, tv)
+		for lo := 0; lo < len(sk); {
+			hi := lo + 1
+			for hi < len(sk) && sk[hi] == sk[lo] {
+				hi++
+			}
+			if hi-lo > 1 {
+				slices.Sort(sv[lo:hi])
+			}
+			lo = hi
+		}
+	}
+	sc.rk, sc.rv, sc.sk, sc.sv, sc.tk, sc.tv = rk, rv, sk, sv, tk, tv
+
+	lo, hi := 0, 0 // the R run of the current S key
+	for j, key := range sk {
+		if j == 0 || key != sk[j-1] {
+			if sortS {
+				lo = hi
+				for lo < len(rk) && rk[lo] < key {
+					lo++
+				}
+			} else {
+				lo, _ = slices.BinarySearch(rk, key)
+			}
+			hi = lo
+			for hi < len(rk) && rk[hi] == key {
+				hi++
+			}
+		}
+		pairs += int64(hi - lo)
+		for i := lo; i < hi && len(sample) < SampleLimit; i++ {
+			p := Pair{Key: key, X: rv[i], Y: sv[j]}
+			if swapped {
+				p.X, p.Y = p.Y, p.X
+			}
+			sample = append(sample, p)
+		}
+	}
+	return pairs, sample
+}
+
+// finish runs the per-home joins, forked by home on the engine's pool with
+// one scratch per shard.
+func finish(e *netsim.Engine, nodes []topology.NodeID, sortS, swapped bool) *Result {
 	res := &Result{
 		PerNode: make([]int64, len(nodes)),
 		Sample:  make([][]Pair, len(nodes)),
 	}
-	for i, v := range nodes {
-		rGroups := make(map[uint64][]uint64)
-		var sTuples []Tuple
-		ib := e.Inbox(v)
-		for mi := 0; mi < ib.Len(); mi++ {
-			m := ib.At(mi)
-			switch m.Tag {
-			case netsim.TagR:
-				for _, tp := range decode(m.Keys) {
-					rGroups[tp.Key] = append(rGroups[tp.Key], tp.Payload)
-				}
-			case netsim.TagS:
-				sTuples = append(sTuples, decode(m.Keys)...)
-			}
+	scratch := make([]homeScratch, e.Pool().Workers())
+	e.Pool().Blocks("join local", len(nodes), func(shard, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			res.PerNode[i], res.Sample[i] = scratch[shard].join(e.Inbox(nodes[i]), sortS, swapped)
 		}
-		for _, st := range sTuples {
-			for _, x := range rGroups[st.Key] {
-				if len(res.Sample[i]) < SampleLimit {
-					res.Sample[i] = append(res.Sample[i], Pair{Key: st.Key, X: x, Y: st.Payload})
-				}
-				res.PerNode[i]++
-			}
-		}
-	}
+	})
 	res.Report = e.Report()
-	return res, nil
+	return res
 }

@@ -2,10 +2,14 @@ package join
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
+	"topompc/internal/hashing"
+	"topompc/internal/netsim"
 	"topompc/internal/topology"
+	"topompc/internal/topology/topotest"
 )
 
 // genJoin builds relations with controlled key overlap and multiplicities.
@@ -197,5 +201,127 @@ func TestVerifyCatchesBadPairs(t *testing.T) {
 	wrongCount := &Result{PerNode: []int64{2}, Sample: [][]Pair{nil}}
 	if err := Verify(r, s, wrongCount); err == nil {
 		t.Error("wrong pair count accepted")
+	}
+}
+
+// degenerateJoin draws a small join input on p nodes, bent by variant:
+// 0 an empty relation, 1 all data on one node, 2 one key carrying half the
+// rows, 3 every tuple twice, 4 as drawn.
+func degenerateJoin(rng *rand.Rand, variant, p int) (r, s Placement) {
+	r, s = genJoin(rng, p, 40+rng.Intn(200), 40+rng.Intn(400), 5+rng.Intn(60))
+	for _, rel := range []Placement{r, s} {
+		switch variant {
+		case 1:
+			for i := 1; i < p; i++ {
+				rel[0] = append(rel[0], rel[i]...)
+				rel[i] = nil
+			}
+		case 2:
+			for _, frag := range rel {
+				for j := range frag {
+					if j%2 == 0 {
+						frag[j].Key = 3
+					}
+				}
+			}
+		case 3:
+			for i, frag := range rel {
+				rel[i] = append(frag, frag...)
+			}
+		}
+	}
+	if variant == 0 {
+		r = make(Placement, p)
+	}
+	return r, s
+}
+
+// TestJoinDegenerateInputsAcrossWorkers runs both protocols on every
+// topotest shape (the single compute node among them) with degenerate
+// inputs: the result must verify and be the same at workers 1, 2, 4 and 7.
+// The per-home joins fork on the pool; run with -race -count=10.
+func TestJoinDegenerateInputsAcrossWorkers(t *testing.T) {
+	protocols := map[string]func(*topology.Tree, Placement, Placement, uint64, ...netsim.Option) (*Result, error){
+		"tree": Tree, "uniform": UniformHash,
+	}
+	for iter := 0; iter < 5*topotest.NumShapes; iter++ {
+		rng := rand.New(rand.NewSource(int64(300 + iter)))
+		shape, tr, err := topotest.Draw(rng, iter)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, s := degenerateJoin(rng, iter/topotest.NumShapes, tr.NumCompute())
+		for name, run := range protocols {
+			var want *Result
+			for _, workers := range []int{1, 2, 4, 7} {
+				res, err := run(tr, r, s, uint64(iter), netsim.WithWorkers(workers))
+				if err != nil {
+					t.Fatalf("iter %d %s %s workers=%d: %v", iter, shape, name, workers, err)
+				}
+				if err := Verify(r, s, res); err != nil {
+					t.Fatalf("iter %d %s %s workers=%d: %v", iter, shape, name, workers, err)
+				}
+				if want == nil {
+					want = res
+				} else if !reflect.DeepEqual(res.PerNode, want.PerNode) || !reflect.DeepEqual(res.Sample, want.Sample) ||
+					!reflect.DeepEqual(res.Blocks, want.Blocks) || res.Report.TotalCost() != want.Report.TotalCost() {
+					t.Fatalf("iter %d %s %s: workers=%d result differs from workers=1", iter, shape, name, workers)
+				}
+			}
+		}
+	}
+}
+
+// TestDestinationGroupsMatchMapOracle compares the first-seen numbering of
+// destination vectors with a map keyed by the vector, on block structures
+// whose size product fits the dense table and on ones that force the
+// renumbering by sorting: many blocks and few rows, or many wide blocks
+// and many keys, where even a renumbered space outgrows the table again.
+func TestDestinationGroupsMatchMapOracle(t *testing.T) {
+	for iter := 0; iter < 60; iter++ {
+		rng := rand.New(rand.NewSource(int64(900 + iter)))
+		numBlocks, maxSize, rows, keys := 1+rng.Intn(4), 5, rng.Intn(200), 40
+		switch iter % 3 {
+		case 1: // size product far beyond 4·rows+1024
+			numBlocks = 12 + rng.Intn(30)
+		case 2: // rows·size beyond it too
+			numBlocks, maxSize, rows, keys = 6+rng.Intn(6), 40, 1000+rng.Intn(1000), 5000
+		}
+		blocks := make([][]topology.NodeID, numBlocks)
+		choosers := make([]*hashing.WeightedChooser, numBlocks)
+		next := topology.NodeID(0)
+		for b := range blocks {
+			w := make([]float64, 1+rng.Intn(maxSize))
+			for j := range w {
+				w[j] = 1 + rng.Float64()
+				blocks[b] = append(blocks[b], next)
+				next++
+			}
+			var err error
+			if choosers[b], err = hashing.NewWeightedChooser(uint64(iter*100+b), w); err != nil {
+				t.Fatal(err)
+			}
+		}
+		frag := make([]Tuple, rows)
+		for j := range frag {
+			frag[j] = Tuple{Key: uint64(rng.Intn(keys)), Payload: uint64(j)}
+		}
+		group, n := destinationGroups(frag, blocks, choosers)
+		ordinal := make(map[string]int32)
+		for j, tp := range frag {
+			var sig []byte
+			for b := range blocks {
+				sig = append(sig, byte(choosers[b].Choose(tp.Key)))
+			}
+			if _, ok := ordinal[string(sig)]; !ok {
+				ordinal[string(sig)] = int32(len(ordinal))
+			}
+			if group[j] != ordinal[string(sig)] {
+				t.Fatalf("iter %d (%d blocks): row %d in group %d, map oracle says %d", iter, numBlocks, j, group[j], ordinal[string(sig)])
+			}
+		}
+		if n != len(ordinal) {
+			t.Fatalf("iter %d: %d groups, map oracle has %d", iter, n, len(ordinal))
+		}
 	}
 }

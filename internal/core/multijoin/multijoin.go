@@ -27,6 +27,11 @@
 //     partition of a, weighted by capacity in the aware variant (Star /
 //     StarFlat).
 //
+// Local compute is sort-merge on the par kernels, forked by home: a sender
+// lays its tuples out by destination group with a counting pass into one
+// payload buffer, a home drains each relation once, radix-sorts it and
+// walks the sorted runs.
+//
 // All routing cost is accounted by the Exchange engine's LCA
 // tree-difference counting (topology.PathAccumulator); multicast slabs are
 // charged along their Steiner trees exactly as the paper's model demands.
@@ -124,21 +129,36 @@ func BalancedShares(p, dims int) []int {
 	}
 }
 
-// encode packs tuples as (A, B) element pairs: 2 wire elements per tuple.
-func encode(ts []Tuple) []uint64 {
-	out := make([]uint64, 0, 2*len(ts))
-	for _, t := range ts {
-		out = append(out, t.A, t.B)
+// groupFirstSeen lays a fragment's tuples out by key (below n) in one
+// payload buffer, groups in order of first appearance: group g has key
+// keys[g] and the (A, B) words buf[2*off[g]:2*off[g+1]], in fragment order —
+// 2 wire elements per tuple.
+func groupFirstSeen(frag []Tuple, n int, key func(Tuple) int) (keys []int, buf []uint64, off []int32) {
+	group := make([]int32, len(frag))
+	ordinal := make([]int32, n) // key -> its group + 1, 0 while unseen
+	// Counted two slots up and summed, off[g+1] is where group g starts; the
+	// write pass advances it to where g ends, which is where g+1 starts.
+	off = []int32{0, 0}
+	for j, tp := range frag {
+		k := key(tp)
+		if ordinal[k] == 0 {
+			keys = append(keys, k)
+			off = append(off, 0)
+			ordinal[k] = int32(len(keys))
+		}
+		group[j] = ordinal[k] - 1
+		off[group[j]+2]++
 	}
-	return out
-}
-
-func decode(keys []uint64) []Tuple {
-	out := make([]Tuple, 0, len(keys)/2)
-	for i := 0; i+1 < len(keys); i += 2 {
-		out = append(out, Tuple{A: keys[i], B: keys[i+1]})
+	for g := range keys {
+		off[g+2] += off[g+1]
 	}
-	return out
+	buf = make([]uint64, 2*len(frag))
+	for j, tp := range frag {
+		at := 2 * off[group[j]+1]
+		off[group[j]+1]++
+		buf[at], buf[at+1] = tp.A, tp.B
+	}
+	return keys, buf, off[:len(keys)+1]
 }
 
 // tripleSig fingerprints one output triple; the order of mixing makes the

@@ -2,11 +2,13 @@ package multijoin
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"topompc/internal/lowerbound"
 	"topompc/internal/netsim"
 	"topompc/internal/topology"
+	"topompc/internal/topology/topotest"
 )
 
 func randTriangleInput(t *testing.T, rng *rand.Rand, p, m, dom int) (r, s, tt Placement) {
@@ -249,5 +251,88 @@ func TestStarErrors(t *testing.T) {
 	}
 	if _, err := Star(tree, []Placement{{}, {}}, 1); err == nil {
 		t.Fatal("short placement accepted")
+	}
+}
+
+// bend makes a drawn relation degenerate: variant 0 empties it, 1 moves all
+// of it to one node, 2 gives half its tuples one join value, 3 repeats
+// every tuple, 4 leaves it as drawn.
+func bend(rel Placement, variant int) Placement {
+	switch variant {
+	case 0:
+		return make(Placement, len(rel))
+	case 1:
+		for i := 1; i < len(rel); i++ {
+			rel[0] = append(rel[0], rel[i]...)
+			rel[i] = nil
+		}
+	case 2:
+		for _, frag := range rel {
+			for j := range frag {
+				if j%2 == 0 {
+					frag[j].A = 3
+				}
+			}
+		}
+	case 3:
+		for i, frag := range rel {
+			rel[i] = append(frag, frag...)
+		}
+	}
+	return rel
+}
+
+// TestDegenerateInputsAcrossWorkers runs the four protocols on every
+// topotest shape (the single compute node among them) with degenerate
+// inputs — variant 0 empties the first relation only: the result must
+// match the reference and be the same at workers 1, 2, 4 and 7. The
+// per-home joins fork on the pool; run with -race -count=10.
+func TestDegenerateInputsAcrossWorkers(t *testing.T) {
+	for iter := 0; iter < 5*topotest.NumShapes; iter++ {
+		rng := rand.New(rand.NewSource(int64(700 + iter)))
+		shape, tree, err := topotest.Draw(rng, iter)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, variant := tree.NumCompute(), iter/topotest.NumShapes
+		r, s, tt := randTriangleInput(t, rng, p, 150, 12)
+		rels := randStarInput(t, rng, 3, p, 120, 25)
+		for j := range rels {
+			if variant != 0 || j == 0 {
+				rels[j] = bend(rels[j], variant)
+			}
+		}
+		r = bend(r, variant)
+		if variant != 0 {
+			s, tt = bend(s, variant), bend(tt, variant)
+		}
+		runs := map[string]struct {
+			ref RefStats
+			run func(...netsim.Option) (*Result, error)
+		}{
+			"triangle":      {TriangleReference(r, s, tt), func(o ...netsim.Option) (*Result, error) { return Triangle(tree, r, s, tt, 9, o...) }},
+			"triangle-flat": {TriangleReference(r, s, tt), func(o ...netsim.Option) (*Result, error) { return TriangleFlat(tree, r, s, tt, 9, o...) }},
+			"star":          {StarReference(rels), func(o ...netsim.Option) (*Result, error) { return Star(tree, rels, 9, o...) }},
+			"star-flat":     {StarReference(rels), func(o ...netsim.Option) (*Result, error) { return StarFlat(tree, rels, 9, o...) }},
+		}
+		for name, tc := range runs {
+			var want *Result
+			for _, workers := range []int{1, 2, 4, 7} {
+				res, err := tc.run(netsim.WithWorkers(workers))
+				if err != nil {
+					t.Fatalf("iter %d %s %s workers=%d: %v", iter, shape, name, workers, err)
+				}
+				if err := Verify(tc.ref, res); err != nil {
+					t.Fatalf("iter %d %s %s workers=%d: %v", iter, shape, name, workers, err)
+				}
+				if want == nil {
+					want = res
+					verifySamples(t, r, s, tt, res)
+				} else if !reflect.DeepEqual(res.PerNode, want.PerNode) || !reflect.DeepEqual(res.Sample, want.Sample) ||
+					res.Checksum != want.Checksum || res.Report.TotalCost() != want.Report.TotalCost() {
+					t.Fatalf("iter %d %s %s: workers=%d result differs from workers=1", iter, shape, name, workers)
+				}
+			}
+		}
 	}
 }

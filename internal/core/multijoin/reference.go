@@ -51,6 +51,12 @@ func Verify(ref RefStats, res *Result) error {
 	return nil
 }
 
+// tcnt is a distinct tuple with its multiplicity.
+type tcnt struct {
+	t Tuple
+	n int64
+}
+
 // holder is one fragment's copies of a distinct tuple.
 type holder struct {
 	frag int32 // position in the Placement, i.e. in ComputeNodes order

@@ -6,6 +6,7 @@ import (
 	"topompc/internal/core/place"
 	"topompc/internal/hashing"
 	"topompc/internal/netsim"
+	"topompc/internal/par"
 	"topompc/internal/topology"
 )
 
@@ -59,26 +60,14 @@ func star(tr *topology.Tree, rels []Placement, seed uint64, aware bool, opts []n
 
 	e := netsim.NewEngine(tr, opts...)
 	x := e.Exchange()
-	idx := make(map[topology.NodeID]int, p)
-	for i, v := range nodes {
-		idx[v] = i
-	}
 	x.Plan(func(v topology.NodeID, out *netsim.Outbox) {
-		i := idx[v]
+		i := tr.ComputeIndex(v)
 		for j, rel := range rels {
-			// Group by target in first-seen order (deterministic for a
-			// fixed fragment order).
-			groups := make(map[int][]Tuple)
-			var targets []int
-			for _, tp := range rel[i] {
-				d := chooser.Choose(tp.A)
-				if _, ok := groups[d]; !ok {
-					targets = append(targets, d)
-				}
-				groups[d] = append(groups[d], tp)
-			}
-			for _, d := range targets {
-				out.Send(nodes[d], netsim.Tag(j), encode(groups[d]))
+			// One unicast per target, targets in first-seen order
+			// (deterministic for a fixed fragment order).
+			targets, buf, off := groupFirstSeen(rel[i], p, func(tp Tuple) int { return chooser.Choose(tp.A) })
+			for g, d := range targets {
+				out.Send(nodes[d], netsim.Tag(j), buf[2*off[g]:2*off[g+1]])
 			}
 		}
 	})
@@ -89,35 +78,65 @@ func star(tr *topology.Tree, rels []Placement, seed uint64, aware bool, opts []n
 		Sample:  make([][]Triple, p),
 		Shares:  []int{p},
 	}
-	for i, v := range nodes {
-		// All tuples of a join value land on one node, so local per-value
-		// counts are the global ones.
-		cnt := make(map[uint64][]int64)
-		ib := e.Inbox(v)
-		for mi := 0; mi < ib.Len(); mi++ {
-			m := ib.At(mi)
-			j := int(m.Tag)
-			for _, tp := range decode(m.Keys) {
-				c := cnt[tp.A]
-				if c == nil {
-					c = make([]int64, k)
-					cnt[tp.A] = c
-				}
-				c[j]++
-			}
+	scratch := make([]starScratch, e.Pool().Workers())
+	// The checksum is the shards' shares added in shard order; wrapping
+	// addition, so the same total at every worker count.
+	res.Checksum = uint64(e.Pool().Sum("multijoin local", p, func(shard, lo, hi int) int64 {
+		var sum uint64
+		for i := lo; i < hi; i++ {
+			rows, share := scratch[shard].join(e.Inbox(nodes[i]), k)
+			res.PerNode[i] = rows
+			sum += share
 		}
-		for a, c := range cnt {
-			rows := int64(1)
-			for _, n := range c {
-				rows *= n
-			}
-			if rows == 0 {
-				continue
-			}
-			res.PerNode[i] += rows
-			res.Checksum += hashing.Mix64(a) * uint64(rows)
-		}
-	}
+		return int64(sum)
+	}))
 	res.Report = e.Report()
 	return res, nil
+}
+
+// starScratch is one pool shard's working lanes for the per-home star join.
+type starScratch struct {
+	raw, tmp []uint64
+	values   [][]uint64 // per relation: the received join values, ascending
+	at       []int      // per relation: the walk's cursor
+}
+
+// join counts the output rows of one home and their share of the checksum.
+// All tuples of a join value land on one node, so local per-value counts
+// are the global ones: every relation's received join values are sorted and
+// one walk over the k lists multiplies the run lengths of each value.
+func (sc *starScratch) join(ib netsim.Inbox, k int) (rows int64, sum uint64) {
+	if sc.values == nil {
+		sc.values, sc.at = make([][]uint64, k), make([]int, k)
+	}
+	for j := range sc.values {
+		sc.raw = ib.AppendKeys(sc.raw[:0], netsim.Tag(j))
+		vals := sc.values[j][:0]
+		for w := 0; w < len(sc.raw); w += 2 {
+			vals = append(vals, sc.raw[w])
+		}
+		sc.values[j], sc.tmp = par.SerialSortUint64(vals, sc.tmp)
+		sc.at[j] = 0
+	}
+	for first := sc.values[0]; sc.at[0] < len(first); {
+		a := first[sc.at[0]]
+		n := int64(1)
+		for j, vals := range sc.values {
+			at := sc.at[j]
+			for at < len(vals) && vals[at] < a {
+				at++
+			}
+			run := at
+			for at < len(vals) && vals[at] == a {
+				at++
+			}
+			sc.at[j] = at
+			if n *= int64(at - run); n == 0 {
+				break // a is missing from relation j; the cursors past j catch up later
+			}
+		}
+		rows += n
+		sum += hashing.Mix64(a) * uint64(n)
+	}
+	return rows, sum
 }

@@ -1,11 +1,12 @@
 package multijoin
 
 import (
-	"sort"
+	"slices"
 
 	"topompc/internal/core/place"
 	"topompc/internal/hashing"
 	"topompc/internal/netsim"
+	"topompc/internal/par"
 	"topompc/internal/topology"
 )
 
@@ -27,37 +28,11 @@ func TriangleFlat(t *topology.Tree, r, s, tt Placement, seed uint64, opts ...net
 	return triangle(t, r, s, tt, seed, false, opts)
 }
 
-// tcnt is a distinct tuple with its multiplicity.
-type tcnt struct {
-	t Tuple
-	n int64
-}
-
-// flattenSorted converts a distinct-count map into a slice ordered by
-// (A, B), the deterministic enumeration order of the join loops.
-func flattenSorted(m map[Tuple]int64) []tcnt {
-	flat := make([]tcnt, 0, len(m))
-	for tp, n := range m {
-		flat = append(flat, tcnt{t: tp, n: n})
-	}
-	sort.Slice(flat, func(x, y int) bool {
-		if flat[x].t.A != flat[y].t.A {
-			return flat[x].t.A < flat[y].t.A
-		}
-		return flat[x].t.B < flat[y].t.B
-	})
-	return flat
-}
-
 func triangle(tr *topology.Tree, r, s, tt Placement, seed uint64, aware bool, opts []netsim.Option) (*Result, error) {
-	if err := checkPlacement(tr, "R", r); err != nil {
-		return nil, err
-	}
-	if err := checkPlacement(tr, "S", s); err != nil {
-		return nil, err
-	}
-	if err := checkPlacement(tr, "T", tt); err != nil {
-		return nil, err
+	for j, rel := range [3]Placement{r, s, tt} {
+		if err := checkPlacement(tr, string("RST"[j]), rel); err != nil {
+			return nil, err
+		}
 	}
 	p := tr.NumCompute()
 	nodes := tr.ComputeNodes()
@@ -78,82 +53,55 @@ func triangle(tr *topology.Tree, r, s, tt Placement, seed uint64, aware bool, op
 	if err != nil {
 		return nil, err
 	}
-	cid := func(ia, ib, ic int) int { return (ia*gb+ib)*gc + ic }
-
 	// Destination lists per slab: R-tuples with coords (ia, ib) go to the
-	// owners of cells (ia, ib, *); S to (*, ib, ic); T to (ia, *, ic).
-	// Owner lists are deduplicated once and shared read-only by all
-	// planning goroutines.
-	slabOwners := func(cells func(k int) int, free int) []topology.NodeID {
-		var dsts []topology.NodeID
-		seen := make(map[int32]bool, free)
-		for k := 0; k < free; k++ {
-			o := layout.Owner[cells(k)]
-			if !seen[o] {
-				seen[o] = true
-				dsts = append(dsts, nodes[o])
+	// owners of cells (ia, ib, *); S to (*, ib, ic); T to (ia, *, ic). cell
+	// names the slab's cell at each coordinate of the free dimension. Owner
+	// lists are deduplicated once and shared read-only by all planning
+	// goroutines.
+	slabOwners := func(slabs, free int, cell func(slab, k int) int) [][]topology.NodeID {
+		dst := make([][]topology.NodeID, slabs)
+		for slab := range dst {
+			seen := make(map[int32]bool, free)
+			for k := 0; k < free; k++ {
+				if o := layout.Owner[cell(slab, k)]; !seen[o] {
+					seen[o] = true
+					dst[slab] = append(dst[slab], nodes[o])
+				}
 			}
 		}
-		return dsts
+		return dst
 	}
-	rDst := make([][]topology.NodeID, ga*gb)
-	for ia := 0; ia < ga; ia++ {
-		for ib := 0; ib < gb; ib++ {
-			ia, ib := ia, ib
-			rDst[ia*gb+ib] = slabOwners(func(k int) int { return cid(ia, ib, k) }, gc)
-		}
-	}
-	sDst := make([][]topology.NodeID, gb*gc)
-	for ib := 0; ib < gb; ib++ {
-		for ic := 0; ic < gc; ic++ {
-			ib, ic := ib, ic
-			sDst[ib*gc+ic] = slabOwners(func(k int) int { return cid(k, ib, ic) }, ga)
-		}
-	}
-	tDst := make([][]topology.NodeID, ga*gc)
-	for ia := 0; ia < ga; ia++ {
-		for ic := 0; ic < gc; ic++ {
-			ia, ic := ia, ic
-			tDst[ia*gc+ic] = slabOwners(func(k int) int { return cid(ia, k, ic) }, gb)
-		}
-	}
-
 	ha := hashing.NewHasher(seed + 0xA11CE)
 	hb := hashing.NewHasher(seed + 0xB0B)
 	hc := hashing.NewHasher(seed + 0xC0C0A)
 	ca := func(x uint64) int { return int(ha.Hash(x) % uint64(ga)) }
 	cb := func(x uint64) int { return int(hb.Hash(x) % uint64(gb)) }
 	cc := func(x uint64) int { return int(hc.Hash(x) % uint64(gc)) }
+	// The cell loop below matches S against R on b and the pair against T on
+	// (c, a), so the homes order R by (b, a) — its attributes traded — and S
+	// and T as they are.
+	rels := [3]slabbed{
+		{tag: netsim.TagR, byB: true, slab: func(t Tuple) int { return ca(t.A)*gb + cb(t.B) },
+			dst: slabOwners(ga*gb, gc, func(slab, k int) int { return slab*gc + k })},
+		{tag: netsim.TagS, slab: func(t Tuple) int { return cb(t.A)*gc + cc(t.B) },
+			dst: slabOwners(gb*gc, ga, func(slab, k int) int { return k*gb*gc + slab })},
+		{tag: netsim.TagT, slab: func(t Tuple) int { return ca(t.B)*gc + cc(t.A) },
+			dst: slabOwners(ga*gc, gb, func(slab, k int) int { return (slab/gc*gb+k)*gc + slab%gc })},
+	}
 
 	e := netsim.NewEngine(tr, opts...)
 	x := e.Exchange()
-	idx := make(map[topology.NodeID]int, p)
-	for i, v := range nodes {
-		idx[v] = i
-	}
 	x.Plan(func(v topology.NodeID, out *netsim.Outbox) {
-		i := idx[v]
-		// Group tuples by slab in first-seen order (deterministic for a
-		// fixed fragment order) and multicast each group to its slab owners.
-		plan := func(frag []Tuple, key func(t Tuple) int, dst [][]topology.NodeID, tag netsim.Tag) {
-			groups := make(map[int][]Tuple)
-			var keys []int
-			for _, tp := range frag {
-				k := key(tp)
-				if _, ok := groups[k]; !ok {
-					keys = append(keys, k)
-				}
-				groups[k] = append(groups[k], tp)
-			}
-			for _, k := range keys {
-				if dsts := dst[k]; len(dsts) > 0 {
-					out.Multicast(dsts, tag, encode(groups[k]))
-				}
+		i := tr.ComputeIndex(v)
+		// One multicast per slab to the slab's owners, slabs in first-seen
+		// order (deterministic for a fixed fragment order).
+		for j, frag := range [3][]Tuple{r[i], s[i], tt[i]} {
+			rel := &rels[j]
+			slabs, buf, off := groupFirstSeen(frag, len(rel.dst), rel.slab)
+			for g, k := range slabs {
+				out.Multicast(rel.dst[k], rel.tag, buf[2*off[g]:2*off[g+1]])
 			}
 		}
-		plan(r[i], func(t Tuple) int { return ca(t.A)*gb + cb(t.B) }, rDst, netsim.TagR)
-		plan(s[i], func(t Tuple) int { return cb(t.A)*gc + cc(t.B) }, sDst, netsim.TagS)
-		plan(tt[i], func(t Tuple) int { return ca(t.B)*gc + cc(t.A) }, tDst, netsim.TagT)
 	})
 	x.Execute()
 
@@ -169,82 +117,145 @@ func triangle(tr *topology.Tree, r, s, tt Placement, seed uint64, aware bool, op
 		Shares:       shares,
 		CellsPerNode: layout.PerNode,
 	}
-	for i, v := range nodes {
-		if len(owned[i]) == 0 {
-			continue
-		}
-		// Aggregate received tuples into distinct-with-count slab buckets.
-		collect := func(tag netsim.Tag) map[int]map[Tuple]int64 {
-			var key func(t Tuple) int
-			switch tag {
-			case netsim.TagR:
-				key = func(t Tuple) int { return ca(t.A)*gb + cb(t.B) }
-			case netsim.TagS:
-				key = func(t Tuple) int { return cb(t.A)*gc + cc(t.B) }
-			default:
-				key = func(t Tuple) int { return ca(t.B)*gc + cc(t.A) }
+	scratch := make([]triangleScratch, e.Pool().Workers())
+	// The checksum is the shards' shares added in shard order; wrapping
+	// addition, so the same total at every worker count.
+	res.Checksum = uint64(e.Pool().Sum("multijoin local", p, func(shard, lo, hi int) int64 {
+		sc := &scratch[shard]
+		var sum uint64
+		for i := lo; i < hi; i++ {
+			for j := range rels {
+				sc.receive(e.Inbox(nodes[i]), &rels[j], &sc.rel[j])
 			}
-			slabs := make(map[int]map[Tuple]int64)
-			ib := e.Inbox(v)
-			for mi := 0; mi < ib.Len(); mi++ {
-				m := ib.At(mi)
-				if m.Tag != tag {
-					continue
-				}
-				for _, tp := range decode(m.Keys) {
-					k := key(tp)
-					if slabs[k] == nil {
-						slabs[k] = make(map[Tuple]int64)
+			R, S, T := &sc.rel[0], &sc.rel[1], &sc.rel[2]
+			for _, cell := range owned[i] {
+				ic := cell % gc
+				ib := (cell / gc) % gb
+				ia := cell / (gb * gc)
+				// S walks its slab by (b, c); R's slab is by (b, a), so the run
+				// [rLo, rHi) of R-tuples sharing S's b only moves forward; T's
+				// slab is by (c, a).
+				rEnd := int(R.off[ia*gb+ib+1])
+				rLo, rHi := int(R.off[ia*gb+ib]), int(R.off[ia*gb+ib])
+				tLo, tEnd := int(T.off[ia*gc+ic]), int(T.off[ia*gc+ic+1])
+				sLo, sEnd := int(S.off[ib*gc+ic]), int(S.off[ib*gc+ic+1])
+				for si := sLo; si < sEnd; si++ {
+					b, c := S.x[si], S.y[si]
+					if si == sLo || b != S.x[si-1] {
+						rLo = rHi
+						for rLo < rEnd && R.x[rLo] < b {
+							rLo++
+						}
+						rHi = rLo
+						for rHi < rEnd && R.x[rHi] == b {
+							rHi++
+						}
 					}
-					slabs[k][tp]++
-				}
-			}
-			return slabs
-		}
-		rSlabs, sSlabs, tSlabs := collect(netsim.TagR), collect(netsim.TagS), collect(netsim.TagT)
-
-		// Per R-slab: distinct tuples grouped by b, a-ascending (sorted
-		// once, shared by every owned cell of the slab).
-		rByB := make(map[int]map[uint64][]tcnt, len(rSlabs))
-		for k, m := range rSlabs {
-			byB := make(map[uint64][]tcnt)
-			for _, tc := range flattenSorted(m) {
-				byB[tc.t.B] = append(byB[tc.t.B], tc)
-			}
-			rByB[k] = byB
-		}
-		// Per S-slab: distinct (b, c) sorted for deterministic enumeration.
-		sSorted := make(map[int][]tcnt, len(sSlabs))
-		for k, m := range sSlabs {
-			sSorted[k] = flattenSorted(m)
-		}
-
-		for _, cell := range owned[i] {
-			ic := cell % gc
-			ib := (cell / gc) % gb
-			ia := cell / (gb * gc)
-			byB := rByB[ia*gb+ib]
-			ss := sSorted[ib*gc+ic]
-			tm := tSlabs[ia*gc+ic]
-			if len(byB) == 0 || len(ss) == 0 || len(tm) == 0 {
-				continue
-			}
-			for _, sc := range ss { // sc.t = (b, c)
-				for _, rc := range byB[sc.t.A] { // rc.t = (a, b)
-					tcn := tm[Tuple{A: sc.t.B, B: rc.t.A}] // (c, a)
-					if tcn == 0 {
+					if rLo == rHi {
 						continue
 					}
-					cnt := rc.n * sc.n * tcn
-					res.PerNode[i] += cnt
-					res.Checksum += tripleSig(rc.t.A, sc.t.A, sc.t.B) * uint64(cnt)
-					if len(res.Sample[i]) < SampleLimit {
-						res.Sample[i] = append(res.Sample[i], Triple{A: rc.t.A, B: sc.t.A, C: sc.t.B})
+					// The R run and T's tuples of c both ascend by a: merge.
+					ti, _ := slices.BinarySearch(T.x[tLo:tEnd], c)
+					ti += tLo
+					for ri := rLo; ri < rHi && ti < tEnd && T.x[ti] == c; ri++ {
+						a := R.y[ri]
+						for ti < tEnd && T.x[ti] == c && T.y[ti] < a {
+							ti++
+						}
+						if ti == tEnd || T.x[ti] != c || T.y[ti] != a {
+							continue
+						}
+						cnt := R.n[ri] * S.n[si] * T.n[ti]
+						res.PerNode[i] += cnt
+						sum += tripleSig(a, b, c) * uint64(cnt)
+						if len(res.Sample[i]) < SampleLimit {
+							res.Sample[i] = append(res.Sample[i], Triple{A: a, B: b, C: c})
+						}
 					}
 				}
 			}
 		}
-	}
+		return int64(sum)
+	}))
 	res.Report = e.Report()
 	return res, nil
+}
+
+// slabbed is how one relation of the triangle travels and is received.
+type slabbed struct {
+	tag  netsim.Tag
+	dst  [][]topology.NodeID // per slab: the owners of its cells
+	slab func(t Tuple) int   // the slab a tuple hashes to
+	byB  bool                // homes order the relation by (B, A), not (A, B)
+}
+
+// received is one relation as a home holds it: the distinct tuples with
+// their multiplicities, by slab — slab k is [off[k], off[k+1]) — and within
+// a slab ascending by (x, y), the tuple's attributes in the order the cell
+// loop matches them.
+type received struct {
+	x, y []uint64
+	n    []int64
+	off  []int32
+}
+
+// triangleScratch is one pool shard's working lanes for the per-home
+// triangle join.
+type triangleScratch struct {
+	raw, x, y, tx, ty []uint64
+	slab              []int32
+	rel               [3]received
+}
+
+// receive drains one relation from the home's inbox into out: the tuples
+// are sorted by (x, y), equal ones folded into one with a count, and a
+// stable counting pass groups them by slab.
+func (sc *triangleScratch) receive(ib netsim.Inbox, rel *slabbed, out *received) {
+	sc.raw = ib.AppendKeys(sc.raw[:0], rel.tag)
+	m := len(sc.raw) / 2
+	x, y := slices.Grow(sc.x[:0], m)[:m], slices.Grow(sc.y[:0], m)[:m]
+	for j := range x {
+		x[j], y[j] = sc.raw[2*j], sc.raw[2*j+1]
+		if rel.byB {
+			x[j], y[j] = y[j], x[j]
+		}
+	}
+	y, x, sc.ty, sc.tx = par.SortPairs(y, x, sc.ty, sc.tx)
+	x, y, sc.tx, sc.ty = par.SortPairs(x, y, sc.tx, sc.ty)
+	sc.x, sc.y = x, y
+
+	// Fold repeats in place (the count rides in raw, free again), note each
+	// distinct tuple's slab and count the slabs two slots up, so that
+	// summed, off[k+1] is where slab k starts and the write pass advances it
+	// to where k ends.
+	count := sc.raw[:0]
+	sc.slab = sc.slab[:0]
+	out.off = append(out.off[:0], make([]int32, len(rel.dst)+2)...)
+	d := 0
+	for j := 0; j < m; j++ {
+		if d > 0 && x[j] == x[d-1] && y[j] == y[d-1] {
+			count[d-1]++
+			continue
+		}
+		t := Tuple{A: x[j], B: y[j]}
+		if rel.byB {
+			t = Tuple{A: y[j], B: x[j]}
+		}
+		k := int32(rel.slab(t))
+		sc.slab = append(sc.slab, k)
+		out.off[k+2]++
+		x[d], y[d] = x[j], y[j]
+		count = append(count, 1)
+		d++
+	}
+	for k := range rel.dst {
+		out.off[k+2] += out.off[k+1]
+	}
+	out.x, out.y, out.n = slices.Grow(out.x[:0], d)[:d], slices.Grow(out.y[:0], d)[:d], slices.Grow(out.n[:0], d)[:d]
+	for j, k := range sc.slab {
+		at := out.off[k+1]
+		out.off[k+1]++
+		out.x[at], out.y[at], out.n[at] = x[j], y[j], int64(count[j])
+	}
+	out.off = out.off[:len(rel.dst)+1]
 }

@@ -384,3 +384,65 @@ func IntersectSorted(dst, a, b []uint64) []uint64 {
 	}
 	return dst
 }
+
+// SortPairs sorts the key lane k ascending and carries the lane v along: on
+// return (k[i], v[i]) are the input pairs, stable by key, so pairs with equal
+// keys keep their input order and sorting by (key, value) is two calls, by
+// value and then by key. It runs on the calling goroutine — an LSD byte
+// radix that skips the byte lanes constant across k, an insertion sort
+// below 64 pairs — so, like SerialSortUint64, it is callable from inside a
+// shard. tk and tv are scratch, grown when shorter than k; the sorted lanes
+// and the scratch lanes are returned, possibly with swapped roles.
+func SortPairs(k, v, tk, tv []uint64) (sk, sv, rk, rv []uint64) {
+	n := len(k)
+	v = v[:n]
+	if n < 64 {
+		for i := 1; i < n; i++ {
+			ki, vi := k[i], v[i]
+			j := i
+			for ; j > 0 && k[j-1] > ki; j-- {
+				k[j], v[j] = k[j-1], v[j-1]
+			}
+			k[j], v[j] = ki, vi
+		}
+		return k, v, tk, tv
+	}
+	if cap(tk) < n {
+		tk = make([]uint64, n)
+	}
+	if cap(tv) < n {
+		tv = make([]uint64, n)
+	}
+	tk, tv = tk[:n], tv[:n]
+	var hist [8][256]int32
+	for _, x := range k {
+		hist[0][x&0xff]++
+		hist[1][(x>>8)&0xff]++
+		hist[2][(x>>16)&0xff]++
+		hist[3][(x>>24)&0xff]++
+		hist[4][(x>>32)&0xff]++
+		hist[5][(x>>40)&0xff]++
+		hist[6][(x>>48)&0xff]++
+		hist[7][(x>>56)&0xff]++
+	}
+	for pass := 0; pass < 8; pass++ {
+		sh := uint(pass) * 8
+		h := &hist[pass]
+		if int(h[(k[0]>>sh)&0xff]) == n {
+			continue // constant byte lane
+		}
+		var off [256]int32
+		var sum int32
+		for b := 0; b < 256; b++ {
+			off[b] = sum
+			sum += h[b]
+		}
+		for i, x := range k {
+			b := (x >> sh) & 0xff
+			tk[off[b]], tv[off[b]] = x, v[i]
+			off[b]++
+		}
+		k, v, tk, tv = tk, tv, k, v
+	}
+	return k, v, tk, tv
+}

@@ -1,6 +1,7 @@
 package par
 
 import (
+	"cmp"
 	"math/rand"
 	"slices"
 	"sync/atomic"
@@ -252,6 +253,58 @@ func TestSetKernelsMatchMapReference(t *testing.T) {
 			}
 			if got := IntersectSorted(a[:0], a, b); !slices.Equal(got, want) {
 				t.Fatalf("workers=%d iter %d: in-place IntersectSorted differs", workers, iter)
+			}
+		}
+	}
+}
+
+// TestSortPairs is the differential table of the pair sort against
+// slices.SortStableFunc on (key, input position) pairs: lengths on either
+// side of the insertion-sort cutoff and one long enough for many-key
+// buckets, on key shapes that run every lane, only the low one, only the
+// top one, none (all keys equal), and the lanes of a single odd key. The
+// carried lane is the input position, so equal keys out of input order —
+// what a scatter that walks its input backwards produces — fail the
+// comparison; keys with few distinct values make such ties the common case.
+func TestSortPairs(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	shapes := []struct {
+		name string
+		key  func(i, n int) uint64
+	}{
+		{"spread", func(int, int) uint64 { return rng.Uint64() >> uint(rng.Intn(64)) }},
+		{"low-byte", func(int, int) uint64 { return uint64(rng.Intn(7)) }},
+		{"top-lane", func(int, int) uint64 { return uint64(rng.Intn(5))<<56 | 0x00aabbccddeeff11 }},
+		{"all-equal", func(int, int) uint64 { return 0xdeadbeefcafe }},
+		{"all-equal-but-one", func(i, n int) uint64 {
+			if i == n/2 {
+				return 0x0102030405060708
+			}
+			return 0xdeadbeefcafe
+		}},
+		{"descending", func(i, n int) uint64 { return uint64(n-i) / 3 * 0x0101010101 }},
+	}
+	type pair struct{ k, v uint64 }
+	var tk, tv []uint64 // carried across cases like a shard's scratch
+	for _, n := range []int{0, 1, 63, 64, 65, 70_000} {
+		for _, sh := range shapes {
+			k, v := make([]uint64, n), make([]uint64, n)
+			want := make([]pair, n)
+			for i := range k {
+				k[i], v[i] = sh.key(i, n), uint64(i)
+				want[i] = pair{k[i], v[i]}
+			}
+			slices.SortStableFunc(want, func(a, b pair) int { return cmp.Compare(a.k, b.k) })
+			var sk, sv []uint64
+			sk, sv, tk, tv = SortPairs(k, v, tk, tv)
+			if len(sk) != n || len(sv) != n {
+				t.Fatalf("%s n=%d: sorted lanes have %d/%d pairs", sh.name, n, len(sk), len(sv))
+			}
+			for i, w := range want {
+				if sk[i] != w.k || sv[i] != w.v {
+					t.Errorf("%s n=%d: pair %d is (%#x, %d), want (%#x, %d)", sh.name, n, i, sk[i], sv[i], w.k, w.v)
+					break
+				}
 			}
 		}
 	}

@@ -76,7 +76,8 @@ type Tree struct {
 	tin, tout  []int32  // Euler intervals for subtree tests
 	lca        *lcaIndex
 
-	computeList []NodeID
+	computeList  []NodeID
+	computeIndex []int32 // NodeID -> position in computeList, -1 for routers
 
 	memoMu sync.Mutex  // guards memo
 	memo   map[any]any // lazily-initialized derived-structure cache (Memo)
@@ -113,6 +114,10 @@ func (t *Tree) Degree(v NodeID) int { return len(t.adj[v]) }
 // ComputeNodes reports all compute nodes in insertion order. The returned
 // slice is shared with the Tree and must not be modified.
 func (t *Tree) ComputeNodes() []NodeID { return t.computeList }
+
+// ComputeIndex reports v's position in ComputeNodes order, -1 when v is a
+// router.
+func (t *Tree) ComputeIndex(v NodeID) int { return int(t.computeIndex[v]) }
 
 // Root reports the internal root used for path and cut computations.
 func (t *Tree) Root() NodeID { return t.root }
@@ -225,8 +230,11 @@ func (t *Tree) finalize() {
 	}
 
 	t.computeList = t.computeList[:0]
+	t.computeIndex = make([]int32, n)
 	for v := 0; v < n; v++ {
+		t.computeIndex[v] = -1
 		if t.compute[v] {
+			t.computeIndex[v] = int32(len(t.computeList))
 			t.computeList = append(t.computeList, NodeID(v))
 		}
 	}

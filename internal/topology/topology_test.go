@@ -23,9 +23,15 @@ func TestBuilderStar(t *testing.T) {
 	if tr.IsCompute(tr.Root()) {
 		t.Error("star root should be the router")
 	}
-	for _, v := range tr.ComputeNodes() {
+	if got := tr.ComputeIndex(tr.Root()); got != -1 {
+		t.Errorf("ComputeIndex of the router = %d, want -1", got)
+	}
+	for i, v := range tr.ComputeNodes() {
 		if tr.Degree(v) != 1 {
 			t.Errorf("compute node %v has degree %d, want 1", v, tr.Degree(v))
+		}
+		if got := tr.ComputeIndex(v); got != i {
+			t.Errorf("ComputeIndex(%v) = %d, want %d", v, got, i)
 		}
 	}
 	for e := EdgeID(0); int(e) < tr.NumEdges(); e++ {

@@ -97,6 +97,17 @@ func TestPipelinesRejectWrongOutput(t *testing.T) {
 				return tampered(tamper, res, err, func(res *join.Result) { res.PerNode[0]++ })
 			})
 		}},
+		// The pair count stays right; only join.Verify's sample check sees a
+		// sampled pair whose S payload is in neither relation.
+		{"join/sampled-pair-fabricated", "join", func(t *testing.T, tamper bool) taskRun {
+			return joinTask(func(tr *topology.Tree, r, s join.Placement, seed uint64, o ...netsim.Option) (*join.Result, error) {
+				res, err := join.Tree(tr, r, s, seed, o...)
+				return tampered(tamper, res, err, func(res *join.Result) {
+					i := nonEmpty(t, 1, len(res.Sample), func(i int) int { return len(res.Sample[i]) })[0]
+					res.Sample[i][0].Y = ^res.Sample[i][0].Y // every row is (key, key), so (key, ^key) is no row
+				})
+			})
+		}},
 		// The merged totals stay right, so the map compare RunTask used to
 		// do would accept this; aggregate.Verify does not.
 		{"aggregate/group-split-over-two-nodes", "aggregate", func(t *testing.T, tamper bool) taskRun {
@@ -105,11 +116,8 @@ func TestPipelinesRejectWrongOutput(t *testing.T) {
 				return tampered(tamper, res, err, func(res *aggregate.Result) {
 					ij := nonEmpty(t, 2, len(res.PerNode), func(i int) int { return len(res.PerNode[i]) })
 					i, j := ij[0], ij[1]
-					for g := range res.PerNode[i] {
-						res.PerNode[i][g]--
-						res.PerNode[j][g]++
-						return
-					}
+					res.PerNode[i][0].Value--
+					res.PerNode[j] = append(res.PerNode[j], aggregate.Pair{Group: res.PerNode[i][0].Group, Value: 1})
 				})
 			})
 		}},
