@@ -82,7 +82,8 @@ func TestPrimitiveOutputsDeterministicWhenForked(t *testing.T) {
 
 // primitiveOutputs maps each registry task whose local compute runs on the
 // pool to the call behind it, reduced to a checksum of everything the call
-// leaves at the nodes.
+// leaves at the nodes and of how many messages and elements each round took
+// to get it there.
 var primitiveOutputs = map[string]func(c *topompc.Cluster, in topompc.TaskInput) (uint64, error){
 	"sort": func(c *topompc.Cluster, in topompc.TaskInput) (uint64, error) {
 		return sortChecksum(c.Sort(in.Data, in.Seed))
@@ -111,7 +112,7 @@ var primitiveOutputs = map[string]func(c *topompc.Cluster, in topompc.TaskInput)
 		for _, r := range res.Rects {
 			h = fragmentsChecksum(h, [][]uint64{{uint64(r.X0), uint64(r.X1), uint64(r.Y0), uint64(r.Y1)}})
 		}
-		return h, nil
+		return roundsChecksum(h, res.Report), nil
 	},
 	"join":               joinChecksum(join.Tree),
 	"join-baseline":      joinChecksum(join.UniformHash),
@@ -149,7 +150,7 @@ func joinChecksum(run func(*topology.Tree, join.Placement, join.Placement, uint6
 		for _, block := range res.Blocks {
 			h = fragmentsChecksum(h, [][]uint64{words(block)})
 		}
-		return h, nil
+		return roundsChecksum(h, res.Report), nil
 	}
 }
 
@@ -171,7 +172,8 @@ func aggregateChecksum(run func(*topology.Tree, aggregate.Placement, uint64, ...
 			}
 			h = fragmentsChecksum(h, [][]uint64{flat})
 		}
-		return fragmentsChecksum(h, [][]uint64{sortedTotals(res.Totals()), words([]byte(res.Strategy))}), nil
+		h = fragmentsChecksum(h, [][]uint64{sortedTotals(res.Totals()), words([]byte(res.Strategy))})
+		return roundsChecksum(h, res.Report), nil
 	}
 }
 
@@ -220,7 +222,7 @@ func multijoinChecksum(run starRun) outputChecksum {
 			}
 			h = fragmentsChecksum(h, [][]uint64{flat})
 		}
-		return h, nil
+		return roundsChecksum(h, res.Report), nil
 	}
 }
 
@@ -241,14 +243,16 @@ func sortChecksum(res *topompc.SortResult, err error) (uint64, error) {
 	for j, i := range res.NodeOrder {
 		order[j] = uint64(i)
 	}
-	return fragmentsChecksum(fragmentsChecksum(fnvOffset, res.PerNode), [][]uint64{order}), nil
+	h := fragmentsChecksum(fragmentsChecksum(fnvOffset, res.PerNode), [][]uint64{order})
+	return roundsChecksum(h, res.Report), nil
 }
 
 func intersectChecksum(res *topompc.IntersectResult, err error) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return fragmentsChecksum(fragmentsChecksum(fnvOffset, res.PerNode), [][]uint64{res.Keys}), nil
+	h := fragmentsChecksum(fragmentsChecksum(fnvOffset, res.PerNode), [][]uint64{res.Keys})
+	return roundsChecksum(h, res.Report), nil
 }
 
 const fnvOffset = 0xcbf29ce484222325
@@ -261,6 +265,16 @@ func fragmentsChecksum(h uint64, frags [][]uint64) uint64 {
 		for _, k := range frag {
 			h = (h ^ k) * 0x100000001b3
 		}
+	}
+	return h
+}
+
+// roundsChecksum folds every round's message and element counts into h: a
+// multicast regrouped or split into several moves no cost and leaves the
+// same keys at the same nodes, but it changes the message count.
+func roundsChecksum(h uint64, rep *netsim.Report) uint64 {
+	for _, rd := range rep.Rounds {
+		h = fragmentsChecksum(h, [][]uint64{{uint64(rd.Messages), uint64(rd.Elements)}})
 	}
 	return h
 }

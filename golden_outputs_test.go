@@ -10,19 +10,15 @@ import (
 	"topompc"
 )
 
-// Golden outputs: the golden cost grid pins what the analytics protocols
-// send; this file pins what they return. Each of the 11 join, aggregate and
-// multijoin rows runs on the golden fixtures and the checksum of every
-// Result field (the row's primitiveOutputs entry) is compared against
-// testdata/golden_outputs.json, at workers 1 and 8. Regenerate with the
-// cost grid's flag:
+// Golden outputs: the golden cost grid pins what the protocols cost; this
+// file pins what they return and how many messages they send. Every row of
+// primitiveOutputs — the paper's three primitives and the join, aggregate
+// and multijoin families — runs on the golden fixtures and the checksum of
+// every Result field and of each round's message and element counts is
+// compared against testdata/golden_outputs.json, at workers 1 and 8.
+// Regenerate with the cost grid's flag:
 //
 //	go test -run TestGoldenOutputs -update
-var analyticsRows = []string{
-	"agg-aware", "agg-aware-flat", "agg-tree2", "aggregate", "aggregate-baseline",
-	"join", "join-baseline",
-	"starjoin", "starjoin-flat", "triangle", "triangle-flat",
-}
 
 func goldenOutputsPath() string { return filepath.Join("testdata", "golden_outputs.json") }
 
@@ -33,13 +29,13 @@ func runGoldenOutputs(t *testing.T, workers int) map[string]string {
 		for _, place := range fixturePlacements {
 			c := fixtureCluster(t, topo.Name)
 			c.SetExecOptions(topompc.ExecOptions{Workers: workers})
-			for _, name := range analyticsRows {
+			for name, outputs := range primitiveOutputs {
 				spec, ok := topompc.LookupTask(name)
 				if !ok {
 					t.Fatalf("unknown task %s", name)
 				}
 				key := fmt.Sprintf("%s/%s/%s", name, topo.Name, place)
-				sum, err := primitiveOutputs[name](c, fixtureInput(t, spec, c, topo.Name, place, goldenN))
+				sum, err := outputs(c, fixtureInput(t, spec, c, topo.Name, place, goldenN))
 				if err != nil {
 					t.Fatalf("%s: %v", key, err)
 				}
