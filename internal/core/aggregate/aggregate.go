@@ -38,7 +38,7 @@
 // pre-combine through every combiner level to the final collect; a node
 // that combines concatenates what arrived with what it holds, radix-sorts
 // by group and sums the runs, and a sender lays a partial out by
-// destination with a counting pass.
+// destination with the counting pass of par.Layout.
 //
 // No asymptotic optimality is claimed for the extension; the E-series
 // experiment X1 reports measured ratios.
@@ -256,29 +256,20 @@ func chooserFor(seed uint64, weights []float64) (*hashing.WeightedChooser, error
 }
 
 // sendHashed queues one unicast per member that chooser maps some group of
-// p to, in member order, each carrying its groups in ascending order: a
-// counting pass lays p out by destination in one payload buffer.
+// p to, in member order, each carrying its groups in ascending order.
 func sendHashed(out *netsim.Outbox, p partial, members []topology.NodeID, chooser *hashing.WeightedChooser) {
-	// Counted two slots up and summed, off[b+1] is where member b's words
-	// start; the write pass advances it to where they end.
 	bucket := make([]int32, p.groups())
-	off := make([]int32, len(members)+2)
 	for j := range bucket {
 		bucket[j] = int32(chooser.Choose(p[2*j]))
-		off[bucket[j]+2] += 2
 	}
-	for b := range members {
-		off[b+2] += off[b+1]
-	}
+	pos, off := par.Layout(bucket, len(members))
 	buf := make([]uint64, len(p))
-	for j, b := range bucket {
-		at := off[b+1]
-		off[b+1] += 2
-		buf[at], buf[at+1] = p[2*j], p[2*j+1]
+	for j, at := range pos {
+		buf[2*at], buf[2*at+1] = p[2*j], p[2*j+1]
 	}
-	for b, to := range members {
-		if off[b] < off[b+1] {
-			out.Send(to, netsim.TagData, buf[off[b]:off[b+1]])
+	for m, to := range members {
+		if off[m] < off[m+1] {
+			out.Send(to, netsim.TagData, buf[2*off[m]:2*off[m+1]])
 		}
 	}
 }

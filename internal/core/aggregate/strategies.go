@@ -43,26 +43,18 @@ func TwoLevel(t *topology.Tree, data Placement, seed uint64, opts ...netsim.Opti
 		return nil, err
 	}
 	blocks := blocksByGroups(t, in)
-	blockOf := make([]int, len(in.nodes)) // by compute index
-	// Per-block choosers weighted by group counts.
-	blockChoosers := make([]*hashing.WeightedChooser, len(blocks))
-	for b, members := range blocks {
-		w := make([]float64, len(members))
-		for j, v := range members {
-			blockOf[t.ComputeIndex(v)] = b
-			w[j] = float64(in.local[t.ComputeIndex(v)].groups())
-		}
-		blockChoosers[b], err = chooserFor(hashing.Mix64(seed+uint64(b)+0x77), w)
-		if err != nil {
-			return nil, err
-		}
+	// Per-block hashes weighted by group counts.
+	router, err := place.NewBlockRouter(t, blocks, groupCounts(in.local), seed, 0x77)
+	if err != nil {
+		return nil, err
 	}
 
 	// Round 1: combine within blocks.
 	x := in.e.Exchange()
 	x.Plan(func(v topology.NodeID, out *netsim.Outbox) {
 		i := t.ComputeIndex(v)
-		sendHashed(out, in.local[i], blocks[blockOf[i]], blockChoosers[blockOf[i]])
+		b := router.BlockOf(i)
+		sendHashed(out, in.local[i], blocks[b], router.Chooser(b))
 	})
 	x.Execute()
 	combined := make([]partial, len(in.nodes)) // block-combined partials

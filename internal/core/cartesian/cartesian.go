@@ -18,6 +18,7 @@ package cartesian
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"topompc/internal/dataset"
 	"topompc/internal/netsim"
@@ -45,27 +46,13 @@ func (r Rect) Area() int64 {
 // Clamp intersects the rectangle with [0, maxX) × [0, maxY).
 func (r Rect) Clamp(maxX, maxY int64) Rect {
 	c := Rect{
-		X0: max64(r.X0, 0), X1: min64(r.X1, maxX),
-		Y0: max64(r.Y0, 0), Y1: min64(r.Y1, maxY),
+		X0: max(r.X0, 0), X1: min(r.X1, maxX),
+		Y0: max(r.Y0, 0), Y1: min(r.Y1, maxY),
 	}
 	if c.Empty() {
 		return Rect{}
 	}
 	return c
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // CoversGrid reports whether the union of the rectangles covers the full
@@ -81,10 +68,10 @@ func CoversGrid(rects []Rect, sizeR, sizeS int64) bool {
 		if r.Empty() {
 			continue
 		}
-		ys = append(ys, max64(r.Y0, 0), min64(r.Y1, sizeS))
+		ys = append(ys, max(r.Y0, 0), min(r.Y1, sizeS))
 	}
-	sortInt64(ys)
-	ys = dedupInt64(ys)
+	slices.Sort(ys)
+	ys = slices.Compact(ys)
 	for i := 0; i+1 < len(ys); i++ {
 		lo, hi := ys[i], ys[i+1]
 		if lo >= sizeS || hi <= 0 || lo >= hi {
@@ -96,7 +83,7 @@ func CoversGrid(rects []Rect, sizeR, sizeS int64) bool {
 			if r.Empty() || r.Y0 > lo || r.Y1 < hi {
 				continue
 			}
-			a, b := max64(r.X0, 0), min64(r.X1, sizeR)
+			a, b := max(r.X0, 0), min(r.X1, sizeR)
 			if a >= b {
 				continue // rectangle lies outside the grid's X range
 			}
@@ -117,24 +104,6 @@ func CoversGrid(rects []Rect, sizeR, sizeS int64) bool {
 		}
 	}
 	return true
-}
-
-func sortInt64(xs []int64) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
-}
-
-func dedupInt64(xs []int64) []int64 {
-	out := xs[:0]
-	for i, x := range xs {
-		if i == 0 || x != out[len(out)-1] {
-			out = append(out, x)
-		}
-	}
-	return out
 }
 
 // interval is a half-open [a, b) range on one grid axis.

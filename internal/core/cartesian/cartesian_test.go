@@ -161,10 +161,10 @@ func TestPackOnTreeContiguity(t *testing.T) {
 	for rack, squares := range byRack {
 		var minX, minY, maxX, maxY int64 = 1 << 62, 1 << 62, 0, 0
 		for _, p := range squares {
-			minX = min64(minX, p.X)
-			minY = min64(minY, p.Y)
-			maxX = max64(maxX, p.X+p.Side)
-			maxY = max64(maxY, p.Y+p.Side)
+			minX = min(minX, p.X)
+			minY = min(minY, p.Y)
+			maxX = max(maxX, p.X+p.Side)
+			maxY = max(maxY, p.Y+p.Side)
 		}
 		if maxX-minX > 8 || maxY-minY > 8 {
 			t.Errorf("rack %v squares span %dx%d, want compact 8x8", rack, maxX-minX, maxY-minY)

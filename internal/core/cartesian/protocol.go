@@ -58,7 +58,7 @@ func distribute(in *instance, rects []Rect, strategy string) (*Result, error) {
 	e := netsim.NewEngine(in.t, in.opts...)
 	x := e.Exchange()
 	x.Plan(func(v topology.NodeID, out *netsim.Outbox) {
-		i := nodeIndexOf(in.nodes, v)
+		i := in.t.ComputeIndex(v)
 		sendAxis(out, xSegs, in.offR[i], in.r[i], netsim.TagR)
 		sendAxis(out, ySegs, in.offS[i], in.s[i], netsim.TagS)
 	})
@@ -76,15 +76,6 @@ func distribute(in *instance, rects []Rect, strategy string) (*Result, error) {
 	}
 	res.Report = e.Report()
 	return res, nil
-}
-
-func nodeIndexOf(nodes []topology.NodeID, v topology.NodeID) int {
-	for i, n := range nodes {
-		if n == v {
-			return i
-		}
-	}
-	panic("cartesian: node not found")
 }
 
 // segment is a maximal rank interval whose covering destination set is
@@ -106,10 +97,10 @@ func segments(rects []Rect, size int64, axis func(Rect) (int64, int64), nodes []
 			continue
 		}
 		lo, hi := axis(r)
-		cuts = append(cuts, max64(lo, 0), min64(hi, size))
+		cuts = append(cuts, max(lo, 0), min(hi, size))
 	}
-	sortInt64(cuts)
-	cuts = dedupInt64(cuts)
+	slices.Sort(cuts)
+	cuts = slices.Compact(cuts)
 	var segs []segment
 	for i := 0; i+1 < len(cuts); i++ {
 		lo, hi := cuts[i], cuts[i+1]
@@ -139,7 +130,7 @@ func sendAxis(out *netsim.Outbox, segs []segment, off int64, frag []uint64, tag 
 	}
 	end := off + int64(len(frag))
 	for _, sg := range segs {
-		lo, hi := max64(sg.lo, off), min64(sg.hi, end)
+		lo, hi := max(sg.lo, off), min(sg.hi, end)
 		if lo >= hi || len(sg.dsts) == 0 {
 			continue
 		}

@@ -104,12 +104,8 @@ func gatherRects(in *instance, target int) (*Result, error) {
 // rectangles (clamping happens in distribute).
 func rectsFromPlacement(in *instance, placed []PlacedSquare) []Rect {
 	rects := make([]Rect, len(in.nodes))
-	byNode := make(map[topology.NodeID]int, len(in.nodes))
-	for i, v := range in.nodes {
-		byNode[v] = i
-	}
 	for _, p := range placed {
-		rects[byNode[p.Node]] = p.Rect()
+		rects[in.t.ComputeIndex(p.Node)] = p.Rect()
 	}
 	return rects
 }
@@ -119,7 +115,7 @@ func emptyResult(in *instance) *Result {
 		Rects:    make([]Rect, len(in.nodes)),
 		RKeys:    make([][]uint64, len(in.nodes)),
 		SKeys:    make([][]uint64, len(in.nodes)),
-		Report:   emptyReport(in.t),
+		Report:   &netsim.Report{Tree: in.t},
 		Strategy: "empty",
 	}
 }

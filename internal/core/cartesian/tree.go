@@ -42,7 +42,7 @@ func Tree(t *topology.Tree, r, s dataset.Placement, opts ...netsim.Option) (*Res
 	var res *Result
 	if in2.t.IsCompute(d.Root()) {
 		// Gather to the G† root: optimal when the root is a compute node.
-		res, err = gatherRects(in2, nodeIndexOf(in2.nodes, d.Root()))
+		res, err = gatherRects(in2, in2.t.ComputeIndex(d.Root()))
 	} else {
 		n := in2.loads.Total()
 		dims := balancedPackingTree(d, n)
@@ -85,10 +85,6 @@ func normalizeInstance(in *instance) (*normalized, error) {
 		return &normalized{in: in, ident: true}, nil
 	}
 	nodes2 := t2.ComputeNodes()
-	idx2 := make(map[topology.NodeID]int, len(nodes2))
-	for j, v := range nodes2 {
-		idx2[v] = j
-	}
 	r2 := make(dataset.Placement, len(nodes2))
 	s2 := make(dataset.Placement, len(nodes2))
 	toOrig := make([]int, len(nodes2))
@@ -96,9 +92,8 @@ func normalizeInstance(in *instance) (*normalized, error) {
 		toOrig[i] = -1
 	}
 	for i, v := range in.t.ComputeNodes() {
-		img := m.OldToNew[v]
-		j, ok := idx2[img]
-		if !ok {
+		j := t2.ComputeIndex(m.OldToNew[v])
+		if j < 0 {
 			return nil, fmt.Errorf("cartesian: node %v lost by normalization", v)
 		}
 		r2[j] = in.r[i]
@@ -144,8 +139,4 @@ func (n *normalized) remap(res *Result) *Result {
 		out.SKeys[i] = res.SKeys[j]
 	}
 	return out
-}
-
-func emptyReport(t *topology.Tree) *netsim.Report {
-	return netsim.NewEngine(t).Report()
 }

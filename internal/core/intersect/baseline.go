@@ -1,6 +1,7 @@
 package intersect
 
 import (
+	"topompc/internal/core/place"
 	"topompc/internal/dataset"
 	"topompc/internal/hashing"
 	"topompc/internal/netsim"
@@ -21,36 +22,16 @@ func UniformHash(t *topology.Tree, r, s dataset.Placement, seed uint64, opts ...
 	if in.size0 == 0 {
 		return in.emptyResult(), nil
 	}
-	weights := make([]float64, len(in.nodes))
-	for i := range weights {
-		weights[i] = 1
-	}
-	chooser, err := hashing.NewWeightedChooser(hashing.Mix64(seed+0xbead), weights)
+	chooser, err := hashing.NewWeightedChooser(hashing.Mix64(seed+0xbead), place.Uniform(len(in.nodes)))
 	if err != nil {
 		return nil, err
 	}
-	idx := in.nodeIndex()
 	e := netsim.NewEngine(t, opts...)
 	x := e.Exchange()
 	x.Plan(func(v topology.NodeID, out *netsim.Outbox) {
-		i := idx[v]
-		parts := []struct {
-			frag []uint64
-			tag  netsim.Tag
-		}{{in.rel0[i], netsim.TagR}, {in.rel1[i], netsim.TagS}}
-		for _, part := range parts {
-			frag, tag := part.frag, part.tag
-			byDst := make(map[topology.NodeID][]uint64)
-			for _, k := range frag {
-				d := in.nodes[chooser.Choose(k)]
-				byDst[d] = append(byDst[d], k)
-			}
-			for _, target := range in.nodes {
-				if keys := byDst[target]; len(keys) > 0 {
-					out.Send(target, tag, keys)
-				}
-			}
-		}
+		i := t.ComputeIndex(v)
+		sendHashed(out, in.rel0[i], in.nodes, chooser, netsim.TagR)
+		sendHashed(out, in.rel1[i], in.nodes, chooser, netsim.TagS)
 	})
 	x.Execute()
 	return finish(e, in, nil), nil
@@ -67,12 +48,11 @@ func BroadcastSmaller(t *topology.Tree, r, s dataset.Placement, opts ...netsim.O
 	if in.size0 == 0 {
 		return in.emptyResult(), nil
 	}
-	idx := in.nodeIndex()
 	all := append([]topology.NodeID(nil), in.nodes...)
 	e := netsim.NewEngine(t, opts...)
 	x := e.Exchange()
 	x.Plan(func(v topology.NodeID, out *netsim.Outbox) {
-		i := idx[v]
+		i := t.ComputeIndex(v)
 		if len(in.rel0[i]) > 0 {
 			out.Multicast(all, netsim.TagR, in.rel0[i])
 		}
@@ -99,11 +79,10 @@ func Gather(t *topology.Tree, r, s dataset.Placement, target topology.NodeID, op
 			}
 		}
 	}
-	idx := in.nodeIndex()
 	e := netsim.NewEngine(t, opts...)
 	x := e.Exchange()
 	x.Plan(func(v topology.NodeID, out *netsim.Outbox) {
-		i := idx[v]
+		i := t.ComputeIndex(v)
 		if len(in.rel0[i]) > 0 {
 			out.Send(target, netsim.TagR, in.rel0[i])
 		}

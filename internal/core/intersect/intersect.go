@@ -71,20 +71,12 @@ func newInstance(t *topology.Tree, r, s dataset.Placement) (*instance, error) {
 	return in, nil
 }
 
-func (in *instance) nodeIndex() map[topology.NodeID]int {
-	idx := make(map[topology.NodeID]int, len(in.nodes))
-	for i, v := range in.nodes {
-		idx[v] = i
-	}
-	return idx
-}
-
 // emptyResult is returned when either relation is empty: the intersection
 // is empty and no communication is needed.
 func (in *instance) emptyResult() *Result {
 	return &Result{
 		PerNode: make([][]uint64, len(in.nodes)),
-		Report:  netsim.NewEngine(in.t).Report(),
+		Report:  &netsim.Report{Tree: in.t},
 	}
 }
 
@@ -160,34 +152,28 @@ func Verify(r, s dataset.Placement, res *Result) error {
 	return nil
 }
 
-// blockChooser hashes keys onto the members of one partition block with
-// probability proportional to their loads (the h_i of Algorithm 2).
-type blockChooser struct {
-	members []topology.NodeID
-	choose  *hashing.WeightedChooser
+// layOut lays a fragment's keys out by bucket in one payload buffer: the
+// keys of bucket b < n are buf[off[b]:off[b+1]], in fragment order.
+func layOut(frag []uint64, bucket []int32, n int) (buf []uint64, off []int32) {
+	pos, off := par.Layout(bucket, n)
+	buf = make([]uint64, len(frag))
+	for j, k := range frag {
+		buf[pos[j]] = k
+	}
+	return buf, off
 }
 
-func newBlockChooser(seed uint64, members []topology.NodeID, loads topology.Loads) (*blockChooser, error) {
-	w := make([]float64, len(members))
-	total := 0.0
-	for i, v := range members {
-		w[i] = float64(loads[v])
-		total += w[i]
+// sendHashed queues one unicast per member that chooser maps some key of
+// frag to, in member order.
+func sendHashed(out *netsim.Outbox, frag []uint64, members []topology.NodeID, chooser *hashing.WeightedChooser, tag netsim.Tag) {
+	bucket := make([]int32, len(frag))
+	for j, k := range frag {
+		bucket[j] = int32(chooser.Choose(k))
 	}
-	if total == 0 {
-		// Degenerate block (possible only when the whole input is empty,
-		// which callers short-circuit); hash uniformly.
-		for i := range w {
-			w[i] = 1
+	buf, off := layOut(frag, bucket, len(members))
+	for m, to := range members {
+		if off[m] < off[m+1] {
+			out.Send(to, tag, buf[off[m]:off[m+1]])
 		}
 	}
-	c, err := hashing.NewWeightedChooser(seed, w)
-	if err != nil {
-		return nil, err
-	}
-	return &blockChooser{members: members, choose: c}, nil
-}
-
-func (b *blockChooser) node(key uint64) topology.NodeID {
-	return b.members[b.choose.Choose(key)]
 }

@@ -3,6 +3,7 @@ package intersect
 import (
 	"fmt"
 
+	"topompc/internal/core/place"
 	"topompc/internal/dataset"
 	"topompc/internal/hashing"
 	"topompc/internal/netsim"
@@ -29,18 +30,15 @@ func Star(t *topology.Tree, r, s dataset.Placement, seed uint64, opts ...netsim.
 	if in.size0 == 0 {
 		return in.emptyResult(), nil
 	}
-	idx := in.nodeIndex()
 	n := in.loads.Total()
 
 	// Partition nodes into V_α and V_β (line 1 of Algorithm 1).
-	var alpha, beta []topology.NodeID
-	isBeta := make(map[topology.NodeID]bool)
-	for _, v := range in.nodes {
-		if min64(in.loads[v], n-in.loads[v]) < in.size0 {
-			alpha = append(alpha, v)
-		} else {
+	var beta []topology.NodeID
+	isBeta := make([]bool, len(in.nodes)) // by compute index
+	for i, v := range in.nodes {
+		if min(in.loads[v], n-in.loads[v]) >= in.size0 {
 			beta = append(beta, v)
-			isBeta[v] = true
+			isBeta[i] = true
 		}
 	}
 
@@ -48,24 +46,13 @@ func Star(t *topology.Tree, r, s dataset.Placement, seed uint64, opts ...netsim.
 	// β-nodes (normalization to N′ is implicit in the chooser).
 	weights := make([]float64, len(in.nodes))
 	for i, v := range in.nodes {
-		if isBeta[v] {
+		if isBeta[i] {
 			weights[i] = float64(len(in.rel0[i]))
 		} else {
 			weights[i] = float64(in.loads[v])
 		}
 	}
-	allZero := true
-	for _, w := range weights {
-		if w > 0 {
-			allZero = false
-		}
-	}
-	if allZero {
-		for i := range weights {
-			weights[i] = 1
-		}
-	}
-	chooser, err := hashing.NewWeightedChooser(hashing.Mix64(seed+0x5151), weights)
+	chooser, err := hashing.NewWeightedChooser(hashing.Mix64(seed+0x5151), place.FallbackUniform(weights))
 	if err != nil {
 		return nil, fmt.Errorf("intersect: %w", err)
 	}
@@ -73,38 +60,29 @@ func Star(t *topology.Tree, r, s dataset.Placement, seed uint64, opts ...netsim.
 	e := netsim.NewEngine(t, opts...)
 	x := e.Exchange()
 	x.Plan(func(v topology.NodeID, out *netsim.Outbox) {
-		i := idx[v]
-		// R-tuples: multicast each to V_β ∪ {h(a)}. Batch by hash target:
-		// the V_β part of the destination set is shared.
-		byDst := make(map[topology.NodeID][]uint64)
-		for _, k := range in.rel0[i] {
-			d := in.nodes[chooser.Choose(k)]
-			byDst[d] = append(byDst[d], k)
+		i := t.ComputeIndex(v)
+		// R-tuples: multicast each to V_β ∪ {h(a)}, one multicast per hash
+		// target in node order: the V_β part of the destination set is
+		// shared.
+		target := make([]int32, len(in.rel0[i]))
+		for j, k := range in.rel0[i] {
+			target[j] = int32(chooser.Choose(k))
 		}
-		for _, target := range in.nodes {
-			keys := byDst[target]
-			if len(keys) == 0 {
+		buf, off := layOut(in.rel0[i], target, len(in.nodes))
+		dsts := append(make([]topology.NodeID, 0, len(beta)+1), beta...) // V_β, with room for h(a)
+		for m, to := range in.nodes {
+			if off[m] == off[m+1] {
 				continue
 			}
-			dsts := make([]topology.NodeID, 0, len(beta)+1)
-			dsts = append(dsts, beta...)
-			if !isBeta[target] {
-				dsts = append(dsts, target)
+			if isBeta[m] {
+				out.Multicast(dsts, netsim.TagR, buf[off[m]:off[m+1]])
+			} else {
+				out.Multicast(append(dsts, to), netsim.TagR, buf[off[m]:off[m+1]])
 			}
-			out.Multicast(dsts, netsim.TagR, keys)
 		}
 		// S-tuples: only α-nodes rehash theirs (line 4-5).
-		if !isBeta[v] {
-			bySDst := make(map[topology.NodeID][]uint64)
-			for _, k := range in.rel1[i] {
-				d := in.nodes[chooser.Choose(k)]
-				bySDst[d] = append(bySDst[d], k)
-			}
-			for _, target := range in.nodes {
-				if keys := bySDst[target]; len(keys) > 0 {
-					out.Send(target, netsim.TagS, keys)
-				}
-			}
+		if !isBeta[i] {
+			sendHashed(out, in.rel1[i], in.nodes, chooser, netsim.TagS)
 		}
 	})
 	x.Execute()
@@ -112,7 +90,7 @@ func Star(t *topology.Tree, r, s dataset.Placement, seed uint64, opts ...netsim.
 	// β-nodes keep their S fragment locally; feed it into the final
 	// intersection as extra S data.
 	return finish(e, in, func(i int) []uint64 {
-		if isBeta[in.nodes[i]] {
+		if isBeta[i] {
 			return in.rel1[i]
 		}
 		return nil
@@ -137,11 +115,4 @@ func requireStar(t *topology.Tree) error {
 		return fmt.Errorf("intersect: not a star topology (extra routers)")
 	}
 	return nil
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

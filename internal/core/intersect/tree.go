@@ -5,7 +5,6 @@ import (
 
 	"topompc/internal/core/place"
 	"topompc/internal/dataset"
-	"topompc/internal/hashing"
 	"topompc/internal/netsim"
 	"topompc/internal/topology"
 )
@@ -46,78 +45,32 @@ func treeWithBlocks(t *topology.Tree, r, s dataset.Placement, seed uint64, block
 			return nil, err
 		}
 	}
-	choosers := make([]*blockChooser, len(blocks))
-	for i, b := range blocks {
-		choosers[i], err = newBlockChooser(hashing.Mix64(seed+uint64(i)+1), b, in.loads)
-		if err != nil {
-			return nil, fmt.Errorf("intersect: block %d: %w", i, err)
-		}
+	weights := make([]float64, len(in.nodes)) // N_v by compute index
+	for i, v := range in.nodes {
+		weights[i] = float64(in.loads[v])
 	}
-	blockOf := make(map[topology.NodeID]int, len(in.nodes))
-	for i, b := range blocks {
-		for _, v := range b {
-			blockOf[v] = i
-		}
+	router, err := place.NewBlockRouter(t, blocks, weights, seed, 1)
+	if err != nil {
+		return nil, fmt.Errorf("intersect: %w", err)
 	}
 
-	idx := in.nodeIndex()
 	e := netsim.NewEngine(t, opts...)
 	x := e.Exchange()
 	x.Plan(func(v topology.NodeID, out *netsim.Outbox) {
-		i := idx[v]
-		// Smaller relation: each key goes to one node per block; batch keys
-		// sharing the same destination vector into one multicast.
-		type group struct {
-			dsts []topology.NodeID
-			keys []uint64
-		}
-		groups := make(map[string]*group)
-		var sig []byte
-		for _, k := range in.rel0[i] {
-			sig = sig[:0]
-			var dsts []topology.NodeID
-			for _, c := range choosers {
-				d := c.node(k)
-				dsts = append(dsts, d)
-				sig = append(sig, byte(d), byte(d>>8), byte(d>>16), byte(d>>24))
-			}
-			g, ok := groups[string(sig)]
-			if !ok {
-				g = &group{dsts: dsts}
-				groups[string(sig)] = g
-			}
-			g.keys = append(g.keys, k)
-		}
-		// Deterministic iteration: order groups by first key insertion via
-		// re-walk of the relation.
-		emitted := make(map[string]bool)
-		for _, k := range in.rel0[i] {
-			sig = sig[:0]
-			for _, c := range choosers {
-				d := c.node(k)
-				sig = append(sig, byte(d), byte(d>>8), byte(d>>16), byte(d>>24))
-			}
-			if emitted[string(sig)] {
-				continue
-			}
-			emitted[string(sig)] = true
-			g := groups[string(sig)]
-			out.Multicast(g.dsts, netsim.TagR, g.keys)
+		i := t.ComputeIndex(v)
+		// Smaller relation: each key goes to one node per block; the keys
+		// sharing a destination vector travel as one multicast, vectors in
+		// order of first appearance.
+		group, n := router.DestinationGroups(in.rel0[i])
+		buf, off := layOut(in.rel0[i], group, n)
+		dsts := make([]topology.NodeID, len(blocks))
+		for g := 0; g < n; g++ {
+			router.Destinations(dsts, buf[off[g]])
+			out.Multicast(dsts, netsim.TagR, buf[off[g]:off[g+1]])
 		}
 		// Larger relation: hash within the node's own block only.
-		if len(in.rel1[i]) > 0 {
-			c := choosers[blockOf[v]]
-			byDst := make(map[topology.NodeID][]uint64)
-			for _, k := range in.rel1[i] {
-				d := c.node(k)
-				byDst[d] = append(byDst[d], k)
-			}
-			for _, member := range c.members {
-				if keys := byDst[member]; len(keys) > 0 {
-					out.Send(member, netsim.TagS, keys)
-				}
-			}
-		}
+		b := router.BlockOf(i)
+		sendHashed(out, in.rel1[i], blocks[b], router.Chooser(b), netsim.TagS)
 	})
 	x.Execute()
 

@@ -15,7 +15,7 @@
 // the wire (key + payload).
 //
 // Local compute is sort-merge on the par kernels, forked by home: a sender
-// lays its rows out by destination with a counting pass into one payload
+// lays its rows out by destination with par.Layout into one payload
 // buffer, a home drains its inbox once, radix-sorts the two sides by key
 // and merges them.
 //
@@ -147,27 +147,16 @@ func Verify(r, s Placement, res *Result) error {
 	return nil
 }
 
-// scatter lays a fragment's rows out by bucket in one payload buffer: the
-// rows of bucket b are the (key, payload) words buf[2*off[b]:2*off[b+1]],
-// in fragment order — 2 wire elements per tuple. bucket[j] < n is row j's
-// bucket.
-func scatter(frag []Tuple, bucket []int32, n int) (buf []uint64, off []int32) {
-	// Counted two slots up and summed, off[b+1] is where bucket b starts; the
-	// write pass advances it to where b ends, which is where b+1 starts.
-	off = make([]int32, n+2)
-	for _, b := range bucket {
-		off[b+2]++
-	}
-	for b := 0; b < n; b++ {
-		off[b+2] += off[b+1]
-	}
+// layOut lays a fragment's rows out by bucket in one payload buffer: the
+// rows of bucket b < n are the (key, payload) words buf[2*off[b]:2*off[b+1]],
+// in fragment order — 2 wire elements per tuple.
+func layOut(frag []Tuple, bucket []int32, n int) (buf []uint64, off []int32) {
+	pos, off := par.Layout(bucket, n)
 	buf = make([]uint64, 2*len(frag))
 	for j, tp := range frag {
-		at := 2 * off[bucket[j]+1]
-		off[bucket[j]+1]++
-		buf[at], buf[at+1] = tp.Key, tp.Payload
+		buf[2*pos[j]], buf[2*pos[j]+1] = tp.Key, tp.Payload
 	}
-	return buf, off[:n+1]
+	return buf, off
 }
 
 // sendHashed queues one unicast per member that chooser maps some row of
@@ -177,64 +166,12 @@ func sendHashed(out *netsim.Outbox, frag []Tuple, members []topology.NodeID, cho
 	for j, tp := range frag {
 		bucket[j] = int32(chooser.Choose(tp.Key))
 	}
-	buf, off := scatter(frag, bucket, len(members))
+	buf, off := layOut(frag, bucket, len(members))
 	for m, to := range members {
 		if off[m] < off[m+1] {
 			out.Send(to, tag, buf[2*off[m]:2*off[m+1]])
 		}
 	}
-}
-
-// destinationGroups numbers the rows of frag by destination vector — the
-// member each block's chooser picks for the row's key — in order of first
-// appearance, and reports how many distinct vectors there are. A vector is
-// a mixed-radix number over the block sizes; whenever that number space
-// outgrows a table linear in the fragment it is renumbered densely by
-// sorting, so the work stays O(blocks · rows) however the sizes multiply.
-func destinationGroups(frag []Tuple, blocks [][]topology.NodeID, choosers []*hashing.WeightedChooser) (group []int32, n int) {
-	limit := uint64(4*len(frag) + 1024)
-	ids := make([]uint64, len(frag))
-	space := uint64(1) // ids are below it
-	for b, members := range blocks {
-		if space*uint64(len(members)) > limit {
-			space = compact(ids)
-		}
-		for j, tp := range frag {
-			ids[j] = ids[j]*uint64(len(members)) + uint64(choosers[b].Choose(tp.Key))
-		}
-		space *= uint64(len(members))
-	}
-	if space > limit {
-		space = compact(ids)
-	}
-	group = make([]int32, len(frag))
-	ordinal := make([]int32, space) // id -> ordinal + 1, 0 while unseen
-	for j, id := range ids {
-		if ordinal[id] == 0 {
-			n++
-			ordinal[id] = int32(n)
-		}
-		group[j] = ordinal[id] - 1
-	}
-	return group, n
-}
-
-// compact renumbers ids densely (equal ids stay equal, distinct ones stay
-// distinct) and reports a bound above the new ids.
-func compact(ids []uint64) uint64 {
-	pos := make([]uint64, len(ids))
-	for j := range pos {
-		pos[j] = uint64(j)
-	}
-	sorted, pos, _, _ := par.SortPairs(slices.Clone(ids), pos, nil, nil)
-	var next uint64
-	for j, id := range sorted {
-		if j > 0 && id != sorted[j-1] {
-			next++
-		}
-		ids[pos[j]] = next
-	}
-	return next + 1
 }
 
 // Tree joins R and S on an arbitrary symmetric tree with the
@@ -248,10 +185,12 @@ func Tree(t *topology.Tree, r, s Placement, seed uint64, opts ...netsim.Option) 
 	}
 	var sizeR, sizeS int64
 	loads := make(topology.Loads, t.NumNodes())
+	weights := make([]float64, len(nodes)) // N_v by compute index, for the in-block hashes
 	for i, v := range nodes {
 		sizeR += int64(len(r[i]))
 		sizeS += int64(len(s[i]))
 		loads[v] = int64(len(r[i]) + len(s[i]))
+		weights[i] = float64(loads[v])
 	}
 	small, large, swapped := r, s, false
 	if sizeS < sizeR {
@@ -263,7 +202,7 @@ func Tree(t *topology.Tree, r, s Placement, seed uint64, opts ...netsim.Option) 
 		return &Result{
 			PerNode: make([]int64, len(nodes)),
 			Sample:  make([][]Pair, len(nodes)),
-			Report:  netsim.NewEngine(t).Report(),
+			Report:  &netsim.Report{Tree: t},
 		}, nil
 	}
 
@@ -271,18 +210,9 @@ func Tree(t *topology.Tree, r, s Placement, seed uint64, opts ...netsim.Option) 
 	if err != nil {
 		return nil, err
 	}
-	blockOf := make([]int, len(nodes)) // by compute index
-	choosers := make([]*hashing.WeightedChooser, len(blocks))
-	for b, members := range blocks {
-		w := make([]float64, len(members))
-		for j, v := range members {
-			blockOf[t.ComputeIndex(v)] = b
-			w[j] = float64(loads[v])
-		}
-		choosers[b], err = hashing.NewWeightedChooser(hashing.Mix64(seed+uint64(b)+1), place.FallbackUniform(w))
-		if err != nil {
-			return nil, err
-		}
+	router, err := place.NewBlockRouter(t, blocks, weights, seed, 1)
+	if err != nil {
+		return nil, err
 	}
 
 	e := netsim.NewEngine(t, opts...)
@@ -291,19 +221,21 @@ func Tree(t *topology.Tree, r, s Placement, seed uint64, opts ...netsim.Option) 
 		i := t.ComputeIndex(v)
 		// Smaller side: one multicast per destination vector across the
 		// blocks, in order of first appearance.
-		group, n := destinationGroups(small[i], blocks, choosers)
-		buf, off := scatter(small[i], group, n)
+		keys := make([]uint64, len(small[i]))
+		for j, tp := range small[i] {
+			keys[j] = tp.Key
+		}
+		group, n := router.DestinationGroups(keys)
+		buf, off := layOut(small[i], group, n)
 		dsts := make([]topology.NodeID, len(blocks))
 		for g := 0; g < n; g++ {
 			rows := buf[2*off[g] : 2*off[g+1]]
-			for b, members := range blocks {
-				dsts[b] = members[choosers[b].Choose(rows[0])]
-			}
+			router.Destinations(dsts, rows[0])
 			out.Multicast(dsts, netsim.TagR, rows)
 		}
 		// Larger side: hash within the own block.
-		b := blockOf[i]
-		sendHashed(out, large[i], blocks[b], choosers[b], netsim.TagS)
+		b := router.BlockOf(i)
+		sendHashed(out, large[i], blocks[b], router.Chooser(b), netsim.TagS)
 	})
 	x.Execute()
 

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"topompc/internal/hashing"
 	"topompc/internal/netsim"
 	"topompc/internal/topology"
 	"topompc/internal/topology/topotest"
@@ -268,60 +267,6 @@ func TestJoinDegenerateInputsAcrossWorkers(t *testing.T) {
 					t.Fatalf("iter %d %s %s: workers=%d result differs from workers=1", iter, shape, name, workers)
 				}
 			}
-		}
-	}
-}
-
-// TestDestinationGroupsMatchMapOracle compares the first-seen numbering of
-// destination vectors with a map keyed by the vector, on block structures
-// whose size product fits the dense table and on ones that force the
-// renumbering by sorting: many blocks and few rows, or many wide blocks
-// and many keys, where even a renumbered space outgrows the table again.
-func TestDestinationGroupsMatchMapOracle(t *testing.T) {
-	for iter := 0; iter < 60; iter++ {
-		rng := rand.New(rand.NewSource(int64(900 + iter)))
-		numBlocks, maxSize, rows, keys := 1+rng.Intn(4), 5, rng.Intn(200), 40
-		switch iter % 3 {
-		case 1: // size product far beyond 4·rows+1024
-			numBlocks = 12 + rng.Intn(30)
-		case 2: // rows·size beyond it too
-			numBlocks, maxSize, rows, keys = 6+rng.Intn(6), 40, 1000+rng.Intn(1000), 5000
-		}
-		blocks := make([][]topology.NodeID, numBlocks)
-		choosers := make([]*hashing.WeightedChooser, numBlocks)
-		next := topology.NodeID(0)
-		for b := range blocks {
-			w := make([]float64, 1+rng.Intn(maxSize))
-			for j := range w {
-				w[j] = 1 + rng.Float64()
-				blocks[b] = append(blocks[b], next)
-				next++
-			}
-			var err error
-			if choosers[b], err = hashing.NewWeightedChooser(uint64(iter*100+b), w); err != nil {
-				t.Fatal(err)
-			}
-		}
-		frag := make([]Tuple, rows)
-		for j := range frag {
-			frag[j] = Tuple{Key: uint64(rng.Intn(keys)), Payload: uint64(j)}
-		}
-		group, n := destinationGroups(frag, blocks, choosers)
-		ordinal := make(map[string]int32)
-		for j, tp := range frag {
-			var sig []byte
-			for b := range blocks {
-				sig = append(sig, byte(choosers[b].Choose(tp.Key)))
-			}
-			if _, ok := ordinal[string(sig)]; !ok {
-				ordinal[string(sig)] = int32(len(ordinal))
-			}
-			if group[j] != ordinal[string(sig)] {
-				t.Fatalf("iter %d (%d blocks): row %d in group %d, map oracle says %d", iter, numBlocks, j, group[j], ordinal[string(sig)])
-			}
-		}
-		if n != len(ordinal) {
-			t.Fatalf("iter %d: %d groups, map oracle has %d", iter, n, len(ordinal))
 		}
 	}
 }

@@ -28,7 +28,7 @@
 //     StarFlat).
 //
 // Local compute is sort-merge on the par kernels, forked by home: a sender
-// lays its tuples out by destination group with a counting pass into one
+// lays its tuples out by destination group with par.Layout into one
 // payload buffer, a home drains each relation once, radix-sorts it and
 // walks the sorted runs.
 //
@@ -45,6 +45,7 @@ import (
 
 	"topompc/internal/hashing"
 	"topompc/internal/netsim"
+	"topompc/internal/par"
 	"topompc/internal/topology"
 )
 
@@ -129,36 +130,22 @@ func BalancedShares(p, dims int) []int {
 	}
 }
 
-// groupFirstSeen lays a fragment's tuples out by key (below n) in one
-// payload buffer, groups in order of first appearance: group g has key
-// keys[g] and the (A, B) words buf[2*off[g]:2*off[g+1]], in fragment order —
-// 2 wire elements per tuple.
-func groupFirstSeen(frag []Tuple, n int, key func(Tuple) int) (keys []int, buf []uint64, off []int32) {
+// layOutFirstSeen lays a fragment's tuples out by id (below space) in one
+// payload buffer, ids in order of first appearance: group g has id ids[g]
+// and the (A, B) words buf[2*off[g]:2*off[g+1]], in fragment order — 2 wire
+// elements per tuple.
+func layOutFirstSeen(frag []Tuple, space int, id func(Tuple) int) (ids []int32, buf []uint64, off []int32) {
 	group := make([]int32, len(frag))
-	ordinal := make([]int32, n) // key -> its group + 1, 0 while unseen
-	// Counted two slots up and summed, off[g+1] is where group g starts; the
-	// write pass advances it to where g ends, which is where g+1 starts.
-	off = []int32{0, 0}
 	for j, tp := range frag {
-		k := key(tp)
-		if ordinal[k] == 0 {
-			keys = append(keys, k)
-			off = append(off, 0)
-			ordinal[k] = int32(len(keys))
-		}
-		group[j] = ordinal[k] - 1
-		off[group[j]+2]++
+		group[j] = int32(id(tp))
 	}
-	for g := range keys {
-		off[g+2] += off[g+1]
-	}
+	ids = par.FirstSeen(group, space)
+	pos, off := par.Layout(group, len(ids))
 	buf = make([]uint64, 2*len(frag))
 	for j, tp := range frag {
-		at := 2 * off[group[j]+1]
-		off[group[j]+1]++
-		buf[at], buf[at+1] = tp.A, tp.B
+		buf[2*pos[j]], buf[2*pos[j]+1] = tp.A, tp.B
 	}
-	return keys, buf, off[:len(keys)+1]
+	return ids, buf, off
 }
 
 // tripleSig fingerprints one output triple; the order of mixing makes the

@@ -65,7 +65,7 @@ func star(tr *topology.Tree, rels []Placement, seed uint64, aware bool, opts []n
 		for j, rel := range rels {
 			// One unicast per target, targets in first-seen order
 			// (deterministic for a fixed fragment order).
-			targets, buf, off := groupFirstSeen(rel[i], p, func(tp Tuple) int { return chooser.Choose(tp.A) })
+			targets, buf, off := layOutFirstSeen(rel[i], p, func(tp Tuple) int { return chooser.Choose(tp.A) })
 			for g, d := range targets {
 				out.Send(nodes[d], netsim.Tag(j), buf[2*off[g]:2*off[g+1]])
 			}

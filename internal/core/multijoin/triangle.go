@@ -97,7 +97,7 @@ func triangle(tr *topology.Tree, r, s, tt Placement, seed uint64, aware bool, op
 		// order (deterministic for a fixed fragment order).
 		for j, frag := range [3][]Tuple{r[i], s[i], tt[i]} {
 			rel := &rels[j]
-			slabs, buf, off := groupFirstSeen(frag, len(rel.dst), rel.slab)
+			slabs, buf, off := layOutFirstSeen(frag, len(rel.dst), rel.slab)
 			for g, k := range slabs {
 				out.Multicast(rel.dst[k], rel.tag, buf[2*off[g]:2*off[g+1]])
 			}
@@ -208,8 +208,8 @@ type triangleScratch struct {
 }
 
 // receive drains one relation from the home's inbox into out: the tuples
-// are sorted by (x, y), equal ones folded into one with a count, and a
-// stable counting pass groups them by slab.
+// are sorted by (x, y), equal ones folded into one with a count, and the
+// stable counting pass of par.Layout groups them by slab.
 func (sc *triangleScratch) receive(ib netsim.Inbox, rel *slabbed, out *received) {
 	sc.raw = ib.AppendKeys(sc.raw[:0], rel.tag)
 	m := len(sc.raw) / 2
@@ -224,13 +224,10 @@ func (sc *triangleScratch) receive(ib netsim.Inbox, rel *slabbed, out *received)
 	x, y, sc.tx, sc.ty = par.SortPairs(x, y, sc.tx, sc.ty)
 	sc.x, sc.y = x, y
 
-	// Fold repeats in place (the count rides in raw, free again), note each
-	// distinct tuple's slab and count the slabs two slots up, so that
-	// summed, off[k+1] is where slab k starts and the write pass advances it
-	// to where k ends.
+	// Fold repeats in place (the count rides in raw, free again) and note
+	// each distinct tuple's slab.
 	count := sc.raw[:0]
 	sc.slab = sc.slab[:0]
-	out.off = append(out.off[:0], make([]int32, len(rel.dst)+2)...)
 	d := 0
 	for j := 0; j < m; j++ {
 		if d > 0 && x[j] == x[d-1] && y[j] == y[d-1] {
@@ -241,21 +238,15 @@ func (sc *triangleScratch) receive(ib netsim.Inbox, rel *slabbed, out *received)
 		if rel.byB {
 			t = Tuple{A: y[j], B: x[j]}
 		}
-		k := int32(rel.slab(t))
-		sc.slab = append(sc.slab, k)
-		out.off[k+2]++
+		sc.slab = append(sc.slab, int32(rel.slab(t)))
 		x[d], y[d] = x[j], y[j]
 		count = append(count, 1)
 		d++
 	}
-	for k := range rel.dst {
-		out.off[k+2] += out.off[k+1]
-	}
+	var pos []int32
+	pos, out.off = par.Layout(sc.slab, len(rel.dst))
 	out.x, out.y, out.n = slices.Grow(out.x[:0], d)[:d], slices.Grow(out.y[:0], d)[:d], slices.Grow(out.n[:0], d)[:d]
-	for j, k := range sc.slab {
-		at := out.off[k+1]
-		out.off[k+1]++
+	for j, at := range pos {
 		out.x[at], out.y[at], out.n[at] = x[j], y[j], int64(count[j])
 	}
-	out.off = out.off[:len(rel.dst)+1]
 }

@@ -119,10 +119,6 @@ func capacities(t *topology.Tree) []float64 {
 	flow := make([]float64, n)
 	flow[root] = sub[root]
 	weights := make([]float64, t.NumCompute())
-	idx := make(map[topology.NodeID]int, t.NumCompute())
-	for i, v := range t.ComputeNodes() {
-		idx[v] = i
-	}
 	for _, v := range order {
 		f := flow[v]
 		if f <= 0 {
@@ -138,7 +134,7 @@ func capacities(t *topology.Tree) []float64 {
 			continue
 		}
 		if t.IsCompute(v) {
-			weights[idx[v]] += f * own[v] / total
+			weights[t.ComputeIndex(v)] += f * own[v] / total
 		}
 		for _, h := range t.Neighbors(v) {
 			if h.To != parent[v] {

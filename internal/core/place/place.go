@@ -24,6 +24,10 @@
 //     load-balanced partition of Algorithm 3 / Definition 1, driven by
 //     the data loads rather than the bandwidths (intersect, join,
 //     two-level aggregation).
+//   - BlockRouter — the routing of Algorithm 2 over such a partition: the
+//     block of every node, one weighted hash per block over its members,
+//     the destination vector of a key and the first-seen numbering of the
+//     vectors, so that the three block-hashing protocols share one copy.
 //   - Proportional — remainder-exact proportional apportioning (the §5.2
 //     Algorithm 6 / Lemma 9 scheme generalized to arbitrary non-negative
 //     float weights): integer counts that sum exactly to n with every
@@ -38,9 +42,10 @@
 //
 // Consumers: multijoin (Capacities + AssignCells), graph (Capacities +
 // Hierarchy), sorting (Proportional + Splitters + Capacities), aggregate
-// (Capacities + Hierarchy + CombinerBlocks + BalancedPartition), intersect
-// and join (BalancedPartition). The package sits between internal/topology
-// and the protocol packages and must not import any of them.
+// (Capacities + Hierarchy + CombinerBlocks + BalancedPartition +
+// BlockRouter), intersect and join (BalancedPartition + BlockRouter). The
+// package sits between internal/topology and the protocol packages and must
+// not import any of them.
 package place
 
 import (
@@ -82,14 +87,10 @@ func IdentityOrder(n int) []int {
 // ComputeNodes) in tree preorder, so contiguous assignments land in common
 // subtrees.
 func PreorderComputeIndices(t *topology.Tree) []int {
-	idx := make(map[topology.NodeID]int, t.NumCompute())
-	for i, v := range t.ComputeNodes() {
-		idx[v] = i
-	}
 	order := make([]int, 0, t.NumCompute())
 	for _, v := range t.Preorder() {
 		if t.IsCompute(v) {
-			order = append(order, idx[v])
+			order = append(order, t.ComputeIndex(v))
 		}
 	}
 	return order

@@ -1,0 +1,80 @@
+package place
+
+import (
+	"math/rand"
+	"testing"
+
+	"topompc/internal/hashing"
+	"topompc/internal/topology"
+)
+
+// TestDestinationGroupsMatchMapOracle compares the first-seen numbering of
+// destination vectors with a map keyed by the vector, on block structures
+// whose size product fits the dense table and on ones that force the
+// renumbering by sorting: many blocks and few rows, or many wide blocks
+// and many keys, where even a renumbered space outgrows the table again.
+// Keys repeat as a relation's join keys do, or are distinct 64-bit values
+// as a set's fragment is.
+func TestDestinationGroupsMatchMapOracle(t *testing.T) {
+	for iter := 0; iter < 80; iter++ {
+		rng := rand.New(rand.NewSource(int64(900 + iter)))
+		numBlocks, maxSize, rows, keySpace := 1+rng.Intn(4), 5, rng.Intn(200), 40
+		switch iter % 4 {
+		case 1: // size product far beyond 4·rows+1024
+			numBlocks = 12 + rng.Intn(30)
+		case 2: // rows·size beyond it too
+			numBlocks, maxSize, rows, keySpace = 6+rng.Intn(6), 40, 1000+rng.Intn(1000), 5000
+		case 3: // a set: no key twice, so only the vectors repeat
+			numBlocks, rows, keySpace = 1+rng.Intn(8), rng.Intn(3000), 0
+		}
+		r := &BlockRouter{
+			Blocks:   make([][]topology.NodeID, numBlocks),
+			choosers: make([]*hashing.WeightedChooser, numBlocks),
+		}
+		next := topology.NodeID(0)
+		for b := range r.Blocks {
+			w := make([]float64, 1+rng.Intn(maxSize))
+			for j := range w {
+				w[j] = 1 + rng.Float64()
+				r.Blocks[b] = append(r.Blocks[b], next)
+				next++
+			}
+			var err error
+			if r.choosers[b], err = hashing.NewWeightedChooser(uint64(iter*100+b), w); err != nil {
+				t.Fatal(err)
+			}
+		}
+		keys := make([]uint64, rows)
+		for j := range keys {
+			if keySpace > 0 {
+				keys[j] = uint64(rng.Intn(keySpace))
+			} else {
+				keys[j] = rng.Uint64()<<12 | uint64(j)
+			}
+		}
+		group, n := r.DestinationGroups(keys)
+		ordinal := make(map[string]int32)
+		dsts := make([]topology.NodeID, numBlocks)
+		for j, k := range keys {
+			var sig []byte
+			for b := range r.Blocks {
+				sig = append(sig, byte(r.Chooser(b).Choose(k)))
+			}
+			if _, ok := ordinal[string(sig)]; !ok {
+				ordinal[string(sig)] = int32(len(ordinal))
+			}
+			if group[j] != ordinal[string(sig)] {
+				t.Fatalf("iter %d (%d blocks): key %d in group %d, map oracle says %d", iter, numBlocks, j, group[j], ordinal[string(sig)])
+			}
+			r.Destinations(dsts, k)
+			for b, d := range dsts {
+				if d != r.Blocks[b][sig[b]] {
+					t.Fatalf("iter %d: key %d goes to %v in block %d, its vector says member %d", iter, j, d, b, sig[b])
+				}
+			}
+		}
+		if n != len(ordinal) {
+			t.Fatalf("iter %d: %d groups, map oracle has %d", iter, n, len(ordinal))
+		}
+	}
+}

@@ -1,8 +1,6 @@
 package sorting
 
 import (
-	"math/rand"
-
 	"topompc/internal/core/place"
 	"topompc/internal/dataset"
 	"topompc/internal/netsim"
@@ -25,7 +23,7 @@ import (
 // the initial data sizes N_v (light→heavy shipping) rather than the link
 // bandwidths.
 func CapacitySort(t *topology.Tree, data dataset.Placement, seed uint64, opts ...netsim.Option) (*Result, error) {
-	return splitterSort(t, data, seed, true, opts)
+	return splitterSort(t, data, seed, sampleSort{strategy: "sort-aware", stride: 15485863, aware: true, splitters: place.Splitters}, opts)
 }
 
 // CapacitySortFlat is the topology-oblivious counterpart: the identical
@@ -34,38 +32,43 @@ func CapacitySort(t *topology.Tree, data dataset.Placement, seed uint64, opts ..
 // be measured in isolation (same sampling, same splitter selection, same
 // rounds).
 func CapacitySortFlat(t *topology.Tree, data dataset.Placement, seed uint64, opts ...netsim.Option) (*Result, error) {
-	return splitterSort(t, data, seed, false, opts)
+	return splitterSort(t, data, seed, sampleSort{strategy: "sort-flat", stride: 15485863, splitters: place.Splitters}, opts)
 }
 
-func splitterSort(tr *topology.Tree, data dataset.Placement, seed uint64, aware bool, eopts []netsim.Option) (*Result, error) {
+// sampleSort is what tells the three-round sample sorts apart.
+type sampleSort struct {
+	strategy string
+	stride   int64 // between the sampling seeds of consecutive nodes
+	// aware weighs the key ranges by place.Capacities and coordinates at
+	// the highest-capacity node, instead of uniformly and at the leftmost.
+	aware bool
+	// splitters picks the splitters from the sorted samples, given the
+	// key-range weights along the left-to-right ordering.
+	splitters func(sorted []uint64, weights []float64) []uint64
+}
+
+// splitterSort is the three-round sample sort: every node samples at rate
+// ρ and sends its samples to the coordinator, the coordinator broadcasts
+// the splitters, and all nodes redistribute so that node order[j] receives
+// the j-th key range and sorts it.
+func splitterSort(tr *topology.Tree, data dataset.Placement, seed uint64, kind sampleSort, eopts []netsim.Option) (*Result, error) {
 	in, err := newInstance(tr, data)
 	if err != nil {
 		return nil, err
 	}
-	order := tr.LeftToRight()
-	strategy := "sort-flat"
-	if aware {
-		strategy = "sort-aware"
-	}
 	if in.total == 0 {
-		return &Result{
-			PerNode:  make([][]uint64, len(in.nodes)),
-			Order:    order,
-			Report:   netsim.NewEngine(tr).Report(),
-			Strategy: strategy,
-		}, nil
+		return in.emptyResult(kind.strategy), nil
 	}
-	idx := in.indexOf()
-	p := int64(len(in.nodes))
+	order := tr.LeftToRight()
 
 	// Key-range weights, indexed along the left-to-right ordering.
 	weights := place.Uniform(len(order))
 	coordinator := order[0]
-	if aware {
+	if kind.aware {
 		caps := place.Capacities(tr) // ComputeNodes order
 		best := 0
 		for j, v := range order {
-			weights[j] = caps[idx[v]]
+			weights[j] = caps[tr.ComputeIndex(v)]
 			if weights[j] > weights[best] {
 				best = j
 			}
@@ -73,31 +76,21 @@ func splitterSort(tr *topology.Tree, data dataset.Placement, seed uint64, aware 
 		coordinator = order[best]
 	}
 
-	rho := SampleRate(int(p), in.total)
+	rho := SampleRate(len(in.nodes), in.total)
 	e := netsim.NewEngine(tr, eopts...)
 
 	// Round 1: sample and send to the coordinator.
-	sampleSets := make([][]uint64, len(in.nodes))
-	for i := range in.data {
-		rng := rand.New(rand.NewSource(int64(seed) + int64(i)*15485863))
-		for _, x := range in.data[i] {
-			if rng.Float64() < rho {
-				sampleSets[i] = append(sampleSets[i], x)
-			}
-		}
-	}
 	x := e.Exchange()
 	x.Plan(func(v topology.NodeID, out *netsim.Outbox) {
-		i := idx[v]
-		if len(sampleSets[i]) > 0 {
-			out.Send(coordinator, netsim.TagSample, sampleSets[i])
+		i := tr.ComputeIndex(v)
+		if samples := sample(in.data[i], int64(seed)+int64(i)*kind.stride, rho); len(samples) > 0 {
+			out.Send(coordinator, netsim.TagSample, samples)
 		}
 	})
 	x.Execute()
 
-	// Round 2: coordinator broadcasts the capacity-apportioned splitters.
-	samples := sortedSamples(e, coordinator)
-	splitters := place.Splitters(samples, weights)
+	// Round 2: the coordinator broadcasts the splitters.
+	splitters := kind.splitters(sortedSamples(e, coordinator), weights)
 	x = e.Exchange()
 	if len(splitters) > 0 && len(order) > 1 {
 		dsts := make([]topology.NodeID, 0, len(order)-1)
@@ -114,11 +107,7 @@ func splitterSort(tr *topology.Tree, data dataset.Placement, seed uint64, aware 
 	// interval j. Everyone sorts locally.
 	x = e.Exchange()
 	x.Plan(func(v topology.NodeID, out *netsim.Outbox) {
-		for j, b := range bucketKeys(in.data[idx[v]], splitters, int(p)) {
-			if len(b) > 0 {
-				out.Send(order[j], netsim.TagData, b)
-			}
-		}
+		sendBySplitter(out, in.data[tr.ComputeIndex(v)], splitters, order)
 	})
 	x.Execute()
 
@@ -126,6 +115,6 @@ func splitterSort(tr *topology.Tree, data dataset.Placement, seed uint64, aware 
 		PerNode:  sortReceived(e, in.nodes),
 		Order:    order,
 		Report:   e.Report(),
-		Strategy: strategy,
+		Strategy: kind.strategy,
 	}, nil
 }

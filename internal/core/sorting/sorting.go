@@ -11,6 +11,8 @@ package sorting
 
 import (
 	"fmt"
+	"math/rand"
+	"sort"
 
 	"topompc/internal/dataset"
 	"topompc/internal/netsim"
@@ -57,12 +59,15 @@ func newInstance(t *topology.Tree, data dataset.Placement) (*instance, error) {
 	return in, nil
 }
 
-func (in *instance) indexOf() map[topology.NodeID]int {
-	idx := make(map[topology.NodeID]int, len(in.nodes))
-	for i, v := range in.nodes {
-		idx[v] = i
+// emptyResult is what every protocol returns for an empty input: nothing
+// moves.
+func (in *instance) emptyResult(strategy string) *Result {
+	return &Result{
+		PerNode:  make([][]uint64, len(in.nodes)),
+		Order:    in.t.LeftToRight(),
+		Report:   &netsim.Report{Tree: in.t},
+		Strategy: strategy,
 	}
-	return idx
 }
 
 // Verify checks that res is a correct sort of the input: res.Order lists
@@ -81,16 +86,15 @@ func Verify(t *topology.Tree, input dataset.Placement, res *Result) error {
 	}
 	// Sortedness: read along res.Order, the fragments form one ascending
 	// sequence.
-	idx := in.indexOf()
 	placed := make([]bool, len(in.nodes))
 	var outLen int64
 	last := uint64(0)
 	started := false
 	for _, v := range res.Order {
-		i, ok := idx[v]
-		if !ok {
+		if uint(v) >= uint(t.NumNodes()) || !t.IsCompute(v) {
 			return fmt.Errorf("sorting: ordering contains unknown node %v", v)
 		}
+		i := t.ComputeIndex(v)
 		if placed[i] {
 			return fmt.Errorf("sorting: ordering lists node %v twice", v)
 		}
@@ -124,7 +128,7 @@ func Verify(t *topology.Tree, input dataset.Placement, res *Result) error {
 	all, _ = par.SerialSortUint64(all, nil)
 	pos := 0
 	for _, v := range res.Order {
-		for _, k := range res.PerNode[idx[v]] {
+		for _, k := range res.PerNode[t.ComputeIndex(v)] {
 			if all[pos] != k {
 				return fmt.Errorf("sorting: output is not a permutation of the input (mismatch at %d)", pos)
 			}
@@ -154,17 +158,54 @@ func sortReceived(e *netsim.Engine, nodes []topology.NodeID) [][]uint64 {
 	return perNode
 }
 
+// sample draws the Bernoulli(ρ) sample a node sends the coordinator, from a
+// generator of its own seed.
+func sample(frag []uint64, seed int64, rho float64) []uint64 {
+	rng := rand.New(rand.NewSource(seed))
+	var out []uint64
+	for _, x := range frag {
+		if rng.Float64() < rho {
+			out = append(out, x)
+		}
+	}
+	return out
+}
+
+// bucketOf locates x's interval: bucket j holds [splitters[j-1],
+// splitters[j]).
+func bucketOf(x uint64, splitters []uint64) int {
+	return sort.Search(len(splitters), func(i int) bool { return x < splitters[i] })
+}
+
+// sendBySplitter queues the redistribution step of every splitter-based
+// sort here (the sample sorts' round 3, wTS round 4): the keys of splitter
+// interval j go to dsts[j] in one message, in fragment order.
+func sendBySplitter(out *netsim.Outbox, keys, splitters []uint64, dsts []topology.NodeID) {
+	bucket := make([]int32, len(keys))
+	for j, x := range keys {
+		bucket[j] = int32(bucketOf(x, splitters))
+	}
+	pos, off := par.Layout(bucket, len(dsts))
+	buf := make([]uint64, len(keys))
+	for j, x := range keys {
+		buf[pos[j]] = x
+	}
+	for j, to := range dsts {
+		if off[j] < off[j+1] {
+			out.Send(to, netsim.TagData, buf[off[j]:off[j+1]])
+		}
+	}
+}
+
 // gather ships everything to one node (the holder of the most data unless
 // target is given), which sorts locally. Trivially a valid ordering: every
 // other node is empty.
 func gather(in *instance, target int, strategy string, opts []netsim.Option) (*Result, error) {
 	e := netsim.NewEngine(in.t, opts...)
-	idx := in.indexOf()
 	x := e.Exchange()
 	x.Plan(func(v topology.NodeID, out *netsim.Outbox) {
-		i := idx[v]
-		if len(in.data[i]) > 0 {
-			out.Send(in.nodes[target], netsim.TagData, in.data[i])
+		if frag := in.data[in.t.ComputeIndex(v)]; len(frag) > 0 {
+			out.Send(in.nodes[target], netsim.TagData, frag)
 		}
 	})
 	x.Execute()

@@ -2,8 +2,6 @@ package sorting
 
 import (
 	"math"
-	"math/rand"
-	"sort"
 
 	"topompc/internal/core/place"
 	"topompc/internal/dataset"
@@ -46,14 +44,8 @@ func WTSWithOpts(t *topology.Tree, data dataset.Placement, seed uint64, opts Opt
 		return nil, err
 	}
 	if in.total == 0 {
-		return &Result{
-			PerNode:  make([][]uint64, len(in.nodes)),
-			Order:    t.LeftToRight(),
-			Report:   netsim.NewEngine(t).Report(),
-			Strategy: "wts",
-		}, nil
+		return in.emptyResult("wts"), nil
 	}
-	idx := in.indexOf()
 	p := int64(len(in.nodes))
 
 	// Paper's improvement: a majority holder gathers everything.
@@ -67,11 +59,15 @@ func WTSWithOpts(t *topology.Tree, data dataset.Placement, seed uint64, opts Opt
 	// order.
 	order := t.LeftToRight()
 	threshold := float64(in.total) / float64(2*p)
-	var heavy []int // compute indices, left-to-right
+	var heavy []topology.NodeID        // v₁ … v_k, left-to-right
+	rank := make([]int, len(in.nodes)) // compute index -> j of v_j, -1 for a light node
+	for i := range rank {
+		rank[i] = -1
+	}
 	for _, v := range order {
-		i := idx[v]
 		if float64(in.loads[v]) >= threshold {
-			heavy = append(heavy, i)
+			rank[t.ComputeIndex(v)] = len(heavy)
+			heavy = append(heavy, v)
 		}
 	}
 	if len(heavy) == 0 {
@@ -84,13 +80,12 @@ func WTSWithOpts(t *topology.Tree, data dataset.Placement, seed uint64, opts Opt
 		return gather(in, best, "gather", eopts)
 	}
 	k := len(heavy)
-	heavySizes := make([]int64, k)
-	for j, i := range heavy {
-		heavySizes[j] = in.loads[in.nodes[i]]
-	}
-	isHeavy := make([]bool, len(in.nodes))
-	for _, i := range heavy {
-		isHeavy[i] = true
+	shares := make([]int64, k) // of a light node's data, per heavy node
+	for j, v := range heavy {
+		shares[j] = in.loads[v]
+		if opts.UniformLight {
+			shares[j] = 1
+		}
 	}
 
 	e := netsim.NewEngine(t, eopts...)
@@ -98,22 +93,15 @@ func WTSWithOpts(t *topology.Tree, data dataset.Placement, seed uint64, opts Opt
 	// Round 1: light → heavy, proportional slices.
 	x := e.Exchange()
 	x.Plan(func(v topology.NodeID, out *netsim.Outbox) {
-		i := idx[v]
-		if isHeavy[i] || len(in.data[i]) == 0 {
+		i := t.ComputeIndex(v)
+		if rank[i] >= 0 || len(in.data[i]) == 0 {
 			return
-		}
-		shares := heavySizes
-		if opts.UniformLight {
-			shares = make([]int64, k)
-			for j := range shares {
-				shares[j] = 1
-			}
 		}
 		counts := place.ProportionalInt(shares, int64(len(in.data[i])))
 		off := int64(0)
 		for j, c := range counts {
 			if c > 0 {
-				out.Send(in.nodes[heavy[j]], netsim.TagData, in.data[i][off:off+c])
+				out.Send(heavy[j], netsim.TagData, in.data[i][off:off+c])
 			}
 			off += c
 		}
@@ -122,37 +110,23 @@ func WTSWithOpts(t *topology.Tree, data dataset.Placement, seed uint64, opts Opt
 
 	// Heavy node j's working set M_j: its own data plus round-1 deliveries.
 	working := make([][]uint64, k)
-	for j, i := range heavy {
-		ib := e.Inbox(in.nodes[i])
-		working[j] = make([]uint64, 0, len(in.data[i])+ib.KeyCount(netsim.TagData))
-		working[j] = ib.AppendKeys(append(working[j], in.data[i]...), netsim.TagData)
+	for j, v := range heavy {
+		ib, own := e.Inbox(v), in.data[t.ComputeIndex(v)]
+		working[j] = make([]uint64, 0, len(own)+ib.KeyCount(netsim.TagData))
+		working[j] = ib.AppendKeys(append(working[j], own...), netsim.TagData)
 	}
 
 	// Round 2: heavy nodes sample at rate ρ and send samples to v₁.
-	rho := 4 * float64(p) / float64(in.total) * math.Log(float64(p)*float64(in.total))
-	if rho > 1 {
-		rho = 1
-	}
-	coordinator := in.nodes[heavy[0]]
-	samples := make([][]uint64, k)
-	for j := range working {
-		rng := rand.New(rand.NewSource(int64(seed) + int64(j)*7919))
-		for _, x := range working[j] {
-			if rng.Float64() < rho {
-				samples[j] = append(samples[j], x)
-			}
-		}
-	}
+	rho := SampleRate(len(in.nodes), in.total)
+	coordinator := heavy[0]
 	x = e.Exchange()
 	x.Plan(func(v topology.NodeID, out *netsim.Outbox) {
-		i := idx[v]
-		if !isHeavy[i] {
+		j := rank[t.ComputeIndex(v)]
+		if j < 0 {
 			return
 		}
-		for j, hi := range heavy {
-			if hi == i && len(samples[j]) > 0 {
-				out.Send(coordinator, netsim.TagSample, samples[j])
-			}
+		if samples := sample(working[j], int64(seed)+int64(j)*7919, rho); len(samples) > 0 {
+			out.Send(coordinator, netsim.TagSample, samples)
 		}
 	})
 	x.Execute()
@@ -162,13 +136,7 @@ func WTSWithOpts(t *topology.Tree, data dataset.Placement, seed uint64, opts Opt
 
 	x = e.Exchange()
 	if len(splitters) > 0 {
-		dsts := make([]topology.NodeID, 0, k-1)
-		for _, i := range heavy[1:] {
-			dsts = append(dsts, in.nodes[i])
-		}
-		if len(dsts) > 0 {
-			x.Out(coordinator).Multicast(dsts, netsim.TagSplitter, splitters)
-		}
+		x.Out(coordinator).Multicast(heavy[1:], netsim.TagSplitter, splitters)
 	}
 	x.Execute()
 
@@ -176,20 +144,8 @@ func WTSWithOpts(t *topology.Tree, data dataset.Placement, seed uint64, opts Opt
 	// [splitters[j-1], splitters[j]).
 	x = e.Exchange()
 	x.Plan(func(v topology.NodeID, out *netsim.Outbox) {
-		i := idx[v]
-		if !isHeavy[i] {
-			return
-		}
-		var mine []uint64
-		for j, hi := range heavy {
-			if hi == i {
-				mine = working[j]
-			}
-		}
-		for j, b := range bucketKeys(mine, splitters, k) {
-			if len(b) > 0 {
-				out.Send(in.nodes[heavy[j]], netsim.TagData, b)
-			}
+		if j := rank[t.ComputeIndex(v)]; j >= 0 {
+			sendBySplitter(out, working[j], splitters, heavy)
 		}
 	})
 	x.Execute()
@@ -238,22 +194,4 @@ func chooseSplitters(sorted []uint64, p, total int64, working [][]uint64) []uint
 		splitters = append(splitters, sorted[pos-1])
 	}
 	return splitters
-}
-
-// bucketOf locates x's interval: bucket j holds [splitters[j-1],
-// splitters[j]).
-func bucketOf(x uint64, splitters []uint64) int {
-	return sort.Search(len(splitters), func(i int) bool { return x < splitters[i] })
-}
-
-// bucketKeys partitions keys into the n splitter intervals — the shared
-// redistribution step of every splitter-based sort here (TeraSort, wTS
-// round 4, the capacity-splitter sort).
-func bucketKeys(keys []uint64, splitters []uint64, n int) [][]uint64 {
-	buckets := make([][]uint64, n)
-	for _, x := range keys {
-		b := bucketOf(x, splitters)
-		buckets[b] = append(buckets[b], x)
-	}
-	return buckets
 }

@@ -49,7 +49,7 @@ func TestExchangeSteadyStateAllocFree(t *testing.T) {
 	vs := tr.ComputeNodes()
 	keys := []uint64{1, 2, 3}
 	plan := func(v topology.NodeID, out *Outbox) {
-		out.Send(vs[(int(e.cindex[v])+1)%len(vs)], TagData, keys)
+		out.Send(vs[(e.t.ComputeIndex(v)+1)%len(vs)], TagData, keys)
 	}
 	planned := func() {
 		x := e.Exchange()

@@ -234,21 +234,20 @@ func (x *Exchange) tallyOps(s *shardTally, lo, hi int) {
 // every delivery to the arena row and pool range the shard's cursor for its
 // receiver points at. Cursors of different shards cover disjoint rows.
 func (x *Exchange) deliverOps(s *shardTally, lo, hi int) {
-	e := x.e
-	a := e.inboxNext
-	nodes := e.t.ComputeNodes()
+	t, a := x.e.t, x.e.inboxNext
+	nodes := t.ComputeNodes()
 	for i := lo; i < hi; i++ {
 		ob := &x.outs[i]
 		from := nodes[i]
 		for j := range ob.ops {
 			o := &ob.ops[j]
 			if o.to != topology.NoNode {
-				ci := e.cindex[o.to]
+				ci := t.ComputeIndex(o.to)
 				a.put(&s.cur[ci], a.koff[ci], from, o.tag, o.keys)
 				continue
 			}
 			for _, d := range ob.dsts[o.dlo:o.dhi] {
-				ci := e.cindex[d]
+				ci := t.ComputeIndex(d)
 				a.put(&s.cur[ci], a.koff[ci], from, o.tag, o.keys)
 			}
 		}

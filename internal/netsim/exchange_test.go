@@ -421,7 +421,7 @@ func TestRejectedPlanLeavesEngineUntouched(t *testing.T) {
 	good := func(e *Engine, r int) RoundStats {
 		x := e.Exchange()
 		x.Plan(func(v topology.NodeID, out *Outbox) {
-			i := int(e.cindex[v])
+			i := e.t.ComputeIndex(v)
 			out.Send(vs[(i+r+1)%len(vs)], TagData, []uint64{uint64(i), uint64(r)})
 			out.Multicast([]topology.NodeID{vs[0], v, vs[r%len(vs)]}, TagR, []uint64{uint64(r)})
 		})

@@ -41,7 +41,7 @@ func execPlanned(e *Engine, rd testRound, async bool) {
 	nodes := e.t.ComputeNodes()
 	x := e.Exchange()
 	for k := 0; k < 2; k++ {
-		x.Plan(func(v topology.NodeID, out *Outbox) { queueOps(out, rd.stages[k][e.cindex[v]]) })
+		x.Plan(func(v topology.NodeID, out *Outbox) { queueOps(out, rd.stages[k][e.t.ComputeIndex(v)]) })
 	}
 	for ci, ops := range rd.stages[2] {
 		if len(ops) > 0 {

@@ -234,8 +234,7 @@ type Engine struct {
 	inboxNext *inboxArena // written by the round being executed
 	inRound   bool
 
-	workers int     // WithWorkers value; 0 = GOMAXPROCS
-	cindex  []int32 // NodeID -> compute index, -1 for routers
+	workers int // WithWorkers value; 0 = GOMAXPROCS
 
 	pool    *par.Pool     // Plan, the two walks of Execute and, through Pool(), the kernels
 	tallies []*shardTally // per-shard scratch of the walks
@@ -315,15 +314,8 @@ func WithMetrics(r *obs.Registry) Option {
 func NewEngine(t *topology.Tree, opts ...Option) *Engine {
 	e := &Engine{
 		t:         t,
-		cindex:    make([]int32, t.NumNodes()),
 		inboxCur:  newInboxArena(t.NumCompute()),
 		inboxNext: newInboxArena(t.NumCompute()),
-	}
-	for v := range e.cindex {
-		e.cindex[v] = -1
-	}
-	for i, v := range t.ComputeNodes() {
-		e.cindex[v] = int32(i)
 	}
 	for _, o := range opts {
 		o(e)
@@ -393,12 +385,13 @@ func (e *Engine) recordRound(slot int, t0 float64) {
 func (e *Engine) Pool() *par.Pool { return e.pool }
 
 // computeIndex reports v's position in ComputeNodes order, -1 when v is a
-// router or no node of the tree.
-func (e *Engine) computeIndex(v topology.NodeID) int32 {
-	if uint(v) >= uint(len(e.cindex)) {
+// router or no node of the tree: a receiver id is caller input, and
+// Tree.ComputeIndex indexes unchecked.
+func (e *Engine) computeIndex(v topology.NodeID) int {
+	if uint(v) >= uint(e.t.NumNodes()) {
 		return -1
 	}
-	return e.cindex[v]
+	return e.t.ComputeIndex(v)
 }
 
 // ensureArena allocates the lean-mode accounting arrays on first use.

@@ -121,7 +121,7 @@ func (r *Round) Finish() RoundStats {
 	clear(a.off)
 	clear(a.koff)
 	for _, m := range r.msgs {
-		ci := e.cindex[m.To]
+		ci := e.t.ComputeIndex(m.To)
 		a.off[ci+1]++
 		a.koff[ci+1] += len(m.Keys)
 	}
@@ -133,7 +133,7 @@ func (r *Round) Finish() RoundStats {
 	rows := append([]int(nil), a.off[:nc]...) // next free row per receiver
 	used := make([]int, nc)                   // keys written per receiver
 	for _, m := range r.msgs {
-		ci := e.cindex[m.To]
+		ci := e.t.ComputeIndex(m.To)
 		copy(a.pool[a.koff[ci]+used[ci]:], m.Keys)
 		used[ci] += len(m.Keys)
 		a.from[rows[ci]], a.tag[rows[ci]], a.end[rows[ci]] = m.From, m.Tag, int32(used[ci])

@@ -154,7 +154,7 @@ func TestPoolForksBetweenAsyncRounds(t *testing.T) {
 		for r := 0; r < rounds; r++ {
 			x := e.Exchange()
 			x.Plan(func(v topology.NodeID, out *Outbox) {
-				i := int(e.cindex[v])
+				i := e.t.ComputeIndex(v)
 				out.Send(vs[(i+r+1)%len(vs)], TagData, []uint64{uint64(i), uint64(r)})
 				if i%16 == r%16 {
 					out.Multicast([]topology.NodeID{vs[0], vs[len(vs)/2], vs[i]}, TagR, []uint64{uint64(r)})

@@ -446,3 +446,42 @@ func SortPairs(k, v, tk, tv []uint64) (sk, sv, rk, rv []uint64) {
 	}
 	return k, v, tk, tv
 }
+
+// Layout is the counting pass behind every partition of a fragment by
+// destination: bucket[j] < n is row j's bucket, and on return row j lands at
+// pos[j] of a buffer in which bucket b's rows are off[b]:off[b+1], in
+// fragment order. It sees bucket ids only, so each row type keeps its own
+// write loop (buf[pos[j]] = row j) and nothing is flattened or copied to get
+// here. pos reuses bucket's storage. Serial, callable from inside a shard.
+func Layout(bucket []int32, n int) (pos, off []int32) {
+	// Counted two slots up and summed, off[b+1] is where bucket b starts; the
+	// position pass advances it to where b ends, which is where b+1 starts.
+	off = make([]int32, n+2)
+	for _, b := range bucket {
+		off[b+2]++
+	}
+	for b := 0; b < n; b++ {
+		off[b+2] += off[b+1]
+	}
+	for j, b := range bucket {
+		bucket[j] = off[b+1]
+		off[b+1]++
+	}
+	return bucket, off[:n+1]
+}
+
+// FirstSeen renumbers ids (each below space) in place by order of first
+// appearance — the numbering under which Layout's bucket order is the order
+// a walk of the fragment meets the ids — and returns the id each new number
+// stands for.
+func FirstSeen(ids []int32, space int) (first []int32) {
+	ordinal := make([]int32, space) // id -> its number + 1, 0 while unseen
+	for j, id := range ids {
+		if ordinal[id] == 0 {
+			first = append(first, id)
+			ordinal[id] = int32(len(first))
+		}
+		ids[j] = ordinal[id] - 1
+	}
+	return first
+}

@@ -309,3 +309,74 @@ func TestSortPairs(t *testing.T) {
 		}
 	}
 }
+
+// TestLayoutAndFirstSeen is the differential table of the counting-pass
+// layout against a map-and-append oracle, in bucket order (Layout alone) and
+// in first-seen order (FirstSeen, then Layout): fragment lengths 0, 1 and
+// many on bucket shapes where every row shares one bucket, no two rows
+// share one, most buckets stay empty, and there is only one bucket to pick.
+// The rows are their own fragment positions, so a layout that is not stable
+// fails the comparison.
+func TestLayoutAndFirstSeen(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	shapes := []struct {
+		name   string
+		n      func(rows int) int
+		bucket func(j, n int) int32
+	}{
+		{"one-bucket", func(int) int { return 5 }, func(int, int) int32 { return 3 }},
+		{"all-distinct", func(rows int) int { return rows + 1 }, func(j, n int) int32 { return int32(n - 1 - j) }},
+		{"empty-buckets", func(int) int { return 1000 }, func(int, int) int32 { return int32(7 * rng.Intn(9)) }},
+		{"n=1", func(int) int { return 1 }, func(int, int) int32 { return 0 }},
+	}
+	// place writes row j (its own position) where pos says and cuts the
+	// buffer at off.
+	place := func(pos, off []int32) [][]int {
+		buf := make([]int, len(pos))
+		for j, at := range pos {
+			buf[at] = j
+		}
+		out := make([][]int, len(off)-1)
+		for b := range out {
+			out[b] = buf[off[b]:off[b+1]]
+		}
+		return out
+	}
+	for _, rows := range []int{0, 1, 5000} {
+		for _, sh := range shapes {
+			n := sh.n(rows)
+			bucket := make([]int32, rows)
+			byBucket := make(map[int32][]int)
+			var seen []int32 // bucket ids in order of first appearance
+			for j := range bucket {
+				bucket[j] = sh.bucket(j, n)
+				if _, ok := byBucket[bucket[j]]; !ok {
+					seen = append(seen, bucket[j])
+				}
+				byBucket[bucket[j]] = append(byBucket[bucket[j]], j)
+			}
+
+			got := place(Layout(slices.Clone(bucket), n))
+			if len(got) != n {
+				t.Fatalf("%s rows=%d: %d buckets laid out, want %d", sh.name, rows, len(got), n)
+			}
+			for b, rowsOf := range got {
+				if !slices.Equal(rowsOf, byBucket[int32(b)]) {
+					t.Errorf("%s rows=%d: bucket %d holds rows %v, want %v", sh.name, rows, b, rowsOf, byBucket[int32(b)])
+					break
+				}
+			}
+
+			first := FirstSeen(bucket, n)
+			if !slices.Equal(first, seen) {
+				t.Fatalf("%s rows=%d: first-seen ids %v, want %v", sh.name, rows, first, seen)
+			}
+			for g, rowsOf := range place(Layout(bucket, len(first))) {
+				if !slices.Equal(rowsOf, byBucket[seen[g]]) {
+					t.Errorf("%s rows=%d: group %d holds rows %v, want %v", sh.name, rows, g, rowsOf, byBucket[seen[g]])
+					break
+				}
+			}
+		}
+	}
+}
