@@ -82,14 +82,14 @@ func (c *Cluster) aggregateWith(data [][]GroupValue, seed uint64, run aggregateP
 	if err := c.checkFragments("data", len(data)); err != nil {
 		return nil, err
 	}
-	res, err := run(c.t, data, seed, c.exec.netsimOpts()...)
+	res, lb, err := verified(c, func(opts ...netsim.Option) (*aggregate.Result, error) {
+		return run(c.t, data, seed, opts...)
+	}, func() (map[uint64]int64, float64) {
+		return aggregate.Reference(data), aggregate.LowerBound(c.t, data)
+	}, aggregate.Verify)
 	if err != nil {
 		return nil, err
 	}
-	if err := aggregate.Verify(data, res); err != nil {
-		return nil, err
-	}
-	lb := aggregate.LowerBound(c.t, data)
 	return &AggregateResult{
 		Totals: res.Totals(),
 		Cost:   c.costOf(res.Report, lb),
@@ -155,11 +155,10 @@ func (c *Cluster) joinWith(r, s [][]Row, seed uint64, run joinProtocol) (*JoinRe
 	if err := c.checkPair(len(r), len(s)); err != nil {
 		return nil, err
 	}
-	res, err := run(c.t, r, s, seed, c.exec.netsimOpts()...)
+	res, _, err := verified(c, func(opts ...netsim.Option) (*join.Result, error) {
+		return run(c.t, r, s, seed, opts...)
+	}, func() (*join.Ref, float64) { return join.Reference(r, s), 0 }, join.Verify)
 	if err != nil {
-		return nil, err
-	}
-	if err := join.Verify(r, s, res); err != nil {
 		return nil, err
 	}
 	return &JoinResult{

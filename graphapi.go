@@ -85,21 +85,21 @@ func (c *Cluster) graphWith(edges [][]GraphEdge, seed uint64, run graphProtocol)
 	if err := c.checkFragments("edges", len(edges)); err != nil {
 		return nil, err
 	}
-	res, err := run(c.t, edges, seed, c.exec.netsimOpts()...)
+	res, lb, err := verified(c, func(opts ...netsim.Option) (*graph.Result, error) {
+		return run(c.t, edges, seed, opts...)
+	}, func() (*graph.Ref, float64) {
+		return graph.Reference(edges), lowerbound.Spanning(c.t, graph.ComponentSpread(c.t, edges)).Value
+	}, graph.Verify)
 	if err != nil {
 		return nil, err
 	}
-	if err := graph.Verify(graph.Reference(edges), res); err != nil {
-		return nil, err
-	}
-	lb := lowerbound.Spanning(c.t, graph.ComponentSpread(c.t, edges))
 	return &ComponentsResult{
 		Components: res.Components,
 		PerNode:    res.PerNode,
 		Forest:     res.Forest,
 		Phases:     res.Phases,
 		Strategy:   res.Strategy,
-		Cost:       c.costOf(res.Report, lb.Value),
+		Cost:       c.costOf(res.Report, lb),
 		Report:     res.Report,
 	}, nil
 }

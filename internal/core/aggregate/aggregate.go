@@ -99,9 +99,9 @@ func Reference(data Placement) map[uint64]int64 {
 	return out
 }
 
-// Verify checks that res produces every group total exactly once.
-func Verify(data Placement, res *Result) error {
-	want := Reference(data)
+// Verify checks that res produces every group total of want, the Reference
+// of its input, exactly once.
+func Verify(want map[uint64]int64, res *Result) error {
 	seen := make(map[uint64]bool)
 	for i, pairs := range res.PerNode {
 		for _, p := range pairs {

@@ -36,19 +36,19 @@ func TestReferenceAndVerify(t *testing.T) {
 		t.Fatalf("reference = %v", want)
 	}
 	good := &Result{PerNode: [][]Pair{{{1, 12}}, {{2, 3}}}}
-	if err := Verify(data, good); err != nil {
+	if err := Verify(Reference(data), good); err != nil {
 		t.Errorf("good result rejected: %v", err)
 	}
 	dupe := &Result{PerNode: [][]Pair{{{1, 12}, {2, 3}}, {{2, 3}}}}
-	if err := Verify(data, dupe); err == nil {
+	if err := Verify(Reference(data), dupe); err == nil {
 		t.Error("duplicate emission accepted")
 	}
 	wrong := &Result{PerNode: [][]Pair{{{1, 11}}, {{2, 3}}}}
-	if err := Verify(data, wrong); err == nil {
+	if err := Verify(Reference(data), wrong); err == nil {
 		t.Error("wrong total accepted")
 	}
 	missing := &Result{PerNode: [][]Pair{{{1, 12}}, {}}}
-	if err := Verify(data, missing); err == nil {
+	if err := Verify(Reference(data), missing); err == nil {
 		t.Error("missing group accepted")
 	}
 }
@@ -95,7 +95,7 @@ func TestStrategiesCorrect(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", run.name, err)
 				}
-				if err := Verify(data, res); err != nil {
+				if err := Verify(Reference(data), res); err != nil {
 					t.Fatalf("%s: %v", run.name, err)
 				}
 			}
@@ -128,10 +128,10 @@ func TestTwoLevelBeatsHashOnRackLocalGroups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Verify(data, hash); err != nil {
+	if err := Verify(Reference(data), hash); err != nil {
 		t.Fatal(err)
 	}
-	if err := Verify(data, two); err != nil {
+	if err := Verify(Reference(data), two); err != nil {
 		t.Fatal(err)
 	}
 	if two.Report.TotalCost() >= hash.Report.TotalCost() {
@@ -165,7 +165,7 @@ func TestEmptyAndSingleNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Verify(empty, res); err != nil {
+	if err := Verify(Reference(empty), res); err != nil {
 		t.Fatal(err)
 	}
 	if res.Report.TotalCost() != 0 {
@@ -177,7 +177,7 @@ func TestEmptyAndSingleNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Verify(single, res); err != nil {
+	if err := Verify(Reference(single), res); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -204,7 +204,7 @@ func TestCostAboveLowerBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := Verify(data, res); err != nil {
+		if err := Verify(Reference(data), res); err != nil {
 			t.Fatal(err)
 		}
 		// Partials cost 2 elements (group, value); the LB counts 1 per
@@ -319,7 +319,7 @@ func TestDegenerateInputsAcrossWorkers(t *testing.T) {
 				if err != nil {
 					t.Fatalf("iter %d %s %s workers=%d: %v", iter, shape, name, workers, err)
 				}
-				if err := Verify(data, res); err != nil {
+				if err := Verify(Reference(data), res); err != nil {
 					t.Fatalf("iter %d %s %s workers=%d: %v", iter, shape, name, workers, err)
 				}
 				if want == nil {

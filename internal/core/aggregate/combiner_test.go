@@ -33,7 +33,7 @@ func TestCombinerTreeCorrect(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", run.name, err)
 				}
-				if err := Verify(data, res); err != nil {
+				if err := Verify(Reference(data), res); err != nil {
 					t.Fatalf("%s: %v", run.name, err)
 				}
 			}
@@ -118,7 +118,7 @@ func TestCombinerTreeMultiLevelBeatsSingle(t *testing.T) {
 				t.Fatal(err)
 			}
 			for vname, res := range map[string]*Result{"multi": multi, "single": single} {
-				if err := Verify(data, res); err != nil {
+				if err := Verify(Reference(data), res); err != nil {
 					t.Fatalf("%s: %v", vname, err)
 				}
 			}
@@ -160,7 +160,7 @@ func TestCombinerTreeBeatsFlatOnWeakCut(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, res := range map[string]*Result{"aware": aware, "flat": flat} {
-		if err := Verify(data, res); err != nil {
+		if err := Verify(Reference(data), res); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 	}

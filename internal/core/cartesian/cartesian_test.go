@@ -208,7 +208,7 @@ func TestStarCartesianWHC(t *testing.T) {
 	if res.Report.NumRounds() != 1 {
 		t.Errorf("rounds = %d, want 1 (Table 1)", res.Report.NumRounds())
 	}
-	if err := Verify(tr, r, s, res); err != nil {
+	if err := Verify(r, s, res); err != nil {
 		t.Fatal(err)
 	}
 	if res.Pairs() < 400*400 {
@@ -230,7 +230,7 @@ func TestStarCartesianGatherOnMajority(t *testing.T) {
 	if res.Strategy != "gather" {
 		t.Errorf("strategy = %s, want gather (node 0 holds a majority)", res.Strategy)
 	}
-	if err := Verify(tr, pr, ps, res); err != nil {
+	if err := Verify(pr, ps, res); err != nil {
 		t.Fatal(err)
 	}
 	// The majority holder receives only what it lacks: cost = (N - N_max)/w.
@@ -273,7 +273,7 @@ func TestTreeCartesianCorrectAcrossTopologies(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := Verify(tr, r, s, res); err != nil {
+			if err := Verify(r, s, res); err != nil {
 				t.Fatal(err)
 			}
 			if res.Report.NumRounds() != 1 {
@@ -299,7 +299,7 @@ func TestTreeCartesianInternalComputeNodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Verify(tr, r, s, res); err != nil {
+	if err := Verify(r, s, res); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -318,7 +318,7 @@ func TestTreeCartesianGatherWhenRootIsCompute(t *testing.T) {
 	if res.Strategy != "gather" {
 		t.Errorf("strategy = %s, want gather", res.Strategy)
 	}
-	if err := Verify(tr, pr, ps, res); err != nil {
+	if err := Verify(pr, ps, res); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -343,7 +343,7 @@ func TestTreeCartesianCostEnvelope(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := Verify(tr, pr, ps, res); err != nil {
+		if err := Verify(pr, ps, res); err != nil {
 			t.Fatal(err)
 		}
 		loads := make(topology.Loads, tr.NumNodes())
@@ -376,7 +376,7 @@ func TestUnequalCartesian(t *testing.T) {
 		if err != nil {
 			t.Fatalf("sizes %v: %v", sizes, err)
 		}
-		if err := Verify(tr, pr, ps, res); err != nil {
+		if err := Verify(pr, ps, res); err != nil {
 			t.Fatalf("sizes %v: %v", sizes, err)
 		}
 		if res.Report.NumRounds() > 1 {
@@ -397,7 +397,7 @@ func TestUnequalTransposed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Verify(tr, pr, ps, res); err != nil {
+	if err := Verify(pr, ps, res); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -416,7 +416,7 @@ func TestUnequalMajorityGather(t *testing.T) {
 	if res.Strategy != "gather" {
 		t.Errorf("strategy = %s, want gather", res.Strategy)
 	}
-	if err := Verify(tr, pr, ps, res); err != nil {
+	if err := Verify(pr, ps, res); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -431,7 +431,7 @@ func TestBaselines(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := Verify(tr, r, s, res); err != nil {
+		if err := Verify(r, s, res); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -440,7 +440,7 @@ func TestBaselines(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := Verify(tr, r, s, res); err != nil {
+		if err := Verify(r, s, res); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -450,7 +450,7 @@ func TestBaselines(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := Verify(tr, r, s, res); err != nil {
+		if err := Verify(r, s, res); err != nil {
 			t.Fatal(err)
 		}
 		if res.Rects[2].Area() != int64(200)*200 {
@@ -487,7 +487,7 @@ func TestCartesianQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return Verify(tr, pr, ps, res) == nil
+		return Verify(pr, ps, res) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)

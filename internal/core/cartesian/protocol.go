@@ -141,22 +141,17 @@ func sendAxis(out *netsim.Outbox, segs []segment, off int64, frag []uint64, tag 
 // Verify checks a cartesian-product result: the rectangles cover the grid
 // and every node received exactly the R-rows and S-columns its rectangle
 // spans, which together imply every output pair is enumerated somewhere.
-func Verify(t *topology.Tree, r, s dataset.Placement, res *Result) error {
-	in, err := newInstance(t, r, s)
-	if err != nil {
-		return err
-	}
-	if in.sizeR == 0 || in.sizeS == 0 {
+func Verify(r, s dataset.Placement, res *Result) error {
+	globalR, globalS := r.Flatten(), s.Flatten()
+	sizeR, sizeS := int64(len(globalR)), int64(len(globalS))
+	if sizeR == 0 || sizeS == 0 {
 		return nil
 	}
-	if !CoversGrid(res.Rects, in.sizeR, in.sizeS) {
+	if !CoversGrid(res.Rects, sizeR, sizeS) {
 		return fmt.Errorf("cartesian: output rectangles do not cover the grid")
 	}
-	globalR := in.r.Flatten()
-	globalS := in.s.Flatten()
 	var ck keyChecker
-	for i := range in.nodes {
-		rect := res.Rects[i]
+	for i, rect := range res.Rects {
 		if rect.Empty() {
 			if len(res.RKeys[i]) > 0 || len(res.SKeys[i]) > 0 {
 				return fmt.Errorf("cartesian: node %d has an empty rectangle but received data", i)

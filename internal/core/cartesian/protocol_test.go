@@ -115,7 +115,7 @@ func TestShrinkToFitReducesConcentration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Verify(tr, pr, ps, res); err != nil {
+	if err := Verify(pr, ps, res); err != nil {
 		t.Fatal(err)
 	}
 	active := 0
@@ -215,21 +215,21 @@ func TestVerifyComparesKeyMultisets(t *testing.T) {
 	restore := func() { res.RKeys[node] = rows; copy(rows, sent) }
 
 	rng.Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
-	if err := Verify(tr, pr, ps, res); err != nil {
+	if err := Verify(pr, ps, res); err != nil {
 		t.Errorf("reordered deliveries rejected: %v", err)
 	}
 	restore()
 	rows[0] = rows[1] // one row twice, another missing
-	if err := Verify(tr, pr, ps, res); err == nil {
+	if err := Verify(pr, ps, res); err == nil {
 		t.Error("expected error for a duplicated row standing in for a lost one")
 	}
 	restore()
 	res.RKeys[node] = rows[:len(rows)-1]
-	if err := Verify(tr, pr, ps, res); err == nil {
+	if err := Verify(pr, ps, res); err == nil {
 		t.Error("expected error for a lost row")
 	}
 	restore()
-	if err := Verify(tr, pr, ps, res); err != nil {
+	if err := Verify(pr, ps, res); err != nil {
 		t.Fatalf("restored result rejected: %v", err)
 	}
 }

@@ -138,9 +138,9 @@ func Reference(r, s dataset.Placement) []uint64 {
 	return out
 }
 
-// Verify checks that the protocol output equals the reference intersection.
-func Verify(r, s dataset.Placement, res *Result) error {
-	want := Reference(r, s)
+// Verify checks that the protocol output equals want, the Reference of its
+// input.
+func Verify(want []uint64, res *Result) error {
 	if len(want) != len(res.Output) {
 		return fmt.Errorf("intersect: output has %d keys, want %d", len(res.Output), len(want))
 	}

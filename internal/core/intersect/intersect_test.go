@@ -45,7 +45,7 @@ func TestTreeIntersectCorrectStar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Verify(r, s, res); err != nil {
+	if err := Verify(Reference(r, s), res); err != nil {
 		t.Fatal(err)
 	}
 	if res.Report.NumRounds() != 1 {
@@ -78,7 +78,7 @@ func TestTreeIntersectCorrectAcrossTopologies(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := Verify(r, s, res); err != nil {
+				if err := Verify(Reference(r, s), res); err != nil {
 					t.Fatalf("overlap %d: %v", overlap, err)
 				}
 			}
@@ -107,7 +107,7 @@ func TestTreeIntersectSkewedPlacements(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := Verify(r, s, res); err != nil {
+			if err := Verify(Reference(r, s), res); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -140,7 +140,7 @@ func TestTreeIntersectSwapsRoles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Verify(r, s, res); err != nil {
+	if err := Verify(Reference(r, s), res); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -181,7 +181,7 @@ func TestStarIntersectCorrect(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := Verify(r, s, res); err != nil {
+		if err := Verify(Reference(r, s), res); err != nil {
 			t.Fatalf("%+v: %v", tc, err)
 		}
 		if res.Report.NumRounds() > 1 {
@@ -211,7 +211,7 @@ func TestStarIntersectBetaNodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Verify(pr, ps, res); err != nil {
+	if err := Verify(Reference(pr, ps), res); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -244,7 +244,7 @@ func TestBaselinesCorrect(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := Verify(r, s, res); err != nil {
+		if err := Verify(Reference(r, s), res); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -253,7 +253,7 @@ func TestBaselinesCorrect(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := Verify(r, s, res); err != nil {
+		if err := Verify(Reference(r, s), res); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -262,7 +262,7 @@ func TestBaselinesCorrect(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := Verify(r, s, res); err != nil {
+		if err := Verify(Reference(r, s), res); err != nil {
 			t.Fatal(err)
 		}
 		// Exactly one node emits everything.
@@ -302,7 +302,7 @@ func TestTreeIntersectCostEnvelope(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := Verify(pr, ps, res); err != nil {
+		if err := Verify(Reference(pr, ps), res); err != nil {
 			t.Fatal(err)
 		}
 		loads := make(topology.Loads, tr.NumNodes())
@@ -354,7 +354,7 @@ func TestIntersectQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return Verify(pr, ps, res) == nil && len(res.Output) == overlap
+		return Verify(Reference(pr, ps), res) == nil && len(res.Output) == overlap
 	}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
@@ -375,11 +375,11 @@ func TestReferenceAndVerify(t *testing.T) {
 		}
 	}
 	bad := &Result{Output: []uint64{1, 3}}
-	if err := Verify(r, s, bad); err == nil {
+	if err := Verify(Reference(r, s), bad); err == nil {
 		t.Error("expected verification failure for missing key")
 	}
 	bad2 := &Result{Output: []uint64{1, 3, 5}}
-	if err := Verify(r, s, bad2); err == nil {
+	if err := Verify(Reference(r, s), bad2); err == nil {
 		t.Error("expected verification failure for wrong key")
 	}
 }
@@ -435,7 +435,7 @@ func TestRepeatedKeysAcrossProtocols(t *testing.T) {
 			if err != nil {
 				t.Fatalf("iter %d %s: %v", iter, p.name, err)
 			}
-			if err := Verify(r, s, res); err != nil {
+			if err := Verify(Reference(r, s), res); err != nil {
 				t.Fatalf("iter %d %s: %v", iter, p.name, err)
 			}
 			for i, frag := range res.PerNode {

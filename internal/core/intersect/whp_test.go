@@ -42,7 +42,7 @@ func TestTreeIntersectHighProbability(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := Verify(pr, ps, res); err != nil {
+		if err := Verify(Reference(pr, ps), res); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		ratios = append(ratios, netsim.Ratio(res.Report.TotalCost(), lb.Value))
@@ -112,10 +112,10 @@ func TestNormalizationPreservesCost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Verify(pr, ps, resA); err != nil {
+	if err := Verify(Reference(pr, ps), resA); err != nil {
 		t.Fatal(err)
 	}
-	if err := Verify(pr2, ps2, resB); err != nil {
+	if err := Verify(Reference(pr2, ps2), resB); err != nil {
 		t.Fatal(err)
 	}
 	// Loads and therefore the partition may hash differently (different
@@ -165,7 +165,7 @@ func TestStarIntersectHighProbability(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := Verify(pr, ps, res); err != nil {
+		if err := Verify(Reference(pr, ps), res); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		if ratio := netsim.Ratio(res.Report.TotalCost(), lb.Value); ratio > worst {

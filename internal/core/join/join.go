@@ -78,40 +78,46 @@ func (r *Result) TotalPairs() int64 {
 	return n
 }
 
-// ReferenceSize computes |R ⋈ S| directly. It hashes where the protocols
-// sort and merge, so the two share no join logic.
-func ReferenceSize(r, s Placement) int64 {
+// Ref is what Verify checks a result against: |R ⋈ S| and the relations the
+// sampled pairs must come from.
+type Ref struct {
+	Size int64
+	r, s Placement
+}
+
+// Reference computes |R ⋈ S| directly. It hashes where the protocols sort
+// and merge, so the two share no join logic.
+func Reference(r, s Placement) *Ref {
 	rCount := make(map[uint64]int64)
 	for _, frag := range r {
 		for _, t := range frag {
 			rCount[t.Key]++
 		}
 	}
-	var total int64
+	ref := &Ref{r: r, s: s}
 	for _, frag := range s {
 		for _, t := range frag {
-			total += rCount[t.Key]
+			ref.Size += rCount[t.Key]
 		}
 	}
-	return total
+	return ref
 }
 
 // Verify checks output-size correctness and validates the sampled pairs
 // against the input relations: every sampled (key, payload) of either side
 // must be a tuple of that side. Only the sampled tuples are indexed, and
 // each relation is scanned once.
-func Verify(r, s Placement, res *Result) error {
-	want := ReferenceSize(r, s)
-	if got := res.TotalPairs(); got != want {
-		return fmt.Errorf("join: %d pairs emitted, want %d", got, want)
+func Verify(ref *Ref, res *Result) error {
+	if got := res.TotalPairs(); got != ref.Size {
+		return fmt.Errorf("join: %d pairs emitted, want %d", got, ref.Size)
 	}
 	for _, side := range []struct {
 		name  string
 		rel   Placement
 		tuple func(p Pair) Tuple
 	}{
-		{"R", r, func(p Pair) Tuple { return Tuple{Key: p.Key, Payload: p.X} }},
-		{"S", s, func(p Pair) Tuple { return Tuple{Key: p.Key, Payload: p.Y} }},
+		{"R", ref.r, func(p Pair) Tuple { return Tuple{Key: p.Key, Payload: p.X} }},
+		{"S", ref.s, func(p Pair) Tuple { return Tuple{Key: p.Key, Payload: p.Y} }},
 	} {
 		seen := make(map[Tuple]bool) // sampled tuple -> found in the relation
 		var maybe [1 << 10]uint64    // one hashed bit per sampled tuple: most of the scan stops here

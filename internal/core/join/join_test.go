@@ -30,7 +30,7 @@ func TestReferenceSize(t *testing.T) {
 	r := Placement{{{Key: 1, Payload: 10}, {Key: 1, Payload: 11}}, {{Key: 2, Payload: 12}}}
 	s := Placement{{{Key: 1, Payload: 20}}, {{Key: 3, Payload: 21}, {Key: 1, Payload: 22}}}
 	// Key 1: 2 R-tuples × 2 S-tuples = 4; keys 2, 3 unmatched.
-	if got := ReferenceSize(r, s); got != 4 {
+	if got := Reference(r, s).Size; got != 4 {
 		t.Errorf("reference size = %d, want 4", got)
 	}
 }
@@ -48,7 +48,7 @@ func TestTreeJoinCorrect(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := Verify(r, s, res); err != nil {
+			if err := Verify(Reference(r, s), res); err != nil {
 				t.Fatal(err)
 			}
 			if res.Report.NumRounds() != 1 {
@@ -67,7 +67,7 @@ func TestTreeJoinSwappedSides(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Verify(r, s, res); err != nil {
+	if err := Verify(Reference(r, s), res); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -90,7 +90,7 @@ func TestTreeJoinMultiplicities(t *testing.T) {
 	if res.TotalPairs() != 50*40 {
 		t.Errorf("pairs = %d, want 2000", res.TotalPairs())
 	}
-	if err := Verify(r, s, res); err != nil {
+	if err := Verify(Reference(r, s), res); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -125,7 +125,7 @@ func TestUniformHashJoinCorrect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Verify(r, s, res); err != nil {
+	if err := Verify(Reference(r, s), res); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -156,10 +156,10 @@ func TestTreeJoinBeatsUniformOnSkewedPlacement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Verify(r, s, aware); err != nil {
+	if err := Verify(Reference(r, s), aware); err != nil {
 		t.Fatal(err)
 	}
-	if err := Verify(r, s, oblivious); err != nil {
+	if err := Verify(Reference(r, s), oblivious); err != nil {
 		t.Fatal(err)
 	}
 	if aware.Report.TotalCost() >= oblivious.Report.TotalCost() {
@@ -180,7 +180,7 @@ func TestJoinQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return Verify(r, s, res) == nil
+		return Verify(Reference(r, s), res) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
@@ -194,11 +194,11 @@ func TestVerifyCatchesBadPairs(t *testing.T) {
 		PerNode: []int64{1},
 		Sample:  [][]Pair{{{Key: 1, X: 99, Y: 20}}}, // X not in R
 	}
-	if err := Verify(r, s, bad); err == nil {
+	if err := Verify(Reference(r, s), bad); err == nil {
 		t.Error("fabricated R payload accepted")
 	}
 	wrongCount := &Result{PerNode: []int64{2}, Sample: [][]Pair{nil}}
-	if err := Verify(r, s, wrongCount); err == nil {
+	if err := Verify(Reference(r, s), wrongCount); err == nil {
 		t.Error("wrong pair count accepted")
 	}
 }
@@ -257,7 +257,7 @@ func TestJoinDegenerateInputsAcrossWorkers(t *testing.T) {
 				if err != nil {
 					t.Fatalf("iter %d %s %s workers=%d: %v", iter, shape, name, workers, err)
 				}
-				if err := Verify(r, s, res); err != nil {
+				if err := Verify(Reference(r, s), res); err != nil {
 					t.Fatalf("iter %d %s %s workers=%d: %v", iter, shape, name, workers, err)
 				}
 				if want == nil {

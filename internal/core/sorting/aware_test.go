@@ -44,7 +44,7 @@ func TestCapacitySortCorrectAcrossTopologies(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s/%s: %v", place.name, vname, err)
 					}
-					if err := Verify(tr, data, res); err != nil {
+					if err := Verify(tr, Reference(data), res); err != nil {
 						t.Fatalf("%s/%s: %v", place.name, vname, err)
 					}
 				}
@@ -67,7 +67,7 @@ func TestCapacitySortShrinksWeakRanges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Verify(tr, data, res); err != nil {
+	if err := Verify(tr, Reference(data), res); err != nil {
 		t.Fatal(err)
 	}
 	if res.Strategy != "sort-aware" {
@@ -126,7 +126,7 @@ func TestCapacitySortBeatsFlatOnSkewedUplink(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, res := range map[string]*Result{"aware": aware, "flat": flat} {
-		if err := Verify(tr, data, res); err != nil {
+		if err := Verify(tr, Reference(data), res); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 	}
@@ -143,7 +143,7 @@ func TestCapacitySortEmptyAndTiny(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Verify(tr, empty, res); err != nil {
+	if err := Verify(tr, Reference(empty), res); err != nil {
 		t.Fatal(err)
 	}
 	tiny := dataset.Placement{{5}, nil, {9, 2}}
@@ -151,7 +151,7 @@ func TestCapacitySortEmptyAndTiny(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Verify(tr, tiny, res); err != nil {
+	if err := Verify(tr, Reference(tiny), res); err != nil {
 		t.Fatal(err)
 	}
 }

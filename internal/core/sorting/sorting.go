@@ -70,24 +70,29 @@ func (in *instance) emptyResult(strategy string) *Result {
 	}
 }
 
-// Verify checks that res is a correct sort of the input: res.Order lists
-// every compute node once, every fragment is locally sorted, fragments
-// respect that ordering, and the output is a permutation of the input.
-func Verify(t *topology.Tree, input dataset.Placement, res *Result) error {
-	in, err := newInstance(t, input)
-	if err != nil {
-		return err
+// Reference is what Verify checks a result against: the input in ascending
+// order.
+func Reference(input dataset.Placement) []uint64 {
+	ref, _ := par.SerialSortUint64(input.Flatten(), nil)
+	return ref
+}
+
+// Verify checks that res is a correct sort of the input whose Reference is
+// ref: res.Order lists every compute node once, every fragment is locally
+// sorted, fragments respect that ordering, and the output is a permutation
+// of the input.
+func Verify(t *topology.Tree, ref []uint64, res *Result) error {
+	n := t.NumCompute()
+	if len(res.PerNode) != n {
+		return fmt.Errorf("sorting: output covers %d nodes, want %d", len(res.PerNode), n)
 	}
-	if len(res.PerNode) != len(in.nodes) {
-		return fmt.Errorf("sorting: output covers %d nodes, want %d", len(res.PerNode), len(in.nodes))
-	}
-	if len(res.Order) != len(in.nodes) {
-		return fmt.Errorf("sorting: ordering covers %d nodes, want %d", len(res.Order), len(in.nodes))
+	if len(res.Order) != n {
+		return fmt.Errorf("sorting: ordering covers %d nodes, want %d", len(res.Order), n)
 	}
 	// Sortedness: read along res.Order, the fragments form one ascending
 	// sequence.
-	placed := make([]bool, len(in.nodes))
-	var outLen int64
+	placed := make([]bool, n)
+	outLen := 0
 	last := uint64(0)
 	started := false
 	for _, v := range res.Order {
@@ -113,23 +118,18 @@ func Verify(t *topology.Tree, input dataset.Placement, res *Result) error {
 		}
 		last = frag[len(frag)-1]
 		started = true
-		outLen += int64(len(frag))
+		outLen += len(frag)
 	}
-	if outLen != in.total {
-		return fmt.Errorf("sorting: output has %d elements, want %d", outLen, in.total)
+	if outLen != len(ref) {
+		return fmt.Errorf("sorting: output has %d elements, want %d", outLen, len(ref))
 	}
 	// Multiset equality: that sequence is ascending and res.Order is a
 	// permutation of the nodes, so the output is a permutation of the input
 	// exactly when the sequence equals the sorted input, element by element.
-	all := make([]uint64, 0, in.total)
-	for _, frag := range input {
-		all = append(all, frag...)
-	}
-	all, _ = par.SerialSortUint64(all, nil)
 	pos := 0
 	for _, v := range res.Order {
 		for _, k := range res.PerNode[t.ComputeIndex(v)] {
-			if all[pos] != k {
+			if ref[pos] != k {
 				return fmt.Errorf("sorting: output is not a permutation of the input (mismatch at %d)", pos)
 			}
 			pos++

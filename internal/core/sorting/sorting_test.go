@@ -39,7 +39,7 @@ func TestWTSCorrectStar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Verify(tr, data, res); err != nil {
+	if err := Verify(tr, Reference(data), res); err != nil {
 		t.Fatal(err)
 	}
 	if res.Strategy != "wts" {
@@ -67,7 +67,7 @@ func TestWTSCorrectAcrossTopologies(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := Verify(tr, data, res); err != nil {
+				if err := Verify(tr, Reference(data), res); err != nil {
 					t.Fatalf("n=%d: %v", n, err)
 				}
 			}
@@ -96,7 +96,7 @@ func TestWTSSkewedPlacements(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := Verify(tr, data, res); err != nil {
+			if err := Verify(tr, Reference(data), res); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -115,7 +115,7 @@ func TestWTSMajorityGather(t *testing.T) {
 	if res.Strategy != "gather" {
 		t.Errorf("strategy = %s, want gather for a majority holder", res.Strategy)
 	}
-	if err := Verify(tr, data, res); err != nil {
+	if err := Verify(tr, Reference(data), res); err != nil {
 		t.Fatal(err)
 	}
 	if res.Report.NumRounds() != 1 {
@@ -135,7 +135,7 @@ func TestWTSDuplicateKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Verify(tr, data, res); err != nil {
+	if err := Verify(tr, Reference(data), res); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -147,7 +147,7 @@ func TestWTSEmptyAndTiny(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Verify(tr, empty, res); err != nil {
+	if err := Verify(tr, Reference(empty), res); err != nil {
 		t.Fatal(err)
 	}
 	if res.Report.TotalCost() != 0 {
@@ -159,7 +159,7 @@ func TestWTSEmptyAndTiny(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Verify(tr, one, res); err != nil {
+	if err := Verify(tr, Reference(one), res); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -184,7 +184,7 @@ func TestTeraSortCorrect(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := Verify(tr, data, res); err != nil {
+		if err := Verify(tr, Reference(data), res); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 		if res.Report.NumRounds() != 3 {
@@ -201,7 +201,7 @@ func TestGatherBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Verify(tr, data, res); err != nil {
+	if err := Verify(tr, Reference(data), res); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Gather(tr, data, tr.Root()); err == nil {
@@ -228,7 +228,7 @@ func TestWTSCostEnvelope(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := Verify(tr, data, res); err != nil {
+		if err := Verify(tr, Reference(data), res); err != nil {
 			t.Fatal(err)
 		}
 		loads := make(topology.Loads, tr.NumNodes())
@@ -271,7 +271,7 @@ func TestWTSAdversarialDistribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Verify(tr, data, res); err != nil {
+	if err := Verify(tr, Reference(data), res); err != nil {
 		t.Fatal(err)
 	}
 	// The measured cost must be at least a constant fraction of the lower
@@ -303,7 +303,7 @@ func TestSortQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return Verify(tr, data, res) == nil
+		return Verify(tr, Reference(data), res) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
@@ -316,34 +316,34 @@ func TestVerifyCatchesBadOutput(t *testing.T) {
 	order := tr.LeftToRight()
 
 	bad := &Result{PerNode: [][]uint64{{1, 3}, {5}}, Order: order} // lost 9
-	if err := Verify(tr, data, bad); err == nil {
+	if err := Verify(tr, Reference(data), bad); err == nil {
 		t.Error("expected error for lost element")
 	}
 	bad = &Result{PerNode: [][]uint64{{3, 1}, {5, 9}}, Order: order} // unsorted
-	if err := Verify(tr, data, bad); err == nil {
+	if err := Verify(tr, Reference(data), bad); err == nil {
 		t.Error("expected error for unsorted fragment")
 	}
 	bad = &Result{PerNode: [][]uint64{{5, 9}, {1, 3}}, Order: order} // misordered
-	if err := Verify(tr, data, bad); err == nil {
+	if err := Verify(tr, Reference(data), bad); err == nil {
 		t.Error("expected error for violated global ordering")
 	}
 	bad = &Result{PerNode: [][]uint64{{1, 3}, {5, 7}}, Order: order} // 9 became 7
-	if err := Verify(tr, data, bad); err == nil {
+	if err := Verify(tr, Reference(data), bad); err == nil {
 		t.Error("expected error for a sorted output that is not a permutation of the input")
 	}
 	// Misordered, with an ordering that names the first node twice so the
 	// second one's fragment is never placed.
 	bad = &Result{PerNode: [][]uint64{{9}, {1, 3, 5}}, Order: []topology.NodeID{order[0], order[0]}}
-	if err := Verify(tr, data, bad); err == nil {
+	if err := Verify(tr, Reference(data), bad); err == nil {
 		t.Error("expected error for an ordering that repeats a node")
 	}
 	good := &Result{PerNode: [][]uint64{{1, 3}, {5, 9}}, Order: order}
-	if err := Verify(tr, data, good); err != nil {
+	if err := Verify(tr, Reference(data), good); err != nil {
 		t.Errorf("good output rejected: %v", err)
 	}
 	// Any ordering is admissible as long as the fragments follow it.
 	good = &Result{PerNode: [][]uint64{{5, 9}, {1, 3}}, Order: []topology.NodeID{order[1], order[0]}}
-	if err := Verify(tr, data, good); err != nil {
+	if err := Verify(tr, Reference(data), good); err != nil {
 		t.Errorf("good output along the reversed ordering rejected: %v", err)
 	}
 }

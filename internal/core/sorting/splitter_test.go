@@ -103,7 +103,7 @@ func TestWTSLoadBalance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Verify(tr, data, res); err != nil {
+	if err := Verify(tr, Reference(data), res); err != nil {
 		t.Fatal(err)
 	}
 	for i, frag := range res.PerNode {

@@ -115,8 +115,9 @@ func runX8(cfg Config) ([]Table, error) {
 		if err != nil {
 			return nil, err
 		}
+		ref := aggregate.Reference(apl)
 		for variant, res := range map[string]*aggregate.Result{"aware": aware, "flat": flat} {
-			if err := aggregate.Verify(apl, res); err != nil {
+			if err := aggregate.Verify(ref, res); err != nil {
 				return nil, fmt.Errorf("X8 %s on %s: %w", variant, gf.name, err)
 			}
 		}

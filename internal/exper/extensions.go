@@ -59,6 +59,7 @@ func runX1(cfg Config) ([]Table, error) {
 		}
 	}
 	lb := aggregate.LowerBound(tree, data)
+	ref := aggregate.Reference(data)
 
 	table := Table{
 		Title:   "X1: aggregation strategies on rack-local groups, weak uplinks",
@@ -77,7 +78,7 @@ func runX1(cfg Config) ([]Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := aggregate.Verify(data, res); err != nil {
+		if err := aggregate.Verify(ref, res); err != nil {
 			return nil, fmt.Errorf("X1 %s: %w", c.name, err)
 		}
 		table.AddRow(c.name, res.Report.NumRounds(), res.Report.TotalCost(), lb,
@@ -117,14 +118,15 @@ func runX2(cfg Config) ([]Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := join.Verify(r, s, aware); err != nil {
+	ref := join.Reference(r, s)
+	if err := join.Verify(ref, aware); err != nil {
 		return nil, fmt.Errorf("X2 aware: %w", err)
 	}
 	oblivious, err := join.UniformHash(tree, r, s, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	if err := join.Verify(r, s, oblivious); err != nil {
+	if err := join.Verify(ref, oblivious); err != nil {
 		return nil, fmt.Errorf("X2 oblivious: %w", err)
 	}
 	table.AddRow("topology-aware (blocks)", aware.Report.NumRounds(), aware.TotalPairs(), aware.Report.TotalCost())

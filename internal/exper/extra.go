@@ -84,7 +84,7 @@ func runE9(cfg Config) ([]Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := cartesian.Verify(star, pr, ps, res); err != nil {
+		if err := cartesian.Verify(pr, ps, res); err != nil {
 			return nil, fmt.Errorf("E9 |R|=%d: %w", sizeR, err)
 		}
 		lb := lowerbound.UnequalCartesianCut(star, loadsOf(star, pr, ps), int64(sizeR))

@@ -317,7 +317,7 @@ func runE8(cfg Config) ([]Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := sorting.Verify(tree, c.data, res); err != nil {
+		if err := sorting.Verify(tree, sorting.Reference(c.data), res); err != nil {
 			return nil, fmt.Errorf("E8 %s: %w", c.name, err)
 		}
 		lb := lowerbound.Sorting(tree, loadsOf(tree, c.data))

@@ -124,8 +124,9 @@ func runX7(cfg Config) ([]Table, error) {
 		if err != nil {
 			return nil, err
 		}
+		ref := aggregate.Reference(apl)
 		for variant, res := range map[string]*aggregate.Result{"multi": multi, "single": single, "flat": flat} {
-			if err := aggregate.Verify(apl, res); err != nil {
+			if err := aggregate.Verify(ref, res); err != nil {
 				return nil, fmt.Errorf("X7 %s on %s: %w", variant, tr.name, err)
 			}
 		}

@@ -104,8 +104,9 @@ func runX6(cfg Config) ([]Table, error) {
 			if err != nil {
 				return nil, err
 			}
+			sorted := sorting.Reference(data)
 			for variant, res := range map[string]*sorting.Result{"aware": aware, "flat": flat} {
-				if err := sorting.Verify(tr.tree, data, res); err != nil {
+				if err := sorting.Verify(tr.tree, sorted, res); err != nil {
 					return nil, fmt.Errorf("X6a %s on %s/%s: %w", variant, tr.name, pl.name, err)
 				}
 			}
@@ -141,8 +142,9 @@ func runX6(cfg Config) ([]Table, error) {
 			if err != nil {
 				return nil, err
 			}
+			totals := aggregate.Reference(apl)
 			for variant, res := range map[string]*aggregate.Result{"aware": aaware, "flat": aflat} {
-				if err := aggregate.Verify(apl, res); err != nil {
+				if err := aggregate.Verify(totals, res); err != nil {
 					return nil, fmt.Errorf("X6b %s on %s/%s: %w", variant, tr.name, pl.name, err)
 				}
 			}

@@ -79,7 +79,7 @@ func runE1(cfg Config) ([]Table, error) {
 				if err != nil {
 					return nil, err
 				}
-				if err := intersect.Verify(pr, ps, res); err != nil {
+				if err := intersect.Verify(intersect.Reference(pr, ps), res); err != nil {
 					return nil, fmt.Errorf("E1 %s/%s: %w", nt.name, np.name, err)
 				}
 				lb := lowerbound.Intersection(nt.tree, loadsOf(nt.tree, pr, ps), int64(sizeR), int64(sizeS))
@@ -193,7 +193,7 @@ func runE2(cfg Config) ([]Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			if err := cartesian.Verify(nt.tree, pr, ps, res); err != nil {
+			if err := cartesian.Verify(pr, ps, res); err != nil {
 				return nil, fmt.Errorf("E2 %s/%s: %w", nt.name, np.name, err)
 			}
 			lb := lowerbound.Cartesian(nt.tree, loadsOf(nt.tree, pr, ps))
@@ -259,7 +259,7 @@ func runE3(cfg Config) ([]Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			if err := sorting.Verify(nt.tree, data, res); err != nil {
+			if err := sorting.Verify(nt.tree, sorting.Reference(data), res); err != nil {
 				return nil, fmt.Errorf("E3 %s/%s: %w", nt.name, np.name, err)
 			}
 			lb := lowerbound.Sorting(nt.tree, loadsOf(nt.tree, data))

@@ -13,6 +13,10 @@
 // result bit-identical across worker counts; the graph determinism grid
 // pins that invariant end to end.
 //
+// Beside is the one fork outside the pool: it runs a task pipeline's host
+// work that depends on the input alone (the reference output, the lower
+// bound) on one extra goroutine while the protocol drives the pool.
+//
 // Instrumentation is opt-in via Instrument: each shard runs inside a span
 // on its worker's trace lane, and every fork records the shard count and
 // the max/mean shard-duration imbalance in the par.* metrics.
@@ -46,14 +50,49 @@ type Pool struct {
 
 // New returns a pool that forks at most workers shards per call;
 // workers <= 0 means GOMAXPROCS.
-func New(workers int) *Pool {
+func New(workers int) *Pool { return &Pool{workers: resolve(workers)} }
+
+// resolve turns a worker budget into a goroutine count: workers <= 0 means
+// GOMAXPROCS.
+func resolve(workers int) int {
 	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+		return runtime.GOMAXPROCS(0)
 	}
-	if workers < 1 {
-		workers = 1
+	return workers
+}
+
+// Beside runs run on the calling goroutine and returns what it returns,
+// with side run next to it: host work that reads only what run reads, writes
+// none of it, and leaves its results in variables the caller reads after
+// Beside returns — a task pipeline's reference output and lower bound, which
+// are functions of the input alone. When the budget resolves to more than
+// one worker (the rule ExecuteAsync applies to a round's remainder), side
+// runs on one second goroutine while run executes; with one worker it runs
+// on the caller's goroutine after run, and not at all when run fails. Either
+// way side has finished when Beside returns or panics, and a panic in side is
+// re-raised, with its value, on the calling goroutine.
+func Beside[R any](workers int, run func() (R, error), side func()) (R, error) {
+	if resolve(workers) == 1 {
+		res, err := run()
+		if err == nil {
+			side()
+		}
+		return res, err
 	}
-	return &Pool{workers: workers}
+	var panicked any
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		defer func() { panicked = recover() }()
+		side()
+	}()
+	defer func() {
+		<-done
+		if panicked != nil {
+			panic(panicked)
+		}
+	}()
+	return run()
 }
 
 // Workers reports the pool's goroutine budget.

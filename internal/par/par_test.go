@@ -2,7 +2,9 @@ package par
 
 import (
 	"cmp"
+	"errors"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -378,5 +380,104 @@ func TestLayoutAndFirstSeen(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestBesideOverlapsAndJoins: with more than one worker side runs while run
+// does — run here cannot finish until side has started — and Beside returns
+// only after side has finished, also when run fails: side is held back until
+// run has returned its error, and what it writes after that must be visible,
+// without a race, to the caller.
+func TestBesideOverlapsAndJoins(t *testing.T) {
+	for _, workers := range []int{2, 8} {
+		started := make(chan struct{})
+		got, err := Beside(workers, func() (int, error) {
+			<-started
+			return 7, nil
+		}, func() { close(started) })
+		if got != 7 || err != nil {
+			t.Fatalf("workers=%d: Beside = %d, %v", workers, got, err)
+		}
+
+		failed := errors.New("protocol failed")
+		returned := make(chan struct{})
+		finished := false
+		_, err = Beside(workers, func() (int, error) {
+			defer close(returned)
+			return 0, failed
+		}, func() {
+			<-returned
+			for i := 0; i < 100; i++ {
+				runtime.Gosched()
+			}
+			finished = true
+		})
+		if err != failed {
+			t.Fatalf("workers=%d: err = %v, want run's", workers, err)
+		}
+		if !finished {
+			t.Fatalf("workers=%d: Beside returned run's error before side had finished", workers)
+		}
+	}
+}
+
+// TestBesideOneWorkerRunsInTurn: with one worker everything happens on the
+// caller's goroutine, run first, and a failed run skips side.
+func TestBesideOneWorkerRunsInTurn(t *testing.T) {
+	var order []string
+	if _, err := Beside(1, func() (int, error) {
+		order = append(order, "run")
+		return 0, nil
+	}, func() { order = append(order, "side") }); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(order, []string{"run", "side"}) {
+		t.Fatalf("order = %v, want run then side", order)
+	}
+	failed := errors.New("protocol failed")
+	if _, err := Beside(1, func() (int, error) { return 0, failed }, func() { t.Error("side ran after a failed run") }); err != failed {
+		t.Fatalf("err = %v, want run's", err)
+	}
+}
+
+// TestBesidePanics: a panic in side reaches a recover on the caller's
+// goroutine with its value, at every worker count and whether run succeeds or
+// fails, and a panic in run waits for side before it propagates.
+func TestBesidePanics(t *testing.T) {
+	caught := func(f func()) (v any) {
+		defer func() { v = recover() }()
+		f()
+		return nil
+	}
+	for _, workers := range []int{1, 2} {
+		for _, runErr := range []error{nil, errors.New("protocol failed")} {
+			if workers == 1 && runErr != nil {
+				continue // side is skipped
+			}
+			ran := false
+			v := caught(func() {
+				Beside(workers, func() (int, error) {
+					ran = true
+					return 0, runErr
+				}, func() { panic("reference blew up") })
+			})
+			if v != "reference blew up" || !ran {
+				t.Errorf("workers=%d runErr=%v: recovered %v, run ran: %v", workers, runErr, v, ran)
+			}
+		}
+	}
+	returned := make(chan struct{})
+	finished := false
+	v := caught(func() {
+		Beside(2, func() (int, error) {
+			defer close(returned)
+			panic("engine misuse")
+		}, func() {
+			<-returned
+			finished = true
+		})
+	})
+	if v != "engine misuse" || !finished {
+		t.Errorf("recovered %v, side finished before the panic propagated: %v", v, finished)
 	}
 }

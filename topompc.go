@@ -33,7 +33,12 @@
 //   - connectivity: component count and labeling checksum of a union-find
 //     reference, and for a spanning forest that it spans it without cycles.
 //
-// A failed check is an error, never a result.
+// A failed check is an error, never a result. The reference and the lower
+// bound are functions of the input alone and the model charges communication
+// only, so with more than one worker (ExecOptions.Workers) a pipeline
+// computes both on one extra goroutine while the protocol executes — the way
+// the engine hands the serial remainder of a round to one — and compares once
+// both are done; with one worker it runs, verifies and bounds in turn.
 //
 //	cluster, _ := topompc.TwoTierCluster([]int{4, 4}, []float64{10, 1}, 25)
 //	res, _ := cluster.Intersect(rFragments, sFragments, seed)
@@ -51,6 +56,7 @@ import (
 	"topompc/internal/lowerbound"
 	"topompc/internal/netsim"
 	"topompc/internal/obs"
+	"topompc/internal/par"
 	"topompc/internal/topology"
 )
 
@@ -64,7 +70,10 @@ type Cluster struct {
 // runtime. The zero value is the default configuration.
 type ExecOptions struct {
 	// Workers bounds the goroutines used for per-node planning and sharded
-	// round accounting; 0 means one per available CPU.
+	// round accounting; 0 means one per available CPU. With more than one, a
+	// task also verifies beside its run: one extra goroutine computes the
+	// reference output and the lower bound from the input while the protocol
+	// executes. Every result is the same at every worker count.
 	Workers int
 	// BitsPerElement, when positive, additionally reports round costs in
 	// bits (Cost.Bits = Cost.Cost × BitsPerElement) — the paper's log N
@@ -303,6 +312,36 @@ func (c *Cluster) costOf(rep *netsim.Report, lb float64) Cost {
 	return cost
 }
 
+// verified is the middle of every family's pipeline: it runs the protocol,
+// computes what the output is expected to be — the reference to verify against
+// and the lower bound, both functions of the input alone — and returns the
+// result only if verify accepts it against that reference. With more than one
+// worker the expectation is computed beside the run (par.Beside), so expect
+// must not write to the fragments the protocol reads, and it must be total on
+// every input that reaches it: it may start before run has rejected anything,
+// so a pipeline makes every check expect relies on before calling verified.
+func verified[Res, Ref any](
+	c *Cluster,
+	run func(opts ...netsim.Option) (*Res, error),
+	expect func() (Ref, float64),
+	verify func(Ref, *Res) error,
+) (*Res, float64, error) {
+	var (
+		ref Ref
+		lb  float64
+	)
+	res, err := par.Beside(c.exec.Workers, func() (*Res, error) {
+		return run(c.exec.netsimOpts()...)
+	}, func() { ref, lb = expect() })
+	if err == nil {
+		err = verify(ref, res)
+	}
+	if err != nil {
+		return nil, 0, err
+	}
+	return res, lb, nil
+}
+
 // IntersectResult is the outcome of a distributed set intersection.
 type IntersectResult struct {
 	// Keys is the deduplicated sorted intersection R ∩ S.
@@ -339,18 +378,18 @@ func (c *Cluster) intersectWith(r, s [][]uint64, seed uint64, run intersectProto
 	if err := c.checkPair(len(r), len(s)); err != nil {
 		return nil, err
 	}
-	res, err := run(c.t, r, s, seed, c.exec.netsimOpts()...)
+	res, lb, err := verified(c, func(opts ...netsim.Option) (*intersect.Result, error) {
+		return run(c.t, r, s, seed, opts...)
+	}, func() ([]uint64, float64) {
+		return intersect.Reference(r, s), lowerbound.Intersection(c.t, c.loads(r, s), sizes(r), sizes(s)).Value
+	}, intersect.Verify)
 	if err != nil {
 		return nil, err
 	}
-	if err := intersect.Verify(r, s, res); err != nil {
-		return nil, err
-	}
-	lb := lowerbound.Intersection(c.t, c.loads(r, s), sizes(r), sizes(s))
 	return &IntersectResult{
 		Keys:    res.Output,
 		PerNode: res.PerNode,
-		Cost:    c.costOf(res.Report, lb.Value),
+		Cost:    c.costOf(res.Report, lb),
 		Report:  res.Report,
 	}, nil
 }
@@ -422,12 +461,14 @@ func (c *Cluster) cartesianCase(loads topology.Loads, sizeR, sizeS int64) (carte
 // CartesianProduct has checked the fragments and picked the case: the
 // result is verified geometrically — the rectangles cover the grid and
 // every node received exactly the rows and columns its rectangle spans.
+// The check reads the result throughout and the bound is already there, so
+// this pipeline has nothing to compute beside the run and does not fork.
 func (c *Cluster) cartesianWith(r, s [][]uint64, run cartesianProtocol, lb float64) (*CartesianResult, error) {
 	res, err := run(c.t, r, s, c.exec.netsimOpts()...)
 	if err != nil {
 		return nil, err
 	}
-	if err := cartesian.Verify(c.t, r, s, res); err != nil {
+	if err := cartesian.Verify(r, s, res); err != nil {
 		return nil, err
 	}
 	pairs := make([]int64, len(res.Rects))
@@ -524,14 +565,14 @@ func (c *Cluster) sortWith(data [][]uint64, seed uint64, run sortProtocol) (*Sor
 	if err := c.checkFragments("data", len(data)); err != nil {
 		return nil, err
 	}
-	res, err := run(c.t, data, seed, c.exec.netsimOpts()...)
+	res, lb, err := verified(c, func(opts ...netsim.Option) (*sorting.Result, error) {
+		return run(c.t, data, seed, opts...)
+	}, func() ([]uint64, float64) {
+		return sorting.Reference(data), lowerbound.Sorting(c.t, c.loads(data)).Value
+	}, func(ref []uint64, res *sorting.Result) error { return sorting.Verify(c.t, ref, res) })
 	if err != nil {
 		return nil, err
 	}
-	if err := sorting.Verify(c.t, data, res); err != nil {
-		return nil, err
-	}
-	lb := lowerbound.Sorting(c.t, c.loads(data))
 	idx := c.fragmentIndex()
 	order := make([]int, 0, len(res.Order))
 	for _, v := range res.Order {
@@ -540,7 +581,7 @@ func (c *Cluster) sortWith(data [][]uint64, seed uint64, run sortProtocol) (*Sor
 	return &SortResult{
 		PerNode:   res.PerNode,
 		NodeOrder: order,
-		Cost:      c.costOf(res.Report, lb.Value),
+		Cost:      c.costOf(res.Report, lb),
 		Report:    res.Report,
 	}, nil
 }
@@ -632,8 +673,11 @@ type multijoinIndex interface {
 }
 
 // multijoinShape is what tells the two query shapes apart to the pipeline:
-// how to run a protocol over the relations and how to index them.
+// how to run a protocol over the relations and how to index them. arity,
+// when set, is the one relation count run and index take; the pipeline
+// checks it first, since index may start before run has.
 type multijoinShape struct {
+	arity int
 	run   starProtocol
 	index func(rels []multijoin.Placement) multijoinIndex
 }
@@ -647,10 +691,8 @@ func starShape(run starProtocol) multijoinShape {
 
 func triangleShape(run triangleProtocol) multijoinShape {
 	return multijoinShape{
+		arity: 3,
 		run: func(t *topology.Tree, rels []multijoin.Placement, seed uint64, opts ...netsim.Option) (*multijoin.Result, error) {
-			if len(rels) != 3 {
-				return nil, fmt.Errorf("triangle: needs exactly 3 relations, got %d", len(rels))
-			}
 			return run(t, rels[0], rels[1], rels[2], seed, opts...)
 		},
 		index: func(rels []multijoin.Placement) multijoinIndex {
@@ -664,6 +706,9 @@ func triangleShape(run triangleProtocol) multijoinShape {
 // evaluation (multijoin.Verify), and the same index supplies the cut
 // counts of the tuple-transfer bound.
 func (c *Cluster) multijoinWith(rels [][][]Tuple2, seed uint64, shape multijoinShape) (*MultijoinResult, error) {
+	if shape.arity != 0 && len(rels) != shape.arity {
+		return nil, fmt.Errorf("multijoin: needs exactly %d relations, got %d", shape.arity, len(rels))
+	}
 	ps := make([]multijoin.Placement, len(rels))
 	for j, rel := range rels {
 		if err := c.checkFragments(fmt.Sprintf("relation %d", j+1), len(rel)); err != nil {
@@ -671,22 +716,22 @@ func (c *Cluster) multijoinWith(rels [][][]Tuple2, seed uint64, shape multijoinS
 		}
 		ps[j] = rel
 	}
-	res, err := shape.run(c.t, ps, seed, c.exec.netsimOpts()...)
+	res, lb, err := verified(c, func(opts ...netsim.Option) (*multijoin.Result, error) {
+		return shape.run(c.t, ps, seed, opts...)
+	}, func() (multijoin.RefStats, float64) {
+		ix := shape.index(ps)
+		ref := ix.Reference()
+		return ref, lowerbound.Multijoin(c.t, ref.Count, ref.MaxDeg, ix.CutCounts(c.t)).Value
+	}, multijoin.Verify)
 	if err != nil {
 		return nil, err
 	}
-	ix := shape.index(ps)
-	ref := ix.Reference()
-	if err := multijoin.Verify(ref, res); err != nil {
-		return nil, err
-	}
-	lb := lowerbound.Multijoin(c.t, ref.Count, ref.MaxDeg, ix.CutCounts(c.t))
 	return &MultijoinResult{
-		Outputs:      ref.Count,
+		Outputs:      res.TotalOutputs(),
 		PerNode:      res.PerNode,
 		Shares:       res.Shares,
 		CellsPerNode: res.CellsPerNode,
-		Cost:         c.costOf(res.Report, lb.Value),
+		Cost:         c.costOf(res.Report, lb),
 		Report:       res.Report,
 	}, nil
 }

@@ -168,18 +168,24 @@ func TestTypedMethodMatchesTask(t *testing.T) {
 
 // TestTypedCallsLeaveInputsUntouched: the record types are aliases of the
 // protocol packages' own, so the caller's fragments are handed to the
-// protocols as they are, not copied. No typed method may write to them.
+// protocols as they are, not copied, and with more than one worker the
+// pipeline reads them for the reference and the bound while the protocol
+// runs. No row's protocol may write to them, at one worker or at four (where
+// the race detector sees a write the comparison would miss).
 func TestTypedCallsLeaveInputsUntouched(t *testing.T) {
 	for _, spec := range topompc.Tasks() {
 		t.Run(spec.Name, func(t *testing.T) {
 			c := fixtureCluster(t, typedTopo)
 			ti := decodeTyped(fixtureInput(t, spec, c, typedTopo, "zipf", 2000))
 			before := decodeTyped(fixtureInput(t, spec, c, typedTopo, "zipf", 2000))
-			if _, err := typedCalls[spec.Name](c, ti); err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(ti, before) {
-				t.Error("the call modified its input fragments")
+			for _, workers := range []int{1, 4} {
+				c.SetExecOptions(topompc.ExecOptions{Workers: workers})
+				if _, err := typedCalls[spec.Name](c, ti); err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(ti, before) {
+					t.Fatalf("workers=%d: the call modified its input fragments", workers)
+				}
 			}
 		})
 	}
