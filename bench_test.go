@@ -1,9 +1,10 @@
-// Benchmarks regenerating every table and figure of the paper (see
-// DESIGN.md's per-experiment index). Each BenchmarkE*/BenchmarkA* runs the
-// corresponding experiment's workload and reports the model-cost metrics
-// (cost/LB ratio) alongside wall-clock time; `go test -bench=. -benchmem`
-// regenerates the full set, and cmd/topobench renders the same numbers as
-// tables.
+// Protocol and substrate micro-benchmarks: each BenchmarkProtocol* times one
+// protocol on a fixed topology and reports its model-cost metric (cost/LB
+// ratio) alongside wall-clock time, each BenchmarkSubstrate* one building
+// block. The paper's tables and figures are benchmarked where they are
+// generated: BenchmarkExperiments in internal/exper runs every experiment of
+// EXPERIMENTS.md as a sub-benchmark, and cmd/topobench renders the same
+// numbers as tables.
 package topompc
 
 import (
@@ -16,67 +17,10 @@ import (
 	"topompc/internal/core/place"
 	"topompc/internal/core/sorting"
 	"topompc/internal/dataset"
-	"topompc/internal/exper"
 	"topompc/internal/lowerbound"
 	"topompc/internal/netsim"
 	"topompc/internal/topology"
 )
-
-// benchExperiment runs a registered experiment once per iteration; the
-// experiment's own verification runs inside.
-func benchExperiment(b *testing.B, id string) {
-	e, ok := exper.ByID(id)
-	if !ok {
-		b.Fatalf("experiment %s not registered", id)
-	}
-	cfg := exper.Config{Seed: 42, Quick: true}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.Run(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// Table 1, row 1.
-func BenchmarkE1SetIntersection(b *testing.B) { benchExperiment(b, "E1") }
-
-// Table 1, row 2.
-func BenchmarkE2CartesianProduct(b *testing.B) { benchExperiment(b, "E2") }
-
-// Table 1, row 3.
-func BenchmarkE3Sorting(b *testing.B) { benchExperiment(b, "E3") }
-
-// Figure 1.
-func BenchmarkE4Figure1Topologies(b *testing.B) { benchExperiment(b, "E4") }
-
-// Figure 2 / Algorithm 3.
-func BenchmarkE5BalancedPartition(b *testing.B) { benchExperiment(b, "E5") }
-
-// Figure 3 / Lemma 4.
-func BenchmarkE6DirectedOrientation(b *testing.B) { benchExperiment(b, "E6") }
-
-// Figure 4 / Lemma 5.
-func BenchmarkE7SquarePacking(b *testing.B) { benchExperiment(b, "E7") }
-
-// Figure 5 / Theorem 6.
-func BenchmarkE8AdversarialSort(b *testing.B) { benchExperiment(b, "E8") }
-
-// Appendix A.1.
-func BenchmarkE9UnequalCartesian(b *testing.B) { benchExperiment(b, "E9") }
-
-// §1 motivation.
-func BenchmarkE10Baselines(b *testing.B) { benchExperiment(b, "E10") }
-
-// Ablations.
-func BenchmarkA1WeightedHashing(b *testing.B)     { benchExperiment(b, "A1") }
-func BenchmarkA2BalancedPartition(b *testing.B)   { benchExperiment(b, "A2") }
-func BenchmarkA3ProportionalRouting(b *testing.B) { benchExperiment(b, "A3") }
-func BenchmarkA4Pow2Rounding(b *testing.B)        { benchExperiment(b, "A4") }
-
-// Extensions (beyond the paper).
-func BenchmarkX1Aggregation(b *testing.B) { benchExperiment(b, "X1") }
-func BenchmarkX2EquiJoin(b *testing.B)    { benchExperiment(b, "X2") }
 
 // --- Protocol micro-benchmarks with cost/LB metrics -----------------------
 

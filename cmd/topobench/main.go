@@ -1,6 +1,7 @@
 // Command topobench regenerates the paper's tables and figures as markdown
-// or aligned-text tables (the per-experiment index lives in DESIGN.md; the
-// recorded results live in EXPERIMENTS.md). It can also time any task from
+// or aligned-text tables (-list prints the per-experiment index; the run at
+// -seed 42 -format md is recorded in EXPERIMENTS.md, and a test and CI diff
+// against it). It can also time any task from
 // the protocol registry on a chosen topology (-task); with -json the
 // timing results are additionally written to BENCH_<task>.json for
 // machine consumption (CI uploads these as artifacts). -all times every

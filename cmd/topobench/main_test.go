@@ -1,7 +1,9 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -148,4 +150,42 @@ func TestAllWritesCombinedJSON(t *testing.T) {
 	if len(strays) != 1 {
 		t.Errorf("expected only BENCH_all.json, found %v", strays)
 	}
+}
+
+var update = flag.Bool("update", false, "rewrite EXPERIMENTS.md with the current experiment output")
+
+// TestExperimentsMatchRecorded pins the reproduction: `topobench -run all
+// -seed 42 -format md`, every protocol run verified and held to its table's
+// claim along the way, must print EXPERIMENTS.md byte for byte. A protocol,
+// bound or table change shows up as a reviewed diff of the paper's tables;
+// after an intended one, regenerate with
+//
+//	go test ./cmd/topobench -run TestExperimentsMatchRecorded -update
+func TestExperimentsMatchRecorded(t *testing.T) {
+	const recorded = "../../EXPERIMENTS.md"
+	var out, errOut bytes.Buffer
+	if code := run([]string{"-run", "all", "-seed", "42", "-format", "md"}, &out, &errOut); code != 0 {
+		t.Fatalf("exit code %d, stderr: %s", code, errOut.String())
+	}
+	if *update {
+		if err := os.WriteFile(recorded, out.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(recorded)
+	if err != nil {
+		t.Fatalf("reading the recorded run (rerun with -update to create it): %v", err)
+	}
+	got := out.Bytes()
+	if bytes.Equal(got, want) {
+		return
+	}
+	gotLines, wantLines := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gotLines) && i < len(wantLines); i++ {
+		if gotLines[i] != wantLines[i] {
+			t.Fatalf("EXPERIMENTS.md line %d differs (rerun with -update after an intended change):\n got: %s\nwant: %s", i+1, gotLines[i], wantLines[i])
+		}
+	}
+	t.Fatalf("output has %d lines, EXPERIMENTS.md %d (rerun with -update after an intended change)", len(gotLines), len(wantLines))
 }

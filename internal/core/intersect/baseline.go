@@ -13,7 +13,7 @@ import (
 // compute nodes, ignoring both the topology and the data distribution.
 // Optimal in the MPC model under uniform initial distribution, it can be
 // far from optimal on heterogeneous trees — the comparison is experiment
-// E10 of DESIGN.md.
+// E10 (internal/exper, recorded in EXPERIMENTS.md).
 func UniformHash(t *topology.Tree, r, s dataset.Placement, seed uint64, opts ...netsim.Option) (*Result, error) {
 	in, err := newInstance(t, r, s)
 	if err != nil {

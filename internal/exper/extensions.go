@@ -1,12 +1,8 @@
 package exper
 
 import (
-	"fmt"
-	"math/rand"
-
+	"topompc"
 	"topompc/internal/core/aggregate"
-	"topompc/internal/core/join"
-	"topompc/internal/netsim"
 	"topompc/internal/topology"
 )
 
@@ -14,39 +10,20 @@ import (
 // machinery (the conclusion's proposed next steps). These are clearly
 // labeled X* and make no claims on behalf of the paper.
 
-func init() {
-	register(Experiment{
-		ID:    "X1",
-		Title: "Extension: topology-aware group-by aggregation",
-		Paper: "beyond the paper (conclusion / related work [37])",
-		Run:   runX1,
-	})
-	register(Experiment{
-		ID:    "X2",
-		Title: "Extension: binary equi-join with multiplicities",
-		Paper: "beyond the paper (conclusion: 'a simple join between two relations')",
-		Run:   runX2,
-	})
-}
+// gatherTask ships every partial aggregate to the node holding the most.
+var gatherTask = task{name: "gather", run: func(t *topology.Tree, in input, _ uint64) (any, error) {
+	return aggregate.Gather(t, in.records, topology.NoNode)
+}}
 
 func runX1(cfg Config) ([]Table, error) {
-	tree, err := topology.TwoTier([]int{4, 4}, []float64{1, 1}, 100)
-	if err != nil {
-		return nil, err
-	}
-	p := tree.NumCompute()
-	rng := rand.New(rand.NewSource(int64(cfg.Seed)))
-
-	pairsPerNode := 400
-	rackGroups := 100
-	if cfg.Quick {
-		pairsPerNode, rackGroups = 100, 30
-	}
+	tree := must(topology.TwoTier([]int{4, 4}, []float64{1, 1}, 100))
+	rng := seeded(cfg.Seed)
+	pairsPerNode, rackGroups := cfg.pick(400, 100), cfg.pick(100, 30)
 
 	// Rack-local group structure: every node contributes to every group of
 	// its rack, plus a sprinkle of global groups.
-	data := make(aggregate.Placement, p)
-	for i := 0; i < p; i++ {
+	data := make(aggregate.Placement, tree.NumCompute())
+	for i := range data {
 		rack := i / 4
 		for j := 0; j < pairsPerNode; j++ {
 			var g uint64
@@ -58,84 +35,48 @@ func runX1(cfg Config) ([]Table, error) {
 			data[i] = append(data[i], aggregate.Pair{Group: g, Value: int64(rng.Intn(50))})
 		}
 	}
-	lb := aggregate.LowerBound(tree, data)
-	ref := aggregate.Reference(data)
 
-	table := Table{
-		Title:   "X1: aggregation strategies on rack-local groups, weak uplinks",
-		Note:    "CLB = exact spanning-groups bound (each partial costs 2 wire elements, so ratio 2 is the floor for cross-rack groups).",
-		Headers: []string{"strategy", "rounds", "cost", "CLB", "ratio"},
+	table := newTable("X1: aggregation strategies on rack-local groups, weak uplinks",
+		"CLB = exact spanning-groups bound (each partial costs 2 wire elements, so ratio 2 is the floor for cross-rack groups).",
+		"strategy", "rounds", "cost", "CLB", "ratio")
+	ms := table.each("rack-local groups", tree, cfg.Seed, ready(input{records: data}),
+		aggregateBaseline, aggregateTask, gatherTask)
+	for i, name := range []string{"hash (1 round)", "two-level (rack combine)", "gather"} {
+		table.AddRow(name, ms[i].Rounds, ms[i].Cost, ms[i].Bound, ms[i].Ratio())
 	}
-	for _, c := range []struct {
-		name string
-		run  func() (*aggregate.Result, error)
-	}{
-		{"hash (1 round)", func() (*aggregate.Result, error) { return aggregate.Hash(tree, data, cfg.Seed) }},
-		{"two-level (rack combine)", func() (*aggregate.Result, error) { return aggregate.TwoLevel(tree, data, cfg.Seed) }},
-		{"gather", func() (*aggregate.Result, error) { return aggregate.Gather(tree, data, topology.NoNode) }},
-	} {
-		res, err := c.run()
-		if err != nil {
-			return nil, err
-		}
-		if err := aggregate.Verify(ref, res); err != nil {
-			return nil, fmt.Errorf("X1 %s: %w", c.name, err)
-		}
-		table.AddRow(c.name, res.Report.NumRounds(), res.Report.TotalCost(), lb,
-			netsim.Ratio(res.Report.TotalCost(), lb))
-	}
-	return []Table{table}, nil
+	return finish(table)
 }
 
 func runX2(cfg Config) ([]Table, error) {
-	tree, err := topology.TwoTier([]int{4, 4}, []float64{16, 1}, 16)
-	if err != nil {
-		return nil, err
-	}
+	tree := topo("two-tier 16:1")
 	p := tree.NumCompute()
-	rng := rand.New(rand.NewSource(int64(cfg.Seed)))
-
-	nR, nS, keys := 600, 6000, 300
-	if cfg.Quick {
-		nR, nS, keys = 150, 1500, 80
-	}
-	r := make(join.Placement, p)
-	s := make(join.Placement, p)
+	rng := seeded(cfg.Seed)
+	nR, keys := cfg.pick(600, 150), cfg.pick(300, 80)
+	tuple := func() topompc.Row { return topompc.Row{Key: uint64(rng.Intn(keys)), Payload: rng.Uint64()} }
+	r := make([][]topompc.Row, p)
+	s := make([][]topompc.Row, p)
 	for i := 0; i < nR; i++ {
-		r[rng.Intn(p)] = append(r[rng.Intn(p)], join.Tuple{Key: uint64(rng.Intn(keys)), Payload: rng.Uint64()})
+		// Two draws per tuple: the fragment at the first becomes the fragment
+		// at the second plus the tuple. The recorded tables were made on this
+		// R, whose fragments repeat one another and do not add up to nR.
+		to, from := rng.Intn(p), rng.Intn(p)
+		r[to] = append(r[from], tuple())
 	}
-	for i := 0; i < nS; i++ {
+	for i := 0; i < 10*nR; i++ {
 		n := rng.Intn(4) // S concentrated in the fast rack
-		s[n] = append(s[n], join.Tuple{Key: uint64(rng.Intn(keys)), Payload: rng.Uint64()})
+		s[n] = append(s[n], tuple())
 	}
 
-	table := Table{
-		Title:   "X2: equi-join, S concentrated in the fast rack (16:1 uplinks)",
-		Note:    "Output sizes verified against the reference join; costs in wire elements (2 per tuple).",
-		Headers: []string{"plan", "rounds", "pairs", "cost"},
-	}
-	aware, err := join.Tree(tree, r, s, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	ref := join.Reference(r, s)
-	if err := join.Verify(ref, aware); err != nil {
-		return nil, fmt.Errorf("X2 aware: %w", err)
-	}
-	oblivious, err := join.UniformHash(tree, r, s, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	if err := join.Verify(ref, oblivious); err != nil {
-		return nil, fmt.Errorf("X2 oblivious: %w", err)
-	}
-	table.AddRow("topology-aware (blocks)", aware.Report.NumRounds(), aware.TotalPairs(), aware.Report.TotalCost())
-	table.AddRow("uniform hash (MPC)", oblivious.Report.NumRounds(), oblivious.TotalPairs(), oblivious.Report.TotalCost())
+	table := newTable("X2: equi-join, S concentrated in the fast rack (16:1 uplinks)",
+		"Output sizes verified against the reference join; costs in wire elements (2 per tuple).",
+		"plan", "rounds", "pairs", "cost")
+	ms := table.each("S in the fast rack", tree, cfg.Seed, ready(input{rows: [2][][]topompc.Row{r, s}}),
+		joinTask, joinBaseline)
+	aware, oblivious := ms[0], ms[1]
+	table.AddRow("topology-aware (blocks)", aware.Rounds, aware.Outputs, aware.Cost)
+	table.AddRow("uniform hash (MPC)", oblivious.Rounds, oblivious.Outputs, oblivious.Cost)
 
-	win := Table{
-		Title:   "X2b: win factor",
-		Headers: []string{"oblivious/aware cost"},
-	}
-	win.AddRow(netsim.Ratio(oblivious.Report.TotalCost(), aware.Report.TotalCost()))
-	return []Table{table, win}, nil
+	win := newTable("X2b: win factor", "", "oblivious/aware cost")
+	win.AddRow(ratio(oblivious.Cost, aware.Cost))
+	return finish(table, win)
 }

@@ -1,118 +1,69 @@
 package exper
 
-import (
-	"fmt"
-	"math/rand"
-
-	"topompc/internal/core/graph"
-	"topompc/internal/dataset"
-	"topompc/internal/lowerbound"
-	"topompc/internal/netsim"
-	"topompc/internal/topology"
-)
-
-// Graph-processing extension experiment: topology-aware connected
-// components (capacity-weighted vertex homes + per-cut combining of label
-// updates) against the flat baseline across the topology zoo × graph
-// families. Beyond the paper, toward the MPC connectivity line (Andoni et
-// al. 2018; Behnezhad et al. 2019); costs are measured against the per-cut
-// information bound lowerbound.Spanning.
-
-func init() {
-	register(Experiment{
-		ID:    "X5",
-		Title: "Extension: connected components, aware vs flat label contraction",
-		Paper: "beyond the paper (MPC connectivity: Andoni et al. 2018, Behnezhad et al. 2019)",
-		Run:   runX5,
-	})
-}
+// Graph-processing extension experiments, beyond the paper and toward the MPC
+// connectivity line (Andoni et al. 2018; Behnezhad et al. 2019), across the
+// topology zoo × graph families. X5: topology-aware connected components
+// (capacity-weighted vertex homes + per-cut combining of label updates)
+// against the flat baseline, measured against the per-cut information bound.
+// X9: budgeted graph exponentiation (cc-fast) against the Borůvka schedule
+// (cc). The low-diameter families (G(n,p), power-law, bridge-of-cliques) are
+// where doubling collapses the phase count; the path and grid adversaries are
+// high-diameter inputs where truncated exponentiation must fall back
+// gracefully and never regress past the Borůvka round count by more than its
+// one-round entry overhead.
 
 func runX5(cfg Config) ([]Table, error) {
-	twotier, err := topology.TwoTier([]int{4, 4}, []float64{16, 1}, 16)
+	families, err := graphZoo(cfg)
 	if err != nil {
 		return nil, err
 	}
-	cater, err := topology.Caterpillar([]float64{1, 2, 4, 2, 1}, 4)
-	if err != nil {
-		return nil, err
-	}
-	fattree, err := topology.FatTree(2, 3, 2, 3)
-	if err != nil {
-		return nil, err
-	}
-	trees := []struct {
-		name string
-		tree *topology.Tree
-	}{
-		{"two-tier 16:1", twotier}, {"caterpillar", cater}, {"fat-tree", fattree},
-	}
-
-	verts, cliqueSize, gridSide := 600, 20, 24
-	if cfg.Quick {
-		verts, cliqueSize, gridSide = 200, 10, 12
-	}
-	rng := rand.New(rand.NewSource(int64(cfg.Seed)))
-	gnp, err := dataset.GNP(rng, verts, 6/float64(verts))
-	if err != nil {
-		return nil, err
-	}
-	plaw, err := dataset.PowerLaw(rng, verts, 3*verts, 2)
-	if err != nil {
-		return nil, err
-	}
-	grid, err := dataset.Grid(gridSide, gridSide)
-	if err != nil {
-		return nil, err
-	}
-	bridge, err := dataset.BridgeOfCliques(4, cliqueSize)
-	if err != nil {
-		return nil, err
-	}
-	families := []struct {
-		name   string
-		packed []uint64
-	}{
-		{"G(n,p)", gnp}, {"power-law", plaw}, {"grid", grid}, {"bridge-of-cliques", bridge},
-	}
-
-	table := Table{
-		Title: "X5: connected components, aware vs flat label contraction",
-		Note: "Aware: vertices homed by bandwidth capacity, label updates combined per weak cut; " +
-			"flat: uniform homes, direct delivery. CLB = per-cut information bound " +
-			"(lowerbound.Spanning); labelings verified against union-find on every run.",
-		Headers: []string{"topology", "family", "V", "comps", "phases", "aware cost", "flat cost", "win", "CLB", "aware/CLB"},
-	}
-	for _, tr := range trees {
-		p := tr.tree.NumCompute()
-		for _, fam := range families {
-			edges := append([]uint64(nil), fam.packed...)
-			shuf := rand.New(rand.NewSource(int64(cfg.Seed) + 17))
-			dataset.Shuffle(shuf, edges)
-			pl := make(graph.Placement, p)
-			for i, key := range edges {
-				u, v := dataset.UnpackEdge(key)
-				pl[i%p] = append(pl[i%p], graph.Edge{U: uint64(u), V: uint64(v)})
-			}
-			ref := graph.Reference(pl)
-			aware, err := graph.CC(tr.tree, pl, cfg.Seed)
-			if err != nil {
-				return nil, err
-			}
-			flat, err := graph.CCFlat(tr.tree, pl, cfg.Seed)
-			if err != nil {
-				return nil, err
-			}
-			for variant, res := range map[string]*graph.Result{"aware": aware, "flat": flat} {
-				if err := graph.Verify(ref, res); err != nil {
-					return nil, fmt.Errorf("X5 %s on %s/%s: %w", variant, tr.name, fam.name, err)
-				}
-			}
-			lb := lowerbound.Spanning(tr.tree, graph.ComponentSpread(tr.tree, pl))
-			table.AddRow(tr.name, fam.name, len(ref.Labels), ref.Count, aware.Phases,
-				aware.Report.TotalCost(), flat.Report.TotalCost(),
-				netsim.Ratio(flat.Report.TotalCost(), aware.Report.TotalCost()),
-				lb.Value, netsim.Ratio(aware.Report.TotalCost(), lb.Value))
+	table := newTable("X5: connected components, aware vs flat label contraction",
+		"Aware: vertices homed by bandwidth capacity, label updates combined per weak cut; "+
+			"flat: uniform homes, direct delivery. CLB = per-cut information bound "+
+			"("+spanningBoundName+"); labelings verified against union-find on every run.",
+		"topology", "family", "V", "comps", "phases", "aware cost", "flat cost", "win", "CLB", "aware/CLB")
+	for _, nt := range topos("two-tier 16:1", "caterpillar", "fat-tree") {
+		for _, fam := range []string{"G(n,p)", "power-law", "grid", "bridge-of-cliques"} {
+			ms := table.each(nt.name+"/"+fam, nt.tree, cfg.Seed, ready(dealEdges(families[fam], cfg.Seed, nt.tree)), ccTask, ccFlat)
+			aware, flat := ms[0], ms[1]
+			table.AddRow(nt.name, fam, aware.Vertices, aware.Outputs, aware.Phases,
+				aware.Cost, flat.Cost, ratio(flat.Cost, aware.Cost), aware.Bound, aware.Ratio())
 		}
 	}
-	return []Table{table}, nil
+	return finish(table)
+}
+
+func runX9(cfg Config) ([]Table, error) {
+	families, err := graphZoo(cfg)
+	if err != nil {
+		return nil, err
+	}
+	table := newTable("X9: cc-fast graph exponentiation vs Borůvka rounds",
+		"Both protocols use capacity homes + per-cut combining; cc hooks one hop per phase "+
+			"(Borůvka), cc-fast learns budgeted multi-hop neighborhoods by doubling before hooking. "+
+			"Rounds are engine exchange rounds; win = cc/cc-fast. On the high-diameter adversaries "+
+			"(grid, path) cc-fast may pay at most one extra round over cc; labelings verified "+
+			"against union-find on every run.",
+		"topology", "family", "V", "comps", "cc phases", "cc rounds", "cc cost",
+		"fast phases", "fast rounds", "fast cost", "round win", "cost win")
+	for _, nt := range topos("two-tier 16:1", "caterpillar", "fat-tree") {
+		for _, fam := range []struct {
+			name string
+			// extra is the one-round fallback overhead exponentiation is
+			// allowed on the high-diameter adversaries, and no more.
+			extra int
+		}{
+			{"G(n,p)", 0}, {"power-law", 0}, {"bridge-of-cliques", 0}, {"grid", 1}, {"path", 1},
+		} {
+			c := cell{name: nt.name + "/" + fam.name, tree: nt.tree, task: ccTask, seed: cfg.Seed,
+				in: ready(dealEdges(families[fam.name], cfg.Seed, nt.tree))}
+			slow := table.run(c)
+			// cc-fast's ceiling is the round count cc just took.
+			c.task, c.ceiling.Rounds = ccFast, slow.Rounds+fam.extra
+			fast := table.run(c)
+			table.AddRow(nt.name, fam.name, slow.Vertices, slow.Outputs, slow.Phases, slow.Rounds, slow.Cost,
+				fast.Phases, fast.Rounds, fast.Cost, ratio(float64(slow.Rounds), float64(fast.Rounds)), ratio(slow.Cost, fast.Cost))
+		}
+	}
+	return finish(table)
 }

@@ -1,137 +1,57 @@
 package exper
 
-import (
-	"fmt"
-	"math/rand"
-
-	"topompc/internal/core/multijoin"
-	"topompc/internal/lowerbound"
-	"topompc/internal/netsim"
-	"topompc/internal/topology"
-)
+import "topompc"
 
 // Multiway-join extension experiments: the HyperCube-on-a-tree shuffle
 // (internal/core/multijoin) against flat HyperCube across the standard
 // topology zoo. Like X1/X2 these are beyond the paper; costs are measured
-// against the tuple-transfer cut bound lowerbound.Multijoin.
+// against the tuple-transfer cut bound.
 
-func init() {
-	register(Experiment{
-		ID:    "X3",
-		Title: "Extension: triangle join, HyperCube-on-a-tree vs flat HyperCube",
-		Paper: "beyond the paper (HyperCube shares; Afrati–Ullman, Beame–Koutris–Suciu)",
-		Run:   runX3,
-	})
-	register(Experiment{
-		ID:    "X4",
-		Title: "Extension: k-way star join, capacity-weighted vs uniform hashing",
-		Paper: "beyond the paper (weighted-MPC line, Ma & Li 2023)",
-		Run:   runX4,
-	})
-}
-
-// multijoinTopologies is the topology zoo shared by X3 and X4.
-func multijoinTopologies() (map[string]*topology.Tree, []string, error) {
-	star, err := topology.UniformStar(8, 2)
-	if err != nil {
-		return nil, nil, err
-	}
-	twotier, err := topology.TwoTier([]int{4, 4}, []float64{16, 1}, 16)
-	if err != nil {
-		return nil, nil, err
-	}
-	fattree, err := topology.FatTree(2, 3, 2, 3)
-	if err != nil {
-		return nil, nil, err
-	}
-	cater, err := topology.Caterpillar([]float64{1, 2, 4, 2, 1}, 4)
-	if err != nil {
-		return nil, nil, err
-	}
-	trees := map[string]*topology.Tree{
-		"star": star, "two-tier 16:1": twotier, "fat-tree": fattree, "caterpillar": cater,
-	}
-	return trees, []string{"star", "two-tier 16:1", "fat-tree", "caterpillar"}, nil
+// awareVsFlat runs a multiway join's aware and flat rows on one input and
+// adds the table's row: output size, both costs, the win, the bound.
+func awareVsFlat(table *Table, nt namedTopo, rels []relation, seed uint64, aware, flat task) {
+	ms := table.each(nt.name, nt.tree, seed, ready(input{rels: rels}), aware, flat)
+	a, f := ms[0], ms[1]
+	table.AddRow(nt.name, a.Outputs, a.Cost, f.Cost, ratio(f.Cost, a.Cost), a.Bound, a.Ratio())
 }
 
 func runX3(cfg Config) ([]Table, error) {
-	trees, order, err := multijoinTopologies()
-	if err != nil {
-		return nil, err
-	}
-	m, dom := 900, 30
-	if cfg.Quick {
-		m, dom = 250, 16
-	}
-	table := Table{
-		Title: "X3: triangle join R(a,b)⋈S(b,c)⋈T(c,a), aware vs flat shares",
-		Note: "Shares g_a×g_b×g_c ≤ p; aware apportions grid cells by subtree bandwidth capacity. " +
-			"CLB = tuple-transfer cut bound (lowerbound.Multijoin); outputs verified against the reference join.",
-		Headers: []string{"topology", "triangles", "aware cost", "flat cost", "win", "CLB", "aware/CLB"},
-	}
-	for _, name := range order {
-		tree := trees[name]
-		p := tree.NumCompute()
-		rng := rand.New(rand.NewSource(int64(cfg.Seed)))
-		gen := func() multijoin.Placement {
-			pl := make(multijoin.Placement, p)
+	m, dom := cfg.pick(900, 250), cfg.pick(30, 16)
+	table := newTable("X3: triangle join R(a,b)⋈S(b,c)⋈T(c,a), aware vs flat shares",
+		"Shares g_a×g_b×g_c ≤ p; aware apportions grid cells by subtree bandwidth capacity. "+
+			"CLB = tuple-transfer cut bound ("+multijoinBoundName+"); outputs verified against the reference join.",
+		"topology", "triangles", "aware cost", "flat cost", "win", "CLB", "aware/CLB")
+	for _, nt := range topos("star", "two-tier 16:1", "fat-tree", "caterpillar") {
+		p := nt.tree.NumCompute()
+		rng := seeded(cfg.Seed)
+		rels := make([]relation, 3)
+		for j := range rels {
+			rels[j] = make(relation, p)
 			for i := 0; i < m; i++ {
 				n := rng.Intn(p)
-				pl[n] = append(pl[n], multijoin.Tuple{A: uint64(rng.Intn(dom)), B: uint64(rng.Intn(dom))})
-			}
-			return pl
-		}
-		r, s, tt := gen(), gen(), gen()
-		ix := multijoin.IndexTriangle(r, s, tt)
-		ref := ix.Reference()
-		aware, err := multijoin.Triangle(tree, r, s, tt, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		flat, err := multijoin.TriangleFlat(tree, r, s, tt, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		for variant, res := range map[string]*multijoin.Result{"aware": aware, "flat": flat} {
-			if err := multijoin.Verify(ref, res); err != nil {
-				return nil, fmt.Errorf("X3 %s on %s: %w", variant, name, err)
+				rels[j][n] = append(rels[j][n], topompc.Tuple2{A: uint64(rng.Intn(dom)), B: uint64(rng.Intn(dom))})
 			}
 		}
-		lb := lowerbound.Multijoin(tree, ref.Count, ref.MaxDeg, ix.CutCounts(tree))
-		table.AddRow(name, ref.Count,
-			aware.Report.TotalCost(), flat.Report.TotalCost(),
-			netsim.Ratio(flat.Report.TotalCost(), aware.Report.TotalCost()),
-			lb.Value, netsim.Ratio(aware.Report.TotalCost(), lb.Value))
+		awareVsFlat(&table, nt, rels, cfg.Seed, triangleTask, triangleFlat)
 	}
-	return []Table{table}, nil
+	return finish(table)
 }
 
 func runX4(cfg Config) ([]Table, error) {
-	trees, order, err := multijoinTopologies()
-	if err != nil {
-		return nil, err
-	}
-	k, m := 4, 1200
-	if cfg.Quick {
-		m = 300
-	}
-	table := Table{
-		Title: "X4: 4-way star join on the shared attribute, aware vs uniform hashing",
-		Note: "Join values hashed to nodes with probability ∝ bandwidth capacity (aware) or uniformly (flat); " +
+	k, m := 4, cfg.pick(1200, 300)
+	table := newTable("X4: 4-way star join on the shared attribute, aware vs uniform hashing",
+		"Join values hashed to nodes with probability ∝ bandwidth capacity (aware) or uniformly (flat); "+
 			"data ~75% concentrated on the best-connected half of each topology. Outputs verified against the reference join.",
-		Headers: []string{"topology", "rows", "aware cost", "flat cost", "win", "CLB", "aware/CLB"},
-	}
-	for _, name := range order {
-		tree := trees[name]
-		p := tree.NumCompute()
-		dom := m / 4
-		rng := rand.New(rand.NewSource(int64(cfg.Seed) + 1))
+		"topology", "rows", "aware cost", "flat cost", "win", "CLB", "aware/CLB")
+	for _, nt := range topos("star", "two-tier 16:1", "fat-tree", "caterpillar") {
+		p := nt.tree.NumCompute()
+		rng := seeded(cfg.Seed + 1)
 		// Skewed placement: three quarters of each relation lands on the
 		// first half of the compute nodes (the fast rack of the two-tier,
 		// the strong spine end of the caterpillar).
-		rels := make([]multijoin.Placement, k)
+		rels := make([]relation, k)
 		for j := range rels {
-			rels[j] = make(multijoin.Placement, p)
+			rels[j] = make(relation, p)
 			for i := 0; i < m; i++ {
 				var n int
 				if rng.Intn(4) == 0 {
@@ -139,29 +59,10 @@ func runX4(cfg Config) ([]Table, error) {
 				} else {
 					n = rng.Intn((p + 1) / 2)
 				}
-				rels[j][n] = append(rels[j][n], multijoin.Tuple{A: uint64(rng.Intn(dom)), B: rng.Uint64()})
+				rels[j][n] = append(rels[j][n], topompc.Tuple2{A: uint64(rng.Intn(m / 4)), B: rng.Uint64()})
 			}
 		}
-		ix := multijoin.IndexStar(rels)
-		ref := ix.Reference()
-		aware, err := multijoin.Star(tree, rels, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		flat, err := multijoin.StarFlat(tree, rels, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		for variant, res := range map[string]*multijoin.Result{"aware": aware, "flat": flat} {
-			if err := multijoin.Verify(ref, res); err != nil {
-				return nil, fmt.Errorf("X4 %s on %s: %w", variant, name, err)
-			}
-		}
-		lb := lowerbound.Multijoin(tree, ref.Count, ref.MaxDeg, ix.CutCounts(tree))
-		table.AddRow(name, ref.Count,
-			aware.Report.TotalCost(), flat.Report.TotalCost(),
-			netsim.Ratio(flat.Report.TotalCost(), aware.Report.TotalCost()),
-			lb.Value, netsim.Ratio(aware.Report.TotalCost(), lb.Value))
+		awareVsFlat(&table, nt, rels, cfg.Seed, starJoin, starJoinFlat)
 	}
-	return []Table{table}, nil
+	return finish(table)
 }

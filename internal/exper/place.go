@@ -5,155 +5,95 @@ import (
 	"math/rand"
 
 	"topompc/internal/core/aggregate"
-	"topompc/internal/core/sorting"
+	"topompc/internal/core/place"
 	"topompc/internal/dataset"
-	"topompc/internal/lowerbound"
-	"topompc/internal/netsim"
 	"topompc/internal/topology"
 )
 
-// Placement-engine experiment: the two protocols unlocked by the shared
+// Placement-engine experiments, on duplicate-heavy inputs across the
+// topology zoo. X6: the two protocols unlocked by the shared
 // internal/core/place engine — capacity-weighted splitter sort and
-// combiner-tree aggregation — against their flat counterparts across the
-// topology zoo × data placements. Each pair runs the identical protocol
-// modulo the placement lever (capacity key ranges / weak-cut block
-// combining), so the win column isolates what the engine buys.
+// combiner-tree aggregation — against their flat counterparts × data
+// placements. Each pair runs the identical protocol modulo the placement
+// lever (capacity key ranges / weak-cut block combining), so the win column
+// isolates what the engine buys. X7: how the recursive weak-cut hierarchy's
+// depth translates into combining wins — the same aggregation three ways
+// (flat uniform hashing, the single-level combiner tree, the full multi-level
+// one), so the two win columns separate what the flat decomposition buys from
+// what the extra hierarchy levels buy. Single-band topologies (depth ≤ 1)
+// must show multi/single parity; the deep-gradient shapes (tapered fat-tree,
+// graded caterpillar, three-tier datacenter) are where the extra levels pay.
 
-func init() {
-	register(Experiment{
-		ID:    "X6",
-		Title: "Extension: capacity splitters and combiner-tree aggregation, aware vs flat",
-		Paper: "beyond the paper (place engine; cf. distribution-aware aggregation, Liu et al. VLDB 2018)",
-		Run:   runX6,
-	})
-}
+// combinerWithStrategy is agg-tree2 run for its own report of the path it
+// took, which AggregateResult does not carry.
+var combinerWithStrategy = task{name: "agg-tree2", run: func(t *topology.Tree, in input, seed uint64) (any, error) {
+	return aggregate.CombinerTree(t, in.records, seed)
+}}
 
 func runX6(cfg Config) ([]Table, error) {
-	twotier, err := topology.TwoTier([]int{4, 4}, []float64{16, 1}, 16)
-	if err != nil {
-		return nil, err
-	}
-	cater, err := topology.Caterpillar([]float64{1, 2, 4, 2, 1}, 4)
-	if err != nil {
-		return nil, err
-	}
-	fattree, err := topology.FatTree(2, 3, 2, 3)
-	if err != nil {
-		return nil, err
-	}
-	star, err := topology.UniformStar(8, 2)
-	if err != nil {
-		return nil, err
-	}
-	trees := []struct {
-		name string
-		tree *topology.Tree
-	}{
-		{"two-tier 16:1", twotier}, {"caterpillar", cater}, {"fat-tree", fattree}, {"star", star},
-	}
-	places := []struct {
-		name  string
-		split func(keys []uint64, p int) (dataset.Placement, error)
-	}{
-		{"uniform", dataset.SplitUniform},
-		{"zipf", func(keys []uint64, p int) (dataset.Placement, error) {
-			return dataset.SplitZipf(rand.New(rand.NewSource(int64(cfg.Seed))), keys, p, 1.2)
+	places := []namedPlacement{
+		{"uniform", uniform},
+		{"zipf", func(_ *rand.Rand, keys []uint64, p int) (dataset.Placement, error) {
+			return zipf(seeded(cfg.Seed), keys, p)
 		}},
-		{"oneheavy", func(keys []uint64, p int) (dataset.Placement, error) {
-			return dataset.SplitOneHeavy(keys, p, 0, 0.8)
-		}},
+		{"oneheavy", oneHeavy},
 	}
-
-	n := 20000
-	if cfg.Quick {
-		n = 2000
-	}
-
-	sortTable := Table{
-		Title: "X6a: capacity-weighted splitter sort vs uniform splitters",
-		Note: "Identical three-round sample sort; aware apportions the key ranges by place.Capacities " +
-			"(weak-cut nodes own small ranges), flat uses uniform quantiles. Outputs verified as " +
-			"valid sorts; win = flat/aware. Capacity ranges shrink the traffic *into* weak subtrees; " +
+	n := cfg.pick(20000, 2000)
+	sortTable := newTable("X6a: capacity-weighted splitter sort vs uniform splitters",
+		"Identical three-round sample sort; aware apportions the key ranges by place.Capacities "+
+			"(weak-cut nodes own small ranges), flat uses uniform quantiles. Outputs verified as "+
+			"valid sorts; win = flat/aware. Capacity ranges shrink the traffic *into* weak subtrees; "+
 			"data already behind a weak cut must still leave (that send-side lever is wTS's).",
-		Headers: []string{"topology", "placement", "N", "aware cost", "flat cost", "win", "SLB", "aware/SLB"},
-	}
-	aggTable := Table{
-		Title: "X6b: combiner-tree aggregation vs uniform hashing",
-		Note: "Groups drawn from a shared low-cardinality pool (heavy duplication). Aware merges " +
-			"partial aggregates once per minority-capacity weak-cut block, then hashes to " +
-			"capacity-weighted homes; flat hashes every node's partials uniformly. CLB = exact " +
+		"topology", "placement", "N", "aware cost", "flat cost", "win", "SLB", "aware/SLB")
+	aggTable := newTable("X6b: combiner-tree aggregation vs uniform hashing",
+		"Groups drawn from a shared low-cardinality pool (heavy duplication). Aware merges "+
+			"partial aggregates once per minority-capacity weak-cut block, then hashes to "+
+			"capacity-weighted homes; flat hashes every node's partials uniformly. CLB = exact "+
 			"spanning-groups bound; totals verified on every run.",
-		Headers: []string{"topology", "placement", "records", "groups", "strategy", "aware cost", "flat cost", "win", "CLB", "aware/CLB"},
-	}
+		"topology", "placement", "records", "groups", "strategy", "aware cost", "flat cost", "win", "CLB", "aware/CLB")
 
-	rng := rand.New(rand.NewSource(int64(cfg.Seed) + 0x6))
-	for _, tr := range trees {
-		p := tr.tree.NumCompute()
+	// One generator makes every input, a sort's then an aggregation's per row.
+	rng := seeded(cfg.Seed + 0x6)
+	for _, nt := range topos("two-tier 16:1", "caterpillar", "fat-tree", "star") {
 		for _, pl := range places {
-			// Sort pair.
-			keys := dataset.Distinct(rng, n)
-			data, err := pl.split(keys, p)
-			if err != nil {
-				return nil, err
-			}
-			aware, err := sorting.CapacitySort(tr.tree, data, cfg.Seed)
-			if err != nil {
-				return nil, err
-			}
-			flat, err := sorting.CapacitySortFlat(tr.tree, data, cfg.Seed)
-			if err != nil {
-				return nil, err
-			}
-			sorted := sorting.Reference(data)
-			for variant, res := range map[string]*sorting.Result{"aware": aware, "flat": flat} {
-				if err := sorting.Verify(tr.tree, sorted, res); err != nil {
-					return nil, fmt.Errorf("X6a %s on %s/%s: %w", variant, tr.name, pl.name, err)
-				}
-			}
-			slb := lowerbound.Sorting(tr.tree, loadsOf(tr.tree, data)).Value
-			sortTable.AddRow(tr.name, pl.name, n,
-				aware.Report.TotalCost(), flat.Report.TotalCost(),
-				netsim.Ratio(flat.Report.TotalCost(), aware.Report.TotalCost()),
-				slb, netsim.Ratio(aware.Report.TotalCost(), slb))
+			row := nt.name + "/" + pl.name
+			ms := sortTable.each(row, nt.tree, cfg.Seed, func(int) (input, error) { return distinctKeys(rng, nt.tree, n, pl.place) },
+				sortAware, sortAwareFlat)
+			aware, flat := ms[0], ms[1]
+			sortTable.AddRow(nt.name, pl.name, n, aware.Cost, flat.Cost, ratio(flat.Cost, aware.Cost), aware.Bound, aware.Ratio())
 
-			// Aggregation pair: duplicate-heavy groups.
-			pool := dataset.Distinct(rng, max(1, n/8))
-			gk := make([]uint64, n)
-			for i := range gk {
-				gk[i] = pool[rng.Intn(len(pool))]
-			}
-			gdata, err := pl.split(gk, p)
-			if err != nil {
-				return nil, err
-			}
-			apl := make(aggregate.Placement, p)
-			groups := make(map[uint64]bool)
-			for i, frag := range gdata {
-				for _, g := range frag {
-					apl[i] = append(apl[i], aggregate.Pair{Group: g, Value: 1})
-					groups[g] = true
-				}
-			}
-			aaware, err := aggregate.CombinerTree(tr.tree, apl, cfg.Seed)
-			if err != nil {
-				return nil, err
-			}
-			aflat, err := aggregate.HashFlat(tr.tree, apl, cfg.Seed)
-			if err != nil {
-				return nil, err
-			}
-			totals := aggregate.Reference(apl)
-			for variant, res := range map[string]*aggregate.Result{"aware": aaware, "flat": aflat} {
-				if err := aggregate.Verify(totals, res); err != nil {
-					return nil, fmt.Errorf("X6b %s on %s/%s: %w", variant, tr.name, pl.name, err)
-				}
-			}
-			clb := aggregate.LowerBound(tr.tree, apl)
-			aggTable.AddRow(tr.name, pl.name, n, len(groups), aaware.Strategy,
-				aaware.Report.TotalCost(), aflat.Report.TotalCost(),
-				netsim.Ratio(aflat.Report.TotalCost(), aaware.Report.TotalCost()),
-				clb, netsim.Ratio(aaware.Report.TotalCost(), clb))
+			ms = aggTable.each(row, nt.tree, cfg.Seed, func(int) (input, error) { return groupRecords(rng, nt.tree, n, pl.place) },
+				combinerWithStrategy, aggAwareFlat)
+			aware, flat = ms[0], ms[1]
+			aggTable.AddRow(nt.name, pl.name, n, aware.Outputs, aware.Strategy,
+				aware.Cost, flat.Cost, ratio(flat.Cost, aware.Cost), aware.Bound, aware.Ratio())
 		}
 	}
-	return []Table{sortTable, aggTable}, nil
+	return finish(sortTable, aggTable)
+}
+
+func runX7(cfg Config) ([]Table, error) {
+	n := cfg.pick(20000, 2000)
+	table := newTable("X7: hierarchy depth vs cost (multi-level vs single-level vs flat aggregation)",
+		"Groups drawn from a shared low-cardinality pool (heavy duplication). multi = "+
+			"CombinerTree on the full weak-cut hierarchy (merge per block per level), single = "+
+			"the CombinerBlocks truncation (one merge level), flat = uniform hashing. Depth ≤ 1 "+
+			"topologies must show ~1.0 multi/single; the deep gradients pay the extra rounds "+
+			"back on every tier's cut. Totals verified on every run.",
+		"topology", "depth", "cuts", "records", "multi cost", "single cost", "flat cost",
+		"win multi/single", "win multi/flat", "CLB")
+	rng := seeded(cfg.Seed + 0x7)
+	for _, nt := range topos("star", "fat-tree", "two-tier 16:1", "caterpillar",
+		"three-tier 48:12:3", "fat-tree taper", "caterpillar grade") {
+		depth, cuts := 0, "-"
+		if h := place.HierarchyFor(nt.tree); h != nil {
+			depth, cuts = h.Depth(), fmt.Sprintf("%.3g", h.Thresholds)
+		}
+		ms := table.each(nt.name, nt.tree, cfg.Seed, func(int) (input, error) { return groupRecords(rng, nt.tree, n, uniform) },
+			aggTree2, aggAware, aggAwareFlat)
+		multi, single, flat := ms[0], ms[1], ms[2]
+		table.AddRow(nt.name, depth, cuts, n, multi.Cost, single.Cost, flat.Cost,
+			ratio(single.Cost, multi.Cost), ratio(flat.Cost, multi.Cost), multi.Bound)
+	}
+	return finish(table)
 }
