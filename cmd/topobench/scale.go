@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"os"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -56,8 +58,32 @@ type scaleRecord struct {
 	HeapBytes int64   `json:"heap_bytes,omitempty"`
 }
 
+// scaleHost says on what machine a scale sweep was recorded: wall clocks of
+// two recordings compare only between like hosts, and a workers=w row means
+// something only where there are w CPUs.
+type scaleHost struct {
+	CPUModel   string `json:"cpu_model"`
+	NumCPU     int    `json:"num_cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	GoVersion  string `json:"go_version"`
+}
+
+func thisHost() scaleHost {
+	h := scaleHost{CPUModel: "unknown", NumCPU: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0), GoVersion: runtime.Version()}
+	if data, err := os.ReadFile("/proc/cpuinfo"); err == nil {
+		for _, line := range strings.Split(string(data), "\n") {
+			if name, val, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(name) == "model name" {
+				h.CPUModel = strings.TrimSpace(val)
+				break
+			}
+		}
+	}
+	return h
+}
+
 // benchScale is the BENCH_scale.json payload.
 type benchScale struct {
+	Host     scaleHost     `json:"host"`
 	Seed     uint64        `json:"seed"`
 	WallNs   int64         `json:"wall_ns"`
 	BudgetNs int64         `json:"budget_ns,omitempty"`
@@ -290,7 +316,8 @@ func pairedSpeedup(name string, cpus, w int, ns1, nsW int64, stdout io.Writer) f
 // the multicore sweep (0 uses NumCPU).
 func runScale(seed uint64, big bool, budgetSec, workers int, stdout io.Writer) (benchScale, error) {
 	start := time.Now()
-	out := benchScale{Seed: seed}
+	out := benchScale{Host: thisHost(), Seed: seed}
+	fmt.Fprintf(stdout, "host: %s, NumCPU=%d GOMAXPROCS=%d, %s\n", out.Host.CPUModel, out.Host.NumCPU, out.Host.GOMAXPROCS, out.Host.GoVersion)
 	add := func(rec scaleRecord, err error) error {
 		if err != nil {
 			return err

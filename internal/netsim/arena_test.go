@@ -45,7 +45,7 @@ func TestExchangeSteadyStateAllocFree(t *testing.T) {
 	}
 
 	// The same holds when the round is planned through Plan: the shard body
-	// handed to the pool is built once per exchange buffer, not per call.
+	// handed to the pool is built once per engine, not per call.
 	vs := tr.ComputeNodes()
 	keys := []uint64{1, 2, 3}
 	plan := func(v topology.NodeID, out *Outbox) {
@@ -91,8 +91,8 @@ func TestExchangeSteadyStateAllocFreeWithMetrics(t *testing.T) {
 	if got := e.Metrics().Counter("netsim.rounds").Value(); got != 15 {
 		t.Fatalf("netsim.rounds = %d, want 15 (4 warmup + 11 measured)", got)
 	}
-	if got := e.Metrics().Counter("netsim.arena_recycled_rounds").Value(); got != 13 {
-		t.Fatalf("netsim.arena_recycled_rounds = %d, want 13 (all but the two buffer births)", got)
+	if got := e.Metrics().Counter("netsim.arena_recycled_rounds").Value(); got != 14 {
+		t.Fatalf("netsim.arena_recycled_rounds = %d, want 14 (all but the buffer's birth)", got)
 	}
 }
 
@@ -215,16 +215,16 @@ func TestExchangeReservesInboxesOnce(t *testing.T) {
 	// k times the rows and 128k times the keys. The warm-up call of
 	// AllocsPerRun regrows one arena, the measured call the other.
 	keys := make([]uint64, 256)
-	if got := testing.AllocsPerRun(1, func() { round(vs[:k], keys) }); got != 4 {
-		t.Fatalf("outgrown round to %d receivers: %.0f allocs, want exactly one per arena array (4)", k, got)
+	if got := testing.AllocsPerRun(1, func() { round(vs[:k], keys) }); got != 2 {
+		t.Fatalf("outgrown round to %d receivers: %.0f allocs, want exactly one per arena array (2)", k, got)
 	}
 	if got := testing.AllocsPerRun(4, func() { round(vs[:k], keys) }); got != 0 {
 		t.Fatalf("repeated round: %.0f allocs, want 0", got)
 	}
 	for _, a := range []*inboxArena{e.inboxCur, e.inboxNext} {
-		if cap(a.from) != k*senders || cap(a.tag) != k*senders || cap(a.end) != k*senders || cap(a.pool) != k*senders*len(keys) {
-			t.Fatalf("arena caps %d %d %d %d, want the round's exact size (%d rows, %d keys)",
-				cap(a.from), cap(a.tag), cap(a.end), cap(a.pool), k*senders, k*senders*len(keys))
+		if cap(a.hdr) != k*senders || cap(a.pool) != k*senders*len(keys) {
+			t.Fatalf("arena caps %d %d, want the round's exact size (%d rows, %d keys)",
+				cap(a.hdr), cap(a.pool), k*senders, k*senders*len(keys))
 		}
 	}
 	ib := e.Inbox(vs[3])
@@ -242,7 +242,7 @@ func TestExchangeReservesInboxesOnce(t *testing.T) {
 	}
 }
 
-// TestInboxReserve: fit sizes the four arena arrays exactly and reuses
+// TestInboxReserve: fit sizes the two arena arrays exactly and reuses
 // arrays with room; an array of at least arenaShrinkMin elements is halved
 // once the recent peak — the largest round, forgotten at a quarter per
 // round — is down to a quarter of its capacity, so one heavy round in a
@@ -250,17 +250,17 @@ func TestExchangeReservesInboxesOnce(t *testing.T) {
 func TestInboxReserve(t *testing.T) {
 	var a inboxArena
 	a.fit(3, 10)
-	if cap(a.from) != 3 || cap(a.tag) != 3 || cap(a.end) != 3 || cap(a.pool) != 10 {
-		t.Fatalf("fit(3, 10): caps %d %d %d %d", cap(a.from), cap(a.tag), cap(a.end), cap(a.pool))
+	if cap(a.hdr) != 3 || cap(a.pool) != 10 {
+		t.Fatalf("fit(3, 10): caps %d %d", cap(a.hdr), cap(a.pool))
 	}
-	pool, end := &a.pool[0], &a.end[0]
+	pool, hdr := &a.pool[0], &a.hdr[0]
 	a.fit(2, 6)
-	if &a.pool[0] != pool || &a.end[0] != end || len(a.end) != 2 || len(a.pool) != 6 || cap(a.pool) != 10 {
-		t.Fatalf("fit within capacity reallocated: lens %d %d, cap %d", len(a.end), len(a.pool), cap(a.pool))
+	if &a.pool[0] != pool || &a.hdr[0] != hdr || len(a.hdr) != 2 || cap(a.hdr) != 3 || len(a.pool) != 6 || cap(a.pool) != 10 {
+		t.Fatalf("fit within capacity reallocated: lens %d %d, caps %d %d", len(a.hdr), len(a.pool), cap(a.hdr), cap(a.pool))
 	}
 	a.fit(4, 11)
-	if cap(a.from) != 4 || cap(a.tag) != 4 || cap(a.end) != 4 || cap(a.pool) != 11 {
-		t.Fatalf("fit(4, 11): caps %d %d %d %d, want exact sizes", cap(a.from), cap(a.tag), cap(a.end), cap(a.pool))
+	if cap(a.hdr) != 4 || cap(a.pool) != 11 {
+		t.Fatalf("fit(4, 11): caps %d %d, want exact sizes", cap(a.hdr), cap(a.pool))
 	}
 
 	// A contraction phase: one heavy round, three light ones, three times.
@@ -293,7 +293,7 @@ func TestInboxReserve(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		a.fit(4, 10)
 	}
-	if cap(a.pool) != arenaShrinkMin/2 || cap(a.end) != 4 {
-		t.Fatalf("arrays under arenaShrinkMin shrank: pool cap %d, end cap %d", cap(a.pool), cap(a.end))
+	if cap(a.pool) != arenaShrinkMin/2 || cap(a.hdr) != 4 {
+		t.Fatalf("arrays under arenaShrinkMin shrank: pool cap %d, header cap %d", cap(a.pool), cap(a.hdr))
 	}
 }

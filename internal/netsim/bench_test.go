@@ -111,3 +111,52 @@ func BenchmarkRoutingExchangeSerial(b *testing.B) {
 		x.Execute()
 	}
 }
+
+// BenchmarkExchangeWide is the dataplane-wide kernel without bench/: one
+// steady-state round on the 25,001-leaf graded caterpillar, 5·10⁴ transfers
+// of 8 keys with every 4th a 3-destination multicast, planned per sender
+// through Plan and executed with lean stats.
+func BenchmarkExchangeWide(b *testing.B) {
+	spine := make([]float64, 25000)
+	for i := range spine {
+		spine[i] = 1 + float64(i%7)
+	}
+	tr, err := topology.Caterpillar(spine, 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(99))
+	vs := tr.ComputeNodes()
+	keys := make([]uint64, 8)
+	bySender := make([][]benchTransfer, tr.NumNodes())
+	for i := 0; i < 50000; i++ {
+		from := vs[rng.Intn(len(vs))]
+		tf := benchTransfer{to: vs[rng.Intn(len(vs))]}
+		if i%4 == 3 {
+			tf.dsts = []topology.NodeID{tf.to, vs[rng.Intn(len(vs))], vs[rng.Intn(len(vs))]}
+		}
+		bySender[from] = append(bySender[from], tf)
+	}
+	plan := func(v topology.NodeID, out *Outbox) {
+		for _, tf := range bySender[v] {
+			if tf.dsts == nil {
+				out.Send(tf.to, TagData, keys)
+			} else {
+				out.Multicast(tf.dsts, TagData, keys)
+			}
+		}
+	}
+	e := NewEngine(tr, WithLeanStats())
+	round := func() {
+		x := e.Exchange()
+		x.Plan(plan)
+		x.Execute()
+	}
+	round() // grow the op logs and both arenas
+	round()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round()
+	}
+}

@@ -25,20 +25,21 @@ import (
 //
 // What is left of the round is serial and independent of the deliveries:
 // merging the shards' edge deltas, the one subtree-sum sweep that turns
-// them into edge counts (O(V) for the round), the cost statistics and the
-// outbox reset. ExecuteAsync leaves that to a background goroutine.
+// them into edge counts (O(V) for the round) and the cost statistics.
+// ExecuteAsync leaves that to a background goroutine.
 //
-// Exchange values are owned by the engine: Engine.Exchange hands out one
-// of two alternating buffers whose outboxes persist across rounds, so a
-// steady-state plan/execute cycle allocates nothing. The double buffer is
-// what permits pipelining — ExecuteAsync finishes accounting of round r in
-// the background while the protocol plans round r+1 into the other buffer.
+// The exchange is owned by the engine: its outboxes and op logs persist
+// across rounds, so a steady-state plan/execute cycle allocates nothing.
+// The delivery walk is the last reader of a plan and truncates it as it
+// goes, so ExecuteAsync can finish the accounting of round r in the
+// background while the protocol plans round r+1 into the same buffers.
 //
 // One exchange is open on an engine at a time; it occupies the engine from
 // Exchange() until Execute().
 type Exchange struct {
 	e    *Engine
 	outs []Outbox // one per compute node, in ComputeNodes order
+	logs []opLog  // one per shard of senders the pool forks a walk into
 	t0   float64  // trace timestamp of Exchange() (tracing only)
 	done bool
 
@@ -47,8 +48,8 @@ type Exchange struct {
 	// ones the round's stats retain.
 	sent, received []int64
 
-	// Shard bodies handed to par.Blocks, built once per buffer: a closure
-	// made per call would escape and break the zero-alloc steady state.
+	// Shard bodies handed to par.Blocks, built once: a closure made per call
+	// would escape and break the zero-alloc steady state.
 	planFn       func(v topology.NodeID, out *Outbox) // the Plan in flight
 	planShard    func(shard, lo, hi int)
 	tallyShard   func(shard, lo, hi int)
@@ -58,7 +59,7 @@ type Exchange struct {
 // Exchange opens a planned round. Transfers read the inboxes of the
 // previous round; deliveries become visible when Execute is called.
 //
-// The returned exchange is an engine-owned buffer recycled across rounds;
+// The returned exchange is the engine's one buffer, recycled across rounds;
 // it stays valid only until its Execute (or ExecuteAsync) completes the
 // round.
 func (e *Engine) Exchange() *Exchange {
@@ -66,11 +67,18 @@ func (e *Engine) Exchange() *Exchange {
 		panic("netsim: Exchange while a round is open")
 	}
 	e.inRound = true
-	x := &e.exbuf[e.exturn]
-	e.exturn ^= 1
+	x := &e.ex
 	if x.e == nil {
 		x.e = e
 		x.outs = make([]Outbox, e.t.NumCompute())
+		x.logs = make([]opLog, len(e.shardSet()))
+		// par.Blocks forks Plan and both walks over the same sender ranges,
+		// shard w of k covering [w·n/k, (w+1)·n/k): a log has one writer.
+		for w, n, k := 0, len(x.outs), len(x.logs); w < k; w++ {
+			for i := w * n / k; i < (w+1)*n/k; i++ {
+				x.outs[i].log = &x.logs[w]
+			}
+		}
 		nodes := e.t.ComputeNodes()
 		x.planShard = func(_, lo, hi int) {
 			for i := lo; i < hi; i++ {
@@ -78,10 +86,10 @@ func (e *Engine) Exchange() *Exchange {
 			}
 		}
 		x.tallyShard = func(shard, lo, hi int) {
-			x.tallyOps(e.tallies[shard], lo, hi)
+			x.tallyOps(e.tallies[shard], &x.logs[shard], lo, hi)
 		}
 		x.deliverShard = func(shard, lo, hi int) {
-			x.deliverOps(e.tallies[shard], lo, hi)
+			x.deliverOps(e.tallies[shard], &x.logs[shard], lo, hi)
 		}
 	} else if e.mRecycle != nil {
 		e.mRecycle.Inc()
@@ -124,9 +132,9 @@ func (x *Exchange) Plan(fn func(v topology.NodeID, out *Outbox)) {
 // cursor is one (sender shard, receiver) cell of a round. The tally walk
 // counts in it the messages and keys the shard's senders address to the
 // receiver; the prefix replaces the counts by the arena row and pool index
-// of the shard's first delivery to that receiver, and the delivery walk
-// advances them.
-type cursor struct{ row, key int }
+// of the shard's first delivery to that receiver, next to the pool index of
+// the receiver's first key, and the delivery walk advances them.
+type cursor struct{ row, key, base int }
 
 // shardTally is one shard's state for the two walks: a path accumulator
 // for edge traffic, the cursors by receiver compute index, and a private
@@ -142,23 +150,29 @@ type shardTally struct {
 
 // tallyOps is the first walk over the outboxes in [lo, hi): it charges
 // every op to the shard's accumulator and to the round's sent/received
-// arrays, and counts its deliveries in the shard's cursors. It stops at a
-// receiver that is not a compute node, leaving it in s.bad.
+// arrays, and counts its deliveries in the shard's cursors. It resolves
+// every receiver once: a unicast's to and a multicast's packed destinations
+// hold compute indices from here on. It stops at a receiver that is not a
+// compute node, leaving it in s.bad; the refused plan is discarded.
 //
 // Only the shard that owns a sender writes that sender's sent entry. The
 // received entry of a receiver is what the prefix finds delivered to it
 // less what it sent itself, so the walk writes only the second part, again
 // at the sender: no per-node array is per shard.
-func (x *Exchange) tallyOps(s *shardTally, lo, hi int) {
+func (x *Exchange) tallyOps(s *shardTally, l *opLog, lo, hi int) {
 	e := x.e
 	nodes := e.t.ComputeNodes()
 	s.bad = topology.NoNode
 	for i := lo; i < hi; i++ {
 		ob := &x.outs[i]
+		if ob.lo == ob.hi {
+			continue
+		}
 		from := nodes[i]
 		var sent, self int64
-		for j := range ob.ops {
-			o := &ob.ops[j]
+		ops, dsts := l.ops[ob.lo:ob.hi], l.dsts
+		for j := range ops {
+			o := &ops[j]
 			n := len(o.keys)
 			if o.to != topology.NoNode {
 				ci := e.computeIndex(o.to)
@@ -175,12 +189,13 @@ func (x *Exchange) tallyOps(s *shardTally, lo, hi int) {
 					s.acc.AddPath(from, o.to, int64(n))
 					sent += int64(n)
 				}
+				o.to = topology.NodeID(ci)
 				continue
 			}
 			// Multicast: charge the Steiner tree of {from} ∪ dsts once and
-			// count one delivery per distinct destination. The distinct
-			// destinations are packed back over the op's list, so the
-			// delivery walk needs no stamps.
+			// count one delivery per distinct destination. The compute
+			// indices of the distinct destinations are packed back over the
+			// op's list, so the delivery walk needs no stamps and no lookup.
 			s.epoch++
 			if s.epoch == 0 {
 				for k := range s.stamp {
@@ -191,7 +206,7 @@ func (x *Exchange) tallyOps(s *shardTally, lo, hi int) {
 			s.terms = append(s.terms[:0], from)
 			external := false
 			k := o.dlo
-			for _, d := range ob.dsts[o.dlo:o.dhi] {
+			for _, d := range dsts[o.dlo:o.dhi] {
 				ci := e.computeIndex(d)
 				if ci < 0 {
 					s.bad = d
@@ -201,7 +216,7 @@ func (x *Exchange) tallyOps(s *shardTally, lo, hi int) {
 					continue
 				}
 				s.stamp[ci] = s.epoch
-				ob.dsts[k] = d
+				dsts[k] = topology.NodeID(ci)
 				k++
 				c := &s.cur[ci]
 				c.row++
@@ -232,32 +247,38 @@ func (x *Exchange) tallyOps(s *shardTally, lo, hi int) {
 
 // deliverOps is the second walk over the outboxes in [lo, hi): it copies
 // every delivery to the arena row and pool range the shard's cursor for its
-// receiver points at. Cursors of different shards cover disjoint rows.
-func (x *Exchange) deliverOps(s *shardTally, lo, hi int) {
-	t, a := x.e.t, x.e.inboxNext
-	nodes := t.ComputeNodes()
+// receiver points at. Cursors of different shards cover disjoint rows. It is
+// the plan's last reader: it leaves the outboxes empty and the cursors zero.
+func (x *Exchange) deliverOps(s *shardTally, l *opLog, lo, hi int) {
+	a := x.e.inboxNext
+	nodes := x.e.t.ComputeNodes()
 	for i := lo; i < hi; i++ {
 		ob := &x.outs[i]
+		if ob.lo == ob.hi {
+			continue
+		}
 		from := nodes[i]
-		for j := range ob.ops {
-			o := &ob.ops[j]
+		ops, dsts := l.ops[ob.lo:ob.hi], l.dsts
+		ob.empty()
+		for j := range ops {
+			o := &ops[j]
 			if o.to != topology.NoNode {
-				ci := t.ComputeIndex(o.to)
-				a.put(&s.cur[ci], a.koff[ci], from, o.tag, o.keys)
+				a.put(&s.cur[o.to], from, o.tag, o.keys)
 				continue
 			}
-			for _, d := range ob.dsts[o.dlo:o.dhi] {
-				ci := t.ComputeIndex(d)
-				a.put(&s.cur[ci], a.koff[ci], from, o.tag, o.keys)
+			for _, ci := range dsts[o.dlo:o.dhi] {
+				a.put(&s.cur[ci], from, o.tag, o.keys)
 			}
 		}
 	}
+	clear(s.cur)
+	l.reset()
 }
 
 // shardSet returns the engine's cached tally states, one per shard the
 // pool forks a round into, creating them on first use. Accumulators and
 // stamp sets self-reset between rounds; the cursors are zeroed by the
-// round's remainder.
+// delivery walk.
 func (e *Engine) shardSet() []*shardTally {
 	n := min(e.pool.Workers(), e.t.NumCompute())
 	for len(e.tallies) < max(n, 1) {
@@ -328,18 +349,21 @@ func (x *Exchange) execute(async bool) int {
 	a := e.inboxNext
 	nodes := e.t.ComputeNodes()
 	rows, keys := 0, 0
+	var maxRecv int64
 	for ci, v := range nodes {
 		a.off[ci], a.koff[ci] = rows, keys
 		for _, s := range shards {
-			c := s.cur[ci]
-			s.cur[ci] = cursor{row: rows, key: keys}
-			rows += c.row
-			keys += c.key
+			if c := s.cur[ci]; c.row != 0 {
+				s.cur[ci] = cursor{row: rows, key: keys, base: a.koff[ci]}
+				rows += c.row
+				keys += c.key
+			}
 		}
 		if got := keys - a.koff[ci]; got > math.MaxInt32 {
 			x.reject(fmt.Sprintf("netsim: inbox overflow: %d keys for one receiver in one round exceed the int32 pool offsets", got))
 		} else if got != 0 {
 			x.received[v] += int64(got)
+			maxRecv = max(maxRecv, x.received[v])
 		}
 	}
 	a.off[len(nodes)], a.koff[len(nodes)] = rows, keys
@@ -349,12 +373,12 @@ func (x *Exchange) execute(async bool) int {
 	e.inboxCur, e.inboxNext = e.inboxNext, e.inboxCur
 	e.inRound = false
 	slot := len(e.rounds)
-	e.rounds = append(e.rounds, RoundStats{Index: slot, Messages: rows, Elements: int64(keys)})
+	e.rounds = append(e.rounds, RoundStats{Index: slot, Messages: rows, Elements: int64(keys), MaxReceived: maxRecv})
 	if async {
 		e.pending.Add(1)
-		go accountRound(x, slot, true)
+		go e.accountRound(slot, x.t0, x.sent, x.received, true)
 	} else {
-		accountRound(x, slot, false)
+		e.accountRound(slot, x.t0, x.sent, x.received, false)
 	}
 	return slot
 }
@@ -372,45 +396,37 @@ func (x *Exchange) reject(msg string) {
 		clear(x.received)
 	}
 	for i := range x.outs {
-		x.outs[i].reset()
+		x.outs[i].empty()
+	}
+	for i := range x.logs {
+		x.logs[i].reset()
 	}
 	e.inRound = false
 	panic(msg)
 }
 
 // accountRound is the serial remainder of an executed round: it merges the
-// shards' edge deltas and resolves them with one subtree-sum sweep, fills
-// the round's reserved stats slot, and resets the cursors and the outboxes
-// for reuse. At most one runs at a time, and execute waits for it before
-// its first walk, so the shard tallies and the lean-stats arrays are used
-// without synchronization.
-func accountRound(x *Exchange, slot int, async bool) {
-	e := x.e
+// shards' edge deltas, resolves them with one subtree-sum sweep and fills
+// the round's reserved stats slot. It reads nothing of the exchange, which
+// may be planning the next round by now. At most one runs at a time, and
+// execute waits for it before its first walk, so the shard accumulators and
+// the lean-stats arrays are used without synchronization.
+func (e *Engine) accountRound(slot int, t0 float64, sent, received []int64, async bool) {
 	if async {
 		defer e.pending.Done()
 	}
 
-	// In lean mode the sweep targets the engine's reusable array (zeroed
-	// again by finishStats after folding into the totals); otherwise a fresh
-	// one is retained by the round's stats.
-	var traffic []int64
-	if e.leanStats {
-		traffic = e.arTraffic
-	} else {
+	// In lean mode the sweep adds straight into the cumulative totals;
+	// otherwise into a fresh array the round's stats retain.
+	traffic := e.totEdge
+	if !e.leanStats {
 		traffic = make([]int64, e.t.NumEdges())
 	}
-	for w, s := range e.tallies {
-		if w > 0 {
-			e.tallies[0].acc.MergeFrom(s.acc)
-		}
-		clear(s.cur)
+	for _, s := range e.tallies[1:] {
+		e.tallies[0].acc.MergeFrom(s.acc)
 	}
-	e.tallies[0].acc.FlushInto(traffic)
-
-	e.finishStats(slot, traffic, x.sent, x.received)
-	e.recordRound(slot, x.t0)
-
-	for i := range x.outs {
-		x.outs[i].reset()
-	}
+	rd := &e.rounds[slot]
+	rd.Cost, rd.BottleneckEdge = e.tallies[0].acc.FlushInto(traffic)
+	e.retainStats(rd, traffic, sent, received)
+	e.recordRound(slot, t0)
 }

@@ -158,11 +158,11 @@ func TestExchangeMatchesRound(t *testing.T) {
 func replaySerially(e *Engine, plan func(v topology.NodeID, out *Outbox)) RoundStats {
 	rd := e.BeginRound()
 	for _, v := range e.Tree().ComputeNodes() {
-		var ob Outbox
+		ob := Outbox{log: new(opLog)}
 		plan(v, &ob)
-		for _, o := range ob.ops {
+		for _, o := range ob.log.ops[ob.lo:ob.hi] {
 			if o.to == topology.NoNode {
-				rd.Multicast(v, ob.dsts[o.dlo:o.dhi], o.tag, o.keys)
+				rd.Multicast(v, ob.log.dsts[o.dlo:o.dhi], o.tag, o.keys)
 			} else {
 				rd.Send(v, o.to, o.tag, o.keys)
 			}
@@ -309,8 +309,8 @@ func TestExchangeMulticastDuplicatesOverReserve(t *testing.T) {
 	if got := e.Inbox(vs[1]).Messages(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("inbox of the repeated destination = %v, want %v", got, want)
 	}
-	if a := e.inboxCur; len(a.from) != 3 || len(a.pool) != 5 {
-		t.Fatalf("arena holds %d rows and %d keys for 3 deliveries of 5 keys", len(a.from), len(a.pool))
+	if a := e.inboxCur; len(a.hdr) != 3 || len(a.pool) != 5 {
+		t.Fatalf("arena holds %d rows and %d keys for 3 deliveries of 5 keys", len(a.hdr), len(a.pool))
 	}
 }
 
@@ -406,8 +406,10 @@ func TestExchangeMisusePanics(t *testing.T) {
 }
 
 // TestRejectedPlanLeavesEngineUntouched: a plan refused by Execute — a
-// router receiver behind valid sends, or one receiver sent more keys than
-// int32 offsets address — panics by name on the caller's goroutine before
+// router receiver behind valid sends, a router in a multicast behind
+// destinations the tally walk has already rewritten, or one receiver sent
+// more keys than int32 offsets address — panics by name on the caller's
+// goroutine before
 // any arena array is allocated, and leaves the inboxes, the round count and
 // the costs of the rounds that follow exactly as an engine that never saw
 // it.
@@ -435,6 +437,17 @@ func TestRejectedPlanLeavesEngineUntouched(t *testing.T) {
 			x.Out(vs[0]).Send(vs[1], TagData, []uint64{1})
 			x.Out(vs[2]).Multicast([]topology.NodeID{vs[3], vs[0]}, TagS, []uint64{2, 3})
 			x.Out(vs[len(vs)-1]).Multicast([]topology.NodeID{vs[1], tr.Root()}, TagData, nil)
+		}},
+		// Every shard has replaced receivers by compute indices, and the
+		// refused multicast has packed three destinations over its own list,
+		// by the time the router is seen.
+		"router behind packed destinations": {fmt.Sprintf("netsim: receiver %d is not a compute node", tr.Root()), func(x *Exchange) {
+			n := len(vs)
+			for i, v := range vs {
+				x.Out(v).Send(vs[(i+3)%n], TagData, []uint64{uint64(i)})
+				x.Out(v).Multicast([]topology.NodeID{vs[(i+1)%n], vs[(i+1)%n], v, vs[(i+2)%n]}, TagR, []uint64{1, 2})
+			}
+			x.Out(vs[n/2]).Multicast([]topology.NodeID{vs[2], vs[2], vs[0], vs[n/2], tr.Root(), vs[1]}, TagS, []uint64{5})
 		}},
 		"inbox overflow": {"netsim: inbox overflow: 2147483648 keys for one receiver", func(x *Exchange) {
 			x.Out(vs[0]).Send(vs[2], TagData, []uint64{1})
@@ -465,9 +478,19 @@ func TestRejectedPlanLeavesEngineUntouched(t *testing.T) {
 					}()
 					x.Execute()
 				}()
-				if after := *e.inboxNext; cap(after.from) != cap(next.from) || cap(after.tag) != cap(next.tag) ||
-					cap(after.end) != cap(next.end) || cap(after.pool) != cap(next.pool) {
+				if after := *e.inboxNext; cap(after.hdr) != cap(next.hdr) || cap(after.pool) != cap(next.pool) {
 					t.Fatalf("%s: the refused plan resized the arena", name)
+				}
+				for w := range x.logs {
+					l := &x.logs[w]
+					for _, o := range l.ops[:cap(l.ops)] {
+						if o.keys != nil {
+							t.Fatalf("%s: log %d still holds a payload of the refused plan", name, w)
+						}
+					}
+					if len(l.ops) != 0 || len(l.dsts) != 0 {
+						t.Fatalf("%s: log %d keeps %d ops and %d destinations of the refused plan", name, w, len(l.ops), len(l.dsts))
+					}
 				}
 				if e.NumRounds() != 1 {
 					t.Fatalf("%s: NumRounds = %d after the refused plan, want 1", name, e.NumRounds())

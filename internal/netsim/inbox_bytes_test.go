@@ -127,7 +127,7 @@ func randomTestRound(rng *rand.Rand, t *topology.Tree) testRound {
 }
 
 // TestInboxBytesAcrossWorkers: on every topotest shape, over several rounds
-// on one engine (so both arenas and both exchange buffers are reused), every
+// on one engine (so both arenas and the exchange's op logs are reused), every
 // inbox holds the same (from, tag, keys) sequence at 1, 2, 4 and 7 workers,
 // under Execute and ExecuteAsync, with full and lean stats — and that
 // sequence is the serial Round oracle's.
@@ -165,6 +165,63 @@ func TestInboxBytesAcrossWorkers(t *testing.T) {
 				if got, want := e.Report().TotalCost(), oracle.Report().TotalCost(); got != want {
 					t.Fatalf("%s #%d, workers %d, async %v: total cost %v, oracle %v", name, i, workers, async, got, want)
 				}
+			}
+		}
+	}
+}
+
+// TestOutInAnyOrderKeepsInboxOrder: senders reached through Out in
+// descending order, then planned, then reached through Out again in random
+// order (some of them twice) move their ops about the shard's log, and every
+// inbox still reads compute-node order, then queueing order: the serial
+// Round oracle's bytes, at one worker and at four, round after round.
+func TestOutInAnyOrderKeepsInboxOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	for i := 0; i < 2*topotest.NumShapes; i++ {
+		name, tr, err := topotest.Draw(rng, i)
+		if err != nil {
+			t.Fatalf("shape %d (%s): %v", i, name, err)
+		}
+		nodes := tr.ComputeNodes()
+		rounds := make([]testRound, 3)
+		orders := make([][]int, len(rounds))
+		for r := range rounds {
+			rounds[r] = randomTestRound(rng, tr)
+			// Unlike execPlanned's, most senders have something for Out.
+			for ci := range nodes {
+				rounds[r].stages[2][ci] = append(rounds[r].stages[2][ci], randomTestRound(rng, tr).stages[0][ci]...)
+			}
+			orders[r] = rng.Perm(len(nodes))
+		}
+		oracle := NewEngine(tr)
+		var want [][][]Message
+		for _, rd := range rounds {
+			oraclePlanned(oracle, rd)
+			want = append(want, inboxBytes(oracle))
+		}
+		for _, workers := range []int{1, 4} {
+			e := NewEngine(tr, WithWorkers(workers))
+			for r, rd := range rounds {
+				x := e.Exchange()
+				for ci := len(nodes) - 1; ci >= 0; ci-- {
+					queueOps(x.Out(nodes[ci]), rd.stages[0][ci])
+				}
+				x.Plan(func(v topology.NodeID, out *Outbox) { queueOps(out, rd.stages[1][e.t.ComputeIndex(v)]) })
+				for _, ci := range orders[r] { // the first half now, the rest after everyone had a turn
+					ops := rd.stages[2][ci]
+					queueOps(x.Out(nodes[ci]), ops[:len(ops)/2])
+				}
+				for _, ci := range orders[r] {
+					ops := rd.stages[2][ci]
+					queueOps(x.Out(nodes[ci]), ops[len(ops)/2:])
+				}
+				x.Execute()
+				if got := inboxBytes(e); !reflect.DeepEqual(got, want[r]) {
+					t.Fatalf("%s #%d, workers %d, round %d: inboxes differ from the oracle\n got %v\nwant %v", name, i, workers, r, got, want[r])
+				}
+			}
+			if got, want := e.Report().TotalCost(), oracle.Report().TotalCost(); got != want {
+				t.Fatalf("%s #%d, workers %d: total cost %v, oracle %v", name, i, workers, got, want)
 			}
 		}
 	}

@@ -19,27 +19,30 @@
 // reference implementations.
 //
 // A round is an Exchange: Plan collects every compute node's transfers
-// into its outbox, and Execute makes two walks over the outboxes, each
-// sharded by contiguous sender range. The first accounts every transfer in
-// O(1) (LCA tree-difference counting) and counts what each receiver gets
-// from each shard; a prefix over those counts lays the round's inboxes out
-// in one arena; the second walk copies headers and keys to their rows.
-// Shards write disjoint rows, and a receiver's rows read compute-node order
-// then op order, so inbox bytes and every statistic are the same at every
-// worker count.
+// into its outbox — a range of the op log its shard of senders shares, so
+// queueing is an append and a walk reads the log front to back — and Execute
+// makes two walks over the outboxes, each sharded by contiguous sender
+// range. The first accounts every transfer in O(1) (LCA tree-difference
+// counting), resolves every receiver to its compute index once, and counts
+// what each receiver gets from each shard; a prefix over those counts lays
+// the round's inboxes out in one arena; the second walk writes one header
+// row and the keys of every delivery where its shard's cursor points, and
+// truncates the plan behind itself. Shards write disjoint rows, and a
+// receiver's rows read compute-node order then op order, so inbox bytes and
+// every statistic are the same at every worker count.
 //
 // Every fork — Plan's per-node callbacks, the two walks, and the protocol
 // kernels' per-home compute (Engine.Pool) — goes through internal/par on
 // the engine's one pool under the WithWorkers budget.
 //
-// Outboxes, inbox arenas, shard tallies and (under WithLeanStats) the
-// per-round accounting arrays are allocated once and recycled across
+// Outboxes, op logs, inbox arenas, shard tallies and (under WithLeanStats)
+// the per-round accounting arrays are allocated once and recycled across
 // rounds, so a steady-state round performs no heap allocation. With more
 // than one worker, ExecuteAsync leaves the serial remainder of a round
-// (merging the shards' edge deltas, the subtree-sum sweep, the cost
-// statistics, the outbox reset) to one background goroutine while the
-// protocol plans the next round; Report and the next Execute synchronize on
-// it.
+// (merging the shards' edge deltas, the subtree-sum sweep that also finds
+// the round's cost, folding the node counts into the totals) to one
+// background goroutine while the protocol plans the next round; Report and
+// the next Execute synchronize on it.
 package netsim
 
 import (
@@ -73,20 +76,26 @@ type Message struct {
 	Keys []uint64
 }
 
+// msgHdr is the header row of one delivery: its sender, the exclusive end of
+// its payload counted from the receiver's first key, and its tag.
+type msgHdr struct {
+	from topology.NodeID
+	end  int32
+	tag  Tag
+}
+
 // inboxArena holds one round's deliveries to every compute node in CSR
-// form. Receiver ci (a compute index) owns rows off[ci]:off[ci+1] of the
-// header arrays (sender, tag, and the exclusive end of the payload) and keys
-// koff[ci]:koff[ci+1] of the pool; end counts from the receiver's first
-// key, so a delivered message costs 9 bytes of header and one receiver's
-// keys must fit int32 offsets however large the round is. The engine keeps
-// two arenas, the one protocols read and the one the round in flight
-// writes, and every round rewrites its arena from row 0.
+// form. Receiver ci (a compute index) owns header rows off[ci]:off[ci+1]
+// and keys koff[ci]:koff[ci+1] of the pool; a row's end counts from the
+// receiver's first key, so a delivered message costs 12 bytes of header,
+// written as one record, and one receiver's keys must fit int32 offsets
+// however large the round is. The engine keeps two arenas, the one protocols
+// read and the one the round in flight writes, and every round rewrites its
+// arena from row 0.
 type inboxArena struct {
 	off  []int
 	koff []int
-	from []topology.NodeID
-	tag  []Tag
-	end  []int32
+	hdr  []msgHdr
 	pool []uint64
 
 	peakRows, peakKeys int // recent peak of rows and keys, see fit
@@ -97,13 +106,11 @@ func newInboxArena(nc int) *inboxArena {
 	return &inboxArena{off: make([]int, nc+1), koff: make([]int, nc+1)}
 }
 
-// put writes one delivery at c, the cursor of a receiver whose keys start at
-// pool index base, and advances c past it.
-func (a *inboxArena) put(c *cursor, base int, from topology.NodeID, tag Tag, keys []uint64) {
-	a.from[c.row] = from
-	a.tag[c.row] = tag
+// put writes one delivery at c, the cursor of its receiver, and advances c
+// past it.
+func (a *inboxArena) put(c *cursor, from topology.NodeID, tag Tag, keys []uint64) {
 	c.key += copy(a.pool[c.key:], keys)
-	a.end[c.row] = int32(c.key - base)
+	a.hdr[c.row] = msgHdr{from: from, end: int32(c.key - c.base), tag: tag}
 	c.row++
 }
 
@@ -131,9 +138,7 @@ const arenaShrinkMin = 1 << 16
 func (a *inboxArena) fit(rows, keys int) {
 	a.peakRows = max(rows, a.peakRows-a.peakRows/4)
 	a.peakKeys = max(keys, a.peakKeys-a.peakKeys/4)
-	a.from = fitSlice(a.from, rows, a.peakRows)
-	a.tag = fitSlice(a.tag, rows, a.peakRows)
-	a.end = fitSlice(a.end, rows, a.peakRows)
+	a.hdr = fitSlice(a.hdr, rows, a.peakRows)
 	a.pool = fitSlice(a.pool, keys, a.peakKeys)
 }
 
@@ -155,14 +160,12 @@ func fitSlice[T any](s []T, n, peak int) []T {
 // retain them across rounds.
 type Inbox struct {
 	to   topology.NodeID
-	from []topology.NodeID
-	tag  []Tag
-	end  []int32 // pool offset one past message i's keys
+	hdr  []msgHdr // end: pool offset one past message i's keys
 	pool []uint64
 }
 
 // Len reports the number of delivered messages.
-func (in Inbox) Len() int { return len(in.end) }
+func (in Inbox) Len() int { return len(in.hdr) }
 
 // Messages materializes the whole inbox as a fresh slice. It allocates;
 // protocol hot paths should iterate with Len/At instead.
@@ -178,25 +181,25 @@ func (in Inbox) Messages() []Message {
 func (in Inbox) At(i int) Message {
 	var lo int32
 	if i > 0 {
-		lo = in.end[i-1]
+		lo = in.hdr[i-1].end
 	}
-	hi := in.end[i]
+	h := in.hdr[i]
 	return Message{
-		From: in.from[i],
+		From: h.from,
 		To:   in.to,
-		Tag:  in.tag[i],
-		Keys: in.pool[lo:hi:hi],
+		Tag:  h.tag,
+		Keys: in.pool[lo:h.end:h.end],
 	}
 }
 
 // KeyCount reports how many keys the delivered tag messages carry in total.
 func (in Inbox) KeyCount(tag Tag) int {
 	n, lo := 0, int32(0)
-	for i, hi := range in.end {
-		if in.tag[i] == tag {
-			n += int(hi - lo)
+	for _, h := range in.hdr {
+		if h.tag == tag {
+			n += int(h.end - lo)
 		}
-		lo = hi
+		lo = h.end
 	}
 	return n
 }
@@ -205,11 +208,11 @@ func (in Inbox) KeyCount(tag Tag) int {
 // delivery order, and returns the extended slice.
 func (in Inbox) AppendKeys(dst []uint64, tag Tag) []uint64 {
 	lo := int32(0)
-	for i, hi := range in.end {
-		if in.tag[i] == tag {
-			dst = append(dst, in.pool[lo:hi]...)
+	for _, h := range in.hdr {
+		if h.tag == tag {
+			dst = append(dst, in.pool[lo:h.end]...)
 		}
-		lo = hi
+		lo = h.end
 	}
 	return dst
 }
@@ -239,16 +242,12 @@ type Engine struct {
 	pool    *par.Pool     // Plan, the two walks of Execute and, through Pool(), the kernels
 	tallies []*shardTally // per-shard scratch of the walks
 
-	// Round arena: the two exchange buffers alternate across rounds so the
-	// asynchronous remainder of round r can still read round r's outboxes
-	// while the protocol plans round r+1 into the other buffer. With lean
-	// stats the per-round accounting arrays are also reused round over
-	// round instead of being retained by RoundStats.
-	exbuf  [2]Exchange
-	exturn int
+	// Round arena: the exchange's outboxes and op logs are reused round over
+	// round. With lean stats so are the per-round accounting arrays, instead
+	// of being retained by RoundStats.
+	ex Exchange
 
 	leanStats  bool
-	arTraffic  []int64 // lean mode: reused per-round edge traffic
 	arSent     []int64 // lean mode: reused per-round node sent
 	arReceived []int64 // lean mode: reused per-round node received
 	totEdge    []int64 // lean mode: cumulative per-edge totals
@@ -396,8 +395,7 @@ func (e *Engine) computeIndex(v topology.NodeID) int {
 
 // ensureArena allocates the lean-mode accounting arrays on first use.
 func (e *Engine) ensureArena() {
-	if e.arTraffic == nil {
-		e.arTraffic = make([]int64, e.t.NumEdges())
+	if e.arSent == nil {
 		e.arSent = make([]int64, e.t.NumNodes())
 		e.arReceived = make([]int64, e.t.NumNodes())
 		e.totEdge = make([]int64, e.t.NumEdges())
@@ -419,12 +417,9 @@ func (e *Engine) Inbox(v topology.NodeID) Inbox {
 		return Inbox{to: v}
 	}
 	a := e.inboxCur
-	lo, hi := a.off[ci], a.off[ci+1]
 	return Inbox{
 		to:   v,
-		from: a.from[lo:hi],
-		tag:  a.tag[lo:hi],
-		end:  a.end[lo:hi],
+		hdr:  a.hdr[a.off[ci]:a.off[ci+1]],
 		pool: a.pool[a.koff[ci]:a.koff[ci+1]],
 	}
 }
@@ -435,44 +430,13 @@ func (e *Engine) NumRounds() int {
 	return len(e.rounds)
 }
 
-// finishStats fills the cost fields of a reserved stats slot from the
-// accounted arrays. In lean mode the arrays are folded into the cumulative
-// totals and zeroed for reuse; otherwise they are retained by the slot.
-func (e *Engine) finishStats(slot int, traffic, sent, received []int64) {
-	cost := 0.0
-	var maxEdge topology.EdgeID = topology.NoEdge
-	for edge, n := range traffic {
-		if n == 0 {
-			continue
-		}
-		c := float64(n) / e.t.Bandwidth(topology.EdgeID(edge))
-		if c > cost {
-			cost = c
-			maxEdge = topology.EdgeID(edge)
-		}
-	}
-	var maxRecv int64
-	for _, n := range received {
-		if n > maxRecv {
-			maxRecv = n
-		}
-	}
-	rd := &e.rounds[slot]
-	rd.Cost = cost
-	rd.BottleneckEdge = maxEdge
-	rd.MaxReceived = maxRecv
+// retainStats keeps a round's accounted arrays: with the round's stats, or
+// in lean mode folded into the cumulative totals and zeroed for reuse (the
+// edge counts were added to the totals as they were computed).
+func (e *Engine) retainStats(rd *RoundStats, traffic, sent, received []int64) {
 	if !e.leanStats {
-		rd.EdgeElems = traffic
-		rd.NodeSent = sent
-		rd.NodeReceived = received
+		rd.EdgeElems, rd.NodeSent, rd.NodeReceived = traffic, sent, received
 		return
-	}
-	e.ensureArena()
-	for i, n := range traffic {
-		if n != 0 {
-			e.totEdge[i] += n
-			traffic[i] = 0
-		}
 	}
 	for v := range sent {
 		if sent[v] != 0 {

@@ -136,14 +136,30 @@ func (r *Round) Finish() RoundStats {
 		ci := e.t.ComputeIndex(m.To)
 		copy(a.pool[a.koff[ci]+used[ci]:], m.Keys)
 		used[ci] += len(m.Keys)
-		a.from[rows[ci]], a.tag[rows[ci]], a.end[rows[ci]] = m.From, m.Tag, int32(used[ci])
+		a.hdr[rows[ci]] = msgHdr{from: m.From, end: int32(used[ci]), tag: m.Tag}
 		rows[ci]++
 	}
 
 	e.inRound = false
 	slot := len(e.rounds)
 	e.rounds = append(e.rounds, RoundStats{Index: slot, Messages: len(r.msgs), Elements: r.elements})
-	e.finishStats(slot, r.traffic, r.sent, r.received)
+	rd := &e.rounds[slot]
+	rd.BottleneckEdge = topology.NoEdge
+	for edge, n := range r.traffic {
+		if c := float64(n) / e.t.Bandwidth(topology.EdgeID(edge)); c > rd.Cost {
+			rd.Cost, rd.BottleneckEdge = c, topology.EdgeID(edge)
+		}
+	}
+	for _, n := range r.received {
+		rd.MaxReceived = max(rd.MaxReceived, n)
+	}
+	if e.leanStats {
+		e.ensureArena()
+		for edge, n := range r.traffic {
+			e.totEdge[edge] += n
+		}
+	}
+	e.retainStats(rd, r.traffic, r.sent, r.received)
 	e.recordRound(slot, r.t0)
 	e.inboxCur, e.inboxNext = e.inboxNext, e.inboxCur
 	return e.rounds[slot]

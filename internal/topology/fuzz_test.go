@@ -3,6 +3,7 @@ package topology
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -131,6 +132,105 @@ func FuzzTopologyJSON(f *testing.F) {
 			out2, _ := g2.MarshalJSON()
 			if !bytes.Equal(out, out2) {
 				t.Fatalf("graph spec not a round-trip fixed point:\n%s\nvs\n%s", out, out2)
+			}
+		}
+	})
+}
+
+// FuzzPathAccumulator checks tree-difference counting against per-hop
+// parent walks. Byte 0 says how many of the following bytes describe the
+// tree (a fuzzGraph multigraph, compressed by FromGraph); the rest are
+// transfers: a control byte (unicast or multicast, which of two shards, the
+// charge), then two endpoints or a terminal count and that many terminals,
+// every node taken modulo the node count so that terminals repeat. One
+// accumulator given every transfer, and two shards merged, must both flush
+// to the walked per-edge traffic and report its cost and bottleneck.
+func FuzzPathAccumulator(f *testing.F) {
+	// Two leaves under a router: a unicast, a multicast naming a terminal
+	// twice, a transfer from a node to itself.
+	f.Add([]byte{10, 1, 1, 1, 0, 0, 2, 8, 1, 2, 8, 4, 0, 1, 11, 2, 0, 1, 0, 0, 1, 1})
+	// A ring of eight with a chord, so the tree is a Gomory–Hu tree.
+	f.Add([]byte{36, 6, 1, 0, 1, 1, 0, 1, 1, 1, 0, 1, 8, 1, 2, 4, 2, 3, 4, 3, 4, 2, 4, 5, 8, 5, 6, 1, 6, 7, 3, 7, 0, 5, 1, 4, 7,
+		5, 3, 7, 15, 4, 0, 7, 7, 3, 2, 2, 6, 6, 9, 0, 5, 13, 1, 2, 2, 7, 1, 6, 10, 5, 0, 1, 2, 3, 4, 5})
+	// A star with equal links and equal loads: the bottleneck is a tie.
+	f.Add([]byte{14, 2, 0, 1, 1, 1, 0, 1, 8, 0, 2, 8, 0, 3, 8, 4, 1, 2, 4, 2, 3, 6, 3, 1})
+	// A line of compute nodes: ancestors and descendants of one another.
+	f.Add([]byte{14, 2, 1, 1, 1, 1, 0, 1, 2, 1, 2, 2, 2, 3, 2, 4, 0, 3, 5, 3, 0, 14, 3, 3, 1, 0, 2, 8, 1, 2})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		cut := min(1+int(data[0]), len(data))
+		g, err := fuzzGraph(data[1:cut])
+		if err != nil {
+			return // invalid draw; nothing to assert
+		}
+		tr, err := FromGraph(g)
+		if err != nil {
+			t.Fatalf("FromGraph failed on a valid graph: %v", err)
+		}
+		n := tr.NumNodes()
+		want := make([]int64, tr.NumEdges())
+		stamp := make([]int, tr.NumEdges())
+		// walk charges c to every edge between u and v not yet stamped by
+		// this transfer.
+		walk := func(u, v NodeID, c int64, id int) {
+			for u != v {
+				if tr.depth[u] < tr.depth[v] {
+					u, v = v, u
+				}
+				if e := tr.parentEdge[u]; stamp[e] != id {
+					stamp[e] = id
+					want[e] += c
+				}
+				u = tr.parent[u]
+			}
+		}
+		single := NewPathAccumulator(tr)
+		shards := [2]*PathAccumulator{NewPathAccumulator(tr), NewPathAccumulator(tr)}
+		ops := data[cut:]
+		for id := 1; len(ops) >= 3; id++ {
+			ctl := ops[0]
+			shard, c := shards[ctl>>1&1], int64(ctl>>2&3)
+			if ctl&1 == 0 {
+				u, v := NodeID(int(ops[1])%n), NodeID(int(ops[2])%n)
+				ops = ops[3:]
+				single.AddPath(u, v, c)
+				shard.AddPath(u, v, c)
+				walk(u, v, c, id)
+				continue
+			}
+			k := min(1+int(ops[1])%6, len(ops)-2)
+			terms := make([]NodeID, k)
+			for i := range terms {
+				terms[i] = NodeID(int(ops[2+i]) % n)
+			}
+			ops = ops[2+k:]
+			single.AddSteiner(terms, c)
+			shard.AddSteiner(terms, c)
+			for _, v := range terms[1:] {
+				walk(terms[0], v, c, id) // the union of the paths from one terminal
+			}
+		}
+
+		wantCost, wantEdge := 0.0, NoEdge
+		for e, x := range want {
+			if c := float64(x) / tr.bw[e]; c > wantCost {
+				wantCost, wantEdge = c, EdgeID(e)
+			}
+		}
+		shards[0].MergeFrom(shards[1])
+		for name, acc := range map[string]*PathAccumulator{"single": single, "merged": shards[0], "drained": shards[1]} {
+			got := make([]int64, tr.NumEdges())
+			cost, edge := acc.FlushInto(got)
+			if name == "drained" {
+				if cost != 0 || edge != NoEdge || !slices.Equal(got, make([]int64, len(got))) {
+					t.Fatalf("MergeFrom left traffic behind: %v", got)
+				}
+				continue
+			}
+			if !slices.Equal(got, want) || cost != wantCost || edge != wantEdge {
+				t.Fatalf("%s accumulator: traffic %v cost %v at edge %d, the walks give %v, %v at %d", name, got, cost, edge, want, wantCost, wantEdge)
 			}
 		}
 	})

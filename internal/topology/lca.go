@@ -1,10 +1,18 @@
 package topology
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+)
 
-// Lowest-common-ancestor support: an Euler tour of the rooted tree plus a
-// sparse table for range-minimum queries over tour depths makes LCA (and
-// therefore PathLen) O(1) after O(n log n) preprocessing at Build time.
+// Lowest-common-ancestor support: a sparse table for range-minimum queries
+// over the n preorder positions makes LCA (and therefore PathLen) O(1)
+// after O(n log n) preprocessing at Build time. Entry i of the bottom level
+// is the preorder position of the parent of the node at position i. Every
+// node visited after u and up to v (tin[u] < tin[v]) lies under their
+// lowest common ancestor, and one of them — v's ancestor just below it, or
+// v itself — is its child, so the minimum over (tin[u], tin[v]] is the
+// ancestor's own position: no tour, no first-visit array, no depth compare.
 //
 // The same structure powers PathAccumulator, which turns a batch of M
 // unicasts and multicasts into per-edge traffic counts in O(n + M) total
@@ -12,106 +20,52 @@ import "math/bits"
 // O(depth) walk per message: each unicast contributes +c at both endpoints
 // and −2c at their LCA, each multicast charges the virtual-tree paths of
 // its terminal set, and a single bottom-up subtree-sum sweep converts the
-// node deltas into edge traffic.
+// node deltas into edge traffic. The deltas are kept by preorder position,
+// the index the table answers in, so the sweep reads them in storage order.
 
-// lcaIndex is the precomputed Euler-tour sparse table.
+// lcaIndex is the precomputed sparse table: table[k][i] is the smallest
+// parent position among positions i .. i+2^k-1.
 type lcaIndex struct {
-	euler []NodeID // node visited at each tour step (2n-1 entries)
-	first []int32  // first tour index of each node
 	table [][]int32
 }
 
-// buildLCA constructs the Euler tour and sparse table; called by finalize.
+// buildLCA constructs the sparse table; called by finalize.
 func (t *Tree) buildLCA() {
 	n := t.NumNodes()
-	ix := &lcaIndex{
-		euler: make([]NodeID, 0, 2*n-1),
-		first: make([]int32, n),
+	up := make([]int32, n) // the root's entry is never part of a query
+	for i := 1; i < n; i++ {
+		up[i] = t.tin[t.parent[t.preorder[i]]]
 	}
-	for v := range ix.first {
-		ix.first[v] = -1
-	}
-
-	// Iterative Euler tour following adjacency (insertion) order, matching
-	// the DFS of finalize: a node is appended on first entry and again after
-	// each child returns.
-	type frame struct {
-		v    NodeID
-		next int
-	}
-	visit := func(v NodeID) {
-		if ix.first[v] < 0 {
-			ix.first[v] = int32(len(ix.euler))
+	ix := &lcaIndex{table: [][]int32{up}}
+	for width := 2; width < n; width *= 2 {
+		prev := ix.table[len(ix.table)-1]
+		row := make([]int32, n-width+1) // a query spans at most n-1 positions
+		for i := range row {
+			row[i] = min(prev[i], prev[i+width/2])
 		}
-		ix.euler = append(ix.euler, v)
-	}
-	stack := []frame{{t.root, 0}}
-	visit(t.root)
-	for len(stack) > 0 {
-		f := &stack[len(stack)-1]
-		if f.next >= len(t.adj[f.v]) {
-			stack = stack[:len(stack)-1]
-			if len(stack) > 0 {
-				visit(stack[len(stack)-1].v)
-			}
-			continue
-		}
-		h := t.adj[f.v][f.next]
-		f.next++
-		if h.To == t.parent[f.v] {
-			continue
-		}
-		visit(h.To)
-		stack = append(stack, frame{h.To, 0})
-	}
-
-	// Sparse table over tour positions; comparisons use node depth, so
-	// table[k][i] is the position of the shallowest node in
-	// euler[i : i+2^k].
-	m := len(ix.euler)
-	levels := 1
-	if m > 1 {
-		levels = bits.Len(uint(m)) // floor(log2(m)) + 1
-	}
-	ix.table = make([][]int32, levels)
-	ix.table[0] = make([]int32, m)
-	for i := range ix.table[0] {
-		ix.table[0][i] = int32(i)
-	}
-	for k := 1; k < levels; k++ {
-		width := 1 << k
-		if m-width+1 <= 0 {
-			ix.table = ix.table[:k]
-			break
-		}
-		ix.table[k] = make([]int32, m-width+1)
-		prev := ix.table[k-1]
-		for i := range ix.table[k] {
-			a, b := prev[i], prev[i+width/2]
-			if t.depth[ix.euler[a]] <= t.depth[ix.euler[b]] {
-				ix.table[k][i] = a
-			} else {
-				ix.table[k][i] = b
-			}
-		}
+		ix.table = append(ix.table, row)
 	}
 	t.lca = ix
+}
+
+// at reports the preorder position of the lowest common ancestor of the
+// nodes at preorder positions a and b.
+func (ix *lcaIndex) at(a, b int32) int32 {
+	if a == b {
+		return a
+	}
+	if a > b {
+		a, b = b, a
+	}
+	k := bits.Len32(uint32(b-a)) - 1
+	row := ix.table[k]
+	return min(row[a+1], row[b-int32(1)<<k+1])
 }
 
 // LCA reports the lowest common ancestor of u and v in the rooted
 // orientation, in O(1).
 func (t *Tree) LCA(u, v NodeID) NodeID {
-	ix := t.lca
-	a, b := ix.first[u], ix.first[v]
-	if a > b {
-		a, b = b, a
-	}
-	k := bits.Len(uint(b-a+1)) - 1
-	x, y := ix.table[k][a], ix.table[k][b-int32(1<<k)+1]
-	if t.depth[ix.euler[x]] <= t.depth[ix.euler[y]] {
-		return ix.euler[x]
-	}
-	return ix.euler[y]
+	return t.preorder[t.lca.at(t.tin[u], t.tin[v])]
 }
 
 // PathAccumulator turns a batch of routed transfers into per-edge traffic
@@ -122,9 +76,9 @@ func (t *Tree) LCA(u, v NodeID) NodeID {
 // shard the batch across several accumulators and MergeFrom them instead.
 type PathAccumulator struct {
 	t     *Tree
-	diff  []int64
-	terms []NodeID // multicast scratch: terminals sorted by tour entry
-	stack []NodeID // multicast scratch: rightmost virtual-tree chain
+	diff  []int64 // pending deltas by preorder position
+	terms []int32 // multicast scratch: terminal positions, ascending
+	stack []int32 // multicast scratch: rightmost virtual-tree chain
 }
 
 // NewPathAccumulator returns an accumulator for trees structurally
@@ -135,20 +89,16 @@ func NewPathAccumulator(t *Tree) *PathAccumulator {
 
 // AddPath charges c to every edge on the unique u–v path.
 func (a *PathAccumulator) AddPath(u, v NodeID, c int64) {
-	if u == v || c == 0 {
-		return
-	}
-	a.diff[u] += c
-	a.diff[v] += c
-	a.diff[a.t.LCA(u, v)] -= 2 * c
+	p, q := a.t.tin[u], a.t.tin[v]
+	a.diff[p] += c
+	a.diff[q] += c
+	a.diff[a.t.lca.at(p, q)] -= 2 * c
 }
 
-// addUp charges c to every edge on the path from v up to its ancestor anc.
-func (a *PathAccumulator) addUp(v, anc NodeID, c int64) {
-	if v == anc {
-		return
-	}
-	a.diff[v] += c
+// addUp charges c to every edge on the path from position p up to its
+// ancestor at position anc.
+func (a *PathAccumulator) addUp(p, anc int32, c int64) {
+	a.diff[p] += c
 	a.diff[anc] -= c
 }
 
@@ -157,13 +107,12 @@ func (a *PathAccumulator) addUp(v, anc NodeID, c int64) {
 // edge exactly once. terminals may contain duplicates; the slice is not
 // modified.
 func (a *PathAccumulator) AddSteiner(terminals []NodeID, c int64) {
-	if len(terminals) < 2 || c == 0 {
-		return
+	a.terms = a.terms[:0]
+	for _, v := range terminals {
+		a.terms = append(a.terms, a.t.tin[v])
 	}
-	t := a.t
-	a.terms = append(a.terms[:0], terminals...)
-	sortByTin(t, a.terms)
-	terms := dedupeNodes(a.terms)
+	slices.Sort(a.terms)
+	terms := slices.Compact(a.terms)
 	if len(terms) < 2 {
 		return
 	}
@@ -171,16 +120,17 @@ func (a *PathAccumulator) AddSteiner(terminals []NodeID, c int64) {
 	// Build the virtual (auxiliary) tree over the terminals with the classic
 	// stack sweep: the stack holds the rightmost root-to-node chain; each
 	// chain edge (descendant, ancestor) covers one contiguous tree path,
-	// charged via addUp.
-	st := a.stack[:0]
-	st = append(st, terms[0])
+	// charged via addUp. Ancestors of one node compare by position as they
+	// do by depth.
+	ix := a.t.lca
+	st := append(a.stack[:0], terms[0])
 	for _, x := range terms[1:] {
-		l := t.LCA(st[len(st)-1], x)
-		for len(st) >= 2 && t.depth[st[len(st)-2]] >= t.depth[l] {
+		l := ix.at(st[len(st)-1], x)
+		for len(st) >= 2 && st[len(st)-2] >= l {
 			a.addUp(st[len(st)-1], st[len(st)-2], c)
 			st = st[:len(st)-1]
 		}
-		if t.depth[st[len(st)-1]] > t.depth[l] {
+		if st[len(st)-1] > l {
 			a.addUp(st[len(st)-1], l, c)
 			st[len(st)-1] = l
 		}
@@ -196,10 +146,10 @@ func (a *PathAccumulator) AddSteiner(terminals []NodeID, c int64) {
 // MergeFrom adds b's pending deltas into a and resets b. Both accumulators
 // must target the same tree.
 func (a *PathAccumulator) MergeFrom(b *PathAccumulator) {
-	for v, d := range b.diff {
+	for i, d := range b.diff {
 		if d != 0 {
-			a.diff[v] += d
-			b.diff[v] = 0
+			a.diff[i] += d
+			b.diff[i] = 0
 		}
 	}
 }
@@ -209,23 +159,32 @@ func (a *PathAccumulator) Reset() { clear(a.diff) }
 
 // FlushInto converts the pending deltas into per-edge counts with one
 // reverse-preorder subtree-sum sweep, adds them to traffic (indexed by
-// EdgeID, length NumEdges), and resets the accumulator.
-func (a *PathAccumulator) FlushInto(traffic []int64) {
+// EdgeID, length NumEdges), and resets the accumulator. Every edge gets its
+// whole count in one addition, so the sweep also reports the batch's cost —
+// the largest count over bandwidth — and the edge that attains it, the one
+// with the lowest id among equals and NoEdge when nothing crossed a link.
+func (a *PathAccumulator) FlushInto(traffic []int64) (cost float64, bottleneck EdgeID) {
 	t := a.t
-	pre := t.preorder
-	for i := len(pre) - 1; i >= 1; i-- {
-		v := pre[i]
-		s := a.diff[v]
-		if s != 0 {
-			traffic[t.parentEdge[v]] += s
-			a.diff[t.parent[v]] += s
-			a.diff[v] = 0
+	up := t.lca.table[0]
+	bottleneck = NoEdge
+	for i := len(a.diff) - 1; i >= 1; i-- {
+		s := a.diff[i]
+		if s == 0 {
+			continue
+		}
+		e := t.parentEdge[t.preorder[i]]
+		traffic[e] += s
+		a.diff[up[i]] += s
+		a.diff[i] = 0
+		if c := float64(s) / t.bw[e]; c > cost || c == cost && e < bottleneck {
+			cost, bottleneck = c, e
 		}
 	}
-	a.diff[t.root] = 0
+	a.diff[0] = 0
+	return cost, bottleneck
 }
 
-// sortByTin orders nodes by Euler entry time (tour discovery order).
+// sortByTin orders nodes by preorder position.
 func sortByTin(t *Tree, ns []NodeID) {
 	// Insertion sort: multicast terminal sets are typically small; fall back
 	// to a simple in-place heapsort for large sets to keep O(k log k).
@@ -266,14 +225,4 @@ func siftDownTin(t *Tree, ns []NodeID, i, n int) {
 		ns[i], ns[c] = ns[c], ns[i]
 		i = c
 	}
-}
-
-func dedupeNodes(ns []NodeID) []NodeID {
-	out := ns[:0]
-	for i, v := range ns {
-		if i == 0 || v != out[len(out)-1] {
-			out = append(out, v)
-		}
-	}
-	return out
 }

