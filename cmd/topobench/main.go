@@ -131,6 +131,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return code
 	}
 
+	// fail reports a task-timing error; a bad -place is a usage error.
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "topobench: %v\n", err)
+		if errors.Is(err, cliutil.ErrUnknownPlacement) {
+			return 2
+		}
+		return 1
+	}
+
 	if *scale || *big {
 		sc, err := runScale(*seed, *big, *budget, *workers, stdout)
 		if err != nil {
@@ -162,15 +171,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 		if _, err := timeAll(cfg, stdout); err != nil {
-			fmt.Fprintf(stderr, "topobench: %v\n", err)
-			return 1
+			return fail(err)
 		}
 		return finish(0)
 	}
 	if *task != "" {
 		if err := timeTask(*task, cfg, *jsonOut, stdout); err != nil {
-			fmt.Fprintf(stderr, "topobench: %v\n", err)
-			return 1
+			return fail(err)
 		}
 		return finish(0)
 	}
@@ -272,7 +279,10 @@ func timeOne(spec topompc.Task, cfg benchConfig, stdout io.Writer) (benchRecord,
 	}
 	cluster.SetExecOptions(execOpts)
 	rng := rand.New(rand.NewSource(int64(cfg.seed)))
-	placer := cliutil.Placer(cfg.place, int64(cfg.seed))
+	placer, err := cliutil.Placer(cfg.place, int64(cfg.seed))
+	if err != nil {
+		return benchRecord{}, fmt.Errorf("-place: %w", err)
+	}
 	in, err := cliutil.TaskData(spec, rng, placer, cluster.NumNodes(), cfg.n, 0, 0, cfg.seed)
 	if err != nil {
 		return benchRecord{}, err

@@ -88,6 +88,25 @@ func TestAllConflictsWithTask(t *testing.T) {
 	}
 }
 
+// TestUnknownPlacement: a mistyped -place is a usage error naming the
+// choices under -task and -all alike; it used to time the uniform placement
+// and record the mistyped name in the BENCH file.
+func TestUnknownPlacement(t *testing.T) {
+	chtmp(t)
+	for _, args := range [][]string{{"-task", "sort", "-place", "zipff"}, {"-all", "-place", "zipff"}} {
+		var out, errOut strings.Builder
+		if code := run(args, &out, &errOut); code != 2 {
+			t.Fatalf("%v: exit code %d, want 2", args, code)
+		}
+		if !strings.Contains(errOut.String(), `"zipff"`) || !strings.Contains(errOut.String(), "uniform, zipf, oneheavy, single") {
+			t.Errorf("%v: stderr should name the placement and list the choices: %s", args, errOut.String())
+		}
+		if files, _ := filepath.Glob("BENCH_*.json"); len(files) != 0 {
+			t.Errorf("%v: wrote %v", args, files)
+		}
+	}
+}
+
 // TestTaskJSONShape times one task with -json and checks the BENCH file's
 // machine-readable shape.
 func TestTaskJSONShape(t *testing.T) {

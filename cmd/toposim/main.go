@@ -111,6 +111,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "toposim: unknown task %q (use -list-tasks)\n", *task)
 		return 1
 	}
+	placer, err := cliutil.Placer(*place, *seed)
+	if err != nil {
+		fmt.Fprintf(stderr, "toposim: -place: %v\n", err)
+		return 2
+	}
 
 	// Flight recorder: one trace spans the whole invocation, so the cut-tree
 	// build of general networks lands in the same file as the task's rounds.
@@ -141,7 +146,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintln(stdout)
 
 	rng := rand.New(rand.NewSource(*seed))
-	placer := cliutil.Placer(*place, *seed)
 	in, err := cliutil.TaskData(spec, rng, placer, cluster.NumNodes(), *n, *sizeR, *sizeS, uint64(*seed))
 	if err != nil {
 		fmt.Fprintf(stderr, "toposim: %v\n", err)

@@ -30,6 +30,21 @@ func TestUnknownTask(t *testing.T) {
 	}
 }
 
+// TestUnknownPlacement: a mistyped -place is a usage error naming the
+// choices, reported before anything runs or prints — it used to run uniform.
+func TestUnknownPlacement(t *testing.T) {
+	var out, errOut strings.Builder
+	if code := run([]string{"-task", "sort", "-place", "zipff"}, &out, &errOut); code != 2 {
+		t.Fatalf("exit code %d, want 2", code)
+	}
+	if !strings.Contains(errOut.String(), `"zipff"`) || !strings.Contains(errOut.String(), "uniform, zipf, oneheavy, single") {
+		t.Errorf("stderr should name the placement and list the choices: %s", errOut.String())
+	}
+	if out.Len() != 0 {
+		t.Errorf("nothing should run: stdout %q", out.String())
+	}
+}
+
 func TestUnknownFlag(t *testing.T) {
 	var out, errOut strings.Builder
 	if code := run([]string{"-definitely-not-a-flag"}, &out, &errOut); code != 2 {

@@ -236,7 +236,10 @@ func waterfall(stdout io.Writer, tree *topology.Tree, taskName, placeName string
 	cluster := topompc.NewCluster(tree)
 	cluster.SetExecOptions(topompc.ExecOptions{Tracer: tracer})
 	rng := rand.New(rand.NewSource(seed))
-	placer := cliutil.Placer(placeName, seed)
+	placer, err := cliutil.Placer(placeName, seed)
+	if err != nil {
+		return fmt.Errorf("-place: %w", err)
+	}
 	in, err := cliutil.TaskData(spec, rng, placer, cluster.NumNodes(), n, 0, 0, uint64(seed))
 	if err != nil {
 		return err
@@ -296,7 +299,12 @@ func waterfall(stdout io.Writer, tree *topology.Tree, taskName, placeName string
 	return nil
 }
 
+// fail reports err and returns the exit code: 2 for a bad -place, as for
+// any other bad flag value, 1 otherwise.
 func fail(stderr io.Writer, err error) int {
 	fmt.Fprintf(stderr, "topoviz: %v\n", err)
+	if errors.Is(err, cliutil.ErrUnknownPlacement) {
+		return 2
+	}
 	return 1
 }

@@ -21,6 +21,21 @@ func TestWaterfallSection(t *testing.T) {
 	}
 }
 
+// TestWaterfallUnknownPlacement: a mistyped -place is a usage error naming
+// the choices; it used to render the uniform placement's waterfall.
+func TestWaterfallUnknownPlacement(t *testing.T) {
+	var out, errOut strings.Builder
+	if code := run([]string{"-task", "sort", "-place", "zipff"}, &out, &errOut); code != 2 {
+		t.Fatalf("exit code %d, want 2", code)
+	}
+	if !strings.Contains(errOut.String(), `"zipff"`) || !strings.Contains(errOut.String(), "uniform, zipf, oneheavy, single") {
+		t.Errorf("stderr should name the placement and list the choices: %s", errOut.String())
+	}
+	if strings.Contains(out.String(), "waterfall") {
+		t.Errorf("no waterfall should render: %s", out.String())
+	}
+}
+
 // TestWaterfallUnknownTask fails cleanly for a task not in the registry.
 func TestWaterfallUnknownTask(t *testing.T) {
 	var out, errOut strings.Builder

@@ -29,8 +29,9 @@ type ComponentsResult struct {
 	// Phases is the number of label-contraction phases executed.
 	Phases int
 	// Strategy identifies the protocol path: "flat", "aware" (capacity
-	// homes, direct delivery), or "aware+combine×L" with L the number of
-	// hierarchy levels whose blocks merge label exchanges.
+	// homes, direct delivery), "aware+combine×L" with L the number of
+	// hierarchy levels whose blocks merge label exchanges, or "fast"
+	// (ConnectedComponentsFast: capacity homes, expanding phases).
 	Strategy string
 	// Cost is the execution cost against the per-cut connectivity
 	// information bound (lowerbound.Spanning).

@@ -92,7 +92,10 @@ func fixtureInput(t *testing.T, spec topompc.Task, c *topompc.Cluster, topo, pla
 	t.Helper()
 	seed := fixtureSeed(spec.Name, topo, place)
 	rng := rand.New(rand.NewSource(int64(seed)))
-	placer := cliutil.Placer(place, int64(seed))
+	placer, err := cliutil.Placer(place, int64(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
 	in, err := cliutil.TaskData(spec, rng, placer, c.NumNodes(), n, 0, 0, seed)
 	if err != nil {
 		t.Fatalf("%s/%s/%s: generating input: %v", spec.Name, topo, place, err)

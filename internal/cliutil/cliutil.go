@@ -232,27 +232,31 @@ func graphTopoOpts(opts []topology.FromGraphOption) func(*topology.Graph, error)
 // PlaceFunc splits keys over p nodes.
 type PlaceFunc func(rng *rand.Rand, keys []uint64, p int) (dataset.Placement, error)
 
+// ErrUnknownPlacement is wrapped by Placer for a name it does not know; the
+// commands exit 2 on it, as on any other bad flag value.
+var ErrUnknownPlacement = errors.New("unknown placement")
+
 // Placer resolves a placement name: uniform, zipf, oneheavy, single.
-// Unknown names fall back to uniform.
-func Placer(name string, seed int64) PlaceFunc {
+func Placer(name string, seed int64) (PlaceFunc, error) {
 	switch name {
+	case "uniform":
+		return func(rng *rand.Rand, k []uint64, p int) (dataset.Placement, error) {
+			return dataset.SplitUniform(k, p)
+		}, nil
 	case "zipf":
 		return func(rng *rand.Rand, k []uint64, p int) (dataset.Placement, error) {
 			return dataset.SplitZipf(rand.New(rand.NewSource(seed)), k, p, 1.2)
-		}
+		}, nil
 	case "oneheavy":
 		return func(rng *rand.Rand, k []uint64, p int) (dataset.Placement, error) {
 			return dataset.SplitOneHeavy(k, p, 0, 0.8)
-		}
+		}, nil
 	case "single":
 		return func(rng *rand.Rand, k []uint64, p int) (dataset.Placement, error) {
 			return dataset.SplitSingle(k, p, 0)
-		}
-	default:
-		return func(rng *rand.Rand, k []uint64, p int) (dataset.Placement, error) {
-			return dataset.SplitUniform(k, p)
-		}
+		}, nil
 	}
+	return nil, fmt.Errorf("%w %q (want uniform, zipf, oneheavy, single)", ErrUnknownPlacement, name)
 }
 
 // Loads builds the N_v vector for any number of placements.

@@ -1,9 +1,11 @@
 package cliutil
 
 import (
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"topompc/internal/dataset"
@@ -56,7 +58,17 @@ func TestPlacers(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	keys := dataset.Sequential(1000)
 	for _, name := range []string{"uniform", "zipf", "oneheavy", "single", "unknown"} {
-		place := Placer(name, 7)
+		place, err := Placer(name, 7)
+		if name == "unknown" {
+			// A mistyped name is an error naming the choices, not uniform.
+			if !errors.Is(err, ErrUnknownPlacement) || !strings.Contains(err.Error(), "uniform, zipf, oneheavy, single") {
+				t.Errorf("unknown: err = %v, want ErrUnknownPlacement listing the placements", err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 		p, err := place(rng, keys, 4)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -64,11 +76,10 @@ func TestPlacers(t *testing.T) {
 		if p.Total() != 1000 {
 			t.Errorf("%s: total %d, want 1000", name, p.Total())
 		}
-	}
-	// single puts everything on node 0.
-	p, _ := Placer("single", 7)(rng, keys, 4)
-	if len(p[0]) != 1000 {
-		t.Error("single placement did not concentrate")
+		// single puts everything on node 0.
+		if name == "single" && len(p[0]) != 1000 {
+			t.Error("single placement did not concentrate")
+		}
 	}
 }
 

@@ -238,7 +238,10 @@ func TestTaskDataErrors(t *testing.T) {
 		t.Fatal("sort task missing")
 	}
 	rng := rand.New(rand.NewSource(1))
-	placer := Placer("uniform", 1)
+	placer, err := Placer("uniform", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := TaskData(spec, rng, placer, 0, 1000, 0, 0, 1); err == nil ||
 		!strings.Contains(err.Error(), "compute node") {
 		t.Errorf("p=0: got %v", err)
@@ -268,7 +271,11 @@ func TestTaskDataGraph(t *testing.T) {
 		t.Fatal("cc task missing")
 	}
 	rng := rand.New(rand.NewSource(2))
-	in, err := TaskData(spec, rng, Placer("uniform", 2), 4, 1200, 0, 0, 2)
+	placer, err := Placer("uniform", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := TaskData(spec, rng, placer, 4, 1200, 0, 0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,20 +25,140 @@ const maxJumpIters = 128
 // CC computes connected components with the topology-aware protocol:
 // capacity-weighted vertex homes and per-cut combining of label updates.
 func CC(t *topology.Tree, edges Placement, seed uint64, opts ...netsim.Option) (*Result, error) {
-	return run(t, edges, seed, true, false, opts)
+	return contract(t, edges, seed, variant{aware: true}, opts)
 }
 
 // CCFlat is the topology-oblivious baseline: uniform vertex homes and
 // direct update delivery, as on a flat network.
 func CCFlat(t *topology.Tree, edges Placement, seed uint64, opts ...netsim.Option) (*Result, error) {
-	return run(t, edges, seed, false, false, opts)
+	return contract(t, edges, seed, variant{}, opts)
 }
 
 // SpanningForest runs the topology-aware protocol with witness tracking:
 // every hooking records the original graph edge that joined the two
 // components, and the union of witnesses is a spanning forest.
 func SpanningForest(t *topology.Tree, edges Placement, seed uint64, opts ...netsim.Option) (*Result, error) {
-	return run(t, edges, seed, true, true, opts)
+	return contract(t, edges, seed, variant{aware: true, witness: true}, opts)
+}
+
+// CCFast computes connected components with budgeted graph exponentiation
+// (ccfast.go) on capacity-weighted homes. Same inputs and Result contract
+// as CC.
+func CCFast(t *topology.Tree, edges Placement, seed uint64, opts ...netsim.Option) (*Result, error) {
+	return contract(t, edges, seed, variant{aware: true, expand: true}, opts)
+}
+
+// variant is what one connectivity run chooses; everything else is the one
+// contraction loop below.
+type variant struct {
+	// aware homes vertices by bandwidth capacity and combines the label
+	// exchanges per cut; otherwise homes are uniform and delivery direct.
+	aware bool
+	// witness carries, with every proposal, the graph edge behind it, and
+	// records the edge of every hooking.
+	witness bool
+	// expand runs expanding phases (ccfast.go): a phase learns its proposals
+	// from one adjacency round and guarded doubling rounds, and its roots
+	// are pushed to the nodes that round subscribed. Otherwise phases are
+	// Borůvka's: per-cut combined min-neighbor proposals, and roots looked
+	// up along the combining schedule.
+	expand bool
+}
+
+// contract is the connectivity driver: every phase learns, for each alive
+// label, the smallest label it can hook onto, hooks, resolves the hooking
+// forests to their roots by pointer jumping, publishes the roots to the
+// nodes holding edges or vertices under those labels, and relabels — until
+// no edge joins two labels. The two phase kinds differ only in how proposals
+// are learned and roots published; a Borůvka phase is an expanding phase
+// with a doubling budget of zero, delivered along the combining schedule.
+func contract(tr *topology.Tree, edges Placement, seed uint64, v variant, opts []netsim.Option) (*Result, error) {
+	pr, err := newProto(tr, edges, seed, v, opts)
+	if err != nil {
+		return nil, err
+	}
+	// What the result and the flight recorder call this run and its phases.
+	strategy, lane, span, counter := "flat", "graph cc phases", "boruvka phase %d", "graph.cc.phases"
+	switch {
+	case v.expand:
+		strategy, lane, span, counter = "fast", "graph cc-fast phases", "expand phase %d", "graph.ccfast.phases"
+	case len(pr.steps) > 0:
+		strategy = fmt.Sprintf("aware+combine×%d", len(pr.steps))
+	case v.aware:
+		strategy = "aware"
+	}
+	mx := pr.e.Metrics()
+	var mActive *obs.Histogram // nil (a no-op) on expanding runs, which never reported it
+	if v.expand {
+		// The adjacency round of phase 1 registers the vertices.
+		pr.fs = newFastState(len(pr.ids), len(pr.nodes), mx)
+	} else {
+		pr.register()
+		// Phase 1's planning inputs come from the initial placement: label[v]
+		// is v, so needs are the endpoints plus homed vertices as-is.
+		pr.pool.Blocks("cc collect init", len(pr.nodes), func(shard, lo, hi int) {
+			for i := lo; i < hi; i++ {
+				pr.collectNext(i, &pr.wscr[shard])
+			}
+		})
+		mActive = mx.Histogram("graph.cc.active_edges")
+	}
+
+	// Flight recorder: contraction metrics plus one span per phase on a
+	// dedicated lane, and the hierarchy's combining decisions. All of it
+	// vanishes behind nil checks when the engine has no recorder.
+	tc := pr.e.Tracer()
+	var phaseTid int64
+	if tc != nil {
+		phaseTid = tc.NewTid(lane)
+		pr.hier.TraceCombine(tc, pr.weights)
+	}
+	mPhases := mx.Counter(counter)
+
+	phases := 0
+	for {
+		act := pr.totalActive()
+		// An expanding run's first phase runs even on an edgeless input, so
+		// that its adjacency round registers every vertex.
+		if act == 0 && !(v.expand && phases == 0) {
+			break
+		}
+		if phases == maxPhases {
+			return nil, fmt.Errorf("graph: contraction did not converge after %d phases", phases)
+		}
+		phases++
+		pr.phase = int32(phases)
+		mPhases.Inc()
+		mActive.Observe(float64(act))
+		var sp obs.Span
+		if tc != nil {
+			sp = obs.Begin(tc, phaseTid, fmt.Sprintf(span, phases), "graph.phase")
+		}
+		if v.expand {
+			pr.expand(act)
+		} else {
+			pr.propose()
+		}
+		if err := pr.jump(pr.hook()); err != nil {
+			return nil, err
+		}
+		if v.expand {
+			pr.pushRoots()
+		} else {
+			pr.lookups()
+		}
+		if err := pr.relabel(); err != nil {
+			return nil, err
+		}
+		if tc != nil {
+			args := map[string]any{"phase": phases, "active_edges": act}
+			if v.expand {
+				args["doubling_rounds"], args["budget_fallback"] = pr.fs.dblRounds, pr.fs.fellBack
+			}
+			sp.End(args)
+		}
+	}
+	return pr.assemble(phases, strategy), nil
 }
 
 // The contraction below is the int-indexed data plane: one renumbering
@@ -315,13 +435,13 @@ func (pr *proto) trimScratch(i int) int64 {
 	sc.emitTmp = dropSlice(sc.emitTmp, bound, &n)
 	sc.ptmp = dropSlice(sc.ptmp, bound, &n)
 	pr.hooked[i] = dropSlice(pr.hooked[i], len(pr.aliveList[i]), &n)
-	if pr.fast {
-		// Fast phases rebuild both lists from a fresh adjacency round (and
-		// never hold witness pairs).
+	if pr.fs != nil {
+		// Expanding phases rebuild both lists from a fresh adjacency round
+		// (and never hold witness pairs).
 		sc.k1s = dropSlice(sc.k1s, bound, &n)
 		sc.nextNeed = dropSlice(sc.nextNeed, bound, &n)
 	} else {
-		// The Borůvka path precollected next-phase contents into them.
+		// A Borůvka phase precollected the next phase's contents into them.
 		sc.pairs = trimSlice(sc.pairs, &n)
 		sc.k1s = trimSlice(sc.k1s, &n)
 		sc.nextNeed = trimSlice(sc.nextNeed, &n)
@@ -362,7 +482,6 @@ func (pa *payloadSlab) grab(n int) []uint64 {
 // indexed by compute index (position in ComputeNodes); vertex/label arrays
 // by renumbered vertex index.
 type proto struct {
-	t       *topology.Tree
 	e       *netsim.Engine
 	nodes   []topology.NodeID
 	nodeIdx []int32 // NodeID -> compute index
@@ -375,11 +494,10 @@ type proto struct {
 	idToIdx []int32  // direct id -> index table when ids are dense
 	homeOf  []int32  // vertex index -> home compute index
 
-	// fs holds the cc-fast expansion state (nil on the Borůvka path). fast
-	// phases skip the relabel-time proposal pre-combining: the next phase
+	// fs holds the expansion state of expanding phases (nil on a Borůvka
+	// run). They skip the relabel-time proposal pre-combining: the next phase
 	// rebuilds known-sets from a fresh adjacency round instead.
-	fast bool
-	fs   *fastState
+	fs *fastState
 
 	active [][]workEdge // contracted edges held locally
 
@@ -490,60 +608,78 @@ func (pr *proto) emitIndexGroups(i int, out *netsim.Outbox, tag netsim.Tag, item
 	}
 }
 
-// register hashes every distinct local vertex to its home, which
-// initializes the vertex's label to itself. With a combining schedule the
-// vertex sets are first unioned along the hierarchy's paying blocks
-// (deepest level first), so a vertex appearing in many members' fragments
-// crosses each engaged cut once per block.
-func (pr *proto) register() {
-	for si := range pr.steps {
-		st := pr.steps[si]
-		first := si == 0
+// sweepUp sends every node's index list — its vertices at registration,
+// its lookup needs in a phase; list picks the scratch field — to the homes,
+// sorted and distinct, one message per home. Under a combining schedule the
+// lists are first unioned along the hierarchy's paying blocks, deepest level
+// first: members push theirs to the level's combiner, which carries the
+// union upward, so an index appearing at many members crosses each engaged
+// cut once per block. With record, a combiner also keeps who asked for what
+// (copied: inbox payloads are only valid for one round), for the lookup's
+// down-sweep to answer.
+func (pr *proto) sweepUp(what string, list func(*nodeScratch) *[]int32, upTag, homeTag netsim.Tag, record bool) {
+	// The first round planned, whichever it is, orders the lists.
+	ordered := func(i int, first bool) []int32 {
+		nd := list(&pr.scr[i])
+		if first {
+			*nd = pr.sortDedup(i, *nd)
+		}
+		return *nd
+	}
+	label := "cc " + what + " up receipt"
+	for si, st := range pr.steps {
 		pr.round(func(i int, out *netsim.Outbox) {
-			if first {
-				pr.scr[i].need = pr.sortDedup(i, pr.scr[i].need)
-			}
-			if st.Target[i] == i {
-				return
-			}
-			if nd := pr.scr[i].need; len(nd) > 0 {
+			if nd := ordered(i, si == 0); st.Target[i] != i && len(nd) > 0 {
 				batch := pr.slab(i).grab(len(nd))
 				for k, x := range nd {
 					batch[k] = uint64(uint32(x))
 				}
-				out.Send(pr.nodes[st.Target[i]], tagVertexUp, batch)
+				out.Send(pr.nodes[st.Target[i]], upTag, batch)
 			}
 		})
-		pr.pool.ForEach("cc register up receipt", len(pr.nodes), func(i int) {
+		pr.pool.ForEach(label, len(pr.nodes), func(i int) {
+			sc := &pr.scr[i]
+			nd := list(sc)
 			if st.Target[i] != i {
-				pr.scr[i].need = pr.scr[i].need[:0] // forwarded up
+				*nd = (*nd)[:0] // forwarded up
 				return
 			}
 			ib := pr.e.Inbox(pr.nodes[i])
-			n := ib.KeyCount(tagVertexUp)
+			n := ib.KeyCount(upTag)
 			if n == 0 {
 				return
 			}
-			nd := slices.Grow(pr.scr[i].need, n)
+			all := slices.Grow(*nd, n)
+			if record {
+				sc.needBuf = slices.Grow(sc.needBuf, n)
+			}
 			for mi := 0; mi < ib.Len(); mi++ {
 				msg := ib.At(mi)
-				if msg.Tag != tagVertexUp {
+				if msg.Tag != upTag {
 					continue
 				}
-				for _, x := range msg.Keys {
-					nd = append(nd, int32(x))
+				from := len(all)
+				for _, xk := range msg.Keys {
+					all = append(all, int32(xk))
+				}
+				if record {
+					lo := int32(len(sc.needBuf))
+					sc.needBuf = append(sc.needBuf, all[from:]...)
+					sc.members[si] = append(sc.members[si], memberNeed{from: msg.From, lo: lo, hi: int32(len(sc.needBuf))})
 				}
 			}
-			pr.scr[i].need = pr.sortDedup(i, nd)
+			*nd = pr.sortDedup(i, all)
 		})
 	}
-	final := len(pr.steps) == 0
 	pr.round(func(i int, out *netsim.Outbox) {
-		if final {
-			pr.scr[i].need = pr.sortDedup(i, pr.scr[i].need)
-		}
-		pr.emitIndexGroups(i, out, tagVertex, pr.scr[i].need)
+		pr.emitIndexGroups(i, out, homeTag, ordered(i, len(pr.steps) == 0))
 	})
+}
+
+// register hashes every distinct local vertex to its home, which
+// initializes the vertex's label to itself.
+func (pr *proto) register() {
+	pr.sweepUp("register", func(sc *nodeScratch) *[]int32 { return &sc.need }, tagVertexUp, tagVertex, false)
 	// Registration messages target the vertex's home, so shard i only
 	// writes label/registered entries homed at node i.
 	pr.pool.ForEach("cc register receipt", len(pr.nodes), func(i int) {
@@ -554,18 +690,29 @@ func (pr *proto) register() {
 				continue
 			}
 			for _, xk := range m.Keys {
-				x := int32(xk)
-				if !pr.registered[x] {
-					pr.registered[x] = true
-					pr.label[x] = x
-					pr.homedVerts[i] = append(pr.homedVerts[i], x)
-					pr.aliveList[i] = append(pr.aliveList[i], x)
-				}
+				pr.enroll(i, int32(xk))
 			}
 		}
-		pr.homedVerts[i], pr.scr[i].ndtmp = radixSortInt32(pr.homedVerts[i], pr.scr[i].ndtmp)
-		pr.aliveList[i], pr.scr[i].ndtmp = radixSortInt32(pr.aliveList[i], pr.scr[i].ndtmp)
+		pr.sortEnrolled(i)
 	})
+}
+
+// enroll registers vertex x at its home i the first time the home hears of
+// it: the vertex is alive and its label is itself.
+func (pr *proto) enroll(i int, x int32) {
+	if !pr.registered[x] {
+		pr.registered[x] = true
+		pr.label[x] = x
+		pr.homedVerts[i] = append(pr.homedVerts[i], x)
+		pr.aliveList[i] = append(pr.aliveList[i], x)
+	}
+}
+
+// sortEnrolled orders home i's vertex and alive lists once its registration
+// round is read.
+func (pr *proto) sortEnrolled(i int) {
+	pr.homedVerts[i], pr.scr[i].ndtmp = radixSortInt32(pr.homedVerts[i], pr.scr[i].ndtmp)
+	pr.aliveList[i], pr.scr[i].ndtmp = radixSortInt32(pr.aliveList[i], pr.scr[i].ndtmp)
 }
 
 // collectNext pre-combines, from node i's freshly relabeled state, what
@@ -946,20 +1093,13 @@ func (pr *proto) jump(unresolved int) error {
 	return nil
 }
 
-// finalizeNeeds orders node i's precollected distinct lookup needs.
-func (pr *proto) finalizeNeeds(i int) {
-	sc := &pr.scr[i]
-	sc.nextNeed, sc.ndtmp = radixSortInt32(sc.nextNeed, sc.ndtmp)
-}
-
 // lookups fetches the phase roots every node needs — the endpoint labels
-// of its active edges plus the current labels of its homed vertices.
-// Direct mode is a query/reply pair; under a combining schedule, queries
-// are deduplicated along the hierarchy (each engaged level's combiner
-// unions its members' needs before they cross that level's cut), the top
-// carriers query the homes once per distinct label, and the answers fan
-// back down the same chain, so a hot label's root crosses each engaged cut
-// once per block per level.
+// of its active edges plus the current labels of its homed vertices,
+// precollected distinct by collectNext. Direct mode is a query/reply pair;
+// under a combining schedule the queries are deduplicated on the way up
+// (sweepUp), the top carriers query the homes once per distinct label, and
+// the answers fan back down the same chain, so a hot label's root crosses
+// each engaged cut once per block per level.
 //
 // Every alive label's root is resolved once jumping finishes, so the
 // rootAt/rootVal arrays already hold exactly the answers the wire carries;
@@ -967,82 +1107,30 @@ func (pr *proto) finalizeNeeds(i int) {
 // no per-node answer table — the messages exist for the cost model, which
 // accounts them identically to the map path.
 func (pr *proto) lookups() {
-	if len(pr.steps) == 0 {
-		pr.round(func(i int, out *netsim.Outbox) {
-			pr.finalizeNeeds(i)
-			pr.emitIndexGroups(i, out, tagLookupQ, pr.scr[i].nextNeed)
-		})
-		pr.replyLookups()
-		return
-	}
-
-	// Up-sweep: members push their needs one level at a time; each engaged
-	// combiner records who asked for what (to fan the answers back) and
-	// carries the union upward.
-	pr.pool.ForEach("cc lookup reset", len(pr.nodes), func(i int) {
-		pr.scr[i].needBuf = pr.scr[i].needBuf[:0]
-		if cap(pr.scr[i].members) < len(pr.steps) {
-			pr.scr[i].members = make([][]memberNeed, len(pr.steps))
-		}
-		pr.scr[i].members = pr.scr[i].members[:len(pr.steps)]
-		for s := range pr.scr[i].members {
-			pr.scr[i].members[s] = pr.scr[i].members[s][:0]
-		}
-	})
-	for si := range pr.steps {
-		st := pr.steps[si]
-		first := si == 0
-		pr.round(func(i int, out *netsim.Outbox) {
-			if first {
-				pr.finalizeNeeds(i)
-			}
-			if st.Target[i] == i {
-				return
-			}
-			if nd := pr.scr[i].nextNeed; len(nd) > 0 {
-				batch := pr.slab(i).grab(len(nd))
-				for k, x := range nd {
-					batch[k] = uint64(uint32(x))
-				}
-				out.Send(pr.nodes[st.Target[i]], tagLookupUp, batch)
-			}
-		})
-		pr.pool.ForEach("cc lookup up receipt", len(pr.nodes), func(i int) {
-			if st.Target[i] != i {
-				pr.scr[i].nextNeed = pr.scr[i].nextNeed[:0] // forwarded up
-				return
-			}
-			ib := pr.e.Inbox(pr.nodes[i])
-			n := ib.KeyCount(tagLookupUp)
-			if n == 0 {
-				return
-			}
+	if len(pr.steps) > 0 {
+		pr.pool.ForEach("cc lookup reset", len(pr.nodes), func(i int) {
 			sc := &pr.scr[i]
-			nd := slices.Grow(sc.nextNeed, n)
-			buf := slices.Grow(sc.needBuf, n)
-			for mi := 0; mi < ib.Len(); mi++ {
-				msg := ib.At(mi)
-				if msg.Tag != tagLookupUp {
-					continue
-				}
-				lo := int32(len(buf))
-				for _, xk := range msg.Keys {
-					buf = append(buf, int32(xk))
-					nd = append(nd, int32(xk))
-				}
-				sc.members[si] = append(sc.members[si],
-					memberNeed{from: msg.From, lo: lo, hi: int32(len(buf))})
+			sc.needBuf = sc.needBuf[:0]
+			if cap(sc.members) < len(pr.steps) {
+				sc.members = make([][]memberNeed, len(pr.steps))
 			}
-			sc.needBuf = buf
-			sc.nextNeed = pr.sortDedup(i, nd)
+			sc.members = sc.members[:len(pr.steps)]
+			for s := range sc.members {
+				sc.members[s] = sc.members[s][:0]
+			}
 		})
 	}
+	pr.sweepUp("lookup", func(sc *nodeScratch) *[]int32 { return &sc.nextNeed }, tagLookupUp, tagLookupQ, true)
 
-	// Top carriers query the homes once per distinct label; homes reply.
-	pr.round(func(i int, out *netsim.Outbox) {
-		pr.emitIndexGroups(i, out, tagLookupQ, pr.scr[i].nextNeed)
+	// Homes answer every queried label with its resolved root.
+	pr.round(func(j int, out *netsim.Outbox) {
+		ib := pr.e.Inbox(pr.nodes[j])
+		for mi := 0; mi < ib.Len(); mi++ {
+			if m := ib.At(mi); m.Tag == tagLookupQ {
+				sendRoots(pr, j, out, m.From, tagLookupA, m.Keys)
+			}
+		}
 	})
-	pr.replyLookups()
 
 	// Down-sweep, coarsest level first: combiners answer each recorded
 	// member exactly what it asked for. By the time a level replies, every
@@ -1051,63 +1139,31 @@ func (pr *proto) lookups() {
 	for s := len(pr.steps) - 1; s >= 0; s-- {
 		pr.round(func(j int, out *netsim.Outbox) {
 			for _, mn := range pr.scr[j].members[s] {
-				asked := pr.scr[j].needBuf[mn.lo:mn.hi]
-				cnt := 0
-				for _, a := range asked {
-					if pr.rootAt[a] == pr.phase {
-						cnt++
-					}
-				}
-				if cnt == 0 {
-					continue
-				}
-				reply := pr.slab(j).grab(2 * cnt)
-				k := 0
-				for _, a := range asked {
-					if pr.rootAt[a] == pr.phase {
-						reply[k] = uint64(uint32(a))
-						reply[k+1] = uint64(uint32(pr.rootVal[a]))
-						k += 2
-					}
-				}
-				out.Send(mn.from, tagLookupDown, reply)
+				sendRoots(pr, j, out, mn.from, tagLookupDown, pr.scr[j].needBuf[mn.lo:mn.hi])
 			}
 		})
 	}
 }
 
-// replyLookups plans the home side of a lookup round: answer every queried
-// label with its resolved root.
-func (pr *proto) replyLookups() {
-	pr.round(func(j int, out *netsim.Outbox) {
-		ib := pr.e.Inbox(pr.nodes[j])
-		for mi := 0; mi < ib.Len(); mi++ {
-			m := ib.At(mi)
-			if m.Tag != tagLookupQ {
-				continue
-			}
-			cnt := 0
-			for _, ak := range m.Keys {
-				if pr.rootAt[int32(ak)] == pr.phase {
-					cnt++
-				}
-			}
-			if cnt == 0 {
-				continue
-			}
-			reply := pr.slab(j).grab(2 * cnt)
-			k := 0
-			for _, ak := range m.Keys {
-				a := int32(ak)
-				if pr.rootAt[a] == pr.phase {
-					reply[k] = ak
-					reply[k+1] = uint64(uint32(pr.rootVal[a]))
-					k += 2
-				}
-			}
-			out.Send(m.From, tagLookupA, reply)
+// sendRoots answers, from node j, the asked labels that are resolved this
+// phase: one [label, root, ...] message, none when nothing is resolved.
+func sendRoots[T int32 | uint64](pr *proto, j int, out *netsim.Outbox, to topology.NodeID, tag netsim.Tag, asked []T) {
+	cnt := 0
+	for _, a := range asked {
+		if pr.rootAt[int32(a)] == pr.phase {
+			cnt++
 		}
-	})
+	}
+	if cnt == 0 {
+		return
+	}
+	reply := pr.slab(j).grab(2 * cnt)[:0]
+	for _, a := range asked {
+		if pr.rootAt[int32(a)] == pr.phase {
+			reply = append(reply, uint64(uint32(a)), uint64(uint32(pr.rootVal[int32(a)])))
+		}
+	}
+	out.Send(to, tag, reply)
 }
 
 // relabel rewrites every active edge onto the phase roots, dropping edges
@@ -1152,7 +1208,7 @@ func (pr *proto) relabel() error {
 				}
 			}
 			pr.aliveList[i] = keep
-			if !pr.fast {
+			if pr.fs == nil {
 				pr.collectNext(i, ws)
 			}
 			nt += pr.trimScratch(i)
@@ -1176,10 +1232,9 @@ func (pr *proto) totalActive() int {
 	return n
 }
 
-// newProto builds the shared contraction state — renumbering pass, homes,
-// combining schedule, flat home arrays — used by both the Borůvka driver
-// (run) and the graph-exponentiation driver (runFast).
-func newProto(tr *topology.Tree, edges Placement, seed uint64, aware, witness bool, opts []netsim.Option) (*proto, error) {
+// newProto builds the contraction state of one run: renumbering pass, homes,
+// combining schedule, flat home arrays.
+func newProto(tr *topology.Tree, edges Placement, seed uint64, v variant, opts []netsim.Option) (*proto, error) {
 	if err := checkPlacement(tr, edges); err != nil {
 		return nil, err
 	}
@@ -1194,7 +1249,7 @@ func newProto(tr *topology.Tree, edges Placement, seed uint64, aware, witness bo
 	}
 
 	var weights []float64
-	if aware {
+	if v.aware {
 		weights = place.Capacities(tr)
 	} else {
 		weights = place.Uniform(p)
@@ -1204,10 +1259,11 @@ func newProto(tr *topology.Tree, edges Placement, seed uint64, aware, witness bo
 		return nil, err
 	}
 
+	// Expanding phases push roots to subscribers, so they run no schedule.
 	var steps []place.UpStep
 	var hier *place.Hierarchy
-	if aware {
-		if hier = place.HierarchyFor(tr); hier != nil {
+	if v.aware {
+		if hier = place.HierarchyFor(tr); hier != nil && !v.expand {
 			steps = hier.UpSweep(weights)
 		}
 	}
@@ -1260,14 +1316,13 @@ func newProto(tr *topology.Tree, edges Placement, seed uint64, aware, witness bo
 	})
 
 	pr := &proto{
-		t:          tr,
 		e:          e,
 		nodes:      nodes,
 		nodeIdx:    nodeIdx,
 		steps:      steps,
 		weights:    weights,
 		hier:       hier,
-		witness:    witness,
+		witness:    v.witness,
 		ids:        ids,
 		idToIdx:    idToIdx,
 		homeOf:     homeOf,
@@ -1294,7 +1349,7 @@ func newProto(tr *topology.Tree, edges Placement, seed uint64, aware, witness bo
 		mTrims:     e.Metrics().Counter("graph.cc.scratch_trims"),
 	}
 	pr.arena = make([]payloadSlab, p)
-	if witness {
+	if v.witness {
 		pr.forest = make([][]Edge, p)
 	}
 
@@ -1346,74 +1401,4 @@ func (pr *proto) assemble(phases int, strategy string) *Result {
 	}
 	res.Report = pr.e.Report()
 	return res
-}
-
-func run(tr *topology.Tree, edges Placement, seed uint64, aware, witness bool, opts []netsim.Option) (*Result, error) {
-	pr, err := newProto(tr, edges, seed, aware, witness, opts)
-	if err != nil {
-		return nil, err
-	}
-	strategy := "flat"
-	if aware {
-		strategy = "aware"
-		if len(pr.steps) > 0 {
-			strategy = fmt.Sprintf("aware+combine×%d", len(pr.steps))
-		}
-	}
-
-	pr.register()
-
-	// Phase 1's planning inputs come from the initial placement: label[v]
-	// is v, so needs are the endpoints plus homed vertices as-is.
-	pr.pool.Blocks("cc collect init", len(pr.nodes), func(shard, lo, hi int) {
-		ws := &pr.wscr[shard]
-		for i := lo; i < hi; i++ {
-			pr.collectNext(i, ws)
-		}
-	})
-
-	// Flight recorder: contraction metrics plus one span per Borůvka phase
-	// on a dedicated lane, and the hierarchy's combining decisions. All of
-	// it vanishes behind nil checks when the engine has no recorder.
-	tc := pr.e.Tracer()
-	mx := pr.e.Metrics()
-	var phaseTid int64
-	if tc != nil {
-		phaseTid = tc.NewTid("graph cc phases")
-		pr.hier.TraceCombine(tc, pr.weights)
-	}
-	mPhases := mx.Counter("graph.cc.phases")
-	mActive := mx.Histogram("graph.cc.active_edges")
-
-	phases := 0
-	for {
-		act := pr.totalActive()
-		if act == 0 {
-			break
-		}
-		if phases == maxPhases {
-			return nil, fmt.Errorf("graph: contraction did not converge after %d phases", maxPhases)
-		}
-		phases++
-		pr.phase = int32(phases)
-		mPhases.Inc()
-		mActive.Observe(float64(act))
-		var sp obs.Span
-		if tc != nil {
-			sp = obs.Begin(tc, phaseTid, fmt.Sprintf("boruvka phase %d", phases), "graph.phase")
-		}
-		pr.propose()
-		if err := pr.jump(pr.hook()); err != nil {
-			return nil, err
-		}
-		pr.lookups()
-		if err := pr.relabel(); err != nil {
-			return nil, err
-		}
-		if tc != nil {
-			sp.End(map[string]any{"phase": phases, "active_edges": act})
-		}
-	}
-
-	return pr.assemble(phases, strategy), nil
 }

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 
 	"topompc/internal/core/place"
 	"topompc/internal/hashing"
@@ -32,6 +33,17 @@ func betterProp(x, y prop) bool {
 		return x.wu < y.wu
 	}
 	return x.wv < y.wv
+}
+
+// sortedKeys returns the map keys in ascending order, for deterministic
+// message construction.
+func sortedKeys[V any](m map[uint64]V) []uint64 {
+	out := make([]uint64, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	slices.Sort(out)
+	return out
 }
 
 func upd(m map[uint64]prop, a uint64, p prop) {

@@ -2,12 +2,14 @@ package graph
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"slices"
 	"testing"
 
 	"topompc/internal/dataset"
+	"topompc/internal/hashing"
 	"topompc/internal/lowerbound"
 	"topompc/internal/netsim"
 	"topompc/internal/obs"
@@ -71,6 +73,25 @@ func families(t *testing.T, rng *rand.Rand) map[string][]uint64 {
 	return map[string][]uint64{"gnp": gnp, "powerlaw": pl, "grid": grid, "bridge": bridge}
 }
 
+// inputs places every family round-robin over p compute nodes and adds the
+// gnp family under hashed 64-bit vertex ids: dataset's generators number
+// their vertices densely, so this is the input that takes the renumbering
+// pass down its binary-search side (proto.idxOf) instead of the direct table.
+func inputs(fams map[string][]uint64, p int) map[string]Placement {
+	out := make(map[string]Placement, len(fams)+1)
+	for name, packed := range fams {
+		out[name] = placeEdges(packed, p)
+	}
+	hashed := make(Placement, p)
+	for i, frag := range out["gnp"] {
+		for _, e := range frag {
+			hashed[i] = append(hashed[i], Edge{U: hashing.Mix64(e.U), V: hashing.Mix64(e.V)})
+		}
+	}
+	out["gnp-hashed"] = hashed
+	return out
+}
+
 // TestCCMatchesReference checks every variant against the union-find
 // reference on every (topology, family) combination: component count,
 // canonical min-labels for every vertex, checksum, and (for the forest
@@ -79,8 +100,7 @@ func TestCCMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	fams := families(t, rng)
 	for tname, tree := range testTrees(t) {
-		for fname, packed := range fams {
-			pl := placeEdges(packed, tree.NumCompute())
+		for fname, pl := range inputs(fams, tree.NumCompute()) {
 			ref := Reference(pl)
 			for vname, run := range map[string]func(*topology.Tree, Placement, uint64, ...netsim.Option) (*Result, error){
 				"aware": CC, "flat": CCFlat, "forest": SpanningForest,
@@ -238,6 +258,17 @@ func TestCCDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// shuffledPath is a path on n vertices under randomly permuted ids: it
+// contracts by a small factor per phase, so a run takes many.
+func shuffledPath(rng *rand.Rand, n int) []uint64 {
+	ids := rng.Perm(n)
+	path := make([]uint64, n-1)
+	for k := range path {
+		path[k] = dataset.PackEdge(uint32(ids[k]), uint32(ids[k+1]))
+	}
+	return path
+}
+
 // TestCCScratchTrims pins the contraction-time memory release: on an input
 // big enough to cross the trim floor, the relabel walk must release or
 // shrink scratch as the graph contracts, and the run must stay correct —
@@ -255,11 +286,7 @@ func TestCCScratchTrims(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids := rng.Perm(n)
-	path := make([]uint64, n-1)
-	for k := range path {
-		path[k] = dataset.PackEdge(uint32(ids[k]), uint32(ids[k+1]))
-	}
+	path := shuffledPath(rng, n)
 	for _, tc := range []struct {
 		name   string
 		run    func(*topology.Tree, Placement, uint64, ...netsim.Option) (*Result, error)
@@ -338,3 +365,84 @@ func TestCCEdgeCases(t *testing.T) {
 
 // The combining-plan unit tests moved to internal/core/place with the
 // block machinery (TestCombinerBlocksShapes, TestCombinerBlocksPartition).
+
+// TestPhaseRecorderSurface pins what a run tells the flight recorder about
+// its phases, for both phase kinds: the counters of its own kind and none of
+// the other's, and one span per phase with the phase's arguments. The input
+// is a path under shuffled ids, which takes either kind several phases.
+func TestPhaseRecorderSurface(t *testing.T) {
+	tree := testTrees(t)["caterpillar"]
+	pl := placeEdges(shuffledPath(rand.New(rand.NewSource(17)), 3000), tree.NumCompute())
+	for _, tc := range []struct {
+		name, span string
+		run        func(*topology.Tree, Placement, uint64, ...netsim.Option) (*Result, error)
+		args       []string
+		counters   []string
+		absent     []string
+	}{
+		{"cc", "boruvka phase %d", CC, []string{"active_edges", "phase"},
+			[]string{"graph.cc.phases", "graph.cc.active_edges.count"},
+			[]string{"graph.ccfast.phases", "graph.ccfast.doubling_rounds", "graph.ccfast.fallback_phases"}},
+		{"cc-fast", "expand phase %d", CCFast, []string{"active_edges", "budget_fallback", "doubling_rounds", "phase"},
+			[]string{"graph.ccfast.phases"},
+			[]string{"graph.cc.phases", "graph.cc.active_edges.count", "graph.ccfast.rounds_saved"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			trace, reg := obs.NewTrace(), obs.NewRegistry()
+			res, err := tc.run(tree, pl, 42, netsim.WithTracer(trace), netsim.WithMetrics(reg))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := Verify(Reference(pl), res); err != nil {
+				t.Fatal(err)
+			}
+			snap := reg.Snapshot()
+			for _, name := range tc.counters {
+				if got := snap[name]; got != float64(res.Phases) {
+					t.Errorf("%s = %v, want the %d phases", name, got, res.Phases)
+				}
+			}
+			for _, name := range tc.absent {
+				if _, ok := snap[name]; ok {
+					t.Errorf("%s reported by a %s run", name, tc.name)
+				}
+			}
+			if _, ok := snap["graph.cc.scratch_trims"]; !ok {
+				t.Error("graph.cc.scratch_trims not reported")
+			}
+			phase, doubling, fallbacks := 0, 0, 0
+			for _, ev := range trace.Events() {
+				if ev.Cat != "graph.phase" {
+					continue
+				}
+				phase++
+				if want := fmt.Sprintf(tc.span, phase); ev.Name != want {
+					t.Errorf("phase span %q, want %q", ev.Name, want)
+				}
+				if got := slices.Sorted(maps.Keys(ev.Args)); !slices.Equal(got, tc.args) {
+					t.Errorf("%s: args %v, want %v", ev.Name, got, tc.args)
+				}
+				if ev.Args["phase"] != phase || ev.Args["active_edges"].(int) <= 0 {
+					t.Errorf("%s: args %v", ev.Name, ev.Args)
+				}
+				if tc.name == "cc-fast" {
+					doubling += ev.Args["doubling_rounds"].(int)
+					if ev.Args["budget_fallback"].(bool) {
+						fallbacks++
+					}
+				}
+			}
+			if phase != res.Phases {
+				t.Errorf("%d phase spans for %d phases", phase, res.Phases)
+			}
+			if tc.name == "cc-fast" {
+				if got := snap["graph.ccfast.doubling_rounds"]; got != float64(doubling) || doubling == 0 {
+					t.Errorf("graph.ccfast.doubling_rounds = %v, spans sum to %d", got, doubling)
+				}
+				if got, ok := snap["graph.ccfast.fallback_phases"]; !ok || got != float64(fallbacks) {
+					t.Errorf("graph.ccfast.fallback_phases = %v (reported: %v), %d spans say budget_fallback", got, ok, fallbacks)
+				}
+			}
+		})
+	}
+}

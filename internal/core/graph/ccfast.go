@@ -1,27 +1,26 @@
 package graph
 
 import (
-	"fmt"
 	"slices"
 
 	"topompc/internal/netsim"
 	"topompc/internal/obs"
 	"topompc/internal/par"
-	"topompc/internal/topology"
 )
 
-// cc-fast: log-diameter connectivity by budgeted graph exponentiation.
+// cc-fast: log-diameter connectivity by budgeted graph exponentiation — the
+// expanding phase kind of the contraction loop (contract, cc.go).
 //
-// Borůvka's contraction (cc.go) pays a full phase — propose, hook, jump,
-// lookups, relabel — to halve the label count, so round count grows with
-// log(n) times the per-phase round cost, and every round crosses the
-// topology's weakest cuts again. The MPC literature (Andoni et al.,
-// FOCS 2018; Behnezhad et al., FOCS 2019) cuts the phase count with
-// neighborhood exponentiation: vertices learn their 2^k-hop neighborhood
-// by doubling, so one phase contracts entire low-diameter regions at once.
+// A Borůvka phase pays the full sequence — propose, hook, jump, lookups,
+// relabel — to halve the label count, so round count grows with log(n)
+// times the per-phase round cost, and every round crosses the topology's
+// weakest cuts again. The MPC literature (Andoni et al., FOCS 2018;
+// Behnezhad et al., FOCS 2019) cuts the phase count with neighborhood
+// exponentiation: vertices learn their 2^k-hop neighborhood by doubling, so
+// one phase contracts entire low-diameter regions at once.
 //
-// This file is the topology-aware, budgeted variant layered on the same
-// int-indexed contraction machinery:
+// This file is the topology-aware, budgeted variant: how an expanding phase
+// learns its proposals (expand) and publishes its roots (pushRoots).
 //
 //   - One fused adjacency round replaces cc's register + propose pair:
 //     holders ship each distinct directed endpoint pair (a, b) — packed
@@ -36,16 +35,17 @@ import (
 //     works from the untruncated edges at the holders; a lossy known-set
 //     only means less contraction this phase.
 //   - Budgets bound the traffic: each vertex sends at most b known labels
-//     to at most b targets, and the driver stops doubling the moment a
-//     step's planned volume would exceed the phase budget or a step stops
-//     changing any set — the Andoni-style truncated-exponentiation guard.
+//     to at most b targets, and a phase stops doubling the moment a step's
+//     plan — laid out in full, then sent or dropped — exceeds the phase
+//     budget, or a step stops changing any set: the Andoni-style
+//     truncated-exponentiation guard.
 //     With zero doubling rounds the phase degrades to exactly a Borůvka
 //     phase: the known-set of the adjacency round alone is the
 //     min-neighbor proposal.
-//   - Hook, pointer-jump, and relabel are reused from cc.go unchanged —
-//     the known-set minimum feeds the same best-proposal arrays the
-//     Borůvka path fills from propose messages — and one subscription
-//     push of the phase roots (pushRoots) replaces cc's lookup rounds.
+//   - Hook, pointer-jump, and relabel are the loop's own — the known-set
+//     minimum feeds the same best-proposal arrays a Borůvka phase fills
+//     from propose messages — and one subscription push of the phase roots
+//     (pushRoots) replaces the lookup rounds.
 //
 // Every step is a pure function of the input: no sampling, no seed beyond
 // the one that hashes vertices to homes.
@@ -70,12 +70,6 @@ const (
 	// knows.
 	fastVolumeFactor = 8
 )
-
-// CCFast computes connected components with budgeted graph exponentiation
-// on capacity-weighted homes. Same inputs and Result contract as CC.
-func CCFast(t *topology.Tree, edges Placement, seed uint64, opts ...netsim.Option) (*Result, error) {
-	return runFast(t, edges, seed, opts)
-}
 
 // fastState is the exponentiation state bolted onto proto. Known-sets
 // live in one flat phase-stamped arena: with b = fastBudget, label a's set
@@ -121,12 +115,59 @@ type fastState struct {
 	// push each subscribed label's root straight back — no query round.
 	subs [][]uint64
 
-	volBudget int64 // per-doubling-round planned-key budget, set per phase
+	// Per-phase telemetry for the obs span, and the run's counters.
+	dblRounds       int  // doubling rounds this phase
+	fellBack        bool // a round's plan exceeded the budget and was dropped
+	mDbl, mFallback *obs.Counter
+}
 
-	// Per-phase telemetry for the obs span and counters.
-	dblRounds int // doubling rounds this phase
-	changed   int // set insertions in the last doubling round
-	fellBack  bool
+// newFastState sizes the expansion state for nV labels over p homes.
+func newFastState(nV, p int, mx *obs.Registry) *fastState {
+	fs := &fastState{
+		knowBuf:   make([]int32, nV*fastBudget),
+		knowLen:   make([]int32, nV),
+		knowAt:    make([]int32, nV),
+		changedAt: make([]int32, nV),
+		newAt:     make([]int32, nV*fastBudget),
+		evictBuf:  make([]int32, nV*fastBudget),
+		evictLen:  make([]int32, nV),
+		evictAt:   make([]int32, nV),
+		subs:      make([][]uint64, p),
+		mDbl:      mx.Counter("graph.ccfast.doubling_rounds"),
+		mFallback: mx.Counter("graph.ccfast.fallback_phases"),
+	}
+	for a := range fs.evictAt {
+		fs.evictAt[a] = -1
+		fs.changedAt[a] = -1
+	}
+	return fs
+}
+
+// expand is how an expanding phase learns its proposals: one adjacency
+// round seeds the known-sets (phase 1's also registers the vertices), then
+// doubling rounds exponentiate them under the guard — stop when a round's
+// plan exceeds the phase budget (hook with what is known; with no round sent
+// that is the Borůvka proposal), when a round changes nothing, or at the cap
+// — and every known-set minimum becomes its label's proposal. act is the
+// phase's active edge count.
+func (pr *proto) expand(act int) {
+	fs := pr.fs
+	fs.dblStamp++
+	pr.adjacency()
+	budget := fastVolumeFactor * (2*int64(act) + int64(pr.totalAlive()))
+	fs.dblRounds, fs.fellBack = 0, false
+	for changed := -1; fs.dblRounds < fastMaxDoubling && changed != 0; fs.dblRounds++ {
+		// The price of a round is its plan: lay it out, measure it, then
+		// send it or drop it.
+		if pr.planDouble() > budget {
+			fs.fellBack = true
+			fs.mFallback.Inc()
+			break
+		}
+		changed = pr.double()
+		fs.mDbl.Inc()
+	}
+	pr.proposeFromKnow()
 }
 
 // knowSpan returns label a's current-phase known-set (ascending).
@@ -222,7 +263,7 @@ func (pr *proto) adjacency() {
 				uint64(uint32(ed.b))<<32|uint64(uint32(ed.a)))
 		}
 		ks, sc.k1tmp = par.SerialSortUint64(ks, sc.k1tmp)
-		ks = compactUint64(ks)
+		ks = slices.Compact(ks)
 		if first {
 			// Self-pairs register only the local vertices no active pair
 			// already mentions (self-loop-only vertices); for everyone
@@ -265,11 +306,8 @@ func (pr *proto) adjacency() {
 					fs.subs[i] = append(fs.subs[i], si|uint64(uint32(a)))
 					lastA = a
 				}
-				if first && !pr.registered[a] {
-					pr.registered[a] = true
-					pr.label[a] = a
-					pr.homedVerts[i] = append(pr.homedVerts[i], a)
-					pr.aliveList[i] = append(pr.aliveList[i], a)
+				if first {
+					pr.enroll(i, a)
 				}
 				if b != a {
 					fs.knowInsert(a, b, pr.phase)
@@ -277,132 +315,85 @@ func (pr *proto) adjacency() {
 			}
 		}
 		if first {
-			pr.homedVerts[i], pr.scr[i].ndtmp = radixSortInt32(pr.homedVerts[i], pr.scr[i].ndtmp)
-			pr.aliveList[i], pr.scr[i].ndtmp = radixSortInt32(pr.aliveList[i], pr.scr[i].ndtmp)
+			pr.sortEnrolled(i)
 		}
 	})
 }
 
-// planVolume totals the keys the next doubling round would send, exactly
-// mirroring double()'s send rule.
-func (pr *proto) planVolume() int64 {
+// planDouble lays out the next exponentiation round, every node's keys into
+// its own list, and returns the round's volume in keys. Each alive label
+// whose set changed last round pushes the set's smaller half to the home of
+// every member of the set — to target u go the members below u, plus the
+// sender itself when it is below u. Two lossless filters keep the volume
+// near the information delta: labels a receiver would discard anyway
+// (everything above it beyond its own set) stay off the wire — hooking only
+// ever chases smaller labels, so pushing downhill loses nothing, and the set
+// minimum still floods the whole basin through the members above it — and a
+// target that already held its copy of the set receives only the entries
+// that arrived since the last push (a target that just entered the set gets
+// the full downhill slice once).
+func (pr *proto) planDouble() int64 {
 	fs := pr.fs
 	cur := fs.dblStamp
-	// Pure read of the per-home sets; per-shard subtotals merge in shard
-	// order, so the total is worker-count-invariant.
+	// Reads the per-home sets, writes the home's own list; per-shard
+	// subtotals merge in shard order, so the total is worker-count-invariant.
 	return pr.pool.Sum("ccfast plan volume", len(pr.nodes), func(_, lo, hi int) int64 {
 		var vol int64
 		for i := lo; i < hi; i++ {
-			vol += pr.planVolumeAt(i, cur)
+			ks := pr.scr[i].k1s[:0]
+			for _, a := range pr.aliveList[i] {
+				if fs.changedAt[a] != cur {
+					continue
+				}
+				s := fs.knowSpan(a, pr.phase)
+				base := int(a) * fastBudget
+				st := fs.newAt[base : base+len(s)]
+				for rank, u := range s {
+					uNew := st[rank] == cur
+					hi := uint64(uint32(u)) << 32
+					if uNew && a < u {
+						ks = append(ks, hi|uint64(uint32(a)))
+					}
+					for r2, x := range s[:rank] {
+						if uNew || st[r2] == cur {
+							ks = append(ks, hi|uint64(uint32(x)))
+						}
+					}
+				}
+				if fs.evictAt[a] == cur {
+					// One key per goodbye: the smallest arrival of the
+					// displacing round is below every member it displaced,
+					// and one smaller label is all an evictee needs to hook
+					// past its own value.
+					gx := int32(-1)
+					for r2, x := range s {
+						if st[r2] == cur {
+							gx = x
+							break
+						}
+					}
+					for _, u := range fs.evictBuf[base : base+int(fs.evictLen[a])] {
+						// A member above the sender met the sender's own label at
+						// entry, so only evictees below it can be starved.
+						if u < a && gx >= 0 && gx < u {
+							ks = append(ks, uint64(uint32(u))<<32|uint64(uint32(gx)))
+						}
+					}
+				}
+			}
+			pr.scr[i].k1s = ks
+			vol += int64(len(ks))
 		}
 		return vol
 	})
 }
 
-// planVolumeAt totals the keys node i would send next doubling round.
-func (pr *proto) planVolumeAt(i int, cur int32) int64 {
-	fs := pr.fs
-	var vol int64
-	for _, a := range pr.aliveList[i] {
-		if fs.changedAt[a] != cur {
-			continue
-		}
-		s := fs.knowSpan(a, pr.phase)
-		base := int(a) * fastBudget
-		st := fs.newAt[base : base+len(s)]
-		for rank, u := range s {
-			if st[rank] == cur {
-				items := rank
-				if a < u {
-					items++
-				}
-				vol += int64(items)
-				continue
-			}
-			for _, xs := range st[:rank] {
-				if xs == cur {
-					vol++
-				}
-			}
-		}
-		if fs.evictAt[a] == cur {
-			gx := int32(-1)
-			for r2, x := range s {
-				if st[r2] == cur {
-					gx = x
-					break
-				}
-			}
-			for _, u := range fs.evictBuf[base : base+int(fs.evictLen[a])] {
-				if u < a && gx >= 0 && gx < u {
-					vol++
-				}
-			}
-		}
-	}
-	return vol
-}
-
-// double runs one exponentiation round: each alive label whose set changed
-// last round pushes the set's smaller half to the home of every member of
-// the set — to target u go the members below u, plus the sender itself
-// when it is below u. Two lossless filters keep the volume near the
-// information delta: labels a receiver would discard anyway (everything
-// above it beyond its own set) stay off the wire — hooking only ever
-// chases smaller labels, so pushing downhill loses nothing, and the set
-// minimum still floods the whole basin through the members above it — and
-// a target that already held its copy of the set receives only the entries
-// that arrived since the last push (a target that just entered the set
-// gets the full downhill slice once). Returns the number of set
-// insertions.
+// double sends the round planDouble laid out and folds the arrivals into
+// the receivers' sets. Returns the number of set insertions.
 func (pr *proto) double() int {
 	fs := pr.fs
-	cur := fs.dblStamp
 	pr.round(func(i int, out *netsim.Outbox) {
-		sc := &pr.scr[i]
-		ks := sc.k1s[:0]
-		for _, a := range pr.aliveList[i] {
-			if fs.changedAt[a] != cur {
-				continue
-			}
-			s := fs.knowSpan(a, pr.phase)
-			base := int(a) * fastBudget
-			st := fs.newAt[base : base+len(s)]
-			for rank, u := range s {
-				uNew := st[rank] == cur
-				hi := uint64(uint32(u)) << 32
-				if uNew && a < u {
-					ks = append(ks, hi|uint64(uint32(a)))
-				}
-				for r2, x := range s[:rank] {
-					if uNew || st[r2] == cur {
-						ks = append(ks, hi|uint64(uint32(x)))
-					}
-				}
-			}
-			if fs.evictAt[a] == cur {
-				// One key per goodbye: the smallest arrival of the
-				// displacing round is below every member it displaced,
-				// and one smaller label is all an evictee needs to hook
-				// past its own value.
-				gx := int32(-1)
-				for r2, x := range s {
-					if st[r2] == cur {
-						gx = x
-						break
-					}
-				}
-				for _, u := range fs.evictBuf[base : base+int(fs.evictLen[a])] {
-					// A member above the sender met the sender's own label at
-					// entry, so only evictees below it can be starved.
-					if u < a && gx >= 0 && gx < u {
-						ks = append(ks, uint64(uint32(u))<<32|uint64(uint32(gx)))
-					}
-				}
-			}
-		}
-		sc.k1s = ks
-		pr.emitPacked(i, out, tagKnow, ks)
+		pr.emitPacked(i, out, tagKnow, pr.scr[i].k1s)
 	})
 	fs.dblStamp++
 	// Pushed keys route to the high label's home, so knowInsert only
@@ -450,17 +441,6 @@ func (pr *proto) emitPacked(i int, out *netsim.Outbox, tag netsim.Tag, ks []uint
 	}
 }
 
-// compactUint64 dedups a sorted key slice in place.
-func compactUint64(ks []uint64) []uint64 {
-	out := ks[:0]
-	for i, k := range ks {
-		if i == 0 || k != ks[i-1] {
-			out = append(out, k)
-		}
-	}
-	return out
-}
-
 // proposeFromKnow converts every known-set minimum into the best-proposal
 // arrays that hook() consumes: with zero doubling rounds this is exactly
 // the Borůvka min-neighbor proposal.
@@ -482,7 +462,7 @@ func (pr *proto) proposeFromKnow() {
 // that mentioned the label in this phase's adjacency round. Adjacency
 // senders are exactly the relabel readers, so the subscriptions replace
 // the query/reply pair of lookups() with one reply-sized round. As with
-// cc's lookups, the receipt needs no processing — relabel reads the
+// lookups, the receipt needs no processing — relabel reads the
 // rootAt/rootVal arrays the wire answers mirror.
 func (pr *proto) pushRoots() {
 	fs := pr.fs
@@ -517,194 +497,4 @@ func (pr *proto) totalAlive() int {
 		n += len(pr.aliveList[i])
 	}
 	return n
-}
-
-func runFast(tr *topology.Tree, edges Placement, seed uint64, opts []netsim.Option) (*Result, error) {
-	pr, err := newProto(tr, edges, seed, true, false, opts)
-	if err != nil {
-		return nil, err
-	}
-	ccSteps := len(pr.steps) // the schedule CC would run, for rounds-saved
-	pr.steps = nil           // pushRoots closes a phase without lookup sweeps
-
-	nV := len(pr.ids)
-	fs := &fastState{
-		knowBuf:   make([]int32, nV*fastBudget),
-		knowLen:   make([]int32, nV),
-		knowAt:    make([]int32, nV),
-		changedAt: make([]int32, nV),
-		newAt:     make([]int32, nV*fastBudget),
-		evictBuf:  make([]int32, nV*fastBudget),
-		evictLen:  make([]int32, nV),
-		evictAt:   make([]int32, nV),
-		subs:      make([][]uint64, len(pr.nodes)),
-	}
-	for a := range fs.evictAt {
-		fs.evictAt[a] = -1
-	}
-	for a := range fs.changedAt {
-		fs.changedAt[a] = -1
-	}
-	pr.fast = true
-	pr.fs = fs
-
-	// Flight recorder: one span per expansion phase with its doubling
-	// schedule, plus the rounds-saved counter against the Borůvka schedule
-	// this input would have run (computed locally, only when a recorder is
-	// listening — the estimate costs an edge scan per estimated phase).
-	tc := pr.e.Tracer()
-	mx := pr.e.Metrics()
-	var phaseTid int64
-	if tc != nil {
-		phaseTid = tc.NewTid("graph cc-fast phases")
-		pr.hier.TraceCombine(tc, pr.weights)
-	}
-	mPhases := mx.Counter("graph.ccfast.phases")
-	mDbl := mx.Counter("graph.ccfast.doubling_rounds")
-	mFallback := mx.Counter("graph.ccfast.fallback_phases")
-	mSaved := mx.Counter("graph.ccfast.rounds_saved")
-	estimate := tc != nil || mx != nil
-
-	phases := 0
-	for {
-		act := pr.totalActive()
-		if act == 0 && phases > 0 {
-			break
-		}
-		if phases == maxPhases {
-			return nil, fmt.Errorf("graph: fast contraction did not converge after %d phases", maxPhases)
-		}
-		phases++
-		pr.phase = int32(phases)
-		mPhases.Inc()
-		var sp obs.Span
-		if tc != nil {
-			sp = obs.Begin(tc, phaseTid, fmt.Sprintf("expand phase %d", phases), "graph.phase")
-		}
-
-		// Fused adjacency/registration round seeds the known-sets; phase 1
-		// runs it even on an edgeless input so every vertex registers.
-		fs.dblStamp++
-		pr.adjacency()
-
-		// Exponentiate under the guard: stop when a step would blow the
-		// phase budget (fall back to hooking with the Borůvka-equivalent
-		// 1-hop sets), when a step changes nothing, or at the cap.
-		fs.volBudget = fastVolumeFactor * (2*int64(act) + int64(pr.totalAlive()))
-		fs.dblRounds, fs.changed, fs.fellBack = 0, -1, false
-		for fs.dblRounds < fastMaxDoubling && fs.changed != 0 {
-			if pr.planVolume() > fs.volBudget {
-				fs.fellBack = true
-				mFallback.Inc()
-				break
-			}
-			fs.changed = pr.double()
-			fs.dblRounds++
-			mDbl.Inc()
-		}
-
-		pr.proposeFromKnow()
-		if err := pr.jump(pr.hook()); err != nil {
-			return nil, err
-		}
-		pr.pushRoots()
-		if err := pr.relabel(); err != nil {
-			return nil, err
-		}
-		if tc != nil {
-			sp.End(map[string]any{
-				"phase": phases, "active_edges": act,
-				"doubling_rounds": fs.dblRounds, "budget_fallback": fs.fellBack,
-			})
-		}
-	}
-
-	res := pr.assemble(phases, "fast")
-	if estimate {
-		if saved := boruvkaRounds(pr, edges, ccSteps) - res.Report.NumRounds(); saved > 0 {
-			mSaved.Add(int64(saved))
-		}
-	}
-	return res, nil
-}
-
-// boruvkaRounds replays the deterministic Borůvka schedule (cc.go) on the
-// same renumbered input without touching the network, and returns the
-// exchange rounds CC would have spent: register and per-phase propose
-// rounds (one each plus one per combining step), two rounds per pointer-
-// halving iteration, and the lookup query/reply pair (plus up/down sweeps
-// per combining step). Feeds the rounds-saved counter and exper X9.
-func boruvkaRounds(pr *proto, edges Placement, steps int) int {
-	nV := len(pr.ids)
-	us := make([]int32, 0, 2*int(edges.NumEdges()))
-	vs := make([]int32, 0, cap(us))
-	for _, frag := range edges {
-		for _, ed := range frag {
-			u, v := pr.idxOf(ed.U), pr.idxOf(ed.V)
-			if u != v {
-				us = append(us, u)
-				vs = append(vs, v)
-			}
-		}
-	}
-	best := make([]int32, nV)
-	par := make([]int32, nV)
-	root := make([]int32, nV)
-	for a := range par {
-		par[a] = -1
-		root[a] = int32(a)
-	}
-	rounds := steps + 1 // register
-	for phase := 0; len(us) > 0 && phase < maxPhases; phase++ {
-		for a := range best {
-			best[a] = -1
-		}
-		for k := range us {
-			a, b := us[k], vs[k]
-			if best[a] == -1 || b < best[a] {
-				best[a] = b
-			}
-			if best[b] == -1 || a < best[b] {
-				best[b] = a
-			}
-		}
-		unresolved := 0
-		for a := range best {
-			if best[a] != -1 && best[a] < int32(a) {
-				par[a] = best[a]
-				root[a] = -1
-				unresolved++
-			} else {
-				par[a] = -1
-				root[a] = int32(a)
-			}
-		}
-		rounds += steps + 1 // propose
-		for ; unresolved > 0; rounds += 2 {
-			// One query/reply pair per halving iteration.
-			for a := range par {
-				if root[a] != -1 || par[a] == -1 {
-					continue
-				}
-				q := par[a]
-				if root[q] != -1 {
-					root[a] = root[q]
-					unresolved--
-				} else {
-					par[a] = par[q]
-				}
-			}
-		}
-		rounds += 2 + 2*steps // lookups
-		w := 0
-		for k := range us {
-			ra, rb := root[us[k]], root[vs[k]]
-			if ra != rb {
-				us[w], vs[w] = ra, rb
-				w++
-			}
-		}
-		us, vs = us[:w], vs[:w]
-	}
-	return rounds
 }

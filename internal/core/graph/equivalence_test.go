@@ -41,8 +41,7 @@ func TestIntIndexedMatchesMapBaseline(t *testing.T) {
 		{name: "forest", aware: true, witness: true},
 	}
 	for tname, tree := range testTrees(t) {
-		for fname, packed := range fams {
-			edges := placeEdges(packed, tree.NumCompute())
+		for fname, edges := range inputs(fams, tree.NumCompute()) {
 			for _, vr := range variants {
 				var got, want *Result
 				var err1, err2 error

@@ -36,11 +36,11 @@ func fuzzGraph(data []byte) (*topology.Tree, Placement, uint64, error) {
 		return nil, nil, 0, err
 	}
 	id := func(b byte) uint64 {
-		if v := uint64(b % 64); seed&0x80 == 0 {
-			return v
-		} else {
-			return hashing.Mix64(v + 1)
+		v := uint64(b % 64)
+		if seed&0x80 != 0 {
+			v = hashing.Mix64(v + 1)
 		}
+		return v
 	}
 	pl := make(Placement, tr.NumCompute())
 	for k := 2; k+3 <= len(data) && (k-2)/3 < fuzzMaxEdges; k += 3 {
@@ -50,21 +50,13 @@ func fuzzGraph(data []byte) (*topology.Tree, Placement, uint64, error) {
 	return tr, pl, uint64(seed), nil
 }
 
-// sameRounds reports whether two runs put the same traffic on the wire:
-// messages, elements and cost of every round.
-func sameRounds(a, b *netsim.Report) bool {
-	return slices.EqualFunc(a.Rounds, b.Rounds, func(x, y netsim.RoundStats) bool {
-		return x.Messages == y.Messages && x.Elements == y.Elements && x.Cost == y.Cost
-	})
-}
-
 // FuzzCC holds the four connectivity variants to their contract on
 // byte-derived trees and multigraphs (self-loops, parallel edges, isolated
 // vertices, empty holders): every variant passes Verify against the
 // union-find reference and spanforest's witnesses pass VerifyForest, every
 // result and every round is the same at 1 and 4 workers, and the three
 // Borůvka variants send what the map oracle (runMaps) sends, round for
-// round.
+// round: messages, elements, cost and the per-edge, per-node tallies.
 func FuzzCC(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{8, 0, 1, 1, 0, 2, 2, 0})                                           // one node, two isolated vertices
@@ -124,7 +116,7 @@ func FuzzCC(f *testing.F) {
 				!reflect.DeepEqual(one.PerNode, want.PerNode) || !slices.Equal(one.Forest, want.Forest) {
 				t.Fatalf("%s: result differs from the map oracle:\n got %+v\nwant %+v", v.name, one, want)
 			}
-			if !sameRounds(one.Report, want.Report) {
+			if !reflect.DeepEqual(one.Report.Rounds, want.Report.Rounds) {
 				t.Fatalf("%s: rounds differ from the map oracle:\n got %s\nwant %s",
 					v.name, serializeReport(one.Report), serializeReport(want.Report))
 			}

@@ -38,16 +38,19 @@
 //     singletons) skip the merge rounds entirely.
 //
 // The flat baseline hashes vertices uniformly and sends every update
-// directly, as on a flat network. Both variants execute the identical
-// contraction logic, are verified against the union-find reference
-// (component count + canonical-label checksum), and are measured against
-// the per-cut information bound lowerbound.Spanning. No optimality
-// theorem is claimed — topology-aware graph connectivity is open.
+// directly, as on a flat network. CC, CCFlat, SpanningForest and CCFast
+// are four variants of one contraction loop (contract, cc.go): they choose
+// the homes, whether proposals carry a witness edge, and the phase kind —
+// Borůvka's, above, or the expanding phases of ccfast.go, which learn
+// multi-hop neighborhoods by budgeted doubling before they hook. All are
+// verified against the union-find reference (component count +
+// canonical-label checksum), and are measured against the per-cut
+// information bound lowerbound.Spanning. No optimality theorem is claimed
+// — topology-aware graph connectivity is open.
 package graph
 
 import (
 	"fmt"
-	"slices"
 
 	"topompc/internal/netsim"
 	"topompc/internal/topology"
@@ -108,8 +111,9 @@ type Result struct {
 	// Phases is the number of contraction phases executed.
 	Phases int
 	// Strategy identifies the protocol path: "flat", "aware" (capacity
-	// homes, direct delivery), or "aware+combine×L" with L the number of
-	// hierarchy levels whose blocks combine the label exchanges.
+	// homes, direct delivery), "aware+combine×L" with L the number of
+	// hierarchy levels whose blocks combine the label exchanges, or "fast"
+	// (CCFast: capacity homes, expanding phases).
 	Strategy string
 	// Report is the cost accounting.
 	Report *netsim.Report
@@ -132,15 +136,4 @@ func checkPlacement(t *topology.Tree, edges Placement) error {
 			len(edges), t.NumCompute())
 	}
 	return nil
-}
-
-// sortedKeys returns the map keys in ascending order, for deterministic
-// message construction.
-func sortedKeys[V any](m map[uint64]V) []uint64 {
-	out := make([]uint64, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	slices.Sort(out)
-	return out
 }

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 
 	"topompc/internal/hashing"
@@ -197,7 +198,7 @@ func ComponentSpread(t *topology.Tree, edges Placement) [][]topology.NodeID {
 		}
 	}
 	out := make([][]topology.NodeID, 0, len(present))
-	for _, root := range sortedKeys(present) {
+	for _, root := range slices.Sorted(maps.Keys(present)) {
 		set := present[root]
 		list := make([]topology.NodeID, 0, len(set))
 		for v := range set {

@@ -141,7 +141,11 @@ func TestPropertyGraphAwareBeatsFlatOnBridges(t *testing.T) {
 				edges := append([]uint64(nil), packed...)
 				rng := rand.New(rand.NewSource(int64(seed)))
 				dataset.Shuffle(rng, edges)
-				data, err := cliutil.Placer(place, int64(seed))(rng, edges, c.NumNodes())
+				placer, err := cliutil.Placer(place, int64(seed))
+				if err != nil {
+					t.Fatal(err)
+				}
+				data, err := placer(rng, edges, c.NumNodes())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -230,7 +234,10 @@ func TestPropertyFastRoundsBeatBoruvka(t *testing.T) {
 func propertyInput(t *testing.T, spec topompc.Task, c *topompc.Cluster, place string, seed uint64) topompc.TaskInput {
 	t.Helper()
 	rng := rand.New(rand.NewSource(int64(fixtureSeed(spec.Name, place, fmt.Sprint(seed)))))
-	placer := cliutil.Placer(place, int64(seed))
+	placer, err := cliutil.Placer(place, int64(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
 	in, err := cliutil.TaskData(spec, rng, placer, c.NumNodes(), 600, 0, 0, seed)
 	if err != nil {
 		t.Fatal(err)
