@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"topompc/internal/dataset"
+	"topompc/internal/netsim"
 	"topompc/internal/topology"
 )
 
@@ -59,6 +60,37 @@ func BenchmarkSpanningForest100k(b *testing.B) {
 		if _, err := SpanningForest(tr, edges, 42); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkCCDense is the graph-dense benchmark workload at 1/10 scale: the
+// four connectivity variants on FatTree(3,4,16,0.25) with G(10⁴, 20/n)
+// spread round-robin over the 64 leaves, lean stats, two workers. At this
+// size every per-home need list is longer than a bitmap over the vertex
+// universe has words, so the contraction's index lists dedup by bitmap.
+func BenchmarkCCDense(b *testing.B) {
+	tr, err := topology.FatTree(3, 4, 16, 0.25)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const n = 10_000
+	packed, err := dataset.GNP(rand.New(rand.NewSource(1)), n, 20.0/n)
+	if err != nil {
+		b.Fatal(err)
+	}
+	edges := placeEdges(packed, tr.NumCompute())
+	for _, v := range []struct {
+		name string
+		run  func(*topology.Tree, Placement, uint64, ...netsim.Option) (*Result, error)
+	}{{"cc", CC}, {"cc-fast", CCFast}, {"cc-flat", CCFlat}, {"spanforest", SpanningForest}} {
+		b.Run(v.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := v.run(tr, edges, 1, netsim.WithWorkers(2), netsim.WithLeanStats()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"topompc/internal/core/place"
@@ -168,17 +169,25 @@ func contract(tr *topology.Tree, edges Placement, seed uint64, v variant, opts [
 // by vertex/label index — maps appear only at the API boundary when the
 // Result is assembled. Per-phase state (best proposal, jump pointer,
 // resolved root) is validity-stamped with the phase counter instead of
-// being cleared, batching groups by destination home with counting buckets
-// instead of hash maps or packed sorts, scratch lists sort with an LSD
-// radix that skips constant byte lanes, and outgoing payloads are carved
-// from per-node arenas so steady-state phases allocate almost nothing.
+// being cleared, batching groups by destination home with a stable radix
+// on the home key instead of hash maps or packed sorts, and outgoing
+// payloads are carved from per-node arenas so steady-state phases allocate
+// almost nothing.
+//
+// Index lists — registrations, lookup needs, jump queries, the labels a
+// collection touched — are sets over the dense universe [0, nV), and
+// sortIndices orders them ascending and distinct: a list at least as long
+// as a bitmap over the universe has words (nV/64) is marked into the
+// bitmap and read back word by word, a shorter one takes an LSD radix that
+// skips constant byte lanes. On a dense graph a home's need list is many
+// times the bitmap's length, so the local step is linear work with no sort.
 //
 // Proposals are min-combined in linear work in both modes: the relabel
 // walk folds every active edge into stamped per-label minima (witness mode
 // keys them (b, wu, wv), the betterProp order, and carries the winning edge
-// along), radix-sorts the distinct labels it touched, four bytes apiece,
-// and builds the next phase's proposal list from the minima in that order;
-// a combining carrier folds its members' lists into its own the same way.
+// along), orders the distinct labels it touched with sortIndices, and
+// builds the next phase's proposal list from the minima in that order; a
+// combining carrier folds its members' lists into its own the same way.
 // The lookup needs dedup against the same stamps. No comparator sort, and
 // no sort of candidates rather than labels, runs on the data path.
 //
@@ -200,6 +209,44 @@ type workEdge struct{ a, b, wu, wv int32 }
 // witness halves, so equal (a, b) entries are indistinguishable and the
 // minima are bare k1 keys.
 type propPair struct{ k1, k2 uint64 }
+
+// sortIndices orders a list of indices from [0, nV) ascending and distinct.
+// A list at least as long as a bitmap over the universe has words goes
+// through bitmapDedup on the *bm scratch, in the list's own array; a
+// shorter one is radix-sorted through the *tmp scratch and compacted. Both
+// give the same list, so the choice follows from the sizes alone.
+func sortIndices(s []int32, nV int, bm *[]uint64, tmp *[]int32) []int32 {
+	if words := (nV + 63) >> 6; len(s) >= words {
+		if len(*bm) < words {
+			*bm = make([]uint64, words)
+		}
+		return bitmapDedup(s, (*bm)[:words])
+	}
+	s, *tmp = radixSortInt32(s, *tmp)
+	return slices.Compact(s)
+}
+
+// bitmapDedup marks every value of s in the zeroed bitmap bm, then scans
+// its words lowest bit first, writing the values back into s ascending and
+// distinct and clearing each word it reads, so bm is zero again on return.
+// O(len(s) + len(bm)) work, no comparisons.
+func bitmapDedup(s []int32, bm []uint64) []int32 {
+	for _, x := range s {
+		bm[x>>6] |= 1 << (x & 63)
+	}
+	n := 0
+	for w, b := range bm {
+		if b == 0 {
+			continue
+		}
+		bm[w] = 0
+		for base := int32(w) << 6; b != 0; b &= b - 1 {
+			s[n] = base + int32(bits.TrailingZeros64(b))
+			n++
+		}
+	}
+	return s[:n]
+}
 
 // radixSortInt32 is par.SerialSortUint64's LSD byte radix (constant lanes
 // skipped) for non-negative int32 index lists.
@@ -323,6 +370,7 @@ type nodeScratch struct {
 	need     []int32        // register vertex set / jump query scratch
 	nextNeed []int32        // precollected distinct lookup needs
 	ndtmp    []int32        // radix scratch
+	bm       []uint64       // dedup bitmap over the vertex indices, kept zero
 	needBuf  []int32        // combining lookups: copied member needs
 	members  [][]memberNeed // per up-step: who asked for what
 	emitTmp  []int32        // emit grouping: home-radix scratch
@@ -342,6 +390,7 @@ type collectScratch struct {
 	minW   []uint64 // witness mode: packed witness edge of the minimum
 	labels []int32  // the labels offered in the current epoch, each once
 	ltmp   []int32  // radix scratch of labels
+	bm     []uint64 // label bitmap, kept zero
 }
 
 // begin opens a fresh validity epoch over nV labels and returns its stamp.
@@ -464,14 +513,10 @@ func (pa *payloadSlab) grab(n int) []uint64 {
 		return nil
 	}
 	if len(pa.buf)+n > cap(pa.buf) {
-		c := 2 * cap(pa.buf)
-		if c < n {
-			c = n
-		}
-		if c < 256 {
-			c = 256
-		}
-		pa.buf = make([]uint64, 0, c)
+		// The floor is one cache-line pair: on a wide tree most nodes
+		// send about eight words a round, and a bigger minimum chunk per
+		// node would dwarf what they carve from it.
+		pa.buf = make([]uint64, 0, max(2*cap(pa.buf), n, 16))
 	}
 	lo := len(pa.buf)
 	pa.buf = pa.buf[:lo+n]
@@ -576,10 +621,11 @@ func (pr *proto) idxOf(x uint64) int32 {
 	return int32(k)
 }
 
-// sortDedup radix-sorts and dedups an index list using node i's scratch.
+// sortDedup orders an index list ascending and distinct (sortIndices) on
+// node i's scratch.
 func (pr *proto) sortDedup(i int, s []int32) []int32 {
-	s, pr.scr[i].ndtmp = radixSortInt32(s, pr.scr[i].ndtmp)
-	return slices.Compact(s)
+	sc := &pr.scr[i]
+	return sortIndices(s, len(pr.label), &sc.bm, &sc.ndtmp)
 }
 
 // emitIndexGroups groups an ascending index list by home (ascending home,
@@ -709,20 +755,20 @@ func (pr *proto) enroll(i int, x int32) {
 }
 
 // sortEnrolled orders home i's vertex and alive lists once its registration
-// round is read.
+// round is read (enroll keeps them distinct).
 func (pr *proto) sortEnrolled(i int) {
-	pr.homedVerts[i], pr.scr[i].ndtmp = radixSortInt32(pr.homedVerts[i], pr.scr[i].ndtmp)
-	pr.aliveList[i], pr.scr[i].ndtmp = radixSortInt32(pr.aliveList[i], pr.scr[i].ndtmp)
+	pr.homedVerts[i] = pr.sortDedup(i, pr.homedVerts[i])
+	pr.aliveList[i] = pr.sortDedup(i, pr.aliveList[i])
 }
 
 // collectNext pre-combines, from node i's freshly relabeled state, what
 // the next phase's planning rounds will send: the per-label proposal minima
 // of its active edges, label-ascending as the wire carries them, and the
 // distinct lookup needs — active endpoint labels plus homed vertex labels,
-// which the lookup planning sorts. The stamped arrays (owned by the calling
+// which the lookup planning orders. The stamped arrays (owned by the calling
 // pool shard) combine in O(1) per candidate, so only the distinct labels
-// are ever sorted, four bytes apiece, and the lists are built at their
-// final size.
+// are ever ordered (sortIndices), and the lists are built at their final
+// size.
 func (pr *proto) collectNext(i int, ws *collectScratch) {
 	sc := &pr.scr[i]
 	st := ws.begin(len(pr.label), pr.witness)
@@ -783,12 +829,12 @@ func (pr *proto) mergeProps(i int, ws *collectScratch, ib netsim.Inbox) {
 }
 
 // buildProps rebuilds node i's proposal list from the epoch's combined
-// minima: the offered labels are radix-sorted, four bytes apiece, and the
-// list is written once, at its final size, in the label-ascending order
-// every proposal message carries.
+// minima: the offered labels, distinct already, are put in order by
+// sortIndices, and the list is written once, at its final size, in the
+// label-ascending order every proposal message carries.
 func (pr *proto) buildProps(i int, ws *collectScratch) {
 	sc := &pr.scr[i]
-	ws.labels, ws.ltmp = radixSortInt32(ws.labels, ws.ltmp)
+	ws.labels = sortIndices(ws.labels, len(pr.label), &ws.bm, &ws.ltmp)
 	if pr.witness {
 		prs := slices.Grow(sc.pairs[:0], len(ws.labels))
 		for _, a := range ws.labels {
@@ -1273,40 +1319,8 @@ func newProto(tr *topology.Tree, edges Placement, seed uint64, v variant, opts [
 	e := netsim.NewEngine(tr, opts...)
 	pool := e.Pool()
 
-	// Renumbering pass: sorted distinct vertex ids become the dense index
-	// space. Sorting keeps index order equal to id order, so every
-	// min-label comparison downstream is unchanged. Fragments copy into
-	// precomputed disjoint offsets and the sort is the pool's parallel
-	// radix, so the pass scales with the workers while producing the same
-	// sorted id space as the serial walk.
-	offs := make([]int, len(edges)+1)
-	for fi, frag := range edges {
-		offs[fi+1] = offs[fi] + 2*len(frag)
-	}
-	all := make([]uint64, offs[len(edges)])
-	pool.ForEach("cc renumber fill", len(edges), func(fi int) {
-		k := offs[fi]
-		for _, ed := range edges[fi] {
-			all[k] = ed.U
-			all[k+1] = ed.V
-			k += 2
-		}
-	})
-	all, _ = pool.SortUint64(all, nil)
-	ids := slices.Compact(all)
+	ids, idToIdx := renumber(pool, edges)
 	nV := len(ids)
-
-	// Dense inputs (ids packed near 0..n) get a direct id -> index table;
-	// sparse or hashed id spaces fall back to binary search.
-	var idToIdx []int32
-	if nV > 0 {
-		if maxID := ids[nV-1]; maxID <= uint64(4*nV)+1024 {
-			idToIdx = make([]int32, maxID+1)
-			pool.ForEach("cc renumber table", nV, func(k int) {
-				idToIdx[ids[k]] = int32(k)
-			})
-		}
-	}
 
 	// The chooser is read-only after construction (alias-table lookups),
 	// so home hashing shards freely.
@@ -1367,6 +1381,110 @@ func newProto(tr *topology.Tree, edges Placement, seed uint64, v variant, opts [
 		pr.scr[i].need, pr.active[i] = nd, act
 	})
 	return pr, nil
+}
+
+// renumber is the renumbering pass: the sorted distinct vertex ids become
+// the dense index space (ids, position = index). Sorting keeps index order
+// equal to id order, so every min-label comparison downstream is unchanged.
+// Dense id spaces (ids packed near 0..n) also get a direct id -> index
+// table; sparse or hashed ones leave it nil and idxOf binary-searches.
+//
+// The pool first takes each shard's largest id. When every shard's share of
+// the 2m endpoints is at least as long as a bitmap up to that id has words,
+// renumberMarks runs; hashed or sparse ids take renumberSort. Both give the
+// id space the serial walk produces, at every worker count.
+func renumber(pool *par.Pool, edges Placement) ([]uint64, []int32) {
+	maxes := make([]uint64, pool.Workers())
+	pool.Blocks("cc renumber max", len(edges), func(shard, lo, hi int) {
+		var mx uint64
+		for _, frag := range edges[lo:hi] {
+			for _, ed := range frag {
+				mx = max(mx, ed.U, ed.V)
+			}
+		}
+		maxes[shard] = mx
+	})
+	maxID := slices.Max(maxes)
+	if perShard := uint64(2*edges.NumEdges()) / uint64(len(maxes)); perShard >= maxID>>6+1 {
+		return renumberMarks(pool, edges, maxID)
+	}
+	return renumberSort(pool, edges, maxID)
+}
+
+// denseIDs reports whether nV distinct ids up to maxID are packed tightly
+// enough for a direct id -> index table.
+func denseIDs(maxID uint64, nV int) bool { return nV > 0 && maxID <= uint64(4*nV)+1024 }
+
+// renumberMarks is the bitmap side of the renumbering pass: every pool
+// shard marks its fragments' endpoints into its own bitmap over [0, maxID],
+// the bitmaps are ORed together, and one scan of the union writes ids and
+// the table.
+func renumberMarks(pool *par.Pool, edges Placement, maxID uint64) ([]uint64, []int32) {
+	words := maxID>>6 + 1
+	marks := make([][]uint64, pool.Workers())
+	pool.Blocks("cc renumber mark", len(edges), func(shard, lo, hi int) {
+		bm := make([]uint64, words)
+		for _, frag := range edges[lo:hi] {
+			for _, ed := range frag {
+				bm[ed.U>>6] |= 1 << (ed.U & 63)
+				bm[ed.V>>6] |= 1 << (ed.V & 63)
+			}
+		}
+		marks[shard] = bm
+	})
+	union, nV := marks[0], 0
+	for w := range union {
+		for _, bm := range marks[1:] {
+			if bm != nil { // a shard the fork did not need
+				union[w] |= bm[w]
+			}
+		}
+		nV += bits.OnesCount64(union[w])
+	}
+	ids := make([]uint64, 0, nV)
+	var idToIdx []int32
+	if denseIDs(maxID, nV) {
+		idToIdx = make([]int32, maxID+1)
+	}
+	for w, b := range union {
+		for ; b != 0; b &= b - 1 {
+			x := uint64(w)<<6 | uint64(bits.TrailingZeros64(b))
+			if idToIdx != nil {
+				idToIdx[x] = int32(len(ids))
+			}
+			ids = append(ids, x)
+		}
+	}
+	return ids, idToIdx
+}
+
+// renumberSort is the radix side of the renumbering pass: fragments copy
+// their endpoints into precomputed disjoint offsets, the pool's parallel
+// radix sorts them, and the run of distinct ids is the index space.
+func renumberSort(pool *par.Pool, edges Placement, maxID uint64) ([]uint64, []int32) {
+	offs := make([]int, len(edges)+1)
+	for fi, frag := range edges {
+		offs[fi+1] = offs[fi] + 2*len(frag)
+	}
+	all := make([]uint64, offs[len(edges)])
+	pool.ForEach("cc renumber fill", len(edges), func(fi int) {
+		k := offs[fi]
+		for _, ed := range edges[fi] {
+			all[k] = ed.U
+			all[k+1] = ed.V
+			k += 2
+		}
+	})
+	all, _ = pool.SortUint64(all, nil)
+	ids := slices.Compact(all)
+	var idToIdx []int32
+	if denseIDs(maxID, len(ids)) {
+		idToIdx = make([]int32, maxID+1)
+		pool.ForEach("cc renumber table", len(ids), func(k int) {
+			idToIdx[ids[k]] = int32(k)
+		})
+	}
+	return ids, idToIdx
 }
 
 // assemble packages the converged contraction state into a Result.

@@ -17,12 +17,15 @@ const fuzzMaxEdges = 256
 
 // fuzzGraph decodes a byte string into one connectivity run: a topotest
 // shape with its parameter seed, then (u, v, holder) triples. Vertices are
-// taken modulo 64 and holders modulo the compute-node count, so decoding
+// bytes taken modulo 64 and holders modulo the compute-node count, so decoding
 // never fails and the fuzzer explores graphs, not decoder errors. u = v is a
 // self-loop, which is how an isolated vertex is declared; repeated triples
 // are parallel edges, on one holder or on several. The top bit of the seed
 // byte hashes the vertex ids to 64 bits, which sends the renumbering pass
-// down its binary-search side.
+// down its radix side and idxOf down its binary search. The top bit of the
+// shape byte widens the vertices to all 256 byte values: with more than 64
+// vertices a bitmap over them has more than one word, so a home whose index
+// list is shorter than that takes sortIndices' radix side.
 func fuzzGraph(data []byte) (*topology.Tree, Placement, uint64, error) {
 	var shape, seed byte
 	if len(data) > 0 {
@@ -31,12 +34,16 @@ func fuzzGraph(data []byte) (*topology.Tree, Placement, uint64, error) {
 	if len(data) > 1 {
 		seed = data[1]
 	}
-	_, tr, err := topotest.Draw(rand.New(rand.NewSource(int64(seed&0x7f))), int(shape))
+	_, tr, err := topotest.Draw(rand.New(rand.NewSource(int64(seed&0x7f))), int(shape&0x7f))
 	if err != nil {
 		return nil, nil, 0, err
 	}
+	wide := shape&0x80 != 0
 	id := func(b byte) uint64 {
-		v := uint64(b % 64)
+		v := uint64(b)
+		if !wide {
+			v %= 64
+		}
 		if seed&0x80 != 0 {
 			v = hashing.Mix64(v + 1)
 		}
@@ -63,6 +70,17 @@ func FuzzCC(f *testing.F) {
 	f.Add([]byte{0, 3, 1, 2, 0, 2, 1, 1, 1, 2, 2, 5, 5, 0, 2, 3, 1, 3, 4, 2, 9, 9}) // parallel edges, a path, a dangling byte pair
 	f.Add([]byte{2, 0x85, 0, 1, 0, 1, 2, 1, 2, 3, 2, 3, 0, 3, 7, 7, 4, 8, 9, 5})    // hashed ids: a 4-cycle, a loop, a pair
 	f.Add([]byte{10, 9, 5, 4, 0, 4, 3, 1, 3, 2, 2, 2, 1, 3, 1, 0, 4, 9, 8, 5, 8, 7, 6, 7, 6, 7, 20, 21, 8, 21, 22, 9, 22, 20, 10})
+	f.Add([]byte{0x82, 4, 0, 255, 0}) // wide ids, one edge: too few endpoints for the renumbering bitmap
+	// Wide ids: 240 vertices in paths of six, so the holders' lists are
+	// longer than a bitmap over them has words and the short ones of later
+	// phases are not.
+	wide := []byte{0x82, 4}
+	for k := 0; k < 240; k++ {
+		if k%6 != 5 {
+			wide = append(wide, byte(k), byte(k+1), byte(k*7))
+		}
+	}
+	f.Add(wide)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, pl, seed, err := fuzzGraph(data)
 		if err != nil {

@@ -5,7 +5,9 @@ import (
 	"slices"
 	"testing"
 
+	"topompc/internal/hashing"
 	"topompc/internal/netsim"
+	"topompc/internal/par"
 )
 
 // The comparator sort the proposal path used to run, kept as the oracle of
@@ -186,6 +188,125 @@ func TestRadixSortInt32(t *testing.T) {
 			if got, _ = radixSortInt32(got, nil); !slices.Equal(got, want) {
 				t.Fatalf("%s, n=%d: radix order differs from slices.Sort", sh.name, n)
 			}
+		}
+	}
+}
+
+// TestSortIndices holds both sides of sortIndices to slices.Sort +
+// slices.Compact: lists that are empty, all one value, or hold the word
+// edges 0, 63, 64 and the universe's last index, at lengths on both sides of
+// the bitmap's word count, with the scratch reused across universes. The
+// bitmap must come back zero, and its side must write into the list's own
+// array.
+func TestSortIndices(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	var bm []uint64
+	var tmp []int32
+	for _, nV := range []int{1, 64, 65, 200, 4096, 70_000} {
+		words := (nV + 63) / 64
+		for _, n := range []int{0, 1, words - 1, words, words + 1, 3 * nV} {
+			for _, sh := range []struct {
+				name  string
+				value func(j int) int32
+			}{
+				{"spread", func(int) int32 { return int32(rng.Intn(nV)) }},
+				{"all one", func(int) int32 { return int32(nV - 1) }},
+				{"word edges", func(j int) int32 { return min([]int32{0, 63, 64, int32(nV - 1)}[j%4], int32(nV-1)) }},
+				{"low word", func(int) int32 { return int32(rng.Intn(min(nV, 64))) }},
+			} {
+				name := sh.name
+				got := make([]int32, n)
+				for j := range got {
+					got[j] = sh.value(j)
+				}
+				want := slices.Compact(slices.Sorted(slices.Values(got)))
+				in := got
+				got = sortIndices(got, nV, &bm, &tmp)
+				if !slices.Equal(got, want) {
+					t.Fatalf("nV=%d n=%d %s: got %v, want %v", nV, n, name, got, want)
+				}
+				if n >= words && n > 0 && &got[0] != &in[0] {
+					t.Fatalf("nV=%d n=%d %s: the bitmap side did not write into the list's array", nV, n, name)
+				}
+				if i := slices.IndexFunc(bm, func(w uint64) bool { return w != 0 }); i >= 0 {
+					t.Fatalf("nV=%d n=%d %s: bitmap word %d left set", nV, n, name, i)
+				}
+			}
+		}
+	}
+}
+
+// TestRenumberPaths holds both renumbering paths to the sorted distinct
+// endpoints and the direct table the parent built from them: dense ids,
+// hashed 64-bit ids (the radix side only — a bitmap up to 2⁶⁴ is not an
+// option), a single vertex, id 0 alone, a sparse spread that keeps no table,
+// and edgeless placements, at 1, 2 and 8 workers over fragments that may be
+// fewer than the workers; renumber, whichever side it picks, must agree.
+func TestRenumberPaths(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	gen := func(frags, m int, id func() uint64) Placement {
+		pl := make(Placement, frags)
+		for k := 0; k < m; k++ {
+			i := rng.Intn(frags)
+			pl[i] = append(pl[i], Edge{U: id(), V: id()})
+		}
+		return pl
+	}
+	cases := []struct {
+		name    string
+		pl      Placement
+		bitmap  bool // the dense ids make the bitmap side possible
+		tabled  bool // the parent built the direct table
+		wantIDs int  // distinct ids, -1 for "don't check"
+	}{
+		{"dense", gen(16, 3000, func() uint64 { return uint64(rng.Intn(2000)) }), true, true, -1},
+		{"dense, few fragments", gen(1, 500, func() uint64 { return uint64(rng.Intn(700)) }), true, true, -1},
+		{"hashed", gen(16, 3000, func() uint64 { return hashing.Mix64(uint64(rng.Intn(2000)) + 1) }), false, false, -1},
+		{"sparse", gen(4, 50, func() uint64 { return uint64(rng.Intn(1 << 20)) }), true, false, -1},
+		{"single vertex", Placement{nil, {{U: 9, V: 9}, {U: 9, V: 9}}, nil}, true, true, 1},
+		{"id 0", Placement{{{U: 0, V: 0}}}, true, true, 1},
+		{"edgeless", make(Placement, 5), true, false, 0},
+		{"no fragments", Placement{}, true, false, 0},
+	}
+	for _, c := range cases {
+		var all []uint64
+		var maxID uint64
+		for _, frag := range c.pl {
+			for _, ed := range frag {
+				all = append(all, ed.U, ed.V)
+				maxID = max(maxID, ed.U, ed.V)
+			}
+		}
+		wantIDs := slices.Compact(slices.Sorted(slices.Values(all)))
+		if c.wantIDs >= 0 && len(wantIDs) != c.wantIDs {
+			t.Fatalf("%s: fixture has %d distinct ids, want %d", c.name, len(wantIDs), c.wantIDs)
+		}
+		var wantTable []int32
+		if c.tabled {
+			wantTable = make([]int32, maxID+1)
+			for k, x := range wantIDs {
+				wantTable[x] = int32(k)
+			}
+		}
+		check := func(path string, workers int, ids []uint64, table []int32) {
+			t.Helper()
+			if !slices.Equal(ids, wantIDs) {
+				t.Fatalf("%s, %s, %d workers: ids %v, want %v", c.name, path, workers, ids, wantIDs)
+			}
+			if !slices.Equal(table, wantTable) || (table == nil) != (wantTable == nil) {
+				t.Fatalf("%s, %s, %d workers: table %v, want %v", c.name, path, workers, table, wantTable)
+			}
+		}
+		for _, workers := range []int{1, 2, 8} {
+			pool := par.New(workers)
+			ids, table := renumberSort(pool, c.pl, maxID)
+			check("radix", workers, ids, table)
+			if c.bitmap {
+				ids, table = renumberMarks(pool, c.pl, maxID)
+				check("bitmap", workers, ids, table)
+			}
+			ids, table = renumber(pool, c.pl)
+			check("renumber", workers, ids, table)
 		}
 	}
 }
