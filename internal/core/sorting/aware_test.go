@@ -1,11 +1,15 @@
 package sorting
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"topompc/internal/dataset"
+	"topompc/internal/netsim"
 	"topompc/internal/topology"
+	"topompc/internal/topology/topotest"
 )
 
 func TestCapacitySortCorrectAcrossTopologies(t *testing.T) {
@@ -54,8 +58,8 @@ func TestCapacitySortCorrectAcrossTopologies(t *testing.T) {
 }
 
 // TestCapacitySortShrinksWeakRanges: on the skewed two-tier tree the
-// slow-rack nodes must end up owning far less of the key space than the
-// fast-rack nodes.
+// capacity candidate's slow-rack nodes must end up owning far less of the
+// key space than the fast-rack nodes.
 func TestCapacitySortShrinksWeakRanges(t *testing.T) {
 	tr, err := topology.TwoTier([]int{4, 4}, []float64{16, 1}, 16)
 	if err != nil {
@@ -63,7 +67,7 @@ func TestCapacitySortShrinksWeakRanges(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(22))
 	data := sortInput(t, rng, tr, 8000, uniformPlace)
-	res, err := CapacitySort(tr, data, 7)
+	res, err := planSort(tr, data, 7, awareStride, nil, capacityRanges)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,12 +90,12 @@ func TestCapacitySortShrinksWeakRanges(t *testing.T) {
 }
 
 // TestCapacitySortFlatMatchesOnSymmetric: uniform capacities make the
-// aware protocol coincide with its flat counterpart.
+// capacity candidate coincide with its flat counterpart.
 func TestCapacitySortFlatMatchesOnSymmetric(t *testing.T) {
 	tr, _ := topology.UniformStar(6, 2)
 	rng := rand.New(rand.NewSource(23))
 	data := sortInput(t, rng, tr, 3000, uniformPlace)
-	aware, err := CapacitySort(tr, data, 9)
+	aware, err := planSort(tr, data, 9, awareStride, nil, capacityRanges)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,4 +158,130 @@ func TestCapacitySortEmptyAndTiny(t *testing.T) {
 	if err := Verify(tr, Reference(tiny), res); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// fixtureTrees is the golden harness's topology zoo (fixtureTopos in the
+// module root's harness_test.go), built with the constructors its clusters
+// wrap.
+func fixtureTrees() []func() (string, *topology.Tree, error) {
+	tree := func(name string, build func() (*topology.Tree, error)) func() (string, *topology.Tree, error) {
+		return func() (string, *topology.Tree, error) {
+			t, err := build()
+			return name, t, err
+		}
+	}
+	graph := func(name string, build func() (*topology.Graph, error)) func() (string, *topology.Tree, error) {
+		return tree(name, func() (*topology.Tree, error) {
+			g, err := build()
+			if err != nil {
+				return nil, err
+			}
+			return topology.FromGraph(g)
+		})
+	}
+	return []func() (string, *topology.Tree, error){
+		tree("star-uniform", func() (*topology.Tree, error) { return topology.Star([]float64{2, 2, 2, 2, 2, 2, 2, 2}) }),
+		tree("twotier-skew", func() (*topology.Tree, error) { return topology.TwoTier([]int{4, 4}, []float64{16, 1}, 16) }),
+		tree("fattree", func() (*topology.Tree, error) { return topology.FatTree(2, 3, 2, 3) }),
+		tree("caterpillar", func() (*topology.Tree, error) { return topology.Caterpillar([]float64{1, 2, 4, 2, 1}, 4) }),
+		tree("fattree-taper", func() (*topology.Tree, error) { return topology.FatTree(3, 2, 16, 0.25) }),
+		tree("caterpillar-grade", func() (*topology.Tree, error) { return topology.Caterpillar([]float64{8, 3, 0.5, 3, 8}, 8) }),
+		graph("mesh", func() (*topology.Graph, error) { return topology.Mesh(3, 4, 2.5) }),
+		graph("ring-of-racks", func() (*topology.Graph, error) { return topology.RingOfRacks(4, 2, 3, 8) }),
+		graph("clos", func() (*topology.Graph, error) { return topology.Clos(2, 3, 2, 4, 10) }),
+	}
+}
+
+// TestCapacitySortRunsCheapestCandidate: on every golden fixture tree and
+// three draws of every topotest shape, under four placements of distinct and of heavily
+// repeated keys, the planned sort costs exactly the least of its three
+// candidates run alone on the same input — the capacity candidate,
+// CapacitySortFlat and Gather at the heaviest holder — and returns that
+// candidate's output under its name (fewer rounds, then candidate order,
+// among equals), at 1 and 4 workers.
+func TestCapacitySortRunsCheapestCandidate(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	shapes := fixtureTrees()
+	for i := 0; i < 3*topotest.NumShapes; i++ {
+		shapes = append(shapes, func() (string, *topology.Tree, error) { return topotest.Draw(rng, i) })
+	}
+	places := []struct {
+		name string
+		fn   func([]uint64, int) (dataset.Placement, error)
+	}{
+		{"uniform", uniformPlace},
+		{"zipf", func(k []uint64, p int) (dataset.Placement, error) {
+			return dataset.SplitZipf(rand.New(rand.NewSource(3)), k, p, 1.2)
+		}},
+		{"oneheavy", func(k []uint64, p int) (dataset.Placement, error) { return dataset.SplitOneHeavy(k, p, 0, 0.8) }},
+		{"single", func(k []uint64, p int) (dataset.Placement, error) { return dataset.SplitSingle(k, p, p-1) }},
+	}
+	wins := map[string]int{}
+	for _, shape := range shapes {
+		name, tr, err := shape()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, pl := range places {
+			for _, repeats := range []bool{false, true} {
+				keys := dataset.Distinct(rng, 2400)
+				if repeats {
+					for i := range keys {
+						keys[i] %= 50
+					}
+				}
+				data, err := pl.fn(keys, tr.NumCompute())
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref := Reference(data)
+				for _, workers := range []int{1, 4} {
+					at := fmt.Sprintf("%s/%s/repeats=%v/workers=%d", name, pl.name, repeats, workers)
+					opts := []netsim.Option{netsim.WithWorkers(workers)}
+					capacity, err := planSort(tr, data, 11, awareStride, opts, capacityRanges)
+					if err != nil {
+						t.Fatalf("%s: %v", at, err)
+					}
+					flat, err := CapacitySortFlat(tr, data, 11, opts...)
+					if err != nil {
+						t.Fatalf("%s: %v", at, err)
+					}
+					gathered, err := Gather(tr, data, topology.NoNode, opts...)
+					if err != nil {
+						t.Fatalf("%s: %v", at, err)
+					}
+					planned, err := CapacitySort(tr, data, 11, opts...)
+					if err != nil {
+						t.Fatalf("%s: %v", at, err)
+					}
+					if err := Verify(tr, ref, planned); err != nil {
+						t.Fatalf("%s: %v", at, err)
+					}
+					best := capacity
+					for _, alone := range []*Result{flat, gathered} {
+						c, b := alone.Report.TotalCost(), best.Report.TotalCost()
+						if c < b || c == b && alone.Report.NumRounds() < best.Report.NumRounds() {
+							best = alone
+						}
+					}
+					if got, want := planned.Report.TotalCost(), best.Report.TotalCost(); got != want || planned.Strategy != best.Strategy {
+						t.Fatalf("%s: planned %s at %v, want %s at %v (capacity %v, flat %v, gather %v)", at,
+							planned.Strategy, got, best.Strategy, want,
+							capacity.Report.TotalCost(), flat.Report.TotalCost(), gathered.Report.TotalCost())
+					}
+					if !reflect.DeepEqual(planned.PerNode, best.PerNode) || !reflect.DeepEqual(planned.Report.Rounds, best.Report.Rounds) {
+						t.Fatalf("%s: planned run differs from %s run alone", at, best.Strategy)
+					}
+					wins[planned.Strategy]++
+				}
+			}
+		}
+	}
+	// Every candidate wins somewhere on the grid.
+	for _, s := range []string{"sort-aware", "sort-flat", "gather"} {
+		if wins[s] == 0 {
+			t.Errorf("no instance chose %s: %v", s, wins)
+		}
+	}
+	t.Logf("winners: %v", wins)
 }

@@ -1,7 +1,9 @@
 // Package sorting implements the distributed sorting protocols of §5 of
 // the paper: weighted TeraSort (wTS), a four-round sampling-based protocol
 // that is within O(1) of the Theorem 6 lower bound with high probability,
-// together with the classic TeraSort and gather baselines.
+// together with the classic TeraSort and gather baselines and CapacitySort,
+// a planner that prices capacity splitters, uniform splitters and a gather
+// on the instance and runs the cheapest.
 //
 // The goal of the task: given a valid left-to-right ordering v_1, …, v_|VC|
 // of the compute nodes (any DFS traversal of the tree), redistribute the
@@ -11,8 +13,8 @@ package sorting
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
-	"sort"
 
 	"topompc/internal/dataset"
 	"topompc/internal/netsim"
@@ -30,7 +32,8 @@ type Result struct {
 	// Report is the cost accounting.
 	Report *netsim.Report
 	// Strategy identifies the protocol path: "wts", "gather", "terasort",
-	// or the capacity-splitter pair "sort-aware" / "sort-flat".
+	// or the splitter sorts "sort-aware" (capacity ranges) and "sort-flat"
+	// (uniform ranges). CapacitySort reports the candidate it ran.
 	Strategy string
 }
 
@@ -71,9 +74,49 @@ func (in *instance) emptyResult(strategy string) *Result {
 }
 
 // Reference is what Verify checks a result against: the input in ascending
-// order.
+// order. It scatters the keys straight from the fragments into groups by
+// their highest byte that is not the same in every key, then radix-sorts
+// each group in place. The scratch is the size of the largest group, not a
+// second copy of the input as a radix sort of the concatenation needs.
 func Reference(input dataset.Placement) []uint64 {
-	ref, _ := par.SerialSortUint64(input.Flatten(), nil)
+	and, or := ^uint64(0), uint64(0)
+	for _, frag := range input {
+		for _, k := range frag {
+			and &= k
+			or |= k
+		}
+	}
+	shift := 0
+	if varying := and ^ or; varying != 0 {
+		shift = (bits.Len64(varying) - 1) / 8 * 8
+	}
+	var off [257]int
+	for _, frag := range input {
+		for _, k := range frag {
+			off[k>>shift&0xff+1]++
+		}
+	}
+	largest := 0
+	for b := 1; b <= 256; b++ {
+		largest = max(largest, off[b])
+		off[b] += off[b-1]
+	}
+	ref := make([]uint64, off[256])
+	next := off
+	for _, frag := range input {
+		for _, k := range frag {
+			g := k >> shift & 0xff
+			ref[next[g]] = k
+			next[g]++
+		}
+	}
+	tmp := make([]uint64, largest)
+	for b := 0; b < 256; b++ {
+		g := ref[off[b]:off[b+1]]
+		if sorted, _ := par.SerialSortUint64(g, tmp); len(g) > 0 && &sorted[0] != &g[0] {
+			copy(g, sorted)
+		}
+	}
 	return ref
 }
 
@@ -138,13 +181,6 @@ func Verify(t *topology.Tree, ref []uint64, res *Result) error {
 	return nil
 }
 
-// sortedSamples is the coordinator's local step of every sampling sort:
-// the samples v received in the last round, sorted on the engine's pool.
-func sortedSamples(e *netsim.Engine, v topology.NodeID) []uint64 {
-	samples, _ := e.Pool().SortUint64(e.Inbox(v).Keys(netsim.TagSample), nil)
-	return samples
-}
-
 // sortReceived is the closing local step of every protocol here: each
 // compute node sorts the data it received in the last round. The sorts run
 // on the engine's pool, one home after the other, and hand one radix
@@ -172,9 +208,23 @@ func sample(frag []uint64, seed int64, rho float64) []uint64 {
 }
 
 // bucketOf locates x's interval: bucket j holds [splitters[j-1],
-// splitters[j]).
+// splitters[j]), so j counts the splitters at or below x. The search halves
+// the candidate range by arithmetic on the borrow of x − probe rather than
+// by a branch, which random keys would mispredict half the time.
 func bucketOf(x uint64, splitters []uint64) int {
-	return sort.Search(len(splitters), func(i int) bool { return x < splitters[i] })
+	n := len(splitters)
+	if n == 0 {
+		return 0
+	}
+	base := 0
+	for n > 1 {
+		half := n / 2
+		_, below := bits.Sub64(x, splitters[base+half], 0) // 1 when x < probe
+		base += half & (int(below) - 1)
+		n -= half
+	}
+	_, below := bits.Sub64(x, splitters[base], 0)
+	return base + 1 - int(below)
 }
 
 // sendBySplitter queues the redistribution step of every splitter-based
@@ -197,24 +247,46 @@ func sendBySplitter(out *netsim.Outbox, keys, splitters []uint64, dsts []topolog
 	}
 }
 
-// gather ships everything to one node (the holder of the most data unless
-// target is given), which sorts locally. Trivially a valid ordering: every
-// other node is empty.
-func gather(in *instance, target int, strategy string, opts []netsim.Option) (*Result, error) {
-	e := netsim.NewEngine(in.t, opts...)
-	x := e.Exchange()
-	x.Plan(func(v topology.NodeID, out *netsim.Outbox) {
-		if frag := in.data[in.t.ComputeIndex(v)]; len(frag) > 0 {
-			out.Send(in.nodes[target], netsim.TagData, frag)
-		}
-	})
-	x.Execute()
+// result collects what a protocol's last round delivered: every compute node
+// sorts what it received.
+func (in *instance) result(e *netsim.Engine, order []topology.NodeID, strategy string) *Result {
 	return &Result{
 		PerNode:  sortReceived(e, in.nodes),
-		Order:    in.t.LeftToRight(),
+		Order:    order,
 		Report:   e.Report(),
 		Strategy: strategy,
-	}, nil
+	}
+}
+
+// heaviest is the holder of the most data, the first one among equals.
+func (in *instance) heaviest() topology.NodeID {
+	best := in.nodes[0]
+	for _, v := range in.nodes {
+		if in.loads[v] > in.loads[best] {
+			best = v
+		}
+	}
+	return best
+}
+
+// planGather queues the one round of a gather: every holder ships its whole
+// fragment to target.
+func (in *instance) planGather(x *netsim.Exchange, target topology.NodeID) {
+	x.Plan(func(v topology.NodeID, out *netsim.Outbox) {
+		if frag := in.data[in.t.ComputeIndex(v)]; len(frag) > 0 {
+			out.Send(target, netsim.TagData, frag)
+		}
+	})
+}
+
+// gather ships everything to target, which sorts locally. Trivially a valid
+// ordering: every other node is empty.
+func gather(in *instance, target topology.NodeID, opts []netsim.Option) *Result {
+	e := netsim.NewEngine(in.t, opts...)
+	x := e.Exchange()
+	in.planGather(x, target)
+	x.Execute()
+	return in.result(e, in.t.LeftToRight(), "gather")
 }
 
 // Gather is the gather-to-one baseline. With target = NoNode the node
@@ -224,24 +296,10 @@ func Gather(t *topology.Tree, data dataset.Placement, target topology.NodeID, op
 	if err != nil {
 		return nil, err
 	}
-	idx := 0
 	if target == topology.NoNode {
-		for i := range in.nodes {
-			if in.loads[in.nodes[i]] > in.loads[in.nodes[idx]] {
-				idx = i
-			}
-		}
-	} else {
-		found := false
-		for i, v := range in.nodes {
-			if v == target {
-				idx, found = i, true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("sorting: target %v is not a compute node", target)
-		}
+		target = in.heaviest()
+	} else if uint(target) >= uint(t.NumNodes()) || !t.IsCompute(target) {
+		return nil, fmt.Errorf("sorting: target %v is not a compute node", target)
 	}
-	return gather(in, idx, "gather", opts)
+	return gather(in, target, opts), nil
 }

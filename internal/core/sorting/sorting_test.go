@@ -3,6 +3,7 @@ package sorting
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -358,5 +359,37 @@ func TestSampleRate(t *testing.T) {
 	r := SampleRate(4, 1000000)
 	if r <= 0 || r >= 1 {
 		t.Errorf("rate = %v out of range", r)
+	}
+}
+
+// TestReferenceIsSortedInput: the byte-grouped Reference equals the sorted
+// concatenation of the fragments whichever byte first varies — all keys
+// equal, keys that differ in the low byte only, in the top byte only, full
+// 64-bit keys, heavy repeats — and for empty input.
+func TestReferenceIsSortedInput(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	gens := map[string]func() uint64{
+		"equal":    func() uint64 { return 0xabcdef },
+		"low byte": func() uint64 { return 0x1234_0000 | uint64(rng.Intn(256)) },
+		"top byte": func() uint64 { return uint64(rng.Intn(256))<<56 | 77 },
+		"full":     rng.Uint64,
+		"repeats":  func() uint64 { return uint64(rng.Intn(40)) << 20 },
+	}
+	for name, gen := range gens {
+		for _, n := range []int{0, 1, 63, 5000} {
+			keys := make([]uint64, n)
+			for i := range keys {
+				keys[i] = gen()
+			}
+			data, err := dataset.SplitZipf(rng, keys, 5, 1.1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := slices.Clone(keys)
+			slices.Sort(want)
+			if got := Reference(data); !slices.Equal(got, want) {
+				t.Fatalf("%s, n=%d: Reference is not the sorted input", name, n)
+			}
+		}
 	}
 }

@@ -3,6 +3,7 @@ package sorting
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"topompc/internal/dataset"
@@ -31,6 +32,31 @@ func TestBucketOfDuplicateSplitters(t *testing.T) {
 	}
 	if got := bucketOf(9, splitters); got != 0 {
 		t.Errorf("bucketOf(9) = %d, want 0", got)
+	}
+}
+
+// TestBucketOfCountsSplittersAtOrBelow: on random sorted splitter lists of
+// every length up to 40, with repeats, bucketOf counts the splitters at or
+// below the key, for keys on, between and beyond them.
+func TestBucketOfCountsSplittersAtOrBelow(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for n := 0; n <= 40; n++ {
+		splitters := make([]uint64, n)
+		for i := range splitters {
+			splitters[i] = uint64(rng.Intn(30))
+		}
+		slices.Sort(splitters)
+		for x := uint64(0); x < 32; x++ {
+			want := 0
+			for _, s := range splitters {
+				if s <= x {
+					want++
+				}
+			}
+			if got := bucketOf(x, splitters); got != want {
+				t.Fatalf("bucketOf(%d, %v) = %d, want %d", x, splitters, got, want)
+			}
+		}
 	}
 }
 

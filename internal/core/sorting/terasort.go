@@ -15,13 +15,15 @@ import (
 // receives the i-th key range. All |VC| nodes participate with equal
 // shares regardless of bandwidth or initial placement.
 func TeraSort(t *topology.Tree, data dataset.Placement, seed uint64, opts ...netsim.Option) (*Result, error) {
-	return splitterSort(t, data, seed, sampleSort{
-		strategy: "terasort",
-		stride:   104729,
-		splitters: func(sorted []uint64, weights []float64) []uint64 {
-			return uniformSplitters(sorted, int64(len(weights)))
-		},
-	}, opts)
+	return planSort(t, data, seed, 104729, opts, teraSortRanges)
+}
+
+// teraSortRanges picks TeraSort's uniform sample quantiles at the leftmost
+// node.
+func teraSortRanges(_ *instance, order []topology.NodeID) candidate {
+	return candidate{strategy: "terasort", coordinator: order[0], pick: func(sorted []uint64) []uint64 {
+		return uniformSplitters(sorted, int64(len(order)))
+	}}
 }
 
 // uniformSplitters picks the p−1 uniform quantiles of the sorted samples

@@ -49,9 +49,9 @@ func WTSWithOpts(t *topology.Tree, data dataset.Placement, seed uint64, opts Opt
 	p := int64(len(in.nodes))
 
 	// Paper's improvement: a majority holder gathers everything.
-	for i, v := range in.nodes {
+	for _, v := range in.nodes {
 		if 2*in.loads[v] > in.total {
-			return gather(in, i, "gather", eopts)
+			return gather(in, v, eopts), nil
 		}
 	}
 
@@ -71,13 +71,7 @@ func WTSWithOpts(t *topology.Tree, data dataset.Placement, seed uint64, opts Opt
 		}
 	}
 	if len(heavy) == 0 {
-		best := 0
-		for i := range in.nodes {
-			if in.loads[in.nodes[i]] > in.loads[in.nodes[best]] {
-				best = i
-			}
-		}
-		return gather(in, best, "gather", eopts)
+		return gather(in, in.heaviest(), eopts), nil
 	}
 	k := len(heavy)
 	shares := make([]int64, k) // of a light node's data, per heavy node
@@ -132,7 +126,8 @@ func WTSWithOpts(t *topology.Tree, data dataset.Placement, seed uint64, opts Opt
 	x.Execute()
 
 	// Round 3: v₁ computes and broadcasts the splitters.
-	splitters := chooseSplitters(sortedSamples(e, coordinator), p, in.total, working)
+	samples, _ := e.Pool().SortUint64(e.Inbox(coordinator).Keys(netsim.TagSample), nil)
+	splitters := chooseSplitters(samples, p, in.total, working)
 
 	x = e.Exchange()
 	if len(splitters) > 0 {
@@ -151,12 +146,7 @@ func WTSWithOpts(t *topology.Tree, data dataset.Placement, seed uint64, opts Opt
 	x.Execute()
 
 	// Only heavy nodes were sent anything; the rest end up empty.
-	return &Result{
-		PerNode:  sortReceived(e, in.nodes),
-		Order:    order,
-		Report:   e.Report(),
-		Strategy: "wts",
-	}, nil
+	return in.result(e, order, "wts"), nil
 }
 
 // chooseSplitters picks the k−1 splitters of round 3: with

@@ -277,6 +277,7 @@ func (k task) execute(t *topology.Tree, in input, seed uint64) (measure, error) 
 		m = costed(res.Cost)
 	case *topompc.SortResult:
 		m = costed(res.Cost)
+		m.Strategy = res.Strategy
 	case *topompc.AggregateResult:
 		m = costed(res.Cost)
 	case *topompc.CartesianResult:

@@ -12,10 +12,11 @@ import (
 
 // Placement-engine experiments, on duplicate-heavy inputs across the
 // topology zoo. X6: the two protocols unlocked by the shared
-// internal/core/place engine — capacity-weighted splitter sort and
-// combiner-tree aggregation — against their flat counterparts × data
-// placements. Each pair runs the identical protocol modulo the placement
-// lever (capacity key ranges / weak-cut block combining), so the win column
+// internal/core/place engine — the planned sort and combiner-tree
+// aggregation — against their flat counterparts × data placements. The
+// planned sort prices its flat counterpart among its candidates, so its win
+// column is at least 1 by construction; the aggregation pair runs the
+// identical protocol modulo weak-cut block combining, so its win column
 // isolates what the engine buys. X7: how the recursive weak-cut hierarchy's
 // depth translates into combining wins — the same aggregation three ways
 // (flat uniform hashing, the single-level combiner tree, the full multi-level
@@ -39,12 +40,13 @@ func runX6(cfg Config) ([]Table, error) {
 		{"oneheavy", oneHeavy},
 	}
 	n := cfg.pick(20000, 2000)
-	sortTable := newTable("X6a: capacity-weighted splitter sort vs uniform splitters",
-		"Identical three-round sample sort; aware apportions the key ranges by place.Capacities "+
-			"(weak-cut nodes own small ranges), flat uses uniform quantiles. Outputs verified as "+
-			"valid sorts; win = flat/aware. Capacity ranges shrink the traffic *into* weak subtrees; "+
-			"data already behind a weak cut must still leave (that send-side lever is wTS's).",
-		"topology", "placement", "N", "aware cost", "flat cost", "win", "SLB", "aware/SLB")
+	sortTable := newTable("X6a: planned sort vs uniform splitters",
+		"aware prices three plans and runs the cheapest (strategy): the three-round sample sort "+
+			"with key ranges by place.Capacities (sort-aware: weak-cut nodes own small ranges), "+
+			"the same sort with uniform quantiles (sort-flat, the flat column), and one round to the "+
+			"heaviest holder (gather: data already behind a weak cut must leave, and the rest joins "+
+			"it). Outputs verified as valid sorts; win = flat/aware, at least 1 by construction.",
+		"topology", "placement", "N", "strategy", "aware cost", "flat cost", "win", "SLB", "aware/SLB")
 	aggTable := newTable("X6b: combiner-tree aggregation vs uniform hashing",
 		"Groups drawn from a shared low-cardinality pool (heavy duplication). Aware merges "+
 			"partial aggregates once per minority-capacity weak-cut block, then hashes to "+
@@ -60,7 +62,8 @@ func runX6(cfg Config) ([]Table, error) {
 			ms := sortTable.each(row, nt.tree, cfg.Seed, func(int) (input, error) { return distinctKeys(rng, nt.tree, n, pl.place) },
 				sortAware, sortAwareFlat)
 			aware, flat := ms[0], ms[1]
-			sortTable.AddRow(nt.name, pl.name, n, aware.Cost, flat.Cost, ratio(flat.Cost, aware.Cost), aware.Bound, aware.Ratio())
+			sortTable.holds(aware.Cost <= flat.Cost, "%s: planned cost %.1f above its flat candidate's %.1f", row, aware.Cost, flat.Cost)
+			sortTable.AddRow(nt.name, pl.name, n, aware.Strategy, aware.Cost, flat.Cost, ratio(flat.Cost, aware.Cost), aware.Bound, aware.Ratio())
 
 			ms = aggTable.each(row, nt.tree, cfg.Seed, func(int) (input, error) { return groupRecords(rng, nt.tree, n, pl.place) },
 				combinerWithStrategy, aggAwareFlat)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"topompc/internal/core/sorting"
 	"topompc/internal/topology"
 )
 
@@ -29,10 +28,6 @@ var (
 func intersectClaim(t *topology.Tree, n int) Ceiling {
 	return Ceiling{Rounds: 1, Ratio: math.Log2(float64(t.NumNodes())) * math.Log2(float64(n))}
 }
-
-// wtsWithStrategy is weighted TeraSort run for its own report of the path it
-// took (a majority holder gathers), which SortResult does not carry.
-var wtsWithStrategy = task{name: "sort", run: func(t *topology.Tree, in input, seed uint64) (any, error) { return sorting.WTS(t, in.r, seed) }}
 
 func runE1(cfg Config) ([]Table, error) {
 	sweep := newTable("E1a: TreeIntersect across topologies and placements",
@@ -128,7 +123,7 @@ func runE3(cfg Config) ([]Table, error) {
 	for _, nt := range topoSuite(cfg.Quick) {
 		p := nt.tree.NumCompute()
 		for _, np := range placementSuite(cfg.Quick) {
-			m := sweep.run(cell{name: nt.name + "/" + np.name, tree: nt.tree, task: wtsWithStrategy, seed: cfg.Seed,
+			m := sweep.run(cell{name: nt.name + "/" + np.name, tree: nt.tree, task: sortTask, seed: cfg.Seed,
 				in: func(int) (input, error) {
 					return distinctKeys(seeded(cfg.Seed), nt.tree, 4*p*p*cfg.pick(64, 16), np.place)
 				}})

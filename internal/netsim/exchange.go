@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"topompc/internal/obs"
 	"topompc/internal/topology"
 )
 
@@ -35,7 +36,8 @@ import (
 // background while the protocol plans round r+1 into the same buffers.
 //
 // One exchange is open on an engine at a time; it occupies the engine from
-// Exchange() until Execute().
+// Exchange() until Execute(), or until Price() reports what Execute would
+// charge and drops the plan instead.
 type Exchange struct {
 	e    *Engine
 	outs []Outbox // one per compute node, in ComputeNodes order
@@ -149,11 +151,12 @@ type shardTally struct {
 }
 
 // tallyOps is the first walk over the outboxes in [lo, hi): it charges
-// every op to the shard's accumulator and to the round's sent/received
-// arrays, and counts its deliveries in the shard's cursors. It resolves
-// every receiver once: a unicast's to and a multicast's packed destinations
-// hold compute indices from here on. It stops at a receiver that is not a
-// compute node, leaving it in s.bad; the refused plan is discarded.
+// every op to the shard's accumulator and, unless the round is only priced,
+// to the round's sent/received arrays, and counts its deliveries in the
+// shard's cursors. It resolves every receiver once: a unicast's to and a
+// multicast's packed destinations hold compute indices from here on. It
+// stops at a receiver that is not a compute node, leaving it in s.bad; the
+// refused plan is discarded.
 //
 // Only the shard that owns a sender writes that sender's sent entry. The
 // received entry of a receiver is what the prefix finds delivered to it
@@ -235,6 +238,9 @@ func (x *Exchange) tallyOps(s *shardTally, l *opLog, lo, hi int) {
 				sent += int64(n)
 				s.acc.AddSteiner(s.terms, int64(n))
 			}
+		}
+		if x.sent == nil {
+			continue // priced, not executed: no node counts
 		}
 		if sent != 0 {
 			x.sent[from] += sent
@@ -336,14 +342,7 @@ func (x *Exchange) execute(async bool) int {
 		x.sent = make([]int64, e.t.NumNodes())
 		x.received = make([]int64, e.t.NumNodes())
 	}
-	shards := e.shardSet()
-	e.pool.Blocks("netsim tally", len(x.outs), x.tallyShard)
-	for _, s := range shards {
-		if s.bad != topology.NoNode {
-			// The lowest shard's is the first in compute-node, then op order.
-			x.reject(fmt.Sprintf("netsim: receiver %d is not a compute node", s.bad))
-		}
-	}
+	shards := x.tally()
 
 	// Lay out the arena: receiver by receiver, shard by shard.
 	a := e.inboxNext
@@ -383,12 +382,73 @@ func (x *Exchange) execute(async bool) int {
 	return slot
 }
 
+// tally runs the first walk over the outboxes on the pool and returns the
+// shard states it filled. A receiver that is not a compute node rejects the
+// plan.
+func (x *Exchange) tally() []*shardTally {
+	shards := x.e.shardSet()
+	x.e.pool.Blocks("netsim tally", len(x.outs), x.tallyShard)
+	for _, s := range shards {
+		if s.bad != topology.NoNode {
+			// The lowest shard's is the first in compute-node, then op order.
+			x.reject(fmt.Sprintf("netsim: receiver %d is not a compute node", s.bad))
+		}
+	}
+	return shards
+}
+
+// Price reports what Execute would charge for the planned round, its cost
+// and bottleneck edge, without running it. The tally walk runs as it does for
+// Execute, the shards' edge deltas are merged and swept into an
+// engine-owned scratch array, and the plan is then discarded and the exchange
+// closed. No round is recorded, no inbox changes and the Report does not see
+// it. The walk reads each op's receivers and the length of its keys, never
+// the keys, so a protocol may price a candidate round whose payloads are
+// placeholders of the right length, and then plan and execute the one it
+// chooses. A receiver that is not a compute node panics as in Execute, and
+// leaves the engine as free to open the next exchange.
+func (x *Exchange) Price() (cost float64, bottleneck topology.EdgeID) {
+	if x.done {
+		panic("netsim: Price on executed exchange")
+	}
+	x.done = true
+	e := x.e
+	// The previous round's remainder may still be reading the shard tallies.
+	e.pending.Wait()
+	x.sent, x.received = nil, nil
+	x.tally()
+	if e.priceEdge == nil {
+		e.priceEdge = make([]int64, e.t.NumEdges())
+	}
+	cost, bottleneck = e.mergedDeltas().FlushInto(e.priceEdge)
+	clear(e.priceEdge)
+	x.discard()
+	e.mPriced.Inc()
+	if e.tracer != nil {
+		args := map[string]any{"cost": cost}
+		e.traceBottleneck(args, bottleneck)
+		obs.Instant(e.tracer, e.traceTid, "price", "netsim.price", args)
+	}
+	return cost, bottleneck
+}
+
 // reject undoes what the tally walk of a refused plan wrote — the plan is
 // discarded with it — closes the exchange and panics with msg.
 func (x *Exchange) reject(msg string) {
+	for _, s := range x.e.tallies {
+		s.acc.Reset()
+	}
+	x.discard()
+	panic(msg)
+}
+
+// discard drops a plan the tally walk has counted but no delivery will
+// follow, and closes the exchange: the cursors and node counts of the walk
+// are zeroed, the outboxes emptied and the logs truncated. The shards' edge
+// deltas are the caller's to clear.
+func (x *Exchange) discard() {
 	e := x.e
 	for _, s := range e.tallies {
-		s.acc.Reset()
 		clear(s.cur)
 	}
 	if e.leanStats {
@@ -402,7 +462,6 @@ func (x *Exchange) reject(msg string) {
 		x.logs[i].reset()
 	}
 	e.inRound = false
-	panic(msg)
 }
 
 // accountRound is the serial remainder of an executed round: it merges the
@@ -422,11 +481,17 @@ func (e *Engine) accountRound(slot int, t0 float64, sent, received []int64, asyn
 	if !e.leanStats {
 		traffic = make([]int64, e.t.NumEdges())
 	}
+	rd := &e.rounds[slot]
+	rd.Cost, rd.BottleneckEdge = e.mergedDeltas().FlushInto(traffic)
+	e.retainStats(rd, traffic, sent, received)
+	e.recordRound(slot, t0)
+}
+
+// mergedDeltas folds every shard's edge deltas into the first shard's
+// accumulator and returns it, the others reset.
+func (e *Engine) mergedDeltas() *topology.PathAccumulator {
 	for _, s := range e.tallies[1:] {
 		e.tallies[0].acc.MergeFrom(s.acc)
 	}
-	rd := &e.rounds[slot]
-	rd.Cost, rd.BottleneckEdge = e.tallies[0].acc.FlushInto(traffic)
-	e.retainStats(rd, traffic, sent, received)
-	e.recordRound(slot, t0)
+	return e.tallies[0].acc
 }

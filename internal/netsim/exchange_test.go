@@ -409,10 +409,9 @@ func TestExchangeMisusePanics(t *testing.T) {
 // router receiver behind valid sends, a router in a multicast behind
 // destinations the tally walk has already rewritten, or one receiver sent
 // more keys than int32 offsets address — panics by name on the caller's
-// goroutine before
-// any arena array is allocated, and leaves the inboxes, the round count and
-// the costs of the rounds that follow exactly as an engine that never saw
-// it.
+// goroutine before any arena array is allocated, and leaves the inboxes, the
+// round count and the costs of the rounds that follow exactly as an engine
+// that never saw it. Price refuses the router receivers the same way.
 func TestRejectedPlanLeavesEngineUntouched(t *testing.T) {
 	tr, err := topology.TwoTier([]int{3, 2, 3}, []float64{4, 2, 1}, 8)
 	if err != nil {
@@ -458,7 +457,13 @@ func TestRejectedPlanLeavesEngineUntouched(t *testing.T) {
 	}
 	for name, rj := range rejected {
 		for _, workers := range []int{1, 4} {
-			for _, lean := range []bool{false, true} {
+			for _, mode := range []struct {
+				lean, priced bool
+			}{{false, false}, {true, false}, {false, true}, {true, true}} {
+				lean := mode.lean
+				if mode.priced && name == "inbox overflow" {
+					continue // Price lays out no arena, so it has no offsets to overflow
+				}
 				opts := []Option{WithWorkers(workers)}
 				if lean {
 					opts = append(opts, WithLeanStats())
@@ -476,7 +481,11 @@ func TestRejectedPlanLeavesEngineUntouched(t *testing.T) {
 							t.Fatalf("%s: recovered %q, want %q", name, msg, rj.want)
 						}
 					}()
-					x.Execute()
+					if mode.priced {
+						x.Price()
+					} else {
+						x.Execute()
+					}
 				}()
 				if after := *e.inboxNext; cap(after.hdr) != cap(next.hdr) || cap(after.pool) != cap(next.pool) {
 					t.Fatalf("%s: the refused plan resized the arena", name)
@@ -504,7 +513,7 @@ func TestRejectedPlanLeavesEngineUntouched(t *testing.T) {
 					statsEqual(t, good(e, r), good(control, r))
 				}
 				if !reflect.DeepEqual(e.Report(), control.Report()) {
-					t.Fatalf("%s (workers %d, lean %v): reports differ after the refused plan", name, workers, lean)
+					t.Fatalf("%s (workers %d, lean %v, priced %v): reports differ after the refused plan", name, workers, lean, mode.priced)
 				}
 			}
 		}

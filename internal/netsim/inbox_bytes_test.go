@@ -36,8 +36,8 @@ func queueOps(out *Outbox, ops []fuzzOp) {
 	}
 }
 
-// execPlanned runs one round of the plan through the exchange.
-func execPlanned(e *Engine, rd testRound, async bool) {
+// planRound opens an exchange and queues one round of the plan into it.
+func planRound(e *Engine, rd testRound) *Exchange {
 	nodes := e.t.ComputeNodes()
 	x := e.Exchange()
 	for k := 0; k < 2; k++ {
@@ -48,6 +48,12 @@ func execPlanned(e *Engine, rd testRound, async bool) {
 			queueOps(x.Out(nodes[ci]), ops)
 		}
 	}
+	return x
+}
+
+// execPlanned runs one round of the plan through the exchange.
+func execPlanned(e *Engine, rd testRound, async bool) {
+	x := planRound(e, rd)
 	if async {
 		x.ExecuteAsync()
 	} else {

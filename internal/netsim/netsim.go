@@ -29,7 +29,10 @@
 // row and the keys of every delivery where its shard's cursor points, and
 // truncates the plan behind itself. Shards write disjoint rows, and a
 // receiver's rows read compute-node order then op order, so inbox bytes and
-// every statistic are the same at every worker count.
+// every statistic are the same at every worker count. Price runs the first
+// walk and the sweep alone: it reports the cost Execute would charge and
+// drops the plan, so a protocol can price candidate rounds on the actual
+// instance and execute the cheapest.
 //
 // Every fork — Plan's per-node callbacks, the two walks, and the protocol
 // kernels' per-home compute (Engine.Pool) — goes through internal/par on
@@ -253,6 +256,7 @@ type Engine struct {
 	totEdge    []int64 // lean mode: cumulative per-edge totals
 	totSent    []int64 // lean mode: cumulative per-node sent totals
 	totRecv    []int64 // lean mode: cumulative per-node received totals
+	priceEdge  []int64 // Price's per-edge sweep target, zero between calls
 
 	pending sync.WaitGroup // outstanding asynchronous round accounting
 
@@ -265,6 +269,7 @@ type Engine struct {
 	traceTid int64
 	metrics  *obs.Registry
 	mRounds  *obs.Counter
+	mPriced  *obs.Counter
 	mElems   *obs.Counter
 	mCost    *obs.Histogram
 	mMaxRecv *obs.Gauge
@@ -297,14 +302,16 @@ func WithLeanStats() Option {
 
 // WithTracer attaches a trace sink: the engine allocates one lane and
 // emits a complete event per committed round carrying the round's cost,
-// bottleneck edge, and volume. A nil tracer leaves tracing disabled.
+// bottleneck edge, and volume, and an instant event with the cost and
+// bottleneck edge of every priced round. A nil tracer leaves tracing
+// disabled.
 func WithTracer(tr obs.Tracer) Option {
 	return func(e *Engine) { e.tracer = tr }
 }
 
 // WithMetrics attaches a metrics registry: round accounting feeds the
-// netsim.* instruments (rounds, elements, round-cost histogram, arena
-// recycle count). A nil registry leaves metrics disabled.
+// netsim.* instruments (rounds, priced rounds, elements, round-cost
+// histogram, arena recycle count). A nil registry leaves metrics disabled.
 func WithMetrics(r *obs.Registry) Option {
 	return func(e *Engine) { e.metrics = r }
 }
@@ -326,6 +333,7 @@ func NewEngine(t *topology.Tree, opts ...Option) *Engine {
 	}
 	if e.metrics != nil {
 		e.mRounds = e.metrics.Counter("netsim.rounds")
+		e.mPriced = e.metrics.Counter("netsim.priced_rounds")
 		e.mElems = e.metrics.Counter("netsim.elements")
 		e.mCost = e.metrics.Histogram("netsim.round_cost")
 		e.mMaxRecv = e.metrics.Gauge("netsim.max_received")
@@ -363,16 +371,24 @@ func (e *Engine) recordRound(slot int, t0 float64) {
 		"messages":     rd.Messages,
 		"max_received": rd.MaxReceived,
 	}
-	if rd.BottleneckEdge != topology.NoEdge {
-		a, b := e.t.Endpoints(rd.BottleneckEdge)
-		args["bottleneck_edge"] = int(rd.BottleneckEdge)
-		args["bottleneck_link"] = e.t.Name(a) + "–" + e.t.Name(b)
-	}
+	e.traceBottleneck(args, rd.BottleneckEdge)
 	e.tracer.Emit(obs.Event{
 		Name: "round", Cat: "netsim.round", Ph: obs.PhComplete,
 		Ts: t0, Dur: e.tracer.Now() - t0,
 		Pid: obs.Pid, Tid: e.traceTid, Args: args,
 	})
+}
+
+// traceBottleneck adds a round's bottleneck edge, by id and by the names of
+// its endpoints, to the args of its trace event; nothing when no element
+// crossed a link.
+func (e *Engine) traceBottleneck(args map[string]any, edge topology.EdgeID) {
+	if edge == topology.NoEdge {
+		return
+	}
+	a, b := e.t.Endpoints(edge)
+	args["bottleneck_edge"] = int(edge)
+	args["bottleneck_link"] = e.t.Name(a) + "–" + e.t.Name(b)
 }
 
 // Pool reports the run's worker pool, sized by WithWorkers and instrumented

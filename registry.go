@@ -142,9 +142,9 @@ var tasks = []Task{
 	{Name: "sort", Kind: TaskSingle, Baseline: "sort-baseline", Run: sortTask(sorting.WTS),
 		Description: "distributed sort with weighted TeraSort (§5.2)"},
 	{Name: "sort-aware", Kind: TaskSingle, Baseline: "sort-aware-flat", Run: sortTask(sorting.CapacitySort),
-		Description: "distributed sort with capacity-weighted splitters (key ranges shrink behind weak cuts)"},
+		Description: "planned sort: prices capacity splitters, uniform splitters and a gather, runs the cheapest"},
 	{Name: "sort-aware-flat", Kind: TaskSingle, Run: sortTask(sorting.CapacitySortFlat),
-		Description: "the identical splitter sort with uniform key ranges (flat baseline for sort-aware)"},
+		Description: "splitter sort with uniform key ranges (flat baseline for sort-aware)"},
 	{Name: "sort-baseline", Kind: TaskSingle, Run: sortTask(sorting.TeraSort),
 		Description: "distributed sort with classic topology-oblivious TeraSort"},
 	{Name: "spanforest", Kind: TaskGraph, Run: graphTask(graph.SpanningForest),

@@ -509,6 +509,11 @@ type SortResult struct {
 	// NodeOrder is the valid left-to-right ordering the output respects,
 	// as fragment indices.
 	NodeOrder []int
+	// Strategy is the path the protocol took: "wts" or, for a majority
+	// holder, "gather" (Sort); "terasort" (SortBaseline); the planned
+	// winner "sort-aware", "sort-flat" or "gather" (SortAware); "sort-flat"
+	// (SortAwareBaseline).
+	Strategy string
 	// Cost is the execution cost against the Theorem 6 lower bound.
 	Cost Cost
 	// Report is the per-round cost accounting of the execution.
@@ -529,18 +534,21 @@ func (c *Cluster) SortBaseline(data [][]uint64, seed uint64) (*SortResult, error
 	return c.sortWith(data, seed, sorting.TeraSort)
 }
 
-// SortAware sorts with the capacity-weighted splitter sort: key ranges are
-// apportioned proportionally to each node's bandwidth capacity
-// (place.Capacities via place.Splitters), so nodes behind weak cuts own
-// small ranges and the sorted redistribution stops flooding thin uplinks.
-// Three rounds. Complements Sort (weighted TeraSort), whose lever is the
-// initial data sizes rather than the link bandwidths.
+// SortAware is the planned sort: it prices three plans on the actual input
+// and runs the cheapest. The candidates are the capacity-weighted splitter
+// sort (key ranges apportioned by each node's bandwidth capacity, so nodes
+// behind weak cuts own small ranges), the same sort with uniform ranges
+// (SortAwareBaseline), and a one-round gather at the heaviest holder, which
+// wins when most data already sits behind a weak cut. SortResult.Strategy
+// names the winner. It never costs more than SortAwareBaseline on the same
+// input.
 func (c *Cluster) SortAware(data [][]uint64, seed uint64) (*SortResult, error) {
 	return c.sortWith(data, seed, sorting.CapacitySort)
 }
 
-// SortAwareBaseline runs the identical splitter sort with uniform key
-// ranges, as on a flat network — the controlled baseline for SortAware.
+// SortAwareBaseline runs the three-round splitter sort with uniform key
+// ranges and the leftmost coordinator, as on a flat network: SortAware's
+// uniform candidate, run unpriced, and its baseline.
 func (c *Cluster) SortAwareBaseline(data [][]uint64, seed uint64) (*SortResult, error) {
 	return c.sortWith(data, seed, sorting.CapacitySortFlat)
 }
@@ -581,6 +589,7 @@ func (c *Cluster) sortWith(data [][]uint64, seed uint64, run sortProtocol) (*Sor
 	return &SortResult{
 		PerNode:   res.PerNode,
 		NodeOrder: order,
+		Strategy:  res.Strategy,
 		Cost:      c.costOf(res.Report, lb),
 		Report:    res.Report,
 	}, nil
@@ -593,7 +602,7 @@ func sortTask(run sortProtocol) func(*Cluster, TaskInput) (*TaskResult, error) {
 			return nil, err
 		}
 		return &TaskResult{
-			Summary: fmt.Sprintf("N=%d nodes=%d", sizes(in.Data), len(res.PerNode)),
+			Summary: fmt.Sprintf("N=%d nodes=%d strategy=%s", sizes(in.Data), len(res.PerNode), res.Strategy),
 			Cost:    res.Cost,
 			Report:  res.Report,
 		}, nil
