@@ -48,9 +48,9 @@ func main() {
 
 // benchConfig is the shared configuration of the task-timing modes.
 type benchConfig struct {
-	topo, place            string
-	n, reps, workers, bits int
-	seed                   uint64
+	topo, place      string
+	n, reps, workers int
+	seed             uint64
 	// tracer, when non-nil, records every timed run (and any cut-tree
 	// build) into one flight-recorder trace.
 	tracer *obs.Trace
@@ -75,7 +75,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		place      = fs.String("place", "uniform", "placement for -task/-all: uniform, zipf, oneheavy, single")
 		reps       = fs.Int("reps", 3, "timed repetitions for -task/-all")
 		workers    = fs.Int("workers", 0, "goroutine budget for -task/-all (0 = all CPUs)")
-		bits       = fs.Int("bits", 0, "bit-width accounting for -task/-all (0 = elements only)")
 		jsonOut    = fs.Bool("json", false, "with -task: also write BENCH_<task>.json with machine-readable results")
 		scale      = fs.Bool("scale", false, "run the data-plane scale sweep (exchange + cc at 10⁴/10⁵, 10⁵-node cc smoke) and write BENCH_scale.json")
 		big        = fs.Bool("scale-big", false, "with -scale: extend to the 10⁶-node topology build and the ≈10⁷-edge cc run")
@@ -114,7 +113,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	cfg := benchConfig{
 		topo: *topo, place: *place, n: *n, reps: *reps,
-		workers: *workers, bits: *bits, seed: *seed,
+		workers: *workers, seed: *seed,
 	}
 	if *tracePath != "" {
 		cfg.tracer = obs.NewTrace()
@@ -273,7 +272,7 @@ func timeOne(spec topompc.Task, cfg benchConfig, stdout io.Writer) (benchRecord,
 	cluster := topompc.NewCluster(tree)
 	reg := obs.NewRegistry()
 	obs.PublishExpvar("topompc_metrics", reg)
-	execOpts := topompc.ExecOptions{Workers: cfg.workers, BitsPerElement: cfg.bits, Metrics: reg}
+	execOpts := topompc.ExecOptions{Workers: cfg.workers, Metrics: reg}
 	if cfg.tracer != nil {
 		execOpts.Tracer = cfg.tracer
 	}

@@ -9,7 +9,7 @@
 //	toposim -topo twotier -task sort -n 50000 -place zipf
 //	toposim -topo twotier -task sort-aware -n 50000 -place oneheavy
 //	toposim -topo caterpillar -task agg-aware -n 20000
-//	toposim -topo twotier -task aggregate -n 20000 -workers 4 -bits 64
+//	toposim -topo twotier -task aggregate -n 20000 -workers 4
 //	toposim -topo twotier -task triangle -n 30000 -edges
 //	toposim -topo caterpillar -task starjoin -n 30000 -place zipf
 //	toposim -topo twotier -task cc -n 30000 -place zipf
@@ -49,7 +49,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		place      = fs.String("place", "uniform", "placement: uniform, zipf, oneheavy, single")
 		seed       = fs.Int64("seed", 42, "random seed")
 		workers    = fs.Int("workers", 0, "goroutine budget for planning and accounting (0 = all CPUs)")
-		bits       = fs.Int("bits", 0, "report costs in bits at this element width (0 = elements only)")
 		edges      = fs.Bool("edges", false, "print the per-link utilization table")
 		listTasks  = fs.Bool("list-tasks", false, "list the task table (name, baseline, description) and exit")
 		tracePath  = fs.String("trace", "", "record a flight-recorder trace and write it as Chrome trace-event JSON to this file")
@@ -123,7 +122,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// checks so a disabled recorder stays a nil interface, not a typed nil.
 	var tracer *obs.Trace
 	var topoOpts []topology.FromGraphOption
-	execOpts := topompc.ExecOptions{Workers: *workers, BitsPerElement: *bits}
+	execOpts := topompc.ExecOptions{Workers: *workers}
 	if *tracePath != "" {
 		tracer = obs.NewTrace()
 		execOpts.Tracer = tracer
@@ -160,9 +159,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "%s: %s\n", spec.Name, res.Summary)
 	fmt.Fprint(stdout, res.Report)
 	fmt.Fprintf(stdout, "lower bound: %.3f   ratio: %.3f\n", res.Cost.LowerBound, res.Cost.Ratio())
-	if res.Cost.Bits > 0 {
-		fmt.Fprintf(stdout, "bit cost (%d b/elem): %.0f\n", *bits, res.Cost.Bits)
-	}
 	if *edges {
 		fmt.Fprintln(stdout, "\nper-link utilization:")
 		fmt.Fprint(stdout, res.Report.EdgeTable())

@@ -87,11 +87,11 @@ func TestInvalidSize(t *testing.T) {
 
 func TestRunTaskEndToEnd(t *testing.T) {
 	var out, errOut strings.Builder
-	code := run([]string{"-topo", "twotier", "-task", "cc", "-n", "600", "-edges", "-bits", "64"}, &out, &errOut)
+	code := run([]string{"-topo", "twotier", "-task", "cc", "-n", "600", "-edges"}, &out, &errOut)
 	if code != 0 {
 		t.Fatalf("exit code %d, stderr: %s", code, errOut.String())
 	}
-	for _, want := range []string{"topology:", "cc: ", "components=", "lower bound:", "bit cost", "per-link utilization"} {
+	for _, want := range []string{"topology:", "cc: ", "components=", "lower bound:", "per-link utilization"} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("output missing %q:\n%s", want, out.String())
 		}

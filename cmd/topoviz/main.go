@@ -2,8 +2,8 @@
 // topology and load vector: the tree itself, the directed tree G†
 // (Figure 3), the minimum-Σw² minimal cover (Theorem 4), the α/β edge
 // classification and balanced partition (Figure 2), the placement engine's
-// capacity weights, weak-cut combining blocks, and recursive weak-cut
-// hierarchy (depth, per-level cuts, blocks, and combining-pays marks), and
+// capacity weights and recursive weak-cut hierarchy (depth, per-level
+// cuts, blocks, combiners and combining-pays marks), and
 // the square packing of the cartesian product (Figure 4).
 //
 // With -task it additionally runs that protocol under the flight
@@ -151,24 +151,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintln(stdout, "  capacity weights:")
 	for i, v := range nodes {
 		fmt.Fprintf(stdout, "    %s: %.3f\n", tree.Name(v), weights[i])
-	}
-	if plan := place.CombinerBlocks(tree, weights); plan != nil {
-		minority := plan.MinorityBlocks(weights)
-		fmt.Fprintln(stdout, "  weak-cut combining blocks:")
-		for b, members := range plan.Blocks {
-			names := make([]string, len(members))
-			for j, i := range members {
-				names[j] = tree.Name(nodes[i])
-			}
-			note := ""
-			if minority[b] {
-				note = "  (minority: combining pays)"
-			}
-			fmt.Fprintf(stdout, "    block %d: {%s}  combiner %s%s\n",
-				b+1, strings.Join(names, ", "), tree.Name(nodes[plan.Combiner[b]]), note)
-		}
-	} else {
-		fmt.Fprintln(stdout, "  no weak-cut combining plan (no weak edge, or all blocks singletons)")
 	}
 	if h := place.HierarchyFor(tree); h != nil {
 		pays := h.CombinePays(weights)

@@ -60,14 +60,14 @@ func TestRunHierarchySection(t *testing.T) {
 }
 
 func TestRunCombiningBlocksOnSkewedTopo(t *testing.T) {
-	// The default twotier has uniform uplinks; the caterpillar fixture has
-	// weak spine ends and must print an actual combining plan.
+	// The caterpillar fixture has weak spine ends: its hierarchy's deepest
+	// level prints the combining blocks, each with its combiner.
 	var out, errOut strings.Builder
 	if code := run([]string{"-topo", "caterpillar"}, &out, &errOut); code != 0 {
 		t.Fatalf("exit code %d, stderr: %s", code, errOut.String())
 	}
-	if !strings.Contains(out.String(), "weak-cut combining blocks:") {
-		t.Errorf("caterpillar output missing the combining-block report:\n%s", out.String())
+	if !strings.Contains(out.String(), "weak-cut hierarchy: depth") {
+		t.Errorf("caterpillar output missing the hierarchy report:\n%s", out.String())
 	}
 	if !strings.Contains(out.String(), "combiner") {
 		t.Errorf("block report should name each block's combiner:\n%s", out.String())

@@ -43,12 +43,12 @@ func (c *Cluster) AggregateBaseline(data [][]GroupValue, seed uint64) (*Aggregat
 }
 
 // AggregateAware computes per-group totals with single-level combiner-tree
-// aggregation: partial aggregates merge once per weak-cut block
-// (place.CombinerBlocks) before anything crosses a weak link, then the
-// merged block partials are hashed to capacity-weighted group homes. At
-// most two rounds; degrades to one round of capacity-weighted hashing when
-// the topology has no weak cut. AggregateMultiLevel generalizes it to the
-// full weak-cut hierarchy.
+// aggregation: partial aggregates merge once per block of the weak-cut
+// hierarchy truncated to its deepest level (place.Hierarchy.Deepest) before
+// anything crosses a weak link, then the merged block partials are hashed
+// to capacity-weighted group homes. At most two rounds; degrades to one
+// round of capacity-weighted hashing when the topology has no weak cut.
+// AggregateMultiLevel generalizes it to the full weak-cut hierarchy.
 func (c *Cluster) AggregateAware(data [][]GroupValue, seed uint64) (*AggregateResult, error) {
 	return c.aggregateWith(data, seed, aggregate.CombinerTreeSingle)
 }
@@ -92,7 +92,7 @@ func (c *Cluster) aggregateWith(data [][]GroupValue, seed uint64, run aggregateP
 	}
 	return &AggregateResult{
 		Totals: res.Totals(),
-		Cost:   c.costOf(res.Report, lb),
+		Cost:   costOf(res.Report, lb),
 		Report: res.Report,
 	}, nil
 }
@@ -164,7 +164,7 @@ func (c *Cluster) joinWith(r, s [][]Row, seed uint64, run joinProtocol) (*JoinRe
 	return &JoinResult{
 		Pairs:        res.TotalPairs(),
 		PairsPerNode: res.PerNode,
-		Cost:         c.costOf(res.Report, 0),
+		Cost:         costOf(res.Report, 0),
 		Report:       res.Report,
 	}, nil
 }

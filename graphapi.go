@@ -100,7 +100,7 @@ func (c *Cluster) graphWith(edges [][]GraphEdge, seed uint64, run graphProtocol)
 		Forest:     res.Forest,
 		Phases:     res.Phases,
 		Strategy:   res.Strategy,
-		Cost:       c.costOf(res.Report, lb),
+		Cost:       costOf(res.Report, lb),
 		Report:     res.Report,
 	}, nil
 }

@@ -18,20 +18,25 @@
 // where spanning(e) counts the groups present on both sides of the cut —
 // the groups whose holders' Steiner tree contains e (lowerbound.Spanning).
 //
-// The strategies provided:
+// Every strategy is a candidate on one driver (run): a strategy name, a
+// list of merge steps — exchange rounds, each mapping what every node holds
+// to what it holds next — and the home weights and hash salt of the closing
+// scatter, one round that hashes what every node still holds to its group
+// homes. The candidates:
 //
-//   - Hash: one round; groups are hashed (weighted by local group counts)
-//     to target nodes, which combine. Simple but pays once per (node,
-//     group) pair instead of once per group crossing an edge.
-//   - TwoLevel: two rounds; groups are first combined inside the blocks of
-//     a balanced partition (rack-local combining), then block partials are
-//     hashed globally. Bottleneck uplinks then carry each group at most
-//     once per block instead of once per node.
-//   - Gather: all pairs to one node.
-//   - CombinerTree / CombinerTreeSingle (combiner.go): the place-engine
-//     trees — partials merge along the weak-cut hierarchy (once per block
-//     per level, or once per flat block) before hashing to
-//     capacity-weighted homes.
+//   - Hash: no steps; homes weighted by the nodes' local group counts.
+//     Simple but pays once per (node, group) pair instead of once per group
+//     crossing an edge.
+//   - HashFlat: no steps; uniform homes, as on a flat network.
+//   - Gather: no steps; one home, the target node.
+//   - TwoLevel: one rack step — groups combine inside the blocks of a
+//     balanced partition — then homes weighted by the combined group
+//     counts. Bottleneck uplinks carry each group at most once per block
+//     instead of once per node.
+//   - CombinerTree / CombinerTreeSingle (combiner.go): one step per level
+//     of the weak-cut hierarchy's up-sweep (or of its deepest level alone),
+//     partials merging once per block per level, then capacity-weighted
+//     homes.
 //
 // Local compute is sort-merge on the par kernels, forked by home: a partial
 // is a group-ascending run of (group, value) words from the local
@@ -274,10 +279,83 @@ func sendHashed(out *netsim.Outbox, p partial, members []topology.NodeID, choose
 	}
 }
 
+// candidate is one aggregation strategy on the driver: its merge steps run
+// in order, then the scatter hashes what every node holds to homes chosen
+// with weights homes(held) under salt.
+type candidate struct {
+	strategy string
+	steps    []mergeStep
+	homes    func(held []partial) []float64
+	salt     uint64
+}
+
+// mergeStep is one exchange round: it maps what each node holds to what it
+// holds next.
+type mergeStep func(held []partial) []partial
+
+// fixed is home weights that do not depend on what the nodes hold.
+func fixed(w []float64) func([]partial) []float64 {
+	return func([]partial) []float64 { return w }
+}
+
+// run is the aggregation driver: it pre-combines every node's pairs, asks
+// plan for the candidate on that instance, runs the candidate's merge steps
+// and closes with the scatter to the group homes.
+func run(t *topology.Tree, data Placement, seed uint64, opts []netsim.Option, plan func(in *instance) (candidate, error)) (*Result, error) {
+	in, err := newInstance(t, data, opts)
+	if err != nil {
+		return nil, err
+	}
+	c, err := plan(in)
+	if err != nil {
+		return nil, err
+	}
+	held := in.local
+	for _, step := range c.steps {
+		held = step(held)
+	}
+	chooser, err := chooserFor(hashing.Mix64(seed+c.salt), c.homes(held))
+	if err != nil {
+		return nil, err
+	}
+	scatterPartials(in, chooser, held)
+	return collect(in, c.strategy), nil
+}
+
+// mergeRound is the exchange of a merge step: node i queues its sends with
+// send(out, i, held[i]), then holds what arrived under tag merged with
+// held[i] if keep(i), and with nothing otherwise. It also returns the
+// round's stats and the number of group partials that arrived.
+func (in *instance) mergeRound(held []partial, tag netsim.Tag, send func(out *netsim.Outbox, i int, p partial),
+	keep func(i int) bool) ([]partial, netsim.RoundStats, int64) {
+	x := in.e.Exchange()
+	x.Plan(func(v topology.NodeID, out *netsim.Outbox) {
+		i := in.t.ComputeIndex(v)
+		send(out, i, held[i])
+	})
+	rst := x.Execute()
+	next := make([]partial, len(in.nodes))
+	arrived := in.e.Pool().Sum("aggregate local", len(in.nodes), func(shard, lo, hi int) int64 {
+		var n int64
+		for i := lo; i < hi; i++ {
+			if keep(i) {
+				next[i] = held[i]
+			}
+			ib := in.e.Inbox(in.nodes[i])
+			if k := ib.KeyCount(tag); k > 0 {
+				n += int64(k / 2)
+				next[i] = in.scratch[shard].merge(ib, tag, next[i])
+			}
+		}
+		return n
+	})
+	return next, rst, arrived
+}
+
 // scatterPartials plans and executes one exchange round that delivers each
 // node's partial aggregates to their group homes under the shared chooser
 // (self-sends included — they are free and keep the final-round inbox the
-// complete truth for collect). Every hashing strategy ends in this round.
+// complete truth for collect). Every candidate ends in this round.
 func scatterPartials(in *instance, chooser *hashing.WeightedChooser, partials []partial) {
 	x := in.e.Exchange()
 	x.Plan(func(v topology.NodeID, out *netsim.Outbox) {

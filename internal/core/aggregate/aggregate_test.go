@@ -158,6 +158,53 @@ func TestRoundCounts(t *testing.T) {
 	}
 }
 
+// TestGatherTargets: a gather lands every group at its target in one
+// message per holder — the named compute node, or the holder of the most
+// groups for NoNode — and a target that is a router or no node of the tree
+// is an error before anything runs, at 1 and 4 workers.
+func TestGatherTargets(t *testing.T) {
+	star, _ := topology.UniformStar(4, 1)
+	data := genData(rand.New(rand.NewSource(6)), 4, 40, 30)
+	for g := uint64(100); g < 140; g++ {
+		data[2] = append(data[2], Pair{Group: g, Value: 1}) // the most groups
+	}
+	nodes := star.ComputeNodes()
+	for _, tc := range []struct {
+		name   string
+		target topology.NodeID
+		home   int // compute index that emits everything; -1: an error
+	}{
+		{"heaviest", topology.NoNode, 2},
+		{"compute", nodes[1], 1},
+		{"router", star.Root(), -1},
+		{"outside", topology.NodeID(star.NumNodes()), -1},
+	} {
+		for _, workers := range []int{1, 4} {
+			res, err := Gather(star, data, tc.target, netsim.WithWorkers(workers))
+			if tc.home < 0 {
+				if err == nil {
+					t.Errorf("%s workers=%d: gather to %v accepted", tc.name, workers, tc.target)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", tc.name, workers, err)
+			}
+			if err := Verify(Reference(data), res); err != nil {
+				t.Fatalf("%s workers=%d: %v", tc.name, workers, err)
+			}
+			for i, pairs := range res.PerNode {
+				if (i == tc.home) != (len(pairs) > 0) {
+					t.Errorf("%s workers=%d: node %d emits %d groups", tc.name, workers, i, len(pairs))
+				}
+			}
+			if got := res.Report.Rounds[0].Messages; res.Report.NumRounds() != 1 || got != 4 {
+				t.Errorf("%s workers=%d: %d messages, want one per holder", tc.name, workers, got)
+			}
+		}
+	}
+}
+
 func TestEmptyAndSingleNode(t *testing.T) {
 	tr, _ := topology.UniformStar(3, 1)
 	empty := make(Placement, 3)

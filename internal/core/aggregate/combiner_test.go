@@ -1,9 +1,12 @@
 package aggregate
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
+	"topompc/internal/netsim"
+	"topompc/internal/obs"
 	"topompc/internal/topology"
 )
 
@@ -89,8 +92,8 @@ func TestCombinerTreeStrategySelection(t *testing.T) {
 // TestCombinerTreeMultiLevelBeatsSingle: on deep bandwidth gradients —
 // a tapered fat-tree (thin core) and a graded caterpillar — the recursive
 // combiner tree must merge at every tier and strictly beat the
-// single-level (CombinerBlocks) tree, which only merges at the finest
-// blocks. Both must still verify and dominate the exact bound.
+// single-level tree, which only merges at the hierarchy's deepest level.
+// Both must still verify and dominate the exact bound.
 func TestCombinerTreeMultiLevelBeatsSingle(t *testing.T) {
 	taper, err := topology.FatTree(3, 2, 16, 0.25)
 	if err != nil {
@@ -191,5 +194,82 @@ func TestCombinerTreeFlatParityOnSymmetric(t *testing.T) {
 	if aware.Report.TotalCost() != flat.Report.TotalCost() {
 		t.Errorf("symmetric star: aware cost %.3f != flat cost %.3f",
 			aware.Report.TotalCost(), flat.Report.TotalCost())
+	}
+}
+
+// TestCombinerTreeRecorderSurface pins what the combiner trees tell the
+// flight recorder on the graded caterpillar (a depth-2 hierarchy whose
+// up-sweep merges at both levels): one "combine level L" span per merge
+// step, deepest level first, whose shipped elements and round cost are that
+// round's; the aggregate.* counters summing the spans; and the hierarchy's
+// place.combine decisions, one per block per level, from the multi-level
+// tree only. The one-step hash candidates report none of it.
+func TestCombinerTreeRecorderSurface(t *testing.T) {
+	tr, err := topology.Caterpillar([]float64{8, 3, 0.5, 3, 8}, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := make(Placement, tr.NumCompute())
+	for i := range data {
+		for g := 0; g < 150; g++ {
+			data[i] = append(data[i], Pair{Group: uint64(g), Value: 1})
+		}
+	}
+	for _, tc := range []struct {
+		name     string
+		run      func(*topology.Tree, Placement, uint64, ...netsim.Option) (*Result, error)
+		strategy string
+		levels   []int // of the merge steps, in order
+		combine  int   // place.combine events
+	}{
+		{"multi", CombinerTree, "combiner-tree×2", []int{1, 0}, 6},
+		{"single", CombinerTreeSingle, "combiner-tree", []int{0}, 0},
+		{"hash", Hash, "hash", nil, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			trace, reg := obs.NewTrace(), obs.NewRegistry()
+			res, err := tc.run(tr, data, 5, netsim.WithTracer(trace), netsim.WithMetrics(reg))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Strategy != tc.strategy || res.Report.NumRounds() != len(tc.levels)+1 {
+				t.Fatalf("%s in %d rounds, want %s in %d", res.Strategy, res.Report.NumRounds(), tc.strategy, len(tc.levels)+1)
+			}
+			var steps, combine int
+			var shipped, merged int64
+			for _, ev := range trace.Events() {
+				switch ev.Cat {
+				case "place.combine":
+					combine++
+				case "aggregate.level":
+					if steps == len(tc.levels) {
+						t.Fatalf("span %q beyond the %d merge steps", ev.Name, steps)
+					}
+					rd := res.Report.Rounds[steps]
+					if want := fmt.Sprintf("combine level %d", tc.levels[steps]); ev.Name != want ||
+						ev.Args["level"] != tc.levels[steps] || ev.Args["shipped_elements"] != rd.Elements ||
+						ev.Args["round_cost"] != rd.Cost {
+						t.Errorf("span %q %v, want %q over round %+v", ev.Name, ev.Args, want, rd)
+					}
+					shipped += rd.Elements
+					merged += ev.Args["merged_groups"].(int64)
+					steps++
+				}
+			}
+			if steps != len(tc.levels) || combine != tc.combine {
+				t.Errorf("%d level spans and %d place.combine events, want %d and %d", steps, combine, len(tc.levels), tc.combine)
+			}
+			snap := reg.Snapshot()
+			if tc.levels == nil {
+				if _, ok := snap["aggregate.upsweep_rounds"]; ok {
+					t.Error("aggregate.upsweep_rounds reported by a hash run")
+				}
+				return
+			}
+			if snap["aggregate.upsweep_rounds"] != float64(steps) || snap["aggregate.shipped_elements"] != float64(shipped) ||
+				snap["aggregate.merged_groups"] != float64(merged) || merged == 0 {
+				t.Errorf("counters %v, spans: %d steps, %d shipped, %d merged", snap, steps, shipped, merged)
+			}
+		})
 	}
 }

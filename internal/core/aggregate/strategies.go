@@ -1,8 +1,9 @@
 package aggregate
 
 import (
+	"fmt"
+
 	"topompc/internal/core/place"
-	"topompc/internal/hashing"
 	"topompc/internal/netsim"
 	"topompc/internal/topology"
 )
@@ -20,80 +21,69 @@ func groupCounts(partials []partial) []float64 {
 // aggregates to the group's hash target, weighted by the nodes' distinct
 // group counts so that busy nodes also host proportionally many groups.
 func Hash(t *topology.Tree, data Placement, seed uint64, opts ...netsim.Option) (*Result, error) {
-	in, err := newInstance(t, data, opts)
-	if err != nil {
-		return nil, err
-	}
-	chooser, err := chooserFor(hashing.Mix64(seed+0xa99), groupCounts(in.local))
-	if err != nil {
-		return nil, err
-	}
-	scatterPartials(in, chooser, in.local)
-	return collect(in, "hash"), nil
+	return run(t, data, seed, opts, func(*instance) (candidate, error) {
+		return candidate{strategy: "hash", homes: groupCounts, salt: 0xa99}, nil
+	})
+}
+
+// HashFlat is the topology-oblivious counterpart of the combiner trees: a
+// single round of uniform hashing with no block combining, as on a flat
+// network — the same chooser seed, so on symmetric topologies (where
+// capacities are uniform and no combining plan exists) the protocols
+// coincide and the combiner-tree levers can be measured in isolation.
+func HashFlat(t *topology.Tree, data Placement, seed uint64, opts ...netsim.Option) (*Result, error) {
+	return run(t, data, seed, opts, func(in *instance) (candidate, error) {
+		return candidate{strategy: "flat-hash", homes: fixed(place.Uniform(len(in.nodes))), salt: 0xa66}, nil
+	})
 }
 
 // TwoLevel aggregates in two rounds using the balanced-partition machinery
 // of Algorithm 3: groups are first combined inside each block (hashing over
 // block members, weighted by their group counts), then the combined block
-// partials are hashed globally. Bottlenecked inter-block links carry each
-// group once per block instead of once per node.
+// partials are hashed globally, weighted by the combined group counts.
+// Bottlenecked inter-block links carry each group once per block instead of
+// once per node.
 func TwoLevel(t *topology.Tree, data Placement, seed uint64, opts ...netsim.Option) (*Result, error) {
-	in, err := newInstance(t, data, opts)
-	if err != nil {
-		return nil, err
-	}
-	blocks := blocksByGroups(t, in)
-	// Per-block hashes weighted by group counts.
-	router, err := place.NewBlockRouter(t, blocks, groupCounts(in.local), seed, 0x77)
-	if err != nil {
-		return nil, err
-	}
-
-	// Round 1: combine within blocks.
-	x := in.e.Exchange()
-	x.Plan(func(v topology.NodeID, out *netsim.Outbox) {
-		i := t.ComputeIndex(v)
-		b := router.BlockOf(i)
-		sendHashed(out, in.local[i], blocks[b], router.Chooser(b))
+	return run(t, data, seed, opts, func(in *instance) (candidate, error) {
+		blocks := blocksByGroups(t, in)
+		router, err := place.NewBlockRouter(t, blocks, groupCounts(in.local), seed, 0x77)
+		if err != nil {
+			return candidate{}, err
+		}
+		// Every node hashes all it holds within its block, itself included.
+		rack := func(held []partial) []partial {
+			next, _, _ := in.mergeRound(held, netsim.TagData, func(out *netsim.Outbox, i int, p partial) {
+				b := router.BlockOf(i)
+				sendHashed(out, p, blocks[b], router.Chooser(b))
+			}, func(int) bool { return false })
+			return next
+		}
+		return candidate{strategy: "twolevel", steps: []mergeStep{rack}, homes: groupCounts, salt: 0xfeed}, nil
 	})
-	x.Execute()
-	combined := make([]partial, len(in.nodes)) // block-combined partials
-	in.forHomes(func(sc *combineScratch, i int) {
-		combined[i] = sc.merge(in.e.Inbox(in.nodes[i]), netsim.TagData, nil)
-	})
-
-	// Round 2: hash block partials globally, weighted by combined counts.
-	global, err := chooserFor(hashing.Mix64(seed+0xfeed), groupCounts(combined))
-	if err != nil {
-		return nil, err
-	}
-	scatterPartials(in, global, combined)
-	return collect(in, "twolevel"), nil
 }
 
-// Gather ships every local partial to one node.
+// Gather ships every local partial to one node, in one message each. With
+// target = NoNode the node holding the most groups is chosen; a target that
+// is not a compute node is an error.
 func Gather(t *topology.Tree, data Placement, target topology.NodeID, opts ...netsim.Option) (*Result, error) {
-	in, err := newInstance(t, data, opts)
-	if err != nil {
-		return nil, err
+	if target != topology.NoNode && (uint(target) >= uint(t.NumNodes()) || !t.IsCompute(target)) {
+		return nil, fmt.Errorf("aggregate: target %v is not a compute node", target)
 	}
-	if target == topology.NoNode {
-		best := 0
-		for i := range in.nodes {
-			if len(in.local[i]) > len(in.local[best]) {
-				best = i
+	return run(t, data, 0, opts, func(in *instance) (candidate, error) {
+		home := 0
+		if target != topology.NoNode {
+			home = t.ComputeIndex(target)
+		} else {
+			for i, p := range in.local {
+				if p.groups() > in.local[home].groups() {
+					home = i
+				}
 			}
 		}
-		target = in.nodes[best]
-	}
-	x := in.e.Exchange()
-	x.Plan(func(v topology.NodeID, out *netsim.Outbox) {
-		if p := in.local[t.ComputeIndex(v)]; len(p) > 0 {
-			out.Send(target, netsim.TagData, p)
-		}
+		w := make([]float64, len(in.nodes))
+		w[home] = 1
+		return candidate{strategy: "gather", homes: fixed(w)}, nil
 	})
-	x.Execute()
-	return collect(in, "gather"), nil
 }
 
 // blocksByGroups partitions the compute nodes with Algorithm 3, using
@@ -123,7 +113,7 @@ func blocksByGroups(t *topology.Tree, in *instance) [][]topology.NodeID {
 
 // collect reduces each node's inbox into its output pairs. A node that
 // received nothing but kept local-only groups would double-emit; the
-// strategies always send every group somewhere (possibly to self, which is
+// scatter always sends every group somewhere (possibly to self, which is
 // free), so the inbox is the complete truth.
 func collect(in *instance, strategy string) *Result {
 	res := &Result{

@@ -45,36 +45,3 @@ func UniformGrid(t *topology.Tree, r, s dataset.Placement, opts ...netsim.Option
 	}
 	return distribute(in, rectsFromPlacement(in, placed), "uniform")
 }
-
-// Gather ships everything to one compute node, which enumerates the whole
-// grid. With target = NoNode the node holding the most data is chosen.
-func Gather(t *topology.Tree, r, s dataset.Placement, target topology.NodeID, opts ...netsim.Option) (*Result, error) {
-	in, err := newInstance(t, r, s)
-	if err != nil {
-		return nil, err
-	}
-	in.opts = opts
-	if in.sizeR == 0 || in.sizeS == 0 {
-		return emptyResult(in), nil
-	}
-	idx := 0
-	if target == topology.NoNode {
-		for i, v := range in.nodes {
-			if in.loads[v] > in.loads[in.nodes[idx]] {
-				idx = i
-			}
-		}
-	} else {
-		found := false
-		for i, v := range in.nodes {
-			if v == target {
-				idx, found = i, true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("cartesian: target %v is not a compute node", target)
-		}
-	}
-	return gatherRects(in, idx)
-}

@@ -435,8 +435,16 @@ func TestBaselines(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+	// The gather the protocols fall back on with a majority holder.
+	gather := func(target int) (*Result, error) {
+		in, err := newInstance(tr, r, s)
+		if err != nil {
+			return nil, err
+		}
+		return gatherRects(in, target)
+	}
 	t.Run("gather", func(t *testing.T) {
-		res, err := Gather(tr, r, s, topology.NoNode)
+		res, err := gather(0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -445,8 +453,7 @@ func TestBaselines(t *testing.T) {
 		}
 	})
 	t.Run("gatherToTarget", func(t *testing.T) {
-		target := tr.ComputeNodes()[2]
-		res, err := Gather(tr, r, s, target)
+		res, err := gather(2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -455,11 +462,6 @@ func TestBaselines(t *testing.T) {
 		}
 		if res.Rects[2].Area() != int64(200)*200 {
 			t.Error("target node should own the whole grid")
-		}
-	})
-	t.Run("gatherBadTarget", func(t *testing.T) {
-		if _, err := Gather(tr, r, s, tr.Root()); err == nil {
-			t.Error("expected error for router target")
 		}
 	})
 }

@@ -59,7 +59,7 @@ type variant struct {
 	// records the edge of every hooking.
 	witness bool
 	// expand runs expanding phases (ccfast.go): a phase learns its proposals
-	// from one adjacency round and guarded doubling rounds, and its roots
+	// from one adjacency round and capped doubling rounds, and its roots
 	// are pushed to the nodes that round subscribed. Otherwise phases are
 	// Borůvka's: per-cut combined min-neighbor proposals, and roots looked
 	// up along the combining schedule.
@@ -136,7 +136,7 @@ func contract(tr *topology.Tree, edges Placement, seed uint64, v variant, opts [
 			sp = obs.Begin(tc, phaseTid, fmt.Sprintf(span, phases), "graph.phase")
 		}
 		if v.expand {
-			pr.expand(act)
+			pr.expand()
 		} else {
 			pr.propose()
 		}
@@ -154,7 +154,7 @@ func contract(tr *topology.Tree, edges Placement, seed uint64, v variant, opts [
 		if tc != nil {
 			args := map[string]any{"phase": phases, "active_edges": act}
 			if v.expand {
-				args["doubling_rounds"], args["budget_fallback"] = pr.fs.dblRounds, pr.fs.fellBack
+				args["doubling_rounds"] = pr.fs.dblRounds
 			}
 			sp.End(args)
 		}

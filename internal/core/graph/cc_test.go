@@ -363,8 +363,8 @@ func TestCCEdgeCases(t *testing.T) {
 	}
 }
 
-// The combining-plan unit tests moved to internal/core/place with the
-// block machinery (TestCombinerBlocksShapes, TestCombinerBlocksPartition).
+// The combining-plan unit tests live in internal/core/place with the
+// hierarchy (TestDeepestLevelShapes, TestDeepestLevelPartition).
 
 // TestPhaseRecorderSurface pins what a run tells the flight recorder about
 // its phases, for both phase kinds: the counters of its own kind and none of
@@ -382,8 +382,8 @@ func TestPhaseRecorderSurface(t *testing.T) {
 	}{
 		{"cc", "boruvka phase %d", CC, []string{"active_edges", "phase"},
 			[]string{"graph.cc.phases", "graph.cc.active_edges.count"},
-			[]string{"graph.ccfast.phases", "graph.ccfast.doubling_rounds", "graph.ccfast.fallback_phases"}},
-		{"cc-fast", "expand phase %d", CCFast, []string{"active_edges", "budget_fallback", "doubling_rounds", "phase"},
+			[]string{"graph.ccfast.phases", "graph.ccfast.doubling_rounds"}},
+		{"cc-fast", "expand phase %d", CCFast, []string{"active_edges", "doubling_rounds", "phase"},
 			[]string{"graph.ccfast.phases"},
 			[]string{"graph.cc.phases", "graph.cc.active_edges.count", "graph.ccfast.rounds_saved"}},
 	} {
@@ -410,7 +410,7 @@ func TestPhaseRecorderSurface(t *testing.T) {
 			if _, ok := snap["graph.cc.scratch_trims"]; !ok {
 				t.Error("graph.cc.scratch_trims not reported")
 			}
-			phase, doubling, fallbacks := 0, 0, 0
+			phase, doubling := 0, 0
 			for _, ev := range trace.Events() {
 				if ev.Cat != "graph.phase" {
 					continue
@@ -427,9 +427,6 @@ func TestPhaseRecorderSurface(t *testing.T) {
 				}
 				if tc.name == "cc-fast" {
 					doubling += ev.Args["doubling_rounds"].(int)
-					if ev.Args["budget_fallback"].(bool) {
-						fallbacks++
-					}
 				}
 			}
 			if phase != res.Phases {
@@ -438,9 +435,6 @@ func TestPhaseRecorderSurface(t *testing.T) {
 			if tc.name == "cc-fast" {
 				if got := snap["graph.ccfast.doubling_rounds"]; got != float64(doubling) || doubling == 0 {
 					t.Errorf("graph.ccfast.doubling_rounds = %v, spans sum to %d", got, doubling)
-				}
-				if got, ok := snap["graph.ccfast.fallback_phases"]; !ok || got != float64(fallbacks) {
-					t.Errorf("graph.ccfast.fallback_phases = %v (reported: %v), %d spans say budget_fallback", got, ok, fallbacks)
 				}
 			}
 		})

@@ -35,13 +35,8 @@ import (
 //     works from the untruncated edges at the holders; a lossy known-set
 //     only means less contraction this phase.
 //   - Budgets bound the traffic: each vertex sends at most b known labels
-//     to at most b targets, and a phase stops doubling the moment a step's
-//     plan — laid out in full, then sent or dropped — exceeds the phase
-//     budget, or a step stops changing any set: the Andoni-style
-//     truncated-exponentiation guard.
-//     With zero doubling rounds the phase degrades to exactly a Borůvka
-//     phase: the known-set of the adjacency round alone is the
-//     min-neighbor proposal.
+//     to at most b targets, and a phase stops doubling after
+//     fastMaxDoubling rounds or as soon as a round changes no set.
 //   - Hook, pointer-jump, and relabel are the loop's own — the known-set
 //     minimum feeds the same best-proposal arrays a Borůvka phase fills
 //     from propose messages — and one subscription push of the phase roots
@@ -64,11 +59,6 @@ const (
 	fastBudget = 8
 	// fastMaxDoubling caps the doubling rounds of one phase.
 	fastMaxDoubling = 3
-	// fastVolumeFactor scales the per-phase doubling budget: a doubling
-	// round may plan at most fastVolumeFactor × (2·active edges + alive
-	// labels) keys, else the phase falls back to hooking with what it
-	// knows.
-	fastVolumeFactor = 8
 )
 
 // fastState is the exponentiation state bolted onto proto. Known-sets
@@ -115,10 +105,9 @@ type fastState struct {
 	// push each subscribed label's root straight back — no query round.
 	subs [][]uint64
 
-	// Per-phase telemetry for the obs span, and the run's counters.
-	dblRounds       int  // doubling rounds this phase
-	fellBack        bool // a round's plan exceeded the budget and was dropped
-	mDbl, mFallback *obs.Counter
+	// Per-phase telemetry for the obs span, and the run's counter.
+	dblRounds int // doubling rounds this phase
+	mDbl      *obs.Counter
 }
 
 // newFastState sizes the expansion state for nV labels over p homes.
@@ -134,7 +123,6 @@ func newFastState(nV, p int, mx *obs.Registry) *fastState {
 		evictAt:   make([]int32, nV),
 		subs:      make([][]uint64, p),
 		mDbl:      mx.Counter("graph.ccfast.doubling_rounds"),
-		mFallback: mx.Counter("graph.ccfast.fallback_phases"),
 	}
 	for a := range fs.evictAt {
 		fs.evictAt[a] = -1
@@ -145,25 +133,15 @@ func newFastState(nV, p int, mx *obs.Registry) *fastState {
 
 // expand is how an expanding phase learns its proposals: one adjacency
 // round seeds the known-sets (phase 1's also registers the vertices), then
-// doubling rounds exponentiate them under the guard — stop when a round's
-// plan exceeds the phase budget (hook with what is known; with no round sent
-// that is the Borůvka proposal), when a round changes nothing, or at the cap
-// — and every known-set minimum becomes its label's proposal. act is the
-// phase's active edge count.
-func (pr *proto) expand(act int) {
+// doubling rounds exponentiate them — until a round changes nothing, or at
+// the cap — and every known-set minimum becomes its label's proposal.
+func (pr *proto) expand() {
 	fs := pr.fs
 	fs.dblStamp++
 	pr.adjacency()
-	budget := fastVolumeFactor * (2*int64(act) + int64(pr.totalAlive()))
-	fs.dblRounds, fs.fellBack = 0, false
+	fs.dblRounds = 0
 	for changed := -1; fs.dblRounds < fastMaxDoubling && changed != 0; fs.dblRounds++ {
-		// The price of a round is its plan: lay it out, measure it, then
-		// send it or drop it.
-		if pr.planDouble() > budget {
-			fs.fellBack = true
-			fs.mFallback.Inc()
-			break
-		}
+		pr.planDouble()
 		changed = pr.double()
 		fs.mDbl.Inc()
 	}
@@ -321,10 +299,10 @@ func (pr *proto) adjacency() {
 }
 
 // planDouble lays out the next exponentiation round, every node's keys into
-// its own list, and returns the round's volume in keys. Each alive label
-// whose set changed last round pushes the set's smaller half to the home of
-// every member of the set — to target u go the members below u, plus the
-// sender itself when it is below u. Two lossless filters keep the volume
+// its own list, for double to send. Each alive label whose set changed last
+// round pushes the set's smaller half to the home of every member of the
+// set — to target u go the members below u, plus the sender itself when it
+// is below u. Two lossless filters keep the volume
 // near the information delta: labels a receiver would discard anyway
 // (everything above it beyond its own set) stay off the wire — hooking only
 // ever chases smaller labels, so pushing downhill loses nothing, and the set
@@ -332,13 +310,11 @@ func (pr *proto) adjacency() {
 // target that already held its copy of the set receives only the entries
 // that arrived since the last push (a target that just entered the set gets
 // the full downhill slice once).
-func (pr *proto) planDouble() int64 {
+func (pr *proto) planDouble() {
 	fs := pr.fs
 	cur := fs.dblStamp
-	// Reads the per-home sets, writes the home's own list; per-shard
-	// subtotals merge in shard order, so the total is worker-count-invariant.
-	return pr.pool.Sum("ccfast plan volume", len(pr.nodes), func(_, lo, hi int) int64 {
-		var vol int64
+	// Reads the per-home sets, writes the home's own list.
+	pr.pool.Blocks("ccfast plan double", len(pr.nodes), func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			ks := pr.scr[i].k1s[:0]
 			for _, a := range pr.aliveList[i] {
@@ -382,9 +358,7 @@ func (pr *proto) planDouble() int64 {
 				}
 			}
 			pr.scr[i].k1s = ks
-			vol += int64(len(ks))
 		}
-		return vol
 	})
 }
 
@@ -489,12 +463,4 @@ func (pr *proto) pushRoots() {
 			s = e
 		}
 	})
-}
-
-func (pr *proto) totalAlive() int {
-	n := 0
-	for i := range pr.aliveList {
-		n += len(pr.aliveList[i])
-	}
-	return n
 }

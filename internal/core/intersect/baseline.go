@@ -36,60 +36,3 @@ func UniformHash(t *topology.Tree, r, s dataset.Placement, seed uint64, opts ...
 	x.Execute()
 	return finish(e, in, nil), nil
 }
-
-// BroadcastSmaller replicates the smaller relation to every compute node;
-// the larger relation never moves. One round; cost ≥ |R| on every link into
-// a node holding S-data, so it is optimal only when |R| is tiny.
-func BroadcastSmaller(t *topology.Tree, r, s dataset.Placement, opts ...netsim.Option) (*Result, error) {
-	in, err := newInstance(t, r, s)
-	if err != nil {
-		return nil, err
-	}
-	if in.size0 == 0 {
-		return in.emptyResult(), nil
-	}
-	all := append([]topology.NodeID(nil), in.nodes...)
-	e := netsim.NewEngine(t, opts...)
-	x := e.Exchange()
-	x.Plan(func(v topology.NodeID, out *netsim.Outbox) {
-		i := t.ComputeIndex(v)
-		if len(in.rel0[i]) > 0 {
-			out.Multicast(all, netsim.TagR, in.rel0[i])
-		}
-	})
-	x.Execute()
-	return finish(e, in, func(i int) []uint64 { return in.rel1[i] }), nil
-}
-
-// Gather ships both relations to a single compute node, which computes the
-// intersection locally. With target = NoNode the node holding the most data
-// is chosen (minimizing moved elements).
-func Gather(t *topology.Tree, r, s dataset.Placement, target topology.NodeID, opts ...netsim.Option) (*Result, error) {
-	in, err := newInstance(t, r, s)
-	if err != nil {
-		return nil, err
-	}
-	if in.size0 == 0 {
-		return in.emptyResult(), nil
-	}
-	if target == topology.NoNode {
-		for _, v := range in.nodes {
-			if target == topology.NoNode || in.loads[v] > in.loads[target] {
-				target = v
-			}
-		}
-	}
-	e := netsim.NewEngine(t, opts...)
-	x := e.Exchange()
-	x.Plan(func(v topology.NodeID, out *netsim.Outbox) {
-		i := t.ComputeIndex(v)
-		if len(in.rel0[i]) > 0 {
-			out.Send(target, netsim.TagR, in.rel0[i])
-		}
-		if len(in.rel1[i]) > 0 {
-			out.Send(target, netsim.TagS, in.rel1[i])
-		}
-	})
-	x.Execute()
-	return finish(e, in, nil), nil
-}

@@ -248,34 +248,6 @@ func TestBaselinesCorrect(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	t.Run("broadcastSmaller", func(t *testing.T) {
-		res, err := BroadcastSmaller(tr, r, s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := Verify(Reference(r, s), res); err != nil {
-			t.Fatal(err)
-		}
-	})
-	t.Run("gather", func(t *testing.T) {
-		res, err := Gather(tr, r, s, topology.NoNode)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := Verify(Reference(r, s), res); err != nil {
-			t.Fatal(err)
-		}
-		// Exactly one node emits everything.
-		emitters := 0
-		for _, out := range res.PerNode {
-			if len(out) > 0 {
-				emitters++
-			}
-		}
-		if emitters > 1 {
-			t.Errorf("gather produced output at %d nodes", emitters)
-		}
-	})
 }
 
 // TestTreeIntersectCostEnvelope checks the Theorem 2 guarantee empirically:
@@ -401,10 +373,6 @@ func TestRepeatedKeysAcrossProtocols(t *testing.T) {
 		{"tree", false, func(tr *topology.Tree, r, s dataset.Placement) (*Result, error) { return Tree(tr, r, s, 5) }},
 		{"star", true, func(tr *topology.Tree, r, s dataset.Placement) (*Result, error) { return Star(tr, r, s, 5) }},
 		{"uniformHash", false, func(tr *topology.Tree, r, s dataset.Placement) (*Result, error) { return UniformHash(tr, r, s, 5) }},
-		{"broadcastSmaller", false, func(tr *topology.Tree, r, s dataset.Placement) (*Result, error) { return BroadcastSmaller(tr, r, s) }},
-		{"gather", false, func(tr *topology.Tree, r, s dataset.Placement) (*Result, error) {
-			return Gather(tr, r, s, topology.NoNode)
-		}},
 	}
 	for iter := 0; iter < 100; iter++ {
 		rng := rand.New(rand.NewSource(int64(iter)))

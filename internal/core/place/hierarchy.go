@@ -6,22 +6,42 @@ import (
 	"topompc/internal/topology"
 )
 
+// BlockPlan is a per-cut combining plan, one level of a Hierarchy: blocks
+// partition the compute indices, and each block routes its exchanges
+// through one combiner member before they cross the block boundary, so a
+// duplicate-heavy payload crosses each weak cut once per block instead of
+// once per node.
+type BlockPlan struct {
+	BlockOf  []int   // compute index -> block
+	Combiner []int   // block -> compute index of the block's combiner
+	Blocks   [][]int // block -> member compute indices
+}
+
+// minorityPays is the combining-pays predicate of Hierarchy.CombinePays: a
+// block holding at most half of the total weight homes most of its payloads
+// outside itself, so a pre-merge round saves on its boundary cut. Symmetric
+// topologies split into exactly-half blocks whose weight sums differ from
+// total/2 only by float rounding; the tolerance keeps the boundary case
+// paying on both sides of the rounding.
+func minorityPays(blockW, total float64) bool {
+	return 2*blockW <= total*(1+1e-9)
+}
+
 // Hierarchy is the recursive weak-cut decomposition of a tree: a cut tree
 // over the compute nodes that exposes one combining level per bandwidth
-// band instead of CombinerBlocks' single threshold.
+// band.
 //
 // Levels are partitions of the compute indices, coarsest first. Level k is
 // the set of connected components of the tree after removing every edge
 // with bandwidth below Thresholds[k]; thresholds grow level by level, so
 // each level strictly refines the previous one (every level-k block is a
-// union of level-k+1 blocks) and the deepest level's partition — cut at
-// half the strongest link — is exactly the CombinerBlocks partition.
-// Thresholds double from the weakest link upward (capped at half the
-// strongest link), so each level peels one factor-2 bandwidth band: on a
-// tapered fat-tree the coarse levels are the pods behind the thin core
-// links and the deep levels are the racks, while a single-band topology
-// (two-tier, star) collapses to depth 1 and reproduces the flat
-// CombinerBlocks decomposition.
+// union of level-k+1 blocks), and the deepest level is cut at half the
+// strongest link: its blocks are the components left after removing the
+// weak edges. Thresholds double from the weakest link upward (capped at
+// half the strongest link), so each level peels one factor-2 bandwidth
+// band: on a tapered fat-tree the coarse levels are the pods behind the
+// thin core links and the deep levels are the racks, while a single-band
+// topology (two-tier, star) collapses to depth 1.
 //
 // Protocols run the hierarchy bottom-up: payloads merge once per block per
 // level (deepest first, where the pays-off test of CombinePays holds)
@@ -44,7 +64,7 @@ type Hierarchy struct {
 
 // bandThresholds is the factor-2 threshold ladder: each
 // threshold doubles the weakest bandwidth at or above the previous one,
-// capped at half the strongest link (the CombinerBlocks cut).
+// capped at half the strongest link (the deepest level's cut).
 func bandThresholds(t *topology.Tree) []float64 {
 	maxW := 0.0
 	for e := 0; e < t.NumEdges(); e++ {
@@ -81,9 +101,9 @@ func bandThresholds(t *topology.Tree) []float64 {
 
 // NewHierarchy builds the weak-cut hierarchy of a tree. weights (indexed
 // in ComputeNodes order, typically Capacities) choose each block's
-// combiner, exactly as in CombinerBlocks. Returns nil when no level has a
-// weak cut worth protecting: a bandwidth-uniform tree (within a factor 2),
-// or one where every split isolates single nodes at every level.
+// combiner: its heaviest member. Returns nil when no level has a weak cut
+// worth protecting: a bandwidth-uniform tree (within a factor 2), or one
+// where every split isolates single nodes at every level.
 func NewHierarchy(t *topology.Tree, weights []float64) *Hierarchy {
 	thresholds := bandThresholds(t)
 	if len(thresholds) == 0 {
@@ -115,7 +135,7 @@ func NewHierarchy(t *topology.Tree, weights []float64) *Hierarchy {
 	}
 
 	// A hierarchy where every block at every level is a singleton has
-	// nothing to merge anywhere; mirror CombinerBlocks and return nil.
+	// nothing to merge anywhere.
 	for _, plan := range h.Levels {
 		for _, members := range plan.Blocks {
 			if len(members) > 1 {
@@ -183,6 +203,18 @@ func thresholdBlocks(t *topology.Tree, weights []float64, th float64) *BlockPlan
 // Depth reports the number of levels.
 func (h *Hierarchy) Depth() int { return len(h.Levels) }
 
+// Deepest is the hierarchy truncated to its deepest level: one level, cut
+// at half the strongest link, with no parent. Its CombinePays is then the
+// plain minority test and its UpSweep at most one step. Nil for a nil
+// hierarchy.
+func (h *Hierarchy) Deepest() *Hierarchy {
+	if h == nil {
+		return nil
+	}
+	k := len(h.Levels) - 1
+	return &Hierarchy{Levels: h.Levels[k:], Thresholds: h.Thresholds[k:], Parents: [][]int{nil}}
+}
+
 // BlockWeights sums the given per-compute-node weights over each block of
 // one level — the per-level capacities the combining decision compares.
 func (h *Hierarchy) BlockWeights(level int, weights []float64) []float64 {
@@ -196,14 +228,15 @@ func (h *Hierarchy) BlockWeights(level int, weights []float64) []float64 {
 	return out
 }
 
-// CombinePays is the per-level generalization of BlockPlan.MinorityBlocks:
-// for every level it flags the blocks where a merge round pays off under
-// weight-proportional homing. A block pays when it has at least two
-// members holding a minority (at most half, within float tolerance) of
-// the total weight — most of its payloads are homed outside it, so
-// merging them before the level's cut saves up to a |block|× factor there
-// — and it is not identical to its parent block, which already merged one
-// level up. Weights are indexed in ComputeNodes order.
+// CombinePays flags, for every level, the blocks where a merge round pays
+// off under weight-proportional homing. A block pays when it has at least
+// two members holding a minority (at most half, within float tolerance) of
+// the total weight — most of its payloads are homed outside it, so merging
+// them before the level's cut saves up to a |block|× factor there — and it
+// is not identical to its parent block, which already merged one level up.
+// A majority-weight block keeps most payloads home anyway, and a singleton
+// has nothing to merge: for those the merge round is pure overhead.
+// Weights are indexed in ComputeNodes order.
 func (h *Hierarchy) CombinePays(weights []float64) [][]bool {
 	var total float64
 	for _, w := range weights {

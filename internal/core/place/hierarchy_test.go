@@ -1,6 +1,7 @@
 package place
 
 import (
+	"math"
 	"testing"
 
 	"topompc/internal/topology"
@@ -91,38 +92,60 @@ func TestHierarchyRefines(t *testing.T) {
 	}
 }
 
-// TestHierarchyDeepestIsCombinerBlocks: the deepest level — cut at half
-// the strongest link — reproduces today's CombinerBlocks exactly: same
-// blocks in the same order, same combiners; and the hierarchy is nil
-// exactly when no level has anything to merge (which implies the flat
-// plan is nil too).
-func TestHierarchyDeepestIsCombinerBlocks(t *testing.T) {
+// halfStrongestCut is the flat combining plan, computed directly: the
+// blocks left after removing every edge below half the strongest finite
+// link, or nil when that leaves one block or only singletons.
+func halfStrongestCut(tree *topology.Tree, w []float64) *BlockPlan {
+	maxW := 0.0
+	for e := 0; e < tree.NumEdges(); e++ {
+		if bw := tree.Bandwidth(topology.EdgeID(e)); !math.IsInf(bw, 1) && bw > maxW {
+			maxW = bw
+		}
+	}
+	if maxW == 0 {
+		return nil
+	}
+	plan := thresholdBlocks(tree, w, maxW/2)
+	for _, members := range plan.Blocks {
+		if len(members) > 1 && len(plan.Blocks) > 1 {
+			return plan
+		}
+	}
+	return nil
+}
+
+// TestHierarchyDeepestIsHalfStrongestCut: the deepest level — cut at half
+// the strongest link — is the flat plan exactly: same blocks in the same
+// order, same combiners; and the hierarchy is nil exactly when no level
+// has anything to merge (which implies the flat plan is nil too). The
+// truncated hierarchy's combining test is the plain minority test.
+func TestHierarchyDeepestIsHalfStrongestCut(t *testing.T) {
 	for ti, tree := range randomTrees(t) {
 		w := Capacities(tree)
 		h := NewHierarchy(tree, w)
-		flat := CombinerBlocks(tree, w)
+		flat := halfStrongestCut(tree, w)
 		if h == nil {
 			if flat != nil {
-				t.Fatalf("tree %d: nil hierarchy but CombinerBlocks found plan %v", ti, flat.Blocks)
+				t.Fatalf("tree %d: nil hierarchy but the flat cut found plan %v", ti, flat.Blocks)
 			}
 			continue
 		}
 		deep := h.Levels[h.Depth()-1]
 		if flat == nil {
-			// CombinerBlocks is nil for a single block (impossible here: a
+			// The flat plan is nil for a single block (impossible here: a
 			// level always has ≥ 2 blocks) or all-singleton blocks; a
 			// non-nil hierarchy may still keep that finest partition while
 			// a coarser level carries the mergeable blocks.
 			for b, members := range deep.Blocks {
 				if len(members) > 1 {
-					t.Fatalf("tree %d: CombinerBlocks nil but deepest level has multi-member block %d %v",
+					t.Fatalf("tree %d: flat cut nil but deepest level has multi-member block %d %v",
 						ti, b, members)
 				}
 			}
 			continue
 		}
 		if len(deep.Blocks) != len(flat.Blocks) {
-			t.Fatalf("tree %d: deepest level has %d blocks, CombinerBlocks %d", ti, len(deep.Blocks), len(flat.Blocks))
+			t.Fatalf("tree %d: deepest level has %d blocks, the flat cut %d", ti, len(deep.Blocks), len(flat.Blocks))
 		}
 		for b := range flat.Blocks {
 			if len(deep.Blocks[b]) != len(flat.Blocks[b]) {
@@ -142,15 +165,24 @@ func TestHierarchyDeepestIsCombinerBlocks(t *testing.T) {
 				t.Fatalf("tree %d: BlockOf[%d] %d vs %d", ti, i, deep.BlockOf[i], flat.BlockOf[i])
 			}
 		}
-		// Level-0 pays coincides with MinorityBlocks when the hierarchy is
-		// flat (depth 1).
-		if h.Depth() == 1 {
-			pays := h.CombinePays(w)[0]
-			minority := flat.MinorityBlocks(w)
-			for b := range pays {
-				if pays[b] != minority[b] {
-					t.Errorf("tree %d block %d: pays %v != MinorityBlocks %v", ti, b, pays[b], minority[b])
-				}
+		// The truncation pays exactly on the multi-member minority blocks,
+		// and so does the hierarchy itself when it is flat (depth 1).
+		var total float64
+		for _, x := range w {
+			total += x
+		}
+		pays := h.Deepest().CombinePays(w)[0]
+		for b, members := range flat.Blocks {
+			var blockW float64
+			for _, i := range members {
+				blockW += w[i]
+			}
+			minority := len(members) > 1 && 2*blockW <= total*(1+1e-9)
+			if pays[b] != minority {
+				t.Errorf("tree %d block %d: truncation pays %v, minority %v", ti, b, pays[b], minority)
+			}
+			if h.Depth() == 1 && h.CombinePays(w)[0][b] != minority {
+				t.Errorf("tree %d block %d: depth-1 pays %v, minority %v", ti, b, !minority, minority)
 			}
 		}
 	}

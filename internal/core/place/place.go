@@ -15,11 +15,9 @@
 //     half the strongest, with a per-level combining-pays test
 //     (CombinePays) and a bottom-up merge schedule (UpSweep). Protocols
 //     merge payloads once per block per level before crossing that
-//     level's cut (graph label exchanges, multi-level combiner trees).
-//   - CombinerBlocks — the flat single-threshold truncation of the
-//     hierarchy (its deepest level): blocks are the connected components
-//     of the tree after removing its weak edges, and each block names a
-//     combiner member.
+//     level's cut (graph label exchanges, combiner trees). Deepest
+//     truncates it to its finest level — the connected components left
+//     after removing the weak edges — for the single-level ablation.
 //   - BalancedPartition — the α/β edge classification (§3.3) and the
 //     load-balanced partition of Algorithm 3 / Definition 1, driven by
 //     the data loads rather than the bandwidths (intersect, join,
@@ -42,8 +40,7 @@
 //
 // Consumers: multijoin (Capacities + AssignCells), graph (Capacities +
 // Hierarchy), sorting (Proportional + Splitters + Capacities), aggregate
-// (Capacities + Hierarchy + CombinerBlocks + BalancedPartition +
-// BlockRouter), intersect and join (BalancedPartition + BlockRouter). The
+// (Capacities + Hierarchy + BalancedPartition + BlockRouter), intersect and join (BalancedPartition + BlockRouter). The
 // package sits between internal/topology and the protocol packages and must
 // not import any of them.
 package place

@@ -95,16 +95,38 @@ func TestCapacities(t *testing.T) {
 	}
 }
 
-// TestCombinerBlocksPartition: on every random tree (with both capacity
-// and uniform weights), a non-nil plan's blocks partition the compute
+// TestDeepestLevelPartition: on every random tree (with both capacity and
+// uniform weights), the hierarchy truncated to its deepest level is a
+// depth-1 hierarchy over that level, whose blocks partition the compute
 // index set exactly: every index in exactly one block, BlockOf consistent
-// with Blocks, and every combiner a member of its own block.
-func TestCombinerBlocksPartition(t *testing.T) {
+// with Blocks, and every combiner a member of its own block. Its up-sweep
+// is at most one step, which forwards to block combiners only.
+func TestDeepestLevelPartition(t *testing.T) {
 	for ti, tree := range randomTrees(t) {
 		for _, w := range [][]float64{Capacities(tree), Uniform(tree.NumCompute())} {
-			plan := CombinerBlocks(tree, w)
-			if plan == nil {
+			h := NewHierarchy(tree, w)
+			deep := h.Deepest()
+			if h == nil {
+				if deep != nil {
+					t.Fatalf("tree %d: nil hierarchy truncates to %v", ti, deep)
+				}
 				continue
+			}
+			if deep.Depth() != 1 || deep.Parents[0] != nil || deep.Thresholds[0] != h.Thresholds[h.Depth()-1] {
+				t.Fatalf("tree %d: truncation %+v of a depth-%d hierarchy", ti, deep, h.Depth())
+			}
+			plan := deep.Levels[0]
+			if plan != h.Levels[h.Depth()-1] {
+				t.Fatalf("tree %d: truncation is not the deepest level", ti)
+			}
+			if steps := deep.UpSweep(w); len(steps) > 1 {
+				t.Fatalf("tree %d: %d up-sweep steps over one level", ti, len(steps))
+			} else if len(steps) == 1 {
+				for i, to := range steps[0].Target {
+					if steps[0].Level != 0 || to != i && to != plan.Combiner[plan.BlockOf[i]] {
+						t.Fatalf("tree %d: step %+v forwards %d to %d", ti, steps[0], i, to)
+					}
+				}
 			}
 			if len(plan.BlockOf) != tree.NumCompute() {
 				t.Fatalf("tree %d: BlockOf covers %d of %d compute nodes", ti, len(plan.BlockOf), tree.NumCompute())
@@ -140,19 +162,21 @@ func TestCombinerBlocksPartition(t *testing.T) {
 	}
 }
 
-// TestCombinerBlocksShapes checks the combining plan on the canonical
-// fixtures.
-func TestCombinerBlocksShapes(t *testing.T) {
+// TestDeepestLevelShapes checks the deepest level's combining plan on the
+// canonical fixtures.
+func TestDeepestLevelShapes(t *testing.T) {
 	trees := testTrees(t)
 	// Uniform star: no weak edge, no plan.
-	if plan := CombinerBlocks(trees["star"], Uniform(trees["star"].NumCompute())); plan != nil {
-		t.Errorf("star: unexpected combining plan %+v", plan)
+	if h := NewHierarchy(trees["star"], Uniform(trees["star"].NumCompute())).Deepest(); h != nil {
+		t.Errorf("star: unexpected combining plan %+v", h.Levels[0])
 	}
 	// Skewed two-tier: the weak uplink splits the racks into two blocks.
-	plan := CombinerBlocks(trees["twotier-skew"], Uniform(trees["twotier-skew"].NumCompute()))
-	if plan == nil {
+	skew := trees["twotier-skew"]
+	h := NewHierarchy(skew, Uniform(skew.NumCompute())).Deepest()
+	if h == nil {
 		t.Fatal("twotier-skew: expected a combining plan")
 	}
+	plan := h.Levels[0]
 	if len(plan.Blocks) != 2 {
 		t.Fatalf("twotier-skew: %d blocks, want 2 (%v)", len(plan.Blocks), plan.Blocks)
 	}
@@ -163,6 +187,22 @@ func TestCombinerBlocksShapes(t *testing.T) {
 		}
 		if b != want {
 			t.Errorf("compute %d in block %d, want %d", i, b, want)
+		}
+	}
+	// Under capacity weights only the slow rack, a minority, merges: its
+	// members forward to its combiner, the fast rack's keep their payloads.
+	w := Capacities(skew)
+	steps := NewHierarchy(skew, w).Deepest().UpSweep(w)
+	if len(steps) != 1 {
+		t.Fatalf("twotier-skew: %d up-sweep steps, want 1", len(steps))
+	}
+	for i, to := range steps[0].Target {
+		want := i
+		if i >= 4 {
+			want = 4
+		}
+		if to != want {
+			t.Errorf("compute %d forwards to %d, want %d", i, to, want)
 		}
 	}
 }

@@ -196,7 +196,7 @@ func fixtureTrees() []func() (string, *topology.Tree, error) {
 // three draws of every topotest shape, under four placements of distinct and of heavily
 // repeated keys, the planned sort costs exactly the least of its three
 // candidates run alone on the same input — the capacity candidate,
-// CapacitySortFlat and Gather at the heaviest holder — and returns that
+// CapacitySortFlat and the gather at the heaviest holder — and returns that
 // candidate's output under its name (fewer rounds, then candidate order,
 // among equals), at 1 and 4 workers.
 func TestCapacitySortRunsCheapestCandidate(t *testing.T) {
@@ -246,7 +246,7 @@ func TestCapacitySortRunsCheapestCandidate(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: %v", at, err)
 					}
-					gathered, err := Gather(tr, data, topology.NoNode, opts...)
+					gathered, err := planSort(tr, data, 11, awareStride, opts, gatherHeaviest)
 					if err != nil {
 						t.Fatalf("%s: %v", at, err)
 					}

@@ -288,18 +288,3 @@ func gather(in *instance, target topology.NodeID, opts []netsim.Option) *Result 
 	x.Execute()
 	return in.result(e, in.t.LeftToRight(), "gather")
 }
-
-// Gather is the gather-to-one baseline. With target = NoNode the node
-// holding the most data is chosen.
-func Gather(t *topology.Tree, data dataset.Placement, target topology.NodeID, opts ...netsim.Option) (*Result, error) {
-	in, err := newInstance(t, data)
-	if err != nil {
-		return nil, err
-	}
-	if target == topology.NoNode {
-		target = in.heaviest()
-	} else if uint(target) >= uint(t.NumNodes()) || !t.IsCompute(target) {
-		return nil, fmt.Errorf("sorting: target %v is not a compute node", target)
-	}
-	return gather(in, target, opts), nil
-}

@@ -198,15 +198,15 @@ func TestGatherBaseline(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	tr, _ := topology.UniformStar(3, 1)
 	data := sortInput(t, rng, tr, 500, uniformPlace)
-	res, err := Gather(tr, data, topology.NoNode)
+	res, err := planSort(tr, data, 0, awareStride, nil, gatherHeaviest)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := Verify(tr, Reference(data), res); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Gather(tr, data, tr.Root()); err == nil {
-		t.Error("expected error for router target")
+	if res.Strategy != "gather" || res.Report.NumRounds() != 1 {
+		t.Errorf("gather candidate ran %s in %d rounds", res.Strategy, res.Report.NumRounds())
 	}
 }
 

@@ -80,7 +80,7 @@ func runX7(cfg Config) ([]Table, error) {
 	table := newTable("X7: hierarchy depth vs cost (multi-level vs single-level vs flat aggregation)",
 		"Groups drawn from a shared low-cardinality pool (heavy duplication). multi = "+
 			"CombinerTree on the full weak-cut hierarchy (merge per block per level), single = "+
-			"the CombinerBlocks truncation (one merge level), flat = uniform hashing. Depth ≤ 1 "+
+			"the hierarchy truncated to its deepest level (one merge level), flat = uniform hashing. Depth ≤ 1 "+
 			"topologies must show ~1.0 multi/single; the deep gradients pay the extra rounds "+
 			"back on every tier's cut. Totals verified on every run.",
 		"topology", "depth", "cuts", "records", "multi cost", "single cost", "flat cost",

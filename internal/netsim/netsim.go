@@ -12,7 +12,7 @@
 //
 // where |Y_i(e)| is the number of elements crossing link e in round i, and
 // the cost of the protocol is the sum over rounds. Costs are measured in
-// elements; Report.BitCost converts to bits.
+// elements; at b bits per element the cost in bits is b times that.
 //
 // Unlike a pure cost calculator, the engine actually delivers every
 // message, so protocol outputs are real and can be verified against

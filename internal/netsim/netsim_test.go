@@ -144,9 +144,6 @@ func TestMultiRoundAccumulation(t *testing.T) {
 	if rep.TotalElements() != 12 {
 		t.Errorf("total elements = %v, want 12", rep.TotalElements())
 	}
-	if got := rep.BitCost(64); got != 12*64 {
-		t.Errorf("bit cost = %v, want %v", got, 12*64)
-	}
 	tot := rep.MaxEdgeElems()
 	if tot[0]+tot[1] != 24 {
 		t.Errorf("per-edge totals = %v, want sum 24", tot)

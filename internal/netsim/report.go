@@ -52,12 +52,6 @@ func (r *Report) TotalCost() float64 {
 	return c
 }
 
-// BitCost converts TotalCost to bits assuming each element costs
-// bitsPerElement bits on the wire (the paper's log N factor).
-func (r *Report) BitCost(bitsPerElement int) float64 {
-	return r.TotalCost() * float64(bitsPerElement)
-}
-
 // TotalElements reports the total number of elements sent across all
 // rounds (counting each message payload once, not per link).
 func (r *Report) TotalElements() int64 {

@@ -186,26 +186,3 @@ func TestExecOptionsDeterminism(t *testing.T) {
 		}
 	}
 }
-
-// TestExecOptionsBits: bit-width accounting multiplies the element cost.
-func TestExecOptionsBits(t *testing.T) {
-	c := testCluster(t)
-	c.SetExecOptions(ExecOptions{BitsPerElement: 64})
-	spec, _ := LookupTask("intersect")
-	res, err := c.RunTask("intersect", testInput(t, c, spec, 2000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := res.Cost.Cost * 64; res.Cost.Bits != want {
-		t.Fatalf("Bits = %v, want %v", res.Cost.Bits, want)
-	}
-
-	plain := testCluster(t)
-	pres, err := plain.RunTask("intersect", testInput(t, plain, spec, 2000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pres.Cost.Bits != 0 {
-		t.Fatalf("Bits = %v without BitsPerElement, want 0", pres.Cost.Bits)
-	}
-}

@@ -75,10 +75,6 @@ type ExecOptions struct {
 	// reference output and the lower bound from the input while the protocol
 	// executes. Every result is the same at every worker count.
 	Workers int
-	// BitsPerElement, when positive, additionally reports round costs in
-	// bits (Cost.Bits = Cost.Cost × BitsPerElement) — the paper's log N
-	// wire-width factor.
-	BitsPerElement int
 	// Tracer, when non-nil, attaches the flight recorder: every engine the
 	// protocols create emits per-round spans (cost, bottleneck edge) and
 	// the protocol layers add phase/level spans and combining decisions,
@@ -244,7 +240,8 @@ func (c *Cluster) String() string { return c.t.String() }
 
 // Cost summarizes a protocol execution against its lower bound. Costs are
 // in elements: the time to move k elements over a link of bandwidth w is
-// k/w.
+// k/w. At b bits per element (the paper's log N wire width) the cost in
+// bits is Cost × b.
 type Cost struct {
 	// Rounds is the number of communication rounds used.
 	Rounds int
@@ -255,9 +252,6 @@ type Cost struct {
 	LowerBound float64
 	// Elements is the total number of elements transmitted.
 	Elements int64
-	// Bits is the cost in bits (Cost × ExecOptions.BitsPerElement); zero
-	// unless bit-width accounting was enabled.
-	Bits float64
 }
 
 // Ratio reports Cost / LowerBound (1 when both are zero).
@@ -299,17 +293,13 @@ func sizes(frags [][]uint64) int64 {
 	return n
 }
 
-func (c *Cluster) costOf(rep *netsim.Report, lb float64) Cost {
-	cost := Cost{
+func costOf(rep *netsim.Report, lb float64) Cost {
+	return Cost{
 		Rounds:     rep.NumRounds(),
 		Cost:       rep.TotalCost(),
 		LowerBound: lb,
 		Elements:   rep.TotalElements(),
 	}
-	if c.exec.BitsPerElement > 0 {
-		cost.Bits = rep.BitCost(c.exec.BitsPerElement)
-	}
-	return cost
 }
 
 // verified is the middle of every family's pipeline: it runs the protocol,
@@ -389,7 +379,7 @@ func (c *Cluster) intersectWith(r, s [][]uint64, seed uint64, run intersectProto
 	return &IntersectResult{
 		Keys:    res.Output,
 		PerNode: res.PerNode,
-		Cost:    c.costOf(res.Report, lb),
+		Cost:    costOf(res.Report, lb),
 		Report:  res.Report,
 	}, nil
 }
@@ -481,7 +471,7 @@ func (c *Cluster) cartesianWith(r, s [][]uint64, run cartesianProtocol, lb float
 		RPerNode:     res.RKeys,
 		SPerNode:     res.SKeys,
 		Rects:        res.Rects,
-		Cost:         c.costOf(res.Report, lb),
+		Cost:         costOf(res.Report, lb),
 		Report:       res.Report,
 	}, nil
 }
@@ -590,7 +580,7 @@ func (c *Cluster) sortWith(data [][]uint64, seed uint64, run sortProtocol) (*Sor
 		PerNode:   res.PerNode,
 		NodeOrder: order,
 		Strategy:  res.Strategy,
-		Cost:      c.costOf(res.Report, lb),
+		Cost:      costOf(res.Report, lb),
 		Report:    res.Report,
 	}, nil
 }
@@ -740,7 +730,7 @@ func (c *Cluster) multijoinWith(rels [][][]Tuple2, seed uint64, shape multijoinS
 		PerNode:      res.PerNode,
 		Shares:       res.Shares,
 		CellsPerNode: res.CellsPerNode,
-		Cost:         c.costOf(res.Report, lb),
+		Cost:         costOf(res.Report, lb),
 		Report:       res.Report,
 	}, nil
 }
