@@ -22,6 +22,12 @@ type AggregateResult struct {
 	// Totals maps every group to its total; each group was produced at
 	// exactly one node.
 	Totals map[uint64]int64
+	// Strategy is the path the protocol took: "twolevel" (Aggregate),
+	// "hash" (AggregateBaseline), "flat-hash" (AggregateAwareBaseline), and
+	// "combiner-tree" or, for the multi-level tree, "combiner-tree×L" with L
+	// merge levels (AggregateAware, AggregateMultiLevel), either of which is
+	// "capacity-hash" when no weak cut pays for combining.
+	Strategy string
 	// Cost is the execution cost against the exact spanning-groups lower
 	// bound (each partial aggregate costs 2 wire elements).
 	Cost Cost
@@ -91,9 +97,10 @@ func (c *Cluster) aggregateWith(data [][]GroupValue, seed uint64, run aggregateP
 		return nil, err
 	}
 	return &AggregateResult{
-		Totals: res.Totals(),
-		Cost:   costOf(res.Report, lb),
-		Report: res.Report,
+		Totals:   res.Totals(),
+		Strategy: res.Strategy,
+		Cost:     costOf(res.Report, lb),
+		Report:   res.Report,
 	}, nil
 }
 

@@ -140,26 +140,6 @@ func TestCapacitySortBeatsFlatOnSkewedUplink(t *testing.T) {
 	}
 }
 
-func TestCapacitySortEmptyAndTiny(t *testing.T) {
-	tr, _ := topology.UniformStar(3, 1)
-	empty := dataset.Placement{nil, nil, nil}
-	res, err := CapacitySort(tr, empty, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Verify(tr, Reference(empty), res); err != nil {
-		t.Fatal(err)
-	}
-	tiny := dataset.Placement{{5}, nil, {9, 2}}
-	res, err = CapacitySort(tr, tiny, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Verify(tr, Reference(tiny), res); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // fixtureTrees is the golden harness's topology zoo (fixtureTopos in the
 // module root's harness_test.go), built with the constructors its clusters
 // wrap.
@@ -189,6 +169,21 @@ func fixtureTrees() []func() (string, *topology.Tree, error) {
 		graph("mesh", func() (*topology.Graph, error) { return topology.Mesh(3, 4, 2.5) }),
 		graph("ring-of-racks", func() (*topology.Graph, error) { return topology.RingOfRacks(4, 2, 3, 8) }),
 		graph("clos", func() (*topology.Graph, error) { return topology.Clos(2, 3, 2, 4, 10) }),
+	}
+}
+
+// TestCapacitySortEmptyAndTiny: the planned sort on a three-node star
+// handles an empty input and three keys spread raggedly over two nodes.
+func TestCapacitySortEmptyAndTiny(t *testing.T) {
+	tr, _ := topology.UniformStar(3, 1)
+	for _, data := range []dataset.Placement{{nil, nil, nil}, {{5}, nil, {9, 2}}} {
+		res, err := CapacitySort(tr, data, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := Verify(tr, Reference(data), res); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -5,6 +5,14 @@
 // a planner that prices capacity splitters, uniform splitters and a gather
 // on the instance and runs the cheapest.
 //
+// Every protocol here is a list of layouts run by one driver, planSort. A
+// layout lays out a candidate: either a gather at one node, or a sample sort
+// — an optional ship round, then the holders' samples to a coordinator, its
+// splitters to the destinations, and the holders' keys redistributed by
+// splitter interval. TeraSort and the capacity sorts hold every fragment
+// where it starts; wTS first ships the light nodes' data to the heavy
+// nodes, which hold, sample and receive.
+//
 // The goal of the task: given a valid left-to-right ordering v_1, …, v_|VC|
 // of the compute nodes (any DFS traversal of the tree), redistribute the
 // input so that every element on v_i precedes every element on v_j for
@@ -14,7 +22,6 @@ package sorting
 import (
 	"fmt"
 	"math/bits"
-	"math/rand"
 
 	"topompc/internal/dataset"
 	"topompc/internal/netsim"
@@ -31,46 +38,12 @@ type Result struct {
 	Order []topology.NodeID
 	// Report is the cost accounting.
 	Report *netsim.Report
-	// Strategy identifies the protocol path: "wts", "gather", "terasort",
-	// or the splitter sorts "sort-aware" (capacity ranges) and "sort-flat"
-	// (uniform ranges). CapacitySort reports the candidate it ran.
+	// Strategy names the candidate the driver ran: "wts", "terasort", the
+	// splitter sorts "sort-aware" (capacity ranges) and "sort-flat" (uniform
+	// ranges), or "gather" — wTS's majority-holder and no-heavy-node cases,
+	// and CapacitySort's third candidate. CapacitySort reports the
+	// candidate it priced cheapest.
 	Strategy string
-}
-
-// instance validates a sorting input.
-type instance struct {
-	t     *topology.Tree
-	nodes []topology.NodeID
-	data  dataset.Placement
-	loads topology.Loads
-	total int64
-}
-
-func newInstance(t *topology.Tree, data dataset.Placement) (*instance, error) {
-	nodes := t.ComputeNodes()
-	if len(data) != len(nodes) {
-		return nil, fmt.Errorf("sorting: placement covers %d nodes, tree has %d compute nodes",
-			len(data), len(nodes))
-	}
-	in := &instance{t: t, nodes: nodes, data: data}
-	loads := make(topology.Loads, t.NumNodes())
-	for i, v := range nodes {
-		loads[v] = int64(len(data[i]))
-		in.total += loads[v]
-	}
-	in.loads = loads
-	return in, nil
-}
-
-// emptyResult is what every protocol returns for an empty input: nothing
-// moves.
-func (in *instance) emptyResult(strategy string) *Result {
-	return &Result{
-		PerNode:  make([][]uint64, len(in.nodes)),
-		Order:    in.t.LeftToRight(),
-		Report:   &netsim.Report{Tree: in.t},
-		Strategy: strategy,
-	}
 }
 
 // Reference is what Verify checks a result against: the input in ascending
@@ -181,32 +154,6 @@ func Verify(t *topology.Tree, ref []uint64, res *Result) error {
 	return nil
 }
 
-// sortReceived is the closing local step of every protocol here: each
-// compute node sorts the data it received in the last round. The sorts run
-// on the engine's pool, one home after the other, and hand one radix
-// scratch buffer from home to home.
-func sortReceived(e *netsim.Engine, nodes []topology.NodeID) [][]uint64 {
-	perNode := make([][]uint64, len(nodes))
-	var tmp []uint64
-	for i, v := range nodes {
-		perNode[i], tmp = e.Pool().SortUint64(e.Inbox(v).Keys(netsim.TagData), tmp)
-	}
-	return perNode
-}
-
-// sample draws the Bernoulli(ρ) sample a node sends the coordinator, from a
-// generator of its own seed.
-func sample(frag []uint64, seed int64, rho float64) []uint64 {
-	rng := rand.New(rand.NewSource(seed))
-	var out []uint64
-	for _, x := range frag {
-		if rng.Float64() < rho {
-			out = append(out, x)
-		}
-	}
-	return out
-}
-
 // bucketOf locates x's interval: bucket j holds [splitters[j-1],
 // splitters[j]), so j counts the splitters at or below x. The search halves
 // the candidate range by arithmetic on the borrow of x − probe rather than
@@ -227,9 +174,9 @@ func bucketOf(x uint64, splitters []uint64) int {
 	return base + 1 - int(below)
 }
 
-// sendBySplitter queues the redistribution step of every splitter-based
-// sort here (the sample sorts' round 3, wTS round 4): the keys of splitter
-// interval j go to dsts[j] in one message, in fragment order.
+// sendBySplitter queues one holder's part of a sample sort's last round:
+// the keys of splitter interval j go to dsts[j] in one message, in fragment
+// order.
 func sendBySplitter(out *netsim.Outbox, keys, splitters []uint64, dsts []topology.NodeID) {
 	bucket := make([]int32, len(keys))
 	for j, x := range keys {
@@ -245,46 +192,4 @@ func sendBySplitter(out *netsim.Outbox, keys, splitters []uint64, dsts []topolog
 			out.Send(to, netsim.TagData, buf[off[j]:off[j+1]])
 		}
 	}
-}
-
-// result collects what a protocol's last round delivered: every compute node
-// sorts what it received.
-func (in *instance) result(e *netsim.Engine, order []topology.NodeID, strategy string) *Result {
-	return &Result{
-		PerNode:  sortReceived(e, in.nodes),
-		Order:    order,
-		Report:   e.Report(),
-		Strategy: strategy,
-	}
-}
-
-// heaviest is the holder of the most data, the first one among equals.
-func (in *instance) heaviest() topology.NodeID {
-	best := in.nodes[0]
-	for _, v := range in.nodes {
-		if in.loads[v] > in.loads[best] {
-			best = v
-		}
-	}
-	return best
-}
-
-// planGather queues the one round of a gather: every holder ships its whole
-// fragment to target.
-func (in *instance) planGather(x *netsim.Exchange, target topology.NodeID) {
-	x.Plan(func(v topology.NodeID, out *netsim.Outbox) {
-		if frag := in.data[in.t.ComputeIndex(v)]; len(frag) > 0 {
-			out.Send(target, netsim.TagData, frag)
-		}
-	})
-}
-
-// gather ships everything to target, which sorts locally. Trivially a valid
-// ordering: every other node is empty.
-func gather(in *instance, target topology.NodeID, opts []netsim.Option) *Result {
-	e := netsim.NewEngine(in.t, opts...)
-	x := e.Exchange()
-	in.planGather(x, target)
-	x.Execute()
-	return in.result(e, in.t.LeftToRight(), "gather")
 }

@@ -1,8 +1,10 @@
 package sorting
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -11,6 +13,7 @@ import (
 	"topompc/internal/lowerbound"
 	"topompc/internal/netsim"
 	"topompc/internal/topology"
+	"topompc/internal/topology/topotest"
 )
 
 func sortInput(t *testing.T, rng *rand.Rand, tr *topology.Tree, n int,
@@ -141,6 +144,113 @@ func TestWTSDuplicateKeys(t *testing.T) {
 	}
 }
 
+// sortEntryPoints are the exported sorts, each run through planSort.
+var sortEntryPoints = []struct {
+	name string
+	run  func(*topology.Tree, dataset.Placement, uint64, ...netsim.Option) (*Result, error)
+}{
+	{"wts", WTS},
+	{"wts-uniform-light", WTSUniformLight},
+	{"terasort", TeraSort},
+	{"capacity-flat", CapacitySortFlat},
+	{"capacity", CapacitySort},
+}
+
+// TestSortDegenerateInputs runs every sort entry point on the degenerate
+// topotest shapes (one node, a line, compute nodes that are inner nodes)
+// and a two-tier tree, and on a three-node star, with no data, one key,
+// everything on one node, all-equal keys, one key per node and a tiny
+// ragged placement. Every output verifies, costs at least the Theorem 6
+// bound, costs nothing on an empty input, and is the same at 1 and 4
+// workers.
+func TestSortDegenerateInputs(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	type shape struct {
+		name string
+		tr   *topology.Tree
+	}
+	var shapes []shape
+	for _, i := range []int{8, 9, 10, 0} { // one-node, line, inner-compute, twotier
+		name, tr, err := topotest.Draw(rng, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shapes = append(shapes, shape{name, tr})
+	}
+	star, _ := topology.UniformStar(3, 1)
+	shapes = append(shapes, shape{"star", star})
+	inputs := []struct {
+		name string
+		gen  func(p int) dataset.Placement
+	}{
+		{"no data", func(p int) dataset.Placement { return make(dataset.Placement, p) }},
+		{"one key", func(p int) dataset.Placement {
+			d := make(dataset.Placement, p)
+			d[p/2] = []uint64{42}
+			return d
+		}},
+		{"all on one node", func(p int) dataset.Placement {
+			d, _ := dataset.SplitSingle(dataset.Distinct(rng, 300), p, p-1)
+			return d
+		}},
+		{"all-equal keys", func(p int) dataset.Placement {
+			keys := make([]uint64, 300)
+			for i := range keys {
+				keys[i] = 7
+			}
+			d, _ := dataset.SplitUniform(keys, p)
+			return d
+		}},
+		{"one key per node", func(p int) dataset.Placement {
+			d := make(dataset.Placement, p)
+			for i := range d {
+				d[i] = []uint64{uint64(p - i)}
+			}
+			return d
+		}},
+		{"tiny ragged", func(p int) dataset.Placement {
+			d := make(dataset.Placement, p)
+			d[0] = []uint64{5}
+			d[p-1] = append(d[p-1], 9, 2)
+			return d
+		}},
+	}
+	for _, sh := range shapes {
+		p := sh.tr.NumCompute()
+		for _, input := range inputs {
+			data := input.gen(p)
+			ref := Reference(data)
+			loads := make(topology.Loads, sh.tr.NumNodes())
+			for i, v := range sh.tr.ComputeNodes() {
+				loads[v] = int64(len(data[i]))
+			}
+			lb := lowerbound.Sorting(sh.tr, loads).Value
+			for _, ep := range sortEntryPoints {
+				at := fmt.Sprintf("%s/%s/%s", sh.name, input.name, ep.name)
+				var runs [2]*Result
+				for w, workers := range []int{1, 4} {
+					res, err := ep.run(sh.tr, data, 3, netsim.WithWorkers(workers))
+					if err != nil {
+						t.Fatalf("%s: %v", at, err)
+					}
+					if err := Verify(sh.tr, ref, res); err != nil {
+						t.Fatalf("%s: %v", at, err)
+					}
+					if cost := res.Report.TotalCost(); cost < lb || len(ref) == 0 && cost != 0 {
+						t.Errorf("%s: cost %v, lower bound %v", at, cost, lb)
+					}
+					runs[w] = res
+				}
+				if !reflect.DeepEqual(runs[0], runs[1]) {
+					t.Errorf("%s: results differ between 1 and 4 workers", at)
+				}
+			}
+		}
+	}
+}
+
+// TestWTSEmptyAndTiny: wTS on a three-node star sorts an empty input at no
+// cost and a single key held by the middle node.
 func TestWTSEmptyAndTiny(t *testing.T) {
 	tr, _ := topology.UniformStar(3, 1)
 	empty := make(dataset.Placement, 3)
@@ -154,7 +264,6 @@ func TestWTSEmptyAndTiny(t *testing.T) {
 	if res.Report.TotalCost() != 0 {
 		t.Error("empty input should cost nothing")
 	}
-	// One element.
 	one, _ := dataset.SplitCounts([]uint64{42}, []int{0, 1, 0})
 	res, err = WTS(tr, one, 2)
 	if err != nil {

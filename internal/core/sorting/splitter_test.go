@@ -60,53 +60,60 @@ func TestBucketOfCountsSplittersAtOrBelow(t *testing.T) {
 	}
 }
 
-func TestUniformSplitters(t *testing.T) {
-	sorted := make([]uint64, 100)
-	for i := range sorted {
-		sorted[i] = uint64(i)
+// splitterCase is one row of the splitter tables: chooseSplitters over the
+// ascending samples sorted, p destinations' worth of fine intervals and the
+// per-destination interval counts.
+type splitterCase struct {
+	name   string
+	sorted []uint64
+	p      int64
+	counts []int64
+	want   []uint64
+}
+
+func ascendingSamples(n int) []uint64 {
+	out := make([]uint64, n)
+	for i := range out {
+		out[i] = uint64(i)
 	}
-	sp := uniformSplitters(sorted, 4)
-	if len(sp) != 3 {
-		t.Fatalf("%d splitters, want 3", len(sp))
-	}
-	// Quartiles of 0..99 with step 25: elements 24, 49, 74.
-	want := []uint64{24, 49, 74}
-	for i := range want {
-		if sp[i] != want[i] {
-			t.Errorf("splitter %d = %d, want %d", i, sp[i], want[i])
+	return out
+}
+
+func checkSplitters(t *testing.T, cases []splitterCase) {
+	t.Helper()
+	for _, tc := range cases {
+		if got := chooseSplitters(tc.sorted, tc.p, tc.counts); !slices.Equal(got, tc.want) {
+			t.Errorf("%s: splitters = %v, want %v", tc.name, got, tc.want)
 		}
-	}
-	if got := uniformSplitters(nil, 3); len(got) != 2 || got[0] != math.MaxUint64 {
-		t.Errorf("empty-sample splitters = %v", got)
-	}
-	if got := uniformSplitters(sorted, 1); got != nil {
-		t.Errorf("single-node splitters = %v, want nil", got)
 	}
 }
 
+// TestUniformSplitters: unit counts reproduce TeraSort's uniform quantiles
+// (the i·⌈s/p⌉-th smallest sample); one node needs no splitter; with no
+// samples every splitter is MaxUint64, and a cut past the last sample is too.
+func TestUniformSplitters(t *testing.T) {
+	max := uint64(math.MaxUint64)
+	checkSplitters(t, []splitterCase{
+		{"unit counts are the uniform quartiles", ascendingSamples(100), 4, []int64{1, 1, 1, 1}, []uint64{24, 49, 74}},
+		{"unit counts, step rounds up", ascendingSamples(10), 4, []int64{1, 1, 1, 1}, []uint64{2, 5, 8}},
+		{"unit counts, last cut past the samples", ascendingSamples(9), 4, []int64{1, 1, 1, 1}, []uint64{2, 5, max}},
+		{"one node", ascendingSamples(100), 1, []int64{1}, nil},
+		{"no samples", nil, 3, []int64{1, 1, 1}, []uint64{max, max}},
+	})
+}
+
+// TestChooseSplittersAllocatesByWorkingSize: wTS's counts
+// c_j = ⌈|VC|·M_j/N⌉ hand a heavy node with 3/4 of the working data 3 of
+// the 4 fine intervals; one destination needs no splitter; with no samples,
+// or a cut past the last sample, the splitter is MaxUint64.
 func TestChooseSplittersAllocatesByWorkingSize(t *testing.T) {
-	// Two heavy nodes, one with 3× the data: its splitter must sit near
-	// the 3/4 quantile of the samples.
-	sorted := make([]uint64, 1000)
-	for i := range sorted {
-		sorted[i] = uint64(i)
-	}
-	working := [][]uint64{make([]uint64, 750), make([]uint64, 250)}
-	sp := chooseSplitters(sorted, 4, 1000, working)
-	if len(sp) != 1 {
-		t.Fatalf("%d splitters, want 1", len(sp))
-	}
-	// c_1 = ceil(4·750/1000) = 3 of 4 intervals → splitter at rank 3·250.
-	if sp[0] < 600 || sp[0] > 900 {
-		t.Errorf("splitter = %d, want near 750", sp[0])
-	}
-	if got := chooseSplitters(sorted, 4, 1000, working[:1]); got != nil {
-		t.Errorf("single heavy node should need no splitters, got %v", got)
-	}
-	empty := chooseSplitters(nil, 4, 1000, working)
-	if len(empty) != 1 || empty[0] != math.MaxUint64 {
-		t.Errorf("no-sample splitters = %v", empty)
-	}
+	max := uint64(math.MaxUint64)
+	checkSplitters(t, []splitterCase{
+		{"working sizes 750 and 250 of 1000", ascendingSamples(1000), 4, []int64{3, 1}, []uint64{749}},
+		{"one destination", ascendingSamples(100), 4, []int64{4}, nil},
+		{"no samples", nil, 4, []int64{3, 1}, []uint64{max}},
+		{"weighted cut past the last sample", ascendingSamples(5), 4, []int64{3, 1}, []uint64{max}},
+	})
 }
 
 // TestWTSLoadBalance checks the per-node balance statement inside Theorem

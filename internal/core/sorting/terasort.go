@@ -18,42 +18,41 @@ func TeraSort(t *topology.Tree, data dataset.Placement, seed uint64, opts ...net
 	return planSort(t, data, seed, 104729, opts, teraSortRanges)
 }
 
-// teraSortRanges picks TeraSort's uniform sample quantiles at the leftmost
-// node.
-func teraSortRanges(_ *instance, order []topology.NodeID) candidate {
-	return candidate{strategy: "terasort", coordinator: order[0], pick: func(sorted []uint64) []uint64 {
-		return uniformSplitters(sorted, int64(len(order)))
-	}}
+// teraSortRanges picks TeraSort's uniform sample quantiles — one fine
+// interval per node — at the leftmost node.
+func teraSortRanges(in *instance) candidate {
+	ones := make([]int64, len(in.order))
+	for j := range ones {
+		ones[j] = 1
+	}
+	return in.sampleSort("terasort", in.order[0], func(sorted []uint64) []uint64 {
+		return chooseSplitters(sorted, int64(len(in.order)), ones)
+	})
 }
 
-// uniformSplitters picks the p−1 uniform quantiles of the sorted samples
-// (TeraSort's b_i = the i·⌈s/p⌉-th smallest sample).
-func uniformSplitters(sorted []uint64, p int64) []uint64 {
-	if p <= 1 {
+// chooseSplitters cuts the sorted samples into p fine quantile intervals of
+// ⌈s/p⌉ samples and allots counts[j] ≥ 1 of them to destination j: the
+// j-th splitter is the (c_1+…+c_j)·⌈s/p⌉-th smallest sample, or MaxUint64
+// past the last sample. Unit counts give TeraSort's uniform quantiles
+// b_i = the i·⌈s/p⌉-th smallest sample; wTS's c_j = ⌈|VC|·M_j/N⌉ gives
+// heavy node j a range in proportion to its working set M_j.
+func chooseSplitters(sorted []uint64, p int64, counts []int64) []uint64 {
+	if len(counts) <= 1 {
 		return nil
 	}
 	s := int64(len(sorted))
-	if s == 0 {
-		out := make([]uint64, p-1)
-		for i := range out {
-			out[i] = math.MaxUint64
-		}
-		return out
-	}
 	step := (s + p - 1) / p
-	if step == 0 {
-		step = 1
-	}
-	out := make([]uint64, 0, p-1)
-	for i := int64(1); i < p; i++ {
-		pos := i * step
-		if pos >= s {
-			out = append(out, math.MaxUint64)
-			continue
+	splitters := make([]uint64, 0, len(counts)-1)
+	var cum int64
+	for _, c := range counts[:len(counts)-1] {
+		cum += c
+		if pos := cum * step; pos < s { // pos is the 1-indexed rank
+			splitters = append(splitters, sorted[pos-1])
+		} else {
+			splitters = append(splitters, math.MaxUint64)
 		}
-		out = append(out, sorted[pos-1])
 	}
-	return out
+	return splitters
 }
 
 // SampleRate reports the ρ = 4|VC|/N·ln(|VC|·N) every sampling sort here

@@ -1,8 +1,6 @@
 package sorting
 
 import (
-	"math"
-
 	"topompc/internal/core/place"
 	"topompc/internal/dataset"
 	"topompc/internal/netsim"
@@ -26,162 +24,89 @@ import (
 // below the Theorem 7 regime N ≥ 4|VC|²ln(|VC|N)), the protocol degrades
 // to gathering at the largest holder.
 func WTS(t *topology.Tree, data dataset.Placement, seed uint64, opts ...netsim.Option) (*Result, error) {
-	return WTSWithOpts(t, data, seed, Opts{}, opts...)
+	return planSort(t, data, seed, 7919, opts, weightedRanges(false))
 }
 
-// Opts tunes WTS for ablation experiments.
-type Opts struct {
-	// UniformLight makes round 1 split light-node data evenly across the
-	// heavy nodes instead of proportionally to their sizes (disabling the
-	// third wTS generalization of §5.2; ablation A3).
-	UniformLight bool
+// WTSUniformLight is WTS with round 1 splitting every light node's data
+// evenly across the heavy nodes instead of in proportion to their sizes:
+// the third wTS generalization of §5.2 switched off (ablation A3).
+func WTSUniformLight(t *topology.Tree, data dataset.Placement, seed uint64, opts ...netsim.Option) (*Result, error) {
+	return planSort(t, data, seed, 7919, opts, weightedRanges(true))
 }
 
-// WTSWithOpts is WTS with ablation options.
-func WTSWithOpts(t *topology.Tree, data dataset.Placement, seed uint64, opts Opts, eopts ...netsim.Option) (*Result, error) {
-	in, err := newInstance(t, data)
-	if err != nil {
-		return nil, err
-	}
-	if in.total == 0 {
-		return in.emptyResult("wts"), nil
-	}
-	p := int64(len(in.nodes))
-
-	// Paper's improvement: a majority holder gathers everything.
-	for _, v := range in.nodes {
-		if 2*in.loads[v] > in.total {
-			return gather(in, v, eopts), nil
-		}
-	}
-
-	// Heavy/light split: heavy ⇔ N_v ≥ N/(2|VC|); labeled in left-to-right
-	// order.
-	order := t.LeftToRight()
-	threshold := float64(in.total) / float64(2*p)
-	var heavy []topology.NodeID        // v₁ … v_k, left-to-right
-	rank := make([]int, len(in.nodes)) // compute index -> j of v_j, -1 for a light node
-	for i := range rank {
-		rank[i] = -1
-	}
-	for _, v := range order {
-		if float64(in.loads[v]) >= threshold {
-			rank[t.ComputeIndex(v)] = len(heavy)
-			heavy = append(heavy, v)
-		}
-	}
-	if len(heavy) == 0 {
-		return gather(in, in.heaviest(), eopts), nil
-	}
-	k := len(heavy)
-	shares := make([]int64, k) // of a light node's data, per heavy node
-	for j, v := range heavy {
-		shares[j] = in.loads[v]
-		if opts.UniformLight {
-			shares[j] = 1
-		}
-	}
-
-	e := netsim.NewEngine(t, eopts...)
-
-	// Round 1: light → heavy, proportional slices.
-	x := e.Exchange()
-	x.Plan(func(v topology.NodeID, out *netsim.Outbox) {
-		i := t.ComputeIndex(v)
-		if rank[i] >= 0 || len(in.data[i]) == 0 {
-			return
-		}
-		counts := place.ProportionalInt(shares, int64(len(in.data[i])))
-		off := int64(0)
-		for j, c := range counts {
-			if c > 0 {
-				out.Send(heavy[j], netsim.TagData, in.data[i][off:off+c])
+// weightedRanges lays out wTS: a gather at a majority holder, or at the
+// heaviest holder when no node is heavy; otherwise the ship round from the
+// light nodes, after which heavy node v_j holds its working set M_j — its
+// own fragment, then its deliveries in sender order — samples it as holder
+// j and receives key interval j.
+func weightedRanges(uniformLight bool) layout {
+	return func(in *instance) candidate {
+		p := int64(len(in.nodes))
+		threshold := float64(in.total) / float64(2*p)
+		var heavy []topology.NodeID // v₁ … v_k
+		for _, v := range in.order {
+			if 2*in.loads[v] > in.total {
+				return candidate{strategy: "gather", coordinator: v}
 			}
-			off += c
+			if float64(in.loads[v]) >= threshold {
+				heavy = append(heavy, v)
+			}
 		}
-	})
-	x.Execute()
-
-	// Heavy node j's working set M_j: its own data plus round-1 deliveries.
-	working := make([][]uint64, k)
-	for j, v := range heavy {
-		ib, own := e.Inbox(v), in.data[t.ComputeIndex(v)]
-		working[j] = make([]uint64, 0, len(own)+ib.KeyCount(netsim.TagData))
-		working[j] = ib.AppendKeys(append(working[j], own...), netsim.TagData)
-	}
-
-	// Round 2: heavy nodes sample at rate ρ and send samples to v₁.
-	rho := SampleRate(len(in.nodes), in.total)
-	coordinator := heavy[0]
-	x = e.Exchange()
-	x.Plan(func(v topology.NodeID, out *netsim.Outbox) {
-		j := rank[t.ComputeIndex(v)]
-		if j < 0 {
-			return
+		if len(heavy) == 0 {
+			return candidate{strategy: "gather", coordinator: in.heaviest()}
 		}
-		if samples := sample(working[j], int64(seed)+int64(j)*7919, rho); len(samples) > 0 {
-			out.Send(coordinator, netsim.TagSample, samples)
+		shares := make([]int64, len(heavy)) // of a light node's data, per heavy node
+		size := make([]int64, len(heavy))   // |M_j|
+		for j, v := range heavy {
+			shares[j], size[j] = in.loads[v], in.loads[v]
+			if uniformLight {
+				shares[j] = 1
+			}
 		}
-	})
-	x.Execute()
-
-	// Round 3: v₁ computes and broadcasts the splitters.
-	samples, _ := e.Pool().SortUint64(e.Inbox(coordinator).Keys(netsim.TagSample), nil)
-	splitters := chooseSplitters(samples, p, in.total, working)
-
-	x = e.Exchange()
-	if len(splitters) > 0 {
-		x.Out(coordinator).Multicast(heavy[1:], netsim.TagSplitter, splitters)
-	}
-	x.Execute()
-
-	// Round 4: redistribute by splitter interval; heavy node j takes
-	// [splitters[j-1], splitters[j]).
-	x = e.Exchange()
-	x.Plan(func(v topology.NodeID, out *netsim.Outbox) {
-		if j := rank[t.ComputeIndex(v)]; j >= 0 {
-			sendBySplitter(out, working[j], splitters, heavy)
+		slice := make([][]int64, len(in.nodes)) // light node i ships slice[i][j] keys to v_j
+		for i, frag := range in.data {
+			if len(frag) > 0 && float64(len(frag)) < threshold {
+				slice[i] = place.ProportionalInt(shares, int64(len(frag)))
+				for j, c := range slice[i] {
+					size[j] += c
+				}
+			}
 		}
-	})
-	x.Execute()
-
-	// Only heavy nodes were sent anything; the rest end up empty.
-	return in.result(e, order, "wts"), nil
-}
-
-// chooseSplitters picks the k−1 splitters of round 3: with
-// c_j = ⌈|VC|·M_j/N⌉ fine quantile intervals allotted to heavy node j, the
-// j-th splitter is the (c_1+…+c_j)·⌈s/|VC|⌉-th smallest sample (clamped to
-// the sample range).
-func chooseSplitters(sorted []uint64, p, total int64, working [][]uint64) []uint64 {
-	k := len(working)
-	if k <= 1 {
-		return nil
-	}
-	s := int64(len(sorted))
-	if s == 0 {
-		// No samples (possible only for tiny inputs): all data to v₁.
-		out := make([]uint64, k-1)
-		for i := range out {
-			out[i] = math.MaxUint64
+		held := &holders{keys: make([][]uint64, len(in.nodes)), seeds: make([]int64, len(in.nodes))}
+		for j, v := range heavy {
+			i := in.t.ComputeIndex(v)
+			held.keys[i] = append(make([]uint64, 0, size[j]), in.data[i]...)
+			held.seeds[i] = in.seed + int64(j)*in.stride
 		}
-		return out
-	}
-	step := (s + p - 1) / p
-	if step == 0 {
-		step = 1
-	}
-	splitters := make([]uint64, 0, k-1)
-	var cum int64
-	for j := 0; j < k-1; j++ {
-		cj := (p*int64(len(working[j])) + total - 1) / total
-		cum += cj
-		pos := cum * step // 1-indexed rank of t_{cum}
-		if pos >= s {
-			splitters = append(splitters, math.MaxUint64)
-			continue
+		for i, frag := range in.data {
+			for j, c := range slice[i] {
+				h := in.t.ComputeIndex(heavy[j])
+				held.keys[h] = append(held.keys[h], frag[:c]...)
+				frag = frag[c:]
+			}
 		}
-		splitters = append(splitters, sorted[pos-1])
+		return candidate{
+			strategy:    "wts",
+			coordinator: heavy[0],
+			holders:     held,
+			dsts:        heavy,
+			ship: func(v topology.NodeID, out *netsim.Outbox) {
+				i := in.t.ComputeIndex(v)
+				frag := in.data[i]
+				for j, c := range slice[i] {
+					if c > 0 {
+						out.Send(heavy[j], netsim.TagData, frag[:c])
+					}
+					frag = frag[c:]
+				}
+			},
+			pick: func(sorted []uint64) []uint64 {
+				counts := make([]int64, len(heavy))
+				for j := range heavy {
+					counts[j] = (p*size[j] + in.total - 1) / in.total
+				}
+				return chooseSplitters(sorted, p, counts)
+			},
+		}
 	}
-	return splitters
 }

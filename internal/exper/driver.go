@@ -280,6 +280,7 @@ func (k task) execute(t *topology.Tree, in input, seed uint64) (measure, error) 
 		m.Strategy = res.Strategy
 	case *topompc.AggregateResult:
 		m = costed(res.Cost)
+		m.Strategy, m.Outputs = res.Strategy, int64(len(res.Totals))
 	case *topompc.CartesianResult:
 		m = costed(res.Cost)
 		m.Strategy = res.Strategy

@@ -129,7 +129,7 @@ func runA3(cfg Config) ([]Table, error) {
 	},
 		task{name: "proportional", run: func(t *topology.Tree, in input, seed uint64) (any, error) { return sorting.WTS(t, in.r, seed) }},
 		task{name: "uniform split", run: func(t *topology.Tree, in input, seed uint64) (any, error) {
-			return sorting.WTSWithOpts(t, in.r, seed, sorting.Opts{UniformLight: true})
+			return sorting.WTSUniformLight(t, in.r, seed)
 		}})
 	table.AddRow("proportional (Alg 6)", ms[0].Cost, ms[0].Bound, ms[0].Ratio())
 	table.AddRow("uniform split", ms[1].Cost, ms[1].Bound, ms[1].Ratio())

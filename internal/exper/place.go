@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 
-	"topompc/internal/core/aggregate"
 	"topompc/internal/core/place"
 	"topompc/internal/dataset"
-	"topompc/internal/topology"
 )
 
 // Placement-engine experiments, on duplicate-heavy inputs across the
@@ -24,12 +22,6 @@ import (
 // what the extra hierarchy levels buy. Single-band topologies (depth ≤ 1)
 // must show multi/single parity; the deep-gradient shapes (tapered fat-tree,
 // graded caterpillar, three-tier datacenter) are where the extra levels pay.
-
-// combinerWithStrategy is agg-tree2 run for its own report of the path it
-// took, which AggregateResult does not carry.
-var combinerWithStrategy = task{name: "agg-tree2", run: func(t *topology.Tree, in input, seed uint64) (any, error) {
-	return aggregate.CombinerTree(t, in.records, seed)
-}}
 
 func runX6(cfg Config) ([]Table, error) {
 	places := []namedPlacement{
@@ -66,7 +58,7 @@ func runX6(cfg Config) ([]Table, error) {
 			sortTable.AddRow(nt.name, pl.name, n, aware.Strategy, aware.Cost, flat.Cost, ratio(flat.Cost, aware.Cost), aware.Bound, aware.Ratio())
 
 			ms = aggTable.each(row, nt.tree, cfg.Seed, func(int) (input, error) { return groupRecords(rng, nt.tree, n, pl.place) },
-				combinerWithStrategy, aggAwareFlat)
+				aggTree2, aggAwareFlat)
 			aware, flat = ms[0], ms[1]
 			aggTable.AddRow(nt.name, pl.name, n, aware.Outputs, aware.Strategy,
 				aware.Cost, flat.Cost, ratio(flat.Cost, aware.Cost), aware.Bound, aware.Ratio())

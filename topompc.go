@@ -499,10 +499,10 @@ type SortResult struct {
 	// NodeOrder is the valid left-to-right ordering the output respects,
 	// as fragment indices.
 	NodeOrder []int
-	// Strategy is the path the protocol took: "wts" or, for a majority
-	// holder, "gather" (Sort); "terasort" (SortBaseline); the planned
-	// winner "sort-aware", "sort-flat" or "gather" (SortAware); "sort-flat"
-	// (SortAwareBaseline).
+	// Strategy names the candidate the sort driver ran: "wts" or, for a
+	// majority holder or an input with no heavy node, "gather" (Sort);
+	// "terasort" (SortBaseline); the planned winner "sort-aware",
+	// "sort-flat" or "gather" (SortAware); "sort-flat" (SortAwareBaseline).
 	Strategy string
 	// Cost is the execution cost against the Theorem 6 lower bound.
 	Cost Cost
