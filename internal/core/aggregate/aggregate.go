@@ -42,8 +42,8 @@
 // is a group-ascending run of (group, value) words from the local
 // pre-combine through every combiner level to the final collect; a node
 // that combines concatenates what arrived with what it holds, radix-sorts
-// by group and sums the runs, and a sender lays a partial out by
-// destination with the counting pass of par.Layout.
+// by group and sums the runs, and a sender hashes a partial to its homes
+// with place.BlockRouter.Hash, the one keyed scatter.
 //
 // No asymptotic optimality is claimed for the extension; the E-series
 // experiment X1 reports measured ratios.
@@ -54,7 +54,6 @@ import (
 	"slices"
 
 	"topompc/internal/core/place"
-	"topompc/internal/hashing"
 	"topompc/internal/lowerbound"
 	"topompc/internal/netsim"
 	"topompc/internal/par"
@@ -254,31 +253,6 @@ func (in *instance) forHomes(fn func(sc *combineScratch, i int)) {
 	})
 }
 
-// chooserFor builds a shared weighted chooser over the given nodes with the
-// given weights (falling back to uniform when all weights vanish).
-func chooserFor(seed uint64, weights []float64) (*hashing.WeightedChooser, error) {
-	return hashing.NewWeightedChooser(seed, place.FallbackUniform(weights))
-}
-
-// sendHashed queues one unicast per member that chooser maps some group of
-// p to, in member order, each carrying its groups in ascending order.
-func sendHashed(out *netsim.Outbox, p partial, members []topology.NodeID, chooser *hashing.WeightedChooser) {
-	bucket := make([]int32, p.groups())
-	for j := range bucket {
-		bucket[j] = int32(chooser.Choose(p[2*j]))
-	}
-	pos, off := par.Layout(bucket, len(members))
-	buf := make([]uint64, len(p))
-	for j, at := range pos {
-		buf[2*at], buf[2*at+1] = p[2*j], p[2*j+1]
-	}
-	for m, to := range members {
-		if off[m] < off[m+1] {
-			out.Send(to, netsim.TagData, buf[2*off[m]:2*off[m+1]])
-		}
-	}
-}
-
 // candidate is one aggregation strategy on the driver: its merge steps run
 // in order, then the scatter hashes what every node holds to homes chosen
 // with weights homes(held) under salt.
@@ -314,11 +288,18 @@ func run(t *topology.Tree, data Placement, seed uint64, opts []netsim.Option, pl
 	for _, step := range c.steps {
 		held = step(held)
 	}
-	chooser, err := chooserFor(hashing.Mix64(seed+c.salt), c.homes(held))
+	router, err := place.NewFlatRouter(t, c.homes(held), seed, c.salt)
 	if err != nil {
 		return nil, err
 	}
-	scatterPartials(in, chooser, held)
+	// Self-sends included: they are free and keep the final inbox the
+	// complete truth for collect.
+	x := in.e.Exchange()
+	x.Plan(func(v topology.NodeID, out *netsim.Outbox) {
+		i := t.ComputeIndex(v)
+		router.Hash(out, netsim.TagData, i, held[i], 2)
+	})
+	x.Execute()
 	return collect(in, c.strategy), nil
 }
 
@@ -350,16 +331,4 @@ func (in *instance) mergeRound(held []partial, tag netsim.Tag, send func(out *ne
 		return n
 	})
 	return next, rst, arrived
-}
-
-// scatterPartials plans and executes one exchange round that delivers each
-// node's partial aggregates to their group homes under the shared chooser
-// (self-sends included — they are free and keep the final-round inbox the
-// complete truth for collect). Every candidate ends in this round.
-func scatterPartials(in *instance, chooser *hashing.WeightedChooser, partials []partial) {
-	x := in.e.Exchange()
-	x.Plan(func(v topology.NodeID, out *netsim.Outbox) {
-		sendHashed(out, partials[in.t.ComputeIndex(v)], in.nodes, chooser)
-	})
-	x.Execute()
 }

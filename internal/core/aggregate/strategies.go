@@ -53,8 +53,7 @@ func TwoLevel(t *topology.Tree, data Placement, seed uint64, opts ...netsim.Opti
 		// Every node hashes all it holds within its block, itself included.
 		rack := func(held []partial) []partial {
 			next, _, _ := in.mergeRound(held, netsim.TagData, func(out *netsim.Outbox, i int, p partial) {
-				b := router.BlockOf(i)
-				sendHashed(out, p, blocks[b], router.Chooser(b))
+				router.Hash(out, netsim.TagData, i, p, 2)
 			}, func(int) bool { return false })
 			return next
 		}

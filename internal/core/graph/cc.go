@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"topompc/internal/core/place"
-	"topompc/internal/hashing"
 	"topompc/internal/netsim"
 	"topompc/internal/obs"
 	"topompc/internal/par"
@@ -1300,7 +1299,7 @@ func newProto(tr *topology.Tree, edges Placement, seed uint64, v variant, opts [
 	} else {
 		weights = place.Uniform(p)
 	}
-	chooser, err := hashing.NewWeightedChooser(hashing.Mix64(seed+0xCC0C), weights)
+	router, err := place.NewFlatRouter(tr, weights, seed, 0xCC0C)
 	if err != nil {
 		return nil, err
 	}
@@ -1324,6 +1323,7 @@ func newProto(tr *topology.Tree, edges Placement, seed uint64, v variant, opts [
 
 	// The chooser is read-only after construction (alias-table lookups),
 	// so home hashing shards freely.
+	chooser := router.Chooser(0)
 	homeOf := make([]int32, nV)
 	pool.ForEach("cc renumber homes", nV, func(k int) {
 		homeOf[k] = int32(chooser.Choose(ids[k]))

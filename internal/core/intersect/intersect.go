@@ -2,7 +2,8 @@
 // paper: the randomized single-round StarIntersect (Algorithm 1), the
 // general TreeIntersect (Algorithm 2) built on the balanced partition of
 // Algorithm 3, and the topology-oblivious baselines they are compared
-// against.
+// against. TreeIntersect, its no-partition ablation and the uniform hash
+// baseline are one round, place.BlockRouter.Round, under three routers.
 //
 // All protocols execute on the netsim engine, so their reported cost is the
 // model cost Σ_i max_e |Y_i(e)|/w_e in elements, directly comparable with
@@ -14,7 +15,6 @@ import (
 	"slices"
 
 	"topompc/internal/dataset"
-	"topompc/internal/hashing"
 	"topompc/internal/netsim"
 	"topompc/internal/par"
 	"topompc/internal/topology"
@@ -150,30 +150,4 @@ func Verify(want []uint64, res *Result) error {
 		}
 	}
 	return nil
-}
-
-// layOut lays a fragment's keys out by bucket in one payload buffer: the
-// keys of bucket b < n are buf[off[b]:off[b+1]], in fragment order.
-func layOut(frag []uint64, bucket []int32, n int) (buf []uint64, off []int32) {
-	pos, off := par.Layout(bucket, n)
-	buf = make([]uint64, len(frag))
-	for j, k := range frag {
-		buf[pos[j]] = k
-	}
-	return buf, off
-}
-
-// sendHashed queues one unicast per member that chooser maps some key of
-// frag to, in member order.
-func sendHashed(out *netsim.Outbox, frag []uint64, members []topology.NodeID, chooser *hashing.WeightedChooser, tag netsim.Tag) {
-	bucket := make([]int32, len(frag))
-	for j, k := range frag {
-		bucket[j] = int32(chooser.Choose(k))
-	}
-	buf, off := layOut(frag, bucket, len(members))
-	for m, to := range members {
-		if off[m] < off[m+1] {
-			out.Send(to, tag, buf[off[m]:off[m+1]])
-		}
-	}
 }

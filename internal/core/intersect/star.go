@@ -5,7 +5,6 @@ import (
 
 	"topompc/internal/core/place"
 	"topompc/internal/dataset"
-	"topompc/internal/hashing"
 	"topompc/internal/netsim"
 	"topompc/internal/topology"
 )
@@ -20,8 +19,8 @@ import (
 //
 // Lemma 1: the cost is within O(log N · log |V|) of optimal w.h.p.
 func Star(t *topology.Tree, r, s dataset.Placement, seed uint64, opts ...netsim.Option) (*Result, error) {
-	if err := requireStar(t); err != nil {
-		return nil, err
+	if !t.IsStar() {
+		return nil, fmt.Errorf("intersect: not a star topology")
 	}
 	in, err := newInstance(t, r, s)
 	if err != nil {
@@ -32,30 +31,25 @@ func Star(t *topology.Tree, r, s dataset.Placement, seed uint64, opts ...netsim.
 	}
 	n := in.loads.Total()
 
-	// Partition nodes into V_α and V_β (line 1 of Algorithm 1).
+	// Partition nodes into V_α and V_β (line 1 of Algorithm 1), and weigh
+	// the hash over all compute nodes: N_v for α-nodes, |R_v| for β-nodes
+	// (normalization to N′ is implicit in the chooser).
 	var beta []topology.NodeID
 	isBeta := make([]bool, len(in.nodes)) // by compute index
+	weights := make([]float64, len(in.nodes))
 	for i, v := range in.nodes {
+		weights[i] = float64(in.loads[v])
 		if min(in.loads[v], n-in.loads[v]) >= in.size0 {
 			beta = append(beta, v)
 			isBeta[i] = true
-		}
-	}
-
-	// Weighted hash over all compute nodes: N_v for α-nodes, |R_v| for
-	// β-nodes (normalization to N′ is implicit in the chooser).
-	weights := make([]float64, len(in.nodes))
-	for i, v := range in.nodes {
-		if isBeta[i] {
 			weights[i] = float64(len(in.rel0[i]))
-		} else {
-			weights[i] = float64(in.loads[v])
 		}
 	}
-	chooser, err := hashing.NewWeightedChooser(hashing.Mix64(seed+0x5151), place.FallbackUniform(weights))
+	router, err := place.NewFlatRouter(t, weights, seed, 0x5151)
 	if err != nil {
 		return nil, fmt.Errorf("intersect: %w", err)
 	}
+	h := router.Chooser(0)
 
 	e := netsim.NewEngine(t, opts...)
 	x := e.Exchange()
@@ -66,23 +60,19 @@ func Star(t *topology.Tree, r, s dataset.Placement, seed uint64, opts ...netsim.
 		// shared.
 		target := make([]int32, len(in.rel0[i]))
 		for j, k := range in.rel0[i] {
-			target[j] = int32(chooser.Choose(k))
+			target[j] = int32(h.Choose(k))
 		}
-		buf, off := layOut(in.rel0[i], target, len(in.nodes))
 		dsts := append(make([]topology.NodeID, 0, len(beta)+1), beta...) // V_β, with room for h(a)
-		for m, to := range in.nodes {
-			if off[m] == off[m+1] {
-				continue
-			}
-			if isBeta[m] {
-				out.Multicast(dsts, netsim.TagR, buf[off[m]:off[m+1]])
-			} else {
-				out.Multicast(append(dsts, to), netsim.TagR, buf[off[m]:off[m+1]])
-			}
-		}
+		place.Scatter(out, netsim.TagR, in.rel0[i], 1, target, len(in.nodes), place.Targets{
+			Vector: func(m int, _ []uint64) []topology.NodeID {
+				if isBeta[m] {
+					return dsts
+				}
+				return append(dsts, in.nodes[m])
+			}})
 		// S-tuples: only α-nodes rehash theirs (line 4-5).
 		if !isBeta[i] {
-			sendHashed(out, in.rel1[i], in.nodes, chooser, netsim.TagS)
+			router.Hash(out, netsim.TagS, i, in.rel1[i], 1)
 		}
 	})
 	x.Execute()
@@ -95,24 +85,4 @@ func Star(t *topology.Tree, r, s dataset.Placement, seed uint64, opts ...netsim.
 		}
 		return nil
 	}), nil
-}
-
-func requireStar(t *topology.Tree) error {
-	center := t.Root()
-	if t.IsCompute(center) {
-		return fmt.Errorf("intersect: not a star topology (no central router)")
-	}
-	for _, v := range t.ComputeNodes() {
-		if t.Degree(v) != 1 {
-			return fmt.Errorf("intersect: not a star topology (compute node %v is internal)", v)
-		}
-		p, _ := t.Parent(v)
-		if p != center {
-			return fmt.Errorf("intersect: not a star topology (node %v not adjacent to center)", v)
-		}
-	}
-	if t.NumNodes() != t.NumCompute()+1 {
-		return fmt.Errorf("intersect: not a star topology (extra routers)")
-	}
-	return nil
 }

@@ -19,7 +19,13 @@ import (
 // Theorem 2: the cost is within O(log N · log |V|) of the Theorem 1 lower
 // bound with high probability.
 func Tree(t *topology.Tree, r, s dataset.Placement, seed uint64, opts ...netsim.Option) (*Result, error) {
-	return treeWithBlocks(t, r, s, seed, nil, opts)
+	return round(t, r, s, true, opts, func(in *instance) (*place.BlockRouter, error) {
+		blocks, err := place.BalancedPartition(t, in.loads, in.size0)
+		if err != nil {
+			return nil, err
+		}
+		return place.NewBlockRouter(t, blocks, in.weights(), seed, 1)
+	})
 }
 
 // TreeNoPartition runs Algorithm 2 with the balanced partition disabled
@@ -27,11 +33,27 @@ func Tree(t *topology.Tree, r, s dataset.Placement, seed uint64, opts ...netsim.
 // loses the per-block locality Theorem 2 relies on; used by the A2
 // ablation.
 func TreeNoPartition(t *topology.Tree, r, s dataset.Placement, seed uint64, opts ...netsim.Option) (*Result, error) {
-	single := [][]topology.NodeID{append([]topology.NodeID(nil), t.ComputeNodes()...)}
-	return treeWithBlocks(t, r, s, seed, single, opts)
+	return round(t, r, s, true, opts, func(in *instance) (*place.BlockRouter, error) {
+		return place.NewFlatRouter(t, in.weights(), seed, 1)
+	})
 }
 
-func treeWithBlocks(t *topology.Tree, r, s dataset.Placement, seed uint64, blocks [][]topology.NodeID, opts []netsim.Option) (*Result, error) {
+// UniformHash is the topology-oblivious MPC baseline: a classic distributed
+// hash join that hashes every tuple of both relations uniformly across all
+// compute nodes, ignoring both the topology and the data distribution.
+// Optimal in the MPC model under uniform initial distribution, it can be
+// far from optimal on heterogeneous trees — the comparison is experiment
+// E10 (internal/exper, recorded in EXPERIMENTS.md).
+func UniformHash(t *topology.Tree, r, s dataset.Placement, seed uint64, opts ...netsim.Option) (*Result, error) {
+	return round(t, r, s, false, opts, func(in *instance) (*place.BlockRouter, error) {
+		return place.NewFlatRouter(t, place.Uniform(len(in.nodes)), seed, 0xbead)
+	})
+}
+
+// round runs Algorithm 2's round with the router route builds: the smaller
+// relation replicated across its blocks when replicate, hashed within the
+// sender's block like the larger one otherwise.
+func round(t *topology.Tree, r, s dataset.Placement, replicate bool, opts []netsim.Option, route func(in *instance) (*place.BlockRouter, error)) (*Result, error) {
 	in, err := newInstance(t, r, s)
 	if err != nil {
 		return nil, err
@@ -39,42 +61,26 @@ func treeWithBlocks(t *topology.Tree, r, s dataset.Placement, seed uint64, block
 	if in.size0 == 0 {
 		return in.emptyResult(), nil
 	}
-	if blocks == nil {
-		blocks, err = place.BalancedPartition(t, in.loads, in.size0)
-		if err != nil {
-			return nil, err
-		}
-	}
-	weights := make([]float64, len(in.nodes)) // N_v by compute index
-	for i, v := range in.nodes {
-		weights[i] = float64(in.loads[v])
-	}
-	router, err := place.NewBlockRouter(t, blocks, weights, seed, 1)
+	router, err := route(in)
 	if err != nil {
 		return nil, fmt.Errorf("intersect: %w", err)
 	}
-
 	e := netsim.NewEngine(t, opts...)
 	x := e.Exchange()
-	x.Plan(func(v topology.NodeID, out *netsim.Outbox) {
-		i := t.ComputeIndex(v)
-		// Smaller relation: each key goes to one node per block; the keys
-		// sharing a destination vector travel as one multicast, vectors in
-		// order of first appearance.
-		group, n := router.DestinationGroups(in.rel0[i])
-		buf, off := layOut(in.rel0[i], group, n)
-		dsts := make([]topology.NodeID, len(blocks))
-		for g := 0; g < n; g++ {
-			router.Destinations(dsts, buf[off[g]])
-			out.Multicast(dsts, netsim.TagR, buf[off[g]:off[g+1]])
-		}
-		// Larger relation: hash within the node's own block only.
-		b := router.BlockOf(i)
-		sendHashed(out, in.rel1[i], blocks[b], router.Chooser(b), netsim.TagS)
-	})
+	router.Round(x, 1, replicate, func(i int) ([]uint64, []uint64) { return in.rel0[i], in.rel1[i] })
 	x.Execute()
-
 	res := finish(e, in, nil)
-	res.Blocks = blocks
+	if replicate {
+		res.Blocks = router.Blocks
+	}
 	return res, nil
+}
+
+// weights is N_v by compute index, the block hashes' weights.
+func (in *instance) weights() []float64 {
+	w := make([]float64, len(in.nodes))
+	for i, v := range in.nodes {
+		w[i] = float64(in.loads[v])
+	}
+	return w
 }

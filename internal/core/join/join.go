@@ -14,10 +14,13 @@
 // key-groups travel instead of single elements. A tuple costs 2 elements on
 // the wire (key + payload).
 //
-// Local compute is sort-merge on the par kernels, forked by home: a sender
-// lays its rows out by destination with par.Layout into one payload
-// buffer, a home drains its inbox once, radix-sorts the two sides by key
-// and merges them.
+// Tree and UniformHash are both Algorithm 2's round,
+// place.BlockRouter.Round, over 2-word rows — the balanced partition's
+// router with the smaller side replicated, or the one-block uniform router
+// with both sides hashed — so a sender's rows leave through place.Scatter,
+// the one keyed scatter. Local compute is sort-merge on the par kernels,
+// forked by home: a home drains its inbox once, radix-sorts the two sides
+// by key and merges them.
 //
 // No optimality theorem is claimed (output-optimal topology-aware joins are
 // open), and a single extremely heavy key can still overload its target
@@ -29,6 +32,7 @@ package join
 import (
 	"fmt"
 	"slices"
+	"unsafe"
 
 	"topompc/internal/core/place"
 	"topompc/internal/hashing"
@@ -153,41 +157,19 @@ func Verify(ref *Ref, res *Result) error {
 	return nil
 }
 
-// layOut lays a fragment's rows out by bucket in one payload buffer: the
-// rows of bucket b < n are the (key, payload) words buf[2*off[b]:2*off[b+1]],
-// in fragment order — 2 wire elements per tuple.
-func layOut(frag []Tuple, bucket []int32, n int) (buf []uint64, off []int32) {
-	pos, off := par.Layout(bucket, n)
-	buf = make([]uint64, 2*len(frag))
-	for j, tp := range frag {
-		buf[2*pos[j]], buf[2*pos[j]+1] = tp.Key, tp.Payload
-	}
-	return buf, off
-}
-
-// sendHashed queues one unicast per member that chooser maps some row of
-// frag to, in member order.
-func sendHashed(out *netsim.Outbox, frag []Tuple, members []topology.NodeID, chooser *hashing.WeightedChooser, tag netsim.Tag) {
-	bucket := make([]int32, len(frag))
-	for j, tp := range frag {
-		bucket[j] = int32(chooser.Choose(tp.Key))
-	}
-	buf, off := layOut(frag, bucket, len(members))
-	for m, to := range members {
-		if off[m] < off[m+1] {
-			out.Send(to, tag, buf[2*off[m]:2*off[m+1]])
-		}
-	}
+// words views a fragment as its wire rows without copying: a Tuple is the
+// two words (key, payload), so the fragment is 2·len(frag) words.
+func words(frag []Tuple) []uint64 {
+	return unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(frag))), 2*len(frag))
 }
 
 // Tree joins R and S on an arbitrary symmetric tree with the
 // TreeIntersect-style routing described in the package comment. seed drives
 // the shared hash functions.
 func Tree(t *topology.Tree, r, s Placement, seed uint64, opts ...netsim.Option) (*Result, error) {
-	nodes := t.ComputeNodes()
-	if len(r) != len(nodes) || len(s) != len(nodes) {
-		return nil, fmt.Errorf("join: placements cover %d/%d nodes, tree has %d compute nodes",
-			len(r), len(s), len(nodes))
+	nodes, err := check(t, r, s)
+	if err != nil {
+		return nil, err
 	}
 	var sizeR, sizeS int64
 	loads := make(topology.Loads, t.NumNodes())
@@ -198,11 +180,9 @@ func Tree(t *topology.Tree, r, s Placement, seed uint64, opts ...netsim.Option) 
 		loads[v] = int64(len(r[i]) + len(s[i]))
 		weights[i] = float64(loads[v])
 	}
-	small, large, swapped := r, s, false
-	if sizeS < sizeR {
-		small, large = s, r
-		sizeR, sizeS = sizeS, sizeR
-		swapped = true
+	small, large, swapped := r, s, sizeS < sizeR
+	if swapped {
+		small, large, sizeR = s, r, sizeS
 	}
 	if sizeR == 0 {
 		return &Result{
@@ -220,35 +200,10 @@ func Tree(t *topology.Tree, r, s Placement, seed uint64, opts ...netsim.Option) 
 	if err != nil {
 		return nil, err
 	}
-
-	e := netsim.NewEngine(t, opts...)
-	x := e.Exchange()
-	x.Plan(func(v topology.NodeID, out *netsim.Outbox) {
-		i := t.ComputeIndex(v)
-		// Smaller side: one multicast per destination vector across the
-		// blocks, in order of first appearance.
-		keys := make([]uint64, len(small[i]))
-		for j, tp := range small[i] {
-			keys[j] = tp.Key
-		}
-		group, n := router.DestinationGroups(keys)
-		buf, off := layOut(small[i], group, n)
-		dsts := make([]topology.NodeID, len(blocks))
-		for g := 0; g < n; g++ {
-			rows := buf[2*off[g] : 2*off[g+1]]
-			router.Destinations(dsts, rows[0])
-			out.Multicast(dsts, netsim.TagR, rows)
-		}
-		// Larger side: hash within the own block.
-		b := router.BlockOf(i)
-		sendHashed(out, large[i], blocks[b], router.Chooser(b), netsim.TagS)
-	})
-	x.Execute()
-
-	// TagR carried the smaller side; swapped restores the (R-payload,
+	// TagR carries the smaller side; swapped restores the (R-payload,
 	// S-payload) orientation of the sampled pairs. Sorting the S rows fixes
 	// the enumeration order the sample is taken in.
-	res := finish(e, nodes, true, swapped)
+	res := finish(round(t, router, true, small, large, opts), nodes, true, swapped)
 	res.Blocks = blocks
 	return res, nil
 }
@@ -256,24 +211,34 @@ func Tree(t *topology.Tree, r, s Placement, seed uint64, opts ...netsim.Option) 
 // UniformHash is the topology-oblivious baseline: both relations are hashed
 // by key uniformly over all compute nodes.
 func UniformHash(t *topology.Tree, r, s Placement, seed uint64, opts ...netsim.Option) (*Result, error) {
+	nodes, err := check(t, r, s)
+	if err != nil {
+		return nil, err
+	}
+	router, err := place.NewFlatRouter(t, place.Uniform(len(nodes)), seed, 0x10ad)
+	if err != nil {
+		return nil, err
+	}
+	return finish(round(t, router, false, r, s, opts), nodes, false, false), nil
+}
+
+func check(t *topology.Tree, r, s Placement) ([]topology.NodeID, error) {
 	nodes := t.ComputeNodes()
 	if len(r) != len(nodes) || len(s) != len(nodes) {
 		return nil, fmt.Errorf("join: placements cover %d/%d nodes, tree has %d compute nodes",
 			len(r), len(s), len(nodes))
 	}
-	chooser, err := hashing.NewWeightedChooser(hashing.Mix64(seed+0x10ad), place.Uniform(len(nodes)))
-	if err != nil {
-		return nil, err
-	}
+	return nodes, nil
+}
+
+// round runs Algorithm 2's round of router on an engine: r's rows under
+// TagR — replicated across the blocks when replicate — and s's under TagS.
+func round(t *topology.Tree, router *place.BlockRouter, replicate bool, r, s Placement, opts []netsim.Option) *netsim.Engine {
 	e := netsim.NewEngine(t, opts...)
 	x := e.Exchange()
-	x.Plan(func(v topology.NodeID, out *netsim.Outbox) {
-		i := t.ComputeIndex(v)
-		sendHashed(out, r[i], nodes, chooser, netsim.TagR)
-		sendHashed(out, s[i], nodes, chooser, netsim.TagS)
-	})
+	router.Round(x, 2, replicate, func(i int) ([]uint64, []uint64) { return words(r[i]), words(s[i]) })
 	x.Execute()
-	return finish(e, nodes, false, false), nil
+	return e
 }
 
 // homeScratch is one pool shard's working lanes for the per-home join.

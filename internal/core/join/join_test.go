@@ -204,8 +204,9 @@ func TestVerifyCatchesBadPairs(t *testing.T) {
 }
 
 // degenerateJoin draws a small join input on p nodes, bent by variant:
-// 0 an empty relation, 1 all data on one node, 2 one key carrying half the
-// rows, 3 every tuple twice, 4 as drawn.
+// 0 an empty R, 1 all data on one node, 2 one key carrying half the rows,
+// 3 every tuple twice, 4 as drawn, 5 an empty S, 6 one key carrying every
+// row, 7 one key per node.
 func degenerateJoin(rng *rand.Rand, variant, p int) (r, s Placement) {
 	r, s = genJoin(rng, p, 40+rng.Intn(200), 40+rng.Intn(400), 5+rng.Intn(60))
 	for _, rel := range []Placement{r, s} {
@@ -227,23 +228,38 @@ func degenerateJoin(rng *rand.Rand, variant, p int) (r, s Placement) {
 			for i, frag := range rel {
 				rel[i] = append(frag, frag...)
 			}
+		case 6:
+			for _, frag := range rel {
+				for j := range frag {
+					frag[j].Key = 3
+				}
+			}
+		case 7:
+			for i := range rel {
+				rel[i] = []Tuple{{Key: uint64(i), Payload: rng.Uint64()}}
+			}
 		}
 	}
-	if variant == 0 {
+	switch variant {
+	case 0:
 		r = make(Placement, p)
+	case 5:
+		s = make(Placement, p)
 	}
 	return r, s
 }
 
 // TestJoinDegenerateInputsAcrossWorkers runs both protocols on every
-// topotest shape (the single compute node among them) with degenerate
-// inputs: the result must verify and be the same at workers 1, 2, 4 and 7.
+// topotest shape (one-node, line, inner-compute and two-tier among them)
+// with degenerate inputs — empty R or S, all data on one node, half or all
+// keys equal, every tuple twice, one key per node — and as drawn: the
+// result must verify and be the same at workers 1, 2, 4 and 7.
 // The per-home joins fork on the pool; run with -race -count=10.
 func TestJoinDegenerateInputsAcrossWorkers(t *testing.T) {
 	protocols := map[string]func(*topology.Tree, Placement, Placement, uint64, ...netsim.Option) (*Result, error){
 		"tree": Tree, "uniform": UniformHash,
 	}
-	for iter := 0; iter < 5*topotest.NumShapes; iter++ {
+	for iter := 0; iter < 8*topotest.NumShapes; iter++ {
 		rng := rand.New(rand.NewSource(int64(300 + iter)))
 		shape, tr, err := topotest.Draw(rng, iter)
 		if err != nil {

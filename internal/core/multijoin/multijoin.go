@@ -27,10 +27,11 @@
 //     partition of a, weighted by capacity in the aware variant (Star /
 //     StarFlat).
 //
-// Local compute is sort-merge on the par kernels, forked by home: a sender
-// lays its tuples out by destination group with par.Layout into one
-// payload buffer, a home drains each relation once, radix-sorts it and
-// walks the sorted runs.
+// A sender numbers its tuples by target (star) or slab (triangle) and hands
+// them to place.Scatter, the one keyed scatter, which sends one message
+// per group in first-seen order. Local compute is sort-merge on the par
+// kernels, forked by home: a home drains each relation once, radix-sorts
+// it and walks the sorted runs.
 //
 // All routing cost is accounted by the Exchange engine's LCA
 // tree-difference counting (topology.PathAccumulator); multicast slabs are
@@ -42,10 +43,10 @@ package multijoin
 
 import (
 	"fmt"
+	"unsafe"
 
 	"topompc/internal/hashing"
 	"topompc/internal/netsim"
-	"topompc/internal/par"
 	"topompc/internal/topology"
 )
 
@@ -130,22 +131,10 @@ func BalancedShares(p, dims int) []int {
 	}
 }
 
-// layOutFirstSeen lays a fragment's tuples out by id (below space) in one
-// payload buffer, ids in order of first appearance: group g has id ids[g]
-// and the (A, B) words buf[2*off[g]:2*off[g+1]], in fragment order — 2 wire
-// elements per tuple.
-func layOutFirstSeen(frag []Tuple, space int, id func(Tuple) int) (ids []int32, buf []uint64, off []int32) {
-	group := make([]int32, len(frag))
-	for j, tp := range frag {
-		group[j] = int32(id(tp))
-	}
-	ids = par.FirstSeen(group, space)
-	pos, off := par.Layout(group, len(ids))
-	buf = make([]uint64, 2*len(frag))
-	for j, tp := range frag {
-		buf[2*pos[j]], buf[2*pos[j]+1] = tp.A, tp.B
-	}
-	return ids, buf, off
+// words views a fragment as its wire rows without copying: a Tuple is the
+// two words (A, B), so the fragment is 2·len(frag) words.
+func words(frag []Tuple) []uint64 {
+	return unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(frag))), 2*len(frag))
 }
 
 // tripleSig fingerprints one output triple; the order of mixing makes the

@@ -47,16 +47,15 @@ func star(tr *topology.Tree, rels []Placement, seed uint64, aware bool, opts []n
 	p := tr.NumCompute()
 	nodes := tr.ComputeNodes()
 
-	var weights []float64
+	weights := place.Uniform(p)
 	if aware {
 		weights = place.Capacities(tr)
-	} else {
-		weights = place.Uniform(p)
 	}
-	chooser, err := hashing.NewWeightedChooser(hashing.Mix64(seed+0x57A2), weights)
+	router, err := place.NewFlatRouter(tr, weights, seed, 0x57A2)
 	if err != nil {
 		return nil, err
 	}
+	h := router.Chooser(0)
 
 	e := netsim.NewEngine(tr, opts...)
 	x := e.Exchange()
@@ -65,10 +64,11 @@ func star(tr *topology.Tree, rels []Placement, seed uint64, aware bool, opts []n
 		for j, rel := range rels {
 			// One unicast per target, targets in first-seen order
 			// (deterministic for a fixed fragment order).
-			targets, buf, off := layOutFirstSeen(rel[i], p, func(tp Tuple) int { return chooser.Choose(tp.A) })
-			for g, d := range targets {
-				out.Send(nodes[d], netsim.Tag(j), buf[2*off[g]:2*off[g+1]])
+			target := make([]int32, len(rel[i]))
+			for k, tp := range rel[i] {
+				target[k] = int32(h.Choose(tp.A))
 			}
+			place.Scatter(out, netsim.Tag(j), words(rel[i]), 2, target, p, place.Targets{To: nodes, FirstSeen: true})
 		}
 	})
 	x.Execute()

@@ -97,10 +97,12 @@ func triangle(tr *topology.Tree, r, s, tt Placement, seed uint64, aware bool, op
 		// order (deterministic for a fixed fragment order).
 		for j, frag := range [3][]Tuple{r[i], s[i], tt[i]} {
 			rel := &rels[j]
-			slabs, buf, off := layOutFirstSeen(frag, len(rel.dst), rel.slab)
-			for g, k := range slabs {
-				out.Multicast(rel.dst[k], rel.tag, buf[2*off[g]:2*off[g+1]])
+			slab := make([]int32, len(frag))
+			for k, tp := range frag {
+				slab[k] = int32(rel.slab(tp))
 			}
+			place.Scatter(out, rel.tag, words(frag), 2, slab, len(rel.dst), place.Targets{
+				Vector: func(k int, _ []uint64) []topology.NodeID { return rel.dst[k] }, FirstSeen: true})
 		}
 	})
 	x.Execute()

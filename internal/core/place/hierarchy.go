@@ -150,30 +150,7 @@ func NewHierarchy(t *topology.Tree, weights []float64) *Hierarchy {
 // blocks are the connected components of the tree restricted to edges
 // with bandwidth ≥ th, combiners the heaviest members.
 func thresholdBlocks(t *topology.Tree, weights []float64, th float64) *BlockPlan {
-	comp := make([]int, t.NumNodes())
-	for i := range comp {
-		comp[i] = -1
-	}
-	numComp := 0
-	for start := 0; start < t.NumNodes(); start++ {
-		if comp[start] != -1 {
-			continue
-		}
-		id := numComp
-		numComp++
-		stack := []topology.NodeID{topology.NodeID(start)}
-		comp[start] = id
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, h := range t.Neighbors(v) {
-				if t.Bandwidth(h.Edge) >= th && comp[h.To] == -1 {
-					comp[h.To] = id
-					stack = append(stack, h.To)
-				}
-			}
-		}
-	}
+	comp, _ := components(t, func(e topology.EdgeID) bool { return t.Bandwidth(e) >= th })
 
 	plan := &BlockPlan{BlockOf: make([]int, t.NumCompute())}
 	blockID := make(map[int]int)
@@ -198,6 +175,35 @@ func thresholdBlocks(t *topology.Tree, weights []float64, th float64) *BlockPlan
 		plan.Combiner[b] = best
 	}
 	return plan
+}
+
+// components labels every node with its connected component of the tree
+// restricted to the edges keep accepts, components numbered in order of
+// their smallest node, and reports how many there are.
+func components(t *topology.Tree, keep func(e topology.EdgeID) bool) (comp []int, n int) {
+	comp = make([]int, t.NumNodes())
+	for i := range comp {
+		comp[i] = -1
+	}
+	for start := range comp {
+		if comp[start] != -1 {
+			continue
+		}
+		comp[start] = n
+		stack := []topology.NodeID{topology.NodeID(start)}
+		for len(stack) > 0 {
+			v := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, h := range t.Neighbors(v) {
+				if keep(h.Edge) && comp[h.To] == -1 {
+					comp[h.To] = n
+					stack = append(stack, h.To)
+				}
+			}
+		}
+		n++
+	}
+	return comp, n
 }
 
 // Depth reports the number of levels.

@@ -55,31 +55,8 @@ func BalancedPartition(t *topology.Tree, loads topology.Loads, sizeR int64) ([][
 		return [][]topology.NodeID{block}, nil
 	}
 
-	// α-connected components: BFS over α-edges only.
-	comp := make([]int, t.NumNodes())
-	for i := range comp {
-		comp[i] = -1
-	}
-	numComp := 0
-	for start := topology.NodeID(0); int(start) < t.NumNodes(); start++ {
-		if comp[start] != -1 {
-			continue
-		}
-		id := numComp
-		numComp++
-		queue := []topology.NodeID{start}
-		comp[start] = id
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			for _, h := range t.Neighbors(v) {
-				if classes[h.Edge] == Alpha && comp[h.To] == -1 {
-					comp[h.To] = id
-					queue = append(queue, h.To)
-				}
-			}
-		}
-	}
+	// α-connected components: the tree restricted to its α-edges.
+	comp, numComp := components(t, func(e topology.EdgeID) bool { return classes[e] == Alpha })
 
 	// Vertices of G_β are the endpoints of β-edges; Lemma 2 guarantees G_β
 	// is a connected subtree. Each α-component contains exactly one G_β

@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"topompc/internal/hashing"
+	"topompc/internal/netsim"
 	"topompc/internal/par"
 	"topompc/internal/topology"
 )
@@ -17,6 +18,7 @@ import (
 type BlockRouter struct {
 	// Blocks is the partition routed over.
 	Blocks   [][]topology.NodeID
+	t        *topology.Tree
 	blockOf  []int32                    // compute index -> block
 	choosers []*hashing.WeightedChooser // per block, over its members
 }
@@ -28,6 +30,7 @@ type BlockRouter struct {
 func NewBlockRouter(t *topology.Tree, blocks [][]topology.NodeID, weights []float64, seed, salt uint64) (*BlockRouter, error) {
 	r := &BlockRouter{
 		Blocks:   blocks,
+		t:        t,
 		blockOf:  make([]int32, t.NumCompute()),
 		choosers: make([]*hashing.WeightedChooser, len(blocks)),
 	}
@@ -47,6 +50,12 @@ func NewBlockRouter(t *topology.Tree, blocks [][]topology.NodeID, weights []floa
 	return r, nil
 }
 
+// NewFlatRouter is the router of one block holding every compute node: the
+// single weighted hash of a flat protocol, seeded Mix64(seed + salt).
+func NewFlatRouter(t *topology.Tree, weights []float64, seed, salt uint64) (*BlockRouter, error) {
+	return NewBlockRouter(t, [][]topology.NodeID{slices.Clone(t.ComputeNodes())}, weights, seed, salt)
+}
+
 // BlockOf reports the block holding the node at compute index ci.
 func (r *BlockRouter) BlockOf(ci int) int { return int(r.blockOf[ci]) }
 
@@ -59,6 +68,50 @@ func (r *BlockRouter) Destinations(dsts []topology.NodeID, key uint64) {
 	for b, members := range r.Blocks {
 		dsts[b] = members[r.choosers[b].Choose(key)]
 	}
+}
+
+// Hash queues words, rows of width words with the key first, hashed within
+// the block of compute index i: row j to member h_b(key), one unicast per
+// member in member order.
+func (r *BlockRouter) Hash(out *netsim.Outbox, tag netsim.Tag, i int, words []uint64, width int) {
+	b := r.BlockOf(i)
+	h := r.choosers[b]
+	bucket := make([]int32, len(words)/width)
+	for j := range bucket {
+		bucket[j] = int32(h.Choose(words[j*width]))
+	}
+	Scatter(out, tag, words, width, bucket, len(r.Blocks[b]), Targets{To: r.Blocks[b]})
+}
+
+// Round plans Algorithm 2's one round on x over rows of width words, key
+// first. The node at compute index i sends the two sides sides(i) reports:
+// the R side under TagR, replicated when replicate — row j to h_b(key) in
+// every block b, one multicast per destination vector in order of first
+// appearance — and hashed within i's block otherwise; the S side under
+// TagS, hashed within i's block.
+func (r *BlockRouter) Round(x *netsim.Exchange, width int, replicate bool, sides func(i int) (rs, ss []uint64)) {
+	x.Plan(func(v topology.NodeID, out *netsim.Outbox) {
+		i := r.t.ComputeIndex(v)
+		rs, ss := sides(i)
+		if replicate {
+			keys := rs
+			if width > 1 {
+				keys = make([]uint64, len(rs)/width)
+				for j := range keys {
+					keys[j] = rs[j*width]
+				}
+			}
+			group, n := r.DestinationGroups(keys)
+			dsts := make([]topology.NodeID, len(r.Blocks))
+			Scatter(out, netsim.TagR, rs, width, group, n, Targets{Vector: func(_ int, rows []uint64) []topology.NodeID {
+				r.Destinations(dsts, rows[0])
+				return dsts
+			}})
+		} else {
+			r.Hash(out, netsim.TagR, i, rs, width)
+		}
+		r.Hash(out, netsim.TagS, i, ss, width)
+	})
 }
 
 // DestinationGroups numbers keys by destination vector in order of first
@@ -74,8 +127,9 @@ func (r *BlockRouter) DestinationGroups(keys []uint64) (group []int32, n int) {
 		if space*uint64(len(members)) > limit {
 			space = compact(ids)
 		}
+		h := r.choosers[b]
 		for j, k := range keys {
-			ids[j] = ids[j]*uint64(len(members)) + uint64(r.choosers[b].Choose(k))
+			ids[j] = ids[j]*uint64(len(members)) + uint64(h.Choose(k))
 		}
 		space *= uint64(len(members))
 	}

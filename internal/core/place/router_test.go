@@ -78,3 +78,39 @@ func TestDestinationGroupsMatchMapOracle(t *testing.T) {
 		}
 	}
 }
+
+// TestFlatRouterKeepsProtocolSeeds pins the seed contract of the one-block
+// router: its hash is the weighted chooser seeded Mix64(seed + salt) over
+// FallbackUniform(weights), for every salt a flat protocol hashes under
+// (intersect's star and baseline, join's baseline, the star multijoin,
+// connectivity's homes and aggregation's three home hashes).
+func TestFlatRouterKeepsProtocolSeeds(t *testing.T) {
+	tr, err := topology.TwoTier([]int{3, 1, 4}, []float64{1, 2, 0.5}, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := tr.NumCompute()
+	skewed := make([]float64, p)
+	for i := range skewed {
+		skewed[i] = float64(i * i % 7) // zeros among them
+	}
+	const seed = 42
+	for _, salt := range []uint64{0x5151, 0xbead, 0x10ad, 0x57A2, 0xCC0C, 0xa66, 0xa99, 0xfeed} {
+		for name, w := range map[string][]float64{"uniform": Uniform(p), "skewed": skewed} {
+			r, err := NewFlatRouter(tr, w, seed, salt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := hashing.NewWeightedChooser(hashing.Mix64(seed+salt), FallbackUniform(w))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := uint64(0); k < 10000; k++ {
+				key := k * 0x9E3779B97F4A7C15
+				if got, exp := r.Chooser(0).Choose(key), want.Choose(key); got != exp {
+					t.Fatalf("salt %#x, %s weights: key %d goes to member %d, want %d", salt, name, key, got, exp)
+				}
+			}
+		}
+	}
+}

@@ -1,0 +1,56 @@
+package place
+
+import (
+	"topompc/internal/netsim"
+	"topompc/internal/par"
+	"topompc/internal/topology"
+)
+
+// Targets is where a keyed scatter sends its buckets: bucket b as a unicast
+// to To[b], or, when To is nil, as a multicast to Vector(b, words), words
+// being the bucket's laid-out rows. Buckets go out in bucket order, or with
+// FirstSeen in the order the fragment first meets them.
+type Targets struct {
+	To        []topology.NodeID
+	Vector    func(b int, words []uint64) []topology.NodeID
+	FirstSeen bool
+}
+
+// Scatter is the one layout-and-send step of every hash or splitter
+// partition. words is one sender's fragment of width-word rows (width 1 or
+// 2), key first, and row j goes to bucket[j] < n. The rows are laid out by
+// bucket in one payload buffer with par.Layout, in fragment order inside a
+// bucket, and every non-empty bucket leaves as one message under tag.
+// bucket is overwritten.
+func Scatter(out *netsim.Outbox, tag netsim.Tag, words []uint64, width int, bucket []int32, n int, to Targets) {
+	var ids []int32 // with FirstSeen: the bucket of each group
+	if to.FirstSeen {
+		ids = par.FirstSeen(bucket, n)
+		n = len(ids)
+	}
+	pos, off := par.Layout(bucket, n)
+	buf := make([]uint64, len(words))
+	if width == 1 {
+		for j, at := range pos {
+			buf[at] = words[j]
+		}
+	} else {
+		for j, at := range pos {
+			buf[2*at], buf[2*at+1] = words[2*j], words[2*j+1]
+		}
+	}
+	for g := 0; g < n; g++ {
+		if off[g] == off[g+1] {
+			continue
+		}
+		b, rows := g, buf[width*int(off[g]):width*int(off[g+1])]
+		if ids != nil {
+			b = int(ids[g])
+		}
+		if to.To != nil {
+			out.Send(to.To[b], tag, rows)
+		} else {
+			out.Multicast(to.Vector(b, rows), tag, rows)
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"slices"
 
+	"topompc/internal/core/place"
 	"topompc/internal/dataset"
 	"topompc/internal/netsim"
 	"topompc/internal/par"
@@ -212,8 +213,14 @@ func (c *candidate) planRound(x *netsim.Exchange, r int, in *instance, priced bo
 	case priced:
 		h.planRedistribute(x, in, c.dsts, c.splitters)
 	default:
+		// The keys of splitter interval j go to dsts[j] in one message.
 		x.Plan(func(v topology.NodeID, out *netsim.Outbox) {
-			sendBySplitter(out, h.keys[in.t.ComputeIndex(v)], c.splitters, c.dsts)
+			keys := h.keys[in.t.ComputeIndex(v)]
+			bucket := make([]int32, len(keys))
+			for j, k := range keys {
+				bucket[j] = int32(bucketOf(k, c.splitters))
+			}
+			place.Scatter(out, netsim.TagData, keys, 1, bucket, len(c.dsts), place.Targets{To: c.dsts})
 		})
 	}
 }

@@ -173,23 +173,3 @@ func bucketOf(x uint64, splitters []uint64) int {
 	_, below := bits.Sub64(x, splitters[base], 0)
 	return base + 1 - int(below)
 }
-
-// sendBySplitter queues one holder's part of a sample sort's last round:
-// the keys of splitter interval j go to dsts[j] in one message, in fragment
-// order.
-func sendBySplitter(out *netsim.Outbox, keys, splitters []uint64, dsts []topology.NodeID) {
-	bucket := make([]int32, len(keys))
-	for j, x := range keys {
-		bucket[j] = int32(bucketOf(x, splitters))
-	}
-	pos, off := par.Layout(bucket, len(dsts))
-	buf := make([]uint64, len(keys))
-	for j, x := range keys {
-		buf[pos[j]] = x
-	}
-	for j, to := range dsts {
-		if off[j] < off[j+1] {
-			out.Send(to, netsim.TagData, buf[off[j]:off[j+1]])
-		}
-	}
-}

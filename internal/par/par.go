@@ -489,9 +489,10 @@ func SortPairs(k, v, tk, tv []uint64) (sk, sv, rk, rv []uint64) {
 // Layout is the counting pass behind every partition of a fragment by
 // destination: bucket[j] < n is row j's bucket, and on return row j lands at
 // pos[j] of a buffer in which bucket b's rows are off[b]:off[b+1], in
-// fragment order. It sees bucket ids only, so each row type keeps its own
-// write loop (buf[pos[j]] = row j) and nothing is flattened or copied to get
-// here. pos reuses bucket's storage. Serial, callable from inside a shard.
+// fragment order. It sees bucket ids only; place.Scatter, the one keyed
+// scatter, writes the 1- or 2-word rows to pos[j] and sends the buckets,
+// and triangle's home-side slab grouping is the other caller. pos reuses
+// bucket's storage. Serial, callable from inside a shard.
 func Layout(bucket []int32, n int) (pos, off []int32) {
 	// Counted two slots up and summed, off[b+1] is where bucket b starts; the
 	// position pass advances it to where b ends, which is where b+1 starts.

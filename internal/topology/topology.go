@@ -122,6 +122,20 @@ func (t *Tree) ComputeIndex(v NodeID) int { return int(t.computeIndex[v]) }
 // Root reports the internal root used for path and cut computations.
 func (t *Tree) Root() NodeID { return t.root }
 
+// IsStar reports whether t is a star: the root is its one router, and
+// every compute node is a leaf attached to it.
+func (t *Tree) IsStar() bool {
+	if t.compute[t.root] || t.NumNodes() != t.NumCompute()+1 {
+		return false
+	}
+	for _, v := range t.computeList {
+		if t.Degree(v) != 1 {
+			return false
+		}
+	}
+	return true
+}
+
 // Parent reports the parent of v in the rooted orientation and the edge
 // leading to it; the root reports (NoNode, NoEdge).
 func (t *Tree) Parent(v NodeID) (NodeID, EdgeID) { return t.parent[v], t.parentEdge[v] }
