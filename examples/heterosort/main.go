@@ -4,9 +4,11 @@
 // The central rack has a fat uplink and already holds 90% of the data; the
 // branch rack sits behind a 16× slower uplink. Classic TeraSort assigns
 // every node an equal share of the key space, which drags nearly half the
-// dataset through the slow uplink. Weighted TeraSort (wTS) sizes each
-// node's range by the data it already holds, so the slow uplink carries
-// only the stragglers.
+// dataset through the slow uplink. Cluster.Sort prices weighted TeraSort
+// (wTS), which sizes each node's range by the data it already holds, against
+// a one-round gather at the heaviest holder, and runs the cheaper: either
+// way the slow uplink carries only the stragglers, and here the gather,
+// which sends them once, is the cheaper of the two.
 package main
 
 import (
@@ -54,14 +56,14 @@ func main() {
 	}
 
 	fmt.Printf("%-24s rounds %d   cost %10.1f   LB %10.1f   ratio %5.2f\n",
-		"weighted TeraSort (wTS)", aware.Cost.Rounds, aware.Cost.Cost, aware.Cost.LowerBound, aware.Cost.Ratio())
+		"planned sort ("+aware.Strategy+")", aware.Cost.Rounds, aware.Cost.Cost, aware.Cost.LowerBound, aware.Cost.Ratio())
 	fmt.Printf("%-24s rounds %d   cost %10.1f   LB %10.1f   ratio %5.2f\n",
 		"classic TeraSort", oblivious.Cost.Rounds, oblivious.Cost.Cost, oblivious.Cost.LowerBound, oblivious.Cost.Ratio())
 	fmt.Printf("\ndistribution-awareness wins by %.1fx on the slow uplink\n",
 		oblivious.Cost.Cost/aware.Cost.Cost)
 
 	fmt.Println("\nfinal fragment sizes (central nodes first):")
-	fmt.Printf("  wTS:      %v\n", fragSizes(aware))
+	fmt.Printf("  planned:  %v\n", fragSizes(aware))
 	fmt.Printf("  TeraSort: %v\n", fragSizes(oblivious))
 }
 

@@ -11,7 +11,7 @@ import (
 // CapacitySort and CapacitySortFlat.
 const awareStride = 15485863
 
-// CapacitySort is the planned sort: it prices three candidate plans on the
+// CapacitySort is the planned sort: it prices four candidate plans on the
 // actual instance (netsim.Exchange.Price) and runs the cheapest on the same
 // engine.
 //
@@ -27,15 +27,20 @@ const awareStride = 15485863
 //     locally. It wins when most of the data already sits behind a weak cut,
 //     where key ranges cannot help: that data must leave (Theorem 6's cut
 //     term), and the cheapest place for the rest is with it.
+//   - Weighted TeraSort ("wts"): the four rounds of WTSUnpriced with
+//     proportional light routing, which ranges keys by the heavy nodes'
+//     working sets instead of their capacities.
 //
-// Every node draws its sample once, and a splitter candidate is priced as
-// the sum of its three rounds. Its redistribution is priced from each node's
-// key counts per interval of the union of both candidates' splitters, one
-// bucket pass per key, so no key is laid out for a plan that loses. Ties go
-// to fewer rounds, then to the order above; Result.Strategy names the
-// winner. The output is a valid sort either way.
+// Every holder draws its sample once per candidate holding it — the splitter
+// sorts share one draw, wTS's heavy nodes draw their own — and a sample sort
+// is priced as the sum of its rounds. Its redistribution is priced from each
+// holder's key counts per interval of the union of all candidates'
+// splitters, one bucket pass per held key, on views of the placement, so no
+// key is laid out or copied for a plan that loses. Ties go to fewer rounds,
+// then to the order above; Result.Strategy names the winner. The output is a
+// valid sort either way.
 func CapacitySort(t *topology.Tree, data dataset.Placement, seed uint64, opts ...netsim.Option) (*Result, error) {
-	return planSort(t, data, seed, awareStride, opts, capacityRanges, uniformRanges, gatherHeaviest)
+	return planSort(t, data, seed, awareStride, opts, capacityRanges, uniformRanges, gatherHeaviest, weightedRanges(ProportionalLight))
 }
 
 // CapacitySortFlat is the topology-oblivious counterpart: the three-round

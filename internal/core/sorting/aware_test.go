@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"topompc/internal/dataset"
+	"topompc/internal/lowerbound"
 	"topompc/internal/netsim"
 	"topompc/internal/topology"
 	"topompc/internal/topology/topotest"
@@ -187,29 +189,74 @@ func TestCapacitySortEmptyAndTiny(t *testing.T) {
 	}
 }
 
+// plannedSort is a planned entry point with its candidates, in order, each
+// of which runs alone as a one-candidate plan of the same stride.
+type plannedSort struct {
+	name   string
+	run    func(*topology.Tree, dataset.Placement, uint64, ...netsim.Option) (*Result, error)
+	stride int64
+	cands  []layout
+}
+
+var plannedSorts = []plannedSort{
+	{"sort", WTS, wtsStride, []layout{weightedRanges(ProportionalLight), gatherHeaviest}},
+	{"sort-aware", CapacitySort, awareStride, []layout{capacityRanges, uniformRanges, gatherHeaviest, weightedRanges(ProportionalLight)}},
+}
+
+// checkCheapest runs ps and each of its candidates alone on data and fails
+// unless the planned run costs exactly the least candidate (fewer rounds,
+// then candidate order, among equals), returns that candidate's output and
+// rounds under its name, verifies and costs at least the Theorem 6 bound.
+func checkCheapest(t *testing.T, at string, ps plannedSort, tr *topology.Tree, data dataset.Placement, seed uint64, opts ...netsim.Option) *Result {
+	t.Helper()
+	planned, err := ps.run(tr, data, seed, opts...)
+	if err != nil {
+		t.Fatalf("%s: %v", at, err)
+	}
+	if err := Verify(tr, Reference(data), planned); err != nil {
+		t.Fatalf("%s: %v", at, err)
+	}
+	var best *Result
+	var costs []float64
+	for _, lay := range ps.cands {
+		alone, err := planSort(tr, data, seed, ps.stride, opts, lay)
+		if err != nil {
+			t.Fatalf("%s: %v", at, err)
+		}
+		c := alone.Report.TotalCost()
+		costs = append(costs, c)
+		if best == nil || c < best.Report.TotalCost() || c == best.Report.TotalCost() && alone.Report.NumRounds() < best.Report.NumRounds() {
+			best = alone
+		}
+	}
+	if got, want := planned.Report.TotalCost(), best.Report.TotalCost(); got != want || planned.Strategy != best.Strategy {
+		t.Fatalf("%s: planned %s at %v, want %s at %v (candidates alone: %v)", at, planned.Strategy, got, best.Strategy, want, costs)
+	}
+	if !reflect.DeepEqual(planned.PerNode, best.PerNode) || !reflect.DeepEqual(planned.Report.Rounds, best.Report.Rounds) {
+		t.Fatalf("%s: planned run differs from %s run alone", at, best.Strategy)
+	}
+	loads := make(topology.Loads, tr.NumNodes())
+	for i, v := range tr.ComputeNodes() {
+		loads[v] = int64(len(data[i]))
+	}
+	if lb := lowerbound.Sorting(tr, loads).Value; planned.Report.TotalCost() < lb {
+		t.Fatalf("%s: cost %v below the Theorem 6 bound %v", at, planned.Report.TotalCost(), lb)
+	}
+	return planned
+}
+
 // TestCapacitySortRunsCheapestCandidate: on every golden fixture tree and
-// three draws of every topotest shape, under four placements of distinct and of heavily
-// repeated keys, the planned sort costs exactly the least of its three
-// candidates run alone on the same input — the capacity candidate,
-// CapacitySortFlat and the gather at the heaviest holder — and returns that
-// candidate's output under its name (fewer rounds, then candidate order,
-// among equals), at 1 and 4 workers.
+// three draws of every topotest shape, under four placements of distinct and
+// of heavily repeated keys, the planned sort costs exactly the least of its
+// four candidates run alone on the same input — the capacity candidate,
+// CapacitySortFlat, the gather at the heaviest holder and wTS — and returns
+// that candidate's output under its name (fewer rounds, then candidate
+// order, among equals), at 1 and 4 workers.
 func TestCapacitySortRunsCheapestCandidate(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	shapes := fixtureTrees()
 	for i := 0; i < 3*topotest.NumShapes; i++ {
 		shapes = append(shapes, func() (string, *topology.Tree, error) { return topotest.Draw(rng, i) })
-	}
-	places := []struct {
-		name string
-		fn   func([]uint64, int) (dataset.Placement, error)
-	}{
-		{"uniform", uniformPlace},
-		{"zipf", func(k []uint64, p int) (dataset.Placement, error) {
-			return dataset.SplitZipf(rand.New(rand.NewSource(3)), k, p, 1.2)
-		}},
-		{"oneheavy", func(k []uint64, p int) (dataset.Placement, error) { return dataset.SplitOneHeavy(k, p, 0, 0.8) }},
-		{"single", func(k []uint64, p int) (dataset.Placement, error) { return dataset.SplitSingle(k, p, p-1) }},
 	}
 	wins := map[string]int{}
 	for _, shape := range shapes {
@@ -217,7 +264,7 @@ func TestCapacitySortRunsCheapestCandidate(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		for _, pl := range places {
+		for _, pl := range conformancePlaces {
 			for _, repeats := range []bool{false, true} {
 				keys := dataset.Distinct(rng, 2400)
 				if repeats {
@@ -229,54 +276,69 @@ func TestCapacitySortRunsCheapestCandidate(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ref := Reference(data)
 				for _, workers := range []int{1, 4} {
 					at := fmt.Sprintf("%s/%s/repeats=%v/workers=%d", name, pl.name, repeats, workers)
-					opts := []netsim.Option{netsim.WithWorkers(workers)}
-					capacity, err := planSort(tr, data, 11, awareStride, opts, capacityRanges)
-					if err != nil {
-						t.Fatalf("%s: %v", at, err)
-					}
-					flat, err := CapacitySortFlat(tr, data, 11, opts...)
-					if err != nil {
-						t.Fatalf("%s: %v", at, err)
-					}
-					gathered, err := planSort(tr, data, 11, awareStride, opts, gatherHeaviest)
-					if err != nil {
-						t.Fatalf("%s: %v", at, err)
-					}
-					planned, err := CapacitySort(tr, data, 11, opts...)
-					if err != nil {
-						t.Fatalf("%s: %v", at, err)
-					}
-					if err := Verify(tr, ref, planned); err != nil {
-						t.Fatalf("%s: %v", at, err)
-					}
-					best := capacity
-					for _, alone := range []*Result{flat, gathered} {
-						c, b := alone.Report.TotalCost(), best.Report.TotalCost()
-						if c < b || c == b && alone.Report.NumRounds() < best.Report.NumRounds() {
-							best = alone
-						}
-					}
-					if got, want := planned.Report.TotalCost(), best.Report.TotalCost(); got != want || planned.Strategy != best.Strategy {
-						t.Fatalf("%s: planned %s at %v, want %s at %v (capacity %v, flat %v, gather %v)", at,
-							planned.Strategy, got, best.Strategy, want,
-							capacity.Report.TotalCost(), flat.Report.TotalCost(), gathered.Report.TotalCost())
-					}
-					if !reflect.DeepEqual(planned.PerNode, best.PerNode) || !reflect.DeepEqual(planned.Report.Rounds, best.Report.Rounds) {
-						t.Fatalf("%s: planned run differs from %s run alone", at, best.Strategy)
-					}
+					planned := checkCheapest(t, at, plannedSorts[1], tr, data, 11, netsim.WithWorkers(workers))
 					wins[planned.Strategy]++
 				}
 			}
 		}
 	}
 	// Every candidate wins somewhere on the grid.
-	for _, s := range []string{"sort-aware", "sort-flat", "gather"} {
+	for _, s := range []string{"sort-aware", "sort-flat", "gather", "wts"} {
 		if wins[s] == 0 {
 			t.Errorf("no instance chose %s: %v", s, wins)
 		}
 	}
 	t.Logf("winners: %v", wins)
+}
+
+type namedPlace struct {
+	name string
+	fn   func([]uint64, int) (dataset.Placement, error)
+}
+
+// conformancePlaces are the placements the planned-sort tests draw inputs
+// with.
+var conformancePlaces = []namedPlace{
+	{"uniform", uniformPlace},
+	{"zipf", func(k []uint64, p int) (dataset.Placement, error) {
+		return dataset.SplitZipf(rand.New(rand.NewSource(3)), k, p, 1.2)
+	}},
+	{"oneheavy", func(k []uint64, p int) (dataset.Placement, error) { return dataset.SplitOneHeavy(k, p, 0, 0.8) }},
+	{"single", func(k []uint64, p int) (dataset.Placement, error) { return dataset.SplitSingle(k, p, p-1) }},
+}
+
+// TestPlannedSortsConformance runs both planned sorts — WTS ("sort") and
+// CapacitySort ("sort-aware") — on every topotest shape under the four
+// placements, no data, and all data on the first node, at 1 and 4 workers.
+// Each costs exactly the least of its candidates run alone, at least the
+// Theorem 6 bound, and returns the same result at both worker counts.
+func TestPlannedSortsConformance(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	places := append(slices.Clip(conformancePlaces),
+		namedPlace{"no data", func(_ []uint64, p int) (dataset.Placement, error) { return make(dataset.Placement, p), nil }},
+		namedPlace{"all on first", func(k []uint64, p int) (dataset.Placement, error) { return dataset.SplitSingle(k, p, 0) }})
+	for i := 0; i < topotest.NumShapes; i++ {
+		name, tr, err := topotest.Draw(rng, i)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, pl := range places {
+			data, err := pl.fn(dataset.Distinct(rng, 1500), tr.NumCompute())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, ps := range plannedSorts {
+				var runs [2]*Result
+				for w, workers := range []int{1, 4} {
+					at := fmt.Sprintf("%s/%s/%s/workers=%d", name, pl.name, ps.name, workers)
+					runs[w] = checkCheapest(t, at, ps, tr, data, 5, netsim.WithWorkers(workers))
+				}
+				if !reflect.DeepEqual(runs[0], runs[1]) {
+					t.Errorf("%s/%s/%s: results differ between 1 and 4 workers", name, pl.name, ps.name)
+				}
+			}
+		}
+	}
 }

@@ -33,10 +33,11 @@ func newInstance(t *topology.Tree, data dataset.Placement, seed uint64, stride i
 			len(data), len(nodes))
 	}
 	in := &instance{t: t, nodes: nodes, order: t.LeftToRight(), data: data, loads: make(topology.Loads, t.NumNodes()),
-		seed: int64(seed), stride: stride, every: &holders{keys: data, seeds: make([]int64, len(nodes))}}
+		seed: int64(seed), stride: stride, every: &holders{parts: make([][][]uint64, len(nodes)), seeds: make([]int64, len(nodes))}}
 	for i, v := range nodes {
 		in.loads[v] = int64(len(data[i]))
 		in.total += in.loads[v]
+		in.every.parts[i] = data[i : i+1 : i+1]
 		in.every.seeds[i] = in.seed + int64(i)*stride
 	}
 	return in, nil
@@ -70,11 +71,12 @@ type candidate struct {
 }
 
 // holders are the nodes that sample and redistribute in a sample sort:
-// compute node i holds keys[i], none when it takes no part, and samples
-// them from seeds[i]. Candidates with the same holders share one draw and
-// one pricing count.
+// compute node i holds the concatenation of parts[i], views of the
+// placement — nothing when it takes no part — and samples it from seeds[i].
+// The parts are copied into one slice only when the plan runs. Candidates
+// with the same holders share one draw and one pricing count.
 type holders struct {
-	keys    [][]uint64
+	parts   [][][]uint64
 	seeds   []int64
 	samples [][]uint64 // per compute node, once drawn
 	sorted  []uint64   // every sample, ascending
@@ -158,15 +160,17 @@ func planSort(tr *topology.Tree, data dataset.Placement, seed uint64, stride int
 // own seed, and their pooled ascending order, which is what a coordinator
 // sorts once they have arrived.
 func (h *holders) draw(pool *par.Pool, rho float64) {
-	h.samples = make([][]uint64, len(h.keys))
-	pool.ForEach("sorting sample", len(h.keys), func(i int) {
-		if len(h.keys[i]) == 0 {
+	h.samples = make([][]uint64, len(h.parts))
+	pool.ForEach("sorting sample", len(h.parts), func(i int) {
+		if h.size(i) == 0 {
 			return
 		}
 		rng := rand.New(rand.NewSource(h.seeds[i]))
-		for _, x := range h.keys[i] {
-			if rng.Float64() < rho {
-				h.samples[i] = append(h.samples[i], x)
+		for _, part := range h.parts[i] {
+			for _, x := range part {
+				if rng.Float64() < rho {
+					h.samples[i] = append(h.samples[i], x)
+				}
 			}
 		}
 	})
@@ -215,7 +219,7 @@ func (c *candidate) planRound(x *netsim.Exchange, r int, in *instance, priced bo
 	default:
 		// The keys of splitter interval j go to dsts[j] in one message.
 		x.Plan(func(v topology.NodeID, out *netsim.Outbox) {
-			keys := h.keys[in.t.ComputeIndex(v)]
+			keys := h.keys(in.t.ComputeIndex(v))
 			bucket := make([]int32, len(keys))
 			for j, k := range keys {
 				bucket[j] = int32(bucketOf(k, c.splitters))
@@ -261,19 +265,39 @@ func cheapest(e *netsim.Engine, in *instance, cands []candidate) *candidate {
 // redistribution of all candidates.
 func (h *holders) count(pool *par.Pool, union []uint64) {
 	w := len(union) + 1
-	h.union, h.counts = union, make([]int, len(h.keys)*w)
-	pool.ForEach("sorting price", len(h.keys), func(i int) {
+	h.union, h.counts = union, make([]int, len(h.parts)*w)
+	pool.ForEach("sorting price", len(h.parts), func(i int) {
 		row := h.counts[i*w : (i+1)*w]
-		for _, x := range h.keys[i] {
-			row[bucketOf(x, union)]++
+		for _, part := range h.parts[i] {
+			for _, x := range part {
+				row[bucketOf(x, union)]++
+			}
 		}
 	})
 }
 
+// size is how many keys compute node i holds.
+func (h *holders) size(i int) int {
+	n := 0
+	for _, part := range h.parts[i] {
+		n += len(part)
+	}
+	return n
+}
+
+// keys is what compute node i holds, in one slice: its one part, or a copy
+// of its parts in order.
+func (h *holders) keys(i int) []uint64 {
+	if len(h.parts[i]) == 1 {
+		return h.parts[i][0]
+	}
+	return slices.Concat(h.parts[i]...)
+}
+
 // planRedistribute queues the redistribution by the given splitters from
-// the counts alone: holder i sends dsts[j] a message as long as the keys it
-// holds in interval j, the right length of its own keys' prefix, which is
-// all Price reads.
+// the counts alone: holder i sends dsts[j] as many keys as it holds in
+// interval j, cut as prefixes of its parts. Price reads only lengths, and a
+// path costs the same for one message as for several adding up to it.
 func (h *holders) planRedistribute(x *netsim.Exchange, in *instance, dsts []topology.NodeID, splitters []uint64) {
 	w := len(h.union) + 1
 	// Union interval u lies in the splitters' interval bucket[u]: a key x in
@@ -285,19 +309,23 @@ func (h *holders) planRedistribute(x *netsim.Exchange, in *instance, dsts []topo
 	}
 	x.Plan(func(v topology.NodeID, out *netsim.Outbox) {
 		i := in.t.ComputeIndex(v)
-		frag, row := h.keys[i], h.counts[i*w:(i+1)*w]
+		row := h.counts[i*w : (i+1)*w]
+		send := func(j, k int) {
+			for _, part := range h.parts[i] {
+				if n := min(k, len(part)); n > 0 {
+					out.Send(dsts[j], netsim.TagData, part[:n])
+					k -= n
+				}
+			}
+		}
 		j, k := 0, 0
 		for u, c := range row {
 			if bucket[u] != j {
-				if k > 0 {
-					out.Send(dsts[j], netsim.TagData, frag[:k])
-				}
+				send(j, k)
 				j, k = bucket[u], 0
 			}
 			k += c
 		}
-		if k > 0 {
-			out.Send(dsts[j], netsim.TagData, frag[:k])
-		}
+		send(j, k)
 	})
 }

@@ -1,9 +1,10 @@
 // Package sorting implements the distributed sorting protocols of §5 of
 // the paper: weighted TeraSort (wTS), a four-round sampling-based protocol
 // that is within O(1) of the Theorem 6 lower bound with high probability,
-// together with the classic TeraSort and gather baselines and CapacitySort,
-// a planner that prices capacity splitters, uniform splitters and a gather
-// on the instance and runs the cheapest.
+// together with the classic TeraSort baseline and two planners that price
+// their candidates on the instance and run the cheapest: WTS (wTS or a
+// gather at the heaviest holder) and CapacitySort (capacity splitters,
+// uniform splitters, the gather and wTS).
 //
 // Every protocol here is a list of layouts run by one driver, planSort. A
 // layout lays out a candidate: either a gather at one node, or a sample sort
@@ -40,9 +41,8 @@ type Result struct {
 	Report *netsim.Report
 	// Strategy names the candidate the driver ran: "wts", "terasort", the
 	// splitter sorts "sort-aware" (capacity ranges) and "sort-flat" (uniform
-	// ranges), or "gather" — wTS's majority-holder and no-heavy-node cases,
-	// and CapacitySort's third candidate. CapacitySort reports the
-	// candidate it priced cheapest.
+	// ranges), or "gather" at the heaviest holder. WTS and CapacitySort
+	// report the candidate they priced cheapest.
 	Strategy string
 }
 

@@ -150,7 +150,12 @@ var sortEntryPoints = []struct {
 	run  func(*topology.Tree, dataset.Placement, uint64, ...netsim.Option) (*Result, error)
 }{
 	{"wts", WTS},
-	{"wts-uniform-light", WTSUniformLight},
+	{"wts-unpriced", func(t *topology.Tree, d dataset.Placement, s uint64, o ...netsim.Option) (*Result, error) {
+		return WTSUnpriced(t, d, s, ProportionalLight, o...)
+	}},
+	{"wts-uniform-light", func(t *topology.Tree, d dataset.Placement, s uint64, o ...netsim.Option) (*Result, error) {
+		return WTSUnpriced(t, d, s, UniformLight, o...)
+	}},
 	{"terasort", TeraSort},
 	{"capacity-flat", CapacitySortFlat},
 	{"capacity", CapacitySort},

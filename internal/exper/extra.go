@@ -66,7 +66,7 @@ func runE10(cfg Config) ([]Table, error) {
 			func(int) (input, error) { return setPair(rng, tree, sizeR, 4*sizeR, sizeR/10, heavy, heavy) }},
 		{"cartesian", "tree wHC", "uniform HyperCube", cartesianTask, uniformGrid,
 			func(int) (input, error) { return distinctPair(rng, tree, half, half, heavy) }},
-		{"sorting", "weighted TeraSort", "TeraSort", sortTask, sortBaseline,
+		{"sorting", "planned wTS", "TeraSort", sortTask, sortBaseline,
 			func(int) (input, error) { return distinctKeys(rng, tree, 4*p*p*cfg.pick(64, 16), heavy) }},
 	} {
 		// The oblivious protocol runs first, on the input both share: its cost
@@ -127,10 +127,15 @@ func runA3(cfg Config) ([]Table, error) {
 	ms := table.each("45%/25% heavy", star, cfg.Seed, func(int) (input, error) {
 		return distinctKeys(seeded(cfg.Seed), star, 4*p*p*cfg.pick(64, 16), weighted(0.45, 0.25, 0.075, 0.075, 0.075, 0.075))
 	},
-		task{name: "proportional", run: func(t *topology.Tree, in input, seed uint64) (any, error) { return sorting.WTS(t, in.r, seed) }},
+		task{name: "proportional", run: func(t *topology.Tree, in input, seed uint64) (any, error) {
+			return sorting.WTSUnpriced(t, in.r, seed, sorting.ProportionalLight)
+		}},
 		task{name: "uniform split", run: func(t *topology.Tree, in input, seed uint64) (any, error) {
-			return sorting.WTSUniformLight(t, in.r, seed)
+			return sorting.WTSUnpriced(t, in.r, seed, sorting.UniformLight)
 		}})
+	for i, arm := range []string{"proportional", "uniform split"} {
+		table.holds(ms[i].Strategy == "wts", "%s arm ran %s, not wts", arm, ms[i].Strategy)
+	}
 	table.AddRow("proportional (Alg 6)", ms[0].Cost, ms[0].Bound, ms[0].Ratio())
 	table.AddRow("uniform split", ms[1].Cost, ms[1].Bound, ms[1].Ratio())
 	return finish(table)

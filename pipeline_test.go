@@ -104,7 +104,12 @@ func TestPipelinesRejectWrongOutput(t *testing.T) {
 		}},
 		{"sort/keys-swapped-across-nodes", "sort", func(t *testing.T, how fault) taskRun {
 			return sortTask(func(tr *topology.Tree, data dataset.Placement, seed uint64, o ...netsim.Option) (*sorting.Result, error) {
-				res, err := sorting.WTS(tr, data, seed, o...)
+				// Unpriced, so that the output spans the heavy nodes: the
+				// planned sort may gather it all on one.
+				res, err := sorting.WTSUnpriced(tr, data, seed, sorting.ProportionalLight, o...)
+				if err == nil && res.Strategy != "wts" {
+					t.Fatalf("strategy = %s, want wts", res.Strategy)
+				}
 				return tampered(how, res, err, func(res *sorting.Result) {
 					ij := nonEmpty(t, 2, len(res.PerNode), func(i int) int { return len(res.PerNode[i]) })
 					i, j := ij[0], ij[1]

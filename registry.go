@@ -140,9 +140,9 @@ var tasks = []Task{
 	{Name: "join-baseline", Kind: TaskPair, Run: joinTask(join.UniformHash),
 		Description: "binary equi-join with the topology-oblivious uniform hash join"},
 	{Name: "sort", Kind: TaskSingle, Baseline: "sort-baseline", Run: sortTask(sorting.WTS),
-		Description: "distributed sort with weighted TeraSort (§5.2)"},
+		Description: "planned sort: prices weighted TeraSort (§5.2) and a gather, runs the cheaper"},
 	{Name: "sort-aware", Kind: TaskSingle, Baseline: "sort-aware-flat", Run: sortTask(sorting.CapacitySort),
-		Description: "planned sort: prices capacity splitters, uniform splitters and a gather, runs the cheapest"},
+		Description: "planned sort: prices capacity splitters, uniform splitters, a gather and wTS, runs the cheapest"},
 	{Name: "sort-aware-flat", Kind: TaskSingle, Run: sortTask(sorting.CapacitySortFlat),
 		Description: "splitter sort with uniform key ranges (flat baseline for sort-aware)"},
 	{Name: "sort-baseline", Kind: TaskSingle, Run: sortTask(sorting.TeraSort),

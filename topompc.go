@@ -499,10 +499,10 @@ type SortResult struct {
 	// NodeOrder is the valid left-to-right ordering the output respects,
 	// as fragment indices.
 	NodeOrder []int
-	// Strategy names the candidate the sort driver ran: "wts" or, for a
-	// majority holder or an input with no heavy node, "gather" (Sort);
-	// "terasort" (SortBaseline); the planned winner "sort-aware",
-	// "sort-flat" or "gather" (SortAware); "sort-flat" (SortAwareBaseline).
+	// Strategy names the candidate the sort driver ran: the priced winner,
+	// "wts" or "gather" (Sort) and "sort-aware", "sort-flat", "gather" or
+	// "wts" (SortAware); "terasort" (SortBaseline); "sort-flat"
+	// (SortAwareBaseline).
 	Strategy string
 	// Cost is the execution cost against the Theorem 6 lower bound.
 	Cost Cost
@@ -511,9 +511,12 @@ type SortResult struct {
 }
 
 // Sort redistributes the data so that node fragments are globally ordered
-// along a left-to-right traversal of the tree, using weighted TeraSort
-// (§5.2): at most four rounds, within O(1) of the instance optimum with
-// high probability in the regime N ≥ 4|VC|²ln(|VC|·N).
+// along a left-to-right traversal of the tree. It prices two plans on the
+// actual input and runs the cheaper: weighted TeraSort (§5.2, "wts"), at
+// most four rounds and within O(1) of the instance optimum with high
+// probability in the regime N ≥ 4|VC|²ln(|VC|·N), and a one-round gather at
+// the heaviest holder ("gather"), which wins on small or concentrated
+// inputs; ties go to the gather. SortResult.Strategy names the winner.
 func (c *Cluster) Sort(data [][]uint64, seed uint64) (*SortResult, error) {
 	return c.sortWith(data, seed, sorting.WTS)
 }
@@ -524,14 +527,15 @@ func (c *Cluster) SortBaseline(data [][]uint64, seed uint64) (*SortResult, error
 	return c.sortWith(data, seed, sorting.TeraSort)
 }
 
-// SortAware is the planned sort: it prices three plans on the actual input
+// SortAware is the planned sort: it prices four plans on the actual input
 // and runs the cheapest. The candidates are the capacity-weighted splitter
-// sort (key ranges apportioned by each node's bandwidth capacity, so nodes
-// behind weak cuts own small ranges), the same sort with uniform ranges
-// (SortAwareBaseline), and a one-round gather at the heaviest holder, which
-// wins when most data already sits behind a weak cut. SortResult.Strategy
-// names the winner. It never costs more than SortAwareBaseline on the same
-// input.
+// sort ("sort-aware": key ranges apportioned by each node's bandwidth
+// capacity, so nodes behind weak cuts own small ranges), the same sort with
+// uniform ranges ("sort-flat", SortAwareBaseline), a one-round gather at the
+// heaviest holder ("gather"), which wins when most data already sits behind
+// a weak cut, and weighted TeraSort ("wts"). Ties go to fewer rounds, then
+// to that order; SortResult.Strategy names the winner. It never costs more
+// than SortAwareBaseline on the same input.
 func (c *Cluster) SortAware(data [][]uint64, seed uint64) (*SortResult, error) {
 	return c.sortWith(data, seed, sorting.CapacitySort)
 }
