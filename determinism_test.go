@@ -130,7 +130,7 @@ var primitiveOutputs = map[string]func(c *topompc.Cluster, in topompc.TaskInput)
 type outputChecksum = func(c *topompc.Cluster, in topompc.TaskInput) (uint64, error)
 
 // joinChecksum covers every join.Result field: per-node pair counts, the
-// sampled pairs in emission order, and the blocks.
+// sampled pairs in emission order, the blocks and the strategy name.
 func joinChecksum(run func(*topology.Tree, join.Placement, join.Placement, uint64, ...netsim.Option) (*join.Result, error)) outputChecksum {
 	return func(c *topompc.Cluster, in topompc.TaskInput) (uint64, error) {
 		tr, opts := topompc.ProtocolEnv(c)
@@ -150,6 +150,7 @@ func joinChecksum(run func(*topology.Tree, join.Placement, join.Placement, uint6
 		for _, block := range res.Blocks {
 			h = fragmentsChecksum(h, [][]uint64{words(block)})
 		}
+		h = fragmentsChecksum(h, [][]uint64{words([]byte(res.Strategy))})
 		return roundsChecksum(h, res.Report), nil
 	}
 }

@@ -53,8 +53,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("join: %d (order, customer) matches   cost %.1f   rounds %d\n",
-		join.Pairs, join.Cost.Cost, join.Cost.Rounds)
+	fmt.Printf("join: %d (order, customer) matches   cost %.1f   rounds %d   plan %s\n",
+		join.Pairs, join.Cost.Cost, join.Cost.Rounds, join.Strategy)
 
 	joinBase, _ := cluster.JoinBaseline(cust, orders, 42)
 	fmt.Printf("      oblivious plan would cost %.1f (%.1fx more)\n\n",

@@ -5,6 +5,7 @@ import (
 
 	"topompc/internal/core/aggregate"
 	"topompc/internal/core/join"
+	"topompc/internal/lowerbound"
 	"topompc/internal/netsim"
 	"topompc/internal/topology"
 )
@@ -12,7 +13,8 @@ import (
 // This file exposes the extension tasks built on top of the paper's
 // primitives: group-by aggregation and binary equi-joins. See the
 // internal/core/aggregate and internal/core/join package docs for scope and
-// caveats — no optimality theorems are claimed for these.
+// caveats — no optimality theorems are claimed for these, though both are
+// costed against a lower bound.
 
 // GroupValue is one (group, value) record for aggregation.
 type GroupValue = aggregate.Pair
@@ -131,17 +133,25 @@ type JoinResult struct {
 	Pairs int64
 	// PairsPerNode is the per-node share of the output.
 	PairsPerNode []int64
-	// Cost is the execution cost in wire elements (2 per tuple). No lower
-	// bound is claimed for joins; LowerBound is 0 and Ratio is +Inf unless
-	// the cost is 0.
+	// Cost is the execution cost in wire elements (2 per tuple) against
+	// Theorem 1's intersection bound over the tuples' two words: loads
+	// 2(|R_v|+|S_v|), sizes 2|R| and 2|S|. An equi-join of two sets is
+	// their intersection, so the bound is the join's worst case over inputs
+	// with these loads, as it is the intersection's.
 	Cost Cost
+	// Strategy names the plan that ran: "blocks", "capacity-hash" or
+	// "uniform-hash".
+	Strategy string
 	// Report is the per-round cost accounting of the execution.
 	Report *netsim.Report
 }
 
-// Join computes R ⋈ S on the join key with the topology-aware plan
+// Join computes R ⋈ S on the join key in one round. It prices three plans
+// of that round on the instance and runs the cheapest: Algorithm 2's round
 // (balanced partition + weighted in-block hashing; the smaller relation's
-// key-groups are replicated across blocks). One round.
+// key-groups are replicated across blocks), a hash weighted by each node's
+// bandwidth capacity, and JoinBaseline's uniform hash, so it never costs
+// more than JoinBaseline.
 func (c *Cluster) Join(r, s [][]Row, seed uint64) (*JoinResult, error) {
 	return c.joinWith(r, s, seed, join.Tree)
 }
@@ -157,21 +167,29 @@ type joinProtocol func(t *topology.Tree, r, s join.Placement, seed uint64, opts 
 
 // joinWith is the equi-join pipeline: the number of emitted pairs must
 // equal the reference |R ⋈ S| and every sampled pair must be made of input
-// tuples (join.Verify).
+// tuples (join.Verify), and the cost is reported against Theorem 1 over
+// the tuples' two words (JoinResult.Cost).
 func (c *Cluster) joinWith(r, s [][]Row, seed uint64, run joinProtocol) (*JoinResult, error) {
 	if err := c.checkPair(len(r), len(s)); err != nil {
 		return nil, err
 	}
-	res, _, err := verified(c, func(opts ...netsim.Option) (*join.Result, error) {
+	res, lb, err := verified(c, func(opts ...netsim.Option) (*join.Result, error) {
 		return run(c.t, r, s, seed, opts...)
-	}, func() (*join.Ref, float64) { return join.Reference(r, s), 0 }, join.Verify)
+	}, func() (*join.Ref, float64) {
+		loads := make(topology.Loads, c.t.NumNodes())
+		for i, v := range c.t.ComputeNodes() {
+			loads[v] = 2 * int64(len(r[i])+len(s[i]))
+		}
+		return join.Reference(r, s), lowerbound.Intersection(c.t, loads, 2*sizes(r), 2*sizes(s)).Value
+	}, join.Verify)
 	if err != nil {
 		return nil, err
 	}
 	return &JoinResult{
 		Pairs:        res.TotalPairs(),
 		PairsPerNode: res.PerNode,
-		Cost:         costOf(res.Report, 0),
+		Cost:         costOf(res.Report, lb),
+		Strategy:     res.Strategy,
 		Report:       res.Report,
 	}, nil
 }
@@ -186,7 +204,7 @@ func joinTask(run joinProtocol) func(*Cluster, TaskInput) (*TaskResult, error) {
 			return nil, err
 		}
 		return &TaskResult{
-			Summary: fmt.Sprintf("|R|=%d |S|=%d pairs=%d", sizes(in.R), sizes(in.S), res.Pairs),
+			Summary: fmt.Sprintf("|R|=%d |S|=%d pairs=%d strategy=%s", sizes(in.R), sizes(in.S), res.Pairs, res.Strategy),
 			Cost:    res.Cost,
 			Report:  res.Report,
 		}, nil

@@ -129,11 +129,11 @@ func TestGoldenCosts(t *testing.T) {
 // golden fixtures: the planned sort (sort-aware) and combiner-tree
 // aggregation (agg-aware) must strictly beat their flat counterparts on the
 // skewed two-tier and caterpillar topologies. Both tasks of a pair run on
-// the same input, so the ratio isolates the lever. sort-aware prices its
-// flat counterpart as one of its candidates, so its parity bound is 1.0×
-// on every fixture and placement; agg-aware must stay within 1.05× on the
-// symmetric star and fat-tree (where no combining plan engages and it
-// coincides with its baseline by construction).
+// the same input, so the ratio isolates the lever. sort-aware and join
+// price their flat counterparts as one of their candidates, so their
+// parity bound is 1.0× on every fixture and placement; agg-aware must stay
+// within 1.05× on the symmetric star and fat-tree (where no combining plan
+// engages and it coincides with its baseline by construction).
 func TestGoldenPlaceAwareVsFlat(t *testing.T) {
 	beats := []struct {
 		aware, flat, topo, place string
@@ -156,14 +156,16 @@ func TestGoldenPlaceAwareVsFlat(t *testing.T) {
 			}
 		})
 	}
-	for _, topo := range fixtureTopos {
-		for _, place := range fixturePlacements {
-			t.Run(fmt.Sprintf("parity/sort-aware/%s/%s", topo.Name, place), func(t *testing.T) {
-				aware, flat := runPair(t, "sort-aware", "sort-aware-flat", topo.Name, place)
-				if aware > flat {
-					t.Errorf("planned cost %.1f exceeds its flat candidate's %.1f", aware, flat)
-				}
-			})
+	for _, pair := range [][2]string{{"sort-aware", "sort-aware-flat"}, {"join", "join-baseline"}} {
+		for _, topo := range fixtureTopos {
+			for _, place := range fixturePlacements {
+				t.Run(fmt.Sprintf("parity/%s/%s/%s", pair[0], topo.Name, place), func(t *testing.T) {
+					aware, flat := runPair(t, pair[0], pair[1], topo.Name, place)
+					if aware > flat {
+						t.Errorf("planned cost %.1f exceeds its flat candidate's %.1f", aware, flat)
+					}
+				})
+			}
 		}
 	}
 	for _, topo := range []string{"star-uniform", "fattree"} {

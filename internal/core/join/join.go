@@ -6,31 +6,39 @@
 // each pair at least once at some compute node. Unlike set intersection the
 // relations are bags: a key may appear many times on either side, so a key
 // k contributes |R_k|·|S_k| output pairs and co-locating its full R-group
-// with each S-tuple is required.
+// with each S-tuple is required. A tuple costs 2 elements on the wire (key +
+// payload).
 //
-// The protocol composes the paper's machinery: join keys are routed exactly
-// like TreeIntersect routes set elements (balanced partition, weighted
-// in-block hashing, smaller side replicated across blocks), but whole
-// key-groups travel instead of single elements. A tuple costs 2 elements on
-// the wire (key + payload).
+// The join is one round of Algorithm 2, place.BlockRouter.Round, over 2-word
+// rows, so a sender's rows leave through place.Scatter, the one keyed
+// scatter. Tree plans which router that round takes. It prices three on the
+// instance (place.BlockRouter.PriceRound, then netsim.Exchange.Price) and
+// runs the cheapest on the same engine, the first among equals:
 //
-// Tree and UniformHash are both Algorithm 2's round,
-// place.BlockRouter.Round, over 2-word rows — the balanced partition's
-// router with the smaller side replicated, or the one-block uniform router
-// with both sides hashed — so a sender's rows leave through place.Scatter,
-// the one keyed scatter. Local compute is sort-merge on the par kernels,
-// forked by home: a home drains its inbox once, radix-sorts the two sides
-// by key and merges them.
+//   - blocks: join keys routed exactly like TreeIntersect routes set
+//     elements (balanced partition, weighted in-block hashing, the smaller
+//     side replicated across blocks), whole key-groups travelling instead of
+//     single elements. Its guarantee is worst-case: where every block spans
+//     weak links, the replication costs more than it saves.
+//   - capacity-hash: both sides hashed over every compute node in proportion
+//     to its bandwidth capacity (place.Capacities), as multijoin.Star hashes.
+//   - uniform-hash: UniformHash's uniform hash, so Tree never costs more than
+//     the topology-oblivious baseline.
+//
+// Pricing reads bucket counts only, so a losing router lays no row out.
+// Local compute is sort-merge on the par kernels, forked by home: a home
+// drains its inbox once, radix-sorts the two sides by key and merges them.
 //
 // No optimality theorem is claimed (output-optimal topology-aware joins are
-// open), and a single extremely heavy key can still overload its target
-// node — handling that requires per-key output-space splitting, which is
-// exactly the open problem. The package exists to demonstrate composition
-// of the primitives and is exercised by experiment X2.
+// open; the root package reports the cost against Theorem 1 over the
+// tuples' two words), and a single extremely heavy key can still overload
+// its target node — handling that requires per-key output-space splitting,
+// which is exactly the open problem. Experiment X2 exercises the package.
 package join
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"unsafe"
 
@@ -66,8 +74,13 @@ type Result struct {
 	Sample [][]Pair
 	// Report is the cost accounting.
 	Report *netsim.Report
-	// Blocks is the balanced partition used.
+	// Blocks is the partition the round hashed within: the balanced
+	// partition, or one block of every compute node for a flat hash (nil
+	// from UniformHash and when nothing moves).
 	Blocks [][]topology.NodeID
+	// Strategy names the plan that ran: StrategyBlocks,
+	// StrategyCapacityHash or StrategyUniformHash.
+	Strategy string
 }
 
 // SampleLimit bounds the per-node pair sample kept for verification.
@@ -163,10 +176,40 @@ func words(frag []Tuple) []uint64 {
 	return unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(frag))), 2*len(frag))
 }
 
-// Tree joins R and S on an arbitrary symmetric tree with the
-// TreeIntersect-style routing described in the package comment. seed drives
-// the shared hash functions.
+// The strategies Tree prices, in the order ties go.
+const (
+	// StrategyBlocks is Algorithm 2's round over the balanced partition.
+	StrategyBlocks = "blocks"
+	// StrategyCapacityHash hashes both sides over every compute node with
+	// probability proportional to place.Capacities.
+	StrategyCapacityHash = "capacity-hash"
+	// StrategyUniformHash hashes both sides uniformly over every compute
+	// node, as UniformHash does.
+	StrategyUniformHash = "uniform-hash"
+)
+
+// Tree joins R and S on an arbitrary symmetric tree: it prices three plans
+// of the one round on the instance — Algorithm 2's block round described in
+// the package comment, a capacity-weighted hash and UniformHash's uniform
+// hash, the latter two flat — and runs the cheapest, the first among equals.
+// Pricing lays no row out (place.BlockRouter.PriceRound). seed drives the
+// shared hash functions; the uniform plan is UniformHash's, so Tree never
+// costs more than it.
 func Tree(t *topology.Tree, r, s Placement, seed uint64, opts ...netsim.Option) (*Result, error) {
+	return planned(t, r, s, seed, opts, StrategyBlocks, StrategyCapacityHash, StrategyUniformHash)
+}
+
+// candidate is one plan of Tree's round: a router, and whether it
+// replicates the smaller side across its blocks.
+type candidate struct {
+	strategy  string
+	router    *place.BlockRouter
+	replicate bool
+}
+
+// planned builds the named plans of Tree's round, prices them on one engine
+// and runs the cheapest there; a single plan runs unpriced.
+func planned(t *topology.Tree, r, s Placement, seed uint64, opts []netsim.Option, strategies ...string) (*Result, error) {
 	nodes, err := check(t, r, s)
 	if err != nil {
 		return nil, err
@@ -186,25 +229,55 @@ func Tree(t *topology.Tree, r, s Placement, seed uint64, opts ...netsim.Option) 
 	}
 	if sizeR == 0 {
 		return &Result{
-			PerNode: make([]int64, len(nodes)),
-			Sample:  make([][]Pair, len(nodes)),
-			Report:  &netsim.Report{Tree: t},
+			PerNode:  make([]int64, len(nodes)),
+			Sample:   make([][]Pair, len(nodes)),
+			Report:   &netsim.Report{Tree: t},
+			Strategy: strategies[0],
 		}, nil
 	}
 
-	blocks, err := place.BalancedPartition(t, loads, sizeR)
-	if err != nil {
-		return nil, err
-	}
-	router, err := place.NewBlockRouter(t, blocks, weights, seed, 1)
-	if err != nil {
-		return nil, err
+	cands := make([]candidate, len(strategies))
+	for i, name := range strategies {
+		c := &cands[i]
+		c.strategy = name
+		switch name {
+		case StrategyBlocks:
+			var blocks [][]topology.NodeID
+			if blocks, err = place.BalancedPartition(t, loads, sizeR); err == nil {
+				c.router, err = place.NewBlockRouter(t, blocks, weights, seed, 1)
+			}
+			c.replicate = true
+		case StrategyCapacityHash:
+			c.router, err = place.NewFlatRouter(t, place.Capacities(t), seed, 0xCA9A)
+		default:
+			c.router, err = uniformRouter(t, seed)
+		}
+		if err != nil {
+			return nil, err
+		}
 	}
 	// TagR carries the smaller side; swapped restores the (R-payload,
 	// S-payload) orientation of the sampled pairs. Sorting the S rows fixes
 	// the enumeration order the sample is taken in.
-	res := finish(round(t, router, true, small, large, opts), nodes, true, swapped)
-	res.Blocks = blocks
+	sides := func(i int) ([]uint64, []uint64) { return words(small[i]), words(large[i]) }
+	e := netsim.NewEngine(t, opts...)
+	best := &cands[0]
+	if len(cands) > 1 {
+		bestCost := math.Inf(1)
+		for i := range cands {
+			c := &cands[i]
+			x := e.Exchange()
+			c.router.PriceRound(x, 2, c.replicate, sides)
+			if cost, _ := x.Price(); cost < bestCost {
+				best, bestCost = c, cost
+			}
+		}
+	}
+	x := e.Exchange()
+	best.router.Round(x, 2, best.replicate, sides)
+	x.Execute()
+	res := finish(e, nodes, true, swapped)
+	res.Blocks, res.Strategy = best.router.Blocks, best.strategy
 	return res, nil
 }
 
@@ -215,11 +288,23 @@ func UniformHash(t *topology.Tree, r, s Placement, seed uint64, opts ...netsim.O
 	if err != nil {
 		return nil, err
 	}
-	router, err := place.NewFlatRouter(t, place.Uniform(len(nodes)), seed, 0x10ad)
+	router, err := uniformRouter(t, seed)
 	if err != nil {
 		return nil, err
 	}
-	return finish(round(t, router, false, r, s, opts), nodes, false, false), nil
+	e := netsim.NewEngine(t, opts...)
+	x := e.Exchange()
+	router.Round(x, 2, false, func(i int) ([]uint64, []uint64) { return words(r[i]), words(s[i]) })
+	x.Execute()
+	res := finish(e, nodes, false, false)
+	res.Strategy = StrategyUniformHash
+	return res, nil
+}
+
+// uniformRouter is the one uniform hash of UniformHash and of Tree's
+// uniform plan.
+func uniformRouter(t *topology.Tree, seed uint64) (*place.BlockRouter, error) {
+	return place.NewFlatRouter(t, place.Uniform(t.NumCompute()), seed, 0x10ad)
 }
 
 func check(t *topology.Tree, r, s Placement) ([]topology.NodeID, error) {
@@ -229,16 +314,6 @@ func check(t *topology.Tree, r, s Placement) ([]topology.NodeID, error) {
 			len(r), len(s), len(nodes))
 	}
 	return nodes, nil
-}
-
-// round runs Algorithm 2's round of router on an engine: r's rows under
-// TagR — replicated across the blocks when replicate — and s's under TagS.
-func round(t *topology.Tree, router *place.BlockRouter, replicate bool, r, s Placement, opts []netsim.Option) *netsim.Engine {
-	e := netsim.NewEngine(t, opts...)
-	x := e.Exchange()
-	router.Round(x, 2, replicate, func(i int) ([]uint64, []uint64) { return words(r[i]), words(s[i]) })
-	x.Execute()
-	return e
 }
 
 // homeScratch is one pool shard's working lanes for the per-home join.

@@ -1,11 +1,13 @@
 package join
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
 
+	"topompc/internal/dataset"
 	"topompc/internal/netsim"
 	"topompc/internal/topology"
 	"topompc/internal/topology/topotest"
@@ -249,23 +251,76 @@ func degenerateJoin(rng *rand.Rand, variant, p int) (r, s Placement) {
 	return r, s
 }
 
+// placedJoin draws a join input on p nodes under one of the four placements
+// the golden fixtures use: uniform, zipf, oneheavy (80% on the first node)
+// or single (everything on the last node).
+func placedJoin(rng *rand.Rand, placement string, p int) (r, s Placement, err error) {
+	split := func(keys []uint64) (dataset.Placement, error) {
+		switch placement {
+		case "uniform":
+			return dataset.SplitUniform(keys, p)
+		case "zipf":
+			return dataset.SplitZipf(rng, keys, p, 1.2)
+		case "oneheavy":
+			return dataset.SplitOneHeavy(keys, p, 0, 0.8)
+		default:
+			return dataset.SplitSingle(keys, p, p-1)
+		}
+	}
+	rel := func(n, keySpace int) (Placement, error) {
+		keys := make([]uint64, n)
+		for j := range keys {
+			keys[j] = uint64(rng.Intn(keySpace))
+		}
+		frags, err := split(keys)
+		out := make(Placement, p)
+		for i, frag := range frags {
+			for _, k := range frag {
+				out[i] = append(out[i], Tuple{Key: k, Payload: rng.Uint64()})
+			}
+		}
+		return out, err
+	}
+	keySpace := 5 + rng.Intn(300)
+	if r, err = rel(40+rng.Intn(300), keySpace); err != nil {
+		return nil, nil, err
+	}
+	s, err = rel(40+rng.Intn(600), keySpace)
+	return r, s, err
+}
+
+// joinPlacements are the placements placedJoin draws, after the eight
+// variants of degenerateJoin.
+var joinPlacements = []string{"uniform", "zipf", "oneheavy", "single"}
+
 // TestJoinDegenerateInputsAcrossWorkers runs both protocols on every
 // topotest shape (one-node, line, inner-compute and two-tier among them)
 // with degenerate inputs — empty R or S, all data on one node, half or all
-// keys equal, every tuple twice, one key per node — and as drawn: the
-// result must verify and be the same at workers 1, 2, 4 and 7.
+// keys equal, every tuple twice, one key per node — as drawn, and under the
+// four golden placements: the result must verify and be the same at
+// workers 1, 2, 4 and 7. Tree must cost exactly the least of its three
+// plans run alone, and name the first plan of that cost; each plan must be
+// the cheapest somewhere on the grid.
 // The per-home joins fork on the pool; run with -race -count=10.
 func TestJoinDegenerateInputsAcrossWorkers(t *testing.T) {
 	protocols := map[string]func(*topology.Tree, Placement, Placement, uint64, ...netsim.Option) (*Result, error){
 		"tree": Tree, "uniform": UniformHash,
 	}
-	for iter := 0; iter < 8*topotest.NumShapes; iter++ {
+	strategies := []string{StrategyBlocks, StrategyCapacityHash, StrategyUniformHash}
+	variants := 8 + len(joinPlacements)
+	won := make(map[string]int)
+	for iter := 0; iter < variants*topotest.NumShapes; iter++ {
 		rng := rand.New(rand.NewSource(int64(300 + iter)))
 		shape, tr, err := topotest.Draw(rng, iter)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, s := degenerateJoin(rng, iter/topotest.NumShapes, tr.NumCompute())
+		var r, s Placement
+		if v := iter / topotest.NumShapes; v < 8 {
+			r, s = degenerateJoin(rng, v, tr.NumCompute())
+		} else if r, s, err = placedJoin(rng, joinPlacements[v-8], tr.NumCompute()); err != nil {
+			t.Fatal(err)
+		}
 		for name, run := range protocols {
 			var want *Result
 			for _, workers := range []int{1, 2, 4, 7} {
@@ -279,10 +334,38 @@ func TestJoinDegenerateInputsAcrossWorkers(t *testing.T) {
 				if want == nil {
 					want = res
 				} else if !reflect.DeepEqual(res.PerNode, want.PerNode) || !reflect.DeepEqual(res.Sample, want.Sample) ||
-					!reflect.DeepEqual(res.Blocks, want.Blocks) || res.Report.TotalCost() != want.Report.TotalCost() {
+					!reflect.DeepEqual(res.Blocks, want.Blocks) || res.Strategy != want.Strategy ||
+					res.Report.TotalCost() != want.Report.TotalCost() {
 					t.Fatalf("iter %d %s %s: workers=%d result differs from workers=1", iter, shape, name, workers)
 				}
 			}
+			if name != "tree" {
+				continue
+			}
+			least, first := math.Inf(1), ""
+			for _, strategy := range strategies {
+				alone, err := planned(tr, r, s, uint64(iter), nil, strategy)
+				if err != nil {
+					t.Fatalf("iter %d %s %s alone: %v", iter, shape, strategy, err)
+				}
+				if err := Verify(Reference(r, s), alone); err != nil {
+					t.Fatalf("iter %d %s %s alone: %v", iter, shape, strategy, err)
+				}
+				if cost := alone.Report.TotalCost(); cost < least {
+					least, first = cost, strategy
+				}
+			}
+			if got := want.Report.TotalCost(); got != least || want.Strategy != first {
+				t.Fatalf("iter %d %s: Tree ran %s for %v, the least plan alone is %s for %v",
+					iter, shape, want.Strategy, got, first, least)
+			}
+			won[first]++
 		}
 	}
+	for _, strategy := range strategies {
+		if won[strategy] == 0 {
+			t.Errorf("no input has %s as the cheapest plan (wins: %v)", strategy, won)
+		}
+	}
+	t.Logf("cheapest plans: %v", won)
 }

@@ -74,13 +74,17 @@ func (r *BlockRouter) Destinations(dsts []topology.NodeID, key uint64) {
 // the block of compute index i: row j to member h_b(key), one unicast per
 // member in member order.
 func (r *BlockRouter) Hash(out *netsim.Outbox, tag netsim.Tag, i int, words []uint64, width int) {
+	r.hash(out, tag, i, words, width, Scatter)
+}
+
+func (r *BlockRouter) hash(out *netsim.Outbox, tag netsim.Tag, i int, words []uint64, width int, scatter scatterFunc) {
 	b := r.BlockOf(i)
 	h := r.choosers[b]
 	bucket := make([]int32, len(words)/width)
 	for j := range bucket {
 		bucket[j] = int32(h.Choose(words[j*width]))
 	}
-	Scatter(out, tag, words, width, bucket, len(r.Blocks[b]), Targets{To: r.Blocks[b]})
+	scatter(out, tag, words, width, bucket, len(r.Blocks[b]), Targets{To: r.Blocks[b]})
 }
 
 // Round plans Algorithm 2's one round on x over rows of width words, key
@@ -90,6 +94,18 @@ func (r *BlockRouter) Hash(out *netsim.Outbox, tag netsim.Tag, i int, words []ui
 // appearance — and hashed within i's block otherwise; the S side under
 // TagS, hashed within i's block.
 func (r *BlockRouter) Round(x *netsim.Exchange, width int, replicate bool, sides func(i int) (rs, ss []uint64)) {
+	r.round(x, width, replicate, sides, Scatter)
+}
+
+// PriceRound plans Round's messages on x from bucket counts alone, for
+// Exchange.Price: each goes to the same receivers as Round's, with a prefix
+// of its sender's rows of the same length, so the price is Round's cost
+// without a row laid out.
+func (r *BlockRouter) PriceRound(x *netsim.Exchange, width int, replicate bool, sides func(i int) (rs, ss []uint64)) {
+	r.round(x, width, replicate, sides, priceScatter)
+}
+
+func (r *BlockRouter) round(x *netsim.Exchange, width int, replicate bool, sides func(i int) (rs, ss []uint64), scatter scatterFunc) {
 	x.Plan(func(v topology.NodeID, out *netsim.Outbox) {
 		i := r.t.ComputeIndex(v)
 		rs, ss := sides(i)
@@ -103,14 +119,14 @@ func (r *BlockRouter) Round(x *netsim.Exchange, width int, replicate bool, sides
 			}
 			group, n := r.DestinationGroups(keys)
 			dsts := make([]topology.NodeID, len(r.Blocks))
-			Scatter(out, netsim.TagR, rs, width, group, n, Targets{Vector: func(_ int, rows []uint64) []topology.NodeID {
+			scatter(out, netsim.TagR, rs, width, group, n, Targets{Vector: func(_ int, rows []uint64) []topology.NodeID {
 				r.Destinations(dsts, rows[0])
 				return dsts
 			}})
 		} else {
-			r.Hash(out, netsim.TagR, i, rs, width)
+			r.hash(out, netsim.TagR, i, rs, width, scatter)
 		}
-		r.Hash(out, netsim.TagS, i, ss, width)
+		r.hash(out, netsim.TagS, i, ss, width, scatter)
 	})
 }
 

@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"topompc/internal/hashing"
+	"topompc/internal/netsim"
 	"topompc/internal/topology"
+	"topompc/internal/topology/topotest"
 )
 
 // TestDestinationGroupsMatchMapOracle compares the first-seen numbering of
@@ -82,8 +84,9 @@ func TestDestinationGroupsMatchMapOracle(t *testing.T) {
 // TestFlatRouterKeepsProtocolSeeds pins the seed contract of the one-block
 // router: its hash is the weighted chooser seeded Mix64(seed + salt) over
 // FallbackUniform(weights), for every salt a flat protocol hashes under
-// (intersect's star and baseline, join's baseline, the star multijoin,
-// connectivity's homes and aggregation's three home hashes).
+// (intersect's star and baseline, join's capacity and uniform hashes, the
+// star multijoin, connectivity's homes and aggregation's three home
+// hashes).
 func TestFlatRouterKeepsProtocolSeeds(t *testing.T) {
 	tr, err := topology.TwoTier([]int{3, 1, 4}, []float64{1, 2, 0.5}, 8)
 	if err != nil {
@@ -95,7 +98,7 @@ func TestFlatRouterKeepsProtocolSeeds(t *testing.T) {
 		skewed[i] = float64(i * i % 7) // zeros among them
 	}
 	const seed = 42
-	for _, salt := range []uint64{0x5151, 0xbead, 0x10ad, 0x57A2, 0xCC0C, 0xa66, 0xa99, 0xfeed} {
+	for _, salt := range []uint64{0x5151, 0xbead, 0x10ad, 0xCA9A, 0x57A2, 0xCC0C, 0xa66, 0xa99, 0xfeed} {
 		for name, w := range map[string][]float64{"uniform": Uniform(p), "skewed": skewed} {
 			r, err := NewFlatRouter(tr, w, seed, salt)
 			if err != nil {
@@ -109,6 +112,73 @@ func TestFlatRouterKeepsProtocolSeeds(t *testing.T) {
 				key := k * 0x9E3779B97F4A7C15
 				if got, exp := r.Chooser(0).Choose(key), want.Choose(key); got != exp {
 					t.Fatalf("salt %#x, %s weights: key %d goes to member %d, want %d", salt, name, key, got, exp)
+				}
+			}
+		}
+	}
+}
+
+// TestPriceRoundEqualsRound prices Algorithm 2's round from bucket counts
+// and then runs it on the same engine: on every topotest shape, through a
+// router of several blocks and a flat one, with and without replication, at
+// widths 1 and 2, with empty fragments among the senders and with every
+// fragment empty, the price must be the executed round's cost to the bit.
+func TestPriceRoundEqualsRound(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for shape := 0; shape < topotest.NumShapes; shape++ {
+		name, tr, err := topotest.Draw(rng, shape)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes := tr.ComputeNodes()
+		p := len(nodes)
+		weights := make([]float64, p)
+		for i := range weights {
+			weights[i] = float64(rng.Intn(4)) // zeros among them
+		}
+		var blocks [][]topology.NodeID
+		for lo := 0; lo < p; {
+			hi := min(p, lo+1+rng.Intn(3))
+			blocks = append(blocks, nodes[lo:hi])
+			lo = hi
+		}
+		blocked, err := NewBlockRouter(tr, blocks, weights, 5, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		flat, err := NewFlatRouter(tr, Uniform(p), 5, 0x10ad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, empty := range []bool{false, true} {
+			for _, r := range []*BlockRouter{blocked, flat} {
+				for _, width := range []int{1, 2} {
+					for _, replicate := range []bool{false, true} {
+						rs, ss := make([][]uint64, p), make([][]uint64, p)
+						for i := range rs {
+							if empty {
+								continue
+							}
+							rs[i] = make([]uint64, width*rng.Intn(3)*rng.Intn(20)) // often empty
+							ss[i] = make([]uint64, width*rng.Intn(40))
+							for _, side := range [][]uint64{rs[i], ss[i]} {
+								for j := range side {
+									side[j] = rng.Uint64() % 60
+								}
+							}
+						}
+						sides := func(i int) ([]uint64, []uint64) { return rs[i], ss[i] }
+						e := netsim.NewEngine(tr)
+						x := e.Exchange()
+						r.PriceRound(x, width, replicate, sides)
+						price, _ := x.Price()
+						x = e.Exchange()
+						r.Round(x, width, replicate, sides)
+						if cost := x.Execute().Cost; price != cost {
+							t.Errorf("%s/%d blocks/width%d/replicate=%v/empty=%v: price %v, executed round costs %v",
+								name, len(r.Blocks), width, replicate, empty, price, cost)
+						}
+					}
 				}
 			}
 		}

@@ -54,3 +54,35 @@ func Scatter(out *netsim.Outbox, tag netsim.Tag, words []uint64, width int, buck
 		}
 	}
 }
+
+// scatterFunc is Scatter's signature: a keyed scatter that sends, or one
+// that only prices.
+type scatterFunc func(out *netsim.Outbox, tag netsim.Tag, words []uint64, width int, bucket []int32, n int, to Targets)
+
+// priceScatter queues the messages Scatter would queue — the same receivers,
+// order and lengths — without laying the rows out: a bucket of k rows
+// carries the first k rows of words, and Vector sees only the bucket's
+// first row. Exchange.Price reads receivers and lengths alone, so it prices
+// this plan exactly as it would Scatter's. Buckets go out in bucket order:
+// Round, its one caller, numbers them in the order it wants them sent.
+func priceScatter(out *netsim.Outbox, tag netsim.Tag, words []uint64, width int, bucket []int32, n int, to Targets) {
+	count, first := make([]int32, n), make([]int32, n)
+	for j, b := range bucket {
+		if count[b] == 0 {
+			first[b] = int32(j)
+		}
+		count[b]++
+	}
+	for b, k := range count {
+		if k == 0 {
+			continue
+		}
+		rows := words[:width*int(k)]
+		if to.To != nil {
+			out.Send(to.To[b], tag, rows)
+		} else {
+			j := width * int(first[b])
+			out.Multicast(to.Vector(b, words[j:j+width]), tag, rows)
+		}
+	}
+}

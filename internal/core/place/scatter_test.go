@@ -140,7 +140,8 @@ func TestScatterMatchesPerRowReference(t *testing.T) {
 // reference that routes row by row: a replicated R row to h_b(key) in every
 // block b, one multicast per destination vector in order of first
 // appearance; a hashed R or S row to h_b(key) in its sender's block b, one
-// unicast per member in member order.
+// unicast per member in member order. Hash alone must send the S side's
+// messages of the round.
 func TestRoundMatchesPerRowReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, shape := range []int{9, 0} { // line, twotier
@@ -218,19 +219,40 @@ func TestRoundMatchesPerRowReference(t *testing.T) {
 						hashed(from, netsim.TagS, ss[i])
 					}
 
+					check := func(e *netsim.Engine, want map[topology.NodeID][]netsim.Message) {
+						for _, v := range nodes {
+							got := e.Inbox(v).Messages()
+							if len(got) == 0 && len(want[v]) == 0 {
+								continue
+							}
+							if !reflect.DeepEqual(got, want[v]) {
+								t.Fatalf("node %v receives\n%v\nwant\n%v", v, got, want[v])
+							}
+						}
+					}
 					e := netsim.NewEngine(tr)
 					x := e.Exchange()
 					r.Round(x, width, replicate, func(i int) ([]uint64, []uint64) { return rs[i], ss[i] })
 					x.Execute()
-					for _, v := range nodes {
-						got := e.Inbox(v).Messages()
-						if len(got) == 0 && len(want[v]) == 0 {
-							continue
-						}
-						if !reflect.DeepEqual(got, want[v]) {
-							t.Fatalf("node %v receives\n%v\nwant\n%v", v, got, want[v])
+					check(e, want)
+
+					// Hash alone sends the round's S side.
+					wantS := make(map[topology.NodeID][]netsim.Message)
+					for v, msgs := range want {
+						for _, m := range msgs {
+							if m.Tag == netsim.TagS {
+								wantS[v] = append(wantS[v], m)
+							}
 						}
 					}
+					e = netsim.NewEngine(tr)
+					x = e.Exchange()
+					x.Plan(func(v topology.NodeID, out *netsim.Outbox) {
+						i := tr.ComputeIndex(v)
+						r.Hash(out, netsim.TagS, i, ss[i], width)
+					})
+					x.Execute()
+					check(e, wantS)
 				})
 			}
 		}

@@ -286,7 +286,7 @@ func (k task) execute(t *topology.Tree, in input, seed uint64) (measure, error) 
 		m.Strategy = res.Strategy
 	case *topompc.JoinResult:
 		m = costed(res.Cost)
-		m.Outputs = res.Pairs
+		m.Strategy, m.Outputs = res.Strategy, res.Pairs
 	case *topompc.MultijoinResult:
 		m = costed(res.Cost)
 		m.Outputs = res.Outputs

@@ -68,12 +68,13 @@ func runX2(cfg Config) ([]Table, error) {
 	}
 
 	table := newTable("X2: equi-join, S concentrated in the fast rack (16:1 uplinks)",
-		"Output sizes verified against the reference join; costs in wire elements (2 per tuple).",
+		"Output sizes verified against the reference join; costs in wire elements (2 per tuple). "+
+			"The planned join prices Algorithm 2's block round, a capacity-weighted hash and the uniform hash, and runs the cheapest (named).",
 		"plan", "rounds", "pairs", "cost")
 	ms := table.each("S in the fast rack", tree, cfg.Seed, ready(input{rows: [2][][]topompc.Row{r, s}}),
 		joinTask, joinBaseline)
 	aware, oblivious := ms[0], ms[1]
-	table.AddRow("topology-aware (blocks)", aware.Rounds, aware.Outputs, aware.Cost)
+	table.AddRow("planned ("+aware.Strategy+")", aware.Rounds, aware.Outputs, aware.Cost)
 	table.AddRow("uniform hash (MPC)", oblivious.Rounds, oblivious.Outputs, oblivious.Cost)
 
 	win := newTable("X2b: win factor", "", "oblivious/aware cost")

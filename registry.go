@@ -136,7 +136,7 @@ var tasks = []Task{
 	{Name: "intersect-baseline", Kind: TaskPair, Run: intersectTask(intersect.UniformHash),
 		Description: "set intersection with the topology-oblivious uniform hash join"},
 	{Name: "join", Kind: TaskPair, Baseline: "join-baseline", Run: joinTask(join.Tree),
-		Description: "binary equi-join R ⋈ S with balanced-partition routing"},
+		Description: "planned equi-join R ⋈ S: prices Algorithm 2's block round, a capacity hash and a uniform hash, runs the cheapest"},
 	{Name: "join-baseline", Kind: TaskPair, Run: joinTask(join.UniformHash),
 		Description: "binary equi-join with the topology-oblivious uniform hash join"},
 	{Name: "sort", Kind: TaskSingle, Baseline: "sort-baseline", Run: sortTask(sorting.WTS),

@@ -285,7 +285,7 @@ func (c *Cluster) loads(parts ...[][]uint64) topology.Loads {
 	return l
 }
 
-func sizes(frags [][]uint64) int64 {
+func sizes[T any](frags [][]T) int64 {
 	var n int64
 	for _, f := range frags {
 		n += int64(len(f))
