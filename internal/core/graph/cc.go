@@ -72,6 +72,9 @@ type variant struct {
 // no edge joins two labels. The two phase kinds differ only in how proposals
 // are learned and roots published; a Borůvka phase is an expanding phase
 // with a doubling budget of zero, delivered along the combining schedule.
+// In both kinds phase 1's first sweep also registers the vertices: a home
+// enrolls a label when the first message naming it arrives, so no round is
+// spent on registration alone.
 func contract(tr *topology.Tree, edges Placement, seed uint64, v variant, opts []netsim.Option) (*Result, error) {
 	pr, err := newProto(tr, edges, seed, v, opts)
 	if err != nil {
@@ -93,14 +96,8 @@ func contract(tr *topology.Tree, edges Placement, seed uint64, v variant, opts [
 		// The adjacency round of phase 1 registers the vertices.
 		pr.fs = newFastState(len(pr.ids), len(pr.nodes), mx)
 	} else {
-		pr.register()
-		// Phase 1's planning inputs come from the initial placement: label[v]
-		// is v, so needs are the endpoints plus homed vertices as-is.
-		pr.pool.Blocks("cc collect init", len(pr.nodes), func(shard, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				pr.collectNext(i, &pr.wscr[shard])
-			}
-		})
+		// Phase 1's propose sweep registers the vertices.
+		pr.collectFirst()
 		mActive = mx.Histogram("graph.cc.active_edges")
 	}
 
@@ -118,9 +115,15 @@ func contract(tr *topology.Tree, edges Placement, seed uint64, v variant, opts [
 	phases := 0
 	for {
 		act := pr.totalActive()
-		// An expanding run's first phase runs even on an edgeless input, so
-		// that its adjacency round registers every vertex.
-		if act == 0 && !(v.expand && phases == 0) {
+		if act == 0 && (phases > 0 || !v.expand) {
+			// On an input with no edge between two vertices, a Borůvka run
+			// sends phase 1's propose sweep alone — it carries only vertex
+			// entries, and registers them — and counts no phase. An
+			// expanding run's first phase runs in full, so that its
+			// adjacency round registers every vertex.
+			if phases == 0 {
+				pr.propose()
+			}
 			break
 		}
 		if phases == maxPhases {
@@ -173,8 +176,8 @@ func contract(tr *topology.Tree, edges Placement, seed uint64, v variant, opts [
 // payloads are carved from per-node arenas so steady-state phases allocate
 // almost nothing.
 //
-// Index lists — registrations, lookup needs, jump queries, the labels a
-// collection touched — are sets over the dense universe [0, nV), and
+// Index lists — phase 1's vertex entries, lookup needs, jump queries, the
+// labels a collection touched — are sets over the dense universe [0, nV), and
 // sortIndices orders them ascending and distinct: a list at least as long
 // as a bitmap over the universe has words (nV/64) is marked into the
 // bitmap and read back word by word, a shorter one takes an LSD radix that
@@ -366,7 +369,7 @@ type nodeScratch struct {
 	pairs    []propPair     // witness-mode proposal minima, one per label, ascending
 	k1s      []uint64       // non-witness proposal minima, one per label, ascending
 	k1tmp    []uint64       // radix scratch
-	need     []int32        // register vertex set / jump query scratch
+	need     []int32        // phase 1's vertex entries / jump query scratch
 	nextNeed []int32        // precollected distinct lookup needs
 	ndtmp    []int32        // radix scratch
 	bm       []uint64       // dedup bitmap over the vertex indices, kept zero
@@ -416,6 +419,28 @@ func (ws *collectScratch) offer(st, a, b int32) {
 	} else if b < ws.minB[a] {
 		ws.minB[a] = b
 	}
+}
+
+// claim stamps label a into epoch st once the minima are built, reporting
+// whether the epoch had not seen it: a list filtered through claim keeps
+// each label that no proposal and no earlier entry names, once.
+func (ws *collectScratch) claim(st, a int32) bool {
+	if ws.minAt[a] == st {
+		return false
+	}
+	ws.minAt[a] = st
+	return true
+}
+
+// unclaimed filters xs in place through claim.
+func (ws *collectScratch) unclaimed(st int32, xs []int32) []int32 {
+	out := xs[:0]
+	for _, x := range xs {
+		if ws.claim(st, x) {
+			out = append(out, x)
+		}
+	}
+	return out
 }
 
 // offerW is offer under the witness order: ties on b break on the packed
@@ -644,101 +669,73 @@ func (pr *proto) emitIndexGroups(i int, out *netsim.Outbox, tag netsim.Tag, item
 		for e < len(items) && pr.homeOf[items[e]] == h {
 			e++
 		}
-		batch := pr.slab(i).grab(e - s)
-		for k := s; k < e; k++ {
-			batch[k-s] = uint64(uint32(items[k]))
-		}
-		out.Send(pr.nodes[h], tag, batch)
+		out.Send(pr.nodes[h], tag, pr.encodeIndices(i, items[s:e]))
 		s = e
 	}
 }
 
-// sweepUp sends every node's index list — its vertices at registration,
-// its lookup needs in a phase; list picks the scratch field — to the homes,
-// sorted and distinct, one message per home. Under a combining schedule the
-// lists are first unioned along the hierarchy's paying blocks, deepest level
-// first: members push theirs to the level's combiner, which carries the
-// union upward, so an index appearing at many members crosses each engaged
-// cut once per block. With record, a combiner also keeps who asked for what
-// (copied: inbox payloads are only valid for one round), for the lookup's
-// down-sweep to answer.
-func (pr *proto) sweepUp(what string, list func(*nodeScratch) *[]int32, upTag, homeTag netsim.Tag, record bool) {
+// encodeIndices copies an index list into an arena-backed payload of node i.
+func (pr *proto) encodeIndices(i int, xs []int32) []uint64 {
+	batch := pr.slab(i).grab(len(xs))
+	for k, x := range xs {
+		batch[k] = uint64(uint32(x))
+	}
+	return batch
+}
+
+// sweepNeeds sends every node's lookup needs to the label homes, sorted and
+// distinct, one message per home. Under a combining schedule the needs are
+// first unioned along the hierarchy's paying blocks, deepest level first:
+// members push theirs to the level's combiner, which carries the union
+// upward, so a label needed at many members crosses each engaged cut once
+// per block. A combiner also keeps who asked for what (copied: inbox
+// payloads are only valid for one round), for the down-sweep to answer.
+func (pr *proto) sweepNeeds() {
 	// The first round planned, whichever it is, orders the lists.
 	ordered := func(i int, first bool) []int32 {
-		nd := list(&pr.scr[i])
+		sc := &pr.scr[i]
 		if first {
-			*nd = pr.sortDedup(i, *nd)
+			sc.nextNeed = pr.sortDedup(i, sc.nextNeed)
 		}
-		return *nd
+		return sc.nextNeed
 	}
-	label := "cc " + what + " up receipt"
 	for si, st := range pr.steps {
 		pr.round(func(i int, out *netsim.Outbox) {
 			if nd := ordered(i, si == 0); st.Target[i] != i && len(nd) > 0 {
-				batch := pr.slab(i).grab(len(nd))
-				for k, x := range nd {
-					batch[k] = uint64(uint32(x))
-				}
-				out.Send(pr.nodes[st.Target[i]], upTag, batch)
+				out.Send(pr.nodes[st.Target[i]], tagLookupUp, pr.encodeIndices(i, nd))
 			}
 		})
-		pr.pool.ForEach(label, len(pr.nodes), func(i int) {
+		pr.pool.ForEach("cc lookup up receipt", len(pr.nodes), func(i int) {
 			sc := &pr.scr[i]
-			nd := list(sc)
 			if st.Target[i] != i {
-				*nd = (*nd)[:0] // forwarded up
+				sc.nextNeed = sc.nextNeed[:0] // forwarded up
 				return
 			}
 			ib := pr.e.Inbox(pr.nodes[i])
-			n := ib.KeyCount(upTag)
+			n := ib.KeyCount(tagLookupUp)
 			if n == 0 {
 				return
 			}
-			all := slices.Grow(*nd, n)
-			if record {
-				sc.needBuf = slices.Grow(sc.needBuf, n)
-			}
+			all := slices.Grow(sc.nextNeed, n)
+			sc.needBuf = slices.Grow(sc.needBuf, n)
 			for mi := 0; mi < ib.Len(); mi++ {
 				msg := ib.At(mi)
-				if msg.Tag != upTag {
+				if msg.Tag != tagLookupUp {
 					continue
 				}
 				from := len(all)
 				for _, xk := range msg.Keys {
 					all = append(all, int32(xk))
 				}
-				if record {
-					lo := int32(len(sc.needBuf))
-					sc.needBuf = append(sc.needBuf, all[from:]...)
-					sc.members[si] = append(sc.members[si], memberNeed{from: msg.From, lo: lo, hi: int32(len(sc.needBuf))})
-				}
+				lo := int32(len(sc.needBuf))
+				sc.needBuf = append(sc.needBuf, all[from:]...)
+				sc.members[si] = append(sc.members[si], memberNeed{from: msg.From, lo: lo, hi: int32(len(sc.needBuf))})
 			}
-			*nd = pr.sortDedup(i, all)
+			sc.nextNeed = pr.sortDedup(i, all)
 		})
 	}
 	pr.round(func(i int, out *netsim.Outbox) {
-		pr.emitIndexGroups(i, out, homeTag, ordered(i, len(pr.steps) == 0))
-	})
-}
-
-// register hashes every distinct local vertex to its home, which
-// initializes the vertex's label to itself.
-func (pr *proto) register() {
-	pr.sweepUp("register", func(sc *nodeScratch) *[]int32 { return &sc.need }, tagVertexUp, tagVertex, false)
-	// Registration messages target the vertex's home, so shard i only
-	// writes label/registered entries homed at node i.
-	pr.pool.ForEach("cc register receipt", len(pr.nodes), func(i int) {
-		ib := pr.e.Inbox(pr.nodes[i])
-		for mi := 0; mi < ib.Len(); mi++ {
-			m := ib.At(mi)
-			if m.Tag != tagVertex {
-				continue
-			}
-			for _, xk := range m.Keys {
-				pr.enroll(i, int32(xk))
-			}
-		}
-		pr.sortEnrolled(i)
+		pr.emitIndexGroups(i, out, tagLookupQ, ordered(i, len(pr.steps) == 0))
 	})
 }
 
@@ -753,8 +750,8 @@ func (pr *proto) enroll(i int, x int32) {
 	}
 }
 
-// sortEnrolled orders home i's vertex and alive lists once its registration
-// round is read (enroll keeps them distinct).
+// sortEnrolled orders home i's vertex and alive lists once the round that
+// registers vertices is read (enroll keeps them distinct).
 func (pr *proto) sortEnrolled(i int) {
 	pr.homedVerts[i] = pr.sortDedup(i, pr.homedVerts[i])
 	pr.aliveList[i] = pr.sortDedup(i, pr.aliveList[i])
@@ -788,19 +785,37 @@ func (pr *proto) collectNext(i int, ws *collectScratch) {
 	// are built, so the homed labels dedup against the same stamps.
 	nd := append(slices.Grow(sc.nextNeed[:0], len(ws.labels)+len(pr.homedVerts[i])), ws.labels...)
 	for _, v := range pr.homedVerts[i] {
-		if r := pr.label[v]; ws.minAt[r] != st {
-			ws.minAt[r] = st
+		if r := pr.label[v]; ws.claim(st, r) {
 			nd = append(nd, r)
 		}
 	}
 	sc.nextNeed = nd
 }
 
+// collectFirst builds phase 1's planning inputs from the initial placement,
+// before any vertex is homed: label[v] is v, so collectNext's proposals and
+// lookup needs are the active endpoints as they are (a home resolves its
+// own vertices' phase-1 roots itself, and looks none of them up). The local
+// vertices no proposal names — those only self-loops mention here — stay in
+// need, sorted, as vertex entries for phase 1's propose sweep to carry to
+// their homes.
+func (pr *proto) collectFirst() {
+	pr.pool.Blocks("cc collect init", len(pr.nodes), func(shard, lo, hi int) {
+		ws := &pr.wscr[shard]
+		for i := lo; i < hi; i++ {
+			pr.collectNext(i, ws)
+			pr.scr[i].need = pr.sortDedup(i, ws.unclaimed(ws.dstamp, pr.scr[i].need))
+		}
+	})
+}
+
 // mergeProps folds the proposals node i's members sent up into the
 // carrier's own minima, leaving the union label-ascending with one entry
 // per label: the carrier's list seeds a fresh epoch, the members' entries
 // are offered into it, and the list is rebuilt from the combined minima.
-func (pr *proto) mergeProps(i int, ws *collectScratch, ib netsim.Inbox) {
+// With first, the vertex entries are merged the same way, and an entry is
+// dropped once a proposal names its label: the proposal registers it.
+func (pr *proto) mergeProps(i int, ws *collectScratch, ib netsim.Inbox, first bool) {
 	sc := &pr.scr[i]
 	st := ws.begin(len(pr.label), pr.witness)
 	for _, p := range sc.pairs { // empty unless witness
@@ -825,6 +840,17 @@ func (pr *proto) mergeProps(i int, ws *collectScratch, ib netsim.Inbox) {
 		}
 	}
 	pr.buildProps(i, ws)
+	if !first {
+		return
+	}
+	for mi := 0; mi < ib.Len(); mi++ {
+		if m := ib.At(mi); m.Tag == tagVertexUp {
+			for _, xk := range m.Keys {
+				sc.need = append(sc.need, int32(xk))
+			}
+		}
+	}
+	sc.need = pr.sortDedup(i, ws.unclaimed(st, sc.need))
 }
 
 // buildProps rebuilds node i's proposal list from the epoch's combined
@@ -893,38 +919,71 @@ func (pr *proto) encodeProps(i int) []uint64 {
 // propose turns every active edge into min-neighbor proposals for both
 // endpoint labels, min-combines them locally (and per block per level
 // under a combining schedule), delivers them to the label homes, and
-// min-merges them into the best-proposal arrays.
+// min-merges them into the best-proposal arrays. The first sweep of a run
+// also registers the vertices: homes enroll every label a proposal names,
+// and the vertices no proposal names travel beside the proposals as 1-word
+// vertex entries, which combiners drop once they hold a proposal for them.
 func (pr *proto) propose() {
+	// Phase 1's sweep, or phase 0's on an input that runs no phase.
+	first := pr.phase <= 1
 	for si := range pr.steps {
 		st := pr.steps[si]
 		pr.round(func(i int, out *netsim.Outbox) {
-			if st.Target[i] != i && pr.numProps(i) > 0 {
-				out.Send(pr.nodes[st.Target[i]], tagProposeUp, pr.encodeProps(i))
+			if st.Target[i] == i {
+				return
+			}
+			to := pr.nodes[st.Target[i]]
+			if pr.numProps(i) > 0 {
+				out.Send(to, tagProposeUp, pr.encodeProps(i))
+			}
+			if first && len(pr.scr[i].need) > 0 {
+				out.Send(to, tagVertexUp, pr.encodeIndices(i, pr.scr[i].need))
 			}
 		})
 		pr.pool.Blocks("cc propose up receipt", len(pr.nodes), func(shard, lo, hi int) {
 			ws := &pr.wscr[shard]
 			for i := lo; i < hi; i++ {
+				sc := &pr.scr[i]
 				if st.Target[i] != i {
-					pr.scr[i].pairs = pr.scr[i].pairs[:0] // forwarded up
-					pr.scr[i].k1s = pr.scr[i].k1s[:0]
+					sc.pairs, sc.k1s = sc.pairs[:0], sc.k1s[:0] // forwarded up
+					if first {
+						sc.need = sc.need[:0]
+					}
 					continue
 				}
-				if ib := pr.e.Inbox(pr.nodes[i]); ib.KeyCount(tagProposeUp) > 0 {
-					pr.mergeProps(i, ws, ib)
+				ib := pr.e.Inbox(pr.nodes[i])
+				if ib.KeyCount(tagProposeUp) > 0 || first && ib.KeyCount(tagVertexUp) > 0 {
+					pr.mergeProps(i, ws, ib, first)
 				}
 			}
 		})
 	}
-	pr.round(pr.emitProposals)
-	// Proposals target the label's home, so shard i min-merges only
-	// best-array entries homed at node i.
+	pr.round(func(i int, out *netsim.Outbox) {
+		pr.emitProposals(i, out)
+		if first {
+			pr.emitIndexGroups(i, out, tagVertex, pr.scr[i].need)
+		}
+	})
+	// Proposals and vertex entries target the label's home, so shard i
+	// min-merges and enrolls only entries homed at node i.
+	stride := pr.propStride()
 	pr.pool.ForEach("cc propose receipt", len(pr.nodes), func(i int) {
 		ib := pr.e.Inbox(pr.nodes[i])
 		for mi := 0; mi < ib.Len(); mi++ {
 			m := ib.At(mi)
+			if m.Tag == tagVertex {
+				for _, xk := range m.Keys {
+					pr.enroll(i, int32(xk))
+				}
+				continue
+			}
 			if m.Tag != tagPropose {
 				continue
+			}
+			if first {
+				for k := 0; k+stride <= len(m.Keys); k += stride {
+					pr.enroll(i, int32(m.Keys[k]))
+				}
 			}
 			if pr.witness {
 				for k := 0; k+4 <= len(m.Keys); k += 4 {
@@ -947,6 +1006,9 @@ func (pr *proto) propose() {
 					}
 				}
 			}
+		}
+		if first {
+			pr.sortEnrolled(i)
 		}
 	})
 }
@@ -1142,7 +1204,7 @@ func (pr *proto) jump(unresolved int) error {
 // of its active edges plus the current labels of its homed vertices,
 // precollected distinct by collectNext. Direct mode is a query/reply pair;
 // under a combining schedule the queries are deduplicated on the way up
-// (sweepUp), the top carriers query the homes once per distinct label, and
+// (sweepNeeds), the top carriers query the homes once per distinct label, and
 // the answers fan back down the same chain, so a hot label's root crosses
 // each engaged cut once per block per level.
 //
@@ -1165,7 +1227,7 @@ func (pr *proto) lookups() {
 			}
 		})
 	}
-	pr.sweepUp("lookup", func(sc *nodeScratch) *[]int32 { return &sc.nextNeed }, tagLookupUp, tagLookupQ, true)
+	pr.sweepNeeds()
 
 	// Homes answer every queried label with its resolved root.
 	pr.round(func(j int, out *netsim.Outbox) {

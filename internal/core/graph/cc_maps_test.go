@@ -61,7 +61,7 @@ type mapProto struct {
 	idx   map[topology.NodeID]int
 	home  func(uint64) int
 	// steps is the multi-level combining schedule (place.Hierarchy.UpSweep,
-	// deepest level first); empty = direct delivery. Each register/propose
+	// deepest level first); empty = direct delivery. Each propose
 	// exchange runs the sweep so payloads merge once per block per level
 	// where combining pays, and lookups run it up and back down.
 	steps   []place.UpStep
@@ -94,71 +94,6 @@ func (pr *mapProto) sendByHome(out *netsim.Outbox, tag netsim.Tag, groups map[in
 	for h := 0; h < len(pr.nodes); h++ {
 		if batch := groups[h]; len(batch) > 0 {
 			out.Send(pr.nodes[h], tag, batch)
-		}
-	}
-}
-
-// register hashes every distinct local vertex to its home, which
-// initializes the vertex's label to itself. With a combining schedule the
-// vertex sets are first unioned along the hierarchy's paying blocks
-// (deepest level first), so a vertex appearing in many members' fragments
-// crosses each engaged cut once per block.
-func (pr *mapProto) register(verts []map[uint64]bool) {
-	send := verts
-	for _, st := range pr.steps {
-		st := st
-		pr.round(func(i int, out *netsim.Outbox) {
-			if st.Target[i] == i {
-				return
-			}
-			if batch := sortedKeys(send[i]); len(batch) > 0 {
-				out.Send(pr.nodes[st.Target[i]], tagVertexUp, batch)
-			}
-		})
-		merged := make([]map[uint64]bool, len(pr.nodes))
-		for i, v := range pr.nodes {
-			if st.Target[i] != i {
-				merged[i] = make(map[uint64]bool) // forwarded up
-				continue
-			}
-			// Carriers keep their set and union in what arrived. verts is
-			// owned by run and not reused, so merging in place is safe.
-			m := send[i]
-			ib := pr.e.Inbox(v)
-			for mi := 0; mi < ib.Len(); mi++ {
-				msg := ib.At(mi)
-				if msg.Tag != tagVertexUp {
-					continue
-				}
-				for _, x := range msg.Keys {
-					m[x] = true
-				}
-			}
-			merged[i] = m
-		}
-		send = merged
-	}
-	pr.round(func(i int, out *netsim.Outbox) {
-		groups := make(map[int][]uint64)
-		for _, x := range sortedKeys(send[i]) {
-			h := pr.home(x)
-			groups[h] = append(groups[h], x)
-		}
-		pr.sendByHome(out, tagVertex, groups)
-	})
-	for i, v := range pr.nodes {
-		ib := pr.e.Inbox(v)
-		for mi := 0; mi < ib.Len(); mi++ {
-			m := ib.At(mi)
-			if m.Tag != tagVertex {
-				continue
-			}
-			for _, x := range m.Keys {
-				if _, ok := pr.labelOf[i][x]; !ok {
-					pr.labelOf[i][x] = x
-					pr.alive[i][x] = true
-				}
-			}
 		}
 	}
 }
@@ -198,9 +133,14 @@ func decodePropsInto(dst map[uint64]prop, keys []uint64, witness bool) {
 // propose turns every active edge into min-neighbor proposals for both
 // endpoint labels, min-combines them locally (and per block per level
 // under a combining schedule), delivers them to the label homes, and
-// min-merges them into pr.best.
-func (pr *mapProto) propose() {
+// min-merges them into pr.best. With verts (the first sweep of a run) it
+// also registers the vertices: homes enroll every label a proposal names,
+// and each node's vertices that no proposal it holds names travel as
+// vertex entries beside the proposals, unioned per block like them and
+// dropped by a combiner once it holds a proposal for them.
+func (pr *mapProto) propose(verts []map[uint64]bool) {
 	local := make([]map[uint64]prop, len(pr.nodes))
+	lone := make([]map[uint64]bool, len(pr.nodes))
 	for i := range pr.nodes {
 		m := make(map[uint64]prop, 2*len(pr.active[i]))
 		for _, ed := range pr.active[i] {
@@ -208,31 +148,57 @@ func (pr *mapProto) propose() {
 			upd(m, ed.b, prop{b: ed.a, wu: ed.wu, wv: ed.wv})
 		}
 		local[i] = m
+		lone[i] = make(map[uint64]bool)
+		if verts != nil {
+			for x := range verts[i] {
+				if _, ok := m[x]; !ok {
+					lone[i][x] = true
+				}
+			}
+		}
 	}
 	for _, st := range pr.steps {
 		st := st
 		pr.round(func(i int, out *netsim.Outbox) {
-			if st.Target[i] != i && len(local[i]) > 0 {
+			if st.Target[i] == i {
+				return
+			}
+			if len(local[i]) > 0 {
 				out.Send(pr.nodes[st.Target[i]], tagProposeUp,
 					encodeProps(local[i], pr.witness))
 			}
+			if batch := sortedKeys(lone[i]); len(batch) > 0 {
+				out.Send(pr.nodes[st.Target[i]], tagVertexUp, batch)
+			}
 		})
 		merged := make([]map[uint64]prop, len(pr.nodes))
+		mergedLone := make([]map[uint64]bool, len(pr.nodes))
 		for i, v := range pr.nodes {
 			if st.Target[i] != i {
 				merged[i] = make(map[uint64]prop) // forwarded up
+				mergedLone[i] = make(map[uint64]bool)
 				continue
 			}
-			merged[i] = local[i] // scratch maps; min-merge in place
+			merged[i], mergedLone[i] = local[i], lone[i] // scratch maps; merge in place
 			ib := pr.e.Inbox(v)
 			for mi := 0; mi < ib.Len(); mi++ {
 				m := ib.At(mi)
-				if m.Tag == tagProposeUp {
+				switch m.Tag {
+				case tagProposeUp:
 					decodePropsInto(merged[i], m.Keys, pr.witness)
+				case tagVertexUp:
+					for _, x := range m.Keys {
+						mergedLone[i][x] = true
+					}
+				}
+			}
+			for x := range mergedLone[i] {
+				if _, ok := merged[i][x]; ok {
+					delete(mergedLone[i], x)
 				}
 			}
 		}
-		local = merged
+		local, lone = merged, mergedLone
 	}
 	pr.round(func(i int, out *netsim.Outbox) {
 		groups := make(map[int][]uint64)
@@ -245,16 +211,40 @@ func (pr *mapProto) propose() {
 			}
 		}
 		pr.sendByHome(out, tagPropose, groups)
+		groups = make(map[int][]uint64)
+		for _, x := range sortedKeys(lone[i]) {
+			groups[pr.home(x)] = append(groups[pr.home(x)], x)
+		}
+		pr.sendByHome(out, tagVertex, groups)
 	})
 	for i, v := range pr.nodes {
 		pr.best[i] = make(map[uint64]prop)
 		ib := pr.e.Inbox(v)
 		for mi := 0; mi < ib.Len(); mi++ {
 			m := ib.At(mi)
-			if m.Tag == tagPropose {
+			switch m.Tag {
+			case tagPropose:
 				decodePropsInto(pr.best[i], m.Keys, pr.witness)
+			case tagVertex:
+				for _, x := range m.Keys {
+					pr.enroll(i, x)
+				}
 			}
 		}
+		if verts != nil {
+			for a := range pr.best[i] {
+				pr.enroll(i, a)
+			}
+		}
+	}
+}
+
+// enroll registers vertex x at its home i the first time the home hears of
+// it: the vertex is alive and its label is itself.
+func (pr *mapProto) enroll(i int, x uint64) {
+	if _, ok := pr.labelOf[i][x]; !ok {
+		pr.labelOf[i][x] = x
+		pr.alive[i][x] = true
 	}
 }
 
@@ -362,15 +352,16 @@ func (pr *mapProto) jump(unresolved int) error {
 }
 
 // lookups fetches the phase roots every node needs — the endpoint labels
-// of its active edges plus the current labels of its homed vertices — and
-// returns the per-node label → root maps. Direct mode is a query/reply
-// pair; under a combining schedule, queries are deduplicated along the
-// hierarchy (each engaged level's combiner unions its members' needs
-// before they cross that level's cut), the top carriers query the homes
-// once per distinct label, and the answers fan back down the same chain,
-// so a hot label's root crosses each engaged cut once per block per
-// level.
-func (pr *mapProto) lookups() []map[uint64]uint64 {
+// of its active edges plus the current labels of its homed vertices, except
+// in the first phase, where every homed vertex is its own label and its
+// home resolved the root itself — and returns the per-node label → root
+// maps. Direct mode is a query/reply pair; under a combining schedule,
+// queries are deduplicated along the hierarchy (each engaged level's
+// combiner unions its members' needs before they cross that level's cut),
+// the top carriers query the homes once per distinct label, and the
+// answers fan back down the same chain, so a hot label's root crosses each
+// engaged cut once per block per level.
+func (pr *mapProto) lookups(first bool) []map[uint64]uint64 {
 	needs := make([]map[uint64]bool, len(pr.nodes))
 	for i := range pr.nodes {
 		nd := make(map[uint64]bool)
@@ -378,8 +369,10 @@ func (pr *mapProto) lookups() []map[uint64]uint64 {
 			nd[ed.a] = true
 			nd[ed.b] = true
 		}
-		for _, l := range pr.labelOf[i] {
-			nd[l] = true
+		if !first {
+			for _, l := range pr.labelOf[i] {
+				nd[l] = true
+			}
 		}
 		needs[i] = nd
 	}
@@ -528,9 +521,10 @@ func (pr *mapProto) collectRoots(tag netsim.Tag) []map[uint64]uint64 {
 }
 
 // relabel rewrites every active edge onto the phase roots, dropping edges
-// that became internal, updates the homed vertex labels, and retires the
-// labels that hooked.
-func (pr *mapProto) relabel(rmap []map[uint64]uint64) error {
+// that became internal, updates the homed vertex labels (in the first
+// phase from the home's own roots, which lookups did not fetch), and
+// retires the labels that hooked.
+func (pr *mapProto) relabel(rmap []map[uint64]uint64, first bool) error {
 	for i := range pr.nodes {
 		out := pr.active[i][:0]
 		for _, ed := range pr.active[i] {
@@ -546,6 +540,9 @@ func (pr *mapProto) relabel(rmap []map[uint64]uint64) error {
 		pr.active[i] = out
 		for v, l := range pr.labelOf[i] {
 			r, ok := rmap[i][l]
+			if first {
+				r, ok = pr.rootOf[i][l]
+			}
 			if !ok {
 				return fmt.Errorf("graph: node %d missing root for vertex label %d", i, l)
 			}
@@ -642,19 +639,24 @@ func runMaps(tr *topology.Tree, edges Placement, seed uint64, aware, witness boo
 		pr.alive[i] = make(map[uint64]bool)
 	}
 
-	pr.register(verts)
-
+	// The first propose sweep registers the vertices; with no edge between
+	// two vertices it is sent alone, and is no phase.
 	phases := 0
+	if pr.totalActive() == 0 {
+		pr.propose(verts)
+	}
 	for pr.totalActive() > 0 {
 		if phases == maxPhases {
 			return nil, fmt.Errorf("graph: contraction did not converge after %d phases", maxPhases)
 		}
 		phases++
-		pr.propose()
+		pr.propose(verts)
+		verts = nil // registered by the first sweep
 		if err := pr.jump(pr.hook()); err != nil {
 			return nil, err
 		}
-		if err := pr.relabel(pr.lookups()); err != nil {
+		first := phases == 1
+		if err := pr.relabel(pr.lookups(first), first); err != nil {
 			return nil, err
 		}
 	}

@@ -22,9 +22,10 @@ import (
 // This file is the topology-aware, budgeted variant: how an expanding phase
 // learns its proposals (expand) and publishes its roots (pushRoots).
 //
-//   - One fused adjacency round replaces cc's register + propose pair:
-//     holders ship each distinct directed endpoint pair (a, b) — packed
-//     two indices per word — to a's home, which registers a and seeds its
+//   - One adjacency round takes the place of cc's propose sweep and, in
+//     phase 1, registers the vertices the way that sweep does: holders
+//     ship each distinct directed endpoint pair (a, b) — packed two
+//     indices per word — to a's home, which registers a and seeds its
 //     known-set with the b smallest neighbor labels.
 //   - Doubling rounds then exponentiate: every alive label pushes its
 //     known-set to the homes of the set's members, which fold the arrivals

@@ -28,11 +28,11 @@
 //     subtrees and hot labels are not owned by nodes behind weak uplinks.
 //   - Per-cut combining: the compute nodes are partitioned into the
 //     recursive weak-cut hierarchy of place.HierarchyFor, and every label
-//     exchange (vertex registration, per-edge label proposals, root
-//     lookups) is combined at the block combiners of each hierarchy level
-//     where the pays-off test (place.Hierarchy.CombinePays) holds, before
-//     crossing that level's cut — root lookups fan back down the same
-//     chain. Duplicate (vertex → label) updates for a hot label then
+//     exchange (per-edge label proposals, whose first sweep also registers
+//     the vertices, and root lookups) is combined at the block combiners
+//     of each hierarchy level where the pays-off test
+//     (place.Hierarchy.CombinePays) holds, before crossing that level's
+//     cut — root lookups fan back down the same chain. Duplicate (vertex → label) updates for a hot label then
 //     cross each engaged cut once per block instead of once per node,
 //     and blocks where combining cannot pay (majority-capacity regions,
 //     singletons) skip the merge rounds entirely.
@@ -79,8 +79,8 @@ func (p Placement) NumEdges() int64 {
 // Message tags of the connectivity protocol. Values are local to the
 // engine run and never clash with other protocols.
 const (
-	tagVertex     netsim.Tag = 10 + iota // vertex registration: [v, ...]
-	tagVertexUp                          // registration, member → combiner
+	tagVertex     netsim.Tag = 10 + iota // phase 1: vertices no proposal names: [v, ...]
+	tagVertexUp                          // vertex entries, member → combiner
 	tagPropose                           // label proposals: [a, b(, wu, wv), ...]
 	tagProposeUp                         // proposals, member → combiner
 	tagJumpQ                             // pointer-jump query: [q, ...]

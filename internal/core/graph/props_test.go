@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"maps"
 	"math/rand"
 	"slices"
 	"testing"
@@ -93,7 +94,8 @@ func (pr *proto) props(i int) []propPair {
 // TestStampedMinCombineMatchesSort runs the collection walk and the
 // carrier merge against the sort oracle on seeded random homes: both
 // modes, every worker count, the shard scratch reused from home to home and
-// from one collection to the next.
+// from one collection to the next. The merge of a first sweep also folds
+// vertex entries, each kept once unless a merged proposal names it.
 func TestStampedMinCombineMatchesSort(t *testing.T) {
 	tree := testTrees(t)["star"]
 	nodes := tree.ComputeNodes()
@@ -129,12 +131,32 @@ func TestStampedMinCombineMatchesSort(t *testing.T) {
 				}
 
 				// Every other home sends its list up to home 0, which merges.
+				// On odd iterations the sweep is a first one: every home also
+				// holds vertex entries, and home 0 must keep, once each, the
+				// entries no merged proposal names.
+				first := iter%2 == 1
 				x := e.Exchange()
 				var sent []propPair
-				for i := 1; i < homes; i++ {
+				entries := map[int32]bool{}
+				for i := 0; i < homes; i++ {
+					pr.scr[i].need = pr.scr[i].need[:0]
+					if first {
+						for k := rng.Intn(8); k > 0; k-- {
+							v := int32(rng.Intn(nV))
+							entries[v] = true
+							pr.scr[i].need = append(pr.scr[i].need, v)
+						}
+						pr.scr[i].need = pr.sortDedup(i, pr.scr[i].need)
+					}
+					if i == 0 {
+						continue
+					}
 					if pr.numProps(i) > 0 {
 						sent = append(sent, pr.props(i)...)
 						x.Out(nodes[i]).Send(nodes[0], tagProposeUp, pr.encodeProps(i))
+					}
+					if len(pr.scr[i].need) > 0 {
+						x.Out(nodes[i]).Send(nodes[0], tagVertexUp, pr.encodeIndices(i, pr.scr[i].need))
 					}
 				}
 				x.Execute()
@@ -142,10 +164,20 @@ func TestStampedMinCombineMatchesSort(t *testing.T) {
 					pr.arena[i].buf = pr.arena[i].buf[:0]
 				}
 				want := sortedMinima(pr.active[0], witness, sent...)
-				pr.mergeProps(0, &pr.wscr[0], e.Inbox(nodes[0]))
+				pr.mergeProps(0, &pr.wscr[0], e.Inbox(nodes[0]), first)
 				if got := pr.props(0); !slices.Equal(got, want) {
 					t.Fatalf("witness=%v workers=%d iter %d: merged minima\n got %v\nwant %v",
 						witness, workers, iter, got, want)
+				}
+				if first {
+					for _, p := range want {
+						delete(entries, int32(p.k1>>32))
+					}
+					wantLone := slices.Sorted(maps.Keys(entries))
+					if got := pr.scr[0].need; !slices.Equal(got, wantLone) {
+						t.Fatalf("witness=%v workers=%d iter %d: merged vertex entries\n got %v\nwant %v",
+							witness, workers, iter, got, wantLone)
+					}
 				}
 			}
 		}
