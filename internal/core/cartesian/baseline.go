@@ -43,5 +43,5 @@ func UniformGrid(t *topology.Tree, r, s dataset.Placement, opts ...netsim.Option
 	if covered < in.sizeR {
 		return nil, fmt.Errorf("cartesian: uniform grid covers %d of %d (internal error)", covered, in.sizeR)
 	}
-	return distribute(in, rectsFromPlacement(in, placed), "uniform")
+	return distribute(in, layout{rectsFromPlacement(in, placed), "uniform"})
 }

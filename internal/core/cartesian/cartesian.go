@@ -1,15 +1,17 @@
 // Package cartesian implements the cartesian-product protocols of §4 of the
-// paper: the weighted HyperCube algorithm on stars (§4.2), Algorithm 4
-// (StarCartesianProduct), the tree protocol of §4.4 built on Algorithm 5
+// paper: the tree protocol of §4.4 built on Algorithm 5
 // (BalancedPackingTree) and the hierarchical power-of-two square packing of
-// Lemma 5, plus the generalized unequal-size star algorithm of Appendix A.1
-// and topology-oblivious baselines.
+// Lemma 5 — on a star it is Algorithm 4 (StarCartesianProduct), the
+// weighted HyperCube of §4.2 — plus the generalized unequal-size star
+// algorithm of Appendix A.1 and a topology-oblivious baseline.
 //
-// Every strategy reduces to the same shape: assign each compute node an
-// axis-aligned rectangle of the |R| × |S| output grid, then run one shared
-// single-round distribution protocol that multicasts each input tuple to
-// every node whose rectangle covers its row (for R) or column (for S).
-// Each node then enumerates its rectangle locally. Correctness is the
+// Every strategy reduces to the same shape: lay out an axis-aligned
+// rectangle of the |R| × |S| output grid for each compute node, then run one
+// shared single-round distribution protocol that multicasts each input
+// tuple to every node whose rectangle covers its row (for R) or column (for
+// S). One driver runs every protocol; a protocol with several layouts has
+// each priced on the round it would run and runs the cheapest. Each node
+// then enumerates its rectangle locally. Correctness is the
 // geometric statement that the rectangles cover the grid; cost is measured
 // by the netsim engine and compared against the Theorem 3 and Theorem 4
 // lower bounds.

@@ -3,6 +3,7 @@ package cartesian
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -190,6 +191,31 @@ func cpInstance(t *testing.T, rng *rand.Rand, tr *topology.Tree, half int,
 	return pr, ps
 }
 
+// placements are the four ways the tests spread a relation over the nodes.
+var placements = []string{"uniform", "zipf", "oneheavy", "single"}
+
+// split spreads keys over p nodes by the named placement; oneheavy and
+// single draw their node from rng.
+func split(t *testing.T, rng *rand.Rand, how string, keys []uint64, p int) dataset.Placement {
+	t.Helper()
+	var pl dataset.Placement
+	var err error
+	switch how {
+	case "uniform":
+		pl, err = dataset.SplitUniform(keys, p)
+	case "zipf":
+		pl, err = dataset.SplitZipf(rng, keys, p, 1.2)
+	case "oneheavy":
+		pl, err = dataset.SplitOneHeavy(keys, p, rng.Intn(p), 0.8)
+	case "single":
+		pl, err = dataset.SplitSingle(keys, p, rng.Intn(p))
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pl
+}
+
 func uniformPlace(keys []uint64, p int) (dataset.Placement, error) {
 	return dataset.SplitUniform(keys, p)
 }
@@ -198,12 +224,12 @@ func TestStarCartesianWHC(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	tr, _ := topology.Star([]float64{1, 2, 4, 8})
 	r, s := cpInstance(t, rng, tr, 400, uniformPlace)
-	res, err := Star(tr, r, s)
+	res, err := Tree(tr, r, s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Strategy != "whc" {
-		t.Errorf("strategy = %s, want whc", res.Strategy)
+	if res.Strategy != "tree" {
+		t.Errorf("strategy = %s, want tree", res.Strategy)
 	}
 	if res.Report.NumRounds() != 1 {
 		t.Errorf("rounds = %d, want 1 (Table 1)", res.Report.NumRounds())
@@ -223,7 +249,7 @@ func TestStarCartesianGatherOnMajority(t *testing.T) {
 	s := dataset.Distinct(rng, 300)
 	pr, _ := dataset.SplitCounts(r, []int{290, 10, 0})
 	ps, _ := dataset.SplitCounts(s, []int{300, 0, 0})
-	res, err := Star(tr, pr, ps)
+	res, err := Tree(tr, pr, ps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,23 +265,32 @@ func TestStarCartesianGatherOnMajority(t *testing.T) {
 	}
 }
 
+// TestStarCartesianRejects: the star protocols refuse what they do not
+// cover — Unequal a tree that is not a star, Tree (Algorithm 4 on a star)
+// unequal sizes.
 func TestStarCartesianRejects(t *testing.T) {
 	tr := topology.Figure1b()
 	r := make(dataset.Placement, tr.NumCompute())
 	s := make(dataset.Placement, tr.NumCompute())
-	if _, err := Star(tr, r, s); err == nil {
+	if _, err := Unequal(tr, r, s); err == nil {
 		t.Error("expected error on non-star topology")
 	}
 	star, _ := topology.UniformStar(2, 1)
 	r2, _ := dataset.SplitUniform(dataset.Sequential(10), 2)
 	s2, _ := dataset.SplitUniform(dataset.Sequential(12), 2)
-	if _, err := Star(star, r2, s2); err == nil {
+	if _, err := Tree(star, r2, s2); err == nil {
 		t.Error("expected error for unequal sizes")
 	}
 }
 
+// TestTreeCartesianCorrectAcrossTopologies runs Tree on trees and on stars
+// with +Inf links — every link infinite, and a mix of infinite and finite
+// ones — under the four placements. Each run takes one round, passes
+// Verify, costs at least the Theorem 3/4 bound, and gives the same result
+// at 1 and 4 workers.
 func TestTreeCartesianCorrectAcrossTopologies(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
+	inf := math.Inf(1)
 	topos := map[string]*topology.Tree{"figure1b": topology.Figure1b()}
 	if tt, err := topology.TwoTier([]int{2, 3, 2}, []float64{4, 1, 2}, 8); err == nil {
 		topos["twotier"] = tt
@@ -266,18 +301,46 @@ func TestTreeCartesianCorrectAcrossTopologies(t *testing.T) {
 	if ft, err := topology.FatTree(2, 2, 1, 3); err == nil {
 		topos["fattree"] = ft
 	}
+	for name, bws := range map[string][]float64{
+		"star-all-inf":   {inf, inf, inf, inf},
+		"star-mixed-inf": {inf, inf, 2, 0.5, 2, inf, 4, 8, 1},
+	} {
+		st, err := topology.Star(bws)
+		if err != nil {
+			t.Fatal(err)
+		}
+		topos[name] = st
+	}
 	for name, tr := range topos {
 		t.Run(name, func(t *testing.T) {
-			r, s := cpInstance(t, rng, tr, 256, uniformPlace)
-			res, err := Tree(tr, r, s)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := Verify(r, s, res); err != nil {
-				t.Fatal(err)
-			}
-			if res.Report.NumRounds() != 1 {
-				t.Errorf("rounds = %d, want 1", res.Report.NumRounds())
+			for _, how := range placements {
+				r := split(t, rng, how, dataset.Distinct(rng, 256), tr.NumCompute())
+				s := split(t, rng, how, dataset.Distinct(rng, 256), tr.NumCompute())
+				loads := make(topology.Loads, tr.NumNodes())
+				for i, v := range tr.ComputeNodes() {
+					loads[v] = int64(len(r[i]) + len(s[i]))
+				}
+				lb := lowerbound.Cartesian(tr, loads).Value
+				var runs [2]*Result
+				for w, workers := range []int{1, 4} {
+					res, err := Tree(tr, r, s, netsim.WithWorkers(workers))
+					if err != nil {
+						t.Fatalf("%s workers=%d: %v", how, workers, err)
+					}
+					if err := Verify(r, s, res); err != nil {
+						t.Fatalf("%s workers=%d: %v", how, workers, err)
+					}
+					if res.Report.NumRounds() != 1 {
+						t.Errorf("%s workers=%d: rounds = %d, want 1", how, workers, res.Report.NumRounds())
+					}
+					if cost := res.Report.TotalCost(); cost < lb {
+						t.Errorf("%s workers=%d: cost %v below the lower bound %v", how, workers, cost, lb)
+					}
+					runs[w] = res
+				}
+				if !reflect.DeepEqual(runs[0], runs[1]) {
+					t.Errorf("%s: results differ between 1 and 4 workers", how)
+				}
 			}
 		})
 	}
@@ -436,15 +499,15 @@ func TestBaselines(t *testing.T) {
 		}
 	})
 	// The gather the protocols fall back on with a majority holder.
-	gather := func(target int) (*Result, error) {
+	gatherAt := func(target int) (*Result, error) {
 		in, err := newInstance(tr, r, s)
 		if err != nil {
 			return nil, err
 		}
-		return gatherRects(in, target)
+		return distribute(in, gather(in, target))
 	}
 	t.Run("gather", func(t *testing.T) {
-		res, err := gather(0)
+		res, err := gatherAt(0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -453,7 +516,7 @@ func TestBaselines(t *testing.T) {
 		}
 	})
 	t.Run("gatherToTarget", func(t *testing.T) {
-		res, err := gather(2)
+		res, err := gatherAt(2)
 		if err != nil {
 			t.Fatal(err)
 		}

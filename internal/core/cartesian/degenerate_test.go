@@ -19,29 +19,11 @@ import (
 // one node. Each run must pass Verify (its rectangles cover the grid and
 // every node holds exactly the rows and columns its rectangle spans), cost
 // no less than the bound the pipeline reports for these sizes, and give the
-// same result, report included, at 1 and 4 workers. Tree, UniformGrid and
-// Star take equal sizes only and Star and Unequal stars only; outside that
-// they must refuse with an error at both worker counts.
+// same result, report included, at 1 and 4 workers. Tree and UniformGrid
+// take equal sizes only and Unequal stars only; outside that they must
+// refuse with an error at both worker counts.
 func TestCartesianDegenerateInputs(t *testing.T) {
 	const n = 96
-	place := func(rng *rand.Rand, how string, keys []uint64, p int) dataset.Placement {
-		var pl dataset.Placement
-		var err error
-		switch how {
-		case "uniform":
-			pl, err = dataset.SplitUniform(keys, p)
-		case "zipf":
-			pl, err = dataset.SplitZipf(rng, keys, p, 1.2)
-		case "oneheavy":
-			pl, err = dataset.SplitOneHeavy(keys, p, rng.Intn(p), 0.8)
-		case "single":
-			pl, err = dataset.SplitSingle(keys, p, rng.Intn(p))
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		return pl
-	}
 	inputs := []struct {
 		name string
 		gen  func(rng *rand.Rand, p int) (r, s dataset.Placement)
@@ -50,10 +32,10 @@ func TestCartesianDegenerateInputs(t *testing.T) {
 			return make(dataset.Placement, p), make(dataset.Placement, p)
 		}},
 		{"empty R", func(rng *rand.Rand, p int) (dataset.Placement, dataset.Placement) {
-			return make(dataset.Placement, p), place(rng, "uniform", dataset.Distinct(rng, n), p)
+			return make(dataset.Placement, p), split(t, rng, "uniform", dataset.Distinct(rng, n), p)
 		}},
 		{"empty S", func(rng *rand.Rand, p int) (dataset.Placement, dataset.Placement) {
-			return place(rng, "zipf", dataset.Distinct(rng, n), p), make(dataset.Placement, p)
+			return split(t, rng, "zipf", dataset.Distinct(rng, n), p), make(dataset.Placement, p)
 		}},
 		{"all on one node", func(rng *rand.Rand, p int) (dataset.Placement, dataset.Placement) {
 			r, _ := dataset.SplitSingle(dataset.Distinct(rng, n), p, p-1)
@@ -66,12 +48,12 @@ func TestCartesianDegenerateInputs(t *testing.T) {
 			return r, s
 		}},
 	}
-	for _, how := range []string{"uniform", "zipf", "oneheavy", "single"} {
+	for _, how := range placements {
 		inputs = append(inputs, struct {
 			name string
 			gen  func(rng *rand.Rand, p int) (r, s dataset.Placement)
 		}{how, func(rng *rand.Rand, p int) (dataset.Placement, dataset.Placement) {
-			return place(rng, how, dataset.Distinct(rng, n), p), place(rng, how, dataset.Distinct(rng, n), p)
+			return split(t, rng, how, dataset.Distinct(rng, n), p), split(t, rng, how, dataset.Distinct(rng, n), p)
 		}})
 	}
 	entries := []struct {
@@ -81,7 +63,6 @@ func TestCartesianDegenerateInputs(t *testing.T) {
 	}{
 		{"Tree", Tree, true, false},
 		{"UniformGrid", UniformGrid, true, false},
-		{"Star", Star, true, true},
 		{"Unequal", Unequal, false, true},
 	}
 	ran := make(map[string]int)

@@ -6,43 +6,9 @@ import (
 	"topompc/internal/topology"
 )
 
-// This file computes square dimensions: the star formula of §4.2 and the
-// BalancedPackingTree recurrences of Algorithm 5.
-
-// starSides computes the wHC square side for every compute node of a star:
-//
-//	l_v = argmin_k { 2^k ≥ w_v · L },  L = N / sqrt(Σ_u w_u²)
-//
-// (equation (1) of the paper). Sides are powers of two, ≥ 1.
-func starSides(t *topology.Tree, n int64) map[topology.NodeID]int64 {
-	var sumSq float64
-	for _, v := range t.ComputeNodes() {
-		_, e := t.Parent(v)
-		w := t.Bandwidth(e)
-		if !math.IsInf(w, 1) {
-			sumSq += w * w
-		}
-	}
-	sides := make(map[topology.NodeID]int64, t.NumCompute())
-	if sumSq == 0 {
-		// All links infinite: any single node can take the whole grid for
-		// free; give everyone a unit square plus the first node the grid.
-		first := t.ComputeNodes()[0]
-		sides[first] = nextPow2(n)
-		return sides
-	}
-	l := float64(n) / math.Sqrt(sumSq)
-	for _, v := range t.ComputeNodes() {
-		_, e := t.Parent(v)
-		w := t.Bandwidth(e)
-		if math.IsInf(w, 1) {
-			sides[v] = nextPow2(n) // free link: can host everything
-			continue
-		}
-		sides[v] = nextPow2F(w * l)
-	}
-	return sides
-}
+// This file computes square dimensions: the BalancedPackingTree recurrences
+// of Algorithm 5. On a star they reduce to equation (1) of §4.2,
+// l_v = argmin_k { 2^k ≥ w_v · N / sqrt(Σ_u w_u²) }.
 
 // treeDims is the output of Algorithm 5 (BalancedPackingTree): per-node
 // w̃ and l values and the final square side d_v for every compute node.

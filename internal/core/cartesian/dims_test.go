@@ -60,15 +60,31 @@ func TestBalancedPackingTreeFigure1bByHand(t *testing.T) {
 	}
 }
 
-// TestStarSidesEquation1 validates equation (1) of §4.2 on a concrete
-// instance: N = 1000, bandwidths {3, 4}: L = 1000/5 = 200, sides
-// nextPow2(600) = 1024 and nextPow2(800) = 1024.
+// starSides runs Algorithm 5 on a star with the input spread evenly, so
+// G†'s root is the router, and returns each compute node's square side.
+func starSides(t *testing.T, tr *topology.Tree, n int64) map[topology.NodeID]int64 {
+	t.Helper()
+	loads := make(topology.Loads, tr.NumNodes())
+	for _, v := range tr.ComputeNodes() {
+		loads[v] = n / int64(tr.NumCompute())
+	}
+	d := topology.Orient(tr, loads)
+	if d.RootIsCompute() {
+		t.Fatal("even loads should root G† at the router")
+	}
+	return balancedPackingTree(d, n).side
+}
+
+// TestStarSidesEquation1 validates equation (1) of §4.2, which Algorithm 5
+// reduces to on a star, on a concrete instance: N = 1000, bandwidths
+// {3, 4}: L = 1000/5 = 200, sides nextPow2(600) = 1024 and
+// nextPow2(800) = 1024.
 func TestStarSidesEquation1(t *testing.T) {
 	tr, err := topology.Star([]float64{3, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sides := starSides(tr, 1000)
+	sides := starSides(t, tr, 1000)
 	vs := tr.ComputeNodes()
 	if sides[vs[0]] != 1024 {
 		t.Errorf("side(v1) = %d, want 1024", sides[vs[0]])
@@ -96,7 +112,7 @@ func TestStarSidesInfiniteBandwidth(t *testing.T) {
 	b.Link(v1, w, math.Inf(1))
 	b.Link(v2, w, 1)
 	tr := b.MustBuild()
-	sides := starSides(tr, 500)
+	sides := starSides(t, tr, 500)
 	if sides[v1] < 512 {
 		t.Errorf("infinite-bandwidth node side = %d, want ≥ nextPow2(500)", sides[v1])
 	}

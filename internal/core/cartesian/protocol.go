@@ -21,8 +21,11 @@ type Result struct {
 	SKeys [][]uint64
 	// Report is the cost accounting.
 	Report *netsim.Report
-	// Strategy identifies the routing strategy that ran: "local", "gather",
-	// "whc", "tree" or "unequal".
+	// Strategy identifies the layout that ran: "gather" (the whole grid at
+	// one node), "tree" (Algorithm 5's squares packed along G†), "uniform"
+	// (the oblivious HyperCube), "broadcast" or "unequal" (Unequal's
+	// broadcast of the smaller relation or its column-and-strip packing), or
+	// "empty" when a relation is empty and nothing moves.
 	Strategy string
 }
 
@@ -35,40 +38,86 @@ func (r *Result) Pairs() int64 {
 	return n
 }
 
-// distribute executes the single communication round shared by every
-// strategy: each node multicasts every R-tuple to the nodes whose
-// rectangles cover its global rank (and likewise S-tuples by column).
-// Tuples are batched by the elementary segments of the rectangle
-// boundaries, so each (owner, destination-set) pair costs one multicast and
-// shared links are charged once per element (Steiner accounting).
-func distribute(in *instance, rects []Rect, strategy string) (*Result, error) {
-	if len(rects) != len(in.nodes) {
-		return nil, fmt.Errorf("cartesian: %d rects for %d nodes", len(rects), len(in.nodes))
+// emptyResult is the result when a relation is empty: no pairs, no round.
+func emptyResult(in *instance) *Result {
+	return &Result{
+		Rects:    make([]Rect, len(in.nodes)),
+		RKeys:    make([][]uint64, len(in.nodes)),
+		SKeys:    make([][]uint64, len(in.nodes)),
+		Report:   &netsim.Report{Tree: in.t},
+		Strategy: "empty",
 	}
-	for i := range rects {
-		rects[i] = rects[i].Clamp(in.sizeR, in.sizeS)
-	}
-	if in.sizeR > 0 && in.sizeS > 0 && !CoversGrid(rects, in.sizeR, in.sizeS) {
-		return nil, fmt.Errorf("cartesian: assigned rectangles do not cover the %d×%d grid", in.sizeR, in.sizeS)
-	}
+}
 
-	xSegs := segments(rects, in.sizeR, func(r Rect) (int64, int64) { return r.X0, r.X1 }, in.nodes)
-	ySegs := segments(rects, in.sizeS, func(r Rect) (int64, int64) { return r.Y0, r.Y1 }, in.nodes)
+// layout is one assignment of grid rectangles to the compute nodes, in
+// compute order, and the strategy name it runs under.
+type layout struct {
+	rects    []Rect
+	strategy string
+}
+
+// gather assigns the full grid to one compute node.
+func gather(in *instance, target int) layout {
+	rects := make([]Rect, len(in.nodes))
+	rects[target] = Rect{X0: 0, X1: in.sizeR, Y0: 0, Y1: in.sizeS}
+	return layout{rects, "gather"}
+}
+
+// axes are a layout's elementary segments along R's axis and S's.
+type axes struct{ x, y []segment }
+
+// distribute is the one driver of every strategy. Each layout's rectangles
+// are clamped to the grid and must cover it. A single layout runs unpriced;
+// of several, each is planned and priced with Exchange.Price on the engine
+// that runs the round, and the cheapest runs, ties going to the earlier
+// layout (Algorithm 8's "pick the best of").
+//
+// The round is shared by every strategy: each node multicasts every R-tuple
+// to the nodes whose rectangles cover its global rank (and likewise
+// S-tuples by column). Tuples are batched by the elementary segments of the
+// rectangle boundaries, so each (owner, destination-set) pair costs one
+// multicast and shared links are charged once per element (Steiner
+// accounting).
+func distribute(in *instance, layouts ...layout) (*Result, error) {
+	plans := make([]axes, len(layouts))
+	for i, l := range layouts {
+		rects := l.rects
+		if len(rects) != len(in.nodes) {
+			return nil, fmt.Errorf("cartesian: %d rects for %d nodes", len(rects), len(in.nodes))
+		}
+		for j := range rects {
+			rects[j] = rects[j].Clamp(in.sizeR, in.sizeS)
+		}
+		if in.sizeR > 0 && in.sizeS > 0 && !CoversGrid(rects, in.sizeR, in.sizeS) {
+			return nil, fmt.Errorf("cartesian: %s rectangles do not cover the %d×%d grid", l.strategy, in.sizeR, in.sizeS)
+		}
+		plans[i] = axes{
+			x: segments(rects, in.sizeR, func(r Rect) (int64, int64) { return r.X0, r.X1 }, in.nodes),
+			y: segments(rects, in.sizeS, func(r Rect) (int64, int64) { return r.Y0, r.Y1 }, in.nodes),
+		}
+	}
 
 	e := netsim.NewEngine(in.t, in.opts...)
+	best := 0
+	if len(layouts) > 1 {
+		var bestCost float64
+		for i := range plans {
+			x := e.Exchange()
+			in.plan(x, plans[i])
+			if cost, _ := x.Price(); i == 0 || cost < bestCost {
+				best, bestCost = i, cost
+			}
+		}
+	}
 	x := e.Exchange()
-	x.Plan(func(v topology.NodeID, out *netsim.Outbox) {
-		i := in.t.ComputeIndex(v)
-		sendAxis(out, xSegs, in.offR[i], in.r[i], netsim.TagR)
-		sendAxis(out, ySegs, in.offS[i], in.s[i], netsim.TagS)
-	})
+	in.plan(x, plans[best])
 	x.Execute()
 
 	res := &Result{
-		Rects:    rects,
+		Rects:    layouts[best].rects,
 		RKeys:    make([][]uint64, len(in.nodes)),
 		SKeys:    make([][]uint64, len(in.nodes)),
-		Strategy: strategy,
+		Strategy: layouts[best].strategy,
 	}
 	for i, v := range in.nodes {
 		res.RKeys[i] = e.Inbox(v).Keys(netsim.TagR)
@@ -76,6 +125,16 @@ func distribute(in *instance, rects []Rect, strategy string) (*Result, error) {
 	}
 	res.Report = e.Report()
 	return res, nil
+}
+
+// plan queues the round of a layout: every node sends its R fragment along
+// the layout's X segments and its S fragment along its Y segments.
+func (in *instance) plan(x *netsim.Exchange, a axes) {
+	x.Plan(func(v topology.NodeID, out *netsim.Outbox) {
+		i := in.t.ComputeIndex(v)
+		sendAxis(out, a.x, in.offR[i], in.r[i], netsim.TagR)
+		sendAxis(out, a.y, in.offS[i], in.s[i], netsim.TagS)
+	})
 }
 
 // segment is a maximal rank interval whose covering destination set is

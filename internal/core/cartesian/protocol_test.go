@@ -154,7 +154,7 @@ func TestDistributeRejectsNonCovering(t *testing.T) {
 		t.Fatal(err)
 	}
 	rects := []Rect{{X0: 0, X1: 5, Y0: 0, Y1: 10}, {}} // right half uncovered
-	if _, err := distribute(in, rects, "broken"); err == nil {
+	if _, err := distribute(in, layout{rects, "broken"}); err == nil {
 		t.Error("expected coverage error")
 	}
 }
@@ -170,7 +170,7 @@ func TestUnequalRectsCoverage(t *testing.T) {
 		}
 		small := int64(1 + rng.Intn(400))
 		large := small + int64(rng.Intn(4000))
-		rects, _, err := unequalRects(weights, small, large)
+		rects, err := unequalRects(weights, small, large)
 		if err != nil {
 			return false
 		}

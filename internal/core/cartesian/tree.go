@@ -17,6 +17,11 @@ import (
 //
 // Theorem 5: the cost matches the larger of the Theorem 3 and Theorem 4
 // lower bounds up to a constant factor.
+//
+// On a star this is StarCartesianProduct (Algorithm 4, Lemma 7): G†'s root
+// is a compute node exactly when that node holds more than half the input,
+// and otherwise the w̃ of Algorithm 5 reduce to the link bandwidths, so the
+// sides are those of equation (1) and the packing is Lemma 5's.
 func Tree(t *topology.Tree, r, s dataset.Placement, opts ...netsim.Option) (*Result, error) {
 	in, err := newInstance(t, r, s)
 	if err != nil {
@@ -39,14 +44,14 @@ func Tree(t *topology.Tree, r, s dataset.Placement, opts ...netsim.Option) (*Res
 	in2 := norm.in
 
 	d := topology.Orient(in2.t, in2.loads)
-	var res *Result
+	lay := layout{strategy: "tree"}
 	if in2.t.IsCompute(d.Root()) {
 		// Gather to the G† root: optimal when the root is a compute node.
-		res, err = gatherRects(in2, in2.t.ComputeIndex(d.Root()))
+		lay = gather(in2, in2.t.ComputeIndex(d.Root()))
 	} else {
 		n := in2.loads.Total()
 		dims := balancedPackingTree(d, n)
-		rects, perr := shrinkToFit(in2, func(shift uint) ([]PlacedSquare, error) {
+		lay.rects, err = shrinkToFit(in2, func(shift uint) ([]PlacedSquare, error) {
 			side := make(map[topology.NodeID]int64, len(dims.side))
 			for v, l := range dims.l {
 				if in2.t.IsCompute(v) {
@@ -56,15 +61,54 @@ func Tree(t *topology.Tree, r, s dataset.Placement, opts ...netsim.Option) (*Res
 			placed, _, err := PackOnTree(d, side)
 			return placed, err
 		})
-		if perr != nil {
-			return nil, perr
+		if err != nil {
+			return nil, err
 		}
-		res, err = distribute(in2, rects, "tree")
 	}
+	res, err := distribute(in2, lay)
 	if err != nil {
 		return nil, err
 	}
 	return norm.remap(res), nil
+}
+
+// shrinkToFit packs at successively halved scales while the resulting
+// rectangles still cover the grid, and returns the smallest covering
+// assignment. The power-of-two rounding of equation (1) can overshoot the
+// grid by up to 2× per side (4× in area), which concentrates the whole grid
+// on one node; shrinking restores the bandwidth-proportional split without
+// weakening any guarantee (the unshrunk assignment is always valid, and
+// every shrink step is verified geometrically).
+func shrinkToFit(in *instance, pack func(shift uint) ([]PlacedSquare, error)) ([]Rect, error) {
+	var best []Rect
+	for shift := uint(0); shift < 40; shift++ {
+		placed, err := pack(shift)
+		if err != nil {
+			return nil, err
+		}
+		rects := rectsFromPlacement(in, placed)
+		for i := range rects {
+			rects[i] = rects[i].Clamp(in.sizeR, in.sizeS)
+		}
+		if !CoversGrid(rects, in.sizeR, in.sizeS) {
+			break
+		}
+		best = rects
+	}
+	if best == nil {
+		return nil, fmt.Errorf("cartesian: packing does not cover the %d×%d grid (internal error)", in.sizeR, in.sizeS)
+	}
+	return best, nil
+}
+
+// rectsFromPlacement converts placed squares to per-compute-index grid
+// rectangles (clamping happens in distribute).
+func rectsFromPlacement(in *instance, placed []PlacedSquare) []Rect {
+	rects := make([]Rect, len(in.nodes))
+	for _, p := range placed {
+		rects[in.t.ComputeIndex(p.Node)] = p.Rect()
+	}
+	return rects
 }
 
 // normalized carries an instance transplanted onto the leaf-normalized

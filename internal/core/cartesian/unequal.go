@@ -2,7 +2,6 @@ package cartesian
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"topompc/internal/dataset"
@@ -12,24 +11,28 @@ import (
 )
 
 // Unequal runs the generalized star cartesian product of §4.5 and Appendix
-// A.1 (Algorithms 7–8) for |R| ≠ |S| (it also accepts equal sizes). The
-// strategy:
+// A.1 (Algorithms 7–8) for |R| ≠ |S| (it also accepts equal sizes). It
+// lays out Algorithm 8's strategies and prices each with the round it would
+// run, then runs the cheapest:
 //
-//   - a node holding a majority of the input gathers everything
-//     (Algorithm 8, lines 1-2);
-//   - otherwise the scale L* solving the output-coverage inequality (2) is
-//     found (lowerbound.CoverageNumber) and each node is assigned either a
-//     full-height column of the grid (when its share w_v·L* reaches |R|) or
-//     a power-of-two square stacked into full-height strips — the
-//     rectangle analogue of the wHC packing;
-//   - the gather strategy is also costed analytically and chosen when
-//     cheaper (the "pick the best" of Algorithm 8).
+//   - a gather of everything at each compute node, in compute order (a
+//     majority holder's gather is optimal by Theorem 3);
+//   - a broadcast of the smaller relation while the larger stays in place:
+//     each node's rectangle is the full small axis crossed with its own
+//     fragment of the large relation (optimal when the smaller relation is
+//     below every cut);
+//   - the packing at the scale L* solving the output-coverage inequality
+//     (2) (lowerbound.CoverageNumber): each node gets a full-height column
+//     of the grid when its share w_v·L* reaches the small side, and a
+//     power-of-two square stacked into full-height strips otherwise — the
+//     rectangle analogue of the wHC packing.
 //
-// The smaller relation is always placed on the X axis internally; results
-// are transposed back when |S| < |R|.
+// Ties go to the earlier layout. The smaller relation is placed on the X
+// axis of the broadcast and the packing; their rectangles are transposed
+// back when |S| < |R|.
 func Unequal(t *topology.Tree, r, s dataset.Placement, opts ...netsim.Option) (*Result, error) {
-	if err := requireStar(t); err != nil {
-		return nil, err
+	if !t.IsStar() {
+		return nil, fmt.Errorf("cartesian: not a star topology")
 	}
 	in, err := newInstance(t, r, s)
 	if err != nil {
@@ -39,76 +42,45 @@ func Unequal(t *topology.Tree, r, s dataset.Placement, opts ...netsim.Option) (*
 	if in.sizeR == 0 || in.sizeS == 0 {
 		return emptyResult(in), nil
 	}
-	n := in.loads.Total()
-	if k := majorityHolder(in, n); k >= 0 {
-		return gatherRects(in, k)
-	}
-
-	transposed := in.sizeR > in.sizeS
-	small, large := in.sizeR, in.sizeS
-	if transposed {
-		small, large = large, small
-	}
-
-	weights := make([]float64, len(in.nodes))
-	for i, v := range in.nodes {
-		_, e := t.Parent(v)
-		weights[i] = t.Bandwidth(e)
-	}
-
-	// Candidate 1: generalized wHC packing at scale L*.
-	packRects, _, err := unequalRects(weights, small, large)
+	layouts, err := unequalLayouts(in)
 	if err != nil {
 		return nil, err
 	}
-	packCost := estimatePackCost(in, weights, packRects)
+	return distribute(in, layouts...)
+}
 
-	// Candidate 2: broadcast the small relation and keep the large one in
-	// place — each node's rectangle is the full small axis crossed with its
-	// own fragment of the large relation (strategy (b) of Algorithm 8;
-	// optimal when |R| is below every cut). Estimated cost: each link
-	// carries at most |R| inbound plus the node's own small fragment
-	// outbound.
+// unequalLayouts lays out Unequal's candidates in the order they are
+// priced: a gather at every compute node, the broadcast, the packing.
+func unequalLayouts(in *instance) ([]layout, error) {
+	transposed := in.sizeR > in.sizeS
+	small, large := in.sizeR, in.sizeS
+	off, frags := in.offS, in.s // the larger relation's fragments
+	if transposed {
+		small, large = large, small
+		off, frags = in.offR, in.r
+	}
+	weights := make([]float64, len(in.nodes))
+	for i, v := range in.nodes {
+		_, e := in.t.Parent(v)
+		weights[i] = in.t.Bandwidth(e)
+	}
+	packRects, err := unequalRects(weights, small, large)
+	if err != nil {
+		return nil, err
+	}
 	bcastRects := make([]Rect, len(in.nodes))
-	bcastCost := 0.0
 	for i := range in.nodes {
-		var off, ln int64
-		var smallFrag int64
-		if transposed {
-			off, ln = in.offR[i], int64(len(in.r[i]))
-			smallFrag = int64(len(in.s[i]))
-		} else {
-			off, ln = in.offS[i], int64(len(in.s[i]))
-			smallFrag = int64(len(in.r[i]))
-		}
-		bcastRects[i] = Rect{X0: 0, X1: small, Y0: off, Y1: off + ln}
-		if weights[i] > 0 {
-			if c := float64(small+smallFrag) / weights[i]; c > bcastCost {
-				bcastCost = c
-			}
-		}
+		bcastRects[i] = Rect{X0: 0, X1: small, Y0: off[i], Y1: off[i] + int64(len(frags[i]))}
+	}
+	if transposed {
+		packRects, bcastRects = transpose(packRects), transpose(bcastRects)
 	}
 
-	// Candidate 3: gather everything at the most favorable node.
-	gatherIdx, gatherCost := bestGatherTarget(in, weights)
-
-	// "Pick the best of" (Algorithm 8).
-	switch {
-	case gatherCost <= packCost && gatherCost <= bcastCost:
-		return gatherRects(in, gatherIdx)
-	case bcastCost <= packCost:
-		rects := bcastRects
-		if transposed {
-			rects = transpose(rects)
-		}
-		return distribute(in, rects, "broadcast")
-	default:
-		rects := packRects
-		if transposed {
-			rects = transpose(rects)
-		}
-		return distribute(in, rects, "unequal")
+	layouts := make([]layout, 0, len(in.nodes)+2)
+	for k := range in.nodes {
+		layouts = append(layouts, gather(in, k))
 	}
+	return append(layouts, layout{bcastRects, "broadcast"}, layout{packRects, "unequal"}), nil
 }
 
 func transpose(rects []Rect) []Rect {
@@ -124,7 +96,7 @@ func transpose(rects []Rect) []Rect {
 // power-of-two squares for the rest. The scale starts at the coverage
 // number L* and doubles until the geometry verifiably covers the grid
 // (rounding and partial strips waste at most a constant factor).
-func unequalRects(weights []float64, small, large int64) ([]Rect, float64, error) {
+func unequalRects(weights []float64, small, large int64) ([]Rect, error) {
 	base := lowerbound.CoverageNumber(weights, small, large)
 	if base <= 0 {
 		base = 1
@@ -175,57 +147,9 @@ func unequalRects(weights []float64, small, large int64) ([]Rect, float64, error
 			}
 		}
 		if yCur >= large && CoversGrid(rects, small, large) {
-			return rects, scale, nil
+			return rects, nil
 		}
 		scale *= 2
 	}
-	return nil, 0, fmt.Errorf("cartesian: unequal packing failed to cover a %d×%d grid", small, large)
-}
-
-// estimatePackCost bounds the cost of the packing strategy: each node
-// sends at most N_v over its link and receives at most the perimeter of
-// its rectangle.
-func estimatePackCost(in *instance, weights []float64, rects []Rect) float64 {
-	worst := 0.0
-	for i, v := range in.nodes {
-		if weights[i] <= 0 {
-			continue
-		}
-		recv := float64(rects[i].X1 - rects[i].X0 + rects[i].Y1 - rects[i].Y0)
-		send := float64(in.loads[v])
-		c := (recv + send) / weights[i]
-		if c > worst {
-			worst = c
-		}
-	}
-	return worst
-}
-
-// bestGatherTarget finds the compute index minimizing the star gather
-// cost max{(N − N_k)/w_k, max_{v≠k} N_v/w_v}.
-func bestGatherTarget(in *instance, weights []float64) (int, float64) {
-	n := in.loads.Total()
-	bestIdx, bestCost := -1, math.Inf(1)
-	for k := range in.nodes {
-		if weights[k] <= 0 {
-			continue
-		}
-		cost := float64(n-in.loads[in.nodes[k]]) / weights[k]
-		for v := range in.nodes {
-			if v == k || weights[v] <= 0 {
-				continue
-			}
-			c := float64(in.loads[in.nodes[v]]) / weights[v]
-			if c > cost {
-				cost = c
-			}
-		}
-		if cost < bestCost {
-			bestIdx, bestCost = k, cost
-		}
-	}
-	if bestIdx < 0 {
-		return 0, math.Inf(1)
-	}
-	return bestIdx, bestCost
+	return nil, fmt.Errorf("cartesian: unequal packing failed to cover a %d×%d grid", small, large)
 }

@@ -13,19 +13,21 @@ import (
 // topology-aware vs oblivious comparison motivating the paper, and the
 // ablations of the protocols' design choices.
 
-// The cartesian-product protocols CartesianProduct does not pick.
+// The cartesian-product protocols run directly, outside CartesianProduct.
 var (
 	// unequalTask is Algorithms 7-8 against their own bound whatever the
 	// sizes: at |R| = |S| CartesianProduct would run the equal-size protocol.
 	unequalTask = task{name: "unequal", unequalBound: true, run: func(t *topology.Tree, in input, _ uint64) (any, error) { return cartesian.Unequal(t, in.r, in.s) }}
-	starWHC     = task{name: "star-whc", run: func(t *topology.Tree, in input, _ uint64) (any, error) { return cartesian.Star(t, in.r, in.s) }}
+	// treeWHC is §4.4's protocol run directly: on a star it is Algorithm 4,
+	// the weighted HyperCube.
+	treeWHC     = task{name: "tree-whc", run: func(t *topology.Tree, in input, _ uint64) (any, error) { return cartesian.Tree(t, in.r, in.s) }}
 	uniformGrid = task{name: "uniform-grid", run: func(t *topology.Tree, in input, _ uint64) (any, error) { return cartesian.UniformGrid(t, in.r, in.s) }}
 )
 
 func runE9(cfg Config) ([]Table, error) {
 	star := must(topology.Star([]float64{1, 2, 4, 8, 16}))
 	table := newTable("E9: |R| sweep with |S| fixed on star with bandwidths 1,2,4,8,16",
-		"CLB = unequal cut bound (§4.5); the generalized wHC picks columns, squares or gather.",
+		"CLB = unequal cut bound (§4.5); the generalized wHC prices a gather at each node, the broadcast of R and its column-and-square packing, and runs the cheapest.",
 		"|R|", "|S|", "strategy", "cost", "CLB", "ratio")
 	table.Ceiling = cartesianClaim
 	sizeS := cfg.pick(8192, 1024)
@@ -156,7 +158,7 @@ func runA4(cfg Config) ([]Table, error) {
 		star := must(topology.Star(bws))
 		ms := table.each(fmt.Sprintf("base %v", base), star, cfg.Seed, func(int) (input, error) {
 			return distinctPair(seeded(cfg.Seed), star, half, half, uniform)
-		}, starWHC, uniformGrid)
+		}, treeWHC, uniformGrid)
 		weightedM, uniformM := ms[0], ms[1]
 		table.AddRow(base, weightedM.Cost, uniformM.Cost, weightedM.Bound, weightedM.Ratio(), uniformM.Ratio())
 	}

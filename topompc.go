@@ -402,8 +402,10 @@ func intersectTask(run intersectProtocol) func(*Cluster, TaskInput) (*TaskResult
 // output pairs are not materialized; each node enumerates its rectangle of
 // the |R| × |S| grid.
 type CartesianResult struct {
-	// Strategy is the routing strategy chosen ("whc", "tree", "gather",
-	// "unequal", …).
+	// Strategy is the layout that ran: "tree" or "gather" for equal sizes;
+	// "gather", "broadcast" or "unequal" (the column-and-strip packing),
+	// whichever prices cheapest, for unequal sizes; "empty" when a relation
+	// is empty.
 	Strategy string
 	// PairsPerNode is the number of output pairs each node enumerates.
 	PairsPerNode []int64
