@@ -25,7 +25,7 @@ import (
 // -scale-big extends the sweep to the million-node data plane: a 10⁶-node
 // graded caterpillar build + placement (capacities + weak-cut hierarchy)
 // benchmark, and a cc run over a G(10⁶, 2·10⁻⁵) graph (≈10⁷ edges) end to
-// end with lean stats.
+// end.
 
 // scaleRecord is one entry of BENCH_scale.json.
 type scaleRecord struct {
@@ -119,7 +119,7 @@ func gnpPlacement(n int, p float64, nodes int) (graph.Placement, int64, error) {
 
 // exchangeScale measures the steady-state planned-exchange round on a
 // caterpillar with the given total node count: a fixed batch of unicasts
-// and multicasts between random compute nodes, accounted with lean stats.
+// and multicasts between random compute nodes.
 func exchangeScale(nodes int, stdout io.Writer) (scaleRecord, error) {
 	tr, err := gradedCaterpillar(nodes / 2)
 	if err != nil {
@@ -142,7 +142,7 @@ func exchangeScale(nodes int, stdout io.Writer) (scaleRecord, error) {
 			batch[i] = transfer{from: from, to: vs[rng.Intn(len(vs))]}
 		}
 	}
-	e := netsim.NewEngine(tr, netsim.WithLeanStats())
+	e := netsim.NewEngine(tr)
 	round := func() {
 		x := e.Exchange()
 		for _, tf := range batch {
@@ -219,12 +219,12 @@ const (
 	bigHeapBudget   = 1 << 30 // 1 GB for the 10⁶-vertex probes (measured ~0.41 GB; pre-trimming ~7.4 GB)
 )
 
-// ccSmoke runs one connectivity protocol once, end to end with lean
-// stats, on a graded caterpillar with the given total node count and a
-// G(n, p) input, and reports wall clock, rounds, total cost, and the
-// live heap after the run. workers > 0 pins the compute-plane worker
-// count (0 keeps the engine default); heapBudget > 0 fails the probe
-// when the post-GC live heap exceeds it.
+// ccSmoke runs one connectivity protocol once, end to end, on a graded
+// caterpillar with the given total node count and a G(n, p) input, and
+// reports wall clock, rounds, total cost, and the live heap after the run.
+// workers > 0 pins the compute-plane worker count (0 keeps the engine
+// default); heapBudget > 0 fails the probe when the post-GC live heap
+// exceeds it.
 func ccSmoke(name string, nodes, n int, p float64, seed uint64, workers int, heapBudget int64, run ccRunner, stdout io.Writer) (scaleRecord, error) {
 	tr, err := gradedCaterpillar(nodes / 2)
 	if err != nil {
@@ -234,7 +234,7 @@ func ccSmoke(name string, nodes, n int, p float64, seed uint64, workers int, hea
 	if err != nil {
 		return scaleRecord{}, err
 	}
-	opts := []netsim.Option{netsim.WithLeanStats()}
+	var opts []netsim.Option
 	if workers > 0 {
 		opts = append(opts, netsim.WithWorkers(workers))
 	}

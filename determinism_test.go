@@ -297,15 +297,16 @@ func comparePrimitiveOutputs(t *testing.T, spec topompc.Task, topo string, n int
 }
 
 // serializeReport renders every statistic of a report bit-exactly (float
-// costs via IEEE bits, all per-edge and per-node arrays).
+// costs via IEEE bits, every round's scalars and the per-edge and per-node
+// totals).
 func serializeReport(r *netsim.Report) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "rounds=%d\n", r.NumRounds())
 	for _, rd := range r.Rounds {
-		fmt.Fprintf(&sb, "round %d cost=%x msgs=%d elems=%d bottleneck=%d\n",
-			rd.Index, math.Float64bits(rd.Cost), rd.Messages, rd.Elements, rd.BottleneckEdge)
-		fmt.Fprintf(&sb, "  edges=%v\n  sent=%v\n  recv=%v\n", rd.EdgeElems, rd.NodeSent, rd.NodeReceived)
+		fmt.Fprintf(&sb, "round %d cost=%x msgs=%d elems=%d bottleneck=%d maxrecv=%d\n",
+			rd.Index, math.Float64bits(rd.Cost), rd.Messages, rd.Elements, rd.BottleneckEdge, rd.MaxReceived)
 	}
+	fmt.Fprintf(&sb, "edges=%v\nsent=%v\nrecv=%v\n", r.EdgeTotals, r.SentTotals, r.RecvTotals)
 	return sb.String()
 }
 

@@ -11,6 +11,8 @@ import (
 	"testing"
 
 	"topompc"
+	"topompc/internal/netsim"
+	"topompc/internal/topology"
 )
 
 // Golden cost-regression harness: every registry task runs on the fixed
@@ -37,10 +39,10 @@ type goldenEntry struct {
 
 func goldenPath() string { return filepath.Join("testdata", "golden_costs.json") }
 
-// runGoldenGrid executes every registry task on the fixture grid. A
-// non-nil execOpts is applied to each cluster before running — the
-// flight-recorder regression test uses this to prove instrumentation
-// leaves the accounting untouched.
+// runGoldenGrid executes every registry task on the fixture grid and checks
+// each row's totals against its rounds (checkTotals). A non-nil execOpts is
+// applied to each cluster before running — the flight-recorder regression
+// test uses this to prove instrumentation leaves the accounting untouched.
 func runGoldenGrid(t *testing.T, execOpts *topompc.ExecOptions) map[string]goldenEntry {
 	t.Helper()
 	got := make(map[string]goldenEntry)
@@ -60,6 +62,7 @@ func runGoldenGrid(t *testing.T, execOpts *topompc.ExecOptions) map[string]golde
 				if err != nil {
 					t.Fatalf("%s: %v", key, err)
 				}
+				checkTotals(t, key, res.Report)
 				got[key] = goldenEntry{
 					Rounds:     res.Cost.Rounds,
 					Cost:       res.Cost.Cost,
@@ -122,6 +125,63 @@ func TestGoldenCosts(t *testing.T) {
 		if _, ok := want[key]; !ok {
 			t.Errorf("%s: produced but missing from golden file (new task/fixture? rerun -update)", key)
 		}
+	}
+}
+
+// TestGoldenEdgeTotalsBoundCost runs the golden grid, which holds every
+// row's totals to its costed rounds (checkTotals), at 1 and 4 workers.
+func TestGoldenEdgeTotalsBoundCost(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		runGoldenGrid(t, &topompc.ExecOptions{Workers: workers})
+	}
+}
+
+// TestEmptyInputTotals runs every task on every fixture with empty input,
+// which takes the protocols' no-communication shortcuts, and holds each
+// report to checkTotals: a shortcut's report carries totals of the tree's
+// shape like an engine's.
+func TestEmptyInputTotals(t *testing.T) {
+	for _, topo := range fixtureTopos {
+		c, err := topo.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := c.NumNodes()
+		for _, spec := range topompc.Tasks() {
+			in := topompc.TaskInput{R: make([][]uint64, p), S: make([][]uint64, p), Data: make([][]uint64, p)}
+			for j := 0; j < max(spec.NumRelations, 3); j++ {
+				in.Rels = append(in.Rels, make([][]uint64, p))
+			}
+			key := spec.Name + "/" + topo.Name + "/empty"
+			res, err := c.RunTask(spec.Name, in)
+			if err != nil {
+				t.Fatalf("%s: %v", key, err)
+			}
+			checkTotals(t, key, res.Report)
+		}
+	}
+}
+
+// checkTotals ties a report's running totals to its costed rounds: it
+// carries per-edge and per-node totals for the tree it ran on, and since a
+// sum over rounds of per-round maxima is at least the maximum of the sums,
+// TotalCost ≥ max_e EdgeTotals[e]/w_e, with equality on one round.
+func checkTotals(t *testing.T, key string, rep *netsim.Report) {
+	t.Helper()
+	tr := rep.Tree
+	if len(rep.EdgeTotals) != tr.NumEdges() || len(rep.SentTotals) != tr.NumNodes() || len(rep.RecvTotals) != tr.NumNodes() {
+		t.Fatalf("%s: totals cover %d edges and %d, %d nodes of a tree with %d edges and %d nodes",
+			key, len(rep.EdgeTotals), len(rep.SentTotals), len(rep.RecvTotals), tr.NumEdges(), tr.NumNodes())
+	}
+	var worst float64
+	for e, n := range rep.EdgeTotals {
+		worst = math.Max(worst, float64(n)/tr.Bandwidth(topology.EdgeID(e)))
+	}
+	switch total := rep.TotalCost(); {
+	case rep.NumRounds() == 1 && total != worst:
+		t.Errorf("%s: one round of cost %v, its edge totals give %v", key, total, worst)
+	case total < worst && !floatsClose(total, worst):
+		t.Errorf("%s: %d rounds cost %v, below their edge totals' %v", key, rep.NumRounds(), total, worst)
 	}
 }
 

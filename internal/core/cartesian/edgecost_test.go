@@ -144,14 +144,17 @@ func TestTreeCartesianEdgeTrafficWithinBound(t *testing.T) {
 		if res.Report.Tree != tr {
 			continue
 		}
-		for _, rd := range res.Report.Rounds {
-			for e, got := range rd.EdgeElems {
-				// Up-traffic ≤ data below; down-traffic ≤ 32·N·l ≤ 32·min
-				// side... use the loose but rigorous bound 2·cutmin + 32·N.
-				limit := 2*cuts[e].Min() + 32*n
-				if got > limit {
-					t.Fatalf("edge %d carries %d > accounting bound %d", e, got, limit)
-				}
+		// The protocol is one round, so the report's edge totals are that
+		// round's per-edge traffic.
+		if rounds := res.Report.NumRounds(); rounds != 1 {
+			t.Fatalf("tree cartesian ran %d rounds, want 1", rounds)
+		}
+		for e, got := range res.Report.EdgeTotals {
+			// Up-traffic ≤ data below; down-traffic ≤ 32·N·l ≤ 32·min
+			// side... use the loose but rigorous bound 2·cutmin + 32·N.
+			limit := 2*cuts[e].Min() + 32*n
+			if got > limit {
+				t.Fatalf("edge %d carries %d > accounting bound %d", e, got, limit)
 			}
 		}
 	}

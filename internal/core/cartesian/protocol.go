@@ -44,7 +44,7 @@ func emptyResult(in *instance) *Result {
 		Rects:    make([]Rect, len(in.nodes)),
 		RKeys:    make([][]uint64, len(in.nodes)),
 		SKeys:    make([][]uint64, len(in.nodes)),
-		Report:   &netsim.Report{Tree: in.t},
+		Report:   netsim.NewEngine(in.t).Report(),
 		Strategy: "empty",
 	}
 }

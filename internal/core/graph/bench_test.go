@@ -65,9 +65,9 @@ func BenchmarkSpanningForest100k(b *testing.B) {
 
 // BenchmarkCCDense is the graph-dense benchmark workload at 1/10 scale: the
 // four connectivity variants on FatTree(3,4,16,0.25) with G(10⁴, 20/n)
-// spread round-robin over the 64 leaves, lean stats, two workers. At this
-// size every per-home need list is longer than a bitmap over the vertex
-// universe has words, so the contraction's index lists dedup by bitmap.
+// spread round-robin over the 64 leaves, two workers. At this size every
+// per-home need list is longer than a bitmap over the vertex universe has
+// words, so the contraction's index lists dedup by bitmap.
 func BenchmarkCCDense(b *testing.B) {
 	tr, err := topology.FatTree(3, 4, 16, 0.25)
 	if err != nil {
@@ -86,7 +86,7 @@ func BenchmarkCCDense(b *testing.B) {
 		b.Run(v.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := v.run(tr, edges, 1, netsim.WithWorkers(2), netsim.WithLeanStats()); err != nil {
+				if _, err := v.run(tr, edges, 1, netsim.WithWorkers(2)); err != nil {
 					b.Fatal(err)
 				}
 			}

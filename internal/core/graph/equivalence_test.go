@@ -10,16 +10,16 @@ import (
 	"topompc/internal/netsim"
 )
 
-// serializeReport renders every statistic of every round, byte for byte,
-// so two runs compare as exact strings.
+// serializeReport renders every statistic of every round and the per-edge
+// and per-node totals, byte for byte, so two runs compare as exact strings.
 func serializeReport(r *netsim.Report) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "rounds=%d\n", r.NumRounds())
 	for _, rd := range r.Rounds {
 		fmt.Fprintf(&sb, "round %d cost=%v bottleneck=%d maxrecv=%d msgs=%d elems=%d\n",
 			rd.Index, rd.Cost, rd.BottleneckEdge, rd.MaxReceived, rd.Messages, rd.Elements)
-		fmt.Fprintf(&sb, "  edges=%v\n  sent=%v\n  recv=%v\n", rd.EdgeElems, rd.NodeSent, rd.NodeReceived)
 	}
+	fmt.Fprintf(&sb, "edges=%v\nsent=%v\nrecv=%v\n", r.EdgeTotals, r.SentTotals, r.RecvTotals)
 	return sb.String()
 }
 

@@ -76,7 +76,7 @@ func newInstance(t *topology.Tree, r, s dataset.Placement) (*instance, error) {
 func (in *instance) emptyResult() *Result {
 	return &Result{
 		PerNode: make([][]uint64, len(in.nodes)),
-		Report:  &netsim.Report{Tree: in.t},
+		Report:  netsim.NewEngine(in.t).Report(),
 	}
 }
 

@@ -231,7 +231,7 @@ func planned(t *topology.Tree, r, s Placement, seed uint64, opts []netsim.Option
 		return &Result{
 			PerNode:  make([]int64, len(nodes)),
 			Sample:   make([][]Pair, len(nodes)),
-			Report:   &netsim.Report{Tree: t},
+			Report:   netsim.NewEngine(t).Report(),
 			Strategy: strategies[0],
 		}, nil
 	}

@@ -124,7 +124,7 @@ func planSort(tr *topology.Tree, data dataset.Placement, seed uint64, stride int
 	}
 	if in.total == 0 { // nothing moves
 		return &Result{PerNode: make([][]uint64, len(in.nodes)), Order: in.order,
-			Report: &netsim.Report{Tree: tr}, Strategy: cands[0].strategy}, nil
+			Report: netsim.NewEngine(tr).Report(), Strategy: cands[0].strategy}, nil
 	}
 	e := netsim.NewEngine(tr, eopts...)
 	rho := SampleRate(len(in.nodes), in.total)

@@ -75,7 +75,7 @@ func BenchmarkRoutingPerSend(b *testing.B) {
 func BenchmarkRoutingExchange(b *testing.B) {
 	tr := benchCaterpillar(b)
 	batch := benchTransferBatch(tr, 4096)
-	e := NewEngine(tr, WithLeanStats())
+	e := NewEngine(tr)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -96,7 +96,7 @@ func BenchmarkRoutingExchange(b *testing.B) {
 func BenchmarkRoutingExchangeSerial(b *testing.B) {
 	tr := benchCaterpillar(b)
 	batch := benchTransferBatch(tr, 4096)
-	e := NewEngine(tr, WithWorkers(1), WithLeanStats())
+	e := NewEngine(tr, WithWorkers(1))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -115,7 +115,7 @@ func BenchmarkRoutingExchangeSerial(b *testing.B) {
 // BenchmarkExchangeWide is the dataplane-wide kernel without bench/: one
 // steady-state round on the 25,001-leaf graded caterpillar, 5·10⁴ transfers
 // of 8 keys with every 4th a 3-destination multicast, planned per sender
-// through Plan and executed with lean stats.
+// through Plan and executed.
 func BenchmarkExchangeWide(b *testing.B) {
 	spine := make([]float64, 25000)
 	for i := range spine {
@@ -146,7 +146,7 @@ func BenchmarkExchangeWide(b *testing.B) {
 			}
 		}
 	}
-	e := NewEngine(tr, WithLeanStats())
+	e := NewEngine(tr)
 	round := func() {
 		x := e.Exchange()
 		x.Plan(plan)

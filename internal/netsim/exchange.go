@@ -45,9 +45,9 @@ type Exchange struct {
 	t0   float64  // trace timestamp of Exchange() (tracing only)
 	done bool
 
-	// The executing round's per-node element counts, written by the tally
-	// walk: the engine's reused arrays under lean stats, otherwise fresh
-	// ones the round's stats retain.
+	// The round's per-node element counts, by NodeID: written by the tally
+	// walk, folded into the engine's totals and zeroed by its accounting (or
+	// zeroed by discard when no delivery follows).
 	sent, received []int64
 
 	// Shard bodies handed to par.Blocks, built once: a closure made per call
@@ -73,6 +73,8 @@ func (e *Engine) Exchange() *Exchange {
 	if x.e == nil {
 		x.e = e
 		x.outs = make([]Outbox, e.t.NumCompute())
+		x.sent = make([]int64, e.t.NumNodes())
+		x.received = make([]int64, e.t.NumNodes())
 		x.logs = make([]opLog, len(e.shardSet()))
 		// par.Blocks forks Plan and both walks over the same sender ranges,
 		// shard w of k covering [w·n/k, (w+1)·n/k): a log has one writer.
@@ -151,12 +153,11 @@ type shardTally struct {
 }
 
 // tallyOps is the first walk over the outboxes in [lo, hi): it charges
-// every op to the shard's accumulator and, unless the round is only priced,
-// to the round's sent/received arrays, and counts its deliveries in the
-// shard's cursors. It resolves every receiver once: a unicast's to and a
-// multicast's packed destinations hold compute indices from here on. It
-// stops at a receiver that is not a compute node, leaving it in s.bad; the
-// refused plan is discarded.
+// every op to the shard's accumulator and to the round's sent/received
+// arrays, and counts its deliveries in the shard's cursors. It resolves
+// every receiver once: a unicast's to and a multicast's packed destinations
+// hold compute indices from here on. It stops at a receiver that is not a
+// compute node, leaving it in s.bad; the refused plan is discarded.
 //
 // Only the shard that owns a sender writes that sender's sent entry. The
 // received entry of a receiver is what the prefix finds delivered to it
@@ -238,9 +239,6 @@ func (x *Exchange) tallyOps(s *shardTally, l *opLog, lo, hi int) {
 				sent += int64(n)
 				s.acc.AddSteiner(s.terms, int64(n))
 			}
-		}
-		if x.sent == nil {
-			continue // priced, not executed: no node counts
 		}
 		if sent != 0 {
 			x.sent[from] += sent
@@ -332,16 +330,9 @@ func (x *Exchange) execute(async bool) int {
 	x.done = true
 	e := x.e
 
-	// The previous round's remainder reads the shard tallies and, under lean
-	// stats, owns the accounting arrays this round is about to write.
+	// The previous round's remainder reads the shard tallies and owns the
+	// node counts this round is about to write.
 	e.pending.Wait()
-	if e.leanStats {
-		e.ensureArena()
-		x.sent, x.received = e.arSent, e.arReceived
-	} else {
-		x.sent = make([]int64, e.t.NumNodes())
-		x.received = make([]int64, e.t.NumNodes())
-	}
 	shards := x.tally()
 
 	// Lay out the arena: receiver by receiver, shard by shard.
@@ -413,9 +404,9 @@ func (x *Exchange) Price() (cost float64, bottleneck topology.EdgeID) {
 	}
 	x.done = true
 	e := x.e
-	// The previous round's remainder may still be reading the shard tallies.
+	// The previous round's remainder may still be reading the shard tallies
+	// and the node counts.
 	e.pending.Wait()
-	x.sent, x.received = nil, nil
 	x.tally()
 	if e.priceEdge == nil {
 		e.priceEdge = make([]int64, e.t.NumEdges())
@@ -451,10 +442,8 @@ func (x *Exchange) discard() {
 	for _, s := range e.tallies {
 		clear(s.cur)
 	}
-	if e.leanStats {
-		clear(x.sent)
-		clear(x.received)
-	}
+	clear(x.sent)
+	clear(x.received)
 	for i := range x.outs {
 		x.outs[i].empty()
 	}
@@ -465,25 +454,29 @@ func (x *Exchange) discard() {
 }
 
 // accountRound is the serial remainder of an executed round: it merges the
-// shards' edge deltas, resolves them with one subtree-sum sweep and fills
-// the round's reserved stats slot. It reads nothing of the exchange, which
-// may be planning the next round by now. At most one runs at a time, and
-// execute waits for it before its first walk, so the shard accumulators and
-// the lean-stats arrays are used without synchronization.
+// shards' edge deltas, adds them to the edge totals with one subtree-sum
+// sweep that also finds the round's cost, fills the round's reserved stats
+// slot, and folds the round's node counts into the totals, zeroing them for
+// the next round. It reads nothing of the exchange's plan, which may be
+// planning the next round by now. At most one runs at a time, and execute
+// and Price wait for it before their first walk, so the shard accumulators
+// and the node counts are used without synchronization.
 func (e *Engine) accountRound(slot int, t0 float64, sent, received []int64, async bool) {
 	if async {
 		defer e.pending.Done()
 	}
-
-	// In lean mode the sweep adds straight into the cumulative totals;
-	// otherwise into a fresh array the round's stats retain.
-	traffic := e.totEdge
-	if !e.leanStats {
-		traffic = make([]int64, e.t.NumEdges())
-	}
 	rd := &e.rounds[slot]
-	rd.Cost, rd.BottleneckEdge = e.mergedDeltas().FlushInto(traffic)
-	e.retainStats(rd, traffic, sent, received)
+	rd.Cost, rd.BottleneckEdge = e.mergedDeltas().FlushInto(e.totEdge)
+	for v := range sent {
+		if sent[v] != 0 {
+			e.totSent[v] += sent[v]
+			sent[v] = 0
+		}
+		if received[v] != 0 {
+			e.totRecv[v] += received[v]
+			received[v] = 0
+		}
+	}
 	e.recordRound(slot, t0)
 }
 

@@ -58,8 +58,8 @@ func randomOps(rng *rand.Rand, t *topology.Tree, count int) []fuzzOp {
 	return ops
 }
 
-// statsEqual compares every field of two round stats.
-func statsEqual(tb testing.TB, got, want RoundStats) {
+// statsEqual compares every field of two rounds' statistics and arrays.
+func statsEqual(tb testing.TB, got, want roundArrays) {
 	tb.Helper()
 	if !reflect.DeepEqual(got.EdgeElems, want.EdgeElems) {
 		tb.Fatalf("EdgeElems: got %v, want %v", got.EdgeElems, want.EdgeElems)
@@ -89,7 +89,8 @@ func statsEqual(tb testing.TB, got, want RoundStats) {
 
 // TestExchangeMatchesRound replays random op batches through the serial
 // per-message Round oracle and the planned Exchange and requires identical
-// statistics and identical inboxes (contents and order).
+// statistics — the exchange's arrays read off the engine's totals — and
+// identical inboxes (contents and order).
 func TestExchangeMatchesRound(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 40; trial++ {
@@ -131,16 +132,11 @@ func TestExchangeMatchesRound(t *testing.T) {
 			}
 		}
 		wantOrdered := rd2.Finish()
-		gotStats := x.Execute()
+		gotStats := executed(x)
 
 		statsEqual(t, gotStats, wantOrdered)
 		// Aggregate sums are also identical to the unordered issue order.
-		statsEqual(t, RoundStats{
-			EdgeElems: gotStats.EdgeElems, NodeSent: gotStats.NodeSent,
-			NodeReceived: gotStats.NodeReceived, Cost: gotStats.Cost,
-			BottleneckEdge: gotStats.BottleneckEdge, MaxReceived: gotStats.MaxReceived,
-			Messages: gotStats.Messages, Elements: gotStats.Elements,
-		}, wantStats)
+		statsEqual(t, gotStats, wantStats)
 
 		xe := x.e
 		for _, v := range tr.ComputeNodes() {
@@ -155,7 +151,7 @@ func TestExchangeMatchesRound(t *testing.T) {
 // replaySerially is the oracle side of the Plan tests: it runs plan for
 // every compute node in order, each into a fresh outbox, and replays the
 // queued ops one by one through the per-message Round API.
-func replaySerially(e *Engine, plan func(v topology.NodeID, out *Outbox)) RoundStats {
+func replaySerially(e *Engine, plan func(v topology.NodeID, out *Outbox)) roundArrays {
 	rd := e.BeginRound()
 	for _, v := range e.Tree().ComputeNodes() {
 		ob := Outbox{log: new(opLog)}
@@ -195,7 +191,7 @@ func TestExchangePlanMatchesRoundParallel(t *testing.T) {
 		ex := NewEngine(tr, WithWorkers(workers))
 		x := ex.Exchange()
 		x.Plan(plan)
-		got := x.Execute()
+		got := executed(x)
 
 		statsEqual(t, got, want)
 		for _, v := range vs {
@@ -212,7 +208,7 @@ func TestExchangeWorkerCounts(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	tr := randomOpTree(t, rng, 33)
 	ops := randomOps(rng, tr, 300)
-	run := func(workers int) RoundStats {
+	run := func(workers int) roundArrays {
 		e := NewEngine(tr, WithWorkers(workers))
 		x := e.Exchange()
 		for _, v := range tr.ComputeNodes() {
@@ -227,7 +223,7 @@ func TestExchangeWorkerCounts(t *testing.T) {
 				}
 			}
 		}
-		return x.Execute()
+		return executed(x)
 	}
 	want := run(1)
 	for _, w := range []int{2, 3, 8, 64} {
@@ -245,7 +241,7 @@ func TestExchangeSelfSend(t *testing.T) {
 	e := NewEngine(tr)
 	x := e.Exchange()
 	x.Out(vs[0]).Send(vs[0], TagData, []uint64{1, 2, 3})
-	stats := x.Execute()
+	stats := executed(x)
 	if stats.Cost != 0 {
 		t.Fatalf("self-send cost = %v, want 0", stats.Cost)
 	}
@@ -269,7 +265,7 @@ func TestExchangeMulticastDuplicates(t *testing.T) {
 	e := NewEngine(tr)
 	x := e.Exchange()
 	x.Out(vs[0]).Multicast([]topology.NodeID{vs[1], vs[1], vs[1], vs[2]}, TagData, []uint64{9, 9})
-	stats := x.Execute()
+	stats := executed(x)
 	if got := e.Inbox(vs[1]).Len(); got != 1 {
 		t.Fatalf("duplicate destination delivered %d times, want 1", got)
 	}
@@ -410,8 +406,9 @@ func TestExchangeMisusePanics(t *testing.T) {
 // destinations the tally walk has already rewritten, or one receiver sent
 // more keys than int32 offsets address — panics by name on the caller's
 // goroutine before any arena array is allocated, and leaves the inboxes, the
-// round count and the costs of the rounds that follow exactly as an engine
-// that never saw it. Price refuses the router receivers the same way.
+// round count, the totals and the per-edge and per-node counts of the rounds
+// that follow exactly as an engine that never saw it. Price refuses the
+// router receivers the same way.
 func TestRejectedPlanLeavesEngineUntouched(t *testing.T) {
 	tr, err := topology.TwoTier([]int{3, 2, 3}, []float64{4, 2, 1}, 8)
 	if err != nil {
@@ -419,14 +416,14 @@ func TestRejectedPlanLeavesEngineUntouched(t *testing.T) {
 	}
 	vs := tr.ComputeNodes()
 	huge := make([]uint64, 1<<20)
-	good := func(e *Engine, r int) RoundStats {
+	good := func(e *Engine, r int) roundArrays {
 		x := e.Exchange()
 		x.Plan(func(v topology.NodeID, out *Outbox) {
 			i := e.t.ComputeIndex(v)
 			out.Send(vs[(i+r+1)%len(vs)], TagData, []uint64{uint64(i), uint64(r)})
 			out.Multicast([]topology.NodeID{vs[0], v, vs[r%len(vs)]}, TagR, []uint64{uint64(r)})
 		})
-		return x.Execute()
+		return executed(x)
 	}
 	rejected := map[string]struct {
 		want string
@@ -457,18 +454,11 @@ func TestRejectedPlanLeavesEngineUntouched(t *testing.T) {
 	}
 	for name, rj := range rejected {
 		for _, workers := range []int{1, 4} {
-			for _, mode := range []struct {
-				lean, priced bool
-			}{{false, false}, {true, false}, {false, true}, {true, true}} {
-				lean := mode.lean
-				if mode.priced && name == "inbox overflow" {
+			for _, priced := range []bool{false, true} {
+				if priced && name == "inbox overflow" {
 					continue // Price lays out no arena, so it has no offsets to overflow
 				}
-				opts := []Option{WithWorkers(workers)}
-				if lean {
-					opts = append(opts, WithLeanStats())
-				}
-				e, control := NewEngine(tr, opts...), NewEngine(tr, opts...)
+				e, control := NewEngine(tr, WithWorkers(workers)), NewEngine(tr, WithWorkers(workers))
 				good(e, 0)
 				good(control, 0)
 
@@ -481,7 +471,7 @@ func TestRejectedPlanLeavesEngineUntouched(t *testing.T) {
 							t.Fatalf("%s: recovered %q, want %q", name, msg, rj.want)
 						}
 					}()
-					if mode.priced {
+					if priced {
 						x.Price()
 					} else {
 						x.Execute()
@@ -513,7 +503,7 @@ func TestRejectedPlanLeavesEngineUntouched(t *testing.T) {
 					statsEqual(t, good(e, r), good(control, r))
 				}
 				if !reflect.DeepEqual(e.Report(), control.Report()) {
-					t.Fatalf("%s (workers %d, lean %v, priced %v): reports differ after the refused plan", name, workers, lean, mode.priced)
+					t.Fatalf("%s (workers %d, priced %v): reports differ after the refused plan", name, workers, priced)
 				}
 			}
 		}

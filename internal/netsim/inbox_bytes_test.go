@@ -63,7 +63,7 @@ func execPlanned(e *Engine, rd testRound, async bool) {
 
 // oraclePlanned replays the same round op by op through the serial Round,
 // senders in compute-node order.
-func oraclePlanned(e *Engine, rd testRound) RoundStats {
+func oraclePlanned(e *Engine, rd testRound) roundArrays {
 	r := e.BeginRound()
 	for ci, v := range e.t.ComputeNodes() {
 		for k := range rd.stages {
@@ -135,8 +135,8 @@ func randomTestRound(rng *rand.Rand, t *topology.Tree) testRound {
 // TestInboxBytesAcrossWorkers: on every topotest shape, over several rounds
 // on one engine (so both arenas and the exchange's op logs are reused), every
 // inbox holds the same (from, tag, keys) sequence at 1, 2, 4 and 7 workers,
-// under Execute and ExecuteAsync, with full and lean stats — and that
-// sequence is the serial Round oracle's.
+// under Execute and ExecuteAsync — and that sequence is the serial Round
+// oracle's.
 func TestInboxBytesAcrossWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for i := 0; i < 4*topotest.NumShapes; i++ {
@@ -156,11 +156,7 @@ func TestInboxBytesAcrossWorkers(t *testing.T) {
 		}
 		for _, workers := range []int{1, 2, 4, 7} {
 			for _, async := range []bool{false, true} {
-				opts := []Option{WithWorkers(workers)}
-				if async {
-					opts = append(opts, WithLeanStats())
-				}
-				e := NewEngine(tr, opts...)
+				e := NewEngine(tr, WithWorkers(workers))
 				for r, rd := range rounds {
 					execPlanned(e, rd, async)
 					if got := inboxBytes(e); !reflect.DeepEqual(got, want[r]) {
@@ -330,11 +326,12 @@ func fuzzPlan(data []byte) (*topology.Tree, []testRound, error) {
 }
 
 // FuzzExchange holds the exchange's data path to its contract on
-// byte-derived trees and plans: the inboxes are the same bytes at 1 and 4
-// workers (Execute with full stats, ExecuteAsync with lean stats) and equal
-// the serial Round oracle's after every round, the full-stats rounds equal
-// the oracle's field by field, lean and full reports agree on every
-// aggregate, and the traced per-round costs sum to Report.TotalCost.
+// byte-derived trees and plans: the inboxes are the same bytes at 1 worker
+// (Execute) and 4 workers (ExecuteAsync) and equal the serial Round oracle's
+// after every round; every 1-worker round equals the oracle's field by
+// field, its per-edge and per-node counts read off the engine's totals; the
+// 4-worker and the oracle's reports equal the 1-worker one; and the traced
+// per-round costs sum to Report.TotalCost.
 func FuzzExchange(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 0, 1, 3, 1, 4, 2, 0, 1, 2, 2, 8, 2, 1})
 	f.Add([]byte{2, 7, 0, 0, 0, 0, 0, 4, 0, 3, 9, 5, 5, 5, 1, 4, 7, 1, 64, 2, 4})
@@ -346,59 +343,48 @@ func FuzzExchange(f *testing.F) {
 		}
 		tc := obs.NewTrace()
 		oracle := NewEngine(tr)
-		full := NewEngine(tr, WithWorkers(1), WithTracer(tc))
-		lean := NewEngine(tr, WithWorkers(4), WithLeanStats())
+		serial := NewEngine(tr, WithWorkers(1), WithTracer(tc))
+		piped := NewEngine(tr, WithWorkers(4))
 		for r, rd := range rounds {
 			want := oraclePlanned(oracle, rd)
-			execPlanned(full, rd, false)
-			execPlanned(lean, rd, true)
-			statsEqual(t, full.Report().Rounds[r], want)
+			statsEqual(t, executed(planRound(serial, rd)), want)
+			execPlanned(piped, rd, true)
 			wantBytes := inboxBytes(oracle)
-			for name, e := range map[string]*Engine{"1 worker": full, "4 workers": lean} {
+			for name, e := range map[string]*Engine{"1 worker": serial, "4 workers": piped} {
 				if got := inboxBytes(e); !reflect.DeepEqual(got, wantBytes) {
 					t.Fatalf("round %d, %s: inboxes differ from the oracle\n got %v\nwant %v", r, name, got, wantBytes)
 				}
 			}
 		}
 
-		fr, lr := full.Report(), lean.Report()
+		sr := serial.Report()
 		sum := 0.0
 		for _, ev := range roundEvents(tc) {
 			sum += ev.Args["cost"].(float64)
 		}
-		if sum != fr.TotalCost() {
-			t.Fatalf("traced round costs sum to %v, TotalCost %v", sum, fr.TotalCost())
+		if sum != sr.TotalCost() {
+			t.Fatalf("traced round costs sum to %v, TotalCost %v", sum, sr.TotalCost())
 		}
-		if err := reportsAgree(lr, fr); err != nil {
-			t.Fatalf("lean report differs from full: %v", err)
+		if err := reportsEqual(piped.Report(), sr); err != nil {
+			t.Fatalf("4-worker report differs from the 1-worker one: %v", err)
+		}
+		if err := reportsEqual(oracle.Report(), sr); err != nil {
+			t.Fatalf("oracle report differs from the 1-worker one: %v", err)
 		}
 	})
 }
 
-// reportsAgree compares every aggregate a lean-stats report keeps with the
-// full-stats report of the same rounds.
-func reportsAgree(lean, full *Report) error {
-	if lean.NumRounds() != full.NumRounds() {
-		return fmt.Errorf("rounds %d, full %d", lean.NumRounds(), full.NumRounds())
+// reportsEqual compares two reports of the same rounds: every round's
+// statistics and the per-edge and per-node totals.
+func reportsEqual(got, want *Report) error {
+	if !reflect.DeepEqual(got.Rounds, want.Rounds) {
+		return fmt.Errorf("rounds %+v, want %+v", got.Rounds, want.Rounds)
 	}
-	if lean.TotalCost() != full.TotalCost() || lean.MPCCost() != full.MPCCost() || lean.TotalElements() != full.TotalElements() {
-		return fmt.Errorf("totals (cost, MPC cost, elements) %v %v %v, full %v %v %v",
-			lean.TotalCost(), lean.MPCCost(), lean.TotalElements(), full.TotalCost(), full.MPCCost(), full.TotalElements())
+	if !reflect.DeepEqual(got.EdgeTotals, want.EdgeTotals) {
+		return fmt.Errorf("edge totals %v, want %v", got.EdgeTotals, want.EdgeTotals)
 	}
-	ls, lr := lean.NodeTotals()
-	fs, fr := full.NodeTotals()
-	if !reflect.DeepEqual(ls, fs) || !reflect.DeepEqual(lr, fr) {
-		return fmt.Errorf("node totals %v %v, full %v %v", ls, lr, fs, fr)
-	}
-	if !reflect.DeepEqual(lean.MaxEdgeElems(), full.MaxEdgeElems()) {
-		return fmt.Errorf("edge maxima %v, full %v", lean.MaxEdgeElems(), full.MaxEdgeElems())
-	}
-	for i, f := range full.Rounds {
-		l := lean.Rounds[i]
-		if l.Cost != f.Cost || l.BottleneckEdge != f.BottleneckEdge || l.MaxReceived != f.MaxReceived ||
-			l.Messages != f.Messages || l.Elements != f.Elements {
-			return fmt.Errorf("round %d: %+v, full %+v", i, l, f)
-		}
+	if !reflect.DeepEqual(got.SentTotals, want.SentTotals) || !reflect.DeepEqual(got.RecvTotals, want.RecvTotals) {
+		return fmt.Errorf("node totals %v %v, want %v %v", got.SentTotals, got.RecvTotals, want.SentTotals, want.RecvTotals)
 	}
 	return nil
 }

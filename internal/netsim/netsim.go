@@ -38,17 +38,21 @@
 // kernels' per-home compute (Engine.Pool) — goes through internal/par on
 // the engine's one pool under the WithWorkers budget.
 //
-// Outboxes, op logs, inbox arenas, shard tallies and (under WithLeanStats)
-// the per-round accounting arrays are allocated once and recycled across
-// rounds, so a steady-state round performs no heap allocation. With more
-// than one worker, ExecuteAsync leaves the serial remainder of a round
-// (merging the shards' edge deltas, the subtree-sum sweep that also finds
-// the round's cost, folding the node counts into the totals) to one
+// A round's statistics are scalars — its cost, bottleneck edge, volume and
+// heaviest receiver — and its per-edge and per-node counts are folded into
+// running totals, so an engine's memory is O(V) however many rounds it runs.
+// Outboxes, op logs, inbox arenas, shard tallies and the per-round node
+// counts are allocated once and recycled across rounds, so a steady-state
+// round performs no heap allocation. With more than one worker,
+// ExecuteAsync leaves the serial remainder of a round (merging the shards'
+// edge deltas, the subtree-sum sweep that adds them to the edge totals and
+// finds the round's cost, folding the node counts into the totals) to one
 // background goroutine while the protocol plans the next round; Report and
 // the next Execute synchronize on it.
 package netsim
 
 import (
+	"slices"
 	"sync"
 
 	"topompc/internal/obs"
@@ -245,18 +249,14 @@ type Engine struct {
 	pool    *par.Pool     // Plan, the two walks of Execute and, through Pool(), the kernels
 	tallies []*shardTally // per-shard scratch of the walks
 
-	// Round arena: the exchange's outboxes and op logs are reused round over
-	// round. With lean stats so are the per-round accounting arrays, instead
-	// of being retained by RoundStats.
+	// Round arena: the exchange's outboxes, op logs and per-round node
+	// counts are reused round over round.
 	ex Exchange
 
-	leanStats  bool
-	arSent     []int64 // lean mode: reused per-round node sent
-	arReceived []int64 // lean mode: reused per-round node received
-	totEdge    []int64 // lean mode: cumulative per-edge totals
-	totSent    []int64 // lean mode: cumulative per-node sent totals
-	totRecv    []int64 // lean mode: cumulative per-node received totals
-	priceEdge  []int64 // Price's per-edge sweep target, zero between calls
+	totEdge   []int64 // cumulative per-edge elements, by EdgeID
+	totSent   []int64 // cumulative per-node elements sent, by NodeID
+	totRecv   []int64 // cumulative per-node elements received, by NodeID
+	priceEdge []int64 // Price's per-edge sweep target, zero between calls
 
 	pending sync.WaitGroup // outstanding asynchronous round accounting
 
@@ -286,18 +286,13 @@ func WithWorkers(n int) Option {
 	return func(e *Engine) { e.workers = n }
 }
 
-// WithLeanStats puts the engine in arena-stats mode: the per-round
-// EdgeElems/NodeSent/NodeReceived arrays are not retained per round —
-// RoundStats carries only the scalar statistics (Cost, BottleneckEdge,
-// MaxReceived, Messages, Elements) and the engine folds the arrays into
-// cumulative totals exposed through Report. This makes a steady-state
-// exchange round allocation-free and keeps memory O(V) instead of
-// O(V × rounds), which is what lets 10⁶-node topologies run protocols with
-// hundreds of rounds without exhausting memory. Aggregate report queries
-// (TotalCost, MPCCost, NodeTotals, MaxEdgeElems, EdgeTable) are unaffected;
-// only per-round array inspection is unavailable.
+// WithLeanStats is a no-op kept for existing callers: every engine keeps
+// only scalar per-round statistics and folds per-edge and per-node counts
+// into the running totals on Report.
+//
+// Deprecated: drop the option; the default engine is the lean one.
 func WithLeanStats() Option {
-	return func(e *Engine) { e.leanStats = true }
+	return func(*Engine) {}
 }
 
 // WithTracer attaches a trace sink: the engine allocates one lane and
@@ -322,6 +317,9 @@ func NewEngine(t *topology.Tree, opts ...Option) *Engine {
 		t:         t,
 		inboxCur:  newInboxArena(t.NumCompute()),
 		inboxNext: newInboxArena(t.NumCompute()),
+		totEdge:   make([]int64, t.NumEdges()),
+		totSent:   make([]int64, t.NumNodes()),
+		totRecv:   make([]int64, t.NumNodes()),
 	}
 	for _, o := range opts {
 		o(e)
@@ -409,17 +407,6 @@ func (e *Engine) computeIndex(v topology.NodeID) int {
 	return e.t.ComputeIndex(v)
 }
 
-// ensureArena allocates the lean-mode accounting arrays on first use.
-func (e *Engine) ensureArena() {
-	if e.arSent == nil {
-		e.arSent = make([]int64, e.t.NumNodes())
-		e.arReceived = make([]int64, e.t.NumNodes())
-		e.totEdge = make([]int64, e.t.NumEdges())
-		e.totSent = make([]int64, e.t.NumNodes())
-		e.totRecv = make([]int64, e.t.NumNodes())
-	}
-}
-
 // Tree reports the engine's tree.
 func (e *Engine) Tree() *topology.Tree { return e.t }
 
@@ -446,34 +433,15 @@ func (e *Engine) NumRounds() int {
 	return len(e.rounds)
 }
 
-// retainStats keeps a round's accounted arrays: with the round's stats, or
-// in lean mode folded into the cumulative totals and zeroed for reuse (the
-// edge counts were added to the totals as they were computed).
-func (e *Engine) retainStats(rd *RoundStats, traffic, sent, received []int64) {
-	if !e.leanStats {
-		rd.EdgeElems, rd.NodeSent, rd.NodeReceived = traffic, sent, received
-		return
-	}
-	for v := range sent {
-		if sent[v] != 0 {
-			e.totSent[v] += sent[v]
-			sent[v] = 0
-		}
-		if received[v] != 0 {
-			e.totRecv[v] += received[v]
-			received[v] = 0
-		}
-	}
-}
-
-// Report snapshots the cost statistics of all completed rounds.
+// Report snapshots the cost statistics of all completed rounds and the
+// running totals.
 func (e *Engine) Report() *Report {
 	e.pending.Wait()
-	r := &Report{Tree: e.t, Rounds: append([]RoundStats(nil), e.rounds...)}
-	if e.leanStats && e.totEdge != nil {
-		r.EdgeTotals = append([]int64(nil), e.totEdge...)
-		r.SentTotals = append([]int64(nil), e.totSent...)
-		r.RecvTotals = append([]int64(nil), e.totRecv...)
+	return &Report{
+		Tree:       e.t,
+		Rounds:     slices.Clone(e.rounds),
+		EdgeTotals: slices.Clone(e.totEdge),
+		SentTotals: slices.Clone(e.totSent),
+		RecvTotals: slices.Clone(e.totRecv),
 	}
-	return r
 }

@@ -144,7 +144,7 @@ func TestMultiRoundAccumulation(t *testing.T) {
 	if rep.TotalElements() != 12 {
 		t.Errorf("total elements = %v, want 12", rep.TotalElements())
 	}
-	tot := rep.MaxEdgeElems()
+	tot := rep.EdgeTotals
 	if tot[0]+tot[1] != 24 {
 		t.Errorf("per-edge totals = %v, want sum 24", tot)
 	}

@@ -15,8 +15,7 @@ import (
 // nothing to send — is priced, then planned again and executed, round after
 // round on one engine. The price is the executed round's cost and bottleneck
 // edge exactly, and pricing leaves the round count, every inbox and the
-// Report as they were, at 1 and 4 workers, with full stats under Execute and
-// lean stats under ExecuteAsync.
+// Report as they were, at 1 and 4 workers, under Execute and ExecuteAsync.
 func TestPriceMatchesExecute(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	for i := 0; i < 3*topotest.NumShapes; i++ {
@@ -29,29 +28,25 @@ func TestPriceMatchesExecute(t *testing.T) {
 			rounds[r] = randomTestRound(rng, tr)
 		}
 		for _, workers := range []int{1, 4} {
-			for _, lean := range []bool{false, true} {
-				opts := []Option{WithWorkers(workers)}
-				if lean {
-					opts = append(opts, WithLeanStats())
-				}
-				e := NewEngine(tr, opts...)
+			for _, async := range []bool{false, true} {
+				e := NewEngine(tr, WithWorkers(workers))
 				for r, rd := range rounds {
 					inboxes, report := inboxBytes(e), e.Report()
 					cost, bottleneck := planRound(e, rd).Price()
 					if n := e.NumRounds(); n != r {
-						t.Fatalf("%s #%d, workers %d, lean %v, round %d: %d rounds after Price, want %d", name, i, workers, lean, r, n, r)
+						t.Fatalf("%s #%d, workers %d, async %v, round %d: %d rounds after Price, want %d", name, i, workers, async, r, n, r)
 					}
 					if !reflect.DeepEqual(inboxBytes(e), inboxes) {
-						t.Fatalf("%s #%d, workers %d, lean %v, round %d: Price changed the inboxes", name, i, workers, lean, r)
+						t.Fatalf("%s #%d, workers %d, async %v, round %d: Price changed the inboxes", name, i, workers, async, r)
 					}
 					if !reflect.DeepEqual(e.Report(), report) {
-						t.Fatalf("%s #%d, workers %d, lean %v, round %d: Price changed the report", name, i, workers, lean, r)
+						t.Fatalf("%s #%d, workers %d, async %v, round %d: Price changed the report", name, i, workers, async, r)
 					}
-					execPlanned(e, rd, lean)
+					execPlanned(e, rd, async)
 					got := e.Report().Rounds[r]
 					if cost != got.Cost || bottleneck != got.BottleneckEdge {
-						t.Fatalf("%s #%d, workers %d, lean %v, round %d: priced (%v, edge %d), executed (%v, edge %d)",
-							name, i, workers, lean, r, cost, bottleneck, got.Cost, got.BottleneckEdge)
+						t.Fatalf("%s #%d, workers %d, async %v, round %d: priced (%v, edge %d), executed (%v, edge %d)",
+							name, i, workers, async, r, cost, bottleneck, got.Cost, got.BottleneckEdge)
 					}
 				}
 			}
@@ -59,7 +54,7 @@ func TestPriceMatchesExecute(t *testing.T) {
 	}
 }
 
-// TestPriceSteadyStateAllocFree: on a lean-stats engine, pricing a round
+// TestPriceSteadyStateAllocFree: on the default engine, pricing a round
 // allocates nothing once the op logs have grown to the working set, with the
 // metrics registry off and on, and the registry counts priced rounds apart
 // from executed ones.
@@ -67,7 +62,7 @@ func TestPriceSteadyStateAllocFree(t *testing.T) {
 	tr := benchCaterpillar(t)
 	batch := benchTransferBatch(tr, 4096)
 	for _, reg := range []*obs.Registry{nil, obs.NewRegistry()} {
-		e := NewEngine(tr, WithWorkers(1), WithLeanStats(), WithMetrics(reg))
+		e := NewEngine(tr, WithWorkers(1), WithMetrics(reg))
 		x := e.Exchange()
 		planBatch(x, batch)
 		x.Execute()

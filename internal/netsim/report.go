@@ -8,18 +8,12 @@ import (
 	"topompc/internal/topology"
 )
 
-// RoundStats records the cost accounting of one completed round.
-//
-// Under WithLeanStats the three per-round arrays are nil — the engine folds
-// them into cumulative totals exposed on Report instead — and the scalar
-// fields (Cost, BottleneckEdge, MaxReceived, Messages, Elements) carry all
-// per-round information.
+// RoundStats records the cost accounting of one completed round. It holds
+// scalars only: the round's per-edge and per-node counts are folded into the
+// totals on Report.
 type RoundStats struct {
 	Index          int
-	EdgeElems      []int64 // elements crossing each edge, by EdgeID (nil in lean mode)
-	NodeSent       []int64 // elements emitted by each node, by NodeID (nil in lean mode)
-	NodeReceived   []int64 // elements delivered to each node, self-sends excluded (nil in lean mode)
-	Cost           float64 // max_e EdgeElems[e] / w_e
+	Cost           float64 // max_e |Y_i(e)| / w_e over the round's edge counts
 	BottleneckEdge topology.EdgeID
 	MaxReceived    int64 // max over nodes of elements received this round
 	Messages       int
@@ -31,10 +25,9 @@ type Report struct {
 	Tree   *topology.Tree
 	Rounds []RoundStats
 
-	// Cumulative per-edge / per-node totals across all rounds, populated by
-	// engines running under WithLeanStats (where the per-round arrays are
-	// not retained). Nil otherwise; the aggregate queries below fall back
-	// to summing the per-round arrays.
+	// Cumulative totals across all rounds: elements crossing each edge, by
+	// EdgeID, and elements emitted by and delivered to each node, by NodeID
+	// (a multicast is emitted once; self-sends are neither).
 	EdgeTotals []int64
 	SentTotals []int64
 	RecvTotals []int64
@@ -69,54 +62,9 @@ func (r *Report) TotalElements() int64 {
 func (r *Report) MPCCost() float64 {
 	var total int64
 	for _, rd := range r.Rounds {
-		worst := rd.MaxReceived
-		for _, n := range rd.NodeReceived {
-			if n > worst {
-				worst = n
-			}
-		}
-		total += worst
+		total += rd.MaxReceived
 	}
 	return float64(total)
-}
-
-// NodeTotals reports per-node (sent, received) element totals across all
-// rounds, indexed by NodeID.
-func (r *Report) NodeTotals() (sent, received []int64) {
-	if r.SentTotals != nil {
-		return append([]int64(nil), r.SentTotals...), append([]int64(nil), r.RecvTotals...)
-	}
-	if len(r.Rounds) == 0 || r.Rounds[0].NodeSent == nil {
-		return nil, nil
-	}
-	sent = make([]int64, len(r.Rounds[0].NodeSent))
-	received = make([]int64, len(r.Rounds[0].NodeReceived))
-	for _, rd := range r.Rounds {
-		for v, n := range rd.NodeSent {
-			sent[v] += n
-		}
-		for v, n := range rd.NodeReceived {
-			received[v] += n
-		}
-	}
-	return sent, received
-}
-
-// MaxEdgeElems reports, per edge, the total elements across all rounds.
-func (r *Report) MaxEdgeElems() []int64 {
-	if r.EdgeTotals != nil {
-		return append([]int64(nil), r.EdgeTotals...)
-	}
-	if len(r.Rounds) == 0 || r.Rounds[0].EdgeElems == nil {
-		return nil
-	}
-	total := make([]int64, len(r.Rounds[0].EdgeElems))
-	for _, rd := range r.Rounds {
-		for e, n := range rd.EdgeElems {
-			total[e] += n
-		}
-	}
-	return total
 }
 
 // String renders a per-round summary table.
@@ -143,11 +91,10 @@ func (r *Report) EdgeTable() string {
 	if r.Tree == nil || len(r.Rounds) == 0 {
 		return "(no rounds)\n"
 	}
-	totals := r.MaxEdgeElems()
 	cost := r.TotalCost()
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%-20s %12s %12s %8s\n", "link", "elements", "time", "of cost")
-	for e, n := range totals {
+	for e, n := range r.EdgeTotals {
 		a, b := r.Tree.Endpoints(topology.EdgeID(e))
 		w := r.Tree.Bandwidth(topology.EdgeID(e))
 		t := float64(n) / w

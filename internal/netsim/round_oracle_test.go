@@ -11,7 +11,9 @@ import (
 // the baseline of BenchmarkRoutingPerSend. It shares nothing with the
 // exchange's data path: every Send walks its tree path edge by edge, every
 // Multicast its Steiner tree, deliveries are buffered in issue order, and
-// Finish lays the inbox arena out with one serial counting pass.
+// Finish lays the inbox arena out with one serial counting pass. It keeps
+// the round's own per-edge and per-node arrays, which Finish returns and
+// adds to the engine's totals.
 type Round struct {
 	e        *Engine
 	traffic  []int64
@@ -106,10 +108,42 @@ func (r *Round) deliver(from, to topology.NodeID, tag Tag, keys []uint64) {
 	r.msgs = append(r.msgs, Message{From: from, To: to, Tag: tag, Keys: keys})
 }
 
+// roundArrays is one round's statistics together with its per-edge and
+// per-node counts, which RoundStats does not keep: what the Round oracle
+// counts, and what an exchange round adds to the engine's totals.
+type roundArrays struct {
+	RoundStats
+	EdgeElems    []int64 // elements crossing each edge, by EdgeID
+	NodeSent     []int64 // elements emitted by each node, by NodeID
+	NodeReceived []int64 // elements delivered to each node, self-sends excluded
+}
+
+// executed runs x's Execute and returns the round's statistics with its
+// arrays: the difference between the engine's totals after and before.
+func executed(x *Exchange) roundArrays {
+	before := x.e.Report()
+	st := x.Execute()
+	after := x.e.Report()
+	delta := func(a, b []int64) []int64 {
+		d := make([]int64, len(a))
+		for i := range a {
+			d[i] = a[i] - b[i]
+		}
+		return d
+	}
+	return roundArrays{
+		RoundStats:   st,
+		EdgeElems:    delta(after.EdgeTotals, before.EdgeTotals),
+		NodeSent:     delta(after.SentTotals, before.SentTotals),
+		NodeReceived: delta(after.RecvTotals, before.RecvTotals),
+	}
+}
+
 // Finish closes the round: it lays the buffered deliveries out in the inbox
 // arena, receiver by receiver in issue order, computes the round cost,
-// records statistics, and makes the deliveries visible.
-func (r *Round) Finish() RoundStats {
+// records statistics, adds the round's arrays to the engine's totals, and
+// makes the deliveries visible.
+func (r *Round) Finish() roundArrays {
 	if r.done {
 		panic("netsim: Finish called twice")
 	}
@@ -153,14 +187,14 @@ func (r *Round) Finish() RoundStats {
 	for _, n := range r.received {
 		rd.MaxReceived = max(rd.MaxReceived, n)
 	}
-	if e.leanStats {
-		e.ensureArena()
-		for edge, n := range r.traffic {
-			e.totEdge[edge] += n
-		}
+	for edge, n := range r.traffic {
+		e.totEdge[edge] += n
 	}
-	e.retainStats(rd, r.traffic, r.sent, r.received)
+	for v := range r.sent {
+		e.totSent[v] += r.sent[v]
+		e.totRecv[v] += r.received[v]
+	}
 	e.recordRound(slot, r.t0)
 	e.inboxCur, e.inboxNext = e.inboxNext, e.inboxCur
-	return e.rounds[slot]
+	return roundArrays{RoundStats: *rd, EdgeElems: r.traffic, NodeSent: r.sent, NodeReceived: r.received}
 }

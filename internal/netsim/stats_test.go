@@ -52,7 +52,7 @@ func TestMPCCost(t *testing.T) {
 	if got := rep.MPCCost(); got != 20 {
 		t.Errorf("MPC cost = %v, want 20", got)
 	}
-	sent, recv := rep.NodeTotals()
+	sent, recv := rep.SentTotals, rep.RecvTotals
 	if sent[vs[0]] != 10 || sent[vs[1]] != 3 || sent[vs[2]] != 7 {
 		t.Errorf("sent totals = %v", sent)
 	}
@@ -67,9 +67,16 @@ func TestMPCCostEmptyReport(t *testing.T) {
 	if rep.MPCCost() != 0 {
 		t.Error("empty report should have zero MPC cost")
 	}
-	s, r := rep.NodeTotals()
-	if s != nil || r != nil {
-		t.Error("empty report should have nil totals")
+	for _, totals := range [][]int64{rep.EdgeTotals, rep.SentTotals, rep.RecvTotals} {
+		for _, n := range totals {
+			if n != 0 {
+				t.Fatalf("empty report has non-zero totals: %v %v %v", rep.EdgeTotals, rep.SentTotals, rep.RecvTotals)
+			}
+		}
+	}
+	if len(rep.EdgeTotals) != tr.NumEdges() || len(rep.SentTotals) != tr.NumNodes() || len(rep.RecvTotals) != tr.NumNodes() {
+		t.Fatalf("empty report's totals cover %d edges and %d, %d nodes; want %d and %d",
+			len(rep.EdgeTotals), len(rep.SentTotals), len(rep.RecvTotals), tr.NumEdges(), tr.NumNodes())
 	}
 }
 

@@ -30,7 +30,7 @@ func TestExchangeTraceRoundsSumToTotalCost(t *testing.T) {
 
 	for _, workers := range []int{1, 8} {
 		tc := obs.NewTrace()
-		e := NewEngine(tr, WithWorkers(workers), WithLeanStats(), WithTracer(tc))
+		e := NewEngine(tr, WithWorkers(workers), WithTracer(tc))
 		for r := 0; r < 6; r++ {
 			x := e.Exchange()
 			planBatch(x, batch[r*128:])
@@ -110,8 +110,8 @@ func TestRoundAPITraceAndBottleneck(t *testing.T) {
 }
 
 // TestTracedRunLeavesStatsIdentical runs the same workload with and without
-// the recorder attached and requires bit-identical round statistics — the
-// recorder observes, never perturbs.
+// the recorder attached and requires bit-identical round statistics and
+// totals — the recorder observes, never perturbs.
 func TestTracedRunLeavesStatsIdentical(t *testing.T) {
 	tr := benchCaterpillar(t)
 	batch := benchTransferBatch(tr, 1024)
@@ -128,11 +128,11 @@ func TestTracedRunLeavesStatsIdentical(t *testing.T) {
 	plain := run()
 	traced := run(WithTracer(obs.NewTrace()), WithMetrics(obs.NewRegistry()))
 
-	if len(plain.Rounds) != len(traced.Rounds) {
-		t.Fatalf("rounds: plain %d, traced %d", len(plain.Rounds), len(traced.Rounds))
+	if plain.NumRounds() != 4 {
+		t.Fatalf("plain run recorded %d rounds, want 4", plain.NumRounds())
 	}
-	for i := range plain.Rounds {
-		statsEqual(t, traced.Rounds[i], plain.Rounds[i])
+	if err := reportsEqual(traced, plain); err != nil {
+		t.Fatalf("traced run differs from the plain one: %v", err)
 	}
 }
 
@@ -149,7 +149,7 @@ func TestPoolForksBetweenAsyncRounds(t *testing.T) {
 	const rounds = 60
 
 	run := func(opts ...Option) (*Report, int64) {
-		e := NewEngine(tr, append(opts, WithLeanStats())...)
+		e := NewEngine(tr, opts...)
 		var kernel int64
 		for r := 0; r < rounds; r++ {
 			x := e.Exchange()
