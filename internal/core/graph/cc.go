@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -21,6 +22,20 @@ const maxPhases = 64
 // converges in O(log chain) iterations and hooking chains are at most the
 // label count, so 128 is unreachable without a bug.
 const maxJumpIters = 128
+
+// The named failures of the contraction's answer rounds. Neither occurs on
+// a correct run: every label a node asks for is alive, so once pointer
+// jumping finishes it has a root, and every pointer names a label that
+// hooked or stayed a root this phase. They exist so that a broken state
+// stops the run where it shows, not rounds later in relabel.
+var (
+	// ErrUnresolvedLabel is returned when a lookup asks for a label that
+	// has no root this phase.
+	ErrUnresolvedLabel = errors.New("graph: asked label has no phase root")
+	// ErrDanglingPointer is returned when a pointer-jump query names a
+	// label with neither a root nor a parent this phase.
+	ErrDanglingPointer = errors.New("graph: jump target has neither a root nor a parent")
+)
 
 // CC computes connected components with the topology-aware protocol:
 // capacity-weighted vertex homes and per-cut combining of label updates.
@@ -147,8 +162,8 @@ func contract(tr *topology.Tree, edges Placement, seed uint64, v variant, opts [
 		}
 		if v.expand {
 			pr.pushRoots()
-		} else {
-			pr.lookups()
+		} else if err := pr.lookups(); err != nil {
+			return nil, err
 		}
 		if err := pr.relabel(); err != nil {
 			return nil, err
@@ -193,11 +208,16 @@ func contract(tr *topology.Tree, edges Placement, seed uint64, v variant, opts [
 // The lookup needs dedup against the same stamps. No comparator sort, and
 // no sort of candidates rather than labels, runs on the data path.
 //
-// The wire protocol is unchanged except that messages carry indices
-// instead of ids. The renumbering is order-preserving and homes are still
-// hashed from the original ids, so every message has the same destination,
-// tag, and length as the retired map-based path (runMaps, the test oracle)
-// — cost reports are byte-identical, which the property tests pin.
+// Messages carry indices where the map-based path (runMaps, the test
+// oracle) carries ids; nothing else differs. The renumbering is
+// order-preserving and homes are still hashed from the original ids, so
+// every message has the same destination, tag, and length on both paths —
+// cost reports are byte-identical, which the property tests pin. Replies
+// answer by position: a lookup answer is one root per asked label and a
+// jump reply a resolved bitmap plus one value per query, both in the order
+// of the query they answer, which the asker still holds. Nothing in a reply
+// depends on how wide an id is, so the oracle speaks the same wire over the
+// original 64-bit ids.
 
 // workEdge is one active contracted edge: current endpoint label indices
 // plus the original witness endpoint indices.
@@ -533,9 +553,6 @@ func (pr *proto) trimScratch(i int) int64 {
 type payloadSlab struct{ buf []uint64 }
 
 func (pa *payloadSlab) grab(n int) []uint64 {
-	if n == 0 {
-		return nil
-	}
 	if len(pa.buf)+n > cap(pa.buf) {
 		// The floor is one cache-line pair: on a wide tree most nodes
 		// send about eight words a round, and a bigger minimum chunk per
@@ -589,13 +606,11 @@ type proto struct {
 	rootAt  []int32
 	rootVal []int32
 
-	// Jump-answer snapshot, stamped per jump iteration and keyed by hooked
-	// label a (home-partitioned, so the parallel read epoch writes each
-	// entry from exactly one shard): the answer a's home derives for a's
-	// current pointer target from the frozen pre-iteration state — the
-	// same values the reply messages on the wire carry.
-	jstamp int32
-	jrAt   []int32
+	// Jump-answer snapshot of the current iteration, keyed by hooked label
+	// a (home-partitioned, so the parallel read epoch writes each entry
+	// from exactly one shard): the answer a's home derives for a's current
+	// pointer target from the frozen pre-iteration state — the same values
+	// the reply messages on the wire carry.
 	jrVal  []int32
 	jrRoot []bool
 
@@ -616,6 +631,11 @@ type proto struct {
 	wscr   []collectScratch
 	relErr []error
 	mTrims *obs.Counter
+
+	// planErr holds, per compute node, the failure its planning callback
+	// met while answering queries (ErrUnresolvedLabel, ErrDanglingPointer);
+	// each callback writes only its own slot.
+	planErr []error
 }
 
 // round executes one planned exchange with fn planning each compute node's
@@ -635,6 +655,17 @@ func (pr *proto) round(fn func(i int, out *netsim.Outbox)) {
 }
 
 func (pr *proto) slab(i int) *payloadSlab { return &pr.arena[i] }
+
+// planFailure returns the first failure, in compute order, that a planning
+// callback recorded.
+func (pr *proto) planFailure() error {
+	for _, err := range pr.planErr {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 // idxOf resolves an original vertex id to its dense index.
 func (pr *proto) idxOf(x uint64) int32 {
@@ -1089,115 +1120,111 @@ func (pr *proto) hook() int {
 }
 
 // jump resolves every hooked label to the root of its hooking tree by
-// iterated pointer halving: each iteration, the home of an unresolved
-// label asks the home of its current pointer target either for the root
-// (when the target is resolved) or for the target's own pointer. Pointers
-// strictly decrease along hooks, so the loop terminates in O(log chain)
-// iterations.
+// iterated pointer halving (jumpOnce), failing after maxJumpIters
+// iterations. Pointers strictly decrease along hooks, so the loop
+// terminates in O(log chain) iterations.
 func (pr *proto) jump(unresolved int) error {
 	for iter := 0; unresolved > 0; iter++ {
 		if iter == maxJumpIters {
 			return fmt.Errorf("graph: pointer jumping did not converge after %d iterations", maxJumpIters)
 		}
-		// Queries: one per distinct pointer target per node.
-		pr.round(func(i int, out *netsim.Outbox) {
-			qs := pr.scr[i].need[:0]
-			for _, a := range pr.hooked[i] {
-				qs = append(qs, pr.parPtr[a])
-			}
-			qs = pr.sortDedup(i, qs)
-			pr.scr[i].need = qs
-			pr.emitIndexGroups(i, out, tagJumpQ, qs)
-		})
-		// Replies: root when the target is resolved, one pointer step
-		// otherwise.
-		pr.round(func(j int, out *netsim.Outbox) {
-			ib := pr.e.Inbox(pr.nodes[j])
-			for mi := 0; mi < ib.Len(); mi++ {
-				m := ib.At(mi)
-				if m.Tag != tagJumpQ {
-					continue
-				}
-				nr, ns := 0, 0
-				for _, qk := range m.Keys {
-					q := int32(qk)
-					if pr.rootAt[q] == pr.phase {
-						nr++
-					} else if pr.parAt[q] == pr.phase {
-						ns++
-					}
-				}
-				roots := pr.slab(j).grab(2 * nr)
-				stepsBuf := pr.slab(j).grab(2 * ns)
-				kr, ks := 0, 0
-				for _, qk := range m.Keys {
-					q := int32(qk)
-					if pr.rootAt[q] == pr.phase {
-						roots[kr] = qk
-						roots[kr+1] = uint64(uint32(pr.rootVal[q]))
-						kr += 2
-					} else if pr.parAt[q] == pr.phase {
-						stepsBuf[ks] = qk
-						stepsBuf[ks+1] = uint64(uint32(pr.parPtr[q]))
-						ks += 2
-					}
-				}
-				if nr > 0 {
-					out.Send(m.From, tagJumpRoot, roots)
-				}
-				if ns > 0 {
-					out.Send(m.From, tagJumpStep, stepsBuf)
-				}
-			}
-		})
-		// Receipt, in two epochs with a barrier between. Read epoch: every
-		// hooked label's home derives the answer for the label's pointer
-		// target from the frozen pre-iteration state — exactly the values
-		// the reply messages carry, keyed by the hooked label so every
-		// snapshot entry is written by one shard (the wire is accounted by
-		// the engine; decoding it would only re-read these same arrays).
-		// Write epoch: each label advances from its own snapshot entry, so
-		// no shard ever reads parent state another shard is rewriting.
-		pr.jstamp++
-		st := pr.jstamp
-		pr.pool.ForEach("cc jump snapshot", len(pr.nodes), func(i int) {
-			for _, a := range pr.hooked[i] {
-				q := pr.parPtr[a]
-				if pr.rootAt[q] == pr.phase {
-					pr.jrAt[a] = st
-					pr.jrRoot[a] = true
-					pr.jrVal[a] = pr.rootVal[q]
-				} else if pr.parAt[q] == pr.phase {
-					pr.jrAt[a] = st
-					pr.jrRoot[a] = false
-					pr.jrVal[a] = pr.parPtr[q]
-				}
-			}
-		})
-		unresolved = int(pr.pool.Sum("cc jump advance", len(pr.nodes), func(_, lo, hi int) int64 {
-			var left int64
-			for i := lo; i < hi; i++ {
-				keep := pr.hooked[i][:0]
-				for _, a := range pr.hooked[i] {
-					if pr.jrAt[a] == st {
-						if pr.jrRoot[a] {
-							pr.rootAt[a] = pr.phase
-							pr.rootVal[a] = pr.jrVal[a]
-						} else {
-							pr.parPtr[a] = pr.jrVal[a]
-						}
-					}
-					if pr.rootAt[a] != pr.phase {
-						keep = append(keep, a)
-					}
-				}
-				pr.hooked[i] = keep
-				left += int64(len(keep))
-			}
-			return left
-		}))
+		var err error
+		if unresolved, err = pr.jumpOnce(); err != nil {
+			return err
+		}
 	}
 	return nil
+}
+
+// jumpOnce is one pointer-halving iteration: the home of every unresolved
+// label asks the home of its current pointer target, and the target's home
+// answers each query message with one reply of ⌈n/64⌉ bitmap words and n
+// value words, in the query's order: bit k set means the k-th target is
+// resolved and value k is its root; clear, value k is the target's own
+// pointer. A target with neither fails the run (ErrDanglingPointer).
+// Returns the number of labels still unresolved.
+func (pr *proto) jumpOnce() (int, error) {
+	// Queries: one per distinct pointer target per node.
+	pr.round(func(i int, out *netsim.Outbox) {
+		qs := pr.scr[i].need[:0]
+		for _, a := range pr.hooked[i] {
+			qs = append(qs, pr.parPtr[a])
+		}
+		qs = pr.sortDedup(i, qs)
+		pr.scr[i].need = qs
+		pr.emitIndexGroups(i, out, tagJumpQ, qs)
+	})
+	pr.round(func(j int, out *netsim.Outbox) {
+		ib := pr.e.Inbox(pr.nodes[j])
+		for mi := 0; mi < ib.Len(); mi++ {
+			m := ib.At(mi)
+			if m.Tag != tagJumpQ {
+				continue
+			}
+			words := (len(m.Keys) + 63) >> 6
+			reply := pr.slab(j).grab(words + len(m.Keys))
+			resolved, vals := reply[:words], reply[words:]
+			clear(resolved) // the slab is reused round to round
+			for k, qk := range m.Keys {
+				q := int32(qk)
+				switch {
+				case pr.rootAt[q] == pr.phase:
+					resolved[k>>6] |= 1 << (k & 63)
+					vals[k] = uint64(uint32(pr.rootVal[q]))
+				case pr.parAt[q] == pr.phase:
+					vals[k] = uint64(uint32(pr.parPtr[q]))
+				default:
+					pr.planErr[j] = fmt.Errorf("%w: node %d asked home %d for label %d",
+						ErrDanglingPointer, pr.nodeIdx[m.From], j, pr.ids[q])
+					return
+				}
+			}
+			out.Send(m.From, tagJumpA, reply)
+		}
+	})
+	if err := pr.planFailure(); err != nil {
+		return 0, err
+	}
+	// Receipt, in two epochs with a barrier between. Read epoch: every
+	// hooked label's home derives the answer for the label's pointer
+	// target from the frozen pre-iteration state — exactly the values the
+	// reply messages carry, keyed by the hooked label so every snapshot
+	// entry is written by one shard (the wire is accounted by the engine;
+	// decoding it would only re-read these same arrays). Every target was
+	// answered, or the run failed above. Write epoch: each label advances
+	// from its own snapshot entry, so no shard ever reads parent state
+	// another shard is rewriting.
+	pr.pool.ForEach("cc jump snapshot", len(pr.nodes), func(i int) {
+		for _, a := range pr.hooked[i] {
+			q := pr.parPtr[a]
+			pr.jrRoot[a] = pr.rootAt[q] == pr.phase
+			if pr.jrRoot[a] {
+				pr.jrVal[a] = pr.rootVal[q]
+			} else {
+				pr.jrVal[a] = pr.parPtr[q]
+			}
+		}
+	})
+	return int(pr.pool.Sum("cc jump advance", len(pr.nodes), func(_, lo, hi int) int64 {
+		var left int64
+		for i := lo; i < hi; i++ {
+			keep := pr.hooked[i][:0]
+			for _, a := range pr.hooked[i] {
+				if pr.jrRoot[a] {
+					pr.rootAt[a] = pr.phase
+					pr.rootVal[a] = pr.jrVal[a]
+				} else {
+					pr.parPtr[a] = pr.jrVal[a]
+				}
+				if pr.rootAt[a] != pr.phase {
+					keep = append(keep, a)
+				}
+			}
+			pr.hooked[i] = keep
+			left += int64(len(keep))
+		}
+		return left
+	})), nil
 }
 
 // lookups fetches the phase roots every node needs — the endpoint labels
@@ -1206,14 +1233,15 @@ func (pr *proto) jump(unresolved int) error {
 // under a combining schedule the queries are deduplicated on the way up
 // (sweepNeeds), the top carriers query the homes once per distinct label, and
 // the answers fan back down the same chain, so a hot label's root crosses
-// each engaged cut once per block per level.
+// each engaged cut once per block per level. Every answer is one root word
+// per asked label, in the order asked (sendRoots).
 //
 // Every alive label's root is resolved once jumping finishes, so the
 // rootAt/rootVal arrays already hold exactly the answers the wire carries;
 // replies are generated from them directly and the delivered payloads need
 // no per-node answer table — the messages exist for the cost model, which
 // accounts them identically to the map path.
-func (pr *proto) lookups() {
+func (pr *proto) lookups() error {
 	if len(pr.steps) > 0 {
 		pr.pool.ForEach("cc lookup reset", len(pr.nodes), func(i int) {
 			sc := &pr.scr[i]
@@ -1250,24 +1278,23 @@ func (pr *proto) lookups() {
 			}
 		})
 	}
+	return pr.planFailure()
 }
 
-// sendRoots answers, from node j, the asked labels that are resolved this
-// phase: one [label, root, ...] message, none when nothing is resolved.
+// sendRoots answers, from node j, one query of labels: a message of one
+// root word per asked label, in the order asked, so the asker reads each
+// root off the position of the label in the list it sent. An asked label
+// with no phase root records ErrUnresolvedLabel in j's planning slot and
+// sends nothing.
 func sendRoots[T int32 | uint64](pr *proto, j int, out *netsim.Outbox, to topology.NodeID, tag netsim.Tag, asked []T) {
-	cnt := 0
-	for _, a := range asked {
-		if pr.rootAt[int32(a)] == pr.phase {
-			cnt++
-		}
-	}
-	if cnt == 0 {
-		return
-	}
-	reply := pr.slab(j).grab(2 * cnt)[:0]
-	for _, a := range asked {
-		if pr.rootAt[int32(a)] == pr.phase {
-			reply = append(reply, uint64(uint32(a)), uint64(uint32(pr.rootVal[int32(a)])))
+	reply := pr.slab(j).grab(len(asked))
+	for k, a := range asked {
+		if x := int32(a); pr.rootAt[x] == pr.phase {
+			reply[k] = uint64(uint32(pr.rootVal[x]))
+		} else {
+			pr.planErr[j] = fmt.Errorf("%w: node %d asked node %d for label %d",
+				ErrUnresolvedLabel, pr.nodeIdx[to], j, pr.ids[x])
+			return
 		}
 	}
 	out.Send(to, tag, reply)
@@ -1412,7 +1439,6 @@ func newProto(tr *topology.Tree, edges Placement, seed uint64, v variant, opts [
 		parPtr:     make([]int32, nV),
 		rootAt:     make([]int32, nV),
 		rootVal:    make([]int32, nV),
-		jrAt:       make([]int32, nV),
 		jrVal:      make([]int32, nV),
 		jrRoot:     make([]bool, nV),
 		homedVerts: make([][]int32, p),
@@ -1423,6 +1449,7 @@ func newProto(tr *topology.Tree, edges Placement, seed uint64, v variant, opts [
 		wscr:       make([]collectScratch, pool.Workers()),
 		relErr:     make([]error, pool.Workers()),
 		mTrims:     e.Metrics().Counter("graph.cc.scratch_trims"),
+		planErr:    make([]error, p),
 	}
 	pr.arena = make([]payloadSlab, p)
 	if v.witness {

@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"errors"
 	"fmt"
+	"maps"
 	"slices"
 
 	"topompc/internal/core/place"
@@ -276,7 +278,8 @@ func (pr *mapProto) hook() int {
 // label asks the home of its current pointer target either for the root
 // (when the target is resolved) or for the target's own pointer. Pointers
 // strictly decrease along hooks, so the loop terminates in O(log chain)
-// iterations.
+// iterations. A reply answers by position: a resolved bitmap, then one
+// value per query, read against the query list the asker kept.
 func (pr *mapProto) jump(unresolved int) error {
 	for iter := 0; unresolved > 0; iter++ {
 		if iter == maxJumpIters {
@@ -284,6 +287,7 @@ func (pr *mapProto) jump(unresolved int) error {
 		}
 		// Queries: one per distinct pointer target per node.
 		waiting := make([]map[uint64][]uint64, len(pr.nodes))
+		asked := make([]map[int][]uint64, len(pr.nodes))
 		pr.round(func(i int, out *netsim.Outbox) {
 			w := make(map[uint64][]uint64)
 			for _, a := range sortedKeys(pr.parent[i]) {
@@ -295,10 +299,12 @@ func (pr *mapProto) jump(unresolved int) error {
 			for _, q := range sortedKeys(w) {
 				groups[pr.home(q)] = append(groups[pr.home(q)], q)
 			}
+			asked[i] = groups
 			pr.sendByHome(out, tagJumpQ, groups)
 		})
-		// Replies: root when the target is resolved, one pointer step
-		// otherwise.
+		// Replies: bit k set and value k the root when the k-th target is
+		// resolved, bit k clear and value k its pointer otherwise.
+		failed := make([]error, len(pr.nodes))
 		pr.round(func(j int, out *netsim.Outbox) {
 			ib := pr.e.Inbox(pr.nodes[j])
 			for mi := 0; mi < ib.Len(); mi++ {
@@ -306,41 +312,48 @@ func (pr *mapProto) jump(unresolved int) error {
 				if m.Tag != tagJumpQ {
 					continue
 				}
-				var roots, steps []uint64
-				for _, q := range m.Keys {
+				words := (len(m.Keys) + 63) / 64
+				reply := make([]uint64, words+len(m.Keys))
+				for k, q := range m.Keys {
 					if r, ok := pr.rootOf[j][q]; ok {
-						roots = append(roots, q, r)
+						reply[k/64] |= 1 << (k % 64)
+						reply[words+k] = r
 					} else if pq, ok := pr.parent[j][q]; ok {
-						steps = append(steps, q, pq)
+						reply[words+k] = pq
+					} else {
+						failed[j] = fmt.Errorf("%w: label %d", ErrDanglingPointer, q)
+						return
 					}
 				}
-				if len(roots) > 0 {
-					out.Send(m.From, tagJumpRoot, roots)
-				}
-				if len(steps) > 0 {
-					out.Send(m.From, tagJumpStep, steps)
-				}
+				out.Send(m.From, tagJumpA, reply)
 			}
 		})
+		if err := errors.Join(failed...); err != nil {
+			return err
+		}
 		unresolved = 0
 		for i, v := range pr.nodes {
 			ib := pr.e.Inbox(v)
 			for mi := 0; mi < ib.Len(); mi++ {
 				m := ib.At(mi)
-				switch m.Tag {
-				case tagJumpRoot:
-					for k := 0; k+1 < len(m.Keys); k += 2 {
-						q, r := m.Keys[k], m.Keys[k+1]
+				if m.Tag != tagJumpA {
+					continue
+				}
+				qs := asked[i][pr.idx[m.From]]
+				words := (len(qs) + 63) / 64
+				if len(m.Keys) != words+len(qs) {
+					return fmt.Errorf("oracle: jump reply of %d words to %d queries", len(m.Keys), len(qs))
+				}
+				for k, q := range qs {
+					val := m.Keys[words+k]
+					if m.Keys[k/64]>>(k%64)&1 == 1 {
 						for _, a := range waiting[i][q] {
-							pr.rootOf[i][a] = r
+							pr.rootOf[i][a] = val
 							delete(pr.parent[i], a)
 						}
-					}
-				case tagJumpStep:
-					for k := 0; k+1 < len(m.Keys); k += 2 {
-						q, pq := m.Keys[k], m.Keys[k+1]
+					} else {
 						for _, a := range waiting[i][q] {
-							pr.parent[i][a] = pq
+							pr.parent[i][a] = val
 						}
 					}
 				}
@@ -360,8 +373,10 @@ func (pr *mapProto) jump(unresolved int) error {
 // combiner unions its members' needs before they cross that level's cut),
 // the top carriers query the homes once per distinct label, and the
 // answers fan back down the same chain, so a hot label's root crosses each
-// engaged cut once per block per level.
-func (pr *mapProto) lookups(first bool) []map[uint64]uint64 {
+// engaged cut once per block per level. Every answer is one root per asked
+// label in the order asked, and every asker reads it against the list it
+// sent.
+func (pr *mapProto) lookups(first bool) ([]map[uint64]uint64, error) {
 	needs := make([]map[uint64]bool, len(pr.nodes))
 	for i := range pr.nodes {
 		nd := make(map[uint64]bool)
@@ -377,18 +392,6 @@ func (pr *mapProto) lookups(first bool) []map[uint64]uint64 {
 		needs[i] = nd
 	}
 
-	if len(pr.steps) == 0 {
-		pr.round(func(i int, out *netsim.Outbox) {
-			groups := make(map[int][]uint64)
-			for _, a := range sortedKeys(needs[i]) {
-				groups[pr.home(a)] = append(groups[pr.home(a)], a)
-			}
-			pr.sendByHome(out, tagLookupQ, groups)
-		})
-		pr.replyLookups()
-		return pr.collectRoots(tagLookupA)
-	}
-
 	// Up-sweep: members push their needs one level at a time; each engaged
 	// combiner records who asked for what (to fan the answers back) and
 	// carries the union upward.
@@ -397,14 +400,17 @@ func (pr *mapProto) lookups(first bool) []map[uint64]uint64 {
 		labels []uint64
 	}
 	perStep := make([][][]memberNeed, len(pr.steps))
+	upSent := make([][][]uint64, len(pr.steps)) // what each member sent up, per step
 	carry := needs
 	for s, st := range pr.steps {
 		st := st
+		upSent[s] = make([][]uint64, len(pr.nodes))
 		pr.round(func(i int, out *netsim.Outbox) {
 			if st.Target[i] == i {
 				return
 			}
 			if batch := sortedKeys(carry[i]); len(batch) > 0 {
+				upSent[s][i] = batch
 				out.Send(pr.nodes[st.Target[i]], tagLookupUp, batch)
 			}
 		})
@@ -435,16 +441,35 @@ func (pr *mapProto) lookups(first bool) []map[uint64]uint64 {
 		carry = next
 	}
 
-	// Top carriers query the homes once per distinct label; homes reply.
+	// Top carriers (every node in direct mode) query the homes once per
+	// distinct label; homes reply.
+	asked := make([]map[int][]uint64, len(pr.nodes))
 	pr.round(func(i int, out *netsim.Outbox) {
 		groups := make(map[int][]uint64)
 		for _, a := range sortedKeys(carry[i]) {
 			groups[pr.home(a)] = append(groups[pr.home(a)], a)
 		}
+		asked[i] = groups
 		pr.sendByHome(out, tagLookupQ, groups)
 	})
-	pr.replyLookups()
-	rootAt := pr.collectRoots(tagLookupA)
+	failed := make([]error, len(pr.nodes))
+	pr.round(func(j int, out *netsim.Outbox) {
+		ib := pr.e.Inbox(pr.nodes[j])
+		for mi := 0; mi < ib.Len(); mi++ {
+			if m := ib.At(mi); m.Tag == tagLookupQ {
+				if err := answerRoots(out, m.From, tagLookupA, m.Keys, pr.rootOf[j]); err != nil {
+					failed[j] = err
+				}
+			}
+		}
+	})
+	if err := errors.Join(failed...); err != nil {
+		return nil, err
+	}
+	rootAt, err := pr.collectRoots(tagLookupA, func(i, from int) []uint64 { return asked[i][from] })
+	if err != nil {
+		return nil, err
+	}
 
 	// Down-sweep, coarsest level first: combiners answer each recorded
 	// member exactly what it asked for, so deeper combiners hold their
@@ -452,57 +477,43 @@ func (pr *mapProto) lookups(first bool) []map[uint64]uint64 {
 	for s := len(pr.steps) - 1; s >= 0; s-- {
 		pr.round(func(j int, out *netsim.Outbox) {
 			for _, mn := range perStep[s][j] {
-				reply := make([]uint64, 0, 2*len(mn.labels))
-				for _, a := range mn.labels {
-					if r, ok := rootAt[j][a]; ok {
-						reply = append(reply, a, r)
-					}
-				}
-				if len(reply) > 0 {
-					out.Send(mn.from, tagLookupDown, reply)
+				if err := answerRoots(out, mn.from, tagLookupDown, mn.labels, rootAt[j]); err != nil {
+					failed[j] = err
 				}
 			}
 		})
-		for i, v := range pr.nodes {
-			ib := pr.e.Inbox(v)
-			for mi := 0; mi < ib.Len(); mi++ {
-				m := ib.At(mi)
-				if m.Tag != tagLookupDown {
-					continue
-				}
-				for k := 0; k+1 < len(m.Keys); k += 2 {
-					rootAt[i][m.Keys[k]] = m.Keys[k+1]
-				}
-			}
+		if err := errors.Join(failed...); err != nil {
+			return nil, err
+		}
+		down, err := pr.collectRoots(tagLookupDown, func(i, _ int) []uint64 { return upSent[s][i] })
+		if err != nil {
+			return nil, err
+		}
+		for i := range pr.nodes {
+			maps.Copy(rootAt[i], down[i])
 		}
 	}
-	return rootAt
+	return rootAt, nil
 }
 
-// replyLookups plans the home side of a lookup round: answer every queried
-// label with its resolved root.
-func (pr *mapProto) replyLookups() {
-	pr.round(func(j int, out *netsim.Outbox) {
-		ib := pr.e.Inbox(pr.nodes[j])
-		for mi := 0; mi < ib.Len(); mi++ {
-			m := ib.At(mi)
-			if m.Tag != tagLookupQ {
-				continue
-			}
-			reply := make([]uint64, 0, 2*len(m.Keys))
-			for _, a := range m.Keys {
-				if r, ok := pr.rootOf[j][a]; ok {
-					reply = append(reply, a, r)
-				}
-			}
-			if len(reply) > 0 {
-				out.Send(m.From, tagLookupA, reply)
-			}
+// answerRoots answers one query: one root per asked label, in the order asked.
+func answerRoots(out *netsim.Outbox, to topology.NodeID, tag netsim.Tag, asked []uint64, roots map[uint64]uint64) error {
+	reply := make([]uint64, len(asked))
+	for k, a := range asked {
+		r, ok := roots[a]
+		if !ok {
+			return fmt.Errorf("%w: label %d", ErrUnresolvedLabel, a)
 		}
-	})
+		reply[k] = r
+	}
+	out.Send(to, tag, reply)
+	return nil
 }
 
-func (pr *mapProto) collectRoots(tag netsim.Tag) []map[uint64]uint64 {
+// collectRoots reads every node's answers of one tag by position: the
+// answer from compute node from to node i carries one root per label of
+// sentTo(i, from), the list i asked it for.
+func (pr *mapProto) collectRoots(tag netsim.Tag, sentTo func(i, from int) []uint64) ([]map[uint64]uint64, error) {
 	rmap := make([]map[uint64]uint64, len(pr.nodes))
 	for i, v := range pr.nodes {
 		rmap[i] = make(map[uint64]uint64)
@@ -512,12 +523,16 @@ func (pr *mapProto) collectRoots(tag netsim.Tag) []map[uint64]uint64 {
 			if m.Tag != tag {
 				continue
 			}
-			for k := 0; k+1 < len(m.Keys); k += 2 {
-				rmap[i][m.Keys[k]] = m.Keys[k+1]
+			labels := sentTo(i, pr.idx[m.From])
+			if len(m.Keys) != len(labels) {
+				return nil, fmt.Errorf("oracle: %d roots answer %d labels", len(m.Keys), len(labels))
+			}
+			for k, a := range labels {
+				rmap[i][a] = m.Keys[k]
 			}
 		}
 	}
-	return rmap
+	return rmap, nil
 }
 
 // relabel rewrites every active edge onto the phase roots, dropping edges
@@ -566,11 +581,14 @@ func (pr *mapProto) totalActive() int {
 }
 
 // runMaps runs the retired map-based contraction: home state held in
-// per-node hash maps and per-round proposal maps, exactly as the protocol
-// shipped before the int-indexed data plane. It produces byte-identical
-// cost reports and checksums to CC/CCFlat/SpanningForest and lives in a
-// test file as the equivalence oracle of the property tests and the
-// baseline leg of the contraction benchmarks.
+// per-node hash maps and per-round proposal maps, over the original 64-bit
+// vertex ids. It produces byte-identical cost reports and checksums to
+// CC/CCFlat/SpanningForest and lives in a test file as the equivalence
+// oracle of the property tests and the baseline leg of the contraction
+// benchmarks. Unlike the int-indexed path, which reads answers from its
+// global root arrays, it learns every root and pointer from the wire: each
+// node keeps the query lists it sends and decodes the positional replies
+// against them, bitmap included.
 func runMaps(tr *topology.Tree, edges Placement, seed uint64, aware, witness bool, opts []netsim.Option) (*Result, error) {
 	if err := checkPlacement(tr, edges); err != nil {
 		return nil, err
@@ -656,7 +674,11 @@ func runMaps(tr *topology.Tree, edges Placement, seed uint64, aware, witness boo
 			return nil, err
 		}
 		first := phases == 1
-		if err := pr.relabel(pr.lookups(first), first); err != nil {
+		rmap, err := pr.lookups(first)
+		if err != nil {
+			return nil, err
+		}
+		if err := pr.relabel(rmap, first); err != nil {
 			return nil, err
 		}
 	}

@@ -48,6 +48,12 @@ import (
 //
 // The result is byte-comparable to CC's: canonical minimum labels, same
 // Result shape, verified against the union-find reference.
+//
+// Its cost is not quite comparable: the adjacency, doubling and pushRoots
+// rounds pack two 32-bit dense indices into one word (a<<32|b). The
+// Borůvka path carries one index per word and the map oracle one 64-bit id
+// per word, so they would run unchanged over ids of any width; these rounds
+// would not, and cc-fast's figure on them is optimistic against cc's.
 
 // The exponentiation budgets, the measured optimum of the scale sweep: b=8
 // balances known-set reach against push volume, and three doubling rounds

@@ -63,7 +63,10 @@ func fuzzGraph(data []byte) (*topology.Tree, Placement, uint64, error) {
 // union-find reference and spanforest's witnesses pass VerifyForest, every
 // result and every round is the same at 1 and 4 workers, and the three
 // Borůvka variants send what the map oracle (runMaps) sends, round for
-// round: messages, elements, cost and the per-edge, per-node tallies.
+// round: messages, elements, cost and the per-edge, per-node tallies. The
+// oracle decodes every answer by position against the queries it kept, and
+// checkAnswers decodes the Borůvka variants' own jump replies and direct
+// lookup answers the same way.
 func FuzzCC(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{8, 0, 1, 1, 0, 2, 2, 0})                                           // one node, two isolated vertices
@@ -138,6 +141,7 @@ func FuzzCC(f *testing.F) {
 				t.Fatalf("%s: rounds differ from the map oracle:\n got %s\nwant %s",
 					v.name, serializeReport(one.Report), serializeReport(want.Report))
 			}
+			checkAnswers(t, tr, pl, seed, variant{aware: v.aware, witness: v.witness})
 		}
 	})
 }

@@ -84,12 +84,11 @@ const (
 	tagPropose                           // label proposals: [a, b(, wu, wv), ...]
 	tagProposeUp                         // proposals, member → combiner
 	tagJumpQ                             // pointer-jump query: [q, ...]
-	tagJumpStep                          // jump reply, one step: [q, parent, ...]
-	tagJumpRoot                          // jump reply, resolved: [q, root, ...]
+	tagJumpA                             // jump reply in query order: [resolved bitmap (⌈n/64⌉ words), value, ...], value = root if resolved, else parent
 	tagLookupQ                           // root lookup query: [a, ...]
-	tagLookupA                           // root lookup reply: [a, root, ...]
+	tagLookupA                           // root lookup reply in query order: [root, ...]
 	tagLookupUp                          // lookup query, member → combiner
-	tagLookupDown                        // lookup reply, combiner → member
+	tagLookupDown                        // lookup reply in query order, combiner → member: [root, ...]
 	tagAdj                               // cc-fast adjacency: packed [a<<32|b, ...]
 	tagKnow                              // cc-fast known-set push: packed [u<<32|x, ...]
 )
