@@ -10,7 +10,8 @@
 // shared single-round distribution protocol that multicasts each input
 // tuple to every node whose rectangle covers its row (for R) or column (for
 // S). One driver runs every protocol; a protocol with several layouts has
-// each priced on the round it would run and runs the cheapest. Each node
+// each priced on the round it would run and runs the cheapest
+// (netsim.Engine.RunCheapest). Each node
 // then enumerates its rectangle locally. Correctness is the
 // geometric statement that the rectangles cover the grid; cost is measured
 // by the netsim engine and compared against the Theorem 3 and Theorem 4

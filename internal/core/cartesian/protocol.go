@@ -67,10 +67,8 @@ func gather(in *instance, target int) layout {
 type axes struct{ x, y []segment }
 
 // distribute is the one driver of every strategy. Each layout's rectangles
-// are clamped to the grid and must cover it. A single layout runs unpriced;
-// of several, each is planned and priced with Exchange.Price on the engine
-// that runs the round, and the cheapest runs, ties going to the earlier
-// layout (Algorithm 8's "pick the best of").
+// are clamped to the grid and must cover it, and netsim.Engine.RunCheapest
+// runs the cheapest layout's round (Algorithm 8's "pick the best of").
 //
 // The round is shared by every strategy: each node multicasts every R-tuple
 // to the nodes whose rectangles cover its global rank (and likewise
@@ -79,7 +77,7 @@ type axes struct{ x, y []segment }
 // multicast and shared links are charged once per element (Steiner
 // accounting).
 func distribute(in *instance, layouts ...layout) (*Result, error) {
-	plans := make([]axes, len(layouts))
+	cands := make([]netsim.Candidate, len(layouts))
 	for i, l := range layouts {
 		rects := l.rects
 		if len(rects) != len(in.nodes) {
@@ -91,27 +89,15 @@ func distribute(in *instance, layouts ...layout) (*Result, error) {
 		if in.sizeR > 0 && in.sizeS > 0 && !CoversGrid(rects, in.sizeR, in.sizeS) {
 			return nil, fmt.Errorf("cartesian: %s rectangles do not cover the %d×%d grid", l.strategy, in.sizeR, in.sizeS)
 		}
-		plans[i] = axes{
+		a := axes{
 			x: segments(rects, in.sizeR, func(r Rect) (int64, int64) { return r.X0, r.X1 }, in.nodes),
 			y: segments(rects, in.sizeS, func(r Rect) (int64, int64) { return r.Y0, r.Y1 }, in.nodes),
 		}
+		cands[i] = netsim.Candidate{Name: l.strategy, Rounds: 1, Plan: func(x *netsim.Exchange, _ int, _ bool) { in.plan(x, a) }}
 	}
 
 	e := netsim.NewEngine(in.t, in.opts...)
-	best := 0
-	if len(layouts) > 1 {
-		var bestCost float64
-		for i := range plans {
-			x := e.Exchange()
-			in.plan(x, plans[i])
-			if cost, _ := x.Price(); i == 0 || cost < bestCost {
-				best, bestCost = i, cost
-			}
-		}
-	}
-	x := e.Exchange()
-	in.plan(x, plans[best])
-	x.Execute()
+	best := e.RunCheapest(cands)
 
 	res := &Result{
 		Rects:    layouts[best].rects,

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"topompc/internal/dataset"
+	"topompc/internal/netsim"
 	"topompc/internal/topology"
 )
 
@@ -156,6 +157,26 @@ func TestDistributeRejectsNonCovering(t *testing.T) {
 	rects := []Rect{{X0: 0, X1: 5, Y0: 0, Y1: 10}, {}} // right half uncovered
 	if _, err := distribute(in, layout{rects, "broken"}); err == nil {
 		t.Error("expected coverage error")
+	}
+	if _, err := distribute(in, layout{rects[:1], "short"}); err == nil {
+		t.Error("expected an error for one rectangle on two nodes")
+	}
+}
+
+// TestEntryPointsRejectMismatchedPlacements: every entry point refuses
+// placements that do not cover the tree's compute nodes, R's or S's.
+func TestEntryPointsRejectMismatchedPlacements(t *testing.T) {
+	tr, _ := topology.UniformStar(3, 1)
+	good, _ := dataset.SplitUniform(dataset.Sequential(12), 3)
+	short := good[:2]
+	for name, run := range map[string]func(*topology.Tree, dataset.Placement, dataset.Placement, ...netsim.Option) (*Result, error){
+		"Tree": Tree, "UniformGrid": UniformGrid, "Unequal": Unequal,
+	} {
+		for _, pair := range [][2]dataset.Placement{{short, good}, {good, short}} {
+			if _, err := run(tr, pair[0], pair[1]); err == nil {
+				t.Errorf("%s accepted placements over %d and %d of 3 nodes", name, len(pair[0]), len(pair[1]))
+			}
+		}
 	}
 }
 

@@ -27,9 +27,9 @@ import (
 //     power-of-two square stacked into full-height strips otherwise — the
 //     rectangle analogue of the wHC packing.
 //
-// Ties go to the earlier layout. The smaller relation is placed on the X
-// axis of the broadcast and the packing; their rectangles are transposed
-// back when |S| < |R|.
+// Ties go to the earlier layout (netsim.Engine.RunCheapest). The smaller
+// relation is placed on the X axis of the broadcast and the packing; their
+// rectangles are transposed back when |S| < |R|.
 func Unequal(t *topology.Tree, r, s dataset.Placement, opts ...netsim.Option) (*Result, error) {
 	if !t.IsStar() {
 		return nil, fmt.Errorf("cartesian: not a star topology")
@@ -49,8 +49,8 @@ func Unequal(t *topology.Tree, r, s dataset.Placement, opts ...netsim.Option) (*
 	return distribute(in, layouts...)
 }
 
-// unequalLayouts lays out Unequal's candidates in the order they are
-// priced: a gather at every compute node, the broadcast, the packing.
+// unequalLayouts lays out Unequal's candidates in the order the chooser
+// takes them: a gather at every compute node, the broadcast, the packing.
 func unequalLayouts(in *instance) ([]layout, error) {
 	transposed := in.sizeR > in.sizeS
 	small, large := in.sizeR, in.sizeS

@@ -9,6 +9,7 @@ import (
 	"topompc/internal/dataset"
 	"topompc/internal/lowerbound"
 	"topompc/internal/netsim"
+	"topompc/internal/obs"
 	"topompc/internal/topology"
 )
 
@@ -95,4 +96,40 @@ func TestUnequalConformance(t *testing.T) {
 		}
 	}
 	t.Logf("picks: %v", picked)
+}
+
+// TestOneLayoutRunsUnpriced: Tree and UniformGrid have one layout each and
+// run it without pricing a round, while Unequal prices one round per layout
+// — a gather at each of the p leaves, the broadcast and the packing — and
+// runs one.
+func TestOneLayoutRunsUnpriced(t *testing.T) {
+	tr, err := topology.Star([]float64{1, 2, 4, 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(34))
+	p := tr.NumCompute()
+	r, s := split(t, rng, "zipf", dataset.Distinct(rng, 64), p), split(t, rng, "zipf", dataset.Distinct(rng, 64), p)
+	small := split(t, rng, "uniform", dataset.Distinct(rng, 16), p)
+	for _, tc := range []struct {
+		name   string
+		run    func(opts ...netsim.Option) (*Result, error)
+		priced int64
+	}{
+		{"Tree", func(opts ...netsim.Option) (*Result, error) { return Tree(tr, r, s, opts...) }, 0},
+		{"UniformGrid", func(opts ...netsim.Option) (*Result, error) { return UniformGrid(tr, r, s, opts...) }, 0},
+		{"Unequal", func(opts ...netsim.Option) (*Result, error) { return Unequal(tr, r, small, opts...) }, int64(p + 2)},
+	} {
+		reg := obs.NewRegistry()
+		res, err := tc.run(netsim.WithMetrics(reg))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := reg.Counter("netsim.priced_rounds").Value(); got != tc.priced {
+			t.Errorf("%s: netsim.priced_rounds = %d, want %d", tc.name, got, tc.priced)
+		}
+		if got := reg.Counter("netsim.rounds").Value(); got != 1 || len(res.Report.Rounds) != 1 {
+			t.Errorf("%s: %d rounds counted, %d reported, want 1", tc.name, got, len(res.Report.Rounds))
+		}
+	}
 }

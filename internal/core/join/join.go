@@ -12,8 +12,8 @@
 // The join is one round of Algorithm 2, place.BlockRouter.Round, over 2-word
 // rows, so a sender's rows leave through place.Scatter, the one keyed
 // scatter. Tree plans which router that round takes. It prices three on the
-// instance (place.BlockRouter.PriceRound, then netsim.Exchange.Price) and
-// runs the cheapest on the same engine, the first among equals:
+// instance (place.BlockRouter.PriceRound, then netsim.Engine.RunCheapest)
+// and runs the cheapest on the same engine, the first among equals:
 //
 //   - blocks: join keys routed exactly like TreeIntersect routes set
 //     elements (balanced partition, weighted in-block hashing, the smaller
@@ -38,7 +38,6 @@ package join
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"unsafe"
 
@@ -191,24 +190,17 @@ const (
 // Tree joins R and S on an arbitrary symmetric tree: it prices three plans
 // of the one round on the instance — Algorithm 2's block round described in
 // the package comment, a capacity-weighted hash and UniformHash's uniform
-// hash, the latter two flat — and runs the cheapest, the first among equals.
-// Pricing lays no row out (place.BlockRouter.PriceRound). seed drives the
-// shared hash functions; the uniform plan is UniformHash's, so Tree never
-// costs more than it.
+// hash, the latter two flat — and runs the cheapest, the first among equals
+// (netsim.Engine.RunCheapest). Pricing lays no row out
+// (place.BlockRouter.PriceRound). seed drives the shared hash functions; the
+// uniform plan is UniformHash's, so Tree never costs more than it.
 func Tree(t *topology.Tree, r, s Placement, seed uint64, opts ...netsim.Option) (*Result, error) {
 	return planned(t, r, s, seed, opts, StrategyBlocks, StrategyCapacityHash, StrategyUniformHash)
 }
 
-// candidate is one plan of Tree's round: a router, and whether it
-// replicates the smaller side across its blocks.
-type candidate struct {
-	strategy  string
-	router    *place.BlockRouter
-	replicate bool
-}
-
-// planned builds the named plans of Tree's round, prices them on one engine
-// and runs the cheapest there; a single plan runs unpriced.
+// planned builds the named plans of Tree's round — a router each, the
+// block router replicating the smaller side across its blocks — and runs
+// the cheapest (netsim.Engine.RunCheapest).
 func planned(t *topology.Tree, r, s Placement, seed uint64, opts []netsim.Option, strategies ...string) (*Result, error) {
 	nodes, err := check(t, r, s)
 	if err != nil {
@@ -236,48 +228,42 @@ func planned(t *topology.Tree, r, s Placement, seed uint64, opts []netsim.Option
 		}, nil
 	}
 
-	cands := make([]candidate, len(strategies))
-	for i, name := range strategies {
-		c := &cands[i]
-		c.strategy = name
-		switch name {
-		case StrategyBlocks:
-			var blocks [][]topology.NodeID
-			if blocks, err = place.BalancedPartition(t, loads, sizeR); err == nil {
-				c.router, err = place.NewBlockRouter(t, blocks, weights, seed, 1)
-			}
-			c.replicate = true
-		case StrategyCapacityHash:
-			c.router, err = place.NewFlatRouter(t, place.Capacities(t), seed, 0xCA9A)
-		default:
-			c.router, err = uniformRouter(t, seed)
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
 	// TagR carries the smaller side; swapped restores the (R-payload,
 	// S-payload) orientation of the sampled pairs. Sorting the S rows fixes
 	// the enumeration order the sample is taken in.
 	sides := func(i int) ([]uint64, []uint64) { return words(small[i]), words(large[i]) }
-	e := netsim.NewEngine(t, opts...)
-	best := &cands[0]
-	if len(cands) > 1 {
-		bestCost := math.Inf(1)
-		for i := range cands {
-			c := &cands[i]
-			x := e.Exchange()
-			c.router.PriceRound(x, 2, c.replicate, sides)
-			if cost, _ := x.Price(); cost < bestCost {
-				best, bestCost = c, cost
+	cands := make([]netsim.Candidate, len(strategies))
+	routers := make([]*place.BlockRouter, len(strategies))
+	for i, name := range strategies {
+		var router *place.BlockRouter
+		replicate := name == StrategyBlocks
+		switch name {
+		case StrategyBlocks:
+			var blocks [][]topology.NodeID
+			if blocks, err = place.BalancedPartition(t, loads, sizeR); err == nil {
+				router, err = place.NewBlockRouter(t, blocks, weights, seed, 1)
 			}
+		case StrategyCapacityHash:
+			router, err = place.NewFlatRouter(t, place.Capacities(t), seed, 0xCA9A)
+		default:
+			router, err = uniformRouter(t, seed)
 		}
+		if err != nil {
+			return nil, err
+		}
+		routers[i] = router
+		cands[i] = netsim.Candidate{Name: name, Rounds: 1, Plan: func(x *netsim.Exchange, _ int, priced bool) {
+			if priced {
+				router.PriceRound(x, 2, replicate, sides)
+			} else {
+				router.Round(x, 2, replicate, sides)
+			}
+		}}
 	}
-	x := e.Exchange()
-	best.router.Round(x, 2, best.replicate, sides)
-	x.Execute()
+	e := netsim.NewEngine(t, opts...)
+	best := e.RunCheapest(cands)
 	res := finish(e, nodes, true, swapped)
-	res.Blocks, res.Strategy = best.router.Blocks, best.strategy
+	res.Blocks, res.Strategy = routers[best].Blocks, strategies[best]
 	return res, nil
 }
 
@@ -285,10 +271,10 @@ func planned(t *topology.Tree, r, s Placement, seed uint64, opts []netsim.Option
 // by key uniformly over all compute nodes.
 func UniformHash(t *topology.Tree, r, s Placement, seed uint64, opts ...netsim.Option) (*Result, error) {
 	nodes, err := check(t, r, s)
-	if err != nil {
-		return nil, err
+	var router *place.BlockRouter
+	if err == nil {
+		router, err = uniformRouter(t, seed)
 	}
-	router, err := uniformRouter(t, seed)
 	if err != nil {
 		return nil, err
 	}

@@ -9,6 +9,7 @@ import (
 
 	"topompc/internal/dataset"
 	"topompc/internal/netsim"
+	"topompc/internal/obs"
 	"topompc/internal/topology"
 	"topompc/internal/topology/topotest"
 )
@@ -34,6 +35,44 @@ func TestReferenceSize(t *testing.T) {
 	// Key 1: 2 R-tuples × 2 S-tuples = 4; keys 2, 3 unmatched.
 	if got := Reference(r, s).Size; got != 4 {
 		t.Errorf("reference size = %d, want 4", got)
+	}
+}
+
+// TestOnePlanRunsUnpriced: planned with one strategy runs its round
+// without pricing it, as UniformHash does, while Tree prices its three
+// plans' rounds and runs one.
+func TestOnePlanRunsUnpriced(t *testing.T) {
+	tr, err := topology.TwoTier([]int{3, 2}, []float64{2, 1}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, s := genJoin(rand.New(rand.NewSource(2)), tr.NumCompute(), 300, 900, 100)
+	runs := map[string]func(opts ...netsim.Option) (*Result, error){
+		"Tree":        func(opts ...netsim.Option) (*Result, error) { return Tree(tr, r, s, 7, opts...) },
+		"UniformHash": func(opts ...netsim.Option) (*Result, error) { return UniformHash(tr, r, s, 7, opts...) },
+	}
+	for _, strategy := range []string{StrategyBlocks, StrategyCapacityHash, StrategyUniformHash} {
+		runs[strategy] = func(opts ...netsim.Option) (*Result, error) { return planned(tr, r, s, 7, opts, strategy) }
+	}
+	for name, run := range runs {
+		reg := obs.NewRegistry()
+		res, err := run(netsim.WithMetrics(reg))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := Verify(Reference(r, s), res); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want := int64(0)
+		if name == "Tree" {
+			want = 3
+		}
+		if got := reg.Counter("netsim.priced_rounds").Value(); got != want {
+			t.Errorf("%s: netsim.priced_rounds = %d, want %d", name, got, want)
+		}
+		if got := reg.Counter("netsim.rounds").Value(); got != 1 {
+			t.Errorf("%s: netsim.rounds = %d, want 1", name, got)
+		}
 	}
 }
 

@@ -12,8 +12,8 @@ import (
 const awareStride = 15485863
 
 // CapacitySort is the planned sort: it prices four candidate plans on the
-// actual instance (netsim.Exchange.Price) and runs the cheapest on the same
-// engine.
+// actual instance and runs the cheapest on the same engine
+// (netsim.Engine.RunCheapest).
 //
 //   - Capacity splitters ("sort-aware"): the three-round sample sort (sample →
 //     splitters → redistribute) with the key ranges apportioned by

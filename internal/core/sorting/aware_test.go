@@ -10,6 +10,7 @@ import (
 	"topompc/internal/dataset"
 	"topompc/internal/lowerbound"
 	"topompc/internal/netsim"
+	"topompc/internal/obs"
 	"topompc/internal/topology"
 	"topompc/internal/topology/topotest"
 )
@@ -339,6 +340,48 @@ func TestPlannedSortsConformance(t *testing.T) {
 					t.Errorf("%s/%s/%s: results differ between 1 and 4 workers", name, pl.name, ps.name)
 				}
 			}
+		}
+	}
+}
+
+// TestOneCandidateRunsUnpriced: the one-candidate sorts — TeraSort,
+// CapacitySortFlat and WTSUnpriced — run without pricing a round, while
+// the planned sorts price every round of every candidate: WTS wTS's four
+// and the gather's one, CapacitySort 3 + 3 + 1 + 4 for the capacity and
+// uniform splitter sorts, the gather and wTS. Each counts only the rounds of
+// the candidate it runs as executed.
+func TestOneCandidateRunsUnpriced(t *testing.T) {
+	tr, err := topology.TwoTier([]int{4, 4}, []float64{16, 1}, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := sortInput(t, rand.New(rand.NewSource(27)), tr, 3000, uniformPlace)
+	for _, tc := range []struct {
+		name   string
+		run    func(opts ...netsim.Option) (*Result, error)
+		priced int64
+	}{
+		{"TeraSort", func(opts ...netsim.Option) (*Result, error) { return TeraSort(tr, data, 1, opts...) }, 0},
+		{"CapacitySortFlat", func(opts ...netsim.Option) (*Result, error) { return CapacitySortFlat(tr, data, 1, opts...) }, 0},
+		{"WTSUnpriced", func(opts ...netsim.Option) (*Result, error) {
+			return WTSUnpriced(tr, data, 1, ProportionalLight, opts...)
+		}, 0},
+		{"WTS", func(opts ...netsim.Option) (*Result, error) { return WTS(tr, data, 1, opts...) }, 4 + 1},
+		{"CapacitySort", func(opts ...netsim.Option) (*Result, error) { return CapacitySort(tr, data, 1, opts...) }, 3 + 3 + 1 + 4},
+	} {
+		reg := obs.NewRegistry()
+		res, err := tc.run(netsim.WithMetrics(reg))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if err := Verify(tr, Reference(data), res); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := reg.Counter("netsim.priced_rounds").Value(); got != tc.priced {
+			t.Errorf("%s: netsim.priced_rounds = %d, want %d", tc.name, got, tc.priced)
+		}
+		if got, want := reg.Counter("netsim.rounds").Value(), int64(len(res.Report.Rounds)); got != want {
+			t.Errorf("%s (%s): netsim.rounds = %d, the report holds %d", tc.name, res.Strategy, got, want)
 		}
 	}
 }

@@ -24,6 +24,10 @@ type instance struct {
 	// where it starts, compute node i being holder i.
 	seed, stride int64
 	every        *holders
+	// union is every candidate's splitters, ascending and distinct; pool
+	// is the engine's, for the bucket pass that prices redistributions.
+	union []uint64
+	pool  *par.Pool
 }
 
 func newInstance(t *topology.Tree, data dataset.Placement, seed uint64, stride int64) (*instance, error) {
@@ -81,9 +85,8 @@ type holders struct {
 	samples [][]uint64 // per compute node, once drawn
 	sorted  []uint64   // every sample, ascending
 	// For pricing: row i, column u of counts is how many of keys[i] lie in
-	// [union[u-1], union[u]), union being every candidate's splitters. Each
-	// union interval lies inside one interval of every candidate.
-	union  []uint64
+	// [union[u-1], union[u]), union being the instance's. Each union
+	// interval lies inside one interval of every candidate.
 	counts []int
 }
 
@@ -109,7 +112,7 @@ func (c *candidate) rounds() int {
 }
 
 // planSort lays out one candidate per layout and runs the cheapest on one
-// engine; a single candidate runs unpriced. Holder j samples at the rate
+// engine (netsim.Engine.RunCheapest). Holder j samples at the rate
 // SampleRate gives, from seed + j·stride, once for every candidate it holds
 // for, and the splitters each candidate picks from the pooled samples are
 // those its coordinator would pick from its inbox.
@@ -127,24 +130,25 @@ func planSort(tr *topology.Tree, data dataset.Placement, seed uint64, stride int
 			Report: netsim.NewEngine(tr).Report(), Strategy: cands[0].strategy}, nil
 	}
 	e := netsim.NewEngine(tr, eopts...)
+	in.pool = e.Pool()
 	rho := SampleRate(len(in.nodes), in.total)
+	plans := make([]netsim.Candidate, len(cands))
 	for i := range cands {
-		if h := cands[i].holders; h != nil {
+		c := &cands[i]
+		if h := c.holders; h != nil {
 			if h.samples == nil {
-				h.draw(e.Pool(), rho)
+				h.draw(in.pool, rho)
 			}
-			cands[i].splitters = cands[i].pick(h.sorted)
+			c.splitters = c.pick(h.sorted)
+			in.union = append(in.union, c.splitters...)
 		}
+		plans[i] = netsim.Candidate{Name: c.strategy, Rounds: c.rounds(), Plan: func(x *netsim.Exchange, r int, priced bool) {
+			c.planRound(x, r, in, priced)
+		}}
 	}
-	best := &cands[0]
-	if len(cands) > 1 {
-		best = cheapest(e, in, cands)
-	}
-	for r := range best.rounds() {
-		x := e.Exchange()
-		best.planRound(x, r, in, false)
-		x.Execute()
-	}
+	slices.Sort(in.union)
+	in.union = slices.Compact(in.union)
+	best := &cands[e.RunCheapest(plans)]
 	// Every compute node sorts what it received, on the engine's pool, one
 	// after the other, handing one radix scratch buffer along.
 	res := &Result{PerNode: make([][]uint64, len(in.nodes)), Order: in.order, Strategy: best.strategy}
@@ -229,44 +233,13 @@ func (c *candidate) planRound(x *netsim.Exchange, r int, in *instance, priced bo
 	}
 }
 
-// cheapest prices every candidate's rounds on e and returns the cheapest,
-// the one with fewer rounds among equals, then the first.
-func cheapest(e *netsim.Engine, in *instance, cands []candidate) *candidate {
-	var union []uint64
-	for _, c := range cands {
-		union = append(union, c.splitters...)
-	}
-	slices.Sort(union)
-	union = slices.Compact(union)
-	for _, c := range cands {
-		if h := c.holders; h != nil && h.counts == nil {
-			h.count(e.Pool(), union)
-		}
-	}
-	var best *candidate
-	var bestCost float64
-	for i := range cands {
-		c := &cands[i]
-		var cost float64
-		for r := range c.rounds() {
-			x := e.Exchange()
-			c.planRound(x, r, in, true)
-			price, _ := x.Price()
-			cost += price
-		}
-		if best == nil || cost < bestCost || cost == bestCost && c.rounds() < best.rounds() {
-			best, bestCost = c, cost
-		}
-	}
-	return best
-}
-
 // count makes the one bucket pass over every held key that prices the
 // redistribution of all candidates.
-func (h *holders) count(pool *par.Pool, union []uint64) {
+func (h *holders) count(in *instance) {
+	union := in.union
 	w := len(union) + 1
-	h.union, h.counts = union, make([]int, len(h.parts)*w)
-	pool.ForEach("sorting price", len(h.parts), func(i int) {
+	h.counts = make([]int, len(h.parts)*w)
+	in.pool.ForEach("sorting price", len(h.parts), func(i int) {
 		row := h.counts[i*w : (i+1)*w]
 		for _, part := range h.parts[i] {
 			for _, x := range part {
@@ -295,17 +268,21 @@ func (h *holders) keys(i int) []uint64 {
 }
 
 // planRedistribute queues the redistribution by the given splitters from
-// the counts alone: holder i sends dsts[j] as many keys as it holds in
-// interval j, cut as prefixes of its parts. Price reads only lengths, and a
-// path costs the same for one message as for several adding up to it.
+// the counts alone, counted on the first call: holder i sends dsts[j] as
+// many keys as it holds in interval j, cut as prefixes of its parts. Price
+// reads only lengths, and a path costs the same for one message as for
+// several adding up to it.
 func (h *holders) planRedistribute(x *netsim.Exchange, in *instance, dsts []topology.NodeID, splitters []uint64) {
-	w := len(h.union) + 1
+	if h.counts == nil {
+		h.count(in)
+	}
+	w := len(in.union) + 1
 	// Union interval u lies in the splitters' interval bucket[u]: a key x in
 	// [union[u-1], union[u]) has exactly the splitters up to union[u-1] at or
 	// below it.
 	bucket := make([]int, w)
 	for u := 1; u < w; u++ {
-		bucket[u] = bucketOf(h.union[u-1], splitters)
+		bucket[u] = bucketOf(in.union[u-1], splitters)
 	}
 	x.Plan(func(v topology.NodeID, out *netsim.Outbox) {
 		i := in.t.ComputeIndex(v)

@@ -2,9 +2,10 @@
 // the paper: weighted TeraSort (wTS), a four-round sampling-based protocol
 // that is within O(1) of the Theorem 6 lower bound with high probability,
 // together with the classic TeraSort baseline and two planners that price
-// their candidates on the instance and run the cheapest: WTS (wTS or a
-// gather at the heaviest holder) and CapacitySort (capacity splitters,
-// uniform splitters, the gather and wTS).
+// their candidates on the instance and run the cheapest through
+// netsim.Engine.RunCheapest: WTS (wTS or a gather at the heaviest holder)
+// and CapacitySort (capacity splitters, uniform splitters, the gather and
+// wTS).
 //
 // Every protocol here is a list of layouts run by one driver, planSort. A
 // layout lays out a candidate: either a gather at one node, or a sample sort

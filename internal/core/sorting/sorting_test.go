@@ -452,6 +452,14 @@ func TestVerifyCatchesBadOutput(t *testing.T) {
 	if err := Verify(tr, Reference(data), bad); err == nil {
 		t.Error("expected error for an ordering that repeats a node")
 	}
+	bad = &Result{PerNode: [][]uint64{{1, 3, 5, 9}}, Order: order} // one fragment for two nodes
+	if err := Verify(tr, Reference(data), bad); err == nil {
+		t.Error("expected error for an output that does not cover every node")
+	}
+	bad = &Result{PerNode: [][]uint64{{1, 3}, {5, 9}}, Order: order[:1]}
+	if err := Verify(tr, Reference(data), bad); err == nil {
+		t.Error("expected error for an ordering that does not cover every node")
+	}
 	good := &Result{PerNode: [][]uint64{{1, 3}, {5, 9}}, Order: order}
 	if err := Verify(tr, Reference(data), good); err != nil {
 		t.Errorf("good output rejected: %v", err)
@@ -460,6 +468,20 @@ func TestVerifyCatchesBadOutput(t *testing.T) {
 	good = &Result{PerNode: [][]uint64{{5, 9}, {1, 3}}, Order: []topology.NodeID{order[1], order[0]}}
 	if err := Verify(tr, Reference(data), good); err != nil {
 		t.Errorf("good output along the reversed ordering rejected: %v", err)
+	}
+}
+
+// TestSortsRejectMismatchedPlacement: every entry point refuses a placement
+// that does not cover the tree's compute nodes.
+func TestSortsRejectMismatchedPlacement(t *testing.T) {
+	tr, _ := topology.UniformStar(3, 1)
+	data, _ := dataset.SplitUniform(dataset.Sequential(12), 2)
+	for name, run := range map[string]func(*topology.Tree, dataset.Placement, uint64, ...netsim.Option) (*Result, error){
+		"WTS": WTS, "TeraSort": TeraSort, "CapacitySort": CapacitySort, "CapacitySortFlat": CapacitySortFlat,
+	} {
+		if _, err := run(tr, data, 1); err == nil {
+			t.Errorf("%s accepted a placement over 2 of 3 nodes", name)
+		}
 	}
 }
 

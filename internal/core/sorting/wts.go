@@ -25,8 +25,9 @@ const (
 )
 
 // WTS is the planned weighted TeraSort: it prices two plans on the instance
-// (netsim.Exchange.Price) and runs the cheaper on the same engine. The first
-// is weighted TeraSort ("wts", §5.2), the four-round protocol of Theorem 7:
+// and runs the cheaper on the same engine (netsim.Engine.RunCheapest). The
+// first is weighted TeraSort ("wts", §5.2), the four-round protocol of
+// Theorem 7:
 //
 //	Round 1: light nodes (N_v < N/(2|VC|)) ship their data to the heavy
 //	         nodes proportionally to the heavy sizes (Algorithm 6);

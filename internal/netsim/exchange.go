@@ -394,10 +394,11 @@ func (x *Exchange) tally() []*shardTally {
 // engine-owned scratch array, and the plan is then discarded and the exchange
 // closed. No round is recorded, no inbox changes and the Report does not see
 // it. The walk reads each op's receivers and the length of its keys, never
-// the keys, so a protocol may price a candidate round whose payloads are
-// placeholders of the right length, and then plan and execute the one it
-// chooses. A receiver that is not a compute node panics as in Execute, and
-// leaves the engine as free to open the next exchange.
+// the keys, so a candidate round may carry payloads that are placeholders of
+// the right length. A planned protocol does not call Price itself: it decides
+// in RunCheapest, which prices its candidates so and runs the cheapest. A
+// receiver that is not a compute node panics as in Execute, and leaves the
+// engine as free to open the next exchange.
 func (x *Exchange) Price() (cost float64, bottleneck topology.EdgeID) {
 	if x.done {
 		panic("netsim: Price on executed exchange")
@@ -415,12 +416,60 @@ func (x *Exchange) Price() (cost float64, bottleneck topology.EdgeID) {
 	clear(e.priceEdge)
 	x.discard()
 	e.mPriced.Inc()
-	if e.tracer != nil {
-		args := map[string]any{"cost": cost}
-		e.traceBottleneck(args, bottleneck)
-		obs.Instant(e.tracer, e.traceTid, "price", "netsim.price", args)
-	}
 	return cost, bottleneck
+}
+
+// Candidate is one plan a protocol may run: its name, how many rounds it
+// runs, and Plan, which queues round r of it on x. RunCheapest sets priced
+// when the round is only to be priced, so Plan may then queue placeholder
+// payloads of the right length (see Price).
+type Candidate struct {
+	Name   string
+	Rounds int
+	Plan   func(x *Exchange, r int, priced bool)
+}
+
+// RunCheapest is where a planned protocol decides (Algorithm 8's "pick the
+// best of"): it prices every round of every candidate with Price, sums each
+// candidate's prices, runs the cheapest on the engine and returns its index.
+// Ties go to fewer rounds, then to the earlier candidate. A lone candidate
+// runs without being priced. With a tracer attached, each priced decision
+// emits one netsim.plan instant: every candidate's name, rounds, summed cost
+// and the bottleneck edge of its costliest round, and the pick. cands must
+// not be empty.
+func (e *Engine) RunCheapest(cands []Candidate) int {
+	best, bestCost := 0, 0.0
+	var traced []any
+	for i := 0; len(cands) > 1 && i < len(cands); i++ {
+		c := &cands[i]
+		cost, top, edge := 0.0, -1.0, topology.NoEdge
+		for r := range c.Rounds {
+			x := e.Exchange()
+			c.Plan(x, r, true)
+			price, bottleneck := x.Price()
+			cost += price
+			if price > top {
+				top, edge = price, bottleneck
+			}
+		}
+		if i == 0 || cost < bestCost || cost == bestCost && c.Rounds < cands[best].Rounds {
+			best, bestCost = i, cost
+		}
+		if e.tracer != nil {
+			args := map[string]any{"name": c.Name, "rounds": c.Rounds, "cost": cost}
+			e.traceBottleneck(args, edge)
+			traced = append(traced, args)
+		}
+	}
+	if traced != nil {
+		obs.Instant(e.tracer, e.traceTid, "plan", "netsim.plan", map[string]any{"candidates": traced, "pick": cands[best].Name})
+	}
+	for r := range cands[best].Rounds {
+		x := e.Exchange()
+		cands[best].Plan(x, r, false)
+		x.Execute()
+	}
+	return best
 }
 
 // reject undoes what the tally walk of a refused plan wrote — the plan is

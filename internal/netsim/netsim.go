@@ -31,8 +31,9 @@
 // receiver's rows read compute-node order then op order, so inbox bytes and
 // every statistic are the same at every worker count. Price runs the first
 // walk and the sweep alone: it reports the cost Execute would charge and
-// drops the plan, so a protocol can price candidate rounds on the actual
-// instance and execute the cheapest.
+// drops the plan. RunCheapest is where every planned protocol decides: it
+// prices each candidate plan's rounds so on the actual instance, sums them,
+// and runs the cheapest on the same engine under one tie rule.
 //
 // Every fork — Plan's per-node callbacks, the two walks, and the protocol
 // kernels' per-home compute (Engine.Pool) — goes through internal/par on
@@ -297,9 +298,8 @@ func WithLeanStats() Option {
 
 // WithTracer attaches a trace sink: the engine allocates one lane and
 // emits a complete event per committed round carrying the round's cost,
-// bottleneck edge, and volume, and an instant event with the cost and
-// bottleneck edge of every priced round. A nil tracer leaves tracing
-// disabled.
+// bottleneck edge, and volume, and a netsim.plan instant event for every
+// decision RunCheapest prices. A nil tracer leaves tracing disabled.
 func WithTracer(tr obs.Tracer) Option {
 	return func(e *Engine) { e.tracer = tr }
 }
