@@ -2,6 +2,7 @@ package graph
 
 import (
 	"errors"
+	"maps"
 	"math/rand"
 	"slices"
 	"testing"
@@ -14,24 +15,133 @@ import (
 // answerCounts tallies what checkAnswers read off the wire, so a fixture
 // can insist that every kind of answer was checked.
 type answerCounts struct {
-	levels       int // combining levels of the run's schedule; 0 is direct
-	jumpReplies  int // jump replies decoded
-	longReplies  int // of them, answers to more than 64 queries (a bitmap of two words or more)
-	lookupRounds int // lookup answer rounds held to their query rounds
-	lookupRoots  int // roots decoded from direct lookup answers
+	levels      int // combining levels of the run's schedule; 0 is direct
+	jumpReplies int // jump replies decoded
+	longReplies int // of them, answers to more than 64 queries (a bitmap of two words or more)
+	rootRounds  int // root answer rounds held to their propose rounds
+	homeProps   int // roots decoded from home answers to proposal messages
+	homeNeeds   int // roots decoded from home answers to need messages
+	downProps   int // roots decoded from combiner answers to proposal messages
+	downNeeds   int // roots decoded from combiner answers to need messages
+	needDrops   int // need entries a combiner dropped for a proposal it held
+}
+
+// The kinds of message a propose sweep sends: proposals and need entries
+// are answered, phase 1's vertex entries only register their vertices.
+const (
+	sentProps = iota
+	sentNeeds
+	sentVertices
+)
+
+// sentMsg is one message the sweep model expects a node to send.
+type sentMsg struct {
+	to     int32
+	kind   int
+	labels []int32
+}
+
+// sweepModel is the propose sweep worked out from the state before it:
+// every node's proposal labels and 1-word entries, pushed up the combining
+// schedule as sets — a combiner unions what its members send and drops an
+// entry once it holds a proposal for the label — then grouped by home. It
+// returns, per stage (the up-steps, then the homes) and per node, the
+// messages the node sends, in order, and the number of need entries the
+// combiners drop.
+func sweepModel(pr *proto, first bool) ([][][]sentMsg, int) {
+	L := len(pr.steps)
+	entryKind := sentNeeds
+	if first {
+		entryKind = sentVertices
+	}
+	props := make([]map[int32]bool, len(pr.nodes))
+	entries := make([]map[int32]bool, len(pr.nodes))
+	for i := range pr.nodes {
+		props[i], entries[i] = map[int32]bool{}, map[int32]bool{}
+		for _, p := range pr.props(i) {
+			props[i][int32(p.k1>>32)] = true
+		}
+		for _, x := range pr.scr[i].need {
+			entries[i][x] = true
+		}
+	}
+	sorted := func(set map[int32]bool) []int32 {
+		out := make([]int32, 0, len(set))
+		for x := range set {
+			out = append(out, x)
+		}
+		slices.Sort(out)
+		return out
+	}
+	sent := make([][][]sentMsg, L+1)
+	drops := 0
+	for s, st := range pr.steps {
+		sent[s] = make([][]sentMsg, len(pr.nodes))
+		merged := map[int]bool{}
+		for i := range pr.nodes {
+			to := st.Target[i]
+			if to == i {
+				continue
+			}
+			if len(props[i]) > 0 {
+				sent[s][i] = append(sent[s][i], sentMsg{int32(to), sentProps, sorted(props[i])})
+			}
+			if len(entries[i]) > 0 {
+				sent[s][i] = append(sent[s][i], sentMsg{int32(to), entryKind, sorted(entries[i])})
+			}
+			for x := range props[i] {
+				props[to][x] = true
+			}
+			for x := range entries[i] {
+				entries[to][x] = true
+			}
+			props[i], entries[i] = map[int32]bool{}, map[int32]bool{}
+			merged[to] = true
+		}
+		for c := range merged {
+			for x := range entries[c] {
+				if props[c][x] {
+					delete(entries[c], x)
+					if !first {
+						drops++
+					}
+				}
+			}
+		}
+	}
+	sent[L] = make([][]sentMsg, len(pr.nodes))
+	for i := range pr.nodes {
+		for _, kind := range []int{sentProps, entryKind} {
+			set := props[i]
+			if kind != sentProps {
+				set = entries[i]
+			}
+			byHome := map[int32][]int32{}
+			for _, x := range sorted(set) {
+				byHome[pr.homeOf[x]] = append(byHome[pr.homeOf[x]], x)
+			}
+			for _, h := range slices.Sorted(maps.Keys(byHome)) {
+				sent[L][i] = append(sent[L][i], sentMsg{h, kind, byHome[h]})
+			}
+		}
+	}
+	return sent, drops
 }
 
 // checkAnswers runs a Borůvka variant phase by phase as contract does and
-// reads every answer round as its askers would:
+// reads every round as its receivers would:
+//   - every propose round carries exactly the messages and words of
+//     sweepModel's sweep, so each combiner drops what the model drops;
 //   - each jump reply is decoded against the query list its asker sent that
 //     home, in order: ⌈n/64⌉ bitmap words, then n values, where a set bit
 //     carries the target's root and a clear one its pointer, both as they
 //     stood before the iteration;
-//   - each lookup answer round carries exactly the messages and words of
-//     the query round it answers: the home answer against the home query,
-//     each down-sweep round against the up-sweep round of its level;
-//   - in direct mode, where the home answer is the phase's last round, each
-//     answer is decoded against the asker's query list: one root per label.
+//   - each root answer round mirrors its stage's propose round, message for
+//     message, less phase 1's vertex entries, and each answer is decoded
+//     against the messages its asker sent that peer in the sweep, in order
+//     — proposal labels first, then need entries — one root per label;
+//   - every phase takes (L+1) + 2j + (L+1) rounds: the propose sweep, j jump
+//     iterations, and the answer back down the sweep.
 //
 // The driven run must equal the entry point's, result and every round.
 func checkAnswers(t testing.TB, tr *topology.Tree, pl Placement, seed uint64, v variant) answerCounts {
@@ -44,7 +154,8 @@ func checkAnswers(t testing.TB, tr *topology.Tree, pl Placement, seed uint64, v 
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := answerCounts{levels: len(pr.steps)}
+	L := len(pr.steps)
+	n := answerCounts{levels: L}
 	pr.collectFirst()
 	if pr.totalActive() == 0 {
 		pr.propose()
@@ -53,15 +164,38 @@ func checkAnswers(t testing.TB, tr *topology.Tree, pl Placement, seed uint64, v 
 	for pr.totalActive() > 0 {
 		phases++
 		pr.phase = int32(phases)
+		r0 := pr.e.Report().NumRounds()
+		sent, drops := sweepModel(pr, phases == 1)
+		n.needDrops += drops
 		pr.propose()
-		for unresolved := pr.hook(); unresolved > 0; {
+		rep := pr.e.Report()
+		for s := 0; s <= L; s++ {
+			msgs, words := 0, int64(0)
+			for _, ms := range sent[s] {
+				for _, m := range ms {
+					msgs++
+					if m.kind == sentProps {
+						words += int64(pr.propStride() * len(m.labels))
+					} else {
+						words += int64(len(m.labels))
+					}
+				}
+			}
+			if r := rep.Rounds[r0+s]; r.Messages != msgs || r.Elements != words {
+				t.Fatalf("phase %d: propose round %d sent %d messages of %d words, the sweep model %d of %d",
+					phases, s, r.Messages, r.Elements, msgs, words)
+			}
+		}
+
+		jumps := 0
+		for unresolved := pr.hook(); unresolved > 0; jumps++ {
 			rootAt, rootVal, parPtr := slices.Clone(pr.rootAt), slices.Clone(pr.rootVal), slices.Clone(pr.parPtr)
-			r0 := pr.e.Report().NumRounds()
+			r1 := pr.e.Report().NumRounds()
 			if unresolved, err = pr.jumpOnce(); err != nil {
 				t.Fatal(err)
 			}
 			rep := pr.e.Report()
-			if q, a := rep.Rounds[r0], rep.Rounds[r0+1]; a.Messages != q.Messages {
+			if q, a := rep.Rounds[r1], rep.Rounds[r1+1]; a.Messages != q.Messages {
 				t.Fatalf("phase %d: %d jump replies to %d queries", phases, a.Messages, q.Messages)
 			}
 			for i, node := range pr.nodes {
@@ -92,43 +226,75 @@ func checkAnswers(t testing.TB, tr *topology.Tree, pl Placement, seed uint64, v 
 			}
 		}
 
-		r0 := pr.e.Report().NumRounds()
-		if err := pr.lookups(); err != nil {
-			t.Fatal(err)
-		}
-		rep, levels := pr.e.Report(), n.levels
-		pairs := [][2]int{{r0 + levels, r0 + levels + 1}} // home query, home answer
-		for s := 0; s < levels; s++ {
-			pairs = append(pairs, [2]int{r0 + s, r0 + 2*levels + 1 - s}) // up, down
-		}
-		for _, p := range pairs {
-			q, a := rep.Rounds[p[0]], rep.Rounds[p[1]]
-			if a.Messages != q.Messages || a.Elements != q.Elements {
-				t.Fatalf("phase %d: round %d answers round %d with %d messages of %d words, the queries were %d of %d",
-					phases, p[1], p[0], a.Messages, a.Elements, q.Messages, q.Elements)
+		for s := L; s >= 0; s-- {
+			pr.answerStage(s)
+			rep := pr.e.Report()
+			up, ans := rep.Rounds[r0+s], rep.Rounds[rep.NumRounds()-1]
+			unanswered := 0
+			for _, ms := range sent[s] {
+				for _, m := range ms {
+					if m.kind == sentVertices {
+						unanswered++
+					}
+				}
 			}
-			n.lookupRounds++
-		}
-		if levels == 0 {
+			if ans.Messages != up.Messages-unanswered {
+				t.Fatalf("phase %d: stage %d answered %d of %d propose messages, %d of them vertex entries",
+					phases, s, ans.Messages, up.Messages, unanswered)
+			}
+			n.rootRounds++
 			for i, node := range pr.nodes {
+				pending := map[int32][]sentMsg{}
+				for _, m := range sent[s][i] {
+					if m.kind != sentVertices {
+						pending[m.to] = append(pending[m.to], m)
+					}
+				}
 				ib := pr.e.Inbox(node)
 				for mi := 0; mi < ib.Len(); mi++ {
 					m := ib.At(mi)
-					if m.Tag != tagLookupA {
+					if m.Tag != tagRoots {
 						continue
 					}
-					qs := askedOf(pr, pr.scr[i].nextNeed, pr.nodeIdx[m.From])
-					if len(m.Keys) != len(qs) {
-						t.Fatalf("phase %d: %d roots answer %d labels", phases, len(m.Keys), len(qs))
+					from := pr.nodeIdx[m.From]
+					q := pending[from]
+					if len(q) == 0 {
+						t.Fatalf("phase %d: node %d answered node %d, which sent it nothing to answer", phases, from, i)
 					}
-					for k, q := range qs {
-						if int32(m.Keys[k]) != pr.rootVal[q] {
-							t.Fatalf("phase %d: root %d for label %d reads %d, want %d", phases, k, q, m.Keys[k], pr.rootVal[q])
+					asked := q[0]
+					pending[from] = q[1:]
+					if len(m.Keys) != len(asked.labels) {
+						t.Fatalf("phase %d: %d roots answer %d labels", phases, len(m.Keys), len(asked.labels))
+					}
+					for k, x := range asked.labels {
+						if pr.rootAt[x] != pr.phase || int32(m.Keys[k]) != pr.rootVal[x] {
+							t.Fatalf("phase %d: root %d for label %d reads %d, want %d", phases, k, x, m.Keys[k], pr.rootVal[x])
 						}
 					}
-					n.lookupRoots += len(qs)
+					switch {
+					case s == L && asked.kind == sentProps:
+						n.homeProps += len(asked.labels)
+					case s == L:
+						n.homeNeeds += len(asked.labels)
+					case asked.kind == sentProps:
+						n.downProps += len(asked.labels)
+					default:
+						n.downNeeds += len(asked.labels)
+					}
+				}
+				for peer, q := range pending {
+					if len(q) > 0 {
+						t.Fatalf("phase %d: node %d left %d messages of node %d unanswered", phases, peer, len(q), i)
+					}
 				}
 			}
+		}
+		if err := pr.planFailure(); err != nil {
+			t.Fatal(err)
+		}
+		if got := pr.e.Report().NumRounds() - r0; got != 2*(L+1)+2*jumps {
+			t.Fatalf("phase %d took %d rounds, want (L+1) + 2·j + (L+1) = %d for L = %d, j = %d",
+				phases, got, 2*(L+1)+2*jumps, L, jumps)
 		}
 		if err := pr.relabel(); err != nil {
 			t.Fatal(err)
@@ -156,14 +322,10 @@ func askedOf(pr *proto, sent []int32, h int32) []int32 {
 	return qs
 }
 
-// TestAnswerWordCounts holds the answer rounds to the words they need, on a
-// combining fixture (cc on a tapered fat tree, whose weak-cut hierarchy
-// has two levels) and a direct one (cc-flat on the same tree): every
-// lookup answer round carries exactly as many words as the queries it
-// answers, and each jump reply n + ⌈n/64⌉ for n queries. An echo of the
-// query creeping back into a reply fails here even where the map oracle,
-// which would echo too, still agrees.
-func TestAnswerWordCounts(t *testing.T) {
+// answerFixture is a tapered fat tree whose weak-cut hierarchy has two
+// combining levels, and a G(n,p) graph on it that takes several phases.
+func answerFixture(t *testing.T) (*topology.Tree, Placement) {
+	t.Helper()
 	tree, err := topology.FatTree(3, 2, 16, 0.25)
 	if err != nil {
 		t.Fatal(err)
@@ -172,7 +334,20 @@ func TestAnswerWordCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl := placeEdges(packed, tree.NumCompute())
+	return tree, placeEdges(packed, tree.NumCompute())
+}
+
+// TestAnswerWordCounts holds the answer rounds to the words they need, on a
+// combining fixture (cc on a tapered fat tree, whose weak-cut hierarchy
+// has two levels) and a direct one (cc-flat on the same tree): every root
+// answer carries one word per label of the message it answers, and each
+// jump reply n + ⌈n/64⌉ for n queries. An echo of the labels creeping back
+// into a reply fails here even where the map oracle, which would echo too,
+// still agrees. The fixtures see every kind of answer: short and long jump
+// replies, and roots for proposals and need entries, from the homes and,
+// when combining, down the chain.
+func TestAnswerWordCounts(t *testing.T) {
+	tree, pl := answerFixture(t)
 	for _, tc := range []struct {
 		name    string
 		v       variant
@@ -183,14 +358,50 @@ func TestAnswerWordCounts(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			n := checkAnswers(t, tree, pl, 42, tc.v)
+			t.Logf("checked %+v", n)
 			if combines := n.levels > 0; combines != tc.combine {
 				t.Fatalf("fixture combines: %v, want %v", combines, tc.combine)
 			}
-			if n.jumpReplies == 0 || n.longReplies == 0 || n.lookupRounds == 0 {
-				t.Fatalf("checked %+v: want jump replies, some over 64 queries, and lookup rounds", n)
+			if n.jumpReplies == 0 || n.longReplies == 0 || n.rootRounds == 0 || n.homeProps == 0 || n.homeNeeds == 0 {
+				t.Fatalf("checked %+v: want jump replies, some over 64 queries, and home answers to proposals and need entries", n)
 			}
-			if !tc.combine && n.lookupRoots == 0 {
-				t.Fatalf("checked %+v: no direct lookup answer decoded", n)
+			if tc.combine && (n.downProps == 0 || n.downNeeds == 0) {
+				t.Fatalf("checked %+v: no combiner answer to proposals or to need entries decoded", n)
+			}
+		})
+	}
+}
+
+// TestBoruvkaPhaseShape pins the phase's round count: on a combining
+// fixture (spanforest, so witness proposals, on the tapered fat tree) and
+// on the flat one (cc-flat), every Borůvka phase takes exactly (L+1) +
+// 2·j + (L+1) rounds — the propose sweep, j pointer-jump iterations, the
+// answer back down the sweep; checkAnswers counts them phase by phase, and
+// holds the driven run equal to the entry point's. Both fixtures run phases
+// past the first with homed vertices whose labels no local proposal names:
+// those need entries are answered, and on the combining fixture some reach
+// a combiner that holds a proposal for the label and drop there.
+func TestBoruvkaPhaseShape(t *testing.T) {
+	tree, pl := answerFixture(t)
+	for _, tc := range []struct {
+		name    string
+		v       variant
+		combine bool
+	}{
+		{"spanforest", variant{aware: true, witness: true}, true},
+		{"cc-flat", variant{}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := checkAnswers(t, tree, pl, 7, tc.v)
+			t.Logf("checked %+v", n)
+			if combines := n.levels > 0; combines != tc.combine {
+				t.Fatalf("fixture combines: %v, want %v", combines, tc.combine)
+			}
+			if n.homeNeeds+n.downNeeds == 0 {
+				t.Fatalf("checked %+v: no need entry answered", n)
+			}
+			if tc.combine && n.needDrops == 0 {
+				t.Fatalf("checked %+v: no combiner dropped a need entry for a proposal it held", n)
 			}
 		})
 	}
@@ -214,9 +425,10 @@ func phaseOneHooked(t *testing.T, tr *topology.Tree, pl Placement, v variant, wo
 	return pr, unresolved
 }
 
-// TestUnresolvedLookupIsNamed pins ErrUnresolvedLabel: a label a node asks
-// for that has no root this phase fails lookups, and so the run, by name,
-// with direct answers and along the combining chain, at 1 and 4 workers.
+// TestUnresolvedLookupIsNamed pins ErrUnresolvedLabel: a label a node
+// proposed for that has no root this phase fails the answer, and so the
+// run, by name, with direct answers and along the combining chain, at 1
+// and 4 workers.
 func TestUnresolvedLookupIsNamed(t *testing.T) {
 	tree := testTrees(t)["fattree"]
 	pl := placeEdges(shuffledPath(rand.New(rand.NewSource(3)), 200), tree.NumCompute())
@@ -234,8 +446,8 @@ func TestUnresolvedLookupIsNamed(t *testing.T) {
 				}
 			}
 			pr.rootAt[asked] = 0
-			if err := pr.lookups(); !errors.Is(err, ErrUnresolvedLabel) {
-				t.Fatalf("aware=%v workers=%d: lookups returned %v, want ErrUnresolvedLabel", v.aware, workers, err)
+			if err := pr.answer(); !errors.Is(err, ErrUnresolvedLabel) {
+				t.Fatalf("aware=%v workers=%d: answer returned %v, want ErrUnresolvedLabel", v.aware, workers, err)
 			}
 		}
 	}

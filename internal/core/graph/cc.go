@@ -24,13 +24,13 @@ const maxPhases = 64
 const maxJumpIters = 128
 
 // The named failures of the contraction's answer rounds. Neither occurs on
-// a correct run: every label a node asks for is alive, so once pointer
-// jumping finishes it has a root, and every pointer names a label that
-// hooked or stayed a root this phase. They exist so that a broken state
-// stops the run where it shows, not rounds later in relabel.
+// a correct run: every label a node proposes for or asks about is alive, so
+// once pointer jumping finishes it has a root, and every pointer names a
+// label that hooked or stayed a root this phase. They exist so that a broken
+// state stops the run where it shows, not rounds later in relabel.
 var (
-	// ErrUnresolvedLabel is returned when a lookup asks for a label that
-	// has no root this phase.
+	// ErrUnresolvedLabel is returned when a root answer is due for a label
+	// that has no root this phase.
 	ErrUnresolvedLabel = errors.New("graph: asked label has no phase root")
 	// ErrDanglingPointer is returned when a pointer-jump query names a
 	// label with neither a root nor a parent this phase.
@@ -75,8 +75,8 @@ type variant struct {
 	// expand runs expanding phases (ccfast.go): a phase learns its proposals
 	// from one adjacency round and capped doubling rounds, and its roots
 	// are pushed to the nodes that round subscribed. Otherwise phases are
-	// Borůvka's: per-cut combined min-neighbor proposals, and roots looked
-	// up along the combining schedule.
+	// Borůvka's: per-cut combined min-neighbor proposals, and the roots
+	// answered back down the same schedule, one per label proposed for.
 	expand bool
 }
 
@@ -86,7 +86,10 @@ type variant struct {
 // nodes holding edges or vertices under those labels, and relabels — until
 // no edge joins two labels. The two phase kinds differ only in how proposals
 // are learned and roots published; a Borůvka phase is an expanding phase
-// with a doubling budget of zero, delivered along the combining schedule.
+// with a doubling budget of zero, delivered along the combining schedule,
+// whose propose sweep is also the root query: once pointer jumping ends,
+// every message of the sweep is answered the way it came, so a phase is
+// (L+1) + 2j + (L+1) rounds for L combining levels and j jump iterations.
 // In both kinds phase 1's first sweep also registers the vertices: a home
 // enrolls a label when the first message naming it arrives, so no round is
 // spent on registration alone.
@@ -162,7 +165,7 @@ func contract(tr *topology.Tree, edges Placement, seed uint64, v variant, opts [
 		}
 		if v.expand {
 			pr.pushRoots()
-		} else if err := pr.lookups(); err != nil {
+		} else if err := pr.answer(); err != nil {
 			return nil, err
 		}
 		if err := pr.relabel(); err != nil {
@@ -191,13 +194,14 @@ func contract(tr *topology.Tree, edges Placement, seed uint64, v variant, opts [
 // payloads are carved from per-node arenas so steady-state phases allocate
 // almost nothing.
 //
-// Index lists — phase 1's vertex entries, lookup needs, jump queries, the
-// labels a collection touched — are sets over the dense universe [0, nV), and
-// sortIndices orders them ascending and distinct: a list at least as long
-// as a bitmap over the universe has words (nV/64) is marked into the
-// bitmap and read back word by word, a shorter one takes an LSD radix that
-// skips constant byte lanes. On a dense graph a home's need list is many
-// times the bitmap's length, so the local step is linear work with no sort.
+// Index lists — phase 1's vertex entries, later phases' need entries, jump
+// queries, the labels a collection touched — are sets over the dense
+// universe [0, nV), and sortIndices orders them ascending and distinct: a
+// list at least as long as a bitmap over the universe has words (nV/64) is
+// marked into the bitmap and read back word by word, a shorter one takes an
+// LSD radix that skips constant byte lanes. On a dense graph a home's label
+// list is many times the bitmap's length, so the local step is linear work
+// with no sort.
 //
 // Proposals are min-combined in linear work in both modes: the relabel
 // walk folds every active edge into stamped per-label minima (witness mode
@@ -205,7 +209,7 @@ func contract(tr *topology.Tree, edges Placement, seed uint64, v variant, opts [
 // along), orders the distinct labels it touched with sortIndices, and
 // builds the next phase's proposal list from the minima in that order; a
 // combining carrier folds its members' lists into its own the same way.
-// The lookup needs dedup against the same stamps. No comparator sort, and
+// The need entries dedup against the same stamps. No comparator sort, and
 // no sort of candidates rather than labels, runs on the data path.
 //
 // Messages carry indices where the map-based path (runMaps, the test
@@ -213,11 +217,11 @@ func contract(tr *topology.Tree, edges Placement, seed uint64, v variant, opts [
 // order-preserving and homes are still hashed from the original ids, so
 // every message has the same destination, tag, and length on both paths —
 // cost reports are byte-identical, which the property tests pin. Replies
-// answer by position: a lookup answer is one root per asked label and a
-// jump reply a resolved bitmap plus one value per query, both in the order
-// of the query they answer, which the asker still holds. Nothing in a reply
-// depends on how wide an id is, so the oracle speaks the same wire over the
-// original 64-bit ids.
+// answer by position: a root answer is one root per label of the proposal
+// or need message it answers and a jump reply a resolved bitmap plus one
+// value per query, both in the order of the message they answer, which the
+// asker still holds. Nothing in a reply depends on how wide an id is, so
+// the oracle speaks the same wire over the original 64-bit ids.
 
 // workEdge is one active contracted edge: current endpoint label indices
 // plus the original witness endpoint indices.
@@ -372,13 +376,15 @@ func sortByHome[T any](els []T, tmp *[]T, home func(T) int32, numHomes int) {
 	}
 }
 
-// memberNeed records, at a combining carrier, which labels one member
-// asked for during a lookup up-sweep: a range in the carrier's needBuf
-// (the keys are copied because inbox payloads are arena-backed and only
-// valid for one round).
-type memberNeed struct {
-	from   topology.NodeID
-	lo, hi int32
+// askedList records, at a combiner or a home, one message of the propose
+// sweep that is answered once pointer jumping ends — a proposal message, or
+// a later phase's need entries: the sender, the sweep stage it arrived at
+// (an up-step's index, or len(steps) at the homes), and the message's
+// labels in the order sent, as a range in the receiver's askBuf (copied,
+// because inbox payloads are arena-backed and only valid for one round).
+type askedList struct {
+	from          topology.NodeID
+	stage, lo, hi int32
 }
 
 // nodeScratch is the per-compute-node reusable scratch. Entries are only
@@ -386,17 +392,16 @@ type memberNeed struct {
 // owns the node's home index, so neither concurrent Plan nor the parallel
 // receipt loops ever race.
 type nodeScratch struct {
-	pairs    []propPair     // witness-mode proposal minima, one per label, ascending
-	k1s      []uint64       // non-witness proposal minima, one per label, ascending
-	k1tmp    []uint64       // radix scratch
-	need     []int32        // phase 1's vertex entries / jump query scratch
-	nextNeed []int32        // precollected distinct lookup needs
-	ndtmp    []int32        // radix scratch
-	bm       []uint64       // dedup bitmap over the vertex indices, kept zero
-	needBuf  []int32        // combining lookups: copied member needs
-	members  [][]memberNeed // per up-step: who asked for what
-	emitTmp  []int32        // emit grouping: home-radix scratch
-	ptmp     []propPair     // emit grouping: home-radix scratch (witness)
+	pairs   []propPair  // witness-mode proposal minima, one per label, ascending
+	k1s     []uint64    // non-witness proposal minima, one per label, ascending
+	k1tmp   []uint64    // radix scratch
+	need    []int32     // labels no proposal names, ascending: vertex or need entries / jump query scratch
+	ndtmp   []int32     // radix scratch
+	bm      []uint64    // dedup bitmap over the vertex indices, kept zero
+	askBuf  []int32     // copied labels of the answered propose-sweep messages
+	asked   []askedList // the propose-sweep messages to answer, by stage
+	emitTmp []int32     // emit grouping: home-radix scratch
+	ptmp    []propPair  // emit grouping: home-radix scratch (witness)
 }
 
 // collectScratch is one pool shard's stamped min-combine arrays for the
@@ -441,22 +446,14 @@ func (ws *collectScratch) offer(st, a, b int32) {
 	}
 }
 
-// claim stamps label a into epoch st once the minima are built, reporting
-// whether the epoch had not seen it: a list filtered through claim keeps
-// each label that no proposal and no earlier entry names, once.
-func (ws *collectScratch) claim(st, a int32) bool {
-	if ws.minAt[a] == st {
-		return false
-	}
-	ws.minAt[a] = st
-	return true
-}
-
-// unclaimed filters xs in place through claim.
+// unclaimed filters xs in place once epoch st's minima are built, keeping
+// each label that no proposal and no earlier entry names, once: a kept
+// label is stamped into the epoch.
 func (ws *collectScratch) unclaimed(st int32, xs []int32) []int32 {
 	out := xs[:0]
 	for _, x := range xs {
-		if ws.claim(st, x) {
+		if ws.minAt[x] != st {
+			ws.minAt[x] = st
 			out = append(out, x)
 		}
 	}
@@ -522,9 +519,8 @@ func (pr *proto) trimScratch(i int) int64 {
 	pr.aliveList[i] = trimSlice(pr.aliveList[i], &n)
 	bound := 2*len(pr.active[i]) + len(pr.aliveList[i])
 	sc.k1tmp = dropSlice(sc.k1tmp, bound, &n)
-	sc.need = dropSlice(sc.need, bound, &n)
 	sc.ndtmp = dropSlice(sc.ndtmp, bound, &n)
-	sc.needBuf = dropSlice(sc.needBuf, bound, &n)
+	sc.askBuf = dropSlice(sc.askBuf, bound, &n)
 	sc.emitTmp = dropSlice(sc.emitTmp, bound, &n)
 	sc.ptmp = dropSlice(sc.ptmp, bound, &n)
 	pr.hooked[i] = dropSlice(pr.hooked[i], len(pr.aliveList[i]), &n)
@@ -532,12 +528,12 @@ func (pr *proto) trimScratch(i int) int64 {
 		// Expanding phases rebuild both lists from a fresh adjacency round
 		// (and never hold witness pairs).
 		sc.k1s = dropSlice(sc.k1s, bound, &n)
-		sc.nextNeed = dropSlice(sc.nextNeed, bound, &n)
+		sc.need = dropSlice(sc.need, bound, &n)
 	} else {
 		// A Borůvka phase precollected the next phase's contents into them.
 		sc.pairs = trimSlice(sc.pairs, &n)
 		sc.k1s = trimSlice(sc.k1s, &n)
-		sc.nextNeed = trimSlice(sc.nextNeed, &n)
+		sc.need = trimSlice(sc.need, &n)
 	}
 	if a := &pr.arena[i]; trimmable(cap(a.buf), bound) {
 		n++
@@ -714,62 +710,6 @@ func (pr *proto) encodeIndices(i int, xs []int32) []uint64 {
 	return batch
 }
 
-// sweepNeeds sends every node's lookup needs to the label homes, sorted and
-// distinct, one message per home. Under a combining schedule the needs are
-// first unioned along the hierarchy's paying blocks, deepest level first:
-// members push theirs to the level's combiner, which carries the union
-// upward, so a label needed at many members crosses each engaged cut once
-// per block. A combiner also keeps who asked for what (copied: inbox
-// payloads are only valid for one round), for the down-sweep to answer.
-func (pr *proto) sweepNeeds() {
-	// The first round planned, whichever it is, orders the lists.
-	ordered := func(i int, first bool) []int32 {
-		sc := &pr.scr[i]
-		if first {
-			sc.nextNeed = pr.sortDedup(i, sc.nextNeed)
-		}
-		return sc.nextNeed
-	}
-	for si, st := range pr.steps {
-		pr.round(func(i int, out *netsim.Outbox) {
-			if nd := ordered(i, si == 0); st.Target[i] != i && len(nd) > 0 {
-				out.Send(pr.nodes[st.Target[i]], tagLookupUp, pr.encodeIndices(i, nd))
-			}
-		})
-		pr.pool.ForEach("cc lookup up receipt", len(pr.nodes), func(i int) {
-			sc := &pr.scr[i]
-			if st.Target[i] != i {
-				sc.nextNeed = sc.nextNeed[:0] // forwarded up
-				return
-			}
-			ib := pr.e.Inbox(pr.nodes[i])
-			n := ib.KeyCount(tagLookupUp)
-			if n == 0 {
-				return
-			}
-			all := slices.Grow(sc.nextNeed, n)
-			sc.needBuf = slices.Grow(sc.needBuf, n)
-			for mi := 0; mi < ib.Len(); mi++ {
-				msg := ib.At(mi)
-				if msg.Tag != tagLookupUp {
-					continue
-				}
-				from := len(all)
-				for _, xk := range msg.Keys {
-					all = append(all, int32(xk))
-				}
-				lo := int32(len(sc.needBuf))
-				sc.needBuf = append(sc.needBuf, all[from:]...)
-				sc.members[si] = append(sc.members[si], memberNeed{from: msg.From, lo: lo, hi: int32(len(sc.needBuf))})
-			}
-			sc.nextNeed = pr.sortDedup(i, all)
-		})
-	}
-	pr.round(func(i int, out *netsim.Outbox) {
-		pr.emitIndexGroups(i, out, tagLookupQ, ordered(i, len(pr.steps) == 0))
-	})
-}
-
 // enroll registers vertex x at its home i the first time the home hears of
 // it: the vertex is alive and its label is itself.
 func (pr *proto) enroll(i int, x int32) {
@@ -789,14 +729,14 @@ func (pr *proto) sortEnrolled(i int) {
 }
 
 // collectNext pre-combines, from node i's freshly relabeled state, what
-// the next phase's planning rounds will send: the per-label proposal minima
-// of its active edges, label-ascending as the wire carries them, and the
-// distinct lookup needs — active endpoint labels plus homed vertex labels,
-// which the lookup planning orders. The stamped arrays (owned by the calling
-// pool shard) combine in O(1) per candidate, so only the distinct labels
-// are ever ordered (sortIndices), and the lists are built at their final
-// size.
-func (pr *proto) collectNext(i int, ws *collectScratch) {
+// the next phase's propose sweep will send: the per-label proposal minima of
+// its active edges, label-ascending as the wire carries them, and the 1-word
+// entries beside them — the labels of cands that no proposal names,
+// ascending. The stamped arrays (owned by the calling pool shard) combine in
+// O(1) per candidate, so only the distinct labels are ever ordered
+// (sortIndices), and the lists are built at their final size. It also
+// clears node i's answer records for the sweep to fill.
+func (pr *proto) collectNext(i int, ws *collectScratch, cands []int32) {
 	sc := &pr.scr[i]
 	st := ws.begin(len(pr.label), pr.witness)
 	if pr.witness {
@@ -812,41 +752,34 @@ func (pr *proto) collectNext(i int, ws *collectScratch) {
 		}
 	}
 	pr.buildProps(i, ws)
-	// The epoch's labels are exactly the active endpoint labels; the minima
-	// are built, so the homed labels dedup against the same stamps.
-	nd := append(slices.Grow(sc.nextNeed[:0], len(ws.labels)+len(pr.homedVerts[i])), ws.labels...)
-	for _, v := range pr.homedVerts[i] {
-		if r := pr.label[v]; ws.claim(st, r) {
-			nd = append(nd, r)
-		}
-	}
-	sc.nextNeed = nd
+	// The epoch's labels are exactly the proposal labels; the minima are
+	// built, so the entries dedup against the same stamps.
+	sc.need = pr.sortDedup(i, ws.unclaimed(st, cands))
+	sc.askBuf, sc.asked = sc.askBuf[:0], sc.asked[:0]
 }
 
 // collectFirst builds phase 1's planning inputs from the initial placement,
-// before any vertex is homed: label[v] is v, so collectNext's proposals and
-// lookup needs are the active endpoints as they are (a home resolves its
-// own vertices' phase-1 roots itself, and looks none of them up). The local
-// vertices no proposal names — those only self-loops mention here — stay in
-// need, sorted, as vertex entries for phase 1's propose sweep to carry to
-// their homes.
+// before any vertex is homed: label[v] is v, so the proposals are the
+// active endpoints as they are (a home resolves its own vertices' phase-1
+// roots itself, so no need entry asks for one). The local vertices no
+// proposal names — those only self-loops mention here — become the vertex
+// entries phase 1's propose sweep carries to their homes.
 func (pr *proto) collectFirst() {
 	pr.pool.Blocks("cc collect init", len(pr.nodes), func(shard, lo, hi int) {
-		ws := &pr.wscr[shard]
 		for i := lo; i < hi; i++ {
-			pr.collectNext(i, ws)
-			pr.scr[i].need = pr.sortDedup(i, ws.unclaimed(ws.dstamp, pr.scr[i].need))
+			pr.collectNext(i, &pr.wscr[shard], pr.scr[i].need)
 		}
 	})
 }
 
-// mergeProps folds the proposals node i's members sent up into the
-// carrier's own minima, leaving the union label-ascending with one entry
-// per label: the carrier's list seeds a fresh epoch, the members' entries
-// are offered into it, and the list is rebuilt from the combined minima.
-// With first, the vertex entries are merged the same way, and an entry is
-// dropped once a proposal names its label: the proposal registers it.
-func (pr *proto) mergeProps(i int, ws *collectScratch, ib netsim.Inbox, first bool) {
+// mergeProps folds the messages node i's members sent up at stage si into
+// the carrier's own lists. Proposals are min-combined: the carrier's list
+// seeds a fresh epoch, the members' entries are offered into it, and the
+// list is rebuilt from the combined minima, label-ascending with one entry
+// per label. The 1-word entries are unioned, and an entry is dropped once a
+// proposal names its label: the proposal registers it, or asks for its root.
+// Every message that will be answered is recorded for stage si's answer.
+func (pr *proto) mergeProps(i, si int, ws *collectScratch, ib netsim.Inbox) {
 	sc := &pr.scr[i]
 	st := ws.begin(len(pr.label), pr.witness)
 	for _, p := range sc.pairs { // empty unless witness
@@ -855,33 +788,53 @@ func (pr *proto) mergeProps(i int, ws *collectScratch, ib netsim.Inbox, first bo
 	for _, k := range sc.k1s { // empty when witness
 		ws.offer(st, int32(k>>32), int32(uint32(k)))
 	}
+	stride := pr.propStride()
+	pr.reserveAsked(i, ib, tagProposeUp, tagNeedUp)
 	for mi := 0; mi < ib.Len(); mi++ {
 		m := ib.At(mi)
-		if m.Tag != tagProposeUp {
-			continue
-		}
-		if pr.witness {
-			for k := 0; k+4 <= len(m.Keys); k += 4 {
-				ws.offerW(st, int32(m.Keys[k]), int32(m.Keys[k+1]), m.Keys[k+2]<<32|m.Keys[k+3])
+		switch m.Tag {
+		case tagProposeUp:
+			pr.keepAsked(i, si, m, stride)
+			if pr.witness {
+				for k := 0; k+4 <= len(m.Keys); k += 4 {
+					ws.offerW(st, int32(m.Keys[k]), int32(m.Keys[k+1]), m.Keys[k+2]<<32|m.Keys[k+3])
+				}
+			} else {
+				for k := 0; k+2 <= len(m.Keys); k += 2 {
+					ws.offer(st, int32(m.Keys[k]), int32(m.Keys[k+1]))
+				}
 			}
-		} else {
-			for k := 0; k+2 <= len(m.Keys); k += 2 {
-				ws.offer(st, int32(m.Keys[k]), int32(m.Keys[k+1]))
-			}
-		}
-	}
-	pr.buildProps(i, ws)
-	if !first {
-		return
-	}
-	for mi := 0; mi < ib.Len(); mi++ {
-		if m := ib.At(mi); m.Tag == tagVertexUp {
+		case tagNeedUp:
+			pr.keepAsked(i, si, m, 1)
+			fallthrough
+		case tagVertexUp:
 			for _, xk := range m.Keys {
 				sc.need = append(sc.need, int32(xk))
 			}
 		}
 	}
+	pr.buildProps(i, ws)
 	sc.need = pr.sortDedup(i, ws.unclaimed(st, sc.need))
+}
+
+// reserveAsked makes room in node i's answer records for every message of
+// inbox ib that carries proposals (props) or need entries (need), so
+// keepAsked allocates at most once per receipt.
+func (pr *proto) reserveAsked(i int, ib netsim.Inbox, props, need netsim.Tag) {
+	sc := &pr.scr[i]
+	sc.asked = slices.Grow(sc.asked, ib.Len())
+	sc.askBuf = slices.Grow(sc.askBuf, ib.KeyCount(props)/pr.propStride()+ib.KeyCount(need))
+}
+
+// keepAsked records message m, received by node i at sweep stage s, for
+// that stage's answer: its labels, every stride-th key, copied into askBuf.
+func (pr *proto) keepAsked(i, s int, m netsim.Message, stride int) {
+	sc := &pr.scr[i]
+	lo := int32(len(sc.askBuf))
+	for k := 0; k < len(m.Keys); k += stride {
+		sc.askBuf = append(sc.askBuf, int32(m.Keys[k]))
+	}
+	sc.asked = append(sc.asked, askedList{from: m.From, stage: int32(s), lo: lo, hi: int32(len(sc.askBuf))})
 }
 
 // buildProps rebuilds node i's proposal list from the epoch's combined
@@ -950,13 +903,21 @@ func (pr *proto) encodeProps(i int) []uint64 {
 // propose turns every active edge into min-neighbor proposals for both
 // endpoint labels, min-combines them locally (and per block per level
 // under a combining schedule), delivers them to the label homes, and
-// min-merges them into the best-proposal arrays. The first sweep of a run
-// also registers the vertices: homes enroll every label a proposal names,
-// and the vertices no proposal names travel beside the proposals as 1-word
-// vertex entries, which combiners drop once they hold a proposal for them.
+// min-merges them into the best-proposal arrays. Beside the proposals
+// travel 1-word entries for the labels a node needs but proposes nothing
+// for, which combiners drop once they hold a proposal for the label: in
+// the first sweep of a run, the vertices no proposal names, which their
+// homes enroll (homes enroll every label a proposal names, too); in later
+// phases, the labels of homed vertices, whose roots relabel needs. Every
+// receiver records the proposal and need messages it gets, which answer
+// replies to once the roots are known.
 func (pr *proto) propose() {
 	// Phase 1's sweep, or phase 0's on an input that runs no phase.
 	first := pr.phase <= 1
+	entry, entryUp := tagNeed, tagNeedUp
+	if first {
+		entry, entryUp = tagVertex, tagVertexUp
+	}
 	for si := range pr.steps {
 		st := pr.steps[si]
 		pr.round(func(i int, out *netsim.Outbox) {
@@ -967,50 +928,47 @@ func (pr *proto) propose() {
 			if pr.numProps(i) > 0 {
 				out.Send(to, tagProposeUp, pr.encodeProps(i))
 			}
-			if first && len(pr.scr[i].need) > 0 {
-				out.Send(to, tagVertexUp, pr.encodeIndices(i, pr.scr[i].need))
+			if len(pr.scr[i].need) > 0 {
+				out.Send(to, entryUp, pr.encodeIndices(i, pr.scr[i].need))
 			}
 		})
 		pr.pool.Blocks("cc propose up receipt", len(pr.nodes), func(shard, lo, hi int) {
-			ws := &pr.wscr[shard]
 			for i := lo; i < hi; i++ {
 				sc := &pr.scr[i]
 				if st.Target[i] != i {
-					sc.pairs, sc.k1s = sc.pairs[:0], sc.k1s[:0] // forwarded up
-					if first {
-						sc.need = sc.need[:0]
-					}
+					sc.pairs, sc.k1s, sc.need = sc.pairs[:0], sc.k1s[:0], sc.need[:0] // forwarded up
 					continue
 				}
-				ib := pr.e.Inbox(pr.nodes[i])
-				if ib.KeyCount(tagProposeUp) > 0 || first && ib.KeyCount(tagVertexUp) > 0 {
-					pr.mergeProps(i, ws, ib, first)
+				if ib := pr.e.Inbox(pr.nodes[i]); ib.Len() > 0 {
+					pr.mergeProps(i, si, &pr.wscr[shard], ib)
 				}
 			}
 		})
 	}
 	pr.round(func(i int, out *netsim.Outbox) {
 		pr.emitProposals(i, out)
-		if first {
-			pr.emitIndexGroups(i, out, tagVertex, pr.scr[i].need)
-		}
+		pr.emitIndexGroups(i, out, entry, pr.scr[i].need)
 	})
-	// Proposals and vertex entries target the label's home, so shard i
-	// min-merges and enrolls only entries homed at node i.
-	stride := pr.propStride()
+	// Proposals and entries target the label's home, so shard i min-merges,
+	// enrolls and records only entries homed at node i.
+	home, stride := len(pr.steps), pr.propStride()
 	pr.pool.ForEach("cc propose receipt", len(pr.nodes), func(i int) {
 		ib := pr.e.Inbox(pr.nodes[i])
+		pr.reserveAsked(i, ib, tagPropose, tagNeed)
 		for mi := 0; mi < ib.Len(); mi++ {
 			m := ib.At(mi)
-			if m.Tag == tagVertex {
+			switch m.Tag {
+			case tagVertex:
 				for _, xk := range m.Keys {
 					pr.enroll(i, int32(xk))
 				}
 				continue
-			}
-			if m.Tag != tagPropose {
+			case tagNeed:
+				pr.keepAsked(i, home, m, 1)
 				continue
 			}
+			// The round's third tag: proposals, which are answered too.
+			pr.keepAsked(i, home, m, stride)
 			if first {
 				for k := 0; k+stride <= len(m.Keys); k += stride {
 					pr.enroll(i, int32(m.Keys[k]))
@@ -1227,69 +1185,48 @@ func (pr *proto) jumpOnce() (int, error) {
 	})), nil
 }
 
-// lookups fetches the phase roots every node needs — the endpoint labels
-// of its active edges plus the current labels of its homed vertices,
-// precollected distinct by collectNext. Direct mode is a query/reply pair;
-// under a combining schedule the queries are deduplicated on the way up
-// (sweepNeeds), the top carriers query the homes once per distinct label, and
-// the answers fan back down the same chain, so a hot label's root crosses
-// each engaged cut once per block per level. Every answer is one root word
-// per asked label, in the order asked (sendRoots).
+// answer publishes the phase roots back along the propose sweep, one round
+// per stage: the homes first, then the combiners, coarsest level first.
+// Every receiver answers each proposal or need message it recorded with one
+// root per label, in the order sent (sendRoots), so each node ends holding
+// the root of every label it proposed for or needs: the endpoint labels of
+// its active edges and the labels of its homed vertices. Phase 1's vertex
+// entries only registered their vertices and get no answer. Each round
+// mirrors its stage's propose round, message for message, less those entries.
 //
 // Every alive label's root is resolved once jumping finishes, so the
-// rootAt/rootVal arrays already hold exactly the answers the wire carries;
-// replies are generated from them directly and the delivered payloads need
-// no per-node answer table — the messages exist for the cost model, which
-// accounts them identically to the map path.
-func (pr *proto) lookups() error {
-	if len(pr.steps) > 0 {
-		pr.pool.ForEach("cc lookup reset", len(pr.nodes), func(i int) {
-			sc := &pr.scr[i]
-			sc.needBuf = sc.needBuf[:0]
-			if cap(sc.members) < len(pr.steps) {
-				sc.members = make([][]memberNeed, len(pr.steps))
-			}
-			sc.members = sc.members[:len(pr.steps)]
-			for s := range sc.members {
-				sc.members[s] = sc.members[s][:0]
-			}
-		})
-	}
-	pr.sweepNeeds()
-
-	// Homes answer every queried label with its resolved root.
-	pr.round(func(j int, out *netsim.Outbox) {
-		ib := pr.e.Inbox(pr.nodes[j])
-		for mi := 0; mi < ib.Len(); mi++ {
-			if m := ib.At(mi); m.Tag == tagLookupQ {
-				sendRoots(pr, j, out, m.From, tagLookupA, m.Keys)
-			}
-		}
-	})
-
-	// Down-sweep, coarsest level first: combiners answer each recorded
-	// member exactly what it asked for. By the time a level replies, every
-	// label a member asked for is resolved, so the phase-root arrays hold
-	// precisely the answers the combiner received from above.
-	for s := len(pr.steps) - 1; s >= 0; s-- {
-		pr.round(func(j int, out *netsim.Outbox) {
-			for _, mn := range pr.scr[j].members[s] {
-				sendRoots(pr, j, out, mn.from, tagLookupDown, pr.scr[j].needBuf[mn.lo:mn.hi])
-			}
-		})
+// rootAt/rootVal arrays already hold exactly the answers the wire carries,
+// at the homes and at every combiner the answers pass: replies are generated
+// from them directly and the delivered payloads need no per-node answer
+// table — the messages exist for the cost model, which accounts them
+// identically to the map path.
+func (pr *proto) answer() error {
+	for s := len(pr.steps); s >= 0; s-- {
+		pr.answerStage(s)
 	}
 	return pr.planFailure()
 }
 
-// sendRoots answers, from node j, one query of labels: a message of one
-// root word per asked label, in the order asked, so the asker reads each
-// root off the position of the label in the list it sent. An asked label
-// with no phase root records ErrUnresolvedLabel in j's planning slot and
-// sends nothing.
-func sendRoots[T int32 | uint64](pr *proto, j int, out *netsim.Outbox, to topology.NodeID, tag netsim.Tag, asked []T) {
+// answerStage is answer's round for sweep stage s (len(pr.steps) = homes).
+func (pr *proto) answerStage(s int) {
+	pr.round(func(j int, out *netsim.Outbox) {
+		sc := &pr.scr[j]
+		for _, a := range sc.asked {
+			if a.stage == int32(s) {
+				sendRoots(pr, j, out, a.from, sc.askBuf[a.lo:a.hi])
+			}
+		}
+	})
+}
+
+// sendRoots answers, from node j, one recorded message: a message of one
+// root word per label, in the order sent, so the asker reads each root off
+// the position of the label in the list it sent. A label with no phase root
+// records ErrUnresolvedLabel in j's planning slot and sends nothing.
+func sendRoots(pr *proto, j int, out *netsim.Outbox, to topology.NodeID, asked []int32) {
 	reply := pr.slab(j).grab(len(asked))
-	for k, a := range asked {
-		if x := int32(a); pr.rootAt[x] == pr.phase {
+	for k, x := range asked {
+		if pr.rootAt[x] == pr.phase {
 			reply[k] = uint64(uint32(pr.rootVal[x]))
 		} else {
 			pr.planErr[j] = fmt.Errorf("%w: node %d asked node %d for label %d",
@@ -1297,13 +1234,13 @@ func sendRoots[T int32 | uint64](pr *proto, j int, out *netsim.Outbox, to topolo
 			return
 		}
 	}
-	out.Send(to, tag, reply)
+	out.Send(to, tagRoots, reply)
 }
 
 // relabel rewrites every active edge onto the phase roots, dropping edges
 // that became internal, updates the homed vertex labels, retires the
 // labels that hooked, pre-collects the next phase's proposal minima and
-// lookup needs while the state is hot, and steps the scratch capacities
+// need entries while the state is hot, and steps the scratch capacities
 // down with the contraction. The walk shards by home across the pool; the
 // root arrays are frozen (read-only) here, every write is home-local, and
 // each shard keeps its first error so the merge can return the first
@@ -1343,7 +1280,11 @@ func (pr *proto) relabel() error {
 			}
 			pr.aliveList[i] = keep
 			if pr.fs == nil {
-				pr.collectNext(i, ws)
+				cands := pr.scr[i].need[:0]
+				for _, v := range pr.homedVerts[i] {
+					cands = append(cands, pr.label[v])
+				}
+				pr.collectNext(i, ws, cands)
 			}
 			nt += pr.trimScratch(i)
 		}

@@ -3,7 +3,6 @@ package graph
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"slices"
 
 	"topompc/internal/core/place"
@@ -65,7 +64,7 @@ type mapProto struct {
 	// steps is the multi-level combining schedule (place.Hierarchy.UpSweep,
 	// deepest level first); empty = direct delivery. Each propose
 	// exchange runs the sweep so payloads merge once per block per level
-	// where combining pays, and lookups run it up and back down.
+	// where combining pays, and answer runs it back down.
 	steps   []place.UpStep
 	witness bool
 
@@ -132,15 +131,51 @@ func decodePropsInto(dst map[uint64]prop, keys []uint64, witness bool) {
 	}
 }
 
+// sweepMsg is one answered message of a propose sweep: its peer (the
+// destination at the sender, the sender at the receiver) and its labels, in
+// the order sent.
+type sweepMsg struct {
+	peer   int
+	labels []uint64
+}
+
+// sweep is what one propose sweep leaves for its answer: per stage (the
+// up-steps, then the homes) and per node, the answered messages the node
+// sent and those it received, in order.
+type sweep struct{ sent, got [][][]sweepMsg }
+
 // propose turns every active edge into min-neighbor proposals for both
 // endpoint labels, min-combines them locally (and per block per level
 // under a combining schedule), delivers them to the label homes, and
-// min-merges them into pr.best. With verts (the first sweep of a run) it
-// also registers the vertices: homes enroll every label a proposal names,
-// and each node's vertices that no proposal it holds names travel as
-// vertex entries beside the proposals, unioned per block like them and
-// dropped by a combiner once it holds a proposal for them.
-func (pr *mapProto) propose(verts []map[uint64]bool) {
+// min-merges them into pr.best. Each node's entries that no proposal it
+// holds names travel as 1-word entries beside the proposals, unioned per
+// block like them and dropped by a combiner once it holds a proposal for
+// them: with first (the first sweep of a run) they are the vertices, which
+// their homes enroll (homes enroll every label a proposal names, too);
+// later they are the labels of homed vertices, whose roots are asked for.
+// Every proposal message and every later need message is answered by
+// answer, against the sweep returned here.
+func (pr *mapProto) propose(entries []map[uint64]bool, first bool) sweep {
+	entry, entryUp := tagNeed, tagNeedUp
+	if first {
+		entry, entryUp = tagVertex, tagVertexUp
+	}
+	stride := 2
+	if pr.witness {
+		stride = 4
+	}
+	labelsOf := func(keys []uint64) []uint64 {
+		out := make([]uint64, 0, len(keys)/stride)
+		for k := 0; k < len(keys); k += stride {
+			out = append(out, keys[k])
+		}
+		return out
+	}
+	sw := sweep{sent: make([][][]sweepMsg, len(pr.steps)+1), got: make([][][]sweepMsg, len(pr.steps)+1)}
+	for s := range sw.sent {
+		sw.sent[s] = make([][]sweepMsg, len(pr.nodes))
+		sw.got[s] = make([][]sweepMsg, len(pr.nodes))
+	}
 	local := make([]map[uint64]prop, len(pr.nodes))
 	lone := make([]map[uint64]bool, len(pr.nodes))
 	for i := range pr.nodes {
@@ -151,26 +186,27 @@ func (pr *mapProto) propose(verts []map[uint64]bool) {
 		}
 		local[i] = m
 		lone[i] = make(map[uint64]bool)
-		if verts != nil {
-			for x := range verts[i] {
-				if _, ok := m[x]; !ok {
-					lone[i][x] = true
-				}
+		for x := range entries[i] {
+			if _, ok := m[x]; !ok {
+				lone[i][x] = true
 			}
 		}
 	}
-	for _, st := range pr.steps {
+	for s, st := range pr.steps {
 		st := st
 		pr.round(func(i int, out *netsim.Outbox) {
 			if st.Target[i] == i {
 				return
 			}
 			if len(local[i]) > 0 {
-				out.Send(pr.nodes[st.Target[i]], tagProposeUp,
-					encodeProps(local[i], pr.witness))
+				out.Send(pr.nodes[st.Target[i]], tagProposeUp, encodeProps(local[i], pr.witness))
+				sw.sent[s][i] = append(sw.sent[s][i], sweepMsg{st.Target[i], sortedKeys(local[i])})
 			}
 			if batch := sortedKeys(lone[i]); len(batch) > 0 {
-				out.Send(pr.nodes[st.Target[i]], tagVertexUp, batch)
+				out.Send(pr.nodes[st.Target[i]], entryUp, batch)
+				if !first {
+					sw.sent[s][i] = append(sw.sent[s][i], sweepMsg{st.Target[i], batch})
+				}
 			}
 		})
 		merged := make([]map[uint64]prop, len(pr.nodes))
@@ -185,9 +221,16 @@ func (pr *mapProto) propose(verts []map[uint64]bool) {
 			ib := pr.e.Inbox(v)
 			for mi := 0; mi < ib.Len(); mi++ {
 				m := ib.At(mi)
+				// The answer reads these labels rounds later, after the inbox
+				// pool behind m.Keys has been recycled: labelsOf and
+				// slices.Clone copy them.
 				switch m.Tag {
 				case tagProposeUp:
 					decodePropsInto(merged[i], m.Keys, pr.witness)
+					sw.got[s][i] = append(sw.got[s][i], sweepMsg{pr.idx[m.From], labelsOf(m.Keys)})
+				case tagNeedUp:
+					sw.got[s][i] = append(sw.got[s][i], sweepMsg{pr.idx[m.From], slices.Clone(m.Keys)})
+					fallthrough
 				case tagVertexUp:
 					for _, x := range m.Keys {
 						mergedLone[i][x] = true
@@ -202,6 +245,7 @@ func (pr *mapProto) propose(verts []map[uint64]bool) {
 		}
 		local, lone = merged, mergedLone
 	}
+	home := len(pr.steps)
 	pr.round(func(i int, out *netsim.Outbox) {
 		groups := make(map[int][]uint64)
 		for _, a := range sortedKeys(local[i]) {
@@ -213,11 +257,21 @@ func (pr *mapProto) propose(verts []map[uint64]bool) {
 			}
 		}
 		pr.sendByHome(out, tagPropose, groups)
+		for h := range pr.nodes {
+			if batch := groups[h]; len(batch) > 0 {
+				sw.sent[home][i] = append(sw.sent[home][i], sweepMsg{h, labelsOf(batch)})
+			}
+		}
 		groups = make(map[int][]uint64)
 		for _, x := range sortedKeys(lone[i]) {
 			groups[pr.home(x)] = append(groups[pr.home(x)], x)
 		}
-		pr.sendByHome(out, tagVertex, groups)
+		pr.sendByHome(out, entry, groups)
+		for h := range pr.nodes {
+			if batch := groups[h]; len(batch) > 0 && !first {
+				sw.sent[home][i] = append(sw.sent[home][i], sweepMsg{h, batch})
+			}
+		}
 	})
 	for i, v := range pr.nodes {
 		pr.best[i] = make(map[uint64]prop)
@@ -227,18 +281,22 @@ func (pr *mapProto) propose(verts []map[uint64]bool) {
 			switch m.Tag {
 			case tagPropose:
 				decodePropsInto(pr.best[i], m.Keys, pr.witness)
+				sw.got[home][i] = append(sw.got[home][i], sweepMsg{pr.idx[m.From], labelsOf(m.Keys)})
+			case tagNeed:
+				sw.got[home][i] = append(sw.got[home][i], sweepMsg{pr.idx[m.From], slices.Clone(m.Keys)})
 			case tagVertex:
 				for _, x := range m.Keys {
 					pr.enroll(i, x)
 				}
 			}
 		}
-		if verts != nil {
+		if first {
 			for a := range pr.best[i] {
 				pr.enroll(i, a)
 			}
 		}
 	}
+	return sw
 }
 
 // enroll registers vertex x at its home i the first time the home hears of
@@ -364,120 +422,30 @@ func (pr *mapProto) jump(unresolved int) error {
 	return nil
 }
 
-// lookups fetches the phase roots every node needs — the endpoint labels
-// of its active edges plus the current labels of its homed vertices, except
-// in the first phase, where every homed vertex is its own label and its
-// home resolved the root itself — and returns the per-node label → root
-// maps. Direct mode is a query/reply pair; under a combining schedule,
-// queries are deduplicated along the hierarchy (each engaged level's
-// combiner unions its members' needs before they cross that level's cut),
-// the top carriers query the homes once per distinct label, and the
-// answers fan back down the same chain, so a hot label's root crosses each
-// engaged cut once per block per level. Every answer is one root per asked
-// label in the order asked, and every asker reads it against the list it
-// sent.
-func (pr *mapProto) lookups(first bool) ([]map[uint64]uint64, error) {
-	needs := make([]map[uint64]bool, len(pr.nodes))
-	for i := range pr.nodes {
-		nd := make(map[uint64]bool)
-		for _, ed := range pr.active[i] {
-			nd[ed.a] = true
-			nd[ed.b] = true
-		}
-		if !first {
-			for _, l := range pr.labelOf[i] {
-				nd[l] = true
-			}
-		}
-		needs[i] = nd
+// answer publishes the phase roots back along the propose sweep sw, one
+// round per stage, homes first, then the combiners, coarsest level first:
+// every receiver answers each message it recorded with one root per label,
+// in the order sent — a home from its own resolved roots, a combiner from
+// the roots it learned a stage earlier — and every sender reads the answers
+// of each peer, in order, against the messages it sent that peer. It returns
+// the per-node label → root maps so learned: the endpoint labels of each
+// node's active edges, and in later phases its homed vertices' labels (in
+// the first every homed vertex is its own label and its home resolved the
+// root itself).
+func (pr *mapProto) answer(sw sweep) ([]map[uint64]uint64, error) {
+	learned := make([]map[uint64]uint64, len(pr.nodes))
+	for i := range learned {
+		learned[i] = make(map[uint64]uint64)
 	}
-
-	// Up-sweep: members push their needs one level at a time; each engaged
-	// combiner records who asked for what (to fan the answers back) and
-	// carries the union upward.
-	type memberNeed struct {
-		from   topology.NodeID
-		labels []uint64
-	}
-	perStep := make([][][]memberNeed, len(pr.steps))
-	upSent := make([][][]uint64, len(pr.steps)) // what each member sent up, per step
-	carry := needs
-	for s, st := range pr.steps {
-		st := st
-		upSent[s] = make([][]uint64, len(pr.nodes))
-		pr.round(func(i int, out *netsim.Outbox) {
-			if st.Target[i] == i {
-				return
-			}
-			if batch := sortedKeys(carry[i]); len(batch) > 0 {
-				upSent[s][i] = batch
-				out.Send(pr.nodes[st.Target[i]], tagLookupUp, batch)
-			}
-		})
-		perStep[s] = make([][]memberNeed, len(pr.nodes))
-		next := make([]map[uint64]bool, len(pr.nodes))
-		for i, v := range pr.nodes {
-			if st.Target[i] != i {
-				next[i] = make(map[uint64]bool) // forwarded up
-				continue
-			}
-			m := carry[i]
-			ib := pr.e.Inbox(v)
-			for mi := 0; mi < ib.Len(); mi++ {
-				msg := ib.At(mi)
-				if msg.Tag != tagLookupUp {
-					continue
-				}
-				// The down-sweep reads these labels rounds later, after the
-				// inbox pool behind msg.Keys has been recycled — copy them.
-				asked := append([]uint64(nil), msg.Keys...)
-				perStep[s][i] = append(perStep[s][i], memberNeed{from: msg.From, labels: asked})
-				for _, a := range msg.Keys {
-					m[a] = true
-				}
-			}
-			next[i] = m
-		}
-		carry = next
-	}
-
-	// Top carriers (every node in direct mode) query the homes once per
-	// distinct label; homes reply.
-	asked := make([]map[int][]uint64, len(pr.nodes))
-	pr.round(func(i int, out *netsim.Outbox) {
-		groups := make(map[int][]uint64)
-		for _, a := range sortedKeys(carry[i]) {
-			groups[pr.home(a)] = append(groups[pr.home(a)], a)
-		}
-		asked[i] = groups
-		pr.sendByHome(out, tagLookupQ, groups)
-	})
 	failed := make([]error, len(pr.nodes))
-	pr.round(func(j int, out *netsim.Outbox) {
-		ib := pr.e.Inbox(pr.nodes[j])
-		for mi := 0; mi < ib.Len(); mi++ {
-			if m := ib.At(mi); m.Tag == tagLookupQ {
-				if err := answerRoots(out, m.From, tagLookupA, m.Keys, pr.rootOf[j]); err != nil {
-					failed[j] = err
-				}
-			}
-		}
-	})
-	if err := errors.Join(failed...); err != nil {
-		return nil, err
-	}
-	rootAt, err := pr.collectRoots(tagLookupA, func(i, from int) []uint64 { return asked[i][from] })
-	if err != nil {
-		return nil, err
-	}
-
-	// Down-sweep, coarsest level first: combiners answer each recorded
-	// member exactly what it asked for, so deeper combiners hold their
-	// roots before answering their own members.
-	for s := len(pr.steps) - 1; s >= 0; s-- {
+	for s := len(pr.steps); s >= 0; s-- {
 		pr.round(func(j int, out *netsim.Outbox) {
-			for _, mn := range perStep[s][j] {
-				if err := answerRoots(out, mn.from, tagLookupDown, mn.labels, rootAt[j]); err != nil {
+			roots := learned[j]
+			if s == len(pr.steps) {
+				roots = pr.rootOf[j]
+			}
+			for _, m := range sw.got[s][j] {
+				if err := answerRoots(out, pr.nodes[m.peer], tagRoots, m.labels, roots); err != nil {
 					failed[j] = err
 				}
 			}
@@ -485,15 +453,38 @@ func (pr *mapProto) lookups(first bool) ([]map[uint64]uint64, error) {
 		if err := errors.Join(failed...); err != nil {
 			return nil, err
 		}
-		down, err := pr.collectRoots(tagLookupDown, func(i, _ int) []uint64 { return upSent[s][i] })
-		if err != nil {
-			return nil, err
-		}
-		for i := range pr.nodes {
-			maps.Copy(rootAt[i], down[i])
+		for i, v := range pr.nodes {
+			pending := make(map[int][]sweepMsg)
+			for _, m := range sw.sent[s][i] {
+				pending[m.peer] = append(pending[m.peer], m)
+			}
+			ib := pr.e.Inbox(v)
+			for mi := 0; mi < ib.Len(); mi++ {
+				m := ib.At(mi)
+				if m.Tag != tagRoots {
+					continue
+				}
+				from := pr.idx[m.From]
+				q := pending[from]
+				if len(q) == 0 {
+					return nil, fmt.Errorf("oracle: node %d answered node %d, which sent it nothing to answer", from, i)
+				}
+				if len(m.Keys) != len(q[0].labels) {
+					return nil, fmt.Errorf("oracle: %d roots answer %d labels", len(m.Keys), len(q[0].labels))
+				}
+				for k, a := range q[0].labels {
+					learned[i][a] = m.Keys[k]
+				}
+				pending[from] = q[1:]
+			}
+			for peer, q := range pending {
+				if len(q) > 0 {
+					return nil, fmt.Errorf("oracle: node %d left %d messages of node %d unanswered", peer, len(q), i)
+				}
+			}
 		}
 	}
-	return rootAt, nil
+	return learned, nil
 }
 
 // answerRoots answers one query: one root per asked label, in the order asked.
@@ -510,34 +501,9 @@ func answerRoots(out *netsim.Outbox, to topology.NodeID, tag netsim.Tag, asked [
 	return nil
 }
 
-// collectRoots reads every node's answers of one tag by position: the
-// answer from compute node from to node i carries one root per label of
-// sentTo(i, from), the list i asked it for.
-func (pr *mapProto) collectRoots(tag netsim.Tag, sentTo func(i, from int) []uint64) ([]map[uint64]uint64, error) {
-	rmap := make([]map[uint64]uint64, len(pr.nodes))
-	for i, v := range pr.nodes {
-		rmap[i] = make(map[uint64]uint64)
-		ib := pr.e.Inbox(v)
-		for mi := 0; mi < ib.Len(); mi++ {
-			m := ib.At(mi)
-			if m.Tag != tag {
-				continue
-			}
-			labels := sentTo(i, pr.idx[m.From])
-			if len(m.Keys) != len(labels) {
-				return nil, fmt.Errorf("oracle: %d roots answer %d labels", len(m.Keys), len(labels))
-			}
-			for k, a := range labels {
-				rmap[i][a] = m.Keys[k]
-			}
-		}
-	}
-	return rmap, nil
-}
-
 // relabel rewrites every active edge onto the phase roots, dropping edges
 // that became internal, updates the homed vertex labels (in the first
-// phase from the home's own roots, which lookups did not fetch), and
+// phase from the home's own roots, which answer did not send), and
 // retires the labels that hooked.
 func (pr *mapProto) relabel(rmap []map[uint64]uint64, first bool) error {
 	for i := range pr.nodes {
@@ -658,23 +624,31 @@ func runMaps(tr *topology.Tree, edges Placement, seed uint64, aware, witness boo
 	}
 
 	// The first propose sweep registers the vertices; with no edge between
-	// two vertices it is sent alone, and is no phase.
+	// two vertices it is sent alone, and is no phase. Later sweeps ask for
+	// the roots of the homed vertices' labels.
 	phases := 0
 	if pr.totalActive() == 0 {
-		pr.propose(verts)
+		pr.propose(verts, true)
 	}
 	for pr.totalActive() > 0 {
 		if phases == maxPhases {
 			return nil, fmt.Errorf("graph: contraction did not converge after %d phases", maxPhases)
 		}
 		phases++
-		pr.propose(verts)
-		verts = nil // registered by the first sweep
+		first := phases == 1
+		if !first {
+			for i := range verts {
+				verts[i] = make(map[uint64]bool, len(pr.labelOf[i]))
+				for _, l := range pr.labelOf[i] {
+					verts[i][l] = true
+				}
+			}
+		}
+		sw := pr.propose(verts, first)
 		if err := pr.jump(pr.hook()); err != nil {
 			return nil, err
 		}
-		first := phases == 1
-		rmap, err := pr.lookups(first)
+		rmap, err := pr.answer(sw)
 		if err != nil {
 			return nil, err
 		}

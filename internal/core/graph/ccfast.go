@@ -11,7 +11,7 @@ import (
 // cc-fast: log-diameter connectivity by budgeted graph exponentiation — the
 // expanding phase kind of the contraction loop (contract, cc.go).
 //
-// A Borůvka phase pays the full sequence — propose, hook, jump, lookups,
+// A Borůvka phase pays the full sequence — propose, hook, jump, answer,
 // relabel — to halve the label count, so round count grows with log(n)
 // times the per-phase round cost, and every round crosses the topology's
 // weakest cuts again. The MPC literature (Andoni et al., FOCS 2018;
@@ -41,7 +41,7 @@ import (
 //   - Hook, pointer-jump, and relabel are the loop's own — the known-set
 //     minimum feeds the same best-proposal arrays a Borůvka phase fills
 //     from propose messages — and one subscription push of the phase roots
-//     (pushRoots) replaces the lookup rounds.
+//     (pushRoots) replaces the answer rounds back down the propose sweep.
 //
 // Every step is a pure function of the input: no sampling, no seed beyond
 // the one that hashes vertices to homes.
@@ -441,10 +441,11 @@ func (pr *proto) proposeFromKnow() {
 // pushRoots closes the phase in a single round: every home pushes each
 // subscribed label's phase root, packed label<<32|root, back to the node
 // that mentioned the label in this phase's adjacency round. Adjacency
-// senders are exactly the relabel readers, so the subscriptions replace
-// the query/reply pair of lookups() with one reply-sized round. As with
-// lookups, the receipt needs no processing — relabel reads the
-// rootAt/rootVal arrays the wire answers mirror.
+// senders are exactly the relabel readers, so the subscriptions answer
+// the adjacency round the way a Borůvka phase's answer() answers its
+// propose sweep, in one round. As with answer(), the receipt needs no
+// processing — relabel reads the rootAt/rootVal arrays the wire answers
+// mirror.
 func (pr *proto) pushRoots() {
 	fs := pr.fs
 	pr.round(func(i int, out *netsim.Outbox) {

@@ -27,15 +27,19 @@
 //     rest of the tree, so label state concentrates inside well-connected
 //     subtrees and hot labels are not owned by nodes behind weak uplinks.
 //   - Per-cut combining: the compute nodes are partitioned into the
-//     recursive weak-cut hierarchy of place.HierarchyFor, and every label
-//     exchange (per-edge label proposals, whose first sweep also registers
-//     the vertices, and root lookups) is combined at the block combiners
-//     of each hierarchy level where the pays-off test
-//     (place.Hierarchy.CombinePays) holds, before crossing that level's
-//     cut — root lookups fan back down the same chain. Duplicate (vertex → label) updates for a hot label then
-//     cross each engaged cut once per block instead of once per node,
-//     and blocks where combining cannot pay (majority-capacity regions,
-//     singletons) skip the merge rounds entirely.
+//     recursive weak-cut hierarchy of place.HierarchyFor, and the
+//     per-edge label proposals (whose first sweep also registers the
+//     vertices, and whose later sweeps carry the labels of homed vertices
+//     no proposal names) are combined at the block combiners of each
+//     hierarchy level where the pays-off test (place.Hierarchy.CombinePays)
+//     holds, before crossing that level's cut. The proposal sweep is also
+//     the root query: once pointer jumping ends, the homes answer every
+//     message they received with one root per label, and the combiners
+//     pass the answers back down the same chain. Duplicate (vertex → label)
+//     updates for a hot label then cross each engaged cut once per block
+//     instead of once per node, and blocks where combining cannot pay
+//     (majority-capacity regions, singletons) skip the merge rounds
+//     entirely.
 //
 // The flat baseline hashes vertices uniformly and sends every update
 // directly, as on a flat network. CC, CCFlat, SpanningForest and CCFast
@@ -79,18 +83,17 @@ func (p Placement) NumEdges() int64 {
 // Message tags of the connectivity protocol. Values are local to the
 // engine run and never clash with other protocols.
 const (
-	tagVertex     netsim.Tag = 10 + iota // phase 1: vertices no proposal names: [v, ...]
-	tagVertexUp                          // vertex entries, member → combiner
-	tagPropose                           // label proposals: [a, b(, wu, wv), ...]
-	tagProposeUp                         // proposals, member → combiner
-	tagJumpQ                             // pointer-jump query: [q, ...]
-	tagJumpA                             // jump reply in query order: [resolved bitmap (⌈n/64⌉ words), value, ...], value = root if resolved, else parent
-	tagLookupQ                           // root lookup query: [a, ...]
-	tagLookupA                           // root lookup reply in query order: [root, ...]
-	tagLookupUp                          // lookup query, member → combiner
-	tagLookupDown                        // lookup reply in query order, combiner → member: [root, ...]
-	tagAdj                               // cc-fast adjacency: packed [a<<32|b, ...]
-	tagKnow                              // cc-fast known-set push: packed [u<<32|x, ...]
+	tagVertex    netsim.Tag = 10 + iota // phase 1: vertices no proposal names: [v, ...]
+	tagVertexUp                         // vertex entries, member → combiner
+	tagPropose                          // label proposals: [a, b(, wu, wv), ...]
+	tagProposeUp                        // proposals, member → combiner
+	tagNeed                             // later phases: homed vertex labels no proposal names: [a, ...]
+	tagNeedUp                           // need entries, member → combiner
+	tagJumpQ                            // pointer-jump query: [q, ...]
+	tagJumpA                            // jump reply in query order: [resolved bitmap (⌈n/64⌉ words), value, ...], value = root if resolved, else parent
+	tagRoots                            // answer to one proposal or need message, home → sender or combiner → member, in its label order: [root, ...]
+	tagAdj                              // cc-fast adjacency: packed [a<<32|b, ...]
+	tagKnow                             // cc-fast known-set push: packed [u<<32|x, ...]
 )
 
 // Result of a connectivity protocol run.

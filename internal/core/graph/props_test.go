@@ -94,8 +94,10 @@ func (pr *proto) props(i int) []propPair {
 // TestStampedMinCombineMatchesSort runs the collection walk and the
 // carrier merge against the sort oracle on seeded random homes: both
 // modes, every worker count, the shard scratch reused from home to home and
-// from one collection to the next. The merge of a first sweep also folds
-// vertex entries, each kept once unless a merged proposal names it.
+// from one collection to the next. The merge also folds the 1-word entries
+// — vertex entries in a first sweep, need entries later — each kept once
+// unless a merged proposal names it, and records every proposal and need
+// message for the answer.
 func TestStampedMinCombineMatchesSort(t *testing.T) {
 	tree := testTrees(t)["star"]
 	nodes := tree.ComputeNodes()
@@ -120,7 +122,7 @@ func TestStampedMinCombineMatchesSort(t *testing.T) {
 				}
 				pr.pool.Blocks("collect", homes, func(shard, lo, hi int) {
 					for i := lo; i < hi; i++ {
-						pr.collectNext(i, &pr.wscr[shard])
+						pr.collectNext(i, &pr.wscr[shard], nil)
 					}
 				})
 				for i := range pr.active {
@@ -131,32 +133,41 @@ func TestStampedMinCombineMatchesSort(t *testing.T) {
 				}
 
 				// Every other home sends its list up to home 0, which merges.
-				// On odd iterations the sweep is a first one: every home also
-				// holds vertex entries, and home 0 must keep, once each, the
-				// entries no merged proposal names.
+				// Every home also holds 1-word entries, and home 0 must keep,
+				// once each, the entries no merged proposal names. On odd
+				// iterations the sweep is a first one and they are vertex
+				// entries, which get no answer; otherwise they are need
+				// entries, and home 0 records them with the proposals.
 				first := iter%2 == 1
+				entryUp := tagNeedUp
+				if first {
+					entryUp = tagVertexUp
+				}
 				x := e.Exchange()
 				var sent []propPair
 				entries := map[int32]bool{}
+				answered := 0
 				for i := 0; i < homes; i++ {
 					pr.scr[i].need = pr.scr[i].need[:0]
-					if first {
-						for k := rng.Intn(8); k > 0; k-- {
-							v := int32(rng.Intn(nV))
-							entries[v] = true
-							pr.scr[i].need = append(pr.scr[i].need, v)
-						}
-						pr.scr[i].need = pr.sortDedup(i, pr.scr[i].need)
+					for k := rng.Intn(8); k > 0; k-- {
+						v := int32(rng.Intn(nV))
+						entries[v] = true
+						pr.scr[i].need = append(pr.scr[i].need, v)
 					}
+					pr.scr[i].need = pr.sortDedup(i, pr.scr[i].need)
 					if i == 0 {
 						continue
 					}
 					if pr.numProps(i) > 0 {
 						sent = append(sent, pr.props(i)...)
 						x.Out(nodes[i]).Send(nodes[0], tagProposeUp, pr.encodeProps(i))
+						answered++
 					}
 					if len(pr.scr[i].need) > 0 {
-						x.Out(nodes[i]).Send(nodes[0], tagVertexUp, pr.encodeIndices(i, pr.scr[i].need))
+						x.Out(nodes[i]).Send(nodes[0], entryUp, pr.encodeIndices(i, pr.scr[i].need))
+						if !first {
+							answered++
+						}
 					}
 				}
 				x.Execute()
@@ -164,20 +175,22 @@ func TestStampedMinCombineMatchesSort(t *testing.T) {
 					pr.arena[i].buf = pr.arena[i].buf[:0]
 				}
 				want := sortedMinima(pr.active[0], witness, sent...)
-				pr.mergeProps(0, &pr.wscr[0], e.Inbox(nodes[0]), first)
+				pr.mergeProps(0, 0, &pr.wscr[0], e.Inbox(nodes[0]))
 				if got := pr.props(0); !slices.Equal(got, want) {
 					t.Fatalf("witness=%v workers=%d iter %d: merged minima\n got %v\nwant %v",
 						witness, workers, iter, got, want)
 				}
-				if first {
-					for _, p := range want {
-						delete(entries, int32(p.k1>>32))
-					}
-					wantLone := slices.Sorted(maps.Keys(entries))
-					if got := pr.scr[0].need; !slices.Equal(got, wantLone) {
-						t.Fatalf("witness=%v workers=%d iter %d: merged vertex entries\n got %v\nwant %v",
-							witness, workers, iter, got, wantLone)
-					}
+				for _, p := range want {
+					delete(entries, int32(p.k1>>32))
+				}
+				wantLone := slices.Sorted(maps.Keys(entries))
+				if got := pr.scr[0].need; !slices.Equal(got, wantLone) {
+					t.Fatalf("witness=%v workers=%d iter %d (first %v): merged entries\n got %v\nwant %v",
+						witness, workers, iter, first, got, wantLone)
+				}
+				if got := len(pr.scr[0].asked); got != answered {
+					t.Fatalf("witness=%v workers=%d iter %d (first %v): recorded %d messages to answer, want %d",
+						witness, workers, iter, first, got, answered)
 				}
 			}
 		}

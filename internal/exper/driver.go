@@ -292,7 +292,7 @@ func (k task) execute(t *topology.Tree, in input, seed uint64) (measure, error) 
 		m.Outputs = res.Outputs
 	case *topompc.ComponentsResult:
 		m = costed(res.Cost)
-		m.Outputs, m.Phases = res.Components, res.Phases
+		m.Strategy, m.Outputs, m.Phases = res.Strategy, res.Components, res.Phases
 		for _, labels := range res.PerNode {
 			m.Vertices += len(labels)
 		}
