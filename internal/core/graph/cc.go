@@ -544,8 +544,8 @@ func (pr *proto) trimScratch(i int) int64 {
 
 // payloadSlab is one node's outgoing-payload arena, reset every round.
 // grab carves a fixed-size chunk; the engine copies payloads into the
-// receiver inboxes during ExecuteAsync, so chunks are dead by the time
-// the next round resets the slab.
+// receiver inboxes during Execute, so chunks are dead by the time the
+// next round resets the slab.
 type payloadSlab struct{ buf []uint64 }
 
 func (pa *payloadSlab) grab(n int) []uint64 {
@@ -635,10 +635,8 @@ type proto struct {
 }
 
 // round executes one planned exchange with fn planning each compute node's
-// sends. Accounting of the previous round overlaps the planning (the
-// engine pipelines behind ExecuteAsync); accounting only reads payload
-// lengths and the engine copies payloads into the receiver inboxes during
-// ExecuteAsync, so one arena per node suffices and each round reuses it.
+// sends. Execute copies every payload into the receiver inboxes before it
+// returns, so one arena per node suffices and each round reuses it.
 func (pr *proto) round(fn func(i int, out *netsim.Outbox)) {
 	for i := range pr.arena {
 		pr.arena[i].buf = pr.arena[i].buf[:0]
@@ -647,7 +645,7 @@ func (pr *proto) round(fn func(i int, out *netsim.Outbox)) {
 	x.Plan(func(v topology.NodeID, out *netsim.Outbox) {
 		fn(int(pr.nodeIdx[v]), out)
 	})
-	x.ExecuteAsync()
+	x.Execute()
 }
 
 func (pr *proto) slab(i int) *payloadSlab { return &pr.arena[i] }

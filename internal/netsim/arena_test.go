@@ -124,63 +124,31 @@ func TestLeanStatsReportMatches(t *testing.T) {
 	}
 }
 
-// TestExecuteAsyncMatchesExecute pipelines rounds with ExecuteAsync on an
-// 8-worker engine and checks the final report — every round's statistics
-// and the per-edge and per-node totals — is identical to the synchronous
-// single-worker run's, so the 8-shard merge in asynchronous accounting is
-// checked against a reference run.
-func TestExecuteAsyncMatchesExecute(t *testing.T) {
+// TestExecuteReportAcrossWorkers runs rounds on an 8-worker engine and
+// checks the final report — every round's statistics and the per-edge and
+// per-node totals — is identical to the single-worker run's, so the 8-shard
+// merge of the edge deltas is checked against a reference run.
+func TestExecuteReportAcrossWorkers(t *testing.T) {
 	tr := benchCaterpillar(t)
 	batch := benchTransferBatch(tr, 2048)
 
-	run := func(async bool, opts ...Option) *Report {
-		e := NewEngine(tr, opts...)
+	run := func(workers int) *Report {
+		e := NewEngine(tr, WithWorkers(workers))
 		for r := 0; r < 6; r++ {
 			x := e.Exchange()
 			planBatch(x, batch[r*128:])
-			if async {
-				x.ExecuteAsync()
-			} else {
-				x.Execute()
-			}
+			x.Execute()
 		}
 		return e.Report()
 	}
-	serial := run(false, WithWorkers(1))
-	piped := run(true, WithWorkers(8))
+	serial := run(1)
+	sharded := run(8)
 
 	if serial.NumRounds() != 6 {
 		t.Fatalf("serial run recorded %d rounds, want 6", serial.NumRounds())
 	}
-	if err := reportsEqual(piped, serial); err != nil {
-		t.Fatalf("8-worker ExecuteAsync differs from 1-worker Execute: %v", err)
-	}
-}
-
-// TestExecuteAsyncInboxVisible checks deliveries are readable immediately
-// after ExecuteAsync returns, before accounting has necessarily finished.
-func TestExecuteAsyncInboxVisible(t *testing.T) {
-	tr, err := topology.Star([]float64{1, 1, 1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := NewEngine(tr, WithWorkers(4))
-	vs := tr.ComputeNodes()
-
-	x := e.Exchange()
-	x.Out(vs[0]).Send(vs[1], TagData, []uint64{7, 8})
-	x.ExecuteAsync()
-
-	in := e.Inbox(vs[1]).Messages()
-	if len(in) != 1 || len(in[0].Keys) != 2 || in[0].Keys[0] != 7 {
-		t.Fatalf("inbox after ExecuteAsync: %+v", in)
-	}
-	if got := e.NumRounds(); got != 1 {
-		t.Fatalf("NumRounds after ExecuteAsync = %d, want 1", got)
-	}
-	rep := e.Report()
-	if rep.Rounds[0].Messages != 1 || rep.Rounds[0].Elements != 2 {
-		t.Fatalf("round stats after ExecuteAsync: %+v", rep.Rounds[0])
+	if err := reportsEqual(sharded, serial); err != nil {
+		t.Fatalf("8-worker report differs from the 1-worker one: %v", err)
 	}
 }
 

@@ -26,14 +26,14 @@ import (
 //
 // What is left of the round is serial and independent of the deliveries:
 // merging the shards' edge deltas, the one subtree-sum sweep that turns
-// them into edge counts (O(V) for the round) and the cost statistics.
-// ExecuteAsync leaves that to a background goroutine.
+// them into edge counts (O(V) for the round) and the cost statistics. It
+// runs on the caller's goroutine too, so a round is synchronous from
+// Execute's call to its return.
 //
 // The exchange is owned by the engine: its outboxes and op logs persist
 // across rounds, so a steady-state plan/execute cycle allocates nothing.
 // The delivery walk is the last reader of a plan and truncates it as it
-// goes, so ExecuteAsync can finish the accounting of round r in the
-// background while the protocol plans round r+1 into the same buffers.
+// goes.
 //
 // One exchange is open on an engine at a time; it occupies the engine from
 // Exchange() until Execute(), or until Price() reports what Execute would
@@ -46,8 +46,8 @@ type Exchange struct {
 	done bool
 
 	// The round's per-node element counts, by NodeID: written by the tally
-	// walk, folded into the engine's totals and zeroed by its accounting (or
-	// zeroed by discard when no delivery follows).
+	// walk, folded into the engine's totals and zeroed by Execute (or zeroed
+	// by discard when no delivery follows).
 	sent, received []int64
 
 	// Shard bodies handed to par.Blocks, built once: a closure made per call
@@ -62,8 +62,7 @@ type Exchange struct {
 // previous round; deliveries become visible when Execute is called.
 //
 // The returned exchange is the engine's one buffer, recycled across rounds;
-// it stays valid only until its Execute (or ExecuteAsync) completes the
-// round.
+// it stays valid only until its Execute completes the round.
 func (e *Engine) Exchange() *Exchange {
 	if e.inRound {
 		panic("netsim: Exchange while a round is open")
@@ -296,43 +295,23 @@ func (e *Engine) shardSet() []*shardTally {
 	return e.tallies
 }
 
-// Execute routes all declared transfers: per-edge traffic is aggregated in
-// O(V + M) with sharded accumulators, deliveries are laid out in the inbox
-// arena in compute-node order, and the round is committed. The exchange
-// cannot be reused afterwards.
-func (x *Exchange) Execute() RoundStats {
-	return x.e.rounds[x.execute(false)]
-}
-
-// ExecuteAsync is Execute with the serial remainder of the round deferred
-// to a background goroutine: deliveries are visible (and the next round
-// may be opened and planned) as soon as it returns, while edge traffic and
-// the round's cost statistics are finalized concurrently. Report,
-// NumRounds, and the next Execute synchronize on the pending remainder, so
-// observable statistics are identical to Execute. With a single worker the
-// remainder runs inline and ExecuteAsync is equivalent to Execute.
-func (x *Exchange) ExecuteAsync() {
-	x.execute(x.e.pool.Workers() > 1)
-}
-
-// execute accounts and delivers the plan on the caller's goroutine,
-// reserves the round's stats slot and runs the remainder of the round,
-// behind the caller when async. It returns the reserved slot index.
+// Execute routes all declared transfers and commits the round on the
+// caller's goroutine: per-edge traffic is aggregated in O(V + M) with
+// sharded accumulators, deliveries are laid out in the inbox arena in
+// compute-node order, the shards' edge deltas are swept into the edge
+// totals, and the round's statistics are recorded and returned. The
+// exchange cannot be reused afterwards.
 //
 // A plan that names a receiver which is not a compute node, or sends one
 // receiver more keys than int32 offsets address, panics before anything
 // the engine publishes has changed: inboxes, rounds and totals are those
 // of the round before, and the engine is free to open the next exchange.
-func (x *Exchange) execute(async bool) int {
+func (x *Exchange) Execute() RoundStats {
 	if x.done {
 		panic("netsim: Execute called twice")
 	}
 	x.done = true
 	e := x.e
-
-	// The previous round's remainder reads the shard tallies and owns the
-	// node counts this round is about to write.
-	e.pending.Wait()
 	shards := x.tally()
 
 	// Lay out the arena: receiver by receiver, shard by shard.
@@ -359,18 +338,24 @@ func (x *Exchange) execute(async bool) int {
 	a.off[len(nodes)], a.koff[len(nodes)] = rows, keys
 	a.fit(rows, keys)
 	e.pool.Blocks("netsim deliver", len(x.outs), x.deliverShard)
-
 	e.inboxCur, e.inboxNext = e.inboxNext, e.inboxCur
 	e.inRound = false
-	slot := len(e.rounds)
-	e.rounds = append(e.rounds, RoundStats{Index: slot, Messages: rows, Elements: int64(keys), MaxReceived: maxRecv})
-	if async {
-		e.pending.Add(1)
-		go e.accountRound(slot, x.t0, x.sent, x.received, true)
-	} else {
-		e.accountRound(slot, x.t0, x.sent, x.received, false)
+
+	rd := RoundStats{Index: len(e.rounds), Messages: rows, Elements: int64(keys), MaxReceived: maxRecv}
+	rd.Cost, rd.BottleneckEdge = e.mergedDeltas().FlushInto(e.totEdge)
+	for v := range x.sent {
+		if x.sent[v] != 0 {
+			e.totSent[v] += x.sent[v]
+			x.sent[v] = 0
+		}
+		if x.received[v] != 0 {
+			e.totRecv[v] += x.received[v]
+			x.received[v] = 0
+		}
 	}
-	return slot
+	e.rounds = append(e.rounds, rd)
+	e.recordRound(&rd, x.t0)
+	return rd
 }
 
 // tally runs the first walk over the outboxes on the pool and returns the
@@ -405,9 +390,6 @@ func (x *Exchange) Price() (cost float64, bottleneck topology.EdgeID) {
 	}
 	x.done = true
 	e := x.e
-	// The previous round's remainder may still be reading the shard tallies
-	// and the node counts.
-	e.pending.Wait()
 	x.tally()
 	if e.priceEdge == nil {
 		e.priceEdge = make([]int64, e.t.NumEdges())
@@ -500,33 +482,6 @@ func (x *Exchange) discard() {
 		x.logs[i].reset()
 	}
 	e.inRound = false
-}
-
-// accountRound is the serial remainder of an executed round: it merges the
-// shards' edge deltas, adds them to the edge totals with one subtree-sum
-// sweep that also finds the round's cost, fills the round's reserved stats
-// slot, and folds the round's node counts into the totals, zeroing them for
-// the next round. It reads nothing of the exchange's plan, which may be
-// planning the next round by now. At most one runs at a time, and execute
-// and Price wait for it before their first walk, so the shard accumulators
-// and the node counts are used without synchronization.
-func (e *Engine) accountRound(slot int, t0 float64, sent, received []int64, async bool) {
-	if async {
-		defer e.pending.Done()
-	}
-	rd := &e.rounds[slot]
-	rd.Cost, rd.BottleneckEdge = e.mergedDeltas().FlushInto(e.totEdge)
-	for v := range sent {
-		if sent[v] != 0 {
-			e.totSent[v] += sent[v]
-			sent[v] = 0
-		}
-		if received[v] != 0 {
-			e.totRecv[v] += received[v]
-			received[v] = 0
-		}
-	}
-	e.recordRound(slot, t0)
 }
 
 // mergedDeltas folds every shard's edge deltas into the first shard's

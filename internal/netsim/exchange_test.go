@@ -336,8 +336,8 @@ func TestExchangeInboxRecycling(t *testing.T) {
 	if e.Inbox(vs[0]).Len() != 1 || e.Inbox(vs[0]).At(0).Keys[0] != 2 {
 		t.Fatalf("round 2 delivery wrong: %v", e.Inbox(vs[0]).Messages())
 	}
-	if e.NumRounds() != 2 {
-		t.Fatalf("NumRounds = %d, want 2", e.NumRounds())
+	if n := e.Report().NumRounds(); n != 2 {
+		t.Fatalf("NumRounds = %d, want 2", n)
 	}
 }
 
@@ -491,8 +491,8 @@ func TestRejectedPlanLeavesEngineUntouched(t *testing.T) {
 						t.Fatalf("%s: log %d keeps %d ops and %d destinations of the refused plan", name, w, len(l.ops), len(l.dsts))
 					}
 				}
-				if e.NumRounds() != 1 {
-					t.Fatalf("%s: NumRounds = %d after the refused plan, want 1", name, e.NumRounds())
+				if n := e.Report().NumRounds(); n != 1 {
+					t.Fatalf("%s: NumRounds = %d after the refused plan, want 1", name, n)
 				}
 				for _, v := range vs {
 					if !reflect.DeepEqual(e.Inbox(v).Messages(), control.Inbox(v).Messages()) {

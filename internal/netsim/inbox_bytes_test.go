@@ -51,16 +51,6 @@ func planRound(e *Engine, rd testRound) *Exchange {
 	return x
 }
 
-// execPlanned runs one round of the plan through the exchange.
-func execPlanned(e *Engine, rd testRound, async bool) {
-	x := planRound(e, rd)
-	if async {
-		x.ExecuteAsync()
-	} else {
-		x.Execute()
-	}
-}
-
 // oraclePlanned replays the same round op by op through the serial Round,
 // senders in compute-node order.
 func oraclePlanned(e *Engine, rd testRound) roundArrays {
@@ -135,8 +125,7 @@ func randomTestRound(rng *rand.Rand, t *topology.Tree) testRound {
 // TestInboxBytesAcrossWorkers: on every topotest shape, over several rounds
 // on one engine (so both arenas and the exchange's op logs are reused), every
 // inbox holds the same (from, tag, keys) sequence at 1, 2, 4 and 7 workers,
-// under Execute and ExecuteAsync — and that sequence is the serial Round
-// oracle's.
+// and that sequence is the serial Round oracle's.
 func TestInboxBytesAcrossWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for i := 0; i < 4*topotest.NumShapes; i++ {
@@ -155,18 +144,16 @@ func TestInboxBytesAcrossWorkers(t *testing.T) {
 			want = append(want, inboxBytes(oracle))
 		}
 		for _, workers := range []int{1, 2, 4, 7} {
-			for _, async := range []bool{false, true} {
-				e := NewEngine(tr, WithWorkers(workers))
-				for r, rd := range rounds {
-					execPlanned(e, rd, async)
-					if got := inboxBytes(e); !reflect.DeepEqual(got, want[r]) {
-						t.Fatalf("%s #%d, workers %d, async %v, round %d: inboxes differ from the oracle\n got %v\nwant %v",
-							name, i, workers, async, r, got, want[r])
-					}
+			e := NewEngine(tr, WithWorkers(workers))
+			for r, rd := range rounds {
+				planRound(e, rd).Execute()
+				if got := inboxBytes(e); !reflect.DeepEqual(got, want[r]) {
+					t.Fatalf("%s #%d, workers %d, round %d: inboxes differ from the oracle\n got %v\nwant %v",
+						name, i, workers, r, got, want[r])
 				}
-				if got, want := e.Report().TotalCost(), oracle.Report().TotalCost(); got != want {
-					t.Fatalf("%s #%d, workers %d, async %v: total cost %v, oracle %v", name, i, workers, async, got, want)
-				}
+			}
+			if got, want := e.Report().TotalCost(), oracle.Report().TotalCost(); got != want {
+				t.Fatalf("%s #%d, workers %d: total cost %v, oracle %v", name, i, workers, got, want)
 			}
 		}
 	}
@@ -189,7 +176,7 @@ func TestOutInAnyOrderKeepsInboxOrder(t *testing.T) {
 		orders := make([][]int, len(rounds))
 		for r := range rounds {
 			rounds[r] = randomTestRound(rng, tr)
-			// Unlike execPlanned's, most senders have something for Out.
+			// Unlike randomTestRound's, most senders have something for Out.
 			for ci := range nodes {
 				rounds[r].stages[2][ci] = append(rounds[r].stages[2][ci], randomTestRound(rng, tr).stages[0][ci]...)
 			}
@@ -326,12 +313,12 @@ func fuzzPlan(data []byte) (*topology.Tree, []testRound, error) {
 }
 
 // FuzzExchange holds the exchange's data path to its contract on
-// byte-derived trees and plans: the inboxes are the same bytes at 1 worker
-// (Execute) and 4 workers (ExecuteAsync) and equal the serial Round oracle's
-// after every round; every 1-worker round equals the oracle's field by
-// field, its per-edge and per-node counts read off the engine's totals; the
-// 4-worker and the oracle's reports equal the 1-worker one; and the traced
-// per-round costs sum to Report.TotalCost.
+// byte-derived trees and plans: the inboxes are the same bytes at 1 and 4
+// workers and equal the serial Round oracle's after every round; every
+// 1-worker round equals the oracle's field by field, its per-edge and
+// per-node counts read off the engine's totals; the 4-worker and the
+// oracle's reports equal the 1-worker one; and the traced per-round costs
+// sum to Report.TotalCost.
 func FuzzExchange(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 0, 1, 3, 1, 4, 2, 0, 1, 2, 2, 8, 2, 1})
 	f.Add([]byte{2, 7, 0, 0, 0, 0, 0, 4, 0, 3, 9, 5, 5, 5, 1, 4, 7, 1, 64, 2, 4})
@@ -344,13 +331,13 @@ func FuzzExchange(f *testing.F) {
 		tc := obs.NewTrace()
 		oracle := NewEngine(tr)
 		serial := NewEngine(tr, WithWorkers(1), WithTracer(tc))
-		piped := NewEngine(tr, WithWorkers(4))
+		sharded := NewEngine(tr, WithWorkers(4))
 		for r, rd := range rounds {
 			want := oraclePlanned(oracle, rd)
 			statsEqual(t, executed(planRound(serial, rd)), want)
-			execPlanned(piped, rd, true)
+			planRound(sharded, rd).Execute()
 			wantBytes := inboxBytes(oracle)
-			for name, e := range map[string]*Engine{"1 worker": serial, "4 workers": piped} {
+			for name, e := range map[string]*Engine{"1 worker": serial, "4 workers": sharded} {
 				if got := inboxBytes(e); !reflect.DeepEqual(got, wantBytes) {
 					t.Fatalf("round %d, %s: inboxes differ from the oracle\n got %v\nwant %v", r, name, got, wantBytes)
 				}
@@ -365,7 +352,7 @@ func FuzzExchange(f *testing.F) {
 		if sum != sr.TotalCost() {
 			t.Fatalf("traced round costs sum to %v, TotalCost %v", sum, sr.TotalCost())
 		}
-		if err := reportsEqual(piped.Report(), sr); err != nil {
+		if err := reportsEqual(sharded.Report(), sr); err != nil {
 			t.Fatalf("4-worker report differs from the 1-worker one: %v", err)
 		}
 		if err := reportsEqual(oracle.Report(), sr); err != nil {

@@ -44,17 +44,13 @@
 // running totals, so an engine's memory is O(V) however many rounds it runs.
 // Outboxes, op logs, inbox arenas, shard tallies and the per-round node
 // counts are allocated once and recycled across rounds, so a steady-state
-// round performs no heap allocation. With more than one worker,
-// ExecuteAsync leaves the serial remainder of a round (merging the shards'
-// edge deltas, the subtree-sum sweep that adds them to the edge totals and
-// finds the round's cost, folding the node counts into the totals) to one
-// background goroutine while the protocol plans the next round; Report and
-// the next Execute synchronize on it.
+// round performs no heap allocation. A round is synchronous: Execute runs
+// it start to finish on the caller's goroutine, and the engine starts no
+// goroutine of its own.
 package netsim
 
 import (
 	"slices"
-	"sync"
 
 	"topompc/internal/obs"
 	"topompc/internal/par"
@@ -259,8 +255,6 @@ type Engine struct {
 	totRecv   []int64 // cumulative per-node elements received, by NodeID
 	priceEdge []int64 // Price's per-edge sweep target, zero between calls
 
-	pending sync.WaitGroup // outstanding asynchronous round accounting
-
 	// Flight recorder. Both sinks are optional; with neither attached every
 	// hook below reduces to a nil comparison, preserving the zero-alloc
 	// steady state pinned by TestExchangeSteadyStateAllocFree. Metric
@@ -349,10 +343,8 @@ func (e *Engine) Metrics() *obs.Registry { return e.metrics }
 
 // recordRound feeds the flight recorder once a round's statistics are
 // final: metric updates plus one complete trace event on the engine's
-// lane spanning open-to-accounted. Runs on the accounting goroutine for
-// asynchronous exchanges; both sinks are concurrency-safe.
-func (e *Engine) recordRound(slot int, t0 float64) {
-	rd := &e.rounds[slot]
+// lane spanning open-to-accounted.
+func (e *Engine) recordRound(rd *RoundStats, t0 float64) {
 	if e.metrics != nil {
 		e.mRounds.Inc()
 		e.mElems.Add(rd.Elements)
@@ -427,16 +419,9 @@ func (e *Engine) Inbox(v topology.NodeID) Inbox {
 	}
 }
 
-// NumRounds reports the number of completed rounds.
-func (e *Engine) NumRounds() int {
-	e.pending.Wait()
-	return len(e.rounds)
-}
-
 // Report snapshots the cost statistics of all completed rounds and the
 // running totals.
 func (e *Engine) Report() *Report {
-	e.pending.Wait()
 	return &Report{
 		Tree:       e.t,
 		Rounds:     slices.Clone(e.rounds),

@@ -18,7 +18,7 @@ import (
 // nothing to send — is priced, then planned again and executed, round after
 // round on one engine. The price is the executed round's cost and bottleneck
 // edge exactly, and pricing leaves the round count, every inbox and the
-// Report as they were, at 1 and 4 workers, under Execute and ExecuteAsync.
+// Report as they were, at 1 and 4 workers.
 func TestPriceMatchesExecute(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	for i := 0; i < 3*topotest.NumShapes; i++ {
@@ -31,26 +31,23 @@ func TestPriceMatchesExecute(t *testing.T) {
 			rounds[r] = randomTestRound(rng, tr)
 		}
 		for _, workers := range []int{1, 4} {
-			for _, async := range []bool{false, true} {
-				e := NewEngine(tr, WithWorkers(workers))
-				for r, rd := range rounds {
-					inboxes, report := inboxBytes(e), e.Report()
-					cost, bottleneck := planRound(e, rd).Price()
-					if n := e.NumRounds(); n != r {
-						t.Fatalf("%s #%d, workers %d, async %v, round %d: %d rounds after Price, want %d", name, i, workers, async, r, n, r)
-					}
-					if !reflect.DeepEqual(inboxBytes(e), inboxes) {
-						t.Fatalf("%s #%d, workers %d, async %v, round %d: Price changed the inboxes", name, i, workers, async, r)
-					}
-					if !reflect.DeepEqual(e.Report(), report) {
-						t.Fatalf("%s #%d, workers %d, async %v, round %d: Price changed the report", name, i, workers, async, r)
-					}
-					execPlanned(e, rd, async)
-					got := e.Report().Rounds[r]
-					if cost != got.Cost || bottleneck != got.BottleneckEdge {
-						t.Fatalf("%s #%d, workers %d, async %v, round %d: priced (%v, edge %d), executed (%v, edge %d)",
-							name, i, workers, async, r, cost, bottleneck, got.Cost, got.BottleneckEdge)
-					}
+			e := NewEngine(tr, WithWorkers(workers))
+			for r, rd := range rounds {
+				inboxes, report := inboxBytes(e), e.Report()
+				cost, bottleneck := planRound(e, rd).Price()
+				if n := e.Report().NumRounds(); n != r {
+					t.Fatalf("%s #%d, workers %d, round %d: %d rounds after Price, want %d", name, i, workers, r, n, r)
+				}
+				if !reflect.DeepEqual(inboxBytes(e), inboxes) {
+					t.Fatalf("%s #%d, workers %d, round %d: Price changed the inboxes", name, i, workers, r)
+				}
+				if !reflect.DeepEqual(e.Report(), report) {
+					t.Fatalf("%s #%d, workers %d, round %d: Price changed the report", name, i, workers, r)
+				}
+				got := planRound(e, rd).Execute()
+				if cost != got.Cost || bottleneck != got.BottleneckEdge {
+					t.Fatalf("%s #%d, workers %d, round %d: priced (%v, edge %d), executed (%v, edge %d)",
+						name, i, workers, r, cost, bottleneck, got.Cost, got.BottleneckEdge)
 				}
 			}
 		}
@@ -305,7 +302,7 @@ func TestPriceClosesTheExchange(t *testing.T) {
 	mustPanic(t, "Out after Price", func() { x.Out(vs[0]) })
 	x = e.Exchange()
 	x.Out(vs[0]).Send(vs[1], TagData, []uint64{7})
-	if stats := x.Execute(); stats.Cost != 1 || e.NumRounds() != 1 {
-		t.Fatalf("round after a priced exchange: cost %v, %d rounds", stats.Cost, e.NumRounds())
+	if stats := x.Execute(); stats.Cost != 1 || e.Report().NumRounds() != 1 {
+		t.Fatalf("round after a priced exchange: cost %v, %d rounds", stats.Cost, e.Report().NumRounds())
 	}
 }

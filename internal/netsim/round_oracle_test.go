@@ -36,7 +36,6 @@ func (e *Engine) BeginRound() *Round {
 	if e.inRound {
 		panic("netsim: BeginRound while a round is open")
 	}
-	e.pending.Wait()
 	e.inRound = true
 	r := &Round{
 		e:        e,
@@ -194,7 +193,7 @@ func (r *Round) Finish() roundArrays {
 		e.totSent[v] += r.sent[v]
 		e.totRecv[v] += r.received[v]
 	}
-	e.recordRound(slot, r.t0)
+	e.recordRound(rd, r.t0)
 	e.inboxCur, e.inboxNext = e.inboxNext, e.inboxCur
 	return roundArrays{RoundStats: *rd, EdgeElems: r.traffic, NodeSent: r.sent, NodeReceived: r.received}
 }

@@ -34,11 +34,7 @@ func TestExchangeTraceRoundsSumToTotalCost(t *testing.T) {
 		for r := 0; r < 6; r++ {
 			x := e.Exchange()
 			planBatch(x, batch[r*128:])
-			if workers > 1 {
-				x.ExecuteAsync()
-			} else {
-				x.Execute()
-			}
+			x.Execute()
 		}
 		rep := e.Report()
 
@@ -60,6 +56,23 @@ func TestExchangeTraceRoundsSumToTotalCost(t *testing.T) {
 		if total := rep.TotalCost(); sum != total {
 			t.Fatalf("workers=%d: traced costs sum to %v, TotalCost %v", workers, sum, total)
 		}
+	}
+}
+
+// TestEngineSinks: Tracer and Metrics report the sinks the engine was built
+// with, so protocol layers on it share one trace and one registry, and nil
+// when none is attached.
+func TestEngineSinks(t *testing.T) {
+	tr, err := topology.Star([]float64{1, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e := NewEngine(tr); e.Tracer() != nil || e.Metrics() != nil {
+		t.Fatalf("bare engine reports sinks %v, %v", e.Tracer(), e.Metrics())
+	}
+	tc, reg := obs.NewTrace(), obs.NewRegistry()
+	if e := NewEngine(tr, WithTracer(tc), WithMetrics(reg)); e.Tracer() != tc || e.Metrics() != reg {
+		t.Fatalf("engine reports sinks %v, %v, want %v, %v", e.Tracer(), e.Metrics(), tc, reg)
 	}
 }
 
@@ -121,7 +134,7 @@ func TestTracedRunLeavesStatsIdentical(t *testing.T) {
 		for r := 0; r < 4; r++ {
 			x := e.Exchange()
 			planBatch(x, batch[r*64:])
-			x.ExecuteAsync()
+			x.Execute()
 		}
 		return e.Report()
 	}
@@ -136,14 +149,12 @@ func TestTracedRunLeavesStatsIdentical(t *testing.T) {
 	}
 }
 
-// TestPoolForksBetweenAsyncRounds is the race-detector pin of the engine's
-// pool ownership: a traced and metered 4-worker engine pipelines rounds
-// with ExecuteAsync — so the remainder of round r (shard merge, sweep,
-// statistics, outbox and cursor reset) runs in the background — while the
-// driver forks Plan, both walks of the next Execute and kernel-style
-// reductions on Engine.Pool(). The report and the kernel results must equal
+// TestPoolForksBetweenRounds is the race-detector pin of the engine's pool
+// ownership: on a traced and metered 4-worker engine the driver forks Plan,
+// both walks of Execute and, between rounds, kernel-style reductions over
+// the inboxes on Engine.Pool(). The report and the kernel results must equal
 // the 1-worker run, and the trace must pass the schema check.
-func TestPoolForksBetweenAsyncRounds(t *testing.T) {
+func TestPoolForksBetweenRounds(t *testing.T) {
 	tr := benchCaterpillar(t)
 	vs := tr.ComputeNodes()
 	const rounds = 60
@@ -160,8 +171,7 @@ func TestPoolForksBetweenAsyncRounds(t *testing.T) {
 					out.Multicast([]topology.NodeID{vs[0], vs[len(vs)/2], vs[i]}, TagR, []uint64{uint64(r)})
 				}
 			})
-			x.ExecuteAsync()
-			// Round r's accounting is still in flight here at 4 workers.
+			x.Execute()
 			kernel += e.Pool().Sum("test receipt", len(vs), func(_, lo, hi int) int64 {
 				var got int64
 				for i := lo; i < hi; i++ {

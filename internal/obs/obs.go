@@ -53,9 +53,9 @@ const (
 )
 
 // Tracer is the sink interface of the flight recorder. Implementations
-// must be safe for concurrent use: the engine emits round events from its
-// asynchronous accounting goroutine while protocols emit phase spans from
-// the driver goroutine.
+// must be safe for concurrent use: a par pool emits one span per shard from
+// the worker goroutine running it, while the engine and the protocols emit
+// round events and phase spans from the driver goroutine.
 //
 // Producers hold a Tracer interface value that is nil when tracing is
 // disabled and guard every emission (and every argument-map construction)

@@ -66,11 +66,10 @@ func resolve(workers int) int {
 // none of it, and leaves its results in variables the caller reads after
 // Beside returns — a task pipeline's reference output and lower bound, which
 // are functions of the input alone. When the budget resolves to more than
-// one worker (the rule ExecuteAsync applies to a round's remainder), side
-// runs on one second goroutine while run executes; with one worker it runs
-// on the caller's goroutine after run, and not at all when run fails. Either
-// way side has finished when Beside returns or panics, and a panic in side is
-// re-raised, with its value, on the calling goroutine.
+// one worker, side runs on one second goroutine while run executes; with one
+// worker it runs on the caller's goroutine after run, and not at all when run
+// fails. Either way side has finished when Beside returns or panics, and a
+// panic in side is re-raised, with its value, on the calling goroutine.
 func Beside[R any](workers int, run func() (R, error), side func()) (R, error) {
 	if resolve(workers) == 1 {
 		res, err := run()
