@@ -1,10 +1,12 @@
 package topompc
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
 	"topompc/internal/dataset"
+	"topompc/internal/topology"
 )
 
 // Error-path coverage for the public facade: invalid cluster parameters and
@@ -28,6 +30,23 @@ func TestClusterBuilderErrors(t *testing.T) {
 	}
 	if _, err := CaterpillarCluster(nil, 1); err == nil {
 		t.Error("empty caterpillar accepted")
+	}
+}
+
+// TestParseClusterRejectsNonTrees: n-1 links that close a cycle, or that
+// join one pair twice, are a named error, not a hang or a corrupt tree.
+func TestParseClusterRejectsNonTrees(t *testing.T) {
+	for name, spec := range map[string]string{
+		"triangle-and-isolated": `{"nodes":[{"name":"a","compute":true},{"name":"b","compute":true},{"name":"c","compute":true},{"name":"d","compute":true}],
+			"edges":[{"a":0,"b":1,"bw":1},{"a":1,"b":2,"bw":1},{"a":2,"b":0,"bw":1}]}`,
+		"isolated-router-and-triangle": `{"nodes":[{"name":"w"},{"name":"a","compute":true},{"name":"b","compute":true},{"name":"c","compute":true}],
+			"edges":[{"a":1,"b":2,"bw":1},{"a":2,"b":3,"bw":1},{"a":3,"b":1,"bw":1}]}`,
+		"duplicate-link": `{"nodes":[{"name":"a","compute":true},{"name":"b","compute":true},{"name":"c","compute":true}],
+			"edges":[{"a":0,"b":1,"bw":1},{"a":1,"b":0,"bw":2}]}`,
+	} {
+		if _, err := ParseCluster([]byte(spec)); !errors.Is(err, topology.ErrNotTree) {
+			t.Errorf("%s: got %v, want %v", name, err, topology.ErrNotTree)
+		}
 	}
 }
 

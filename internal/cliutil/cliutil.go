@@ -15,21 +15,6 @@ import (
 	"topompc/internal/topology"
 )
 
-// Named spec-validation errors. Every error ValidateSpec or
-// ValidateGraphSpec returns wraps exactly one of these, so callers can
-// branch with errors.Is — ParseTopo itself uses ErrSpecNotTree and
-// ErrSpecDupEdge to fall back from tree to graph interpretation of a
-// @file spec.
-var (
-	ErrSpecNoNodes     = errors.New("spec has no nodes")
-	ErrSpecNoCompute   = errors.New("spec has no compute nodes")
-	ErrSpecNotTree     = errors.New("spec edge count cannot form a tree")
-	ErrSpecUnknownNode = errors.New("spec edge references an unknown node")
-	ErrSpecSelfLoop    = errors.New("spec edge is a self-loop")
-	ErrSpecDupEdge     = errors.New("spec duplicates an edge")
-	ErrSpecBadBW       = errors.New("spec edge has invalid bandwidth")
-)
-
 // ParseTopo resolves a topology argument:
 //
 //	star:PxW           star with P compute nodes, bandwidth W each
@@ -48,12 +33,11 @@ var (
 // edge set is not a tree — are compressed to their Gomory–Hu
 // equivalent-cut tree with topology.FromGraph before protocols run.
 //
-// File specs are validated up front — empty node lists, missing compute
-// nodes, unknown endpoints, self-loops, bad bandwidths — so malformed
-// files fail with an error naming the offending entry instead of a
-// generic "not a tree" from deep inside topology construction. A file is
-// read as a tree first; if only the tree-shape rules fail (edge count,
-// duplicate links), it is re-validated as a general network.
+// A file is read as a tree first; exactly when that fails with
+// topology.ErrNotTree (edge count, cycle or duplicate link) is it read as a
+// general network. Either way a malformed file fails with the file name
+// and an error that names the offending entry and wraps one of topology's
+// named sentinels.
 //
 // opts (e.g. topology.FromGraphTracer) apply to the cut-tree compression
 // of general networks; tree specs construct directly and ignore them.
@@ -69,26 +53,10 @@ func ParseTopo(spec string, opts ...topology.FromGraphOption) (*topology.Tree, e
 		if err := json.Unmarshal(data, &s); err != nil {
 			return nil, fmt.Errorf("%s: %w", path, err)
 		}
-		if err := ValidateSpec(s); err != nil {
-			if !errors.Is(err, ErrSpecNotTree) && !errors.Is(err, ErrSpecDupEdge) {
-				return nil, fmt.Errorf("%s: %w", path, err)
-			}
-			// Not tree-shaped but otherwise plausible: interpret the spec
-			// as a general network and compress it to its cut tree.
-			if gerr := ValidateGraphSpec(s); gerr != nil {
-				return nil, fmt.Errorf("%s: %w", path, gerr)
-			}
-			g, gerr := topology.GraphFromSpec(s)
-			if gerr != nil {
-				return nil, fmt.Errorf("%s: %w", path, gerr)
-			}
-			t, gerr := topology.FromGraph(g, opts...)
-			if gerr != nil {
-				return nil, fmt.Errorf("%s: %w", path, gerr)
-			}
-			return t, nil
-		}
 		t, err := topology.FromSpec(s)
+		if errors.Is(err, topology.ErrNotTree) {
+			t, err = graphTopoOpts(opts)(topology.GraphFromSpec(s))
+		}
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", path, err)
 		}
@@ -134,86 +102,6 @@ func ParseTopo(spec string, opts ...topology.FromGraphOption) (*topology.Tree, e
 	default:
 		return nil, fmt.Errorf("unknown topology %q", spec)
 	}
-}
-
-// ValidateSpec checks a topology spec before tree construction and
-// reports precise errors for the mistakes hand-written files actually
-// contain: an empty node list, no compute node, edges naming unknown
-// nodes, self-loops, duplicate links between the same pair, an edge count
-// that cannot form a tree, and non-positive bandwidths (-1, the JSON
-// stand-in for +Inf, is allowed). Every error wraps one of the named
-// ErrSpec* sentinels.
-func ValidateSpec(s topology.Spec) error { return validateSpec(s, false) }
-
-// ValidateGraphSpec checks a spec destined for a general network
-// (topology.GraphFromSpec): parallel edges and cycles are legitimate
-// multipath structure, so the tree-shape rules — edge count and
-// duplicate links — do not apply. Self-loops, unknown endpoints, and bad
-// bandwidths are still rejected; -1 (+Inf) is invalid here because cut
-// computations need finite capacities. Every error wraps one of the
-// named ErrSpec* sentinels.
-func ValidateGraphSpec(s topology.Spec) error { return validateSpec(s, true) }
-
-func validateSpec(s topology.Spec, graph bool) error {
-	if len(s.Nodes) == 0 {
-		return fmt.Errorf("cliutil: %w", ErrSpecNoNodes)
-	}
-	hasCompute := false
-	for _, n := range s.Nodes {
-		if n.Compute {
-			hasCompute = true
-			break
-		}
-	}
-	if !hasCompute {
-		return fmt.Errorf("cliutil: %w (%d nodes are all routers)", ErrSpecNoCompute, len(s.Nodes))
-	}
-	if !graph && len(s.Edges) != len(s.Nodes)-1 {
-		return fmt.Errorf("cliutil: %w: %d edges for %d nodes; a tree needs exactly %d",
-			ErrSpecNotTree, len(s.Edges), len(s.Nodes), len(s.Nodes)-1)
-	}
-	name := func(i int) string {
-		if n := s.Nodes[i].Name; n != "" {
-			return fmt.Sprintf("%d (%q)", i, n)
-		}
-		return fmt.Sprint(i)
-	}
-	seen := make(map[[2]int]int, len(s.Edges))
-	for i, e := range s.Edges {
-		if e.A < 0 || e.A >= len(s.Nodes) || e.B < 0 || e.B >= len(s.Nodes) {
-			return fmt.Errorf("cliutil: edge %d (%d-%d) %w (spec has %d nodes)",
-				i, e.A, e.B, ErrSpecUnknownNode, len(s.Nodes))
-		}
-		if e.A == e.B {
-			return fmt.Errorf("cliutil: edge %d %w on node %s", i, ErrSpecSelfLoop, name(e.A))
-		}
-		if !graph {
-			key := [2]int{e.A, e.B}
-			if e.B < e.A {
-				key = [2]int{e.B, e.A}
-			}
-			if prev, dup := seen[key]; dup {
-				return fmt.Errorf("cliutil: edge %d %w: duplicates edge %d between nodes %s and %s",
-					i, ErrSpecDupEdge, prev, name(e.A), name(e.B))
-			}
-			seen[key] = i
-		}
-		switch {
-		case e.BW > 0:
-		case !graph && e.BW == -1:
-		case graph && e.BW == -1:
-			return fmt.Errorf("cliutil: edge %d (%s-%s) %w: -1 (+Inf) needs a tree spec; cuts require finite capacities",
-				i, name(e.A), name(e.B), ErrSpecBadBW)
-		default:
-			hint := ", or -1 for +Inf"
-			if graph {
-				hint = ""
-			}
-			return fmt.Errorf("cliutil: edge %d (%s-%s) %w: %v (want > 0%s)",
-				i, name(e.A), name(e.B), ErrSpecBadBW, e.BW, hint)
-		}
-	}
-	return nil
 }
 
 // graphTopoOpts curries the FromGraph options so generator calls can pass

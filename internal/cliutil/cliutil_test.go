@@ -30,7 +30,7 @@ func TestParseTopoBuiltins(t *testing.T) {
 }
 
 func TestParseTopoErrors(t *testing.T) {
-	for _, spec := range []string{"nope", "star:5", "star:axb", "star:3xq", "@/does/not/exist.json"} {
+	for _, spec := range []string{"nope", "star:5", "star:axb", "star:3xq", "star:0x1", "star:-3x1", "@/does/not/exist.json"} {
 		if _, err := ParseTopo(spec); err == nil {
 			t.Errorf("%q: expected error", spec)
 		}

@@ -5,95 +5,13 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"topompc"
 	"topompc/internal/topology"
 )
-
-// TestValidateSpecErrors exercises every rejection path with the mistakes
-// hand-written spec files actually contain, and checks that the error
-// names the offending entry rather than a generic "not a tree".
-func TestValidateSpecErrors(t *testing.T) {
-	router := topology.SpecNode{Name: "w", Compute: false}
-	compute := func(name string) topology.SpecNode { return topology.SpecNode{Name: name, Compute: true} }
-	cases := []struct {
-		name string
-		spec topology.Spec
-		want string
-	}{
-		{
-			name: "empty",
-			spec: topology.Spec{},
-			want: "no nodes",
-		},
-		{
-			name: "no-compute",
-			spec: topology.Spec{Nodes: []topology.SpecNode{router}},
-			want: "no compute nodes",
-		},
-		{
-			name: "edge-count",
-			spec: topology.Spec{
-				Nodes: []topology.SpecNode{router, compute("a"), compute("b")},
-				Edges: []topology.SpecEdge{{A: 1, B: 0, BW: 2}},
-			},
-			want: "a tree needs exactly 2",
-		},
-		{
-			name: "unknown-node",
-			spec: topology.Spec{
-				Nodes: []topology.SpecNode{router, compute("a")},
-				Edges: []topology.SpecEdge{{A: 1, B: 7, BW: 2}},
-			},
-			want: "unknown node",
-		},
-		{
-			name: "self-loop",
-			spec: topology.Spec{
-				Nodes: []topology.SpecNode{router, compute("a")},
-				Edges: []topology.SpecEdge{{A: 1, B: 1, BW: 2}},
-			},
-			want: `self-loop on node 1 ("a")`,
-		},
-		{
-			name: "duplicate-edge",
-			spec: topology.Spec{
-				Nodes: []topology.SpecNode{router, compute("a"), compute("b")},
-				Edges: []topology.SpecEdge{{A: 1, B: 0, BW: 2}, {A: 0, B: 1, BW: 3}},
-			},
-			want: "duplicates edge 0",
-		},
-		{
-			name: "bad-bandwidth",
-			spec: topology.Spec{
-				Nodes: []topology.SpecNode{router, compute("a"), compute("b")},
-				Edges: []topology.SpecEdge{{A: 1, B: 0, BW: 2}, {A: 2, B: 0, BW: -3}},
-			},
-			want: "invalid bandwidth: -3",
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			err := ValidateSpec(tc.spec)
-			if err == nil {
-				t.Fatal("expected an error")
-			}
-			if !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("error %q does not mention %q", err, tc.want)
-			}
-		})
-	}
-	// -1 (the JSON stand-in for +Inf) is a valid bandwidth.
-	ok := topology.Spec{
-		Nodes: []topology.SpecNode{router, compute("a"), compute("b")},
-		Edges: []topology.SpecEdge{{A: 1, B: 0, BW: -1}, {A: 2, B: 0, BW: 3}},
-	}
-	if err := ValidateSpec(ok); err != nil {
-		t.Errorf("valid spec rejected: %v", err)
-	}
-}
 
 // TestParseTopoFileValidation: a malformed file fails through ParseTopo
 // with the file name and the precise mistake; a file that merely fails
@@ -133,7 +51,7 @@ func TestParseTopoFileValidation(t *testing.T) {
 	loop := write("loop.json", `{"nodes":[{"name":"a","compute":true},{"name":"b","compute":true}],
 		"edges":[{"a":0,"b":0,"bw":2}]}`)
 	if _, err := ParseTopo(loop); err == nil ||
-		!strings.Contains(err.Error(), "loop.json") || !errors.Is(err, ErrSpecSelfLoop) {
+		!strings.Contains(err.Error(), "loop.json") || !errors.Is(err, topology.ErrSelfLoop) {
 		t.Errorf("self-loop: got %v", err)
 	}
 
@@ -142,58 +60,34 @@ func TestParseTopoFileValidation(t *testing.T) {
 	cyc := write("cyc.json", `{"nodes":[{"name":"a","compute":true},{"name":"b","compute":true},{"name":"c","compute":true}],
 		"edges":[{"a":0,"b":1,"bw":2},{"a":1,"b":2,"bw":2},{"a":2,"b":0,"bw":-1}]}`)
 	if _, err := ParseTopo(cyc); err == nil ||
-		!strings.Contains(err.Error(), "cyc.json") || !errors.Is(err, ErrSpecBadBW) {
+		!strings.Contains(err.Error(), "cyc.json") || !errors.Is(err, topology.ErrBadBandwidth) {
 		t.Errorf("cycle with +Inf edge: got %v", err)
 	}
-}
 
-// TestValidateSpecNamedErrors: each rejection wraps its named sentinel,
-// so callers can branch with errors.Is in both validation modes.
-func TestValidateSpecNamedErrors(t *testing.T) {
-	compute := func(name string) topology.SpecNode { return topology.SpecNode{Name: name, Compute: true} }
-	two := []topology.SpecNode{compute("a"), compute("b")}
-	three := []topology.SpecNode{compute("a"), compute("b"), compute("c")}
-	cases := []struct {
-		name  string
-		spec  topology.Spec
-		want  error
-		graph bool // also rejected by ValidateGraphSpec
-	}{
-		{"no-nodes", topology.Spec{}, ErrSpecNoNodes, true},
-		{"no-compute", topology.Spec{Nodes: []topology.SpecNode{{Name: "w"}}}, ErrSpecNoCompute, true},
-		{"not-tree", topology.Spec{Nodes: three,
-			Edges: []topology.SpecEdge{{A: 0, B: 1, BW: 1}}}, ErrSpecNotTree, false},
-		{"unknown-node", topology.Spec{Nodes: two,
-			Edges: []topology.SpecEdge{{A: 0, B: 9, BW: 1}}}, ErrSpecUnknownNode, true},
-		{"self-loop", topology.Spec{Nodes: two,
-			Edges: []topology.SpecEdge{{A: 0, B: 0, BW: 1}}}, ErrSpecSelfLoop, true},
-		{"dup-edge", topology.Spec{Nodes: three,
-			Edges: []topology.SpecEdge{{A: 0, B: 1, BW: 1}, {A: 1, B: 0, BW: 1}}}, ErrSpecDupEdge, false},
-		{"bad-bw", topology.Spec{Nodes: two,
-			Edges: []topology.SpecEdge{{A: 0, B: 1, BW: 0}}}, ErrSpecBadBW, true},
+	// n-1 edges that close a triangle beside an isolated node pass the
+	// tree edge count: the tree reading finds the cycle, and the spec falls
+	// through to graph mode, which finds the isolated node.
+	tri := write("tri.json", `{"nodes":[{"name":"a","compute":true},{"name":"b","compute":true},{"name":"c","compute":true},{"name":"d","compute":true}],
+		"edges":[{"a":0,"b":1,"bw":1},{"a":1,"b":2,"bw":1},{"a":2,"b":0,"bw":1}]}`)
+	if _, err := ParseTopo(tri); err == nil ||
+		!strings.Contains(err.Error(), "tri.json") || !errors.Is(err, topology.ErrDisconnected) {
+		t.Errorf("triangle beside an isolated node: got %v", err)
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			err := ValidateSpec(tc.spec)
-			if !errors.Is(err, tc.want) {
-				t.Errorf("ValidateSpec: got %v, want %v", err, tc.want)
-			}
-			gerr := ValidateGraphSpec(tc.spec)
-			if tc.graph && !errors.Is(gerr, tc.want) {
-				t.Errorf("ValidateGraphSpec: got %v, want %v", gerr, tc.want)
-			}
-			if !tc.graph && gerr != nil {
-				t.Errorf("ValidateGraphSpec rejected a tree-shape-only mistake: %v", gerr)
-			}
-		})
+	// The same triangle with the fourth node linked in is a connected
+	// network, read as a graph: its cut tree has the triangle's pairwise
+	// min-cut 2 twice and the tail's 1.
+	tail := write("tail.json", `{"nodes":[{"name":"a","compute":true},{"name":"b","compute":true},{"name":"c","compute":true},{"name":"d","compute":true}],
+		"edges":[{"a":0,"b":1,"bw":1},{"a":1,"b":2,"bw":1},{"a":2,"b":0,"bw":1},{"a":3,"b":0,"bw":1}]}`)
+	tree, err = ParseTopo(tail)
+	if err != nil {
+		t.Fatalf("triangle with a tail: %v", err)
 	}
-	// Graph mode additionally rejects -1 (+Inf), which tree mode allows.
-	inf := topology.Spec{Nodes: two, Edges: []topology.SpecEdge{{A: 0, B: 1, BW: -1}}}
-	if err := ValidateSpec(inf); err != nil {
-		t.Errorf("tree mode rejected bw=-1: %v", err)
+	var cuts []float64
+	for e := range tree.NumEdges() {
+		cuts = append(cuts, tree.Bandwidth(topology.EdgeID(e)))
 	}
-	if err := ValidateGraphSpec(inf); !errors.Is(err, ErrSpecBadBW) {
-		t.Errorf("graph mode bw=-1: got %v, want %v", err, ErrSpecBadBW)
+	if slices.Sort(cuts); !slices.Equal(cuts, []float64{1, 2, 2}) {
+		t.Errorf("triangle with a tail: cut tree bandwidths %v, want [1 2 2]", cuts)
 	}
 }
 

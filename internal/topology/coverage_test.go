@@ -64,26 +64,29 @@ func TestTreeValidateErrors(t *testing.T) {
 		want string
 	}{
 		{"empty", &Tree{}, "empty tree"},
-		{"edge-count", &Tree{
-			names:   []string{"a", "b"},
-			compute: []bool{true, true},
-		}, "0 edges; want 1"},
-		{"no-compute", &Tree{
+		{"edge-count", &Tree{network: network{
+			names:       []string{"a", "b"},
+			compute:     []bool{true, true},
+			computeList: []NodeID{0, 1},
+		}}, "a tree needs exactly 1"},
+		{"no-compute", &Tree{network: network{
 			names:   []string{"a", "b"},
 			compute: []bool{false, false},
 			endA:    []NodeID{0}, endB: []NodeID{1}, bw: []float64{1},
-		}, "no compute nodes"},
-		{"bad-bandwidth", &Tree{
+		}}, "no compute nodes"},
+		{"bad-bandwidth", &Tree{network: network{
 			names:       []string{"a", "b"},
 			compute:     []bool{true, true},
 			computeList: []NodeID{0, 1},
 			endA:        []NodeID{0}, endB: []NodeID{1}, bw: []float64{-2},
-		}, "invalid bandwidth"},
+		}}, "invalid bandwidth"},
 		{"disconnected", &Tree{
-			names:       []string{"a", "b"},
-			compute:     []bool{true, true},
-			computeList: []NodeID{0, 1},
-			endA:        []NodeID{0}, endB: []NodeID{1}, bw: []float64{1},
+			network: network{
+				names:       []string{"a", "b"},
+				compute:     []bool{true, true},
+				computeList: []NodeID{0, 1},
+				endA:        []NodeID{0}, endB: []NodeID{1}, bw: []float64{1},
+			},
 			preorder: []NodeID{0}, // preorder shorter than n
 		}, "not connected"},
 	}
@@ -204,8 +207,14 @@ func TestGenerateErrors(t *testing.T) {
 	if _, err := Star(nil); err == nil {
 		t.Error("empty star accepted")
 	}
+	if _, err := UniformStar(-3, 1); err == nil {
+		t.Error("star of -3 compute nodes accepted")
+	}
 	if _, err := TwoTier([]int{2}, []float64{1, 2}, 1); err == nil {
 		t.Error("mismatched racks/uplinks accepted")
+	}
+	if _, err := TwoTier([]int{-1, 2}, []float64{1, 2}, 1); err == nil {
+		t.Error("rack of -1 compute nodes accepted")
 	}
 	if _, err := FatTree(0, 2, 1, 1); err == nil {
 		t.Error("zero-level fat tree accepted")

@@ -105,6 +105,11 @@ func FuzzTopologyJSON(f *testing.F) {
 	f.Add(fanJSON)
 	f.Add([]byte(`{"nodes":[{"name":"a","compute":true},{"name":"b","compute":true}],"edges":[{"a":0,"b":1,"bw":-1}]}`))
 	f.Add([]byte(`{"nodes":[],"edges":[]}`))
+	// n-1 links that close a triangle beside an isolated node, and links
+	// that join one pair twice: neither is a tree.
+	f.Add([]byte(`{"nodes":[{"name":"a","compute":true},{"name":"b","compute":true},{"name":"c","compute":true},{"name":"d","compute":true}],"edges":[{"a":0,"b":1,"bw":1},{"a":1,"b":2,"bw":1},{"a":2,"b":0,"bw":1}]}`))
+	f.Add([]byte(`{"nodes":[{"name":"a","compute":true},{"name":"b","compute":true}],"edges":[{"a":0,"b":1,"bw":1},{"a":1,"b":0,"bw":2}]}`))
+	f.Add([]byte(`{"nodes":[{"name":"a","compute":true},{"name":"b","compute":true},{"name":"c","compute":true}],"edges":[{"a":0,"b":1,"bw":1},{"a":1,"b":0,"bw":2}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if tr, err := ParseJSON(data); err == nil {
 			out, err := tr.MarshalJSON()

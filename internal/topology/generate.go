@@ -23,7 +23,7 @@ func Star(bandwidths []float64) (*Tree, error) {
 // UniformStar builds a star of p compute nodes with identical link
 // bandwidth w.
 func UniformStar(p int, w float64) (*Tree, error) {
-	bw := make([]float64, p)
+	bw := make([]float64, max(p, 0)) // Star rejects p < 1
 	for i := range bw {
 		bw[i] = w
 	}
@@ -42,6 +42,9 @@ func TwoTier(racks []int, uplinks []float64, leaf float64) (*Tree, error) {
 	spine := b.Router("spine")
 	node := 0
 	for i, size := range racks {
+		if size < 0 {
+			return nil, fmt.Errorf("topology: rack %d has %d compute nodes, want >= 0", i+1, size)
+		}
 		r := b.Router(fmt.Sprintf("rack%d", i+1))
 		b.Link(r, spine, uplinks[i])
 		for j := 0; j < size; j++ {
@@ -139,13 +142,7 @@ func Random(rng *rand.Rand, p, r int, minBW, maxBW float64) (*Tree, error) {
 
 // Figure1a reproduces the star of Figure 1a in the paper: six compute nodes
 // around one router, unit bandwidth.
-func Figure1a() *Tree {
-	t, err := UniformStar(6, 1)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
+func Figure1a() *Tree { return must(UniformStar(6, 1)) }
 
 // Figure1b reproduces the tree of Figure 1b in the paper: routers w1..w4
 // with w1 as the hub, and compute nodes v1..v9 split across w2, w3, w4

@@ -302,12 +302,12 @@ func TestFromGraphSingleNode(t *testing.T) {
 // hand-constructed disconnected graph is rejected rather than producing
 // a partial tree.
 func TestFromGraphRejectsInvalid(t *testing.T) {
-	g := &Graph{
+	g := &Graph{network{
 		names:       []string{"a", "b"},
 		compute:     []bool{true, true},
 		adj:         make([][]Half, 2),
 		computeList: []NodeID{0, 1},
-	}
+	}}
 	if _, err := FromGraph(g); err == nil {
 		t.Fatal("disconnected graph accepted")
 	}

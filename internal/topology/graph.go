@@ -1,10 +1,6 @@
 package topology
 
-import (
-	"encoding/json"
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Graph is a connected weighted undirected multigraph of compute and
 // router nodes: the general-network counterpart of Tree for deployments
@@ -22,70 +18,17 @@ import (
 // that tree.
 //
 // Graphs are immutable after Build.
-type Graph struct {
-	names   []string
-	compute []bool
-	adj     [][]Half // insertion-ordered adjacency; parallel edges appear once per Link
-
-	endA, endB []NodeID
-	bw         []float64
-
-	computeList []NodeID
-}
-
-// NumNodes reports the number of nodes.
-func (g *Graph) NumNodes() int { return len(g.names) }
-
-// NumEdges reports the number of undirected edges, counting parallel
-// edges individually.
-func (g *Graph) NumEdges() int { return len(g.bw) }
-
-// NumCompute reports the number of compute nodes.
-func (g *Graph) NumCompute() int { return len(g.computeList) }
-
-// Name reports the node's name.
-func (g *Graph) Name(v NodeID) string { return g.names[v] }
-
-// IsCompute reports whether v is a compute node.
-func (g *Graph) IsCompute(v NodeID) bool { return g.compute[v] }
-
-// Bandwidth reports the bandwidth of edge e.
-func (g *Graph) Bandwidth(e EdgeID) float64 { return g.bw[e] }
-
-// Endpoints reports the two endpoints of edge e in insertion order.
-func (g *Graph) Endpoints(e EdgeID) (NodeID, NodeID) { return g.endA[e], g.endB[e] }
-
-// Neighbors reports the adjacency list of v in insertion order. The
-// returned slice is shared with the Graph and must not be modified.
-func (g *Graph) Neighbors(v NodeID) []Half { return g.adj[v] }
-
-// Degree reports the degree of v, counting parallel edges individually.
-func (g *Graph) Degree(v NodeID) int { return len(g.adj[v]) }
-
-// ComputeNodes reports all compute nodes in insertion order. The
-// returned slice is shared with the Graph and must not be modified.
-func (g *Graph) ComputeNodes() []NodeID { return g.computeList }
+type Graph struct{ network }
 
 // Validate checks the Graph invariants: non-empty, at least one compute
 // node, positive finite bandwidths, no self-loops, and connectivity.
 // GraphBuilder.Build runs it automatically; it is exported for graphs
 // deserialized from external specs.
 func (g *Graph) Validate() error {
+	if err := g.check("graph", true); err != nil {
+		return err
+	}
 	n := g.NumNodes()
-	if n == 0 {
-		return fmt.Errorf("topology: empty graph")
-	}
-	if len(g.computeList) == 0 {
-		return fmt.Errorf("topology: graph has no compute nodes")
-	}
-	for e := 0; e < g.NumEdges(); e++ {
-		if w := g.bw[e]; !(w > 0) || math.IsNaN(w) || math.IsInf(w, 1) {
-			return fmt.Errorf("topology: graph edge %d has invalid bandwidth %v (want positive and finite)", e, w)
-		}
-		if g.endA[e] == g.endB[e] {
-			return fmt.Errorf("topology: graph edge %d is a self-loop on node %d", e, g.endA[e])
-		}
-	}
 	seen := make([]bool, n)
 	stack := []NodeID{0}
 	seen[0] = true
@@ -102,90 +45,27 @@ func (g *Graph) Validate() error {
 		}
 	}
 	if visited != n {
-		return fmt.Errorf("topology: graph not connected: reached %d of %d nodes", visited, n)
+		return fmt.Errorf("topology: graph %w: reached %d of %d nodes", ErrDisconnected, visited, n)
 	}
 	return nil
 }
 
 // GraphBuilder constructs a Graph incrementally. The zero value is ready
-// to use. Unlike Builder it accepts cycles and parallel edges.
-type GraphBuilder struct {
-	g   Graph
-	err error
-}
+// to use. Unlike Builder it accepts cycles and parallel edges, whose
+// capacities act independently (their cut contributions add up).
+type GraphBuilder struct{ links }
 
 // NewGraphBuilder returns an empty GraphBuilder.
 func NewGraphBuilder() *GraphBuilder { return &GraphBuilder{} }
 
-// Compute adds a compute node and returns its id.
-func (b *GraphBuilder) Compute(name string) NodeID { return b.add(name, true) }
-
-// Router adds a routing-only node and returns its id.
-func (b *GraphBuilder) Router(name string) NodeID { return b.add(name, false) }
-
-func (b *GraphBuilder) add(name string, compute bool) NodeID {
-	id := NodeID(len(b.g.names))
-	if name == "" {
-		kind := "w"
-		if compute {
-			kind = "v"
-		}
-		name = fmt.Sprintf("%s%d", kind, id)
-	}
-	b.g.names = append(b.g.names, name)
-	b.g.compute = append(b.g.compute, compute)
-	b.g.adj = append(b.g.adj, nil)
-	return id
-}
-
-// Link connects u and v with a symmetric link of the given bandwidth and
-// returns the edge id. Parallel links between the same pair are allowed
-// and act as independent capacity (their cut contributions add up);
-// self-loops and non-positive or non-finite bandwidths are rejected.
-func (b *GraphBuilder) Link(u, v NodeID, bandwidth float64) EdgeID {
-	if b.err != nil {
-		return NoEdge
-	}
-	if int(u) >= len(b.g.names) || int(v) >= len(b.g.names) || u < 0 || v < 0 {
-		b.err = fmt.Errorf("topology: graph Link(%d, %d): unknown node", u, v)
-		return NoEdge
-	}
-	if u == v {
-		b.err = fmt.Errorf("topology: graph Link(%d, %d): self-loop", u, v)
-		return NoEdge
-	}
-	if !(bandwidth > 0) || math.IsNaN(bandwidth) || math.IsInf(bandwidth, 1) {
-		b.err = fmt.Errorf("topology: graph Link(%d, %d): invalid bandwidth %v (want positive and finite)", u, v, bandwidth)
-		return NoEdge
-	}
-	id := EdgeID(len(b.g.bw))
-	b.g.endA = append(b.g.endA, u)
-	b.g.endB = append(b.g.endB, v)
-	b.g.bw = append(b.g.bw, bandwidth)
-	b.g.adj[u] = append(b.g.adj[u], Half{To: v, Edge: id})
-	b.g.adj[v] = append(b.g.adj[v], Half{To: u, Edge: id})
-	return id
-}
-
 // Build validates the constructed multigraph and returns the immutable
-// Graph. The graph must be connected with at least one compute node.
+// Graph. The graph must be connected with at least one compute node and
+// finite bandwidths.
 func (b *GraphBuilder) Build() (*Graph, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
-	g := &Graph{
-		names:   b.g.names,
-		compute: b.g.compute,
-		adj:     b.g.adj,
-		endA:    b.g.endA,
-		endB:    b.g.endB,
-		bw:      b.g.bw,
-	}
-	for v := 0; v < g.NumNodes(); v++ {
-		if g.compute[v] {
-			g.computeList = append(g.computeList, NodeID(v))
-		}
-	}
+	g := &Graph{b.net}
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
@@ -193,60 +73,16 @@ func (b *GraphBuilder) Build() (*Graph, error) {
 }
 
 // MustBuild is Build for static graphs; it panics on error.
-func (b *GraphBuilder) MustBuild() *Graph {
-	g, err := b.Build()
-	if err != nil {
-		panic(err)
-	}
-	return g
-}
-
-// ToSpec converts a Graph to the same serializable Spec format trees
-// use; a graph spec is simply one whose edge set is not a tree.
-func (g *Graph) ToSpec() Spec {
-	s := Spec{
-		Nodes: make([]SpecNode, g.NumNodes()),
-		Edges: make([]SpecEdge, g.NumEdges()),
-	}
-	for v := 0; v < g.NumNodes(); v++ {
-		s.Nodes[v] = SpecNode{Name: g.Name(NodeID(v)), Compute: g.IsCompute(NodeID(v))}
-	}
-	for e := 0; e < g.NumEdges(); e++ {
-		a, b := g.Endpoints(EdgeID(e))
-		s.Edges[e] = SpecEdge{A: int(a), B: int(b), BW: g.Bandwidth(EdgeID(e))}
-	}
-	return s
-}
+func (b *GraphBuilder) MustBuild() *Graph { return must(b.Build()) }
 
 // GraphFromSpec builds a Graph from a Spec. Unlike FromSpec it accepts
 // cycles and parallel edges but rejects the -1 infinite-bandwidth
 // stand-in (general networks must have finite cuts).
 func GraphFromSpec(s Spec) (*Graph, error) {
-	b := NewGraphBuilder()
-	for _, n := range s.Nodes {
-		if n.Compute {
-			b.Compute(n.Name)
-		} else {
-			b.Router(n.Name)
-		}
-	}
-	for i, e := range s.Edges {
-		if e.A < 0 || e.A >= len(s.Nodes) || e.B < 0 || e.B >= len(s.Nodes) {
-			return nil, fmt.Errorf("topology: graph edge %d references unknown node", i)
-		}
-		b.Link(NodeID(e.A), NodeID(e.B), e.BW)
-	}
+	var b GraphBuilder
+	b.decode(s)
 	return b.Build()
 }
 
-// MarshalJSON encodes the graph as its Spec.
-func (g *Graph) MarshalJSON() ([]byte, error) { return json.Marshal(g.ToSpec()) }
-
 // ParseGraphJSON decodes a graph from Spec JSON.
-func ParseGraphJSON(data []byte) (*Graph, error) {
-	var s Spec
-	if err := json.Unmarshal(data, &s); err != nil {
-		return nil, fmt.Errorf("topology: %w", err)
-	}
-	return GraphFromSpec(s)
-}
+func ParseGraphJSON(data []byte) (*Graph, error) { return parseSpec(data, GraphFromSpec) }

@@ -13,6 +13,10 @@
 //
 //   - construction (Builder) and common generators (Star, TwoTier, FatTree,
 //     Caterpillar, Random, plus the exact shapes of Figure 1 of the paper);
+//   - general networks: a Graph, built with a GraphBuilder or a generator
+//     (Mesh, RingOfRacks, Clos, RandomizedFanout), may have cycles and
+//     parallel links, and FromGraph compresses it to its Gomory–Hu
+//     equivalent-cut Tree;
 //   - the two w.l.o.g. normalizations of §2.1 (push compute nodes to leaves,
 //     contract degree-2 routers);
 //   - per-edge cuts (V−e, V+e) with load aggregation, the basis of every
@@ -20,7 +24,14 @@
 //   - the directed tree G† of §4.1 together with its minimal covers and the
 //     minimum-Σw² cover DP used by both Theorem 4 and Algorithm 5;
 //   - left-to-right valid orderings of compute nodes (§5);
-//   - JSON topology specs and ASCII rendering.
+//   - one JSON Spec for trees and graphs (FromSpec, GraphFromSpec), and
+//     ASCII rendering.
+//
+// Tree and Graph share one node and link table, and Builder and
+// GraphBuilder one construction core; only their Build checks differ.
+// Every construction error wraps one of the named sentinels (ErrEmpty,
+// ErrNoCompute, ErrUnknownNode, ErrSelfLoop, ErrBadBandwidth, ErrNotTree,
+// ErrDisconnected).
 //
 // Trees are immutable after Build; all derived structures are precomputed so
 // that queries used in protocol inner loops (paths, cuts, subtree tests) are
@@ -29,7 +40,6 @@ package topology
 
 import (
 	"fmt"
-	"math"
 	"sync"
 )
 
@@ -54,18 +64,16 @@ type Half struct {
 	Edge EdgeID
 }
 
-// Tree is an immutable symmetric tree network.
+// Tree is an immutable symmetric tree network. Its node and link table —
+// NumNodes, NumEdges, NumCompute, Name, IsCompute, Bandwidth, Endpoints,
+// Neighbors, Degree, ComputeNodes, ToSpec, MarshalJSON — is the one a
+// Graph has too.
 //
 // The tree is rooted (at an arbitrary router when one exists) purely as an
 // internal device for path and cut computations; the root has no semantic
 // meaning in the model.
 type Tree struct {
-	names   []string
-	compute []bool
-	adj     [][]Half // insertion-ordered adjacency; defines left-to-right order
-
-	endA, endB []NodeID  // endpoints per edge
-	bw         []float64 // bandwidth per edge
+	network
 
 	root       NodeID
 	parent     []NodeID // parent in the rooted orientation; NoNode at root
@@ -76,44 +84,51 @@ type Tree struct {
 	tin, tout  []int32  // Euler intervals for subtree tests
 	lca        *lcaIndex
 
-	computeList  []NodeID
-	computeIndex []int32 // NodeID -> position in computeList, -1 for routers
+	computeIndex []int32 // NodeID -> position in ComputeNodes, -1 for routers
 
 	memoMu sync.Mutex  // guards memo
 	memo   map[any]any // lazily-initialized derived-structure cache (Memo)
 }
 
-// NumNodes reports the number of nodes.
-func (t *Tree) NumNodes() int { return len(t.names) }
+// Builder constructs a Tree incrementally. The zero value is ready to use.
+//
+// Node insertion order determines NodeIDs and the left-to-right orientation
+// of the tree; edge insertion order determines EdgeIDs and the child order
+// used by traversals.
+type Builder struct{ links }
 
-// NumEdges reports the number of undirected edges (always NumNodes-1).
-func (t *Tree) NumEdges() int { return len(t.bw) }
+// NewBuilder returns an empty Builder.
+func NewBuilder() *Builder { return &Builder{} }
 
-// NumCompute reports the number of compute nodes.
-func (t *Tree) NumCompute() int { return len(t.computeList) }
+// Build validates the constructed network and returns the immutable Tree.
+// It must be a connected tree with at least one compute node: n-1 links
+// that close no cycle and link no pair twice.
+func (b *Builder) Build() (*Tree, error) {
+	if b.err != nil {
+		return nil, b.err
+	}
+	t := &Tree{network: b.net}
+	if err := t.shape(); err != nil {
+		return nil, err
+	}
+	if err := t.finalize(); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
 
-// Name reports the node's name.
-func (t *Tree) Name(v NodeID) string { return t.names[v] }
+// MustBuild is Build for static topologies; it panics on error.
+func (b *Builder) MustBuild() *Tree { return must(b.Build()) }
 
-// IsCompute reports whether v is a compute node.
-func (t *Tree) IsCompute(v NodeID) bool { return t.compute[v] }
+// FromSpec builds a Tree from a Spec.
+func FromSpec(s Spec) (*Tree, error) {
+	var b Builder
+	b.decode(s)
+	return b.Build()
+}
 
-// Bandwidth reports the bandwidth of edge e.
-func (t *Tree) Bandwidth(e EdgeID) float64 { return t.bw[e] }
-
-// Endpoints reports the two endpoints of edge e in insertion order.
-func (t *Tree) Endpoints(e EdgeID) (NodeID, NodeID) { return t.endA[e], t.endB[e] }
-
-// Neighbors reports the adjacency list of v in insertion order. The returned
-// slice is shared with the Tree and must not be modified.
-func (t *Tree) Neighbors(v NodeID) []Half { return t.adj[v] }
-
-// Degree reports the degree of v.
-func (t *Tree) Degree(v NodeID) int { return len(t.adj[v]) }
-
-// ComputeNodes reports all compute nodes in insertion order. The returned
-// slice is shared with the Tree and must not be modified.
-func (t *Tree) ComputeNodes() []NodeID { return t.computeList }
+// ParseJSON decodes a tree from Spec JSON.
+func ParseJSON(data []byte) (*Tree, error) { return parseSpec(data, FromSpec) }
 
 // ComputeIndex reports v's position in ComputeNodes order, -1 when v is a
 // router.
@@ -162,35 +177,32 @@ func (t *Tree) Preorder() []NodeID { return t.preorder }
 // Validate checks internal invariants; it is intended for tests and for
 // trees deserialized from external specs.
 func (t *Tree) Validate() error {
-	n := t.NumNodes()
-	if n == 0 {
-		return fmt.Errorf("topology: empty tree")
+	if err := t.shape(); err != nil {
+		return err
 	}
-	if t.NumEdges() != n-1 {
-		return fmt.Errorf("topology: %d nodes but %d edges; want %d", n, t.NumEdges(), n-1)
+	if n := t.NumNodes(); len(t.preorder) != n {
+		return fmt.Errorf("topology: tree %w: preorder visits %d of %d nodes", ErrDisconnected, len(t.preorder), n)
 	}
-	if len(t.computeList) == 0 {
-		return fmt.Errorf("topology: no compute nodes")
+	return nil
+}
+
+// shape checks what Build can check before rooting the tree: the network
+// basics and n-1 edges.
+func (t *Tree) shape() error {
+	if err := t.check("tree", false); err != nil {
+		return err
 	}
-	for e := 0; e < t.NumEdges(); e++ {
-		if w := t.bw[e]; !(w > 0) || math.IsNaN(w) {
-			return fmt.Errorf("topology: edge %d has invalid bandwidth %v", e, w)
-		}
-	}
-	seen := 0
-	for _, v := range t.preorder {
-		_ = v
-		seen++
-	}
-	if seen != n {
-		return fmt.Errorf("topology: not connected: preorder visits %d of %d nodes", seen, n)
+	if n := t.NumNodes(); t.NumEdges() != n-1 {
+		return fmt.Errorf("topology: %w: %d edges for %d nodes; a tree needs exactly %d", ErrNotTree, t.NumEdges(), n, n-1)
 	}
 	return nil
 }
 
 // finalize computes the rooted structure. The root is the first non-compute
-// node if one exists, otherwise node 0.
-func (t *Tree) finalize() {
+// node if one exists, otherwise node 0. With n-1 edges, a link back to a
+// reached node other than the parent edge, or a node left unreached, means
+// the links are not a tree.
+func (t *Tree) finalize() error {
 	n := t.NumNodes()
 	t.root = 0
 	for v := 0; v < n; v++ {
@@ -209,6 +221,7 @@ func (t *Tree) finalize() {
 	for v := range t.parent {
 		t.parent[v] = NoNode
 		t.parentEdge[v] = NoEdge
+		t.tin[v] = -1 // unreached
 	}
 
 	// Iterative DFS that preserves adjacency (insertion) order.
@@ -230,8 +243,11 @@ func (t *Tree) finalize() {
 		}
 		h := t.adj[f.v][f.next]
 		f.next++
-		if h.To == t.parent[f.v] {
+		if h.Edge == t.parentEdge[f.v] {
 			continue
+		}
+		if t.tin[h.To] >= 0 {
+			return t.closes(f.v, h)
 		}
 		t.parent[h.To] = f.v
 		t.parentEdge[h.To] = h.Edge
@@ -242,16 +258,29 @@ func (t *Tree) finalize() {
 		clock++
 		stack = append(stack, frame{h.To, 0})
 	}
+	if len(t.preorder) != n {
+		return fmt.Errorf("topology: %w: %d of %d nodes are unreachable from node %s, so the %d edges close a cycle",
+			ErrNotTree, n-len(t.preorder), n, t.node(t.root), t.NumEdges())
+	}
 
-	t.computeList = t.computeList[:0]
 	t.computeIndex = make([]int32, n)
-	for v := 0; v < n; v++ {
+	for v := range t.computeIndex {
 		t.computeIndex[v] = -1
-		if t.compute[v] {
-			t.computeIndex[v] = int32(len(t.computeList))
-			t.computeList = append(t.computeList, NodeID(v))
-		}
+	}
+	for i, v := range t.computeList {
+		t.computeIndex[v] = int32(i)
 	}
 
 	t.buildLCA()
+	return nil
+}
+
+// closes reports the link h from v back to an already reached node: a
+// second link to v's parent, or one that closes a longer cycle.
+func (t *Tree) closes(v NodeID, h Half) error {
+	if pe := t.parentEdge[v]; h.To == t.parent[v] {
+		return fmt.Errorf("topology: %w: edge %d duplicates edge %d between nodes %s and %s",
+			ErrNotTree, max(h.Edge, pe), min(h.Edge, pe), t.node(v), t.node(h.To))
+	}
+	return fmt.Errorf("topology: %w: edge %d (%s-%s) closes a cycle", ErrNotTree, h.Edge, t.node(v), t.node(h.To))
 }
