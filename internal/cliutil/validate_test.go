@@ -1,6 +1,7 @@
 package cliutil
 
 import (
+	"encoding/json"
 	"errors"
 	"math/rand"
 	"os"
@@ -12,6 +13,168 @@ import (
 	"topompc"
 	"topompc/internal/topology"
 )
+
+// writeSpec writes spec as a JSON file in dir and returns its @file
+// topology argument.
+func writeSpec(t *testing.T, dir, name string, spec topology.Spec) string {
+	t.Helper()
+	data, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, name+".json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return "@" + path
+}
+
+// TestValidateSpecErrors exercises every rejection of an @file spec with
+// the mistakes hand-written spec files actually contain, and checks that
+// the error names the file and the offending entry rather than a generic
+// "not a tree". Mistakes of tree shape alone (edge count, duplicate link)
+// fall through to the graph reading, which counts the nodes it reached.
+func TestValidateSpecErrors(t *testing.T) {
+	dir := t.TempDir()
+	router := topology.SpecNode{Name: "w", Compute: false}
+	compute := func(name string) topology.SpecNode { return topology.SpecNode{Name: name, Compute: true} }
+	cases := []struct {
+		name string
+		spec topology.Spec
+		want string
+	}{
+		{
+			name: "empty",
+			spec: topology.Spec{},
+			want: "no nodes",
+		},
+		{
+			name: "no-compute",
+			spec: topology.Spec{Nodes: []topology.SpecNode{router}},
+			want: "no compute nodes",
+		},
+		{
+			name: "edge-count",
+			spec: topology.Spec{
+				Nodes: []topology.SpecNode{router, compute("a"), compute("b")},
+				Edges: []topology.SpecEdge{{A: 1, B: 0, BW: 2}},
+			},
+			want: "graph not connected: reached 2 of 3 nodes",
+		},
+		{
+			name: "unknown-node",
+			spec: topology.Spec{
+				Nodes: []topology.SpecNode{router, compute("a")},
+				Edges: []topology.SpecEdge{{A: 1, B: 7, BW: 2}},
+			},
+			want: "unknown node",
+		},
+		{
+			name: "self-loop",
+			spec: topology.Spec{
+				Nodes: []topology.SpecNode{router, compute("a")},
+				Edges: []topology.SpecEdge{{A: 1, B: 1, BW: 2}},
+			},
+			want: `self-loop on node 1 ("a")`,
+		},
+		{
+			name: "duplicate-edge",
+			spec: topology.Spec{
+				Nodes: []topology.SpecNode{router, compute("a"), compute("b")},
+				Edges: []topology.SpecEdge{{A: 1, B: 0, BW: 2}, {A: 0, B: 1, BW: 3}},
+			},
+			want: "graph not connected: reached 2 of 3 nodes",
+		},
+		{
+			name: "bad-bandwidth",
+			spec: topology.Spec{
+				Nodes: []topology.SpecNode{router, compute("a"), compute("b")},
+				Edges: []topology.SpecEdge{{A: 1, B: 0, BW: 2}, {A: 2, B: 0, BW: -3}},
+			},
+			want: "invalid bandwidth: -3",
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := ParseTopo(writeSpec(t, dir, tc.name, tc.spec))
+			if err == nil {
+				t.Fatal("expected an error")
+			}
+			if !strings.Contains(err.Error(), tc.name+".json") {
+				t.Errorf("error %q does not name the file", err)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("error %q does not mention %q", err, tc.want)
+			}
+		})
+	}
+	// -1 (the JSON stand-in for +Inf) is a valid tree bandwidth.
+	ok := topology.Spec{
+		Nodes: []topology.SpecNode{router, compute("a"), compute("b")},
+		Edges: []topology.SpecEdge{{A: 1, B: 0, BW: -1}, {A: 2, B: 0, BW: 3}},
+	}
+	if _, err := ParseTopo(writeSpec(t, dir, "ok", ok)); err != nil {
+		t.Errorf("valid spec rejected: %v", err)
+	}
+}
+
+// TestValidateSpecNamedErrors: each rejection of an @file spec wraps
+// exactly one of topology's named sentinels, so callers can branch with
+// errors.Is. A mistake of tree shape alone is reported by the graph
+// reading it falls through to.
+func TestValidateSpecNamedErrors(t *testing.T) {
+	dir := t.TempDir()
+	compute := func(name string) topology.SpecNode { return topology.SpecNode{Name: name, Compute: true} }
+	two := []topology.SpecNode{compute("a"), compute("b")}
+	three := []topology.SpecNode{compute("a"), compute("b"), compute("c")}
+	cases := []struct {
+		name string
+		spec topology.Spec
+		want error
+	}{
+		{"no-nodes", topology.Spec{}, topology.ErrEmpty},
+		{"no-compute", topology.Spec{Nodes: []topology.SpecNode{{Name: "w"}}}, topology.ErrNoCompute},
+		{"not-tree", topology.Spec{Nodes: three,
+			Edges: []topology.SpecEdge{{A: 0, B: 1, BW: 1}}}, topology.ErrDisconnected},
+		{"unknown-node", topology.Spec{Nodes: two,
+			Edges: []topology.SpecEdge{{A: 0, B: 9, BW: 1}}}, topology.ErrUnknownNode},
+		{"self-loop", topology.Spec{Nodes: two,
+			Edges: []topology.SpecEdge{{A: 0, B: 0, BW: 1}}}, topology.ErrSelfLoop},
+		{"dup-edge", topology.Spec{Nodes: three,
+			Edges: []topology.SpecEdge{{A: 0, B: 1, BW: 1}, {A: 1, B: 0, BW: 1}}}, topology.ErrDisconnected},
+		{"bad-bw", topology.Spec{Nodes: two,
+			Edges: []topology.SpecEdge{{A: 0, B: 1, BW: 0}}}, topology.ErrBadBandwidth},
+	}
+	sentinels := []error{topology.ErrEmpty, topology.ErrNoCompute, topology.ErrUnknownNode,
+		topology.ErrSelfLoop, topology.ErrBadBandwidth, topology.ErrNotTree, topology.ErrDisconnected}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := ParseTopo(writeSpec(t, dir, tc.name, tc.spec))
+			if !errors.Is(err, tc.want) {
+				t.Fatalf("got %v, want %v", err, tc.want)
+			}
+			wrapped := 0
+			for _, s := range sentinels {
+				if errors.Is(err, s) {
+					wrapped++
+				}
+			}
+			if wrapped != 1 {
+				t.Errorf("%v wraps %d named sentinels, want 1", err, wrapped)
+			}
+		})
+	}
+	// A tree may carry -1 (+Inf); a spec that is read as a graph may not.
+	inf := topology.Spec{Nodes: two, Edges: []topology.SpecEdge{{A: 0, B: 1, BW: -1}}}
+	if _, err := ParseTopo(writeSpec(t, dir, "inf", inf)); err != nil {
+		t.Errorf("tree with bw=-1 rejected: %v", err)
+	}
+	cyc := topology.Spec{Nodes: three, Edges: []topology.SpecEdge{
+		{A: 0, B: 1, BW: 1}, {A: 1, B: 2, BW: 1}, {A: 2, B: 0, BW: -1}}}
+	if _, err := ParseTopo(writeSpec(t, dir, "inf-cycle", cyc)); !errors.Is(err, topology.ErrBadBandwidth) {
+		t.Errorf("graph with bw=-1: got %v, want %v", err, topology.ErrBadBandwidth)
+	}
+}
 
 // TestParseTopoFileValidation: a malformed file fails through ParseTopo
 // with the file name and the precise mistake; a file that merely fails
