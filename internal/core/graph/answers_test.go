@@ -24,6 +24,10 @@ type answerCounts struct {
 	downProps   int // roots decoded from combiner answers to proposal messages
 	downNeeds   int // roots decoded from combiner answers to need messages
 	needDrops   int // need entries a combiner dropped for a proposal it held
+	homeWins    int // won bits decoded from home answers (witness mode)
+	downWins    int // won bits a combiner passed down to a member
+	longWins    int // won bitmaps of two words or more decoded
+	forest      int // forest edges checked against their holder's edges
 }
 
 // The kinds of message a propose sweep sends: proposals and need entries
@@ -139,11 +143,20 @@ func sweepModel(pr *proto, first bool) ([][][]sentMsg, int) {
 //   - each root answer round mirrors its stage's propose round, message for
 //     message, less phase 1's vertex entries, and each answer is decoded
 //     against the messages its asker sent that peer in the sweep, in order
-//     — proposal labels first, then need entries — one root per label;
+//     — proposal labels first, then need entries — one root per label, and
+//     in witness mode, before the roots of a proposal message, its won
+//     bitmap of ⌈n/64⌉ words;
+//   - the won bits name each hooking once: every label that hooked gets
+//     exactly one set bit from its home and every other label none, no node
+//     receives two bits for one label, a combiner passes each bit it
+//     receives to at most one member, and each bit it keeps is one new
+//     forest edge at it, in the order received, which is its least active
+//     edge at the start of the phase with labels (a, bestB[a]);
 //   - every phase takes (L+1) + 2j + (L+1) rounds: the propose sweep, j jump
 //     iterations, and the answer back down the sweep.
 //
-// The driven run must equal the entry point's, result and every round.
+// The driven run must equal the entry point's, result and every round, and
+// in witness mode its forest has one edge per hooking.
 func checkAnswers(t testing.TB, tr *topology.Tree, pl Placement, seed uint64, v variant) answerCounts {
 	t.Helper()
 	want, err := contract(tr, pl, seed, v, nil)
@@ -160,11 +173,20 @@ func checkAnswers(t testing.TB, tr *topology.Tree, pl Placement, seed uint64, v 
 	if pr.totalActive() == 0 {
 		pr.propose()
 	}
-	phases := 0
+	phases, hookings := 0, 0
 	for pr.totalActive() > 0 {
 		phases++
 		pr.phase = int32(phases)
 		r0 := pr.e.Report().NumRounds()
+		// In witness mode, each node's active edges and forest length at
+		// the start of the phase, for checkWins.
+		act0 := make([][]workEdge, len(pr.nodes))
+		f0 := make([]int, len(pr.nodes))
+		for i := range pr.nodes {
+			if v.witness {
+				act0[i], f0[i] = slices.Clone(pr.active[i]), len(pr.forest[i])
+			}
+		}
 		sent, drops := sweepModel(pr, phases == 1)
 		n.needDrops += drops
 		pr.propose()
@@ -175,7 +197,7 @@ func checkAnswers(t testing.TB, tr *topology.Tree, pl Placement, seed uint64, v 
 				for _, m := range ms {
 					msgs++
 					if m.kind == sentProps {
-						words += int64(pr.propStride() * len(m.labels))
+						words += int64(2 * len(m.labels))
 					} else {
 						words += int64(len(m.labels))
 					}
@@ -188,7 +210,9 @@ func checkAnswers(t testing.TB, tr *topology.Tree, pl Placement, seed uint64, v 
 		}
 
 		jumps := 0
-		for unresolved := pr.hook(); unresolved > 0; jumps++ {
+		unresolved := pr.hook()
+		hookings += unresolved
+		for ; unresolved > 0; jumps++ {
 			rootAt, rootVal, parPtr := slices.Clone(pr.rootAt), slices.Clone(pr.rootVal), slices.Clone(pr.parPtr)
 			r1 := pr.e.Report().NumRounds()
 			if unresolved, err = pr.jumpOnce(); err != nil {
@@ -226,6 +250,16 @@ func checkAnswers(t testing.TB, tr *topology.Tree, pl Placement, seed uint64, v 
 			}
 		}
 
+		// The won bits read off the wire: per node and label, the bits it
+		// received, the labels of those in the order received, and the bits
+		// it sent — from a home, or down from a combiner.
+		recv := make([]map[int32]int, len(pr.nodes))
+		recvOrder := make([][]int32, len(pr.nodes))
+		fromHome := make([]map[int32]int, len(pr.nodes))
+		down := make([]map[int32]int, len(pr.nodes))
+		for i := range pr.nodes {
+			recv[i], fromHome[i], down[i] = map[int32]int{}, map[int32]int{}, map[int32]int{}
+		}
 		for s := L; s >= 0; s-- {
 			pr.answerStage(s)
 			rep := pr.e.Report()
@@ -263,13 +297,32 @@ func checkAnswers(t testing.TB, tr *topology.Tree, pl Placement, seed uint64, v 
 					}
 					asked := q[0]
 					pending[from] = q[1:]
-					if len(m.Keys) != len(asked.labels) {
-						t.Fatalf("phase %d: %d roots answer %d labels", phases, len(m.Keys), len(asked.labels))
+					words := 0
+					if v.witness && asked.kind == sentProps {
+						words = (len(asked.labels) + 63) / 64
+					}
+					if len(m.Keys) != words+len(asked.labels) {
+						t.Fatalf("phase %d: %d words answer %d labels, want %d", phases, len(m.Keys), len(asked.labels), words+len(asked.labels))
 					}
 					for k, x := range asked.labels {
-						if pr.rootAt[x] != pr.phase || int32(m.Keys[k]) != pr.rootVal[x] {
-							t.Fatalf("phase %d: root %d for label %d reads %d, want %d", phases, k, x, m.Keys[k], pr.rootVal[x])
+						if r := m.Keys[words+k]; pr.rootAt[x] != pr.phase || int32(r) != pr.rootVal[x] {
+							t.Fatalf("phase %d: root %d for label %d reads %d, want %d", phases, k, x, r, pr.rootVal[x])
 						}
+						if words == 0 || m.Keys[k/64]>>(k%64)&1 == 0 {
+							continue
+						}
+						recv[i][x]++
+						recvOrder[i] = append(recvOrder[i], x)
+						if s == L {
+							fromHome[from][x]++
+							n.homeWins++
+						} else {
+							down[from][x]++
+							n.downWins++
+						}
+					}
+					if words > 1 {
+						n.longWins++
 					}
 					switch {
 					case s == L && asked.kind == sentProps:
@@ -292,6 +345,9 @@ func checkAnswers(t testing.TB, tr *topology.Tree, pl Placement, seed uint64, v 
 		if err := pr.planFailure(); err != nil {
 			t.Fatal(err)
 		}
+		if v.witness {
+			n.forest += checkWins(t, pr, phases, act0, f0, recv, recvOrder, fromHome, down)
+		}
 		if got := pr.e.Report().NumRounds() - r0; got != 2*(L+1)+2*jumps {
 			t.Fatalf("phase %d took %d rounds, want (L+1) + 2·j + (L+1) = %d for L = %d, j = %d",
 				phases, got, 2*(L+1)+2*jumps, L, jumps)
@@ -307,7 +363,75 @@ func checkAnswers(t testing.TB, tr *topology.Tree, pl Placement, seed uint64, v 
 	if g, w := serializeReport(got.Report), serializeReport(want.Report); g != w {
 		t.Fatalf("driven run's rounds differ from the entry point's:\n%s\n%s", g, w)
 	}
+	if v.witness && len(got.Forest) != hookings {
+		t.Fatalf("forest of %d edges for %d hookings", len(got.Forest), hookings)
+	}
 	return n
+}
+
+// checkWins holds one phase's won bits, read off the wire, to the hooking
+// (see checkAnswers) and returns the number of forest edges it checked.
+func checkWins(t testing.TB, pr *proto, phase int, act0 [][]workEdge, f0 []int,
+	recv []map[int32]int, recvOrder [][]int32, fromHome, down []map[int32]int) int {
+	t.Helper()
+	for x := range pr.label {
+		a := int32(x)
+		hooked := pr.bestAt[a] == pr.phase && pr.bestB[a] < a
+		for j := range pr.nodes {
+			want := 0
+			if hooked && pr.homeOf[a] == int32(j) {
+				want = 1
+			}
+			if got := fromHome[j][a]; got != want {
+				t.Fatalf("phase %d: home %d set %d won bits for label %d (hooked %v, homed at %d), want %d",
+					phase, j, got, a, hooked, pr.homeOf[a], want)
+			}
+		}
+	}
+	checked := 0
+	for i := range pr.nodes {
+		var kept []int32
+		for _, a := range recvOrder[i] {
+			if recv[i][a] > 1 {
+				t.Fatalf("phase %d: node %d received %d won bits for label %d", phase, i, recv[i][a], a)
+			}
+			if down[i][a] == 0 {
+				kept = append(kept, a)
+			}
+		}
+		for a, d := range down[i] {
+			if d > recv[i][a] {
+				t.Fatalf("phase %d: node %d passed %d won bits for label %d down, having received %d", phase, i, d, a, recv[i][a])
+			}
+		}
+		added := pr.forest[i][f0[i]:]
+		if len(added) != len(kept) {
+			t.Fatalf("phase %d: node %d kept %d won bits and added %d forest edges", phase, i, len(kept), len(added))
+		}
+		for k, a := range kept {
+			b := pr.bestB[a]
+			var least *workEdge
+			for e := range act0[i] {
+				ed := &act0[i][e]
+				if !(ed.a == a && ed.b == b) && !(ed.b == a && ed.a == b) {
+					continue
+				}
+				if least == nil || ed.wu < least.wu || (ed.wu == least.wu && ed.wv < least.wv) {
+					least = ed
+				}
+			}
+			want := Edge{}
+			if least != nil {
+				want = Edge{U: pr.ids[least.wu], V: pr.ids[least.wv]}
+			}
+			if least == nil || added[k] != want {
+				t.Fatalf("phase %d: node %d recorded %v for label %d hooking onto %d, its least edge between them is %v",
+					phase, i, added[k], a, b, want)
+			}
+			checked++
+		}
+	}
+	return checked
 }
 
 // askedOf returns, in the order sent, the labels of a query list (after the
@@ -337,15 +461,18 @@ func answerFixture(t *testing.T) (*topology.Tree, Placement) {
 	return tree, placeEdges(packed, tree.NumCompute())
 }
 
-// TestAnswerWordCounts holds the answer rounds to the words they need, on a
-// combining fixture (cc on a tapered fat tree, whose weak-cut hierarchy
-// has two levels) and a direct one (cc-flat on the same tree): every root
-// answer carries one word per label of the message it answers, and each
-// jump reply n + ⌈n/64⌉ for n queries. An echo of the labels creeping back
-// into a reply fails here even where the map oracle, which would echo too,
-// still agrees. The fixtures see every kind of answer: short and long jump
-// replies, and roots for proposals and need entries, from the homes and,
-// when combining, down the chain.
+// TestAnswerWordCounts holds the answer rounds to the words they need, on
+// combining fixtures (cc and spanforest on a tapered fat tree, whose
+// weak-cut hierarchy has two levels) and a direct one (cc-flat on the same
+// tree): every root answer carries one word per label of the message it
+// answers, spanforest's answers to proposal messages ⌈n/64⌉ won-bitmap
+// words more, and each jump reply n + ⌈n/64⌉ for n queries. An echo of the
+// labels creeping back into a reply fails here even where the map oracle,
+// which would echo too, still agrees. The fixtures see every kind of
+// answer: short and long jump replies, and roots for proposals and need
+// entries, from the homes and, when combining, down the chain; spanforest
+// decodes won bits from the homes and passed down by the combiners, some
+// in bitmaps of two words or more, and checks a forest edge per kept bit.
 func TestAnswerWordCounts(t *testing.T) {
 	tree, pl := answerFixture(t)
 	for _, tc := range []struct {
@@ -355,6 +482,7 @@ func TestAnswerWordCounts(t *testing.T) {
 	}{
 		{"cc", variant{aware: true}, true},
 		{"cc-flat", variant{}, false},
+		{"spanforest", variant{aware: true, witness: true}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			n := checkAnswers(t, tree, pl, 42, tc.v)
@@ -367,6 +495,9 @@ func TestAnswerWordCounts(t *testing.T) {
 			}
 			if tc.combine && (n.downProps == 0 || n.downNeeds == 0) {
 				t.Fatalf("checked %+v: no combiner answer to proposals or to need entries decoded", n)
+			}
+			if tc.v.witness && (n.homeWins == 0 || n.downWins == 0 || n.longWins == 0 || n.forest != n.homeWins) {
+				t.Fatalf("checked %+v: want won bits from homes and combiners, some bitmaps over 64 entries, and a forest edge per hooking", n)
 			}
 		})
 	}

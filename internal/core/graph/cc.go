@@ -69,8 +69,11 @@ type variant struct {
 	// aware homes vertices by bandwidth capacity and combines the label
 	// exchanges per cut; otherwise homes are uniform and delivery direct.
 	aware bool
-	// witness carries, with every proposal, the graph edge behind it, and
-	// records the edge of every hooking.
+	// witness records the graph edge of every hooking. Proposals travel as
+	// in cc, [a, b, …]: a holder keeps the edge behind each of its minima,
+	// every combiner and home remembers which entry its minimum came from,
+	// and the answer to a proposal message leads with a won bitmap that
+	// passes each hooking back down that chain to the holder of its edge.
 	witness bool
 	// expand runs expanding phases (ccfast.go): a phase learns its proposals
 	// from one adjacency round and capped doubling rounds, and its roots
@@ -205,12 +208,25 @@ func contract(tr *topology.Tree, edges Placement, seed uint64, v variant, opts [
 //
 // Proposals are min-combined in linear work in both modes: the relabel
 // walk folds every active edge into stamped per-label minima (witness mode
-// keys them (b, wu, wv), the betterProp order, and carries the winning edge
-// along), orders the distinct labels it touched with sortIndices, and
-// builds the next phase's proposal list from the minima in that order; a
-// combining carrier folds its members' lists into its own the same way.
-// The need entries dedup against the same stamps. No comparator sort, and
-// no sort of candidates rather than labels, runs on the data path.
+// keys them (b, wu, wv), the betterProp order, and keeps the winning edge
+// beside the entry), orders the distinct labels it touched with
+// sortIndices, and builds the next phase's proposal list from the minima in
+// that order; a combining carrier folds its members' lists into its own the
+// same way, on b alone, the first-offered entry winning a tie (its own list
+// first, then its members in inbox order). The need entries dedup against
+// the same stamps. No comparator sort, and no sort of candidates rather
+// than labels, runs on the data path.
+//
+// The wire is the same in both modes: a proposal is [a, b]. In witness
+// mode every entry a node holds also names its source — its own witness
+// edge, or the askBuf position of the member entry a combiner took it from
+// — and a home the askBuf position of the first entry that offered the
+// winning b (bestPos). The answer to a proposal message is then a won
+// bitmap of ⌈n/64⌉ words before its n roots: a home sets the bit of the
+// entry it recorded for each label that hooked, each node passes every bit
+// it receives to the one source of that entry, and the holder a bit
+// reaches records its witness edge in the forest (takeWins). Need entries
+// and every non-witness answer carry roots alone.
 //
 // Messages carry indices where the map-based path (runMaps, the test
 // oracle) carries ids; nothing else differs. The renumbering is
@@ -227,14 +243,22 @@ func contract(tr *topology.Tree, edges Placement, seed uint64, v variant, opts [
 // plus the original witness endpoint indices.
 type workEdge struct{ a, b, wu, wv int32 }
 
-// propPair is a witness-mode min-neighbor proposal: k1 = a<<32|b and
-// k2 = wu<<32|wv, so within one label a the betterProp total order
-// (b, wu, wv) is ascending (k1, k2).
+// propPair is a witness-mode min-neighbor proposal: k1 = a<<32|b, the
+// entry the wire carries, and k2 its source — the holder's own witness
+// edge wu<<32|wv (top bit clear; at a holder, within one label a the
+// betterProp order (b, wu, wv) is ascending (k1, k2)), or fromAsk|p, the
+// position p in the node's askBuf of the member entry a combiner took it
+// from.
 //
-// Non-witness proposals skip the struct entirely: the wire drops the
-// witness halves, so equal (a, b) entries are indistinguishable and the
-// minima are bare k1 keys.
+// Non-witness proposals skip the struct entirely: the minima are bare k1
+// keys.
 type propPair struct{ k1, k2 uint64 }
+
+// fromAsk marks a propPair source that is an askBuf position.
+const fromAsk = 1 << 63
+
+func pairKey(p propPair) uint64 { return p.k1 }
+func bareKey(k uint64) uint64   { return k }
 
 // sortIndices orders a list of indices from [0, nV) ascending and distinct.
 // A list at least as long as a bitmap over the universe has words goes
@@ -379,12 +403,14 @@ func sortByHome[T any](els []T, tmp *[]T, home func(T) int32, numHomes int) {
 // askedList records, at a combiner or a home, one message of the propose
 // sweep that is answered once pointer jumping ends — a proposal message, or
 // a later phase's need entries: the sender, the sweep stage it arrived at
-// (an up-step's index, or len(steps) at the homes), and the message's
-// labels in the order sent, as a range in the receiver's askBuf (copied,
-// because inbox payloads are arena-backed and only valid for one round).
+// (an up-step's index, or len(steps) at the homes), whether it carried
+// proposals, and the message's labels in the order sent, as a range in the
+// receiver's askBuf (copied, because inbox payloads are arena-backed and
+// only valid for one round).
 type askedList struct {
 	from          topology.NodeID
 	stage, lo, hi int32
+	props         bool
 }
 
 // nodeScratch is the per-compute-node reusable scratch. Entries are only
@@ -393,6 +419,7 @@ type askedList struct {
 // receipt loops ever race.
 type nodeScratch struct {
 	pairs   []propPair  // witness-mode proposal minima, one per label, ascending
+	sent    []propPair  // witness: the list this node forwarded up this phase, kept for its won bits
 	k1s     []uint64    // non-witness proposal minima, one per label, ascending
 	k1tmp   []uint64    // radix scratch
 	need    []int32     // labels no proposal names, ascending: vertex or need entries / jump query scratch
@@ -400,6 +427,7 @@ type nodeScratch struct {
 	bm      []uint64    // dedup bitmap over the vertex indices, kept zero
 	askBuf  []int32     // copied labels of the answered propose-sweep messages
 	asked   []askedList // the propose-sweep messages to answer, by stage
+	won     []uint64    // witness: bitmap over askBuf, the proposal entries that won
 	emitTmp []int32     // emit grouping: home-radix scratch
 	ptmp    []propPair  // emit grouping: home-radix scratch (witness)
 }
@@ -414,7 +442,7 @@ type collectScratch struct {
 	dstamp int32
 	minAt  []int32
 	minB   []int32
-	minW   []uint64 // witness mode: packed witness edge of the minimum
+	minW   []uint64 // witness mode: the minimum's propPair source
 	labels []int32  // the labels offered in the current epoch, each once
 	ltmp   []int32  // radix scratch of labels
 	bm     []uint64 // label bitmap, kept zero
@@ -460,8 +488,22 @@ func (ws *collectScratch) unclaimed(st int32, xs []int32) []int32 {
 	return out
 }
 
-// offerW is offer under the witness order: ties on b break on the packed
-// witness edge w = wu<<32|wv, exactly betterProp's (b, wu, wv).
+// offerFrom is offer in witness mode, where the minimum keeps its source
+// src: of equal b's, the first offered stays.
+func (ws *collectScratch) offerFrom(st, a, b int32, src uint64) {
+	if ws.minAt[a] != st {
+		ws.minAt[a] = st
+		ws.labels = append(ws.labels, a)
+	} else if b >= ws.minB[a] {
+		return
+	}
+	ws.minB[a] = b
+	ws.minW[a] = src
+}
+
+// offerW is a holder's offer of its own edges: ties on b break on the
+// packed witness edge w = wu<<32|wv, exactly betterProp's (b, wu, wv), and
+// the winning edge is the entry's source.
 func (ws *collectScratch) offerW(st, a, b int32, w uint64) {
 	if ws.minAt[a] != st {
 		ws.minAt[a] = st
@@ -523,6 +565,8 @@ func (pr *proto) trimScratch(i int) int64 {
 	sc.askBuf = dropSlice(sc.askBuf, bound, &n)
 	sc.emitTmp = dropSlice(sc.emitTmp, bound, &n)
 	sc.ptmp = dropSlice(sc.ptmp, bound, &n)
+	sc.sent = dropSlice(sc.sent, bound, &n)
+	sc.won = dropSlice(sc.won, bound>>6+1, &n)
 	pr.hooked[i] = dropSlice(pr.hooked[i], len(pr.aliveList[i]), &n)
 	if pr.fs != nil {
 		// Expanding phases rebuild both lists from a fresh adjacency round
@@ -596,7 +640,7 @@ type proto struct {
 	phase   int32
 	bestAt  []int32
 	bestB   []int32
-	bestW   []uint64 // packed witness edge wu<<32|wv
+	bestPos []int32 // witness: the home's askBuf position of the first entry offering bestB
 	parAt   []int32
 	parPtr  []int32
 	rootAt  []int32
@@ -614,7 +658,7 @@ type proto struct {
 	aliveList  [][]int32 // per home: alive labels (sorted, shrinks per phase)
 	hooked     [][]int32 // per home: this phase's unresolved hooked labels
 
-	forest [][]Edge // witness edges per home (witness mode)
+	forest [][]Edge // witness edges per holder (witness mode)
 
 	scr   []nodeScratch
 	arena []payloadSlab
@@ -738,6 +782,12 @@ func (pr *proto) collectNext(i int, ws *collectScratch, cands []int32) {
 	sc := &pr.scr[i]
 	st := ws.begin(len(pr.label), pr.witness)
 	if pr.witness {
+		if cap(sc.sent) > cap(sc.pairs) {
+			// A node that forwarded its list kept it in sent for the won
+			// bits; the bigger buffer takes the new list.
+			sc.pairs, sc.sent = sc.sent, sc.pairs
+		}
+		sc.sent = sc.sent[:0]
 		for _, ed := range pr.active[i] {
 			w := uint64(uint32(ed.wu))<<32 | uint64(uint32(ed.wv))
 			ws.offerW(st, ed.a, ed.b, w)
@@ -771,31 +821,33 @@ func (pr *proto) collectFirst() {
 }
 
 // mergeProps folds the messages node i's members sent up at stage si into
-// the carrier's own lists. Proposals are min-combined: the carrier's list
-// seeds a fresh epoch, the members' entries are offered into it, and the
-// list is rebuilt from the combined minima, label-ascending with one entry
-// per label. The 1-word entries are unioned, and an entry is dropped once a
-// proposal names its label: the proposal registers it, or asks for its root.
-// Every message that will be answered is recorded for stage si's answer.
+// the carrier's own lists. Proposals are min-combined on b: the carrier's
+// list seeds a fresh epoch, the members' entries are offered into it in
+// inbox order, the first-offered of equal b's staying (in witness mode with
+// its source: the carrier's own entry keeps its own, a member's is its
+// askBuf position), and the list is rebuilt from the combined minima,
+// label-ascending with one entry per label. The 1-word entries are unioned,
+// and an entry is dropped once a proposal names its label: the proposal
+// registers it, or asks for its root. Every message that will be answered
+// is recorded for stage si's answer.
 func (pr *proto) mergeProps(i, si int, ws *collectScratch, ib netsim.Inbox) {
 	sc := &pr.scr[i]
 	st := ws.begin(len(pr.label), pr.witness)
 	for _, p := range sc.pairs { // empty unless witness
-		ws.offerW(st, int32(p.k1>>32), int32(uint32(p.k1)), p.k2)
+		ws.offerFrom(st, int32(p.k1>>32), int32(uint32(p.k1)), p.k2)
 	}
 	for _, k := range sc.k1s { // empty when witness
 		ws.offer(st, int32(k>>32), int32(uint32(k)))
 	}
-	stride := pr.propStride()
 	pr.reserveAsked(i, ib, tagProposeUp, tagNeedUp)
 	for mi := 0; mi < ib.Len(); mi++ {
 		m := ib.At(mi)
 		switch m.Tag {
 		case tagProposeUp:
-			pr.keepAsked(i, si, m, stride)
+			lo := pr.keepAsked(i, si, m, true)
 			if pr.witness {
-				for k := 0; k+4 <= len(m.Keys); k += 4 {
-					ws.offerW(st, int32(m.Keys[k]), int32(m.Keys[k+1]), m.Keys[k+2]<<32|m.Keys[k+3])
+				for k := 0; k+2 <= len(m.Keys); k += 2 {
+					ws.offerFrom(st, int32(m.Keys[k]), int32(m.Keys[k+1]), fromAsk|uint64(lo+k>>1))
 				}
 			} else {
 				for k := 0; k+2 <= len(m.Keys); k += 2 {
@@ -803,7 +855,7 @@ func (pr *proto) mergeProps(i, si int, ws *collectScratch, ib netsim.Inbox) {
 				}
 			}
 		case tagNeedUp:
-			pr.keepAsked(i, si, m, 1)
+			pr.keepAsked(i, si, m, false)
 			fallthrough
 		case tagVertexUp:
 			for _, xk := range m.Keys {
@@ -821,18 +873,25 @@ func (pr *proto) mergeProps(i, si int, ws *collectScratch, ib netsim.Inbox) {
 func (pr *proto) reserveAsked(i int, ib netsim.Inbox, props, need netsim.Tag) {
 	sc := &pr.scr[i]
 	sc.asked = slices.Grow(sc.asked, ib.Len())
-	sc.askBuf = slices.Grow(sc.askBuf, ib.KeyCount(props)/pr.propStride()+ib.KeyCount(need))
+	sc.askBuf = slices.Grow(sc.askBuf, ib.KeyCount(props)/2+ib.KeyCount(need))
 }
 
 // keepAsked records message m, received by node i at sweep stage s, for
-// that stage's answer: its labels, every stride-th key, copied into askBuf.
-func (pr *proto) keepAsked(i, s int, m netsim.Message, stride int) {
+// that stage's answer: its labels — every other key of a proposal message,
+// every key of a need message — copied into askBuf. It returns the askBuf
+// position of the first.
+func (pr *proto) keepAsked(i, s int, m netsim.Message, props bool) int {
 	sc := &pr.scr[i]
-	lo := int32(len(sc.askBuf))
+	stride := 1
+	if props {
+		stride = 2
+	}
+	lo := len(sc.askBuf)
 	for k := 0; k < len(m.Keys); k += stride {
 		sc.askBuf = append(sc.askBuf, int32(m.Keys[k]))
 	}
-	sc.asked = append(sc.asked, askedList{from: m.From, stage: int32(s), lo: lo, hi: int32(len(sc.askBuf))})
+	sc.asked = append(sc.asked, askedList{from: m.From, stage: int32(s), lo: int32(lo), hi: int32(len(sc.askBuf)), props: props})
+	return lo
 }
 
 // buildProps rebuilds node i's proposal list from the epoch's combined
@@ -865,37 +924,24 @@ func (pr *proto) numProps(i int) int {
 	return len(pr.scr[i].k1s)
 }
 
-// propStride is the wire stride of one proposal.
-func (pr *proto) propStride() int {
-	if pr.witness {
-		return 4
-	}
-	return 2
-}
-
 // encodeProps serializes node i's sorted proposals (ascending label) into
 // an arena-backed payload.
 func (pr *proto) encodeProps(i int) []uint64 {
 	if pr.witness {
-		prs := pr.scr[i].pairs
-		outBuf := pr.slab(i).grab(4 * len(prs))
-		k := 0
-		for _, p := range prs {
-			outBuf[k] = p.k1 >> 32
-			outBuf[k+1] = p.k1 & 0xFFFFFFFF
-			outBuf[k+2] = p.k2 >> 32
-			outBuf[k+3] = p.k2 & 0xFFFFFFFF
-			k += 4
-		}
-		return outBuf
+		return wireProps(pr.slab(i), pr.scr[i].pairs, pairKey)
 	}
-	ks := pr.scr[i].k1s
-	outBuf := pr.slab(i).grab(2 * len(ks))
-	for j, k := range ks {
-		outBuf[2*j] = k >> 32
-		outBuf[2*j+1] = k & 0xFFFFFFFF
+	return wireProps(pr.slab(i), pr.scr[i].k1s, bareKey)
+}
+
+// wireProps writes proposals with keys a<<32|b onto an arena-backed payload
+// of slab sl as the wire carries them: [a, b, …].
+func wireProps[T any](sl *payloadSlab, ps []T, key func(T) uint64) []uint64 {
+	buf := sl.grab(2 * len(ps))
+	for j, p := range ps {
+		k := key(p)
+		buf[2*j], buf[2*j+1] = k>>32, k&0xFFFFFFFF
 	}
-	return outBuf
+	return buf
 }
 
 // propose turns every active edge into min-neighbor proposals for both
@@ -934,7 +980,16 @@ func (pr *proto) propose() {
 			for i := lo; i < hi; i++ {
 				sc := &pr.scr[i]
 				if st.Target[i] != i {
-					sc.pairs, sc.k1s, sc.need = sc.pairs[:0], sc.k1s[:0], sc.need[:0] // forwarded up
+					// Forwarded up, once: a block's combiner is its heaviest
+					// member, first in compute order among equals, so it
+					// combines every finer block it is in, and a node that
+					// forwarded never holds a list again this sweep. A
+					// witness list stays in sent until its answer's won bits
+					// are read.
+					if len(sc.pairs) > 0 {
+						sc.sent, sc.pairs = sc.pairs, sc.sent[:0]
+					}
+					sc.k1s, sc.need = sc.k1s[:0], sc.need[:0]
 					continue
 				}
 				if ib := pr.e.Inbox(pr.nodes[i]); ib.Len() > 0 {
@@ -948,8 +1003,9 @@ func (pr *proto) propose() {
 		pr.emitIndexGroups(i, out, entry, pr.scr[i].need)
 	})
 	// Proposals and entries target the label's home, so shard i min-merges,
-	// enrolls and records only entries homed at node i.
-	home, stride := len(pr.steps), pr.propStride()
+	// enrolls and records only entries homed at node i. Of equal b's the
+	// first offered stays, and in witness mode bestPos keeps its position.
+	home := len(pr.steps)
 	pr.pool.ForEach("cc propose receipt", len(pr.nodes), func(i int) {
 		ib := pr.e.Inbox(pr.nodes[i])
 		pr.reserveAsked(i, ib, tagPropose, tagNeed)
@@ -962,34 +1018,21 @@ func (pr *proto) propose() {
 				}
 				continue
 			case tagNeed:
-				pr.keepAsked(i, home, m, 1)
+				pr.keepAsked(i, home, m, false)
 				continue
 			}
 			// The round's third tag: proposals, which are answered too.
-			pr.keepAsked(i, home, m, stride)
-			if first {
-				for k := 0; k+stride <= len(m.Keys); k += stride {
-					pr.enroll(i, int32(m.Keys[k]))
+			lo := pr.keepAsked(i, home, m, true)
+			for k := 0; k+2 <= len(m.Keys); k += 2 {
+				a, b := int32(m.Keys[k]), int32(m.Keys[k+1])
+				if first {
+					pr.enroll(i, a)
 				}
-			}
-			if pr.witness {
-				for k := 0; k+4 <= len(m.Keys); k += 4 {
-					a, b := int32(m.Keys[k]), int32(m.Keys[k+1])
-					w := m.Keys[k+2]<<32 | m.Keys[k+3]
-					if pr.bestAt[a] != pr.phase || b < pr.bestB[a] ||
-						(b == pr.bestB[a] && w < pr.bestW[a]) {
-						pr.bestAt[a] = pr.phase
-						pr.bestB[a] = b
-						pr.bestW[a] = w
-					}
-				}
-			} else {
-				for k := 0; k+2 <= len(m.Keys); k += 2 {
-					a, b := int32(m.Keys[k]), int32(m.Keys[k+1])
-					if pr.bestAt[a] != pr.phase || b < pr.bestB[a] {
-						pr.bestAt[a] = pr.phase
-						pr.bestB[a] = b
-						pr.bestW[a] = 0
+				if pr.bestAt[a] != pr.phase || b < pr.bestB[a] {
+					pr.bestAt[a] = pr.phase
+					pr.bestB[a] = b
+					if pr.witness {
+						pr.bestPos[a] = int32(lo + k>>1)
 					}
 				}
 			}
@@ -997,59 +1040,54 @@ func (pr *proto) propose() {
 		if first {
 			pr.sortEnrolled(i)
 		}
+		if pr.witness {
+			// Every message of the sweep is recorded: size the won bitmap
+			// over askBuf.
+			sc := &pr.scr[i]
+			words := (len(sc.askBuf) + 63) >> 6
+			if cap(sc.won) < words {
+				sc.won = make([]uint64, words)
+			}
+			sc.won = sc.won[:words]
+			clear(sc.won)
+		}
 	})
 }
 
 // emitProposals sends node i's per-label minima to the label homes, one
 // message per nonempty home, labels ascending within each — the minima are
 // already label-ascending, so the stable home radix preserves the wire
-// order. The minima lists are reordered in place; the next phase rebuilds
-// them from scratch.
+// order. The minima lists are reordered in place; in witness mode the
+// reordered list is what takeWins reads the homes' won bits against.
 func (pr *proto) emitProposals(i int, out *netsim.Outbox) {
-	if pr.numProps(i) == 0 {
-		return
-	}
 	sc := &pr.scr[i]
-	stride := pr.propStride()
 	if pr.witness {
-		ps := sc.pairs
-		sortByHome(ps, &sc.ptmp, func(p propPair) int32 { return pr.homeOf[int32(p.k1>>32)] }, len(pr.nodes))
-		for s := 0; s < len(ps); {
-			h := pr.homeOf[int32(ps[s].k1>>32)]
-			e := s + 1
-			for e < len(ps) && pr.homeOf[int32(ps[e].k1>>32)] == h {
-				e++
-			}
-			batch := pr.slab(i).grab(stride * (e - s))[:0]
-			for k := s; k < e; k++ {
-				batch = append(batch,
-					ps[k].k1>>32, ps[k].k1&0xFFFFFFFF, ps[k].k2>>32, ps[k].k2&0xFFFFFFFF)
-			}
-			out.Send(pr.nodes[h], tagPropose, batch)
-			s = e
-		}
-		return
+		emitByHome(pr, i, out, sc.pairs, &sc.ptmp, pairKey)
+	} else {
+		emitByHome(pr, i, out, sc.k1s, &sc.k1tmp, bareKey)
 	}
-	ks := sc.k1s
-	sortByHome(ks, &sc.k1tmp, func(k uint64) int32 { return pr.homeOf[int32(k>>32)] }, len(pr.nodes))
-	for s := 0; s < len(ks); {
-		h := pr.homeOf[int32(ks[s]>>32)]
+}
+
+// emitByHome is emitProposals over either list, with key giving an entry's
+// a<<32|b.
+func emitByHome[T any](pr *proto, i int, out *netsim.Outbox, ps []T, tmp *[]T, key func(T) uint64) {
+	home := func(p T) int32 { return pr.homeOf[int32(key(p)>>32)] }
+	sortByHome(ps, tmp, home, len(pr.nodes))
+	for s := 0; s < len(ps); {
+		h := home(ps[s])
 		e := s + 1
-		for e < len(ks) && pr.homeOf[int32(ks[e]>>32)] == h {
+		for e < len(ps) && home(ps[e]) == h {
 			e++
 		}
-		batch := pr.slab(i).grab(stride * (e - s))[:0]
-		for k := s; k < e; k++ {
-			batch = append(batch, ks[k]>>32, ks[k]&0xFFFFFFFF)
-		}
-		out.Send(pr.nodes[h], tagPropose, batch)
+		out.Send(pr.nodes[h], tagPropose, wireProps(pr.slab(i), ps[s:e], key))
 		s = e
 	}
 }
 
 // hook decides each alive label's fate from its best proposal: labels with
-// a smaller neighbor label hook onto it (recording the witness edge in
-// witness mode); the rest are roots. Returns the number of hooked labels.
+// a smaller neighbor label hook onto it (in witness mode setting the won
+// bit of the entry that offered it first); the rest are roots. Returns the
+// number of hooked labels.
 func (pr *proto) hook() int {
 	return int(pr.pool.Sum("cc hook", len(pr.nodes), func(_, lo, hi int) int64 {
 		var unresolved int64
@@ -1061,8 +1099,8 @@ func (pr *proto) hook() int {
 					pr.parPtr[a] = pr.bestB[a]
 					pr.hooked[i] = append(pr.hooked[i], a)
 					if pr.witness {
-						w := pr.bestW[a]
-						pr.forest[i] = append(pr.forest[i], Edge{U: pr.ids[w>>32], V: pr.ids[w&0xFFFFFFFF]})
+						p := pr.bestPos[a]
+						pr.scr[i].won[p>>6] |= 1 << (p & 63)
 					}
 					unresolved++
 				} else {
@@ -1190,14 +1228,17 @@ func (pr *proto) jumpOnce() (int, error) {
 // the root of every label it proposed for or needs: the endpoint labels of
 // its active edges and the labels of its homed vertices. Phase 1's vertex
 // entries only registered their vertices and get no answer. Each round
-// mirrors its stage's propose round, message for message, less those entries.
+// mirrors its stage's propose round, message for message, less those
+// entries. In witness mode a proposal message's answer leads with its won
+// bitmap, and after each round every node that sent proposals that stage
+// passes the bits it got on (takeWins) before the next round answers.
 //
 // Every alive label's root is resolved once jumping finishes, so the
-// rootAt/rootVal arrays already hold exactly the answers the wire carries,
+// rootAt/rootVal arrays already hold exactly the roots the wire carries,
 // at the homes and at every combiner the answers pass: replies are generated
-// from them directly and the delivered payloads need no per-node answer
-// table — the messages exist for the cost model, which accounts them
-// identically to the map path.
+// from them directly and the delivered roots need no per-node answer table
+// — they exist for the cost model, which accounts them identically to the
+// map path. The won bits are node state and are read off the wire.
 func (pr *proto) answer() error {
 	for s := len(pr.steps); s >= 0; s-- {
 		pr.answerStage(s)
@@ -1205,34 +1246,98 @@ func (pr *proto) answer() error {
 	return pr.planFailure()
 }
 
-// answerStage is answer's round for sweep stage s (len(pr.steps) = homes).
+// answerStage is answer's round for sweep stage s (len(pr.steps) = homes),
+// with the won bits' receipt in witness mode.
 func (pr *proto) answerStage(s int) {
 	pr.round(func(j int, out *netsim.Outbox) {
 		sc := &pr.scr[j]
 		for _, a := range sc.asked {
 			if a.stage == int32(s) {
-				sendRoots(pr, j, out, a.from, sc.askBuf[a.lo:a.hi])
+				pr.sendRoots(j, out, a)
 			}
 		}
 	})
+	if pr.witness {
+		pr.pool.ForEach("cc won receipt", len(pr.nodes), func(i int) { pr.takeWins(s, i) })
+	}
 }
 
-// sendRoots answers, from node j, one recorded message: a message of one
-// root word per label, in the order sent, so the asker reads each root off
-// the position of the label in the list it sent. A label with no phase root
-// records ErrUnresolvedLabel in j's planning slot and sends nothing.
-func sendRoots(pr *proto, j int, out *netsim.Outbox, to topology.NodeID, asked []int32) {
-	reply := pr.slab(j).grab(len(asked))
+// sendRoots answers, from node j, one recorded message: one root word per
+// label, in the order sent, so the asker reads each root off the position
+// of the label in the list it sent. In witness mode a proposal message's
+// roots follow its won bitmap, ⌈n/64⌉ words whose bit k is set when the
+// k-th entry is the one j took the winning proposal from — the layout of a
+// jump reply. A label with no phase root records ErrUnresolvedLabel in j's
+// planning slot and sends nothing.
+func (pr *proto) sendRoots(j int, out *netsim.Outbox, a askedList) {
+	sc := &pr.scr[j]
+	asked := sc.askBuf[a.lo:a.hi]
+	words := 0
+	if a.props && pr.witness {
+		words = (len(asked) + 63) >> 6
+	}
+	reply := pr.slab(j).grab(words + len(asked))
+	won, roots := reply[:words], reply[words:]
+	clear(won) // the slab is reused round to round
 	for k, x := range asked {
-		if pr.rootAt[x] == pr.phase {
-			reply[k] = uint64(uint32(pr.rootVal[x]))
-		} else {
+		if pr.rootAt[x] != pr.phase {
 			pr.planErr[j] = fmt.Errorf("%w: node %d asked node %d for label %d",
-				ErrUnresolvedLabel, pr.nodeIdx[to], j, pr.ids[x])
+				ErrUnresolvedLabel, pr.nodeIdx[a.from], j, pr.ids[x])
 			return
 		}
+		roots[k] = uint64(uint32(pr.rootVal[x]))
+		if words > 0 {
+			if p := int(a.lo) + k; sc.won[p>>6]>>(p&63)&1 == 1 {
+				won[k>>6] |= 1 << (k & 63)
+			}
+		}
 	}
-	out.Send(to, tagRoots, reply)
+	out.Send(a.from, tagRoots, reply)
+}
+
+// takeWins reads, at node i after stage s's answer round, the won bitmaps
+// of the answers to the proposals i sent that stage — up to its combiner,
+// or to the homes at the last — against the list it sent, and passes each
+// set bit to the source of its entry: a member entry's askBuf position,
+// whose bit i's own answer at that entry's stage then sets, or i's own
+// witness edge, which joins the forest. The list goes to its destinations
+// in runs, ascending like the inbox, and a destination's proposal answer
+// comes before its answer to need entries.
+func (pr *proto) takeWins(s, i int) {
+	sc := &pr.scr[i]
+	sent := sc.pairs
+	dest := func(p propPair) int32 { return pr.homeOf[int32(p.k1>>32)] }
+	if s < len(pr.steps) {
+		to := int32(pr.steps[s].Target[i])
+		if to == int32(i) {
+			return
+		}
+		sent, dest = sc.sent, func(propPair) int32 { return to }
+	}
+	ib := pr.e.Inbox(pr.nodes[i])
+	for mi, cur := 0, 0; mi < ib.Len() && cur < len(sent); mi++ {
+		m := ib.At(mi)
+		to := dest(sent[cur])
+		if m.Tag != tagRoots || m.From != pr.nodes[to] {
+			continue
+		}
+		end := cur + 1
+		for end < len(sent) && dest(sent[end]) == to {
+			end++
+		}
+		for w, b := range m.Keys[:(end-cur+63)>>6] {
+			for ; b != 0; b &= b - 1 {
+				src := sent[cur+w<<6+bits.TrailingZeros64(b)].k2
+				if src&fromAsk != 0 {
+					p := src &^ fromAsk
+					sc.won[p>>6] |= 1 << (p & 63)
+				} else {
+					pr.forest[i] = append(pr.forest[i], Edge{U: pr.ids[src>>32], V: pr.ids[src&0xFFFFFFFF]})
+				}
+			}
+		}
+		cur = end
+	}
 }
 
 // relabel rewrites every active edge onto the phase roots, dropping edges
@@ -1373,7 +1478,6 @@ func newProto(tr *topology.Tree, edges Placement, seed uint64, v variant, opts [
 		registered: make([]bool, nV),
 		bestAt:     make([]int32, nV),
 		bestB:      make([]int32, nV),
-		bestW:      make([]uint64, nV),
 		parAt:      make([]int32, nV),
 		parPtr:     make([]int32, nV),
 		rootAt:     make([]int32, nV),
@@ -1392,6 +1496,7 @@ func newProto(tr *topology.Tree, edges Placement, seed uint64, v variant, opts [
 	}
 	pr.arena = make([]payloadSlab, p)
 	if v.witness {
+		pr.bestPos = make([]int32, nV)
 		pr.forest = make([][]Edge, p)
 	}
 

@@ -3,6 +3,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 
 	"topompc/internal/core/place"
@@ -19,21 +20,25 @@ type mapWorkEdge struct {
 	wu, wv uint64
 }
 
-// prop is a min-neighbor proposal for one label: the smallest neighbor
-// label seen, with its witness edge. The total order (b, wu, wv) makes
-// min-combining deterministic.
+// prop is a min-neighbor proposal a node holds for one label: the smallest
+// neighbor label seen, and where it came from — at a holder its own witness
+// edge w, the least in the total order (b, wu, wv), and at a combiner or a
+// home the won flag of the received entry it was taken from, the first
+// offered of equal b's.
 type prop struct {
-	b, wu, wv uint64
+	b   uint64
+	w   Edge
+	won *bool
 }
 
 func betterProp(x, y prop) bool {
 	if x.b != y.b {
 		return x.b < y.b
 	}
-	if x.wu != y.wu {
-		return x.wu < y.wu
+	if x.w.U != y.w.U {
+		return x.w.U < y.w.U
 	}
-	return x.wv < y.wv
+	return x.w.V < y.w.V
 }
 
 // sortedKeys returns the map keys in ascending order, for deterministic
@@ -47,8 +52,17 @@ func sortedKeys[V any](m map[uint64]V) []uint64 {
 	return out
 }
 
+// upd offers a holder's own proposal under the witness order.
 func upd(m map[uint64]prop, a uint64, p prop) {
 	if q, ok := m[a]; !ok || betterProp(p, q) {
+		m[a] = p
+	}
+}
+
+// offer offers a received proposal: it replaces only a larger b, so of
+// equal b's the first offered stays.
+func offer(m map[uint64]prop, a uint64, p prop) {
+	if q, ok := m[a]; !ok || p.b < q.b {
 		m[a] = p
 	}
 }
@@ -71,7 +85,7 @@ type mapProto struct {
 	active  [][]mapWorkEdge     // contracted edges held locally
 	labelOf []map[uint64]uint64 // home state: vertex -> current label
 	alive   []map[uint64]bool   // home state: labels owned here, still alive
-	forest  [][]Edge            // witness edges per home (witness mode)
+	forest  [][]Edge            // witness edges per holder (witness mode)
 
 	// Per-phase scratch, reset each phase.
 	best   []map[uint64]prop   // home state: min proposal per label
@@ -99,44 +113,40 @@ func (pr *mapProto) sendByHome(out *netsim.Outbox, tag netsim.Tag, groups map[in
 	}
 }
 
-// encodeProps serializes a proposal map in ascending label order: stride 2
-// (a, b) or stride 4 (a, b, wu, wv) in witness mode.
-func encodeProps(m map[uint64]prop, witness bool) []uint64 {
-	stride := 2
-	if witness {
-		stride = 4
-	}
-	out := make([]uint64, 0, stride*len(m))
+// encodeProps serializes a proposal map in ascending label order, (a, b)
+// per label, and returns the proposals in the same order.
+func encodeProps(m map[uint64]prop) ([]uint64, []prop) {
+	out := make([]uint64, 0, 2*len(m))
+	ps := make([]prop, 0, len(m))
 	for _, a := range sortedKeys(m) {
-		p := m[a]
-		out = append(out, a, p.b)
-		if witness {
-			out = append(out, p.wu, p.wv)
-		}
+		out = append(out, a, m[a].b)
+		ps = append(ps, m[a])
 	}
-	return out
+	return out, ps
 }
 
-func decodePropsInto(dst map[uint64]prop, keys []uint64, witness bool) {
-	stride := 2
-	if witness {
-		stride = 4
+// receiveProps records a received proposal message and offers its entries
+// into dst, each with its won flag in the recorded message as its source.
+func receiveProps(dst map[uint64]prop, from int, keys []uint64) sweepMsg {
+	g := sweepMsg{peer: from, props: true, won: make([]bool, len(keys)/2)}
+	for k := 0; k+2 <= len(keys); k += 2 {
+		g.labels = append(g.labels, keys[k])
+		offer(dst, keys[k], prop{b: keys[k+1], won: &g.won[k/2]})
 	}
-	for k := 0; k+stride <= len(keys); k += stride {
-		p := prop{b: keys[k+1]}
-		if witness {
-			p.wu, p.wv = keys[k+2], keys[k+3]
-		}
-		upd(dst, keys[k], p)
-	}
+	return g
 }
 
 // sweepMsg is one answered message of a propose sweep: its peer (the
-// destination at the sender, the sender at the receiver) and its labels, in
-// the order sent.
+// destination at the sender, the sender at the receiver), its labels in the
+// order sent, and whether it carried proposals rather than need entries. A
+// sent proposal message keeps the source of each entry (src), a received
+// one the flags of the entries whose proposal won (won).
 type sweepMsg struct {
 	peer   int
 	labels []uint64
+	props  bool
+	src    []prop
+	won    []bool
 }
 
 // sweep is what one propose sweep leaves for its answer: per stage (the
@@ -160,17 +170,6 @@ func (pr *mapProto) propose(entries []map[uint64]bool, first bool) sweep {
 	if first {
 		entry, entryUp = tagVertex, tagVertexUp
 	}
-	stride := 2
-	if pr.witness {
-		stride = 4
-	}
-	labelsOf := func(keys []uint64) []uint64 {
-		out := make([]uint64, 0, len(keys)/stride)
-		for k := 0; k < len(keys); k += stride {
-			out = append(out, keys[k])
-		}
-		return out
-	}
 	sw := sweep{sent: make([][][]sweepMsg, len(pr.steps)+1), got: make([][][]sweepMsg, len(pr.steps)+1)}
 	for s := range sw.sent {
 		sw.sent[s] = make([][]sweepMsg, len(pr.nodes))
@@ -181,8 +180,9 @@ func (pr *mapProto) propose(entries []map[uint64]bool, first bool) sweep {
 	for i := range pr.nodes {
 		m := make(map[uint64]prop, 2*len(pr.active[i]))
 		for _, ed := range pr.active[i] {
-			upd(m, ed.a, prop{b: ed.b, wu: ed.wu, wv: ed.wv})
-			upd(m, ed.b, prop{b: ed.a, wu: ed.wu, wv: ed.wv})
+			w := Edge{U: ed.wu, V: ed.wv}
+			upd(m, ed.a, prop{b: ed.b, w: w})
+			upd(m, ed.b, prop{b: ed.a, w: w})
 		}
 		local[i] = m
 		lone[i] = make(map[uint64]bool)
@@ -199,13 +199,14 @@ func (pr *mapProto) propose(entries []map[uint64]bool, first bool) sweep {
 				return
 			}
 			if len(local[i]) > 0 {
-				out.Send(pr.nodes[st.Target[i]], tagProposeUp, encodeProps(local[i], pr.witness))
-				sw.sent[s][i] = append(sw.sent[s][i], sweepMsg{st.Target[i], sortedKeys(local[i])})
+				keys, src := encodeProps(local[i])
+				out.Send(pr.nodes[st.Target[i]], tagProposeUp, keys)
+				sw.sent[s][i] = append(sw.sent[s][i], sweepMsg{peer: st.Target[i], labels: sortedKeys(local[i]), props: true, src: src})
 			}
 			if batch := sortedKeys(lone[i]); len(batch) > 0 {
 				out.Send(pr.nodes[st.Target[i]], entryUp, batch)
 				if !first {
-					sw.sent[s][i] = append(sw.sent[s][i], sweepMsg{st.Target[i], batch})
+					sw.sent[s][i] = append(sw.sent[s][i], sweepMsg{peer: st.Target[i], labels: batch})
 				}
 			}
 		})
@@ -217,19 +218,20 @@ func (pr *mapProto) propose(entries []map[uint64]bool, first bool) sweep {
 				mergedLone[i] = make(map[uint64]bool)
 				continue
 			}
-			merged[i], mergedLone[i] = local[i], lone[i] // scratch maps; merge in place
+			// Scratch maps, merged in place: the carrier's own entries are
+			// offered first, then its members' in inbox order.
+			merged[i], mergedLone[i] = local[i], lone[i]
 			ib := pr.e.Inbox(v)
 			for mi := 0; mi < ib.Len(); mi++ {
 				m := ib.At(mi)
 				// The answer reads these labels rounds later, after the inbox
-				// pool behind m.Keys has been recycled: labelsOf and
+				// pool behind m.Keys has been recycled: receiveProps and
 				// slices.Clone copy them.
 				switch m.Tag {
 				case tagProposeUp:
-					decodePropsInto(merged[i], m.Keys, pr.witness)
-					sw.got[s][i] = append(sw.got[s][i], sweepMsg{pr.idx[m.From], labelsOf(m.Keys)})
+					sw.got[s][i] = append(sw.got[s][i], receiveProps(merged[i], pr.idx[m.From], m.Keys))
 				case tagNeedUp:
-					sw.got[s][i] = append(sw.got[s][i], sweepMsg{pr.idx[m.From], slices.Clone(m.Keys)})
+					sw.got[s][i] = append(sw.got[s][i], sweepMsg{peer: pr.idx[m.From], labels: slices.Clone(m.Keys)})
 					fallthrough
 				case tagVertexUp:
 					for _, x := range m.Keys {
@@ -247,21 +249,21 @@ func (pr *mapProto) propose(entries []map[uint64]bool, first bool) sweep {
 	}
 	home := len(pr.steps)
 	pr.round(func(i int, out *netsim.Outbox) {
-		groups := make(map[int][]uint64)
-		for _, a := range sortedKeys(local[i]) {
+		byHome := make(map[int]map[uint64]prop)
+		for a, p := range local[i] {
 			h := pr.home(a)
-			p := local[i][a]
-			groups[h] = append(groups[h], a, p.b)
-			if pr.witness {
-				groups[h] = append(groups[h], p.wu, p.wv)
+			if byHome[h] == nil {
+				byHome[h] = make(map[uint64]prop)
 			}
+			byHome[h][a] = p
+		}
+		groups := make(map[int][]uint64)
+		for _, h := range slices.Sorted(maps.Keys(byHome)) {
+			keys, src := encodeProps(byHome[h])
+			groups[h] = keys
+			sw.sent[home][i] = append(sw.sent[home][i], sweepMsg{peer: h, labels: sortedKeys(byHome[h]), props: true, src: src})
 		}
 		pr.sendByHome(out, tagPropose, groups)
-		for h := range pr.nodes {
-			if batch := groups[h]; len(batch) > 0 {
-				sw.sent[home][i] = append(sw.sent[home][i], sweepMsg{h, labelsOf(batch)})
-			}
-		}
 		groups = make(map[int][]uint64)
 		for _, x := range sortedKeys(lone[i]) {
 			groups[pr.home(x)] = append(groups[pr.home(x)], x)
@@ -269,7 +271,7 @@ func (pr *mapProto) propose(entries []map[uint64]bool, first bool) sweep {
 		pr.sendByHome(out, entry, groups)
 		for h := range pr.nodes {
 			if batch := groups[h]; len(batch) > 0 && !first {
-				sw.sent[home][i] = append(sw.sent[home][i], sweepMsg{h, batch})
+				sw.sent[home][i] = append(sw.sent[home][i], sweepMsg{peer: h, labels: batch})
 			}
 		}
 	})
@@ -280,10 +282,9 @@ func (pr *mapProto) propose(entries []map[uint64]bool, first bool) sweep {
 			m := ib.At(mi)
 			switch m.Tag {
 			case tagPropose:
-				decodePropsInto(pr.best[i], m.Keys, pr.witness)
-				sw.got[home][i] = append(sw.got[home][i], sweepMsg{pr.idx[m.From], labelsOf(m.Keys)})
+				sw.got[home][i] = append(sw.got[home][i], receiveProps(pr.best[i], pr.idx[m.From], m.Keys))
 			case tagNeed:
-				sw.got[home][i] = append(sw.got[home][i], sweepMsg{pr.idx[m.From], slices.Clone(m.Keys)})
+				sw.got[home][i] = append(sw.got[home][i], sweepMsg{peer: pr.idx[m.From], labels: slices.Clone(m.Keys)})
 			case tagVertex:
 				for _, x := range m.Keys {
 					pr.enroll(i, x)
@@ -309,8 +310,9 @@ func (pr *mapProto) enroll(i int, x uint64) {
 }
 
 // hook decides each alive label's fate from its best proposal: labels with
-// a smaller neighbor label hook onto it (recording the witness edge in
-// witness mode); the rest are roots. Returns the number of hooked labels.
+// a smaller neighbor label hook onto it, and the received entry the home
+// took the proposal from is flagged as won; the rest are roots. Returns the
+// number of hooked labels.
 func (pr *mapProto) hook() int {
 	unresolved := 0
 	for i := range pr.nodes {
@@ -319,9 +321,7 @@ func (pr *mapProto) hook() int {
 		for _, a := range sortedKeys(pr.alive[i]) {
 			if p, ok := pr.best[i][a]; ok && p.b < a {
 				pr.parent[i][a] = p.b
-				if pr.witness {
-					pr.forest[i] = append(pr.forest[i], Edge{U: p.wu, V: p.wv})
-				}
+				*p.won = true
 				unresolved++
 			} else {
 				pr.rootOf[i][a] = a
@@ -427,11 +427,15 @@ func (pr *mapProto) jump(unresolved int) error {
 // every receiver answers each message it recorded with one root per label,
 // in the order sent — a home from its own resolved roots, a combiner from
 // the roots it learned a stage earlier — and every sender reads the answers
-// of each peer, in order, against the messages it sent that peer. It returns
-// the per-node label → root maps so learned: the endpoint labels of each
-// node's active edges, and in later phases its homed vertices' labels (in
-// the first every homed vertex is its own label and its home resolved the
-// root itself).
+// of each peer, in order, against the messages it sent that peer. In
+// witness mode the answer to a proposal message leads with the bitmap of
+// its won flags, and its reader passes each set bit to the source of the
+// entry it sent: the won flag of the entry it took the proposal from, which
+// it answers in a later round, or its own witness edge, which joins the
+// forest. It returns the per-node label → root maps so learned: the
+// endpoint labels of each node's active edges, and in later phases its
+// homed vertices' labels (in the first every homed vertex is its own label
+// and its home resolved the root itself).
 func (pr *mapProto) answer(sw sweep) ([]map[uint64]uint64, error) {
 	learned := make([]map[uint64]uint64, len(pr.nodes))
 	for i := range learned {
@@ -445,7 +449,11 @@ func (pr *mapProto) answer(sw sweep) ([]map[uint64]uint64, error) {
 				roots = pr.rootOf[j]
 			}
 			for _, m := range sw.got[s][j] {
-				if err := answerRoots(out, pr.nodes[m.peer], tagRoots, m.labels, roots); err != nil {
+				var won []bool
+				if m.props && pr.witness {
+					won = m.won
+				}
+				if err := answerRoots(out, pr.nodes[m.peer], m.labels, won, roots); err != nil {
 					failed[j] = err
 				}
 			}
@@ -469,13 +477,26 @@ func (pr *mapProto) answer(sw sweep) ([]map[uint64]uint64, error) {
 				if len(q) == 0 {
 					return nil, fmt.Errorf("oracle: node %d answered node %d, which sent it nothing to answer", from, i)
 				}
-				if len(m.Keys) != len(q[0].labels) {
-					return nil, fmt.Errorf("oracle: %d roots answer %d labels", len(m.Keys), len(q[0].labels))
-				}
-				for k, a := range q[0].labels {
-					learned[i][a] = m.Keys[k]
-				}
+				asked := q[0]
 				pending[from] = q[1:]
+				words := 0
+				if asked.props && pr.witness {
+					words = (len(asked.labels) + 63) / 64
+				}
+				if len(m.Keys) != words+len(asked.labels) {
+					return nil, fmt.Errorf("oracle: %d words answer %d labels", len(m.Keys), len(asked.labels))
+				}
+				for k, a := range asked.labels {
+					learned[i][a] = m.Keys[words+k]
+					if words == 0 || m.Keys[k/64]>>(k%64)&1 == 0 {
+						continue
+					}
+					if src := asked.src[k]; src.won != nil {
+						*src.won = true
+					} else {
+						pr.forest[i] = append(pr.forest[i], src.w)
+					}
+				}
 			}
 			for peer, q := range pending {
 				if len(q) > 0 {
@@ -487,17 +508,25 @@ func (pr *mapProto) answer(sw sweep) ([]map[uint64]uint64, error) {
 	return learned, nil
 }
 
-// answerRoots answers one query: one root per asked label, in the order asked.
-func answerRoots(out *netsim.Outbox, to topology.NodeID, tag netsim.Tag, asked []uint64, roots map[uint64]uint64) error {
-	reply := make([]uint64, len(asked))
+// answerRoots answers one query: the bitmap of the won flags when won is
+// non-nil, then one root per asked label, in the order asked.
+func answerRoots(out *netsim.Outbox, to topology.NodeID, asked []uint64, won []bool, roots map[uint64]uint64) error {
+	words := 0
+	if won != nil {
+		words = (len(asked) + 63) / 64
+	}
+	reply := make([]uint64, words+len(asked))
 	for k, a := range asked {
 		r, ok := roots[a]
 		if !ok {
 			return fmt.Errorf("%w: label %d", ErrUnresolvedLabel, a)
 		}
-		reply[k] = r
+		reply[words+k] = r
+		if won != nil && won[k] {
+			reply[k/64] |= 1 << (k % 64)
+		}
 	}
-	out.Send(to, tag, reply)
+	out.Send(to, tagRoots, reply)
 	return nil
 }
 
@@ -551,10 +580,10 @@ func (pr *mapProto) totalActive() int {
 // vertex ids. It produces byte-identical cost reports and checksums to
 // CC/CCFlat/SpanningForest and lives in a test file as the equivalence
 // oracle of the property tests and the baseline leg of the contraction
-// benchmarks. Unlike the int-indexed path, which reads answers from its
-// global root arrays, it learns every root and pointer from the wire: each
-// node keeps the query lists it sends and decodes the positional replies
-// against them, bitmap included.
+// benchmarks. Unlike the int-indexed path, which reads roots from its
+// global root arrays, it learns every root, pointer and won flag from the
+// wire: each node keeps the query lists it sends and decodes the positional
+// replies against them, bitmaps included.
 func runMaps(tr *topology.Tree, edges Placement, seed uint64, aware, witness bool, opts []netsim.Option) (*Result, error) {
 	if err := checkPlacement(tr, edges); err != nil {
 		return nil, err

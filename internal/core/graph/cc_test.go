@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"topompc/internal/dataset"
@@ -438,5 +439,36 @@ func TestPhaseRecorderSurface(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestVerifyForestRejectsNonInputEdges pins VerifyForest's membership
+// check: on a path 0-1-2-3 with the chord 0-2 (placed on two holders, one
+// edge given twice, one vertex declared by a self-loop), a forest of input
+// edges passes whichever way round each edge is given, and a forest that
+// spans the same components without a cycle fails once it holds a pair
+// that is no input edge.
+func TestVerifyForestRejectsNonInputEdges(t *testing.T) {
+	pl := Placement{
+		{{U: 0, V: 1}, {U: 2, V: 1}, {U: 4, V: 4}},
+		{{U: 2, V: 3}, {U: 0, V: 2}, {U: 1, V: 0}},
+	}
+	ref := Reference(pl)
+	for _, forest := range [][]Edge{
+		{{U: 1, V: 0}, {U: 1, V: 2}, {U: 3, V: 2}},
+		{{U: 0, V: 1}, {U: 2, V: 0}, {U: 2, V: 3}},
+	} {
+		if err := VerifyForest(ref, forest); err != nil {
+			t.Fatalf("forest %v: %v", forest, err)
+		}
+	}
+	for _, forest := range [][]Edge{
+		{{U: 0, V: 1}, {U: 1, V: 2}, {U: 0, V: 3}},
+		{{U: 3, V: 1}, {U: 1, V: 2}, {U: 0, V: 1}},
+	} {
+		err := VerifyForest(ref, forest)
+		if err == nil || !strings.Contains(err.Error(), "not an input edge") {
+			t.Fatalf("forest %v: %v, want a non-input edge named", forest, err)
+		}
 	}
 }

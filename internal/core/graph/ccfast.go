@@ -432,7 +432,6 @@ func (pr *proto) proposeFromKnow() {
 			if s := fs.knowSpan(a, pr.phase); len(s) > 0 {
 				pr.bestAt[a] = pr.phase
 				pr.bestB[a] = s[0]
-				pr.bestW[a] = 0
 			}
 		}
 	})

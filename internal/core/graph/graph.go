@@ -44,9 +44,17 @@
 // The flat baseline hashes vertices uniformly and sends every update
 // directly, as on a flat network. CC, CCFlat, SpanningForest and CCFast
 // are four variants of one contraction loop (contract, cc.go): they choose
-// the homes, whether proposals carry a witness edge, and the phase kind —
+// the homes, whether hookings record a witness edge, and the phase kind —
 // Borůvka's, above, or the expanding phases of ccfast.go, which learn
-// multi-hop neighborhoods by budgeted doubling before they hook. All are
+// multi-hop neighborhoods by budgeted doubling before they hook.
+//
+// A proposal is [a, b] on the wire in every variant. SpanningForest reads
+// its forest off the hooking at the price of one bitmap per proposal
+// answer: a holder keeps the graph edge behind each of its minima, a
+// combiner and a home remember which received entry each minimum came
+// from (the first offered of equal b's), and the answer to a proposal
+// message leads its roots with a ⌈n/64⌉-word won bitmap, which passes each
+// hooking back down the chain to the holder of its edge. All are
 // verified against the union-find reference (component count +
 // canonical-label checksum), and are measured against the per-cut
 // information bound lowerbound.Spanning. No optimality theorem is claimed
@@ -85,13 +93,13 @@ func (p Placement) NumEdges() int64 {
 const (
 	tagVertex    netsim.Tag = 10 + iota // phase 1: vertices no proposal names: [v, ...]
 	tagVertexUp                         // vertex entries, member → combiner
-	tagPropose                          // label proposals: [a, b(, wu, wv), ...]
+	tagPropose                          // label proposals: [a, b, ...]
 	tagProposeUp                        // proposals, member → combiner
 	tagNeed                             // later phases: homed vertex labels no proposal names: [a, ...]
 	tagNeedUp                           // need entries, member → combiner
 	tagJumpQ                            // pointer-jump query: [q, ...]
 	tagJumpA                            // jump reply in query order: [resolved bitmap (⌈n/64⌉ words), value, ...], value = root if resolved, else parent
-	tagRoots                            // answer to one proposal or need message, home → sender or combiner → member, in its label order: [root, ...]
+	tagRoots                            // answer to one proposal or need message, home → sender or combiner → member, in its label order: [root, ...]; spanforest's answer to a proposal message leads with its won bitmap (⌈n/64⌉ words), as tagJumpA with its resolved one
 	tagAdj                              // cc-fast adjacency: packed [a<<32|b, ...]
 	tagKnow                             // cc-fast known-set push: packed [u<<32|x, ...]
 )

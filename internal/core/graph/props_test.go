@@ -46,11 +46,11 @@ func compactMinPairs(prs []propPair) []propPair {
 	return out
 }
 
-// sortedMinima is the oracle: both directed candidates of every edge (the
-// witness halves zeroed in non-witness mode, where the wire drops them)
-// plus any extra candidates, sorted, first per label kept.
-func sortedMinima(edges []workEdge, witness bool, extra ...propPair) []propPair {
-	all := slices.Clone(extra)
+// sortedMinima is the oracle of a holder's minima: both directed
+// candidates of every edge (the witness halves zeroed in non-witness mode,
+// where the minima are bare keys), sorted, first per label kept.
+func sortedMinima(edges []workEdge, witness bool) []propPair {
+	var all []propPair
 	for _, ed := range edges {
 		var w uint64
 		if witness {
@@ -62,6 +62,23 @@ func sortedMinima(edges []workEdge, witness bool, extra ...propPair) []propPair 
 	}
 	slices.SortFunc(all, cmpPropPair)
 	return compactMinPairs(all)
+}
+
+// firstMinima is the oracle of a carrier's merge: of the candidates, in the
+// order offered, it keeps per label the first with the least b, and returns
+// them label-ascending.
+func firstMinima(cands []propPair) []propPair {
+	best := map[uint64]propPair{}
+	for _, p := range cands {
+		if q, ok := best[p.k1>>32]; !ok || uint32(p.k1) < uint32(q.k1) {
+			best[p.k1>>32] = p
+		}
+	}
+	out := make([]propPair, 0, len(best))
+	for _, a := range slices.Sorted(maps.Keys(best)) {
+		out = append(out, best[a])
+	}
+	return out
 }
 
 // tiedEdges draws m active edges over nV labels whose witnesses come from
@@ -91,13 +108,17 @@ func (pr *proto) props(i int) []propPair {
 	return out
 }
 
-// TestStampedMinCombineMatchesSort runs the collection walk and the
-// carrier merge against the sort oracle on seeded random homes: both
-// modes, every worker count, the shard scratch reused from home to home and
-// from one collection to the next. The merge also folds the 1-word entries
-// — vertex entries in a first sweep, need entries later — each kept once
-// unless a merged proposal names it, and records every proposal and need
-// message for the answer.
+// TestStampedMinCombineMatchesSort runs the collection walk against the
+// sort oracle and the carrier merge against firstMinima on seeded random
+// homes: both modes, every worker count, the shard scratch reused from home
+// to home and from one collection to the next. A holder's minima keep its
+// least witness edge; the carrier's merge keeps, per label, the least b
+// first offered — its own entry, then its members' in inbox order — and in
+// witness mode that entry's source: its own, or the askBuf position of the
+// member entry. The merge also folds the 1-word entries — vertex entries in
+// a first sweep, need entries later — each kept once unless a merged
+// proposal names it, and records every proposal and need message for the
+// answer.
 func TestStampedMinCombineMatchesSort(t *testing.T) {
 	tree := testTrees(t)["star"]
 	nodes := tree.ComputeNodes()
@@ -144,7 +165,8 @@ func TestStampedMinCombineMatchesSort(t *testing.T) {
 					entryUp = tagVertexUp
 				}
 				x := e.Exchange()
-				var sent []propPair
+				cands := slices.Clone(pr.props(0))
+				pos := 0 // askBuf position at home 0 of the next message's first label
 				entries := map[int32]bool{}
 				answered := 0
 				for i := 0; i < homes; i++ {
@@ -159,13 +181,20 @@ func TestStampedMinCombineMatchesSort(t *testing.T) {
 						continue
 					}
 					if pr.numProps(i) > 0 {
-						sent = append(sent, pr.props(i)...)
+						for _, p := range pr.props(i) {
+							if witness {
+								p.k2 = fromAsk | uint64(pos)
+							}
+							cands = append(cands, p)
+							pos++
+						}
 						x.Out(nodes[i]).Send(nodes[0], tagProposeUp, pr.encodeProps(i))
 						answered++
 					}
 					if len(pr.scr[i].need) > 0 {
 						x.Out(nodes[i]).Send(nodes[0], entryUp, pr.encodeIndices(i, pr.scr[i].need))
 						if !first {
+							pos += len(pr.scr[i].need)
 							answered++
 						}
 					}
@@ -174,7 +203,7 @@ func TestStampedMinCombineMatchesSort(t *testing.T) {
 				for i := range pr.arena {
 					pr.arena[i].buf = pr.arena[i].buf[:0]
 				}
-				want := sortedMinima(pr.active[0], witness, sent...)
+				want := firstMinima(cands)
 				pr.mergeProps(0, 0, &pr.wscr[0], e.Inbox(nodes[0]))
 				if got := pr.props(0); !slices.Equal(got, want) {
 					t.Fatalf("witness=%v workers=%d iter %d: merged minima\n got %v\nwant %v",

@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"maps"
+	"math/bits"
 	"slices"
 
 	"topompc/internal/hashing"
@@ -19,6 +20,9 @@ type Ref struct {
 	Labels map[uint64]uint64
 	// Checksum fingerprints the labeling order-independently.
 	Checksum uint64
+	// edges is the input the reference was built from (not a copy), which
+	// VerifyForest holds forest edges to.
+	edges Placement
 }
 
 // unionFind is a slice-based path-halving union-by-size forest over a
@@ -126,7 +130,7 @@ func Reference(edges Placement) *Ref {
 		}
 		labels[u.ids[k]] = u.ids[minOf[r]]
 	}
-	ref := &Ref{Count: count, Labels: labels}
+	ref := &Ref{Count: count, Labels: labels, edges: edges}
 	ref.Checksum = Checksum(ref.Labels)
 	return ref
 }
@@ -149,7 +153,8 @@ func Verify(ref *Ref, res *Result) error {
 // every forest edge is within a reference component, no forest edge closes
 // a cycle, and the forest merges the vertices into exactly the reference
 // components (which, with |forest| = |V| − Count implied by the union
-// count, makes it spanning).
+// count, makes it spanning); and every forest edge is an edge of the input,
+// not a self-loop, either way round.
 func VerifyForest(ref *Ref, forest []Edge) error {
 	verts := make([]uint64, 0, len(ref.Labels))
 	for v := range ref.Labels {
@@ -173,7 +178,55 @@ func VerifyForest(ref *Ref, forest []Edge) error {
 	if got := int64(len(forest)); got != want {
 		return fmt.Errorf("graph: forest has %d edges, want |V|-components = %d", got, want)
 	}
+	// In O(|forest|) memory: an open-addressing table of the forest edges,
+	// each low end first and at most half full, which one scan of the input
+	// marks; a bitmap of 16 bits per forest edge, set at the hash of each,
+	// turns most input edges away before they reach the table.
+	logSlots := bits.Len(uint(2 * len(forest)))
+	slot := make([]int32, 1<<logSlots)
+	filter := make([]uint64, len(slot)/8+1)
+	mask := uint64(len(slot) - 1)
+	hash := func(e Edge) uint64 { return hashing.Mix64(e.U ^ bits.RotateLeft64(e.V, 32)) }
+	// The filter takes the hash's top bits, the table its bottom ones.
+	at := func(x uint64) (*uint64, uint64) { x >>= 61 - logSlots; return &filter[x>>6], 1 << (x & 63) }
+	for k, e := range forest {
+		x := hash(lowFirst(e))
+		w, b := at(x)
+		*w |= b
+		h := x & mask
+		for slot[h] != 0 {
+			h = (h + 1) & mask
+		}
+		slot[h] = int32(k + 1)
+	}
+	found := make([]bool, len(forest))
+	for _, frag := range ref.edges {
+		for _, e := range frag {
+			e = lowFirst(e)
+			x := hash(e)
+			if w, b := at(x); *w&b == 0 || e.U == e.V {
+				continue
+			}
+			for h := x & mask; slot[h] != 0; h = (h + 1) & mask {
+				if k := slot[h] - 1; lowFirst(forest[k]) == e {
+					found[k] = true
+					break
+				}
+			}
+		}
+	}
+	if k := slices.Index(found, false); k >= 0 {
+		return fmt.Errorf("graph: forest edge (%d,%d) is not an input edge", forest[k].U, forest[k].V)
+	}
 	return nil
+}
+
+// lowFirst orders an undirected edge's endpoints ascending.
+func lowFirst(e Edge) Edge {
+	if e.V < e.U {
+		return Edge{U: e.V, V: e.U}
+	}
+	return e
 }
 
 // ComponentSpread reports, for every connected component, the compute

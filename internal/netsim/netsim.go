@@ -14,6 +14,15 @@
 // the cost of the protocol is the sum over rounds. Costs are measured in
 // elements; at b bits per element the cost in bits is b times that.
 //
+// The width contract: one element is one 64-bit word (a message's keys are
+// its elements), and a payload packs no two ids into one word, so a word
+// costs what one id costs however wide the id space is. A bitmap word —
+// the resolved and won flags of the connectivity protocol's answers —
+// carries 64 flags about the ids of the message it answers, not ids. The
+// one payload kind still outside the contract is cc-fast's adjacency and
+// known-set pushes (internal/core/graph, tagAdj and tagKnow), which pack
+// two 32-bit indices per word.
+//
 // Unlike a pure cost calculator, the engine actually delivers every
 // message, so protocol outputs are real and can be verified against
 // reference implementations.

@@ -165,6 +165,12 @@ func TestPipelinesRejectWrongOutput(t *testing.T) {
 		{"graph/forest-edge-removed", "spanforest", func(t *testing.T, how fault) taskRun {
 			return graphRun(graph.SpanningForest, how, func(res *graph.Result) { res.Forest = res.Forest[1:] })
 		}},
+		{"graph/forest-edge-fabricated", "spanforest", func(t *testing.T, how fault) taskRun {
+			return graphTask(func(tr *topology.Tree, edges graph.Placement, seed uint64, o ...netsim.Option) (*graph.Result, error) {
+				res, err := graph.SpanningForest(tr, edges, seed, o...)
+				return tampered(how, res, err, func(res *graph.Result) { fabricateForestEdge(t, edges, res.Forest) })
+			})
+		}},
 	}
 	c := testCluster(t)
 	for _, tc := range cases {
@@ -193,6 +199,49 @@ func TestPipelinesRejectWrongOutput(t *testing.T) {
 			}
 		})
 	}
+}
+
+// fabricateForestEdge swaps forest edge 0 for a pair of vertices that is no
+// input edge but joins the two halves the swapped edge held together, so
+// the forest still spans the same components without a cycle: only the
+// check that forest edges are input edges can tell.
+func fabricateForestEdge(t *testing.T, edges graph.Placement, forest []graph.Edge) {
+	t.Helper()
+	input := map[graph.Edge]bool{}
+	for _, frag := range edges {
+		for _, e := range frag {
+			input[e] = true
+			input[graph.Edge{U: e.V, V: e.U}] = true
+		}
+	}
+	// The halves: the vertices forest[1:] joins to each end of forest[0].
+	adj := map[uint64][]uint64{}
+	for _, e := range forest[1:] {
+		adj[e.U] = append(adj[e.U], e.V)
+		adj[e.V] = append(adj[e.V], e.U)
+	}
+	half := func(root uint64) []uint64 {
+		seen := map[uint64]bool{root: true}
+		out := []uint64{root}
+		for k := 0; k < len(out); k++ {
+			for _, w := range adj[out[k]] {
+				if !seen[w] {
+					seen[w] = true
+					out = append(out, w)
+				}
+			}
+		}
+		return out
+	}
+	for _, x := range half(forest[0].U) {
+		for _, y := range half(forest[0].V) {
+			if e := (graph.Edge{U: x, V: y}); !input[e] {
+				forest[0] = e
+				return
+			}
+		}
+	}
+	t.Fatalf("forest edge %v: every pair across its halves is an input edge", forest[0])
 }
 
 // TestPipelinesRejectWrongRelationCount runs the multiway joins with too few
