@@ -81,7 +81,8 @@ type graphProtocol func(t *topology.Tree, edges graph.Placement, seed uint64, op
 // graphWith is the connectivity pipeline: component count and labeling
 // checksum must match the union-find reference, and a forest, when the
 // protocol returns one, must span it without cycles (graph.Verify); the
-// cost is set against the per-cut connectivity bound.
+// cost is set against the per-cut connectivity bound, whose component
+// holder lists come from the same reference (one union-find per call).
 func (c *Cluster) graphWith(edges [][]GraphEdge, seed uint64, run graphProtocol) (*ComponentsResult, error) {
 	if err := c.checkFragments("edges", len(edges)); err != nil {
 		return nil, err
@@ -89,7 +90,8 @@ func (c *Cluster) graphWith(edges [][]GraphEdge, seed uint64, run graphProtocol)
 	res, lb, err := verified(c, func(opts ...netsim.Option) (*graph.Result, error) {
 		return run(c.t, edges, seed, opts...)
 	}, func() (*graph.Ref, float64) {
-		return graph.Reference(edges), lowerbound.Spanning(c.t, graph.ComponentSpread(c.t, edges)).Value
+		ref := graph.Reference(edges)
+		return ref, lowerbound.Spanning(c.t, ref.Spread(c.t)).Value
 	}, graph.Verify)
 	if err != nil {
 		return nil, err

@@ -63,22 +63,57 @@ func BenchmarkSpanningForest100k(b *testing.B) {
 	}
 }
 
+// denseInput is the graph-dense benchmark workload's shape with n vertices:
+// G(n, 20/n) spread round-robin over the 64 leaves of FatTree(3,4,16,0.25).
+func denseInput(b *testing.B, n int) (*topology.Tree, Placement) {
+	b.Helper()
+	tr, err := topology.FatTree(3, 4, 16, 0.25)
+	if err != nil {
+		b.Fatal(err)
+	}
+	packed, err := dataset.GNP(rand.New(rand.NewSource(1)), n, 20.0/float64(n))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return tr, placeEdges(packed, tr.NumCompute())
+}
+
+// BenchmarkReference is the union-find reference at graph-dense size:
+// 10⁶ edges among 10⁵ vertices over 64 holders.
+func BenchmarkReference(b *testing.B) {
+	_, edges := denseInput(b, 100_000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		refSink = Reference(edges)
+	}
+}
+
+// refSink keeps BenchmarkReference's result live.
+var refSink *Ref
+
+// BenchmarkVerifyForest checks a spanning forest of the graph-dense input
+// against its reference: the forest's union-find and the scan of the input
+// for every forest edge.
+func BenchmarkVerifyForest(b *testing.B) {
+	_, edges := denseInput(b, 100_000)
+	ref, forest := Reference(edges), oracleForest(edges)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := VerifyForest(ref, forest); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkCCDense is the graph-dense benchmark workload at 1/10 scale: the
 // four connectivity variants on FatTree(3,4,16,0.25) with G(10⁴, 20/n)
 // spread round-robin over the 64 leaves, two workers. At this size every
 // per-home need list is longer than a bitmap over the vertex universe has
 // words, so the contraction's index lists dedup by bitmap.
 func BenchmarkCCDense(b *testing.B) {
-	tr, err := topology.FatTree(3, 4, 16, 0.25)
-	if err != nil {
-		b.Fatal(err)
-	}
-	const n = 10_000
-	packed, err := dataset.GNP(rand.New(rand.NewSource(1)), n, 20.0/n)
-	if err != nil {
-		b.Fatal(err)
-	}
-	edges := placeEdges(packed, tr.NumCompute())
+	tr, edges := denseInput(b, 10_000)
 	for _, v := range []struct {
 		name string
 		run  func(*topology.Tree, Placement, uint64, ...netsim.Option) (*Result, error)

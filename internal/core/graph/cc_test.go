@@ -118,10 +118,10 @@ func TestCCMatchesReference(t *testing.T) {
 						t.Fatalf("checksum = %x, want %x", res.Checksum, ref.Checksum)
 					}
 					labels := res.Labels()
-					if len(labels) != len(ref.Labels) {
-						t.Fatalf("labeled %d vertices, want %d", len(labels), len(ref.Labels))
+					if len(labels) != len(ref.Labels()) {
+						t.Fatalf("labeled %d vertices, want %d", len(labels), len(ref.Labels()))
 					}
-					for v, l := range ref.Labels {
+					for v, l := range ref.Labels() {
 						if labels[v] != l {
 							t.Fatalf("vertex %d labeled %d, want %d", v, labels[v], l)
 						}
@@ -133,8 +133,8 @@ func TestCCMatchesReference(t *testing.T) {
 					}
 					// Phases must stay logarithmic in the vertex count even
 					// on the high-diameter grid.
-					if maxP := 2 + int(math.Ceil(math.Log2(float64(len(ref.Labels))))); res.Phases > maxP {
-						t.Errorf("%d phases for %d vertices, want <= %d", res.Phases, len(ref.Labels), maxP)
+					if maxP := 2 + int(math.Ceil(math.Log2(float64(len(ref.Labels()))))); res.Phases > maxP {
+						t.Errorf("%d phases for %d vertices, want <= %d", res.Phases, len(ref.Labels()), maxP)
 					}
 					// Measured cost must dominate the per-cut information
 					// bound.
@@ -447,7 +447,7 @@ func TestPhaseRecorderSurface(t *testing.T) {
 // edge given twice, one vertex declared by a self-loop), a forest of input
 // edges passes whichever way round each edge is given, and a forest that
 // spans the same components without a cycle fails once it holds a pair
-// that is no input edge.
+// that is no input edge, and one with an end outside the input names it.
 func TestVerifyForestRejectsNonInputEdges(t *testing.T) {
 	pl := Placement{
 		{{U: 0, V: 1}, {U: 2, V: 1}, {U: 4, V: 4}},
@@ -469,6 +469,23 @@ func TestVerifyForestRejectsNonInputEdges(t *testing.T) {
 		err := VerifyForest(ref, forest)
 		if err == nil || !strings.Contains(err.Error(), "not an input edge") {
 			t.Fatalf("forest %v: %v, want a non-input edge named", forest, err)
+		}
+	}
+	// Ids outside the input — the largest id, the largest input id plus
+	// one, and one paired with the vertex only a self-loop declares — miss
+	// the reference's table: the unknown vertex is named, never an index
+	// taken past it.
+	for _, forest := range [][]Edge{
+		{{U: 0, V: 1}, {U: 1, V: 2}, {U: math.MaxUint64, V: 3}},
+		{{U: 0, V: 1}, {U: 1, V: 2}, {U: 3, V: math.MaxUint64}},
+		{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 5}},
+		{{U: 5, V: 5}},
+		{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 4, V: 9}},
+		{{U: 9, V: 4}},
+	} {
+		err := VerifyForest(ref, forest)
+		if err == nil || !strings.Contains(err.Error(), "unknown vertex") {
+			t.Fatalf("forest %v: %v, want the unknown vertex named", forest, err)
 		}
 	}
 }

@@ -57,6 +57,28 @@ func fuzzGraph(data []byte) (*topology.Tree, Placement, uint64, error) {
 	return tr, pl, uint64(seed), nil
 }
 
+// fuzzCCSeeds are FuzzCC's hand-written seeds, which FuzzReference shares.
+func fuzzCCSeeds() [][]byte {
+	// Wide ids: 240 vertices in paths of six, so the holders' lists are
+	// longer than a bitmap over them has words and the short ones of later
+	// phases are not.
+	wide := []byte{0x82, 4}
+	for k := 0; k < 240; k++ {
+		if k%6 != 5 {
+			wide = append(wide, byte(k), byte(k+1), byte(k*7))
+		}
+	}
+	return [][]byte{
+		{},
+		{8, 0, 1, 1, 0, 2, 2, 0}, // one node, two isolated vertices
+		{0, 3, 1, 2, 0, 2, 1, 1, 1, 2, 2, 5, 5, 0, 2, 3, 1, 3, 4, 2, 9, 9}, // parallel edges, a path, a dangling byte pair
+		{2, 0x85, 0, 1, 0, 1, 2, 1, 2, 3, 2, 3, 0, 3, 7, 7, 4, 8, 9, 5},    // hashed ids: a 4-cycle, a loop, a pair
+		{10, 9, 5, 4, 0, 4, 3, 1, 3, 2, 2, 2, 1, 3, 1, 0, 4, 9, 8, 5, 8, 7, 6, 7, 6, 7, 20, 21, 8, 21, 22, 9, 22, 20, 10},
+		{0x82, 4, 0, 255, 0}, // wide ids, one edge: too few endpoints for the renumbering bitmap
+		wide,
+	}
+}
+
 // FuzzCC holds the four connectivity variants to their contract on
 // byte-derived trees and multigraphs (self-loops, parallel edges, isolated
 // vertices, empty holders): every variant passes Verify against the
@@ -68,22 +90,9 @@ func fuzzGraph(data []byte) (*topology.Tree, Placement, uint64, error) {
 // checkAnswers decodes the Borůvka variants' own jump replies and direct
 // lookup answers the same way.
 func FuzzCC(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{8, 0, 1, 1, 0, 2, 2, 0})                                           // one node, two isolated vertices
-	f.Add([]byte{0, 3, 1, 2, 0, 2, 1, 1, 1, 2, 2, 5, 5, 0, 2, 3, 1, 3, 4, 2, 9, 9}) // parallel edges, a path, a dangling byte pair
-	f.Add([]byte{2, 0x85, 0, 1, 0, 1, 2, 1, 2, 3, 2, 3, 0, 3, 7, 7, 4, 8, 9, 5})    // hashed ids: a 4-cycle, a loop, a pair
-	f.Add([]byte{10, 9, 5, 4, 0, 4, 3, 1, 3, 2, 2, 2, 1, 3, 1, 0, 4, 9, 8, 5, 8, 7, 6, 7, 6, 7, 20, 21, 8, 21, 22, 9, 22, 20, 10})
-	f.Add([]byte{0x82, 4, 0, 255, 0}) // wide ids, one edge: too few endpoints for the renumbering bitmap
-	// Wide ids: 240 vertices in paths of six, so the holders' lists are
-	// longer than a bitmap over them has words and the short ones of later
-	// phases are not.
-	wide := []byte{0x82, 4}
-	for k := 0; k < 240; k++ {
-		if k%6 != 5 {
-			wide = append(wide, byte(k), byte(k+1), byte(k*7))
-		}
+	for _, seed := range fuzzCCSeeds() {
+		f.Add(seed)
 	}
-	f.Add(wide)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, pl, seed, err := fuzzGraph(data)
 		if err != nil {

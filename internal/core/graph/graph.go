@@ -64,6 +64,7 @@ package graph
 import (
 	"fmt"
 
+	"topompc/internal/hashing"
 	"topompc/internal/netsim"
 	"topompc/internal/topology"
 )
@@ -138,6 +139,17 @@ func (r *Result) Labels() map[uint64]uint64 {
 		}
 	}
 	return out
+}
+
+// Checksum fingerprints a vertex → label map order-independently; the
+// protocols and the reference compute the same quantity so any labeling
+// divergence is caught without comparing maps entry by entry.
+func Checksum(labels map[uint64]uint64) uint64 {
+	var sum uint64
+	for v, l := range labels {
+		sum += hashing.Mix64(v + hashing.Mix64(l))
+	}
+	return sum
 }
 
 func checkPlacement(t *topology.Tree, edges Placement) error {

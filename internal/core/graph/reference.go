@@ -1,8 +1,8 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
-	"maps"
 	"math/bits"
 	"slices"
 
@@ -12,127 +12,130 @@ import (
 
 // Ref is the centralized union-find reference answer a protocol run is
 // verified against.
+//
+// It shares no code with the protocol, which sorts and renumbers vertex
+// ids: an open-addressing table maps each id to the index of its first
+// appearance in the input, and union-find runs over those indices, each
+// root keeping the smallest id of its set, so one pass over the edges
+// leaves every vertex pointing at its component's canonical label. The
+// forest check and the spread bound's holder lists resolve ids through the
+// same table; the holder lists drop repeats with one stamp per component.
 type Ref struct {
 	// Count is the number of connected components.
 	Count int64
-	// Labels maps every vertex to its canonical component label (the
-	// minimum vertex id of the component).
-	Labels map[uint64]uint64
-	// Checksum fingerprints the labeling order-independently.
+	// Checksum fingerprints the labeling order-independently (the
+	// quantity Checksum computes over a labeling).
 	Checksum uint64
+	// ids lists the vertex ids in first-seen order; position = index.
+	ids []uint64
+	// slot is the id table, at most half full: index+1, or 0 for empty,
+	// at the first free slot from the id's hash on.
+	slot []int32
+	// root is each vertex's component root, the index of the component's
+	// smallest id; while Reference runs, the union-find parent.
+	root []int32
 	// edges is the input the reference was built from (not a copy), which
-	// VerifyForest holds forest edges to.
+	// VerifyForest holds forest edges to and Spread reads the holders of.
 	edges Placement
 }
 
-// unionFind is a slice-based path-halving union-by-size forest over a
-// renumbered vertex set: arbitrary uint64 ids are mapped onto dense
-// indices once (sorted, so index order equals id order) and the forest
-// itself is two flat arrays.
-type unionFind struct {
-	ids    []uint64 // sorted distinct vertex ids; position = index
-	parent []int32
-	size   []int32
-}
-
-// newUnionFind builds the forest over the distinct ids appearing in verts
-// (duplicates welcome; the slice is consumed as scratch).
-func newUnionFind(verts []uint64) *unionFind {
-	slices.Sort(verts)
-	ids := slices.Compact(verts)
-	u := &unionFind{
-		ids:    ids,
-		parent: make([]int32, len(ids)),
-		size:   make([]int32, len(ids)),
+// find returns the root of x's set in parent, halving the path.
+func find(parent []int32, x int32) int32 {
+	for parent[x] != x {
+		parent[x] = parent[parent[x]]
+		x = parent[x]
 	}
-	for k := range u.parent {
-		u.parent[k] = int32(k)
-		u.size[k] = 1
-	}
-	return u
+	return x
 }
 
-// index resolves an id known to be in the vertex set.
-func (u *unionFind) index(v uint64) int32 {
-	k, _ := slices.BinarySearch(u.ids, v)
-	return int32(k)
-}
-
-func (u *unionFind) find(v int32) int32 {
-	for u.parent[v] != v {
-		u.parent[v] = u.parent[u.parent[v]]
-		v = u.parent[v]
-	}
-	return v
-}
-
-// union merges the components of a and b; it reports false when they were
-// already connected.
-func (u *unionFind) union(a, b int32) bool {
-	ra, rb := u.find(a), u.find(b)
+// union merges the sets of a and b in parent under the root with the
+// smaller id; it reports false when they were one set already.
+func (r *Ref) union(parent []int32, a, b int32) bool {
+	ra, rb := find(parent, a), find(parent, b)
 	if ra == rb {
 		return false
 	}
-	if u.size[ra] < u.size[rb] {
+	if r.ids[rb] < r.ids[ra] {
 		ra, rb = rb, ra
 	}
-	u.parent[rb] = ra
-	u.size[ra] += u.size[rb]
+	parent[rb] = ra
 	return true
 }
 
-// Checksum fingerprints a vertex → label map order-independently; the
-// protocols and the reference compute the same quantity so any labeling
-// divergence is caught without comparing maps entry by entry.
-func Checksum(labels map[uint64]uint64) uint64 {
-	var sum uint64
-	for v, l := range labels {
-		sum += hashing.Mix64(v + hashing.Mix64(l))
+// probe returns the slot holding id and its index, or the empty slot where
+// id would go and -1.
+func (r *Ref) probe(id uint64) (uint64, int32) {
+	mask := uint64(len(r.slot) - 1)
+	h := hashing.Mix64(id) & mask
+	for ; r.slot[h] != 0; h = (h + 1) & mask {
+		if k := r.slot[h] - 1; r.ids[k] == id {
+			return h, k
+		}
 	}
-	return sum
+	return h, -1
+}
+
+// lookup returns the index of id, or -1 when id is no input vertex.
+func (r *Ref) lookup(id uint64) int32 {
+	_, k := r.probe(id)
+	return k
+}
+
+// insert returns the index of id, giving it the next one if it is new.
+func (r *Ref) insert(id uint64) int32 {
+	h, k := r.probe(id)
+	if k >= 0 {
+		return k
+	}
+	k = int32(len(r.ids))
+	r.ids = append(r.ids, id)
+	r.root = append(r.root, k)
+	r.slot[h] = k + 1
+	if 2*len(r.ids) > len(r.slot) {
+		r.grow()
+	}
+	return k
+}
+
+// grow doubles the table and places every index again.
+func (r *Ref) grow() {
+	r.slot = make([]int32, 2*len(r.slot))
+	for k, id := range r.ids {
+		h, _ := r.probe(id)
+		r.slot[h] = int32(k + 1)
+	}
 }
 
 // Reference computes components, canonical min-labels, and the labeling
-// checksum centrally with union-find.
+// checksum centrally with union-find, in time linear in the input.
 func Reference(edges Placement) *Ref {
-	total := 0
-	for _, frag := range edges {
-		total += len(frag)
-	}
-	verts := make([]uint64, 0, 2*total)
+	r := &Ref{slot: make([]int32, 16), edges: edges}
 	for _, frag := range edges {
 		for _, e := range frag {
-			verts = append(verts, e.U, e.V)
-		}
-	}
-	u := newUnionFind(verts)
-	for _, frag := range edges {
-		for _, e := range frag {
-			if e.U != e.V {
-				u.union(u.index(e.U), u.index(e.V))
+			if u, v := r.insert(e.U), r.insert(e.V); u != v {
+				r.union(r.root, u, v)
 			}
 		}
 	}
-	// Canonicalize: the minimum vertex of each component is the first of
-	// its indices in ascending order, since index order equals id order.
-	n := len(u.ids)
-	minOf := make([]int32, n)
-	for k := range minOf {
-		minOf[k] = -1
-	}
-	count := int64(0)
-	labels := make(map[uint64]uint64, n)
-	for k := 0; k < n; k++ {
-		r := u.find(int32(k))
-		if minOf[r] < 0 {
-			minOf[r] = int32(k)
-			count++
+	for k := range r.root {
+		l := find(r.root, int32(k))
+		r.root[k] = l
+		if l == int32(k) {
+			r.Count++
 		}
-		labels[u.ids[k]] = u.ids[minOf[r]]
+		r.Checksum += hashing.Mix64(r.ids[k] + hashing.Mix64(r.ids[l]))
 	}
-	ref := &Ref{Count: count, Labels: labels, edges: edges}
-	ref.Checksum = Checksum(ref.Labels)
-	return ref
+	return r
+}
+
+// Labels maps every vertex to its canonical component label (the minimum
+// vertex id of the component). It builds the map on each call.
+func (r *Ref) Labels() map[uint64]uint64 {
+	out := make(map[uint64]uint64, len(r.ids))
+	for k, id := range r.ids {
+		out[id] = r.ids[r.root[k]]
+	}
+	return out
 }
 
 // Verify checks a protocol run against the reference answer: component
@@ -156,25 +159,23 @@ func Verify(ref *Ref, res *Result) error {
 // count, makes it spanning); and every forest edge is an edge of the input,
 // not a self-loop, either way round.
 func VerifyForest(ref *Ref, forest []Edge) error {
-	verts := make([]uint64, 0, len(ref.Labels))
-	for v := range ref.Labels {
-		verts = append(verts, v)
+	parent := make([]int32, len(ref.ids))
+	for k := range parent {
+		parent[k] = int32(k)
 	}
-	u := newUnionFind(verts)
 	for _, e := range forest {
-		lu, ok1 := ref.Labels[e.U]
-		lv, ok2 := ref.Labels[e.V]
-		if !ok1 || !ok2 {
+		u, v := ref.lookup(e.U), ref.lookup(e.V)
+		if u < 0 || v < 0 {
 			return fmt.Errorf("graph: forest edge (%d,%d) references an unknown vertex", e.U, e.V)
 		}
-		if lu != lv {
-			return fmt.Errorf("graph: forest edge (%d,%d) crosses components %d and %d", e.U, e.V, lu, lv)
+		if lu, lv := ref.root[u], ref.root[v]; lu != lv {
+			return fmt.Errorf("graph: forest edge (%d,%d) crosses components %d and %d", e.U, e.V, ref.ids[lu], ref.ids[lv])
 		}
-		if !u.union(u.index(e.U), u.index(e.V)) {
+		if !ref.union(parent, u, v) {
 			return fmt.Errorf("graph: forest edge (%d,%d) closes a cycle", e.U, e.V)
 		}
 	}
-	want := int64(len(ref.Labels)) - ref.Count
+	want := int64(len(ref.ids)) - ref.Count
 	if got := int64(len(forest)); got != want {
 		return fmt.Errorf("graph: forest has %d edges, want |V|-components = %d", got, want)
 	}
@@ -229,36 +230,49 @@ func lowFirst(e Edge) Edge {
 	return e
 }
 
-// ComponentSpread reports, for every connected component, the compute
-// nodes holding at least one of its input edges (each endpoint counts as
-// presence). The node lists feed lowerbound.Spanning, which charges a
+// Spread reports, for every connected component in ascending label order,
+// the compute nodes holding at least one of its input edges, ascending
+// (each endpoint counts as presence, and both ends of an edge are in one
+// component). The node lists feed lowerbound.Spanning, which charges a
 // component's Steiner tree over its nodes.
-func ComponentSpread(t *topology.Tree, edges Placement) [][]topology.NodeID {
-	ref := Reference(edges)
+//
+// Holders are visited in compute-node order, which is ascending id order,
+// and a per-component stamp of the last holder listed keeps each list
+// free of repeats without a set per component.
+func (r *Ref) Spread(t *topology.Tree) [][]topology.NodeID {
+	// ord numbers the components by label: roots[c] is the root of the
+	// c-th smallest label, and ord[root] = c.
+	roots := make([]int32, 0, r.Count)
+	for k, l := range r.root {
+		if l == int32(k) {
+			roots = append(roots, l)
+		}
+	}
+	slices.SortFunc(roots, func(a, b int32) int { return cmp.Compare(r.ids[a], r.ids[b]) })
+	ord := make([]int32, len(r.ids))
+	for c, l := range roots {
+		ord[l] = int32(c)
+	}
 	nodes := t.ComputeNodes()
-	present := make(map[uint64]map[topology.NodeID]bool)
-	for i, frag := range edges {
-		v := nodes[i]
+	out := make([][]topology.NodeID, len(roots))
+	stamp := make([]int32, len(roots))
+	for i, frag := range r.edges {
 		for _, e := range frag {
-			for _, root := range [2]uint64{ref.Labels[e.U], ref.Labels[e.V]} {
-				set := present[root]
-				if set == nil {
-					set = make(map[topology.NodeID]bool)
-					present[root] = set
-				}
-				set[v] = true
+			if c := ord[r.root[r.lookup(e.U)]]; stamp[c] != int32(i+1) {
+				stamp[c] = int32(i + 1)
+				out[c] = append(out[c], nodes[i])
 			}
 		}
 	}
-	out := make([][]topology.NodeID, 0, len(present))
-	for _, root := range slices.Sorted(maps.Keys(present)) {
-		set := present[root]
-		list := make([]topology.NodeID, 0, len(set))
-		for v := range set {
-			list = append(list, v)
-		}
-		slices.Sort(list)
-		out = append(out, list)
-	}
 	return out
+}
+
+// ComponentSpread is Reference(edges).Spread(t): per connected component,
+// in ascending label order, the compute nodes holding its input edges, each
+// edge's component found through the reference's id table and each list
+// kept free of repeats by one stamp per component. A caller that verifies
+// too holds the Ref already and calls its Spread, so one union-find serves
+// both.
+func ComponentSpread(t *topology.Tree, edges Placement) [][]topology.NodeID {
+	return Reference(edges).Spread(t)
 }

@@ -114,8 +114,8 @@ func TestFirstSweepRegisters(t *testing.T) {
 				if err := Verify(ref, one); err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				if got := one.Labels(); !maps.Equal(got, ref.Labels) {
-					t.Fatalf("%s: labels %v, reference %v", name, got, ref.Labels)
+				if got := one.Labels(); !maps.Equal(got, ref.Labels()) {
+					t.Fatalf("%s: labels %v, reference %v", name, got, ref.Labels())
 				}
 				if vr.v.witness {
 					if err := VerifyForest(ref, one.Forest); err != nil {
@@ -164,8 +164,8 @@ func TestFirstSweepRegisters(t *testing.T) {
 						t.Fatalf("%s: home %d received %d vertex entries", name, i, n)
 					}
 				}
-				if enrolled != len(ref.Labels) {
-					t.Fatalf("%s: proposals enrolled %d vertices, the input has %d", name, enrolled, len(ref.Labels))
+				if enrolled != len(ref.Labels()) {
+					t.Fatalf("%s: proposals enrolled %d vertices, the input has %d", name, enrolled, len(ref.Labels()))
 				}
 			}
 		}

@@ -2,6 +2,7 @@ package topompc
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"topompc/internal/core/aggregate"
@@ -171,6 +172,14 @@ func TestPipelinesRejectWrongOutput(t *testing.T) {
 				return tampered(how, res, err, func(res *graph.Result) { fabricateForestEdge(t, edges, res.Forest) })
 			})
 		}},
+		// The count and checksum stay right; only the forest check's lookup
+		// of the swapped end in the reference's vertex table can tell.
+		{"graph/forest-edge-unknown-vertex", "spanforest", func(t *testing.T, how fault) taskRun {
+			return graphTask(func(tr *topology.Tree, edges graph.Placement, seed uint64, o ...netsim.Option) (*graph.Result, error) {
+				res, err := graph.SpanningForest(tr, edges, seed, o...)
+				return tampered(how, res, err, func(res *graph.Result) { res.Forest[0].V = absentVertex(t, edges) })
+			})
+		}},
 	}
 	c := testCluster(t)
 	for _, tc := range cases {
@@ -199,6 +208,22 @@ func TestPipelinesRejectWrongOutput(t *testing.T) {
 			}
 		})
 	}
+}
+
+// absentVertex returns the largest input vertex id plus one, which is no
+// input vertex.
+func absentVertex(t *testing.T, edges graph.Placement) uint64 {
+	t.Helper()
+	var top uint64
+	for _, frag := range edges {
+		for _, e := range frag {
+			top = max(top, e.U, e.V)
+		}
+	}
+	if top == math.MaxUint64 {
+		t.Fatal("input holds the largest id: no id above it is free")
+	}
+	return top + 1
 }
 
 // fabricateForestEdge swaps forest edge 0 for a pair of vertices that is no
