@@ -19,6 +19,7 @@
 package cartesian
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -92,7 +93,7 @@ func CoversGrid(rects []Rect, sizeR, sizeS int64) bool {
 			}
 			ivs = append(ivs, interval{a, b})
 		}
-		sortIvs(ivs)
+		slices.SortFunc(ivs, compareIvs)
 		covered := int64(0)
 		for _, v := range ivs {
 			if v.a > covered {
@@ -112,19 +113,9 @@ func CoversGrid(rects []Rect, sizeR, sizeS int64) bool {
 // interval is a half-open [a, b) range on one grid axis.
 type interval struct{ a, b int64 }
 
-func sortIvs(ivs []interval) {
-	for i := 1; i < len(ivs); i++ {
-		for j := i; j > 0 && ivLess(ivs[j], ivs[j-1]); j-- {
-			ivs[j], ivs[j-1] = ivs[j-1], ivs[j]
-		}
-	}
-}
-
-func ivLess(a, b interval) bool {
-	if a.a != b.a {
-		return a.a < b.a
-	}
-	return a.b < b.b
+// compareIvs orders intervals by start, then by end.
+func compareIvs(x, y interval) int {
+	return cmp.Or(cmp.Compare(x.a, y.a), cmp.Compare(x.b, y.b))
 }
 
 // instance validates a cartesian-product input.

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -239,6 +241,48 @@ func TestStarCartesianWHC(t *testing.T) {
 	}
 	if res.Pairs() < 400*400 {
 		t.Errorf("enumerated %d pairs, want ≥ %d", res.Pairs(), 400*400)
+	}
+}
+
+// TestVerifyRejectsTamperedResults holds Verify to naming each way a result
+// can go wrong: a grid left uncovered, a node with no rectangle that still
+// received tuples, and an S-column that is not the one its rectangle spans.
+func TestVerifyRejectsTamperedResults(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	tr, _ := topology.Star([]float64{1, 2, 4, 8})
+	r, s := cpInstance(t, rng, tr, 400, uniformPlace)
+	res, err := Tree(tr, r, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// full is a node with a rectangle, idle one without.
+	full := slices.IndexFunc(res.Rects, func(r Rect) bool { return !r.Empty() })
+	idle := slices.IndexFunc(res.Rects, Rect.Empty)
+	if full < 0 || idle < 0 {
+		t.Fatalf("rectangles %v: want a node with a rectangle and one without", res.Rects)
+	}
+	for _, tc := range []struct {
+		name, want string
+		tamper     func(rects []Rect, sKeys [][]uint64)
+	}{
+		{"uncovered", "do not cover the grid", func(rects []Rect, _ [][]uint64) { rects[full] = Rect{} }},
+		{"empty with data", "empty rectangle but received data", func(_ []Rect, sKeys [][]uint64) {
+			sKeys[idle] = append(sKeys[idle], s.Flatten()[0])
+		}},
+		{"wrong column", "S-cols", func(_ []Rect, sKeys [][]uint64) { sKeys[full][0]++ }},
+	} {
+		bad := *res
+		bad.Rects = slices.Clone(res.Rects)
+		bad.SKeys = slices.Clone(res.SKeys)
+		bad.SKeys[idle] = slices.Clone(res.SKeys[idle])
+		bad.SKeys[full] = slices.Clone(res.SKeys[full])
+		tc.tamper(bad.Rects, bad.SKeys)
+		if err := Verify(r, s, &bad); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Verify = %v, want an error naming %q", tc.name, err, tc.want)
+		}
+	}
+	if err := Verify(r, s, res); err != nil {
+		t.Fatalf("tampering a copy changed the result: %v", err)
 	}
 }
 
@@ -626,4 +670,13 @@ func almostEq(a, b float64) bool {
 		return true
 	}
 	return math.Abs(a-b) <= 1e-9*(1+math.Abs(a)+math.Abs(b))
+}
+
+// Pairs returns the number of output pairs each node enumerates.
+func (r *Result) Pairs() int64 {
+	var n int64
+	for _, rect := range r.Rects {
+		n += rect.Area()
+	}
+	return n
 }

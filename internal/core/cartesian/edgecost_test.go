@@ -3,6 +3,7 @@ package cartesian
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"topompc/internal/dataset"
@@ -93,7 +94,7 @@ func unionLen(ivs []interval) int64 {
 	if len(ivs) == 0 {
 		return 0
 	}
-	sortIvs(ivs)
+	slices.SortFunc(ivs, compareIvs)
 	var total, end int64
 	end = math.MinInt64
 	for _, iv := range ivs {

@@ -29,15 +29,6 @@ type Result struct {
 	Strategy string
 }
 
-// Pairs returns the number of output pairs each node enumerates.
-func (r *Result) Pairs() int64 {
-	var n int64
-	for _, rect := range r.Rects {
-		n += rect.Area()
-	}
-	return n
-}
-
 // emptyResult is the result when a relation is empty: no pairs, no round.
 func emptyResult(in *instance) *Result {
 	return &Result{
@@ -227,8 +218,8 @@ func (c *keyChecker) check(got, want []uint64) error {
 	if slices.Equal(got, want) {
 		return nil
 	}
-	c.a, c.tmp = par.SerialSortUint64(append(c.a[:0], got...), c.tmp)
-	c.b, c.tmp = par.SerialSortUint64(append(c.b[:0], want...), c.tmp)
+	c.a, c.tmp = par.SerialSort(append(c.a[:0], got...), c.tmp)
+	c.b, c.tmp = par.SerialSort(append(c.b[:0], want...), c.tmp)
 	for i := range c.a {
 		if c.a[i] != c.b[i] {
 			return fmt.Errorf("key multiset mismatch at %d", i)

@@ -272,7 +272,7 @@ func sortIndices(s []int32, nV int, bm *[]uint64, tmp *[]int32) []int32 {
 		}
 		return bitmapDedup(s, (*bm)[:words])
 	}
-	s, *tmp = radixSortInt32(s, *tmp)
+	s, *tmp = par.SerialSort(s, *tmp)
 	return slices.Compact(s)
 }
 
@@ -296,48 +296,6 @@ func bitmapDedup(s []int32, bm []uint64) []int32 {
 		}
 	}
 	return s[:n]
-}
-
-// radixSortInt32 is par.SerialSortUint64's LSD byte radix (constant lanes
-// skipped) for non-negative int32 index lists.
-func radixSortInt32(a, tmp []int32) ([]int32, []int32) {
-	if len(a) < 64 {
-		slices.Sort(a)
-		return a, tmp
-	}
-	if cap(tmp) < len(a) {
-		tmp = make([]int32, len(a))
-	}
-	tmp = tmp[:len(a)]
-	var hist [4][256]int32
-	for _, v := range a {
-		u := uint32(v)
-		hist[0][u&0xff]++
-		hist[1][(u>>8)&0xff]++
-		hist[2][(u>>16)&0xff]++
-		hist[3][(u>>24)&0xff]++
-	}
-	src, dst := a, tmp
-	for pass := 0; pass < 4; pass++ {
-		sh := uint(pass) * 8
-		h := &hist[pass]
-		if int(h[(uint32(src[0])>>sh)&0xff]) == len(src) {
-			continue
-		}
-		var off [256]int32
-		var sum int32
-		for b := 0; b < 256; b++ {
-			off[b] = sum
-			sum += h[b]
-		}
-		for _, v := range src {
-			b := (uint32(v) >> sh) & 0xff
-			dst[off[b]] = v
-			off[b]++
-		}
-		src, dst = dst, src
-	}
-	return src, dst
 }
 
 // sortByHome stably reorders els ascending by home index (at most

@@ -489,3 +489,24 @@ func TestVerifyForestRejectsNonInputEdges(t *testing.T) {
 		}
 	}
 }
+
+// Labels merges the per-home labelings into one map (for verification).
+func (r *Result) Labels() map[uint64]uint64 {
+	out := make(map[uint64]uint64)
+	for _, m := range r.PerNode {
+		for v, l := range m {
+			out[v] = l
+		}
+	}
+	return out
+}
+
+// Labels maps every vertex to its canonical component label (the minimum
+// vertex id of the component). It builds the map on each call.
+func (r *Ref) Labels() map[uint64]uint64 {
+	out := make(map[uint64]uint64, len(r.ids))
+	for k, id := range r.ids {
+		out[id] = r.ids[r.root[k]]
+	}
+	return out
+}

@@ -247,7 +247,7 @@ func (pr *proto) adjacency() {
 				uint64(uint32(ed.a))<<32|uint64(uint32(ed.b)),
 				uint64(uint32(ed.b))<<32|uint64(uint32(ed.a)))
 		}
-		ks, sc.k1tmp = par.SerialSortUint64(ks, sc.k1tmp)
+		ks, sc.k1tmp = par.SerialSort(ks, sc.k1tmp)
 		ks = slices.Compact(ks)
 		if first {
 			// Self-pairs register only the local vertices no active pair

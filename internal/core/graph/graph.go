@@ -130,17 +130,6 @@ type Result struct {
 	Report *netsim.Report
 }
 
-// Labels merges the per-home labelings into one map (for verification).
-func (r *Result) Labels() map[uint64]uint64 {
-	out := make(map[uint64]uint64)
-	for _, m := range r.PerNode {
-		for v, l := range m {
-			out[v] = l
-		}
-	}
-	return out
-}
-
 // Checksum fingerprints a vertex → label map order-independently; the
 // protocols and the reference compute the same quantity so any labeling
 // divergence is caught without comparing maps entry by entry.

@@ -226,46 +226,6 @@ func TestStampedMinCombineMatchesSort(t *testing.T) {
 	}
 }
 
-// TestRadixSortInt32 is the differential table of the radix that orders
-// the combined labels (and every other index list of the contraction),
-// against slices.Sort: around the small-list cutoff and at a size with
-// three live byte lanes, with values that differ in one lane only or in
-// one entry only (the skipped-lane paths, an odd and an even number of live
-// passes).
-func TestRadixSortInt32(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	shapes := []struct {
-		name  string
-		value func(j, n int) int32
-	}{
-		{"spread", func(_, n int) int32 { return int32(rng.Intn(max(n, 1))) }},
-		{"low byte only", func(int, int) int32 { return int32(rng.Intn(256)) }},
-		{"third byte only", func(int, int) int32 { return int32(rng.Intn(4)) << 16 }},
-		{"all equal", func(int, int) int32 { return 7 }},
-		{"all equal but one", func(j, n int) int32 {
-			if j == n/2 {
-				return 0
-			}
-			return 70_000
-		}},
-		{"descending", func(j, n int) int32 { return int32(n - j) }},
-		{"top lane", func(int, int) int32 { return int32(rng.Uint32() >> 1) }},
-	}
-	for _, sh := range shapes {
-		for _, n := range []int{0, 1, 63, 64, 65, 70_000} {
-			got := make([]int32, n)
-			for j := range got {
-				got[j] = sh.value(j, n)
-			}
-			want := slices.Clone(got)
-			slices.Sort(want)
-			if got, _ = radixSortInt32(got, nil); !slices.Equal(got, want) {
-				t.Fatalf("%s, n=%d: radix order differs from slices.Sort", sh.name, n)
-			}
-		}
-	}
-}
-
 // TestSortIndices holds both sides of sortIndices to slices.Sort +
 // slices.Compact: lists that are empty, all one value, or hold the word
 // edges 0, 63, 64 and the universe's last index, at lengths on both sides of

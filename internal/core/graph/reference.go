@@ -128,16 +128,6 @@ func Reference(edges Placement) *Ref {
 	return r
 }
 
-// Labels maps every vertex to its canonical component label (the minimum
-// vertex id of the component). It builds the map on each call.
-func (r *Ref) Labels() map[uint64]uint64 {
-	out := make(map[uint64]uint64, len(r.ids))
-	for k, id := range r.ids {
-		out[id] = r.ids[r.root[k]]
-	}
-	return out
-}
-
 // Verify checks a protocol run against the reference answer: component
 // count and labeling checksum must match, and a witness forest, when the
 // run produced one, must be a spanning forest of the input (VerifyForest).

@@ -115,7 +115,7 @@ func (sc *starScratch) join(ib netsim.Inbox, k int) (rows int64, sum uint64) {
 		for w := 0; w < len(sc.raw); w += 2 {
 			vals = append(vals, sc.raw[w])
 		}
-		sc.values[j], sc.tmp = par.SerialSortUint64(vals, sc.tmp)
+		sc.values[j], sc.tmp = par.SerialSort(vals, sc.tmp)
 		sc.at[j] = 0
 	}
 	for first := sc.values[0]; sc.at[0] < len(first); {

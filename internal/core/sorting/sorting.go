@@ -87,7 +87,7 @@ func Reference(input dataset.Placement) []uint64 {
 	tmp := make([]uint64, largest)
 	for b := 0; b < 256; b++ {
 		g := ref[off[b]:off[b+1]]
-		if sorted, _ := par.SerialSortUint64(g, tmp); len(g) > 0 && &sorted[0] != &g[0] {
+		if sorted, _ := par.SerialSort(g, tmp); len(g) > 0 && &sorted[0] != &g[0] {
 			copy(g, sorted)
 		}
 	}

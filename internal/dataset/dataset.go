@@ -68,15 +68,6 @@ func SetPair(rng *rand.Rand, sizeR, sizeS, overlap int) (r, s []uint64, err erro
 // Tree.ComputeNodes() order. Fragments partition the input.
 type Placement [][]uint64
 
-// Sizes reports the per-node fragment sizes N_v.
-func (p Placement) Sizes() []int64 {
-	s := make([]int64, len(p))
-	for i, frag := range p {
-		s[i] = int64(len(frag))
-	}
-	return s
-}
-
 // Total reports the total input size N.
 func (p Placement) Total() int {
 	n := 0

@@ -282,3 +282,12 @@ func TestAdversarialPlacementIsPartition(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Sizes reports the per-node fragment sizes N_v.
+func (p Placement) Sizes() []int64 {
+	s := make([]int64, len(p))
+	for i, frag := range p {
+		s[i] = int64(len(frag))
+	}
+	return s
+}

@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"topompc"
+	"topompc/internal/cliutil"
 	"topompc/internal/core/aggregate"
 	"topompc/internal/core/cartesian"
 	"topompc/internal/core/graph"
@@ -298,11 +299,11 @@ func (k task) execute(t *topology.Tree, in input, seed uint64) (measure, error) 
 		}
 	case *intersect.Result:
 		err = intersect.Verify(intersect.Reference(in.r, in.s), res)
-		m = reported(res.Report, lowerbound.Intersection(t, loadsOf(t, in.r, in.s), int64(in.r.Total()), int64(in.s.Total())).Value)
+		m = reported(res.Report, lowerbound.Intersection(t, cliutil.Loads(t, in.r, in.s), int64(in.r.Total()), int64(in.s.Total())).Value)
 		m.Blocks = len(res.Blocks)
 	case *cartesian.Result:
 		err = cartesian.Verify(in.r, in.s, res)
-		loads := loadsOf(t, in.r, in.s)
+		loads := cliutil.Loads(t, in.r, in.s)
 		bound := lowerbound.Cartesian(t, loads).Value
 		if k.unequalBound {
 			bound = lowerbound.UnequalCartesianCut(t, loads, int64(in.r.Total())).Value
@@ -311,7 +312,7 @@ func (k task) execute(t *topology.Tree, in input, seed uint64) (measure, error) 
 		m.Strategy = res.Strategy
 	case *sorting.Result:
 		err = sorting.Verify(t, sorting.Reference(in.r), res)
-		m = reported(res.Report, lowerbound.Sorting(t, loadsOf(t, in.r)).Value)
+		m = reported(res.Report, lowerbound.Sorting(t, cliutil.Loads(t, in.r)).Value)
 		m.Strategy = res.Strategy
 	case *aggregate.Result:
 		ref := aggregate.Reference(in.records)
@@ -322,15 +323,4 @@ func (k task) execute(t *topology.Tree, in input, seed uint64) (measure, error) 
 		err = fmt.Errorf("no measure for a %T", res)
 	}
 	return m, err
-}
-
-// loadsOf builds the N_v vector of the placements on a tree.
-func loadsOf(t *topology.Tree, parts ...dataset.Placement) topology.Loads {
-	loads := make(topology.Loads, t.NumNodes())
-	for i, v := range t.ComputeNodes() {
-		for _, p := range parts {
-			loads[v] += int64(len(p[i]))
-		}
-	}
-	return loads
 }

@@ -35,23 +35,13 @@ func NewHasher(seed uint64) Hasher { return Hasher{seed: Mix64(seed ^ 0x6a09e667
 // Hash returns the hash of key as a uint64.
 func (h Hasher) Hash(key uint64) uint64 { return Mix64(key ^ h.seed) }
 
-// Unit returns the hash of key mapped to [0, 1).
-func (h Hasher) Unit(key uint64) float64 {
-	return float64(h.Hash(key)>>11) / float64(1<<53)
-}
-
-// Bernoulli reports whether key is sampled at rate p under this hash
-// function; all nodes agree on the outcome for a shared seed.
-func (h Hasher) Bernoulli(key uint64, p float64) bool { return h.Unit(key) < p }
-
 // WeightedChooser maps keys to choices 0..n-1 with fixed non-uniform
 // probabilities, deterministically under a shared seed. It implements
 // Vose's alias method, so Choose runs in O(1) after O(n) setup.
 type WeightedChooser struct {
-	h      Hasher
-	prob   []float64 // alias threshold per bucket
-	alias  []int32
-	weight []float64 // normalized weights, for inspection
+	h     Hasher
+	prob  []float64 // alias threshold per bucket
+	alias []int32
 }
 
 // NewWeightedChooser builds a chooser over len(weights) choices where
@@ -73,16 +63,14 @@ func NewWeightedChooser(seed uint64, weights []float64) (*WeightedChooser, error
 		return nil, fmt.Errorf("hashing: all weights are zero")
 	}
 	c := &WeightedChooser{
-		h:      NewHasher(seed),
-		prob:   make([]float64, n),
-		alias:  make([]int32, n),
-		weight: make([]float64, n),
+		h:     NewHasher(seed),
+		prob:  make([]float64, n),
+		alias: make([]int32, n),
 	}
 	scaled := make([]float64, n)
 	var small, large []int32
 	for i, w := range weights {
-		c.weight[i] = w / total
-		scaled[i] = c.weight[i] * float64(n)
+		scaled[i] = w / total * float64(n)
 		if scaled[i] < 1 {
 			small = append(small, int32(i))
 		} else {
@@ -126,9 +114,3 @@ func (c *WeightedChooser) Choose(key uint64) int {
 	}
 	return int(c.alias[bucket])
 }
-
-// Weight reports the normalized probability of choice i.
-func (c *WeightedChooser) Weight(i int) float64 { return c.weight[i] }
-
-// NumChoices reports the number of choices.
-func (c *WeightedChooser) NumChoices() int { return len(c.prob) }

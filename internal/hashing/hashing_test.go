@@ -36,34 +36,6 @@ func TestHasherDeterminism(t *testing.T) {
 	}
 }
 
-func TestUnitRange(t *testing.T) {
-	h := NewHasher(7)
-	f := func(k uint64) bool {
-		u := h.Unit(k)
-		return u >= 0 && u < 1
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestBernoulliRate(t *testing.T) {
-	h := NewHasher(99)
-	const n = 200000
-	for _, p := range []float64{0.01, 0.1, 0.5, 0.9} {
-		hits := 0
-		for k := uint64(0); k < n; k++ {
-			if h.Bernoulli(k, p) {
-				hits++
-			}
-		}
-		got := float64(hits) / n
-		if math.Abs(got-p) > 0.01 {
-			t.Errorf("Bernoulli(%v) rate = %v", p, got)
-		}
-	}
-}
-
 func TestWeightedChooserErrors(t *testing.T) {
 	if _, err := NewWeightedChooser(1, nil); err == nil {
 		t.Error("expected error for empty weights")
@@ -159,3 +131,19 @@ func TestWeightedChooserSkew(t *testing.T) {
 		t.Errorf("dominant choice frequency %v", float64(hits)/n)
 	}
 }
+
+// Weight reports the probability of choice i, read back from the alias
+// table: its own bucket's share plus the leftovers of every bucket aliased
+// to it.
+func (c *WeightedChooser) Weight(i int) float64 {
+	p := c.prob[i]
+	for j, a := range c.alias {
+		if j != i && int(a) == i {
+			p += 1 - c.prob[j]
+		}
+	}
+	return p / float64(len(c.prob))
+}
+
+// NumChoices reports the number of choices.
+func (c *WeightedChooser) NumChoices() int { return len(c.prob) }

@@ -16,7 +16,7 @@
 // (Tree.Cuts); Spanning counts the items whose holders' Steiner tree
 // contains e (PathAccumulator.AddSteiner); Multijoin's "within" counts sum
 // products of per-relation subtree counts (CutSweep). The last two rest on
-// the same argument: the part of one item's holders under ChildEnd(e)
+// the same argument: the part of one item's holders under e's child end
 // changes only at the nodes of the holders' virtual tree (the holders
 // closed under LCA, built in O(h log h) by a stack walk over the holders
 // in tour order), so the item's statistic is constant along each

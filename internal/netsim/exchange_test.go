@@ -573,3 +573,6 @@ func TestInboxKeysByTag(t *testing.T) {
 		t.Fatal("Keys of an absent tag must be nil")
 	}
 }
+
+// Tree reports the engine's tree.
+func (e *Engine) Tree() *topology.Tree { return e.t }

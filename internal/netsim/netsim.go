@@ -408,9 +408,6 @@ func (e *Engine) computeIndex(v topology.NodeID) int {
 	return e.t.ComputeIndex(v)
 }
 
-// Tree reports the engine's tree.
-func (e *Engine) Tree() *topology.Tree { return e.t }
-
 // Inbox reports the messages delivered to v at the end of the previous
 // round as an indexed view; a router's is empty. The view and the key slices
 // it hands out are owned by the engine; callers must not modify them and

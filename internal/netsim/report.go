@@ -55,18 +55,6 @@ func (r *Report) TotalElements() int64 {
 	return n
 }
 
-// MPCCost reports the protocol's cost under the classical MPC metric: the
-// sum over rounds of the maximum elements received by any single node.
-// Comparing it with TotalCost shows how much of an instance's difficulty
-// comes from the topology rather than node load.
-func (r *Report) MPCCost() float64 {
-	var total int64
-	for _, rd := range r.Rounds {
-		total += rd.MaxReceived
-	}
-	return float64(total)
-}
-
 // String renders a per-round summary table.
 func (r *Report) String() string {
 	var sb strings.Builder

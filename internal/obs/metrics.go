@@ -100,15 +100,8 @@ func (c *Counter) Value() int64 {
 	return c.v.Load()
 }
 
-// Gauge is a last-write-wins float value with an atomic max variant.
+// Gauge is a float value that only SetMax raises.
 type Gauge struct{ bits atomic.Uint64 }
-
-// Set stores v. No-op on a nil gauge.
-func (g *Gauge) Set(v float64) {
-	if g != nil {
-		g.bits.Store(math.Float64bits(v))
-	}
-}
 
 // SetMax stores v if it exceeds the current value. No-op on a nil gauge.
 func (g *Gauge) SetMax(v float64) {

@@ -112,15 +112,3 @@ func Instant(tr Tracer, tid int64, name, cat string, args map[string]any) {
 		Ts: tr.Now(), Pid: Pid, Tid: tid, Args: args,
 	})
 }
-
-// CounterSample emits a counter ("C") event whose values render as a
-// stacked area chart in the trace viewer. Safe on a nil Tracer.
-func CounterSample(tr Tracer, tid int64, name string, values map[string]any) {
-	if tr == nil {
-		return
-	}
-	tr.Emit(Event{
-		Name: name, Ph: PhCounter,
-		Ts: tr.Now(), Pid: Pid, Tid: tid, Args: values,
-	})
-}

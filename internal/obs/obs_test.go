@@ -15,7 +15,7 @@ func TestTraceCollectAndRoundTrip(t *testing.T) {
 	tid := tr.NewTid("test lane")
 	sp := Begin(tr, tid, "work", "cat")
 	Instant(tr, tid, "ping", "cat", map[string]any{"k": 1})
-	CounterSample(tr, tid, "load", map[string]any{"v": 2.5})
+	tr.Emit(Event{Name: "load", Ph: PhCounter, Ts: tr.Now(), Pid: Pid, Tid: tid, Args: map[string]any{"v": 2.5}})
 	sp.End(map[string]any{"cost": 3.0})
 
 	// process_name + thread_name + instant + counter + span.
@@ -77,7 +77,6 @@ func TestNilTracerHelpersAreInert(t *testing.T) {
 	sp := Begin(nil, 0, "x", "y")
 	sp.End(map[string]any{"a": 1}) // must not panic
 	Instant(nil, 0, "x", "y", nil)
-	CounterSample(nil, 0, "x", nil)
 
 	allocs := testing.AllocsPerRun(100, func() {
 		s := Begin(nil, 0, "x", "y")
@@ -161,7 +160,7 @@ func TestRegistryInstruments(t *testing.T) {
 	}
 
 	g := r.Gauge("peak")
-	g.Set(2.5)
+	g.SetMax(2.5)
 	g.SetMax(1.0) // lower: ignored
 	if got := g.Value(); got != 2.5 {
 		t.Fatalf("gauge = %v, want 2.5", got)
@@ -217,7 +216,6 @@ func TestNilRegistryChainIsInert(t *testing.T) {
 	h := r.Histogram("x")
 	c.Inc()
 	c.Add(3)
-	g.Set(1)
 	g.SetMax(2)
 	h.Observe(4)
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 || h.Max() != 0 || h.Quantile(0.5) != 0 {
@@ -249,7 +247,7 @@ func TestRegistryConcurrent(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				c.Inc()
 				h.Observe(float64(i))
-				r.Gauge("last").Set(float64(i))
+				r.Gauge("peak").SetMax(float64(i))
 			}
 		}()
 	}
@@ -262,6 +260,9 @@ func TestRegistryConcurrent(t *testing.T) {
 	}
 	if got := r.Histogram("v").Max(); got != 199 {
 		t.Fatalf("hist max = %v, want 199", got)
+	}
+	if got := r.Gauge("peak").Value(); got != 199 {
+		t.Fatalf("gauge = %v, want 199", got)
 	}
 }
 

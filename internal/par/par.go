@@ -28,6 +28,7 @@ import (
 	"slices"
 	"sync"
 	"time"
+	"unsafe"
 
 	"topompc/internal/obs"
 )
@@ -263,13 +264,13 @@ const sortSerialThreshold = 1 << 15
 // concurrently. The scatter is stable (shard order equals input order per
 // byte value) and the output is a sorted permutation either way, so the
 // result is identical for every worker count. Byte lanes that are constant
-// across the input are skipped, as in SerialSortUint64. Returns the sorted
+// across the input are skipped, as in SerialSort. Returns the sorted
 // slice and the scratch buffer, which may have swapped roles.
 func (p *Pool) SortUint64(a, tmp []uint64) ([]uint64, []uint64) {
 	n := len(a)
 	shards := p.shardsFor(n / sortSerialThreshold)
 	if shards <= 1 {
-		return SerialSortUint64(a, tmp)
+		return SerialSort(a, tmp)
 	}
 	if cap(tmp) < n {
 		tmp = make([]uint64, n)
@@ -342,35 +343,47 @@ func (p *Pool) SortUint64(a, tmp []uint64) ([]uint64, []uint64) {
 	return src, dst
 }
 
-// SerialSortUint64 sorts a ascending on the calling goroutine with an LSD
-// byte radix, skipping byte lanes that are constant across the slice
-// (index-packed keys rarely use more than a few). It is SortUint64's
-// fallback below the fork threshold and the sort kernels call from inside a
-// shard, where forking again would break the pool's single-driver rule.
-// Returns the sorted slice and the scratch buffer, which may have swapped
-// roles.
-func SerialSortUint64(a, tmp []uint64) ([]uint64, []uint64) {
+// SerialSort sorts a ascending on the calling goroutine with an LSD byte
+// radix, skipping byte lanes that are constant across the slice
+// (index-packed keys rarely use more than a few). Keys must be
+// non-negative. It is SortUint64's fallback below the fork threshold and the
+// sort kernels call from inside a shard, where forking again would break the
+// pool's single-driver rule. Returns the sorted slice and the scratch
+// buffer, which may have swapped roles.
+func SerialSort[K ~int32 | ~uint64](a, tmp []K) ([]K, []K) {
 	if len(a) < 64 {
 		slices.Sort(a)
 		return a, tmp
 	}
 	if cap(tmp) < len(a) {
-		tmp = make([]uint64, len(a))
+		tmp = make([]K, len(a))
 	}
 	tmp = tmp[:len(a)]
 	var hist [8][256]int32
-	for _, v := range a {
-		hist[0][v&0xff]++
-		hist[1][(v>>8)&0xff]++
-		hist[2][(v>>16)&0xff]++
-		hist[3][(v>>24)&0xff]++
-		hist[4][(v>>32)&0xff]++
-		hist[5][(v>>40)&0xff]++
-		hist[6][(v>>48)&0xff]++
-		hist[7][(v>>56)&0xff]++
+	lanes := int(unsafe.Sizeof(a[0]))
+	if lanes == 8 {
+		for _, v := range a {
+			u := uint64(v)
+			hist[0][u&0xff]++
+			hist[1][(u>>8)&0xff]++
+			hist[2][(u>>16)&0xff]++
+			hist[3][(u>>24)&0xff]++
+			hist[4][(u>>32)&0xff]++
+			hist[5][(u>>40)&0xff]++
+			hist[6][(u>>48)&0xff]++
+			hist[7][(u>>56)&0xff]++
+		}
+	} else {
+		for _, v := range a {
+			u := uint32(v)
+			hist[0][u&0xff]++
+			hist[1][(u>>8)&0xff]++
+			hist[2][(u>>16)&0xff]++
+			hist[3][(u>>24)&0xff]++
+		}
 	}
 	src, dst := a, tmp
-	for pass := 0; pass < 8; pass++ {
+	for pass := 0; pass < lanes; pass++ {
 		sh := uint(pass) * 8
 		h := &hist[pass]
 		if int(h[(src[0]>>sh)&0xff]) == len(src) {
@@ -428,7 +441,7 @@ func IntersectSorted(dst, a, b []uint64) []uint64 {
 // keys keep their input order and sorting by (key, value) is two calls, by
 // value and then by key. It runs on the calling goroutine — an LSD byte
 // radix that skips the byte lanes constant across k, an insertion sort
-// below 64 pairs — so, like SerialSortUint64, it is callable from inside a
+// below 64 pairs — so, like SerialSort, it is callable from inside a
 // shard. tk and tv are scratch, grown when shorter than k; the sorted lanes
 // and the scratch lanes are returned, possibly with swapped roles.
 func SortPairs(k, v, tk, tv []uint64) (sk, sv, rk, rv []uint64) {

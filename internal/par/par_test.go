@@ -184,13 +184,53 @@ func TestSortsMatchStandardSort(t *testing.T) {
 			}
 			want := slices.Clone(in)
 			slices.Sort(want)
-			if got, _ := SerialSortUint64(slices.Clone(in), nil); !slices.Equal(got, want) {
-				t.Errorf("SerialSortUint64 %s n=%d: mismatch", sh.name, n)
+			if got, _ := SerialSort(slices.Clone(in), nil); !slices.Equal(got, want) {
+				t.Errorf("SerialSort %s n=%d: mismatch", sh.name, n)
 			}
 			for _, workers := range []int{1, 2, 8} {
 				if got, _ := New(workers).SortUint64(slices.Clone(in), nil); !slices.Equal(got, want) {
 					t.Errorf("SortUint64 %s n=%d workers=%d: mismatch", sh.name, n, workers)
 				}
+			}
+		}
+	}
+}
+
+// TestSerialSortInt32 is the differential table of SerialSort on the int32
+// index lists connectivity's contraction orders (its combined labels among
+// them), against slices.Sort: around the small-list cutoff and at a size with
+// three live byte lanes, with values that differ in one lane only or in
+// one entry only (the skipped-lane paths, an odd and an even number of live
+// passes).
+func TestSerialSortInt32(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	shapes := []struct {
+		name  string
+		value func(j, n int) int32
+	}{
+		{"spread", func(_, n int) int32 { return int32(rng.Intn(max(n, 1))) }},
+		{"low byte only", func(int, int) int32 { return int32(rng.Intn(256)) }},
+		{"third byte only", func(int, int) int32 { return int32(rng.Intn(4)) << 16 }},
+		{"all equal", func(int, int) int32 { return 7 }},
+		{"all equal but one", func(j, n int) int32 {
+			if j == n/2 {
+				return 0
+			}
+			return 70_000
+		}},
+		{"descending", func(j, n int) int32 { return int32(n - j) }},
+		{"top lane", func(int, int) int32 { return int32(rng.Uint32() >> 1) }},
+	}
+	for _, sh := range shapes {
+		for _, n := range []int{0, 1, 63, 64, 65, 70_000} {
+			got := make([]int32, n)
+			for j := range got {
+				got[j] = sh.value(j, n)
+			}
+			want := slices.Clone(got)
+			slices.Sort(want)
+			if got, _ = SerialSort(got, nil); !slices.Equal(got, want) {
+				t.Fatalf("%s, n=%d: radix order differs from slices.Sort", sh.name, n)
 			}
 		}
 	}

@@ -7,45 +7,6 @@ import "math"
 // subset that is a cover, which forces the covered subtrees to be disjoint
 // (used in the proof of Theorem 4).
 
-// IsCover reports whether set covers every compute node of d (every compute
-// node has an ancestor-or-self in set).
-func (d *Directed) IsCover(set []NodeID) bool {
-	in := make(map[NodeID]bool, len(set))
-	for _, v := range set {
-		in[v] = true
-	}
-	for _, c := range d.t.ComputeNodes() {
-		covered := false
-		for v := c; v != NoNode; v = d.parent[v] {
-			if in[v] {
-				covered = true
-				break
-			}
-		}
-		if !covered {
-			return false
-		}
-	}
-	return true
-}
-
-// IsMinimalCover reports whether set is a cover from which no element can
-// be removed.
-func (d *Directed) IsMinimalCover(set []NodeID) bool {
-	if !d.IsCover(set) {
-		return false
-	}
-	for i := range set {
-		reduced := make([]NodeID, 0, len(set)-1)
-		reduced = append(reduced, set[:i]...)
-		reduced = append(reduced, set[i+1:]...)
-		if d.IsCover(reduced) {
-			return false
-		}
-	}
-	return true
-}
-
 // MinCoverSumSq finds, over all minimal covers U of G† with U ≠ {root},
 // the one minimizing Σ_{u∈U} w_u² where w_u is the bandwidth of u's
 // outgoing edge. It returns the cover and the value w̃ = sqrt(min Σ w²);
@@ -115,54 +76,4 @@ func (d *Directed) MinCoverSumSq() (cover []NodeID, wTilde float64, ok bool) {
 	}
 	collect(d.root)
 	return cover, math.Sqrt(memo[d.root].sumSq), true
-}
-
-// EnumMinimalCovers enumerates every minimal cover of G† that covers all
-// compute nodes (excluding covers containing the root when the root is a
-// router, matching Theorem 4's U ≠ {r} requirement only in the sense that
-// the root itself is never a member — it has no outgoing edge). Intended for
-// exhaustive cross-checking on small trees; cost is exponential.
-func (d *Directed) EnumMinimalCovers() [][]NodeID {
-	var enum func(v NodeID) [][]NodeID
-	subHasCompute := make(map[NodeID]bool)
-	var mark func(v NodeID) bool
-	mark = func(v NodeID) bool {
-		h := d.t.IsCompute(v)
-		for _, c := range d.children[v] {
-			if mark(c) {
-				h = true
-			}
-		}
-		subHasCompute[v] = h
-		return h
-	}
-	mark(d.root)
-	enum = func(v NodeID) [][]NodeID {
-		if !subHasCompute[v] {
-			return [][]NodeID{nil}
-		}
-		var out [][]NodeID
-		if v != d.root {
-			out = append(out, []NodeID{v})
-		}
-		if !d.t.IsCompute(v) && len(d.children[v]) > 0 {
-			combos := [][]NodeID{nil}
-			for _, c := range d.children[v] {
-				sub := enum(c)
-				var next [][]NodeID
-				for _, base := range combos {
-					for _, s := range sub {
-						merged := make([]NodeID, 0, len(base)+len(s))
-						merged = append(merged, base...)
-						merged = append(merged, s...)
-						next = append(next, merged)
-					}
-				}
-				combos = next
-			}
-			out = append(out, combos...)
-		}
-		return out
-	}
-	return enum(d.root)
 }

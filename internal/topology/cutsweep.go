@@ -8,7 +8,7 @@ package topology
 // with a k-slot count vector per holder (slot j counts the holder's tuples
 // of relation j). A group contributes Π_j c_j rows to a side holding c_j of
 // its slot-j tuples, so for the cut at edge e with the subtree S under
-// ChildEnd(e)
+// e's child end
 //
 //	below(e) = Σ_groups Π_j c_j(S)
 //	above(e) = Σ_groups Π_j (T_j − c_j(S))

@@ -87,7 +87,7 @@ func TestCutSweepMatchesBruteForce(t *testing.T) {
 
 // TestCutSweepShapes pins the hand-checkable cases: a line with holders at
 // both ends and in the middle, a star, everything on one node, and a group
-// big enough to leave sortByTin's insertion-sort range.
+// of 70 holders.
 func TestCutSweepShapes(t *testing.T) {
 	line := NewBuilder()
 	prev := line.Compute("")

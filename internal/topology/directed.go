@@ -94,9 +94,6 @@ func (d *Directed) OutBandwidth(v NodeID) float64 { return d.outBW[v] }
 // returned slice is shared and must not be modified.
 func (d *Directed) Children(v NodeID) []NodeID { return d.children[v] }
 
-// IsLeaf reports whether v has no incoming G† edges.
-func (d *Directed) IsLeaf(v NodeID) bool { return len(d.children[v]) == 0 }
-
 // PostOrder reports all nodes of G† in post-order (children before
 // parents), as used by the bottom-up phase of Algorithm 5.
 func (d *Directed) PostOrder() []NodeID {

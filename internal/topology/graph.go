@@ -72,9 +72,6 @@ func (b *GraphBuilder) Build() (*Graph, error) {
 	return g, nil
 }
 
-// MustBuild is Build for static graphs; it panics on error.
-func (b *GraphBuilder) MustBuild() *Graph { return must(b.Build()) }
-
 // GraphFromSpec builds a Graph from a Spec. Unlike FromSpec it accepts
 // cycles and parallel edges but rejects the -1 infinite-bandwidth
 // stand-in (general networks must have finite cuts).

@@ -184,45 +184,15 @@ func (a *PathAccumulator) FlushInto(traffic []int64) (cost float64, bottleneck E
 	return cost, bottleneck
 }
 
-// sortByTin orders nodes by preorder position.
+// sortByTin orders nodes by preorder position, as AddSteiner orders its
+// terminals: it sorts the positions and maps them back through the
+// preorder.
 func sortByTin(t *Tree, ns []NodeID) {
-	// Insertion sort: multicast terminal sets are typically small; fall back
-	// to a simple in-place heapsort for large sets to keep O(k log k).
-	if len(ns) < 32 {
-		for i := 1; i < len(ns); i++ {
-			for j := i; j > 0 && t.tin[ns[j]] < t.tin[ns[j-1]]; j-- {
-				ns[j], ns[j-1] = ns[j-1], ns[j]
-			}
-		}
-		return
+	for i, v := range ns {
+		ns[i] = NodeID(t.tin[v])
 	}
-	heapSortByTin(t, ns)
-}
-
-func heapSortByTin(t *Tree, ns []NodeID) {
-	n := len(ns)
-	for i := n/2 - 1; i >= 0; i-- {
-		siftDownTin(t, ns, i, n)
-	}
-	for end := n - 1; end > 0; end-- {
-		ns[0], ns[end] = ns[end], ns[0]
-		siftDownTin(t, ns, 0, end)
-	}
-}
-
-func siftDownTin(t *Tree, ns []NodeID, i, n int) {
-	for {
-		c := 2*i + 1
-		if c >= n {
-			return
-		}
-		if c+1 < n && t.tin[ns[c+1]] > t.tin[ns[c]] {
-			c++
-		}
-		if t.tin[ns[i]] >= t.tin[ns[c]] {
-			return
-		}
-		ns[i], ns[c] = ns[c], ns[i]
-		i = c
+	slices.Sort(ns)
+	for i, p := range ns {
+		ns[i] = t.preorder[p]
 	}
 }

@@ -61,75 +61,3 @@ func EnsureComputeLeaves(t *Tree) (*Tree, NodeMap) {
 	}
 	return nt, m
 }
-
-// ContractDegree2 applies the second w.l.o.g. transformation of §2.1: every
-// non-compute node of degree exactly 2 is removed and its two incident edges
-// are replaced by a single edge whose bandwidth is the minimum of the two.
-// Repeated until no such node remains. Per-edge costs can only be tracked at
-// the min-bandwidth granularity afterwards, which is exactly the bottleneck
-// the cost model cares about.
-func ContractDegree2(t *Tree) (*Tree, NodeMap) {
-	type edge struct {
-		a, b NodeID
-		bw   float64
-	}
-	alive := make([]bool, t.NumNodes())
-	for i := range alive {
-		alive[i] = true
-	}
-	edges := make([]edge, 0, t.NumEdges())
-	for e := EdgeID(0); int(e) < t.NumEdges(); e++ {
-		a, b := t.Endpoints(e)
-		edges = append(edges, edge{a, b, t.Bandwidth(e)})
-	}
-	changed := true
-	for changed {
-		changed = false
-		deg := make(map[NodeID][]int) // node -> indices into edges
-		for i, e := range edges {
-			deg[e.a] = append(deg[e.a], i)
-			deg[e.b] = append(deg[e.b], i)
-		}
-		for v := NodeID(0); int(v) < t.NumNodes(); v++ {
-			if !alive[v] || t.IsCompute(v) || len(deg[v]) != 2 {
-				continue
-			}
-			i1, i2 := deg[v][0], deg[v][1]
-			other := func(e edge) NodeID {
-				if e.a == v {
-					return e.b
-				}
-				return e.a
-			}
-			u1, u2 := other(edges[i1]), other(edges[i2])
-			bw := math.Min(edges[i1].bw, edges[i2].bw)
-			alive[v] = false
-			// Replace the first edge, drop the second.
-			edges[i1] = edge{u1, u2, bw}
-			edges = append(edges[:i2], edges[i2+1:]...)
-			changed = true
-			break
-		}
-	}
-	b := NewBuilder()
-	newID := make([]NodeID, t.NumNodes())
-	for v := NodeID(0); int(v) < t.NumNodes(); v++ {
-		if !alive[v] {
-			newID[v] = NoNode
-			continue
-		}
-		if t.IsCompute(v) {
-			newID[v] = b.Compute(t.Name(v))
-		} else {
-			newID[v] = b.Router(t.Name(v))
-		}
-	}
-	for _, e := range edges {
-		b.Link(newID[e.a], newID[e.b], e.bw)
-	}
-	nt, err := b.Build()
-	if err != nil {
-		panic(fmt.Sprintf("topology: ContractDegree2 produced invalid tree: %v", err))
-	}
-	return nt, NodeMap{OldToNew: newID}
-}

@@ -44,49 +44,6 @@ func TestSpecRoundTripQuick(t *testing.T) {
 	}
 }
 
-// TestLeftToRightFromWrapContiguity checks the valid-ordering property for
-// arbitrary roots: for every edge, the compute nodes on one side form a
-// contiguous interval of the circular ordering (the defining property the
-// sorting lower bound needs).
-func TestLeftToRightFromWrapContiguity(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	for iter := 0; iter < 80; iter++ {
-		tr := randomTree(rng)
-		root := NodeID(rng.Intn(tr.NumNodes()))
-		order := tr.LeftToRightFrom(root)
-		pos := tr.OrderIndex(order)
-		n := len(order)
-		if n == 0 {
-			t.Fatal("empty ordering")
-		}
-		for e := EdgeID(0); int(e) < tr.NumEdges(); e++ {
-			inSide := make([]bool, n)
-			count := 0
-			for _, v := range tr.ComputeNodes() {
-				if tr.OnChildSide(e, v) {
-					inSide[pos[v]] = true
-					count++
-				}
-			}
-			if count == 0 || count == n {
-				continue
-			}
-			// Circular contiguity: the number of false→true transitions
-			// around the ring must be exactly one.
-			transitions := 0
-			for i := 0; i < n; i++ {
-				if !inSide[i] && inSide[(i+1)%n] {
-					transitions++
-				}
-			}
-			if transitions != 1 {
-				t.Fatalf("iter %d root %v edge %v: side not circularly contiguous (%d transitions)",
-					iter, root, e, transitions)
-			}
-		}
-	}
-}
-
 // TestCutsQuick property-tests the load-cut computation: Below+Above is the
 // total, and the min never exceeds half the total.
 func TestCutsQuick(t *testing.T) {

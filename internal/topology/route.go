@@ -26,13 +26,6 @@ func (t *Tree) Path(dst []EdgeID, u, v NodeID) []EdgeID {
 	return dst
 }
 
-// PathLen reports the number of edges on the unique path from u to v in
-// O(1), using the LCA index.
-func (t *Tree) PathLen(u, v NodeID) int {
-	l := t.LCA(u, v)
-	return int(t.depth[u] + t.depth[v] - 2*t.depth[l])
-}
-
 // SteinerScratch is reusable state for Steiner computations, avoiding
 // per-call allocation in protocol inner loops. The zero value is invalid;
 // use NewSteinerScratch.

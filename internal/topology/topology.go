@@ -158,12 +158,8 @@ func (t *Tree) Parent(v NodeID) (NodeID, EdgeID) { return t.parent[v], t.parentE
 // Depth reports the depth of v (root has depth 0).
 func (t *Tree) Depth(v NodeID) int { return int(t.depth[v]) }
 
-// ChildEnd reports the endpoint of e farther from the root. Removing e
-// splits the tree into the subtree under ChildEnd(e) and the rest.
-func (t *Tree) ChildEnd(e EdgeID) NodeID { return t.childEnd[e] }
-
-// OnChildSide reports whether v lies in the subtree under ChildEnd(e), i.e.
-// on the child side of the cut induced by e.
+// OnChildSide reports whether v lies in the subtree under e's endpoint
+// farther from the root, i.e. on the child side of the cut induced by e.
 func (t *Tree) OnChildSide(e EdgeID, v NodeID) bool {
 	c := t.childEnd[e]
 	return t.tin[c] <= t.tin[v] && t.tin[v] < t.tout[c]

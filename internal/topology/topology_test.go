@@ -528,18 +528,6 @@ func TestLeftToRightContiguity(t *testing.T) {
 	}
 }
 
-func TestLeftToRightFrom(t *testing.T) {
-	tr := Figure1b()
-	vs := tr.ComputeNodes()
-	order := tr.LeftToRightFrom(vs[4]) // root at v5
-	if len(order) != tr.NumCompute() {
-		t.Fatalf("ordering has %d nodes, want %d", len(order), tr.NumCompute())
-	}
-	if order[0] != vs[4] {
-		t.Errorf("ordering rooted at v5 should start at v5, got %s", tr.Name(order[0]))
-	}
-}
-
 func TestEnsureComputeLeaves(t *testing.T) {
 	b := NewBuilder()
 	v1 := b.Compute("v1") // internal compute node
@@ -574,40 +562,6 @@ func TestEnsureComputeLeaves(t *testing.T) {
 	same, _ := EnsureComputeLeaves(star)
 	if same != star {
 		t.Error("leaf-only tree should be returned unchanged")
-	}
-}
-
-func TestContractDegree2(t *testing.T) {
-	// v1 - a - b - v2 with bandwidths 5, 3, 7: contracts to v1 - x - v2 or a
-	// single path with min bandwidths preserved.
-	b := NewBuilder()
-	v1 := b.Compute("v1")
-	a := b.Router("a")
-	c := b.Router("b")
-	v2 := b.Compute("v2")
-	b.Link(v1, a, 5)
-	b.Link(a, c, 3)
-	b.Link(c, v2, 7)
-	tr := b.MustBuild()
-
-	nt, _ := ContractDegree2(tr)
-	if nt.NumNodes() != 2 {
-		t.Fatalf("contracted tree has %d nodes, want 2", nt.NumNodes())
-	}
-	if nt.NumEdges() != 1 {
-		t.Fatalf("contracted tree has %d edges, want 1", nt.NumEdges())
-	}
-	if got := nt.Bandwidth(0); got != 3 {
-		t.Errorf("contracted bandwidth = %v, want min(5,3,7)=3", got)
-	}
-}
-
-func TestContractDegree2KeepsComputeAndBranches(t *testing.T) {
-	tr := Figure1b()
-	nt, _ := ContractDegree2(tr)
-	// Figure 1b has no degree-2 routers, so nothing changes structurally.
-	if nt.NumNodes() != tr.NumNodes() {
-		t.Errorf("contraction changed node count %d -> %d", tr.NumNodes(), nt.NumNodes())
 	}
 }
 

@@ -15,28 +15,6 @@ func (t *Tree) LeftToRight() []NodeID {
 	return out
 }
 
-// LeftToRightFrom reports the compute nodes in a left-to-right traversal
-// rooted at the given node (which may be any node of the tree). Different
-// roots give the different valid orderings admitted by the paper.
-func (t *Tree) LeftToRightFrom(root NodeID) []NodeID {
-	out := make([]NodeID, 0, t.NumCompute())
-	visited := make([]bool, t.NumNodes())
-	var walk func(v NodeID)
-	walk = func(v NodeID) {
-		visited[v] = true
-		if t.compute[v] {
-			out = append(out, v)
-		}
-		for _, h := range t.adj[v] {
-			if !visited[h.To] {
-				walk(h.To)
-			}
-		}
-	}
-	walk(root)
-	return out
-}
-
 // OrderIndex inverts an ordering: it maps each compute node to its position
 // in the given order. Nodes absent from order map to -1.
 func (t *Tree) OrderIndex(order []NodeID) []int {
