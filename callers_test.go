@@ -22,7 +22,9 @@ import (
 
 // uncalledAllowed names the exported functions and methods under internal/
 // that may have no caller in a production file, each with why it stays.
-// Keys are "pkg.Func" or "pkg.Type.Method", pkg relative to the module.
+// Every entry is an oracle or fixture that another package's tests use, so
+// it cannot move into its own package's _test.go files. Keys are
+// "pkg.Func" or "pkg.Type.Method", pkg relative to the module.
 var uncalledAllowed = map[string]string{
 	"internal/topology.Tree.Steiner":        "the Steiner-tree oracle of netsim's round oracle and the root package's benchmarks",
 	"internal/topology.NewSteinerScratch":   "the scratch Tree.Steiner takes in those tests",
@@ -30,8 +32,6 @@ var uncalledAllowed = map[string]string{
 	"internal/topology.Tree.Validate":       "the invariant check cliutil's tests run on parsed trees",
 	"internal/topology.Tree.Root":           "the router netsim's and aggregate's tests aim misdirected sends at",
 	"internal/netsim.Inbox.Messages":        "the message-list view intersect's and place's tests read inboxes through",
-	"internal/lowerbound.UnequalStar":       "Algorithm 1's unequal-star bound; whether to wire it in or delete it is a later decision",
-	"internal/core/intersect.Star":          "Algorithm 1's star intersection; whether to wire it in or delete it is a later decision",
 	"internal/topology/topotest.Draw":       "the topology-shape fixture of the protocol tests; its package exists for tests",
 }
 

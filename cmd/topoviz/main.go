@@ -6,10 +6,9 @@
 // cuts, blocks, combiners and combining-pays marks), and
 // the square packing of the cartesian product (Figure 4).
 //
-// With -task it additionally runs that protocol under the flight
-// recorder and renders a round waterfall: one bar per exchange round,
-// scaled to the per-round max-edge cost, annotated with the bottleneck
-// link.
+// With -task it additionally runs that registry task and renders a round
+// waterfall from its report: one bar per executed exchange round, scaled to
+// the per-round max-edge cost, annotated with the bottleneck link.
 //
 // Usage:
 //
@@ -32,7 +31,6 @@ import (
 	"topompc/internal/cliutil"
 	"topompc/internal/core/cartesian"
 	"topompc/internal/core/place"
-	"topompc/internal/obs"
 	"topompc/internal/topology"
 )
 
@@ -50,7 +48,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		topo     = fs.String("topo", "twotier", "topology: star:PxW, twotier, fattree, caterpillar, fattree-taper, caterpillar-grade, or @file.json")
 		loadsCSV = fs.String("loads", "", "comma-separated N_v per compute node (default: 100 each)")
 		sizeR    = fs.Int64("sizeR", 0, "|R| for the α/β classification (default N/4)")
-		task     = fs.String("task", "", "run this registry task under the flight recorder and render its round waterfall")
+		task     = fs.String("task", "", "run this registry task and render its round waterfall")
 		taskN    = fs.Int("n", 3000, "with -task: total input size")
 		placeFn  = fs.String("place", "uniform", "with -task: placement (uniform, zipf, oneheavy, single)")
 		seed     = fs.Int64("seed", 42, "with -task: random seed")
@@ -204,19 +202,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// waterfall runs one registry task under the flight recorder and renders
-// its exchange rounds as a bar chart of the per-round max-edge cost (the
+// waterfall runs one registry task and renders the executed exchange
+// rounds of its report as a bar chart of the per-round max-edge cost (the
 // quantity the paper's cost model charges), annotated with each round's
-// bottleneck link. Rounds appear in emission order, so hierarchy levels
-// and Borůvka phases read top to bottom as they executed.
+// bottleneck link. Rounds appear in execution order, so hierarchy levels
+// and Borůvka phases read top to bottom as they ran.
 func waterfall(stdout io.Writer, tree *topology.Tree, taskName, placeName string, n int, seed int64) error {
 	spec, ok := topompc.LookupTask(taskName)
 	if !ok {
 		return fmt.Errorf("unknown task %q (see toposim -list-tasks)", taskName)
 	}
-	tracer := obs.NewTrace()
 	cluster := topompc.NewCluster(tree)
-	cluster.SetExecOptions(topompc.ExecOptions{Tracer: tracer})
 	rng := rand.New(rand.NewSource(seed))
 	placer, err := cliutil.Placer(placeName, seed)
 	if err != nil {
@@ -231,53 +227,33 @@ func waterfall(stdout io.Writer, tree *topology.Tree, taskName, placeName string
 		return err
 	}
 
-	type row struct {
-		idx  int
-		cost float64
-		link string
-	}
-	var rows []row
+	rounds := res.Report.Rounds
 	var maxCost, sum float64
-	for _, ev := range tracer.Events() {
-		if ev.Cat != "netsim.round" {
-			continue
-		}
-		var r row
-		if v, ok := ev.Args["round"].(int); ok {
-			r.idx = v
-		}
-		if v, ok := ev.Args["cost"].(float64); ok {
-			r.cost = v
-		}
-		if v, ok := ev.Args["bottleneck_link"].(string); ok {
-			r.link = v
-		}
-		rows = append(rows, r)
-		sum += r.cost
-		if r.cost > maxCost {
-			maxCost = r.cost
-		}
+	for _, rd := range rounds {
+		sum += rd.Cost
+		maxCost = max(maxCost, rd.Cost)
 	}
 
 	fmt.Fprintf(stdout, "\n== round waterfall (%s, n=%d, place=%s, seed=%d) ==\n",
 		spec.Name, n, placeName, seed)
 	fmt.Fprintf(stdout, "  %s\n", res.Summary)
 	const width = 40
-	for _, r := range rows {
+	for _, rd := range rounds {
 		bar := 0
 		if maxCost > 0 {
-			bar = int(r.cost / maxCost * width)
+			bar = int(rd.Cost / maxCost * width)
 		}
-		if bar == 0 && r.cost > 0 {
+		if bar == 0 && rd.Cost > 0 {
 			bar = 1
 		}
 		link := ""
-		if r.link != "" {
-			link = "  via " + r.link
+		if rd.BottleneckEdge != topology.NoEdge {
+			a, b := res.Report.Tree.Endpoints(rd.BottleneckEdge)
+			link = "  via " + res.Report.Tree.Name(a) + "–" + res.Report.Tree.Name(b)
 		}
-		fmt.Fprintf(stdout, "  round %3d %10.1f  %-*s%s\n", r.idx, r.cost, width, strings.Repeat("█", bar), link)
+		fmt.Fprintf(stdout, "  round %3d %10.1f  %-*s%s\n", rd.Index, rd.Cost, width, strings.Repeat("█", bar), link)
 	}
-	fmt.Fprintf(stdout, "  total cost %.3f over %d rounds (reported %.3f)\n", sum, len(rows), res.Cost.Cost)
+	fmt.Fprintf(stdout, "  total cost %.3f over %d rounds (reported %.3f)\n", sum, len(rounds), res.Cost.Cost)
 	return nil
 }
 

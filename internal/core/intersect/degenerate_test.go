@@ -13,11 +13,11 @@ import (
 	"topompc/internal/topology/topotest"
 )
 
-// TestIntersectDegenerateInputs runs every entry point (Star on stars only)
-// on one-node, line, inner-compute, two-tier and star shapes with empty
-// relations, all data on one node, all-equal keys and one key per node, at
-// 1 and 4 workers: the output verifies, the cost is at least the Theorem 1
-// bound, and the two worker counts return the same result.
+// TestIntersectDegenerateInputs runs every entry point on one-node, line,
+// inner-compute, two-tier and star shapes with empty relations, all data on
+// one node, all-equal keys and one key per node, at 1 and 4 workers: the
+// output verifies, the cost is at least the Theorem 1 bound, and the two
+// worker counts return the same result.
 func TestIntersectDegenerateInputs(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	type shape struct {
@@ -72,17 +72,12 @@ func TestIntersectDegenerateInputs(t *testing.T) {
 			return r, s
 		}},
 	}
-	type entry struct {
+	entries := []struct {
 		name string
 		run  func(*topology.Tree, dataset.Placement, dataset.Placement, uint64, ...netsim.Option) (*Result, error)
-	}
-	entries := []entry{{"Tree", Tree}, {"TreeNoPartition", TreeNoPartition}, {"UniformHash", UniformHash}}
+	}{{"Tree", Tree}, {"TreeNoPartition", TreeNoPartition}, {"UniformHash", UniformHash}}
 	for _, sh := range shapes {
 		p := sh.tr.NumCompute()
-		eps := entries
-		if sh.tr.IsStar() {
-			eps = append(eps[:len(eps):len(eps)], entry{"Star", Star})
-		}
 		for _, input := range inputs {
 			r, s := input.gen(p)
 			want := Reference(r, s)
@@ -91,7 +86,7 @@ func TestIntersectDegenerateInputs(t *testing.T) {
 				loads[v] = int64(len(r[i]) + len(s[i]))
 			}
 			lb := lowerbound.Intersection(sh.tr, loads, int64(r.Total()), int64(s.Total())).Value
-			for _, ep := range eps {
+			for _, ep := range entries {
 				at := fmt.Sprintf("%s/%s/%s", sh.name, input.name, ep.name)
 				var runs [2]*Result
 				for w, workers := range []int{1, 4} {

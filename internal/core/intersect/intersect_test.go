@@ -1,6 +1,7 @@
 package intersect
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -37,22 +38,59 @@ func uniformPlace(keys []uint64, p int) (dataset.Placement, error) {
 	return dataset.SplitUniform(keys, p)
 }
 
+// TestTreeIntersectCorrectStar runs Algorithm 2 on stars — the shape the
+// paper's Algorithm 1 was written for — in one round: a uniform star, a
+// heterogeneous one across size ratios from 1:999 to 999:1, and a placement
+// with two nodes each holding nearly half the data, far more than |R|.
 func TestTreeIntersectCorrectStar(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	tr, _ := topology.UniformStar(4, 1)
-	r, s := makeInstance(t, rng, tr, 200, 800, 77, uniformPlace)
-	res, err := Tree(tr, r, s, 42)
+	uniform, _ := topology.UniformStar(4, 1)
+	hetero, _ := topology.Star([]float64{1, 5, 2, 8})
+	type fixture struct {
+		tr      *topology.Tree
+		r, s    dataset.Placement
+		overlap int
+		seed    uint64
+	}
+	r, s := makeInstance(t, rng, uniform, 200, 800, 77, uniformPlace)
+	cases := []fixture{{uniform, r, s, 77, 42}}
+	heteroRng := rand.New(rand.NewSource(6))
+	for _, tc := range []struct{ sizeR, sizeS, overlap int }{
+		{100, 1000, 40},
+		{500, 500, 0},
+		{1, 999, 1},
+		{999, 1, 0},
+	} {
+		r, s := makeInstance(t, heteroRng, hetero, tc.sizeR, tc.sizeS, tc.overlap, uniformPlace)
+		cases = append(cases, fixture{hetero, r, s, tc.overlap, 23})
+	}
+	rk, sk, err := dataset.SetPair(rand.New(rand.NewSource(7)), 20, 2000, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Verify(Reference(r, s), res); err != nil {
+	if r, err = dataset.SplitCounts(rk, []int{20, 0, 0, 0}); err != nil {
 		t.Fatal(err)
 	}
-	if res.Report.NumRounds() != 1 {
-		t.Errorf("rounds = %d, want 1 (Table 1)", res.Report.NumRounds())
+	if s, err = dataset.SplitCounts(sk, []int{0, 990, 990, 20}); err != nil {
+		t.Fatal(err)
 	}
-	if len(res.Output) != 77 {
-		t.Errorf("|output| = %d, want 77", len(res.Output))
+	cases = append(cases, fixture{uniform, r, s, 9, 31})
+
+	for _, tc := range cases {
+		res, err := Tree(tc.tr, tc.r, tc.s, tc.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		at := fmt.Sprintf("|R|=%d |S|=%d", tc.r.Total(), tc.s.Total())
+		if err := Verify(Reference(tc.r, tc.s), res); err != nil {
+			t.Fatalf("%s: %v", at, err)
+		}
+		if res.Report.NumRounds() != 1 {
+			t.Errorf("%s: rounds = %d, want 1 (Table 1)", at, res.Report.NumRounds())
+		}
+		if len(res.Output) != tc.overlap {
+			t.Errorf("%s: |output| = %d, want %d", at, len(res.Output), tc.overlap)
+		}
 	}
 }
 
@@ -164,64 +202,6 @@ func TestTreeIntersectDeterministic(t *testing.T) {
 		if len(a.PerNode[i]) != len(b.PerNode[i]) {
 			t.Fatal("same seed produced different outputs")
 		}
-	}
-}
-
-func TestStarIntersectCorrect(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	tr, _ := topology.Star([]float64{1, 5, 2, 8})
-	for _, tc := range []struct{ sizeR, sizeS, overlap int }{
-		{100, 1000, 40},
-		{500, 500, 0},
-		{1, 999, 1},
-		{999, 1, 0},
-	} {
-		r, s := makeInstance(t, rng, tr, tc.sizeR, tc.sizeS, tc.overlap, uniformPlace)
-		res, err := Star(tr, r, s, 23)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := Verify(Reference(r, s), res); err != nil {
-			t.Fatalf("%+v: %v", tc, err)
-		}
-		if res.Report.NumRounds() > 1 {
-			t.Errorf("%+v: rounds = %d, want 1", tc, res.Report.NumRounds())
-		}
-	}
-}
-
-func TestStarIntersectBetaNodes(t *testing.T) {
-	// Force V_β nonempty: two nodes each hold nearly half the data, far
-	// more than |R|.
-	rng := rand.New(rand.NewSource(7))
-	tr, _ := topology.UniformStar(4, 1)
-	r, s, err := dataset.SetPair(rng, 20, 2000, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pr, err := dataset.SplitCounts(r, []int{20, 0, 0, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ps, err := dataset.SplitCounts(s, []int{0, 990, 990, 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Star(tr, pr, ps, 31)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Verify(Reference(pr, ps), res); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestStarIntersectRejectsNonStar(t *testing.T) {
-	tr := topology.Figure1b()
-	r := make(dataset.Placement, tr.NumCompute())
-	s := make(dataset.Placement, tr.NumCompute())
-	if _, err := Star(tr, r, s, 1); err == nil {
-		t.Error("expected error on non-star topology")
 	}
 }
 
@@ -366,14 +346,9 @@ func TestRepeatedKeysAcrossProtocols(t *testing.T) {
 	star, _ := topology.Star([]float64{1, 2, 4, 8})
 	tree, _ := topology.TwoTier([]int{2, 3}, []float64{2, 1}, 4)
 	protocols := []struct {
-		name     string
-		starOnly bool
-		run      func(*topology.Tree, dataset.Placement, dataset.Placement) (*Result, error)
-	}{
-		{"tree", false, func(tr *topology.Tree, r, s dataset.Placement) (*Result, error) { return Tree(tr, r, s, 5) }},
-		{"star", true, func(tr *topology.Tree, r, s dataset.Placement) (*Result, error) { return Star(tr, r, s, 5) }},
-		{"uniformHash", false, func(tr *topology.Tree, r, s dataset.Placement) (*Result, error) { return UniformHash(tr, r, s, 5) }},
-	}
+		name string
+		run  func(*topology.Tree, dataset.Placement, dataset.Placement, uint64, ...netsim.Option) (*Result, error)
+	}{{"tree", Tree}, {"uniformHash", UniformHash}}
 	for iter := 0; iter < 100; iter++ {
 		rng := rand.New(rand.NewSource(int64(iter)))
 		tr := tree
@@ -396,10 +371,7 @@ func TestRepeatedKeysAcrossProtocols(t *testing.T) {
 			inWant[k] = true
 		}
 		for _, p := range protocols {
-			if p.starOnly && tr != star {
-				continue
-			}
-			res, err := p.run(tr, r, s)
+			res, err := p.run(tr, r, s, 5)
 			if err != nil {
 				t.Fatalf("iter %d %s: %v", iter, p.name, err)
 			}

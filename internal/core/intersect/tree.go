@@ -69,7 +69,7 @@ func round(t *topology.Tree, r, s dataset.Placement, replicate bool, opts []nets
 	x := e.Exchange()
 	router.Round(x, 1, replicate, func(i int) ([]uint64, []uint64) { return in.rel0[i], in.rel1[i] })
 	x.Execute()
-	res := finish(e, in, nil)
+	res := finish(e, in)
 	if replicate {
 		res.Blocks = router.Blocks
 	}

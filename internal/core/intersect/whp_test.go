@@ -14,52 +14,72 @@ import (
 // TestTreeIntersectHighProbability runs the same instance under many
 // independent hash seeds and checks the distribution of cost ratios: the
 // Theorem 2 guarantee is "with high probability", so the ratio must stay
-// within the log envelope on every seed and be small at the median.
+// within the log envelope on every seed and be small at the median. The
+// instances are a two-tier tree and a heterogeneous star, the shape of
+// the paper's Lemma 1.
 func TestTreeIntersectHighProbability(t *testing.T) {
-	tr, err := topology.TwoTier([]int{4, 4}, []float64{2, 1}, 4)
+	twoTier, err := topology.TwoTier([]int{4, 4}, []float64{2, 1}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(77))
-	p := tr.NumCompute()
-	sizeR, sizeS := 500, 4000
-	r, s, err := dataset.SetPair(rng, sizeR, sizeS, 100)
+	star, err := topology.Star([]float64{1, 2, 4, 8, 4, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr, _ := dataset.SplitZipf(rng, r, p, 1.0)
-	ps, _ := dataset.SplitZipf(rng, s, p, 1.0)
-	loads := make(topology.Loads, tr.NumNodes())
-	for i, v := range tr.ComputeNodes() {
-		loads[v] = int64(len(pr[i]) + len(ps[i]))
-	}
-	lb := lowerbound.Intersection(tr, loads, int64(sizeR), int64(sizeS))
+	for _, tc := range []struct {
+		name                  string
+		tr                    *topology.Tree
+		rng                   int64
+		sizeR, sizeS, overlap int
+		zipf                  float64
+	}{
+		{"twotier", twoTier, 77, 500, 4000, 100, 1.0},
+		{"star", star, 88, 400, 3600, 80, 0.8},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := tc.tr
+			rng := rand.New(rand.NewSource(tc.rng))
+			p := tr.NumCompute()
+			r, s, err := dataset.SetPair(rng, tc.sizeR, tc.sizeS, tc.overlap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pr, _ := dataset.SplitZipf(rng, r, p, tc.zipf)
+			ps, _ := dataset.SplitZipf(rng, s, p, tc.zipf)
+			loads := make(topology.Loads, tr.NumNodes())
+			for i, v := range tr.ComputeNodes() {
+				loads[v] = int64(len(pr[i]) + len(ps[i]))
+			}
+			lb := lowerbound.Intersection(tr, loads, int64(tc.sizeR), int64(tc.sizeS))
 
-	const seeds = 50
-	ratios := make([]float64, 0, seeds)
-	for seed := uint64(0); seed < seeds; seed++ {
-		res, err := Tree(tr, pr, ps, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := Verify(Reference(pr, ps), res); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		ratios = append(ratios, netsim.Ratio(res.Report.TotalCost(), lb.Value))
-	}
-	sort.Float64s(ratios)
-	median := ratios[len(ratios)/2]
-	worst := ratios[len(ratios)-1]
-	if median > 4 {
-		t.Errorf("median ratio %.2f too large for a typical instance", median)
-	}
-	if worst > 16 {
-		t.Errorf("worst-seed ratio %.2f escapes any reasonable envelope", worst)
-	}
-	// The spread between median and max should be modest: concentration is
-	// the whole point of the Chernoff argument in Lemma 1.
-	if worst > 4*median {
-		t.Errorf("ratio spread too wide: median %.2f, worst %.2f", median, worst)
+			const seeds = 50
+			ratios := make([]float64, 0, seeds)
+			for seed := uint64(0); seed < seeds; seed++ {
+				res, err := Tree(tr, pr, ps, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := Verify(Reference(pr, ps), res); err != nil {
+					t.Fatalf("seed %d: %v", seed, err)
+				}
+				ratios = append(ratios, netsim.Ratio(res.Report.TotalCost(), lb.Value))
+			}
+			sort.Float64s(ratios)
+			median := ratios[len(ratios)/2]
+			worst := ratios[len(ratios)-1]
+			if median > 4 {
+				t.Errorf("median ratio %.2f too large for a typical instance", median)
+			}
+			if worst > 16 {
+				t.Errorf("worst-seed ratio %.2f escapes any reasonable envelope", worst)
+			}
+			// The spread between median and max should be modest:
+			// concentration is the whole point of the Chernoff argument in
+			// Lemma 1.
+			if worst > 4*median {
+				t.Errorf("ratio spread too wide: median %.2f, worst %.2f", median, worst)
+			}
+		})
 	}
 }
 
@@ -134,45 +154,5 @@ func TestNormalizationPreservesCost(t *testing.T) {
 	lbB := lowerbound.Intersection(norm, loadsB, 200, 800)
 	if lbA.Value != lbB.Value {
 		t.Errorf("normalization changed the lower bound: %v -> %v", lbA.Value, lbB.Value)
-	}
-}
-
-// TestStarIntersectHighProbability mirrors the tree w.h.p. test for the
-// faithful Algorithm 1 implementation on a heterogeneous star.
-func TestStarIntersectHighProbability(t *testing.T) {
-	tr, err := topology.Star([]float64{1, 2, 4, 8, 4, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(88))
-	p := tr.NumCompute()
-	sizeR, sizeS := 400, 3600
-	r, s, err := dataset.SetPair(rng, sizeR, sizeS, 80)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pr, _ := dataset.SplitZipf(rng, r, p, 0.8)
-	ps, _ := dataset.SplitZipf(rng, s, p, 0.8)
-	loads := make(topology.Loads, tr.NumNodes())
-	for i, v := range tr.ComputeNodes() {
-		loads[v] = int64(len(pr[i]) + len(ps[i]))
-	}
-	lb := lowerbound.Intersection(tr, loads, int64(sizeR), int64(sizeS))
-
-	worst := 0.0
-	for seed := uint64(0); seed < 40; seed++ {
-		res, err := Star(tr, pr, ps, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := Verify(Reference(pr, ps), res); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if ratio := netsim.Ratio(res.Report.TotalCost(), lb.Value); ratio > worst {
-			worst = ratio
-		}
-	}
-	if worst > 16 {
-		t.Errorf("worst-seed Star ratio %.2f escapes the envelope", worst)
 	}
 }

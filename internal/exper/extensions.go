@@ -56,11 +56,8 @@ func runX2(cfg Config) ([]Table, error) {
 	r := make([][]topompc.Row, p)
 	s := make([][]topompc.Row, p)
 	for i := 0; i < nR; i++ {
-		// Two draws per tuple: the fragment at the first becomes the fragment
-		// at the second plus the tuple. The recorded tables were made on this
-		// R, whose fragments repeat one another and do not add up to nR.
-		to, from := rng.Intn(p), rng.Intn(p)
-		r[to] = append(r[from], tuple())
+		n := rng.Intn(p) // R spread uniformly
+		r[n] = append(r[n], tuple())
 	}
 	for i := 0; i < 10*nR; i++ {
 		n := rng.Intn(4) // S concentrated in the fast rack

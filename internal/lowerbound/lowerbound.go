@@ -172,6 +172,12 @@ func Sorting(t *topology.Tree, loads topology.Loads) Bound {
 // |R| ≤ |S| on arbitrary symmetric trees:
 //
 //	CLB = max_e (1/w_e) · min{Σ_{V−e} N_v, Σ_{V+e} N_v, |R|}
+//
+// On a star it is Theorem 8 of Appendix A.1. Theorem 9's output-coverage
+// term is not computed: every reported unequal-size bound is this cut
+// alone, and the coverage term exceeds it on balanced placements (on 1,321
+// of 20,000 random stars, all uniformly placed, by up to 1.92×), so adding
+// it would move reported bounds and ratios — a bound change of its own.
 func UnequalCartesianCut(t *topology.Tree, loads topology.Loads, sizeR int64) Bound {
 	cuts := t.Cuts(loads)
 	return maxOverEdges(t, func(e topology.EdgeID) float64 {
@@ -183,13 +189,12 @@ func UnequalCartesianCut(t *topology.Tree, loads topology.Loads, sizeR int64) Bo
 	})
 }
 
-// CoverageNumber solves the V(R, S, VC) minimizer of Theorem 9 (Appendix
-// A.1) on a star: the smallest C such that
+// CoverageNumber is the scale L* of the generalized wHC algorithm
+// (cartesian.Unequal): the smallest C such that
 //
 //	Σ_v min(C·w_v, |R|) · (C·w_v)  ≥  |R| · |S|
 //
-// by binary search; it is the output-coverage component of the unequal-size
-// star lower bound and the scale L* used by the generalized wHC algorithm.
+// over the star's leaf bandwidths w_v, found by binary search.
 func CoverageNumber(weights []float64, sizeR, sizeS int64) float64 {
 	if sizeR == 0 || sizeS == 0 {
 		return 0
