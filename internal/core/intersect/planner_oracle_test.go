@@ -190,7 +190,7 @@ func TestPlannersDeliverWhatTheMapPlannersDid(t *testing.T) {
 		t.Error("no drawn instance had more than one block: the destination-vector grouping went unexercised")
 	}
 
-	// Stars with zero, one and two nodes holding at least |R| of the data
+	// Stars with two, one and no nodes holding at least |R| of the data
 	// (the paper's V_β, which Algorithm 1 singles out).
 	for iter, counts := range [][2][]int{
 		{{20, 0, 0, 0}, {0, 990, 990, 20}},          // two β-nodes
