@@ -53,7 +53,7 @@ func TestTreeIntersectCorrectStar(t *testing.T) {
 		seed    uint64
 	}
 	r, s := makeInstance(t, rng, uniform, 200, 800, 77, uniformPlace)
-	cases := []fixture{{uniform, r, s, 77, 42}}
+	groups := map[string][]fixture{"uniform": {{uniform, r, s, 77, 42}}}
 	heteroRng := rand.New(rand.NewSource(6))
 	for _, tc := range []struct{ sizeR, sizeS, overlap int }{
 		{100, 1000, 40},
@@ -62,7 +62,7 @@ func TestTreeIntersectCorrectStar(t *testing.T) {
 		{999, 1, 0},
 	} {
 		r, s := makeInstance(t, heteroRng, hetero, tc.sizeR, tc.sizeS, tc.overlap, uniformPlace)
-		cases = append(cases, fixture{hetero, r, s, tc.overlap, 23})
+		groups["hetero"] = append(groups["hetero"], fixture{hetero, r, s, tc.overlap, 23})
 	}
 	rk, sk, err := dataset.SetPair(rand.New(rand.NewSource(7)), 20, 2000, 9)
 	if err != nil {
@@ -74,23 +74,27 @@ func TestTreeIntersectCorrectStar(t *testing.T) {
 	if s, err = dataset.SplitCounts(sk, []int{0, 990, 990, 20}); err != nil {
 		t.Fatal(err)
 	}
-	cases = append(cases, fixture{uniform, r, s, 9, 31})
+	groups["betanodes"] = []fixture{{uniform, r, s, 9, 31}}
 
-	for _, tc := range cases {
-		res, err := Tree(tc.tr, tc.r, tc.s, tc.seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		at := fmt.Sprintf("|R|=%d |S|=%d", tc.r.Total(), tc.s.Total())
-		if err := Verify(Reference(tc.r, tc.s), res); err != nil {
-			t.Fatalf("%s: %v", at, err)
-		}
-		if res.Report.NumRounds() != 1 {
-			t.Errorf("%s: rounds = %d, want 1 (Table 1)", at, res.Report.NumRounds())
-		}
-		if len(res.Output) != tc.overlap {
-			t.Errorf("%s: |output| = %d, want %d", at, len(res.Output), tc.overlap)
-		}
+	for name, cases := range groups {
+		t.Run(name, func(t *testing.T) {
+			for _, tc := range cases {
+				res, err := Tree(tc.tr, tc.r, tc.s, tc.seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				at := fmt.Sprintf("|R|=%d |S|=%d", tc.r.Total(), tc.s.Total())
+				if err := Verify(Reference(tc.r, tc.s), res); err != nil {
+					t.Fatalf("%s: %v", at, err)
+				}
+				if res.Report.NumRounds() != 1 {
+					t.Errorf("%s: rounds = %d, want 1 (Table 1)", at, res.Report.NumRounds())
+				}
+				if len(res.Output) != tc.overlap {
+					t.Errorf("%s: |output| = %d, want %d", at, len(res.Output), tc.overlap)
+				}
+			}
+		})
 	}
 }
 
