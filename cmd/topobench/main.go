@@ -79,7 +79,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		scale      = fs.Bool("scale", false, "run the data-plane scale sweep (exchange + cc at 10⁴/10⁵, 10⁵-node cc smoke) and write BENCH_scale.json")
 		big        = fs.Bool("scale-big", false, "with -scale: extend to the 10⁶-node topology build and the ≈10⁷-edge cc run")
 		budget     = fs.Int("budget", 0, "with -scale: wall-clock budget in seconds (0 = none); exceeding it fails the run")
-		compare    = fs.String("compare", "", "baseline dir with committed BENCH json (e.g. benchdata/): rerun the matching sweep with the baseline's config and print per-record wall-clock deltas — warn >10% slower, non-zero exit >25%")
 		tracePath  = fs.String("trace", "", "with -task/-all: record a flight-recorder trace across all timed runs and write Chrome trace-event JSON to this file")
 		debugAddr  = fs.String("debug-addr", "", "serve expvar (/debug/vars) and net/http/pprof (/debug/pprof) on this address for live inspection of long sweeps")
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file")
@@ -140,36 +139,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *scale || *big {
-		sc, err := runScale(*seed, *big, *budget, *workers, stdout)
-		if err != nil {
+		if err := runScale(*seed, *big, *budget, *workers, stdout); err != nil {
 			fmt.Fprintf(stderr, "topobench: %v\n", err)
 			return 1
-		}
-		if *compare != "" {
-			if err := compareScale(*compare, sc, stdout); err != nil {
-				fmt.Fprintf(stderr, "topobench: %v\n", err)
-				return 1
-			}
 		}
 		return 0
-	}
-	if *compare != "" {
-		if *task != "" || *jsonOut {
-			fmt.Fprintln(stderr, "topobench: -compare conflicts with -task/-json (it reruns every task with the baseline's config)")
-			return 2
-		}
-		if err := compareAll(*compare, cfg, stdout); err != nil {
-			fmt.Fprintf(stderr, "topobench: %v\n", err)
-			return 1
-		}
-		return finish(0)
 	}
 	if *all {
 		if *task != "" || *jsonOut {
 			fmt.Fprintln(stderr, "topobench: -all conflicts with -task/-json (it times every task and always writes BENCH_all.json)")
 			return 2
 		}
-		if _, err := timeAll(cfg, stdout); err != nil {
+		if err := timeAll(cfg, stdout); err != nil {
 			return fail(err)
 		}
 		return finish(0)
@@ -350,6 +331,7 @@ func timeTask(name string, cfg benchConfig, jsonOut bool, stdout io.Writer) erro
 // benchAll is the combined record of an -all sweep, one entry per
 // registered task, serialized to BENCH_all.json.
 type benchAll struct {
+	Host    benchHost     `json:"host"`
 	Topo    string        `json:"topo"`
 	Place   string        `json:"place"`
 	N       int           `json:"n"`
@@ -357,23 +339,22 @@ type benchAll struct {
 	Records []benchRecord `json:"records"`
 }
 
-// timeAll times every registered task on the configured fixture, writes
-// the combined BENCH_all.json, and returns the payload so -compare can
-// diff it against a committed baseline.
-func timeAll(cfg benchConfig, stdout io.Writer) (benchAll, error) {
-	out := benchAll{Topo: cfg.topo, Place: cfg.place, N: cfg.n, Seed: cfg.seed}
+// timeAll times every registered task on the configured fixture and
+// writes the combined BENCH_all.json.
+func timeAll(cfg benchConfig, stdout io.Writer) error {
+	out := benchAll{Host: thisHost(), Topo: cfg.topo, Place: cfg.place, N: cfg.n, Seed: cfg.seed}
 	for _, spec := range topompc.Tasks() {
 		rec, err := timeOne(spec, cfg, stdout)
 		if err != nil {
-			return benchAll{}, fmt.Errorf("%s: %w", spec.Name, err)
+			return fmt.Errorf("%s: %w", spec.Name, err)
 		}
 		out.Records = append(out.Records, rec)
 	}
 	if err := writeJSON("BENCH_all.json", out); err != nil {
-		return benchAll{}, err
+		return err
 	}
 	fmt.Fprintf(stdout, "wrote BENCH_all.json (%d tasks)\n", len(out.Records))
-	return out, nil
+	return nil
 }
 
 func writeJSON(path string, v interface{}) error {

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"topompc"
+	"topompc/internal/obs"
 )
 
 // chtmp moves the test into a temp dir so BENCH_*.json files land there.
@@ -168,6 +169,44 @@ func TestAllWritesCombinedJSON(t *testing.T) {
 	}
 	if len(strays) != 1 {
 		t.Errorf("expected only BENCH_all.json, found %v", strays)
+	}
+}
+
+// TestTraceFlagWritesValidTrace runs one timed task with the flight
+// recorder attached and checks the trace file validates against the
+// schema and the BENCH record carries the metrics snapshot.
+func TestTraceFlagWritesValidTrace(t *testing.T) {
+	chtmp(t)
+	var out, errOut strings.Builder
+	code := run([]string{"-task", "cc", "-topo", "caterpillar-grade", "-n", "900", "-reps", "1",
+		"-json", "-trace", "trace.json"}, &out, &errOut)
+	if code != 0 {
+		t.Fatalf("exit code %d, stderr: %s", code, errOut.String())
+	}
+	data, err := os.ReadFile("trace.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := obs.ValidateTraceJSON(data); err != nil {
+		t.Fatalf("trace fails schema check: %v", err)
+	}
+	if !strings.Contains(out.String(), "wrote trace trace.json") {
+		t.Errorf("output should announce the trace file:\n%s", out.String())
+	}
+
+	bench, err := os.ReadFile("BENCH_cc.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec benchRecord
+	if err := json.Unmarshal(bench, &rec); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Metrics["netsim.rounds"] <= 0 {
+		t.Errorf("record should carry a metrics snapshot with netsim.rounds, got %v", rec.Metrics)
+	}
+	if rec.Metrics["graph.cc.phases"] <= 0 {
+		t.Errorf("cc record should count Borůvka phases, got %v", rec.Metrics)
 	}
 }
 

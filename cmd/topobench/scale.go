@@ -58,18 +58,18 @@ type scaleRecord struct {
 	HeapBytes int64   `json:"heap_bytes,omitempty"`
 }
 
-// scaleHost says on what machine a scale sweep was recorded: wall clocks of
+// benchHost says on what machine a sweep was recorded: wall clocks of
 // two recordings compare only between like hosts, and a workers=w row means
 // something only where there are w CPUs.
-type scaleHost struct {
+type benchHost struct {
 	CPUModel   string `json:"cpu_model"`
 	NumCPU     int    `json:"num_cpu"`
 	GOMAXPROCS int    `json:"gomaxprocs"`
 	GoVersion  string `json:"go_version"`
 }
 
-func thisHost() scaleHost {
-	h := scaleHost{CPUModel: "unknown", NumCPU: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0), GoVersion: runtime.Version()}
+func thisHost() benchHost {
+	h := benchHost{CPUModel: "unknown", NumCPU: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0), GoVersion: runtime.Version()}
 	if data, err := os.ReadFile("/proc/cpuinfo"); err == nil {
 		for _, line := range strings.Split(string(data), "\n") {
 			if name, val, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(name) == "model name" {
@@ -83,7 +83,7 @@ func thisHost() scaleHost {
 
 // benchScale is the BENCH_scale.json payload.
 type benchScale struct {
-	Host     scaleHost     `json:"host"`
+	Host     benchHost     `json:"host"`
 	Seed     uint64        `json:"seed"`
 	WallNs   int64         `json:"wall_ns"`
 	BudgetNs int64         `json:"budget_ns,omitempty"`
@@ -219,18 +219,68 @@ const (
 	bigHeapBudget   = 1 << 30 // 1 GB for the 10⁶-vertex probes (measured ~0.41 GB; pre-trimming ~7.4 GB)
 )
 
-// ccSmoke runs one connectivity protocol once, end to end, on a graded
-// caterpillar with the given total node count and a G(n, p) input, and
-// reports wall clock, rounds, total cost, and the live heap after the run.
-// workers > 0 pins the compute-plane worker count (0 keeps the engine
-// default); heapBudget > 0 fails the probe when the post-GC live heap
-// exceeds it.
-func ccSmoke(name string, nodes, n int, p float64, seed uint64, workers int, heapBudget int64, run ccRunner, stdout io.Writer) (scaleRecord, error) {
-	tr, err := gradedCaterpillar(nodes / 2)
+// smokeProbe is one end-to-end connectivity probe of the scale sweep: run
+// on a G(n, p) input over a graded caterpillar of the given total node
+// count.
+type smokeProbe struct {
+	name     string
+	nodes, n int
+	p        float64
+	run      ccRunner
+	// heapBudget > 0 fails the probe when the post-GC live heap exceeds it.
+	heapBudget int64
+	// workers gives the worker counts of the probe's rows when the sweep
+	// tops out at maxW; nil runs it once at the engine default.
+	workers func(maxW int) []int
+	// big probes run only with -scale-big.
+	big bool
+}
+
+// smokeProbes are the sweep's smoke probes, in the order they run and are
+// recorded. Their model figures (edges, rounds, cost) depend only on the
+// probe and the seed, whatever the worker count.
+var smokeProbes = []smokeProbe{
+	// The -scale smoke: a 10⁵-node caterpillar hosting an average-degree-4
+	// G(n, p) connectivity run, with the live-heap regression bound.
+	{name: "cc-smoke", nodes: 100_000, n: 100_000, p: 4.0 / 100_000, run: graph.CC, heapBudget: smokeHeapBudget},
+	// The round-count trajectory: Borůvka cc vs exponentiation cc-fast on
+	// the degree-20 G(n, p) of the acceptance benchmark, paired by scale
+	// so the records hold both rounds and total cost.
+	{name: "cc-rounds", nodes: 10_000, n: 10_000, p: 20.0 / 10_000, run: graph.CC},
+	{name: "cc-fast-rounds", nodes: 10_000, n: 10_000, p: 20.0 / 10_000, run: graph.CCFast},
+	{name: "cc-rounds", nodes: 100_000, n: 100_000, p: 20.0 / 100_000, run: graph.CC},
+	{name: "cc-fast-rounds", nodes: 100_000, n: 100_000, p: 20.0 / 100_000, run: graph.CCFast},
+	// Multicore sweep: the degree-20 10⁵ fixture at workers {1, 2, top},
+	// every row paired against the workers=1 run so the Speedup column
+	// records the compute-plane scaling on this machine.
+	{name: "cc-workers", nodes: 100_000, n: 100_000, p: 20.0 / 100_000, run: graph.CC, workers: workerSweep},
+	{name: "cc-fast-workers", nodes: 100_000, n: 100_000, p: 20.0 / 100_000, run: graph.CCFast, workers: workerSweep},
+	// ≈10⁷ edges: p·n(n−1)/2 with n = 10⁶, p = 2·10⁻⁵. Each probe always
+	// records a workers=1 row; on a multicore machine a paired
+	// workers=min(8, top) row carries the end-to-end speedup.
+	{name: "cc-big", nodes: 1_000_000, n: 1_000_000, p: 2e-5, run: graph.CC, heapBudget: bigHeapBudget, workers: bigPair, big: true},
+	{name: "cc-fast-big", nodes: 1_000_000, n: 1_000_000, p: 2e-5, run: graph.CCFast, heapBudget: bigHeapBudget, workers: bigPair, big: true},
+}
+
+func workerSweep(maxW int) []int {
+	sweep := []int{1, 2, maxW}
+	slices.Sort(sweep)
+	return slices.Compact(sweep)
+}
+
+func bigPair(maxW int) []int {
+	return slices.Compact([]int{1, min(8, maxW)})
+}
+
+// ccSmoke runs one smoke probe once, end to end, and reports wall clock,
+// rounds, total cost, and the live heap after the run. workers > 0 pins
+// the compute-plane worker count (0 keeps the engine default).
+func ccSmoke(pr smokeProbe, seed uint64, workers int, stdout io.Writer) (scaleRecord, error) {
+	tr, err := gradedCaterpillar(pr.nodes / 2)
 	if err != nil {
 		return scaleRecord{}, err
 	}
-	edges, ne, err := gnpPlacement(n, p, tr.NumCompute())
+	edges, ne, err := gnpPlacement(pr.n, pr.p, tr.NumCompute())
 	if err != nil {
 		return scaleRecord{}, err
 	}
@@ -239,7 +289,7 @@ func ccSmoke(name string, nodes, n int, p float64, seed uint64, workers int, hea
 		opts = append(opts, netsim.WithWorkers(workers))
 	}
 	start := time.Now()
-	res, err := run(tr, edges, seed, opts...)
+	res, err := pr.run(tr, edges, seed, opts...)
 	elapsed := time.Since(start)
 	if err != nil {
 		return scaleRecord{}, err
@@ -250,7 +300,7 @@ func ccSmoke(name string, nodes, n int, p float64, seed uint64, workers int, hea
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	rec := scaleRecord{
-		Name: name, Size: nodes, Workers: workers,
+		Name: pr.name, Size: pr.nodes, Workers: workers,
 		NsPerOp:   elapsed.Nanoseconds(),
 		Edges:     ne,
 		Rounds:    res.Report.NumRounds(),
@@ -262,10 +312,10 @@ func ccSmoke(name string, nodes, n int, p float64, seed uint64, workers int, hea
 		wtag = fmt.Sprintf(" [w=%d]", workers)
 	}
 	fmt.Fprintf(stdout, "%s%s %d-node topology, %d verts, %d edges: %v wall, %d rounds, cost %.0f, %d components, heap %d MB\n",
-		name, wtag, nodes, n, ne, elapsed.Round(time.Millisecond), rec.Rounds, rec.Cost, res.Components, rec.HeapBytes>>20)
-	if heapBudget > 0 && rec.HeapBytes > heapBudget {
+		pr.name, wtag, pr.nodes, pr.n, ne, elapsed.Round(time.Millisecond), rec.Rounds, rec.Cost, res.Components, rec.HeapBytes>>20)
+	if pr.heapBudget > 0 && rec.HeapBytes > pr.heapBudget {
 		return rec, fmt.Errorf("%s: live heap %d MB exceeds the %d MB budget (scratch trimming regression?)",
-			name, rec.HeapBytes>>20, heapBudget>>20)
+			pr.name, rec.HeapBytes>>20, pr.heapBudget>>20)
 	}
 	return rec, nil
 }
@@ -310,11 +360,10 @@ func pairedSpeedup(name string, cpus, w int, ns1, nsW int64, stdout io.Writer) f
 }
 
 // runScale executes the -scale sweep (and the -scale-big extension) and
-// writes BENCH_scale.json, returning the payload so -compare can diff it
-// against a committed baseline. A nonzero budget (seconds) fails the run
-// when the sweep's wall clock exceeds it. workers > 0 caps the top of
-// the multicore sweep (0 uses NumCPU).
-func runScale(seed uint64, big bool, budgetSec, workers int, stdout io.Writer) (benchScale, error) {
+// writes BENCH_scale.json. A nonzero budget (seconds) fails the run when
+// the sweep's wall clock exceeds it. workers > 0 caps the top of the
+// multicore sweep (0 uses NumCPU).
+func runScale(seed uint64, big bool, budgetSec, workers int, stdout io.Writer) error {
 	start := time.Now()
 	out := benchScale{Host: thisHost(), Seed: seed}
 	fmt.Fprintf(stdout, "host: %s, NumCPU=%d GOMAXPROCS=%d, %s\n", out.Host.CPUModel, out.Host.NumCPU, out.Host.GOMAXPROCS, out.Host.GoVersion)
@@ -325,92 +374,57 @@ func runScale(seed uint64, big bool, budgetSec, workers int, stdout io.Writer) (
 		out.Records = append(out.Records, rec)
 		return nil
 	}
-
-	for _, nodes := range []int{10_000, 100_000} {
-		if err := add(exchangeScale(nodes, stdout)); err != nil {
-			return benchScale{}, err
-		}
-	}
-	for _, n := range []int{10_000, 100_000} {
-		if err := add(ccScale(n, seed, stdout)); err != nil {
-			return benchScale{}, err
-		}
-	}
-	// The -scale smoke: a 10⁵-node caterpillar hosting an average-degree-4
-	// G(n, p) connectivity run, with the live-heap regression bound.
-	if err := add(ccSmoke("cc-smoke", 100_000, 100_000, 4.0/100_000, seed, 0, smokeHeapBudget, graph.CC, stdout)); err != nil {
-		return benchScale{}, err
-	}
-	// The round-count trajectory: Borůvka cc vs exponentiation cc-fast on
-	// the degree-20 G(n, p) of the acceptance benchmark, paired by scale
-	// so -compare tracks both rounds and total cost.
-	for _, n := range []int{10_000, 100_000} {
-		p := 20 / float64(n)
-		if err := add(ccSmoke("cc-rounds", n, n, p, seed, 0, 0, graph.CC, stdout)); err != nil {
-			return benchScale{}, err
-		}
-		if err := add(ccSmoke("cc-fast-rounds", n, n, p, seed, 0, 0, graph.CCFast, stdout)); err != nil {
-			return benchScale{}, err
-		}
-	}
-	// Multicore sweep: the degree-20 10⁵ fixture at workers {1, 2, top}
-	// (deduplicated), pairing every row against the workers=1 run so the
-	// Speedup column records the compute-plane scaling on this machine.
-	// The hard invariant says rounds/cost/checksums are identical across
-	// worker counts, so only the wall clock may move.
 	maxW := workers
 	if maxW <= 0 {
 		maxW = runtime.NumCPU()
 	}
-	sweep := []int{1, 2, maxW}
-	slices.Sort(sweep)
-	sweep = slices.Compact(sweep)
-	for _, probe := range []struct {
-		name string
-		run  ccRunner
-	}{{"cc-workers", graph.CC}, {"cc-fast-workers", graph.CCFast}} {
-		var w1 int64
-		for _, w := range sweep {
-			rec, err := ccSmoke(probe.name, 100_000, 100_000, 20.0/100_000, seed, w, 0, probe.run, stdout)
-			if err != nil {
-				return benchScale{}, err
+	// smokes runs the probes of one size class. Every workers=w row pairs
+	// against its probe's workers=1 run; only the wall clock may differ.
+	smokes := func(big bool) error {
+		for _, pr := range smokeProbes {
+			if pr.big != big {
+				continue
 			}
-			if w == 1 {
-				w1 = rec.NsPerOp
-			} else {
-				rec.Speedup = pairedSpeedup(probe.name, runtime.NumCPU(), w, w1, rec.NsPerOp, stdout)
+			ws := []int{0}
+			if pr.workers != nil {
+				ws = pr.workers(maxW)
 			}
-			out.Records = append(out.Records, rec)
+			var w1 int64
+			for _, w := range ws {
+				rec, err := ccSmoke(pr, seed, w, stdout)
+				if err != nil {
+					return err
+				}
+				if w == 1 {
+					w1 = rec.NsPerOp
+				} else if w > 1 {
+					rec.Speedup = pairedSpeedup(pr.name, runtime.NumCPU(), w, w1, rec.NsPerOp, stdout)
+				}
+				out.Records = append(out.Records, rec)
+			}
 		}
+		return nil
+	}
+
+	for _, nodes := range []int{10_000, 100_000} {
+		if err := add(exchangeScale(nodes, stdout)); err != nil {
+			return err
+		}
+	}
+	for _, n := range []int{10_000, 100_000} {
+		if err := add(ccScale(n, seed, stdout)); err != nil {
+			return err
+		}
+	}
+	if err := smokes(false); err != nil {
+		return err
 	}
 	if big {
 		if err := add(topoBuild(1_000_000, stdout)); err != nil {
-			return benchScale{}, err
+			return err
 		}
-		// ≈10⁷ edges: p·n(n−1)/2 with n = 10⁶, p = 2·10⁻⁵. Each probe
-		// always records a workers=1 row; on a multicore machine a paired
-		// workers=min(8, top) row carries the end-to-end speedup.
-		bigW := maxW
-		if bigW > 8 {
-			bigW = 8
-		}
-		for _, probe := range []struct {
-			name string
-			run  ccRunner
-		}{{"cc-big", graph.CC}, {"cc-fast-big", graph.CCFast}} {
-			r1, err := ccSmoke(probe.name, 1_000_000, 1_000_000, 2e-5, seed, 1, bigHeapBudget, probe.run, stdout)
-			if err != nil {
-				return benchScale{}, err
-			}
-			out.Records = append(out.Records, r1)
-			if bigW > 1 {
-				rN, err := ccSmoke(probe.name, 1_000_000, 1_000_000, 2e-5, seed, bigW, bigHeapBudget, probe.run, stdout)
-				if err != nil {
-					return benchScale{}, err
-				}
-				rN.Speedup = pairedSpeedup(probe.name, runtime.NumCPU(), bigW, r1.NsPerOp, rN.NsPerOp, stdout)
-				out.Records = append(out.Records, rN)
-			}
+		if err := smokes(true); err != nil {
+			return err
 		}
 	}
 
@@ -419,13 +433,13 @@ func runScale(seed uint64, big bool, budgetSec, workers int, stdout io.Writer) (
 		out.BudgetNs = int64(budgetSec) * int64(time.Second)
 	}
 	if err := writeJSON("BENCH_scale.json", out); err != nil {
-		return benchScale{}, err
+		return err
 	}
 	fmt.Fprintf(stdout, "wrote BENCH_scale.json (%d records, %v wall)\n",
 		len(out.Records), time.Duration(out.WallNs).Round(time.Millisecond))
 	if out.BudgetNs > 0 && out.WallNs > out.BudgetNs {
-		return out, fmt.Errorf("scale sweep took %v, over the %ds budget",
+		return fmt.Errorf("scale sweep took %v, over the %ds budget",
 			time.Duration(out.WallNs).Round(time.Millisecond), budgetSec)
 	}
-	return out, nil
+	return nil
 }
