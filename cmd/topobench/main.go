@@ -1,21 +1,19 @@
 // Command topobench regenerates the paper's tables and figures as markdown
-// or aligned-text tables (-list prints the per-experiment index; the run at
-// -seed 42 -format md is recorded in EXPERIMENTS.md, and a test and CI diff
-// against it). It can also time any task from
-// the protocol registry on a chosen topology (-task); with -json the
-// timing results are additionally written to BENCH_<task>.json for
-// machine consumption (CI uploads these as artifacts). -all times every
-// registered task on the chosen topology and writes the combined records
-// to BENCH_all.json, so the per-PR performance trajectory accumulates in
-// one artifact.
+// (-list prints the per-experiment index; the run at -seed 42 is recorded in
+// EXPERIMENTS.md, and a test and CI diff against it). It can also time any
+// task from the protocol registry on a chosen topology (-task) and write the
+// results to BENCH_<task>.json for machine consumption (CI uploads these as
+// artifacts). -all times every registered task on the chosen topology and
+// writes the combined records to BENCH_all.json, so the per-PR performance
+// trajectory accumulates in one artifact.
 //
 // Usage:
 //
 //	topobench -list
-//	topobench -run all -seed 42 -format md
-//	topobench -run E1,E8 -quick
+//	topobench -run all -seed 42
+//	topobench -run E1,E8
 //	topobench -task sort -topo twotier -n 100000 -reps 5 -workers 4
-//	topobench -task triangle -topo caterpillar -n 20000 -reps 3 -json
+//	topobench -task triangle -topo caterpillar -n 20000 -reps 3
 //	topobench -all -n 20000 -reps 1
 package main
 
@@ -27,13 +25,9 @@ import (
 	"io"
 	"math"
 	"math/rand"
-	"net/http"
 	"os"
 	"strings"
 	"time"
-
-	_ "expvar"         // /debug/vars on the -debug-addr endpoint
-	_ "net/http/pprof" // /debug/pprof on the -debug-addr endpoint
 
 	"topompc"
 	"topompc/internal/cliutil"
@@ -65,22 +59,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var (
 		runIDs     = fs.String("run", "all", "comma-separated experiment ids, or 'all'")
 		seed       = fs.Uint64("seed", 42, "random seed (fixed seed reproduces every number)")
-		quick      = fs.Bool("quick", false, "reduced sweeps")
-		format     = fs.String("format", "text", "output format: text or md")
 		list       = fs.Bool("list", false, "list experiments and exit")
-		task       = fs.String("task", "", "registry task to time instead of experiments (see toposim -list-tasks)")
+		task       = fs.String("task", "", "registry task to time instead of experiments (see toposim -list-tasks); writes BENCH_<task>.json")
 		all        = fs.Bool("all", false, "time every registry task on -topo and write combined BENCH_all.json")
 		topo       = fs.String("topo", "twotier", "topology for -task/-all: star:PxW, twotier, fattree, caterpillar, fattree-taper, caterpillar-grade, mesh, ring-of-racks, clos, fanout, or @file.json (tree or general network)")
 		n          = fs.Int("n", 100000, "input size for -task/-all")
 		place      = fs.String("place", "uniform", "placement for -task/-all: uniform, zipf, oneheavy, single")
 		reps       = fs.Int("reps", 3, "timed repetitions for -task/-all")
 		workers    = fs.Int("workers", 0, "goroutine budget for -task/-all (0 = all CPUs)")
-		jsonOut    = fs.Bool("json", false, "with -task: also write BENCH_<task>.json with machine-readable results")
 		scale      = fs.Bool("scale", false, "run the data-plane scale sweep (exchange + cc at 10⁴/10⁵, 10⁵-node cc smoke) and write BENCH_scale.json")
 		big        = fs.Bool("scale-big", false, "with -scale: extend to the 10⁶-node topology build and the ≈10⁷-edge cc run")
 		budget     = fs.Int("budget", 0, "with -scale: wall-clock budget in seconds (0 = none); exceeding it fails the run")
 		tracePath  = fs.String("trace", "", "with -task/-all: record a flight-recorder trace across all timed runs and write Chrome trace-event JSON to this file")
-		debugAddr  = fs.String("debug-addr", "", "serve expvar (/debug/vars) and net/http/pprof (/debug/pprof) on this address for live inspection of long sweeps")
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = fs.String("memprofile", "", "write a heap profile to this file")
 	)
@@ -91,14 +81,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	if *debugAddr != "" {
-		fmt.Fprintf(stderr, "topobench: debug endpoint on http://%s/debug/pprof and /debug/vars\n", *debugAddr)
-		go func() {
-			if err := http.ListenAndServe(*debugAddr, nil); err != nil {
-				fmt.Fprintf(stderr, "topobench: debug endpoint: %v\n", err)
-			}
-		}()
-	}
 	stopProfiles, err := cliutil.StartProfiles(*cpuprofile, *memprofile)
 	if err != nil {
 		fmt.Fprintf(stderr, "topobench: %v\n", err)
@@ -146,8 +128,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 	if *all {
-		if *task != "" || *jsonOut {
-			fmt.Fprintln(stderr, "topobench: -all conflicts with -task/-json (it times every task and always writes BENCH_all.json)")
+		if *task != "" {
+			fmt.Fprintln(stderr, "topobench: -all conflicts with -task (it times every task and writes BENCH_all.json)")
 			return 2
 		}
 		if err := timeAll(cfg, stdout); err != nil {
@@ -156,7 +138,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return finish(0)
 	}
 	if *task != "" {
-		if err := timeTask(*task, cfg, *jsonOut, stdout); err != nil {
+		if err := timeTask(*task, cfg, stdout); err != nil {
 			return fail(err)
 		}
 		return finish(0)
@@ -184,24 +166,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	ecfg := exper.Config{Seed: *seed, Quick: *quick}
 	for _, e := range selected {
-		if *format == "md" {
-			fmt.Fprintf(stdout, "## %s — %s\n\nRegenerates: %s\n\n", e.ID, e.Title, e.Paper)
-		} else {
-			fmt.Fprintf(stdout, "### %s — %s  [%s]\n\n", e.ID, e.Title, e.Paper)
-		}
-		tables, err := e.Run(ecfg)
+		fmt.Fprintf(stdout, "## %s — %s\n\nRegenerates: %s\n\n", e.ID, e.Title, e.Paper)
+		tables, err := e.Run(*seed)
 		if err != nil {
 			fmt.Fprintf(stderr, "topobench: %s: %v\n", e.ID, err)
 			return 1
 		}
 		for _, tb := range tables {
-			if *format == "md" {
-				fmt.Fprintln(stdout, tb.Markdown())
-			} else {
-				fmt.Fprintln(stdout, tb.String())
-			}
+			fmt.Fprintln(stdout, tb.Markdown())
 		}
 	}
 	return 0
@@ -252,7 +225,6 @@ func timeOne(spec topompc.Task, cfg benchConfig, stdout io.Writer) (benchRecord,
 	}
 	cluster := topompc.NewCluster(tree)
 	reg := obs.NewRegistry()
-	obs.PublishExpvar("topompc_metrics", reg)
 	execOpts := topompc.ExecOptions{Workers: cfg.workers, Metrics: reg}
 	if cfg.tracer != nil {
 		execOpts.Tracer = cfg.tracer
@@ -308,8 +280,8 @@ func timeOne(spec topompc.Task, cfg benchConfig, stdout io.Writer) (benchRecord,
 	return rec, nil
 }
 
-// timeTask times one named task, optionally writing BENCH_<task>.json.
-func timeTask(name string, cfg benchConfig, jsonOut bool, stdout io.Writer) error {
+// timeTask times one named task and writes BENCH_<task>.json.
+func timeTask(name string, cfg benchConfig, stdout io.Writer) error {
 	spec, ok := topompc.LookupTask(name)
 	if !ok {
 		return fmt.Errorf("unknown task %q (see toposim -list-tasks)", name)
@@ -318,13 +290,11 @@ func timeTask(name string, cfg benchConfig, jsonOut bool, stdout io.Writer) erro
 	if err != nil {
 		return err
 	}
-	if jsonOut {
-		path := fmt.Sprintf("BENCH_%s.json", name)
-		if err := writeJSON(path, rec); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "wrote %s\n", path)
+	path := fmt.Sprintf("BENCH_%s.json", name)
+	if err := writeJSON(path, rec); err != nil {
+		return err
 	}
+	fmt.Fprintf(stdout, "wrote %s\n", path)
 	return nil
 }
 

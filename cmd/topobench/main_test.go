@@ -70,6 +70,21 @@ func TestUnknownFlag(t *testing.T) {
 	}
 }
 
+// TestRemovedFlags: the experiments run at one size and print markdown, -task
+// always writes its BENCH file, and there is no debug endpoint, so each of
+// the flags that once chose otherwise is now an unknown flag.
+func TestRemovedFlags(t *testing.T) {
+	for _, args := range [][]string{{"-quick"}, {"-format", "md"}, {"-json"}, {"-debug-addr", "x"}} {
+		var out, errOut strings.Builder
+		if code := run(args, &out, &errOut); code != 2 {
+			t.Errorf("%v: exit code %d, want 2", args, code)
+		}
+		if !strings.Contains(errOut.String(), "flag provided but not defined") {
+			t.Errorf("%v: stderr should reject the flag: %s", args, errOut.String())
+		}
+	}
+}
+
 func TestHelpExitsZero(t *testing.T) {
 	var out, errOut strings.Builder
 	if code := run([]string{"-h"}, &out, &errOut); code != 0 {
@@ -78,14 +93,12 @@ func TestHelpExitsZero(t *testing.T) {
 }
 
 func TestAllConflictsWithTask(t *testing.T) {
-	for _, args := range [][]string{{"-all", "-task", "sort"}, {"-all", "-json"}} {
-		var out, errOut strings.Builder
-		if code := run(args, &out, &errOut); code != 2 {
-			t.Fatalf("%v: exit code %d, want 2", args, code)
-		}
-		if !strings.Contains(errOut.String(), "conflicts") {
-			t.Errorf("%v: stderr should explain the conflict: %s", args, errOut.String())
-		}
+	var out, errOut strings.Builder
+	if code := run([]string{"-all", "-task", "sort"}, &out, &errOut); code != 2 {
+		t.Fatalf("exit code %d, want 2", code)
+	}
+	if !strings.Contains(errOut.String(), "conflicts") {
+		t.Errorf("stderr should explain the conflict: %s", errOut.String())
 	}
 }
 
@@ -108,12 +121,12 @@ func TestUnknownPlacement(t *testing.T) {
 	}
 }
 
-// TestTaskJSONShape times one task with -json and checks the BENCH file's
+// TestTaskJSONShape times one task and checks the BENCH file's
 // machine-readable shape.
 func TestTaskJSONShape(t *testing.T) {
 	chtmp(t)
 	var out, errOut strings.Builder
-	code := run([]string{"-task", "intersect", "-topo", "star:4x2", "-n", "2000", "-reps", "2", "-json"}, &out, &errOut)
+	code := run([]string{"-task", "intersect", "-topo", "star:4x2", "-n", "2000", "-reps", "2"}, &out, &errOut)
 	if code != 0 {
 		t.Fatalf("exit code %d, stderr: %s", code, errOut.String())
 	}
@@ -179,7 +192,7 @@ func TestTraceFlagWritesValidTrace(t *testing.T) {
 	chtmp(t)
 	var out, errOut strings.Builder
 	code := run([]string{"-task", "cc", "-topo", "caterpillar-grade", "-n", "900", "-reps", "1",
-		"-json", "-trace", "trace.json"}, &out, &errOut)
+		"-trace", "trace.json"}, &out, &errOut)
 	if code != 0 {
 		t.Fatalf("exit code %d, stderr: %s", code, errOut.String())
 	}
@@ -213,7 +226,7 @@ func TestTraceFlagWritesValidTrace(t *testing.T) {
 var update = flag.Bool("update", false, "rewrite EXPERIMENTS.md with the current experiment output")
 
 // TestExperimentsMatchRecorded pins the reproduction: `topobench -run all
-// -seed 42 -format md`, every protocol run verified and held to its table's
+// -seed 42`, every protocol run verified and held to its table's
 // claim along the way, must print EXPERIMENTS.md byte for byte. A protocol,
 // bound or table change shows up as a reviewed diff of the paper's tables;
 // after an intended one, regenerate with
@@ -222,7 +235,7 @@ var update = flag.Bool("update", false, "rewrite EXPERIMENTS.md with the current
 func TestExperimentsMatchRecorded(t *testing.T) {
 	const recorded = "../../EXPERIMENTS.md"
 	var out, errOut bytes.Buffer
-	if code := run([]string{"-run", "all", "-seed", "42", "-format", "md"}, &out, &errOut); code != 0 {
+	if code := run([]string{"-run", "all", "-seed", "42"}, &out, &errOut); code != 0 {
 		t.Fatalf("exit code %d, stderr: %s", code, errOut.String())
 	}
 	if *update {

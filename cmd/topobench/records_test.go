@@ -111,13 +111,12 @@ func allDiffs(want, got benchAll) []string {
 // scaleDiffs names every (row, field) where a BENCH_scale.json smoke row
 // of at most maxCheckedSize nodes differs from a fresh run of its probe,
 // every such row no probe writes, and every such probe with no row. rerun
-// runs a probe; it is called once per distinct configuration (cc-rounds
-// and cc-workers at 10⁵ share one), and every row of it, whatever its
-// worker count, is held to that run. Rows of the benchmarked probes
+// runs a probe; it is called once per probe, and every row of it, whatever
+// its worker count, is held to that run. Rows of the benchmarked probes
 // (exchange, cc) carry no model figures and are not read.
 func scaleDiffs(want benchScale, rerun func(smokeProbe) (scaleRecord, error)) []string {
 	var out []string
-	fresh := make(map[string]scaleRecord)
+	fresh := make(map[int]scaleRecord)
 	hasRow := make(map[int]bool)
 	for _, r := range want.Records {
 		if r.Size > maxCheckedSize {
@@ -135,16 +134,14 @@ func scaleDiffs(want benchScale, rerun func(smokeProbe) (scaleRecord, error)) []
 			continue
 		}
 		hasRow[i] = true
-		pr := smokeProbes[i]
-		config := fmt.Sprintf("%d %d %v %p", pr.nodes, pr.n, pr.p, pr.run)
-		g, ok := fresh[config]
+		g, ok := fresh[i]
 		if !ok {
 			var err error
-			if g, err = rerun(pr); err != nil {
+			if g, err = rerun(smokeProbes[i]); err != nil {
 				out = append(out, fmt.Sprintf("%s: %v", row, err))
 				continue
 			}
-			fresh[config] = g
+			fresh[i] = g
 		}
 		out = diff(out, row, "edges", r.Edges, g.Edges)
 		out = diff(out, row, "rounds", r.Rounds, g.Rounds)

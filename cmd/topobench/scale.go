@@ -244,12 +244,11 @@ var smokeProbes = []smokeProbe{
 	// G(n, p) connectivity run, with the live-heap regression bound.
 	{name: "cc-smoke", nodes: 100_000, n: 100_000, p: 4.0 / 100_000, run: graph.CC, heapBudget: smokeHeapBudget},
 	// The round-count trajectory: Borůvka cc vs exponentiation cc-fast on
-	// the degree-20 G(n, p) of the acceptance benchmark, paired by scale
-	// so the records hold both rounds and total cost.
+	// the degree-20 G(n, p) of the acceptance benchmark, paired so the
+	// records hold both rounds and total cost. At 10⁵ the worker sweep
+	// below records the pair.
 	{name: "cc-rounds", nodes: 10_000, n: 10_000, p: 20.0 / 10_000, run: graph.CC},
 	{name: "cc-fast-rounds", nodes: 10_000, n: 10_000, p: 20.0 / 10_000, run: graph.CCFast},
-	{name: "cc-rounds", nodes: 100_000, n: 100_000, p: 20.0 / 100_000, run: graph.CC},
-	{name: "cc-fast-rounds", nodes: 100_000, n: 100_000, p: 20.0 / 100_000, run: graph.CCFast},
 	// Multicore sweep: the degree-20 10⁵ fixture at workers {1, 2, top},
 	// every row paired against the workers=1 run so the Speedup column
 	// records the compute-plane scaling on this machine.

@@ -19,8 +19,8 @@ import (
 // valid for the graph itself, because every tree-edge split is a true
 // minimum cut of the graph.
 
-func runX8(cfg Config) ([]Table, error) {
-	rng := seeded(cfg.Seed + 0x8)
+func runX8(seed uint64) ([]Table, error) {
+	rng := seeded(seed + 0x8)
 	graphs := []struct {
 		name  string
 		build func() (*topology.Graph, error)
@@ -29,10 +29,10 @@ func runX8(cfg Config) ([]Table, error) {
 		{"ring of racks 4x2", func() (*topology.Graph, error) { return topology.RingOfRacks(4, 2, 3, 8) }},
 		{"clos 2x3", func() (*topology.Graph, error) { return topology.Clos(2, 3, 2, 4, 10) }},
 		{"fanout p=12", func() (*topology.Graph, error) {
-			return topology.RandomizedFanout(seeded(cfg.Seed+0x8), 12, 2, 0.5, 4)
+			return topology.RandomizedFanout(seeded(seed+0x8), 12, 2, 0.5, 4)
 		}},
 	}
-	n := cfg.pick(20000, 2000)
+	n := 20000
 	table := newTable("X8: general networks through the Gomory–Hu cut tree (aggregation aware vs flat)",
 		"Each graph is compressed to its equivalent-cut tree (FromGraph); the aggregation runs "+
 			"on the tree. maxdev = max relative deviation of tree-path bottlenecks from exact pairwise "+
@@ -65,7 +65,7 @@ func runX8(cfg Config) ([]Table, error) {
 		}
 		table.holds(maxdev <= 1e-9, "%s: cut tree deviates from true min cuts by %v", gf.name, maxdev)
 
-		ms := table.each(gf.name, tree, cfg.Seed, func(int) (input, error) { return groupRecords(rng, tree, n, uniform) },
+		ms := table.each(gf.name, tree, seed, func(int) (input, error) { return groupRecords(rng, tree, n, uniform) },
 			aggTree2, aggAwareFlat)
 		aware, flat := ms[0], ms[1]
 		table.AddRow(gf.name, g.NumNodes(), g.NumEdges(), maxdev, n,

@@ -14,22 +14,6 @@ import (
 	"strings"
 )
 
-// Config controls experiment scale.
-type Config struct {
-	// Seed drives all randomness; the same seed reproduces every number.
-	Seed uint64
-	// Quick shrinks sweeps for use in unit tests and -short mode.
-	Quick bool
-}
-
-// pick chooses between the full-size and the quick value of a parameter.
-func (c Config) pick(full, quick int) int {
-	if c.Quick {
-		return quick
-	}
-	return full
-}
-
 // Table is a rendered experiment result.
 type Table struct {
 	Title   string
@@ -95,46 +79,14 @@ func (t *Table) Markdown() string {
 	return sb.String()
 }
 
-// String renders the table as aligned plain text.
-func (t *Table) String() string {
-	widths := make([]int, len(t.Headers))
-	for i, h := range t.Headers {
-		widths[i] = len(h)
-	}
-	for _, row := range t.Rows {
-		for i, c := range row {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
-			}
-		}
-	}
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "== %s ==\n", t.Title)
-	if t.Note != "" {
-		fmt.Fprintf(&sb, "%s\n", t.Note)
-	}
-	pad := func(s string, w int) string { return s + strings.Repeat(" ", w-len(s)) }
-	for i, h := range t.Headers {
-		sb.WriteString(pad(h, widths[i]) + "  ")
-	}
-	sb.WriteString("\n")
-	for _, row := range t.Rows {
-		for i, c := range row {
-			if i < len(widths) {
-				sb.WriteString(pad(c, widths[i]) + "  ")
-			}
-		}
-		sb.WriteString("\n")
-	}
-	return sb.String()
-}
-
 // Experiment is one reproducible unit: a paper table/figure or an ablation.
 type Experiment struct {
 	ID    string
 	Title string
 	Paper string // the artifact it regenerates
-	Run   func(cfg Config) ([]Table, error)
+	// Run executes the experiment; the seed drives all its randomness, so
+	// the same seed reproduces every number.
+	Run func(seed uint64) ([]Table, error)
 }
 
 // experiments lists every experiment in display order: the paper's tables

@@ -15,10 +15,10 @@ var gatherTask = task{name: "gather", run: func(t *topology.Tree, in input, _ ui
 	return aggregate.Gather(t, in.records, topology.NoNode)
 }}
 
-func runX1(cfg Config) ([]Table, error) {
+func runX1(seed uint64) ([]Table, error) {
 	tree := must(topology.TwoTier([]int{4, 4}, []float64{1, 1}, 100))
-	rng := seeded(cfg.Seed)
-	pairsPerNode, rackGroups := cfg.pick(400, 100), cfg.pick(100, 30)
+	rng := seeded(seed)
+	pairsPerNode, rackGroups := 400, 100
 
 	// Rack-local group structure: every node contributes to every group of
 	// its rack, plus a sprinkle of global groups.
@@ -39,7 +39,7 @@ func runX1(cfg Config) ([]Table, error) {
 	table := newTable("X1: aggregation strategies on rack-local groups, weak uplinks",
 		"CLB = exact spanning-groups bound (each partial costs 2 wire elements, so ratio 2 is the floor for cross-rack groups).",
 		"strategy", "rounds", "cost", "CLB", "ratio")
-	ms := table.each("rack-local groups", tree, cfg.Seed, ready(input{records: data}),
+	ms := table.each("rack-local groups", tree, seed, ready(input{records: data}),
 		aggregateBaseline, aggregateTask, gatherTask)
 	for i, name := range []string{"hash (1 round)", "two-level (rack combine)", "gather"} {
 		table.AddRow(name, ms[i].Rounds, ms[i].Cost, ms[i].Bound, ms[i].Ratio())
@@ -47,11 +47,11 @@ func runX1(cfg Config) ([]Table, error) {
 	return finish(table)
 }
 
-func runX2(cfg Config) ([]Table, error) {
+func runX2(seed uint64) ([]Table, error) {
 	tree := topo("two-tier 16:1")
 	p := tree.NumCompute()
-	rng := seeded(cfg.Seed)
-	nR, keys := cfg.pick(600, 150), cfg.pick(300, 80)
+	rng := seeded(seed)
+	nR, keys := 600, 300
 	tuple := func() topompc.Row { return topompc.Row{Key: uint64(rng.Intn(keys)), Payload: rng.Uint64()} }
 	r := make([][]topompc.Row, p)
 	s := make([][]topompc.Row, p)
@@ -68,7 +68,7 @@ func runX2(cfg Config) ([]Table, error) {
 		"Output sizes verified against the reference join; costs in wire elements (2 per tuple). "+
 			"The planned join prices Algorithm 2's block round, a capacity-weighted hash and the uniform hash, and runs the cheapest (named).",
 		"plan", "rounds", "pairs", "cost")
-	ms := table.each("S in the fast rack", tree, cfg.Seed, ready(input{rows: [2][][]topompc.Row{r, s}}),
+	ms := table.each("S in the fast rack", tree, seed, ready(input{rows: [2][][]topompc.Row{r, s}}),
 		joinTask, joinBaseline)
 	aware, oblivious := ms[0], ms[1]
 	table.AddRow("planned ("+aware.Strategy+")", aware.Rounds, aware.Outputs, aware.Cost)

@@ -16,8 +16,8 @@ package exper
 
 import "fmt"
 
-func runX5(cfg Config) ([]Table, error) {
-	families, err := graphZoo(cfg)
+func runX5(seed uint64) ([]Table, error) {
+	families, err := graphZoo(seed)
 	if err != nil {
 		return nil, err
 	}
@@ -28,7 +28,7 @@ func runX5(cfg Config) ([]Table, error) {
 		"topology", "family", "V", "comps", "phases", "aware cost", "flat cost", "win", "CLB", "aware/CLB")
 	for _, nt := range topos("two-tier 16:1", "caterpillar", "fat-tree") {
 		for _, fam := range []string{"G(n,p)", "power-law", "grid", "bridge-of-cliques"} {
-			ms := table.each(nt.name+"/"+fam, nt.tree, cfg.Seed, ready(dealEdges(families[fam], cfg.Seed, nt.tree)), ccTask, ccFlat)
+			ms := table.each(nt.name+"/"+fam, nt.tree, seed, ready(dealEdges(families[fam], seed, nt.tree)), ccTask, ccFlat)
 			aware, flat := ms[0], ms[1]
 			table.AddRow(nt.name, fam, aware.Vertices, aware.Outputs, aware.Phases,
 				aware.Cost, flat.Cost, ratio(flat.Cost, aware.Cost), aware.Bound, aware.Ratio())
@@ -37,8 +37,8 @@ func runX5(cfg Config) ([]Table, error) {
 	return finish(table)
 }
 
-func runX9(cfg Config) ([]Table, error) {
-	families, err := graphZoo(cfg)
+func runX9(seed uint64) ([]Table, error) {
+	families, err := graphZoo(seed)
 	if err != nil {
 		return nil, err
 	}
@@ -55,8 +55,8 @@ func runX9(cfg Config) ([]Table, error) {
 		"fast phases", "fast rounds", "fast cost", "round win", "cost win")
 	for _, nt := range topos("two-tier 16:1", "caterpillar", "fat-tree") {
 		for _, fam := range []string{"G(n,p)", "power-law", "bridge-of-cliques", "grid", "path"} {
-			c := cell{name: nt.name + "/" + fam, tree: nt.tree, task: ccTask, seed: cfg.Seed,
-				in: ready(dealEdges(families[fam], cfg.Seed, nt.tree))}
+			c := cell{name: nt.name + "/" + fam, tree: nt.tree, task: ccTask, seed: seed,
+				in: ready(dealEdges(families[fam], seed, nt.tree))}
 			slow := table.run(c)
 			// cc-fast's ceiling is the round count of cc's phases as they
 			// were when a phase still sent its root queries up the L

@@ -15,15 +15,15 @@ func awareVsFlat(table *Table, nt namedTopo, rels []relation, seed uint64, aware
 	table.AddRow(nt.name, a.Outputs, a.Cost, f.Cost, ratio(f.Cost, a.Cost), a.Bound, a.Ratio())
 }
 
-func runX3(cfg Config) ([]Table, error) {
-	m, dom := cfg.pick(900, 250), cfg.pick(30, 16)
+func runX3(seed uint64) ([]Table, error) {
+	m, dom := 900, 30
 	table := newTable("X3: triangle join R(a,b)⋈S(b,c)⋈T(c,a), aware vs flat shares",
 		"Shares g_a×g_b×g_c ≤ p; aware apportions grid cells by subtree bandwidth capacity. "+
 			"CLB = tuple-transfer cut bound ("+multijoinBoundName+"); outputs verified against the reference join.",
 		"topology", "triangles", "aware cost", "flat cost", "win", "CLB", "aware/CLB")
 	for _, nt := range topos("star", "two-tier 16:1", "fat-tree", "caterpillar") {
 		p := nt.tree.NumCompute()
-		rng := seeded(cfg.Seed)
+		rng := seeded(seed)
 		rels := make([]relation, 3)
 		for j := range rels {
 			rels[j] = make(relation, p)
@@ -32,20 +32,20 @@ func runX3(cfg Config) ([]Table, error) {
 				rels[j][n] = append(rels[j][n], topompc.Tuple2{A: uint64(rng.Intn(dom)), B: uint64(rng.Intn(dom))})
 			}
 		}
-		awareVsFlat(&table, nt, rels, cfg.Seed, triangleTask, triangleFlat)
+		awareVsFlat(&table, nt, rels, seed, triangleTask, triangleFlat)
 	}
 	return finish(table)
 }
 
-func runX4(cfg Config) ([]Table, error) {
-	k, m := 4, cfg.pick(1200, 300)
+func runX4(seed uint64) ([]Table, error) {
+	k, m := 4, 1200
 	table := newTable("X4: 4-way star join on the shared attribute, aware vs uniform hashing",
 		"Join values hashed to nodes with probability ∝ bandwidth capacity (aware) or uniformly (flat); "+
 			"data ~75% concentrated on the best-connected half of each topology. Outputs verified against the reference join.",
 		"topology", "rows", "aware cost", "flat cost", "win", "CLB", "aware/CLB")
 	for _, nt := range topos("star", "two-tier 16:1", "fat-tree", "caterpillar") {
 		p := nt.tree.NumCompute()
-		rng := seeded(cfg.Seed + 1)
+		rng := seeded(seed + 1)
 		// Skewed placement: three quarters of each relation lands on the
 		// first half of the compute nodes (the fast rack of the two-tier,
 		// the strong spine end of the caterpillar).
@@ -62,7 +62,7 @@ func runX4(cfg Config) ([]Table, error) {
 				rels[j][n] = append(rels[j][n], topompc.Tuple2{A: uint64(rng.Intn(m / 4)), B: rng.Uint64()})
 			}
 		}
-		awareVsFlat(&table, nt, rels, cfg.Seed, starJoin, starJoinFlat)
+		awareVsFlat(&table, nt, rels, seed, starJoin, starJoinFlat)
 	}
 	return finish(table)
 }

@@ -23,15 +23,15 @@ import (
 // must show multi/single parity; the deep-gradient shapes (tapered fat-tree,
 // graded caterpillar, three-tier datacenter) are where the extra levels pay.
 
-func runX6(cfg Config) ([]Table, error) {
+func runX6(seed uint64) ([]Table, error) {
 	places := []namedPlacement{
 		{"uniform", uniform},
 		{"zipf", func(_ *rand.Rand, keys []uint64, p int) (dataset.Placement, error) {
-			return zipf(seeded(cfg.Seed), keys, p)
+			return zipf(seeded(seed), keys, p)
 		}},
 		{"oneheavy", oneHeavy},
 	}
-	n := cfg.pick(20000, 2000)
+	n := 20000
 	sortTable := newTable("X6a: planned sort vs uniform splitters",
 		"aware prices four plans and runs the cheapest (strategy): the three-round sample sort "+
 			"with key ranges by place.Capacities (sort-aware: weak-cut nodes own small ranges), "+
@@ -48,17 +48,17 @@ func runX6(cfg Config) ([]Table, error) {
 		"topology", "placement", "records", "groups", "strategy", "aware cost", "flat cost", "win", "CLB", "aware/CLB")
 
 	// One generator makes every input, a sort's then an aggregation's per row.
-	rng := seeded(cfg.Seed + 0x6)
+	rng := seeded(seed + 0x6)
 	for _, nt := range topos("two-tier 16:1", "caterpillar", "fat-tree", "star") {
 		for _, pl := range places {
 			row := nt.name + "/" + pl.name
-			ms := sortTable.each(row, nt.tree, cfg.Seed, func(int) (input, error) { return distinctKeys(rng, nt.tree, n, pl.place) },
+			ms := sortTable.each(row, nt.tree, seed, func(int) (input, error) { return distinctKeys(rng, nt.tree, n, pl.place) },
 				sortAware, sortAwareFlat)
 			aware, flat := ms[0], ms[1]
 			sortTable.holds(aware.Cost <= flat.Cost, "%s: planned cost %.1f above its flat candidate's %.1f", row, aware.Cost, flat.Cost)
 			sortTable.AddRow(nt.name, pl.name, n, aware.Strategy, aware.Cost, flat.Cost, ratio(flat.Cost, aware.Cost), aware.Bound, aware.Ratio())
 
-			ms = aggTable.each(row, nt.tree, cfg.Seed, func(int) (input, error) { return groupRecords(rng, nt.tree, n, pl.place) },
+			ms = aggTable.each(row, nt.tree, seed, func(int) (input, error) { return groupRecords(rng, nt.tree, n, pl.place) },
 				aggTree2, aggAwareFlat)
 			aware, flat = ms[0], ms[1]
 			aggTable.AddRow(nt.name, pl.name, n, aware.Outputs, aware.Strategy,
@@ -68,8 +68,8 @@ func runX6(cfg Config) ([]Table, error) {
 	return finish(sortTable, aggTable)
 }
 
-func runX7(cfg Config) ([]Table, error) {
-	n := cfg.pick(20000, 2000)
+func runX7(seed uint64) ([]Table, error) {
+	n := 20000
 	table := newTable("X7: hierarchy depth vs cost (multi-level vs single-level vs flat aggregation)",
 		"Groups drawn from a shared low-cardinality pool (heavy duplication). multi = "+
 			"CombinerTree on the full weak-cut hierarchy (merge per block per level), single = "+
@@ -78,14 +78,14 @@ func runX7(cfg Config) ([]Table, error) {
 			"back on every tier's cut. Totals verified on every run.",
 		"topology", "depth", "cuts", "records", "multi cost", "single cost", "flat cost",
 		"win multi/single", "win multi/flat", "CLB")
-	rng := seeded(cfg.Seed + 0x7)
+	rng := seeded(seed + 0x7)
 	for _, nt := range topos("star", "fat-tree", "two-tier 16:1", "caterpillar",
 		"three-tier 48:12:3", "fat-tree taper", "caterpillar grade") {
 		depth, cuts := 0, "-"
 		if h := place.HierarchyFor(nt.tree); h != nil {
 			depth, cuts = h.Depth(), fmt.Sprintf("%.3g", h.Thresholds)
 		}
-		ms := table.each(nt.name, nt.tree, cfg.Seed, func(int) (input, error) { return groupRecords(rng, nt.tree, n, uniform) },
+		ms := table.each(nt.name, nt.tree, seed, func(int) (input, error) { return groupRecords(rng, nt.tree, n, uniform) },
 			aggTree2, aggAware, aggAwareFlat)
 		multi, single, flat := ms[0], ms[1], ms[2]
 		table.AddRow(nt.name, depth, cuts, n, multi.Cost, single.Cost, flat.Cost,

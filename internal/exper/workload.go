@@ -64,10 +64,7 @@ func topos(names ...string) []namedTopo {
 }
 
 // topoSuite is the topology sweep of Table 1.
-func topoSuite(quick bool) []namedTopo {
-	if quick {
-		return topos("star-uniform", "star-hetero", "two-tier")
-	}
+func topoSuite() []namedTopo {
 	return topos("star-uniform", "star-hetero", "two-tier", "fat-tree", "caterpillar")
 }
 
@@ -102,19 +99,15 @@ type namedPlacement struct {
 
 // placementSuite is the placement sweep of Table 1; the last two draw their
 // heavy node per relation.
-func placementSuite(quick bool) []namedPlacement {
-	out := []namedPlacement{{"uniform", uniform}, {"zipf-1.2", zipf}}
-	if !quick {
-		out = append(out,
-			namedPlacement{"one-heavy-80", func(rng *rand.Rand, k []uint64, p int) (dataset.Placement, error) {
-				return dataset.SplitOneHeavy(k, p, rng.Intn(p), 0.8)
-			}},
-			namedPlacement{"single-node", func(rng *rand.Rand, k []uint64, p int) (dataset.Placement, error) {
-				return dataset.SplitSingle(k, p, rng.Intn(p))
-			}},
-		)
-	}
-	return out
+var placementSuite = []namedPlacement{
+	{"uniform", uniform},
+	{"zipf-1.2", zipf},
+	{"one-heavy-80", func(rng *rand.Rand, k []uint64, p int) (dataset.Placement, error) {
+		return dataset.SplitOneHeavy(k, p, rng.Intn(p), 0.8)
+	}},
+	{"single-node", func(rng *rand.Rand, k []uint64, p int) (dataset.Placement, error) {
+		return dataset.SplitSingle(k, p, rng.Intn(p))
+	}},
 }
 
 // seeded is a generator for one cell or one experiment.
@@ -174,16 +167,16 @@ func groupRecords(rng *rand.Rand, t *topology.Tree, n int, place placement) (inp
 // graphZoo generates the graph families of the connectivity experiments by
 // the name their tables print: three low-diameter families and two
 // high-diameter adversaries.
-func graphZoo(cfg Config) (map[string][]uint64, error) {
-	verts, gridSide := cfg.pick(600, 200), cfg.pick(24, 12)
-	rng := seeded(cfg.Seed)
+func graphZoo(seed uint64) (map[string][]uint64, error) {
+	verts, gridSide := 600, 24
+	rng := seeded(seed)
 	families := []struct {
 		name string
 		gen  func() ([]uint64, error)
 	}{
 		{"G(n,p)", func() ([]uint64, error) { return dataset.GNP(rng, verts, 6/float64(verts)) }},
 		{"power-law", func() ([]uint64, error) { return dataset.PowerLaw(rng, verts, 3*verts, 2) }},
-		{"bridge-of-cliques", func() ([]uint64, error) { return dataset.BridgeOfCliques(4, cfg.pick(20, 10)) }},
+		{"bridge-of-cliques", func() ([]uint64, error) { return dataset.BridgeOfCliques(4, 20) }},
 		{"grid", func() ([]uint64, error) { return dataset.Grid(gridSide, gridSide) }},
 		{"path", func() ([]uint64, error) { return dataset.Grid(1, gridSide*gridSide) }},
 	}

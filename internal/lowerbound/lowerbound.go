@@ -61,20 +61,10 @@ func maxOverEdges(t *topology.Tree, term func(e topology.EdgeID) float64) Bound 
 //
 //	CLB = max_e (1/w_e) · min{|R|, |S|, Σ_{v∈V−e} N_v, Σ_{v∈V+e} N_v}
 //
-// where loads holds N_v = |R_v| + |S_v| per node.
+// where loads holds N_v = |R_v| + |S_v| per node. It is the unequal
+// cartesian cut bound with the smaller relation's size as its cap.
 func Intersection(t *topology.Tree, loads topology.Loads, sizeR, sizeS int64) Bound {
-	cuts := t.Cuts(loads)
-	small := sizeR
-	if sizeS < small {
-		small = sizeS
-	}
-	return maxOverEdges(t, func(e topology.EdgeID) float64 {
-		m := cuts[e].Min()
-		if small < m {
-			m = small
-		}
-		return float64(m) / t.Bandwidth(e)
-	})
+	return UnequalCartesianCut(t, loads, min(sizeR, sizeS))
 }
 
 // CartesianCut is the Theorem 3 lower bound for computing R × S:

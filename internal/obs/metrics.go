@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"expvar"
 	"math"
 	"sort"
 	"sync"
@@ -276,30 +275,4 @@ func SnapshotKeys(snap map[string]float64) []string {
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-// expvar publication: one expvar.Func per name, installed once per
-// process and indirected through an atomic registry pointer, so repeated
-// runs (tests, long-lived tools swapping registries) re-point the
-// variable instead of tripping expvar's duplicate-name panic.
-var (
-	expvarMu     sync.Mutex
-	expvarHolder = map[string]*atomic.Pointer[Registry]{}
-)
-
-// PublishExpvar exposes the registry's snapshot as the named expvar
-// variable (visible on /debug/vars). Calling it again with the same name
-// atomically swaps the backing registry.
-func PublishExpvar(name string, r *Registry) {
-	expvarMu.Lock()
-	defer expvarMu.Unlock()
-	h, ok := expvarHolder[name]
-	if !ok {
-		h = &atomic.Pointer[Registry]{}
-		expvarHolder[name] = h
-		expvar.Publish(name, expvar.Func(func() any {
-			return h.Load().Snapshot()
-		}))
-	}
-	h.Store(r)
 }

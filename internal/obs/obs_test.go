@@ -265,14 +265,3 @@ func TestRegistryConcurrent(t *testing.T) {
 		t.Fatalf("gauge = %v, want 199", got)
 	}
 }
-
-func TestPublishExpvarRepublish(t *testing.T) {
-	r1 := NewRegistry()
-	r1.Counter("a").Add(1)
-	PublishExpvar("obs_test_metrics", r1)
-	// Re-publishing the same name must not panic and must swap the backing
-	// registry.
-	r2 := NewRegistry()
-	r2.Counter("a").Add(2)
-	PublishExpvar("obs_test_metrics", r2)
-}

@@ -83,7 +83,7 @@ type ExecOptions struct {
 	Tracer obs.Tracer
 	// Metrics, when non-nil, collects counters/gauges/histograms
 	// (netsim.*, graph.*, aggregate.*) across all protocol executions for
-	// snapshotting into benchmark records or expvar.
+	// snapshotting into benchmark records.
 	Metrics *obs.Registry
 }
 
