@@ -20,17 +20,18 @@ import (
 
 // The -scale mode records the data-plane performance trajectory in
 // BENCH_scale.json: steady-state exchange rounds and cc contraction at
-// 10⁴/10⁵ scale (ns/op, allocs/op, B/op), plus a 10⁵-topology-node
-// caterpillar G(n,p) cc smoke under an optional wall-clock budget.
-// -scale-big extends the sweep to the million-node data plane: a 10⁶-node
-// graded caterpillar build + placement (capacities + weak-cut hierarchy)
-// benchmark, and a cc run over a G(10⁶, 2·10⁻⁵) graph (≈10⁷ edges) end to
-// end.
+// 10⁴/10⁵ scale (ns/op, allocs/op, B/op), plus end-to-end graph.CC runs on
+// G(n,p) inputs over graded caterpillars (smokeProbes): the 10⁵-node
+// degree-4 smoke under an optional wall-clock budget, the degree-20 round
+// count at 10⁴, and the degree-20 worker sweep at 10⁵. -scale-big extends
+// the sweep to the million-node data plane: a 10⁶-node graded caterpillar
+// build + placement (capacities + weak-cut hierarchy) benchmark, and a cc
+// run over a G(10⁶, 2·10⁻⁵) graph (≈10⁷ edges) end to end.
 
 // scaleRecord is one entry of BENCH_scale.json.
 type scaleRecord struct {
-	// Name identifies the probe: exchange, cc, cc-smoke, topo-build,
-	// cc-big.
+	// Name identifies the probe: exchange, cc, topo-build, or a smoke
+	// probe (cc-smoke, cc-rounds, cc-workers, cc-big).
 	Name string `json:"name"`
 	// Size is the scale knob: topology nodes for exchange/topo-build and
 	// the smokes, graph vertices for cc.
@@ -206,10 +207,6 @@ func ccScale(n int, seed uint64, stdout io.Writer) (scaleRecord, error) {
 	return rec, nil
 }
 
-// ccRunner is a connectivity protocol entry point (graph.CC or
-// graph.CCFast) for the smoke probes.
-type ccRunner func(*topology.Tree, graph.Placement, uint64, ...netsim.Option) (*graph.Result, error)
-
 // Live-heap regression bounds for the smoke probes: a smoke fails when
 // the post-run live heap (after a forced GC) exceeds its bound, pinning
 // the contraction-time scratch release so the big runs cannot silently
@@ -219,14 +216,12 @@ const (
 	bigHeapBudget   = 1 << 30 // 1 GB for the 10⁶-vertex probes (measured ~0.41 GB; pre-trimming ~7.4 GB)
 )
 
-// smokeProbe is one end-to-end connectivity probe of the scale sweep: run
-// on a G(n, p) input over a graded caterpillar of the given total node
-// count.
+// smokeProbe is one end-to-end cc probe of the scale sweep: graph.CC on a
+// G(n, p) input over a graded caterpillar of the given total node count.
 type smokeProbe struct {
 	name     string
 	nodes, n int
 	p        float64
-	run      ccRunner
 	// heapBudget > 0 fails the probe when the post-GC live heap exceeds it.
 	heapBudget int64
 	// workers gives the worker counts of the probe's rows when the sweep
@@ -242,23 +237,19 @@ type smokeProbe struct {
 var smokeProbes = []smokeProbe{
 	// The -scale smoke: a 10⁵-node caterpillar hosting an average-degree-4
 	// G(n, p) connectivity run, with the live-heap regression bound.
-	{name: "cc-smoke", nodes: 100_000, n: 100_000, p: 4.0 / 100_000, run: graph.CC, heapBudget: smokeHeapBudget},
-	// The round-count trajectory: Borůvka cc vs exponentiation cc-fast on
-	// the degree-20 G(n, p) of the acceptance benchmark, paired so the
-	// records hold both rounds and total cost. At 10⁵ the worker sweep
-	// below records the pair.
-	{name: "cc-rounds", nodes: 10_000, n: 10_000, p: 20.0 / 10_000, run: graph.CC},
-	{name: "cc-fast-rounds", nodes: 10_000, n: 10_000, p: 20.0 / 10_000, run: graph.CCFast},
+	{name: "cc-smoke", nodes: 100_000, n: 100_000, p: 4.0 / 100_000, heapBudget: smokeHeapBudget},
+	// The round-count trajectory: cc's rounds and total cost on the
+	// degree-20 G(n, p) of the acceptance benchmark at 10⁴. At 10⁵ the
+	// worker sweep below records them.
+	{name: "cc-rounds", nodes: 10_000, n: 10_000, p: 20.0 / 10_000},
 	// Multicore sweep: the degree-20 10⁵ fixture at workers {1, 2, top},
 	// every row paired against the workers=1 run so the Speedup column
 	// records the compute-plane scaling on this machine.
-	{name: "cc-workers", nodes: 100_000, n: 100_000, p: 20.0 / 100_000, run: graph.CC, workers: workerSweep},
-	{name: "cc-fast-workers", nodes: 100_000, n: 100_000, p: 20.0 / 100_000, run: graph.CCFast, workers: workerSweep},
-	// ≈10⁷ edges: p·n(n−1)/2 with n = 10⁶, p = 2·10⁻⁵. Each probe always
+	{name: "cc-workers", nodes: 100_000, n: 100_000, p: 20.0 / 100_000, workers: workerSweep},
+	// ≈10⁷ edges: p·n(n−1)/2 with n = 10⁶, p = 2·10⁻⁵. The probe always
 	// records a workers=1 row; on a multicore machine a paired
 	// workers=min(8, top) row carries the end-to-end speedup.
-	{name: "cc-big", nodes: 1_000_000, n: 1_000_000, p: 2e-5, run: graph.CC, heapBudget: bigHeapBudget, workers: bigPair, big: true},
-	{name: "cc-fast-big", nodes: 1_000_000, n: 1_000_000, p: 2e-5, run: graph.CCFast, heapBudget: bigHeapBudget, workers: bigPair, big: true},
+	{name: "cc-big", nodes: 1_000_000, n: 1_000_000, p: 2e-5, heapBudget: bigHeapBudget, workers: bigPair, big: true},
 }
 
 func workerSweep(maxW int) []int {
@@ -288,7 +279,7 @@ func ccSmoke(pr smokeProbe, seed uint64, workers int, stdout io.Writer) (scaleRe
 		opts = append(opts, netsim.WithWorkers(workers))
 	}
 	start := time.Now()
-	res, err := pr.run(tr, edges, seed, opts...)
+	res, err := graph.CC(tr, edges, seed, opts...)
 	elapsed := time.Since(start)
 	if err != nil {
 		return scaleRecord{}, err

@@ -20,13 +20,19 @@ func TestListTasks(t *testing.T) {
 	}
 }
 
+// TestUnknownTask: a name the task table does not hold, whether it never
+// did or no longer does (cc-fast), fails with an error naming it.
 func TestUnknownTask(t *testing.T) {
-	var out, errOut strings.Builder
-	if code := run([]string{"-task", "no-such-task"}, &out, &errOut); code != 1 {
-		t.Fatalf("exit code %d, want 1", code)
-	}
-	if !strings.Contains(errOut.String(), "unknown task") || !strings.Contains(errOut.String(), "no-such-task") {
-		t.Errorf("stderr should name the unknown task: %s", errOut.String())
+	for _, name := range []string{"no-such-task", "cc-fast"} {
+		t.Run(name, func(t *testing.T) {
+			var out, errOut strings.Builder
+			if code := run([]string{"-task", name}, &out, &errOut); code != 1 {
+				t.Fatalf("exit code %d, want 1", code)
+			}
+			if !strings.Contains(errOut.String(), "unknown task") || !strings.Contains(errOut.String(), name) {
+				t.Errorf("stderr should name the unknown task: %s", errOut.String())
+			}
+		})
 	}
 }
 

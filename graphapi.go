@@ -29,9 +29,8 @@ type ComponentsResult struct {
 	// Phases is the number of label-contraction phases executed.
 	Phases int
 	// Strategy identifies the protocol path: "flat", "aware" (capacity
-	// homes, direct delivery), "aware+combine×L" with L the number of
-	// hierarchy levels whose blocks merge label exchanges, or "fast"
-	// (ConnectedComponentsFast: capacity homes, expanding phases).
+	// homes, direct delivery), or "aware+combine×L" with L the number of
+	// hierarchy levels whose blocks merge label exchanges.
 	Strategy string
 	// Cost is the execution cost against the per-cut connectivity
 	// information bound (lowerbound.Spanning).
@@ -49,16 +48,6 @@ type ComponentsResult struct {
 // returning.
 func (c *Cluster) ConnectedComponents(edges [][]GraphEdge, seed uint64) (*ComponentsResult, error) {
 	return c.graphWith(edges, seed, graph.CC)
-}
-
-// ConnectedComponentsFast labels every vertex with its component's
-// minimum vertex id using budgeted graph exponentiation: each phase
-// learns bounded multi-hop neighborhoods by doubling before hooking, so
-// low-diameter regions contract in one phase and the exchange-round
-// count drops well below the Borůvka schedule of ConnectedComponents.
-// Same inputs, verification, and result contract as ConnectedComponents.
-func (c *Cluster) ConnectedComponentsFast(edges [][]GraphEdge, seed uint64) (*ComponentsResult, error) {
-	return c.graphWith(edges, seed, graph.CCFast)
 }
 
 // ConnectedComponentsBaseline runs the topology-oblivious baseline:

@@ -58,7 +58,7 @@ func SpanningForest(t *topology.Tree, edges Placement, seed uint64, opts ...nets
 
 // CCFast computes connected components with budgeted graph exponentiation
 // (ccfast.go) on capacity-weighted homes. Same inputs and Result contract
-// as CC.
+// as CC. Only the benchmark calls it (see the package doc).
 func CCFast(t *topology.Tree, edges Placement, seed uint64, opts ...netsim.Option) (*Result, error) {
 	return contract(t, edges, seed, variant{aware: true, expand: true}, opts)
 }

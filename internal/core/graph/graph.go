@@ -46,7 +46,19 @@
 // are four variants of one contraction loop (contract, cc.go): they choose
 // the homes, whether hookings record a witness edge, and the phase kind —
 // Borůvka's, above, or the expanding phases of ccfast.go, which learn
-// multi-hop neighborhoods by budgeted doubling before they hook.
+// multi-hop neighborhoods by budgeted doubling before they hook. An
+// expanding phase seeds a bounded known-set per label with one adjacency
+// round, exponentiates it with doubling rounds under a volume budget,
+// proposes each set's minimum, and pushes the roots straight back to the
+// nodes the adjacency round subscribed; with no doubling round it proposes
+// exactly what a Borůvka phase proposes.
+//
+// CCFast is the benchmark's alone (bench/, the graph-dense workload calls
+// it directly): it is no task of the root package's table and no Cluster
+// method. At one 64-bit word per element it costs more than CC on every
+// fixture measured, and its adjacency and doubling rounds pack two 32-bit
+// ids into one word; it goes, with tagAdj and tagKnow, once the benchmark
+// stops calling it.
 //
 // A proposal is [a, b] on the wire in every variant. SpanningForest reads
 // its forest off the hooking at the price of one bitmap per proposal
@@ -124,7 +136,8 @@ type Result struct {
 	// Strategy identifies the protocol path: "flat", "aware" (capacity
 	// homes, direct delivery), "aware+combine×L" with L the number of
 	// hierarchy levels whose blocks combine the label exchanges, or "fast"
-	// (CCFast: capacity homes, expanding phases).
+	// (CCFast, which only the benchmark runs: capacity homes, expanding
+	// phases).
 	Strategy string
 	// Report is the cost accounting.
 	Report *netsim.Report

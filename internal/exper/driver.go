@@ -253,9 +253,6 @@ var (
 	ccFlat = task{name: "cc-flat", run: func(t *topology.Tree, in input, seed uint64) (any, error) {
 		return on(t).ConnectedComponentsBaseline(in.edges, seed)
 	}}
-	ccFast = task{name: "cc-fast", run: func(t *topology.Tree, in input, seed uint64) (any, error) {
-		return on(t).ConnectedComponentsFast(in.edges, seed)
-	}}
 )
 
 // execute runs the task and turns what it returned into the cell's measure. A

@@ -1,5 +1,5 @@
 // Package exper regenerates every table and figure of the paper, plus the
-// ablations and extensions built on them: 23 experiments, listed in display
+// ablations and extensions built on them: 22 experiments, listed in display
 // order in this file. An experiment is a handful of table specs and the cells
 // that fill them; the driver (driver.go) executes a cell — through the root
 // package's verified pipelines wherever the protocol is a row of the task
@@ -115,7 +115,6 @@ var experiments = []Experiment{
 	{"X6", "Extension: capacity splitters and combiner-tree aggregation, aware vs flat", "beyond the paper (place engine; cf. distribution-aware aggregation, Liu et al. VLDB 2018)", runX6},
 	{"X7", "Extension: recursive weak-cut hierarchy depth vs combining cost", "beyond the paper (place hierarchy; cf. in-network aggregation trees, Camdoop/CamCube)", runX7},
 	{"X8", "Extension: Gomory–Hu cut-tree front-end for general networks", "beyond the paper (Gomory–Hu 1961; Gusfield 1990 simplification)", runX8},
-	{"X9", "Extension: cc-fast graph exponentiation vs Borůvka rounds", "beyond the paper (truncated neighborhood exponentiation: Andoni et al. 2018, Behnezhad et al. 2019)", runX9},
 }
 
 // All returns every experiment in display order.

@@ -10,7 +10,7 @@ import (
 	"topompc/internal/topology"
 )
 
-var wantIDs = []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "A1", "A2", "A3", "A4", "X1", "X2", "X3", "X4", "X5", "X6", "X7", "X8", "X9"}
+var wantIDs = []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "A1", "A2", "A3", "A4", "X1", "X2", "X3", "X4", "X5", "X6", "X7", "X8"}
 
 func TestAllRegistered(t *testing.T) {
 	all := All()

@@ -165,8 +165,8 @@ func groupRecords(rng *rand.Rand, t *topology.Tree, n int, place placement) (inp
 }
 
 // graphZoo generates the graph families of the connectivity experiments by
-// the name their tables print: three low-diameter families and two
-// high-diameter adversaries.
+// the name their tables print: three low-diameter families and a
+// high-diameter grid.
 func graphZoo(seed uint64) (map[string][]uint64, error) {
 	verts, gridSide := 600, 24
 	rng := seeded(seed)
@@ -178,7 +178,6 @@ func graphZoo(seed uint64) (map[string][]uint64, error) {
 		{"power-law", func() ([]uint64, error) { return dataset.PowerLaw(rng, verts, 3*verts, 2) }},
 		{"bridge-of-cliques", func() ([]uint64, error) { return dataset.BridgeOfCliques(4, 20) }},
 		{"grid", func() ([]uint64, error) { return dataset.Grid(gridSide, gridSide) }},
-		{"path", func() ([]uint64, error) { return dataset.Grid(1, gridSide*gridSide) }},
 	}
 	zoo := make(map[string][]uint64, len(families))
 	for _, f := range families {

@@ -170,67 +170,6 @@ func TestPropertyGraphAwareBeatsFlatOnBridges(t *testing.T) {
 	}
 }
 
-// TestPropertyFastRoundsBeatBoruvka pins the cc-fast round-count
-// contract: on a low-diameter G(n,p) input, budgeted exponentiation must
-// need no more exchange rounds than the Borůvka schedule of cc, and on
-// the high-diameter path/grid adversaries — where doubling cannot beat
-// hooking — it may pay at most one extra round over cc (the doubling
-// entry round before the volume guard trips into the fallback phase).
-// Labels are verified against the union-find reference inside both runs.
-func TestPropertyFastRoundsBeatBoruvka(t *testing.T) {
-	n := 900
-	rng := rand.New(rand.NewSource(404))
-	gnp, err := dataset.GNP(rng, n, 8/float64(n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	grid, err := dataset.Grid(30, 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path, err := dataset.Grid(1, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	families := []struct {
-		name   string
-		packed []uint64
-		slack  int // extra rounds allowed over cc
-	}{
-		{"gnp", gnp, 0}, {"grid", grid, 1}, {"path", path, 1},
-	}
-	for _, topo := range []string{"twotier-skew", "caterpillar"} {
-		c := fixtureCluster(t, topo)
-		for _, fam := range families {
-			fam := fam
-			t.Run(fmt.Sprintf("%s/%s", topo, fam.name), func(t *testing.T) {
-				edges := make([][]topompc.GraphEdge, c.NumNodes())
-				for i, key := range fam.packed {
-					u, v := dataset.UnpackEdge(key)
-					j := i % len(edges)
-					edges[j] = append(edges[j], topompc.GraphEdge{U: uint64(u), V: uint64(v)})
-				}
-				seed := fixtureSeed("cc-fast", topo, fam.name)
-				slow, err := c.ConnectedComponents(edges, seed)
-				if err != nil {
-					t.Fatal(err)
-				}
-				fast, err := c.ConnectedComponentsFast(edges, seed)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if fast.Components != slow.Components {
-					t.Errorf("cc-fast found %d components, cc %d", fast.Components, slow.Components)
-				}
-				sr, fr := slow.Report.NumRounds(), fast.Report.NumRounds()
-				if fr > sr+fam.slack {
-					t.Errorf("cc-fast took %d rounds, cc %d (allowed slack %d)", fr, sr, fam.slack)
-				}
-			})
-		}
-	}
-}
-
 func propertyInput(t *testing.T, spec topompc.Task, c *topompc.Cluster, place string, seed uint64) topompc.TaskInput {
 	t.Helper()
 	rng := rand.New(rand.NewSource(int64(fixtureSeed(spec.Name, place, fmt.Sprint(seed)))))

@@ -127,8 +127,6 @@ var tasks = []Task{
 		Description: "cartesian product R × S (§4 protocols, chosen by topology and sizes)"},
 	{Name: "cc", Kind: TaskGraph, Baseline: "cc-flat", Run: graphTask(graph.CC),
 		Description: "connected components with capacity-homed labels and per-cut combining"},
-	{Name: "cc-fast", Kind: TaskGraph, Run: graphTask(graph.CCFast),
-		Description: "connected components by budgeted graph exponentiation (log-diameter phases)"},
 	{Name: "cc-flat", Kind: TaskGraph, Run: graphTask(graph.CCFlat),
 		Description: "connected components with uniform homes and direct delivery (flat baseline)"},
 	{Name: "intersect", Kind: TaskPair, Baseline: "intersect-baseline", Run: intersectTask(intersect.Tree),

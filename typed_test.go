@@ -120,9 +120,6 @@ var typedCalls = map[string]func(c *topompc.Cluster, ti typedInput) (typedOutcom
 	"cc": func(c *topompc.Cluster, ti typedInput) (typedOutcome, error) {
 		return outcome(c.ConnectedComponents(ti.edges, ti.in.Seed))
 	},
-	"cc-fast": func(c *topompc.Cluster, ti typedInput) (typedOutcome, error) {
-		return outcome(c.ConnectedComponentsFast(ti.edges, ti.in.Seed))
-	},
 	"cc-flat": func(c *topompc.Cluster, ti typedInput) (typedOutcome, error) {
 		return outcome(c.ConnectedComponentsBaseline(ti.edges, ti.in.Seed))
 	},
