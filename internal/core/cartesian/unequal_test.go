@@ -15,11 +15,11 @@ import (
 
 // TestUnequalConformance runs Unequal on 600 random stars — 1 to 12 leaves,
 // bandwidths in [0.5, 16], |R| ≠ |S| in 1..400, four placements — at 1 and
-// 4 workers. Each run passes Verify, costs at least the unequal cut bound,
-// gives the same result at both worker counts, and costs exactly the least
-// of its layouts run alone through the driver, with the rectangles of the
-// earliest such layout. Gather, broadcast and the packing each win at least
-// once.
+// 4 workers. Each run passes Verify, costs at least the unequal-size bound
+// (the cut, or Theorem 9's coverage term where that is larger), gives the
+// same result at both worker counts, and costs exactly the least of its
+// layouts run alone through the driver, with the rectangles of the earliest
+// such layout. Gather, broadcast and the packing each win at least once.
 func TestUnequalConformance(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	picked := make(map[string]int)
@@ -41,11 +41,11 @@ func TestUnequalConformance(t *testing.T) {
 		r, s := split(t, rng, how, dataset.Distinct(rng, sizeR), p), split(t, rng, how, dataset.Distinct(rng, sizeS), p)
 		at := fmt.Sprintf("iter %d: %d leaves, |R| = %d, |S| = %d, %s", iter, p, sizeR, sizeS, how)
 
-		loads := make(topology.Loads, tr.NumNodes())
+		loadsR, loadsS := make(topology.Loads, tr.NumNodes()), make(topology.Loads, tr.NumNodes())
 		for i, v := range tr.ComputeNodes() {
-			loads[v] = int64(len(r[i]) + len(s[i]))
+			loadsR[v], loadsS[v] = int64(len(r[i])), int64(len(s[i]))
 		}
-		lb := lowerbound.UnequalCartesianCut(tr, loads, int64(min(sizeR, sizeS))).Value
+		lb := lowerbound.UnequalCartesian(tr, loadsR, loadsS)
 		var runs [2]*Result
 		for w, workers := range []int{1, 4} {
 			res, err := Unequal(tr, r, s, netsim.WithWorkers(workers))

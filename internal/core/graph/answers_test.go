@@ -447,14 +447,18 @@ func askedOf(pr *proto, sent []int32, h int32) []int32 {
 }
 
 // answerFixture is a tapered fat tree whose weak-cut hierarchy has two
-// combining levels, and a G(n,p) graph on it that takes several phases.
+// combining levels, and a G(n,p) graph on it that takes several phases. At
+// average degree 2 the graph is many small components beside a giant one,
+// so even where the combiners contract what their blocks hold, the homes
+// hook enough labels onto distinct targets that some jump queries to one
+// home number more than 64.
 func answerFixture(t *testing.T) (*topology.Tree, Placement) {
 	t.Helper()
 	tree, err := topology.FatTree(3, 2, 16, 0.25)
 	if err != nil {
 		t.Fatal(err)
 	}
-	packed, err := dataset.GNP(rand.New(rand.NewSource(5)), 12000, 0.0004)
+	packed, err := dataset.GNP(rand.New(rand.NewSource(5)), 20000, 0.0001)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -149,7 +149,7 @@ func TestCCAllocRegression(t *testing.T) {
 		}
 	})
 	maps := measure(func() {
-		if _, err := runMaps(tr, edges, 42, true, false, nil); err != nil {
+		if _, err := runMaps(tr, edges, 42, true, false, true, nil); err != nil {
 			t.Fatal(err)
 		}
 	})

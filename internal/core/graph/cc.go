@@ -13,9 +13,10 @@ import (
 	"topompc/internal/topology"
 )
 
-// maxPhases bounds the contraction loop defensively: min-hooking leaves an
-// independent set of labels per phase (at least halving), so 64 phases
-// outruns any uint64-labeled input.
+// maxPhases bounds the contraction loop defensively: every offer is at most
+// the least neighbor label, so a label with a smaller neighbor always hooks
+// and min-hooking leaves an independent set of labels per phase (at least
+// halving); 64 phases outrun any uint64-labeled input.
 const maxPhases = 64
 
 // maxJumpIters bounds one phase's pointer-jumping loop; path halving
@@ -69,17 +70,21 @@ type variant struct {
 	// aware homes vertices by bandwidth capacity and combines the label
 	// exchanges per cut; otherwise homes are uniform and delivery direct.
 	aware bool
-	// witness records the graph edge of every hooking. Proposals travel as
+	// witness records the graph edge of every hooking. Each label offers
+	// its least neighbor, which one edge joins to it; proposals travel as
 	// in cc, [a, b, …]: a holder keeps the edge behind each of its minima,
 	// every combiner and home remembers which entry its minimum came from,
 	// and the answer to a proposal message leads with a won bitmap that
 	// passes each hooking back down that chain to the holder of its edge.
+	// Otherwise holders and combiners contract what they know: each label
+	// offers the least label of its locally known component, which may lie
+	// several edges away.
 	witness bool
 	// expand runs expanding phases (ccfast.go): a phase learns its proposals
 	// from one adjacency round and capped doubling rounds, and its roots
 	// are pushed to the nodes that round subscribed. Otherwise phases are
-	// Borůvka's: per-cut combined min-neighbor proposals, and the roots
-	// answered back down the same schedule, one per label proposed for.
+	// Borůvka's: proposals combined per cut, and the roots answered back
+	// down the same schedule, one per label proposed for.
 	expand bool
 }
 
@@ -206,16 +211,22 @@ func contract(tr *topology.Tree, edges Placement, seed uint64, v variant, opts [
 // list is many times the bitmap's length, so the local step is linear work
 // with no sort.
 //
-// Proposals are min-combined in linear work in both modes: the relabel
-// walk folds every active edge into stamped per-label minima (witness mode
-// keys them (b, wu, wv), the betterProp order, and keeps the winning edge
-// beside the entry), orders the distinct labels it touched with
-// sortIndices, and builds the next phase's proposal list from the minima in
-// that order; a combining carrier folds its members' lists into its own the
-// same way, on b alone, the first-offered entry winning a tie (its own list
-// first, then its members in inbox order). The need entries dedup against
-// the same stamps. No comparator sort, and no sort of candidates rather
-// than labels, runs on the data path.
+// Proposals are combined in linear work in both modes. The relabel walk
+// folds every active edge into stamped per-label state, orders the distinct
+// labels it touched with sortIndices, and builds the next phase's proposal
+// list in that order; a combining carrier folds its own list and its
+// members' into a fresh epoch the same way. In witness mode the state is
+// the per-label minimum — keyed (b, wu, wv), the betterProp order, at a
+// holder, which keeps the winning edge beside the entry, and on b alone at
+// a carrier, the first-offered entry winning a tie (its own list first,
+// then its members in inbox order). Otherwise it is a union-find with path
+// halving over the stamped parent array up, the larger root linked under
+// the smaller: a holder joins the endpoints of its active edges, a carrier
+// the a and b of every entry it holds or receives, and each label that led
+// an entry offers its set's root, the least label the node knows to be
+// connected to it. The need entries dedup against the same stamps. No
+// comparator sort, no map, and no sort of candidates rather than labels,
+// runs on the data path.
 //
 // The wire is the same in both modes: a proposal is [a, b]. In witness
 // mode every entry a node holds also names its source — its own witness
@@ -243,15 +254,14 @@ func contract(tr *topology.Tree, edges Placement, seed uint64, v variant, opts [
 // plus the original witness endpoint indices.
 type workEdge struct{ a, b, wu, wv int32 }
 
-// propPair is a witness-mode min-neighbor proposal: k1 = a<<32|b, the
+// propPair is a witness-mode least-neighbor proposal: k1 = a<<32|b, the
 // entry the wire carries, and k2 its source — the holder's own witness
 // edge wu<<32|wv (top bit clear; at a holder, within one label a the
 // betterProp order (b, wu, wv) is ascending (k1, k2)), or fromAsk|p, the
 // position p in the node's askBuf of the member entry a combiner took it
 // from.
 //
-// Non-witness proposals skip the struct entirely: the minima are bare k1
-// keys.
+// Non-witness proposals skip the struct entirely: they are bare k1 keys.
 type propPair struct{ k1, k2 uint64 }
 
 // fromAsk marks a propPair source that is an askBuf position.
@@ -390,17 +400,19 @@ type nodeScratch struct {
 	ptmp    []propPair  // emit grouping: home-radix scratch (witness)
 }
 
-// collectScratch is one pool shard's stamped min-combine arrays for the
+// collectScratch is one pool shard's stamped combine arrays for the
 // relabel-time collection walks and the propose up-receipt. Each shard owns
 // a private copy, so homes processed concurrently never share stamps; a
-// minimum does not depend on the order its candidates are offered in and
-// the offered labels are sorted before anything is built from them, so the
-// per-home results are identical for every worker count.
+// minimum or a set's least label does not depend on the order its
+// candidates are offered in and the offered labels are sorted before
+// anything is built from them, so the per-home results are identical for
+// every worker count.
 type collectScratch struct {
 	dstamp int32
-	minAt  []int32
-	minB   []int32
+	minAt  []int32  // the epoch's proposal labels
+	minB   []int32  // witness mode: the least b offered per label
 	minW   []uint64 // witness mode: the minimum's propPair source
+	up     []uint64 // otherwise: union-find links, the epoch stamp over the parent
 	labels []int32  // the labels offered in the current epoch, each once
 	ltmp   []int32  // radix scratch of labels
 	bm     []uint64 // label bitmap, kept zero
@@ -411,28 +423,64 @@ type collectScratch struct {
 func (ws *collectScratch) begin(nV int, witness bool) int32 {
 	if len(ws.minAt) < nV {
 		ws.minAt = make([]int32, nV)
-		ws.minB = make([]int32, nV)
 	}
-	if witness && len(ws.minW) < nV {
+	if witness && len(ws.minB) < nV {
+		ws.minB = make([]int32, nV)
 		ws.minW = make([]uint64, nV)
+	}
+	if !witness && len(ws.up) < nV {
+		ws.up = make([]uint64, nV)
 	}
 	ws.labels = ws.labels[:0]
 	ws.dstamp++
 	return ws.dstamp
 }
 
-// offer folds the non-witness proposal a→b into epoch st's minima.
-func (ws *collectScratch) offer(st, a, b int32) {
+// key makes a one of epoch st's proposal labels.
+func (ws *collectScratch) key(st, a int32) {
 	if ws.minAt[a] != st {
 		ws.minAt[a] = st
-		ws.minB[a] = b
 		ws.labels = append(ws.labels, a)
-	} else if b < ws.minB[a] {
-		ws.minB[a] = b
 	}
 }
 
-// unclaimed filters xs in place once epoch st's minima are built, keeping
+// find returns the root of x's set in epoch st, its least label, halving
+// the path on the way. A label is linked in the epoch when its up word
+// carries the stamp in its high half; the low half is then its parent, and
+// a label that is not linked is a root. Stamp and parent share one word,
+// so a step of the walk is one load.
+func (ws *collectScratch) find(st, x int32) int32 {
+	for {
+		l := ws.up[x]
+		if int32(l>>32) != st {
+			return x
+		}
+		p := int32(uint32(l))
+		g := ws.up[p]
+		if int32(g>>32) != st {
+			return p
+		}
+		ws.up[x] = g
+		x = int32(uint32(g))
+	}
+}
+
+// union joins the sets of a and b in epoch st, the larger root linked
+// under the smaller.
+func (ws *collectScratch) union(st, a, b int32) {
+	if ra, rb := ws.find(st, a), ws.find(st, b); ra != rb {
+		ws.up[max(ra, rb)] = uint64(uint32(st))<<32 | uint64(uint32(min(ra, rb)))
+	}
+}
+
+// join folds the non-witness entry [a, b] into epoch st: a is a proposal
+// label, and b is in its set.
+func (ws *collectScratch) join(st, a, b int32) {
+	ws.key(st, a)
+	ws.union(st, a, b)
+}
+
+// unclaimed filters xs in place once epoch st's proposals are built, keeping
 // each label that no proposal and no earlier entry names, once: a kept
 // label is stamped into the epoch.
 func (ws *collectScratch) unclaimed(st int32, xs []int32) []int32 {
@@ -446,8 +494,8 @@ func (ws *collectScratch) unclaimed(st int32, xs []int32) []int32 {
 	return out
 }
 
-// offerFrom is offer in witness mode, where the minimum keeps its source
-// src: of equal b's, the first offered stays.
+// offerFrom folds a received witness-mode entry a→b into epoch st's minima,
+// keeping its source src: of equal b's, the first offered stays.
 func (ws *collectScratch) offerFrom(st, a, b int32, src uint64) {
 	if ws.minAt[a] != st {
 		ws.minAt[a] = st
@@ -729,13 +777,18 @@ func (pr *proto) sortEnrolled(i int) {
 }
 
 // collectNext pre-combines, from node i's freshly relabeled state, what
-// the next phase's propose sweep will send: the per-label proposal minima of
-// its active edges, label-ascending as the wire carries them, and the 1-word
-// entries beside them — the labels of cands that no proposal names,
-// ascending. The stamped arrays (owned by the calling pool shard) combine in
-// O(1) per candidate, so only the distinct labels are ever ordered
-// (sortIndices), and the lists are built at their final size. It also
-// clears node i's answer records for the sweep to fill.
+// the next phase's propose sweep will send: one proposal per endpoint label
+// of its active edges, label-ascending as the wire carries them, and the
+// 1-word entries beside them — the labels of cands that no proposal names,
+// ascending. In witness mode a label's proposal is its least neighbor, with
+// the least edge to it as the witness; otherwise the node contracts what it
+// holds: a union-find over its active edges, and each label offers the
+// least label of its local component, which is never more than its least
+// neighbor. The stamped arrays (owned by the calling pool shard) combine a
+// candidate in O(1), or amortized O(log n) for a union-find step, so only
+// the distinct labels are ever ordered (sortIndices), and the lists are
+// built at their final size. It also clears node i's answer records for
+// the sweep to fill.
 func (pr *proto) collectNext(i int, ws *collectScratch, cands []int32) {
 	sc := &pr.scr[i]
 	st := ws.begin(len(pr.label), pr.witness)
@@ -753,12 +806,12 @@ func (pr *proto) collectNext(i int, ws *collectScratch, cands []int32) {
 		}
 	} else {
 		for _, ed := range pr.active[i] {
-			ws.offer(st, ed.a, ed.b)
-			ws.offer(st, ed.b, ed.a)
+			ws.key(st, ed.b)
+			ws.join(st, ed.a, ed.b)
 		}
 	}
 	pr.buildProps(i, ws)
-	// The epoch's labels are exactly the proposal labels; the minima are
+	// The epoch's labels are exactly the proposal labels; the proposals are
 	// built, so the entries dedup against the same stamps.
 	sc.need = pr.sortDedup(i, ws.unclaimed(st, cands))
 	sc.askBuf, sc.asked = sc.askBuf[:0], sc.asked[:0]
@@ -779,15 +832,18 @@ func (pr *proto) collectFirst() {
 }
 
 // mergeProps folds the messages node i's members sent up at stage si into
-// the carrier's own lists. Proposals are min-combined on b: the carrier's
-// list seeds a fresh epoch, the members' entries are offered into it in
-// inbox order, the first-offered of equal b's staying (in witness mode with
-// its source: the carrier's own entry keeps its own, a member's is its
-// askBuf position), and the list is rebuilt from the combined minima,
-// label-ascending with one entry per label. The 1-word entries are unioned,
-// and an entry is dropped once a proposal names its label: the proposal
-// registers it, or asks for its root. Every message that will be answered
-// is recorded for stage si's answer.
+// the carrier's own lists. The carrier's list seeds a fresh epoch and the
+// members' entries are offered into it in inbox order. In witness mode they
+// are min-combined on b, the first-offered of equal b's staying with its
+// source (the carrier's own entry keeps its own, a member's is its askBuf
+// position). Otherwise every entry [a, b] joins a and b in one union-find,
+// so the carrier contracts what its block knows, and each label offers the
+// least label of its set: no more than the least b offered for it. Either
+// way the list is rebuilt label-ascending with one entry per label that
+// some entry led with; a label named only as a b gets none. The 1-word
+// entries are unioned, and an entry is dropped once a proposal names its
+// label: the proposal registers it, or asks for its root. Every message
+// that will be answered is recorded for stage si's answer.
 func (pr *proto) mergeProps(i, si int, ws *collectScratch, ib netsim.Inbox) {
 	sc := &pr.scr[i]
 	st := ws.begin(len(pr.label), pr.witness)
@@ -795,7 +851,7 @@ func (pr *proto) mergeProps(i, si int, ws *collectScratch, ib netsim.Inbox) {
 		ws.offerFrom(st, int32(p.k1>>32), int32(uint32(p.k1)), p.k2)
 	}
 	for _, k := range sc.k1s { // empty when witness
-		ws.offer(st, int32(k>>32), int32(uint32(k)))
+		ws.join(st, int32(k>>32), int32(uint32(k)))
 	}
 	pr.reserveAsked(i, ib, tagProposeUp, tagNeedUp)
 	for mi := 0; mi < ib.Len(); mi++ {
@@ -809,7 +865,7 @@ func (pr *proto) mergeProps(i, si int, ws *collectScratch, ib netsim.Inbox) {
 				}
 			} else {
 				for k := 0; k+2 <= len(m.Keys); k += 2 {
-					ws.offer(st, int32(m.Keys[k]), int32(m.Keys[k+1]))
+					ws.join(st, int32(m.Keys[k]), int32(m.Keys[k+1]))
 				}
 			}
 		case tagNeedUp:
@@ -852,10 +908,11 @@ func (pr *proto) keepAsked(i, s int, m netsim.Message, props bool) int {
 	return lo
 }
 
-// buildProps rebuilds node i's proposal list from the epoch's combined
-// minima: the offered labels, distinct already, are put in order by
-// sortIndices, and the list is written once, at its final size, in the
-// label-ascending order every proposal message carries.
+// buildProps rebuilds node i's proposal list from the epoch: the offered
+// labels, distinct already, are put in order by sortIndices, and the list
+// is written once, at its final size, in the label-ascending order every
+// proposal message carries — each label with its minimum in witness mode,
+// otherwise with the root of its set.
 func (pr *proto) buildProps(i int, ws *collectScratch) {
 	sc := &pr.scr[i]
 	ws.labels = sortIndices(ws.labels, len(pr.label), &ws.bm, &ws.ltmp)
@@ -868,7 +925,7 @@ func (pr *proto) buildProps(i int, ws *collectScratch) {
 	} else {
 		ks := slices.Grow(sc.k1s[:0], len(ws.labels))
 		for _, a := range ws.labels {
-			ks = append(ks, uint64(uint32(a))<<32|uint64(uint32(ws.minB[a])))
+			ks = append(ks, uint64(uint32(a))<<32|uint64(uint32(ws.find(ws.dstamp, a))))
 		}
 		sc.k1s = ks
 	}
@@ -902,10 +959,12 @@ func wireProps[T any](sl *payloadSlab, ps []T, key func(T) uint64) []uint64 {
 	return buf
 }
 
-// propose turns every active edge into min-neighbor proposals for both
-// endpoint labels, min-combines them locally (and per block per level
-// under a combining schedule), delivers them to the label homes, and
-// min-merges them into the best-proposal arrays. Beside the proposals
+// propose sends every endpoint label of an active edge a proposal — its
+// least neighbor in witness mode, otherwise the least label of its locally
+// known component, both collected at relabel time — combines them per
+// block per level under a combining schedule (mergeProps), delivers them
+// to the label homes, and min-merges them into the best-proposal arrays.
+// Beside the proposals
 // travel 1-word entries for the labels a node needs but proposes nothing
 // for, which combiners drop once they hold a proposal for the label: in
 // the first sweep of a run, the vertices no proposal names, which their
@@ -1042,8 +1101,8 @@ func emitByHome[T any](pr *proto, i int, out *netsim.Outbox, ps []T, tmp *[]T, k
 	}
 }
 
-// hook decides each alive label's fate from its best proposal: labels with
-// a smaller neighbor label hook onto it (in witness mode setting the won
+// hook decides each alive label's fate from its best proposal: labels
+// offered a smaller label hook onto it (in witness mode setting the won
 // bit of the entry that offered it first); the rest are roots. Returns the
 // number of hooked labels.
 func (pr *proto) hook() int {

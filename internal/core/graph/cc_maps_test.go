@@ -67,6 +67,48 @@ func offer(m map[uint64]prop, a uint64, p prop) {
 	}
 }
 
+// mapUF is the oracle's union-find over 64-bit labels: a label with no
+// entry is a root, paths halve on the way up, and the larger root is
+// linked under the smaller, so every root is its set's least label.
+type mapUF map[uint64]uint64
+
+func (u mapUF) find(x uint64) uint64 {
+	for {
+		p, ok := u[x]
+		if !ok {
+			return x
+		}
+		g, ok := u[p]
+		if !ok {
+			return p
+		}
+		u[x] = g
+		x = g
+	}
+}
+
+func (u mapUF) union(a, b uint64) {
+	ra, rb := u.find(a), u.find(b)
+	if ra == rb {
+		return
+	}
+	u[max(ra, rb)] = min(ra, rb)
+}
+
+// contractProps is the offer rule of cc and cc-flat: the entries [a, b]
+// join a and b in one union-find, and every label m holds a proposal for
+// offers the least label of its set instead of its least neighbor.
+func contractProps(m map[uint64]prop, entries [][2]uint64) {
+	u := mapUF{}
+	for _, e := range entries {
+		u.union(e[0], e[1])
+	}
+	for a, p := range m {
+		p.b = u.find(a)
+		m[a] = p
+	}
+}
+
 // proto is the driver state of one protocol run. Everything is indexed by
 // compute index (position in ComputeNodes).
 type mapProto struct {
@@ -81,6 +123,10 @@ type mapProto struct {
 	// where combining pays, and answer runs it back down.
 	steps   []place.UpStep
 	witness bool
+	// contract offers each label the least label of its locally known
+	// component (contractProps) at holders and combiners; otherwise a label
+	// offers its least neighbor.
+	contract bool
 
 	active  [][]mapWorkEdge     // contracted edges held locally
 	labelOf []map[uint64]uint64 // home state: vertex -> current label
@@ -179,10 +225,15 @@ func (pr *mapProto) propose(entries []map[uint64]bool, first bool) sweep {
 	lone := make([]map[uint64]bool, len(pr.nodes))
 	for i := range pr.nodes {
 		m := make(map[uint64]prop, 2*len(pr.active[i]))
+		var held [][2]uint64
 		for _, ed := range pr.active[i] {
 			w := Edge{U: ed.wu, V: ed.wv}
 			upd(m, ed.a, prop{b: ed.b, w: w})
 			upd(m, ed.b, prop{b: ed.a, w: w})
+			held = append(held, [2]uint64{ed.a, ed.b})
+		}
+		if pr.contract {
+			contractProps(m, held)
 		}
 		local[i] = m
 		lone[i] = make(map[uint64]bool)
@@ -221,6 +272,10 @@ func (pr *mapProto) propose(entries []map[uint64]bool, first bool) sweep {
 			// Scratch maps, merged in place: the carrier's own entries are
 			// offered first, then its members' in inbox order.
 			merged[i], mergedLone[i] = local[i], lone[i]
+			var offered [][2]uint64
+			for a, p := range local[i] {
+				offered = append(offered, [2]uint64{a, p.b})
+			}
 			ib := pr.e.Inbox(v)
 			for mi := 0; mi < ib.Len(); mi++ {
 				m := ib.At(mi)
@@ -230,6 +285,9 @@ func (pr *mapProto) propose(entries []map[uint64]bool, first bool) sweep {
 				switch m.Tag {
 				case tagProposeUp:
 					sw.got[s][i] = append(sw.got[s][i], receiveProps(merged[i], pr.idx[m.From], m.Keys))
+					for k := 0; k+2 <= len(m.Keys); k += 2 {
+						offered = append(offered, [2]uint64{m.Keys[k], m.Keys[k+1]})
+					}
 				case tagNeedUp:
 					sw.got[s][i] = append(sw.got[s][i], sweepMsg{peer: pr.idx[m.From], labels: slices.Clone(m.Keys)})
 					fallthrough
@@ -238,6 +296,9 @@ func (pr *mapProto) propose(entries []map[uint64]bool, first bool) sweep {
 						mergedLone[i][x] = true
 					}
 				}
+			}
+			if pr.contract {
+				contractProps(merged[i], offered)
 			}
 			for x := range mergedLone[i] {
 				if _, ok := merged[i][x]; ok {
@@ -583,8 +644,11 @@ func (pr *mapProto) totalActive() int {
 // benchmarks. Unlike the int-indexed path, which reads roots from its
 // global root arrays, it learns every root, pointer and won flag from the
 // wire: each node keeps the query lists it sends and decodes the positional
-// replies against them, bitmaps included.
-func runMaps(tr *topology.Tree, edges Placement, seed uint64, aware, witness bool, opts []netsim.Option) (*Result, error) {
+// replies against them, bitmaps included. With contract, holders and
+// combiners offer what cc and cc-flat offer, the least label of each
+// label's locally known component; without it, every label offers its
+// least neighbor, spanforest's rule.
+func runMaps(tr *topology.Tree, edges Placement, seed uint64, aware, witness, contract bool, opts []netsim.Option) (*Result, error) {
 	if err := checkPlacement(tr, edges); err != nil {
 		return nil, err
 	}
@@ -618,19 +682,20 @@ func runMaps(tr *topology.Tree, edges Placement, seed uint64, aware, witness boo
 	}
 
 	pr := &mapProto{
-		t:       tr,
-		e:       netsim.NewEngine(tr, opts...),
-		nodes:   nodes,
-		idx:     idx,
-		home:    chooser.Choose,
-		steps:   steps,
-		witness: witness,
-		active:  make([][]mapWorkEdge, p),
-		labelOf: make([]map[uint64]uint64, p),
-		alive:   make([]map[uint64]bool, p),
-		best:    make([]map[uint64]prop, p),
-		parent:  make([]map[uint64]uint64, p),
-		rootOf:  make([]map[uint64]uint64, p),
+		t:        tr,
+		e:        netsim.NewEngine(tr, opts...),
+		nodes:    nodes,
+		idx:      idx,
+		home:     chooser.Choose,
+		steps:    steps,
+		witness:  witness,
+		contract: contract,
+		active:   make([][]mapWorkEdge, p),
+		labelOf:  make([]map[uint64]uint64, p),
+		alive:    make([]map[uint64]bool, p),
+		best:     make([]map[uint64]prop, p),
+		parent:   make([]map[uint64]uint64, p),
+		rootOf:   make([]map[uint64]uint64, p),
 	}
 	if witness {
 		pr.forest = make([][]Edge, p)

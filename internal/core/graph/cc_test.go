@@ -313,7 +313,7 @@ func TestCCScratchTrims(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			want, err := runMaps(tree, pl, 42, true, witness, nil)
+			want, err := runMaps(tree, pl, 42, true, witness, !witness, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

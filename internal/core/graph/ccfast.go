@@ -424,7 +424,7 @@ func (pr *proto) emitPacked(i int, out *netsim.Outbox, tag netsim.Tag, ks []uint
 
 // proposeFromKnow converts every known-set minimum into the best-proposal
 // arrays that hook() consumes: with zero doubling rounds this is exactly
-// the Borůvka min-neighbor proposal.
+// the least-neighbor proposal of a witness-mode Borůvka phase.
 func (pr *proto) proposeFromKnow() {
 	fs := pr.fs
 	pr.pool.ForEach("ccfast propose", len(pr.nodes), func(i int) {

@@ -53,7 +53,7 @@ func TestIntIndexedMatchesMapBaseline(t *testing.T) {
 				default:
 					got, err1 = CCFlat(tree, edges, 42)
 				}
-				want, err2 = runMaps(tree, edges, 42, vr.aware, vr.witness, nil)
+				want, err2 = runMaps(tree, edges, 42, vr.aware, vr.witness, !vr.witness, nil)
 				if err1 != nil || err2 != nil {
 					t.Fatalf("%s/%s/%s: run errors: %v, %v", tname, fname, vr.name, err1, err2)
 				}

@@ -82,10 +82,12 @@ func fuzzCCSeeds() [][]byte {
 // FuzzCC holds the four connectivity variants to their contract on
 // byte-derived trees and multigraphs (self-loops, parallel edges, isolated
 // vertices, empty holders): every variant passes Verify against the
-// union-find reference and spanforest's witnesses pass VerifyForest, every
-// result and every round is the same at 1 and 4 workers, and the three
-// Borůvka variants send what the map oracle (runMaps) sends, round for
-// round: messages, elements, cost and the per-edge, per-node tallies. The
+// union-find reference, every result and every round (cost included) is
+// the same at 1, 4 and 8 workers, spanforest's witnesses pass VerifyForest
+// at each, and the three Borůvka variants send what the map oracle
+// (runMaps, contracting for cc and cc-flat, min-neighbor for spanforest)
+// sends, round for round: messages, elements, cost and the per-edge,
+// per-node tallies. The
 // oracle decodes every answer by position against the queries it kept, and
 // checkAnswers decodes the Borůvka variants' own jump replies and direct
 // lookup answers the same way.
@@ -123,22 +125,29 @@ func FuzzCC(f *testing.F) {
 					t.Fatalf("%s: %v", v.name, err)
 				}
 			}
-			four, err := v.run(tr, pl, seed, netsim.WithWorkers(4))
-			if err != nil {
-				t.Fatalf("%s, 4 workers: %v", v.name, err)
-			}
-			if four.Components != one.Components || four.Checksum != one.Checksum ||
-				four.Phases != one.Phases || four.Strategy != one.Strategy ||
-				!reflect.DeepEqual(four.PerNode, one.PerNode) || !slices.Equal(four.Forest, one.Forest) {
-				t.Fatalf("%s: result at 4 workers differs from 1 worker:\n got %+v\nwant %+v", v.name, four, one)
-			}
-			if !reflect.DeepEqual(four.Report.Rounds, one.Report.Rounds) {
-				t.Fatalf("%s: rounds at 4 workers differ from 1 worker", v.name)
+			for _, workers := range []int{4, 8} {
+				many, err := v.run(tr, pl, seed, netsim.WithWorkers(workers))
+				if err != nil {
+					t.Fatalf("%s, %d workers: %v", v.name, workers, err)
+				}
+				if many.Components != one.Components || many.Checksum != one.Checksum ||
+					many.Phases != one.Phases || many.Strategy != one.Strategy ||
+					!reflect.DeepEqual(many.PerNode, one.PerNode) || !slices.Equal(many.Forest, one.Forest) {
+					t.Fatalf("%s: result at %d workers differs from 1 worker:\n got %+v\nwant %+v", v.name, workers, many, one)
+				}
+				if !reflect.DeepEqual(many.Report.Rounds, one.Report.Rounds) {
+					t.Fatalf("%s: rounds at %d workers differ from 1 worker", v.name, workers)
+				}
+				if v.witness {
+					if err := VerifyForest(ref, many.Forest); err != nil {
+						t.Fatalf("%s, %d workers: %v", v.name, workers, err)
+					}
+				}
 			}
 			if !v.boruvka {
 				continue
 			}
-			want, err := runMaps(tr, pl, seed, v.aware, v.witness, nil)
+			want, err := runMaps(tr, pl, seed, v.aware, v.witness, !v.witness, nil)
 			if err != nil {
 				t.Fatalf("%s oracle: %v", v.name, err)
 			}

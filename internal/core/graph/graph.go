@@ -7,16 +7,22 @@
 //
 // The input is an undirected multigraph whose edges are distributed over
 // the compute nodes. Every vertex is hashed to a home compute node that
-// owns its label; the protocol then runs Borůvka-style phases: each active
-// edge proposes its endpoints' minimum neighbor label, homes hook labels
-// onto smaller neighbors, pointer-jumping resolves the hooking forests to
-// their root labels, and edges are relabeled in place, dropping the ones
-// that became internal to a component. Because hooking always targets the
-// minimum, the surviving labels of a phase form an independent set of the
-// contracted graph, so the number of labels at least halves per phase and
-// the protocol finishes in O(log n) phases; the final label of every
-// component is its minimum vertex id, which makes outputs directly
-// comparable to the centralized union-find reference (Reference).
+// owns its label; the protocol then runs Borůvka-style phases: every label
+// an edge touches is offered the least label it is known to be connected
+// to, homes hook labels onto their least offer when it is smaller,
+// pointer-jumping resolves the hooking forests to their root labels, and
+// edges are relabeled in place, dropping the ones that became internal to
+// a component. CC and CCFlat contract what a node already knows, which the
+// MPC algorithms above treat as free: a holder runs a union-find over its
+// active edges and a combiner over the entries it holds and receives, and
+// each label is offered the least label of its local component.
+// SpanningForest offers the least neighbor label, which one edge joins.
+// Either offer is at most the least neighbor, so a label with a smaller
+// neighbor always hooks, the surviving labels of a phase form an
+// independent set of the contracted graph, the number of labels at least
+// halves per phase and the protocol finishes in O(log n) phases; the final
+// label of every component is its minimum vertex id, which makes outputs
+// directly comparable to the centralized union-find reference (Reference).
 //
 // Two topology-aware levers separate the aware protocol from the flat
 // baseline, both driven by the bandwidth capacities of
@@ -51,7 +57,7 @@
 // round, exponentiates it with doubling rounds under a volume budget,
 // proposes each set's minimum, and pushes the roots straight back to the
 // nodes the adjacency round subscribed; with no doubling round it proposes
-// exactly what a Borůvka phase proposes.
+// each label's least neighbor, what a SpanningForest phase proposes.
 //
 // CCFast is the benchmark's alone (bench/, the graph-dense workload calls
 // it directly): it is no task of the root package's table and no Cluster

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"cmp"
 	"maps"
 	"math/rand"
 	"slices"
@@ -81,6 +82,50 @@ func firstMinima(cands []propPair) []propPair {
 	return out
 }
 
+// componentMinima is the oracle of the non-witness offer rule, at a holder
+// and at a carrier alike: given entries a<<32|b (both directions of every
+// edge at a holder), it returns, label-ascending, one entry per label that
+// leads some entry, whose b is the least label of its component in the
+// graph the entries span. Components come from label propagation to a
+// fixpoint over the entries sorted by their smaller end, with no
+// union-find.
+func componentMinima(entries []propPair) []propPair {
+	es := make([][2]uint32, 0, len(entries))
+	low := map[uint32]uint32{}
+	var keys []uint32
+	for _, p := range entries {
+		a, b := uint32(p.k1>>32), uint32(p.k1)
+		es = append(es, [2]uint32{min(a, b), max(a, b)})
+		low[a], low[b], keys = a, b, append(keys, a)
+	}
+	slices.SortFunc(es, func(x, y [2]uint32) int { return cmp.Compare(x[0], y[0]) })
+	for changed := true; changed; {
+		changed = false
+		for _, e := range es {
+			if m := min(low[e[0]], low[e[1]]); low[e[0]] != m || low[e[1]] != m {
+				low[e[0]], low[e[1]], changed = m, m, true
+			}
+		}
+	}
+	slices.Sort(keys)
+	out := make([]propPair, 0, len(keys))
+	for _, a := range slices.Compact(keys) {
+		out = append(out, propPair{k1: uint64(a)<<32 | uint64(low[a])})
+	}
+	return out
+}
+
+// holderEntries lists both directions of every edge as bare entries.
+func holderEntries(edges []workEdge) []propPair {
+	var out []propPair
+	for _, ed := range edges {
+		out = append(out,
+			propPair{k1: uint64(uint32(ed.a))<<32 | uint64(uint32(ed.b))},
+			propPair{k1: uint64(uint32(ed.b))<<32 | uint64(uint32(ed.a))})
+	}
+	return out
+}
+
 // tiedEdges draws m active edges over nV labels whose witnesses come from
 // three values per half, so many candidates of a label tie on b, and many
 // of those on (b, wu) too.
@@ -108,14 +153,17 @@ func (pr *proto) props(i int) []propPair {
 	return out
 }
 
-// TestStampedMinCombineMatchesSort runs the collection walk against the
-// sort oracle and the carrier merge against firstMinima on seeded random
-// homes: both modes, every worker count, the shard scratch reused from home
-// to home and from one collection to the next. A holder's minima keep its
-// least witness edge; the carrier's merge keeps, per label, the least b
-// first offered — its own entry, then its members' in inbox order — and in
-// witness mode that entry's source: its own, or the askBuf position of the
-// member entry. The merge also folds the 1-word entries — vertex entries in
+// TestStampedMinCombineMatchesSort runs the collection walk and the carrier
+// merge against their oracles on seeded random homes: both modes, every
+// worker count, the shard scratch reused from home to home and from one
+// collection to the next. In witness mode the walk is held to the sort
+// oracle and the merge to firstMinima: a holder's minima keep its least
+// witness edge; the carrier's merge keeps, per label, the least b first
+// offered — its own entry, then its members' in inbox order — and that
+// entry's source: its own, or the askBuf position of the member entry.
+// Otherwise both are held to componentMinima: the stamped union-find gives
+// every label the least label of its component, over the holder's edges or
+// over the carrier's own and its members' entries. The merge also folds the 1-word entries — vertex entries in
 // a first sweep, need entries later — each kept once unless a merged
 // proposal names it, and records every proposal and need message for the
 // answer.
@@ -135,11 +183,18 @@ func TestStampedMinCombineMatchesSort(t *testing.T) {
 				arena:      make([]payloadSlab, homes),
 				wscr:       make([]collectScratch, e.Pool().Workers()),
 			}
+			split := 0 // non-witness merges whose entries span several components
 			for iter := 0; iter < 100; iter++ {
 				nV := 2 + rng.Intn(40)
 				pr.label = make([]int32, nV)
 				for i := range pr.active {
-					pr.active[i] = tiedEdges(rng, nV, rng.Intn(120))
+					m := rng.Intn(120)
+					if !witness {
+						// About nV edges over all the homes, so the carrier
+						// merges several components.
+						m %= nV/homes + 2
+					}
+					pr.active[i] = tiedEdges(rng, nV, m)
 				}
 				pr.pool.Blocks("collect", homes, func(shard, lo, hi int) {
 					for i := lo; i < hi; i++ {
@@ -147,7 +202,11 @@ func TestStampedMinCombineMatchesSort(t *testing.T) {
 					}
 				})
 				for i := range pr.active {
-					if got, want := pr.props(i), sortedMinima(pr.active[i], witness); !slices.Equal(got, want) {
+					want := componentMinima(holderEntries(pr.active[i]))
+					if witness {
+						want = sortedMinima(pr.active[i], witness)
+					}
+					if got := pr.props(i); !slices.Equal(got, want) {
 						t.Fatalf("witness=%v workers=%d iter %d home %d: collected minima\n got %v\nwant %v",
 							witness, workers, iter, i, got, want)
 					}
@@ -203,7 +262,17 @@ func TestStampedMinCombineMatchesSort(t *testing.T) {
 				for i := range pr.arena {
 					pr.arena[i].buf = pr.arena[i].buf[:0]
 				}
-				want := firstMinima(cands)
+				want := componentMinima(cands)
+				if witness {
+					want = firstMinima(cands)
+				} else if roots := map[uint32]bool{}; len(want) > 0 {
+					for _, p := range want {
+						roots[uint32(p.k1)] = true
+					}
+					if len(roots) > 1 {
+						split++
+					}
+				}
 				pr.mergeProps(0, 0, &pr.wscr[0], e.Inbox(nodes[0]))
 				if got := pr.props(0); !slices.Equal(got, want) {
 					t.Fatalf("witness=%v workers=%d iter %d: merged minima\n got %v\nwant %v",
@@ -221,6 +290,9 @@ func TestStampedMinCombineMatchesSort(t *testing.T) {
 					t.Fatalf("witness=%v workers=%d iter %d (first %v): recorded %d messages to answer, want %d",
 						witness, workers, iter, first, got, answered)
 				}
+			}
+			if !witness && split < 50 {
+				t.Fatalf("workers=%d: %d of 100 merges spanned several components, want at least 50", workers, split)
 			}
 		}
 	}

@@ -16,18 +16,20 @@ import (
 	"topompc/internal/topology/topotest"
 )
 
-// checkWitnessWire runs cc, and spanforest phase by phase as contract does,
-// on the same edges, and holds spanforest's rounds to cc's: as many rounds,
-// the same number of messages in each, the same elements in every propose
-// and jump round, and in each answer round exactly Σ⌈n/64⌉ more — one won
-// bitmap per proposal message of n entries that the round answers, as
-// sweepModel counts them. No witness word travels anywhere else. The driven
-// run must equal the entry point's, rounds and forest; it is returned.
+// checkWitnessWire runs the map oracle's min-neighbor cc — cc's wire under
+// spanforest's offer rule — and spanforest phase by phase as contract does,
+// on the same edges, and holds spanforest's rounds to the oracle's: as many
+// rounds, the same number of messages in each, the same elements in every
+// propose and jump round, and in each answer round exactly Σ⌈n/64⌉ more —
+// one won bitmap per proposal message of n entries that the round answers,
+// as sweepModel counts them. No witness word travels anywhere else. The
+// driven run must equal the entry point's, rounds and forest; it is
+// returned.
 func checkWitnessWire(t *testing.T, name string, tr *topology.Tree, pl Placement, seed uint64) *Result {
 	t.Helper()
-	cc, err := CC(tr, pl, seed)
+	cc, err := runMaps(tr, pl, seed, true, false, false, nil)
 	if err != nil {
-		t.Fatalf("%s: cc: %v", name, err)
+		t.Fatalf("%s: min-neighbor cc: %v", name, err)
 	}
 	want, err := SpanningForest(tr, pl, seed)
 	if err != nil {
@@ -84,14 +86,14 @@ func checkWitnessWire(t *testing.T, name string, tr *topology.Tree, pl Placement
 	}
 	sf, c := got.Report.Rounds, cc.Report.Rounds
 	if len(sf) != len(c) {
-		t.Fatalf("%s: spanforest ran %d rounds, cc %d", name, len(sf), len(c))
+		t.Fatalf("%s: spanforest ran %d rounds, min-neighbor cc %d", name, len(sf), len(c))
 	}
 	for r := range sf {
 		if sf[r].Messages != c[r].Messages {
-			t.Fatalf("%s: round %d: spanforest sent %d messages, cc %d", name, r, sf[r].Messages, c[r].Messages)
+			t.Fatalf("%s: round %d: spanforest sent %d messages, min-neighbor cc %d", name, r, sf[r].Messages, c[r].Messages)
 		}
 		if d := sf[r].Elements - c[r].Elements; d != extra[r] {
-			t.Fatalf("%s: round %d: spanforest sent %d elements more than cc, its won bitmaps are %d",
+			t.Fatalf("%s: round %d: spanforest sent %d elements more than min-neighbor cc, its won bitmaps are %d",
 				name, r, d, extra[r])
 		}
 	}
@@ -175,11 +177,12 @@ func goldenSpanforestInput(t *testing.T, topo, place string, p int) (Placement, 
 	return pl, seed
 }
 
-// TestSpanForestWireIsCCWire holds spanforest's wire to cc's plus the won
-// bitmaps (checkWitnessWire) on every golden fixture — each rebuilt input
-// pinned to its row of the module's testdata/golden_costs.json, so the
-// rebuild cannot drift from the grid — on every topotest shape, and on the
-// two-level combining fixture whose answers carry bitmaps of several words.
+// TestSpanForestWireIsCCWire holds spanforest's wire to cc's under the
+// min-neighbor offer rule plus the won bitmaps (checkWitnessWire) on every
+// golden fixture — each rebuilt input pinned to its row of the module's
+// testdata/golden_costs.json, so the rebuild cannot drift from the grid —
+// on every topotest shape, and on the two-level combining fixture whose
+// answers carry bitmaps of several words.
 func TestSpanForestWireIsCCWire(t *testing.T) {
 	raw, err := os.ReadFile(filepath.Join("..", "..", "..", "testdata", "golden_costs.json"))
 	if err != nil {

@@ -75,8 +75,9 @@ func ratio(a, b float64) float64 { return netsim.Ratio(a, b) }
 type task struct {
 	name string
 	run  func(t *topology.Tree, in input, seed uint64) (any, error)
-	// unequalBound sets a cartesian protocol's own result against the cut
-	// bound of §4.5 on the smaller relation R instead of Theorems 3+4.
+	// unequalBound sets a cartesian protocol's own result against the
+	// unequal-size bound of §4.5 (the cut on the smaller relation, and on a
+	// star Theorem 9's coverage term when larger) instead of Theorems 3+4.
 	unequalBound bool
 }
 
@@ -300,10 +301,9 @@ func (k task) execute(t *topology.Tree, in input, seed uint64) (measure, error) 
 		m.Blocks = len(res.Blocks)
 	case *cartesian.Result:
 		err = cartesian.Verify(in.r, in.s, res)
-		loads := cliutil.Loads(t, in.r, in.s)
-		bound := lowerbound.Cartesian(t, loads).Value
+		bound := lowerbound.Cartesian(t, cliutil.Loads(t, in.r, in.s)).Value
 		if k.unequalBound {
-			bound = lowerbound.UnequalCartesianCut(t, loads, int64(in.r.Total())).Value
+			bound = lowerbound.UnequalCartesian(t, cliutil.Loads(t, in.r), cliutil.Loads(t, in.s))
 		}
 		m = reported(res.Report, bound)
 		m.Strategy = res.Strategy

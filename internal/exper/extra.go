@@ -27,7 +27,7 @@ var (
 func runE9(seed uint64) ([]Table, error) {
 	star := must(topology.Star([]float64{1, 2, 4, 8, 16}))
 	table := newTable("E9: |R| sweep with |S| fixed on star with bandwidths 1,2,4,8,16",
-		"CLB = unequal cut bound (§4.5); the generalized wHC prices a gather at each node, the broadcast of R and its column-and-square packing, and runs the cheapest.",
+		"CLB = unequal-size bound (§4.5's cut, or Theorem 9's coverage term where larger); the generalized wHC prices a gather at each node, the broadcast of R and its column-and-square packing, and runs the cheapest.",
 		"|R|", "|S|", "strategy", "cost", "CLB", "ratio")
 	table.Ceiling = cartesianClaim
 	sizeS := 8192

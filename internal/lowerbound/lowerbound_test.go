@@ -186,6 +186,78 @@ func TestUnequalCartesianCut(t *testing.T) {
 	}
 }
 
+// TestUnequalCartesianCoverageTerm pins Theorem 9's coverage term on a
+// uniformly placed star, where it exceeds the cut: 16 unit leaves holding
+// 25 tuples of R and 100 of S each. The cut is min(N_v, N − N_v, |R|) =
+// min(125, 1875, 400) = 125 per leaf; every leaf is in Vα (125 < |R|), so
+// the coverage term is min(|S|/max w, V) with V solving 16·C² = |R|·|S|,
+// C = 200, and the reported bound is that.
+func TestUnequalCartesianCoverageTerm(t *testing.T) {
+	const p = 16
+	tr, err := topology.UniformStar(p, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loadsR, loadsS, loads := make(topology.Loads, tr.NumNodes()), make(topology.Loads, tr.NumNodes()), make(topology.Loads, tr.NumNodes())
+	for _, v := range tr.ComputeNodes() {
+		loadsR[v], loadsS[v], loads[v] = 25, 100, 125
+	}
+	if cut := UnequalCartesianCut(tr, loads, 400).Value; cut != 125 {
+		t.Fatalf("cut = %v, want 125", cut)
+	}
+	if got := UnequalCartesian(tr, loadsR, loadsS); math.Abs(got-200) > 1e-6 {
+		t.Errorf("UnequalCartesian = %v, want the coverage term 200", got)
+	}
+	if got := UnequalCartesian(tr, loadsS, loadsR); math.Abs(got-200) > 1e-6 {
+		t.Errorf("UnequalCartesian with the relations swapped = %v, want 200", got)
+	}
+}
+
+// TestUnequalCartesianCutOnly: the bound is the cut when one leaf holds a
+// majority of the tuples, when no leaf is in Vα (then Σ_{Vα}|S_u| = 0 and
+// the coverage term is 0), and off stars.
+func TestUnequalCartesianCutOnly(t *testing.T) {
+	st, err := topology.UniformStar(4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loadsR, loadsS, loads := make(topology.Loads, st.NumNodes()), make(topology.Loads, st.NumNodes()), make(topology.Loads, st.NumNodes())
+	for i, v := range st.ComputeNodes() {
+		if i == 3 {
+			loadsR[v] = 100
+		} else {
+			loadsS[v] = 100
+		}
+		loads[v] = 100
+	}
+	if got, cut := UnequalCartesian(st, loadsR, loadsS), UnequalCartesianCut(st, loads, 100).Value; got != cut || cut != 100 {
+		t.Errorf("no leaf in Vα: UnequalCartesian = %v, want the cut %v = 100", got, cut)
+	}
+	tr, err := topology.UniformStar(3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loadsR, loadsS, loads = make(topology.Loads, tr.NumNodes()), make(topology.Loads, tr.NumNodes()), make(topology.Loads, tr.NumNodes())
+	for i, v := range tr.ComputeNodes() {
+		loadsR[v], loadsS[v] = int64(10*(i+1)), int64(100*(i+1)*(i+1))
+		loads[v] = loadsR[v] + loadsS[v]
+	}
+	if got, cut := UnequalCartesian(tr, loadsR, loadsS), UnequalCartesianCut(tr, loads, 60).Value; got != cut {
+		t.Errorf("majority holder: UnequalCartesian = %v, want the cut %v", got, cut)
+	}
+	tt, err := topology.TwoTier([]int{4, 4}, []float64{1, 1}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loadsR, loadsS, loads = make(topology.Loads, tt.NumNodes()), make(topology.Loads, tt.NumNodes()), make(topology.Loads, tt.NumNodes())
+	for _, v := range tt.ComputeNodes() {
+		loadsR[v], loadsS[v], loads[v] = 25, 100, 125
+	}
+	if got, cut := UnequalCartesian(tt, loadsR, loadsS), UnequalCartesianCut(tt, loads, 200).Value; got != cut {
+		t.Errorf("two-tier: UnequalCartesian = %v, want the cut %v", got, cut)
+	}
+}
+
 func TestCoverageNumber(t *testing.T) {
 	// Uniform star, |R| = |S| = N/2: coverage solves Σ (C·w)² = |R|·|S|,
 	// i.e. C = (N/2) / sqrt(Σ w²) — the paper's L = N/√Σw² is 2× this,

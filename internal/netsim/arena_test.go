@@ -64,6 +64,43 @@ func TestExchangeSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
+// TestExchangeRoundAllocsAreForks pins what a steady-state round allocates
+// on more than one worker: only the one wrapper that each go statement of a
+// par fork allocates. At WithWorkers(2) Execute forks twice, the tally walk
+// and the delivery walk, each on one goroutine beside the caller's. So a
+// round queued through Out, as topobench -scale's exchange probe queues
+// it, allocates exactly twice, and those are the allocs/op that probe
+// records on a 2-CPU host. A twin engine with the metrics registry
+// attached counts the forks of the same rounds.
+func TestExchangeRoundAllocsAreForks(t *testing.T) {
+	tr := benchCaterpillar(t)
+	batch := benchTransferBatch(tr, 4096)
+	roundOn := func(e *Engine) func() {
+		return func() {
+			x := e.Exchange()
+			planBatch(x, batch)
+			x.Execute()
+		}
+	}
+	round := roundOn(NewEngine(tr, WithWorkers(2)))
+	for i := 0; i < 4; i++ {
+		round()
+	}
+	if allocs := testing.AllocsPerRun(10, round); allocs != 2 {
+		t.Fatalf("steady-state round at 2 workers allocates %.1f times, want 2, one per fork", allocs)
+	}
+
+	reg := obs.NewRegistry()
+	counted := roundOn(NewEngine(tr, WithWorkers(2), WithMetrics(reg)))
+	forks, shards := reg.Counter("par.forks"), reg.Counter("par.shards")
+	for i := 1; i <= 10; i++ {
+		counted()
+		if f, s := forks.Value(), shards.Value(); f != int64(2*i) || s != int64(4*i) {
+			t.Fatalf("%d rounds forked %d times over %d shards, want 2 forks of 2 shards a round", i, f, s)
+		}
+	}
+}
+
 // TestExchangeSteadyStateAllocFreeWithMetrics pins the same guarantee with
 // the metrics registry attached: instruments are resolved at construction
 // and updated with bare atomics, so recording must not reintroduce

@@ -89,7 +89,7 @@ func TestPipelinesRejectWrongOutput(t *testing.T) {
 		// pipeline one step later, at cartesianWith.
 		{"cartesian/row-dropped", "cartesian", func(t *testing.T, how fault) taskRun {
 			return func(c *Cluster, in TaskInput) (*TaskResult, error) {
-				real, lb := c.cartesianCase(c.loads(in.R, in.S), sizes(in.R), sizes(in.S))
+				real, lb := c.cartesianCase(c.loads(in.R), c.loads(in.S))
 				res, err := c.cartesianWith(in.R, in.S, func(tr *topology.Tree, r, s dataset.Placement, o ...netsim.Option) (*cartesian.Result, error) {
 					res, err := real(tr, r, s, o...)
 					return tampered(how, res, err, func(res *cartesian.Result) {

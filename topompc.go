@@ -416,7 +416,7 @@ type CartesianResult struct {
 	// output grid, in fragment-index order.
 	Rects []cartesian.Rect
 	// Cost is the execution cost against max(Theorem 3, Theorem 4) for
-	// equal sizes, against the unequal-size cut bound otherwise.
+	// equal sizes, against the unequal-size bound otherwise.
 	Cost Cost
 	// Report is the per-round cost accounting of the execution.
 	Report *netsim.Report
@@ -431,7 +431,7 @@ func (c *Cluster) CartesianProduct(r, s [][]uint64) (*CartesianResult, error) {
 	if err := c.checkPair(len(r), len(s)); err != nil {
 		return nil, err
 	}
-	run, lb := c.cartesianCase(c.loads(r, s), sizes(r), sizes(s))
+	run, lb := c.cartesianCase(c.loads(r), c.loads(s))
 	return c.cartesianWith(r, s, run, lb)
 }
 
@@ -439,14 +439,21 @@ func (c *Cluster) CartesianProduct(r, s [][]uint64) (*CartesianResult, error) {
 type cartesianProtocol func(t *topology.Tree, r, s dataset.Placement, opts ...netsim.Option) (*cartesian.Result, error)
 
 // cartesianCase is the one place the equal/unequal decision lives: the
-// protocol for the given relation sizes together with the lower bound that
-// holds for them. Theorems 3+4 assume |R| = |S|; unequal sizes get the
-// cut bound on the smaller relation.
-func (c *Cluster) cartesianCase(loads topology.Loads, sizeR, sizeS int64) (cartesianProtocol, float64) {
-	if sizeR == sizeS {
+// protocol for the given per-relation loads together with the lower bound
+// that holds for them. Theorems 3+4 assume |R| = |S|; unequal sizes get
+// the cut bound on the smaller relation, and on a star the larger of that
+// and Theorem 9's coverage term (lowerbound.UnequalCartesian).
+func (c *Cluster) cartesianCase(loadsR, loadsS topology.Loads) (cartesianProtocol, float64) {
+	loads := make(topology.Loads, len(loadsR))
+	var excess int64 // |R| − |S|
+	for v := range loads {
+		loads[v] = loadsR[v] + loadsS[v]
+		excess += loadsR[v] - loadsS[v]
+	}
+	if excess == 0 {
 		return cartesian.Tree, lowerbound.Cartesian(c.t, loads).Value
 	}
-	return cartesian.Unequal, lowerbound.UnequalCartesianCut(c.t, loads, min(sizeR, sizeS)).Value
+	return cartesian.Unequal, lowerbound.UnequalCartesian(c.t, loadsR, loadsS)
 }
 
 // cartesianWith is the second half of the cartesian-product pipeline, after
@@ -767,21 +774,24 @@ func multijoinTask(unit string, shape multijoinShape) func(*Cluster, TaskInput) 
 // with the given per-node fragment sizes (nR[i], nS[i] for the two
 // relations; sorting uses their sum). The cartesian bound is the one
 // CartesianProduct reports for those sizes: Theorems 3+4 when |R| = |S|,
-// the unequal-size cut bound otherwise.
+// the unequal-size bound otherwise (the cut, and on a star Theorem 9's
+// coverage term when larger).
 func (c *Cluster) LowerBounds(nR, nS []int64) (intersection, cartesianLB, sortLB float64, err error) {
 	if len(nR) != c.t.NumCompute() || len(nS) != c.t.NumCompute() {
 		return 0, 0, 0, fmt.Errorf("topompc: sizes cover %d/%d nodes, cluster has %d",
 			len(nR), len(nS), c.t.NumCompute())
 	}
 	loads := make(topology.Loads, c.t.NumNodes())
+	loadsR := make(topology.Loads, c.t.NumNodes())
+	loadsS := make(topology.Loads, c.t.NumNodes())
 	var totR, totS int64
 	for i, v := range c.t.ComputeNodes() {
-		loads[v] = nR[i] + nS[i]
+		loads[v], loadsR[v], loadsS[v] = nR[i]+nS[i], nR[i], nS[i]
 		totR += nR[i]
 		totS += nS[i]
 	}
 	intersection = lowerbound.Intersection(c.t, loads, totR, totS).Value
-	_, cartesianLB = c.cartesianCase(loads, totR, totS)
+	_, cartesianLB = c.cartesianCase(loadsR, loadsS)
 	sortLB = lowerbound.Sorting(c.t, loads).Value
 	return intersection, cartesianLB, sortLB, nil
 }

@@ -1,6 +1,7 @@
 package topompc
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -242,6 +243,45 @@ func TestLowerBoundsCartesianUnequalSizes(t *testing.T) {
 	}
 	if clb > 2 {
 		t.Errorf("cartesian bound = %v, want at most 2", clb)
+	}
+}
+
+// TestCartesianCoverageTermOnUniformStar: on a uniformly placed star with
+// |R| < |S| Theorem 9's coverage term exceeds the cut, and CartesianProduct
+// and LowerBounds both report it. 16 unit leaves hold 25 tuples of R and
+// 100 of S each: the cut is 125 per leaf, the coverage term 200 (16·C² =
+// |R|·|S|), and the protocol's cost is at least that.
+func TestCartesianCoverageTermOnUniformStar(t *testing.T) {
+	const p = 16
+	weights := make([]float64, p)
+	r, s := make([][]uint64, p), make([][]uint64, p)
+	nR, nS := make([]int64, p), make([]int64, p)
+	for i := range weights {
+		weights[i] = 1
+		for k := 0; k < 25; k++ {
+			r[i] = append(r[i], uint64(25*i+k))
+		}
+		for k := 0; k < 100; k++ {
+			s[i] = append(s[i], uint64(100_000+100*i+k))
+		}
+		nR[i], nS[i] = 25, 100
+	}
+	c, err := StarCluster(weights)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.CartesianProduct(r, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lb := res.Cost.LowerBound; math.Abs(lb-200) > 1e-6 {
+		t.Errorf("CartesianProduct reports the bound %v, want the coverage term 200 (the cut is 125)", lb)
+	}
+	if res.Cost.Cost < res.Cost.LowerBound {
+		t.Errorf("cost %v below the bound %v", res.Cost.Cost, res.Cost.LowerBound)
+	}
+	if _, clb, _, err := c.LowerBounds(nR, nS); err != nil || clb != res.Cost.LowerBound {
+		t.Errorf("LowerBounds reports %v (%v), CartesianProduct %v", clb, err, res.Cost.LowerBound)
 	}
 }
 
