@@ -70,8 +70,9 @@ type graphProtocol func(t *topology.Tree, edges graph.Placement, seed uint64, op
 // graphWith is the connectivity pipeline: component count and labeling
 // checksum must match the union-find reference, and a forest, when the
 // protocol returns one, must span it without cycles (graph.Verify); the
-// cost is set against the per-cut connectivity bound, whose component
-// holder lists come from the same reference (one union-find per call).
+// cost is set against the per-cut connectivity bound, the larger of its
+// component term and its vertex term, whose holder lists come from the
+// same reference (one union-find per call).
 func (c *Cluster) graphWith(edges [][]GraphEdge, seed uint64, run graphProtocol) (*ComponentsResult, error) {
 	if err := c.checkFragments("edges", len(edges)); err != nil {
 		return nil, err
@@ -80,7 +81,8 @@ func (c *Cluster) graphWith(edges [][]GraphEdge, seed uint64, run graphProtocol)
 		return run(c.t, edges, seed, opts...)
 	}, func() (*graph.Ref, float64) {
 		ref := graph.Reference(edges)
-		return ref, lowerbound.Spanning(c.t, ref.Spread(c.t)).Value
+		return ref, max(lowerbound.Spanning(c.t, ref.Spread(c.t)).Value,
+			lowerbound.Spanning(c.t, ref.VertexSpread(c.t)).Value)
 	}, graph.Verify)
 	if err != nil {
 		return nil, err

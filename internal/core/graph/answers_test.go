@@ -38,44 +38,60 @@ const (
 	sentVertices
 )
 
-// sentMsg is one message the sweep model expects a node to send.
+// sentMsg is one message the sweep model expects a node to send, and the
+// words it takes on the wire.
 type sentMsg struct {
 	to     int32
 	kind   int
 	labels []int32
+	words  int64
+}
+
+// propWords is what a proposal list takes on the wire: one word per entry,
+// and one more for each entry whose b differs from the entry before's (the
+// first entry's always does).
+func propWords(ps []propPair) int64 {
+	n := int64(len(ps))
+	for k, p := range ps {
+		if k == 0 || uint32(p.k1) != uint32(ps[k-1].k1) {
+			n++
+		}
+	}
+	return n
 }
 
 // sweepModel is the propose sweep worked out from the state before it:
-// every node's proposal labels and 1-word entries, pushed up the combining
-// schedule as sets — a combiner unions what its members send and drops an
-// entry once it holds a proposal for the label — then grouped by home. It
-// returns, per stage (the up-steps, then the homes) and per node, the
-// messages the node sends, in order, and the number of need entries the
-// combiners drop.
+// every node's proposals and 1-word entries pushed up the combining
+// schedule — a combiner merges what its members send into its own list by
+// the offer rule of the variant (firstMinima's least b in witness mode,
+// componentMinima's set roots otherwise) and drops an entry once it holds
+// a proposal for the label — then grouped by home. It returns, per stage
+// (the up-steps, then the homes) and per node, the messages the node
+// sends, in order, and the number of need entries the combiners drop.
 func sweepModel(pr *proto, first bool) ([][][]sentMsg, int) {
 	L := len(pr.steps)
 	entryKind := sentNeeds
 	if first {
 		entryKind = sentVertices
 	}
-	props := make([]map[int32]bool, len(pr.nodes))
+	props := make([][]propPair, len(pr.nodes))
 	entries := make([]map[int32]bool, len(pr.nodes))
 	for i := range pr.nodes {
-		props[i], entries[i] = map[int32]bool{}, map[int32]bool{}
-		for _, p := range pr.props(i) {
-			props[i][int32(p.k1>>32)] = true
-		}
+		props[i], entries[i] = slices.Clone(pr.props(i)), map[int32]bool{}
 		for _, x := range pr.scr[i].need {
 			entries[i][x] = true
 		}
 	}
-	sorted := func(set map[int32]bool) []int32 {
-		out := make([]int32, 0, len(set))
-		for x := range set {
-			out = append(out, x)
+	labels := func(ps []propPair) []int32 {
+		out := make([]int32, len(ps))
+		for k, p := range ps {
+			out[k] = int32(p.k1 >> 32)
 		}
-		slices.Sort(out)
 		return out
+	}
+	merge := firstMinima
+	if !pr.witness {
+		merge = componentMinima
 	}
 	sent := make([][][]sentMsg, L+1)
 	drops := 0
@@ -88,23 +104,23 @@ func sweepModel(pr *proto, first bool) ([][][]sentMsg, int) {
 				continue
 			}
 			if len(props[i]) > 0 {
-				sent[s][i] = append(sent[s][i], sentMsg{int32(to), sentProps, sorted(props[i])})
+				sent[s][i] = append(sent[s][i], sentMsg{int32(to), sentProps, labels(props[i]), propWords(props[i])})
 			}
 			if len(entries[i]) > 0 {
-				sent[s][i] = append(sent[s][i], sentMsg{int32(to), entryKind, sorted(entries[i])})
+				es := slices.Sorted(maps.Keys(entries[i]))
+				sent[s][i] = append(sent[s][i], sentMsg{int32(to), entryKind, es, int64(len(es))})
 			}
-			for x := range props[i] {
-				props[to][x] = true
-			}
+			props[to] = append(props[to], props[i]...)
 			for x := range entries[i] {
 				entries[to][x] = true
 			}
-			props[i], entries[i] = map[int32]bool{}, map[int32]bool{}
+			props[i], entries[i] = nil, map[int32]bool{}
 			merged[to] = true
 		}
 		for c := range merged {
-			for x := range entries[c] {
-				if props[c][x] {
+			props[c] = merge(props[c])
+			for _, p := range props[c] {
+				if x := int32(p.k1 >> 32); entries[c][x] {
 					delete(entries[c], x)
 					if !first {
 						drops++
@@ -115,18 +131,20 @@ func sweepModel(pr *proto, first bool) ([][][]sentMsg, int) {
 	}
 	sent[L] = make([][]sentMsg, len(pr.nodes))
 	for i := range pr.nodes {
-		for _, kind := range []int{sentProps, entryKind} {
-			set := props[i]
-			if kind != sentProps {
-				set = entries[i]
-			}
-			byHome := map[int32][]int32{}
-			for _, x := range sorted(set) {
-				byHome[pr.homeOf[x]] = append(byHome[pr.homeOf[x]], x)
-			}
-			for _, h := range slices.Sorted(maps.Keys(byHome)) {
-				sent[L][i] = append(sent[L][i], sentMsg{h, kind, byHome[h]})
-			}
+		byHome := map[int32][]propPair{}
+		for _, p := range props[i] {
+			h := pr.homeOf[p.k1>>32]
+			byHome[h] = append(byHome[h], p)
+		}
+		for _, h := range slices.Sorted(maps.Keys(byHome)) {
+			sent[L][i] = append(sent[L][i], sentMsg{h, sentProps, labels(byHome[h]), propWords(byHome[h])})
+		}
+		needs := map[int32][]int32{}
+		for _, x := range slices.Sorted(maps.Keys(entries[i])) {
+			needs[pr.homeOf[x]] = append(needs[pr.homeOf[x]], x)
+		}
+		for _, h := range slices.Sorted(maps.Keys(needs)) {
+			sent[L][i] = append(sent[L][i], sentMsg{h, entryKind, needs[h], int64(len(needs[h]))})
 		}
 	}
 	return sent, drops
@@ -196,11 +214,7 @@ func checkAnswers(t testing.TB, tr *topology.Tree, pl Placement, seed uint64, v 
 			for _, ms := range sent[s] {
 				for _, m := range ms {
 					msgs++
-					if m.kind == sentProps {
-						words += int64(2 * len(m.labels))
-					} else {
-						words += int64(len(m.labels))
-					}
+					words += m.words
 				}
 			}
 			if r := rep.Rounds[r0+s]; r.Messages != msgs || r.Elements != words {

@@ -71,11 +71,13 @@ type variant struct {
 	// exchanges per cut; otherwise homes are uniform and delivery direct.
 	aware bool
 	// witness records the graph edge of every hooking. Each label offers
-	// its least neighbor, which one edge joins to it; proposals travel as
-	// in cc, [a, b, …]: a holder keeps the edge behind each of its minima,
-	// every combiner and home remembers which entry its minimum came from,
-	// and the answer to a proposal message leads with a won bitmap that
-	// passes each hooking back down that chain to the holder of its edge.
+	// its least neighbor, which one edge joins to it, or itself where that
+	// is larger (it cannot hook, and the wire needs b ≤ a); proposals
+	// travel on cc's wire (wireProps): a holder keeps the edge behind each
+	// of its minima, every combiner and home remembers which entry its
+	// minimum came from, and the answer to a proposal message leads with a
+	// won bitmap that passes each hooking back down that chain to the
+	// holder of its edge.
 	// Otherwise holders and combiners contract what they know: each label
 	// offers the least label of its locally known component, which may lie
 	// several edges away.
@@ -228,16 +230,23 @@ func contract(tr *topology.Tree, edges Placement, seed uint64, v variant, opts [
 // comparator sort, no map, and no sort of candidates rather than labels,
 // runs on the data path.
 //
-// The wire is the same in both modes: a proposal is [a, b]. In witness
+// The wire is the same in both modes: a proposal message lists its entries
+// [a, b] label-ascending, every b ≤ a, and writes an entry's b only where it
+// differs from the entry before's — [a1, b1, a2, a3, b3, …] (wireProps) —
+// so a run of labels offered one root, which local contraction makes
+// common, costs one word per label after its first. A word not greater
+// than the label before it is that label's b, so the receiver reads the
+// entries back (readProps) and answers them by entry position. In witness
 // mode every entry a node holds also names its source — its own witness
 // edge, or the askBuf position of the member entry a combiner took it from
 // — and a home the askBuf position of the first entry that offered the
-// winning b (bestPos). The answer to a proposal message is then a won
-// bitmap of ⌈n/64⌉ words before its n roots: a home sets the bit of the
-// entry it recorded for each label that hooked, each node passes every bit
-// it receives to the one source of that entry, and the holder a bit
-// reaches records its witness edge in the forest (takeWins). Need entries
-// and every non-witness answer carry roots alone.
+// winning b (bestPos).
+// The answer to a proposal message is then a won bitmap of ⌈n/64⌉ words
+// before its n roots: a home sets the bit of the entry it recorded for each
+// label that hooked, each node passes every bit it receives to the one
+// source of that entry, and the holder a bit reaches records its witness
+// edge in the forest (takeWins). Need entries and every non-witness answer
+// carry roots alone.
 //
 // Messages carry indices where the map-based path (runMaps, the test
 // oracle) carries ids; nothing else differs. The renumbering is
@@ -413,6 +422,7 @@ type collectScratch struct {
 	minB   []int32  // witness mode: the least b offered per label
 	minW   []uint64 // witness mode: the minimum's propPair source
 	up     []uint64 // otherwise: union-find links, the epoch stamp over the parent
+	bs     []int32  // the b's of the proposal message keepAsked read last
 	labels []int32  // the labels offered in the current epoch, each once
 	ltmp   []int32  // radix scratch of labels
 	bm     []uint64 // label bitmap, kept zero
@@ -608,6 +618,13 @@ func (pa *payloadSlab) grab(n int) []uint64 {
 	lo := len(pa.buf)
 	pa.buf = pa.buf[:lo+n]
 	return pa.buf[lo : lo+n : lo+n]
+}
+
+// shrink hands the tail of chunk, the last one grabbed, back to the slab
+// and returns its first n words.
+func (pa *payloadSlab) shrink(chunk []uint64, n int) []uint64 {
+	pa.buf = pa.buf[:len(pa.buf)-len(chunk)+n]
+	return chunk[:n:n]
 }
 
 // proto is the driver state of one protocol run. Node-level slices are
@@ -858,18 +875,19 @@ func (pr *proto) mergeProps(i, si int, ws *collectScratch, ib netsim.Inbox) {
 		m := ib.At(mi)
 		switch m.Tag {
 		case tagProposeUp:
-			lo := pr.keepAsked(i, si, m, true)
+			lo := pr.keepAsked(i, si, m, &ws.bs)
+			as := sc.askBuf[lo:]
 			if pr.witness {
-				for k := 0; k+2 <= len(m.Keys); k += 2 {
-					ws.offerFrom(st, int32(m.Keys[k]), int32(m.Keys[k+1]), fromAsk|uint64(lo+k>>1))
+				for k, b := range ws.bs {
+					ws.offerFrom(st, as[k], b, fromAsk|uint64(lo+k))
 				}
 			} else {
-				for k := 0; k+2 <= len(m.Keys); k += 2 {
-					ws.join(st, int32(m.Keys[k]), int32(m.Keys[k+1]))
+				for k, b := range ws.bs {
+					ws.join(st, as[k], b)
 				}
 			}
 		case tagNeedUp:
-			pr.keepAsked(i, si, m, false)
+			pr.keepAsked(i, si, m, nil)
 			fallthrough
 		case tagVertexUp:
 			for _, xk := range m.Keys {
@@ -883,28 +901,31 @@ func (pr *proto) mergeProps(i, si int, ws *collectScratch, ib netsim.Inbox) {
 
 // reserveAsked makes room in node i's answer records for every message of
 // inbox ib that carries proposals (props) or need entries (need), so
-// keepAsked allocates at most once per receipt.
+// keepAsked allocates at most once per receipt. A proposal message holds
+// at most one label per word.
 func (pr *proto) reserveAsked(i int, ib netsim.Inbox, props, need netsim.Tag) {
 	sc := &pr.scr[i]
 	sc.asked = slices.Grow(sc.asked, ib.Len())
-	sc.askBuf = slices.Grow(sc.askBuf, ib.KeyCount(props)/2+ib.KeyCount(need))
+	sc.askBuf = slices.Grow(sc.askBuf, ib.KeyCount(props)+ib.KeyCount(need))
 }
 
 // keepAsked records message m, received by node i at sweep stage s, for
-// that stage's answer: its labels — every other key of a proposal message,
-// every key of a need message — copied into askBuf. It returns the askBuf
-// position of the first.
-func (pr *proto) keepAsked(i, s int, m netsim.Message, props bool) int {
+// that stage's answer: its labels copied into askBuf, and it returns the
+// askBuf position of the first. With bs nil m is a need message, whose
+// every key is a label; otherwise it is a proposal message, whose entries
+// readProps decodes, the labels into askBuf and the b's, in the same
+// order, into *bs.
+func (pr *proto) keepAsked(i, s int, m netsim.Message, bs *[]int32) int {
 	sc := &pr.scr[i]
-	stride := 1
-	if props {
-		stride = 2
-	}
 	lo := len(sc.askBuf)
-	for k := 0; k < len(m.Keys); k += stride {
-		sc.askBuf = append(sc.askBuf, int32(m.Keys[k]))
+	if bs != nil {
+		sc.askBuf, *bs = readProps(m.Keys, sc.askBuf, slices.Grow((*bs)[:0], len(m.Keys)))
+	} else {
+		for _, x := range m.Keys {
+			sc.askBuf = append(sc.askBuf, int32(x))
+		}
 	}
-	sc.asked = append(sc.asked, askedList{from: m.From, stage: int32(s), lo: int32(lo), hi: int32(len(sc.askBuf)), props: props})
+	sc.asked = append(sc.asked, askedList{from: m.From, stage: int32(s), lo: int32(lo), hi: int32(len(sc.askBuf)), props: bs != nil})
 	return lo
 }
 
@@ -912,14 +933,15 @@ func (pr *proto) keepAsked(i, s int, m netsim.Message, props bool) int {
 // labels, distinct already, are put in order by sortIndices, and the list
 // is written once, at its final size, in the label-ascending order every
 // proposal message carries — each label with its minimum in witness mode,
-// otherwise with the root of its set.
+// the label itself where that is larger (such a label cannot hook, and
+// b ≤ a is what the wire needs), otherwise with the root of its set.
 func (pr *proto) buildProps(i int, ws *collectScratch) {
 	sc := &pr.scr[i]
 	ws.labels = sortIndices(ws.labels, len(pr.label), &ws.bm, &ws.ltmp)
 	if pr.witness {
 		prs := slices.Grow(sc.pairs[:0], len(ws.labels))
 		for _, a := range ws.labels {
-			prs = append(prs, propPair{k1: uint64(uint32(a))<<32 | uint64(uint32(ws.minB[a])), k2: ws.minW[a]})
+			prs = append(prs, propPair{k1: uint64(uint32(a))<<32 | uint64(uint32(min(a, ws.minB[a]))), k2: ws.minW[a]})
 		}
 		sc.pairs = prs
 	} else {
@@ -948,15 +970,55 @@ func (pr *proto) encodeProps(i int) []uint64 {
 	return wireProps(pr.slab(i), pr.scr[i].k1s, bareKey)
 }
 
-// wireProps writes proposals with keys a<<32|b onto an arena-backed payload
-// of slab sl as the wire carries them: [a, b, …].
+// wireProps writes label-ascending proposals with keys a<<32|b, every
+// b ≤ a, onto an arena-backed payload of slab sl as the wire carries them:
+// each label, followed by its b only where that differs from the entry
+// before's, so [a1, b1, a2, a3, b3, …]. readProps reads it back.
 func wireProps[T any](sl *payloadSlab, ps []T, key func(T) uint64) []uint64 {
 	buf := sl.grab(2 * len(ps))
-	for j, p := range ps {
+	n, last := 0, uint64(1<<32) // no b precedes the first entry's
+	for _, p := range ps {
 		k := key(p)
-		buf[2*j], buf[2*j+1] = k>>32, k&0xFFFFFFFF
+		b := k & 0xFFFFFFFF
+		// The b is always written and kept only where it changed, so the
+		// loop has no data-dependent branch.
+		buf[n], buf[n+1] = k>>32, b
+		n++
+		if b != last {
+			n++
+		}
+		last = b
 	}
-	return buf
+	return sl.shrink(buf, n)
+}
+
+// readProps decodes a proposal payload (wireProps), appending each entry's
+// label to as and its b to bs. Labels strictly ascend and every b ≤ a, so
+// a word not greater than the label before it is that label's b, and any
+// other word is the next label, whose entry keeps the b before it.
+func readProps(keys []uint64, as, bs []int32) ([]int32, []int32) {
+	var b uint64
+	for k := 0; k < len(keys); {
+		a := keys[k]
+		k++
+		w := a + 1 // past the end: no b follows
+		if k < len(keys) {
+			w = keys[k]
+		}
+		// Whether a b follows is a coin toss on most payloads, so it is
+		// taken with conditional moves rather than a branch.
+		step := 0
+		if w <= a {
+			step = 1
+		}
+		if w <= a {
+			b = w
+		}
+		k += step
+		as = append(as, int32(a))
+		bs = append(bs, int32(b))
+	}
+	return as, bs
 }
 
 // propose sends every endpoint label of an active edge a proposal — its
@@ -1019,56 +1081,68 @@ func (pr *proto) propose() {
 		pr.emitProposals(i, out)
 		pr.emitIndexGroups(i, out, entry, pr.scr[i].need)
 	})
-	// Proposals and entries target the label's home, so shard i min-merges,
-	// enrolls and records only entries homed at node i. Of equal b's the
-	// first offered stays, and in witness mode bestPos keeps its position.
-	home := len(pr.steps)
-	pr.pool.ForEach("cc propose receipt", len(pr.nodes), func(i int) {
-		ib := pr.e.Inbox(pr.nodes[i])
-		pr.reserveAsked(i, ib, tagPropose, tagNeed)
-		for mi := 0; mi < ib.Len(); mi++ {
-			m := ib.At(mi)
-			switch m.Tag {
-			case tagVertex:
-				for _, xk := range m.Keys {
-					pr.enroll(i, int32(xk))
-				}
-				continue
-			case tagNeed:
-				pr.keepAsked(i, home, m, false)
-				continue
-			}
-			// The round's third tag: proposals, which are answered too.
-			lo := pr.keepAsked(i, home, m, true)
-			for k := 0; k+2 <= len(m.Keys); k += 2 {
-				a, b := int32(m.Keys[k]), int32(m.Keys[k+1])
-				if first {
-					pr.enroll(i, a)
-				}
-				if pr.bestAt[a] != pr.phase || b < pr.bestB[a] {
-					pr.bestAt[a] = pr.phase
-					pr.bestB[a] = b
-					if pr.witness {
-						pr.bestPos[a] = int32(lo + k>>1)
-					}
-				}
-			}
-		}
-		if first {
-			pr.sortEnrolled(i)
-		}
-		if pr.witness {
-			// Every message of the sweep is recorded: size the won bitmap
-			// over askBuf.
-			sc := &pr.scr[i]
-			words := (len(sc.askBuf) + 63) >> 6
-			if cap(sc.won) < words {
-				sc.won = make([]uint64, words)
-			}
-			sc.won = sc.won[:words]
-			clear(sc.won)
+	// Proposals and entries target the label's home, so node i min-merges,
+	// enrolls and records only entries homed at it.
+	pr.pool.Blocks("cc propose receipt", len(pr.nodes), func(shard, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			pr.homeReceipt(i, first, &pr.wscr[shard].bs)
 		}
 	})
+}
+
+// homeReceipt reads node i's inbox of the propose sweep's last round, the
+// homes' stage: it enrolls the labels of vertex entries (and with first, of
+// proposals too), records every proposal and need message for the answer,
+// and min-merges the proposals into the best-proposal arrays, their b's
+// read into the pool shard's scratch bs. Of equal b's the first offered
+// stays, and in witness mode bestPos keeps its position.
+func (pr *proto) homeReceipt(i int, first bool, bs *[]int32) {
+	home := len(pr.steps)
+	ib := pr.e.Inbox(pr.nodes[i])
+	pr.reserveAsked(i, ib, tagPropose, tagNeed)
+	for mi := 0; mi < ib.Len(); mi++ {
+		m := ib.At(mi)
+		switch m.Tag {
+		case tagVertex:
+			for _, xk := range m.Keys {
+				pr.enroll(i, int32(xk))
+			}
+			continue
+		case tagNeed:
+			pr.keepAsked(i, home, m, nil)
+			continue
+		}
+		// The round's third tag: proposals, which are answered too.
+		lo := pr.keepAsked(i, home, m, bs)
+		as := pr.scr[i].askBuf[lo:]
+		for k, b := range *bs {
+			a := as[k]
+			if first {
+				pr.enroll(i, a)
+			}
+			if pr.bestAt[a] != pr.phase || b < pr.bestB[a] {
+				pr.bestAt[a] = pr.phase
+				pr.bestB[a] = b
+				if pr.witness {
+					pr.bestPos[a] = int32(lo + k)
+				}
+			}
+		}
+	}
+	if first {
+		pr.sortEnrolled(i)
+	}
+	if pr.witness {
+		// Every message of the sweep is recorded: size the won bitmap
+		// over askBuf.
+		sc := &pr.scr[i]
+		words := (len(sc.askBuf) + 63) >> 6
+		if cap(sc.won) < words {
+			sc.won = make([]uint64, words)
+		}
+		sc.won = sc.won[:words]
+		clear(sc.won)
+	}
 }
 
 // emitProposals sends node i's per-label minima to the label homes, one

@@ -159,27 +159,54 @@ func (pr *mapProto) sendByHome(out *netsim.Outbox, tag netsim.Tag, groups map[in
 	}
 }
 
-// encodeProps serializes a proposal map in ascending label order, (a, b)
-// per label, and returns the proposals in the same order.
+// encodeProps serializes a proposal map in ascending label order and
+// returns the proposals in the same order. Each label offers min(a, b) —
+// a least neighbor above the label cannot hook, so the label offers itself
+// — and is followed by that b only where it differs from the entry
+// before's: [a1, b1, a2, a3, b3, …].
 func encodeProps(m map[uint64]prop) ([]uint64, []prop) {
 	out := make([]uint64, 0, 2*len(m))
 	ps := make([]prop, 0, len(m))
-	for _, a := range sortedKeys(m) {
-		out = append(out, a, m[a].b)
+	var last uint64
+	for k, a := range sortedKeys(m) {
+		out = append(out, a)
+		if b := min(a, m[a].b); k == 0 || b != last {
+			out = append(out, b)
+			last = b
+		}
 		ps = append(ps, m[a])
 	}
 	return out, ps
 }
 
+// decodeProps reads a proposal message back into its entries [a, b]: a
+// word not greater than the label before it is that label's b, any other
+// word the next label, which keeps the b before it.
+func decodeProps(keys []uint64) [][2]uint64 {
+	var out [][2]uint64
+	var b uint64
+	for k := 0; k < len(keys); k++ {
+		a := keys[k]
+		if k+1 < len(keys) && keys[k+1] <= a {
+			k++
+			b = keys[k]
+		}
+		out = append(out, [2]uint64{a, b})
+	}
+	return out
+}
+
 // receiveProps records a received proposal message and offers its entries
 // into dst, each with its won flag in the recorded message as its source.
-func receiveProps(dst map[uint64]prop, from int, keys []uint64) sweepMsg {
-	g := sweepMsg{peer: from, props: true, won: make([]bool, len(keys)/2)}
-	for k := 0; k+2 <= len(keys); k += 2 {
-		g.labels = append(g.labels, keys[k])
-		offer(dst, keys[k], prop{b: keys[k+1], won: &g.won[k/2]})
+// It returns the record and the entries.
+func receiveProps(dst map[uint64]prop, from int, keys []uint64) (sweepMsg, [][2]uint64) {
+	es := decodeProps(keys)
+	g := sweepMsg{peer: from, props: true, won: make([]bool, len(es))}
+	for k, e := range es {
+		g.labels = append(g.labels, e[0])
+		offer(dst, e[0], prop{b: e[1], won: &g.won[k]})
 	}
-	return g
+	return g, es
 }
 
 // sweepMsg is one answered message of a propose sweep: its peer (the
@@ -284,10 +311,9 @@ func (pr *mapProto) propose(entries []map[uint64]bool, first bool) sweep {
 				// slices.Clone copy them.
 				switch m.Tag {
 				case tagProposeUp:
-					sw.got[s][i] = append(sw.got[s][i], receiveProps(merged[i], pr.idx[m.From], m.Keys))
-					for k := 0; k+2 <= len(m.Keys); k += 2 {
-						offered = append(offered, [2]uint64{m.Keys[k], m.Keys[k+1]})
-					}
+					g, es := receiveProps(merged[i], pr.idx[m.From], m.Keys)
+					sw.got[s][i] = append(sw.got[s][i], g)
+					offered = append(offered, es...)
 				case tagNeedUp:
 					sw.got[s][i] = append(sw.got[s][i], sweepMsg{peer: pr.idx[m.From], labels: slices.Clone(m.Keys)})
 					fallthrough
@@ -343,7 +369,8 @@ func (pr *mapProto) propose(entries []map[uint64]bool, first bool) sweep {
 			m := ib.At(mi)
 			switch m.Tag {
 			case tagPropose:
-				sw.got[home][i] = append(sw.got[home][i], receiveProps(pr.best[i], pr.idx[m.From], m.Keys))
+				g, _ := receiveProps(pr.best[i], pr.idx[m.From], m.Keys)
+				sw.got[home][i] = append(sw.got[home][i], g)
 			case tagNeed:
 				sw.got[home][i] = append(sw.got[home][i], sweepMsg{peer: pr.idx[m.From], labels: slices.Clone(m.Keys)})
 			case tagVertex:

@@ -66,17 +66,21 @@
 // ids into one word; it goes, with tagAdj and tagKnow, once the benchmark
 // stops calling it.
 //
-// A proposal is [a, b] on the wire in every variant. SpanningForest reads
-// its forest off the hooking at the price of one bitmap per proposal
-// answer: a holder keeps the graph edge behind each of its minima, a
-// combiner and a home remember which received entry each minimum came
-// from (the first offered of equal b's), and the answer to a proposal
-// message leads its roots with a ⌈n/64⌉-word won bitmap, which passes each
-// hooking back down the chain to the holder of its edge. All are
-// verified against the union-find reference (component count +
-// canonical-label checksum), and are measured against the per-cut
-// information bound lowerbound.Spanning. No optimality theorem is claimed
-// — topology-aware graph connectivity is open.
+// Proposals travel on one wire in every variant: a message lists its
+// entries [a, b] label-ascending, every b ≤ a, and writes an entry's b only
+// where it differs from the entry before's, so a run of labels offered one
+// root costs one word per label after its first. SpanningForest reads its
+// forest off the hooking at the price of one bitmap per proposal answer: a
+// holder keeps the graph edge behind each of its minima, a combiner and a
+// home remember which received entry each minimum came from (the first
+// offered of equal b's), and the answer to a proposal message leads its
+// roots with a ⌈n/64⌉-word won bitmap, which passes each hooking back down
+// the chain to the holder of its edge. All are verified against the
+// union-find reference (component count + canonical-label checksum), and
+// are measured against the per-cut information bound lowerbound.Spanning,
+// the larger of its terms over component holders (Ref.Spread) and over
+// vertex holders (Ref.VertexSpread). No optimality theorem is claimed —
+// topology-aware graph connectivity is open.
 package graph
 
 import (
@@ -112,7 +116,7 @@ func (p Placement) NumEdges() int64 {
 const (
 	tagVertex    netsim.Tag = 10 + iota // phase 1: vertices no proposal names: [v, ...]
 	tagVertexUp                         // vertex entries, member → combiner
-	tagPropose                          // label proposals: [a, b, ...]
+	tagPropose                          // label proposals, label-ascending, each b ≤ a written only where it changes: [a1, b1, a2, a3, b3, ...]
 	tagProposeUp                        // proposals, member → combiner
 	tagNeed                             // later phases: homed vertex labels no proposal names: [a, ...]
 	tagNeedUp                           // need entries, member → combiner

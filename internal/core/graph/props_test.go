@@ -65,6 +65,17 @@ func sortedMinima(edges []workEdge, witness bool) []propPair {
 	return compactMinPairs(all)
 }
 
+// offerSelf clamps every entry's b at its label, as a witness-mode holder
+// offers: a label whose least neighbor is larger offers itself.
+func offerSelf(ps []propPair) []propPair {
+	for k, p := range ps {
+		if a := p.k1 >> 32; p.k1&0xFFFFFFFF > a {
+			ps[k].k1 = a<<32 | a
+		}
+	}
+	return ps
+}
+
 // firstMinima is the oracle of a carrier's merge: of the candidates, in the
 // order offered, it keeps per label the first with the least b, and returns
 // them label-ascending.
@@ -157,16 +168,17 @@ func (pr *proto) props(i int) []propPair {
 // merge against their oracles on seeded random homes: both modes, every
 // worker count, the shard scratch reused from home to home and from one
 // collection to the next. In witness mode the walk is held to the sort
-// oracle and the merge to firstMinima: a holder's minima keep its least
-// witness edge; the carrier's merge keeps, per label, the least b first
-// offered — its own entry, then its members' in inbox order — and that
-// entry's source: its own, or the askBuf position of the member entry.
-// Otherwise both are held to componentMinima: the stamped union-find gives
-// every label the least label of its component, over the holder's edges or
-// over the carrier's own and its members' entries. The merge also folds the 1-word entries — vertex entries in
-// a first sweep, need entries later — each kept once unless a merged
-// proposal names it, and records every proposal and need message for the
-// answer.
+// oracle, each b clamped at its label (offerSelf), and the merge to
+// firstMinima: a holder's minima keep its least witness edge; the
+// carrier's merge keeps, per label, the least b first offered — its own
+// entry, then its members' in inbox order — and that entry's source: its
+// own, or the askBuf position of the member entry. Otherwise both are held
+// to componentMinima: the stamped union-find gives every label the least
+// label of its component, over the holder's edges or over the carrier's
+// own and its members' entries. The merge also folds the 1-word entries —
+// vertex entries in a first sweep, need entries later — each kept once
+// unless a merged proposal names it, and records every proposal and need
+// message for the answer.
 func TestStampedMinCombineMatchesSort(t *testing.T) {
 	tree := testTrees(t)["star"]
 	nodes := tree.ComputeNodes()
@@ -204,7 +216,7 @@ func TestStampedMinCombineMatchesSort(t *testing.T) {
 				for i := range pr.active {
 					want := componentMinima(holderEntries(pr.active[i]))
 					if witness {
-						want = sortedMinima(pr.active[i], witness)
+						want = offerSelf(sortedMinima(pr.active[i], witness))
 					}
 					if got := pr.props(i); !slices.Equal(got, want) {
 						t.Fatalf("witness=%v workers=%d iter %d home %d: collected minima\n got %v\nwant %v",

@@ -257,6 +257,55 @@ func (r *Ref) Spread(t *topology.Tree) [][]topology.NodeID {
 	return out
 }
 
+// VertexSpread reports, for every vertex in first-seen order, the compute
+// nodes holding at least one of its incident input edges, ascending. The
+// node lists feed the vertex term of the connectivity bound
+// (lowerbound.Spanning charges each vertex's Steiner tree over its nodes),
+// beside Spread's component term.
+//
+// One lookup per endpoint lists, holder by holder, the vertices each
+// holder names, each once (a stamp per vertex of the last holder that
+// named it); the lists are then laid out back to back in one array, so a
+// call allocates a fixed handful of arrays however many vertices there are.
+func (r *Ref) VertexSpread(t *topology.Tree) [][]topology.NodeID {
+	nodes := t.ComputeNodes()
+	stamp := make([]int32, len(r.ids))
+	off := make([]int32, len(r.ids)+1) // holders per vertex, then list offsets
+	var named []int32                  // per holder, the vertices it names
+	ends := make([]int, len(r.edges))  // where each holder's run of named ends
+	for i, frag := range r.edges {
+		for _, e := range frag {
+			for _, x := range [2]uint64{e.U, e.V} {
+				if k := r.lookup(x); stamp[k] != int32(i+1) {
+					stamp[k] = int32(i + 1)
+					off[k+1]++
+					named = append(named, k)
+				}
+			}
+		}
+		ends[i] = len(named)
+	}
+	for k := range r.ids {
+		off[k+1] += off[k]
+	}
+	flat := make([]topology.NodeID, len(named))
+	next := stamp // the stamps are done with: each list's fill position
+	copy(next, off)
+	lo := 0
+	for i, end := range ends {
+		for _, k := range named[lo:end] {
+			flat[next[k]] = nodes[i]
+			next[k]++
+		}
+		lo = end
+	}
+	out := make([][]topology.NodeID, len(r.ids))
+	for k := range out {
+		out[k] = flat[off[k]:off[k+1]:off[k+1]]
+	}
+	return out
+}
+
 // ComponentSpread is Reference(edges).Spread(t): per connected component,
 // in ascending label order, the compute nodes holding its input edges, each
 // edge's component found through the reference's id table and each list

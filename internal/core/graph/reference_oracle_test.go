@@ -163,6 +163,39 @@ func componentSpreadMaps(t *topology.Tree, edges Placement) [][]topology.NodeID 
 	return out
 }
 
+// vertexSpreadMaps is the nested-map vertex spread: for every vertex id,
+// the compute nodes holding at least one of its incident input edges,
+// ascending.
+func vertexSpreadMaps(t *topology.Tree, edges Placement) map[uint64][]topology.NodeID {
+	nodes := t.ComputeNodes()
+	present := make(map[uint64]map[topology.NodeID]bool)
+	for i, frag := range edges {
+		for _, e := range frag {
+			for _, x := range [2]uint64{e.U, e.V} {
+				if present[x] == nil {
+					present[x] = make(map[topology.NodeID]bool)
+				}
+				present[x][nodes[i]] = true
+			}
+		}
+	}
+	out := make(map[uint64][]topology.NodeID, len(present))
+	for x, set := range present {
+		out[x] = slices.Sorted(maps.Keys(set))
+	}
+	return out
+}
+
+// byVertex keys VertexSpread's holder lists, which come in the reference's
+// first-seen order, by vertex id.
+func byVertex(ref *Ref, spread [][]topology.NodeID) map[uint64][]topology.NodeID {
+	out := make(map[uint64][]topology.NodeID, len(spread))
+	for k, nodes := range spread {
+		out[ref.ids[k]] = nodes
+	}
+	return out
+}
+
 // oracleForest is a spanning forest of the input: the edges whose union
 // merged two components of the sorted oracle's union-find, in input order.
 func oracleForest(edges Placement) []Edge {
@@ -186,7 +219,8 @@ func oracleForest(edges Placement) []Edge {
 
 // checkAgainstOracle holds Reference to the sorted oracle on one input:
 // the same count, checksum and labels; the checksum is Checksum of the
-// labels; the spread over tr equals the nested-map spread; a
+// labels; the spread and the vertex spread over tr equal the nested-map
+// ones; a
 // spanning forest of input edges passes VerifyForest and, with one end
 // swapped for an id outside the input, names the unknown vertex.
 func checkAgainstOracle(t *testing.T, name string, tr *topology.Tree, pl Placement) {
@@ -202,6 +236,9 @@ func checkAgainstOracle(t *testing.T, name string, tr *topology.Tree, pl Placeme
 	}
 	if got, want := ref.Spread(tr), componentSpreadMaps(tr, pl); !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: spread %v, nested maps %v", name, got, want)
+	}
+	if got, want := byVertex(ref, ref.VertexSpread(tr)), vertexSpreadMaps(tr, pl); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: vertex spread %v, nested maps %v", name, got, want)
 	}
 	forest := oracleForest(pl)
 	if err := VerifyForest(ref, forest); err != nil {
@@ -267,8 +304,8 @@ func TestReferenceMatchesSortedOracle(t *testing.T) {
 
 // TestSpreadMatchesNestedMaps pins the spread bound: on every topotest shape,
 // with the edges placed uniformly and Zipf(1.2), Spread returns the
-// nested-map holder lists, in the same order, and lowerbound.Spanning the
-// same Bound on either.
+// nested-map holder lists, in the same order, and VertexSpread each
+// vertex's, and lowerbound.Spanning the same Bound on either.
 func TestSpreadMatchesNestedMaps(t *testing.T) {
 	for i := 0; i < 2*topotest.NumShapes; i++ {
 		rng := rand.New(rand.NewSource(int64(i)))
@@ -312,6 +349,18 @@ func TestSpreadMatchesNestedMaps(t *testing.T) {
 			if a, b := lowerbound.Spanning(tr, got), lowerbound.Spanning(tr, want); !reflect.DeepEqual(a, b) {
 				t.Fatalf("%s: bound %+v, nested-map bound %+v", label, a, b)
 			}
+			ref := Reference(pl)
+			vs, wantVS := ref.VertexSpread(tr), vertexSpreadMaps(tr, pl)
+			if got := byVertex(ref, vs); !reflect.DeepEqual(got, wantVS) {
+				t.Fatalf("%s: vertex spread %v, nested maps %v", label, got, wantVS)
+			}
+			var lists [][]topology.NodeID
+			for _, x := range slices.Sorted(maps.Keys(wantVS)) {
+				lists = append(lists, wantVS[x])
+			}
+			if a, b := lowerbound.Spanning(tr, vs), lowerbound.Spanning(tr, lists); !reflect.DeepEqual(a, b) {
+				t.Fatalf("%s: vertex bound %+v, nested-map bound %+v", label, a, b)
+			}
 		}
 	}
 }
@@ -345,9 +394,9 @@ func fuzzCorpus(f *testing.F, target string) [][]byte {
 	return out
 }
 
-// FuzzReference holds Reference, Spread and VerifyForest to the sorted
-// oracle (checkAgainstOracle) on FuzzCC's byte-derived trees and
-// multigraphs, seeded from FuzzCC's seeds and checked-in corpus.
+// FuzzReference holds Reference, Spread, VertexSpread and VerifyForest to
+// the sorted oracle (checkAgainstOracle) on FuzzCC's byte-derived trees
+// and multigraphs, seeded from FuzzCC's seeds and checked-in corpus.
 func FuzzReference(f *testing.F) {
 	for _, seed := range fuzzCCSeeds() {
 		f.Add(seed)

@@ -225,3 +225,75 @@ func TestSpanForestWireIsCCWire(t *testing.T) {
 	tree, pl := answerFixture(t)
 	checkWitnessWire(t, "answer fixture", tree, pl, 7)
 }
+
+// fuzzProps decodes a byte string into a proposal list as the wire carries
+// it: keys a<<32|b, labels strictly ascending from a start the first byte
+// sets, and every b ≤ a. Each entry takes two bytes: the gap to the label
+// before, and either a repeat of the b before (top bit set, where that is
+// still ≤ a) or how far below its label b lies.
+func fuzzProps(data []byte) []uint64 {
+	if len(data) == 0 {
+		return nil
+	}
+	var ps []uint64
+	a := uint64(data[0]) << 23
+	for k := 1; k+2 <= len(data) && len(ps) < 1024; k += 2 {
+		if len(ps) > 0 {
+			a += 1 + uint64(data[k])
+		}
+		b := a - min(a, uint64(data[k+1]&0x7f))
+		if last := len(ps) - 1; last >= 0 && data[k+1]&0x80 != 0 {
+			b = uint64(uint32(ps[last]))
+		}
+		ps = append(ps, a<<32|b)
+	}
+	return ps
+}
+
+// FuzzProposalWire holds the proposal wire to its contract: wireProps
+// writes two byte-derived lists (fuzzProps) one after the other on one
+// slab, and readProps reads each back to the same entries at the same
+// positions. A payload takes one word per entry and one per change of b,
+// the first entry's b counting as one, so at most two words per entry.
+func FuzzProposalWire(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 0, 0})
+	f.Add([]byte{255, 3, 0, 0, 0x80, 0, 5, 2, 0x80, 7, 0x83, 1, 1})
+	f.Add([]byte{1, 0, 9, 0, 0x80, 0, 0x80, 0, 0x80, 4, 0, 0, 0x80})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// Room for both lists, so the slab never moves to a new array and
+		// its length counts what the two payloads kept.
+		sl := payloadSlab{buf: make([]uint64, 0, 2*len(data))}
+		lists := [][]uint64{fuzzProps(data), fuzzProps(data[len(data)/2:])}
+		var payloads [][]uint64
+		for _, ps := range lists {
+			payloads = append(payloads, wireProps(&sl, ps, bareKey))
+		}
+		total := 0
+		for j, ps := range lists {
+			words := payloads[j]
+			total += len(words)
+			want := len(ps)
+			for k, p := range ps {
+				if k == 0 || uint32(p) != uint32(ps[k-1]) {
+					want++
+				}
+			}
+			if len(words) != want || len(words) > 2*len(ps) {
+				t.Fatalf("list %d: %d entries with %d changes of b take %d words", j, len(ps), want-len(ps), len(words))
+			}
+			as, bs := readProps(words, nil, nil)
+			if len(as) != len(ps) || len(bs) != len(ps) {
+				t.Fatalf("list %d: %d entries read back as %d labels, %d b's", j, len(ps), len(as), len(bs))
+			}
+			for k, p := range ps {
+				if uint64(as[k]) != p>>32 || uint64(bs[k]) != p&0xFFFFFFFF {
+					t.Fatalf("list %d: entry %d [%d, %d] reads back as [%d, %d]", j, k, p>>32, uint32(p), as[k], bs[k])
+				}
+			}
+		}
+		if len(sl.buf) != total {
+			t.Fatalf("the slab holds %d words for payloads of %d", len(sl.buf), total)
+		}
+	})
+}

@@ -13,8 +13,9 @@ func runX5(seed uint64) ([]Table, error) {
 	}
 	table := newTable("X5: connected components, aware vs flat label contraction",
 		"Aware: vertices homed by bandwidth capacity, label updates combined per weak cut; "+
-			"flat: uniform homes, direct delivery. CLB = per-cut information bound "+
-			"("+spanningBoundName+"); labelings verified against union-find on every run.",
+			"flat: uniform homes, direct delivery. CLB = per-cut connectivity bound, "+
+			"the larger of "+spanningBoundName+" over component and over vertex holders; "+
+			"labelings verified against union-find on every run.",
 		"topology", "family", "V", "comps", "phases", "aware cost", "flat cost", "win", "CLB", "aware/CLB")
 	for _, nt := range topos("two-tier 16:1", "caterpillar", "fat-tree") {
 		for _, fam := range []string{"G(n,p)", "power-law", "grid", "bridge-of-cliques"} {

@@ -26,6 +26,28 @@ import (
 // the model where a partial aggregate is one element; for connectivity it
 // is an information bound in the tuple-transfer model (companion to
 // Multijoin; no communication-complexity theorem is claimed).
+//
+// Connectivity reports the larger of two such terms. The component term
+// (graph.Ref.Spread) charges one unit per component whose holders straddle
+// e, so one giant component charges 1/w_e however many of its vertices do.
+// The vertex term (graph.Ref.VertexSpread) charges one unit per vertex
+// whose incident edges are held on both sides of e, with constant 1:
+//
+//   - The connectivity tasks (graph.CC, CCFlat and SpanningForest, whose
+//     wire carries one id per word) pay it. Phase 1 names every vertex at
+//     every holder of it — as the label of a proposal, or as a vertex
+//     entry when only self-loops name it there — and the name travels
+//     towards the vertex's one home. A vertex held on both sides of e is
+//     therefore named across e at least once, one label word, and the cost
+//     Σ_i max_e |Y_i(e)|/w_e is at least max_e Σ_i |Y_i(e)|/w_e.
+//   - It is a lower bound for every algorithm only as a worst case over
+//     placements with the same per-cut statistics, not per instance: two
+//     nodes holding the same duplicate edge can both label it without
+//     talking. Restricted to instances whose only vertices with edges on
+//     both sides of e are s shared ones, each edge held once, the two sides
+//     must decide the connectivity of the union of their graphs, which
+//     takes Ω(s log s) bits (Hajnal, Maass and Turán, STOC 1988): Ω(s)
+//     words of O(log n) bits once s ≥ n^ε. That constant is not stated.
 func Spanning(t *topology.Tree, occupants [][]topology.NodeID) Bound {
 	acc := topology.NewPathAccumulator(t)
 	for _, nodes := range occupants {
