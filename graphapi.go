@@ -32,8 +32,10 @@ type ComponentsResult struct {
 	// homes, direct delivery), or "aware+combine×L" with L the number of
 	// hierarchy levels whose blocks merge label exchanges.
 	Strategy string
-	// Cost is the execution cost against the per-cut connectivity
-	// information bound (lowerbound.Spanning).
+	// Cost is the execution cost against the per-cut connectivity bound,
+	// lowerbound.Spanning over each vertex's holders: a cost floor for
+	// this package's connectivity protocols, and for other algorithms a
+	// worst case over placements, not a per-instance lower bound.
 	Cost Cost
 	// Report is the per-round cost accounting of the execution.
 	Report *netsim.Report
@@ -70,9 +72,9 @@ type graphProtocol func(t *topology.Tree, edges graph.Placement, seed uint64, op
 // graphWith is the connectivity pipeline: component count and labeling
 // checksum must match the union-find reference, and a forest, when the
 // protocol returns one, must span it without cycles (graph.Verify); the
-// cost is set against the per-cut connectivity bound, the larger of its
-// component term and its vertex term, whose holder lists come from the
-// same reference (one union-find per call).
+// cost is set against the per-cut connectivity bound over each vertex's
+// holders, whose lists come from the same reference (one id table per
+// call).
 func (c *Cluster) graphWith(edges [][]GraphEdge, seed uint64, run graphProtocol) (*ComponentsResult, error) {
 	if err := c.checkFragments("edges", len(edges)); err != nil {
 		return nil, err
@@ -81,8 +83,7 @@ func (c *Cluster) graphWith(edges [][]GraphEdge, seed uint64, run graphProtocol)
 		return run(c.t, edges, seed, opts...)
 	}, func() (*graph.Ref, float64) {
 		ref := graph.Reference(edges)
-		return ref, max(lowerbound.Spanning(c.t, ref.Spread(c.t)).Value,
-			lowerbound.Spanning(c.t, ref.VertexSpread(c.t)).Value)
+		return ref, lowerbound.Spanning(c.t, ref.VertexSpread(c.t)).Value
 	}, graph.Verify)
 	if err != nil {
 		return nil, err

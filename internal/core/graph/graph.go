@@ -77,10 +77,12 @@
 // roots with a ⌈n/64⌉-word won bitmap, which passes each hooking back down
 // the chain to the holder of its edge. All are verified against the
 // union-find reference (component count + canonical-label checksum), and
-// are measured against the per-cut information bound lowerbound.Spanning,
-// the larger of its terms over component holders (Ref.Spread) and over
-// vertex holders (Ref.VertexSpread). No optimality theorem is claimed —
-// topology-aware graph connectivity is open.
+// are measured against the per-cut bound lowerbound.Spanning over vertex
+// holders (Ref.VertexSpread), a cost floor for these variants that
+// dominates its term over component holders (Ref.Spread) on every edge
+// (the lowerbound.Spanning doc gives the argument and its scope). No
+// optimality theorem is claimed — topology-aware graph connectivity is
+// open.
 package graph
 
 import (

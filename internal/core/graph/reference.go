@@ -259,9 +259,9 @@ func (r *Ref) Spread(t *topology.Tree) [][]topology.NodeID {
 
 // VertexSpread reports, for every vertex in first-seen order, the compute
 // nodes holding at least one of its incident input edges, ascending. The
-// node lists feed the vertex term of the connectivity bound
-// (lowerbound.Spanning charges each vertex's Steiner tree over its nodes),
-// beside Spread's component term.
+// node lists feed the connectivity bound (lowerbound.Spanning charges each
+// vertex's Steiner tree over its nodes), which dominates Spread's
+// component term on every edge.
 //
 // One lookup per endpoint lists, holder by holder, the vertices each
 // holder names, each once (a stamp per vertex of the last holder that

@@ -252,8 +252,8 @@ func fuzzProps(data []byte) []uint64 {
 
 // FuzzProposalWire holds the proposal wire to its contract: wireProps
 // writes two byte-derived lists (fuzzProps) one after the other on one
-// slab, and readProps reads each back to the same entries at the same
-// positions. A payload takes one word per entry and one per change of b,
+// slab, readProps reads each back to the same entries at the same
+// positions, and propLabels counts its entries. A payload takes one word per entry and one per change of b,
 // the first entry's b counting as one, so at most two words per entry.
 func FuzzProposalWire(f *testing.F) {
 	f.Add([]byte{})
@@ -285,6 +285,9 @@ func FuzzProposalWire(f *testing.F) {
 			as, bs := readProps(words, nil, nil)
 			if len(as) != len(ps) || len(bs) != len(ps) {
 				t.Fatalf("list %d: %d entries read back as %d labels, %d b's", j, len(ps), len(as), len(bs))
+			}
+			if n := propLabels(words); n != len(ps) {
+				t.Fatalf("list %d: propLabels counts %d of %d entries", j, n, len(ps))
 			}
 			for k, p := range ps {
 				if uint64(as[k]) != p>>32 || uint64(bs[k]) != p&0xFFFFFFFF {

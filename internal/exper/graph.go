@@ -14,7 +14,7 @@ func runX5(seed uint64) ([]Table, error) {
 	table := newTable("X5: connected components, aware vs flat label contraction",
 		"Aware: vertices homed by bandwidth capacity, label updates combined per weak cut; "+
 			"flat: uniform homes, direct delivery. CLB = per-cut connectivity bound, "+
-			"the larger of "+spanningBoundName+" over component and over vertex holders; "+
+			spanningBoundName+" over vertex holders (it dominates the component term); "+
 			"labelings verified against union-find on every run.",
 		"topology", "family", "V", "comps", "phases", "aware cost", "flat cost", "win", "CLB", "aware/CLB")
 	for _, nt := range topos("two-tier 16:1", "caterpillar", "fat-tree") {

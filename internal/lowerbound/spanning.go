@@ -5,14 +5,14 @@ import (
 )
 
 // Spanning is the per-cut bound of every task in which a set of nodes must
-// come to agree on one item: a group-by total (aggregate.GroupHolders) or
-// a connected component's label (graph.ComponentSpread).
+// come to agree on one item: a group-by total (aggregate.GroupHolders), a
+// connected component's label (graph.ComponentSpread) or a vertex's
+// (graph.Ref.VertexSpread).
 //
 // occupants[g] lists the nodes holding input of item g. Fix a tree edge e.
-// Every item with occupants on both sides of the cut forces at least one
-// element across e — partial aggregates of different groups cannot merge,
-// and the side of a component not holding the deciding piece cannot learn
-// its label silently. An item spans the cut at e exactly when e lies on a
+// Every group with occupants on both sides of the cut forces at least one
+// element across e, since partial aggregates of different groups cannot
+// merge; for a connectivity item the scope is narrower (below). An item spans the cut at e exactly when e lies on a
 // path between two of its occupants — that is, when e belongs to the
 // Steiner tree of occupants[g] — so the bound is
 //
@@ -23,31 +23,34 @@ import (
 // (topology.PathAccumulator.AddSteiner), one unit per item: O(h log h) per
 // item with h occupants and one O(V) subtree-sum for all edges, never a
 // pass over the occupants per edge. For aggregation the bound is exact in
-// the model where a partial aggregate is one element; for connectivity it
-// is an information bound in the tuple-transfer model (companion to
-// Multijoin; no communication-complexity theorem is claimed).
+// the model where a partial aggregate is one element; for connectivity its
+// scope is narrower, as follows.
 //
-// Connectivity reports the larger of two such terms. The component term
-// (graph.Ref.Spread) charges one unit per component whose holders straddle
-// e, so one giant component charges 1/w_e however many of its vertices do.
-// The vertex term (graph.Ref.VertexSpread) charges one unit per vertex
-// whose incident edges are held on both sides of e, with constant 1:
+// Connectivity reports the vertex term (graph.Ref.VertexSpread): one unit
+// per vertex whose incident edges are held on both sides of e. It
+// dominates the component term (graph.Ref.Spread, one unit per component
+// whose holders straddle e, so one giant component charges 1/w_e) on
+// every edge: a connected component held on both sides of e has a vertex
+// with incident edges held on both sides, and different components give
+// different vertices. With constant 1 the vertex term is
 //
-//   - The connectivity tasks (graph.CC, CCFlat and SpanningForest, whose
-//     wire carries one id per word) pay it. Phase 1 names every vertex at
-//     every holder of it — as the label of a proposal, or as a vertex
-//     entry when only self-loops name it there — and the name travels
-//     towards the vertex's one home. A vertex held on both sides of e is
+//   - a cost floor for the connectivity tasks (graph.CC, CCFlat and
+//     SpanningForest, whose wire carries one id per word). Phase 1 names
+//     every vertex at every holder of it — as the label of a proposal, or
+//     as a vertex entry when only self-loops name it there — and the name
+//     travels towards the vertex's one home. A vertex held on both sides of e is
 //     therefore named across e at least once, one label word, and the cost
 //     Σ_i max_e |Y_i(e)|/w_e is at least max_e Σ_i |Y_i(e)|/w_e.
-//   - It is a lower bound for every algorithm only as a worst case over
+//   - a lower bound for every algorithm only as a worst case over
 //     placements with the same per-cut statistics, not per instance: two
 //     nodes holding the same duplicate edge can both label it without
 //     talking. Restricted to instances whose only vertices with edges on
 //     both sides of e are s shared ones, each edge held once, the two sides
 //     must decide the connectivity of the union of their graphs, which
 //     takes Ω(s log s) bits (Hajnal, Maass and Turán, STOC 1988): Ω(s)
-//     words of O(log n) bits once s ≥ n^ε. That constant is not stated.
+//     words of O(log n) bits once s ≥ n^ε. That constant is not stated,
+//     and the component term, the weaker one, is no instance lower bound
+//     either.
 func Spanning(t *topology.Tree, occupants [][]topology.NodeID) Bound {
 	acc := topology.NewPathAccumulator(t)
 	for _, nodes := range occupants {
@@ -60,9 +63,10 @@ func Spanning(t *topology.Tree, occupants [][]topology.NodeID) Bound {
 	})
 }
 
-// Connectivity is Spanning under the name the graph tasks report it by:
+// Connectivity is Spanning's component term under its own name:
 // occupants[c] lists the compute nodes holding input edges of connected
-// component c.
+// component c. The Cluster's graph pipeline reports the vertex term,
+// which dominates it.
 func Connectivity(t *topology.Tree, occupants [][]topology.NodeID) Bound {
 	return Spanning(t, occupants)
 }
