@@ -8,7 +8,7 @@
 //	toposim -topo star:4x1 -task intersect -sizeR 1000 -sizeS 4000
 //	toposim -topo twotier -task sort -n 50000 -place zipf
 //	toposim -topo twotier -task sort-aware -n 50000 -place oneheavy
-//	toposim -topo caterpillar -task agg-aware -n 20000
+//	toposim -topo caterpillar -task agg-tree2 -n 20000
 //	toposim -topo twotier -task aggregate -n 20000 -workers 4
 //	toposim -topo twotier -task triangle -n 30000 -edges
 //	toposim -topo caterpillar -task starjoin -n 30000 -place zipf

@@ -116,9 +116,8 @@ var primitiveOutputs = map[string]func(c *topompc.Cluster, in topompc.TaskInput)
 	},
 	"join":               joinChecksum(join.Tree),
 	"join-baseline":      joinChecksum(join.UniformHash),
-	"aggregate":          aggregateChecksum(aggregate.TwoLevel),
+	"aggregate":          aggregateChecksum(aggregate.Planned),
 	"aggregate-baseline": aggregateChecksum(aggregate.Hash),
-	"agg-aware":          aggregateChecksum(aggregate.CombinerTreeSingle),
 	"agg-aware-flat":     aggregateChecksum(aggregate.HashFlat),
 	"agg-tree2":          aggregateChecksum(aggregate.CombinerTree),
 	"starjoin":           multijoinChecksum(multijoin.Star),

@@ -24,11 +24,11 @@ type AggregateResult struct {
 	// Totals maps every group to its total; each group was produced at
 	// exactly one node.
 	Totals map[uint64]int64
-	// Strategy is the path the protocol took: "twolevel" (Aggregate),
-	// "hash" (AggregateBaseline), "flat-hash" (AggregateAwareBaseline), and
-	// "combiner-tree" or, for the multi-level tree, "combiner-tree×L" with L
-	// merge levels (AggregateAware, AggregateMultiLevel), either of which is
-	// "capacity-hash" when no weak cut pays for combining.
+	// Strategy is the path the protocol took: "hash" (AggregateBaseline),
+	// or the candidate Aggregate picked: "twolevel", "hash", "flat-hash",
+	// "gather", "combiner-tree×L" (the multi-level tree with L merge
+	// levels), "combiner-tree" (the single-level tree) or "capacity-hash"
+	// (a combiner tree with no weak cut that pays for combining).
 	Strategy string
 	// Cost is the execution cost against the exact spanning-groups lower
 	// bound (each partial aggregate costs 2 wire elements).
@@ -37,47 +37,19 @@ type AggregateResult struct {
 	Report *netsim.Report
 }
 
-// Aggregate computes per-group totals with the two-level (rack-combining)
-// strategy: groups are first merged inside the blocks of a balanced
-// partition, then block partials are hashed globally. Two rounds.
+// Aggregate computes per-group totals with the planned aggregation: it
+// prices two-level rack combining, weighted hashing, the multi-level
+// combiner tree on the weak-cut hierarchy, uniform hashing, a gather at the
+// heaviest holder and, on hierarchies deeper than one level, the
+// single-level combiner tree, and runs the cheapest (one to L+1 rounds).
 func (c *Cluster) Aggregate(data [][]GroupValue, seed uint64) (*AggregateResult, error) {
-	return c.aggregateWith(data, seed, aggregate.TwoLevel)
+	return c.aggregateWith(data, seed, aggregate.Planned)
 }
 
-// AggregateBaseline computes per-group totals with single-round uniform
-// hashing (no rack combining), for comparison.
+// AggregateBaseline computes per-group totals with single-round
+// group-count-weighted hashing (no rack combining), for comparison.
 func (c *Cluster) AggregateBaseline(data [][]GroupValue, seed uint64) (*AggregateResult, error) {
 	return c.aggregateWith(data, seed, aggregate.Hash)
-}
-
-// AggregateAware computes per-group totals with single-level combiner-tree
-// aggregation: partial aggregates merge once per block of the weak-cut
-// hierarchy truncated to its deepest level (place.Hierarchy.Deepest) before
-// anything crosses a weak link, then the merged block partials are hashed
-// to capacity-weighted group homes. At most two rounds; degrades to one
-// round of capacity-weighted hashing when the topology has no weak cut.
-// AggregateMultiLevel generalizes it to the full weak-cut hierarchy.
-func (c *Cluster) AggregateAware(data [][]GroupValue, seed uint64) (*AggregateResult, error) {
-	return c.aggregateWith(data, seed, aggregate.CombinerTreeSingle)
-}
-
-// AggregateMultiLevel computes per-group totals with the recursive
-// combiner tree: partial aggregates merge once per block per level of the
-// weak-cut hierarchy (place.HierarchyFor), deepest level first, before the
-// merged partials are hashed to capacity-weighted group homes. On deep
-// bandwidth gradients (tapered fat-trees, graded caterpillars) every tier
-// dedupes its cut's traffic; on single-band topologies it coincides with
-// AggregateAware, and with no weak cut at all it degrades to one round of
-// capacity-weighted hashing.
-func (c *Cluster) AggregateMultiLevel(data [][]GroupValue, seed uint64) (*AggregateResult, error) {
-	return c.aggregateWith(data, seed, aggregate.CombinerTree)
-}
-
-// AggregateAwareBaseline runs the flat counterpart of AggregateAware: one
-// round of uniform hashing with no block combining, sharing the chooser
-// seed so the combiner-tree levers are measured in isolation.
-func (c *Cluster) AggregateAwareBaseline(data [][]GroupValue, seed uint64) (*AggregateResult, error) {
-	return c.aggregateWith(data, seed, aggregate.HashFlat)
 }
 
 // aggregateProtocol is the entry point every aggregation variant shares.
@@ -116,7 +88,7 @@ func aggregateTask(run aggregateProtocol) func(*Cluster, TaskInput) (*TaskResult
 			return nil, err
 		}
 		return &TaskResult{
-			Summary: fmt.Sprintf("records=%d groups=%d", sizes(in.Data), len(res.Totals)),
+			Summary: fmt.Sprintf("records=%d groups=%d strategy=%s", sizes(in.Data), len(res.Totals), res.Strategy),
 			Cost:    res.Cost,
 			Report:  res.Report,
 		}, nil

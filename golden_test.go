@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"topompc"
+	"topompc/internal/core/aggregate"
 	"topompc/internal/netsim"
 	"topompc/internal/topology"
 )
@@ -186,37 +187,43 @@ func checkTotals(t *testing.T, key string, rep *netsim.Report) {
 }
 
 // TestGoldenPlaceAwareVsFlat pins the placement-engine protocols on the
-// golden fixtures: the planned sort (sort-aware) and combiner-tree
-// aggregation (agg-aware) must strictly beat their flat counterparts on the
-// skewed two-tier and caterpillar topologies. Both tasks of a pair run on
-// the same input, so the ratio isolates the lever. sort-aware and join
-// price their flat counterparts as one of their candidates, so their
-// parity bound is 1.0× on every fixture and placement; agg-aware must stay
-// within 1.05× on the symmetric star and fat-tree (where no combining plan
-// engages and it coincides with its baseline by construction).
+// golden fixtures: the planned sort (sort-aware) and the single-level
+// combiner tree must strictly beat their flat counterparts on the skewed
+// two-tier and caterpillar topologies. Both protocols of a pair run on the
+// same input, so the ratio isolates the lever. The agg-aware subtests run
+// the pair the agg-aware row and its flat baseline ran before the planned
+// aggregate row absorbed it — aggregate.CombinerTreeSingle against
+// aggregate.HashFlat, through ProtocolEnv — on that row's fixture inputs. sort-aware, join and aggregate price
+// their flat counterparts as one of their candidates, so their parity bound
+// is 1.0× on every fixture and placement; the single-level tree must stay
+// within 1.05× of flat hashing on the symmetric star and fat-tree (where no
+// combining plan engages and it coincides with its baseline by
+// construction).
 func TestGoldenPlaceAwareVsFlat(t *testing.T) {
-	beats := []struct {
-		aware, flat, topo, place string
-	}{
-		{"sort-aware", "sort-aware-flat", "twotier-skew", "oneheavy"},
-		{"sort-aware", "sort-aware-flat", "caterpillar", "uniform"},
-		{"agg-aware", "agg-aware-flat", "twotier-skew", "uniform"},
-		{"agg-aware", "agg-aware-flat", "twotier-skew", "zipf"},
-		{"agg-aware", "agg-aware-flat", "twotier-skew", "oneheavy"},
-		{"agg-aware", "agg-aware-flat", "caterpillar", "uniform"},
-		{"agg-aware", "agg-aware-flat", "caterpillar", "zipf"},
-	}
-	for _, tc := range beats {
-		t.Run(fmt.Sprintf("beats/%s/%s/%s", tc.aware, tc.topo, tc.place), func(t *testing.T) {
-			aware, flat := runPair(t, tc.aware, tc.flat, tc.topo, tc.place)
+	for _, tc := range []struct{ topo, place string }{
+		{"twotier-skew", "oneheavy"}, {"caterpillar", "uniform"},
+	} {
+		t.Run(fmt.Sprintf("beats/sort-aware/%s/%s", tc.topo, tc.place), func(t *testing.T) {
+			aware, flat := runPair(t, "sort-aware", "sort-aware-flat", tc.topo, tc.place)
 			if aware >= flat {
 				t.Errorf("aware cost %.1f not below flat %.1f", aware, flat)
-			} else {
-				t.Logf("ratio %.3f (aware %.1f / flat %.1f)", aware/flat, aware, flat)
 			}
 		})
 	}
-	for _, pair := range [][2]string{{"sort-aware", "sort-aware-flat"}, {"join", "join-baseline"}} {
+	for _, tc := range []struct{ topo, place string }{
+		{"twotier-skew", "uniform"}, {"twotier-skew", "zipf"}, {"twotier-skew", "oneheavy"},
+		{"caterpillar", "uniform"}, {"caterpillar", "zipf"},
+	} {
+		t.Run(fmt.Sprintf("beats/agg-aware/%s/%s", tc.topo, tc.place), func(t *testing.T) {
+			costs := runAggEntries(t, "agg-aware", tc.topo, tc.place, aggregate.CombinerTreeSingle, aggregate.HashFlat)
+			if aware, flat := costs[0], costs[1]; aware >= flat {
+				t.Errorf("single-level cost %.1f not below flat %.1f", aware, flat)
+			} else {
+				t.Logf("ratio %.3f (single %.1f / flat %.1f)", aware/flat, aware, flat)
+			}
+		})
+	}
+	for _, pair := range [][2]string{{"sort-aware", "sort-aware-flat"}, {"join", "join-baseline"}, {"aggregate", "aggregate-baseline"}} {
 		for _, topo := range fixtureTopos {
 			for _, place := range fixturePlacements {
 				t.Run(fmt.Sprintf("parity/%s/%s/%s", pair[0], topo.Name, place), func(t *testing.T) {
@@ -231,9 +238,9 @@ func TestGoldenPlaceAwareVsFlat(t *testing.T) {
 	for _, topo := range []string{"star-uniform", "fattree"} {
 		for _, place := range fixturePlacements {
 			t.Run(fmt.Sprintf("parity/agg-aware/%s/%s", topo, place), func(t *testing.T) {
-				aware, flat := runPair(t, "agg-aware", "agg-aware-flat", topo, place)
-				if flat > 0 && aware > flat*1.05 {
-					t.Errorf("aware cost %.1f exceeds 1.05× flat %.1f on symmetric topology", aware, flat)
+				costs := runAggEntries(t, "agg-aware", topo, place, aggregate.CombinerTreeSingle, aggregate.HashFlat)
+				if aware, flat := costs[0], costs[1]; flat > 0 && aware > flat*1.05 {
+					t.Errorf("single-level cost %.1f exceeds 1.05× flat %.1f on symmetric topology", aware, flat)
 				}
 			})
 		}
@@ -242,19 +249,21 @@ func TestGoldenPlaceAwareVsFlat(t *testing.T) {
 
 // TestGoldenHierarchyBeatsSingleLevel pins the recursive weak-cut
 // hierarchy on the golden fixtures: the multi-level combiner tree
-// (agg-tree2) must strictly beat the single-level combiner tree
-// (agg-aware) on the deep-gradient fixtures — the tapered fat-tree and the
-// graded caterpillar, where the hierarchy has depth 2 and partials merge
-// per pod/half before crossing the thin core — and must stay within 1.05×
-// of it everywhere else (single-band fixtures have depth-≤1 hierarchies,
-// where the two protocols coincide by construction). Both tasks run on
-// the same input, so the ratio isolates the extra hierarchy levels.
+// (aggregate.CombinerTree, the agg-tree2 row's protocol) must strictly beat
+// the single-level combiner tree (aggregate.CombinerTreeSingle) on the
+// deep-gradient fixtures — the tapered fat-tree and the graded caterpillar,
+// where the hierarchy has depth 2 and partials merge per pod/half before
+// crossing the thin core — and must stay within 1.05× of it everywhere else
+// (single-band fixtures have depth-≤1 hierarchies, where the two protocols
+// coincide by construction). Both run on the same input, so the ratio
+// isolates the extra hierarchy levels.
 func TestGoldenHierarchyBeatsSingleLevel(t *testing.T) {
 	deep := map[string]bool{"fattree-taper": true, "caterpillar-grade": true}
 	for _, topo := range fixtureTopos {
 		for _, place := range fixturePlacements {
 			t.Run(fmt.Sprintf("%s/%s", topo.Name, place), func(t *testing.T) {
-				multi, single := runPair(t, "agg-tree2", "agg-aware", topo.Name, place)
+				costs := runAggEntries(t, "agg-tree2", topo.Name, place, aggregate.CombinerTree, aggregate.CombinerTreeSingle)
+				multi, single := costs[0], costs[1]
 				if deep[topo.Name] {
 					if multi >= single {
 						t.Errorf("multi-level cost %.1f not below single-level %.1f", multi, single)
@@ -267,6 +276,30 @@ func TestGoldenHierarchyBeatsSingleLevel(t *testing.T) {
 			})
 		}
 	}
+}
+
+// runAggEntries runs aggregation entry points through ProtocolEnv on the
+// fixture input of an aggregation row named name, verifies each and returns
+// their costs.
+func runAggEntries(t *testing.T, name, topo, place string, runs ...func(*topology.Tree, aggregate.Placement, uint64, ...netsim.Option) (*aggregate.Result, error)) []float64 {
+	t.Helper()
+	c := fixtureCluster(t, topo)
+	spec := topompc.Task{Name: name, Kind: topompc.TaskSingle, WantsDuplicates: true}
+	in := fixtureInput(t, spec, c, topo, place, goldenN)
+	tr, opts := topompc.ProtocolEnv(c)
+	data := decodeTyped(in).groups
+	costs := make([]float64, len(runs))
+	for i, run := range runs {
+		res, err := run(tr, data, in.Seed, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := aggregate.Verify(aggregate.Reference(data), res); err != nil {
+			t.Fatal(err)
+		}
+		costs[i] = res.Report.TotalCost()
+	}
+	return costs
 }
 
 // runPair executes an aware task and its flat counterpart on the same

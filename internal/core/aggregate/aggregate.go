@@ -19,24 +19,31 @@
 // the groups whose holders' Steiner tree contains e (lowerbound.Spanning).
 //
 // Every strategy is a candidate on one driver (run): a strategy name, a
-// list of merge steps — exchange rounds, each mapping what every node holds
-// to what it holds next — and the home weights and hash salt of the closing
-// scatter, one round that hashes what every node still holds to its group
-// homes. The candidates:
+// list of hops — merge steps as data, each an exchange round after which
+// every node holds what it kept merged with what arrived — and the home
+// weights and hash salt of the closing scatter, one round that hashes what
+// every node still holds to its group homes. The candidates:
 //
-//   - Hash: no steps; homes weighted by the nodes' local group counts.
-//     Simple but pays once per (node, group) pair instead of once per group
-//     crossing an edge.
-//   - HashFlat: no steps; uniform homes, as on a flat network.
-//   - Gather: no steps; one home, the target node.
-//   - TwoLevel: one rack step — groups combine inside the blocks of a
+//   - hash (Hash): no hops; homes weighted by the nodes' local group
+//     counts. Simple but pays once per (node, group) pair instead of once
+//     per group crossing an edge.
+//   - flat-hash (HashFlat): no hops; uniform homes, as on a flat network.
+//   - gather (Gather): no hops; one home, the target node.
+//   - twolevel: one rack hop — groups combine inside the blocks of a
 //     balanced partition — then homes weighted by the combined group
 //     counts. Bottleneck uplinks carry each group at most once per block
 //     instead of once per node.
-//   - CombinerTree / CombinerTreeSingle (combiner.go): one step per level
-//     of the weak-cut hierarchy's up-sweep (or of its deepest level alone),
-//     partials merging once per block per level, then capacity-weighted
-//     homes.
+//   - the combiner trees (CombinerTree / CombinerTreeSingle, combiner.go):
+//     one forwarding hop per level of the weak-cut hierarchy's up-sweep (or
+//     of its deepest level alone), partials merging once per block per
+//     level, then capacity-weighted homes.
+//
+// Planned hands all of them to netsim.Engine.RunCheapest, which prices
+// every round of every candidate on the instance and runs the cheapest; an
+// entry point with one candidate runs it unpriced. To price the rounds
+// after a hop, the driver routes what the hop sends in-process and merges
+// it with the same combine step that merges the inbox when the hop runs,
+// so a priced candidate and its run see the same partials.
 //
 // Local compute is sort-merge on the par kernels, forked by home: a partial
 // is a group-ascending run of (group, value) words from the local
@@ -206,9 +213,10 @@ func (sc *combineScratch) combine() partial {
 	return slices.Clone(out)
 }
 
-// merge combines what the home received under tag with what it holds.
-func (sc *combineScratch) merge(ib netsim.Inbox, tag netsim.Tag, held partial) partial {
-	sc.words = append(ib.AppendKeys(sc.words[:0], tag), held...)
+// merge combines the words the home received, in words, with what it
+// holds.
+func (sc *combineScratch) merge(held partial) partial {
+	sc.words = append(sc.words, held...)
 	k, v := sc.lanes(len(sc.words) / 2)
 	for j := range k {
 		k[j], v[j] = sc.words[2*j], sc.words[2*j+1]
@@ -253,19 +261,42 @@ func (in *instance) forHomes(fn func(sc *combineScratch, i int)) {
 	})
 }
 
-// candidate is one aggregation strategy on the driver: its merge steps run
-// in order, then the scatter hashes what every node holds to homes chosen
-// with weights homes(held) under salt.
+// candidate is one aggregation strategy on the driver: its hops run in
+// order, then the scatter hashes what every node holds to homes chosen
+// with weights homes(held) under salt. trace, set on the combiner trees,
+// records their hops when they run.
 type candidate struct {
 	strategy string
-	steps    []mergeStep
+	hops     []hop
 	homes    func(held []partial) []float64
 	salt     uint64
+	trace    *upTrace
 }
 
-// mergeStep is one exchange round: it maps what each node holds to what it
-// holds next.
-type mergeStep func(held []partial) []partial
+// hop is one merge step as data, an exchange round after which every node
+// holds what it kept merged with what arrived. With rack set, every node
+// hashes each group it holds within its block of rack, itself included,
+// and keeps nothing; otherwise every node forwards its whole partial to
+// its combiner up.Target, and a combiner (Target itself) keeps its own.
+type hop struct {
+	rack *place.BlockRouter
+	up   place.UpStep
+}
+
+// keeps reports whether node i holds on to its own partial over the hop.
+func (h *hop) keeps(i int) bool { return h.rack == nil && h.up.Target[i] == i }
+
+// plan queues the hop's round on x, every node sending of what it holds.
+func (h *hop) plan(in *instance, x *netsim.Exchange, held []partial) {
+	x.Plan(func(v topology.NodeID, out *netsim.Outbox) {
+		i := in.t.ComputeIndex(v)
+		if h.rack != nil {
+			h.rack.Hash(out, netsim.TagData, i, held[i], 2)
+		} else if !h.keeps(i) && len(held[i]) > 0 {
+			out.Send(in.nodes[h.up.Target[i]], netsim.TagData, held[i])
+		}
+	})
+}
 
 // fixed is home weights that do not depend on what the nodes hold.
 func fixed(w []float64) func([]partial) []float64 {
@@ -273,62 +304,101 @@ func fixed(w []float64) func([]partial) []float64 {
 }
 
 // run is the aggregation driver: it pre-combines every node's pairs, asks
-// plan for the candidate on that instance, runs the candidate's merge steps
-// and closes with the scatter to the group homes.
-func run(t *topology.Tree, data Placement, seed uint64, opts []netsim.Option, plan func(in *instance) (candidate, error)) (*Result, error) {
+// plan for the candidates on that instance, runs the cheapest
+// (netsim.Engine.RunCheapest; a lone candidate runs unpriced) and collects
+// the group totals from the scatter's inboxes. A priced hop is routed
+// in-process (route), a hop that runs is merged from its inboxes, so the
+// rounds after a hop see the same partials either way.
+func run(t *topology.Tree, data Placement, seed uint64, opts []netsim.Option, plan func(in *instance) ([]candidate, error)) (*Result, error) {
 	in, err := newInstance(t, data, opts)
 	if err != nil {
 		return nil, err
 	}
-	c, err := plan(in)
+	cands, err := plan(in)
 	if err != nil {
 		return nil, err
 	}
-	held := in.local
-	for _, step := range c.steps {
-		held = step(held)
+	var failed error
+	plans := make([]netsim.Candidate, len(cands))
+	for k := range cands {
+		c := &cands[k]
+		var held []partial
+		plans[k] = netsim.Candidate{Name: c.strategy, Rounds: len(c.hops) + 1, Plan: func(x *netsim.Exchange, r int, priced bool) {
+			switch {
+			case r == 0:
+				held = in.local
+			case !priced:
+				held = in.merged(&c.hops[r-1], held, in.inbox)
+				c.trace.end(&c.hops[r-1])
+			}
+			if r == len(c.hops) {
+				// Self-sends included: they are free and keep the final
+				// inbox the complete truth for collect.
+				router, err := place.NewFlatRouter(t, c.homes(held), seed, c.salt)
+				if err != nil {
+					failed = err
+					return
+				}
+				x.Plan(func(v topology.NodeID, out *netsim.Outbox) {
+					i := t.ComputeIndex(v)
+					router.Hash(out, netsim.TagData, i, held[i], 2)
+				})
+				return
+			}
+			h := &c.hops[r]
+			h.plan(in, x, held)
+			if priced {
+				held = in.route(h, held)
+			} else {
+				c.trace.begin(in, h, held)
+			}
+		}}
 	}
-	router, err := place.NewFlatRouter(t, c.homes(held), seed, c.salt)
-	if err != nil {
-		return nil, err
+	best := in.e.RunCheapest(plans)
+	if failed != nil {
+		return nil, failed
 	}
-	// Self-sends included: they are free and keep the final inbox the
-	// complete truth for collect.
-	x := in.e.Exchange()
-	x.Plan(func(v topology.NodeID, out *netsim.Outbox) {
-		i := t.ComputeIndex(v)
-		router.Hash(out, netsim.TagData, i, held[i], 2)
-	})
-	x.Execute()
-	return collect(in, c.strategy), nil
+	return collect(in, cands[best].strategy), nil
 }
 
-// mergeRound is the exchange of a merge step: node i queues its sends with
-// send(out, i, held[i]), then holds what arrived under tag merged with
-// held[i] if keep(i), and with nothing otherwise. It also returns the
-// round's stats and the number of group partials that arrived.
-func (in *instance) mergeRound(held []partial, tag netsim.Tag, send func(out *netsim.Outbox, i int, p partial),
-	keep func(i int) bool) ([]partial, netsim.RoundStats, int64) {
-	x := in.e.Exchange()
-	x.Plan(func(v topology.NodeID, out *netsim.Outbox) {
-		i := in.t.ComputeIndex(v)
-		send(out, i, held[i])
-	})
-	rst := x.Execute()
+// inbox appends the words node i received under TagData to dst.
+func (in *instance) inbox(i int, dst []uint64) []uint64 {
+	return in.e.Inbox(in.nodes[i]).AppendKeys(dst, netsim.TagData)
+}
+
+// merged is what every node holds after hop h: what it keeps of held
+// merged with the words arrived(i, dst) appends to dst — the inbox when the
+// hop ran, the in-process routing when it was priced.
+func (in *instance) merged(h *hop, held []partial, arrived func(i int, dst []uint64) []uint64) []partial {
 	next := make([]partial, len(in.nodes))
-	arrived := in.e.Pool().Sum("aggregate local", len(in.nodes), func(shard, lo, hi int) int64 {
-		var n int64
-		for i := lo; i < hi; i++ {
-			if keep(i) {
-				next[i] = held[i]
-			}
-			ib := in.e.Inbox(in.nodes[i])
-			if k := ib.KeyCount(tag); k > 0 {
-				n += int64(k / 2)
-				next[i] = in.scratch[shard].merge(ib, tag, next[i])
-			}
+	in.forHomes(func(sc *combineScratch, i int) {
+		if h.keeps(i) {
+			next[i] = held[i]
 		}
-		return n
+		if sc.words = arrived(i, sc.words[:0]); len(sc.words) > 0 {
+			next[i] = sc.merge(next[i])
+		}
 	})
-	return next, rst, arrived
+	return next
+}
+
+// route is hop h computed in-process, for pricing the rounds after it: it
+// delivers each word to the node plan sends it to and merges as a run of
+// the hop would.
+func (in *instance) route(h *hop, held []partial) []partial {
+	arrived := make([][]uint64, len(in.nodes))
+	for i, p := range held {
+		switch {
+		case h.rack != nil:
+			b := h.rack.BlockOf(i)
+			members, chooser := h.rack.Blocks[b], h.rack.Chooser(b)
+			for j := 0; j < len(p); j += 2 {
+				to := in.t.ComputeIndex(members[chooser.Choose(p[j])])
+				arrived[to] = append(arrived[to], p[j], p[j+1])
+			}
+		case !h.keeps(i):
+			arrived[h.up.Target[i]] = append(arrived[h.up.Target[i]], p...)
+		}
+	}
+	return in.merged(h, held, func(i int, dst []uint64) []uint64 { return append(dst, arrived[i]...) })
 }

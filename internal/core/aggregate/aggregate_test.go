@@ -26,6 +26,14 @@ func genData(rng *rand.Rand, p, pairsPerNode, groups int) Placement {
 	return data
 }
 
+// runTwoLevel runs the twolevel candidate alone.
+func runTwoLevel(t *topology.Tree, data Placement, seed uint64, opts ...netsim.Option) (*Result, error) {
+	return run(t, data, seed, opts, func(in *instance) ([]candidate, error) {
+		c, err := twoLevel(in, seed)
+		return []candidate{c}, err
+	})
+}
+
 func TestReferenceAndVerify(t *testing.T) {
 	data := Placement{
 		{{Group: 1, Value: 5}, {Group: 2, Value: 3}},
@@ -88,7 +96,7 @@ func TestStrategiesCorrect(t *testing.T) {
 				fn   func() (*Result, error)
 			}{
 				{"hash", func() (*Result, error) { return Hash(tr, data, 7) }},
-				{"twolevel", func() (*Result, error) { return TwoLevel(tr, data, 7) }},
+				{"twolevel", func() (*Result, error) { return runTwoLevel(tr, data, 7) }},
 				{"gather", func() (*Result, error) { return Gather(tr, data, topology.NoNode) }},
 			} {
 				res, err := run.fn()
@@ -124,7 +132,7 @@ func TestTwoLevelBeatsHashOnRackLocalGroups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	two, err := TwoLevel(tr, data, 3)
+	two, err := runTwoLevel(tr, data, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +156,7 @@ func TestRoundCounts(t *testing.T) {
 	if h.Report.NumRounds() != 1 {
 		t.Errorf("hash rounds = %d, want 1", h.Report.NumRounds())
 	}
-	tw, _ := TwoLevel(tr, data, 1)
+	tw, _ := runTwoLevel(tr, data, 1)
 	if tw.Report.NumRounds() != 2 {
 		t.Errorf("twolevel rounds = %d, want 2", tw.Report.NumRounds())
 	}
@@ -220,7 +228,7 @@ func TestEmptyAndSingleNode(t *testing.T) {
 	}
 
 	single := Placement{{{Group: 9, Value: 4}}, nil, nil}
-	res, err = TwoLevel(tr, single, 1)
+	res, err = runTwoLevel(tr, single, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +255,7 @@ func TestCostAboveLowerBound(t *testing.T) {
 		}
 		data := genData(rng, tr.NumCompute(), 50, 10+rng.Intn(40))
 		lb := LowerBound(tr, data)
-		res, err := TwoLevel(tr, data, uint64(iter))
+		res, err := runTwoLevel(tr, data, uint64(iter))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -273,7 +281,7 @@ func TestQuickAllStrategiesAgree(t *testing.T) {
 		want := Reference(data)
 		for _, fn := range []func() (*Result, error){
 			func() (*Result, error) { return Hash(tr, data, uint64(seed)) },
-			func() (*Result, error) { return TwoLevel(tr, data, uint64(seed)) },
+			func() (*Result, error) { return runTwoLevel(tr, data, uint64(seed)) },
 			func() (*Result, error) { return Gather(tr, data, topology.NoNode) },
 		} {
 			res, err := fn()
@@ -301,7 +309,7 @@ func TestRatioFinite(t *testing.T) {
 	tr, _ := topology.UniformStar(4, 2)
 	rng := rand.New(rand.NewSource(5))
 	data := genData(rng, 4, 300, 60)
-	res, err := TwoLevel(tr, data, 9)
+	res, err := runTwoLevel(tr, data, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +355,7 @@ func degenerateData(rng *rand.Rand, variant, p int) Placement {
 // per-home combines fork on the pool; run with -race -count=10.
 func TestDegenerateInputsAcrossWorkers(t *testing.T) {
 	strategies := map[string]func(*topology.Tree, Placement, uint64, ...netsim.Option) (*Result, error){
-		"hash": Hash, "twolevel": TwoLevel, "flat": HashFlat, "tree": CombinerTree, "single": CombinerTreeSingle,
+		"hash": Hash, "twolevel": runTwoLevel, "planned": Planned, "flat": HashFlat, "tree": CombinerTree, "single": CombinerTreeSingle,
 		"gather": func(tr *topology.Tree, data Placement, _ uint64, opts ...netsim.Option) (*Result, error) {
 			return Gather(tr, data, topology.NoNode, opts...)
 		},

@@ -65,6 +65,20 @@ func BenchmarkCombinerTree100k(b *testing.B) {
 	}
 }
 
+// BenchmarkPlanned100k is the aggregate row's planned protocol on the same
+// input: it prices its candidates and runs the cheapest.
+func BenchmarkPlanned100k(b *testing.B) {
+	tr := fanoutFabric(b)
+	data := zipfCounts(b, 100_000, tr.NumCompute())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Planned(tr, data, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkLowerBound100k is the bound of the same input.
 func BenchmarkLowerBound100k(b *testing.B) {
 	tr := fanoutFabric(b)

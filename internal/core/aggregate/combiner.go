@@ -9,13 +9,6 @@ import (
 	"topompc/internal/topology"
 )
 
-// tagUp carries partial aggregates from a block member to its block
-// combiner (the up-sweep rounds of the combiner trees). collect reads the
-// final round's inbox — the engine swaps inboxes every round, so the
-// up-phase deliveries are gone by collection time. The scatter to the group
-// homes must therefore stay the last round of every candidate.
-const tagUp netsim.Tag = 30
-
 // CombinerTree is the topology-aware aggregation on the recursive
 // weak-cut hierarchy (place.HierarchyFor): partial aggregates merge once
 // per block per hierarchy level before crossing that level's cut. The
@@ -34,8 +27,8 @@ const tagUp netsim.Tag = 30
 // tier, not just the weakest. When no block pays anywhere the protocol
 // degrades to a single round of capacity-weighted hashing.
 func CombinerTree(t *topology.Tree, data Placement, seed uint64, opts ...netsim.Option) (*Result, error) {
-	return run(t, data, seed, opts, func(in *instance) (candidate, error) {
-		return combinerTree(in, place.HierarchyFor(t), true), nil
+	return run(t, data, seed, opts, func(in *instance) ([]candidate, error) {
+		return []candidate{combinerTree(in, place.HierarchyFor(t), true)}, nil
 	})
 }
 
@@ -55,72 +48,81 @@ func CombinerTree(t *topology.Tree, data Placement, seed uint64, opts ...netsim.
 // an extra round — on a caterpillar, the strong middle block hashes
 // directly while a weak rack on a two-tier tree still merges before its
 // thin uplink. When no block qualifies the protocol degrades to a single
-// round of capacity-weighted hashing. It is kept as the ablation baseline
-// the multi-level CombinerTree is measured against (X7, golden harness).
+// round of capacity-weighted hashing. It is the ablation baseline the
+// multi-level CombinerTree is measured against (X7, golden harness), and a
+// candidate of Planned where the hierarchy is deeper than one level.
 func CombinerTreeSingle(t *topology.Tree, data Placement, seed uint64, opts ...netsim.Option) (*Result, error) {
-	return run(t, data, seed, opts, func(in *instance) (candidate, error) {
-		return combinerTree(in, place.HierarchyFor(t).Deepest(), false), nil
+	return run(t, data, seed, opts, func(in *instance) ([]candidate, error) {
+		return []candidate{combinerTree(in, place.HierarchyFor(t).Deepest(), false)}, nil
 	})
 }
 
 // combinerTree is the candidate of a combiner tree over hier (nil: no weak
-// cut): one merge step per up-sweep step, in order, then homes weighted by
-// capacity. The multi-level tree is named by its step count and records
-// the hierarchy's combining decisions; the single-level ablation does
-// neither. Both record one span per step, and the aggregate.* counters.
+// cut): one forwarding hop per up-sweep step, in order, then homes
+// weighted by capacity. The multi-level tree is named by its step count
+// and traces the hierarchy's combining decisions; the single-level
+// ablation does neither.
 func combinerTree(in *instance, hier *place.Hierarchy, multi bool) candidate {
 	weights := place.Capacities(in.t) // strictly positive by contract
 	var ups []place.UpStep
 	if hier != nil {
 		ups = hier.UpSweep(weights)
 	}
-	c := candidate{strategy: "capacity-hash", homes: fixed(weights), salt: 0xa66}
+	c := candidate{strategy: "capacity-hash", homes: fixed(weights), salt: 0xa66, trace: &upTrace{weights: weights}}
 	if len(ups) > 0 {
 		c.strategy = "combiner-tree"
 		if multi {
 			c.strategy = fmt.Sprintf("combiner-tree×%d", len(ups))
+			c.trace.hier = hier
 		}
 	}
-
-	// Flight recorder: the hierarchy's combining decisions plus one span
-	// per up-sweep level recording shipped vs merged volume; all behind nil
-	// checks when the engine has no recorder.
-	tc, mx := in.e.Tracer(), in.e.Metrics()
-	var aggTid int64
-	if tc != nil {
-		aggTid = tc.NewTid("aggregate up-sweep")
-		if multi {
-			hier.TraceCombine(tc, weights)
-		}
-	}
-	mLevels := mx.Counter("aggregate.upsweep_rounds")
-	mShipped := mx.Counter("aggregate.shipped_elements")
-	mMerged := mx.Counter("aggregate.merged_groups")
-
-	// A step's forwarders send all they hold to their block combiner and
-	// hold nothing on; combiners merge what arrives with their own.
 	for _, up := range ups {
-		c.steps = append(c.steps, func(held []partial) []partial {
-			var sp obs.Span
-			if tc != nil {
-				sp = obs.Begin(tc, aggTid, fmt.Sprintf("combine level %d", up.Level), "aggregate.level")
-			}
-			next, rst, arrived := in.mergeRound(held, tagUp, func(out *netsim.Outbox, i int, p partial) {
-				if up.Target[i] != i && len(p) > 0 {
-					out.Send(in.nodes[up.Target[i]], tagUp, p)
-				}
-			}, func(i int) bool { return up.Target[i] == i })
-			mLevels.Inc()
-			mShipped.Add(rst.Elements)
-			mMerged.Add(arrived)
-			if tc != nil {
-				sp.End(map[string]any{
-					"level": up.Level, "shipped_elements": rst.Elements,
-					"merged_groups": arrived, "round_cost": rst.Cost,
-				})
-			}
-			return next
-		})
+		c.hops = append(c.hops, hop{up: up})
 	}
 	return c
+}
+
+// upTrace is the flight recorder of a combiner tree's hops that run — a
+// priced candidate records nothing. Each hop is one "combine level L" span
+// from its planned round to its merge, counted by aggregate.upsweep_rounds,
+// and the elements its forwarders ship add to aggregate.shipped_elements;
+// the round itself (its elements and cost) is the netsim.round event. The
+// first hop also records the multi-level hierarchy's combining decisions
+// (place.combine). A nil upTrace records nothing.
+type upTrace struct {
+	hier    *place.Hierarchy // nil on the single-level tree
+	weights []float64
+	tid     int64
+	span    obs.Span
+}
+
+// begin opens hop h's record; held is what the nodes hold before it.
+func (u *upTrace) begin(in *instance, h *hop, held []partial) {
+	if u == nil {
+		return
+	}
+	tc, mx := in.e.Tracer(), in.e.Metrics()
+	var shipped int64
+	for i, p := range held {
+		if !h.keeps(i) {
+			shipped += int64(len(p))
+		}
+	}
+	mx.Counter("aggregate.upsweep_rounds").Inc()
+	mx.Counter("aggregate.shipped_elements").Add(shipped)
+	if tc == nil {
+		return
+	}
+	if u.tid == 0 {
+		u.hier.TraceCombine(tc, u.weights)
+		u.tid = tc.NewTid("aggregate up-sweep")
+	}
+	u.span = obs.Begin(tc, u.tid, fmt.Sprintf("combine level %d", h.up.Level), "aggregate.level")
+}
+
+// end closes hop h's record once the hop has merged.
+func (u *upTrace) end(h *hop) {
+	if u != nil {
+		u.span.End(map[string]any{"level": h.up.Level})
+	}
 }

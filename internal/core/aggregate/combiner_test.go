@@ -199,76 +199,88 @@ func TestCombinerTreeFlatParityOnSymmetric(t *testing.T) {
 
 // TestCombinerTreeRecorderSurface pins what the combiner trees tell the
 // flight recorder on the graded caterpillar (a depth-2 hierarchy whose
-// up-sweep merges at both levels): one "combine level L" span per merge
-// step, deepest level first, whose shipped elements and round cost are that
-// round's; the aggregate.* counters summing the spans; and the hierarchy's
+// up-sweep merges at both levels): one "combine level L" span per hop that
+// runs, deepest level first, carrying its level (the netsim.round event of
+// the same round carries its elements and cost); the aggregate.* counters
+// counting those rounds and the elements they ship; and the hierarchy's
 // place.combine decisions, one per block per level, from the multi-level
-// tree only. The one-step hash candidates report none of it.
+// tree only. The one-round hash candidates report none of it, and neither
+// does a tree the planner only priced: planned on groups every node shares,
+// it runs the multi-level tree and records what that tree records, one
+// netsim.plan event besides; on groups no two nodes share it runs
+// flat-hash, and the trees it priced record nothing.
 func TestCombinerTreeRecorderSurface(t *testing.T) {
 	tr, err := topology.Caterpillar([]float64{8, 3, 0.5, 3, 8}, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := make(Placement, tr.NumCompute())
-	for i := range data {
+	shared, disjoint := make(Placement, tr.NumCompute()), make(Placement, tr.NumCompute())
+	for i := range shared {
 		for g := 0; g < 150; g++ {
-			data[i] = append(data[i], Pair{Group: uint64(g), Value: 1})
+			shared[i] = append(shared[i], Pair{Group: uint64(g), Value: 1})
+			disjoint[i] = append(disjoint[i], Pair{Group: uint64(1000*i + g), Value: 1})
 		}
 	}
 	for _, tc := range []struct {
 		name     string
 		run      func(*topology.Tree, Placement, uint64, ...netsim.Option) (*Result, error)
+		data     Placement
 		strategy string
-		levels   []int // of the merge steps, in order
+		levels   []int // of the merge hops, in order
 		combine  int   // place.combine events
+		plans    int   // netsim.plan events
 	}{
-		{"multi", CombinerTree, "combiner-tree×2", []int{1, 0}, 6},
-		{"single", CombinerTreeSingle, "combiner-tree", []int{0}, 0},
-		{"hash", Hash, "hash", nil, 0},
+		{"multi", CombinerTree, shared, "combiner-tree×2", []int{1, 0}, 6, 0},
+		{"single", CombinerTreeSingle, shared, "combiner-tree", []int{0}, 0, 0},
+		{"hash", Hash, shared, "hash", nil, 0, 0},
+		{"planned", Planned, shared, "combiner-tree×2", []int{1, 0}, 6, 1},
+		{"planned-flat", Planned, disjoint, "flat-hash", nil, 0, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			trace, reg := obs.NewTrace(), obs.NewRegistry()
-			res, err := tc.run(tr, data, 5, netsim.WithTracer(trace), netsim.WithMetrics(reg))
+			res, err := tc.run(tr, tc.data, 5, netsim.WithTracer(trace), netsim.WithMetrics(reg))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if res.Strategy != tc.strategy || res.Report.NumRounds() != len(tc.levels)+1 {
 				t.Fatalf("%s in %d rounds, want %s in %d", res.Strategy, res.Report.NumRounds(), tc.strategy, len(tc.levels)+1)
 			}
-			var steps, combine int
-			var shipped, merged int64
+			var steps, combine, plans int
+			var shipped int64
 			for _, ev := range trace.Events() {
 				switch ev.Cat {
 				case "place.combine":
 					combine++
+				case "netsim.plan":
+					plans++
 				case "aggregate.level":
 					if steps == len(tc.levels) {
-						t.Fatalf("span %q beyond the %d merge steps", ev.Name, steps)
+						t.Fatalf("span %q beyond the %d merge hops", ev.Name, steps)
 					}
-					rd := res.Report.Rounds[steps]
 					if want := fmt.Sprintf("combine level %d", tc.levels[steps]); ev.Name != want ||
-						ev.Args["level"] != tc.levels[steps] || ev.Args["shipped_elements"] != rd.Elements ||
-						ev.Args["round_cost"] != rd.Cost {
-						t.Errorf("span %q %v, want %q over round %+v", ev.Name, ev.Args, want, rd)
+						len(ev.Args) != 1 || ev.Args["level"] != tc.levels[steps] {
+						t.Errorf("span %q %v, want %q with its level alone", ev.Name, ev.Args, want)
 					}
-					shipped += rd.Elements
-					merged += ev.Args["merged_groups"].(int64)
+					shipped += res.Report.Rounds[steps].Elements
 					steps++
 				}
 			}
-			if steps != len(tc.levels) || combine != tc.combine {
-				t.Errorf("%d level spans and %d place.combine events, want %d and %d", steps, combine, len(tc.levels), tc.combine)
+			if steps != len(tc.levels) || combine != tc.combine || plans != tc.plans {
+				t.Errorf("%d level spans, %d place.combine and %d netsim.plan events, want %d, %d and %d",
+					steps, combine, plans, len(tc.levels), tc.combine, tc.plans)
 			}
 			snap := reg.Snapshot()
 			if tc.levels == nil {
-				if _, ok := snap["aggregate.upsweep_rounds"]; ok {
-					t.Error("aggregate.upsweep_rounds reported by a hash run")
+				for _, name := range []string{"aggregate.upsweep_rounds", "aggregate.shipped_elements"} {
+					if _, ok := snap[name]; ok {
+						t.Errorf("%s reported by a run of %s", name, res.Strategy)
+					}
 				}
 				return
 			}
-			if snap["aggregate.upsweep_rounds"] != float64(steps) || snap["aggregate.shipped_elements"] != float64(shipped) ||
-				snap["aggregate.merged_groups"] != float64(merged) || merged == 0 {
-				t.Errorf("counters %v, spans: %d steps, %d shipped, %d merged", snap, steps, shipped, merged)
+			if _, ok := snap["aggregate.merged_groups"]; ok || snap["aggregate.upsweep_rounds"] != float64(steps) ||
+				snap["aggregate.shipped_elements"] != float64(shipped) || shipped == 0 {
+				t.Errorf("counters %v, spans: %d steps, %d shipped", snap, steps, shipped)
 			}
 		})
 	}

@@ -223,14 +223,17 @@ var (
 	aggregateBaseline = task{name: "aggregate-baseline", run: func(t *topology.Tree, in input, seed uint64) (any, error) {
 		return on(t).AggregateBaseline(in.records, seed)
 	}}
-	aggAware = task{name: "agg-aware", run: func(t *topology.Tree, in input, seed uint64) (any, error) {
-		return on(t).AggregateAware(in.records, seed)
-	}}
+	// The combiner trees and flat hashing have no Cluster method: these
+	// call the entry points, as gatherTask does, and execute verifies and
+	// bounds what they return.
 	aggTree2 = task{name: "agg-tree2", run: func(t *topology.Tree, in input, seed uint64) (any, error) {
-		return on(t).AggregateMultiLevel(in.records, seed)
+		return aggregate.CombinerTree(t, in.records, seed)
+	}}
+	aggSingle = task{name: "combiner-tree-single", run: func(t *topology.Tree, in input, seed uint64) (any, error) {
+		return aggregate.CombinerTreeSingle(t, in.records, seed)
 	}}
 	aggAwareFlat = task{name: "agg-aware-flat", run: func(t *topology.Tree, in input, seed uint64) (any, error) {
-		return on(t).AggregateAwareBaseline(in.records, seed)
+		return aggregate.HashFlat(t, in.records, seed)
 	}}
 	joinTask = task{name: "join", run: func(t *topology.Tree, in input, seed uint64) (any, error) {
 		return on(t).Join(in.rows[0], in.rows[1], seed)

@@ -41,7 +41,7 @@ func runX1(seed uint64) ([]Table, error) {
 		"strategy", "rounds", "cost", "CLB", "ratio")
 	ms := table.each("rack-local groups", tree, seed, ready(input{records: data}),
 		aggregateBaseline, aggregateTask, gatherTask)
-	for i, name := range []string{"hash (1 round)", "two-level (rack combine)", "gather"} {
+	for i, name := range []string{"hash (1 round)", "planned: " + ms[1].Strategy, "gather"} {
 		table.AddRow(name, ms[i].Rounds, ms[i].Cost, ms[i].Bound, ms[i].Ratio())
 	}
 	return finish(table)

@@ -86,7 +86,7 @@ func runX7(seed uint64) ([]Table, error) {
 			depth, cuts = h.Depth(), fmt.Sprintf("%.3g", h.Thresholds)
 		}
 		ms := table.each(nt.name, nt.tree, seed, func(int) (input, error) { return groupRecords(rng, nt.tree, n, uniform) },
-			aggTree2, aggAware, aggAwareFlat)
+			aggTree2, aggSingle, aggAwareFlat)
 		multi, single, flat := ms[0], ms[1], ms[2]
 		table.AddRow(nt.name, depth, cuts, n, multi.Cost, single.Cost, flat.Cost,
 			ratio(single.Cost, multi.Cost), ratio(flat.Cost, multi.Cost), multi.Bound)

@@ -139,7 +139,7 @@ func TestPipelinesRejectWrongOutput(t *testing.T) {
 		// do would accept this; aggregate.Verify does not.
 		{"aggregate/group-split-over-two-nodes", "aggregate", func(t *testing.T, how fault) taskRun {
 			return aggregateTask(func(tr *topology.Tree, data aggregate.Placement, seed uint64, o ...netsim.Option) (*aggregate.Result, error) {
-				res, err := aggregate.TwoLevel(tr, data, seed, o...)
+				res, err := aggregate.Planned(tr, data, seed, o...)
 				return tampered(how, res, err, func(res *aggregate.Result) {
 					ij := nonEmpty(t, 2, len(res.PerNode), func(i int) int { return len(res.PerNode[i]) })
 					i, j := ij[0], ij[1]

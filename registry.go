@@ -113,16 +113,14 @@ type Task struct {
 
 // tasks is the task table, ascending by name (LookupTask searches it).
 var tasks = []Task{
-	{Name: "agg-aware", Kind: TaskSingle, WantsDuplicates: true, Baseline: "agg-aware-flat", Run: aggregateTask(aggregate.CombinerTreeSingle),
-		Description: "group-by count with combiner-tree aggregation (merge once per weak-cut block)"},
 	{Name: "agg-aware-flat", Kind: TaskSingle, WantsDuplicates: true, Run: aggregateTask(aggregate.HashFlat),
-		Description: "group-by count with single-round uniform hashing, no combining (flat baseline for agg-aware)"},
+		Description: "group-by count with single-round uniform hashing, no combining (flat baseline for agg-tree2)"},
 	{Name: "agg-tree2", Kind: TaskSingle, WantsDuplicates: true, Baseline: "agg-aware-flat", Run: aggregateTask(aggregate.CombinerTree),
 		Description: "group-by count with the recursive combiner tree (merge per weak-cut block per hierarchy level)"},
-	{Name: "aggregate", Kind: TaskSingle, WantsDuplicates: true, Baseline: "aggregate-baseline", Run: aggregateTask(aggregate.TwoLevel),
-		Description: "group-by count with two-level (rack-combining) aggregation"},
+	{Name: "aggregate", Kind: TaskSingle, WantsDuplicates: true, Baseline: "aggregate-baseline", Run: aggregateTask(aggregate.Planned),
+		Description: "planned group-by count: prices rack combining, hashing, the combiner trees and a gather, runs the cheapest"},
 	{Name: "aggregate-baseline", Kind: TaskSingle, WantsDuplicates: true, Run: aggregateTask(aggregate.Hash),
-		Description: "group-by count with single-round uniform hashing"},
+		Description: "group-by count with single-round hashing to homes weighted by group count"},
 	{Name: "cartesian", Kind: TaskPair, WantsEqualPair: true, Run: cartesianTask,
 		Description: "cartesian product R × S (§4 protocols, chosen by topology and sizes)"},
 	{Name: "cc", Kind: TaskGraph, Baseline: "cc-flat", Run: graphTask(graph.CC),

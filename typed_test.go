@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"topompc"
+	"topompc/internal/core/aggregate"
 	"topompc/internal/netsim"
 )
 
@@ -61,7 +62,8 @@ func outcome(res any, err error) (typedOutcome, error) {
 }
 
 // typedCalls maps every row of the task table to the typed Cluster method
-// that runs the same protocol.
+// that runs the same protocol; agg-tree2 and agg-aware-flat, which have no
+// method, call their entry points through the same typed pipeline.
 var typedCalls = map[string]func(c *topompc.Cluster, ti typedInput) (typedOutcome, error){
 	"intersect": func(c *topompc.Cluster, ti typedInput) (typedOutcome, error) {
 		return outcome(c.Intersect(ti.in.R, ti.in.S, ti.in.Seed))
@@ -96,14 +98,11 @@ var typedCalls = map[string]func(c *topompc.Cluster, ti typedInput) (typedOutcom
 	"aggregate-baseline": func(c *topompc.Cluster, ti typedInput) (typedOutcome, error) {
 		return outcome(c.AggregateBaseline(ti.groups, ti.in.Seed))
 	},
-	"agg-aware": func(c *topompc.Cluster, ti typedInput) (typedOutcome, error) {
-		return outcome(c.AggregateAware(ti.groups, ti.in.Seed))
-	},
 	"agg-aware-flat": func(c *topompc.Cluster, ti typedInput) (typedOutcome, error) {
-		return outcome(c.AggregateAwareBaseline(ti.groups, ti.in.Seed))
+		return outcome(c.AggregateWith(ti.groups, ti.in.Seed, aggregate.HashFlat))
 	},
 	"agg-tree2": func(c *topompc.Cluster, ti typedInput) (typedOutcome, error) {
-		return outcome(c.AggregateMultiLevel(ti.groups, ti.in.Seed))
+		return outcome(c.AggregateWith(ti.groups, ti.in.Seed, aggregate.CombinerTree))
 	},
 	"triangle": func(c *topompc.Cluster, ti typedInput) (typedOutcome, error) {
 		return outcome(c.TriangleJoin(ti.rels[0], ti.rels[1], ti.rels[2], ti.in.Seed))
