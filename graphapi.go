@@ -26,11 +26,15 @@ type ComponentsResult struct {
 	// Forest holds the spanning-forest witness edges (SpanningForest
 	// only).
 	Forest []GraphEdge
-	// Phases is the number of label-contraction phases executed.
+	// Phases is the number of label-contraction phases executed, 0 when
+	// the gather ran.
 	Phases int
 	// Strategy identifies the protocol path: "flat", "aware" (capacity
-	// homes, direct delivery), or "aware+combine×L" with L the number of
-	// hierarchy levels whose blocks merge label exchanges.
+	// homes, direct delivery), "aware+combine×L" with L the number of
+	// hierarchy levels whose blocks merge label exchanges, or "gather"
+	// (ConnectedComponents and SpanningForest: every edge sent to the one
+	// node where that costs least, when the contraction's first phase
+	// already costs as much).
 	Strategy string
 	// Cost is the execution cost against the per-cut connectivity bound,
 	// lowerbound.Spanning over each vertex's holders: a cost floor for
@@ -82,8 +86,8 @@ func (c *Cluster) graphWith(edges [][]GraphEdge, seed uint64, run graphProtocol)
 	res, lb, err := verified(c, func(opts ...netsim.Option) (*graph.Result, error) {
 		return run(c.t, edges, seed, opts...)
 	}, func() (*graph.Ref, float64) {
-		ref := graph.Reference(edges)
-		return ref, lowerbound.Spanning(c.t, ref.VertexSpread(c.t)).Value
+		ref, spread := graph.ReferenceSpread(c.t, edges)
+		return ref, lowerbound.Spanning(c.t, spread).Value
 	}, graph.Verify)
 	if err != nil {
 		return nil, err

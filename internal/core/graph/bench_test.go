@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"topompc/internal/dataset"
+	"topompc/internal/lowerbound"
 	"topompc/internal/netsim"
 	"topompc/internal/topology"
 )
@@ -31,7 +32,7 @@ func BenchmarkCCContraction(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := CC(tr, edges, 42); err != nil {
+		if _, err := ccContraction(tr, edges, 42); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -44,7 +45,7 @@ func BenchmarkCCContraction100k(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := CC(tr, edges, 42); err != nil {
+		if _, err := ccContraction(tr, edges, 42); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -57,7 +58,7 @@ func BenchmarkSpanningForest100k(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := SpanningForest(tr, edges, 42); err != nil {
+		if _, err := forestContraction(tr, edges, 42); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -144,7 +145,7 @@ func TestCCAllocRegression(t *testing.T) {
 		return testing.AllocsPerRun(3, fn)
 	}
 	indexed := measure(func() {
-		if _, err := CC(tr, edges, 42); err != nil {
+		if _, err := ccContraction(tr, edges, 42); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -158,3 +159,52 @@ func TestCCAllocRegression(t *testing.T) {
 		t.Errorf("int-indexed contraction allocates %.0f/run, want < half of map baseline (%.0f/run)", indexed, maps)
 	}
 }
+
+// caterpillarInput is the dataplane-wide benchmark workload's connectivity
+// input: a graded caterpillar of 25,000 spine links (a router path whose
+// bandwidths repeat 1..7, one compute leaf at leg 4 per router) with
+// G(5·10⁴, 4/n) dealt round-robin over its compute nodes.
+func caterpillarInput(b *testing.B) (*topology.Tree, Placement) {
+	b.Helper()
+	spine := make([]float64, 25_000)
+	for i := range spine {
+		spine[i] = 1 + float64(i%7)
+	}
+	tr, err := topology.Caterpillar(spine, 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	packed, err := dataset.GNP(rand.New(rand.NewSource(1)), 50_000, 4.0/50_000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return tr, placeEdges(packed, tr.NumCompute())
+}
+
+// BenchmarkCCCaterpillar is cc on the dataplane-wide input, two workers.
+func BenchmarkCCCaterpillar(b *testing.B) {
+	tr, edges := caterpillarInput(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := CC(tr, edges, 1, netsim.WithWorkers(2)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSideLane is the checker lane beside a verified connectivity run
+// at graph-dense size: the union-find reference with its vertex holder
+// lists (ReferenceSpread) and the per-cut bound over them.
+func BenchmarkSideLane(b *testing.B) {
+	tr, edges := denseInput(b, 100_000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, spread := ReferenceSpread(tr, edges)
+		boundSink = lowerbound.Spanning(tr, spread).Value
+	}
+}
+
+// boundSink keeps BenchmarkSideLane's result live.
+var boundSink float64

@@ -39,9 +39,11 @@ var (
 )
 
 // CC computes connected components with the topology-aware protocol:
-// capacity-weighted vertex homes and per-cut combining of label updates.
+// capacity-weighted vertex homes and per-cut combining of label updates,
+// or the one-round gather at the cheapest node once the contraction's
+// phase 1 costs as much (gather.go).
 func CC(t *topology.Tree, edges Placement, seed uint64, opts ...netsim.Option) (*Result, error) {
-	return contract(t, edges, seed, variant{aware: true}, opts)
+	return contract(t, edges, seed, variant{aware: true, gather: true}, opts)
 }
 
 // CCFlat is the topology-oblivious baseline: uniform vertex homes and
@@ -52,9 +54,11 @@ func CCFlat(t *topology.Tree, edges Placement, seed uint64, opts ...netsim.Optio
 
 // SpanningForest runs the topology-aware protocol with witness tracking:
 // every hooking records the original graph edge that joined the two
-// components, and the union of witnesses is a spanning forest.
+// components, and the union of witnesses is a spanning forest. Like CC it
+// gathers instead once the contraction's phase 1 costs as much, and then
+// the witnesses are the gathered edges that joined two components.
 func SpanningForest(t *topology.Tree, edges Placement, seed uint64, opts ...netsim.Option) (*Result, error) {
-	return contract(t, edges, seed, variant{aware: true, witness: true}, opts)
+	return contract(t, edges, seed, variant{aware: true, witness: true, gather: true}, opts)
 }
 
 // CCFast computes connected components with budgeted graph exponentiation
@@ -82,6 +86,10 @@ type variant struct {
 	// offers the least label of its locally known component, which may lie
 	// several edges away.
 	witness bool
+	// gather weighs the contraction against a one-round gather of every
+	// edge at one node (gather.go) during phase 1, and runs the gather once
+	// phase 1 costs at least as much.
+	gather bool
 	// expand runs expanding phases (ccfast.go): a phase learns its proposals
 	// from one adjacency round and capped doubling rounds, and its roots
 	// are pushed to the nodes that round subscribed. Otherwise phases are
@@ -103,6 +111,14 @@ type variant struct {
 // In both kinds phase 1's first sweep also registers the vertices: a home
 // enrolls a label when the first message naming it arrives, so no round is
 // spent on registration alone.
+//
+// With v.gather the contraction is weighed against the gather (gather.go):
+// phase 1 runs as a netsim.Probe against the gather's price, asked before
+// each of its steps — propose sweep, jump, answer, relabel — and before its
+// first round. The contraction costs at least its phase 1, so once that
+// reaches the gather's price the gather is no dearer than the whole
+// contraction: the probe's rounds are dropped and the gather runs. Otherwise
+// the probe is kept and the contraction goes on, having done nothing extra.
 func contract(tr *topology.Tree, edges Placement, seed uint64, v variant, opts []netsim.Option) (*Result, error) {
 	pr, err := newProto(tr, edges, seed, v, opts)
 	if err != nil {
@@ -117,6 +133,17 @@ func contract(tr *topology.Tree, edges Placement, seed uint64, v variant, opts [
 		strategy = fmt.Sprintf("aware+combine×%d", len(pr.steps))
 	case v.aware:
 		strategy = "aware"
+	}
+	var probe *netsim.Probe
+	var gp gatherPlan
+	if v.gather {
+		gp = priceGather(tr, edges)
+		probe = pr.e.Probe(strategy, gp.candidate(pr, edges), gp.cost, gp.edge)
+	}
+	// beaten asks the open probe; once it is beaten the gather has run.
+	beaten := func() bool { return probe != nil && probe.Beaten() }
+	if beaten() {
+		return pr.gathered(gp.g, edges), nil
 	}
 	mx := pr.e.Metrics()
 	var mActive *obs.Histogram // nil (a no-op) on expanding runs, which never reported it
@@ -151,6 +178,9 @@ func contract(tr *topology.Tree, edges Placement, seed uint64, v variant, opts [
 			// adjacency round registers every vertex.
 			if phases == 0 {
 				pr.propose()
+				if beaten() {
+					return pr.gathered(gp.g, edges), nil
+				}
 			}
 			break
 		}
@@ -159,8 +189,6 @@ func contract(tr *topology.Tree, edges Placement, seed uint64, v variant, opts [
 		}
 		phases++
 		pr.phase = int32(phases)
-		mPhases.Inc()
-		mActive.Observe(float64(act))
 		var sp obs.Span
 		if tc != nil {
 			sp = obs.Begin(tc, phaseTid, fmt.Sprintf(span, phases), "graph.phase")
@@ -170,17 +198,33 @@ func contract(tr *topology.Tree, edges Placement, seed uint64, v variant, opts [
 		} else {
 			pr.propose()
 		}
+		if beaten() {
+			return pr.gathered(gp.g, edges), nil
+		}
 		if err := pr.jump(pr.hook()); err != nil {
 			return nil, err
+		}
+		if beaten() {
+			return pr.gathered(gp.g, edges), nil
 		}
 		if v.expand {
 			pr.pushRoots()
 		} else if err := pr.answer(); err != nil {
 			return nil, err
 		}
+		if beaten() {
+			return pr.gathered(gp.g, edges), nil
+		}
+		if probe != nil {
+			// Relabel sends nothing: phase 1 is priced whole.
+			probe.Keep()
+			probe = nil
+		}
 		if err := pr.relabel(); err != nil {
 			return nil, err
 		}
+		mPhases.Inc()
+		mActive.Observe(float64(act))
 		if tc != nil {
 			args := map[string]any{"phase": phases, "active_edges": act}
 			if v.expand {
@@ -188,6 +232,9 @@ func contract(tr *topology.Tree, edges Placement, seed uint64, v variant, opts [
 			}
 			sp.End(args)
 		}
+	}
+	if probe != nil {
+		probe.Keep()
 	}
 	return pr.assemble(phases, strategy), nil
 }
@@ -476,11 +523,13 @@ func (ws *collectScratch) find(st, x int32) int32 {
 }
 
 // union joins the sets of a and b in epoch st, the larger root linked
-// under the smaller.
-func (ws *collectScratch) union(st, a, b int32) {
-	if ra, rb := ws.find(st, a), ws.find(st, b); ra != rb {
+// under the smaller, and reports whether they were two sets.
+func (ws *collectScratch) union(st, a, b int32) bool {
+	ra, rb := ws.find(st, a), ws.find(st, b)
+	if ra != rb {
 		ws.up[max(ra, rb)] = uint64(uint32(st))<<32 | uint64(uint32(min(ra, rb)))
 	}
+	return ra != rb
 }
 
 // join folds the non-witness entry [a, b] into epoch st: a is a proposal
@@ -705,14 +754,20 @@ type proto struct {
 // sends. Execute copies every payload into the receiver inboxes before it
 // returns, so one arena per node suffices and each round reuses it.
 func (pr *proto) round(fn func(i int, out *netsim.Outbox)) {
+	x := pr.e.Exchange()
+	pr.plan(x, fn)
+	x.Execute()
+}
+
+// plan queues on x the round fn plans for each compute node, on payload
+// arenas emptied for it.
+func (pr *proto) plan(x *netsim.Exchange, fn func(i int, out *netsim.Outbox)) {
 	for i := range pr.arena {
 		pr.arena[i].buf = pr.arena[i].buf[:0]
 	}
-	x := pr.e.Exchange()
 	x.Plan(func(v topology.NodeID, out *netsim.Outbox) {
 		fn(int(pr.nodeIdx[v]), out)
 	})
-	x.Execute()
 }
 
 func (pr *proto) slab(i int) *payloadSlab { return &pr.arena[i] }

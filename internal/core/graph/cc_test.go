@@ -293,7 +293,7 @@ func TestCCScratchTrims(t *testing.T) {
 		run    func(*topology.Tree, Placement, uint64, ...netsim.Option) (*Result, error)
 		packed []uint64
 	}{
-		{"cc", CC, gnp}, {"spanforest", SpanningForest, path},
+		{"cc", ccContraction, gnp}, {"spanforest", forestContraction, path},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			witness := tc.name == "spanforest"
@@ -381,7 +381,7 @@ func TestPhaseRecorderSurface(t *testing.T) {
 		counters   []string
 		absent     []string
 	}{
-		{"cc", "boruvka phase %d", CC, []string{"active_edges", "phase"},
+		{"cc", "boruvka phase %d", ccContraction, []string{"active_edges", "phase"},
 			[]string{"graph.cc.phases", "graph.cc.active_edges.count"},
 			[]string{"graph.ccfast.phases", "graph.ccfast.doubling_rounds"}},
 		{"cc-fast", "expand phase %d", CCFast, []string{"active_edges", "doubling_rounds", "phase"},

@@ -79,15 +79,15 @@ func fuzzCCSeeds() [][]byte {
 	}
 }
 
-// FuzzCC holds the four connectivity variants to their contract on
-// byte-derived trees and multigraphs (self-loops, parallel edges, isolated
-// vertices, empty holders): every variant passes Verify against the
-// union-find reference, every result and every round (cost included) is
-// the same at 1, 4 and 8 workers, spanforest's witnesses pass VerifyForest
-// at each, and the three Borůvka variants send what the map oracle
-// (runMaps, contracting for cc and cc-flat, min-neighbor for spanforest)
-// sends, round for round: messages, elements, cost and the per-edge,
-// per-node tallies. The
+// FuzzCC holds the four connectivity variants, and the contractions of cc
+// and spanforest run alone, to their contract on byte-derived trees and
+// multigraphs (self-loops, parallel edges, isolated vertices, empty
+// holders): every variant passes Verify against the union-find reference,
+// every result and every round (cost included) is the same at 1, 4 and 8
+// workers, spanforest's witnesses pass VerifyForest at each, and the three
+// Borůvka contractions send what the map oracle (runMaps, contracting for
+// cc and cc-flat, min-neighbor for spanforest) sends, round for round:
+// messages, elements, cost and the per-edge, per-node tallies. The
 // oracle decodes every answer by position against the queries it kept, and
 // checkAnswers decodes the Borůvka variants' own jump replies and direct
 // lookup answers the same way.
@@ -107,9 +107,11 @@ func FuzzCC(f *testing.F) {
 			aware, witness bool
 			boruvka        bool
 		}{
-			{"cc", CC, true, false, true},
+			{"cc", CC, true, false, false},
+			{"cc contraction", ccContraction, true, false, true},
 			{"cc-flat", CCFlat, false, false, true},
-			{"spanforest", SpanningForest, true, true, true},
+			{"spanforest", SpanningForest, true, true, false},
+			{"spanforest contraction", forestContraction, true, true, true},
 			{"cc-fast", CCFast, true, false, false},
 		} {
 			one, err := v.run(tr, pl, seed, netsim.WithWorkers(1))

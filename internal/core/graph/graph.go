@@ -50,7 +50,8 @@
 // The flat baseline hashes vertices uniformly and sends every update
 // directly, as on a flat network. CC, CCFlat, SpanningForest and CCFast
 // are four variants of one contraction loop (contract, cc.go): they choose
-// the homes, whether hookings record a witness edge, and the phase kind —
+// the homes, whether hookings record a witness edge, whether a gather is
+// weighed against the contraction, and the phase kind —
 // Borůvka's, above, or the expanding phases of ccfast.go, which learn
 // multi-hop neighborhoods by budgeted doubling before they hook. An
 // expanding phase seeds a bounded known-set per label with one adjacency
@@ -58,6 +59,17 @@
 // proposes each set's minimum, and pushes the roots straight back to the
 // nodes the adjacency round subscribed; with no doubling round it proposes
 // each label's least neighbor, what a SpanningForest phase proposes.
+//
+// CC and SpanningForest are planned (gather.go): the contraction is
+// weighed against a gather, one round in which every holder sends its
+// edges, two words each, to the compute node g where that costs least, and
+// g runs one union-find, keeping for SpanningForest the edges that join two
+// sets as the forest. The gather is priced ahead by one O(V) rerooting
+// sweep; the contraction's phase 1 runs as a netsim.Probe against that
+// price and, once it costs as much, its rounds are dropped and the gather
+// runs, every vertex homed at g. The contraction costs at least its phase
+// 1, so the pick is never the dearer plan. CCFlat stays the flat
+// baseline, and CCFast runs no gather.
 //
 // CCFast is the benchmark's alone (bench/, the graph-dense workload calls
 // it directly): it is no task of the root package's table and no Cluster
@@ -78,9 +90,10 @@
 // the chain to the holder of its edge. All are verified against the
 // union-find reference (component count + canonical-label checksum), and
 // are measured against the per-cut bound lowerbound.Spanning over vertex
-// holders (Ref.VertexSpread), a cost floor for these variants that
-// dominates its term over component holders (Ref.Spread) on every edge
-// (the lowerbound.Spanning doc gives the argument and its scope). No
+// holders (ReferenceSpread), a cost floor for these variants, the gather
+// included, that dominates its term over component holders (Ref.Spread) on
+// every edge (the lowerbound.Spanning doc gives the argument and its
+// scope). No
 // optimality theorem is claimed — topology-aware graph connectivity is
 // open.
 package graph
@@ -127,6 +140,7 @@ const (
 	tagRoots                            // answer to one proposal or need message, home → sender or combiner → member, in its label order: [root, ...]; spanforest's answer to a proposal message leads with its won bitmap (⌈n/64⌉ words), as tagJumpA with its resolved one
 	tagAdj                              // cc-fast adjacency: packed [a<<32|b, ...]
 	tagKnow                             // cc-fast known-set push: packed [u<<32|x, ...]
+	tagEdge                             // gathered edges, holder → gathering node: [u, v, ...]
 )
 
 // Result of a connectivity protocol run.
@@ -143,13 +157,15 @@ type Result struct {
 	// Forest holds the spanning-forest witness edges (one per hooking),
 	// nil unless the run requested witnesses.
 	Forest []Edge
-	// Phases is the number of contraction phases executed.
+	// Phases is the number of contraction phases executed, 0 when the
+	// gather ran.
 	Phases int
 	// Strategy identifies the protocol path: "flat", "aware" (capacity
 	// homes, direct delivery), "aware+combine×L" with L the number of
-	// hierarchy levels whose blocks combine the label exchanges, or "fast"
-	// (CCFast, which only the benchmark runs: capacity homes, expanding
-	// phases).
+	// hierarchy levels whose blocks combine the label exchanges, "gather"
+	// (CC and SpanningForest: every edge sent to one node, which labels
+	// every vertex) or "fast" (CCFast, which only the benchmark runs:
+	// capacity homes, expanding phases).
 	Strategy string
 	// Report is the cost accounting.
 	Report *netsim.Report

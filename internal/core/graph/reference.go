@@ -18,8 +18,10 @@ import (
 // appearance in the input, and union-find runs over those indices, each
 // root keeping the smallest id of its set, so one pass over the edges
 // leaves every vertex pointing at its component's canonical label. The
-// forest check and the spread bound's holder lists resolve ids through the
-// same table; the holder lists drop repeats with one stamp per component.
+// forest check and the component spread's holder lists resolve ids through
+// the same table, and drop repeats with one stamp per component;
+// ReferenceSpread reads the vertex holder lists off the indices its pass
+// resolves.
 type Ref struct {
 	// Count is the number of connected components.
 	Count int64
@@ -109,11 +111,26 @@ func (r *Ref) grow() {
 // Reference computes components, canonical min-labels, and the labeling
 // checksum centrally with union-find, in time linear in the input.
 func Reference(edges Placement) *Ref {
+	r, _ := reference(edges, false)
+	return r
+}
+
+// reference is Reference's one pass over the edges; with keep it also
+// returns both ends of every edge as indices, in input order.
+func reference(edges Placement, keep bool) (*Ref, []int32) {
 	r := &Ref{slot: make([]int32, 16), edges: edges}
+	var ends []int32
+	if keep {
+		ends = make([]int32, 0, 2*edges.NumEdges())
+	}
 	for _, frag := range edges {
 		for _, e := range frag {
-			if u, v := r.insert(e.U), r.insert(e.V); u != v {
+			u, v := r.insert(e.U), r.insert(e.V)
+			if u != v {
 				r.union(r.root, u, v)
+			}
+			if keep {
+				ends = append(ends, u, v)
 			}
 		}
 	}
@@ -125,7 +142,7 @@ func Reference(edges Placement) *Ref {
 		}
 		r.Checksum += hashing.Mix64(r.ids[k] + hashing.Mix64(r.ids[l]))
 	}
-	return r
+	return r, ends
 }
 
 // Verify checks a protocol run against the reference answer: component
@@ -257,41 +274,44 @@ func (r *Ref) Spread(t *topology.Tree) [][]topology.NodeID {
 	return out
 }
 
-// VertexSpread reports, for every vertex in first-seen order, the compute
+// ReferenceSpread is Reference(edges) together with the holder lists of
+// the connectivity bound: for every vertex in first-seen order, the compute
 // nodes holding at least one of its incident input edges, ascending. The
-// node lists feed the connectivity bound (lowerbound.Spanning charges each
-// vertex's Steiner tree over its nodes), which dominates Spread's
-// component term on every edge.
+// lists feed lowerbound.Spanning, which charges each vertex's Steiner tree
+// over its nodes and so dominates Spread's component term on every edge.
 //
-// One lookup per endpoint lists, holder by holder, the vertices each
-// holder names, each once (a stamp per vertex of the last holder that
-// named it); the lists are then laid out back to back in one array, so a
-// call allocates a fixed handful of arrays however many vertices there are.
-func (r *Ref) VertexSpread(t *topology.Tree) [][]topology.NodeID {
+// The reference's pass keeps both ends of every edge as the indices it
+// resolved them to, so no id is looked up twice. Holder by holder, the
+// indices are compacted in place to the vertices the holder names, each
+// once (a stamp per vertex of the last holder that named it); the lists
+// are then laid out back to back in one array, so a call allocates a fixed
+// handful of arrays however many vertices there are.
+func ReferenceSpread(t *topology.Tree, edges Placement) (*Ref, [][]topology.NodeID) {
+	r, named := reference(edges, true)
 	nodes := t.ComputeNodes()
 	stamp := make([]int32, len(r.ids))
 	off := make([]int32, len(r.ids)+1) // holders per vertex, then list offsets
-	var named []int32                  // per holder, the vertices it names
-	ends := make([]int, len(r.edges))  // where each holder's run of named ends
-	for i, frag := range r.edges {
-		for _, e := range frag {
-			for _, x := range [2]uint64{e.U, e.V} {
-				if k := r.lookup(x); stamp[k] != int32(i+1) {
-					stamp[k] = int32(i + 1)
-					off[k+1]++
-					named = append(named, k)
-				}
+	ends := make([]int, len(edges))    // where each holder's run of named ends
+	n, lo := 0, 0
+	for i, frag := range edges {
+		for _, k := range named[lo : lo+2*len(frag)] {
+			if stamp[k] != int32(i+1) {
+				stamp[k] = int32(i + 1)
+				off[k+1]++
+				named[n] = k
+				n++
 			}
 		}
-		ends[i] = len(named)
+		lo += 2 * len(frag)
+		ends[i] = n
 	}
 	for k := range r.ids {
 		off[k+1] += off[k]
 	}
-	flat := make([]topology.NodeID, len(named))
+	flat := make([]topology.NodeID, n)
 	next := stamp // the stamps are done with: each list's fill position
 	copy(next, off)
-	lo := 0
+	lo = 0
 	for i, end := range ends {
 		for _, k := range named[lo:end] {
 			flat[next[k]] = nodes[i]
@@ -303,7 +323,7 @@ func (r *Ref) VertexSpread(t *topology.Tree) [][]topology.NodeID {
 	for k := range out {
 		out[k] = flat[off[k]:off[k+1]:off[k+1]]
 	}
-	return out
+	return r, out
 }
 
 // ComponentSpread is Reference(edges).Spread(t): per connected component,

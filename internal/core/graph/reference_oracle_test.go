@@ -186,8 +186,8 @@ func vertexSpreadMaps(t *topology.Tree, edges Placement) map[uint64][]topology.N
 	return out
 }
 
-// byVertex keys VertexSpread's holder lists, which come in the reference's
-// first-seen order, by vertex id.
+// byVertex keys ReferenceSpread's holder lists, which come in the
+// reference's first-seen order, by vertex id.
 func byVertex(ref *Ref, spread [][]topology.NodeID) map[uint64][]topology.NodeID {
 	out := make(map[uint64][]topology.NodeID, len(spread))
 	for k, nodes := range spread {
@@ -220,7 +220,7 @@ func oracleForest(edges Placement) []Edge {
 // checkAgainstOracle holds Reference to the sorted oracle on one input:
 // the same count, checksum and labels; the checksum is Checksum of the
 // labels; the spread and the vertex spread over tr equal the nested-map
-// ones; a
+// ones, and ReferenceSpread's reference is Reference's; a
 // spanning forest of input edges passes VerifyForest and, with one end
 // swapped for an id outside the input, names the unknown vertex.
 func checkAgainstOracle(t *testing.T, name string, tr *topology.Tree, pl Placement) {
@@ -237,7 +237,11 @@ func checkAgainstOracle(t *testing.T, name string, tr *topology.Tree, pl Placeme
 	if got, want := ref.Spread(tr), componentSpreadMaps(tr, pl); !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: spread %v, nested maps %v", name, got, want)
 	}
-	if got, want := byVertex(ref, ref.VertexSpread(tr)), vertexSpreadMaps(tr, pl); !reflect.DeepEqual(got, want) {
+	sref, vs := ReferenceSpread(tr, pl)
+	if sref.Count != ref.Count || sref.Checksum != ref.Checksum || !slices.Equal(sref.ids, ref.ids) {
+		t.Fatalf("%s: ReferenceSpread's reference differs from Reference's", name)
+	}
+	if got, want := byVertex(ref, vs), vertexSpreadMaps(tr, pl); !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: vertex spread %v, nested maps %v", name, got, want)
 	}
 	forest := oracleForest(pl)
@@ -304,7 +308,7 @@ func TestReferenceMatchesSortedOracle(t *testing.T) {
 
 // TestSpreadMatchesNestedMaps pins the spread bound: on every topotest shape,
 // with the edges placed uniformly and Zipf(1.2), Spread returns the
-// nested-map holder lists, in the same order, and VertexSpread each
+// nested-map holder lists, in the same order, and ReferenceSpread each
 // vertex's, and lowerbound.Spanning the same Bound on either.
 func TestSpreadMatchesNestedMaps(t *testing.T) {
 	for i := 0; i < 2*topotest.NumShapes; i++ {
@@ -349,8 +353,8 @@ func TestSpreadMatchesNestedMaps(t *testing.T) {
 			if a, b := lowerbound.Spanning(tr, got), lowerbound.Spanning(tr, want); !reflect.DeepEqual(a, b) {
 				t.Fatalf("%s: bound %+v, nested-map bound %+v", label, a, b)
 			}
-			ref := Reference(pl)
-			vs, wantVS := ref.VertexSpread(tr), vertexSpreadMaps(tr, pl)
+			ref, vs := ReferenceSpread(tr, pl)
+			wantVS := vertexSpreadMaps(tr, pl)
 			if got := byVertex(ref, vs); !reflect.DeepEqual(got, wantVS) {
 				t.Fatalf("%s: vertex spread %v, nested maps %v", label, got, wantVS)
 			}
@@ -394,7 +398,7 @@ func fuzzCorpus(f *testing.F, target string) [][]byte {
 	return out
 }
 
-// FuzzReference holds Reference, Spread, VertexSpread and VerifyForest to
+// FuzzReference holds Reference, Spread, ReferenceSpread and VerifyForest to
 // the sorted oracle (checkAgainstOracle) on FuzzCC's byte-derived trees
 // and multigraphs, seeded from FuzzCC's seeds and checked-in corpus.
 func FuzzReference(f *testing.F) {

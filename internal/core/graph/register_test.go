@@ -92,9 +92,9 @@ func TestFirstSweepRegisters(t *testing.T) {
 		run  func(*topology.Tree, Placement, uint64, ...netsim.Option) (*Result, error)
 		v    variant
 	}{
-		{"cc", CC, variant{aware: true}},
+		{"cc", ccContraction, variant{aware: true}},
 		{"cc-flat", CCFlat, variant{}},
-		{"spanforest", SpanningForest, variant{aware: true, witness: true}},
+		{"spanforest", forestContraction, variant{aware: true, witness: true}},
 	}
 	for shape := 0; shape < topotest.NumShapes; shape++ {
 		rng := rand.New(rand.NewSource(int64(500 + shape)))

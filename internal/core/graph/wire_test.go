@@ -31,7 +31,7 @@ func checkWitnessWire(t *testing.T, name string, tr *topology.Tree, pl Placement
 	if err != nil {
 		t.Fatalf("%s: min-neighbor cc: %v", name, err)
 	}
-	want, err := SpanningForest(tr, pl, seed)
+	want, err := forestContraction(tr, pl, seed)
 	if err != nil {
 		t.Fatalf("%s: spanforest: %v", name, err)
 	}
@@ -177,12 +177,14 @@ func goldenSpanforestInput(t *testing.T, topo, place string, p int) (Placement, 
 	return pl, seed
 }
 
-// TestSpanForestWireIsCCWire holds spanforest's wire to cc's under the
-// min-neighbor offer rule plus the won bitmaps (checkWitnessWire) on every
-// golden fixture — each rebuilt input pinned to its row of the module's
-// testdata/golden_costs.json, so the rebuild cannot drift from the grid —
-// on every topotest shape, and on the two-level combining fixture whose
-// answers carry bitmaps of several words.
+// TestSpanForestWireIsCCWire holds spanforest's contraction wire to cc's
+// under the min-neighbor offer rule plus the won bitmaps (checkWitnessWire)
+// on every golden fixture — each rebuilt input pinned, through the planned
+// SpanningForest, to its row of the module's testdata/golden_costs.json,
+// so the rebuild cannot drift from the grid, and where the planner keeps
+// the contraction that row is the contraction's — on every topotest shape,
+// and on the two-level combining fixture whose answers carry bitmaps of
+// several words.
 func TestSpanForestWireIsCCWire(t *testing.T) {
 	raw, err := os.ReadFile(filepath.Join("..", "..", "..", "testdata", "golden_costs.json"))
 	if err != nil {
@@ -201,8 +203,15 @@ func TestSpanForestWireIsCCWire(t *testing.T) {
 			key := fmt.Sprintf("spanforest/%s/%s", nt.name, place)
 			pl, seed := goldenSpanforestInput(t, nt.name, place, nt.tree.NumCompute())
 			res := checkWitnessWire(t, key, nt.tree, pl, seed)
+			planned, err := SpanningForest(nt.tree, pl, seed)
+			if err != nil {
+				t.Fatalf("%s: %v", key, err)
+			}
+			if planned.Strategy != "gather" && serializeReport(planned.Report) != serializeReport(res.Report) {
+				t.Fatalf("%s: the planned run kept the contraction but differs from it", key)
+			}
 			g, ok := golden[key]
-			rep := res.Report
+			rep := planned.Report
 			if !ok || rep.NumRounds() != g.Rounds || rep.TotalElements() != g.Elements ||
 				math.Abs(rep.TotalCost()-g.Cost) > 1e-9*g.Cost {
 				t.Fatalf("%s: rebuilt input runs %d rounds, %d elements, cost %v; the golden row is %+v",

@@ -3,8 +3,9 @@ package exper
 // Graph-processing extension experiments, beyond the paper and toward the MPC
 // connectivity line (Andoni et al. 2018; Behnezhad et al. 2019), across the
 // topology zoo × graph families. X5: topology-aware connected components
-// (capacity-weighted vertex homes + per-cut combining of label updates)
-// against the flat baseline, measured against the per-cut information bound.
+// (capacity-weighted vertex homes + per-cut combining of label updates, or
+// the one-round gather it is weighed against) against the flat baseline,
+// measured against the per-cut information bound.
 
 func runX5(seed uint64) ([]Table, error) {
 	families, err := graphZoo(seed)
@@ -12,7 +13,8 @@ func runX5(seed uint64) ([]Table, error) {
 		return nil, err
 	}
 	table := newTable("X5: connected components, aware vs flat label contraction",
-		"Aware: vertices homed by bandwidth capacity, label updates combined per weak cut; "+
+		"Aware: vertices homed by bandwidth capacity, label updates combined per weak cut, "+
+			"or every edge gathered at one node in one round (0 phases) where that costs no more than the contraction's phase 1; "+
 			"flat: uniform homes, direct delivery. CLB = per-cut connectivity bound, "+
 			spanningBoundName+" over vertex holders (it dominates the component term); "+
 			"labelings verified against union-find on every run.",

@@ -7,7 +7,7 @@ import (
 // Spanning is the per-cut bound of every task in which a set of nodes must
 // come to agree on one item: a group-by total (aggregate.GroupHolders), a
 // connected component's label (graph.ComponentSpread) or a vertex's
-// (graph.Ref.VertexSpread).
+// (graph.ReferenceSpread).
 //
 // occupants[g] lists the nodes holding input of item g. Fix a tree edge e.
 // Every group with occupants on both sides of the cut forces at least one
@@ -26,7 +26,7 @@ import (
 // the model where a partial aggregate is one element; for connectivity its
 // scope is narrower, as follows.
 //
-// Connectivity reports the vertex term (graph.Ref.VertexSpread): one unit
+// Connectivity reports the vertex term (graph.ReferenceSpread): one unit
 // per vertex whose incident edges are held on both sides of e. It
 // dominates the component term (graph.Ref.Spread, one unit per component
 // whose holders straddle e, so one giant component charges 1/w_e) on
@@ -35,12 +35,17 @@ import (
 // different vertices. With constant 1 the vertex term is
 //
 //   - a cost floor for the connectivity tasks (graph.CC, CCFlat and
-//     SpanningForest, whose wire carries one id per word). Phase 1 names
-//     every vertex at every holder of it — as the label of a proposal, or
-//     as a vertex entry when only self-loops name it there — and the name
-//     travels towards the vertex's one home. A vertex held on both sides of e is
-//     therefore named across e at least once, one label word, and the cost
-//     Σ_i max_e |Y_i(e)|/w_e is at least max_e Σ_i |Y_i(e)|/w_e.
+//     SpanningForest, whose wire carries one id per word). The
+//     contraction's phase 1 names every vertex at every holder of it — as
+//     the label of a proposal, or as a vertex entry when only self-loops
+//     name it there — and the name travels towards the vertex's one home.
+//     A vertex held on both sides of e is therefore named across e at
+//     least once, one label word, and the cost Σ_i max_e |Y_i(e)|/w_e is at
+//     least max_e Σ_i |Y_i(e)|/w_e. The gather that CC and SpanningForest
+//     weigh against the contraction sends every edge to one node g: a
+//     vertex held on both sides of e has an incident edge held on g's far
+//     side, which crosses e, and one edge, 2 words, covers at most its two
+//     ends, so at least as many words as such vertices cross e.
 //   - a lower bound for every algorithm only as a worst case over
 //     placements with the same per-cut statistics, not per instance: two
 //     nodes holding the same duplicate edge can both label it without

@@ -43,6 +43,9 @@
 // drops the plan. RunCheapest is where every planned protocol decides: it
 // prices each candidate plan's rounds so on the actual instance, sums them,
 // and runs the cheapest on the same engine under one tie rule.
+// A plan whose rounds depend on what earlier rounds deliver cannot be priced
+// so; Probe runs it against one that was, and drops its rounds for the other
+// once they cost at least that price.
 //
 // Every fork — Plan's per-node callbacks, the two walks, and the protocol
 // kernels' per-home compute (Engine.Pool) — goes through internal/par on
@@ -259,6 +262,8 @@ type Engine struct {
 	// counts are reused round over round.
 	ex Exchange
 
+	probe *Probe // the open probe, whose rounds the recorder has not seen
+
 	totEdge   []int64 // cumulative per-edge elements, by EdgeID
 	totSent   []int64 // cumulative per-node elements sent, by NodeID
 	totRecv   []int64 // cumulative per-node elements received, by NodeID
@@ -302,7 +307,8 @@ func WithLeanStats() Option {
 // WithTracer attaches a trace sink: the engine allocates one lane and
 // emits a complete event per committed round carrying the round's cost,
 // bottleneck edge, and volume, and a netsim.plan instant event for every
-// decision RunCheapest prices. A nil tracer leaves tracing disabled.
+// decision RunCheapest prices or a Probe settles. A nil tracer leaves
+// tracing disabled.
 func WithTracer(tr obs.Tracer) Option {
 	return func(e *Engine) { e.tracer = tr }
 }
@@ -352,8 +358,26 @@ func (e *Engine) Metrics() *obs.Registry { return e.metrics }
 
 // recordRound feeds the flight recorder once a round's statistics are
 // final: metric updates plus one complete trace event on the engine's
-// lane spanning open-to-accounted.
+// lane spanning open-to-accounted. A probe's round waits for the probe to
+// settle (Probe.Keep).
 func (e *Engine) recordRound(rd *RoundStats, t0 float64) {
+	if e.tracer == nil && e.metrics == nil {
+		return
+	}
+	var t1 float64
+	if e.tracer != nil {
+		t1 = e.tracer.Now()
+	}
+	if e.probe != nil {
+		e.probe.held = append(e.probe.held, heldRound{rd: *rd, t0: t0, t1: t1})
+		return
+	}
+	e.emitRound(rd, t0, t1)
+}
+
+// emitRound records one committed round that opened at t0 and was
+// accounted at t1.
+func (e *Engine) emitRound(rd *RoundStats, t0, t1 float64) {
 	if e.metrics != nil {
 		e.mRounds.Inc()
 		e.mElems.Add(rd.Elements)
@@ -373,7 +397,7 @@ func (e *Engine) recordRound(rd *RoundStats, t0 float64) {
 	e.traceBottleneck(args, rd.BottleneckEdge)
 	e.tracer.Emit(obs.Event{
 		Name: "round", Cat: "netsim.round", Ph: obs.PhComplete,
-		Ts: t0, Dur: e.tracer.Now() - t0,
+		Ts: t0, Dur: t1 - t0,
 		Pid: obs.Pid, Tid: e.traceTid, Args: args,
 	})
 }
