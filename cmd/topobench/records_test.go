@@ -229,7 +229,7 @@ func TestBenchRecordsCheckNamesEachDifference(t *testing.T) {
 	docScale := scale
 	docScale.Records = slices.Clone(scale.Records)
 	docScale.Records[i].Rounds++
-	checkNamed(t, scaleDiffs(docScale, rerun), [][]string{{"cc-workers@100000/w2:", "rounds"}})
+	checkNamed(t, scaleDiffs(docScale, rerun), [][]string{{fmt.Sprintf("cc-workers@%d/w2:", scale.Records[i].Size), "rounds"}})
 }
 
 // checkNamed wants one problem per entry of want, holding all its parts.
@@ -280,5 +280,19 @@ func TestPairedSpeedupNeedsTheCPUs(t *testing.T) {
 	}
 	if got := pairedSpeedup("cc-workers", 8, 2, 2000, 0, &out); got != 0 {
 		t.Errorf("an untimed row: speedup %v, want none", got)
+	}
+}
+
+// TestContractProbeRefusesGather: a probe that must time the contraction
+// fails, naming itself, when graph.CC gathers instead — as it does on a
+// small graded caterpillar — and the same probe without the guard runs.
+func TestContractProbeRefusesGather(t *testing.T) {
+	pr := smokeProbe{name: "contract-guard", nodes: 200, n: 500, p: 4.0 / 500, contract: true}
+	if _, err := ccSmoke(pr, 42, 1, io.Discard); err == nil || !strings.Contains(err.Error(), "contract-guard: graph.CC gathered") {
+		t.Fatalf("guarded probe on a gathering input: err = %v", err)
+	}
+	pr.contract = false
+	if _, err := ccSmoke(pr, 42, 1, io.Discard); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -21,9 +21,10 @@ import (
 // The -scale mode records the data-plane performance trajectory in
 // BENCH_scale.json: steady-state exchange rounds and cc contraction at
 // 10⁴/10⁵ scale (ns/op, allocs/op, B/op), plus end-to-end graph.CC runs on
-// G(n,p) inputs over graded caterpillars (smokeProbes): the 10⁵-node
-// degree-4 smoke under an optional wall-clock budget, the degree-20 round
-// count at 10⁴, and the degree-20 worker sweep at 10⁵. -scale-big extends
+// G(n,p) inputs (smokeProbes): the 10⁵-node degree-4 smoke under an
+// optional wall-clock budget and the degree-20 round count at 10⁴, both
+// over graded caterpillars, and the degree-20 10⁵-vertex worker sweep over
+// graph-dense's fat tree, where the contraction runs. -scale-big extends
 // the sweep to the million-node data plane: a 10⁶-node graded caterpillar
 // build + placement (capacities + weak-cut hierarchy) benchmark, and a cc
 // run over a G(10⁶, 2·10⁻⁵) graph (≈10⁷ edges) end to end.
@@ -217,11 +218,16 @@ const (
 )
 
 // smokeProbe is one end-to-end cc probe of the scale sweep: graph.CC on a
-// G(n, p) input over a graded caterpillar of the given total node count.
+// G(n, p) input over a tree of the given total node count, a graded
+// caterpillar unless tree builds another.
 type smokeProbe struct {
 	name     string
 	nodes, n int
 	p        float64
+	tree     func() (*topology.Tree, error)
+	// contract fails the probe when graph.CC gathers instead of running
+	// the contraction.
+	contract bool
 	// heapBudget > 0 fails the probe when the post-GC live heap exceeds it.
 	heapBudget int64
 	// workers gives the worker counts of the probe's rows when the sweep
@@ -242,10 +248,14 @@ var smokeProbes = []smokeProbe{
 	// degree-20 G(n, p) of the acceptance benchmark at 10⁴. At 10⁵ the
 	// worker sweep below records them.
 	{name: "cc-rounds", nodes: 10_000, n: 10_000, p: 20.0 / 10_000},
-	// Multicore sweep: the degree-20 10⁵ fixture at workers {1, 2, top},
-	// every row paired against the workers=1 run so the Speedup column
-	// records the compute-plane scaling on this machine.
-	{name: "cc-workers", nodes: 100_000, n: 100_000, p: 20.0 / 100_000, workers: workerSweep},
+	// Multicore sweep: the degree-20 10⁵-vertex G(n, p) over graph-dense's
+	// fat tree (85 nodes, 64 leaves) at workers {1, 2, top}, every row
+	// paired against the workers=1 run so the Speedup column records the
+	// compute-plane scaling of the contraction on this machine. On a graded
+	// caterpillar graph.CC gathers instead, and the sweep would time phase
+	// 1's propose sweep and one serial union-find.
+	{name: "cc-workers", nodes: 85, n: 100_000, p: 20.0 / 100_000, workers: workerSweep, contract: true,
+		tree: func() (*topology.Tree, error) { return topology.FatTree(3, 4, 16, 0.25) }},
 	// ≈10⁷ edges: p·n(n−1)/2 with n = 10⁶, p = 2·10⁻⁵. The probe always
 	// records a workers=1 row; on a multicore machine a paired
 	// workers=min(8, top) row carries the end-to-end speedup.
@@ -266,7 +276,11 @@ func bigPair(maxW int) []int {
 // rounds, total cost, and the live heap after the run. workers > 0 pins
 // the compute-plane worker count (0 keeps the engine default).
 func ccSmoke(pr smokeProbe, seed uint64, workers int, stdout io.Writer) (scaleRecord, error) {
-	tr, err := gradedCaterpillar(pr.nodes / 2)
+	build := pr.tree
+	if build == nil {
+		build = func() (*topology.Tree, error) { return gradedCaterpillar(pr.nodes / 2) }
+	}
+	tr, err := build()
 	if err != nil {
 		return scaleRecord{}, err
 	}
@@ -303,6 +317,9 @@ func ccSmoke(pr smokeProbe, seed uint64, workers int, stdout io.Writer) (scaleRe
 	}
 	fmt.Fprintf(stdout, "%s%s %d-node topology, %d verts, %d edges: %v wall, %d rounds, cost %.0f, %d components, heap %d MB\n",
 		pr.name, wtag, pr.nodes, pr.n, ne, elapsed.Round(time.Millisecond), rec.Rounds, rec.Cost, res.Components, rec.HeapBytes>>20)
+	if pr.contract && res.Strategy == "gather" {
+		return rec, fmt.Errorf("%s: graph.CC gathered, so the probe does not time the contraction", pr.name)
+	}
 	if pr.heapBudget > 0 && rec.HeapBytes > pr.heapBudget {
 		return rec, fmt.Errorf("%s: live heap %d MB exceeds the %d MB budget (scratch trimming regression?)",
 			pr.name, rec.HeapBytes>>20, pr.heapBudget>>20)

@@ -6,9 +6,9 @@
 // every node an equal share of the key space, which drags nearly half the
 // dataset through the slow uplink. Cluster.Sort prices weighted TeraSort
 // (wTS), which sizes each node's range by the data it already holds, against
-// a one-round gather at the heaviest holder, and runs the cheaper: either
-// way the slow uplink carries only the stragglers, and here the gather,
-// which sends them once, is the cheaper of the two.
+// a one-round gather at the node where it costs least, and runs the
+// cheaper: either way the slow uplink carries only the stragglers, and here
+// the gather, which sends them once, is the cheaper of the two.
 package main
 
 import (

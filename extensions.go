@@ -40,7 +40,7 @@ type AggregateResult struct {
 // Aggregate computes per-group totals with the planned aggregation: it
 // prices two-level rack combining, weighted hashing, the multi-level
 // combiner tree on the weak-cut hierarchy, uniform hashing, a gather at the
-// heaviest holder and, on hierarchies deeper than one level, the
+// node where it costs least and, on hierarchies deeper than one level, the
 // single-level combiner tree, and runs the cheapest (one to L+1 rounds).
 func (c *Cluster) Aggregate(data [][]GroupValue, seed uint64) (*AggregateResult, error) {
 	return c.aggregateWith(data, seed, aggregate.Planned)

@@ -167,8 +167,9 @@ func TestRoundCounts(t *testing.T) {
 }
 
 // TestGatherTargets: a gather lands every group at its target in one
-// message per holder — the named compute node, or the holder of the most
-// groups for NoNode — and a target that is a router or no node of the tree
+// message per holder — the named compute node, or for NoNode the node
+// place.Gather prices cheapest, on a uniform star the holder of the most
+// groups — and a target that is a router or no node of the tree
 // is an error before anything runs, at 1 and 4 workers.
 func TestGatherTargets(t *testing.T) {
 	star, _ := topology.UniformStar(4, 1)
@@ -182,7 +183,7 @@ func TestGatherTargets(t *testing.T) {
 		target topology.NodeID
 		home   int // compute index that emits everything; -1: an error
 	}{
-		{"heaviest", topology.NoNode, 2},
+		{"cheapest", topology.NoNode, 2},
 		{"compute", nodes[1], 1},
 		{"router", star.Root(), -1},
 		{"outside", topology.NodeID(star.NumNodes()), -1},

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"testing"
 
+	"topompc/internal/core/place"
 	"topompc/internal/dataset"
 	"topompc/internal/netsim"
 	"topompc/internal/topology"
@@ -98,8 +99,10 @@ func plannedCandidates(t *testing.T, tr *topology.Tree, data Placement, seed uin
 }
 
 // checkPlanned holds Planned on one input to the oracle: its output
-// verifies, its result is the same at workers 1 and 4, and its cost is the
-// least of its candidates' run alone, each on an engine of its own.
+// verifies, its result is the same at workers 1 and 4, its cost is the
+// least of its candidates' run alone, each on an engine of its own, and the
+// gather alone costs what place.Gather prices it at for two words per
+// distinct group a node holds.
 func checkPlanned(t *testing.T, name string, tr *topology.Tree, data Placement, seed uint64) {
 	t.Helper()
 	var res *Result
@@ -118,6 +121,14 @@ func checkPlanned(t *testing.T, name string, tr *topology.Tree, data Placement, 
 			t.Fatalf("%s: workers=%d result differs from workers=1", name, workers)
 		}
 	}
+	loads := make(topology.Loads, tr.NumNodes())
+	for i, v := range tr.ComputeNodes() {
+		groups := map[uint64]bool{}
+		for _, p := range data[i] {
+			groups[p.Group] = true
+		}
+		loads[v] = 2 * int64(len(groups))
+	}
 	_, cands := plannedCandidates(t, tr, data, seed)
 	least := -1.0
 	for k := range cands {
@@ -128,7 +139,11 @@ func checkPlanned(t *testing.T, name string, tr *topology.Tree, data Placement, 
 		if err != nil {
 			t.Fatalf("%s %s alone: %v", name, cands[k].strategy, err)
 		}
-		if cost := alone.Report.TotalCost(); least < 0 || cost < least {
+		cost := alone.Report.TotalCost()
+		if want := place.Gather(tr, loads).Cost; cands[k].strategy == "gather" && cost != want {
+			t.Errorf("%s: the gather costs %v, place.Gather prices it at %v", name, cost, want)
+		}
+		if least < 0 || cost < least {
 			least = cost
 		}
 	}

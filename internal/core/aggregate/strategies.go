@@ -18,12 +18,12 @@ func groupCounts(partials []partial) []float64 {
 }
 
 // Planned is the planned aggregation: it prices twolevel, hash, the
-// multi-level combiner tree, flat-hash, a gather at the heaviest holder
-// and, when the weak-cut hierarchy is deeper than one level (at depth ≤ 1
-// it is the multi-level tree), the single-level tree, and runs the
-// cheapest (netsim.Engine.RunCheapest; ties to fewer rounds, then the
-// earlier). Every candidate is the one its own entry point runs alone, so
-// the planned cost is the least of theirs.
+// multi-level combiner tree, flat-hash, a gather at the cheapest node
+// (place.Gather) and, when the weak-cut hierarchy is deeper than one level
+// (at depth ≤ 1 it is the multi-level tree), the single-level tree, and
+// runs the cheapest (netsim.Engine.RunCheapest; ties to fewer rounds, then
+// the earlier). Every candidate is the one its own entry point runs alone,
+// so the planned cost is the least of theirs.
 func Planned(t *topology.Tree, data Placement, seed uint64, opts ...netsim.Option) (*Result, error) {
 	return run(t, data, seed, opts, func(in *instance) ([]candidate, error) { return planned(in, seed) })
 }
@@ -81,8 +81,8 @@ func twoLevel(in *instance, seed uint64) (candidate, error) {
 }
 
 // Gather ships every local partial to one node, in one message each. With
-// target = NoNode the node holding the most groups is chosen; a target that
-// is not a compute node is an error.
+// target = NoNode the node place.Gather prices cheapest is chosen; a target
+// that is not a compute node is an error.
 func Gather(t *topology.Tree, data Placement, target topology.NodeID, opts ...netsim.Option) (*Result, error) {
 	if target != topology.NoNode && (uint(target) >= uint(t.NumNodes()) || !t.IsCompute(target)) {
 		return nil, fmt.Errorf("aggregate: target %v is not a compute node", target)
@@ -91,20 +91,18 @@ func Gather(t *topology.Tree, data Placement, target topology.NodeID, opts ...ne
 }
 
 // gather is the one-round candidate with every group homed at target, or
-// with target NoNode at the node holding the most groups, the first of
-// equals.
+// with target NoNode at the node where the round of every partial, two
+// words a group, costs least (place.Gather).
 func gather(in *instance, target topology.NodeID) candidate {
-	home := 0
-	for i, p := range in.local {
-		if p.groups() > in.local[home].groups() {
-			home = i
+	if target == topology.NoNode {
+		loads := make(topology.Loads, in.t.NumNodes())
+		for i, v := range in.nodes {
+			loads[v] = 2 * int64(in.local[i].groups())
 		}
-	}
-	if target != topology.NoNode {
-		home = in.t.ComputeIndex(target)
+		target = in.nodes[place.Gather(in.t, loads).Node]
 	}
 	w := make([]float64, len(in.nodes))
-	w[home] = 1
+	w[in.t.ComputeIndex(target)] = 1
 	return candidate{strategy: "gather", homes: fixed(w)}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"topompc/internal/core/place"
 	"topompc/internal/dataset"
 	"topompc/internal/lowerbound"
 	"topompc/internal/netsim"
@@ -15,8 +16,9 @@ import (
 // lays out Algorithm 8's strategies and prices each with the round it would
 // run, then runs the cheapest:
 //
-//   - a gather of everything at each compute node, in compute order (a
-//     majority holder's gather is optimal by Theorem 3);
+//   - a gather of everything at the node where it costs least
+//     (place.Gather; a majority holder's gather is optimal by Theorem 3,
+//     and the cheapest costs no more);
 //   - a broadcast of the smaller relation while the larger stays in place:
 //     each node's rectangle is the full small axis crossed with its own
 //     fragment of the large relation (optimal when the smaller relation is
@@ -50,7 +52,8 @@ func Unequal(t *topology.Tree, r, s dataset.Placement, opts ...netsim.Option) (*
 }
 
 // unequalLayouts lays out Unequal's candidates in the order the chooser
-// takes them: a gather at every compute node, the broadcast, the packing.
+// takes them: the gather at the node place.Gather prices cheapest, the
+// broadcast, the packing.
 func unequalLayouts(in *instance) ([]layout, error) {
 	transposed := in.sizeR > in.sizeS
 	small, large := in.sizeR, in.sizeS
@@ -76,11 +79,7 @@ func unequalLayouts(in *instance) ([]layout, error) {
 		packRects, bcastRects = transpose(packRects), transpose(bcastRects)
 	}
 
-	layouts := make([]layout, 0, len(in.nodes)+2)
-	for k := range in.nodes {
-		layouts = append(layouts, gather(in, k))
-	}
-	return append(layouts, layout{bcastRects, "broadcast"}, layout{packRects, "unequal"}), nil
+	return []layout{gather(in, place.Gather(in.t, in.loads).Node), {bcastRects, "broadcast"}, {packRects, "unequal"}}, nil
 }
 
 func transpose(rects []Rect) []Rect {
@@ -101,10 +100,7 @@ func unequalRects(weights []float64, small, large int64) ([]Rect, error) {
 	if base <= 0 {
 		base = 1
 	}
-	order := make([]int, len(weights))
-	for i := range order {
-		order[i] = i
-	}
+	order := place.IdentityOrder(len(weights))
 	sort.SliceStable(order, func(a, b int) bool { return weights[order[a]] > weights[order[b]] })
 
 	scale := base

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"topompc/internal/core/place"
 	"topompc/internal/dataset"
 	"topompc/internal/lowerbound"
 	"topompc/internal/netsim"
@@ -17,9 +18,12 @@ import (
 // bandwidths in [0.5, 16], |R| ≠ |S| in 1..400, four placements — at 1 and
 // 4 workers. Each run passes Verify, costs at least the unequal-size bound
 // (the cut, or Theorem 9's coverage term where that is larger), gives the
-// same result at both worker counts, and costs exactly the least of its
-// layouts run alone through the driver, with the rectangles of the earliest
-// such layout. Gather, broadcast and the packing each win at least once.
+// same result at both worker counts, and costs exactly the least of a
+// gather at every compute node, the broadcast and the packing run alone
+// through the driver, with the rectangles of the earliest such layout in
+// that order; its own gather alone costs what place.Gather prices it at
+// for the tuples each node holds. Gather, broadcast and the packing each
+// win at least once.
 func TestUnequalConformance(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	picked := make(map[string]int)
@@ -72,8 +76,12 @@ func TestUnequalConformance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		var gathers []layout
+		for k := range in.nodes {
+			gathers = append(gathers, gather(in, k))
+		}
 		var least *Result
-		for _, lay := range layouts {
+		for _, lay := range append(gathers, layouts[1:]...) {
 			alone, err := distribute(in, lay)
 			if err != nil {
 				t.Fatalf("%s: %s alone: %v", at, lay.strategy, err)
@@ -89,6 +97,18 @@ func TestUnequalConformance(t *testing.T) {
 				at, got.Strategy, got.Report.TotalCost(), least.Strategy, least.Report.TotalCost())
 		}
 		picked[got.Strategy]++
+
+		loads := make(topology.Loads, tr.NumNodes())
+		for _, v := range tr.ComputeNodes() {
+			loads[v] = loadsR[v] + loadsS[v]
+		}
+		planned, err := distribute(in, layouts[0])
+		if err != nil {
+			t.Fatalf("%s: gather alone: %v", at, err)
+		}
+		if cost, want := planned.Report.TotalCost(), place.Gather(tr, loads).Cost; cost != want {
+			t.Errorf("%s: the gather costs %v, place.Gather prices it at %v", at, cost, want)
+		}
 	}
 	for _, strategy := range []string{"gather", "broadcast", "unequal"} {
 		if picked[strategy] == 0 {
@@ -100,8 +120,8 @@ func TestUnequalConformance(t *testing.T) {
 
 // TestOneLayoutRunsUnpriced: Tree and UniformGrid have one layout each and
 // run it without pricing a round, while Unequal prices one round per layout
-// — a gather at each of the p leaves, the broadcast and the packing — and
-// runs one.
+// — the gather at the node place.Gather picks, the broadcast and the
+// packing — and runs one.
 func TestOneLayoutRunsUnpriced(t *testing.T) {
 	tr, err := topology.Star([]float64{1, 2, 4, 8})
 	if err != nil {
@@ -118,7 +138,7 @@ func TestOneLayoutRunsUnpriced(t *testing.T) {
 	}{
 		{"Tree", func(opts ...netsim.Option) (*Result, error) { return Tree(tr, r, s, opts...) }, 0},
 		{"UniformGrid", func(opts ...netsim.Option) (*Result, error) { return UniformGrid(tr, r, s, opts...) }, 0},
-		{"Unequal", func(opts ...netsim.Option) (*Result, error) { return Unequal(tr, r, small, opts...) }, int64(p + 2)},
+		{"Unequal", func(opts ...netsim.Option) (*Result, error) { return Unequal(tr, r, small, opts...) }, 3},
 	} {
 		reg := obs.NewRegistry()
 		res, err := tc.run(netsim.WithMetrics(reg))

@@ -135,15 +135,15 @@ func contract(tr *topology.Tree, edges Placement, seed uint64, v variant, opts [
 		strategy = "aware"
 	}
 	var probe *netsim.Probe
-	var gp gatherPlan
+	var gp place.GatherPlan
 	if v.gather {
 		gp = priceGather(tr, edges)
-		probe = pr.e.Probe(strategy, gp.candidate(pr, edges), gp.cost, gp.edge)
+		probe = pr.e.Probe(strategy, pr.gatherCandidate(gp, edges), gp.Cost, gp.Bottleneck)
 	}
 	// beaten asks the open probe; once it is beaten the gather has run.
 	beaten := func() bool { return probe != nil && probe.Beaten() }
 	if beaten() {
-		return pr.gathered(gp.g, edges), nil
+		return pr.gathered(gp.Node, edges), nil
 	}
 	mx := pr.e.Metrics()
 	var mActive *obs.Histogram // nil (a no-op) on expanding runs, which never reported it
@@ -179,7 +179,7 @@ func contract(tr *topology.Tree, edges Placement, seed uint64, v variant, opts [
 			if phases == 0 {
 				pr.propose()
 				if beaten() {
-					return pr.gathered(gp.g, edges), nil
+					return pr.gathered(gp.Node, edges), nil
 				}
 			}
 			break
@@ -199,13 +199,13 @@ func contract(tr *topology.Tree, edges Placement, seed uint64, v variant, opts [
 			pr.propose()
 		}
 		if beaten() {
-			return pr.gathered(gp.g, edges), nil
+			return pr.gathered(gp.Node, edges), nil
 		}
 		if err := pr.jump(pr.hook()); err != nil {
 			return nil, err
 		}
 		if beaten() {
-			return pr.gathered(gp.g, edges), nil
+			return pr.gathered(gp.Node, edges), nil
 		}
 		if v.expand {
 			pr.pushRoots()
@@ -213,7 +213,7 @@ func contract(tr *topology.Tree, edges Placement, seed uint64, v variant, opts [
 			return nil, err
 		}
 		if beaten() {
-			return pr.gathered(gp.g, edges), nil
+			return pr.gathered(gp.Node, edges), nil
 		}
 		if probe != nil {
 			// Relabel sends nothing: phase 1 is priced whole.

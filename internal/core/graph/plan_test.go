@@ -60,45 +60,17 @@ func placedGraph(t *testing.T, rng *rand.Rand, tr *topology.Tree, n int, p float
 	return pl
 }
 
-// bruteGather prices the gather at every compute node edge by edge and
-// returns the cheapest, the lowest compute index among equals.
-func bruteGather(tr *topology.Tree, edges Placement) (int, float64) {
-	held := make([]int64, tr.NumNodes())
-	for i, v := range tr.ComputeNodes() {
-		held[v] = 2 * int64(len(edges[i]))
-	}
-	cuts := tr.Cuts(held)
-	best, bestCost := 0, 0.0
-	for i, g := range tr.ComputeNodes() {
-		cost := 0.0
-		for e := topology.EdgeID(0); int(e) < tr.NumEdges(); e++ {
-			far := cuts[e].Below
-			if tr.OnChildSide(e, g) {
-				far = cuts[e].Above
-			}
-			cost = max(cost, float64(far)/tr.Bandwidth(e))
-		}
-		if i == 0 || cost < bestCost {
-			best, bestCost = i, cost
-		}
-	}
-	return best, bestCost
-}
-
 // checkPlannedCC holds the planned run of one variant (CC or
-// SpanningForest) to the oracle on one input: the rerooting sweep prices
-// the gather as the brute force does; the labels equal the reference's and
-// a forest passes VerifyForest; the result and every report byte are the
-// same at workers 1 and 4; the planned cost is at most the contraction's
-// run alone; and the run is either the gather, one round at its price and
-// bottleneck (none when it costs 0), or the contraction alone, byte for
-// byte. It returns the planned result.
+// SpanningForest) to the oracle on one input: the labels equal the
+// reference's and a forest passes VerifyForest; the result and every report
+// byte are the same at workers 1 and 4; the planned cost is at most the
+// contraction's run alone; and the run is either the gather, one round at
+// its price and bottleneck (none when it costs 0), or the contraction
+// alone, byte for byte. place.Gather's own oracle holds the price to the
+// gather round priced at every node. It returns the planned result.
 func checkPlannedCC(t *testing.T, name string, tr *topology.Tree, pl Placement, v variant) *Result {
 	t.Helper()
 	gp := priceGather(tr, pl)
-	if g, cost := bruteGather(tr, pl); g != gp.g || cost != gp.cost {
-		t.Fatalf("%s: gather priced at node %d for %v, the brute force finds %d for %v", name, gp.g, gp.cost, g, cost)
-	}
 	ref := Reference(pl)
 	var res *Result
 	for _, workers := range []int{1, 4} {
@@ -142,19 +114,19 @@ func checkPlannedCC(t *testing.T, name string, tr *topology.Tree, pl Placement, 
 		return res
 	}
 	rounds := 1
-	if gp.cost == 0 {
+	if gp.Cost == 0 {
 		rounds = 0
 	}
-	if rep := res.Report; rep.NumRounds() != rounds || rep.TotalCost() != gp.cost ||
-		rounds == 1 && rep.Rounds[0].BottleneckEdge != gp.edge {
-		t.Errorf("%s: gather ran %d rounds at %v, priced one at %v (bottleneck %d)", name, rep.NumRounds(), rep.TotalCost(), gp.cost, gp.edge)
+	if rep := res.Report; rep.NumRounds() != rounds || rep.TotalCost() != gp.Cost ||
+		rounds == 1 && rep.Rounds[0].BottleneckEdge != gp.Bottleneck {
+		t.Errorf("%s: gather ran %d rounds at %v, priced one at %v (bottleneck %d)", name, rep.NumRounds(), rep.TotalCost(), gp.Cost, gp.Bottleneck)
 	}
 	if res.Phases != 0 {
 		t.Errorf("%s: gather reports %d phases", name, res.Phases)
 	}
 	for i, m := range res.PerNode {
-		if n := len(m); i == gp.g && n != len(ref.Labels()) || i != gp.g && n != 0 {
-			t.Fatalf("%s: node %d homes %d vertices, the gather homes all %d at node %d", name, i, n, len(ref.Labels()), gp.g)
+		if n := len(m); i == gp.Node && n != len(ref.Labels()) || i != gp.Node && n != 0 {
+			t.Fatalf("%s: node %d homes %d vertices, the gather homes all %d at node %d", name, i, n, len(ref.Labels()), gp.Node)
 		}
 	}
 	return res
@@ -262,8 +234,8 @@ func TestPlannedTrace(t *testing.T) {
 		con, gat := cands[0].(map[string]any), cands[1].(map[string]any)
 		probeRounds := con["rounds"].(int)
 		gp := priceGather(tree, pl)
-		if gat["name"] != "gather" || gat["rounds"] != 1 || gat["cost"] != gp.cost {
-			t.Errorf("%s: gather candidate %v, priced %v", tc.name, gat, gp.cost)
+		if gat["name"] != "gather" || gat["rounds"] != 1 || gat["cost"] != gp.Cost {
+			t.Errorf("%s: gather candidate %v, priced %v", tc.name, gat, gp.Cost)
 		}
 		if len(rounds) != res.Report.NumRounds() || len(spans) != res.Phases {
 			t.Errorf("%s: %d round events and %d phase spans for %d rounds and %d phases",
@@ -271,15 +243,15 @@ func TestPlannedTrace(t *testing.T) {
 		}
 		snap := reg.Snapshot()
 		if tc.gather {
-			if res.Report.NumRounds() != 1 || res.Report.TotalCost() != gp.cost || con["cost"].(float64) < gp.cost || probeRounds == 0 {
+			if res.Report.NumRounds() != 1 || res.Report.TotalCost() != gp.Cost || con["cost"].(float64) < gp.Cost || probeRounds == 0 {
 				t.Errorf("%s: gather in %d rounds at %v, probe %v", tc.name, res.Report.NumRounds(), res.Report.TotalCost(), con)
 			}
 			if snap["netsim.rounds"] != 1 || snap["netsim.priced_rounds"] != float64(probeRounds) {
 				t.Errorf("%s: %v rounds run and %v priced, want 1 and %d", tc.name, snap["netsim.rounds"], snap["netsim.priced_rounds"], probeRounds)
 			}
 		} else {
-			if con["cost"].(float64) >= gp.cost {
-				t.Errorf("%s: kept a phase 1 of cost %v against a gather of %v", tc.name, con["cost"], gp.cost)
+			if con["cost"].(float64) >= gp.Cost {
+				t.Errorf("%s: kept a phase 1 of cost %v against a gather of %v", tc.name, con["cost"], gp.Cost)
 			}
 			if snap["netsim.rounds"] != float64(res.Report.NumRounds()) || snap["netsim.priced_rounds"] != 0 {
 				t.Errorf("%s: %v rounds run and %v priced, want %d and 0", tc.name, snap["netsim.rounds"], snap["netsim.priced_rounds"], res.Report.NumRounds())

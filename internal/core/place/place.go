@@ -37,12 +37,17 @@
 //     key-range shares proportional to weights, so the ranges of nodes
 //     behind weak cuts shrink and sorted redistribution stops flooding
 //     thin uplinks.
+//   - Gather — the node a one-round gather of given loads costs least at,
+//     found for every node at once by one rerooting sweep, with the
+//     round's cost and bottleneck: every planned gather lands there.
 //
 // Consumers: multijoin (Capacities + AssignCells), graph (Capacities +
-// Hierarchy), sorting (Proportional + Splitters + Capacities), aggregate
-// (Capacities + Hierarchy + BalancedPartition + BlockRouter), intersect and join (BalancedPartition + BlockRouter). The
-// package sits between internal/topology and the protocol packages and must
-// not import any of them.
+// Hierarchy + Gather), sorting (Proportional + Splitters + Capacities +
+// Gather), aggregate (Capacities + Hierarchy + BalancedPartition +
+// BlockRouter + Gather), cartesian (Gather), intersect and join
+// (BalancedPartition + BlockRouter). The package sits between
+// internal/topology and the protocol packages and must not import any of
+// them.
 package place
 
 import (

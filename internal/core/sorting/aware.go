@@ -23,10 +23,11 @@ const awareStride = 15485863
 //     little data *into* thin subtrees.
 //   - Uniform splitters ("sort-flat"): the same sort with uniform ranges and
 //     the leftmost coordinator, exactly CapacitySortFlat.
-//   - Gather ("gather"): one round to the heaviest holder, which sorts
-//     locally. It wins when most of the data already sits behind a weak cut,
-//     where key ranges cannot help: that data must leave (Theorem 6's cut
-//     term), and the cheapest place for the rest is with it.
+//   - Gather ("gather"): one round to the node where it costs least
+//     (place.Gather), which sorts locally. It wins when most of the data
+//     already sits behind a weak cut, where key ranges cannot help: that
+//     data must leave (Theorem 6's cut term), and the cheapest place for the
+//     rest is with it.
 //   - Weighted TeraSort ("wts"): the four rounds of WTSUnpriced with
 //     proportional light routing, which ranges keys by the heavy nodes'
 //     working sets instead of their capacities.
@@ -40,7 +41,7 @@ const awareStride = 15485863
 // then to the order above; Result.Strategy names the winner. The output is a
 // valid sort either way.
 func CapacitySort(t *topology.Tree, data dataset.Placement, seed uint64, opts ...netsim.Option) (*Result, error) {
-	return planSort(t, data, seed, awareStride, opts, capacityRanges, uniformRanges, gatherHeaviest, weightedRanges(ProportionalLight))
+	return planSort(t, data, seed, awareStride, opts, capacityRanges, uniformRanges, gatherCheapest, weightedRanges(ProportionalLight))
 }
 
 // CapacitySortFlat is the topology-oblivious counterpart: the three-round
@@ -78,7 +79,8 @@ func uniformRanges(in *instance) candidate {
 	})
 }
 
-// gatherHeaviest ships everything to the heaviest holder.
-func gatherHeaviest(in *instance) candidate {
-	return candidate{strategy: "gather", coordinator: in.heaviest()}
+// gatherCheapest ships everything to the node place.Gather prices
+// cheapest.
+func gatherCheapest(in *instance) candidate {
+	return candidate{strategy: "gather", coordinator: in.nodes[place.Gather(in.t, in.loads).Node]}
 }

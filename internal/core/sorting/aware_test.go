@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"topompc/internal/core/place"
 	"topompc/internal/dataset"
 	"topompc/internal/lowerbound"
 	"topompc/internal/netsim"
@@ -200,14 +201,15 @@ type plannedSort struct {
 }
 
 var plannedSorts = []plannedSort{
-	{"sort", WTS, wtsStride, []layout{weightedRanges(ProportionalLight), gatherHeaviest}},
-	{"sort-aware", CapacitySort, awareStride, []layout{capacityRanges, uniformRanges, gatherHeaviest, weightedRanges(ProportionalLight)}},
+	{"sort", WTS, wtsStride, []layout{weightedRanges(ProportionalLight), gatherCheapest}},
+	{"sort-aware", CapacitySort, awareStride, []layout{capacityRanges, uniformRanges, gatherCheapest, weightedRanges(ProportionalLight)}},
 }
 
 // checkCheapest runs ps and each of its candidates alone on data and fails
 // unless the planned run costs exactly the least candidate (fewer rounds,
 // then candidate order, among equals), returns that candidate's output and
-// rounds under its name, verifies and costs at least the Theorem 6 bound.
+// rounds under its name, verifies and costs at least the Theorem 6 bound,
+// and the gather run alone costs what place.Gather prices it at.
 func checkCheapest(t *testing.T, at string, ps plannedSort, tr *topology.Tree, data dataset.Placement, seed uint64, opts ...netsim.Option) *Result {
 	t.Helper()
 	planned, err := ps.run(tr, data, seed, opts...)
@@ -217,6 +219,10 @@ func checkCheapest(t *testing.T, at string, ps plannedSort, tr *topology.Tree, d
 	if err := Verify(tr, Reference(data), planned); err != nil {
 		t.Fatalf("%s: %v", at, err)
 	}
+	loads := make(topology.Loads, tr.NumNodes())
+	for i, v := range tr.ComputeNodes() {
+		loads[v] = int64(len(data[i]))
+	}
 	var best *Result
 	var costs []float64
 	for _, lay := range ps.cands {
@@ -225,6 +231,9 @@ func checkCheapest(t *testing.T, at string, ps plannedSort, tr *topology.Tree, d
 			t.Fatalf("%s: %v", at, err)
 		}
 		c := alone.Report.TotalCost()
+		if want := place.Gather(tr, loads).Cost; alone.Strategy == "gather" && c != want {
+			t.Fatalf("%s: the gather costs %v, place.Gather prices it at %v", at, c, want)
+		}
 		costs = append(costs, c)
 		if best == nil || c < best.Report.TotalCost() || c == best.Report.TotalCost() && alone.Report.NumRounds() < best.Report.NumRounds() {
 			best = alone
@@ -236,10 +245,6 @@ func checkCheapest(t *testing.T, at string, ps plannedSort, tr *topology.Tree, d
 	if !reflect.DeepEqual(planned.PerNode, best.PerNode) || !reflect.DeepEqual(planned.Report.Rounds, best.Report.Rounds) {
 		t.Fatalf("%s: planned run differs from %s run alone", at, best.Strategy)
 	}
-	loads := make(topology.Loads, tr.NumNodes())
-	for i, v := range tr.ComputeNodes() {
-		loads[v] = int64(len(data[i]))
-	}
 	if lb := lowerbound.Sorting(tr, loads).Value; planned.Report.TotalCost() < lb {
 		t.Fatalf("%s: cost %v below the Theorem 6 bound %v", at, planned.Report.TotalCost(), lb)
 	}
@@ -248,11 +253,13 @@ func checkCheapest(t *testing.T, at string, ps plannedSort, tr *topology.Tree, d
 
 // TestCapacitySortRunsCheapestCandidate: on every golden fixture tree and
 // three draws of every topotest shape, under four placements of distinct and
-// of heavily repeated keys, the planned sort costs exactly the least of its
-// four candidates run alone on the same input — the capacity candidate,
-// CapacitySortFlat, the gather at the heaviest holder and wTS — and returns
-// that candidate's output under its name (fewer rounds, then candidate
-// order, among equals), at 1 and 4 workers.
+// of heavily repeated keys, and on one named instance, the planned sort
+// costs exactly the least of its four candidates run alone on the same input
+// — the capacity candidate, CapacitySortFlat, the gather at the cheapest
+// node and wTS — and returns that candidate's output under its name (fewer
+// rounds, then candidate order, among equals), at 1 and 4 workers. Every
+// candidate wins somewhere; CapacitySortFlat wins the named instance, a ring
+// of three three-host racks on unit links under zipf.
 func TestCapacitySortRunsCheapestCandidate(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	shapes := fixtureTrees()
@@ -285,7 +292,27 @@ func TestCapacitySortRunsCheapestCandidate(t *testing.T) {
 			}
 		}
 	}
-	// Every candidate wins somewhere on the grid.
+	ring, err := topology.RingOfRacks(3, 3, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := topology.FromGraph(ring)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := conformancePlaces[1].fn(dataset.Distinct(rand.New(rand.NewSource(1)), 2400), tr.NumCompute())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 4} {
+		at := fmt.Sprintf("ring-of-racks(3,3,1,1)/zipf/workers=%d", workers)
+		planned := checkCheapest(t, at, plannedSorts[1], tr, data, 11, netsim.WithWorkers(workers))
+		if planned.Strategy != "sort-flat" {
+			t.Errorf("%s: planned %s, want sort-flat", at, planned.Strategy)
+		}
+		wins[planned.Strategy]++
+	}
+	// Every candidate wins somewhere.
 	for _, s := range []string{"sort-aware", "sort-flat", "gather", "wts"} {
 		if wins[s] == 0 {
 			t.Errorf("no instance chose %s: %v", s, wins)

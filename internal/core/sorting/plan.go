@@ -47,17 +47,6 @@ func newInstance(t *topology.Tree, data dataset.Placement, seed uint64, stride i
 	return in, nil
 }
 
-// heaviest is the holder of the most data, the first one among equals.
-func (in *instance) heaviest() topology.NodeID {
-	best := in.nodes[0]
-	for _, v := range in.nodes {
-		if in.loads[v] > in.loads[best] {
-			best = v
-		}
-	}
-	return best
-}
-
 // candidate is one plan for an instance. Without holders it is a gather at
 // the coordinator. With them it is a sample sort: the optional ship round,
 // then every holder's sample to the coordinator, the splitters it picks to

@@ -3,7 +3,7 @@
 // that is within O(1) of the Theorem 6 lower bound with high probability,
 // together with the classic TeraSort baseline and two planners that price
 // their candidates on the instance and run the cheapest through
-// netsim.Engine.RunCheapest: WTS (wTS or a gather at the heaviest holder)
+// netsim.Engine.RunCheapest: WTS (wTS or a gather at the cheapest node)
 // and CapacitySort (capacity splitters, uniform splitters, the gather and
 // wTS).
 //
@@ -42,7 +42,7 @@ type Result struct {
 	Report *netsim.Report
 	// Strategy names the candidate the driver ran: "wts", "terasort", the
 	// splitter sorts "sort-aware" (capacity ranges) and "sort-flat" (uniform
-	// ranges), or "gather" at the heaviest holder. WTS and CapacitySort
+	// ranges), or "gather" at the cheapest node. WTS and CapacitySort
 	// report the candidate they priced cheapest.
 	Strategy string
 }

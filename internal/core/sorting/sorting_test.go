@@ -312,7 +312,7 @@ func TestGatherBaseline(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	tr, _ := topology.UniformStar(3, 1)
 	data := sortInput(t, rng, tr, 500, uniformPlace)
-	res, err := planSort(tr, data, 0, awareStride, nil, gatherHeaviest)
+	res, err := planSort(tr, data, 0, awareStride, nil, gatherCheapest)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,16 +39,17 @@ const (
 //
 // Heavy nodes are labeled v₁ … v_k in left-to-right tree order, so the
 // output respects the canonical valid ordering. The second is a gather
-// ("gather"): one round to the heaviest holder, which sorts locally. It
-// generalizes the paper's suggested improvement that a node holding a
-// majority of the data receives everything, and it is what remains far below
-// Theorem 7's regime N ≥ 4|VC|²ln(|VC|N).
+// ("gather"): one round to the node where it costs least (place.Gather),
+// which sorts locally. It generalizes the paper's suggested improvement that
+// a node holding a majority of the data receives everything — the cheapest
+// gather costs no more than that one, which meets the bound — and it is
+// what remains far below Theorem 7's regime N ≥ 4|VC|²ln(|VC|N).
 //
 // wTS is priced from its heavy nodes' key counts per splitter interval, on
 // views of the placement: no key is copied for a plan that loses. Ties go to
 // the gather, which runs fewer rounds; Result.Strategy names the winner.
 func WTS(t *topology.Tree, data dataset.Placement, seed uint64, opts ...netsim.Option) (*Result, error) {
-	return planSort(t, data, seed, wtsStride, opts, weightedRanges(ProportionalLight), gatherHeaviest)
+	return planSort(t, data, seed, wtsStride, opts, weightedRanges(ProportionalLight), gatherCheapest)
 }
 
 // WTSUnpriced runs weighted TeraSort alone, with round 1 splitting the light

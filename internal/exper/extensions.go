@@ -10,7 +10,8 @@ import (
 // machinery (the conclusion's proposed next steps). These are clearly
 // labeled X* and make no claims on behalf of the paper.
 
-// gatherTask ships every partial aggregate to the node holding the most.
+// gatherTask ships every partial aggregate to the node where that round
+// costs least.
 var gatherTask = task{name: "gather", run: func(t *topology.Tree, in input, _ uint64) (any, error) {
 	return aggregate.Gather(t, in.records, topology.NoNode)
 }}

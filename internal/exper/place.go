@@ -36,9 +36,9 @@ func runX6(seed uint64) ([]Table, error) {
 		"aware prices four plans and runs the cheapest (strategy): the three-round sample sort "+
 			"with key ranges by place.Capacities (sort-aware: weak-cut nodes own small ranges), "+
 			"the same sort with uniform quantiles (sort-flat, the flat column), one round to the "+
-			"heaviest holder (gather: data already behind a weak cut must leave, and the rest joins "+
-			"it), and weighted TeraSort (wts). Outputs verified as valid sorts; win = flat/aware, "+
-			"at least 1 by construction.",
+			"node where it costs least (gather: data already behind a weak cut must leave, and the "+
+			"rest joins it), and weighted TeraSort (wts). Outputs verified as valid sorts; "+
+			"win = flat/aware, at least 1 by construction.",
 		"topology", "placement", "N", "strategy", "aware cost", "flat cost", "win", "SLB", "aware/SLB")
 	aggTable := newTable("X6b: combiner-tree aggregation vs uniform hashing",
 		"Groups drawn from a shared low-cardinality pool (heavy duplication). Aware merges "+

@@ -109,7 +109,7 @@ func runE2(seed uint64) ([]Table, error) {
 func runE3(seed uint64) ([]Table, error) {
 	sweep := newTable("E3a: planned weighted TeraSort across topologies and placements",
 		"CLB = Theorem 6; Theorem 7 claims ≤ 4 rounds and an O(1) ratio w.h.p. in the regime N ≥ 4|VC|²ln(|VC|N). "+
-			"sort prices wTS against a one-round gather at the heaviest holder and runs the cheaper (strategy).",
+			"sort prices wTS against a one-round gather at the node where it costs least and runs the cheaper (strategy).",
 		"topology", "placement", "strategy", "rounds", "cost", "CLB", "ratio")
 	sweep.Ceiling = sortingClaim
 	for _, nt := range topoSuite() {

@@ -438,13 +438,11 @@ func (e *Engine) RunCheapest(cands []Candidate) int {
 			best, bestCost = i, cost
 		}
 		if e.tracer != nil {
-			args := map[string]any{"name": c.Name, "rounds": c.Rounds, "cost": cost}
-			e.traceBottleneck(args, edge)
-			traced = append(traced, args)
+			traced = append(traced, e.planArgs(c.Name, c.Rounds, cost, edge))
 		}
 	}
 	if traced != nil {
-		obs.Instant(e.tracer, e.traceTid, "plan", "netsim.plan", map[string]any{"candidates": traced, "pick": cands[best].Name})
+		e.tracePlan(cands[best].Name, traced...)
 	}
 	for r := range cands[best].Rounds {
 		x := e.Exchange()
@@ -452,6 +450,21 @@ func (e *Engine) RunCheapest(cands []Candidate) int {
 		x.Execute()
 	}
 	return best
+}
+
+// tracePlan emits a decision's netsim.plan instant: every plan it weighed,
+// each as planArgs gives it, and the pick.
+func (e *Engine) tracePlan(pick string, plans ...any) {
+	obs.Instant(e.tracer, e.traceTid, "plan", "netsim.plan", map[string]any{"candidates": plans, "pick": pick})
+}
+
+// planArgs is one plan of a netsim.plan instant: its name, rounds and cost,
+// and the bottleneck edge of its costliest round (none when nothing crosses
+// a link).
+func (e *Engine) planArgs(name string, rounds int, cost float64, edge topology.EdgeID) map[string]any {
+	args := map[string]any{"name": name, "rounds": rounds, "cost": cost}
+	e.traceBottleneck(args, edge)
+	return args
 }
 
 // reject undoes what the tally walk of a refused plan wrote — the plan is

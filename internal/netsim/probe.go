@@ -3,7 +3,6 @@ package netsim
 import (
 	"slices"
 
-	"topompc/internal/obs"
 	"topompc/internal/topology"
 )
 
@@ -111,13 +110,7 @@ func (p *Probe) Keep() {
 
 // plan emits the decision's netsim.plan instant when a tracer is attached.
 func (p *Probe) plan(rounds int, cost float64, edge topology.EdgeID, pick string) {
-	e := p.e
-	if e.tracer == nil {
-		return
+	if p.e.tracer != nil {
+		p.e.tracePlan(pick, p.e.planArgs(p.name, rounds, cost, edge), p.e.planArgs(p.alt.Name, p.alt.Rounds, p.altCost, p.altEdge))
 	}
-	mine := map[string]any{"name": p.name, "rounds": rounds, "cost": cost}
-	e.traceBottleneck(mine, edge)
-	alt := map[string]any{"name": p.alt.Name, "rounds": p.alt.Rounds, "cost": p.altCost}
-	e.traceBottleneck(alt, p.altEdge)
-	obs.Instant(e.tracer, e.traceTid, "plan", "netsim.plan", map[string]any{"candidates": []any{mine, alt}, "pick": pick})
 }

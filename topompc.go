@@ -524,8 +524,8 @@ type SortResult struct {
 // actual input and runs the cheaper: weighted TeraSort (§5.2, "wts"), at
 // most four rounds and within O(1) of the instance optimum with high
 // probability in the regime N ≥ 4|VC|²ln(|VC|·N), and a one-round gather at
-// the heaviest holder ("gather"), which wins on small or concentrated
-// inputs; ties go to the gather. SortResult.Strategy names the winner.
+// the node where it costs least ("gather"), which wins on small or
+// concentrated inputs; ties go to the gather. SortResult.Strategy names the winner.
 func (c *Cluster) Sort(data [][]uint64, seed uint64) (*SortResult, error) {
 	return c.sortWith(data, seed, sorting.WTS)
 }
@@ -541,8 +541,8 @@ func (c *Cluster) SortBaseline(data [][]uint64, seed uint64) (*SortResult, error
 // sort ("sort-aware": key ranges apportioned by each node's bandwidth
 // capacity, so nodes behind weak cuts own small ranges), the same sort with
 // uniform ranges ("sort-flat", SortAwareBaseline), a one-round gather at the
-// heaviest holder ("gather"), which wins when most data already sits behind
-// a weak cut, and weighted TeraSort ("wts"). Ties go to fewer rounds, then
+// node where it costs least ("gather"), which wins when most data already
+// sits behind a weak cut, and weighted TeraSort ("wts"). Ties go to fewer rounds, then
 // to that order; SortResult.Strategy names the winner. It never costs more
 // than SortAwareBaseline on the same input.
 func (c *Cluster) SortAware(data [][]uint64, seed uint64) (*SortResult, error) {
