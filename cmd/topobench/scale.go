@@ -21,10 +21,10 @@ import (
 // The -scale mode records the data-plane performance trajectory in
 // BENCH_scale.json: steady-state exchange rounds and cc contraction at
 // 10⁴/10⁵ scale (ns/op, allocs/op, B/op), plus end-to-end graph.CC runs on
-// G(n,p) inputs (smokeProbes): the 10⁵-node degree-4 smoke under an
-// optional wall-clock budget and the degree-20 round count at 10⁴, both
-// over graded caterpillars, and the degree-20 10⁵-vertex worker sweep over
-// graph-dense's fat tree, where the contraction runs. -scale-big extends
+// G(n,p) inputs over graph-dense's fat tree, where the contraction runs
+// (smokeProbes): the 10⁵-vertex degree-4 smoke under a live-heap budget,
+// the degree-20 round count at 10⁴ vertices and the degree-20 10⁵-vertex
+// worker sweep. -scale-big extends
 // the sweep to the million-node data plane: a 10⁶-node graded caterpillar
 // build + placement (capacities + weak-cut hierarchy) benchmark, and a cc
 // run over a G(10⁶, 2·10⁻⁵) graph (≈10⁷ edges) end to end.
@@ -213,7 +213,7 @@ func ccScale(n int, seed uint64, stdout io.Writer) (scaleRecord, error) {
 // the contraction-time scratch release so the big runs cannot silently
 // climb back toward the pre-trimming ~7 GB plateau.
 const (
-	smokeHeapBudget = 1 << 27 // 128 MB for the 10⁵-vertex smoke (measured ~38 MB)
+	smokeHeapBudget = 1 << 27 // 128 MB for the 10⁵-vertex smoke (measured ≈ 2.4 MB on the fat tree)
 	bigHeapBudget   = 1 << 30 // 1 GB for the 10⁶-vertex probes (measured ~0.41 GB; pre-trimming ~7.4 GB)
 )
 
@@ -240,27 +240,32 @@ type smokeProbe struct {
 // smokeProbes are the sweep's smoke probes, in the order they run and are
 // recorded. Their model figures (edges, rounds, cost) depend only on the
 // probe and the seed, whatever the worker count.
+//
+// The three -scale probes run over graph-dense's fat tree (85 nodes, 64
+// leaves), recorded as their size, and fail if graph.CC gathers: on a graded
+// caterpillar it gathers, and a probe would time phase 1's propose sweep and
+// one serial union-find instead of the contraction.
 var smokeProbes = []smokeProbe{
-	// The -scale smoke: a 10⁵-node caterpillar hosting an average-degree-4
-	// G(n, p) connectivity run, with the live-heap regression bound.
-	{name: "cc-smoke", nodes: 100_000, n: 100_000, p: 4.0 / 100_000, heapBudget: smokeHeapBudget},
+	// The -scale smoke: an average-degree-4 10⁵-vertex G(n, p)
+	// connectivity run, with the live-heap regression bound.
+	{name: "cc-smoke", nodes: 85, n: 100_000, p: 4.0 / 100_000, heapBudget: smokeHeapBudget, contract: true, tree: denseTree},
 	// The round-count trajectory: cc's rounds and total cost on the
 	// degree-20 G(n, p) of the acceptance benchmark at 10⁴. At 10⁵ the
 	// worker sweep below records them.
-	{name: "cc-rounds", nodes: 10_000, n: 10_000, p: 20.0 / 10_000},
-	// Multicore sweep: the degree-20 10⁵-vertex G(n, p) over graph-dense's
-	// fat tree (85 nodes, 64 leaves) at workers {1, 2, top}, every row
-	// paired against the workers=1 run so the Speedup column records the
-	// compute-plane scaling of the contraction on this machine. On a graded
-	// caterpillar graph.CC gathers instead, and the sweep would time phase
-	// 1's propose sweep and one serial union-find.
-	{name: "cc-workers", nodes: 85, n: 100_000, p: 20.0 / 100_000, workers: workerSweep, contract: true,
-		tree: func() (*topology.Tree, error) { return topology.FatTree(3, 4, 16, 0.25) }},
+	{name: "cc-rounds", nodes: 85, n: 10_000, p: 20.0 / 10_000, contract: true, tree: denseTree},
+	// Multicore sweep: the degree-20 10⁵-vertex G(n, p) at workers
+	// {1, 2, top}, every row paired against the workers=1 run so the
+	// Speedup column records the compute-plane scaling of the contraction
+	// on this machine.
+	{name: "cc-workers", nodes: 85, n: 100_000, p: 20.0 / 100_000, workers: workerSweep, contract: true, tree: denseTree},
 	// ≈10⁷ edges: p·n(n−1)/2 with n = 10⁶, p = 2·10⁻⁵. The probe always
 	// records a workers=1 row; on a multicore machine a paired
 	// workers=min(8, top) row carries the end-to-end speedup.
 	{name: "cc-big", nodes: 1_000_000, n: 1_000_000, p: 2e-5, heapBudget: bigHeapBudget, workers: bigPair, big: true},
 }
+
+// denseTree is graph-dense's fat tree, where graph.CC contracts.
+func denseTree() (*topology.Tree, error) { return topology.FatTree(3, 4, 16, 0.25) }
 
 func workerSweep(maxW int) []int {
 	sweep := []int{1, 2, maxW}

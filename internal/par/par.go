@@ -24,6 +24,7 @@
 package par
 
 import (
+	"math/bits"
 	"runtime"
 	"slices"
 	"sync"
@@ -254,18 +255,28 @@ func (p *Pool) Sum(label string, n int, fn func(shard, lo, hi int) int64) int64 
 	return total
 }
 
-// sortSerialThreshold is the input size below which SortUint64 falls back
-// to a single-threaded sort; fork overhead dominates under it.
+// sortSerialThreshold is the keys per shard below which SortUint64 does not
+// fork. At two workers the split kernel and SerialSort break even near 2¹⁶
+// random keys (≈ 1.5 ms each on a 2-vCPU Xeon @ 2.10 GHz) and the kernel
+// wins from ≈ 10⁵ (2.5 against 3.2–4.1 ms at 2¹⁷): below that the extra pass
+// and SerialSort's fixed cost per bucket of a few hundred keys outweigh the
+// second core.
 const sortSerialThreshold = 1 << 15
 
-// SortUint64 sorts a ascending with a parallel LSD byte radix: per pass,
-// every shard histograms its contiguous segment, a serial prefix sum over
-// (byte, shard) assigns disjoint output cursors, and the shards scatter
-// concurrently. The scatter is stable (shard order equals input order per
-// byte value) and the output is a sorted permutation either way, so the
-// result is identical for every worker count. Byte lanes that are constant
-// across the input are skipped, as in SerialSort. Returns the sorted
-// slice and the scratch buffer, which may have swapped roles.
+// SortUint64 sorts a ascending. Below 2·sortSerialThreshold keys, or with one
+// worker, it is SerialSort. Above, it splits once by the highest byte that
+// varies across the input: one parallel AND/OR reduction finds that byte,
+// each shard histograms its contiguous segment, a serial prefix sum over
+// (byte, shard) assigns disjoint cursors, and the shards scatter their
+// segments into tmp by it. Each of the at most 256 buckets — n/256 keys for
+// spread keys, small enough to stay in cache — is then finished by SerialSort
+// on its lower byte lanes (lanes constant inside a bucket are skipped) with
+// the same range of a as scratch, and copied into a when it ends in tmp. The
+// buckets are dealt to shards in contiguous runs balanced by key count. The
+// output is the sorted permutation of the input, identical for every worker
+// count. Returns the sorted slice and the scratch buffer, which may have
+// swapped roles; with cap(tmp) ≥ len(a) it allocates no n-sized buffer,
+// only the per-shard counts and the forks.
 func (p *Pool) SortUint64(a, tmp []uint64) ([]uint64, []uint64) {
 	n := len(a)
 	shards := p.shardsFor(n / sortSerialThreshold)
@@ -277,79 +288,85 @@ func (p *Pool) SortUint64(a, tmp []uint64) ([]uint64, []uint64) {
 	}
 	tmp = tmp[:n]
 
-	// Global byte histograms of the input decide which lanes to run; byte
-	// populations are permutation-invariant, so one count serves all passes.
-	hists := make([][8][256]int32, shards)
-	p.blocksN("par sort count", n, shards, func(shard, lo, hi int) {
-		h := &hists[shard]
+	// st[s] is shard s's AND/OR pair, then its bucket counts, then its
+	// scatter cursors.
+	type shardState struct {
+		and, or uint64
+		at      [256]int
+	}
+	st := make([]shardState, shards)
+	p.blocksN("par sort reduce", n, shards, func(shard, lo, hi int) {
+		and, or := ^uint64(0), uint64(0)
 		for _, v := range a[lo:hi] {
-			h[0][v&0xff]++
-			h[1][(v>>8)&0xff]++
-			h[2][(v>>16)&0xff]++
-			h[3][(v>>24)&0xff]++
-			h[4][(v>>32)&0xff]++
-			h[5][(v>>40)&0xff]++
-			h[6][(v>>48)&0xff]++
-			h[7][(v>>56)&0xff]++
+			and &= v
+			or |= v
+		}
+		st[shard].and, st[shard].or = and, or
+	})
+	and, or := ^uint64(0), uint64(0)
+	for s := range st {
+		and &= st[s].and
+		or |= st[s].or
+	}
+	if and == or {
+		return a, tmp // every key is equal
+	}
+	sh := uint(63-bits.LeadingZeros64(and^or)) &^ 7
+
+	p.blocksN("par sort count", n, shards, func(shard, lo, hi int) {
+		h := &st[shard].at
+		for _, v := range a[lo:hi] {
+			h[(v>>sh)&0xff]++
 		}
 	})
-	var lane [8][256]int32
-	for s := range hists {
-		for ps := 0; ps < 8; ps++ {
-			for b := 0; b < 256; b++ {
-				lane[ps][b] += hists[s][ps][b]
-			}
+	// Shard s writes its value-b keys from st[s].at[b] on, after every
+	// smaller byte and every earlier shard's value-b keys; start[b] is where
+	// bucket b begins.
+	var start [257]int
+	sum := 0
+	for b := 0; b < 256; b++ {
+		start[b] = sum
+		for s := range st {
+			c := st[s].at[b]
+			st[s].at[b] = sum
+			sum += c
 		}
 	}
+	start[256] = n
+	p.blocksN("par sort scatter", n, shards, func(shard, lo, hi int) {
+		at := &st[shard].at
+		for _, v := range a[lo:hi] {
+			b := (v >> sh) & 0xff
+			tmp[at[b]] = v
+			at[b]++
+		}
+	})
 
-	src, dst := a, tmp
-	var segHist [][256]int32
-	for pass := 0; pass < 8; pass++ {
-		sh := uint(pass) * 8
-		if int(lane[pass][(src[0]>>sh)&0xff]) == n {
-			continue // constant byte lane
-		}
-		if segHist == nil {
-			segHist = make([][256]int32, shards)
-		}
-		// Count the current segment contents (they move between passes).
-		p.blocksN("par sort count", n, shards, func(shard, lo, hi int) {
-			h := &segHist[shard]
-			*h = [256]int32{}
-			for _, v := range src[lo:hi] {
-				h[(v>>sh)&0xff]++
-			}
-		})
-		// Serial prefix over (byte, shard): shard s writes value-b entries at
-		// off[s][b], disjoint from every other (shard, byte) run.
-		var sum int32
+	// Shard s finishes the buckets that begin in its key range
+	// [s·n/shards, (s+1)·n/shards).
+	p.blocksN("par sort finish", shards, shards, func(shard, _, _ int) {
+		lo, hi := shard*n/shards, (shard+1)*n/shards
 		for b := 0; b < 256; b++ {
-			for s := 0; s < shards; s++ {
-				c := segHist[s][b]
-				segHist[s][b] = sum
-				sum += c
+			s, e := start[b], start[b+1]
+			if s < lo || s >= hi || s == e {
+				continue
+			}
+			if out, _ := SerialSort(tmp[s:e], a[s:e]); &out[0] != &a[s] {
+				copy(a[s:e], out)
 			}
 		}
-		p.blocksN("par sort scatter", n, shards, func(shard, lo, hi int) {
-			off := &segHist[shard]
-			for _, v := range src[lo:hi] {
-				b := (v >> sh) & 0xff
-				dst[off[b]] = v
-				off[b]++
-			}
-		})
-		src, dst = dst, src
-	}
-	return src, dst
+	})
+	return a, tmp
 }
 
 // SerialSort sorts a ascending on the calling goroutine with an LSD byte
 // radix, skipping byte lanes that are constant across the slice
 // (index-packed keys rarely use more than a few). Keys must be
-// non-negative. It is SortUint64's fallback below the fork threshold and the
-// sort kernels call from inside a shard, where forking again would break the
-// pool's single-driver rule. Returns the sorted slice and the scratch
-// buffer, which may have swapped roles.
+// non-negative. SortUint64 runs it on inputs below its fork threshold and on
+// each bucket after its split, and the sort kernels call it from inside a
+// shard, where forking again would break the pool's single-driver rule.
+// Returns the sorted slice and the scratch buffer, which may have swapped
+// roles.
 func SerialSort[K ~int32 | ~uint64](a, tmp []K) ([]K, []K) {
 	if len(a) < 64 {
 		slices.Sort(a)

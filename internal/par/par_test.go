@@ -62,38 +62,49 @@ func TestForEachAndSum(t *testing.T) {
 	}
 }
 
-// TestSortUint64 checks the parallel radix against the standard sort on
-// random, constant-lane-heavy, and already-sorted inputs, for worker
-// counts on both sides of the serial threshold.
+// TestSortUint64 checks the split-then-finish kernel against the standard
+// sort at worker counts on both sides of the fork threshold: random,
+// index-packed and already-sorted keys; a skewed top byte, where one bucket
+// holds every key but one; variation in the low lanes only, so the split
+// byte is lane 2; all keys equal, and heavy duplicates; and the lengths
+// around 2·sortSerialThreshold, where two workers start to fork.
 func TestSortUint64(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	inputs := map[string][]uint64{}
-	big := make([]uint64, 300_000)
-	for i := range big {
-		big[i] = rng.Uint64()
+	fill := func(n int, key func(i int) uint64) []uint64 {
+		a := make([]uint64, n)
+		for i := range a {
+			a[i] = key(i)
+		}
+		return a
 	}
-	inputs["random"] = big
-	packed := make([]uint64, 250_000)
-	for i := range packed {
+	dups := fill(16, func(int) uint64 { return rng.Uint64() })
+	const edge = 2 * sortSerialThreshold
+	inputs := map[string][]uint64{
+		"random": fill(300_000, func(int) uint64 { return rng.Uint64() }),
 		// Index-packed keys: only the low bytes of each half vary.
-		packed[i] = uint64(rng.Intn(1<<20))<<32 | uint64(rng.Intn(1<<20))
+		"packed": fill(250_000, func(int) uint64 { return uint64(rng.Intn(1<<20))<<32 | uint64(rng.Intn(1<<20)) }),
+		"sorted": fill(200_000, func(i int) uint64 { return uint64(i) }),
+		"skewed top byte": fill(200_000, func(i int) uint64 {
+			if i == 1234 {
+				return 0xff<<56 | rng.Uint64()>>8
+			}
+			return rng.Uint64() >> 8
+		}),
+		"low lanes only":   fill(200_000, func(int) uint64 { return uint64(rng.Intn(1 << 24)) }),
+		"all equal":        fill(200_000, func(int) uint64 { return 0x0123456789abcdef }),
+		"heavy duplicates": fill(200_000, func(int) uint64 { return dups[rng.Intn(len(dups))] }),
+		"edge-1":           fill(edge-1, func(int) uint64 { return rng.Uint64() }),
+		"edge":             fill(edge, func(int) uint64 { return rng.Uint64() }),
+		"edge+1":           fill(edge+1, func(int) uint64 { return rng.Uint64() }),
+		"small":            {3, 1, 2},
+		"empty":            nil,
 	}
-	inputs["packed"] = packed
-	asc := make([]uint64, 200_000)
-	for i := range asc {
-		asc[i] = uint64(i)
-	}
-	inputs["sorted"] = asc
-	inputs["small"] = []uint64{3, 1, 2}
-	inputs["empty"] = nil
 
 	for name, in := range inputs {
-		want := append([]uint64(nil), in...)
+		want := slices.Clone(in)
 		slices.Sort(want)
-		for _, workers := range []int{1, 2, 8} {
-			p := New(workers)
-			got := append([]uint64(nil), in...)
-			got, _ = p.SortUint64(got, nil)
+		for _, workers := range []int{1, 2, 3, 8} {
+			got, _ := New(workers).SortUint64(slices.Clone(in), nil)
 			if !slices.Equal(got, want) {
 				t.Fatalf("%s workers=%d: sort mismatch", name, workers)
 			}
@@ -117,6 +128,82 @@ func TestSortUint64ReusesScratch(t *testing.T) {
 			t.Fatalf("round %d: not sorted", round)
 		}
 		a = sorted
+	}
+}
+
+// TestSortUint64Allocs pins the allocation contract: given scratch of the
+// input's length, a forking sort allocates only its per-shard state and the
+// fork closures — a few small objects, no n-sized buffer — and returns the
+// two buffers it was given, in either role.
+func TestSortUint64Allocs(t *testing.T) {
+	const n = 200_000
+	rng := rand.New(rand.NewSource(8))
+	for name, key := range map[string]func() uint64{
+		"random":         rng.Uint64,
+		"low lanes only": func() uint64 { return uint64(rng.Intn(1 << 20)) },
+	} {
+		in := make([]uint64, n)
+		for i := range in {
+			in[i] = key()
+		}
+		for _, workers := range []int{2, 8} {
+			p := New(workers)
+			a, tmp := make([]uint64, n), make([]uint64, n)
+			sort := func() {
+				copy(a, in)
+				sorted, scratch := p.SortUint64(a, tmp)
+				same := func(x, y []uint64) bool { return len(x) == n && &x[0] == &y[0] }
+				if !(same(sorted, a) && same(scratch, tmp) || same(sorted, tmp) && same(scratch, a)) {
+					t.Fatalf("%s workers=%d: returned slices are not the buffers passed in", name, workers)
+				}
+				if !slices.IsSorted(sorted) {
+					t.Fatalf("%s workers=%d: not sorted", name, workers)
+				}
+			}
+			// Four forks, each a closure and a goroutine per extra shard,
+			// and the per-shard state.
+			bound := float64(4*p.shardsFor(n/sortSerialThreshold) + 4)
+			if allocs := testing.AllocsPerRun(5, sort); allocs > bound {
+				t.Errorf("%s workers=%d: %.0f allocs per sort, want at most %.0f", name, workers, allocs, bound)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			sort()
+			runtime.ReadMemStats(&after)
+			if bytes := after.TotalAlloc - before.TotalAlloc; bytes >= n*8/4 {
+				t.Errorf("%s workers=%d: a sort allocated %d bytes, want far below the %d-byte input", name, workers, bytes, n*8)
+			}
+		}
+	}
+}
+
+// BenchmarkSortUint64 times the pool's sort at two workers beside
+// SerialSort, on random keys at the sizes of primitives-skew's homes, its
+// gather home, and twice that. Each iteration sorts a fresh copy of the
+// same input with preallocated scratch.
+func BenchmarkSortUint64(b *testing.B) {
+	rng := rand.New(rand.NewSource(9))
+	for _, n := range []int{125_000, 500_000, 1_000_000} {
+		in := make([]uint64, n)
+		for i := range in {
+			in[i] = rng.Uint64()
+		}
+		a, tmp := make([]uint64, n), make([]uint64, n)
+		p := New(2)
+		for _, k := range []struct {
+			name string
+			sort func(a, tmp []uint64) ([]uint64, []uint64)
+		}{{"pool2", p.SortUint64}, {"serial", SerialSort[uint64]}} {
+			b.Run(k.name+"/n="+itoa(n), func(b *testing.B) {
+				b.SetBytes(int64(n) * 8)
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					copy(a, in)
+					b.StartTimer()
+					k.sort(a, tmp)
+				}
+			})
+		}
 	}
 }
 
