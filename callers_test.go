@@ -40,60 +40,8 @@ var uncalledAllowed = map[string]string{
 // internal/ that no non-test file uses. A method that satisfies an interface
 // counts as used; uncalledAllowed lists the exceptions.
 func TestProductionFuncsHaveCallers(t *testing.T) {
-	goTool := goCommand(t)
-	var pkgs []*listedPkg
-	seen := map[string]bool{}
-	for _, dir := range []string{".", "bench"} {
-		listed, err := goList(goTool, dir, "-deps", "-json", "./...")
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, p := range listed {
-			if !seen[p.ImportPath] {
-				seen[p.ImportPath] = true
-				pkgs = append(pkgs, p)
-			}
-		}
-	}
-	var std []string
-	src := map[string]*listedPkg{}
-	for _, p := range pkgs {
-		if p.Standard {
-			std = append(std, p.ImportPath)
-		} else {
-			src[p.ImportPath] = p
-		}
-	}
-	exports, err := goList(goTool, ".", append([]string{"-export", "-json"}, std...)...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exportFile := map[string]string{}
-	for _, p := range exports {
-		exportFile[p.ImportPath] = p.Export
-	}
-
-	fset := token.NewFileSet()
-	c := &sourceChecker{
-		fset: fset,
-		src:  src,
-		std: importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-			f, ok := exportFile[path]
-			if !ok || f == "" {
-				return nil, fmt.Errorf("no export data for %q", path)
-			}
-			return os.Open(f)
-		}),
-		done:   map[string]*checkedPkg{},
-		bodies: map[*types.Func]*ast.BlockStmt{},
-	}
-	for _, p := range pkgs {
-		if !p.Standard {
-			if _, err := c.check(p.ImportPath); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
+	c := checkSources(t, ".", "bench")
+	fset := c.fset
 
 	root, err := os.Getwd()
 	if err != nil {
@@ -160,6 +108,68 @@ func TestProductionFuncsHaveCallers(t *testing.T) {
 	for _, key := range slices.Sorted(maps.Keys(stale)) {
 		t.Errorf("allowlist entry %s is gone or has a production caller now: drop it from uncalledAllowed", key)
 	}
+}
+
+// checkSources type-checks from source every non-test package of the
+// modules in dirs and the module packages they depend on, reading the
+// standard library from the compiler's export data.
+func checkSources(t *testing.T, dirs ...string) *sourceChecker {
+	t.Helper()
+	goTool := goCommand(t)
+	var pkgs []*listedPkg
+	seen := map[string]bool{}
+	for _, dir := range dirs {
+		listed, err := goList(goTool, dir, "-deps", "-json", "./...")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range listed {
+			if !seen[p.ImportPath] {
+				seen[p.ImportPath] = true
+				pkgs = append(pkgs, p)
+			}
+		}
+	}
+	var std []string
+	src := map[string]*listedPkg{}
+	for _, p := range pkgs {
+		if p.Standard {
+			std = append(std, p.ImportPath)
+		} else {
+			src[p.ImportPath] = p
+		}
+	}
+	exports, err := goList(goTool, ".", append([]string{"-export", "-json"}, std...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exportFile := map[string]string{}
+	for _, p := range exports {
+		exportFile[p.ImportPath] = p.Export
+	}
+
+	fset := token.NewFileSet()
+	c := &sourceChecker{
+		fset: fset,
+		src:  src,
+		std: importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+			f, ok := exportFile[path]
+			if !ok || f == "" {
+				return nil, fmt.Errorf("no export data for %q", path)
+			}
+			return os.Open(f)
+		}),
+		done:   map[string]*checkedPkg{},
+		bodies: map[*types.Func]*ast.BlockStmt{},
+	}
+	for _, p := range pkgs {
+		if !p.Standard {
+			if _, err := c.check(p.ImportPath); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return c
 }
 
 type listedPkg struct {

@@ -33,7 +33,6 @@ import (
 	"topompc/internal/cliutil"
 	"topompc/internal/exper"
 	"topompc/internal/obs"
-	"topompc/internal/topology"
 )
 
 func main() {
@@ -45,9 +44,11 @@ type benchConfig struct {
 	topo, place      string
 	n, reps, workers int
 	seed             uint64
-	// tracer, when non-nil, records every timed run (and any cut-tree
-	// build) into one flight-recorder trace.
-	tracer *obs.Trace
+	// tracer, when non-nil, records every timed run, and every topology
+	// build as one span on the buildTid lane, into one flight-recorder
+	// trace.
+	tracer   *obs.Trace
+	buildTid int64
 }
 
 // run executes the command with the given arguments and streams; it
@@ -98,6 +99,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *tracePath != "" {
 		cfg.tracer = obs.NewTrace()
+		cfg.buildTid = cfg.tracer.NewTid("topology build")
 	}
 	// finish writes the accumulated trace on a successful task-timing exit.
 	finish := func(code int) int {
@@ -211,11 +213,12 @@ type benchRecord struct {
 func timeOne(spec topompc.Task, cfg benchConfig, stdout io.Writer) (benchRecord, error) {
 	// Assignments into the interface-typed options go through explicit nil
 	// checks so a disabled recorder stays a nil interface, not a typed nil.
-	var topoOpts []topology.FromGraphOption
+	var build obs.Span
 	if cfg.tracer != nil {
-		topoOpts = append(topoOpts, topology.FromGraphTracer(cfg.tracer))
+		build = obs.Begin(cfg.tracer, cfg.buildTid, "build "+cfg.topo, "topology.build")
 	}
-	tree, err := cliutil.ParseTopo(cfg.topo, topoOpts...)
+	tree, err := cliutil.ParseTopo(cfg.topo)
+	build.End(nil)
 	if err != nil {
 		return benchRecord{}, err
 	}

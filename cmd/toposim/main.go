@@ -27,7 +27,6 @@ import (
 	"topompc"
 	"topompc/internal/cliutil"
 	"topompc/internal/obs"
-	"topompc/internal/topology"
 )
 
 func main() {
@@ -116,23 +115,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	// Flight recorder: one trace spans the whole invocation, so the cut-tree
-	// build of general networks lands in the same file as the task's rounds.
+	// Flight recorder: one trace spans the whole invocation, so the topology
+	// build — for a general network, its cut-tree compression — lands in
+	// the same file as the task's rounds, as one span on its own lane.
 	// Assignments into the interface-typed options go through explicit nil
 	// checks so a disabled recorder stays a nil interface, not a typed nil.
 	var tracer *obs.Trace
-	var topoOpts []topology.FromGraphOption
+	var build obs.Span
 	execOpts := topompc.ExecOptions{Workers: *workers}
 	if *tracePath != "" {
 		tracer = obs.NewTrace()
 		execOpts.Tracer = tracer
-		topoOpts = append(topoOpts, topology.FromGraphTracer(tracer))
+		build = obs.Begin(tracer, tracer.NewTid("topology build"), "build "+*topo, "topology.build")
 	}
 	if *metrics {
 		execOpts.Metrics = obs.NewRegistry()
 	}
 
-	tree, err := cliutil.ParseTopo(*topo, topoOpts...)
+	tree, err := cliutil.ParseTopo(*topo)
+	build.End(nil)
 	if err != nil {
 		fmt.Fprintf(stderr, "toposim: %v\n", err)
 		return 1

@@ -38,10 +38,7 @@ import (
 // general network. Either way a malformed file fails with the file name
 // and an error that names the offending entry and wraps one of topology's
 // named sentinels.
-//
-// opts (e.g. topology.FromGraphTracer) apply to the cut-tree compression
-// of general networks; tree specs construct directly and ignore them.
-func ParseTopo(spec string, opts ...topology.FromGraphOption) (*topology.Tree, error) {
+func ParseTopo(spec string) (*topology.Tree, error) {
 	switch {
 	case strings.HasPrefix(spec, "@"):
 		path := spec[1:]
@@ -55,7 +52,7 @@ func ParseTopo(spec string, opts ...topology.FromGraphOption) (*topology.Tree, e
 		}
 		t, err := topology.FromSpec(s)
 		if errors.Is(err, topology.ErrNotTree) {
-			t, err = graphTopoOpts(opts)(topology.GraphFromSpec(s))
+			t, err = cutTree(topology.GraphFromSpec(s))
 		}
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", path, err)
@@ -90,31 +87,28 @@ func ParseTopo(spec string, opts ...topology.FromGraphOption) (*topology.Tree, e
 		// depth-2 weak-cut hierarchy (halves then pairs).
 		return topology.Caterpillar([]float64{8, 3, 0.5, 3, 8}, 8)
 	case spec == "mesh":
-		return graphTopoOpts(opts)(topology.Mesh(4, 4, 2))
+		return cutTree(topology.Mesh(4, 4, 2))
 	case spec == "ring-of-racks":
-		return graphTopoOpts(opts)(topology.RingOfRacks(4, 2, 3, 8))
+		return cutTree(topology.RingOfRacks(4, 2, 3, 8))
 	case spec == "clos":
-		return graphTopoOpts(opts)(topology.Clos(2, 3, 2, 4, 10))
+		return cutTree(topology.Clos(2, 3, 2, 4, 10))
 	case spec == "fanout":
 		// Seeded so the overlay — and everything downstream of it — is
 		// reproducible run to run.
-		return graphTopoOpts(opts)(topology.RandomizedFanout(rand.New(rand.NewSource(42)), 12, 2, 0.5, 4))
+		return cutTree(topology.RandomizedFanout(rand.New(rand.NewSource(42)), 12, 2, 0.5, 4))
 	default:
 		return nil, fmt.Errorf("unknown topology %q", spec)
 	}
 }
 
-// graphTopoOpts curries the FromGraph options so generator calls can pass
-// their (graph, error) pair straight through: the returned func compresses
-// a generated general network to its cut tree, propagating whichever step
-// failed.
-func graphTopoOpts(opts []topology.FromGraphOption) func(*topology.Graph, error) (*topology.Tree, error) {
-	return func(g *topology.Graph, err error) (*topology.Tree, error) {
-		if err != nil {
-			return nil, err
-		}
-		return topology.FromGraph(g, opts...)
+// cutTree compresses a general network to its cut tree, taking a
+// generator's (graph, error) pair straight through and propagating
+// whichever step failed.
+func cutTree(g *topology.Graph, err error) (*topology.Tree, error) {
+	if err != nil {
+		return nil, err
 	}
+	return topology.FromGraph(g)
 }
 
 // PlaceFunc splits keys over p nodes.

@@ -263,14 +263,12 @@ func (in *instance) forHomes(fn func(sc *combineScratch, i int)) {
 
 // candidate is one aggregation strategy on the driver: its hops run in
 // order, then the scatter hashes what every node holds to homes chosen
-// with weights homes(held) under salt. trace, set on the combiner trees,
-// records their hops when they run.
+// with weights homes(held) under salt.
 type candidate struct {
 	strategy string
 	hops     []hop
 	homes    func(held []partial) []float64
 	salt     uint64
-	trace    *upTrace
 }
 
 // hop is one merge step as data, an exchange round after which every node
@@ -329,7 +327,6 @@ func run(t *topology.Tree, data Placement, seed uint64, opts []netsim.Option, pl
 				held = in.local
 			case !priced:
 				held = in.merged(&c.hops[r-1], held, in.inbox)
-				c.trace.end(&c.hops[r-1])
 			}
 			if r == len(c.hops) {
 				// Self-sends included: they are free and keep the final
@@ -347,10 +344,11 @@ func run(t *topology.Tree, data Placement, seed uint64, opts []netsim.Option, pl
 			}
 			h := &c.hops[r]
 			h.plan(in, x, held)
-			if priced {
+			switch {
+			case priced:
 				held = in.route(h, held)
-			} else {
-				c.trace.begin(in, h, held)
+			case h.rack == nil:
+				in.countUpSweep(h, held)
 			}
 		}}
 	}
@@ -359,6 +357,21 @@ func run(t *topology.Tree, data Placement, seed uint64, opts []netsim.Option, pl
 		return nil, failed
 	}
 	return collect(in, cands[best].strategy), nil
+}
+
+// countUpSweep feeds an up-sweep hop that runs to the engine's metrics:
+// aggregate.upsweep_rounds counts it, and aggregate.shipped_elements adds
+// what its forwarders ship of held.
+func (in *instance) countUpSweep(h *hop, held []partial) {
+	var shipped int64
+	for i, p := range held {
+		if !h.keeps(i) {
+			shipped += int64(len(p))
+		}
+	}
+	mx := in.e.Metrics()
+	mx.Counter("aggregate.upsweep_rounds").Inc()
+	mx.Counter("aggregate.shipped_elements").Add(shipped)
 }
 
 // inbox appends the words node i received under TagData to dst.

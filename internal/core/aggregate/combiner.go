@@ -5,7 +5,6 @@ import (
 
 	"topompc/internal/core/place"
 	"topompc/internal/netsim"
-	"topompc/internal/obs"
 	"topompc/internal/topology"
 )
 
@@ -59,70 +58,23 @@ func CombinerTreeSingle(t *topology.Tree, data Placement, seed uint64, opts ...n
 
 // combinerTree is the candidate of a combiner tree over hier (nil: no weak
 // cut): one forwarding hop per up-sweep step, in order, then homes
-// weighted by capacity. The multi-level tree is named by its step count
-// and traces the hierarchy's combining decisions; the single-level
-// ablation does neither.
+// weighted by capacity. The multi-level tree is named by its step count,
+// the single-level ablation is not.
 func combinerTree(in *instance, hier *place.Hierarchy, multi bool) candidate {
 	weights := place.Capacities(in.t) // strictly positive by contract
 	var ups []place.UpStep
 	if hier != nil {
 		ups = hier.UpSweep(weights)
 	}
-	c := candidate{strategy: "capacity-hash", homes: fixed(weights), salt: 0xa66, trace: &upTrace{weights: weights}}
+	c := candidate{strategy: "capacity-hash", homes: fixed(weights), salt: 0xa66}
 	if len(ups) > 0 {
 		c.strategy = "combiner-tree"
 		if multi {
 			c.strategy = fmt.Sprintf("combiner-tree×%d", len(ups))
-			c.trace.hier = hier
 		}
 	}
 	for _, up := range ups {
 		c.hops = append(c.hops, hop{up: up})
 	}
 	return c
-}
-
-// upTrace is the flight recorder of a combiner tree's hops that run — a
-// priced candidate records nothing. Each hop is one "combine level L" span
-// from its planned round to its merge, counted by aggregate.upsweep_rounds,
-// and the elements its forwarders ship add to aggregate.shipped_elements;
-// the round itself (its elements and cost) is the netsim.round event. The
-// first hop also records the multi-level hierarchy's combining decisions
-// (place.combine). A nil upTrace records nothing.
-type upTrace struct {
-	hier    *place.Hierarchy // nil on the single-level tree
-	weights []float64
-	tid     int64
-	span    obs.Span
-}
-
-// begin opens hop h's record; held is what the nodes hold before it.
-func (u *upTrace) begin(in *instance, h *hop, held []partial) {
-	if u == nil {
-		return
-	}
-	tc, mx := in.e.Tracer(), in.e.Metrics()
-	var shipped int64
-	for i, p := range held {
-		if !h.keeps(i) {
-			shipped += int64(len(p))
-		}
-	}
-	mx.Counter("aggregate.upsweep_rounds").Inc()
-	mx.Counter("aggregate.shipped_elements").Add(shipped)
-	if tc == nil {
-		return
-	}
-	if u.tid == 0 {
-		u.hier.TraceCombine(tc, u.weights)
-		u.tid = tc.NewTid("aggregate up-sweep")
-	}
-	u.span = obs.Begin(tc, u.tid, fmt.Sprintf("combine level %d", h.up.Level), "aggregate.level")
-}
-
-// end closes hop h's record once the hop has merged.
-func (u *upTrace) end(h *hop) {
-	if u != nil {
-		u.span.End(map[string]any{"level": h.up.Level})
-	}
 }

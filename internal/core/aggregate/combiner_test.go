@@ -1,8 +1,8 @@
 package aggregate
 
 import (
-	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"topompc/internal/netsim"
@@ -199,15 +199,14 @@ func TestCombinerTreeFlatParityOnSymmetric(t *testing.T) {
 
 // TestCombinerTreeRecorderSurface pins what the combiner trees tell the
 // flight recorder on the graded caterpillar (a depth-2 hierarchy whose
-// up-sweep merges at both levels): one "combine level L" span per hop that
-// runs, deepest level first, carrying its level (the netsim.round event of
-// the same round carries its elements and cost); the aggregate.* counters
-// counting those rounds and the elements they ship; and the hierarchy's
-// place.combine decisions, one per block per level, from the multi-level
-// tree only. The one-round hash candidates report none of it, and neither
-// does a tree the planner only priced: planned on groups every node shares,
-// it runs the multi-level tree and records what that tree records, one
-// netsim.plan event besides; on groups no two nodes share it runs
+// up-sweep merges at both levels): every round the run executes, merge hops
+// and the closing scatter, is a netsim.round event named after the strategy
+// that ran, as its RoundStats label is; the aggregate.* counters count the
+// merge hops that ran and the elements they ship; and no protocol-side
+// event is emitted. The one-round hash candidates count nothing, and
+// neither does a tree the planner only priced: planned on groups every node
+// shares, it runs the multi-level tree and records what that tree records,
+// one netsim.plan event besides; on groups no two nodes share it runs
 // flat-hash, and the trees it priced record nothing.
 func TestCombinerTreeRecorderSurface(t *testing.T) {
 	tr, err := topology.Caterpillar([]float64{8, 3, 0.5, 3, 8}, 8)
@@ -226,15 +225,14 @@ func TestCombinerTreeRecorderSurface(t *testing.T) {
 		run      func(*topology.Tree, Placement, uint64, ...netsim.Option) (*Result, error)
 		data     Placement
 		strategy string
-		levels   []int // of the merge hops, in order
-		combine  int   // place.combine events
-		plans    int   // netsim.plan events
+		hops     int // merge hops before the scatter
+		plans    int // netsim.plan events
 	}{
-		{"multi", CombinerTree, shared, "combiner-tree×2", []int{1, 0}, 6, 0},
-		{"single", CombinerTreeSingle, shared, "combiner-tree", []int{0}, 0, 0},
-		{"hash", Hash, shared, "hash", nil, 0, 0},
-		{"planned", Planned, shared, "combiner-tree×2", []int{1, 0}, 6, 1},
-		{"planned-flat", Planned, disjoint, "flat-hash", nil, 0, 1},
+		{"multi", CombinerTree, shared, "combiner-tree×2", 2, 0},
+		{"single", CombinerTreeSingle, shared, "combiner-tree", 1, 0},
+		{"hash", Hash, shared, "hash", 0, 0},
+		{"planned", Planned, shared, "combiner-tree×2", 2, 1},
+		{"planned-flat", Planned, disjoint, "flat-hash", 0, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			trace, reg := obs.NewTrace(), obs.NewRegistry()
@@ -242,35 +240,30 @@ func TestCombinerTreeRecorderSurface(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Strategy != tc.strategy || res.Report.NumRounds() != len(tc.levels)+1 {
-				t.Fatalf("%s in %d rounds, want %s in %d", res.Strategy, res.Report.NumRounds(), tc.strategy, len(tc.levels)+1)
+			if res.Strategy != tc.strategy || res.Report.NumRounds() != tc.hops+1 {
+				t.Fatalf("%s in %d rounds, want %s in %d", res.Strategy, res.Report.NumRounds(), tc.strategy, tc.hops+1)
 			}
-			var steps, combine, plans int
-			var shipped int64
+			var rounds, plans int
 			for _, ev := range trace.Events() {
 				switch ev.Cat {
-				case "place.combine":
-					combine++
 				case "netsim.plan":
 					plans++
-				case "aggregate.level":
-					if steps == len(tc.levels) {
-						t.Fatalf("span %q beyond the %d merge hops", ev.Name, steps)
+				case "netsim.round":
+					if lb := res.Report.Rounds[rounds].Label; ev.Name != tc.strategy || lb != tc.strategy {
+						t.Errorf("round %d named %q, labelled %q, want %q", rounds, ev.Name, lb, tc.strategy)
 					}
-					if want := fmt.Sprintf("combine level %d", tc.levels[steps]); ev.Name != want ||
-						len(ev.Args) != 1 || ev.Args["level"] != tc.levels[steps] {
-						t.Errorf("span %q %v, want %q with its level alone", ev.Name, ev.Args, want)
+					rounds++
+				default:
+					if !strings.HasPrefix(ev.Cat, "par.") && ev.Ph != obs.PhMetadata {
+						t.Errorf("protocol-side event %q (%s)", ev.Name, ev.Cat)
 					}
-					shipped += res.Report.Rounds[steps].Elements
-					steps++
 				}
 			}
-			if steps != len(tc.levels) || combine != tc.combine || plans != tc.plans {
-				t.Errorf("%d level spans, %d place.combine and %d netsim.plan events, want %d, %d and %d",
-					steps, combine, plans, len(tc.levels), tc.combine, tc.plans)
+			if rounds != tc.hops+1 || plans != tc.plans {
+				t.Errorf("%d round and %d netsim.plan events, want %d and %d", rounds, plans, tc.hops+1, tc.plans)
 			}
 			snap := reg.Snapshot()
-			if tc.levels == nil {
+			if tc.hops == 0 {
 				for _, name := range []string{"aggregate.upsweep_rounds", "aggregate.shipped_elements"} {
 					if _, ok := snap[name]; ok {
 						t.Errorf("%s reported by a run of %s", name, res.Strategy)
@@ -278,9 +271,13 @@ func TestCombinerTreeRecorderSurface(t *testing.T) {
 				}
 				return
 			}
-			if _, ok := snap["aggregate.merged_groups"]; ok || snap["aggregate.upsweep_rounds"] != float64(steps) ||
+			var shipped int64
+			for _, rd := range res.Report.Rounds[:tc.hops] {
+				shipped += rd.Elements
+			}
+			if _, ok := snap["aggregate.merged_groups"]; ok || snap["aggregate.upsweep_rounds"] != float64(tc.hops) ||
 				snap["aggregate.shipped_elements"] != float64(shipped) || shipped == 0 {
-				t.Errorf("counters %v, spans: %d steps, %d shipped", snap, steps, shipped)
+				t.Errorf("counters %v, want %d hops shipping %d", snap, tc.hops, shipped)
 			}
 		})
 	}

@@ -366,7 +366,7 @@ func checkAnswers(t testing.TB, tr *topology.Tree, pl Placement, seed uint64, v 
 			t.Fatalf("phase %d took %d rounds, want (L+1) + 2·j + (L+1) = %d for L = %d, j = %d",
 				phases, got, 2*(L+1)+2*jumps, L, jumps)
 		}
-		if err := pr.relabel(); err != nil {
+		if _, err := pr.relabel(); err != nil {
 			t.Fatal(err)
 		}
 	}

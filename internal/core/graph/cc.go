@@ -8,7 +8,6 @@ import (
 
 	"topompc/internal/core/place"
 	"topompc/internal/netsim"
-	"topompc/internal/obs"
 	"topompc/internal/par"
 	"topompc/internal/topology"
 )
@@ -124,16 +123,18 @@ func contract(tr *topology.Tree, edges Placement, seed uint64, v variant, opts [
 	if err != nil {
 		return nil, err
 	}
-	// What the result and the flight recorder call this run and its phases.
-	strategy, lane, span, counter := "flat", "graph cc phases", "boruvka phase %d", "graph.cc.phases"
+	// What the result calls this run, and the metrics its phases feed.
+	strategy, counter := "flat", "graph.cc.phases"
 	switch {
 	case v.expand:
-		strategy, lane, span, counter = "fast", "graph cc-fast phases", "expand phase %d", "graph.ccfast.phases"
+		strategy, counter = "fast", "graph.ccfast.phases"
 	case len(pr.steps) > 0:
 		strategy = fmt.Sprintf("aware+combine×%d", len(pr.steps))
 	case v.aware:
 		strategy = "aware"
 	}
+	mx := pr.e.Metrics()
+	mTrims := mx.Counter("graph.cc.scratch_trims")
 	var probe *netsim.Probe
 	var gp place.GatherPlan
 	if v.gather {
@@ -145,25 +146,19 @@ func contract(tr *topology.Tree, edges Placement, seed uint64, v variant, opts [
 	if beaten() {
 		return pr.gathered(gp.Node, edges), nil
 	}
-	mx := pr.e.Metrics()
-	var mActive *obs.Histogram // nil (a no-op) on expanding runs, which never reported it
+	// Per phase, a Borůvka run observes its active edges and an expanding
+	// run counts its doubling rounds.
+	var observe func(act int)
 	if v.expand {
 		// The adjacency round of phase 1 registers the vertices.
-		pr.fs = newFastState(len(pr.ids), len(pr.nodes), mx)
+		pr.fs = newFastState(len(pr.ids), len(pr.nodes))
+		mDbl := mx.Counter("graph.ccfast.doubling_rounds")
+		observe = func(int) { mDbl.Add(int64(pr.fs.dblRounds)) }
 	} else {
 		// Phase 1's propose sweep registers the vertices.
 		pr.collectFirst()
-		mActive = mx.Histogram("graph.cc.active_edges")
-	}
-
-	// Flight recorder: contraction metrics plus one span per phase on a
-	// dedicated lane, and the hierarchy's combining decisions. All of it
-	// vanishes behind nil checks when the engine has no recorder.
-	tc := pr.e.Tracer()
-	var phaseTid int64
-	if tc != nil {
-		phaseTid = tc.NewTid(lane)
-		pr.hier.TraceCombine(tc, pr.weights)
+		mActive := mx.Histogram("graph.cc.active_edges")
+		observe = func(act int) { mActive.Observe(float64(act)) }
 	}
 	mPhases := mx.Counter(counter)
 
@@ -189,10 +184,6 @@ func contract(tr *topology.Tree, edges Placement, seed uint64, v variant, opts [
 		}
 		phases++
 		pr.phase = int32(phases)
-		var sp obs.Span
-		if tc != nil {
-			sp = obs.Begin(tc, phaseTid, fmt.Sprintf(span, phases), "graph.phase")
-		}
 		if v.expand {
 			pr.expand()
 		} else {
@@ -220,18 +211,13 @@ func contract(tr *topology.Tree, edges Placement, seed uint64, v variant, opts [
 			probe.Keep()
 			probe = nil
 		}
-		if err := pr.relabel(); err != nil {
+		trims, err := pr.relabel()
+		if err != nil {
 			return nil, err
 		}
+		mTrims.Add(trims)
 		mPhases.Inc()
-		mActive.Observe(float64(act))
-		if tc != nil {
-			args := map[string]any{"phase": phases, "active_edges": act}
-			if v.expand {
-				args["doubling_rounds"] = pr.fs.dblRounds
-			}
-			sp.End(args)
-		}
+		observe(act)
 	}
 	if probe != nil {
 		probe.Keep()
@@ -684,8 +670,6 @@ type proto struct {
 	nodes   []topology.NodeID
 	nodeIdx []int32 // NodeID -> compute index
 	steps   []place.UpStep
-	weights []float64
-	hier    *place.Hierarchy
 	witness bool
 
 	ids     []uint64 // sorted distinct vertex ids; position = index
@@ -742,7 +726,6 @@ type proto struct {
 	pool   *par.Pool
 	wscr   []collectScratch
 	relErr []error
-	mTrims *obs.Counter
 
 	// planErr holds, per compute node, the failure its planning callback
 	// met while answering queries (ErrUnresolvedLabel, ErrDanglingPointer);
@@ -750,11 +733,13 @@ type proto struct {
 	planErr []error
 }
 
-// round executes one planned exchange with fn planning each compute node's
-// sends. Execute copies every payload into the receiver inboxes before it
-// returns, so one arena per node suffices and each round reuses it.
-func (pr *proto) round(fn func(i int, out *netsim.Outbox)) {
+// round executes one planned exchange, named label, with fn planning each
+// compute node's sends. Execute copies every payload into the receiver
+// inboxes before it returns, so one arena per node suffices and each round
+// reuses it.
+func (pr *proto) round(label string, fn func(i int, out *netsim.Outbox)) {
 	x := pr.e.Exchange()
+	x.Label(label)
 	pr.plan(x, fn)
 	x.Execute()
 }
@@ -1124,7 +1109,7 @@ func (pr *proto) propose() {
 	}
 	for si := range pr.steps {
 		st := pr.steps[si]
-		pr.round(func(i int, out *netsim.Outbox) {
+		pr.round("propose", func(i int, out *netsim.Outbox) {
 			if st.Target[i] == i {
 				return
 			}
@@ -1158,7 +1143,7 @@ func (pr *proto) propose() {
 			}
 		})
 	}
-	pr.round(func(i int, out *netsim.Outbox) {
+	pr.round("propose", func(i int, out *netsim.Outbox) {
 		pr.emitProposals(i, out)
 		pr.emitIndexGroups(i, out, entry, pr.scr[i].need)
 	})
@@ -1311,7 +1296,7 @@ func (pr *proto) jump(unresolved int) error {
 // Returns the number of labels still unresolved.
 func (pr *proto) jumpOnce() (int, error) {
 	// Queries: one per distinct pointer target per node.
-	pr.round(func(i int, out *netsim.Outbox) {
+	pr.round("jump", func(i int, out *netsim.Outbox) {
 		qs := pr.scr[i].need[:0]
 		for _, a := range pr.hooked[i] {
 			qs = append(qs, pr.parPtr[a])
@@ -1320,7 +1305,7 @@ func (pr *proto) jumpOnce() (int, error) {
 		pr.scr[i].need = qs
 		pr.emitIndexGroups(i, out, tagJumpQ, qs)
 	})
-	pr.round(func(j int, out *netsim.Outbox) {
+	pr.round("jump", func(j int, out *netsim.Outbox) {
 		ib := pr.e.Inbox(pr.nodes[j])
 		for mi := 0; mi < ib.Len(); mi++ {
 			m := ib.At(mi)
@@ -1421,7 +1406,7 @@ func (pr *proto) answer() error {
 // answerStage is answer's round for sweep stage s (len(pr.steps) = homes),
 // with the won bits' receipt in witness mode.
 func (pr *proto) answerStage(s int) {
-	pr.round(func(j int, out *netsim.Outbox) {
+	pr.round("answer", func(j int, out *netsim.Outbox) {
 		sc := &pr.scr[j]
 		for _, a := range sc.asked {
 			if a.stage == int32(s) {
@@ -1519,8 +1504,9 @@ func (pr *proto) takeWins(s, i int) {
 // down with the contraction. The walk shards by home across the pool; the
 // root arrays are frozen (read-only) here, every write is home-local, and
 // each shard keeps its first error so the merge can return the first
-// failure in home order — identical to the serial walk.
-func (pr *proto) relabel() error {
+// failure in home order — identical to the serial walk. It reports how many
+// scratch buffers it released, for graph.cc.scratch_trims.
+func (pr *proto) relabel() (int64, error) {
 	for s := range pr.relErr {
 		pr.relErr[s] = nil
 	}
@@ -1567,11 +1553,10 @@ func (pr *proto) relabel() error {
 	})
 	for _, err := range pr.relErr {
 		if err != nil {
-			return err
+			return 0, err
 		}
 	}
-	pr.mTrims.Add(trims)
-	return nil
+	return trims, nil
 }
 
 func (pr *proto) totalActive() int {
@@ -1611,9 +1596,8 @@ func newProto(tr *topology.Tree, edges Placement, seed uint64, v variant, opts [
 
 	// Expanding phases push roots to subscribers, so they run no schedule.
 	var steps []place.UpStep
-	var hier *place.Hierarchy
-	if v.aware {
-		if hier = place.HierarchyFor(tr); hier != nil && !v.expand {
+	if v.aware && !v.expand {
+		if hier := place.HierarchyFor(tr); hier != nil {
 			steps = hier.UpSweep(weights)
 		}
 	}
@@ -1639,8 +1623,6 @@ func newProto(tr *topology.Tree, edges Placement, seed uint64, v variant, opts [
 		nodes:      nodes,
 		nodeIdx:    nodeIdx,
 		steps:      steps,
-		weights:    weights,
-		hier:       hier,
 		witness:    v.witness,
 		ids:        ids,
 		idToIdx:    idToIdx,
@@ -1663,7 +1645,6 @@ func newProto(tr *topology.Tree, edges Placement, seed uint64, v variant, opts [
 		pool:       pool,
 		wscr:       make([]collectScratch, pool.Workers()),
 		relErr:     make([]error, pool.Workers()),
-		mTrims:     e.Metrics().Counter("graph.cc.scratch_trims"),
 		planErr:    make([]error, p),
 	}
 	pr.arena = make([]payloadSlab, p)

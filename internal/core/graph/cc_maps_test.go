@@ -139,10 +139,11 @@ type mapProto struct {
 	rootOf []map[uint64]uint64 // home state: resolved roots, a -> root
 }
 
-// round executes one planned exchange with fn planning each compute node's
-// sends.
-func (pr *mapProto) round(fn func(i int, out *netsim.Outbox)) {
+// round executes one planned exchange, named label as the protocol names
+// the same step, with fn planning each compute node's sends.
+func (pr *mapProto) round(label string, fn func(i int, out *netsim.Outbox)) {
 	x := pr.e.Exchange()
+	x.Label(label)
 	x.Plan(func(v topology.NodeID, out *netsim.Outbox) {
 		fn(pr.idx[v], out)
 	})
@@ -272,7 +273,7 @@ func (pr *mapProto) propose(entries []map[uint64]bool, first bool) sweep {
 	}
 	for s, st := range pr.steps {
 		st := st
-		pr.round(func(i int, out *netsim.Outbox) {
+		pr.round("propose", func(i int, out *netsim.Outbox) {
 			if st.Target[i] == i {
 				return
 			}
@@ -335,7 +336,7 @@ func (pr *mapProto) propose(entries []map[uint64]bool, first bool) sweep {
 		local, lone = merged, mergedLone
 	}
 	home := len(pr.steps)
-	pr.round(func(i int, out *netsim.Outbox) {
+	pr.round("propose", func(i int, out *netsim.Outbox) {
 		byHome := make(map[int]map[uint64]prop)
 		for a, p := range local[i] {
 			h := pr.home(a)
@@ -434,7 +435,7 @@ func (pr *mapProto) jump(unresolved int) error {
 		// Queries: one per distinct pointer target per node.
 		waiting := make([]map[uint64][]uint64, len(pr.nodes))
 		asked := make([]map[int][]uint64, len(pr.nodes))
-		pr.round(func(i int, out *netsim.Outbox) {
+		pr.round("jump", func(i int, out *netsim.Outbox) {
 			w := make(map[uint64][]uint64)
 			for _, a := range sortedKeys(pr.parent[i]) {
 				q := pr.parent[i][a]
@@ -451,7 +452,7 @@ func (pr *mapProto) jump(unresolved int) error {
 		// Replies: bit k set and value k the root when the k-th target is
 		// resolved, bit k clear and value k its pointer otherwise.
 		failed := make([]error, len(pr.nodes))
-		pr.round(func(j int, out *netsim.Outbox) {
+		pr.round("jump", func(j int, out *netsim.Outbox) {
 			ib := pr.e.Inbox(pr.nodes[j])
 			for mi := 0; mi < ib.Len(); mi++ {
 				m := ib.At(mi)
@@ -531,7 +532,7 @@ func (pr *mapProto) answer(sw sweep) ([]map[uint64]uint64, error) {
 	}
 	failed := make([]error, len(pr.nodes))
 	for s := len(pr.steps); s >= 0; s-- {
-		pr.round(func(j int, out *netsim.Outbox) {
+		pr.round("answer", func(j int, out *netsim.Outbox) {
 			roots := learned[j]
 			if s == len(pr.steps) {
 				roots = pr.rootOf[j]

@@ -2,9 +2,9 @@ package graph
 
 import (
 	"fmt"
-	"maps"
 	"math"
 	"math/rand"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
@@ -368,23 +368,27 @@ func TestCCEdgeCases(t *testing.T) {
 // hierarchy (TestDeepestLevelShapes, TestDeepestLevelPartition).
 
 // TestPhaseRecorderSurface pins what a run tells the flight recorder about
-// its phases, for both phase kinds: the counters of its own kind and none of
-// the other's, and one span per phase with the phase's arguments. The input
-// is a path under shuffled ids, which takes either kind several phases.
+// its phases, for both phase kinds: every round is named by its step, in
+// the order the phase kind runs them, and the trace's round events carry
+// the same names; the metrics of its own kind count the phases and the
+// doubling rounds those names show, and none of the other kind's is
+// reported. The input is a path under shuffled ids, which takes either kind
+// several phases.
 func TestPhaseRecorderSurface(t *testing.T) {
 	tree := testTrees(t)["caterpillar"]
 	pl := placeEdges(shuffledPath(rand.New(rand.NewSource(17)), 3000), tree.NumCompute())
 	for _, tc := range []struct {
-		name, span string
-		run        func(*topology.Tree, Placement, uint64, ...netsim.Option) (*Result, error)
-		args       []string
-		counters   []string
-		absent     []string
+		name     string
+		run      func(*topology.Tree, Placement, uint64, ...netsim.Option) (*Result, error)
+		phase    string // one phase's step labels, each followed by a space
+		first    string // the step that opens a phase
+		counters []string
+		absent   []string
 	}{
-		{"cc", "boruvka phase %d", ccContraction, []string{"active_edges", "phase"},
+		{"cc", ccContraction, `(propose )+(jump jump )*(answer )+`, "propose",
 			[]string{"graph.cc.phases", "graph.cc.active_edges.count"},
 			[]string{"graph.ccfast.phases", "graph.ccfast.doubling_rounds"}},
-		{"cc-fast", "expand phase %d", CCFast, []string{"active_edges", "doubling_rounds", "phase"},
+		{"cc-fast", CCFast, `adjacency (double )*(jump jump )*push-roots `, "adjacency",
 			[]string{"graph.ccfast.phases"},
 			[]string{"graph.cc.phases", "graph.cc.active_edges.count", "graph.ccfast.rounds_saved"}},
 	} {
@@ -396,6 +400,34 @@ func TestPhaseRecorderSurface(t *testing.T) {
 			}
 			if err := Verify(Reference(pl), res); err != nil {
 				t.Fatal(err)
+			}
+			var labels, names strings.Builder
+			phases, doubling := 0, 0
+			for _, rd := range res.Report.Rounds {
+				labels.WriteString(rd.Label + " ")
+				if rd.Label == tc.first && (rd.Index == 0 || res.Report.Rounds[rd.Index-1].Label != tc.first) {
+					phases++
+				}
+				if rd.Label == "double" {
+					doubling++
+				}
+			}
+			if !regexp.MustCompile(`^(` + tc.phase + `)+$`).MatchString(labels.String()) {
+				t.Errorf("round labels %q are not phases of %q", labels.String(), tc.phase)
+			}
+			if phases != res.Phases {
+				t.Errorf("labels show %d phases, the run reports %d", phases, res.Phases)
+			}
+			for _, ev := range trace.Events() {
+				if ev.Cat == "netsim.round" {
+					names.WriteString(ev.Name + " ")
+				}
+				if strings.HasPrefix(ev.Cat, "graph.") {
+					t.Errorf("protocol-side event %q (%s)", ev.Name, ev.Cat)
+				}
+			}
+			if names.String() != labels.String() {
+				t.Errorf("round events named %q, the report's rounds %q", names.String(), labels.String())
 			}
 			snap := reg.Snapshot()
 			for _, name := range tc.counters {
@@ -411,31 +443,12 @@ func TestPhaseRecorderSurface(t *testing.T) {
 			if _, ok := snap["graph.cc.scratch_trims"]; !ok {
 				t.Error("graph.cc.scratch_trims not reported")
 			}
-			phase, doubling := 0, 0
-			for _, ev := range trace.Events() {
-				if ev.Cat != "graph.phase" {
-					continue
-				}
-				phase++
-				if want := fmt.Sprintf(tc.span, phase); ev.Name != want {
-					t.Errorf("phase span %q, want %q", ev.Name, want)
-				}
-				if got := slices.Sorted(maps.Keys(ev.Args)); !slices.Equal(got, tc.args) {
-					t.Errorf("%s: args %v, want %v", ev.Name, got, tc.args)
-				}
-				if ev.Args["phase"] != phase || ev.Args["active_edges"].(int) <= 0 {
-					t.Errorf("%s: args %v", ev.Name, ev.Args)
-				}
-				if tc.name == "cc-fast" {
-					doubling += ev.Args["doubling_rounds"].(int)
-				}
-			}
-			if phase != res.Phases {
-				t.Errorf("%d phase spans for %d phases", phase, res.Phases)
+			if tc.name == "cc" && snap["graph.cc.active_edges.max"] <= 0 {
+				t.Errorf("graph.cc.active_edges.max = %v", snap["graph.cc.active_edges.max"])
 			}
 			if tc.name == "cc-fast" {
 				if got := snap["graph.ccfast.doubling_rounds"]; got != float64(doubling) || doubling == 0 {
-					t.Errorf("graph.ccfast.doubling_rounds = %v, spans sum to %d", got, doubling)
+					t.Errorf("graph.ccfast.doubling_rounds = %v, labels show %d", got, doubling)
 				}
 			}
 		})

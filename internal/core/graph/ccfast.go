@@ -4,7 +4,6 @@ import (
 	"slices"
 
 	"topompc/internal/netsim"
-	"topompc/internal/obs"
 	"topompc/internal/par"
 )
 
@@ -112,13 +111,11 @@ type fastState struct {
 	// push each subscribed label's root straight back — no query round.
 	subs [][]uint64
 
-	// Per-phase telemetry for the obs span, and the run's counter.
-	dblRounds int // doubling rounds this phase
-	mDbl      *obs.Counter
+	dblRounds int // doubling rounds this phase, for graph.ccfast.doubling_rounds
 }
 
 // newFastState sizes the expansion state for nV labels over p homes.
-func newFastState(nV, p int, mx *obs.Registry) *fastState {
+func newFastState(nV, p int) *fastState {
 	fs := &fastState{
 		knowBuf:   make([]int32, nV*fastBudget),
 		knowLen:   make([]int32, nV),
@@ -129,7 +126,6 @@ func newFastState(nV, p int, mx *obs.Registry) *fastState {
 		evictLen:  make([]int32, nV),
 		evictAt:   make([]int32, nV),
 		subs:      make([][]uint64, p),
-		mDbl:      mx.Counter("graph.ccfast.doubling_rounds"),
 	}
 	for a := range fs.evictAt {
 		fs.evictAt[a] = -1
@@ -150,7 +146,6 @@ func (pr *proto) expand() {
 	for changed := -1; fs.dblRounds < fastMaxDoubling && changed != 0; fs.dblRounds++ {
 		pr.planDouble()
 		changed = pr.double()
-		fs.mDbl.Inc()
 	}
 	pr.proposeFromKnow()
 }
@@ -232,7 +227,7 @@ func (pr *proto) adjacency() {
 	for i := range fs.subs {
 		fs.subs[i] = fs.subs[i][:0]
 	}
-	pr.round(func(i int, out *netsim.Outbox) {
+	pr.round("adjacency", func(i int, out *netsim.Outbox) {
 		sc := &pr.scr[i]
 		ks := sc.k1s[:0]
 		if !first {
@@ -373,7 +368,7 @@ func (pr *proto) planDouble() {
 // the receivers' sets. Returns the number of set insertions.
 func (pr *proto) double() int {
 	fs := pr.fs
-	pr.round(func(i int, out *netsim.Outbox) {
+	pr.round("double", func(i int, out *netsim.Outbox) {
 		pr.emitPacked(i, out, tagKnow, pr.scr[i].k1s)
 	})
 	fs.dblStamp++
@@ -447,7 +442,7 @@ func (pr *proto) proposeFromKnow() {
 // mirror.
 func (pr *proto) pushRoots() {
 	fs := pr.fs
-	pr.round(func(i int, out *netsim.Outbox) {
+	pr.round("push-roots", func(i int, out *netsim.Outbox) {
 		subs := fs.subs[i]
 		if len(subs) == 0 {
 			return

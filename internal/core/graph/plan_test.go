@@ -184,10 +184,10 @@ func TestPlannedConnectivity(t *testing.T) {
 // TestPlannedTrace: a traced cc on a caterpillar, where the gather wins,
 // emits exactly one netsim.plan instant, which names both candidates with
 // the probe's rounds and cost and the gather's price, and picks the gather;
-// its Report has the gather's one round, the one round event, and the probe's
-// rounds count as priced, not run, with no phase span. On a dense input the
-// contraction is kept: one plan instant picks it, and every round it ran is
-// a round event.
+// its Report has the gather's one round, named gather, as the one round
+// event, and the probe's rounds count as priced, not run, and no phase. On a
+// dense input the contraction is kept: one plan instant picks it, and every
+// round it ran is a round event named by its step.
 func TestPlannedTrace(t *testing.T) {
 	tree := testTrees(t)["caterpillar"]
 	rng := rand.New(rand.NewSource(7))
@@ -216,15 +216,13 @@ func TestPlannedTrace(t *testing.T) {
 		if got := res.Strategy == "gather"; got != tc.gather {
 			t.Fatalf("%s: strategy %s", tc.name, res.Strategy)
 		}
-		var plans, rounds, spans []obs.Event
+		var plans, rounds []obs.Event
 		for _, ev := range trace.Events() {
 			switch ev.Cat {
 			case "netsim.plan":
 				plans = append(plans, ev)
 			case "netsim.round":
 				rounds = append(rounds, ev)
-			case "graph.phase":
-				spans = append(spans, ev)
 			}
 		}
 		if len(plans) != 1 || plans[0].Args["pick"] != res.Strategy {
@@ -237,11 +235,22 @@ func TestPlannedTrace(t *testing.T) {
 		if gat["name"] != "gather" || gat["rounds"] != 1 || gat["cost"] != gp.Cost {
 			t.Errorf("%s: gather candidate %v, priced %v", tc.name, gat, gp.Cost)
 		}
-		if len(rounds) != res.Report.NumRounds() || len(spans) != res.Phases {
-			t.Errorf("%s: %d round events and %d phase spans for %d rounds and %d phases",
-				tc.name, len(rounds), len(spans), res.Report.NumRounds(), res.Phases)
+		if len(rounds) != res.Report.NumRounds() {
+			t.Errorf("%s: %d round events for %d rounds", tc.name, len(rounds), res.Report.NumRounds())
+		}
+		for i, ev := range rounds {
+			steps := []string{"propose", "jump", "answer"}
+			if tc.gather {
+				steps = []string{"gather"}
+			}
+			if lb := res.Report.Rounds[i].Label; ev.Name != lb || !slices.Contains(steps, lb) {
+				t.Errorf("%s: round %d is named %q, labelled %q, want one of %v", tc.name, i, ev.Name, lb, steps)
+			}
 		}
 		snap := reg.Snapshot()
+		if snap["graph.cc.phases"] != float64(res.Phases) {
+			t.Errorf("%s: graph.cc.phases = %v for %d phases", tc.name, snap["graph.cc.phases"], res.Phases)
+		}
 		if tc.gather {
 			if res.Report.NumRounds() != 1 || res.Report.TotalCost() != gp.Cost || con["cost"].(float64) < gp.Cost || probeRounds == 0 {
 				t.Errorf("%s: gather in %d rounds at %v, probe %v", tc.name, res.Report.NumRounds(), res.Report.TotalCost(), con)

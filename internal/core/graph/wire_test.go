@@ -75,7 +75,7 @@ func checkWitnessWire(t *testing.T, name string, tr *topology.Tree, pl Placement
 		if err := pr.planFailure(); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if err := pr.relabel(); err != nil {
+		if _, err := pr.relabel(); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 	}

@@ -10,10 +10,11 @@ type GatherPlan struct {
 }
 
 // Gather picks the node a one-round gather costs least at: every compute
-// node v sends its loads[v] words to one compute node. Ties go to the
-// lowest compute index, and the bottleneck is named as the engine names
-// it: the lowest edge id among the costliest. Theorem 3 makes that gather
-// optimal whenever a gather is.
+// node v sends its loads[v] words to one compute node. Among nodes of equal
+// cost it picks the one whose gather moves the fewest words over all links,
+// Σ_e (words on e's far side), then the lowest compute index. The
+// bottleneck is named as the engine names it: the lowest edge id among the
+// costliest. Theorem 3 makes that gather optimal whenever a gather is.
 //
 // One rerooting sweep prices every node. An edge e costs Below(e)/w_e to a
 // node above it and Above(e)/w_e to a node below it, so a node's cost is
@@ -22,7 +23,8 @@ type GatherPlan struct {
 // the first over the edges inside its subtree (in) and the two largest such
 // terms over its child subtrees; a top-down pass carries the rest (out):
 // the parent's out, the node's own edge from below and its siblings' terms.
-// Everything is O(V).
+// The same top-down pass reroots the words moved: Σ_e Below(e) at the root,
+// and stepping down edge e trades Below(e) for Above(e). Everything is O(V).
 func Gather(t *topology.Tree, loads topology.Loads) GatherPlan {
 	cuts := t.Cuts(loads)
 	below := func(e topology.EdgeID) float64 { return float64(cuts[e].Below) / t.Bandwidth(e) }
@@ -45,6 +47,10 @@ func Gather(t *topology.Tree, loads topology.Loads) GatherPlan {
 		}
 	}
 	out := make([]float64, t.NumNodes())
+	moved := make([]int64, t.NumNodes())
+	for _, c := range cuts {
+		moved[pre[0]] += c.Below
+	}
 	for _, v := range pre[1:] {
 		p, e := t.Parent(v)
 		sib := best1[p]
@@ -52,12 +58,14 @@ func Gather(t *topology.Tree, loads topology.Loads) GatherPlan {
 			sib = best2[p]
 		}
 		out[v] = max(out[p], sib, above(e))
+		moved[v] = moved[p] - cuts[e].Below + cuts[e].Above
 	}
 
 	gp := GatherPlan{Bottleneck: topology.NoEdge}
+	var least int64
 	for i, v := range t.ComputeNodes() {
-		if c := max(in[v], out[v]); i == 0 || c < gp.Cost {
-			gp.Node, gp.Cost = i, c
+		if c := max(in[v], out[v]); i == 0 || c < gp.Cost || c == gp.Cost && moved[v] < least {
+			gp.Node, gp.Cost, least = i, c, moved[v]
 		}
 	}
 	// The bottleneck is the first edge whose term is the node's cost.

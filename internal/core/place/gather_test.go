@@ -10,27 +10,34 @@ import (
 	"topompc/internal/topology/topotest"
 )
 
-// bruteGather prices the gather round at every compute node with
-// Exchange.Price — every other compute node sends its loads[v] words to g
-// in one message — and returns the cheapest, the lowest compute index among
-// equals, with its price and bottleneck.
+// bruteGather runs the gather round at every compute node — every other
+// compute node sends its loads[v] words to g in one message — and returns
+// the cheapest, with its cost and bottleneck; among equals the one that
+// moves the fewest words over all links (the sum of its EdgeTotals), then
+// the lowest compute index.
 func bruteGather(t *topology.Tree, loads topology.Loads) GatherPlan {
 	var most int64
 	for _, v := range t.ComputeNodes() {
 		most = max(most, loads[v])
 	}
 	payload := make([]uint64, most)
-	e := netsim.NewEngine(t, netsim.WithWorkers(1))
 	var best GatherPlan
+	var least int64
 	for i, g := range t.ComputeNodes() {
+		e := netsim.NewEngine(t, netsim.WithWorkers(1))
 		x := e.Exchange()
 		for _, v := range t.ComputeNodes() {
 			if v != g && loads[v] > 0 {
 				x.Out(v).Send(g, netsim.TagData, payload[:loads[v]])
 			}
 		}
-		if cost, edge := x.Price(); i == 0 || cost < best.Cost {
-			best = GatherPlan{Node: i, Cost: cost, Bottleneck: edge}
+		rd := x.Execute()
+		var moved int64
+		for _, n := range e.Report().EdgeTotals {
+			moved += n
+		}
+		if i == 0 || rd.Cost < best.Cost || rd.Cost == best.Cost && moved < least {
+			best, least = GatherPlan{Node: i, Cost: rd.Cost, Bottleneck: rd.BottleneckEdge}, moved
 		}
 	}
 	return best
@@ -39,7 +46,7 @@ func bruteGather(t *topology.Tree, loads topology.Loads) GatherPlan {
 // TestGatherMatchesPricedRounds: on three draws of every topotest shape,
 // under uniform, zipf, oneheavy (80% on the first node), single (all on the
 // last node) and all-zero loads, Gather picks the node, cost and bottleneck
-// that pricing the gather round at every compute node picks.
+// that running the gather round at every compute node picks.
 func TestGatherMatchesPricedRounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
 	spreads := []struct {

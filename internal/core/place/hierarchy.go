@@ -221,19 +221,6 @@ func (h *Hierarchy) Deepest() *Hierarchy {
 	return &Hierarchy{Levels: h.Levels[k:], Thresholds: h.Thresholds[k:], Parents: [][]int{nil}}
 }
 
-// BlockWeights sums the given per-compute-node weights over each block of
-// one level — the per-level capacities the combining decision compares.
-func (h *Hierarchy) BlockWeights(level int, weights []float64) []float64 {
-	plan := h.Levels[level]
-	out := make([]float64, len(plan.Blocks))
-	for b, members := range plan.Blocks {
-		for _, i := range members {
-			out[b] += weights[i]
-		}
-	}
-	return out
-}
-
 // CombinePays flags, for every level, the blocks where a merge round pays
 // off under weight-proportional homing. A block pays when it has at least
 // two members holding a minority (at most half, within float tolerance) of

@@ -21,7 +21,8 @@ func planBatch(x *Exchange, batch []benchTransfer) {
 // TestExchangeSteadyStateAllocFree pins the zero-alloc arena guarantee: on
 // the default engine, the one every pipeline runs on, with inline
 // accounting, a steady-state exchange round (plan + execute) performs no
-// heap allocation once the arena has grown to the working set.
+// heap allocation once the arena has grown to the working set, labelled or
+// not.
 func TestExchangeSteadyStateAllocFree(t *testing.T) {
 	tr := benchCaterpillar(t)
 	batch := benchTransferBatch(tr, 4096)
@@ -37,6 +38,7 @@ func TestExchangeSteadyStateAllocFree(t *testing.T) {
 
 	allocs := testing.AllocsPerRun(10, func() {
 		x := e.Exchange()
+		x.Label("step")
 		planBatch(x, batch)
 		x.Execute()
 	})
@@ -103,7 +105,8 @@ func TestExchangeRoundAllocsAreForks(t *testing.T) {
 
 // TestExchangeSteadyStateAllocFreeWithMetrics pins the same guarantee with
 // the metrics registry attached: instruments are resolved at construction
-// and updated with bare atomics, so recording must not reintroduce
+// and updated with bare atomics, and a round's label is a string header in
+// its RoundStats, so recording a labelled round must not reintroduce
 // steady-state allocation. (Tracing is exempt — emitting events buffers
 // them by design.)
 func TestExchangeSteadyStateAllocFreeWithMetrics(t *testing.T) {
@@ -119,6 +122,7 @@ func TestExchangeSteadyStateAllocFreeWithMetrics(t *testing.T) {
 
 	allocs := testing.AllocsPerRun(10, func() {
 		x := e.Exchange()
+		x.Label("step")
 		planBatch(x, batch)
 		x.Execute()
 	})

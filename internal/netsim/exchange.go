@@ -39,11 +39,12 @@ import (
 // Exchange() until Execute(), or until Price() reports what Execute would
 // charge and drops the plan instead.
 type Exchange struct {
-	e    *Engine
-	outs []Outbox // one per compute node, in ComputeNodes order
-	logs []opLog  // one per shard of senders the pool forks a walk into
-	t0   float64  // trace timestamp of Exchange() (tracing only)
-	done bool
+	e     *Engine
+	outs  []Outbox // one per compute node, in ComputeNodes order
+	logs  []opLog  // one per shard of senders the pool forks a walk into
+	t0    float64  // trace timestamp of Exchange() (tracing only)
+	label string   // the round's name, set by Label
+	done  bool
 
 	// The round's per-node element counts, by NodeID: written by the tally
 	// walk, folded into the engine's totals and zeroed by Execute (or zeroed
@@ -100,9 +101,17 @@ func (e *Engine) Exchange() *Exchange {
 	if e.tracer != nil {
 		x.t0 = e.tracer.Now()
 	}
+	x.label = ""
 	x.done = false
 	return x
 }
+
+// Label names the round: the name goes into its RoundStats, its
+// netsim.round trace event and its line of Report.String. RunCheapest and
+// Probe name the rounds they run after the candidate; a protocol names its
+// own steps. An unlabelled round is called "round". Names are meant to be
+// static strings, so labelling a round allocates nothing.
+func (x *Exchange) Label(name string) { x.label = name }
 
 // Out returns the outbox of compute node v for direct planning (e.g. a
 // coordinator broadcasting splitters). The outbox stays valid until
@@ -341,7 +350,7 @@ func (x *Exchange) Execute() RoundStats {
 	e.inboxCur, e.inboxNext = e.inboxNext, e.inboxCur
 	e.inRound = false
 
-	rd := RoundStats{Index: len(e.rounds), Messages: rows, Elements: int64(keys), MaxReceived: maxRecv}
+	rd := RoundStats{Index: len(e.rounds), Label: x.label, Messages: rows, Elements: int64(keys), MaxReceived: maxRecv}
 	rd.Cost, rd.BottleneckEdge = e.mergedDeltas().FlushInto(e.totEdge)
 	for v := range x.sent {
 		if x.sent[v] != 0 {
@@ -413,12 +422,12 @@ type Candidate struct {
 
 // RunCheapest is where a planned protocol decides (Algorithm 8's "pick the
 // best of"): it prices every round of every candidate with Price, sums each
-// candidate's prices, runs the cheapest on the engine and returns its index.
-// Ties go to fewer rounds, then to the earlier candidate. A lone candidate
-// runs without being priced. With a tracer attached, each priced decision
-// emits one netsim.plan instant: every candidate's name, rounds, summed cost
-// and the bottleneck edge of its costliest round, and the pick. cands must
-// not be empty.
+// candidate's prices, runs the cheapest on the engine, its rounds labelled
+// with its name, and returns its index. Ties go to fewer rounds, then to the
+// earlier candidate. A lone candidate runs without being priced. With a
+// tracer attached, each priced decision emits one netsim.plan instant: every
+// candidate's name, rounds, summed cost and the bottleneck edge of its
+// costliest round, and the pick. cands must not be empty.
 func (e *Engine) RunCheapest(cands []Candidate) int {
 	best, bestCost := 0, 0.0
 	var traced []any
@@ -444,12 +453,18 @@ func (e *Engine) RunCheapest(cands []Candidate) int {
 	if traced != nil {
 		e.tracePlan(cands[best].Name, traced...)
 	}
-	for r := range cands[best].Rounds {
+	cands[best].run(e)
+	return best
+}
+
+// run executes every round of the candidate on e, labelled with its name.
+func (c *Candidate) run(e *Engine) {
+	for r := range c.Rounds {
 		x := e.Exchange()
-		cands[best].Plan(x, r, false)
+		x.Label(c.Name)
+		c.Plan(x, r, false)
 		x.Execute()
 	}
-	return best
 }
 
 // tracePlan emits a decision's netsim.plan instant: every plan it weighed,

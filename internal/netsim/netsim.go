@@ -45,7 +45,9 @@
 // and runs the cheapest on the same engine under one tie rule.
 // A plan whose rounds depend on what earlier rounds deliver cannot be priced
 // so; Probe runs it against one that was, and drops its rounds for the other
-// once they cost at least that price.
+// once they cost at least that price. Every round carries a name into its
+// statistics and its trace event: the step a protocol labels it with, or
+// the candidate RunCheapest or Probe ran it for.
 //
 // Every fork — Plan's per-node callbacks, the two walks, and the protocol
 // kernels' per-home compute (Engine.Pool) — goes through internal/par on
@@ -305,10 +307,10 @@ func WithLeanStats() Option {
 }
 
 // WithTracer attaches a trace sink: the engine allocates one lane and
-// emits a complete event per committed round carrying the round's cost,
-// bottleneck edge, and volume, and a netsim.plan instant event for every
-// decision RunCheapest prices or a Probe settles. A nil tracer leaves
-// tracing disabled.
+// emits a complete event per committed round, named by its label
+// (Exchange.Label) and carrying its cost, bottleneck edge, and volume, and
+// a netsim.plan instant event for every decision RunCheapest prices or a
+// Probe settles. A nil tracer leaves tracing disabled.
 func WithTracer(tr obs.Tracer) Option {
 	return func(e *Engine) { e.tracer = tr }
 }
@@ -349,11 +351,8 @@ func NewEngine(t *topology.Tree, opts ...Option) *Engine {
 	return e
 }
 
-// Tracer reports the attached trace sink (nil when tracing is disabled),
-// letting protocol layers running on this engine share the same trace.
-func (e *Engine) Tracer() obs.Tracer { return e.tracer }
-
-// Metrics reports the attached metrics registry (nil when disabled).
+// Metrics reports the attached metrics registry (nil when disabled), which
+// protocols running on this engine feed their own counters through.
 func (e *Engine) Metrics() *obs.Registry { return e.metrics }
 
 // recordRound feeds the flight recorder once a round's statistics are
@@ -395,8 +394,12 @@ func (e *Engine) emitRound(rd *RoundStats, t0, t1 float64) {
 		"max_received": rd.MaxReceived,
 	}
 	e.traceBottleneck(args, rd.BottleneckEdge)
+	name := rd.Label
+	if name == "" {
+		name = "round"
+	}
 	e.tracer.Emit(obs.Event{
-		Name: "round", Cat: "netsim.round", Ph: obs.PhComplete,
+		Name: name, Cat: "netsim.round", Ph: obs.PhComplete,
 		Ts: t0, Dur: t1 - t0,
 		Pid: obs.Pid, Tid: e.traceTid, Args: args,
 	})

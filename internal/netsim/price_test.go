@@ -122,8 +122,8 @@ func twoTierForChooser(t *testing.T) (*topology.Tree, []topology.NodeID) {
 // workers, a multi-round candidate is priced at the sum of its rounds; an
 // equal sum goes to fewer rounds and equal rounds to the earlier candidate;
 // every candidate is priced round by round and only the winner runs, so the
-// Report holds the winner's rounds alone; and a lone candidate runs without
-// being priced.
+// Report holds the winner's rounds alone, each labelled with its name; and a
+// lone candidate runs without being priced.
 func TestRunCheapest(t *testing.T) {
 	tr, vs := twoTierForChooser(t)
 	far := func(sizes ...int) *sendPlan { return &sendPlan{a: vs[0], b: vs[3], sizes: sizes} }
@@ -178,6 +178,9 @@ func TestRunCheapest(t *testing.T) {
 				t.Fatalf("%s, workers %d: report holds %d rounds, the winner runs %d", tc.name, workers, len(rep.Rounds), len(win.sizes))
 			}
 			for r, rd := range rep.Rounds {
+				if rd.Label != cands[tc.pick].Name {
+					t.Fatalf("%s, workers %d: round %d labelled %q, want the winner's name %q", tc.name, workers, r, rd.Label, cands[tc.pick].Name)
+				}
 				if rd.Cost != float64(win.sizes[r]) || rd.Elements != int64(win.sizes[r]) {
 					t.Fatalf("%s, workers %d: round %d is %+v, the winner sends %d keys", tc.name, workers, r, rd, win.sizes[r])
 				}
@@ -190,8 +193,8 @@ func TestRunCheapest(t *testing.T) {
 }
 
 // TestRunCheapestAllocFree: with no tracer, a steady-state decision — every
-// candidate priced, the winner run — allocates nothing beyond the caller's
-// candidates.
+// candidate priced, the winner run with its rounds labelled — allocates
+// nothing beyond the caller's candidates.
 func TestRunCheapestAllocFree(t *testing.T) {
 	tr, vs := twoTierForChooser(t)
 	keys := make([]uint64, 5)
@@ -206,12 +209,15 @@ func TestRunCheapestAllocFree(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() { e.RunCheapest(cands) }); allocs != 0 {
 		t.Fatalf("steady-state RunCheapest allocates: got %.1f allocs/op, want 0", allocs)
 	}
+	if rds := e.Report().Rounds; rds[len(rds)-1].Label != "one" {
+		t.Fatalf("the winner's round is labelled %q, want one", rds[len(rds)-1].Label)
+	}
 }
 
 // TestRunCheapestTraceEvent: a traced priced decision emits one netsim.plan
 // instant naming every candidate with its rounds, its summed price and the
 // bottleneck edge of its costliest round, and the pick; Price emits nothing
-// of its own, only the winner's rounds are round spans, a lone candidate
+// of its own, only the winner's rounds are round spans, named after it, a lone candidate
 // emits no plan event, and the trace passes the schema check.
 func TestRunCheapestTraceEvent(t *testing.T) {
 	tr, vs := twoTierForChooser(t)
@@ -260,6 +266,11 @@ func TestRunCheapestTraceEvent(t *testing.T) {
 	}
 	if len(plans) != 1 || len(roundEvents(tc)) != 2 {
 		t.Fatalf("trace holds %d plan events and %d round events, want 1 and 2", len(plans), len(roundEvents(tc)))
+	}
+	for _, ev := range roundEvents(tc) {
+		if ev.Name != "one" {
+			t.Fatalf("round event named %q, want the candidate run, one", ev.Name)
+		}
 	}
 	ev := plans[0]
 	got, _ := ev.Args["candidates"].([]any)

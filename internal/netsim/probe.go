@@ -15,12 +15,12 @@ import (
 // place. A caller that finishes what it meant to weigh below that price
 // keeps the probe (Keep) and goes on.
 //
-// While a probe is open its rounds are held back from the flight recorder.
-// Kept, they are recorded as committed rounds; dropped, they count as priced
-// rounds and leave no round event. Either way one netsim.plan instant names
-// both plans, as RunCheapest's does: the probe's rounds so far and their
-// cost, alt's rounds and price, and the pick. An engine runs one probe at a
-// time.
+// While a probe is open its rounds are held back from the flight recorder,
+// labels and all. Kept, they are recorded as committed rounds; dropped,
+// they count as priced rounds and leave no round event. Either way one
+// netsim.plan instant names both plans, as RunCheapest's does: the probe's
+// rounds so far and their cost, alt's rounds and price, and the pick. An
+// engine runs one probe at a time.
 type Probe struct {
 	e       *Engine
 	name    string
@@ -66,7 +66,8 @@ func (p *Probe) cost() (float64, topology.EdgeID) {
 
 // Beaten reports whether the probe's rounds cost at least alt's price. If
 // they do, the probe is settled for alt: its rounds leave the engine's
-// rounds and totals, which read as they did when it opened, and alt runs.
+// rounds and totals, which read as they did when it opened, and alt runs,
+// its rounds labelled with its name.
 func (p *Probe) Beaten() bool {
 	e := p.e
 	cost, edge := p.cost()
@@ -87,11 +88,7 @@ func (p *Probe) Beaten() bool {
 		e.mPriced.Add(int64(n))
 	}
 	p.plan(n, cost, edge, p.alt.Name)
-	for r := range p.alt.Rounds {
-		x := e.Exchange()
-		p.alt.Plan(x, r, false)
-		x.Execute()
-	}
+	p.alt.run(e)
 	return true
 }
 

@@ -11,12 +11,13 @@ import (
 
 // TestProbe: on the two-tier tree, at 1 and 4 workers, with and without a
 // round before it, a probe of rounds sending 2 keys across the slow uplink
-// (cost 2 each) is weighed against alt, one round of 5 keys (cost 5). Kept
-// after two rounds (cost 4 < 5), the probe's rounds stay and reach the
-// recorder as committed rounds; asked again after three (cost 6 ≥ 5), it is
-// beaten: the report and its totals read as on an engine that ran the round
-// before and alt alone, the dropped rounds count as priced, no round event
-// names them, and one netsim.plan instant names both plans and the pick.
+// (cost 2 each, labelled step) is weighed against alt, one round of 5 keys
+// (cost 5). Kept after two rounds (cost 4 < 5), the probe's rounds stay and
+// reach the recorder as committed rounds under their labels; asked again
+// after three (cost 6 ≥ 5), it is beaten: the report and its totals read as
+// on an engine that ran the round before and alt alone, alt's round labelled
+// alt, the dropped rounds count as priced, no round event names them, and
+// one netsim.plan instant names both plans and the pick.
 func TestProbe(t *testing.T) {
 	tr, vs := twoTierForChooser(t)
 	keys := make([]uint64, 8)
@@ -47,13 +48,16 @@ func TestProbe(t *testing.T) {
 						t.Fatalf("workers %d: beaten below alt's price", workers)
 					}
 					x := e.Exchange()
+					x.Label("step")
 					send(x, 2)
 					x.Execute()
 				}
+				names := []string{"round", "step", "step", "step"}[1-before:]
 				if probeRounds == 2 {
 					p.Keep()
 					for range probeRounds {
 						x := want.Exchange()
+						x.Label("step")
 						send(x, 2)
 						x.Execute()
 					}
@@ -63,8 +67,10 @@ func TestProbe(t *testing.T) {
 						t.Fatalf("workers %d: a probe costing 6 not beaten by alt at 5", workers)
 					}
 					x := want.Exchange()
+					x.Label("alt")
 					send(x, 5)
 					x.Execute()
+					names = append(names[:before], "alt")
 				}
 				name := map[bool]string{false: "kept", true: "beaten"}[beaten]
 				if got, w := e.Report(), want.Report(); !reflect.DeepEqual(got, w) {
@@ -85,8 +91,8 @@ func TestProbe(t *testing.T) {
 					t.Fatalf("%s: %d round events, want %d", name, len(rounds), committed)
 				}
 				for i, ev := range rounds {
-					if ev.Args["round"] != i || ev.Args["cost"] != e.Report().Rounds[i].Cost {
-						t.Fatalf("%s: round event %d is %v", name, i, ev.Args)
+					if ev.Args["round"] != i || ev.Args["cost"] != e.Report().Rounds[i].Cost || ev.Name != names[i] {
+						t.Fatalf("%s: round event %d is %s %v, want %s", name, i, ev.Name, ev.Args, names[i])
 					}
 				}
 				var plans []obs.Event

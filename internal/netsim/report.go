@@ -13,6 +13,7 @@ import (
 // totals on Report.
 type RoundStats struct {
 	Index          int
+	Label          string  // the round's name (Exchange.Label); "" when unlabelled
 	Cost           float64 // max_e |Y_i(e)| / w_e over the round's edge counts
 	BottleneckEdge topology.EdgeID
 	MaxReceived    int64 // max over nodes of elements received this round
@@ -65,8 +66,12 @@ func (r *Report) String() string {
 			a, b := r.Tree.Endpoints(rd.BottleneckEdge)
 			bn = fmt.Sprintf("%s—%s", r.Tree.Name(a), r.Tree.Name(b))
 		}
-		fmt.Fprintf(&sb, "  round %d: cost=%.3f msgs=%d elems=%d bottleneck=%s\n",
-			rd.Index+1, rd.Cost, rd.Messages, rd.Elements, bn)
+		label := ""
+		if rd.Label != "" {
+			label = " (" + rd.Label + ")"
+		}
+		fmt.Fprintf(&sb, "  round %d%s: cost=%.3f msgs=%d elems=%d bottleneck=%s\n",
+			rd.Index+1, label, rd.Cost, rd.Messages, rd.Elements, bn)
 	}
 	return sb.String()
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"topompc/internal/obs"
@@ -59,20 +60,72 @@ func TestExchangeTraceRoundsSumToTotalCost(t *testing.T) {
 	}
 }
 
-// TestEngineSinks: Tracer and Metrics report the sinks the engine was built
-// with, so protocol layers on it share one trace and one registry, and nil
-// when none is attached.
+// TestLabelledRound: at 1 and 4 workers, a round keeps the label it was
+// given in its RoundStats, as the name of its trace event and in its line of
+// Report.String; an unlabelled round is called "round", and the recycled
+// exchange forgets the label of the round before.
+func TestLabelledRound(t *testing.T) {
+	tr, vs := twoTierForChooser(t)
+	for _, workers := range []int{1, 4} {
+		tc := obs.NewTrace()
+		e := NewEngine(tr, WithWorkers(workers), WithTracer(tc))
+		labels := []string{"propose", "", "jump"}
+		for _, label := range labels {
+			x := e.Exchange()
+			if label != "" {
+				x.Label(label)
+			}
+			x.Out(vs[0]).Send(vs[3], TagData, []uint64{1, 2})
+			if rd := x.Execute(); rd.Label != label {
+				t.Fatalf("workers %d: Execute reports label %q, want %q", workers, rd.Label, label)
+			}
+		}
+		rep := e.Report()
+		evs := roundEvents(tc)
+		for i, label := range labels {
+			name := label
+			if label == "" {
+				name = "round"
+			}
+			if rep.Rounds[i].Label != label || evs[i].Name != name {
+				t.Fatalf("workers %d: round %d labelled %q, event %q, want %q and %q", workers, i, rep.Rounds[i].Label, evs[i].Name, label, name)
+			}
+		}
+		for _, line := range []string{"  round 1 (propose): cost=", "  round 2: cost=", "  round 3 (jump): cost="} {
+			if !strings.Contains(rep.String(), line) {
+				t.Fatalf("workers %d: report has no line %q:\n%s", workers, line, rep)
+			}
+		}
+	}
+}
+
+// TestEngineSinks: Metrics reports the registry the engine was built with,
+// so protocols on it feed one registry, and nil when none is attached; an
+// attached tracer gets one lane named netsim rounds, beside its pool's.
 func TestEngineSinks(t *testing.T) {
 	tr, err := topology.Star([]float64{1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e := NewEngine(tr); e.Tracer() != nil || e.Metrics() != nil {
-		t.Fatalf("bare engine reports sinks %v, %v", e.Tracer(), e.Metrics())
+	if e := NewEngine(tr); e.Metrics() != nil {
+		t.Fatalf("bare engine reports registry %v", e.Metrics())
 	}
 	tc, reg := obs.NewTrace(), obs.NewRegistry()
-	if e := NewEngine(tr, WithTracer(tc), WithMetrics(reg)); e.Tracer() != tc || e.Metrics() != reg {
-		t.Fatalf("engine reports sinks %v, %v, want %v, %v", e.Tracer(), e.Metrics(), tc, reg)
+	if e := NewEngine(tr, WithTracer(tc), WithMetrics(reg)); e.Metrics() != reg {
+		t.Fatalf("engine reports registry %v, want %v", e.Metrics(), reg)
+	}
+	var lanes []any
+	rounds := 0
+	for _, ev := range tc.Events() {
+		if ev.Name == "thread_name" {
+			lanes = append(lanes, ev.Args["name"])
+			if ev.Args["name"] == "netsim rounds" {
+				rounds++
+			}
+		}
+	}
+	if rounds != 1 {
+		t.Fatalf("traced engine named lanes %v, want netsim rounds once", lanes)
 	}
 }
 

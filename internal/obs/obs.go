@@ -1,13 +1,16 @@
 // Package obs is the engine's flight recorder: a zero-overhead-when-
 // disabled instrumentation layer of structured tracing, lightweight
-// metrics, and profiling plumbing shared by the exchange engine, the
-// protocol packages, and the command-line tools.
+// metrics, and profiling plumbing shared by the exchange engine, its
+// worker pool, and the command-line tools. Protocols do not import it:
+// they name their rounds (netsim.Exchange.Label) and feed their counters
+// through the engine's registry.
 //
 // The paper's whole contribution is accounting — cost = Σ_i max_e
 // |Y_i(e)|/w_e — and this package makes that accounting observable
-// *inside* a run instead of only as a final total: where each round's
-// bottleneck sits, which hierarchy level a payload merged at, which
-// combining decisions fired, and how long each Gomory–Hu max-flow took.
+// *inside* a run instead of only as a final total: which step each round
+// was, where its bottleneck sits, which candidate each planner decision
+// picked and at what price, and how the kernels' shards spread over the
+// workers.
 //
 // Tracing. A Tracer is an event sink; Trace is the standard in-memory
 // implementation, exported as Chrome trace-event JSON (loadable in
@@ -54,8 +57,8 @@ const (
 
 // Tracer is the sink interface of the flight recorder. Implementations
 // must be safe for concurrent use: a par pool emits one span per shard from
-// the worker goroutine running it, while the engine and the protocols emit
-// round events and phase spans from the driver goroutine.
+// the worker goroutine running it, while the engine emits round events and
+// plan instants from the driver goroutine.
 //
 // Producers hold a Tracer interface value that is nil when tracing is
 // disabled and guard every emission (and every argument-map construction)
@@ -66,7 +69,7 @@ type Tracer interface {
 	// Now reports microseconds since the trace epoch.
 	Now() float64
 	// NewTid allocates a fresh lane (thread id) named in the trace
-	// viewer's left-hand column, e.g. "netsim rounds" or "graph phases".
+	// viewer's left-hand column, e.g. "netsim rounds" or "par worker 0".
 	NewTid(name string) int64
 }
 

@@ -10,9 +10,9 @@ import (
 
 // Trace is the standard in-memory Tracer: a mutex-guarded event buffer
 // with a monotonic microsecond clock, serialized as Chrome trace-event
-// JSON. One Trace spans a whole tool invocation — topology construction
-// (Gomory–Hu max-flows), every engine the run creates, and the protocol
-// layers all share it, each on its own tid lane.
+// JSON. One Trace spans a whole tool invocation — the command's topology
+// build, every engine the run creates and their worker pools all share it,
+// each on its own tid lane.
 type Trace struct {
 	mu     sync.Mutex
 	epoch  time.Time

@@ -1,25 +1,6 @@
 package topology
 
-import (
-	"fmt"
-
-	"topompc/internal/obs"
-)
-
-// FromGraphOption configures FromGraph.
-type FromGraphOption func(*fromGraphConfig)
-
-type fromGraphConfig struct {
-	tracer obs.Tracer
-}
-
-// FromGraphTracer attaches a flight-recorder trace sink to the cut-tree
-// build: FromGraph emits one span per Dinic max-flow (source, sink, and
-// resulting cut value) plus one covering span for the whole construction,
-// on a dedicated lane. A nil tracer leaves tracing disabled.
-func FromGraphTracer(tc obs.Tracer) FromGraphOption {
-	return func(c *fromGraphConfig) { c.tracer = tc }
-}
+import "fmt"
 
 // FromGraph compresses a general network into a Gomory–Hu equivalent-cut
 // tree: a Tree over exactly the graph's nodes (names, order, and compute
@@ -40,32 +21,17 @@ func FromGraphTracer(tc obs.Tracer) FromGraphOption {
 // refining a star of tentative tree edges. Max-flows run on a reusable
 // Dinic residual network, so the whole build costs n−1 Dinic runs and
 // O(V+E) space. The result is deterministic for a given graph.
-func FromGraph(g *Graph, opts ...FromGraphOption) (*Tree, error) {
-	var cfg fromGraphConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
+func FromGraph(g *Graph) (*Tree, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
 	n := g.NumNodes()
-	tc := cfg.tracer
-	var ghTid int64
-	var build obs.Span
-	if tc != nil {
-		ghTid = tc.NewTid("gomory-hu max-flows")
-		build = obs.Begin(tc, ghTid, "gomory-hu build", "topology.fromgraph")
-	}
 	parent := make([]NodeID, n) // tentative tree parent; starts as a star on node 0
 	flow := make([]float64, n)  // min-cut value to parent
 	if n > 1 {
 		net := newFlowNet(g)
 		side := make([]bool, n)
 		for i := 1; i < n; i++ {
-			var sp obs.Span
-			if tc != nil {
-				sp = obs.Begin(tc, ghTid, fmt.Sprintf("maxflow %s→%s", g.Name(NodeID(i)), g.Name(parent[i])), "topology.maxflow")
-			}
 			net.reset()
 			flow[i] = net.maxflow(NodeID(i), parent[i])
 			net.minCutSide(NodeID(i), side)
@@ -76,13 +42,7 @@ func FromGraph(g *Graph, opts ...FromGraphOption) (*Tree, error) {
 					parent[j] = NodeID(i)
 				}
 			}
-			if tc != nil {
-				sp.End(map[string]any{"source": int(i), "sink": int(parent[i]), "cut": flow[i]})
-			}
 		}
-	}
-	if tc != nil {
-		build.End(map[string]any{"nodes": n, "maxflows": n - 1})
 	}
 
 	b := NewBuilder()

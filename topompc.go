@@ -76,14 +76,17 @@ type ExecOptions struct {
 	// executes. Every result is the same at every worker count.
 	Workers int
 	// Tracer, when non-nil, attaches the flight recorder: every engine the
-	// protocols create emits per-round spans (cost, bottleneck edge) and
-	// the protocol layers add phase/level spans and combining decisions,
-	// all into this sink (typically an obs.Trace exported as Chrome
-	// trace-event JSON). Nil keeps tracing disabled at zero overhead.
+	// protocols create emits one span per round it runs, named by the
+	// round's label — the protocol step or the planned candidate — with its
+	// cost and bottleneck edge, one netsim.plan instant per planner
+	// decision, and its worker pool's shards, all into this sink (typically
+	// an obs.Trace exported as Chrome trace-event JSON). Protocols emit
+	// nothing of their own. Nil keeps tracing disabled at zero overhead.
 	Tracer obs.Tracer
-	// Metrics, when non-nil, collects counters/gauges/histograms
-	// (netsim.*, graph.*, aggregate.*) across all protocol executions for
-	// snapshotting into benchmark records.
+	// Metrics, when non-nil, collects counters/gauges/histograms across all
+	// protocol executions for snapshotting into benchmark records: the
+	// engine's netsim.* and par.*, and the graph.* and aggregate.* counters
+	// the protocols feed through the engine's registry.
 	Metrics *obs.Registry
 }
 
