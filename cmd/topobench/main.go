@@ -33,6 +33,7 @@ import (
 	"topompc/internal/cliutil"
 	"topompc/internal/exper"
 	"topompc/internal/obs"
+	"topompc/internal/topology"
 )
 
 func main() {
@@ -44,7 +45,7 @@ type benchConfig struct {
 	topo, place      string
 	n, reps, workers int
 	seed             uint64
-	// tracer, when non-nil, records every timed run, and every topology
+	// tracer, when non-nil, records every timed run, and the topology
 	// build as one span on the buildTid lane, into one flight-recorder
 	// trace.
 	tracer   *obs.Trace
@@ -207,21 +208,22 @@ type benchRecord struct {
 	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
-// timeOne runs one registry task cfg.reps times and reports model cost
-// next to wall-clock time, exercising the exchange-plan runtime end to
-// end.
-func timeOne(spec topompc.Task, cfg benchConfig, stdout io.Writer) (benchRecord, error) {
-	// Assignments into the interface-typed options go through explicit nil
-	// checks so a disabled recorder stays a nil interface, not a typed nil.
+// buildTree builds the configured topology, in one topology.build span
+// when tracing.
+func buildTree(cfg benchConfig) (*topology.Tree, error) {
 	var build obs.Span
 	if cfg.tracer != nil {
 		build = obs.Begin(cfg.tracer, cfg.buildTid, "build "+cfg.topo, "topology.build")
 	}
 	tree, err := cliutil.ParseTopo(cfg.topo)
 	build.End(nil)
-	if err != nil {
-		return benchRecord{}, err
-	}
+	return tree, err
+}
+
+// timeOne runs one registry task on tree cfg.reps times and reports model
+// cost next to wall-clock time, exercising the exchange-plan runtime end to
+// end.
+func timeOne(spec topompc.Task, tree *topology.Tree, cfg benchConfig, stdout io.Writer) (benchRecord, error) {
 	reps := cfg.reps
 	if reps < 1 {
 		reps = 1
@@ -229,6 +231,8 @@ func timeOne(spec topompc.Task, cfg benchConfig, stdout io.Writer) (benchRecord,
 	cluster := topompc.NewCluster(tree)
 	reg := obs.NewRegistry()
 	execOpts := topompc.ExecOptions{Workers: cfg.workers, Metrics: reg}
+	// The tracer goes into the interface-typed option through a nil check,
+	// so a disabled recorder stays a nil interface, not a typed nil.
 	if cfg.tracer != nil {
 		execOpts.Tracer = cfg.tracer
 	}
@@ -289,7 +293,11 @@ func timeTask(name string, cfg benchConfig, stdout io.Writer) error {
 	if !ok {
 		return fmt.Errorf("unknown task %q (see toposim -list-tasks)", name)
 	}
-	rec, err := timeOne(spec, cfg, stdout)
+	tree, err := buildTree(cfg)
+	if err != nil {
+		return err
+	}
+	rec, err := timeOne(spec, tree, cfg, stdout)
 	if err != nil {
 		return err
 	}
@@ -312,12 +320,16 @@ type benchAll struct {
 	Records []benchRecord `json:"records"`
 }
 
-// timeAll times every registered task on the configured fixture and
-// writes the combined BENCH_all.json.
+// timeAll times every registered task on the configured fixture, built
+// once, and writes the combined BENCH_all.json.
 func timeAll(cfg benchConfig, stdout io.Writer) error {
+	tree, err := buildTree(cfg)
+	if err != nil {
+		return err
+	}
 	out := benchAll{Host: thisHost(), Topo: cfg.topo, Place: cfg.place, N: cfg.n, Seed: cfg.seed}
 	for _, spec := range topompc.Tasks() {
-		rec, err := timeOne(spec, cfg, stdout)
+		rec, err := timeOne(spec, tree, cfg, stdout)
 		if err != nil {
 			return fmt.Errorf("%s: %w", spec.Name, err)
 		}

@@ -260,3 +260,32 @@ func TestExperimentsMatchRecorded(t *testing.T) {
 	}
 	t.Fatalf("output has %d lines, EXPERIMENTS.md %d (rerun with -update after an intended change)", len(gotLines), len(wantLines))
 }
+
+// TestAllBuildsTheTopologyOnce: an -all sweep on a general network parses
+// the topology, its Gomory–Hu compression included, once for every task,
+// so its trace holds exactly one topology.build span.
+func TestAllBuildsTheTopologyOnce(t *testing.T) {
+	chtmp(t)
+	var out, errOut strings.Builder
+	code := run([]string{"-all", "-topo", "mesh", "-n", "300", "-reps", "1", "-trace", "tb.json"}, &out, &errOut)
+	if code != 0 {
+		t.Fatalf("exit code %d, stderr: %s", code, errOut.String())
+	}
+	data, err := os.ReadFile("tb.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, err := obs.ParseTraceJSON(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	builds := 0
+	for _, ev := range events {
+		if ev.Cat == "topology.build" {
+			builds++
+		}
+	}
+	if builds != 1 {
+		t.Fatalf("the -all trace holds %d topology.build spans, want 1", builds)
+	}
+}

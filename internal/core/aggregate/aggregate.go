@@ -40,10 +40,12 @@
 //
 // Planned hands all of them to netsim.Engine.RunCheapest, which prices
 // every round of every candidate on the instance and runs the cheapest; an
-// entry point with one candidate runs it unpriced. To price the rounds
-// after a hop, the driver routes what the hop sends in-process and merges
-// it with the same combine step that merges the inbox when the hop runs,
-// so a priced candidate and its run see the same partials.
+// entry point with one candidate runs it unpriced. A candidate plans a
+// priced round as it plans one that runs, and its hash sends lay no row out
+// there (place.Scatter). To price the rounds after a hop, the driver routes
+// what the hop sends in-process and merges it with the same combine step
+// that merges the inbox when the hop runs, so a priced candidate and its
+// run see the same partials.
 //
 // Local compute is sort-merge on the par kernels, forked by home: a partial
 // is a group-ascending run of (group, value) words from the local
@@ -321,11 +323,11 @@ func run(t *topology.Tree, data Placement, seed uint64, opts []netsim.Option, pl
 	for k := range cands {
 		c := &cands[k]
 		var held []partial
-		plans[k] = netsim.Candidate{Name: c.strategy, Rounds: len(c.hops) + 1, Plan: func(x *netsim.Exchange, r int, priced bool) {
+		plans[k] = netsim.Candidate{Name: c.strategy, Rounds: len(c.hops) + 1, Plan: func(x *netsim.Exchange, r int) {
 			switch {
 			case r == 0:
 				held = in.local
-			case !priced:
+			case !x.Priced():
 				held = in.merged(&c.hops[r-1], held, in.inbox)
 			}
 			if r == len(c.hops) {
@@ -345,7 +347,7 @@ func run(t *topology.Tree, data Placement, seed uint64, opts []netsim.Option, pl
 			h := &c.hops[r]
 			h.plan(in, x, held)
 			switch {
-			case priced:
+			case x.Priced():
 				held = in.route(h, held)
 			case h.rack == nil:
 				in.countUpSweep(h, held)

@@ -84,7 +84,7 @@ func distribute(in *instance, layouts ...layout) (*Result, error) {
 			x: segments(rects, in.sizeR, func(r Rect) (int64, int64) { return r.X0, r.X1 }, in.nodes),
 			y: segments(rects, in.sizeS, func(r Rect) (int64, int64) { return r.Y0, r.Y1 }, in.nodes),
 		}
-		cands[i] = netsim.Candidate{Name: l.strategy, Rounds: 1, Plan: func(x *netsim.Exchange, _ int, _ bool) { in.plan(x, a) }}
+		cands[i] = netsim.Candidate{Name: l.strategy, Rounds: 1, Plan: func(x *netsim.Exchange, _ int) { in.plan(x, a) }}
 	}
 
 	e := netsim.NewEngine(in.t, in.opts...)

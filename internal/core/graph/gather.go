@@ -25,7 +25,7 @@ func (pr *proto) gatherCandidate(gp place.GatherPlan, edges Placement) netsim.Ca
 	if gp.Cost == 0 {
 		rounds = 0
 	}
-	return netsim.Candidate{Name: "gather", Rounds: rounds, Plan: func(x *netsim.Exchange, _ int, _ bool) {
+	return netsim.Candidate{Name: "gather", Rounds: rounds, Plan: func(x *netsim.Exchange, _ int) {
 		pr.plan(x, func(i int, out *netsim.Outbox) {
 			if i == gp.Node || len(edges[i]) == 0 {
 				return

@@ -11,9 +11,10 @@
 //
 // The join is one round of Algorithm 2, place.BlockRouter.Round, over 2-word
 // rows, so a sender's rows leave through place.Scatter, the one keyed
-// scatter. Tree plans which router that round takes. It prices three on the
-// instance (place.BlockRouter.PriceRound, then netsim.Engine.RunCheapest)
-// and runs the cheapest on the same engine, the first among equals:
+// scatter. Tree plans which router that round takes. It hands the round
+// through each of three routers to netsim.Engine.RunCheapest, which prices
+// them on the instance and runs the cheapest on the same engine, the first
+// among equals:
 //
 //   - blocks: join keys routed exactly like TreeIntersect routes set
 //     elements (balanced partition, weighted in-block hashing, the smaller
@@ -25,7 +26,9 @@
 //   - uniform-hash: UniformHash's uniform hash, so Tree never costs more than
 //     the topology-oblivious baseline.
 //
-// Pricing reads bucket counts only, so a losing router lays no row out.
+// A priced round is the same Round call: place.Scatter sees the exchange is
+// priced and queues its messages from bucket counts, so a losing router
+// lays no row out.
 // Local compute is sort-merge on the par kernels, forked by home: a home
 // drains its inbox once, radix-sorts the two sides by key and merges them.
 //
@@ -191,9 +194,9 @@ const (
 // of the one round on the instance — Algorithm 2's block round described in
 // the package comment, a capacity-weighted hash and UniformHash's uniform
 // hash, the latter two flat — and runs the cheapest, the first among equals
-// (netsim.Engine.RunCheapest). Pricing lays no row out
-// (place.BlockRouter.PriceRound). seed drives the shared hash functions; the
-// uniform plan is UniformHash's, so Tree never costs more than it.
+// (netsim.Engine.RunCheapest). Pricing lays no row out (place.Scatter).
+// seed drives the shared hash functions; the uniform plan is UniformHash's,
+// so Tree never costs more than it.
 func Tree(t *topology.Tree, r, s Placement, seed uint64, opts ...netsim.Option) (*Result, error) {
 	return planned(t, r, s, seed, opts, StrategyBlocks, StrategyCapacityHash, StrategyUniformHash)
 }
@@ -252,13 +255,7 @@ func planned(t *topology.Tree, r, s Placement, seed uint64, opts []netsim.Option
 			return nil, err
 		}
 		routers[i] = router
-		cands[i] = netsim.Candidate{Name: name, Rounds: 1, Plan: func(x *netsim.Exchange, _ int, priced bool) {
-			if priced {
-				router.PriceRound(x, 2, replicate, sides)
-			} else {
-				router.Round(x, 2, replicate, sides)
-			}
-		}}
+		cands[i] = netsim.Candidate{Name: name, Rounds: 1, Plan: func(x *netsim.Exchange, _ int) { router.Round(x, 2, replicate, sides) }}
 	}
 	e := netsim.NewEngine(t, opts...)
 	best := e.RunCheapest(cands)

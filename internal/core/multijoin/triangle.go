@@ -102,7 +102,7 @@ func triangle(tr *topology.Tree, r, s, tt Placement, seed uint64, aware bool, op
 				slab[k] = int32(rel.slab(tp))
 			}
 			place.Scatter(out, rel.tag, words(frag), 2, slab, len(rel.dst), place.Targets{
-				Vector: func(k int, _ []uint64) []topology.NodeID { return rel.dst[k] }, FirstSeen: true})
+				Vector: func(k int) []topology.NodeID { return rel.dst[k] }, FirstSeen: true})
 		}
 	})
 	x.Execute()

@@ -72,19 +72,15 @@ func (r *BlockRouter) Destinations(dsts []topology.NodeID, key uint64) {
 
 // Hash queues words, rows of width words with the key first, hashed within
 // the block of compute index i: row j to member h_b(key), one unicast per
-// member in member order.
+// member in member order. In a priced round it lays no row out (Scatter).
 func (r *BlockRouter) Hash(out *netsim.Outbox, tag netsim.Tag, i int, words []uint64, width int) {
-	r.hash(out, tag, i, words, width, Scatter)
-}
-
-func (r *BlockRouter) hash(out *netsim.Outbox, tag netsim.Tag, i int, words []uint64, width int, scatter scatterFunc) {
 	b := r.BlockOf(i)
 	h := r.choosers[b]
 	bucket := make([]int32, len(words)/width)
 	for j := range bucket {
 		bucket[j] = int32(h.Choose(words[j*width]))
 	}
-	scatter(out, tag, words, width, bucket, len(r.Blocks[b]), Targets{To: r.Blocks[b]})
+	Scatter(out, tag, words, width, bucket, len(r.Blocks[b]), Targets{To: r.Blocks[b]})
 }
 
 // Round plans Algorithm 2's one round on x over rows of width words, key
@@ -92,20 +88,9 @@ func (r *BlockRouter) hash(out *netsim.Outbox, tag netsim.Tag, i int, words []ui
 // the R side under TagR, replicated when replicate — row j to h_b(key) in
 // every block b, one multicast per destination vector in order of first
 // appearance — and hashed within i's block otherwise; the S side under
-// TagS, hashed within i's block.
+// TagS, hashed within i's block. On a priced exchange it lays no row out
+// (Scatter), so the price is the round's cost from bucket counts alone.
 func (r *BlockRouter) Round(x *netsim.Exchange, width int, replicate bool, sides func(i int) (rs, ss []uint64)) {
-	r.round(x, width, replicate, sides, Scatter)
-}
-
-// PriceRound plans Round's messages on x from bucket counts alone, for
-// Exchange.Price: each goes to the same receivers as Round's, with a prefix
-// of its sender's rows of the same length, so the price is Round's cost
-// without a row laid out.
-func (r *BlockRouter) PriceRound(x *netsim.Exchange, width int, replicate bool, sides func(i int) (rs, ss []uint64)) {
-	r.round(x, width, replicate, sides, priceScatter)
-}
-
-func (r *BlockRouter) round(x *netsim.Exchange, width int, replicate bool, sides func(i int) (rs, ss []uint64), scatter scatterFunc) {
 	x.Plan(func(v topology.NodeID, out *netsim.Outbox) {
 		i := r.t.ComputeIndex(v)
 		rs, ss := sides(i)
@@ -118,15 +103,20 @@ func (r *BlockRouter) round(x *netsim.Exchange, width int, replicate bool, sides
 				}
 			}
 			group, n := r.DestinationGroups(keys)
+			// Every key of a group has the group's destination vector.
+			key := make([]uint64, n)
+			for j, g := range group {
+				key[g] = keys[j]
+			}
 			dsts := make([]topology.NodeID, len(r.Blocks))
-			scatter(out, netsim.TagR, rs, width, group, n, Targets{Vector: func(_ int, rows []uint64) []topology.NodeID {
-				r.Destinations(dsts, rows[0])
+			Scatter(out, netsim.TagR, rs, width, group, n, Targets{Vector: func(g int) []topology.NodeID {
+				r.Destinations(dsts, key[g])
 				return dsts
 			}})
 		} else {
-			r.hash(out, netsim.TagR, i, rs, width, scatter)
+			r.Hash(out, netsim.TagR, i, rs, width)
 		}
-		r.hash(out, netsim.TagS, i, ss, width, scatter)
+		r.Hash(out, netsim.TagS, i, ss, width)
 	})
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"topompc/internal/hashing"
 	"topompc/internal/netsim"
+	"topompc/internal/obs"
 	"topompc/internal/topology"
 	"topompc/internal/topology/topotest"
 )
@@ -118,12 +119,13 @@ func TestFlatRouterKeepsProtocolSeeds(t *testing.T) {
 	}
 }
 
-// TestPriceRoundEqualsRound prices Algorithm 2's round from bucket counts
-// and then runs it on the same engine: on every topotest shape, through a
-// router of several blocks and a flat one, with and without replication, at
-// widths 1 and 2, with empty fragments among the senders and with every
-// fragment empty, the price must be the executed round's cost to the bit.
-func TestPriceRoundEqualsRound(t *testing.T) {
+// TestPricedRoundEqualsRound prices Algorithm 2's round through
+// RunCheapest, from bucket counts alone, and then runs it on the same
+// engine: on every topotest shape, through a router of several blocks and a
+// flat one, with and without replication, at widths 1 and 2, with empty
+// fragments among the senders and with every fragment empty, the price must
+// be the executed round's cost to the bit, on the same bottleneck edge.
+func TestPricedRoundEqualsRound(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for shape := 0; shape < topotest.NumShapes; shape++ {
 		name, tr, err := topotest.Draw(rng, shape)
@@ -167,16 +169,14 @@ func TestPriceRoundEqualsRound(t *testing.T) {
 								}
 							}
 						}
-						sides := func(i int) ([]uint64, []uint64) { return rs[i], ss[i] }
-						e := netsim.NewEngine(tr)
-						x := e.Exchange()
-						r.PriceRound(x, width, replicate, sides)
-						price, _ := x.Price()
-						x = e.Exchange()
-						r.Round(x, width, replicate, sides)
-						if cost := x.Execute().Cost; price != cost {
-							t.Errorf("%s/%d blocks/width%d/replicate=%v/empty=%v: price %v, executed round costs %v",
-								name, len(r.Blocks), width, replicate, empty, price, cost)
+						tc := obs.NewTrace()
+						e := netsim.NewEngine(tr, netsim.WithTracer(tc))
+						price, edge, rd := priceThenRun(t, e, tc, func(x *netsim.Exchange) {
+							r.Round(x, width, replicate, func(i int) ([]uint64, []uint64) { return rs[i], ss[i] })
+						})
+						if price != rd.Cost || edge != rd.BottleneckEdge {
+							t.Errorf("%s/%d blocks/width%d/replicate=%v/empty=%v: priced %v on edge %d, executed round costs %v on edge %d",
+								name, len(r.Blocks), width, replicate, empty, price, edge, rd.Cost, rd.BottleneckEdge)
 						}
 					}
 				}

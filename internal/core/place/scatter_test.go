@@ -4,12 +4,48 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"topompc/internal/netsim"
+	"topompc/internal/obs"
 	"topompc/internal/topology"
 	"topompc/internal/topology/topotest"
 )
+
+// priceThenRun prices the one round plan queues through RunCheapest, beside
+// a candidate of no rounds that wins the decision, and reads its price and
+// bottleneck edge off the netsim.plan instant; then it runs plan on the same
+// engine and returns the price, the bottleneck and the executed round.
+func priceThenRun(t *testing.T, e *netsim.Engine, tc *obs.Trace, plan func(x *netsim.Exchange)) (float64, topology.EdgeID, netsim.RoundStats) {
+	t.Helper()
+	before := len(tc.Events())
+	e.RunCheapest([]netsim.Candidate{
+		{Name: "priced", Rounds: 1, Plan: func(x *netsim.Exchange, _ int) {
+			if !x.Priced() {
+				t.Fatal("the priced candidate ran")
+			}
+			plan(x)
+		}},
+		{Name: "none"},
+	})
+	var c map[string]any
+	for _, ev := range tc.Events()[before:] {
+		if ev.Cat == "netsim.plan" {
+			c = ev.Args["candidates"].([]any)[0].(map[string]any)
+		}
+	}
+	if c == nil {
+		t.Fatal("RunCheapest emitted no netsim.plan instant")
+	}
+	edge := topology.NoEdge
+	if b, ok := c["bottleneck_edge"]; ok {
+		edge = topology.EdgeID(b.(int))
+	}
+	x := e.Exchange()
+	plan(x)
+	return c["cost"].(float64), edge, x.Execute()
+}
 
 // TestScatterMatchesPerRowReference runs Scatter on every compute node of
 // a real exchange and compares each inbox, message by message, with a
@@ -17,7 +53,9 @@ import (
 // in order of first appearance, a bucket's rows in fragment order, empty
 // buckets sent nowhere, each bucket to its unicast target or to every node
 // of its multicast vector. Targets repeat, so one receiver sees several of
-// a sender's buckets and their order shows in its inbox.
+// a sender's buckets and their order shows in its inbox. The same scatter
+// priced through RunCheapest costs what the executed round costs, on the
+// same bottleneck edge, at 1 and 4 workers.
 func TestScatterMatchesPerRowReference(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -36,6 +74,8 @@ func TestScatterMatchesPerRowReference(t *testing.T) {
 		{"first seen", 1, func(i int) int { return 30 }, func(j int, k uint64) int { return int(k % 6) }, 6, false, true},
 		{"multicast vectors", 1, func(i int) int { return 25 }, func(_ int, k uint64) int { return int(k % 7) }, 7, true, false},
 		{"multicast first seen", 2, func(i int) int { return 1 + i%3 }, func(j int, k uint64) int { return (j * 5) % 9 }, 9, true, true},
+		{"multicast empty fragments", 1, func(i int) int { return 6 * (i % 2) }, func(_ int, k uint64) int { return int(k % 4) }, 4, true, false},
+		{"first seen empty fragments", 2, func(i int) int { return 11 * (i % 3 / 2) }, func(_ int, k uint64) int { return int(k % 5) }, 5, false, true},
 	}
 	rng := rand.New(rand.NewSource(3))
 	for _, shape := range []int{9, 0} { // line, twotier
@@ -73,10 +113,8 @@ func TestScatterMatchesPerRowReference(t *testing.T) {
 
 				// Reference: per receiver, what arrives from whom, in order.
 				want := make(map[topology.NodeID][]netsim.Message)
-				rowsBy := make([][][]uint64, p) // sender, bucket -> rows
 				for i, frag := range frags {
 					rowsOf := make([][]uint64, c.n)
-					rowsBy[i] = rowsOf
 					var order []int
 					for j := 0; j < len(frag)/c.width; j++ {
 						b := c.bucket(j, frag[j*c.width])
@@ -100,34 +138,35 @@ func TestScatterMatchesPerRowReference(t *testing.T) {
 					}
 				}
 
-				e := netsim.NewEngine(tr)
-				x := e.Exchange()
-				x.Plan(func(v topology.NodeID, out *netsim.Outbox) {
-					i := tr.ComputeIndex(v)
-					frag := frags[i]
-					bucket := make([]int32, len(frag)/c.width)
-					for j := range bucket {
-						bucket[j] = int32(c.bucket(j, frag[j*c.width]))
+				plan := func(x *netsim.Exchange) {
+					x.Plan(func(v topology.NodeID, out *netsim.Outbox) {
+						frag := frags[tr.ComputeIndex(v)]
+						bucket := make([]int32, len(frag)/c.width)
+						for j := range bucket {
+							bucket[j] = int32(c.bucket(j, frag[j*c.width]))
+						}
+						to := Targets{To: unicast, FirstSeen: c.firstSeen}
+						if c.multicast {
+							to = Targets{Vector: vector, FirstSeen: c.firstSeen}
+						}
+						Scatter(out, netsim.TagData, frag, c.width, bucket, c.n, to)
+					})
+				}
+				for _, workers := range []int{1, 4} {
+					tc := obs.NewTrace()
+					e := netsim.NewEngine(tr, netsim.WithWorkers(workers), netsim.WithTracer(tc))
+					price, edge, rd := priceThenRun(t, e, tc, plan)
+					if price != rd.Cost || edge != rd.BottleneckEdge {
+						t.Fatalf("workers %d: priced %v on edge %d, executed %v on edge %d", workers, price, edge, rd.Cost, rd.BottleneckEdge)
 					}
-					to := Targets{To: unicast, FirstSeen: c.firstSeen}
-					if c.multicast {
-						to = Targets{Vector: func(b int, rows []uint64) []topology.NodeID {
-							if !reflect.DeepEqual(rows, rowsBy[i][b]) {
-								t.Errorf("node %v: bucket %d's vector asked with rows %v, want %v", v, b, rows, rowsBy[i][b])
-							}
-							return vector(b)
-						}, FirstSeen: c.firstSeen}
-					}
-					Scatter(out, netsim.TagData, frag, c.width, bucket, c.n, to)
-				})
-				x.Execute()
-				for _, v := range nodes {
-					got := e.Inbox(v).Messages()
-					if len(got) == 0 && len(want[v]) == 0 {
-						continue
-					}
-					if !reflect.DeepEqual(got, want[v]) {
-						t.Fatalf("node %v receives\n%v\nwant\n%v", v, got, want[v])
+					for _, v := range nodes {
+						got := e.Inbox(v).Messages()
+						if len(got) == 0 && len(want[v]) == 0 {
+							continue
+						}
+						if !reflect.DeepEqual(got, want[v]) {
+							t.Fatalf("workers %d: node %v receives\n%v\nwant\n%v", workers, v, got, want[v])
+						}
 					}
 				}
 			})
@@ -256,5 +295,45 @@ func TestRoundMatchesPerRowReference(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestPricedHashLaysNoRowOut: pricing a Hash of 10⁵ two-word rows, a
+// 1.6 MB fragment, allocates the rows' bucket ids and the bucket counts and
+// no buffer the fragment's size — no positions, no payload.
+func TestPricedHashLaysNoRowOut(t *testing.T) {
+	tr, err := topology.TwoTier([]int{4, 4}, []float64{2, 1}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewFlatRouter(tr, Uniform(tr.NumCompute()), 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(9))
+	words := make([]uint64, 2*100_000)
+	for j := range words {
+		words[j] = rng.Uint64()
+	}
+	priced, bytes := false, uint64(0)
+	e := netsim.NewEngine(tr, netsim.WithWorkers(1))
+	e.RunCheapest([]netsim.Candidate{{Name: "hash", Rounds: 1, Plan: func(x *netsim.Exchange, _ int) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		x.Plan(func(v topology.NodeID, out *netsim.Outbox) {
+			if i := tr.ComputeIndex(v); i == 0 {
+				r.Hash(out, netsim.TagData, i, words, 2)
+			}
+		})
+		runtime.ReadMemStats(&after)
+		if x.Priced() {
+			priced, bytes = true, after.TotalAlloc-before.TotalAlloc
+		}
+	}}, {Name: "none"}})
+	if !priced {
+		t.Fatal("the hash was never priced")
+	}
+	if limit := uint64(len(words) * 8 / 2); bytes >= limit {
+		t.Errorf("pricing the hash allocated %d bytes, want below %d, half the %d-byte fragment", bytes, limit, len(words)*8)
 	}
 }

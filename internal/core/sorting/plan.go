@@ -131,9 +131,7 @@ func planSort(tr *topology.Tree, data dataset.Placement, seed uint64, stride int
 			c.splitters = c.pick(h.sorted)
 			in.union = append(in.union, c.splitters...)
 		}
-		plans[i] = netsim.Candidate{Name: c.strategy, Rounds: c.rounds(), Plan: func(x *netsim.Exchange, r int, priced bool) {
-			c.planRound(x, r, in, priced)
-		}}
+		plans[i] = netsim.Candidate{Name: c.strategy, Rounds: c.rounds(), Plan: func(x *netsim.Exchange, r int) { c.planRound(x, r, in) }}
 	}
 	slices.Sort(in.union)
 	in.union = slices.Compact(in.union)
@@ -172,9 +170,10 @@ func (h *holders) draw(pool *par.Pool, rho float64) {
 
 // planRound queues round r of the candidate: a gather's one round, or a
 // sample sort's ship round, samples to the coordinator, splitter broadcast
-// and redistribution by the splitters — priced from the holders' interval
-// counts, or laid out key by key to run.
-func (c *candidate) planRound(x *netsim.Exchange, r int, in *instance, priced bool) {
+// and redistribution by the splitters — on a priced exchange from the
+// holders' interval counts, which price every candidate's splitters in one
+// pass, or laid out key by key to run.
+func (c *candidate) planRound(x *netsim.Exchange, r int, in *instance) {
 	if c.ship != nil {
 		if r == 0 {
 			x.Plan(c.ship)
@@ -207,7 +206,7 @@ func (c *candidate) planRound(x *netsim.Exchange, r int, in *instance, priced bo
 			}
 		}
 		x.Out(c.coordinator).Multicast(dsts, netsim.TagSplitter, c.splitters)
-	case priced:
+	case x.Priced():
 		h.planRedistribute(x, in, c.dsts, c.splitters)
 	default:
 		// The keys of splitter interval j go to dsts[j] in one message.
@@ -258,9 +257,9 @@ func (h *holders) keys(i int) []uint64 {
 
 // planRedistribute queues the redistribution by the given splitters from
 // the counts alone, counted on the first call: holder i sends dsts[j] as
-// many keys as it holds in interval j, cut as prefixes of its parts. Price
-// reads only lengths, and a path costs the same for one message as for
-// several adding up to it.
+// many keys as it holds in interval j, cut as prefixes of its parts. A
+// price reads only lengths, and a path costs the same for one message as
+// for several adding up to it.
 func (h *holders) planRedistribute(x *netsim.Exchange, in *instance, dsts []topology.NodeID, splitters []uint64) {
 	if h.counts == nil {
 		h.count(in)

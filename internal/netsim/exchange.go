@@ -36,15 +36,17 @@ import (
 // goes.
 //
 // One exchange is open on an engine at a time; it occupies the engine from
-// Exchange() until Execute(), or until Price() reports what Execute would
-// charge and drops the plan instead.
+// Exchange() until Execute(). A priced exchange, which only RunCheapest
+// opens, is closed by price instead: it reports what Execute would charge
+// and drops the plan.
 type Exchange struct {
-	e     *Engine
-	outs  []Outbox // one per compute node, in ComputeNodes order
-	logs  []opLog  // one per shard of senders the pool forks a walk into
-	t0    float64  // trace timestamp of Exchange() (tracing only)
-	label string   // the round's name, set by Label
-	done  bool
+	e       *Engine
+	outs    []Outbox // one per compute node, in ComputeNodes order
+	logs    []opLog  // one per shard of senders the pool forks a walk into
+	t0      float64  // trace timestamp of Exchange() (tracing only)
+	label   string   // the round's name, set by Label
+	pricing bool     // opened to be priced, not run
+	done    bool
 
 	// The round's per-node element counts, by NodeID: written by the tally
 	// walk, folded into the engine's totals and zeroed by Execute (or zeroed
@@ -79,6 +81,7 @@ func (e *Engine) Exchange() *Exchange {
 		// par.Blocks forks Plan and both walks over the same sender ranges,
 		// shard w of k covering [w·n/k, (w+1)·n/k): a log has one writer.
 		for w, n, k := 0, len(x.outs), len(x.logs); w < k; w++ {
+			x.logs[w].x = x
 			for i := w * n / k; i < (w+1)*n/k; i++ {
 				x.outs[i].log = &x.logs[w]
 			}
@@ -102,9 +105,17 @@ func (e *Engine) Exchange() *Exchange {
 		x.t0 = e.tracer.Now()
 	}
 	x.label = ""
+	x.pricing = false
 	x.done = false
 	return x
 }
+
+// Priced reports whether the round is only to be priced: RunCheapest opens
+// every round of the candidates it weighs so. The price reads each
+// message's receivers and the length of its keys, never the keys, so a
+// priced round may queue placeholders of the right length and skip the
+// local work that only shapes payloads.
+func (x *Exchange) Priced() bool { return x.pricing }
 
 // Label names the round: the name goes into its RoundStats, its
 // netsim.round trace event and its line of Report.String. RunCheapest and
@@ -382,20 +393,17 @@ func (x *Exchange) tally() []*shardTally {
 	return shards
 }
 
-// Price reports what Execute would charge for the planned round, its cost
+// price reports what Execute would charge for the planned round, its cost
 // and bottleneck edge, without running it. The tally walk runs as it does for
 // Execute, the shards' edge deltas are merged and swept into an
 // engine-owned scratch array, and the plan is then discarded and the exchange
 // closed. No round is recorded, no inbox changes and the Report does not see
 // it. The walk reads each op's receivers and the length of its keys, never
-// the keys, so a candidate round may carry payloads that are placeholders of
-// the right length. A planned protocol does not call Price itself: it decides
-// in RunCheapest, which prices its candidates so and runs the cheapest. A
-// receiver that is not a compute node panics as in Execute, and leaves the
-// engine as free to open the next exchange.
-func (x *Exchange) Price() (cost float64, bottleneck topology.EdgeID) {
+// the keys. A receiver that is not a compute node panics as in Execute, and
+// leaves the engine as free to open the next exchange.
+func (x *Exchange) price() (cost float64, bottleneck topology.EdgeID) {
 	if x.done {
-		panic("netsim: Price on executed exchange")
+		panic("netsim: price on executed exchange")
 	}
 	x.done = true
 	e := x.e
@@ -411,23 +419,25 @@ func (x *Exchange) Price() (cost float64, bottleneck topology.EdgeID) {
 }
 
 // Candidate is one plan a protocol may run: its name, how many rounds it
-// runs, and Plan, which queues round r of it on x. RunCheapest sets priced
-// when the round is only to be priced, so Plan may then queue placeholder
-// payloads of the right length (see Price).
+// runs, and Plan, which queues round r of it on x. Plan is called on a
+// priced exchange when RunCheapest weighs the candidate and on a plain one
+// when it runs it; x.Priced tells them apart.
 type Candidate struct {
 	Name   string
 	Rounds int
-	Plan   func(x *Exchange, r int, priced bool)
+	Plan   func(x *Exchange, r int)
 }
 
 // RunCheapest is where a planned protocol decides (Algorithm 8's "pick the
-// best of"): it prices every round of every candidate with Price, sums each
-// candidate's prices, runs the cheapest on the engine, its rounds labelled
-// with its name, and returns its index. Ties go to fewer rounds, then to the
-// earlier candidate. A lone candidate runs without being priced. With a
-// tracer attached, each priced decision emits one netsim.plan instant: every
-// candidate's name, rounds, summed cost and the bottleneck edge of its
-// costliest round, and the pick. cands must not be empty.
+// best of"): it plans every round of every candidate on a priced exchange
+// (Exchange.Priced), which it prices as Execute would charge it and drops,
+// sums each candidate's prices, runs the cheapest on the engine, its rounds
+// labelled with its name, and returns its index. Ties go to fewer rounds,
+// then to the earlier candidate. A lone candidate runs without being
+// priced. Pricing leaves the engine's rounds, inboxes and totals as they
+// were. With a tracer attached, each priced decision emits one netsim.plan
+// instant: every candidate's name, rounds, summed cost and the bottleneck
+// edge of its costliest round, and the pick. cands must not be empty.
 func (e *Engine) RunCheapest(cands []Candidate) int {
 	best, bestCost := 0, 0.0
 	var traced []any
@@ -436,8 +446,9 @@ func (e *Engine) RunCheapest(cands []Candidate) int {
 		cost, top, edge := 0.0, -1.0, topology.NoEdge
 		for r := range c.Rounds {
 			x := e.Exchange()
-			c.Plan(x, r, true)
-			price, bottleneck := x.Price()
+			x.pricing = true
+			c.Plan(x, r)
+			price, bottleneck := x.price()
 			cost += price
 			if price > top {
 				top, edge = price, bottleneck
@@ -462,7 +473,7 @@ func (c *Candidate) run(e *Engine) {
 	for r := range c.Rounds {
 		x := e.Exchange()
 		x.Label(c.Name)
-		c.Plan(x, r, false)
+		c.Plan(x, r)
 		x.Execute()
 	}
 }

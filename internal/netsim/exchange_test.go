@@ -407,7 +407,7 @@ func TestExchangeMisusePanics(t *testing.T) {
 // more keys than int32 offsets address — panics by name on the caller's
 // goroutine before any arena array is allocated, and leaves the inboxes, the
 // round count, the totals and the per-edge and per-node counts of the rounds
-// that follow exactly as an engine that never saw it. Price refuses the
+// that follow exactly as an engine that never saw it. price refuses the
 // router receivers the same way.
 func TestRejectedPlanLeavesEngineUntouched(t *testing.T) {
 	tr, err := topology.TwoTier([]int{3, 2, 3}, []float64{4, 2, 1}, 8)
@@ -456,7 +456,7 @@ func TestRejectedPlanLeavesEngineUntouched(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			for _, priced := range []bool{false, true} {
 				if priced && name == "inbox overflow" {
-					continue // Price lays out no arena, so it has no offsets to overflow
+					continue // price lays out no arena, so it has no offsets to overflow
 				}
 				e, control := NewEngine(tr, WithWorkers(workers)), NewEngine(tr, WithWorkers(workers))
 				good(e, 0)
@@ -472,7 +472,7 @@ func TestRejectedPlanLeavesEngineUntouched(t *testing.T) {
 						}
 					}()
 					if priced {
-						x.Price()
+						x.price()
 					} else {
 						x.Execute()
 					}

@@ -38,11 +38,16 @@
 // row and the keys of every delivery where its shard's cursor points, and
 // truncates the plan behind itself. Shards write disjoint rows, and a
 // receiver's rows read compute-node order then op order, so inbox bytes and
-// every statistic are the same at every worker count. Price runs the first
-// walk and the sweep alone: it reports the cost Execute would charge and
-// drops the plan. RunCheapest is where every planned protocol decides: it
-// prices each candidate plan's rounds so on the actual instance, sums them,
-// and runs the cheapest on the same engine under one tie rule.
+// every statistic are the same at every worker count. RunCheapest is where
+// every planned protocol decides: it plans each candidate's rounds on the
+// actual instance as priced exchanges, runs only the first walk and the
+// sweep on each, which gives the cost Execute would charge, and drops the
+// plan; then it sums them and runs the cheapest on the same engine under
+// one tie rule.
+// Pricing is a mode of the round, not of the plan: a price reads receivers
+// and lengths only, so a plan asks Exchange.Priced (or Outbox.Priced) where
+// it may queue placeholders of the right length, as the one keyed scatter
+// does, and otherwise plans as it would to run.
 // A plan whose rounds depend on what earlier rounds deliver cannot be priced
 // so; Probe runs it against one that was, and drops its rounds for the other
 // once they cost at least that price. Every round carries a name into its
@@ -269,7 +274,7 @@ type Engine struct {
 	totEdge   []int64 // cumulative per-edge elements, by EdgeID
 	totSent   []int64 // cumulative per-node elements sent, by NodeID
 	totRecv   []int64 // cumulative per-node elements received, by NodeID
-	priceEdge []int64 // Price's per-edge sweep target, zero between calls
+	priceEdge []int64 // price's per-edge sweep target, zero between calls
 
 	// Flight recorder. Both sinks are optional; with neither attached every
 	// hook below reduces to a nil comparison, preserving the zero-alloc

@@ -18,10 +18,11 @@ type op struct {
 
 // opLog holds what one shard of senders queued for a round, in the order
 // it was queued: the ops, and the multicast destination lists packed into
-// one pool (copied from the caller's).
+// one pool (copied from the caller's), and the exchange it is a log of.
 type opLog struct {
 	ops  []op
 	dsts []topology.NodeID
+	x    *Exchange
 }
 
 // grow extends the log by n zeroed ops.
@@ -72,6 +73,10 @@ func (o *Outbox) next() *op {
 	o.hi++
 	return &o.log.ops[o.hi-1]
 }
+
+// Priced reports whether the outbox's round is only to be priced
+// (Exchange.Priced).
+func (o *Outbox) Priced() bool { return o.log.x.pricing }
 
 // empty forgets the node's range; the log is truncated by its shard.
 func (o *Outbox) empty() { o.lo, o.hi, o.end = 0, 0, 0 }

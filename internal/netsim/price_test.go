@@ -34,15 +34,15 @@ func TestPriceMatchesExecute(t *testing.T) {
 			e := NewEngine(tr, WithWorkers(workers))
 			for r, rd := range rounds {
 				inboxes, report := inboxBytes(e), e.Report()
-				cost, bottleneck := planRound(e, rd).Price()
+				cost, bottleneck := planRound(e, rd).price()
 				if n := e.Report().NumRounds(); n != r {
-					t.Fatalf("%s #%d, workers %d, round %d: %d rounds after Price, want %d", name, i, workers, r, n, r)
+					t.Fatalf("%s #%d, workers %d, round %d: %d rounds after price, want %d", name, i, workers, r, n, r)
 				}
 				if !reflect.DeepEqual(inboxBytes(e), inboxes) {
-					t.Fatalf("%s #%d, workers %d, round %d: Price changed the inboxes", name, i, workers, r)
+					t.Fatalf("%s #%d, workers %d, round %d: price changed the inboxes", name, i, workers, r)
 				}
 				if !reflect.DeepEqual(e.Report(), report) {
-					t.Fatalf("%s #%d, workers %d, round %d: Price changed the report", name, i, workers, r)
+					t.Fatalf("%s #%d, workers %d, round %d: price changed the report", name, i, workers, r)
 				}
 				got := planRound(e, rd).Execute()
 				if cost != got.Cost || bottleneck != got.BottleneckEdge {
@@ -69,13 +69,13 @@ func TestPriceSteadyStateAllocFree(t *testing.T) {
 		price := func() {
 			x := e.Exchange()
 			planBatch(x, batch)
-			x.Price()
+			x.price()
 		}
 		for i := 0; i < 4; i++ {
 			price()
 		}
 		if allocs := testing.AllocsPerRun(10, price); allocs != 0 {
-			t.Fatalf("metrics %v: steady-state Price allocates: got %.1f allocs/op, want 0", reg != nil, allocs)
+			t.Fatalf("metrics %v: steady-state price allocates: got %.1f allocs/op, want 0", reg != nil, allocs)
 		}
 		if reg == nil {
 			continue
@@ -91,7 +91,7 @@ func TestPriceSteadyStateAllocFree(t *testing.T) {
 
 // sendPlan is a hand-built candidate on a two-tier tree whose round r sends
 // sizes[r] keys from compute node a to compute node b. Every call of its
-// Plan is logged, priced or not.
+// Plan is logged with the exchange's mode, which its outbox reports too.
 type sendPlan struct {
 	a, b  topology.NodeID
 	sizes []int
@@ -100,9 +100,13 @@ type sendPlan struct {
 
 func (p *sendPlan) candidate(name string) Candidate {
 	keys := make([]uint64, slices.Max(p.sizes))
-	return Candidate{Name: name, Rounds: len(p.sizes), Plan: func(x *Exchange, r int, priced bool) {
-		p.calls = append(p.calls, fmt.Sprintf("%d/%v", r, priced))
-		x.Out(p.a).Send(p.b, TagData, keys[:p.sizes[r]])
+	return Candidate{Name: name, Rounds: len(p.sizes), Plan: func(x *Exchange, r int) {
+		out := x.Out(p.a)
+		if out.Priced() != x.Priced() {
+			panic("netsim: an outbox and its exchange disagree on the round's mode")
+		}
+		p.calls = append(p.calls, fmt.Sprintf("%d/%v", r, x.Priced()))
+		out.Send(p.b, TagData, keys[:p.sizes[r]])
 	}}
 }
 
@@ -199,8 +203,8 @@ func TestRunCheapestAllocFree(t *testing.T) {
 	tr, vs := twoTierForChooser(t)
 	keys := make([]uint64, 5)
 	cands := []Candidate{
-		{Name: "two", Rounds: 2, Plan: func(x *Exchange, _ int, _ bool) { x.Out(vs[0]).Send(vs[3], TagData, keys[:3]) }},
-		{Name: "one", Rounds: 1, Plan: func(x *Exchange, _ int, _ bool) { x.Out(vs[0]).Send(vs[3], TagData, keys) }},
+		{Name: "two", Rounds: 2, Plan: func(x *Exchange, _ int) { x.Out(vs[0]).Send(vs[3], TagData, keys[:3]) }},
+		{Name: "one", Rounds: 1, Plan: func(x *Exchange, _ int) { x.Out(vs[0]).Send(vs[3], TagData, keys) }},
 	}
 	e := NewEngine(tr, WithWorkers(1))
 	for range 4 {
@@ -216,7 +220,7 @@ func TestRunCheapestAllocFree(t *testing.T) {
 
 // TestRunCheapestTraceEvent: a traced priced decision emits one netsim.plan
 // instant naming every candidate with its rounds, its summed price and the
-// bottleneck edge of its costliest round, and the pick; Price emits nothing
+// bottleneck edge of its costliest round, and the pick; price emits nothing
 // of its own, only the winner's rounds are round spans, named after it, a lone candidate
 // emits no plan event, and the trace passes the schema check.
 func TestRunCheapestTraceEvent(t *testing.T) {
@@ -225,7 +229,7 @@ func TestRunCheapestTraceEvent(t *testing.T) {
 	// then 3 across the slow uplink (cost 3): its costliest round is the
 	// second. Candidate 1 sends 4 across the uplink at once.
 	keys := make([]uint64, 16)
-	two := Candidate{Name: "two", Rounds: 2, Plan: func(x *Exchange, r int, _ bool) {
+	two := Candidate{Name: "two", Rounds: 2, Plan: func(x *Exchange, r int) {
 		if r == 0 {
 			x.Out(vs[0]).Send(vs[1], TagData, keys)
 		} else {
@@ -239,7 +243,7 @@ func TestRunCheapestTraceEvent(t *testing.T) {
 		e := NewEngine(tr)
 		for i := 0; i <= r; i++ {
 			x := e.Exchange()
-			c.Plan(x, i, false)
+			c.Plan(x, i)
 			x.Execute()
 		}
 		return int(e.Report().Rounds[r].BottleneckEdge)
@@ -261,7 +265,7 @@ func TestRunCheapestTraceEvent(t *testing.T) {
 		case "netsim.plan":
 			plans = append(plans, ev)
 		case "netsim.price":
-			t.Fatalf("Price emitted its own event %+v", ev)
+			t.Fatalf("price emitted its own event %+v", ev)
 		}
 	}
 	if len(plans) != 1 || len(roundEvents(tc)) != 2 {
@@ -307,10 +311,10 @@ func TestPriceClosesTheExchange(t *testing.T) {
 	vs := tr.ComputeNodes()
 	e := NewEngine(tr)
 	x := e.Exchange()
-	x.Price()
-	mustPanic(t, "Execute after Price", func() { x.Execute() })
-	mustPanic(t, "Price twice", func() { x.Price() })
-	mustPanic(t, "Out after Price", func() { x.Out(vs[0]) })
+	x.price()
+	mustPanic(t, "Execute after price", func() { x.Execute() })
+	mustPanic(t, "price twice", func() { x.price() })
+	mustPanic(t, "Out after price", func() { x.Out(vs[0]) })
 	x = e.Exchange()
 	x.Out(vs[0]).Send(vs[1], TagData, []uint64{7})
 	if stats := x.Execute(); stats.Cost != 1 || e.Report().NumRounds() != 1 {

@@ -22,8 +22,8 @@ func TestProbe(t *testing.T) {
 	tr, vs := twoTierForChooser(t)
 	keys := make([]uint64, 8)
 	send := func(x *Exchange, n int) { x.Out(vs[0]).Send(vs[3], TagData, keys[:n]) }
-	alt := Candidate{Name: "alt", Rounds: 1, Plan: func(x *Exchange, _ int, priced bool) {
-		if priced {
+	alt := Candidate{Name: "alt", Rounds: 1, Plan: func(x *Exchange, _ int) {
+		if x.Priced() {
 			t.Fatal("a probe's alt is priced by its caller")
 		}
 		send(x, 5)
