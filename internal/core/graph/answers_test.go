@@ -161,7 +161,8 @@ func sweepModel(pr *proto, first bool) ([][][]sentMsg, int) {
 //   - each root answer round mirrors its stage's propose round, message for
 //     message, less phase 1's vertex entries, and each answer is decoded
 //     against the messages its asker sent that peer in the sweep, in order
-//     — proposal labels first, then need entries — one root per label, and
+//     — proposal labels first, then need entries — to one root per label
+//     (readRoots), in exactly the words wireRoots encodes them in, and
 //     in witness mode, before the roots of a proposal message, its won
 //     bitmap of ⌈n/64⌉ words;
 //   - the won bits name each hooking once: every label that hooked gets
@@ -315,12 +316,23 @@ func checkAnswers(t testing.TB, tr *topology.Tree, pl Placement, seed uint64, v 
 					if v.witness && asked.kind == sentProps {
 						words = (len(asked.labels) + 63) / 64
 					}
-					if len(m.Keys) != words+len(asked.labels) {
-						t.Fatalf("phase %d: %d words answer %d labels, want %d", phases, len(m.Keys), len(asked.labels), words+len(asked.labels))
+					want := make([]uint64, len(asked.labels))
+					for k, x := range asked.labels {
+						if pr.rootAt[x] != pr.phase {
+							t.Fatalf("phase %d: label %d was answered without a root", phases, x)
+						}
+						want[k] = uint64(uint32(pr.rootVal[x]))
+					}
+					if w := words + rootWords(len(want), countRoots(want)); len(m.Keys) != w {
+						t.Fatalf("phase %d: %d words answer %d labels, want %d", phases, len(m.Keys), len(asked.labels), w)
+					}
+					roots, ok := readRoots(m.Keys[words:], len(asked.labels), nil)
+					if !ok {
+						t.Fatalf("phase %d: %d words after %d won words do not decode to %d roots", phases, len(m.Keys), words, len(asked.labels))
 					}
 					for k, x := range asked.labels {
-						if r := m.Keys[words+k]; pr.rootAt[x] != pr.phase || int32(r) != pr.rootVal[x] {
-							t.Fatalf("phase %d: root %d for label %d reads %d, want %d", phases, k, x, r, pr.rootVal[x])
+						if r := roots[k]; r != want[k] {
+							t.Fatalf("phase %d: root %d for label %d reads %d, want %d", phases, k, x, r, want[k])
 						}
 						if words == 0 || m.Keys[k/64]>>(k%64)&1 == 0 {
 							continue

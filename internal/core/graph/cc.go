@@ -275,22 +275,38 @@ func contract(tr *topology.Tree, edges Placement, seed uint64, v variant, opts [
 // — and a home the askBuf position of the first entry that offered the
 // winning b (bestPos).
 // The answer to a proposal message is then a won bitmap of ⌈n/64⌉ words
-// before its n roots: a home sets the bit of the entry it recorded for each
+// before its roots: a home sets the bit of the entry it recorded for each
 // label that hooked, each node passes every bit it receives to the one
 // source of that entry, and the holder a bit reaches records its witness
 // edge in the forest (takeWins). Need entries and every non-witness answer
 // carry roots alone.
+//
+// The roots of an answer to n labels take one of two forms (wireRoots).
+// The change form is a ⌈n/64⌉-word change bitmap, bit k set where the k-th
+// root differs from the one before and bit 0 always, then the roots of the
+// set bits in order — a word each, or, when shorter, a palette of the few
+// distinct roots and a 1-, 2- or 4-bit index into it per set bit; it is
+// sent when it is shorter than n words, which on a graph of few
+// components, where most labels asked of a node share a root, is nearly
+// always. Otherwise the answer is the n roots. The palette keeps the
+// answer's length a matter of how many roots there are, not of how they
+// interleave: when a phase leaves a giant component split between two
+// roots, the minority's labels lie scattered through every list, and one
+// word per change would pay two words for each of them. The asker knows n
+// and reads the changes off the bitmap, so the length alone names the form
+// (readRoots), and no answer is longer than n words after its won bitmap.
 //
 // Messages carry indices where the map-based path (runMaps, the test
 // oracle) carries ids; nothing else differs. The renumbering is
 // order-preserving and homes are still hashed from the original ids, so
 // every message has the same destination, tag, and length on both paths —
 // cost reports are byte-identical, which the property tests pin. Replies
-// answer by position: a root answer is one root per label of the proposal
-// or need message it answers and a jump reply a resolved bitmap plus one
-// value per query, both in the order of the message they answer, which the
-// asker still holds. Nothing in a reply depends on how wide an id is, so
-// the oracle speaks the same wire over the original 64-bit ids.
+// answer by position: a root answer gives one root per label of the
+// proposal or need message it answers and a jump reply a resolved bitmap
+// plus one value per query, both in the order of the message they answer,
+// which the asker still holds. Nothing in a reply depends on how wide an id is, and
+// the renumbering keeps which roots are equal, so the oracle speaks the
+// same wire over the original 64-bit ids, change bitmap and palette and all.
 
 // workEdge is one active contracted edge: current endpoint label indices
 // plus the original witness endpoint indices.
@@ -1380,15 +1396,17 @@ func (pr *proto) jumpOnce() (int, error) {
 
 // answer publishes the phase roots back along the propose sweep, one round
 // per stage: the homes first, then the combiners, coarsest level first.
-// Every receiver answers each proposal or need message it recorded with one
-// root per label, in the order sent (sendRoots), so each node ends holding
-// the root of every label it proposed for or needs: the endpoint labels of
-// its active edges and the labels of its homed vertices. Phase 1's vertex
-// entries only registered their vertices and get no answer. Each round
-// mirrors its stage's propose round, message for message, less those
-// entries. In witness mode a proposal message's answer leads with its won
-// bitmap, and after each round every node that sent proposals that stage
-// passes the bits it got on (takeWins) before the next round answers.
+// Every receiver answers each proposal or need message it recorded with the
+// root of every label, in the order sent — the n roots, or, when shorter,
+// a change bitmap and the roots where they change, a word each or indices
+// into a palette (sendRoots) — so each node ends holding the root of every
+// label it proposed for or needs: the endpoint labels of its active edges
+// and the labels of its homed vertices. Phase 1's vertex entries only
+// registered their vertices and get no answer. Each round mirrors its
+// stage's propose round, message for message, less those entries. In
+// witness mode a proposal message's answer leads with its won bitmap, and
+// after each round every node that sent proposals that stage passes the
+// bits it got on (takeWins) before the next round answers.
 //
 // Every alive label's root is resolved once jumping finishes, so the
 // rootAt/rootVal arrays already hold exactly the roots the wire carries,
@@ -1419,37 +1437,223 @@ func (pr *proto) answerStage(s int) {
 	}
 }
 
-// sendRoots answers, from node j, one recorded message: one root word per
-// label, in the order sent, so the asker reads each root off the position
-// of the label in the list it sent. In witness mode a proposal message's
-// roots follow its won bitmap, ⌈n/64⌉ words whose bit k is set when the
-// k-th entry is the one j took the winning proposal from — the layout of a
-// jump reply. A label with no phase root records ErrUnresolvedLabel in j's
-// planning slot and sends nothing.
+// sendRoots answers, from node j, one recorded message of n labels with
+// their roots in the order sent, so the asker reads each root off the
+// position of the label in the list it sent: one pass over the roots
+// counts where they change and the distinct roots among them (rootCount),
+// and the reply, grabbed at its exact length (rootWords), is wireRoots'
+// change form when that is shorter than n words and the n roots
+// otherwise. In witness mode a proposal message's roots follow its won
+// bitmap, ⌈n/64⌉ words whose bit k is set when the k-th entry is the one j
+// took the winning proposal from — the layout of a jump reply. A label with
+// no phase root records ErrUnresolvedLabel in j's planning slot and sends
+// nothing.
 func (pr *proto) sendRoots(j int, out *netsim.Outbox, a askedList) {
 	sc := &pr.scr[j]
 	asked := sc.askBuf[a.lo:a.hi]
-	words := 0
-	if a.props && pr.witness {
-		words = (len(asked) + 63) >> 6
-	}
-	reply := pr.slab(j).grab(words + len(asked))
-	won, roots := reply[:words], reply[words:]
-	clear(won) // the slab is reused round to round
-	for k, x := range asked {
+	var rc rootCount
+	for _, x := range asked {
 		if pr.rootAt[x] != pr.phase {
 			pr.planErr[j] = fmt.Errorf("%w: node %d asked node %d for label %d",
 				ErrUnresolvedLabel, pr.nodeIdx[a.from], j, pr.ids[x])
 			return
 		}
-		roots[k] = uint64(uint32(pr.rootVal[x]))
-		if words > 0 {
+		rc.add(uint64(uint32(pr.rootVal[x])))
+	}
+	words := 0
+	if a.props && pr.witness {
+		words = (len(asked) + 63) >> 6
+	}
+	reply := pr.slab(j).grab(words + rootWords(len(asked), &rc))
+	wireRoots(reply[words:], len(asked), &rc, func(k int) uint64 { return uint64(uint32(pr.rootVal[asked[k]])) })
+	if words > 0 {
+		won := reply[:words]
+		clear(won) // the slab is reused round to round
+		for k := range asked {
 			if p := int(a.lo) + k; sc.won[p>>6]>>(p&63)&1 == 1 {
 				won[k>>6] |= 1 << (k & 63)
 			}
 		}
 	}
 	out.Send(a.from, tagRoots, reply)
+}
+
+// maxPalette is the most distinct roots a change form names in a palette.
+// Four-bit indices at most keep the index of a change in one word, and the
+// encoder finds it by a scan of at most this many roots.
+const maxPalette = 16
+
+// rootCount is what the answer to a list of labels needs to know of their
+// roots, in order, before it is written: c, the entries whose root differs
+// from the one before, the first counting, and the palette of the distinct
+// roots in order of first sight — k of them while k ≤ maxPalette, then
+// k = maxPalette+1, which says "too many".
+type rootCount struct {
+	c, k int
+	last uint64
+	pal  [maxPalette]uint64
+}
+
+// add counts the root of the next entry.
+func (rc *rootCount) add(r uint64) {
+	if rc.c > 0 && r == rc.last {
+		return
+	}
+	rc.c++
+	rc.last = r
+	if rc.k <= maxPalette && rc.index(r) < 0 {
+		if rc.k < maxPalette {
+			rc.pal[rc.k] = r
+		}
+		rc.k++
+	}
+}
+
+// index is r's position in the palette, or -1.
+func (rc *rootCount) index(r uint64) int {
+	for i, p := range rc.pal[:min(rc.k, maxPalette)] {
+		if p == r {
+			return i
+		}
+	}
+	return -1
+}
+
+// paletteBits is the width of a palette index among k roots: 1, 2 or 4
+// bits, so an index never straddles two words.
+func paletteBits(k int) int {
+	b := 1
+	for 1<<b < k {
+		b <<= 1
+	}
+	return b
+}
+
+// changeRoots is the length of what follows the change bitmap for c
+// changes among k distinct roots: the c roots, or the palette form, k roots
+// and then c indices of paletteBits(k) bits, when that is shorter. For one
+// c the palette form's length grows with k, so the length names k.
+func changeRoots(c, k int) int {
+	if k < 2 || k > maxPalette {
+		return c
+	}
+	return min(c, k+(c*paletteBits(k)+63)>>6)
+}
+
+// rootWords is the length, after any won bitmap, of the answer to n labels
+// whose roots rc counted: the change form (wireRoots) when it is shorter
+// than n words, otherwise n.
+func rootWords(n int, rc *rootCount) int { return min(n, (n+63)>>6+changeRoots(rc.c, rc.k)) }
+
+// wireRoots writes the answer to n labels, root(k) the root of the k-th,
+// into dst, whose rootWords(n, rc) words, rc having counted the roots,
+// name its form. At n words it is the n roots. Shorter, it is the change
+// form: a bitmap of ⌈n/64⌉ words whose bit k is set where the k-th root
+// differs from the one before, bit 0 always, then the roots of the set
+// bits — in order, one word each, or, when changeRoots finds it shorter,
+// as a palette: the distinct roots in order of first sight, then one
+// paletteBits-wide index into it per set bit, packed from the low bits of
+// each word up. A run of labels answered with one root costs one bit and,
+// at most, a word, and labels whose roots interleave among a few cost a
+// few bits each. The asker knows n and reads c off the bitmap, so the
+// length alone tells the forms apart and no flag word travels; an answer
+// is never longer than its n roots. readRoots reads it back.
+func wireRoots(dst []uint64, n int, rc *rootCount, root func(k int) uint64) {
+	if len(dst) == n {
+		for k := range dst {
+			dst[k] = root(k)
+		}
+		return
+	}
+	bm := dst[:(n+63)>>6]
+	rs := dst[len(bm):]
+	clear(bm) // the slab is reused round to round
+	b := 0
+	if len(rs) < rc.c {
+		b = paletteBits(rc.k)
+		copy(rs, rc.pal[:rc.k])
+		rs = rs[rc.k:]
+		clear(rs)
+	}
+	j, last := 0, uint64(0)
+	for k := range n {
+		r := root(k)
+		if k > 0 && r == last {
+			continue
+		}
+		bm[k>>6] |= 1 << (k & 63)
+		if b == 0 {
+			rs[j] = r
+		} else {
+			p := j * b
+			rs[p>>6] |= uint64(rc.index(r)) << (p & 63)
+		}
+		j++
+		last = r
+	}
+}
+
+// readRoots decodes the answer keys to n labels (wireRoots), its won
+// bitmap taken off, appending the n roots to roots in order. It reports
+// false, with roots as given, for keys that are neither form: longer than
+// n words, a change bitmap whose bit 0 is clear or that sets a bit past n,
+// roots after it that are neither one per set bit nor a palette form for
+// that many, or a palette index that points past the palette, repeats the
+// index before it or leaves stray bits after the last.
+func readRoots(keys []uint64, n int, roots []uint64) ([]uint64, bool) {
+	if len(keys) == n {
+		return append(roots, keys...), true
+	}
+	words := (n + 63) >> 6
+	if len(keys) > n || len(keys) < words {
+		return roots, false
+	}
+	bm, rs := keys[:words], keys[words:]
+	c := 0
+	for w, b := range bm {
+		if w == words-1 && n&63 != 0 && b>>(n&63) != 0 {
+			return roots, false
+		}
+		c += bits.OnesCount64(b)
+	}
+	if bm[0]&1 == 0 || len(rs) > c {
+		return roots, false
+	}
+	pal, idx, b := rs, rs, 0
+	if len(rs) < c {
+		k := 2
+		for k <= maxPalette && changeRoots(c, k) < len(rs) {
+			k++
+		}
+		if k > maxPalette || changeRoots(c, k) != len(rs) {
+			return roots, false
+		}
+		b = paletteBits(k)
+		pal, idx = rs[:k], rs[k:]
+		if end := c * b; end&63 != 0 && idx[end>>6]>>(end&63) != 0 {
+			return roots, false
+		}
+	}
+	start, j, prev := len(roots), -1, -1
+	for k := range n {
+		if bm[k>>6]>>(k&63)&1 == 1 {
+			j++
+			if b > 0 {
+				p := j * b
+				i := int(idx[p>>6] >> (p & 63) & (1<<b - 1))
+				if i >= len(pal) || i == prev {
+					return roots[:start], false
+				}
+				prev = i
+			}
+		}
+		if b == 0 {
+			roots = append(roots, rs[j])
+		} else {
+			roots = append(roots, pal[prev])
+		}
+	}
+	return roots, true
 }
 
 // takeWins reads, at node i after stage s's answer round, the won bitmaps

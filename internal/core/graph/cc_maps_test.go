@@ -513,8 +513,8 @@ func (pr *mapProto) jump(unresolved int) error {
 
 // answer publishes the phase roots back along the propose sweep sw, one
 // round per stage, homes first, then the combiners, coarsest level first:
-// every receiver answers each message it recorded with one root per label,
-// in the order sent — a home from its own resolved roots, a combiner from
+// every receiver answers each message it recorded with the root of every
+// label, in the order sent and on the int path's wire (answerRoots) — a home from its own resolved roots, a combiner from
 // the roots it learned a stage earlier — and every sender reads the answers
 // of each peer, in order, against the messages it sent that peer. In
 // witness mode the answer to a proposal message leads with the bitmap of
@@ -572,11 +572,16 @@ func (pr *mapProto) answer(sw sweep) ([]map[uint64]uint64, error) {
 				if asked.props && pr.witness {
 					words = (len(asked.labels) + 63) / 64
 				}
-				if len(m.Keys) != words+len(asked.labels) {
-					return nil, fmt.Errorf("oracle: %d words answer %d labels", len(m.Keys), len(asked.labels))
+				var roots []uint64
+				ok := len(m.Keys) >= words
+				if ok {
+					roots, ok = readRoots(m.Keys[words:], len(asked.labels), nil)
+				}
+				if !ok {
+					return nil, fmt.Errorf("oracle: %d words do not answer %d labels", len(m.Keys), len(asked.labels))
 				}
 				for k, a := range asked.labels {
-					learned[i][a] = m.Keys[words+k]
+					learned[i][a] = roots[k]
 					if words == 0 || m.Keys[k/64]>>(k%64)&1 == 0 {
 						continue
 					}
@@ -598,25 +603,41 @@ func (pr *mapProto) answer(sw sweep) ([]map[uint64]uint64, error) {
 }
 
 // answerRoots answers one query: the bitmap of the won flags when won is
-// non-nil, then one root per asked label, in the order asked.
+// non-nil, then the root of every asked label, in the order asked, on the
+// int path's wire (wireRoots).
 func answerRoots(out *netsim.Outbox, to topology.NodeID, asked []uint64, won []bool, roots map[uint64]uint64) error {
 	words := 0
 	if won != nil {
 		words = (len(asked) + 63) / 64
 	}
-	reply := make([]uint64, words+len(asked))
+	rs := make([]uint64, len(asked))
 	for k, a := range asked {
 		r, ok := roots[a]
 		if !ok {
 			return fmt.Errorf("%w: label %d", ErrUnresolvedLabel, a)
 		}
-		reply[words+k] = r
+		rs[k] = r
+	}
+	rc := countRoots(rs)
+	reply := make([]uint64, words+rootWords(len(rs), rc))
+	wireRoots(reply[words:], len(rs), rc, func(k int) uint64 { return rs[k] })
+	for k := range asked {
 		if won != nil && won[k] {
 			reply[k/64] |= 1 << (k % 64)
 		}
 	}
 	out.Send(to, tagRoots, reply)
 	return nil
+}
+
+// countRoots counts a root list as sendRoots does, for rootWords and
+// wireRoots.
+func countRoots(rs []uint64) *rootCount {
+	var rc rootCount
+	for _, r := range rs {
+		rc.add(r)
+	}
+	return &rc
 }
 
 // relabel rewrites every active edge onto the phase roots, dropping edges

@@ -396,8 +396,12 @@ func (pr *proto) double() int {
 }
 
 // emitPacked groups packed (hi-label routed) keys by the home of the high
-// half and sends one arena-backed message per nonempty home. The stable
-// home radix preserves the caller's key order on the wire.
+// half and sends each nonempty home its run of ks as it lies. The engine
+// copies a payload into the receiver's inbox when the round executes, and
+// the caller leaves ks unchanged until then, so a slab copy would only add
+// a word per key to the peak heap of the doubling rounds, the largest of
+// the four connectivity variants'. The stable home radix preserves the
+// caller's key order on the wire.
 func (pr *proto) emitPacked(i int, out *netsim.Outbox, tag netsim.Tag, ks []uint64) {
 	if len(ks) == 0 {
 		return
@@ -410,9 +414,7 @@ func (pr *proto) emitPacked(i int, out *netsim.Outbox, tag netsim.Tag, ks []uint
 		for e < len(ks) && pr.homeOf[int32(ks[e]>>32)] == h {
 			e++
 		}
-		batch := pr.slab(i).grab(e - s)
-		copy(batch, ks[s:e])
-		out.Send(pr.nodes[h], tag, batch)
+		out.Send(pr.nodes[h], tag, ks[s:e:e])
 		s = e
 	}
 }

@@ -40,8 +40,11 @@
 //     hierarchy level where the pays-off test (place.Hierarchy.CombinePays)
 //     holds, before crossing that level's cut. The proposal sweep is also
 //     the root query: once pointer jumping ends, the homes answer every
-//     message they received with one root per label, and the combiners
-//     pass the answers back down the same chain. Duplicate (vertex → label)
+//     message they received with the root of each label, in order — a
+//     change bitmap and only the roots that change, each a word or an
+//     index into a palette of the few distinct ones, where that is
+//     shorter — and the combiners pass the answers back down the same
+//     chain. Duplicate (vertex → label)
 //     updates for a hot label then cross each engaged cut once per block
 //     instead of once per node, and blocks where combining cannot pay
 //     (majority-capacity regions, singletons) skip the merge rounds
@@ -137,7 +140,7 @@ const (
 	tagNeedUp                           // need entries, member → combiner
 	tagJumpQ                            // pointer-jump query: [q, ...]
 	tagJumpA                            // jump reply in query order: [resolved bitmap (⌈n/64⌉ words), value, ...], value = root if resolved, else parent
-	tagRoots                            // answer to one proposal or need message, home → sender or combiner → member, in its label order: [root, ...]; spanforest's answer to a proposal message leads with its won bitmap (⌈n/64⌉ words), as tagJumpA with its resolved one
+	tagRoots                            // answer to one proposal or need message, home → sender or combiner → member, in its label order: n roots [root, ...], or, when shorter, a change bitmap (⌈n/64⌉ words, bit k set where the k-th root differs from the one before) and the roots of its set bits, a word each or, when shorter, as a palette of k ≤ 16 distinct roots and one 1-, 2- or 4-bit index per set bit; the asker's n and the bitmap's count tell the forms apart; spanforest's answer to a proposal message leads with its won bitmap (⌈n/64⌉ words), as tagJumpA with its resolved one
 	tagAdj                              // cc-fast adjacency: packed [a<<32|b, ...]
 	tagKnow                             // cc-fast known-set push: packed [u<<32|x, ...]
 	tagEdge                             // gathered edges, holder → gathering node: [u, v, ...]

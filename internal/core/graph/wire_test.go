@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
@@ -306,6 +307,170 @@ func FuzzProposalWire(f *testing.F) {
 		}
 		if len(sl.buf) != total {
 			t.Fatalf("the slab holds %d words for payloads of %d", len(sl.buf), total)
+		}
+	})
+}
+
+// fuzzRoots decodes a byte string into the roots of an answer, one per
+// byte: a byte with its top bit set repeats the root before it, any other
+// names one of 32 roots by its low five bits, spread over 64 bits as the
+// map oracle's ids are, so lists of few roots that interleave — the
+// palette form's case — are as easy to reach as lists of many.
+func fuzzRoots(data []byte) []uint64 {
+	rs := make([]uint64, 0, len(data))
+	for k, b := range data {
+		if b&0x80 != 0 && k > 0 {
+			rs = append(rs, rs[k-1])
+			continue
+		}
+		rs = append(rs, uint64(b&0x1f)*0x9e3779b97f4a7c15)
+	}
+	return rs
+}
+
+// cycle is n bytes naming roots 0, 1, …, k−1, 0, 1, … in turn.
+func cycle(n, k int) []byte {
+	data := make([]byte, n)
+	for i := range data {
+		data[i] = byte(i % k)
+	}
+	return data
+}
+
+// FuzzRootWire holds the root answer to its contract: a byte-derived root
+// list (fuzzRoots) is written twice on one slab that holds stale words, as
+// a reused one does — once alone and once after a won bitmap, as
+// sendRoots lays a witness answer out — and readRoots reads each back to
+// the same roots, the won bitmap untouched. After its won bitmap an answer
+// to n labels whose roots change c times (the first counting) among k
+// distinct roots takes the least of n words, the ⌈n/64⌉ + c of the change
+// form with its roots one word each, and, for 2 ≤ k ≤ 16, the
+// ⌈n/64⌉ + k + ⌈c·b/64⌉ of its palette form (b = 1, 2 or 4 bits, the
+// least that indexes k), so never more than n. Malformed answers read as
+// such: a change bitmap with bit 0 cleared or a bit set past n, a root past
+// its set bits, fewer words after the bitmap than its set bits that no
+// palette's length accounts for, a palette index repeating the one before
+// or stray bits after the last, n+1 words and none.
+func FuzzRootWire(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{7})
+	f.Add(bytes.Repeat([]byte{5}, 200))                             // all equal
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14}) // all distinct
+	f.Add(append([]byte{1}, bytes.Repeat([]byte{0x80}, 63)...))     // n = 64, one root
+	f.Add(append(bytes.Repeat([]byte{0x80}, 64), 2))                // n = 65, a change in the second bitmap word
+	f.Add([]byte{3, 0x80, 0x80, 4, 4, 0x80, 9, 0x80, 0x80, 0x80, 3})
+	f.Add(cycle(200, 2))  // two roots interleaved: one-bit palette
+	f.Add(cycle(301, 3))  // three: two-bit palette, stray bits after the last index
+	f.Add(cycle(500, 16)) // sixteen: four-bit palette
+	f.Add(cycle(500, 17)) // seventeen: one word per change
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rs := fuzzRoots(data)
+		n := len(rs)
+		bmWords := (n + 63) >> 6
+		c, distinct := 0, map[uint64]bool{}
+		for k, r := range rs {
+			if k == 0 || r != rs[k-1] {
+				c++
+			}
+			distinct[r] = true
+		}
+		k := len(distinct)
+		// indexBits is the palette index width for k roots, and palettes
+		// the lengths a palette of 2 to 16 roots takes for c changes.
+		indexBits := func(k int) int {
+			switch {
+			case k == 2:
+				return 1
+			case k <= 4:
+				return 2
+			}
+			return 4
+		}
+		palettes := map[int]bool{}
+		for k := 2; k <= 16; k++ {
+			palettes[k+(c*indexBits(k)+63)/64] = true
+		}
+		want := min(n, bmWords+c)
+		if k >= 2 && k <= 16 {
+			want = min(want, bmWords+k+(c*indexBits(k)+63)/64)
+		}
+		sl := payloadSlab{buf: make([]uint64, 2*(bmWords+n))}
+		for k := range sl.buf {
+			sl.buf[k] = ^uint64(0)
+		}
+		sl.buf = sl.buf[:0]
+		total := 0
+		for _, won := range []int{0, bmWords} {
+			rc := countRoots(rs)
+			reply := sl.grab(won + rootWords(n, rc))
+			total += len(reply)
+			for k := range reply[:won] {
+				reply[k] = uint64(k) * 0x5555
+			}
+			wireRoots(reply[won:], n, rc, func(k int) uint64 { return rs[k] })
+			if got := len(reply) - won; got != want || got > n {
+				t.Fatalf("%d roots with %d changes among %d take %d words after a %d-word won bitmap, want %d", n, c, k, got, won, want)
+			}
+			for k := range reply[:won] {
+				if reply[k] != uint64(k)*0x5555 {
+					t.Fatalf("won word %d reads %x after the roots were written", k, reply[k])
+				}
+			}
+			ans := reply[won:]
+			got, ok := readRoots(ans, n, nil)
+			if !ok || !slices.Equal(got, rs) {
+				t.Fatalf("%d roots in %d words read back as %v (ok %v), want %v", n, len(ans), got, ok, rs)
+			}
+			if len(ans) == n {
+				continue
+			}
+			for r := range min(c, 64) {
+				short := append(slices.Clone(ans[:bmWords]), make([]uint64, r)...)
+				if _, ok := readRoots(short, n, nil); ok && !palettes[r] && len(short) < n {
+					t.Fatalf("a change bitmap of %d bits and %d words after it, no palette's length, reads as an answer", c, r)
+				}
+			}
+			bad := slices.Clone(ans)
+			bad[0] &^= 1
+			if _, ok := readRoots(bad, n, nil); ok {
+				t.Fatalf("a change bitmap with bit 0 clear reads as an answer")
+			}
+			if n&63 != 0 {
+				bad = slices.Clone(ans)
+				bad[bmWords-1] |= 1 << (n & 63)
+				if _, ok := readRoots(bad, n, nil); ok {
+					t.Fatalf("a change bitmap with a bit past its %d labels reads as an answer", n)
+				}
+			}
+			if len(ans) == bmWords+c {
+				if _, ok := readRoots(append(slices.Clone(ans), 1), n, nil); ok && len(ans)+1 < n {
+					t.Fatalf("a change form with a root past its set bits reads as an answer")
+				}
+				continue
+			}
+			idx, b := ans[bmWords+k:], indexBits(k)
+			bad = slices.Clone(ans)
+			first := idx[0] & (1<<b - 1)
+			bad[bmWords+k] = idx[0]&^(1<<(2*b)-1) | first<<b | first
+			if _, ok := readRoots(bad, n, nil); ok {
+				t.Fatalf("a palette index repeating the one before reads as an answer")
+			}
+			if end := c * b; end&63 != 0 {
+				bad = slices.Clone(ans)
+				bad[len(bad)-1] |= 1 << 63
+				if _, ok := readRoots(bad, n, nil); ok {
+					t.Fatalf("stray bits after the last of %d palette indices read as an answer", c)
+				}
+			}
+		}
+		if _, ok := readRoots(make([]uint64, n+1), n, nil); ok {
+			t.Fatalf("%d words read as the answer to %d labels", n+1, n)
+		}
+		if _, ok := readRoots(nil, n, nil); ok && n > 0 {
+			t.Fatalf("no words read as the answer to %d labels", n)
+		}
+		if len(sl.buf) != total {
+			t.Fatalf("the slab holds %d words for answers of %d", len(sl.buf), total)
 		}
 	})
 }

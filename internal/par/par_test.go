@@ -141,6 +141,13 @@ func TestSortUint64Allocs(t *testing.T) {
 	for name, key := range map[string]func() uint64{
 		"random":         rng.Uint64,
 		"low lanes only": func() uint64 { return uint64(rng.Intn(1 << 20)) },
+		// All keys but about one in 10⁴ in one top-byte bucket.
+		"skewed top byte": func() uint64 {
+			if rng.Intn(10_000) == 0 {
+				return 0xff << 56
+			}
+			return rng.Uint64() >> 8
+		},
 	} {
 		in := make([]uint64, n)
 		for i := range in {
@@ -179,26 +186,43 @@ func TestSortUint64Allocs(t *testing.T) {
 
 // BenchmarkSortUint64 times the pool's sort at two workers beside
 // SerialSort, on random keys at the sizes of primitives-skew's homes, its
-// gather home, and twice that. Each iteration sorts a fresh copy of the
-// same input with preallocated scratch.
+// gather home, and twice that, and on 5·10⁵ keys below 2⁵⁶ plus one whose
+// top byte is 0xff, which puts all keys but one in one top-byte bucket.
+// Each iteration sorts a fresh copy of the same input with preallocated
+// scratch.
 func BenchmarkSortUint64(b *testing.B) {
 	rng := rand.New(rand.NewSource(9))
+	type input struct {
+		name string
+		keys []uint64
+	}
+	var inputs []input
 	for _, n := range []int{125_000, 500_000, 1_000_000} {
 		in := make([]uint64, n)
 		for i := range in {
 			in[i] = rng.Uint64()
 		}
+		inputs = append(inputs, input{"n=" + itoa(n), in})
+	}
+	skewed := make([]uint64, 500_000)
+	for i := range skewed {
+		skewed[i] = rng.Uint64() >> 8
+	}
+	skewed[len(skewed)/2] = 0xff << 56
+	inputs = append(inputs, input{"skewed/n=500000", skewed})
+	for _, in := range inputs {
+		n := len(in.keys)
 		a, tmp := make([]uint64, n), make([]uint64, n)
 		p := New(2)
 		for _, k := range []struct {
 			name string
 			sort func(a, tmp []uint64) ([]uint64, []uint64)
 		}{{"pool2", p.SortUint64}, {"serial", SerialSort[uint64]}} {
-			b.Run(k.name+"/n="+itoa(n), func(b *testing.B) {
+			b.Run(k.name+"/"+in.name, func(b *testing.B) {
 				b.SetBytes(int64(n) * 8)
 				for i := 0; i < b.N; i++ {
 					b.StopTimer()
-					copy(a, in)
+					copy(a, in.keys)
 					b.StartTimer()
 					k.sort(a, tmp)
 				}
